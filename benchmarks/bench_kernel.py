@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the pure-Python scalar kernel against the compiled one.
 
-The hot path of the whole package is exhaustive axiom verification: the
-associativity scan is n^3 sparse tensor contractions and the bialgebra scan
-is n^2 coproduct products, all in exact cyclotomic arithmetic.  This script
-times the scalar primitives and the two scans on the small quantum group,
-for each available kernel implementation.
+The full axiom scans are the kernel's heaviest loops: the associativity scan
+is n^3 sparse tensor contractions and the bialgebra scan is n^2 coproduct
+products, all in exact cyclotomic arithmetic (verify_hopf runs them in full
+only as a fallback).  This script times the scalar primitives and the two
+full scans on the small quantum group, for each available kernel
+implementation.
 
 Usage: python benchmarks/bench_kernel.py [--l 3] [--full]
   --full additionally runs the dimension-125 scans (l = 5), which take a few

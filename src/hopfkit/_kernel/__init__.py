@@ -1,11 +1,12 @@
 """Kernel selection and shared exact-arithmetic helpers.
 
-The hot loops (scalar ring operations and the exhaustive axiom scans) have
-two interchangeable implementations: a compiled Cython module ``_ckernel``
-and the pure-Python twin ``_pykernel``.  The compiled one is used when it
-imported successfully, unless ``HOPFKIT_PURE=1`` is set.  Everything else in
-this package (cyclotomic polynomial tables, conductor lifting, inverses) is
-cold-path code and lives here, shared by both kernels.
+The hot loops (scalar ring operations and the axiom scans) have two
+interchangeable implementations: a compiled Cython module ``_ckernel`` and
+the pure-Python twin ``_pykernel``.  The compiled one is used when it
+imported successfully, unless ``HOPFKIT_PURE=1`` is set.  Only the pure
+kernel restricts a scan to some indices, so restricted scans run there.
+Everything else in this package (cyclotomic polynomial tables, conductor
+lifting, inverses) is cold-path code and lives here, shared by both kernels.
 """
 
 import os
@@ -28,9 +29,22 @@ s_sub = _impl.s_sub
 s_mul = _impl.s_mul
 s_neg = _impl.s_neg
 s_is_zero = _impl.s_is_zero
-assoc_first_defect = _impl.assoc_first_defect
-bialg_first_defect = _impl.bialg_first_defect
 coassoc_first_defect = _impl.coassoc_first_defect
+
+
+def assoc_first_defect(n, mult, ctx, mids=None):
+    """First associativity defect (a,b,c), the middle index b restricted to ``mids``."""
+    if mids is None:
+        return _impl.assoc_first_defect(n, mult, ctx)
+    return _pykernel.assoc_first_defect(n, mult, ctx, mids)
+
+
+def bialg_first_defect(n, mult, comult, ctx, lefts=None):
+    """First bialgebra defect (a,b), the left index a restricted to ``lefts``."""
+    if lefts is None:
+        return _impl.bialg_first_defect(n, mult, comult, ctx)
+    return _pykernel.bialg_first_defect(n, mult, comult, ctx, lefts)
+
 
 IMPLEMENTATIONS = {"pure": _pykernel}
 try:

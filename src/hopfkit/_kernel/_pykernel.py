@@ -85,14 +85,15 @@ def s_is_zero(a):
     return True
 
 
-def assoc_first_defect(n, mult, ctx):
+def assoc_first_defect(n, mult, ctx, mids=None):
     """First triple (a,b,c) with (ea*eb)*ec != ea*(eb*ec), or None.
 
-    ``mult[a*n+b]`` is a tuple of ``(k, scalar)`` pairs for ea*eb.
+    ``mult[a*n+b]`` is a tuple of ``(k, scalar)`` pairs for ea*eb.  Given
+    ``mids``, the middle index b runs over ``mids`` only.
     """
     for a in range(n):
         an = a * n
-        for b in range(n):
+        for b in range(n) if mids is None else mids:
             rab = mult[an + b]
             bn = b * n
             for c in range(n):
@@ -113,12 +114,13 @@ def assoc_first_defect(n, mult, ctx):
     return None
 
 
-def bialg_first_defect(n, mult, comult, ctx):
+def bialg_first_defect(n, mult, comult, ctx, lefts=None):
     """First pair (a,b) with Delta(ea*eb) != Delta(ea)*Delta(eb), or None.
 
-    ``comult[i]`` is a tuple of ``(j*n+k, scalar)`` pairs.
+    ``comult[i]`` is a tuple of ``(j*n+k, scalar)`` pairs.  Given ``lefts``,
+    the left index a runs over ``lefts`` only.
     """
-    for a in range(n):
+    for a in range(n) if lefts is None else lefts:
         da = comult[a]
         an = a * n
         for b in range(n):

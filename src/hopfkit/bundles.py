@@ -49,10 +49,18 @@ def serialize_hopf(H):
     return "\n".join(lines) + "\n"
 
 
+# Largest dim a bundle may declare, checked before any table is allocated.
+# The builtins reach 343 (u_q(sl2) at l = 7); the axiom scans are cubic in dim.
+MAX_DIM = 512
+# Largest conductor: scalars carry phi(conductor) coefficients.
+MAX_CONDUCTOR = 10000
+
+
 class _Parser:
     def __init__(self, text):
         self.lines = text.splitlines()
         self.at = 0
+        self.header_lines = {}
 
     def peek(self):
         while self.at < len(self.lines):
@@ -69,8 +77,8 @@ class _Parser:
         self.at += 1
         return line
 
-    def error(self, msg):
-        raise BundleParseError(msg, self.at)
+    def error(self, msg, line=None):
+        raise BundleParseError(msg, self.at if line is None else line)
 
 
 def _parse_header(p, kind):
@@ -85,98 +93,98 @@ def _parse_header(p, kind):
         p.next()
         key, _, value = line.partition(" ")
         fields[key] = value.strip()
+        p.header_lines[key] = p.at
     return fields
 
 
-def _parse_sections(p, conductor):
+def _int_field(p, fields, key, default, upper):
+    """Header field ``key`` as an integer in 1..upper; errors name its line."""
+    raw = fields.get(key, default)
+    line = p.header_lines.get(key, p.at)
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        p.error("header must declare an integer %s" % key, line)
+    if not 1 <= value <= upper:
+        p.error("%s must be between 1 and %d, got %d" % (key, upper, value), line)
+    return value
+
+
+def _parse_sections(p):
+    """{section name: [(line number, entry line)]}; each name appears once."""
     sections = {}
-    while True:
-        line = p.peek()
-        if line is None:
-            break
-        p.next()
+    while p.peek() is not None:
+        line = p.next()
         if not line.startswith("BEGIN "):
             p.error("expected BEGIN <section>, got %r" % line)
         name = line[6:].strip()
-        entries = []
+        if name in sections:
+            p.error("duplicate section %s" % name)
+        entries = sections[name] = []
         while True:
             row = p.next()
             if row == "END":
                 break
-            entries.append(row)
-        sections.setdefault(name, []).append(entries)
+            entries.append((p.at, row))
     return sections
 
 
-def _entry(line, nidx, N, p):
-    parts = line.split(None, nidx)
-    if len(parts) != nidx + 1:
-        p.error("expected %d indices and a scalar: %r" % (nidx, line))
-    try:
-        idxs = [int(x) for x in parts[:nidx]]
-    except ValueError:
-        p.error("bad index in %r" % line)
-    try:
-        val = parse_scalar(parts[nidx], N)
-    except (ValueError, ZeroDivisionError) as e:
-        p.error("bad scalar in %r (%s)" % (line, e))
-    return idxs, val
+def _entries(p, sections, name, bounds, N):
+    """(indices, scalar) for each entry line of a section.  Index i must lie
+    in 0..bounds[i]-1 and no index tuple may appear twice."""
+    nidx = len(bounds)
+    seen = set()
+    for lineno, line in sections[name]:
+        parts = line.split(None, nidx)
+        if len(parts) != nidx + 1:
+            p.error("expected %d indices and a scalar: %r" % (nidx, line), lineno)
+        try:
+            idxs = tuple(int(x) for x in parts[:nidx])
+        except ValueError:
+            p.error("bad index in %r" % line, lineno)
+        if not all(0 <= i < b for i, b in zip(idxs, bounds)):
+            p.error("index out of range in %r" % line, lineno)
+        if idxs in seen:
+            p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name), lineno)
+        seen.add(idxs)
+        try:
+            val = parse_scalar(parts[nidx], N)
+        except (ValueError, ZeroDivisionError) as e:
+            p.error("bad scalar in %r (%s)" % (line, e), lineno)
+        yield idxs, val
 
 
 def parse_hopf(text):
     p = _Parser(text)
     fields = _parse_header(p, "hopf-bundle")
-    try:
-        dim = int(fields["dim"])
-        N = int(fields.get("conductor", "1"))
-    except (KeyError, ValueError):
-        p.error("header must declare integer dim and conductor")
+    dim = _int_field(p, fields, "dim", None, MAX_DIM)
+    N = _int_field(p, fields, "conductor", "1", MAX_CONDUCTOR)
     name = fields.get("name", "H")
     labels = fields.get("labels")
     labels = labels.split(",") if labels else ["e%d" % i for i in range(dim)]
     if len(labels) != dim:
-        p.error("label count does not match dim")
-    sections = _parse_sections(p, N)
+        p.error("label count does not match dim", p.header_lines.get("labels"))
+    sections = _parse_sections(p)
     for required in ("MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE"):
         if required not in sections:
             p.error("missing section %s" % required)
 
-    mult = {}
-    for line in sections["MULT"][0]:
-        idxs, val = _entry(line, 3, N, p)
-        _check_range(idxs, dim, p, line)
-        mult[tuple(idxs)] = val
-    comult = {}
-    for line in sections["COMULT"][0]:
-        idxs, val = _entry(line, 3, N, p)
-        _check_range(idxs, dim, p, line)
-        comult[tuple(idxs)] = val
+    mult = dict(_entries(p, sections, "MULT", (dim, dim, dim), N))
+    comult = dict(_entries(p, sections, "COMULT", (dim, dim, dim), N))
     unit = [Cyclotomic.rational(0, N)] * dim
-    for line in sections["UNIT"][0]:
-        idxs, val = _entry(line, 1, N, p)
-        _check_range(idxs, dim, p, line)
-        unit[idxs[0]] = val
+    for (i,), val in _entries(p, sections, "UNIT", (dim,), N):
+        unit[i] = val
     counit = [Cyclotomic.rational(0, N)] * dim
-    for line in sections["COUNIT"][0]:
-        idxs, val = _entry(line, 1, N, p)
-        _check_range(idxs, dim, p, line)
-        counit[idxs[0]] = val
+    for (i,), val in _entries(p, sections, "COUNIT", (dim,), N):
+        counit[i] = val
     srows = [[Cyclotomic.rational(0, N)] * dim for _ in range(dim)]
-    for line in sections["ANTIPODE"][0]:
-        idxs, val = _entry(line, 2, N, p)
-        _check_range(idxs, dim, p, line)
-        srows[idxs[0]][idxs[1]] = val
+    for (i, j), val in _entries(p, sections, "ANTIPODE", (dim, dim), N):
+        srows[i][j] = val
     S = Matrix.from_rows(srows)
     return FinHopf.from_tensors(
         name, labels, mult, unit, comult, counit, S, conductor=N,
         convention=fields.get("convention", ""),
     )
-
-
-def _check_range(idxs, dim, p, line):
-    for i in idxs:
-        if not 0 <= i < dim:
-            p.error("index %d out of range in %r" % (i, line))
 
 
 def serialize_inclusion(incl, sub_ref, big_ref):
@@ -202,16 +210,13 @@ def parse_inclusion(text, resolver):
             p.error("missing %r reference" % key)
     sub = resolver(fields["sub"])
     big = resolver(fields["big"])
-    N = int(fields.get("conductor", max(sub.N, big.N)))
-    sections = _parse_sections(p, N)
+    N = _int_field(p, fields, "conductor", str(max(sub.N, big.N)), MAX_CONDUCTOR)
+    sections = _parse_sections(p)
     if "EMBED" not in sections:
         p.error("missing EMBED section")
     rows = [[Cyclotomic.rational(0, N)] * sub.dim for _ in range(big.dim)]
-    for line in sections["EMBED"][0]:
-        idxs, val = _entry(line, 2, N, p)
-        if not 0 <= idxs[0] < big.dim or not 0 <= idxs[1] < sub.dim:
-            p.error("embed index out of range in %r" % line)
-        rows[idxs[0]][idxs[1]] = val
+    for (i, b), val in _entries(p, sections, "EMBED", (big.dim, sub.dim), N):
+        rows[i][b] = val
     return HopfInclusion(sub, big, Matrix.from_rows(rows))
 
 
@@ -247,51 +252,26 @@ def parse_module(text, resolver):
     if "over" not in fields:
         p.error("missing 'over' reference")
     H = resolver(fields["over"])
-    try:
-        dim = int(fields["dim"])
-        N = int(fields.get("conductor", str(H.N)))
-    except (KeyError, ValueError):
-        p.error("header must declare integer dim")
+    dim = _int_field(p, fields, "dim", None, MAX_DIM)
+    N = _int_field(p, fields, "conductor", str(H.N), MAX_CONDUCTOR)
     name = fields.get("name", "V")
 
-    # sections appear as ACTION <i> repeatedly, plus optional COACTION
-    sections = {}
-    while True:
-        line = p.peek()
-        if line is None:
-            break
-        p.next()
-        if not line.startswith("BEGIN "):
-            p.error("expected BEGIN, got %r" % line)
-        secname = line[6:].strip()
-        entries = []
-        while True:
-            row = p.next()
-            if row == "END":
-                break
-            entries.append(row)
-        sections[secname] = entries
-
+    # one ACTION <i> section per basis element of H, plus optional COACTION
+    sections = _parse_sections(p)
     mats = []
     for i in range(H.dim):
         key = "ACTION %d" % i
         if key not in sections:
             p.error("missing section %r" % key)
         rows = [[Cyclotomic.rational(0, N)] * dim for _ in range(dim)]
-        for line in sections[key]:
-            idxs, val = _entry(line, 2, N, p)
-            if not 0 <= idxs[0] < dim or not 0 <= idxs[1] < dim:
-                p.error("matrix index out of range in %r" % line)
-            rows[idxs[0]][idxs[1]] = val
+        for (r, c), val in _entries(p, sections, key, (dim, dim), N):
+            rows[r][c] = val
         mats.append(Matrix.from_rows(rows))
     mod = HModule(H, mats, name=name, N=N)
     if "COACTION" in sections:
         rows = [[Cyclotomic.rational(0, N)] * dim for _ in range(H.dim * dim)]
-        for line in sections["COACTION"]:
-            idxs, val = _entry(line, 2, N, p)
-            if not 0 <= idxs[0] < H.dim * dim or not 0 <= idxs[1] < dim:
-                p.error("coaction index out of range in %r" % line)
-            rows[idxs[0]][idxs[1]] = val
+        for (r, c), val in _entries(p, sections, "COACTION", (H.dim * dim, dim), N):
+            rows[r][c] = val
         return YDModule(mod, Matrix.from_rows(rows), name=name)
     return mod
 

@@ -40,7 +40,8 @@ from .reports import Report, digest_bytes
 
 def _parse_spec(spec):
     u = urlparse(spec)
-    params = {k: v[-1] for k, v in parse_qs(u.query).items()}
+    # "+" is literal in specs (sub=borel+, scalar sums), not an encoded space
+    params = {k: v[-1] for k, v in parse_qs(u.query.replace("+", "%2B")).items()}
     return u.scheme, u.path, params
 
 

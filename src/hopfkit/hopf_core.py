@@ -2,8 +2,14 @@
 
 A FinHopf stores the multiplication and comultiplication as sparse tensors
 over a cyclotomic field, the unit and counit as exact vectors, and the
-antipode as a matrix.  Axiom verification is exhaustive over basis tuples;
-the pairwise tensor contractions run in the selected arithmetic kernel.
+antipode as a matrix.  Axiom verification scans basis tuples in the selected
+arithmetic kernel.  Associativity and Delta(ab) = Delta(a)Delta(b) are
+scanned with one index on an algebra generating set only: the middle nucleus
+{a : (xa)y = x(ay)} is a unital subalgebra for any unital bilinear product
+(Teichmueller identity), and so is {a : Delta(ab) = Delta(a)Delta(b) for all
+b} once the product is associative and Delta(1) = 1 x 1.  When a premise
+fails, or the reduced scan finds a defect, the full scan runs, so every
+failure carries the first witness in basis order.
 All instances are immutable after construction and all operations are pure.
 """
 
@@ -407,26 +413,77 @@ def _check_shapes(H):
                 raise ShapeError("comult output index %d out of range" % x)
 
 
+def algebra_generators(H):
+    """Basis indices G such that 1 and the products of elements of G span H;
+    cached on H.
+
+    Greedy: starting from span{1}, add the first basis element outside the
+    span and close the span under right multiplication by G; repeat until
+    the span is H.  Only meaningful when 1 is a two-sided unit.
+    """
+    got = H._cache.get("generators")
+    if got is None:
+        space = RowSpace(H.dim, H.ctx)
+        spanning = []
+        pending = []
+        gens = []
+
+        def grow(vec):
+            if space.add(vec):
+                spanning.append(vec)
+                pending.extend((vec, g) for g in gens)
+
+        grow(H.unit_vec())
+        for i in range(H.dim):
+            if space.rank == H.dim:
+                break
+            if not space.contains(H.basis_vec(i)):
+                gens.append(i)
+                pending.extend((vec, i) for vec in spanning)
+                grow(H.basis_vec(i))
+                while pending:
+                    vec, g = pending.pop()
+                    grow(H.mult_vec(vec, H.basis_vec(g)))
+        got = H._cache["generators"] = tuple(gens)
+    return got
+
+
+def _first_defect(scan, restrict, *args):
+    """The full scan's first defect; None without a full scan when the
+    restricted scan finds none (the restriction must then prove the axiom)."""
+    if restrict is not None and scan(*args, restrict) is None:
+        return None
+    return scan(*args)
+
+
 def verify_hopf(H):
-    """Exhaustive check of all Hopf axioms; failures carry the first witness."""
+    """Check every Hopf axiom; failures carry the first witness in basis order.
+
+    Associativity and multiplicativity of the coproduct are scanned on a
+    generating set G only (see ``algebra_generators``) once the axioms the
+    reduction rests on hold: the unit axiom for the middle index of
+    associativity, and in addition associativity and Delta(1) = 1 x 1 for the
+    left index of Delta(ab) = Delta(a)Delta(b).  Otherwise, or when the
+    reduced scan finds a defect, the scan runs over all basis tuples.
+    """
     _check_shapes(H)
     n = H.dim
     ctx = H.ctx
     rep = Report("verify-hopf %s" % H.name)
 
-    w = K.assoc_first_defect(n, H.mult, ctx)
-    rep.add("mult-associative", w is None, witness=w, anchor="hopf-axioms")
-
     unit = H.unit_vec()
-    w = None
+    w_unit = None
     for i in range(n):
         left = H.mult_vec(unit, H.basis_vec(i))
         right = H.mult_vec(H.basis_vec(i), unit)
         ei = H.basis_vec(i)
         if left != ei or right != ei:
-            w = i
+            w_unit = i
             break
-    rep.add("mult-unital", w is None, witness=w, anchor="hopf-axioms")
+    gens = algebra_generators(H) if w_unit is None else None
+    w_assoc = _first_defect(K.assoc_first_defect, gens, n, H.mult, ctx)
+    rep.add("mult-associative", w_assoc is None, witness=w_assoc, anchor="hopf-axioms")
+    rep.add("mult-unital", w_unit is None, witness=w_unit, anchor="hopf-axioms")
 
     w = K.coassoc_first_defect(n, H.comult, ctx)
     rep.add("comult-coassociative", w is None, witness=w, anchor="hopf-axioms")
@@ -449,12 +506,11 @@ def verify_hopf(H):
             break
     rep.add("comult-counital", w is None, witness=w, anchor="hopf-axioms")
 
-    w = K.bialg_first_defect(n, H.mult, H.comult, ctx)
+    unit_grouplike = H.comult_vec(unit) == _tensor_sq(H, unit, unit)
+    lefts = gens if w_assoc is None and unit_grouplike else None
+    w = _first_defect(K.bialg_first_defect, lefts, n, H.mult, H.comult, ctx)
     rep.add("comult-multiplicative", w is None, witness=w, anchor="bialgebra")
-
-    du = H.comult_vec(unit)
-    uu = _tensor_sq(H, unit, unit)
-    rep.add("comult-of-unit", du == uu, anchor="bialgebra")
+    rep.add("comult-of-unit", unit_grouplike, anchor="bialgebra")
 
     w = None
     for i in range(n):

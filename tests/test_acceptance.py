@@ -156,7 +156,7 @@ def test_criterion_04_twelve_rigid_frobenius_algebras(h8_ictx):
         commutative for the stated braiding.
       - the special scalars are (2, 2) (they rescale as (2c, 2/c) with the
         Frobenius-morphism normalization c; (2, 1) is not attained by any c).
-    See /root/notes/decisions.md for the full analysis.
+    See notes/decisions.md for the full analysis.
     """
     t0 = time.monotonic()
     Kk = h8_ictx.incl.K

@@ -63,6 +63,54 @@ def test_corrupt_bundle_exit_2(tmp_path, capsys, h8):
     assert code == 2
 
 
+def _verify_bundle_error(text, tmp_path, capsys):
+    p = tmp_path / "bad.bundle"
+    p.write_text(text)
+    code = main(["verify", str(p)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("conductor", ["0", "-3", "100001"])
+def test_bundle_rejects_conductor_out_of_range(tmp_path, capsys, h8, conductor):
+    text = serialize_hopf(h8).replace("\nconductor 1\n", "\nconductor %s\n" % conductor, 1)
+    code, err = _verify_bundle_error(text, tmp_path, capsys)
+    assert code == 2
+    assert "line 4: conductor must be between 1 and" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-1", "1000000000"])
+def test_bundle_rejects_dim_out_of_range(tmp_path, capsys, h8, dim):
+    text = serialize_hopf(h8).replace("\ndim 8\n", "\ndim %s\n" % dim, 1)
+    code, err = _verify_bundle_error(text, tmp_path, capsys)
+    assert code == 2
+    assert "line 3: dim must be between 1 and" in err
+
+
+@pytest.mark.parametrize("section, entry", [("MULT", "1 1 0 1"), ("COUNIT", "0 1"), ("ANTIPODE", "3 3 1")])
+def test_bundle_rejects_duplicate_entry(tmp_path, capsys, h8, section, entry):
+    lines = serialize_hopf(h8).splitlines()
+    at = lines.index(entry, lines.index("BEGIN %s" % section))
+    lines.insert(at + 1, entry.rsplit(" ", 1)[0] + " 2")
+    code, err = _verify_bundle_error("\n".join(lines) + "\n", tmp_path, capsys)
+    assert code == 2
+    assert "line %d: duplicate entry %s in section %s" % (at + 2, entry.rsplit(" ", 1)[0], section) in err
+
+
+def test_bundle_rejects_duplicate_section(tmp_path, capsys, h8):
+    text = serialize_hopf(h8) + "BEGIN UNIT\n0 1\nEND\n"
+    code, err = _verify_bundle_error(text, tmp_path, capsys)
+    assert code == 2
+    assert "duplicate section UNIT" in err
+
+
+def test_module_bundle_rejects_duplicate_entry(h8_incl):
+    from conftest import kchar
+
+    text = serialize_module(kchar(h8_incl.K, 1, -1), "K").replace("0 0 1\n", "0 0 1\n0 0 -1\n", 1)
+    with pytest.raises(BundleParseError, match="duplicate entry 0 0 in section ACTION 0"):
+        parse_module(text, lambda ref: h8_incl.K)
+
+
 def test_module_bundle_roundtrip(h8_incl, tmp_path):
     from conftest import kchar
 
@@ -84,6 +132,13 @@ def test_analyze_taft_expectations(capsys):
     assert code == 0
     code, _ = run(["analyze", "builtin:taft?l=3", "--expect-frobenius", "true"], capsys)
     assert code == 1
+
+
+def test_analyze_borel_plus_not_frobenius(capsys):
+    # "+" in a spec is literal: sub=borel+ is the positive Borel subalgebra
+    code, out = run(["analyze", "builtin:uqsl2?l=3&sub=borel+", "--expect-frobenius", "false"], capsys)
+    assert code == 0, out
+    assert "frobenius=False" in out
 
 
 def test_analyze_uqsl2_cartan(capsys):

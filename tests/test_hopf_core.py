@@ -1,11 +1,17 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfkit._kernel as K
-from hopfkit.builders import cyclic_table, group_algebra, klein_table
+from hopfkit import hopf_core
+from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, klein_table, taft
 from hopfkit.errors import PipelineError
-from hopfkit.exact_math import Matrix
+from hopfkit.exact_math import Matrix, RowSpace
 from hopfkit.hopf_core import (
     FinHopf,
+    algebra_generators,
     antipode_inverse,
     distinguished_grouplike,
     dual_hopf,
@@ -147,3 +153,66 @@ def test_uq3_unimodular_dual_not(uq3):
     u = uq3.hopf
     assert is_unimodular(u)
     assert not is_dual_unimodular(u)
+
+
+def _word_span_rank(H, gens):
+    """Rank of the span of all words in gens (1 included), level by level."""
+    space = RowSpace(H.dim, H.ctx)
+    level = [H.unit_vec()]
+    space.add(level[0])
+    while level:
+        level = [w for w in (H.mult_vec(v, H.basis_vec(g)) for v in level for g in gens) if space.add(w)]
+    return space.rank
+
+
+def test_generators_span_every_builtin(h8, taft3, uq3):
+    algebras = [h8, taft3[0], uq3.hopf, taft(2)[0], dual_hopf(h8), dual_hopf(uq3.hopf)]
+    for table in (cyclic_table(2), cyclic_table(3), cyclic_table(4), klein_table()):
+        algebras.append(group_algebra(table))
+    for base in (group_algebra(cyclic_table(2)), group_algebra(klein_table()), taft(2)[0]):
+        algebras.append(drinfeld_double(base)[0])
+    for H in algebras:
+        gens = algebra_generators(H)
+        assert _word_span_rank(H, gens) == H.dim, H.name
+    assert [h8.basis_labels[i] for i in algebra_generators(h8)] == ["x", "y", "z"]
+    assert [uq3.hopf.basis_labels[i] for i in algebra_generators(uq3.hopf)] == ["e", "k", "f"]
+    assert len(algebra_generators(taft3[0])) == 2
+
+
+def _bump(entries, key, delta, ctx):
+    """A sparse row with delta added at key."""
+    row = dict(entries)
+    row[key] = K.s_add(ctx, row.get(key, K.s_zero(ctx)), delta)
+    return tuple(sorted((k, v) for k, v in row.items() if not K.s_is_zero(v)))
+
+
+def _perturb(H, section, row, key, c):
+    """H with c added to one MULT or COMULT entry, or to one unit coordinate."""
+    n = H.dim
+    ctx = H.ctx
+    delta = K.s_from_ratio(ctx, c)
+    mult, comult, unit = list(H.mult), list(H.comult), list(H.unit)
+    if section == "MULT":
+        mult[row % (n * n)] = _bump(mult[row % (n * n)], key % n, delta, ctx)
+    elif section == "COMULT":
+        comult[row % n] = _bump(comult[row % n], key % (n * n), delta, ctx)
+    else:
+        unit[row % n] = K.s_add(ctx, unit[row % n], delta)
+    return FinHopf(H.name + "~", H.basis_labels, H.N, tuple(mult), tuple(unit), tuple(comult),
+                   H.counit, H.antipode_cols, convention=H.convention)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["h8", "taft3", "uq3"]),
+    section=st.sampled_from(["MULT", "COMULT", "UNIT"]),
+    row=st.integers(0, 10 ** 6),
+    key=st.integers(0, 10 ** 6),
+    c=st.sampled_from([-1, 1, 2]),
+)
+def test_reduced_scans_match_full_scans(h8, taft3, uq3, which, section, row, key, c):
+    H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which], section, row, key, c)
+    reduced = verify_hopf(H).as_dict()
+    with mock.patch.object(hopf_core, "algebra_generators", lambda H: None):
+        full = verify_hopf(H).as_dict()
+    assert reduced == full
