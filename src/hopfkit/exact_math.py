@@ -547,6 +547,41 @@ class Matrix:
     def column(cls, entries):
         return cls.from_rows([[x] for x in entries])
 
+    @classmethod
+    def lincomb(cls, rows, cols, N, terms):
+        """Sum of c*M over the (M, c) pairs of terms, as a rows x cols matrix over Q(zeta_N).
+
+        N must be a multiple of the conductor of every M and every c.  One
+        pass over the nonzero entries of each M: zero coefficients are
+        skipped and c = 1 adds without multiplying.  Equal to the fold
+        zeros + M.scale(c) + ... at conductor N, entry for entry.
+        """
+        ctx = K.make_ctx(N)
+        one = K.s_one(ctx)
+        out = zeros_raw(rows, cols, ctx)
+        for M, c in terms:
+            c = Cyclotomic.promote(c).lift(N).data
+            if K.s_is_zero(c):
+                continue
+            if (M.rows, M.cols) != (rows, cols):
+                raise ShapeError(
+                    "lincomb term is %dx%d, expected %dx%d" % (M.rows, M.cols, rows, cols)
+                )
+            if N % M.N:
+                raise ValueError("conductor %d does not divide %d" % (M.N, N))
+            unit = c == one
+            for orow, mrow in zip(out, M._data):
+                for j, x in enumerate(mrow):
+                    if K.s_is_zero(x):
+                        continue
+                    x = lift_raw(x, M.N, N)
+                    if not unit:
+                        x = K.s_mul(ctx, c, x)
+                    cur = orow[j]
+                    # canonical scalars: 0 + x is x itself
+                    orow[j] = x if K.s_is_zero(cur) else K.s_add(ctx, cur, x)
+        return cls(N, out)
+
     # -- access ------------------------------------------------------------
 
     @property

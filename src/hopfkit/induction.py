@@ -18,7 +18,26 @@ from .reports import Report
 
 
 class InductionContext:
-    """An inclusion together with a chosen Frobenius morphism and free basis."""
+    """An inclusion together with a chosen Frobenius morphism and free basis.
+
+    ``_cache`` holds what the context builds, so each structure is built once
+    per context:
+
+    - ``("ddec", i)`` and ``("trp", p, i)``: decompositions of delta_i and
+      tr_K(e_p h_i);
+    - ``("ind", name, key(V))``: ``induce(self, V)``;
+    - ``("lax", key(V), key(U))`` and ``("oplax", key(V), key(U))``:
+      ``lax_pair`` and ``oplax_pair``;
+    - ``("zind", name, key(M.module), M.coaction)``: ``z_induce(self, M)``.
+
+    ``key(V)`` is the module's value, (algebra name, conductor, action
+    matrices), so equal modules built separately (as ``tensor_modules`` does
+    on every call) share an entry.  Results that carry a name are keyed by
+    the name too.  The lax structure scales with the Frobenius morphism, so
+    a rescaled context is a new object with a cache of its own.  Threads
+    that share a context (``HOPFKIT_JOBS``) may both build a missing entry;
+    the builds are equal, so whichever is stored is right.
+    """
 
     __slots__ = ("incl", "frob", "central", "_cache")
 
@@ -73,13 +92,16 @@ def induction_context(incl, lam_scale=1):
     return InductionContext(incl, frob, central=central)
 
 
+def _module_key(V):
+    """A module's value: equal modules built separately share the key."""
+    return (V.H.name, V.N, tuple(a._data for a in V.action))
+
+
 def _act_K(V, kvec, conductor, ctxN):
     """Action matrix of a sparse K-vector whose scalars live at conductor ctxN."""
-    out = Matrix.zeros(V.dim, V.dim, conductor)
-    for b, c in kvec.items():
-        if not K.s_is_zero(c):
-            out = out + V.action[b].lift(conductor).scale(Cyclotomic(ctxN, c))
-    return out
+    return Matrix.lincomb(
+        V.dim, V.dim, conductor, ((V.action[b], Cyclotomic(ctxN, c)) for b, c in kvec.items())
+    )
 
 
 class InducedModule:
@@ -124,6 +146,10 @@ def _conductor_for(ictx, *modules):
 
 def induce(ictx, V):
     """Explicit action matrices for H (x)_K V."""
+    memo = ("ind", V.name, _module_key(V))
+    got = ictx._cache.get(memo)
+    if got is not None:
+        return got
     incl = ictx.incl
     H = incl.H
     r = ictx.rank
@@ -153,7 +179,8 @@ def induce(ictx, V):
                             )
         mats.append(Matrix(conductor, data))
     mod = HModule(H, mats, name="Ind(%s)" % V.name, N=conductor)
-    return InducedModule(ictx, V, mod)
+    got = ictx._cache[memo] = InducedModule(ictx, V, mod)
+    return got
 
 
 def ind_morphism(ictx, phi, src_ind=None, tgt_ind=None):
@@ -431,6 +458,10 @@ def counit_gf_at(ictx, V, conductor):
 
 def lax_pair(ictx, V, U):
     """lax_{V,U}: Ind V x Ind U -> Ind(V x U) and lax_0: 1 -> Ind(1)."""
+    memo = ("lax", _module_key(V), _module_key(U))
+    got = ictx._cache.get(memo)
+    if got is not None:
+        return got
     incl = ictx.incl
     H = incl.H
     r = ictx.rank
@@ -474,10 +505,11 @@ def lax_pair(ictx, V, U):
                                     acc[key] = val
                 if not acc:
                     continue
-                mat = Matrix.zeros(dV * dU, dV * dU, conductor)
-                for (b1, b2), c in acc.items():
-                    kr = V.action[b1].lift(conductor).kron(U.action[b2].lift(conductor))
-                    mat = mat + kr.scale(Cyclotomic(incl.N, c))
+                mat = Matrix.lincomb(
+                    dV * dU, dV * dU, conductor,
+                    ((V.action[b1].kron(U.action[b2]), Cyclotomic(incl.N, c))
+                     for (b1, b2), c in acc.items()),
+                )
                 for t in range(r):
                     kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
                     if not kv:
@@ -510,11 +542,16 @@ def lax_pair(ictx, V, U):
             acc = K.s_add(incl.ctx, acc, K.s_mul(incl.ctx, incl.K.counit[b], c))
         lax0_col.append(acc)
     lax0 = Matrix(incl.N, [[v] for v in lax0_col]).lift(conductor)
-    return lax, lax0
+    got = ictx._cache[memo] = (lax, lax0)
+    return got
 
 
 def oplax_pair(ictx, V, U):
     """oplax_{V,U}: Ind(V x U) -> Ind V x Ind U and oplax_0: Ind(1) -> 1."""
+    memo = ("oplax", _module_key(V), _module_key(U))
+    got = ictx._cache.get(memo)
+    if got is not None:
+        return got
     incl = ictx.incl
     H = incl.H
     r = ictx.rank
@@ -558,7 +595,8 @@ def oplax_pair(ictx, V, U):
     oplax0 = Matrix(
         incl.N, [[H.counit[ictx.frob.free[i]] for i in range(r)]]
     ).lift(conductor)
-    return oplax, oplax0
+    got = ictx._cache[memo] = (oplax, oplax0)
+    return got
 
 
 def verify_lax_coherence(ictx, modules):
@@ -766,10 +804,11 @@ def projection_morphisms(ictx, W, V):
                             acc[key] = val
             if not acc:
                 continue
-            mat = Matrix.zeros(dW * dV, dW * dV, conductor)
-            for (p, b2), c in acc.items():
-                kr = Wact[p].kron(V.action[b2].lift(conductor))
-                mat = mat + kr.scale(Cyclotomic(incl.N, c))
+            mat = Matrix.lincomb(
+                dW * dV, dW * dV, conductor,
+                ((Wact[p].kron(V.action[b2]), Cyclotomic(incl.N, c))
+                 for (p, b2), c in acc.items()),
+            )
             for t in range(r):
                 kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
                 if not kv:
@@ -839,10 +878,11 @@ def projection_morphisms(ictx, W, V):
                             acc[key] = val
             if not acc:
                 continue
-            mat = Matrix.zeros(dV * dW, dV * dW, conductor)
-            for (b1, q), c in acc.items():
-                kr = V.action[b1].lift(conductor).kron(Wact[q])
-                mat = mat + kr.scale(Cyclotomic(incl.N, c))
+            mat = Matrix.lincomb(
+                dV * dW, dV * dW, conductor,
+                ((V.action[b1].kron(Wact[q]), Cyclotomic(incl.N, c))
+                 for (b1, q), c in acc.items()),
+            )
             for t in range(r):
                 kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
                 if not kv:
@@ -909,11 +949,10 @@ def projection_morphisms(ictx, W, V):
             p, q = divmod(x, n)
             # h_(2) x ( S^-1(h_(1)) w x v )
             if SinvW[p] is None:
-                col = {t: Sinv._data[t][p] for t in range(n) if not K.s_is_zero(Sinv._data[t][p])}
-                acc = Matrix.zeros(dW, dW, conductor)
-                for t, c in col.items():
-                    acc = acc + Wact[t].scale(Cyclotomic(conductor, c))
-                SinvW[p] = acc
+                SinvW[p] = Matrix.lincomb(
+                    dW, dW, conductor,
+                    ((Wact[t], Cyclotomic(conductor, Sinv._data[t][p])) for t in range(n)),
+                )
             Wp = SinvW[p].scale(Cyclotomic(incl.N, s)).raw()
             parts_q = ictx.frob.right_decomp({q: K.s_one(incl.ctx)})
             for t in range(r):
@@ -951,11 +990,10 @@ def projection_morphisms(ictx, W, V):
             p, q = divmod(x, n)
             # h_(1) x ( v x S(h_(2)) w )
             if SW[q] is None:
-                col = {t: S._data[t][q] for t in range(n) if not K.s_is_zero(S._data[t][q])}
-                acc = Matrix.zeros(dW, dW, conductor)
-                for t, c in col.items():
-                    acc = acc + Wact[t].scale(Cyclotomic(conductor, c))
-                SW[q] = acc
+                SW[q] = Matrix.lincomb(
+                    dW, dW, conductor,
+                    ((Wact[t], Cyclotomic(conductor, S._data[t][q])) for t in range(n)),
+                )
             Wq = SW[q].scale(Cyclotomic(incl.N, s)).raw()
             parts_p = ictx.frob.right_decomp({p: K.s_one(incl.ctx)})
             for t in range(r):

@@ -54,11 +54,10 @@ class HModule:
 
     def act_alg_vec(self, hvec):
         """Action matrix of a sparse algebra vector {index: raw}."""
-        out = Matrix.zeros(self.dim, self.dim, self.N)
-        for i, c in hvec.items():
-            if not K.s_is_zero(c):
-                out = out + self.action[i].scale(Cyclotomic(self.N, c))
-        return out
+        return Matrix.lincomb(
+            self.dim, self.dim, self.N,
+            ((self.action[i], Cyclotomic(self.N, c)) for i, c in hvec.items()),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, HModule):
@@ -119,9 +118,10 @@ def verify_module(M):
         ai = M.action[i]
         for j in range(n):
             prod = ai * M.action[j]
-            acc = Matrix.zeros(M.dim, M.dim, M.N)
-            for k2, s in H.mult[i * n + j]:
-                acc = acc + M.action[k2].scale(Cyclotomic(H.N, s))
+            acc = Matrix.lincomb(
+                M.dim, M.dim, M.N,
+                ((M.action[k2], Cyclotomic(H.N, s)) for k2, s in H.mult[i * n + j]),
+            )
             if prod != acc:
                 w = (i, j)
                 break
@@ -141,28 +141,25 @@ def tensor_modules(M, N_mod):
     b = [m.lift(conductor) for m in N_mod.action]
     ctx = K.make_ctx(conductor)
     n = H.dim
+    d = M.dim * N_mod.dim
     mats = []
     for i in range(n):
-        acc = Matrix.zeros(M.dim * N_mod.dim, M.dim * N_mod.dim, conductor)
+        terms = []
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
-            acc = acc + Matrix(conductor, kron_raw(a[j].raw(), b[k2].raw(), ctx)).scale(
-                Cyclotomic(conductor, s)
-            )
-        mats.append(acc)
+            kr = Matrix(conductor, kron_raw(a[j].raw(), b[k2].raw(), ctx))
+            terms.append((kr, Cyclotomic(conductor, s)))
+        mats.append(Matrix.lincomb(d, d, conductor, terms))
     return HModule(H, mats, name="%s(x)%s" % (M.name, N_mod.name), N=conductor)
 
 
 def restrict(incl, W):
     """Restriction along the inclusion: K acts through its image."""
     conductor = lcm(W.N, incl.N)
-    Wl = [m.lift(conductor) for m in W.action]
     mats = []
     for b in range(incl.K.dim):
-        acc = Matrix.zeros(W.dim, W.dim, conductor)
-        for i, c in incl.embed_col(b).items():
-            acc = acc + Wl[i].scale(Cyclotomic(incl.N, c))
-        mats.append(acc)
+        terms = ((W.action[i], Cyclotomic(incl.N, c)) for i, c in incl.embed_col(b).items())
+        mats.append(Matrix.lincomb(W.dim, W.dim, conductor, terms))
     return HModule(incl.K, mats, name="Res(%s)" % W.name, N=conductor)
 
 
@@ -248,9 +245,13 @@ def is_isomorphic(M, N_mod):
     """Deterministic search for an invertible intertwiner.
 
     Tries hom-basis elements, then prefix sums, then an integer coefficient
-    grid with entries 0, +-1, ..., +-GRID_BOUND.  Returns "none" only when no
-    isomorphism can exist (dimension mismatch or zero hom space), and
-    "undetermined" when the grid is exhausted without finding one.
+    grid with entries 0, +-1, ..., +-GRID_BOUND.  With hom basis h_1..h_k,
+    det(sum t_i h_i) is a polynomial of degree at most d = dim M in each t_i.
+    If it vanishes on the whole grid, whose side has 2*GRID_BOUND + 1 points,
+    and d <= 2*GRID_BOUND, it is the zero polynomial (Alon, Combinatorial
+    Nullstellensatz, CPC 1999, Lemma 2.1), so no intertwiner is invertible
+    and the answer is "none".  "undetermined" means the grid was cut short
+    at GRID_LIMIT points or d > 2*GRID_BOUND.
     """
     if M.dim != N_mod.dim:
         return IsoSearch("none", None)
@@ -272,19 +273,15 @@ def is_isomorphic(M, N_mod):
     coeffs = [0]
     for v in range(1, GRID_BOUND + 1):
         coeffs.extend((v, -v))
-    count = 0
-    for combo in itertools.product(coeffs, repeat=len(homs)):
-        count += 1
-        if count > GRID_LIMIT:
-            break
-        if all(c == 0 for c in combo):
+    mats = [h.matrix for h in homs]
+    shape = (mats[0].rows, mats[0].cols, mats[0].N)
+    for combo in itertools.islice(itertools.product(coeffs, repeat=len(homs)), GRID_LIMIT):
+        if not any(combo):
             continue
-        mat = None
-        for c, h in zip(combo, homs):
-            if c == 0:
-                continue
-            term = h.matrix.scale(c)
-            mat = term if mat is None else mat + term
-        if mat is not None and check(mat):
+        mat = Matrix.lincomb(*shape, zip(mats, combo))
+        if check(mat):
             return IsoSearch("iso", ModuleMap(M, N_mod, mat))
+    complete = len(coeffs) ** len(homs) <= GRID_LIMIT
+    if complete and M.dim <= 2 * GRID_BOUND:
+        return IsoSearch("none", None)
     return IsoSearch("undetermined", None)

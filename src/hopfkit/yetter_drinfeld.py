@@ -5,8 +5,8 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError, ShapeError
-from .exact_math import Cyclotomic, Matrix
-from .induction import InductionContext, _act_K, induce, ind_morphism, lax_pair, oplax_pair
+from .exact_math import Matrix
+from .induction import _act_K, _module_key, induce, ind_morphism, lax_pair, oplax_pair
 from .module_theory import HModule, tensor_modules
 from .reports import Report
 
@@ -294,9 +294,15 @@ def z_induce(ictx, M):
     """Induce a YD module over K to one over H along a central Frobenius extension.
 
     delta(h x v) = h_(1) v^(-1) S(h_(3)) x (h_(2) x v^(0)).
+    The result is built and verified once per context and YD module value;
+    a module that fails verification raises and is not cached.
     """
     if not ictx.central:
         raise PipelineError("z_induce requires a central Frobenius extension")
+    memo = ("zind", M.name, _module_key(M.module), M.coaction._data)
+    got = ictx._cache.get(memo)
+    if got is not None:
+        return got
     incl = ictx.incl
     H = incl.H
     n = H.dim
@@ -311,12 +317,12 @@ def z_induce(ictx, M):
         hi = ictx.frob.free[i]
         for a in range(d):
             for (p, q, rr), s in H.comult2(hi):
+                parts = ictx.frob.right_decomp({q: K.s_one(incl.ctx)})
                 for (g, a0), v in M.coaction_terms(a).items():
                     gH = incl.embed_col(g)
                     u = H.mult_vec(H.mult_vec({p: s}, gH), H.antipode_vec(H.basis_vec(rr)))
                     if not u:
                         continue
-                    parts = ictx.frob.right_decomp({q: K.s_one(incl.ctx)})
                     for t in range(r):
                         kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
                         if not kv:
@@ -336,18 +342,19 @@ def z_induce(ictx, M):
     rep = verify_yd(out)
     if not rep.ok:
         raise PipelineError("z_induce output failed YD verification: %r" % rep.failures())
+    ictx._cache[memo] = out
     return out
 
 
 def verify_braided_frobenius(ictx, M, N_mod):
-    """Both braided compatibility squares for the pair (M, N) of K-YD modules."""
+    """Both braided compatibility squares for the pair (M, N) of K-YD modules.
+
+    Only ZInd(M) and ZInd(N) are built; ZInd(M (x) N) is not, since no
+    square reads it.
+    """
     rep = Report("braided-frobenius[%s,%s]" % (M.name, N_mod.name))
     FM = z_induce(ictx, M)
     FN = z_induce(ictx, N_mod)
-    MN = yd_tensor(M, N_mod)
-    NM = yd_tensor(N_mod, M)
-    FMN = z_induce(ictx, MN)
-    FNM = z_induce(ictx, NM)
 
     psi_K = yd_braiding(M, N_mod)
     F_psi = ind_morphism(ictx, psi_K)

@@ -246,3 +246,53 @@ def test_check_functor_parallel_jobs(monkeypatch, capsys):
     ], capsys)
     assert code1 == code2 == 0
     assert out1 == out2  # deterministic assembly regardless of parallelism
+
+
+_KLEIN_CHARS = ("1,1,1,1", "1,-1,-1,1", "1,1,-1,-1", "1,-1,1,-1")
+
+
+def _check_functor_argv(spec, chars, deg):
+    argv = ["check-functor", spec]
+    for char in chars:
+        argv += ["--module", "builtin:kchar?act=%s&deg=%s" % (char, deg)]
+    return argv + ["--frobenius-monoidal", "--separable", "--braided"]
+
+
+# exit code and report sha256 of each report, recorded at the commit before
+# Matrix.lincomb and the induction memo: a changed report byte fails here
+GOLDEN_REPORTS = [
+    (_check_functor_argv("builtin:h8", _KLEIN_CHARS, "y"), 0,
+     "d6139eae339b2ec2089fda75a5e7a6f1bc1ea74213a5577c5105965ad5504b15"),
+    (_check_functor_argv("builtin:double?of=builtin:group?table=klein", _KLEIN_CHARS[:2], "xy"), 0,
+     "409a3847f6ee75587946cd8cfb4f16bfd90aff5787bf2c5cdbefc4cb7a3472e3"),
+    (["frob-objects", "builtin:h8", "--separable-normalized",
+      "--object", "builtin:etale?n=x&ex=1&ey=-1",
+      "--object", "builtin:etale?n=y&ex=-1&ey=-1",
+      "--object", "builtin:etale?n=xy&ex=1&ey=1"], 1,
+     "63cee6875bfcefa36d483c61fd3f8c4422b38fccd719b0d458d209cd1c88d8db"),
+]
+
+
+@pytest.mark.parametrize("argv, rc, sha256", GOLDEN_REPORTS, ids=["h8-y4", "dkk-xy2", "frob-h8-3"])
+def test_report_bytes_are_golden(capsys, argv, rc, sha256):
+    import hashlib
+
+    code, out = run(argv, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out
+
+
+def test_report_bytes_with_threads_sharing_the_memo(monkeypatch, capsys):
+    # HOPFKIT_JOBS threads share one InductionContext cache; a race on it may
+    # build an entry twice, but must not change a report byte
+    import hashlib
+    import sys
+
+    argv, rc, sha256 = GOLDEN_REPORTS[0]
+    monkeypatch.setenv("HOPFKIT_JOBS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        code, out = run(argv, capsys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -188,3 +189,46 @@ def test_solve_resubstitutes(av, bv):
     for nvec in sol.null_basis:
         assert (A * nvec).is_zero()
     assert len(sol.null_basis) == 2 - A.rank()
+
+
+def _scalar_at(N):
+    """Zero, one or an arbitrary element of Q(zeta_N), zero and one often."""
+    phi = {1: 1, 4: 2, 8: 4}[N]
+    return st.one_of(
+        st.just(Cyclotomic.rational(0, N)),
+        st.just(Cyclotomic.rational(1, N)),
+        st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).map(
+            lambda cs: Cyclotomic.from_coeffs(N, cs)
+        ),
+    )
+
+
+@st.composite
+def _lincomb_case(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    conductors = st.sampled_from([1, 4, 8])
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        NM, Nc = draw(conductors), draw(conductors)
+        entries = [[draw(_scalar_at(NM)).data for _ in range(cols)] for _ in range(rows)]
+        terms.append((Matrix(NM, entries), draw(_scalar_at(Nc))))
+    N = lcm(draw(conductors), *(M.N for M, _ in terms), *(c.N for _, c in terms))
+    return rows, cols, N, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lincomb_case())
+def test_lincomb_equals_fold(case):
+    rows, cols, N, terms = case
+    fold = Matrix.zeros(rows, cols, N)
+    for M, c in terms:
+        fold = fold + M.scale(c)
+    got = Matrix.lincomb(rows, cols, N, terms)
+    # the same canonical entries at the same conductor, so reports keep their bytes
+    assert (got.N, got._data) == (fold.N, fold._data)
+
+
+def test_lincomb_empty_and_conductor_check():
+    assert Matrix.lincomb(2, 3, 4, []) == Matrix.zeros(2, 3, 4)
+    with pytest.raises(ValueError):
+        Matrix.lincomb(1, 1, 4, [(Matrix.from_rows([[root_of_unity(8)]]), 1)])

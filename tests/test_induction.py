@@ -5,8 +5,9 @@ import pytest
 from conftest import h8_v1, h8_v2, kchar
 from hopfkit.builders import cyclic_table, group_algebra, trivial_hopf
 from hopfkit.exact_math import Matrix, root_of_unity
-from hopfkit.extension import trivial_inclusion, unit_inclusion
+from hopfkit.extension import rescale_frobenius_data, trivial_inclusion, unit_inclusion
 from hopfkit.induction import (
+    InductionContext,
     adjunction_maps,
     coinduce,
     induce,
@@ -231,3 +232,32 @@ def test_lax_coherence_uq_cartan(uq3):
     chi = HModule(cart.K, [Matrix.from_rows([[z3 ** a]]) for a in range(3)], name="chi1")
     rep = verify_lax_coherence(ictx, [chi])
     assert rep.ok, rep.failures()
+
+
+def test_lax_pair_is_built_once_per_module_value(h8_incl):
+    ictx = induction_context(h8_incl)
+    Kk = h8_incl.K
+    V = kchar(Kk, 1, -1)
+
+    def UW():
+        # a fresh tensor product on every call, as verify_frobenius_monoidal builds it
+        return tensor_modules(kchar(Kk, -1, 1), kchar(Kk, -1, -1))
+
+    first = lax_pair(ictx, V, UW())
+    assert lax_pair(ictx, V, UW()) is first
+    assert oplax_pair(ictx, V, UW()) is oplax_pair(ictx, V, UW())
+    uncached = lax_pair(induction_context(h8_incl), V, UW())
+    assert [(m.N, m._data) for m in uncached] == [(m.N, m._data) for m in first]
+    assert induce(ictx, kchar(Kk, 1, -1)) is induce(ictx, V)
+
+
+def test_rescaled_context_has_its_own_cache(h8_incl):
+    ictx = induction_context(h8_incl)
+    Kk = h8_incl.K
+    V, U = kchar(Kk, 1, -1), kchar(Kk, -1, 1)
+    lax, _ = lax_pair(ictx, V, U)
+    rescaled = InductionContext(h8_incl, rescale_frobenius_data(ictx.frob, 5), central=ictx.central)
+    lax5, _ = lax_pair(rescaled, V, U)
+    # lax scales with the Frobenius morphism, so a shared cache would be wrong
+    assert lax5 == lax.scale(5)
+    assert lax_pair(ictx, V, U)[0] is lax

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import h8_v1, h8_v2, kchar
+from hopfkit import module_theory
 from hopfkit.exact_math import Matrix, root_of_unity
 from hopfkit.module_theory import (
     HModule,
@@ -124,10 +125,26 @@ def test_intertwiner_kron_is_intertwiner(h8):
         assert ff * T.action[idx] == T.action[idx] * ff
 
 
-def test_is_isomorphic_undetermined(h8):
-    # equal dimensions and a nonzero hom space, but no invertible intertwiner:
-    # the deterministic grid exhausts and reports "undetermined", not "none"
+def _singular_hom_pair(h8):
+    # equal dimensions and a nonzero hom space, but no invertible intertwiner
     M = direct_sum(h8_v1(h8, 1), h8_v1(h8, 1))
     N = direct_sum(h8_v1(h8, 1), h8_v1(h8, -1))
     assert len(hom_space(M, N)) == 2
+    return M, N
+
+
+def test_is_isomorphic_singular_hom_space_is_none(h8):
+    # det(t1 h1 + t2 h2) has degree <= 2 in each t_i and vanishes on the full
+    # 7 x 7 grid, so it is the zero polynomial: no isomorphism exists
+    assert is_isomorphic(*_singular_hom_pair(h8)).status == "none"
+
+
+def test_is_isomorphic_undetermined(h8, monkeypatch):
+    # a grid cut short, or too coarse for the dimension, decides nothing
+    M, N = _singular_hom_pair(h8)
+    monkeypatch.setattr(module_theory, "GRID_LIMIT", 48)
+    assert is_isomorphic(M, N).status == "undetermined"
+    monkeypatch.setattr(module_theory, "GRID_LIMIT", 49)
+    assert is_isomorphic(M, N).status == "none"
+    monkeypatch.setattr(module_theory, "GRID_BOUND", 0)
     assert is_isomorphic(M, N).status == "undetermined"

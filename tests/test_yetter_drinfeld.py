@@ -130,8 +130,10 @@ def test_z_induce_refuses_non_central():
     ictx = induction_context(uq.cartan())
     assert ictx.central is False
     M = trivial_yd(ictx.incl.K)
-    with pytest.raises(PipelineError):
-        z_induce(ictx, M)
+    for _ in range(2):  # nothing is cached by a refusal
+        with pytest.raises(PipelineError):
+            z_induce(ictx, M)
+    assert not [key for key in ictx._cache if key[0] == "zind"]
 
 
 def test_z_induce_module_part_is_induce(h8_ictx):
@@ -204,3 +206,13 @@ def test_yd_to_double_module():
                 acc = acc + a1.kron(a2).scale(Cyclotomic(D.N, c))
             psi = yd_braiding(L1, L2)
             assert acc.lift(psi.N) == psi.lift(acc.N), (L1.name, L2.name)
+
+
+def test_z_induce_is_built_once_per_yd_value(h8_incl):
+    ictx = induction_context(h8_incl)
+    Z = z_induce(ictx, kline(h8_incl.K, "x", -1, 1, name="L"))
+    assert z_induce(ictx, kline(h8_incl.K, "x", -1, 1, name="L")) is Z
+    # another coaction on the same module, under the same name, is another YD module
+    other = z_induce(ictx, kline(h8_incl.K, "y", -1, 1, name="L"))
+    assert other is not Z and other.module == Z.module
+    assert other.coaction != Z.coaction
