@@ -279,5 +279,8 @@ def parse_module(text, resolver):
 def load_text(path):
     if not os.path.exists(path):
         raise BundleParseError("no such file: %s" % path)
-    with open(path, "r") as fh:
-        return fh.read()
+    try:
+        with open(path, "r") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise BundleParseError("cannot read %s (%s)" % (path, e)) from None

@@ -32,17 +32,52 @@ import sys
 from urllib.parse import parse_qs, urlparse
 
 from . import __version__
-from .bundles import load_text, parse_hopf, parse_inclusion, parse_module, serialize_hopf
+from .bundles import (
+    MAX_CONDUCTOR,
+    MAX_DIM,
+    load_text,
+    parse_hopf,
+    parse_inclusion,
+    parse_module,
+    serialize_hopf,
+)
 from .errors import BundleParseError, HopfkitError
 from .exact_math import Matrix, parse_scalar
 from .reports import Report, digest_bytes
 
 
 def _parse_spec(spec):
-    u = urlparse(spec)
+    try:
+        u = urlparse(spec)
+    except ValueError as e:
+        raise BundleParseError("bad spec %r (%s)" % (spec, e)) from None
     # "+" is literal in specs (sub=borel+, scalar sums), not an encoded space
     params = {k: v[-1] for k, v in parse_qs(u.query.replace("+", "%2B")).items()}
     return u.scheme, u.path, params
+
+
+def _int_param(key, raw, low=None, high=None):
+    """The integer spelled by a spec parameter, in low..high when bounded."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise BundleParseError("%s=%r is not an integer" % (key, raw)) from None
+    if low is not None and not low <= value <= high:
+        raise BundleParseError("%s must be between %d and %d, got %d" % (key, low, high, value))
+    return value
+
+
+def _double(params):
+    """Drin(H) and H -> Drin(H) for the of=<spec> parameter; dim Drin(H) = dim(H)^2."""
+    from . import builders
+
+    of = params.get("of")
+    if not of:
+        raise BundleParseError("builtin:double needs of=<spec>")
+    H = resolve_hopf(of)
+    if H.dim * H.dim > MAX_DIM:
+        raise BundleParseError("double of %s has dim %d > %d" % (H.name, H.dim * H.dim, MAX_DIM))
+    return builders.drinfeld_double(H)
 
 
 def _jobs():
@@ -77,18 +112,22 @@ def resolve_hopf(spec):
         table = params.get("table", "c2")
         return _group_by_name(table)
     if kind == "taft":
-        l = int(params.get("l", "3"))
-        q = int(params.get("q", "1"))
-        return builders.taft(l, q)[0]
+        return builders.taft(*_taft_params(params))[0]
     if kind == "uqsl2":
-        l = int(params.get("l", "3"))
-        return builders.small_quantum_sl2(l).hopf
+        return builders.small_quantum_sl2(_uqsl2_l(params)).hopf
     if kind == "double":
-        of = params.get("of")
-        if not of:
-            raise BundleParseError("builtin:double needs of=<spec>")
-        return builders.drinfeld_double(resolve_hopf(of))[0]
+        return _double(params)[0]
     raise BundleParseError("unknown builtin algebra %r" % spec)
+
+
+def _taft_params(params):
+    """(l, q) of a Taft spec; T_l has dim l^2 <= MAX_DIM."""
+    return _int_param("l", params.get("l", "3"), 2, 22), _int_param("q", params.get("q", "1"))
+
+
+def _uqsl2_l(params):
+    """l of a u_q(sl2) spec; u_q(sl2) has dim l^3 <= MAX_DIM."""
+    return _int_param("l", params.get("l", "3"), 3, 8)
 
 
 def _group_by_name(name):
@@ -99,9 +138,7 @@ def _group_by_name(name):
         return builders.group_algebra(builders.klein_table(), name="kK",
                                       labels=["1", "x", "y", "xy"])
     if name.startswith("c") and name[1:].isdigit():
-        n = int(name[1:])
-        if n < 1:
-            raise BundleParseError("bad cyclic order %r" % name)
+        n = _int_param("cyclic order", name[1:], 1, MAX_DIM)
         return builders.group_algebra(builders.cyclic_table(n), name="kC%d" % n)
     raise BundleParseError("unknown group table %r" % name)
 
@@ -118,12 +155,9 @@ def resolve_inclusion(spec):
     if kind == "h8":
         return builders.kac_paljutkin()[1]
     if kind == "taft":
-        l = int(params.get("l", "3"))
-        q = int(params.get("q", "1"))
-        return builders.taft(l, q)[1]
+        return builders.taft(*_taft_params(params))[1]
     if kind == "uqsl2":
-        l = int(params.get("l", "3"))
-        uq = builders.small_quantum_sl2(l)
+        uq = builders.small_quantum_sl2(_uqsl2_l(params))
         sub = params.get("sub", "cartan")
         if sub == "cartan":
             return uq.cartan()
@@ -133,10 +167,7 @@ def resolve_inclusion(spec):
             return uq.borel_minus()
         raise BundleParseError("unknown uqsl2 subalgebra %r" % sub)
     if kind == "double":
-        of = params.get("of")
-        if not of:
-            raise BundleParseError("builtin:double needs of=<spec>")
-        return builders.drinfeld_double(resolve_hopf(of))[1]
+        return _double(params)[1]
     if kind == "trivial":
         return trivial_inclusion(resolve_hopf(params.get("of", "builtin:h8")))
     if kind == "unit":
@@ -161,8 +192,11 @@ def resolve_module(spec, K_hopf):
         act = params.get("act")
         if not act:
             raise BundleParseError("builtin:kchar needs act=v1,v2,...")
-        cond = int(params.get("cond", str(K_hopf.N)))
-        vals = [parse_scalar(v, cond) for v in act.split(",")]
+        cond = _int_param("cond", params.get("cond", K_hopf.N), 1, MAX_CONDUCTOR)
+        try:
+            vals = [parse_scalar(v, cond) for v in act.split(",")]
+        except (ValueError, ZeroDivisionError) as e:
+            raise BundleParseError("bad act value in %r (%s)" % (act, e)) from None
         if len(vals) != K_hopf.dim:
             raise BundleParseError(
                 "act needs %d values for %s" % (K_hopf.dim, K_hopf.name)
@@ -171,6 +205,8 @@ def resolve_module(spec, K_hopf):
         name = params.get("name", "kchar")
         if deg is None:
             return HModule(K_hopf, [Matrix.from_rows([[v]]) for v in vals], name=name)
+        if deg not in K_hopf.basis_labels:
+            raise BundleParseError("deg=%r is not a basis label of %s" % (deg, K_hopf.name))
         return yd_line(K_hopf, K_hopf.label_index(deg), vals, name=name)
     raise BundleParseError("unknown builtin module %r" % spec)
 
@@ -179,8 +215,9 @@ def _spec_digest(spec):
     if spec.startswith("builtin:"):
         return digest_bytes(spec.encode())
     try:
-        return digest_bytes(open(spec, "rb").read())
-    except OSError:
+        with open(spec, "rb") as fh:
+            return digest_bytes(fh.read())
+    except (OSError, ValueError):  # ValueError: a NUL byte in the path
         return digest_bytes(spec.encode())
 
 
@@ -357,8 +394,8 @@ def cmd_frob_objects(args):
             F = trivial_frobenius(incl.K)
         elif path == "etale":
             n = params.get("n", "x")
-            ex = int(params.get("ex", "1"))
-            ey = int(params.get("ey", "1"))
+            ex = _int_param("ex", params.get("ex", "1"))
+            ey = _int_param("ey", params.get("ey", "1"))
             F = build_group_etale(incl.K, n, ex, ey)
         else:
             raise BundleParseError("unknown object spec %r" % obj_spec)

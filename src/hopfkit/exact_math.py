@@ -240,12 +240,17 @@ def raw_one(ctx):
 
 
 def mat_mul_raw(A, B, ctx):
-    """Product of dense raw matrices (lists of row lists)."""
+    """Product of dense raw matrices (lists of row lists).
+
+    Each row of B is reduced to its nonzero (j, b) pairs once, the first time
+    a nonzero entry of A meets it.
+    """
     if not A or not B:
         return []
     n = len(B)
     m = len(B[0]) if B else 0
     z = K.s_zero(ctx)
+    sparse = [None] * n
     out = []
     for row in A:
         if len(row) != n:
@@ -254,11 +259,11 @@ def mat_mul_raw(A, B, ctx):
         for k, a in enumerate(row):
             if K.s_is_zero(a):
                 continue
-            brow = B[k]
-            for j in range(m):
-                b = brow[j]
-                if not K.s_is_zero(b):
-                    orow[j] = K.s_add(ctx, orow[j], K.s_mul(ctx, a, b))
+            brow = sparse[k]
+            if brow is None:
+                brow = sparse[k] = [(j, b) for j, b in enumerate(B[k]) if not K.s_is_zero(b)]
+            for j, b in brow:
+                orow[j] = K.s_add(ctx, orow[j], K.s_mul(ctx, a, b))
         out.append(orow)
     return out
 

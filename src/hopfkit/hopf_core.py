@@ -653,11 +653,13 @@ def _normalize_first_one(ctx, vec):
     return list(vec)
 
 
-def _integral_rows(H, side):
-    """Constraint rows for the integral space, yielded sparsely."""
+def _integral_rows(H, side, js=None):
+    """Constraint rows of Lambda h_j = eps(h_j) Lambda (right) or
+    h_j Lambda = eps(h_j) Lambda (left), for j in js (default: every basis
+    index), yielded sparsely."""
     n = H.dim
     ctx = H.ctx
-    for j in range(n):
+    for j in range(n) if js is None else js:
         eps_j = H.counit[j]
         rows = [dict() for _ in range(n)]
         for i in range(n):
@@ -678,17 +680,46 @@ def _integral_rows(H, side):
                 yield r
 
 
+def _is_integral(H, side, vec):
+    """True iff the dense raw vector satisfies the integral equation for
+    every basis element h_j."""
+    lam = _vec_clean(dict(enumerate(vec)))
+    for j in range(H.dim):
+        hj = H.basis_vec(j)
+        prod = H.mult_vec(lam, hj) if side == "right" else H.mult_vec(hj, lam)
+        if _vec_clean(prod) != _vec_scale(H, lam, H.counit[j]):
+            return False
+    return True
+
+
 def integral_space(H, side):
-    """Exact basis of left or right integrals, first coordinate normalized to 1."""
+    """Exact basis of left or right integrals, first coordinate normalized to 1.
+
+    Right integrals solve Lambda h = eps(h) Lambda, left integrals
+    h Lambda = eps(h) Lambda.  The system is first built for h in a
+    generating set G only (see ``algebra_generators``): when H is unital and
+    associative and eps is multiplicative with eps(1) = 1, the equations for
+    a and b give Lambda ab = eps(a) Lambda b = eps(ab) Lambda, so they hold on
+    every word in G, hence on H.  The input is not trusted to satisfy these
+    axioms: every solution is checked against all n basis elements, and if
+    one fails, the full system over all n basis elements is solved instead.
+    The reduced rows are a subset of the full ones, so a passing check means
+    the two solution spaces, hence the two row spaces and their reduced
+    echelon forms, are equal, and the returned basis is the same.
+    """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     key = ("integrals", side)
     got = H._cache.get(key)
     if got is None:
-        space = RowSpace(H.dim, H.ctx)
-        for row in _integral_rows(H, side):
-            space.add(row)
-        basis = [_normalize_first_one(H.ctx, v) for v in space.nullspace()]
+        for js in (algebra_generators(H), None):
+            space = RowSpace(H.dim, H.ctx)
+            for row in _integral_rows(H, side, js):
+                space.add(row)
+            null = space.nullspace()
+            if js is None or all(_is_integral(H, side, v) for v in null):
+                break
+        basis = [_normalize_first_one(H.ctx, v) for v in null]
         got = [Matrix(H.N, [[x] for x in vec]) for vec in basis]
         H._cache[key] = got
     return got

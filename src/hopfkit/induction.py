@@ -23,8 +23,8 @@ class InductionContext:
     ``_cache`` holds what the context builds, so each structure is built once
     per context:
 
-    - ``("ddec", i)`` and ``("trp", p, i)``: decompositions of delta_i and
-      tr_K(e_p h_i);
+    - ``("ddec", i)``, ``("bdec", q)`` and ``("trp", p, i)``: decompositions
+      of delta_i and of the basis element e_q, and tr_K(e_p h_i);
     - ``("ind", name, key(V))``: ``induce(self, V)``;
     - ``("lax", key(V), key(U))`` and ``("oplax", key(V), key(U))``:
       ``lax_pair`` and ``oplax_pair``;
@@ -64,6 +64,15 @@ class InductionContext:
         got = self._cache.get(key)
         if got is None:
             got = self.frob.right_decomp(self.frob.delta_vec(i))
+            self._cache[key] = got
+        return got
+
+    def basis_parts(self, q):
+        """Right decomposition of the basis element e_q of H."""
+        key = ("bdec", q)
+        got = self._cache.get(key)
+        if got is None:
+            got = self.frob.right_decomp({q: K.s_one(self.incl.ctx)})
             self._cache[key] = got
         return got
 
@@ -567,7 +576,7 @@ def oplax_pair(ictx, V, U):
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
             parts_p = ictx.frob.right_decomp({p: s})
-            parts_q = ictx.frob.right_decomp({q: K.s_one(incl.ctx)})
+            parts_q = ictx.basis_parts(q)
             for t in range(r):
                 kvp = {b: c for b, c in enumerate(parts_p[t]) if not K.s_is_zero(c)}
                 if not kvp:
@@ -831,7 +840,7 @@ def projection_morphisms(ictx, W, V):
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
             Wp = Wact[p].scale(Cyclotomic(incl.N, s)).raw()
-            parts_q = ictx.frob.right_decomp({q: K.s_one(incl.ctx)})
+            parts_q = ictx.basis_parts(q)
             for t in range(r):
                 kv = {b: c for b, c in enumerate(parts_q[t]) if not K.s_is_zero(c)}
                 if not kv:
@@ -954,7 +963,7 @@ def projection_morphisms(ictx, W, V):
                     ((Wact[t], Cyclotomic(conductor, Sinv._data[t][p])) for t in range(n)),
                 )
             Wp = SinvW[p].scale(Cyclotomic(incl.N, s)).raw()
-            parts_q = ictx.frob.right_decomp({q: K.s_one(incl.ctx)})
+            parts_q = ictx.basis_parts(q)
             for t in range(r):
                 kv = {b: c for b, c in enumerate(parts_q[t]) if not K.s_is_zero(c)}
                 if not kv:
@@ -995,7 +1004,7 @@ def projection_morphisms(ictx, W, V):
                     ((Wact[t], Cyclotomic(conductor, S._data[t][q])) for t in range(n)),
                 )
             Wq = SW[q].scale(Cyclotomic(incl.N, s)).raw()
-            parts_p = ictx.frob.right_decomp({p: K.s_one(incl.ctx)})
+            parts_p = ictx.basis_parts(p)
             for t in range(r):
                 kv = {b: c for b, c in enumerate(parts_p[t]) if not K.s_is_zero(c)}
                 if not kv:

@@ -317,7 +317,7 @@ def z_induce(ictx, M):
         hi = ictx.frob.free[i]
         for a in range(d):
             for (p, q, rr), s in H.comult2(hi):
-                parts = ictx.frob.right_decomp({q: K.s_one(incl.ctx)})
+                parts = ictx.basis_parts(q)
                 for (g, a0), v in M.coaction_terms(a).items():
                     gH = incl.embed_col(g)
                     u = H.mult_vec(H.mult_vec({p: s}, gH), H.antipode_vec(H.basis_vec(rr)))

@@ -232,3 +232,22 @@ def test_lincomb_empty_and_conductor_check():
     assert Matrix.lincomb(2, 3, 4, []) == Matrix.zeros(2, 3, 4)
     with pytest.raises(ValueError):
         Matrix.lincomb(1, 1, 4, [(Matrix.from_rows([[root_of_unity(8)]]), 1)])
+
+
+@st.composite
+def _product_case(draw):
+    N = draw(st.sampled_from([1, 4, 8]))
+    r, n, m = (draw(st.integers(1, 4)) for _ in range(3))
+    A = [[draw(_scalar_at(N)) for _ in range(n)] for _ in range(r)]
+    B = [[draw(_scalar_at(N)) for _ in range(m)] for _ in range(n)]
+    return N, A, B
+
+
+@settings(max_examples=80, deadline=None)
+@given(_product_case())
+def test_matrix_product_equals_entrywise_sum(case):
+    N, A, B = case
+    got = Matrix(N, [[a.data for a in row] for row in A]) * Matrix(N, [[b.data for b in row] for row in B])
+    want = [[sum((A[i][k] * B[k][j] for k in range(len(B))), Cyclotomic.rational(0, N)).data
+             for j in range(len(B[0]))] for i in range(len(A))]
+    assert got._data == tuple(tuple(row) for row in want)

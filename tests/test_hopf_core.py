@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 import hopfkit._kernel as K
 from hopfkit import hopf_core
-from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, klein_table, taft
+from hopfkit.builders import (
+    cyclic_table,
+    drinfeld_double,
+    group_algebra,
+    klein_table,
+    small_quantum_sl2,
+    taft,
+)
 from hopfkit.errors import PipelineError
 from hopfkit.exact_math import Matrix, RowSpace
 from hopfkit.hopf_core import (
@@ -187,19 +194,22 @@ def _bump(entries, key, delta, ctx):
 
 
 def _perturb(H, section, row, key, c):
-    """H with c added to one MULT or COMULT entry, or to one unit coordinate."""
+    """H with c added to one MULT or COMULT entry, or to one UNIT or COUNIT
+    coordinate."""
     n = H.dim
     ctx = H.ctx
     delta = K.s_from_ratio(ctx, c)
-    mult, comult, unit = list(H.mult), list(H.comult), list(H.unit)
+    mult, comult, unit, counit = list(H.mult), list(H.comult), list(H.unit), list(H.counit)
     if section == "MULT":
         mult[row % (n * n)] = _bump(mult[row % (n * n)], key % n, delta, ctx)
     elif section == "COMULT":
         comult[row % n] = _bump(comult[row % n], key % (n * n), delta, ctx)
+    elif section == "COUNIT":
+        counit[row % n] = K.s_add(ctx, counit[row % n], delta)
     else:
         unit[row % n] = K.s_add(ctx, unit[row % n], delta)
     return FinHopf(H.name + "~", H.basis_labels, H.N, tuple(mult), tuple(unit), tuple(comult),
-                   H.counit, H.antipode_cols, convention=H.convention)
+                   tuple(counit), H.antipode_cols, convention=H.convention)
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,3 +226,54 @@ def test_reduced_scans_match_full_scans(h8, taft3, uq3, which, section, row, key
     with mock.patch.object(hopf_core, "algebra_generators", lambda H: None):
         full = verify_hopf(H).as_dict()
     assert reduced == full
+
+
+def _integrals_of(H, side, js=None):
+    """Normalized null space of the integral rows for j in js (all when None),
+    without the cache or the post-check of ``integral_space``."""
+    space = RowSpace(H.dim, H.ctx)
+    for row in hopf_core._integral_rows(H, side, js):
+        space.add(row)
+    return [Matrix(H.N, [[x] for x in hopf_core._normalize_first_one(H.ctx, v)])
+            for v in space.nullspace()]
+
+
+def test_reduced_integrals_match_full_system(h8, taft3, uq3):
+    uq5 = small_quantum_sl2(5)
+    algebras = [h8, taft3[0], taft(5)[0], taft(7)[0], uq3.hopf,
+                drinfeld_double(group_algebra(cyclic_table(3)))[0],
+                drinfeld_double(group_algebra(klein_table()))[0],
+                uq5.cartan().K, uq5.borel_plus().K, uq5.borel_minus().K]
+    for H in algebras:
+        gens = algebra_generators(H)
+        for side in ("left", "right"):
+            full = _integrals_of(H, side)
+            assert _integrals_of(H, side, gens) == full, (H.name, side)
+            assert integral_space(H, side) == full, (H.name, side)
+
+
+def test_integral_post_check_rejects_counit_off_generators(h8, taft3, uq3):
+    # eps(h_j) for j outside G never enters the reduced system, so the reduced
+    # solutions are wrong and only the post-check can notice
+    for base in (h8, taft3[0], uq3.hopf):
+        j = next(j for j in range(base.dim) if j not in algebra_generators(base))
+        H = _perturb(base, "COUNIT", j, 0, 1)
+        for side in ("left", "right"):
+            full = _integrals_of(H, side)
+            assert _integrals_of(H, side, algebra_generators(H)) != full
+            assert integral_space(H, side) == full, (H.name, side)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["h8", "taft3", "uq3"]),
+    section=st.sampled_from(["MULT", "COUNIT"]),
+    row=st.integers(0, 10 ** 6),
+    key=st.integers(0, 10 ** 6),
+    c=st.sampled_from([-1, 1, 2]),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_integral_space_matches_full_system_on_perturbed_tables(h8, taft3, uq3, which, section,
+                                                                 row, key, c, side):
+    H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which], section, row, key, c)
+    assert integral_space(H, side) == _integrals_of(H, side)

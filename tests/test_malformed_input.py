@@ -1,0 +1,187 @@
+"""Malformed bundle text and specs: the parsers return or raise a
+HopfkitError, and ``cli.main`` exits 0, 1 or 2 without a traceback.
+
+Bundles are small valid bundles with random line edits.  Numbers in the drawn
+tokens and spec values stay small, so that an input which still parses is
+cheap to check; values just past each documented size limit are drawn too.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfkit.builders import cyclic_table, group_algebra, klein_table, taft
+from hopfkit.bundles import (
+    parse_hopf,
+    parse_inclusion,
+    parse_module,
+    serialize_hopf,
+    serialize_inclusion,
+    serialize_module,
+)
+from hopfkit.cli import main, resolve_hopf
+from hopfkit.errors import BundleParseError, HopfkitError
+from hopfkit.yetter_drinfeld import yd_line
+
+KLEIN = group_algebra(klein_table(), name="kK", labels=["1", "x", "y", "xy"])
+_LINE = yd_line(KLEIN, 1, [1, 1, -1, -1], name="line")
+
+BASES = {
+    "hopf": serialize_hopf(group_algebra(cyclic_table(2), name="kC2")),
+    "inclusion": serialize_inclusion(taft(2)[1], "builtin:group?table=c2", "builtin:taft?l=2"),
+    "module": serialize_module(_LINE.module, "K"),
+    "yd": serialize_module(_LINE.module, "builtin:group?table=klein", coaction=_LINE.coaction),
+}
+
+TOKENS = st.one_of(
+    st.sampled_from([
+        "0", "1", "2", "3", "-1", "1/2", "1/0", "z", "z^1", "z^-1", "2*z^3", "1 + z", "x", "",
+        "BEGIN", "END", "BEGIN MULT", "BEGIN COMULT", "BEGIN UNIT", "BEGIN COUNIT",
+        "BEGIN ANTIPODE", "BEGIN EMBED", "BEGIN ACTION 0", "BEGIN ACTION 9", "BEGIN COACTION",
+        "hopf-bundle v1", "hopf-module v1", "dim", "dim 513", "conductor", "conductor 0",
+        "labels", "labels 1,x", "sub", "big", "over", "name", "K", "#", "builtin:h8",
+        "builtin:taft?l=x", "builtin:double?of=builtin:uqsl2?l=3", "\t", "é", "²",
+    ]),
+    st.text(max_size=6),
+)
+LINES = st.lists(TOKENS, max_size=5).map(" ".join)
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["delete", "duplicate", "replace", "insert", "token", "truncate"]),
+              st.integers(0, 10 ** 4), st.integers(0, 10 ** 4), LINES),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edit(text, edits):
+    lines = text.splitlines()
+    for op, at, pos, line in edits:
+        if op == "truncate":
+            text = "\n".join(lines)
+            lines = text[: pos % (len(text) + 1)].splitlines()
+            continue
+        i = at % (len(lines) + 1)
+        if op == "insert":
+            lines.insert(i, line)
+        elif i < len(lines):
+            if op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            elif op == "replace":
+                lines[i] = line
+            else:
+                words = lines[i].split(" ")
+                words[pos % len(words)] = line
+                lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def _run(argv):
+    """cli.main's exit code; argparse's own rejection counts as its exit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as e:
+            return e.code
+
+
+def _resolve_module_ref(ref):
+    return KLEIN if ref == "K" else resolve_hopf(ref)
+
+
+def _parse(kind, text):
+    """Parse one bundle directly; a HopfkitError is a rejection."""
+    try:
+        if kind == "hopf":
+            parse_hopf(text)
+        elif kind == "inclusion":
+            parse_inclusion(text, resolve_hopf)
+        else:
+            parse_module(text, _resolve_module_ref)
+    except HopfkitError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(BASES)), edits=EDITS)
+def test_malformed_bundle_exits_cleanly(workdir, kind, edits):
+    text = _edit(BASES[kind], edits)
+    _parse(kind, text)
+    path = workdir / ("%s.bundle" % kind)
+    path.write_text(text, encoding="utf-8")
+    argv = {
+        "hopf": ["verify", str(path)],
+        "inclusion": ["analyze", str(path)],
+        "module": ["check-functor", "builtin:h8", "--module", str(path), "--frobenius-monoidal"],
+        "yd": ["verify", str(path)],
+    }[kind]
+    assert _run(argv) in (0, 1, 2)
+
+
+KINDS = ["h8", "group", "taft", "uqsl2", "double", "trivial", "unit", "kchar", "etale", "nope", ""]
+KEYS = ["l", "q", "table", "of", "sub", "act", "deg", "cond", "name", "n", "ex", "ey"]
+VALUES = st.one_of(
+    st.sampled_from([
+        "-1", "0", "1", "2", "3", "4", "9", "23", "10001", "100000", "abc", "", "1.5", "²",
+        "1,1,1,1", "1,-1,-1,1", "1,1", "1,1,1,x", "1/0,1,1,1", "z,1,1,1", "x", "xy", "q",
+        "cartan", "borel+", "borel-", "c2", "c3", "c0", "c513", "c²", "klein",
+        "builtin:group?table=c2", "builtin:taft?l=2", "builtin:double?of=builtin:group?table=c2",
+        "builtin:double?of=builtin:taft?l=2", "builtin:uqsl2?l=3", "builtin:nope", "nofile",
+        "/", "%zz", "[",
+    ]),
+    st.text(max_size=6),
+)
+SPECS = st.one_of(
+    st.builds(
+        lambda kind, params: "builtin:%s?%s" % (kind, "&".join("%s=%s" % kv for kv in params)),
+        st.one_of(st.sampled_from(KINDS), st.text(max_size=4)),
+        st.lists(st.tuples(st.sampled_from(KEYS), VALUES), max_size=3),
+    ),
+    st.sampled_from(["builtin://[", "builtin:", "", "/", "\x00", "builtin:h8?l=%zz"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["verify", "dump", "analyze", "check-functor", "frob-objects"]),
+       spec=SPECS)
+def test_malformed_spec_exits_cleanly(command, spec):
+    if command == "check-functor":
+        argv = [command, "builtin:h8", "--module", spec, "--frobenius-monoidal", "--braided"]
+    elif command == "frob-objects":
+        argv = [command, "builtin:h8", "--object", spec]
+    else:
+        argv = [command, spec]
+    assert _run(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    "builtin:taft?l=23", "builtin:taft?l=x", "builtin:uqsl2?l=9", "builtin:group?table=c513",
+    "builtin:group?table=c²", "builtin:double?of=builtin:double?of=builtin:h8", "builtin://[",
+])
+def test_spec_out_of_range_is_malformed_input(spec):
+    with pytest.raises(BundleParseError):
+        resolve_hopf(spec)
+
+
+@pytest.mark.parametrize("module", [
+    "builtin:kchar?act=1,1,1,x", "builtin:kchar?act=1/0,1,1,1", "builtin:kchar?act=1,1,1,1&cond=0",
+    "builtin:kchar?act=1,1,1,1&cond=abc", "builtin:kchar?act=1,1,1,1&deg=q",
+])
+def test_bad_module_spec_exits_2(module):
+    assert _run(["check-functor", "builtin:h8", "--module", module, "--braided"]) == 2
+
+
+def test_unreadable_bundle_exits_2(tmp_path):
+    (tmp_path / "bin.bundle").write_bytes(b"\xff\xfe\x00")
+    assert _run(["verify", str(tmp_path)]) == 2
+    assert _run(["verify", str(tmp_path / "bin.bundle")]) == 2
