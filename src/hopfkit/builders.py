@@ -13,9 +13,32 @@ from fractions import Fraction
 
 from . import _kernel as K
 from .errors import HopfkitError
-from .exact_math import Cyclotomic, Matrix, root_of_unity
+from .exact_math import (
+    Cyclotomic,
+    Matrix,
+    _add,
+    _axpy,
+    _clean,
+    _scale,
+    _table_mul,
+    _tensor,
+    root_of_unity,
+)
 from .extension import HopfInclusion
 from .hopf_core import FinHopf, subhopf_from_basis
+
+
+def _tensor_square_mul(ctx, mult, n, u, v):
+    """Product in H (x) H of sparse vectors keyed i*n + j, from the table of H."""
+    out = {}
+    for x1, c1 in u.items():
+        i1, j1 = divmod(x1, n)
+        for x2, c2 in v.items():
+            i2, j2 = divmod(x2, n)
+            left = _scale(ctx, mult[i1 * n + i2], K.s_mul(ctx, c1, c2))
+            _tensor(ctx, out, left, mult[j1 * n + j2], n)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # group algebras
@@ -211,48 +234,6 @@ def taft(l, q_power=1):
                     mult[idx(a, b) * n + idx(a2, b2)].append((idx((a + a2) % l, b + b2), s))
 
     one = K.s_one(ctx)
-
-    def mult_vec(u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                cij = K.s_mul(ctx, ci, cj)
-                for k2, s in mult[i * n + j]:
-                    t = K.s_mul(ctx, cij, s)
-                    prev = out.get(k2)
-                    if prev is None:
-                        out[k2] = t
-                    else:
-                        t = K.s_add(ctx, prev, t)
-                        if K.s_is_zero(t):
-                            del out[k2]
-                        else:
-                            out[k2] = t
-        return out
-
-    def t_mult(u, v):
-        out = {}
-        for x1, c1 in u.items():
-            i1, j1 = divmod(x1, n)
-            for x2, c2 in v.items():
-                i2, j2 = divmod(x2, n)
-                c = K.s_mul(ctx, c1, c2)
-                for p, sp in mult[i1 * n + i2]:
-                    csp = K.s_mul(ctx, c, sp)
-                    for q2, sq in mult[j1 * n + j2]:
-                        t = K.s_mul(ctx, csp, sq)
-                        key = p * n + q2
-                        prev = out.get(key)
-                        if prev is None:
-                            out[key] = t
-                        else:
-                            t = K.s_add(ctx, prev, t)
-                            if K.s_is_zero(t):
-                                del out[key]
-                            else:
-                                out[key] = t
-        return out
-
     dg = {idx(1, 0) * n + idx(1, 0): one}
     dx = {idx(0, 1) * n + idx(0, 0): one, idx(1, 0) * n + idx(0, 1): one}
     delta = [None] * n
@@ -262,9 +243,11 @@ def taft(l, q_power=1):
             if a == 0 and b == 0:
                 continue
             if a > 0:
-                delta[idx(a, b)] = t_mult(dg, delta[idx(a - 1, b)])
+                delta[idx(a, b)] = _tensor_square_mul(ctx, mult, n, dg, delta[idx(a - 1, b)])
+            elif b > 1:
+                delta[idx(a, b)] = _tensor_square_mul(ctx, mult, n, delta[idx(a, b - 1)], dx)
             else:
-                delta[idx(a, b)] = t_mult(delta[idx(a, b - 1)], dx) if b > 1 else dx
+                delta[idx(a, b)] = dx
 
     comult = {}
     for i in range(n):
@@ -279,10 +262,10 @@ def taft(l, q_power=1):
         for b in range(l):
             w = {idx(0, 0): one}
             for _ in range(b):
-                w = mult_vec(w, sx)
+                w = _table_mul(ctx, mult, n, w, sx)
             for _ in range(a):
-                w = mult_vec(w, sg)
-            Scols.append({i: s for i, s in w.items()})
+                w = _table_mul(ctx, mult, n, w, sg)
+            Scols.append(w)
 
     mult_d = {}
     for a in range(l):
@@ -370,29 +353,13 @@ def small_quantum_sl2(l):
     one = K.s_one(ctx)
     z = K.s_zero(ctx)
 
-    def vset(out, key, val):
-        prev = out.get(key)
-        if prev is None:
-            if not K.s_is_zero(val):
-                out[key] = val
-        else:
-            val = K.s_add(ctx, prev, val)
-            if K.s_is_zero(val):
-                del out[key]
-            else:
-                out[key] = val
-
-    def vaccum(out, vec, coeff=None):
-        for k2, s in vec.items():
-            vset(out, k2, s if coeff is None else K.s_mul(ctx, coeff, s))
-
     # left multiplication by generators on PBW monomials
     def L_f(vec):
         out = {}
         for t, c in vec.items():
             j, rest = divmod(t, l * l)
             if j + 1 < l:
-                vset(out, t + l * l, c)
+                _add(ctx, out, t + l * l, c)
         return out
 
     def L_k(vec):
@@ -404,7 +371,7 @@ def small_quantum_sl2(l):
                 t2 = idx(j, m + 1, i)
             else:
                 t2 = idx(j, 0, i)
-            vset(out, t2, K.s_mul(ctx, c, q[(-2 * j) % l]))
+            _add(ctx, out, t2, K.s_mul(ctx, c, q[(-2 * j) % l]))
         return out
 
     def L_k_inv(vec):
@@ -413,7 +380,7 @@ def small_quantum_sl2(l):
             j, rest = divmod(t, l * l)
             m, i = divmod(rest, l)
             t2 = idx(j, (m - 1) % l, i)
-            vset(out, t2, K.s_mul(ctx, c, q[(2 * j) % l]))
+            _add(ctx, out, t2, K.s_mul(ctx, c, q[(2 * j) % l]))
         return out
 
     # (q - q^-1)^-1
@@ -434,23 +401,15 @@ def small_quantum_sl2(l):
             return {idx(0, m, i + 1): K.s_mul(ctx, one, q[(-2 * m) % l])}
         # e f = f e + (k - k^-1)/(q - q^-1)
         rest_mon = idx(j - 1, m, i)
-        out = {}
-        sub = e_times(rest_mon)
-        vaccum(out, L_f(sub))
-        corr = {}
-        vaccum(corr, L_k({rest_mon: one}))
-        neg = {}
-        vaccum(neg, L_k_inv({rest_mon: one}))
-        for k2, s in neg.items():
-            vset(corr, k2, K.s_neg(s))
-        for k2, s in corr.items():
-            vset(out, k2, K.s_mul(ctx, qm_inv, s))
-        return out
+        corr = L_k({rest_mon: one})
+        for k2, s in L_k_inv({rest_mon: one}).items():
+            _add(ctx, corr, k2, K.s_neg(s))
+        return _axpy(ctx, L_f(e_times(rest_mon)), corr, qm_inv)
 
     def L_e(vec):
         out = {}
         for t, c in vec.items():
-            vaccum(out, e_times(t), c)
+            _axpy(ctx, out, e_times(t), c)
         return out
 
     # multiplication tensor: e_a * e_b with e_a = f^j k^m e^i
@@ -472,28 +431,6 @@ def small_quantum_sl2(l):
                 cur_e = L_e(cur_e)
     mult = tuple(mult)
 
-    def mult_vec(u, v):
-        out = {}
-        for i1, c1 in u.items():
-            for j1, c2 in v.items():
-                c = K.s_mul(ctx, c1, c2)
-                for k2, s in mult[i1 * n + j1]:
-                    vset(out, k2, K.s_mul(ctx, c, s))
-        return out
-
-    def t_mult(u, v):
-        out = {}
-        for x1, c1 in u.items():
-            i1, j1 = divmod(x1, n)
-            for x2, c2 in v.items():
-                i2, j2 = divmod(x2, n)
-                c = K.s_mul(ctx, c1, c2)
-                for p, sp in mult[i1 * n + i2]:
-                    csp = K.s_mul(ctx, c, sp)
-                    for q2, sq in mult[j1 * n + j2]:
-                        vset(out, p * n + q2, K.s_mul(ctx, csp, sq))
-        return out
-
     e_1 = idx(0, 0, 0)
     e_e = idx(0, 0, 1)
     e_f = idx(1, 0, 0)
@@ -513,17 +450,19 @@ def small_quantum_sl2(l):
                 if t == e_1:
                     continue
                 if j > 0:
-                    delta[t] = t_mult(d_f, delta[idx(j - 1, m, i)])
+                    delta[t] = _tensor_square_mul(ctx, mult, n, d_f, delta[idx(j - 1, m, i)])
                 elif m > 0:
-                    delta[t] = t_mult(d_k, delta[idx(0, m - 1, i)])
+                    delta[t] = _tensor_square_mul(ctx, mult, n, d_k, delta[idx(0, m - 1, i)])
+                elif i > 1:
+                    delta[t] = _tensor_square_mul(ctx, mult, n, delta[idx(0, 0, i - 1)], d_e)
                 else:
-                    delta[t] = t_mult(delta[idx(0, 0, i - 1)], d_e) if i > 1 else d_e
+                    delta[t] = d_e
     comult_rows = tuple(tuple(sorted(d.items())) for d in delta)
 
     # antipode: S(f^j k^m e^i) = S(e)^i S(k)^m S(f)^j, with
     # S(e) = -e k^-1 and S(f) = -k f computed through the product
-    Se = mult_vec({e_e: K.s_neg(one)}, {e_kinv: one})
-    Sf = mult_vec({e_k: K.s_neg(one)}, {e_f: one})
+    Se = _table_mul(ctx, mult, n, {e_e: K.s_neg(one)}, {e_kinv: one})
+    Sf = _table_mul(ctx, mult, n, {e_k: K.s_neg(one)}, {e_f: one})
     Sk = {e_kinv: one}
     Scols = []
     for j in range(l):
@@ -531,11 +470,11 @@ def small_quantum_sl2(l):
             for i in range(l):
                 w = {e_1: one}
                 for _ in range(i):
-                    w = mult_vec(w, Se)
+                    w = _table_mul(ctx, mult, n, w, Se)
                 for _ in range(m):
-                    w = mult_vec(w, Sk)
+                    w = _table_mul(ctx, mult, n, w, Sk)
                 for _ in range(j):
-                    w = mult_vec(w, Sf)
+                    w = _table_mul(ctx, mult, n, w, Sf)
                 Scols.append(tuple(sorted(w.items())))
 
     unit = tuple(one if t == e_1 else z for t in range(n))
@@ -593,23 +532,7 @@ def drinfeld_double(H):
     nn = n * n
 
     one = K.s_one(ctx)
-
-    def vset(out, key, val):
-        prev = out.get(key)
-        if prev is None:
-            if not K.s_is_zero(val):
-                out[key] = val
-        else:
-            val = K.s_add(ctx, prev, val)
-            if K.s_is_zero(val):
-                del out[key]
-            else:
-                out[key] = val
-
-    sinv_cols = []
-    for r in range(n):
-        col = {i: Sinv._data[i][r] for i in range(n) if not K.s_is_zero(Sinv._data[i][r])}
-        sinv_cols.append(col)
+    sinv_cols = [_clean(enumerate(Sinv.col_raw(r))) for r in range(n)]
 
     # sandwich[r][p]: matrix over (c', u): coeff_{c'}( S^-1(e_r) e_u e_p )
     sandwich = {}
@@ -640,20 +563,16 @@ def drinfeld_double(H):
                     for u in range(n):
                         w = sandwich_vec(r, p, u)
                         cu = w.get(cp)
-                        if cu is not None and not K.s_is_zero(cu):
+                        if cu is not None:
                             phi[u] = cu
                     if not phi:
                         continue
-                    left = Hd.mult_vec(fc, phi)
-                    for uu, cl in left.items():
-                        cls = K.s_mul(ctx, cl, s)
-                        vset(mid_total, uu * n + qq, cls)
+                    _tensor(ctx, mid_total, Hd.mult_vec(fc, phi), {qq: s}, n)
                 for dp in range(n):
                     row = {}
                     for key, cval in mid_total.items():
                         uu, qq = divmod(key, n)
-                        for k2, s2 in H.mult[qq * n + dp]:
-                            vset(row, uu * n + k2, K.s_mul(ctx, cval, s2))
+                        _tensor(ctx, row, {uu: cval}, H.mult[qq * n + dp], n)
                     mult[(c * n + d) * nn + (cp * n + dp)] = tuple(sorted(row.items()))
     mult = tuple(mult)
 
@@ -666,8 +585,7 @@ def drinfeld_double(H):
                 for xh, sh in H.comult[d]:
                     h1, h2 = divmod(xh, n)
                     # (f_(2) x h_(1)) x (f_(1) x h_(2))
-                    key = (v * n + h1) * nn + (u * n + h2)
-                    vset(acc, key, K.s_mul(ctx, sf, sh))
+                    _add(ctx, acc, (v * n + h1) * nn + (u * n + h2), K.s_mul(ctx, sf, sh))
             comult[c * n + d] = tuple(sorted(acc.items()))
     comult = tuple(comult)
 
@@ -680,33 +598,16 @@ def drinfeld_double(H):
         for d in range(n):
             counit.append(K.s_mul(ctx, H.unit[c], H.counit[d]))
 
-    def mult_vec_D(u, v):
-        out = {}
-        for i1, c1 in u.items():
-            for j1, c2 in v.items():
-                c3 = K.s_mul(ctx, c1, c2)
-                for k2, s in mult[i1 * nn + j1]:
-                    vset(out, k2, K.s_mul(ctx, c3, s))
-        return out
-
     # S_D(f_c x e_d) = (eps x S(e_d)) * (f_c o S^-1 x 1)
-    eps_coords = {c: H.counit[c] for c in range(n) if not K.s_is_zero(H.counit[c])}
-    unit_coords = {d: H.unit[d] for d in range(n) if not K.s_is_zero(H.unit[d])}
+    eps_coords = _clean(enumerate(H.counit))
+    unit_coords = H.unit_vec()
     Scols = []
     for c in range(n):
         # f_c o S^-1 has dual coords u -> Sinv[c][u]
-        fcs = {u: Sinv._data[c][u] for u in range(n) if not K.s_is_zero(Sinv._data[c][u])}
+        right = _tensor(ctx, {}, _clean(enumerate(Sinv._data[c])), unit_coords, n)
         for d in range(n):
-            sd = H.antipode_vec(H.basis_vec(d))
-            left = {}
-            for ce, vi in eps_coords.items():
-                for dh, vh in sd.items():
-                    vset(left, ce * n + dh, K.s_mul(ctx, vi, vh))
-            right = {}
-            for cu, vu in fcs.items():
-                for du, vd in unit_coords.items():
-                    vset(right, cu * n + du, K.s_mul(ctx, vu, vd))
-            Scols.append(tuple(sorted(mult_vec_D(left, right).items())))
+            left = _tensor(ctx, {}, eps_coords, H.antipode_vec(H.basis_vec(d)), n)
+            Scols.append(tuple(sorted(_table_mul(ctx, mult, nn, left, right).items())))
 
     labels = []
     for c in range(n):
@@ -740,22 +641,13 @@ def double_r_matrix(H, D):
     n = H.dim
     ctx = H.ctx
     nn = n * n
+    unit = H.unit_vec()
+    counit = _clean(enumerate(H.counit))
     out = {}
     for c in range(n):
-        left = {}
-        for u in range(n):
-            if not K.s_is_zero(H.unit[u]):
-                left[c * n + u] = H.unit[u]
-        right = {}
-        for v in range(n):
-            if not K.s_is_zero(H.counit[v]):
-                right[v * n + c] = H.counit[v]
-        for i, a in left.items():
-            for j, b in right.items():
-                key = i * nn + j
-                prev = out.get(key)
-                val = K.s_mul(ctx, a, b)
-                out[key] = val if prev is None else K.s_add(ctx, prev, val)
+        left = {c * n + u: s for u, s in unit.items()}
+        right = {v * n + c: s for v, s in counit.items()}
+        _tensor(ctx, out, left, right, nn)
     return out
 
 

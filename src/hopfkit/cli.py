@@ -45,6 +45,11 @@ from .errors import BundleParseError, HopfkitError
 from .exact_math import Matrix, parse_scalar
 from .reports import Report, digest_bytes
 
+# u_q(sl2) has dim l^3 <= MAX_DIM
+UQSL2_L_RANGE = (3, 8)
+# the Cartan row-sum scan visits 2^rank sign subsets; E8 is the largest exceptional rank
+MAX_CARTAN_RANK = 8
+
 
 def _parse_spec(spec):
     try:
@@ -126,8 +131,8 @@ def _taft_params(params):
 
 
 def _uqsl2_l(params):
-    """l of a u_q(sl2) spec; u_q(sl2) has dim l^3 <= MAX_DIM."""
-    return _int_param("l", params.get("l", "3"), 3, 8)
+    """l of a u_q(sl2) spec."""
+    return _int_param("l", params.get("l", "3"), *UQSL2_L_RANGE)
 
 
 def _group_by_name(name):
@@ -412,11 +417,12 @@ def cmd_frob_objects(args):
 def cmd_scan_sl2(args):
     from .builders import unimodularity_scan_sl2
 
-    report = Report("scan-sl2 l=%d" % args.l, tool="hopfkit %s" % __version__)
-    rows = unimodularity_scan_sl2(args.l)
+    l = _int_param("--l", args.l, *UQSL2_L_RANGE)
+    report = Report("scan-sl2 l=%d" % l, tool="hopfkit %s" % __version__)
+    rows = unimodularity_scan_sl2(l)
     for row in rows:
         name = "I+=%s I-=%s" % (sorted(row["I+"]), sorted(row["I-"]))
-        if args.l > 3:
+        if l > 3:
             report.add(
                 "unimodular[%s]" % name,
                 row["unimodular"] == row["expected"],
@@ -435,15 +441,28 @@ def cmd_scan_sl2(args):
     return _emit(report, args)
 
 
+def _cartan_types(text):
+    """(type letter, rank) for each token of a --types list such as "A1,B2,G2"."""
+    from .builders import cartan_matrix
+
+    types = []
+    for token in text.split(","):
+        token = token.strip()
+        rank = _int_param("--types %s rank" % token, token[1:], 1, MAX_CARTAN_RANK)
+        try:
+            cartan_matrix(token[0], rank)
+        except HopfkitError as e:
+            raise BundleParseError("--types %s: %s" % (token, e)) from None
+        types.append((token[0].upper(), rank))
+    return types
+
+
 def cmd_cartan_check(args):
     from .builders import CartanDatum, cartan_row_sum_check
 
     report = Report("cartan-check", tool="hopfkit %s" % __version__)
-    types = []
-    for t in args.types.split(","):
-        t = t.strip().upper()
-        types.append((t[0], int(t[1:])))
-    ls = [int(x) for x in args.l.split(",")]
+    types = _cartan_types(args.types)
+    ls = [_int_param("--l", x, 2, MAX_CONDUCTOR) for x in args.l.split(",")]
     for label, rank in types:
         for l in ls:
             datum = CartanDatum(label, rank, l)
@@ -511,7 +530,7 @@ def build_parser():
     p.set_defaults(fn=cmd_frob_objects)
 
     p = sub.add_parser("scan-sl2", help="unimodularity scan over small quantum sl2 subalgebras")
-    p.add_argument("--l", type=int, default=5)
+    p.add_argument("--l", default="5")
     common(p)
     p.set_defaults(fn=cmd_scan_sl2)
 

@@ -231,14 +231,6 @@ def lift_raw(data, N, M):
     return K.s_lift(data, N, M) if N != M else data
 
 
-def raw_zero(ctx):
-    return K.s_zero(ctx)
-
-
-def raw_one(ctx):
-    return K.s_one(ctx)
-
-
 def mat_mul_raw(A, B, ctx):
     """Product of dense raw matrices (lists of row lists).
 
@@ -266,22 +258,6 @@ def mat_mul_raw(A, B, ctx):
                 orow[j] = K.s_add(ctx, orow[j], K.s_mul(ctx, a, b))
         out.append(orow)
     return out
-
-
-def mat_vec_raw(A, v, ctx):
-    z = K.s_zero(ctx)
-    out = [z] * len(A)
-    for i, row in enumerate(A):
-        acc = z
-        for a, x in zip(row, v):
-            if not K.s_is_zero(a) and not K.s_is_zero(x):
-                acc = K.s_add(ctx, acc, K.s_mul(ctx, a, x))
-        out[i] = acc
-    return out
-
-
-def mat_eq_raw(A, B):
-    return A == B
 
 
 def identity_raw(n, ctx):
@@ -317,6 +293,93 @@ def kron_raw(A, B, ctx):
                     b = rowb[jb]
                     if not K.s_is_zero(b):
                         orow[base + jb] = K.s_mul(ctx, a, b)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# sparse vectors
+#
+# A sparse vector is a dict {index: raw scalar} that stores no zero value;
+# indices are ints or tuples.  Only the helpers below build or add into one,
+# so only they know this convention.  An argument named ``terms`` may also be
+# a sequence of (index, raw) pairs, such as a row of a structure table.
+# ---------------------------------------------------------------------------
+
+
+def _items(terms):
+    return terms.items() if isinstance(terms, dict) else terms
+
+
+def _add(ctx, acc, k, s):
+    """acc[k] += s for a nonzero raw s; a key whose sum is zero is dropped."""
+    prev = acc.get(k)
+    if prev is None:
+        acc[k] = s
+    else:
+        s = K.s_add(ctx, prev, s)
+        if K.s_is_zero(s):
+            del acc[k]
+        else:
+            acc[k] = s
+
+
+def _axpy(ctx, acc, terms, c):
+    """acc += c*terms in place for terms holding no zero; returns acc.  A unit
+    c adds without products."""
+    if K.s_is_zero(c):
+        return acc
+    if c == K.s_one(ctx):
+        for k, s in _items(terms):
+            _add(ctx, acc, k, s)
+    else:
+        for k, s in _items(terms):
+            _add(ctx, acc, k, K.s_mul(ctx, c, s))
+    return acc
+
+
+def _scale(ctx, terms, c):
+    """c*terms as a new sparse vector."""
+    if K.s_is_zero(c):
+        return {}
+    return {k: K.s_mul(ctx, c, s) for k, s in _items(terms)}
+
+
+def _clean(terms):
+    """The nonzero entries of terms (e.g. ``enumerate(dense)``) as a sparse vector."""
+    return {k: s for k, s in _items(terms) if not K.s_is_zero(s)}
+
+
+def _tensor(ctx, acc, u, v, n):
+    """acc += u (x) v in place, the pair (i, j) at index i*n + j; returns acc."""
+    for i, a in _items(u):
+        base = i * n
+        for j, b in _items(v):
+            _add(ctx, acc, base + j, K.s_mul(ctx, a, b))
+    return acc
+
+
+def _mat_vec(M, vec):
+    """M * vec for a Matrix M and a sparse vector vec, as a sparse vector."""
+    ctx = M.ctx
+    out = {}
+    for j, a in vec.items():
+        _axpy(ctx, out, _clean(enumerate(M.col_raw(j))), a)
+    return out
+
+
+def _table_mul(ctx, table, n, u, v):
+    """Product of sparse vectors u and v, where table[i*n + j] lists the
+    (k, raw) terms of e_i e_j."""
+    v = [(j, b) for j, b in v.items() if not K.s_is_zero(b)]
+    out = {}
+    for i, a in u.items():
+        if K.s_is_zero(a):
+            continue
+        base = i * n
+        for j, b in v:
+            ab = K.s_mul(ctx, a, b)
+            for k, s in table[base + j]:
+                _add(ctx, out, k, K.s_mul(ctx, ab, s))
     return out
 
 
@@ -412,55 +475,28 @@ class RowSpace:
         self.pivots = []  # sorted pivot columns, parallel to rows
 
     def reduce(self, vec):
-        """Remainder of a sparse vector modulo the row space."""
+        """Remainder of a sparse (dict) or dense vector modulo the row space."""
         ctx = self.ctx
-        vec = {c: s for c, s in vec.items() if not K.s_is_zero(s)}
+        vec = _clean(vec if isinstance(vec, dict) else enumerate(vec))
         for piv, row in zip(self.pivots, self.rows):
             a = vec.get(piv)
-            if a is None or K.s_is_zero(a):
-                continue
-            for c, s in row.items():
-                cur = vec.get(c)
-                delta = K.s_mul(ctx, a, s)
-                if cur is None:
-                    vec[c] = K.s_neg(delta)
-                else:
-                    new = K.s_sub(ctx, cur, delta)
-                    if K.s_is_zero(new):
-                        del vec[c]
-                    else:
-                        vec[c] = new
+            if a is not None:
+                _axpy(ctx, vec, row, K.s_neg(a))
         return vec
 
     def add(self, vec):
         """Insert a row; returns True if the rank grew."""
-        if not isinstance(vec, dict):
-            vec = {c: s for c, s in enumerate(vec)}
         rem = self.reduce(vec)
         if not rem:
             return False
         ctx = self.ctx
         piv = min(rem)
-        inv = K.s_inv(ctx, rem[piv])
-        row = {c: K.s_mul(ctx, inv, s) for c, s in rem.items()}
+        row = _scale(ctx, rem, K.s_inv(ctx, rem[piv]))
         # clear the new pivot column from existing rows
         for i, r in enumerate(self.rows):
             a = r.get(piv)
-            if a is None:
-                continue
-            new = dict(r)
-            for c, s in row.items():
-                cur = new.get(c)
-                delta = K.s_mul(ctx, a, s)
-                if cur is None:
-                    new[c] = K.s_neg(delta)
-                else:
-                    val = K.s_sub(ctx, cur, delta)
-                    if K.s_is_zero(val):
-                        del new[c]
-                    else:
-                        new[c] = val
-            self.rows[i] = new
+            if a is not None:
+                self.rows[i] = _axpy(ctx, dict(r), row, K.s_neg(a))
         at = 0
         while at < len(self.pivots) and self.pivots[at] < piv:
             at += 1
@@ -473,8 +509,6 @@ class RowSpace:
         return len(self.rows)
 
     def contains(self, vec):
-        if not isinstance(vec, dict):
-            vec = {c: s for c, s in enumerate(vec)}
         return not self.reduce(vec)
 
     def nullspace(self):

@@ -12,13 +12,19 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import HopfkitError, InconsistentSystemError, PipelineError, ShapeError
-from .exact_math import Cyclotomic, Matrix, RowSpace, lift_raw
+from .exact_math import (
+    Cyclotomic,
+    Matrix,
+    RowSpace,
+    _add,
+    _axpy,
+    _clean,
+    _mat_vec,
+    _scale,
+    _tensor,
+)
 from .hopf_core import (
-    FinHopf,
     LinearFunctional,
-    _vec_clean,
-    _vec_scale,
-    _vec_accum,
     distinguished_grouplike,
     integral_space,
     right_integral_of_dual,
@@ -57,18 +63,15 @@ class HopfInclusion:
         key = ("col", b)
         got = self._cache.get(key)
         if got is None:
-            got = {
-                i: self.embed._data[i][b]
-                for i in range(self.H.dim)
-                if not K.s_is_zero(self.embed._data[i][b])
-            }
+            got = _clean(enumerate(self.embed.col_raw(b)))
             self._cache[key] = got
         return got
 
     def embed_vec(self, kvec):
+        ctx = self.ctx
         out = {}
         for b, c in kvec.items():
-            _vec_accum(self.H, out, _vec_scale(self.H, self.embed_col(b), c))
+            _axpy(ctx, out, self.embed_col(b), c)
         return out
 
     def image_space(self):
@@ -135,7 +138,7 @@ def verify_inclusion(incl):
             prod_K = Kk.mult_vec(Kk.basis_vec(a), Kk.basis_vec(b))
             lhs = incl.embed_vec(prod_K)
             rhs = H.mult_vec(incl.embed_col(a), incl.embed_col(b))
-            if _vec_clean(lhs) != _vec_clean(rhs):
+            if lhs != rhs:
                 w = (a, b)
                 break
         if w:
@@ -144,7 +147,7 @@ def verify_inclusion(incl):
 
     rep.add(
         "unit-intertwines",
-        _vec_clean(incl.embed_vec(Kk.unit_vec())) == _vec_clean(H.unit_vec()),
+        incl.embed_vec(Kk.unit_vec()) == H.unit_vec(),
         anchor="hopf-map",
     )
 
@@ -153,10 +156,8 @@ def verify_inclusion(incl):
         lhs = {}
         for x, s in Kk.comult[a]:
             p, q = divmod(x, m)
-            img = _tensor_pair(H, incl.embed_col(p), incl.embed_col(q), s)
-            _vec_accum_flat(ctx, lhs, img)
-        rhs = H.comult_vec(incl.embed_col(a))
-        if _clean_flat(lhs) != _clean_flat(rhs):
+            _tensor(ctx, lhs, _scale(ctx, incl.embed_col(p), s), incl.embed_col(q), n)
+        if lhs != H.comult_vec(incl.embed_col(a)):
             w = a
             break
     rep.add("comult-intertwines", w is None, witness=w, anchor="hopf-map")
@@ -170,43 +171,12 @@ def verify_inclusion(incl):
 
     w = None
     for a in range(m):
-        lhs = incl.embed_vec(_vec_clean(Kk.antipode_vec(Kk.basis_vec(a))))
-        rhs = H.antipode_vec(incl.embed_col(a))
-        if _vec_clean(lhs) != _vec_clean(rhs):
+        lhs = incl.embed_vec(Kk.antipode_vec(Kk.basis_vec(a)))
+        if lhs != H.antipode_vec(incl.embed_col(a)):
             w = a
             break
     rep.add("antipode-intertwines", w is None, witness=w, anchor="hopf-map")
     return rep
-
-
-def _tensor_pair(H, u, v, coeff):
-    ctx = H.ctx
-    n = H.dim
-    out = {}
-    for i, a in u.items():
-        ca = K.s_mul(ctx, coeff, a)
-        for j, b in v.items():
-            t = K.s_mul(ctx, ca, b)
-            if not K.s_is_zero(t):
-                out[i * n + j] = t
-    return out
-
-
-def _vec_accum_flat(ctx, acc, v):
-    for k, s in v.items():
-        prev = acc.get(k)
-        if prev is None:
-            acc[k] = s
-        else:
-            t = K.s_add(ctx, prev, s)
-            if K.s_is_zero(t):
-                del acc[k]
-            else:
-                acc[k] = t
-
-
-def _clean_flat(v):
-    return {k: s for k, s in v.items() if not K.s_is_zero(s)}
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +204,7 @@ class BarQuotient:
         ctx = self.incl.ctx
         out = {}
         for i, s in hvec.items():
-            if K.s_is_zero(s):
-                continue
-            for t, c in self.proj_cols[i].items():
-                prev = out.get(t)
-                val = K.s_mul(ctx, s, c)
-                if prev is None:
-                    out[t] = val
-                else:
-                    val = K.s_add(ctx, prev, val)
-                    if K.s_is_zero(val):
-                        del out[t]
-                    else:
-                        out[t] = val
+            _axpy(ctx, out, self.proj_cols[i], s)
         return out
 
     def section_vec(self, t):
@@ -273,12 +231,12 @@ def bar_quotient(incl, verify=True):
 
     # basis of K+ = ker eps_K
     eps_space = RowSpace(m, ctx)
-    eps_space.add({b: Kk.counit[b] for b in range(m) if not K.s_is_zero(Kk.counit[b])})
+    eps_space.add(_clean(enumerate(Kk.counit)))
     kplus = eps_space.nullspace()
 
     sub = RowSpace(n, ctx)
     for w in kplus:
-        wimg = incl.embed_vec({b: c for b, c in enumerate(w) if not K.s_is_zero(c)})
+        wimg = incl.embed_vec(_clean(enumerate(w)))
         for i in range(n):
             sub.add(H.mult_vec(H.basis_vec(i), wimg))
 
@@ -312,49 +270,18 @@ def bar_quotient(incl, verify=True):
     proj_cols = []
     for i in range(n):
         rem = sub.reduce({i: one})
-        acc = {}
-        for c, s in rem.items():
-            col = Minv.col_raw(np_pos[c])
-            for t in range(dimbar):
-                v = col[t]
-                if not K.s_is_zero(v):
-                    prev = acc.get(t)
-                    val = K.s_mul(ctx, s, v)
-                    if prev is None:
-                        acc[t] = val
-                    else:
-                        val = K.s_add(ctx, prev, val)
-                        if K.s_is_zero(val):
-                            del acc[t]
-                        else:
-                            acc[t] = val
-        proj_cols.append(acc)
+        proj_cols.append(_mat_vec(Minv, {np_pos[c]: s for c, s in rem.items()}))
     comult_bar = []
     for t in range(dimbar):
         acc = {}
         for x, s in H.comult[reps[t]]:
             j, k2 = divmod(x, n)
-            pj = proj_cols[j]
-            pk = proj_cols[k2]
-            for a, ca in pj.items():
-                sa = K.s_mul(ctx, s, ca)
-                for b, cb in pk.items():
-                    val = K.s_mul(ctx, sa, cb)
-                    key = a * dimbar + b
-                    prev = acc.get(key)
-                    if prev is None:
-                        acc[key] = val
-                    else:
-                        val = K.s_add(ctx, prev, val)
-                        if K.s_is_zero(val):
-                            del acc[key]
-                        else:
-                            acc[key] = val
+            _tensor(ctx, acc, _scale(ctx, proj_cols[j], s), proj_cols[k2], dimbar)
         comult_bar.append(tuple(sorted(acc.items())))
     counit_bar = tuple(H.counit[i] for i in reps)
     coaug_vec = {}
     for i, s in H.unit_vec().items():
-        _vec_accum_flat(ctx, coaug_vec, _vec_scale_flat(ctx, proj_cols[i], s))
+        _axpy(ctx, coaug_vec, proj_cols[i], s)
     z = K.s_zero(ctx)
     coaug = [z] * dimbar
     for t, s in coaug_vec.items():
@@ -368,12 +295,6 @@ def bar_quotient(incl, verify=True):
     return bq
 
 
-def _vec_scale_flat(ctx, v, c):
-    if K.s_is_zero(c):
-        return {}
-    return {k: K.s_mul(ctx, c, s) for k, s in v.items()}
-
-
 def verify_bar_quotient(bq):
     incl = bq.incl
     H, Kk = incl.H, incl.K
@@ -383,7 +304,7 @@ def verify_bar_quotient(bq):
 
     # the chosen coset representatives project to the standard basis of Hbar
     one = K.s_one(ctx)
-    surj = all(_clean_flat(bq.proj_vec(bq.section_vec(t))) == {t: one} for t in range(d))
+    surj = all(bq.proj_vec(bq.section_vec(t)) == {t: one} for t in range(d))
     rep.add("proj-surjective", surj, anchor="bar-quotient")
 
     # coalgebra map: (proj x proj) Delta_H = Delta_bar proj on all basis vectors
@@ -392,15 +313,11 @@ def verify_bar_quotient(bq):
         lhs = {}
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
-            for a, ca in bq.proj_cols[j].items():
-                sa = K.s_mul(ctx, s, ca)
-                for b, cb in bq.proj_cols[k2].items():
-                    _vec_accum_flat(ctx, lhs, {a * d + b: K.s_mul(ctx, sa, cb)})
+            _tensor(ctx, lhs, _scale(ctx, bq.proj_cols[j], s), bq.proj_cols[k2], d)
         rhs = {}
         for t, c in bq.proj_cols[i].items():
-            for x, s in bq.comult_bar[t]:
-                _vec_accum_flat(ctx, rhs, {x: K.s_mul(ctx, c, s)})
-        if _clean_flat(lhs) != _clean_flat(rhs):
+            _axpy(ctx, rhs, bq.comult_bar[t], c)
+        if lhs != rhs:
             w = i
             break
     rep.add("proj-coalgebra-map", w is None, witness=w, anchor="bar-quotient")
@@ -414,29 +331,24 @@ def verify_bar_quotient(bq):
         racc = {}
         for x, s in bq.comult_bar[t]:
             a, b = divmod(x, d)
-            lt = K.s_mul(ctx, bq.counit_bar[a], s)
-            if not K.s_is_zero(lt):
-                _vec_accum_flat(ctx, lacc, {b: lt})
-            rt = K.s_mul(ctx, bq.counit_bar[b], s)
-            if not K.s_is_zero(rt):
-                _vec_accum_flat(ctx, racc, {a: rt})
-        et = {t: K.s_one(ctx)}
-        if _clean_flat(lacc) != et or _clean_flat(racc) != et:
+            _axpy(ctx, lacc, {b: s}, bq.counit_bar[a])
+            _axpy(ctx, racc, {a: s}, bq.counit_bar[b])
+        et = {t: one}
+        if lacc != et or racc != et:
             w = t
             break
     rep.add("bar-counital", w is None, witness=w, anchor="bar-quotient")
 
-    one_bar = _clean_flat({t: s for t, s in enumerate(bq.coaug)})
-    rep.add("proj-sends-unit-to-unit", _clean_flat(bq.proj_vec(H.unit_vec())) == one_bar)
+    one_bar = _clean(enumerate(bq.coaug))
+    rep.add("proj-sends-unit-to-unit", bq.proj_vec(H.unit_vec()) == one_bar)
 
     # right K-triviality: proj(h * embed(k)) = eps_K(k) proj(h)
     w = None
     for i in range(n):
-        pi = _clean_flat(bq.proj_vec({i: K.s_one(ctx)}))
+        pi = bq.proj_vec({i: one})
         for b in range(m):
-            lhs = _clean_flat(bq.proj_vec(H.mult_vec(H.basis_vec(i), incl.embed_col(b))))
-            rhs = _clean_flat(_vec_scale_flat(ctx, pi, Kk.counit[b]))
-            if lhs != rhs:
+            lhs = bq.proj_vec(H.mult_vec(H.basis_vec(i), incl.embed_col(b)))
+            if lhs != _scale(ctx, pi, Kk.counit[b]):
                 w = (i, b)
                 break
         if w:
@@ -459,17 +371,9 @@ def right_integral_bar_dual(bq):
         rows = [dict() for _ in range(d)]
         for x, s in bq.comult_bar[t]:
             j, k2 = divmod(x, d)
-            prev = rows[k2].get(j)
-            rows[k2][j] = s if prev is None else K.s_add(ctx, prev, s)
-        for k2 in range(d):
-            c = bq.coaug[k2]
-            if not K.s_is_zero(c):
-                prev = rows[k2].get(t, K.s_zero(ctx))
-                val = K.s_sub(ctx, prev, c)
-                if K.s_is_zero(val):
-                    rows[k2].pop(t, None)
-                else:
-                    rows[k2][t] = val
+            _add(ctx, rows[k2], j, s)
+        for k2, c in _clean(enumerate(bq.coaug)).items():
+            _add(ctx, rows[k2], t, K.s_neg(c))
         for r in rows:
             if r:
                 space.add(r)
@@ -617,7 +521,7 @@ def is_frobenius_extension(incl, bq=None, lam=None):
     # chi = (alpha_H|_K) * (alpha_K o S_K), convolution on K*
     m = Kk.dim
     ok_fd = True
-    alphaKS = [alpha_K(_vec_clean(Kk.antipode_vec(Kk.basis_vec(b)))) for b in range(m)]
+    alphaKS = [alpha_K(Kk.antipode_vec(Kk.basis_vec(b))) for b in range(m)]
     for b in range(m):
         acc = K.s_zero(ctx)
         for x, s in Kk.comult[b]:
@@ -749,24 +653,10 @@ class FrobeniusData:
 
     def tr_vec(self, hvec):
         """tr of a sparse H-vector, as a sparse K-vector."""
-        ctx = self.incl.ctx
-        out = {}
-        for i, s in hvec.items():
-            if K.s_is_zero(s):
-                continue
-            col = self.tr_K.col_raw(i)
-            for b, c in enumerate(col):
-                if not K.s_is_zero(c):
-                    prev = out.get(b)
-                    val = K.s_mul(ctx, s, c)
-                    out[b] = val if prev is None else K.s_add(ctx, prev, val)
-        return _vec_clean(out)
+        return _mat_vec(self.tr_K, hvec)
 
     def delta_vec(self, i):
-        ctx = self.incl.ctx
-        return {
-            t: s for t, s in enumerate(self.deltas[i]) if not K.s_is_zero(s)
-        }
+        return _clean(enumerate(self.deltas[i]))
 
 
 def frobenius_morphism(incl, bq, lam):
@@ -781,9 +671,7 @@ def frobenius_morphism(incl, bq, lam):
         acc = {}
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
-            c = K.s_mul(ctx, lamH.values[j], s)
-            if not K.s_is_zero(c):
-                _vec_accum_flat(ctx, acc, {k2: c})
+            _axpy(ctx, acc, {k2: s}, lamH.values[j])
         dense = [z] * n
         for idx, s in acc.items():
             dense[idx] = s
@@ -801,29 +689,18 @@ def _verify_frobenius_morphism(incl, tr_K):
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
 
-    def tr_of(hvec):
-        out = {}
-        for i, s in hvec.items():
-            if K.s_is_zero(s):
-                continue
-            for b in range(m):
-                c = tr_K._data[b][i]
-                if not K.s_is_zero(c):
-                    _vec_accum_flat(ctx, out, {b: K.s_mul(ctx, s, c)})
-        return _clean_flat(out)
-
     # K-K-bimodule property: tr(k h k') = k tr(h) k'
     for b in range(m):
         col_b = incl.embed_col(b)
         for i in range(n):
             hb = H.mult_vec(col_b, H.basis_vec(i))
-            lhs = tr_of(hb)
-            rhs = _clean_flat(Kk.mult_vec(Kk.basis_vec(b), tr_of(H.basis_vec(i))))
+            lhs = _mat_vec(tr_K, hb)
+            rhs = Kk.mult_vec(Kk.basis_vec(b), _mat_vec(tr_K, H.basis_vec(i)))
             if lhs != rhs:
                 raise PipelineError("tr is not a left K-module map at (%d,%d)" % (b, i))
             hb2 = H.mult_vec(H.basis_vec(i), col_b)
-            lhs2 = tr_of(hb2)
-            rhs2 = _clean_flat(Kk.mult_vec(tr_of(H.basis_vec(i)), Kk.basis_vec(b)))
+            lhs2 = _mat_vec(tr_K, hb2)
+            rhs2 = Kk.mult_vec(_mat_vec(tr_K, H.basis_vec(i)), Kk.basis_vec(b))
             if lhs2 != rhs2:
                 raise PipelineError("tr is not a right K-module map at (%d,%d)" % (i, b))
 
@@ -832,17 +709,14 @@ def _verify_frobenius_morphism(incl, tr_K):
         lhs = {}
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
-            tj = tr_of({j: s})
-            for b, c in tj.items():
-                _vec_accum_flat(ctx, lhs, {b * n + k2: c})
+            for b, c in _mat_vec(tr_K, {j: s}).items():
+                _add(ctx, lhs, b * n + k2, c)
         rhs = {}
-        for b, c in tr_of(H.basis_vec(i)).items():
+        for b, c in _mat_vec(tr_K, H.basis_vec(i)).items():
             for x, s in Kk.comult[b]:
                 p, q = divmod(x, m)
-                cs = K.s_mul(ctx, c, s)
-                for hq, e in incl.embed_col(q).items():
-                    _vec_accum_flat(ctx, rhs, {p * n + hq: K.s_mul(ctx, cs, e)})
-        if _clean_flat(lhs) != _clean_flat(rhs):
+                _tensor(ctx, rhs, {p: K.s_mul(ctx, c, s)}, incl.embed_col(q), n)
+        if lhs != rhs:
             raise PipelineError("tr is not a morphism of right H-comodules at %d" % i)
 
 
@@ -888,25 +762,12 @@ def dual_bases(incl, tr_K, free, verify=True):
 
 
 def _verify_dual_bases(incl, tr_K, free, deltas):
-    H, Kk = incl.H, incl.K
+    H = incl.H
     ctx = incl.ctx
-    n, m = H.dim, Kk.dim
+    n = H.dim
     r = len(free)
-
-    def tr_vec(hvec):
-        out = {}
-        for i, s in hvec.items():
-            if K.s_is_zero(s):
-                continue
-            for b in range(m):
-                c = tr_K._data[b][i]
-                if not K.s_is_zero(c):
-                    _vec_accum_flat(ctx, out, {b: K.s_mul(ctx, s, c)})
-        return _clean_flat(out)
-
-    delta_sparse = [
-        {t: s for t, s in enumerate(dv) if not K.s_is_zero(s)} for dv in deltas
-    ]
+    one = K.s_one(ctx)
+    delta_sparse = [_clean(enumerate(dv)) for dv in deltas]
     right_dec = Decomposer(incl, free, "right")
 
     for x in range(n):
@@ -915,12 +776,12 @@ def _verify_dual_bases(incl, tr_K, free, deltas):
         acc2 = {}
         for i in range(r):
             # h = sum_i tr(h delta_i) h_i
-            ki = tr_vec(H.mult_vec(ex, delta_sparse[i]))
-            _vec_accum(H, acc1, H.mult_vec(incl.embed_vec(ki), H.basis_vec(free[i])))
+            ki = _mat_vec(tr_K, H.mult_vec(ex, delta_sparse[i]))
+            _axpy(ctx, acc1, H.mult_vec(incl.embed_vec(ki), H.basis_vec(free[i])), one)
             # h = sum_i delta_i tr(h_i h)
-            ki2 = tr_vec(H.mult_vec(H.basis_vec(free[i]), ex))
-            _vec_accum(H, acc2, H.mult_vec(delta_sparse[i], incl.embed_vec(ki2)))
-        if _vec_clean(acc1) != ex or _vec_clean(acc2) != ex:
+            ki2 = _mat_vec(tr_K, H.mult_vec(H.basis_vec(free[i]), ex))
+            _axpy(ctx, acc2, H.mult_vec(delta_sparse[i], incl.embed_vec(ki2)), one)
+        if acc1 != ex or acc2 != ex:
             raise PipelineError("dual-basis reconstruction identity fails at basis %d" % x)
 
     # sum_i delta_i x_K h_i h == sum_i h delta_i x_K h_i, inside H (x)_K H
@@ -932,21 +793,19 @@ def _verify_dual_bases(incl, tr_K, free, deltas):
             hih = H.mult_vec(H.basis_vec(free[i]), ex)
             parts = right_dec(delta_sparse[i])
             for j in range(r):
-                kv = {b: c for b, c in enumerate(parts[j]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts[j]))
                 if kv:
-                    contrib = H.mult_vec(incl.embed_vec(kv), hih)
-                    for idx, s in contrib.items():
-                        _vec_accum_flat(ctx, lhs, {j * n + idx: s})
+                    for idx, s in H.mult_vec(incl.embed_vec(kv), hih).items():
+                        _add(ctx, lhs, j * n + idx, s)
             hdelta = H.mult_vec(ex, delta_sparse[i])
             parts2 = right_dec(hdelta)
             hi = H.basis_vec(free[i])
             for j in range(r):
-                kv = {b: c for b, c in enumerate(parts2[j]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts2[j]))
                 if kv:
-                    contrib = H.mult_vec(incl.embed_vec(kv), hi)
-                    for idx, s in contrib.items():
-                        _vec_accum_flat(ctx, rhs, {j * n + idx: s})
-        if _clean_flat(lhs) != _clean_flat(rhs):
+                    for idx, s in H.mult_vec(incl.embed_vec(kv), hi).items():
+                        _add(ctx, rhs, j * n + idx, s)
+        if lhs != rhs:
             raise PipelineError("dual-basis exchange identity fails at basis %d" % x)
 
 
@@ -966,13 +825,9 @@ def lambda_left_right_symmetric(incl, bq, lam):
         right = {}
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
-            lt = K.s_mul(ctx, lamH.values[j], s)
-            if not K.s_is_zero(lt):
-                _vec_accum_flat(ctx, left, {k2: lt})
-            rt = K.s_mul(ctx, lamH.values[k2], s)
-            if not K.s_is_zero(rt):
-                _vec_accum_flat(ctx, right, {j: rt})
-        if _clean_flat(left) != _clean_flat(right):
+            _axpy(ctx, left, {k2: s}, lamH.values[j])
+            _axpy(ctx, right, {j: s}, lamH.values[k2])
+        if left != right:
             return False
     return True
 
@@ -985,26 +840,15 @@ def tr_bicomodule_map(incl, tr_K):
     for i in range(n):
         lhs = {}
         for (a, b, c), s in H.comult2(i):
-            for kb in range(m):
-                coeff = tr_K._data[kb][b]
-                if not K.s_is_zero(coeff):
-                    key = (a * m + kb) * n + c
-                    _vec_accum_flat(ctx, lhs, {key: K.s_mul(ctx, s, coeff)})
+            for kb, coeff in _clean(enumerate(tr_K.col_raw(b))).items():
+                _add(ctx, lhs, (a * m + kb) * n + c, K.s_mul(ctx, s, coeff))
         rhs = {}
-        tri = {}
-        for b in range(m):
-            coeff = tr_K._data[b][i]
-            if not K.s_is_zero(coeff):
-                tri[b] = coeff
-        for b, coeff in tri.items():
+        for b, coeff in _clean(enumerate(tr_K.col_raw(i))).items():
             for (p, q, rr), s in Kk.comult2(b):
                 cs = K.s_mul(ctx, coeff, s)
                 for hp, e1 in incl.embed_col(p).items():
-                    cse = K.s_mul(ctx, cs, e1)
-                    for hr, e2 in incl.embed_col(rr).items():
-                        key = (hp * m + q) * n + hr
-                        _vec_accum_flat(ctx, rhs, {key: K.s_mul(ctx, cse, e2)})
-        if _clean_flat(lhs) != _clean_flat(rhs):
+                    _tensor(ctx, rhs, {hp * m + q: K.s_mul(ctx, cs, e1)}, incl.embed_col(rr), n)
+        if lhs != rhs:
             return False
     return True
 
@@ -1037,13 +881,9 @@ def bar_dual_is_unimodular(bq, lam):
         right = {}
         for x, s in bq.comult_bar[t]:
             a, b = divmod(x, d)
-            lt = K.s_mul(ctx, lam.values[a], s)
-            if not K.s_is_zero(lt):
-                _vec_accum_flat(ctx, left, {b: lt})
-            rt = K.s_mul(ctx, lam.values[b], s)
-            if not K.s_is_zero(rt):
-                _vec_accum_flat(ctx, right, {a: rt})
-        if _clean_flat(left) != _clean_flat(right):
+            _axpy(ctx, left, {b: s}, lam.values[a])
+            _axpy(ctx, right, {a: s}, lam.values[b])
+        if left != right:
             return False
     return True
 
@@ -1054,6 +894,7 @@ def is_normal_subalgebra(incl):
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
     image = incl.image_space()
+    one = K.s_one(ctx)
     for i in range(n):
         for b in range(m):
             col = incl.embed_col(b)
@@ -1062,10 +903,10 @@ def is_normal_subalgebra(incl):
             for x, s in H.comult[i]:
                 a, c = divmod(x, n)
                 sc = H.antipode_vec({c: s})
-                _vec_accum(H, acc_l, H.mult_vec(H.mult_vec(H.basis_vec(a), col), sc))
+                _axpy(ctx, acc_l, H.mult_vec(H.mult_vec(H.basis_vec(a), col), sc), one)
                 sa = H.antipode_vec({a: s})
-                _vec_accum(H, acc_r, H.mult_vec(H.mult_vec(sa, col), H.basis_vec(c)))
-            if not image.contains(_vec_clean(acc_l)) or not image.contains(_vec_clean(acc_r)):
+                _axpy(ctx, acc_r, H.mult_vec(H.mult_vec(sa, col), H.basis_vec(c)), one)
+            if not image.contains(acc_l) or not image.contains(acc_r):
                 return False
     return True
 
@@ -1236,7 +1077,7 @@ def fms_lambda_construction(incl):
     LamK = integral_space(Kk, "left")
     if len(LamK) != 1:
         raise PipelineError("left integral space of K not one-dimensional")
-    lk = {b: LamK[0]._data[b][0] for b in range(Kk.dim) if not K.s_is_zero(LamK[0]._data[b][0])}
+    lk = _clean(enumerate(LamK[0].col_raw(0)))
     lk_H = incl.embed_vec(lk)
     vals = []
     for i in range(H.dim):

@@ -22,8 +22,14 @@ from .exact_math import (
     Matrix,
     RowSpace,
     SparseTensor,
+    _add,
+    _axpy,
+    _clean,
+    _mat_vec,
+    _scale,
+    _table_mul,
+    _tensor,
     lift_raw,
-    rref_raw,
 )
 from .reports import Report
 
@@ -292,54 +298,18 @@ class FinHopf:
         return {i: K.s_one(self.ctx)}
 
     def unit_vec(self):
-        ctx = self.ctx
-        return {i: v for i, v in enumerate(self.unit) if not K.s_is_zero(v)}
+        return _clean(enumerate(self.unit))
 
     def mult_vec(self, u, v):
         """Product of two sparse vectors {index: raw}."""
-        ctx = self.ctx
-        n = self.dim
-        mult = self.mult
-        out = {}
-        for i, a in u.items():
-            if K.s_is_zero(a):
-                continue
-            base = i * n
-            for j, b in v.items():
-                if K.s_is_zero(b):
-                    continue
-                ab = K.s_mul(ctx, a, b)
-                for k, s in mult[base + j]:
-                    t = K.s_mul(ctx, ab, s)
-                    prev = out.get(k)
-                    if prev is None:
-                        out[k] = t
-                    else:
-                        t = K.s_add(ctx, prev, t)
-                        if K.s_is_zero(t):
-                            del out[k]
-                        else:
-                            out[k] = t
-        return out
+        return _table_mul(self.ctx, self.mult, self.dim, u, v)
 
     def comult_vec(self, u):
         """Coproduct of a sparse vector, keys flattened as j*dim + k."""
         ctx = self.ctx
         out = {}
         for i, a in u.items():
-            if K.s_is_zero(a):
-                continue
-            for x, s in self.comult[i]:
-                t = K.s_mul(ctx, a, s)
-                prev = out.get(x)
-                if prev is None:
-                    out[x] = t
-                else:
-                    t = K.s_add(ctx, prev, t)
-                    if K.s_is_zero(t):
-                        del out[x]
-                    else:
-                        out[x] = t
+            _axpy(ctx, out, self.comult[i], a)
         return out
 
     def comult2(self, i):
@@ -353,12 +323,8 @@ class FinHopf:
             for x, s in self.comult[i]:
                 a, b = divmod(x, n)
                 for y, t in self.comult[a]:
-                    a1, a2 = divmod(y, n)
-                    st = K.s_mul(ctx, s, t)
-                    kk = (a1, a2, b)
-                    prev = acc.get(kk)
-                    acc[kk] = st if prev is None else K.s_add(ctx, prev, st)
-            got = tuple(sorted((kk, v) for kk, v in acc.items() if not K.s_is_zero(v)))
+                    _add(ctx, acc, divmod(y, n) + (b,), K.s_mul(ctx, s, t))
+            got = tuple(sorted(acc.items()))
             self._cache[key] = got
         return got
 
@@ -366,19 +332,7 @@ class FinHopf:
         ctx = self.ctx
         out = {}
         for j, a in u.items():
-            if K.s_is_zero(a):
-                continue
-            for i, s in self.antipode_cols[j]:
-                t = K.s_mul(ctx, a, s)
-                prev = out.get(i)
-                if prev is None:
-                    out[i] = t
-                else:
-                    t = K.s_add(ctx, prev, t)
-                    if K.s_is_zero(t):
-                        del out[i]
-                    else:
-                        out[i] = t
+            _axpy(ctx, out, self.antipode_cols[j], a)
         return out
 
     def counit_raw(self, u):
@@ -494,19 +448,15 @@ def verify_hopf(H):
         racc = {}
         for x, s in H.comult[i]:
             j, k = divmod(x, n)
-            lt = K.s_mul(ctx, H.counit[j], s)
-            rt = K.s_mul(ctx, H.counit[k], s)
-            if not K.s_is_zero(lt):
-               lacc[k] = K.s_add(ctx, lacc.get(k, K.s_zero(ctx)), lt)
-            if not K.s_is_zero(rt):
-               racc[j] = K.s_add(ctx, racc.get(j, K.s_zero(ctx)), rt)
+            _axpy(ctx, lacc, {k: s}, H.counit[j])
+            _axpy(ctx, racc, {j: s}, H.counit[k])
         ei = H.basis_vec(i)
-        if _vec_clean(lacc) != ei or _vec_clean(racc) != ei:
+        if lacc != ei or racc != ei:
             w = i
             break
     rep.add("comult-counital", w is None, witness=w, anchor="hopf-axioms")
 
-    unit_grouplike = H.comult_vec(unit) == _tensor_sq(H, unit, unit)
+    unit_grouplike = H.comult_vec(unit) == _tensor(ctx, {}, unit, unit, n)
     lefts = gens if w_assoc is None and unit_grouplike else None
     w = _first_defect(K.bialg_first_defect, lefts, n, H.mult, H.comult, ctx)
     rep.add("comult-multiplicative", w is None, witness=w, anchor="bialgebra")
@@ -526,20 +476,21 @@ def verify_hopf(H):
     rep.add("counit-multiplicative", w is None, witness=w, anchor="bialgebra")
     rep.add("counit-of-unit", H.counit_raw(unit) == K.s_one(ctx), anchor="bialgebra")
 
+    one = K.s_one(ctx)
     w_left = w_right = None
     for i in range(n):
-        eps_u = _vec_scale(H, unit, H.counit[i])
+        eps_u = _scale(ctx, unit, H.counit[i])
         lacc = {}
         racc = {}
         for x, s in H.comult[i]:
             j, k = divmod(x, n)
             sj = H.antipode_vec({j: s})
-            _vec_accum(H, lacc, H.mult_vec(sj, H.basis_vec(k)))
+            _axpy(ctx, lacc, H.mult_vec(sj, H.basis_vec(k)), one)
             sk = H.antipode_vec({k: s})
-            _vec_accum(H, racc, H.mult_vec({j: K.s_one(ctx)}, sk))
-        if w_left is None and _vec_clean(lacc) != eps_u:
+            _axpy(ctx, racc, H.mult_vec({j: one}, sk), one)
+        if w_left is None and lacc != eps_u:
             w_left = i
-        if w_right is None and _vec_clean(racc) != eps_u:
+        if w_right is None and racc != eps_u:
             w_right = i
         if w_left is not None and w_right is not None:
             break
@@ -549,43 +500,6 @@ def verify_hopf(H):
     S = H.antipode_matrix()
     rep.add("antipode-invertible", S.inverse() is not None, anchor="antipode-axiom")
     return rep
-
-
-def _vec_clean(v):
-    return {k: s for k, s in v.items() if not K.s_is_zero(s)}
-
-
-def _vec_scale(H, v, c):
-    ctx = H.ctx
-    if K.s_is_zero(c):
-        return {}
-    return {k: K.s_mul(ctx, c, s) for k, s in v.items()}
-
-
-def _vec_accum(H, acc, v):
-    ctx = H.ctx
-    for k, s in v.items():
-        prev = acc.get(k)
-        if prev is None:
-            acc[k] = s
-        else:
-            t = K.s_add(ctx, prev, s)
-            if K.s_is_zero(t):
-                del acc[k]
-            else:
-                acc[k] = t
-
-
-def _tensor_sq(H, u, v):
-    ctx = H.ctx
-    n = H.dim
-    out = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            t = K.s_mul(ctx, a, b)
-            if not K.s_is_zero(t):
-                out[i * n + j] = t
-    return out
 
 
 def antipode_inverse(H):
@@ -601,19 +515,7 @@ def antipode_inverse(H):
 
 
 def antipode_inverse_vec(H, u):
-    inv = antipode_inverse(H)
-    ctx = H.ctx
-    out = {}
-    for j, a in u.items():
-        col = inv.col_raw(j)
-        for i in range(H.dim):
-            s = col[i]
-            if K.s_is_zero(s):
-                continue
-            t = K.s_mul(ctx, a, s)
-            prev = out.get(i)
-            out[i] = t if prev is None else K.s_add(ctx, prev, t)
-    return _vec_clean(out)
+    return _mat_vec(antipode_inverse(H), u)
 
 
 def dual_hopf(H):
@@ -665,16 +567,10 @@ def _integral_rows(H, side, js=None):
         for i in range(n):
             pair = i * n + j if side == "right" else j * n + i
             for k, s in H.mult[pair]:
-                prev = rows[k].get(i)
-                rows[k][i] = s if prev is None else K.s_add(ctx, prev, s)
+                _add(ctx, rows[k], i, s)
         if not K.s_is_zero(eps_j):
             for i in range(n):
-                prev = rows[i].get(i, K.s_zero(ctx))
-                val = K.s_sub(ctx, prev, eps_j)
-                if K.s_is_zero(val):
-                    rows[i].pop(i, None)
-                else:
-                    rows[i][i] = val
+                _add(ctx, rows[i], i, K.s_neg(eps_j))
         for r in rows:
             if r:
                 yield r
@@ -683,11 +579,11 @@ def _integral_rows(H, side, js=None):
 def _is_integral(H, side, vec):
     """True iff the dense raw vector satisfies the integral equation for
     every basis element h_j."""
-    lam = _vec_clean(dict(enumerate(vec)))
+    lam = _clean(enumerate(vec))
     for j in range(H.dim):
         hj = H.basis_vec(j)
         prod = H.mult_vec(lam, hj) if side == "right" else H.mult_vec(hj, lam)
-        if _vec_clean(prod) != _vec_scale(H, lam, H.counit[j]):
+        if prod != _scale(H.ctx, lam, H.counit[j]):
             return False
     return True
 
@@ -741,13 +637,13 @@ def distinguished_grouplike(H):
         return got
     Lam = right_integral_element(H)
     ctx = H.ctx
-    lam_vec = {i: Lam._data[i][0] for i in range(H.dim) if not K.s_is_zero(Lam._data[i][0])}
+    lam_vec = _clean(enumerate(Lam.col_raw(0)))
     pivot = min(lam_vec)  # normalized so lam_vec[pivot] == 1
     values = []
     for a in range(H.dim):
         w = H.mult_vec(H.basis_vec(a), lam_vec)
         alpha_a = w.get(pivot, K.s_zero(ctx))
-        if _vec_clean(w) != _vec_clean(_vec_scale(H, lam_vec, alpha_a)):
+        if w != _scale(ctx, lam_vec, alpha_a):
             raise PipelineError("left action on the right integral of %s is not scalar" % H.name)
         values.append(alpha_a)
     alpha = LinearFunctional(H.N, values)
@@ -798,17 +694,9 @@ def right_integral_of_dual(H):
         rows = [dict() for _ in range(n)]
         for x, s in H.comult[i]:
             j, k = divmod(x, n)
-            prev = rows[k].get(j)
-            rows[k][j] = s if prev is None else K.s_add(ctx, prev, s)
-        for k in range(n):
-            u = H.unit[k]
-            if not K.s_is_zero(u):
-                prev = rows[k].get(i, K.s_zero(ctx))
-                val = K.s_sub(ctx, prev, u)
-                if K.s_is_zero(val):
-                    rows[k].pop(i, None)
-                else:
-                    rows[k][i] = val
+            _add(ctx, rows[k], j, s)
+        for k, u in H.unit_vec().items():
+            _add(ctx, rows[k], i, K.s_neg(u))
         for r in rows:
             if r:
                 space.add(r)
@@ -832,13 +720,9 @@ def is_dual_unimodular(H):
         right = {}
         for x, s in H.comult[i]:
             j, k = divmod(x, n)
-            lt = K.s_mul(ctx, lam.values[j], s)
-            if not K.s_is_zero(lt):
-                left[k] = K.s_add(ctx, left.get(k, K.s_zero(ctx)), lt)
-            rt = K.s_mul(ctx, lam.values[k], s)
-            if not K.s_is_zero(rt):
-                right[j] = K.s_add(ctx, right.get(j, K.s_zero(ctx)), rt)
-        if _vec_clean(left) != _vec_clean(right):
+            _axpy(ctx, left, {k: s}, lam.values[j])
+            _axpy(ctx, right, {j: s}, lam.values[k])
+        if left != right:
             return False
     return True
 
@@ -885,7 +769,7 @@ def subhopf_from_basis(H, indices, name=None):
     counit = [H.counit[i] for i in indices]
     cols = []
     for a, i in enumerate(indices):
-        col = reindex_vec(_vec_clean(H.antipode_vec(H.basis_vec(i))))
+        col = reindex_vec(H.antipode_vec(H.basis_vec(i)))
         cols.append(tuple(sorted(col.items())))
     sub = FinHopf(
         name or ("%s[%s]" % (H.name, ",".join(H.basis_labels[i] for i in indices[:4]) + ("..." if m > 4 else ""))),

@@ -10,7 +10,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError, ShapeError
-from .exact_math import Cyclotomic, Matrix
+from .exact_math import Cyclotomic, Matrix, _axpy, _clean, _scale, _tensor
 from .extension import analyze_extension, bar_quotient, make_frobenius_data, right_integral_bar_dual
 from .hopf_core import antipode_inverse
 from .module_theory import HModule, ModuleMap, tensor_modules, trivial_module, restrict
@@ -173,7 +173,7 @@ def induce(ictx, V):
             w = H.mult_vec(H.basis_vec(g), ictx.free_vec(i))
             parts = ictx.frob.right_decomp(w)
             for j in range(r):
-                kv = {b: c for b, c in enumerate(parts[j]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts[j]))
                 if not kv:
                     continue
                 blk = _act_K(V, kv, conductor, incl.N)
@@ -227,7 +227,7 @@ def coinduce(ictx, V):
             w = H.mult_vec(ictx.free_vec(j), H.basis_vec(g))
             parts = ictx.frob.left_decomp(w)
             for i in range(r):
-                kv = {b: c for b, c in enumerate(parts[i]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts[i]))
                 if not kv:
                     continue
                 blk = _act_K(V, kv, conductor, incl.N).raw()
@@ -267,7 +267,7 @@ def theta_iso(ictx, V):
     for j in range(r):
         parts = ictx.delta_parts(j)
         for t in range(r):
-            kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+            kv = _clean(enumerate(parts[t]))
             if not kv:
                 continue
             blk = _act_K(V, kv, conductor, incl.N).raw()
@@ -310,7 +310,7 @@ def adjunction_maps(ictx, V, W):
         hi_act = W.act_alg_vec(ictx.free_vec(i)).lift(conductor)
         parts = ictx.delta_parts(i)
         for t in range(r):
-            kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+            kv = _clean(enumerate(parts[t]))
             if not kv:
                 continue
             blk = (_act_K(resW, kv, conductor, incl.N) * hi_act).raw()
@@ -337,7 +337,7 @@ def adjunction_maps(ictx, V, W):
     unit_FG = Matrix.zeros(r * dV, dV, conductor).raw()
     parts = ictx.frob.right_decomp(H.unit_vec())
     for t in range(r):
-        kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+        kv = _clean(enumerate(parts[t]))
         if not kv:
             continue
         blk = _act_K(V, kv, conductor, incl.N).raw()
@@ -408,7 +408,7 @@ def unit_fg_at(ictx, V, conductor):
     out = Matrix.zeros(r * dV, dV, conductor).raw()
     parts = ictx.frob.right_decomp(incl.H.unit_vec())
     for t in range(r):
-        kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+        kv = _clean(enumerate(parts[t]))
         if not kv:
             continue
         blk = _act_K(V, kv, conductor, incl.N).raw()
@@ -432,7 +432,7 @@ def unit_gf_at(ictx, W, V_for_name, conductor):
         hi_act = W.act_alg_vec(ictx.free_vec(i)).lift(conductor)
         parts = ictx.delta_parts(i)
         for t in range(r):
-            kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+            kv = _clean(enumerate(parts[t]))
             if not kv:
                 continue
             blk = (_act_K(resW, kv, conductor, incl.N) * hi_act).raw()
@@ -474,7 +474,7 @@ def lax_pair(ictx, V, U):
     incl = ictx.incl
     H = incl.H
     r = ictx.rank
-    n = H.dim
+    n, m = H.dim, incl.K.dim
     dV, dU = V.dim, U.dim
     conductor = lcm(_conductor_for(ictx, V), U.N)
     ctx = K.make_ctx(conductor)
@@ -496,31 +496,17 @@ def lax_pair(ictx, V, U):
                     if not tp:
                         continue
                     tq = ictx.tr_prod(q, j)
-                    if not tq:
-                        continue
-                    for b1, c1 in tp.items():
-                        sc1 = K.s_mul(incl.ctx, s, c1)
-                        for b2, c2 in tq.items():
-                            key = (b1, b2)
-                            val = K.s_mul(incl.ctx, sc1, c2)
-                            prev = acc.get(key)
-                            if prev is None:
-                                acc[key] = val
-                            else:
-                                val = K.s_add(incl.ctx, prev, val)
-                                if K.s_is_zero(val):
-                                    del acc[key]
-                                else:
-                                    acc[key] = val
+                    if tq:
+                        _tensor(incl.ctx, acc, _scale(incl.ctx, tp, s), tq, m)
                 if not acc:
                     continue
                 mat = Matrix.lincomb(
                     dV * dU, dV * dU, conductor,
-                    ((V.action[b1].kron(U.action[b2]), Cyclotomic(incl.N, c))
-                     for (b1, b2), c in acc.items()),
+                    ((V.action[x // m].kron(U.action[x % m]), Cyclotomic(incl.N, c))
+                     for x, c in acc.items()),
                 )
                 for t in range(r):
-                    kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+                    kv = _clean(enumerate(parts[t]))
                     if not kv:
                         continue
                     blk = (_act_K(VU, kv, conductor, incl.N) * mat).raw()
@@ -537,13 +523,8 @@ def lax_pair(ictx, V, U):
     # lax_0: 1 -> Ind(1_K): sum_i eps_H(h_i) delta_i, decomposed
     w = {}
     for i in range(r):
-        e = H.counit[ictx.frob.free[i]]
-        if not K.s_is_zero(e):
-            for t, c in ictx.frob.delta_vec(i).items():
-                val = K.s_mul(incl.ctx, e, c)
-                prev = w.get(t)
-                w[t] = val if prev is None else K.s_add(incl.ctx, prev, val)
-    parts = ictx.frob.right_decomp({t: c for t, c in w.items() if not K.s_is_zero(c)})
+        _axpy(incl.ctx, w, ictx.frob.delta_vec(i), H.counit[ictx.frob.free[i]])
+    parts = ictx.frob.right_decomp(w)
     lax0_col = []
     for t in range(r):
         acc = K.s_zero(incl.ctx)
@@ -578,12 +559,12 @@ def oplax_pair(ictx, V, U):
             parts_p = ictx.frob.right_decomp({p: s})
             parts_q = ictx.basis_parts(q)
             for t in range(r):
-                kvp = {b: c for b, c in enumerate(parts_p[t]) if not K.s_is_zero(c)}
+                kvp = _clean(enumerate(parts_p[t]))
                 if not kvp:
                     continue
                 blkV = _act_K(V, kvp, conductor, incl.N).raw()
                 for u2 in range(r):
-                    kvq = {b: c for b, c in enumerate(parts_q[u2]) if not K.s_is_zero(c)}
+                    kvq = _clean(enumerate(parts_q[u2]))
                     if not kvq:
                         continue
                     blkU = _act_K(U, kvq, conductor, incl.N).raw()
@@ -776,7 +757,7 @@ def projection_morphisms(ictx, W, V):
     incl = ictx.incl
     H = incl.H
     r = ictx.rank
-    n = H.dim
+    n, m = H.dim, incl.K.dim
     dW, dV = W.dim, V.dim
     conductor = lcm(_conductor_for(ictx, V), W.N)
     ctx = K.make_ctx(conductor)
@@ -796,30 +777,16 @@ def projection_morphisms(ictx, W, V):
             acc = {}
             for x, s in H.comult[hl]:
                 p, q = divmod(x, n)
-                tq = ictx.tr_prod(q, i)
-                if not tq:
-                    continue
-                for b2, c2 in tq.items():
-                    key = (p, b2)
-                    val = K.s_mul(incl.ctx, s, c2)
-                    prev = acc.get(key)
-                    if prev is None:
-                        acc[key] = val
-                    else:
-                        val = K.s_add(incl.ctx, prev, val)
-                        if K.s_is_zero(val):
-                            del acc[key]
-                        else:
-                            acc[key] = val
+                _tensor(incl.ctx, acc, {p: s}, ictx.tr_prod(q, i), m)
             if not acc:
                 continue
             mat = Matrix.lincomb(
                 dW * dV, dW * dV, conductor,
-                ((Wact[p].kron(V.action[b2]), Cyclotomic(incl.N, c))
-                 for (p, b2), c in acc.items()),
+                ((Wact[x // m].kron(V.action[x % m]), Cyclotomic(incl.N, c))
+                 for x, c in acc.items()),
             )
             for t in range(r):
-                kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts[t]))
                 if not kv:
                     continue
                 blk = (_act_K(resWV, kv, conductor, incl.N) * mat).raw()
@@ -842,7 +809,7 @@ def projection_morphisms(ictx, W, V):
             Wp = Wact[p].scale(Cyclotomic(incl.N, s)).raw()
             parts_q = ictx.basis_parts(q)
             for t in range(r):
-                kv = {b: c for b, c in enumerate(parts_q[t]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts_q[t]))
                 if not kv:
                     continue
                 blkV = _act_K(V, kv, conductor, incl.N).raw()
@@ -870,30 +837,16 @@ def projection_morphisms(ictx, W, V):
             acc = {}
             for x, s in H.comult[hl]:
                 p, q = divmod(x, n)
-                tp = ictx.tr_prod(p, i)
-                if not tp:
-                    continue
-                for b1, c1 in tp.items():
-                    key = (b1, q)
-                    val = K.s_mul(incl.ctx, s, c1)
-                    prev = acc.get(key)
-                    if prev is None:
-                        acc[key] = val
-                    else:
-                        val = K.s_add(incl.ctx, prev, val)
-                        if K.s_is_zero(val):
-                            del acc[key]
-                        else:
-                            acc[key] = val
+                _tensor(incl.ctx, acc, ictx.tr_prod(p, i), {q: s}, n)
             if not acc:
                 continue
             mat = Matrix.lincomb(
                 dV * dW, dV * dW, conductor,
-                ((V.action[b1].kron(Wact[q]), Cyclotomic(incl.N, c))
-                 for (b1, q), c in acc.items()),
+                ((V.action[x // n].kron(Wact[x % n]), Cyclotomic(incl.N, c))
+                 for x, c in acc.items()),
             )
             for t in range(r):
-                kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts[t]))
                 if not kv:
                     continue
                 blk = (_act_K(VresW, kv, conductor, incl.N) * mat).raw()
@@ -916,7 +869,7 @@ def projection_morphisms(ictx, W, V):
             parts_p = ictx.frob.right_decomp({p: s})
             Wq = Wact[q].raw()
             for t in range(r):
-                kv = {b: c for b, c in enumerate(parts_p[t]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts_p[t]))
                 if not kv:
                     continue
                 blkV = _act_K(V, kv, conductor, incl.N).raw()
@@ -965,7 +918,7 @@ def projection_morphisms(ictx, W, V):
             Wp = SinvW[p].scale(Cyclotomic(incl.N, s)).raw()
             parts_q = ictx.basis_parts(q)
             for t in range(r):
-                kv = {b: c for b, c in enumerate(parts_q[t]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts_q[t]))
                 if not kv:
                     continue
                 blkWV = _act_K(resWV, kv, conductor, incl.N).raw()
@@ -1006,7 +959,7 @@ def projection_morphisms(ictx, W, V):
             Wq = SW[q].scale(Cyclotomic(incl.N, s)).raw()
             parts_p = ictx.basis_parts(p)
             for t in range(r):
-                kv = {b: c for b, c in enumerate(parts_p[t]) if not K.s_is_zero(c)}
+                kv = _clean(enumerate(parts_p[t]))
                 if not kv:
                     continue
                 blkVW = _act_K(VresW, kv, conductor, incl.N).raw()

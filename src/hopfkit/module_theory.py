@@ -6,7 +6,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import ShapeError
-from .exact_math import Cyclotomic, Matrix, RowSpace, kron_raw, mat_mul_raw
+from .exact_math import Cyclotomic, Matrix, RowSpace, _add, kron_raw, mat_mul_raw
 from .hopf_core import FinHopf
 from .reports import Report
 
@@ -200,18 +200,11 @@ def hom_space(M, N_mod):
                 for s in range(dm):
                     v = Ai[s][c]
                     if not K.s_is_zero(v):
-                        key = r * dm + s
-                        row[key] = K.s_add(ctx, row.get(key, K.s_zero(ctx)), v)
+                        _add(ctx, row, r * dm + s, v)
                 for s in range(dn):
                     v = Bi[r][s]
                     if not K.s_is_zero(v):
-                        key = s * dm + c
-                        prev = row.get(key, K.s_zero(ctx))
-                        val = K.s_sub(ctx, prev, v)
-                        if K.s_is_zero(val):
-                            row.pop(key, None)
-                        else:
-                            row[key] = val
+                        _add(ctx, row, s * dm + c, K.s_neg(v))
                 if row:
                     space.add(row)
     out = []

@@ -5,7 +5,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError, ShapeError
-from .exact_math import Matrix
+from .exact_math import Matrix, _add, _clean
 from .induction import _act_K, _module_key, induce, ind_morphism, lax_pair, oplax_pair
 from .module_theory import HModule, tensor_modules
 from .reports import Report
@@ -105,18 +105,9 @@ def verify_yd(M):
         rhs = {}
         for (h, b), v in M.coaction_terms(a).items():
             for x, s in H.comult[h]:
-                p, q = divmod(x, n)
-                key = (p, q, b)
-                prev = lhs.get(key)
-                val = K.s_mul(ctx, v, s)
-                lhs[key] = val if prev is None else K.s_add(ctx, prev, val)
+                _add(ctx, lhs, divmod(x, n) + (b,), K.s_mul(ctx, v, s))
             for (h2, c2), v2 in M.coaction_terms(b).items():
-                key = (h, h2, c2)
-                prev = rhs.get(key)
-                val = K.s_mul(ctx, v, v2)
-                rhs[key] = val if prev is None else K.s_add(ctx, prev, val)
-        lhs = {k2: v for k2, v in lhs.items() if not K.s_is_zero(v)}
-        rhs = {k2: v for k2, v in rhs.items() if not K.s_is_zero(v)}
+                _add(ctx, rhs, (h, h2, c2), K.s_mul(ctx, v, v2))
         if lhs != rhs:
             w = a
             break
@@ -133,11 +124,8 @@ def verify_yd(M):
                 cb = col[b]
                 if K.s_is_zero(cb):
                     continue
-                for (h, c2), v in M.coaction_terms(b).items():
-                    key = (h, c2)
-                    prev = lhs.get(key)
-                    val = K.s_mul(ctx, cb, v)
-                    lhs[key] = val if prev is None else K.s_add(ctx, prev, val)
+                for key, v in M.coaction_terms(b).items():
+                    _add(ctx, lhs, key, K.s_mul(ctx, cb, v))
             rhs = {}
             for (p, q, rr), s in H.comult2(i):
                 for (g, a0), v in M.coaction_terms(a).items():
@@ -152,12 +140,7 @@ def verify_yd(M):
                         if K.s_is_zero(vb):
                             continue
                         for hu, cu in u.items():
-                            key = (hu, b)
-                            prev = rhs.get(key)
-                            val = K.s_mul(ctx, cu, vb)
-                            rhs[key] = val if prev is None else K.s_add(ctx, prev, val)
-            lhs = {k2: v for k2, v in lhs.items() if not K.s_is_zero(v)}
-            rhs = {k2: v for k2, v in rhs.items() if not K.s_is_zero(v)}
+                            _add(ctx, rhs, (hu, b), K.s_mul(ctx, cu, vb))
             if lhs != rhs:
                 w = (i, a)
                 break
@@ -324,7 +307,7 @@ def z_induce(ictx, M):
                     if not u:
                         continue
                     for t in range(r):
-                        kv = {b: c for b, c in enumerate(parts[t]) if not K.s_is_zero(c)}
+                        kv = _clean(enumerate(parts[t]))
                         if not kv:
                             continue
                         blk = _act_K(M.module, kv, conductor, incl.N)

@@ -202,6 +202,29 @@ def test_cartan_check(capsys):
     assert "witness" in out
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["cartan-check", "--types", "A"], "--types A"),
+    (["cartan-check", "--types", "A0"], "--types A0"),
+    (["cartan-check", "--types", "A9"], "--types A9"),
+    (["cartan-check", "--types", "Ax"], "--types Ax"),
+    (["cartan-check", "--types", "g3"], "--types g3"),
+    (["cartan-check", "--types", "X3"], "--types X3"),
+    (["cartan-check", "--types", "D2"], "--types D2"),
+    (["cartan-check", "--types", "A1,,G2"], "--types  rank"),
+    (["cartan-check", "--l", "abc"], "'abc'"),
+    (["cartan-check", "--l", "5,"], "''"),
+    (["cartan-check", "--l", "1"], "got 1"),
+    (["cartan-check", "--l", "10001"], "got 10001"),
+    (["scan-sl2", "--l", "abc"], "'abc'"),
+    (["scan-sl2", "--l", "2"], "got 2"),
+    (["scan-sl2", "--l", "9"], "got 9"),
+])
+def test_bad_scan_argument_exits_2(argv, token, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and token in err
+
+
 def test_resolver_errors():
     with pytest.raises(BundleParseError):
         resolve_hopf("builtin:nope")

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfkit import _kernel as K
 from hopfkit.errors import InconsistentSystemError
 from hopfkit.exact_math import (
     Cyclotomic,
     Matrix,
     SparseTensor,
+    _axpy,
+    _clean,
+    _mat_vec,
+    _scale,
+    _table_mul,
+    _tensor,
     format_scalar,
     kron,
     parse_scalar,
@@ -251,3 +258,73 @@ def test_matrix_product_equals_entrywise_sum(case):
     want = [[sum((A[i][k] * B[k][j] for k in range(len(B))), Cyclotomic.rational(0, N)).data
              for j in range(len(B[0]))] for i in range(len(A))]
     assert got._data == tuple(tuple(row) for row in want)
+
+
+@st.composite
+def _vector_case(draw):
+    """Sparse vectors over Q(zeta_N) with int or tuple keys.  v cancels acc
+    at some keys, often for c = +-1, and scalars are often zero or one."""
+    N = draw(st.sampled_from([1, 4, 8]))
+    keys = draw(st.sampled_from([list(range(4)), [(i, j) for i in range(2) for j in range(2)]]))
+    scalar = _scalar_at(N)
+    acc = {k: draw(scalar) for k in draw(st.lists(st.sampled_from(keys), max_size=4))}
+    c = draw(st.one_of(scalar, st.just(Cyclotomic.rational(-1, N))))
+    v = {}
+    for k in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        if k in acc and draw(st.booleans()) and not c.is_zero():
+            v[k] = -acc[k] / c  # c*v cancels acc at k
+        else:
+            v[k] = draw(scalar)
+    n = draw(st.integers(1, 3))
+    table = [
+        {k: draw(scalar) for k in draw(st.lists(st.integers(0, n - 1), max_size=3))}
+        for _ in range(n * n)
+    ]
+    u = {i: draw(scalar) for i in draw(st.lists(st.integers(0, n - 1), max_size=3))}
+    w = {j: draw(scalar) for j in draw(st.lists(st.integers(0, n - 1), max_size=3))}
+    return N, acc, v, c, n, table, u, w
+
+
+def _reference(N, terms):
+    """Dense reference: sum every (key, scalar) term, then drop the zeros."""
+    out = {}
+    for k, x in terms:
+        out[k] = out.get(k, Cyclotomic.rational(0, N)) + x
+    return {k: x.data for k, x in out.items() if not x.is_zero()}
+
+
+def _raw(vec):
+    return {k: x.data for k, x in vec.items() if not x.is_zero()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_case())
+def test_sparse_vector_helpers_match_dense_reference(case):
+    N, acc, v, c, n, table, u, w = case
+    ctx = K.make_ctx(N)
+    cv = [(k, c * x) for k, x in v.items()]
+    assert _axpy(ctx, _raw(acc), _raw(v), c.data) == _reference(N, list(acc.items()) + cv)
+    assert _axpy(ctx, _raw(acc), tuple(_raw(v).items()), c.data) == _reference(N, list(acc.items()) + cv)
+    assert _axpy(ctx, {}, {}, c.data) == {}
+    assert _scale(ctx, _raw(v), c.data) == _reference(N, cv)
+    assert _clean({k: x.data for k, x in acc.items()}) == _reference(N, acc.items())
+    dense = [Cyclotomic.rational(0, N)] * 4
+    for i, x in u.items():
+        dense[i] = x
+    assert _clean(enumerate(x.data for x in dense)) == _reference(N, enumerate(dense))
+
+    flat = {i: x for i, x in enumerate(acc.values())}
+    outer = [(i * n + j, a * b) for i, a in u.items() for j, b in w.items()]
+    assert _tensor(ctx, _raw(flat), _raw(u), _raw(w), n) == _reference(N, list(flat.items()) + outer)
+
+    raw_table = [tuple((k, x.data) for k, x in row.items() if not x.is_zero()) for row in table]
+    products = [(k, a * b * s) for i, a in u.items() for j, b in w.items()
+                for k, s in table[i * n + j].items()]
+    got = _table_mul(ctx, raw_table, n, {i: x.data for i, x in u.items()},
+                     {j: x.data for j, x in w.items()})
+    assert got == _reference(N, products)
+
+    M = Matrix(N, [[table[i * n + j].get(0, Cyclotomic.rational(0, N)).data for j in range(n)]
+                   for i in range(n)])
+    assert _mat_vec(M, _raw(u)) == _reference(
+        N, [(i, M.entry(i, j) * x) for j, x in u.items() for i in range(n)])

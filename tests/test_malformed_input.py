@@ -1,9 +1,11 @@
-"""Malformed bundle text and specs: the parsers return or raise a
-HopfkitError, and ``cli.main`` exits 0, 1 or 2 without a traceback.
+"""Malformed bundle text, specs and scan arguments: the parsers return or
+raise a HopfkitError, and ``cli.main`` exits 0, 1 or 2 without a traceback.
 
 Bundles are small valid bundles with random line edits.  Numbers in the drawn
 tokens and spec values stay small, so that an input which still parses is
 cheap to check; values just past each documented size limit are drawn too.
+``scan-sl2 --l`` is drawn only from values its bound rejects, because an
+accepted l builds u_q(sl2) of dim l^3.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hopfkit.bundles import (
     serialize_inclusion,
     serialize_module,
 )
-from hopfkit.cli import main, resolve_hopf
+from hopfkit.cli import MAX_CARTAN_RANK, UQSL2_L_RANGE, main, resolve_hopf
 from hopfkit.errors import BundleParseError, HopfkitError
 from hopfkit.yetter_drinfeld import yd_line
 
@@ -162,6 +164,41 @@ def test_malformed_spec_exits_cleanly(command, spec):
     else:
         argv = [command, spec]
     assert _run(argv) in (0, 1, 2)
+
+
+def _outside_uqsl2_range(raw):
+    try:
+        value = int(raw)
+    except ValueError:
+        return True
+    return not UQSL2_L_RANGE[0] <= value <= UQSL2_L_RANGE[1]
+
+
+SMALL = st.one_of(
+    st.sampled_from(["", "-1", "0", "1", "2", "x", "1.5", "²", str(MAX_CARTAN_RANK),
+                     str(MAX_CARTAN_RANK + 1), "10000", "10001", "10**9"]),
+    st.text(max_size=3),
+)
+CARTAN_TYPES = st.lists(
+    st.tuples(st.sampled_from("ABCDEFGHabgz"), SMALL).map("".join), min_size=1, max_size=3
+).map(",".join)
+SL2_REJECTED = st.one_of(
+    st.sampled_from(["", "abc", "1.5", "²", "-1", "0", str(UQSL2_L_RANGE[0] - 1),
+                     str(UQSL2_L_RANGE[1] + 1), "10**9"]),
+    st.text(max_size=4).filter(_outside_uqsl2_range),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(types=CARTAN_TYPES, ls=st.lists(SMALL, min_size=1, max_size=3).map(",".join))
+def test_malformed_cartan_check_exits_cleanly(types, ls):
+    assert _run(["cartan-check", "--types", types, "--l", ls]) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=SL2_REJECTED)
+def test_scan_sl2_rejects_l_outside_its_bound(l):
+    assert _run(["scan-sl2", "--l", l]) == 2
 
 
 @pytest.mark.parametrize("spec", [
