@@ -1,58 +1,31 @@
-"""Kernel selection and shared exact-arithmetic helpers.
+"""The scalar kernel and shared exact-arithmetic helpers.
 
-The hot loops (scalar ring operations and the axiom scans) have two
-interchangeable implementations: a compiled Cython module ``_ckernel`` and
-the pure-Python twin ``_pykernel``.  The compiled one is used when it
-imported successfully, unless ``HOPFKIT_PURE=1`` is set.  Only the pure
-kernel restricts a scan to some indices, so restricted scans run there.
-Everything else in this package (cyclotomic polynomial tables, conductor
-lifting, inverses) is cold-path code and lives here, shared by both kernels.
+The hot loops (scalar ring operations and the axiom scans) live in
+``_pykernel`` and are re-exported here.  They stay a module of their own:
+the scans call ``_pykernel``'s scalar functions directly, so the hopfbench
+tracer, which patches the names bound in this package, counts only the
+scalar calls made from outside the kernel.  Everything else here
+(cyclotomic polynomial tables, conductor lifting, inverses) is cold-path
+code.
 """
 
-import os
 from fractions import Fraction
 from math import gcd
 
 from . import _pykernel
-
-if os.environ.get("HOPFKIT_PURE", "") not in ("", "0"):
-    _impl = _pykernel
-else:
-    try:
-        from . import _ckernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _pykernel
-
-KERNEL_NAME = _impl.KERNEL_NAME
-s_add = _impl.s_add
-s_sub = _impl.s_sub
-s_mul = _impl.s_mul
-s_neg = _impl.s_neg
-s_is_zero = _impl.s_is_zero
-coassoc_first_defect = _impl.coassoc_first_defect
-
-
-def assoc_first_defect(n, mult, ctx, mids=None):
-    """First associativity defect (a,b,c), the middle index b restricted to ``mids``."""
-    if mids is None:
-        return _impl.assoc_first_defect(n, mult, ctx)
-    return _pykernel.assoc_first_defect(n, mult, ctx, mids)
-
-
-def bialg_first_defect(n, mult, comult, ctx, lefts=None):
-    """First bialgebra defect (a,b), the left index a restricted to ``lefts``."""
-    if lefts is None:
-        return _impl.bialg_first_defect(n, mult, comult, ctx)
-    return _pykernel.bialg_first_defect(n, mult, comult, ctx, lefts)
-
+from ._pykernel import (  # noqa: F401
+    KERNEL_NAME,
+    assoc_first_defect,
+    bialg_first_defect,
+    coassoc_first_defect,
+    s_add,
+    s_is_zero,
+    s_mul,
+    s_neg,
+    s_sub,
+)
 
 IMPLEMENTATIONS = {"pure": _pykernel}
-try:
-    from . import _ckernel as _ck  # noqa: F401
-
-    IMPLEMENTATIONS["compiled"] = _ck
-except ImportError:
-    pass
 
 
 def _poly_mul(a, b):

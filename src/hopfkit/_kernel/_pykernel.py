@@ -1,4 +1,4 @@
-"""Pure-Python scalar kernel.
+"""The scalar kernel: ring operations in Q(zeta_N) and the axiom scans.
 
 Scalars are elements of the cyclotomic field Q(zeta_N), stored in canonical
 form as a tuple ``(den, c0, ..., c_{phi-1})`` of Python ints: the value is
@@ -9,8 +9,7 @@ Equality of canonical scalars is tuple equality.
 A context is the tuple ``(N, phi, red)`` where ``red[t]`` holds the integer
 coefficients of ``x**(phi+t)`` reduced modulo the cyclotomic polynomial.
 
-The compiled twin ``_ckernel`` implements the same functions; results must be
-bit-identical.  Everything here is allocation-heavy but exact.
+Everything here is allocation-heavy but exact.
 """
 
 from math import gcd

@@ -353,6 +353,25 @@ def cmd_check_functor(args):
     return _emit(report, args)
 
 
+def _etale_params(obj_spec):
+    """None for ``builtin:unit``, else the (n, ex, ey) of ``builtin:etale``."""
+    scheme, path, params = _parse_spec(obj_spec)
+    if scheme != "builtin":
+        raise BundleParseError("object specs must be builtin:unit or builtin:etale")
+    if path == "unit":
+        return None
+    if path != "etale":
+        raise BundleParseError("unknown object spec %r" % obj_spec)
+    n = params.get("n", "x")
+    if n not in ("x", "y", "xy"):
+        raise BundleParseError("n=%r is not one of x, y, xy" % n)
+    ex, ey = (_int_param(key, params.get(key, "1")) for key in ("ex", "ey"))
+    for key, sign in (("ex", ex), ("ey", ey)):
+        if sign not in (1, -1):
+            raise BundleParseError("%s must be 1 or -1, got %d" % (key, sign))
+    return n, ex, ey
+
+
 def cmd_frob_objects(args):
     from .frob_objects import (
         build_group_etale,
@@ -365,6 +384,7 @@ def cmd_frob_objects(args):
     from .induction import InductionContext, induction_context, is_separable_functor
     from .module_theory import trivial_module
 
+    objects = [_etale_params(obj_spec) for obj_spec in args.object or ["builtin:unit"]]
     spec = args.input
     incl = resolve_inclusion(spec)
     report = Report("frob-objects %s" % spec, tool="hopfkit %s" % __version__,
@@ -391,19 +411,8 @@ def cmd_frob_objects(args):
         else:
             report.add("separable-normalization", False, detail="no nonzero scalar")
 
-    for obj_spec in args.object or ["builtin:unit"]:
-        scheme, path, params = _parse_spec(obj_spec)
-        if scheme != "builtin":
-            raise BundleParseError("object specs must be builtin:unit or builtin:etale")
-        if path == "unit":
-            F = trivial_frobenius(incl.K)
-        elif path == "etale":
-            n = params.get("n", "x")
-            ex = _int_param("ex", params.get("ex", "1"))
-            ey = _int_param("ey", params.get("ey", "1"))
-            F = build_group_etale(incl.K, n, ex, ey)
-        else:
-            raise BundleParseError("unknown object spec %r" % obj_spec)
+    for etale in objects:
+        F = trivial_frobenius(incl.K) if etale is None else build_group_etale(incl.K, *etale)
         vrep = verify_frobenius_object(F)
         report.add("source-frobenius[%s]" % F.name, vrep.ok, anchor="frobenius-object")
         B = push_frobenius(ictx, F)

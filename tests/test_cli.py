@@ -184,8 +184,22 @@ def test_frob_objects_refuses_non_central(capsys):
     assert "central" in out
 
 
-def test_frob_objects_bad_object_spec(capsys):
-    code = main(["frob-objects", "builtin:h8", "--object", "builtin:wat"])
+@pytest.mark.parametrize("obj,named", [
+    ("builtin:wat", "builtin:wat"),
+    ("builtin:etale?n=q", "n='q'"),
+    ("builtin:etale?ex=5", "ex must be"),
+    ("builtin:etale?ex=0", "ex must be"),
+    ("builtin:etale?ey=-2", "ey must be"),
+])
+def test_frob_objects_bad_object_spec(obj, named, capsys):
+    code = main(["frob-objects", "builtin:h8", "--object", obj])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_frob_objects_bad_object_spec_on_non_central_inclusion(capsys):
+    # the object specs are read before the inclusion is found not central
+    code = main(["frob-objects", "builtin:uqsl2?l=3&sub=cartan", "--object", "builtin:wat"])
     assert code == 2
 
 
