@@ -532,7 +532,7 @@ def drinfeld_double(H):
     nn = n * n
 
     one = K.s_one(ctx)
-    sinv_cols = [_clean(enumerate(Sinv.col_raw(r))) for r in range(n)]
+    sinv_cols = Sinv.transpose().srows
 
     # sandwich[r][p]: matrix over (c', u): coeff_{c'}( S^-1(e_r) e_u e_p )
     sandwich = {}
@@ -604,7 +604,7 @@ def drinfeld_double(H):
     Scols = []
     for c in range(n):
         # f_c o S^-1 has dual coords u -> Sinv[c][u]
-        right = _tensor(ctx, {}, _clean(enumerate(Sinv._data[c])), unit_coords, n)
+        right = _tensor(ctx, {}, Sinv.srows[c], unit_coords, n)
         for d in range(n):
             left = _tensor(ctx, {}, eps_coords, H.antipode_vec(H.basis_vec(d)), n)
             Scols.append(tuple(sorted(_table_mul(ctx, mult, nn, left, right).items())))

@@ -232,67 +232,14 @@ def lift_raw(data, N, M):
 
 
 def mat_mul_raw(A, B, ctx):
-    """Product of dense raw matrices (lists of row lists).
-
-    Each row of B is reduced to its nonzero (j, b) pairs once, the first time
-    a nonzero entry of A meets it.
-    """
-    if not A or not B:
-        return []
-    n = len(B)
-    m = len(B[0]) if B else 0
-    z = K.s_zero(ctx)
-    sparse = [None] * n
+    """Gustavson product of sparse rows (dicts {col: raw} holding no zero):
+    row i of A*B is the sum of a*B[k] over the entries (k, a) of A[i]."""
     out = []
     for row in A:
-        if len(row) != n:
-            raise ShapeError("matrix product shape mismatch")
-        orow = [z] * m
-        for k, a in enumerate(row):
-            if K.s_is_zero(a):
-                continue
-            brow = sparse[k]
-            if brow is None:
-                brow = sparse[k] = [(j, b) for j, b in enumerate(B[k]) if not K.s_is_zero(b)]
-            for j, b in brow:
-                orow[j] = K.s_add(ctx, orow[j], K.s_mul(ctx, a, b))
-        out.append(orow)
-    return out
-
-
-def identity_raw(n, ctx):
-    z = K.s_zero(ctx)
-    o = K.s_one(ctx)
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def zeros_raw(r, c, ctx):
-    z = K.s_zero(ctx)
-    return [[z] * c for _ in range(r)]
-
-
-def kron_raw(A, B, ctx):
-    """Kronecker product with row-major pair indexing (iA*rowsB + iB)."""
-    ra = len(A)
-    ca = len(A[0]) if ra else 0
-    rb = len(B)
-    cb = len(B[0]) if rb else 0
-    z = K.s_zero(ctx)
-    out = [[z] * (ca * cb) for _ in range(ra * rb)]
-    for ia in range(ra):
-        rowa = A[ia]
-        for ja in range(ca):
-            a = rowa[ja]
-            if K.s_is_zero(a):
-                continue
-            for ib in range(rb):
-                rowb = B[ib]
-                orow = out[ia * rb + ib]
-                base = ja * cb
-                for jb in range(cb):
-                    b = rowb[jb]
-                    if not K.s_is_zero(b):
-                        orow[base + jb] = K.s_mul(ctx, a, b)
+        acc = {}
+        for k, a in row.items():
+            _axpy(ctx, acc, B[k], a)
+        out.append(acc)
     return out
 
 
@@ -362,8 +309,11 @@ def _mat_vec(M, vec):
     """M * vec for a Matrix M and a sparse vector vec, as a sparse vector."""
     ctx = M.ctx
     out = {}
-    for j, a in vec.items():
-        _axpy(ctx, out, _clean(enumerate(M.col_raw(j))), a)
+    for i, row in enumerate(M.srows):
+        for j, b in vec.items():
+            a = row.get(j)
+            if a is not None:
+                _add(ctx, out, i, K.s_mul(ctx, a, b))
     return out
 
 
@@ -549,21 +499,39 @@ class LinearSolution:
 
 
 class Matrix:
-    """Immutable dense matrix over a cyclotomic field."""
+    """Immutable sparse matrix over a cyclotomic field.
 
-    __slots__ = ("rows", "cols", "N", "_data")
+    ``srows[i]`` is row i as a dict {col: raw scalar} that stores no zero.
+    Scalars are canonical, so two matrices of one shape at one conductor are
+    equal exactly when their row dicts are.  Rows may be shared between
+    matrices and are never mutated.
+    """
+
+    __slots__ = ("rows", "cols", "N", "srows")
     __hash__ = None
 
     def __init__(self, N, data):
+        """From dense rows of raw scalars."""
+        data = list(data)
+        cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ShapeError("ragged matrix rows")
         self.N = N
-        self._data = tuple(tuple(r) for r in data)
-        self.rows = len(self._data)
-        self.cols = len(self._data[0]) if self._data else 0
-        for r in self._data:
-            if len(r) != self.cols:
-                raise ShapeError("ragged matrix rows")
+        self.rows = len(data)
+        self.cols = cols
+        self.srows = tuple(_clean(enumerate(r)) for r in data)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_sparse(cls, N, cols, srows):
+        """From sparse rows that hold no zero; the row dicts are taken, not copied."""
+        self = cls.__new__(cls)
+        self.N = N
+        self.srows = tuple(srows)
+        self.rows = len(self.srows)
+        self.cols = cols
+        return self
 
     @classmethod
     def from_rows(cls, entries):
@@ -576,11 +544,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, N=1):
-        return cls(N, identity_raw(n, K.make_ctx(N)))
+        one = K.s_one(K.make_ctx(N))
+        return cls.from_sparse(N, n, [{i: one} for i in range(n)])
 
     @classmethod
     def zeros(cls, r, c, N=1):
-        return cls(N, zeros_raw(r, c, K.make_ctx(N)))
+        return cls.from_sparse(N, c, [{} for _ in range(r)])
 
     @classmethod
     def column(cls, entries):
@@ -596,8 +565,7 @@ class Matrix:
         zeros + M.scale(c) + ... at conductor N, entry for entry.
         """
         ctx = K.make_ctx(N)
-        one = K.s_one(ctx)
-        out = zeros_raw(rows, cols, ctx)
+        out = [{} for _ in range(rows)]
         for M, c in terms:
             c = Cyclotomic.promote(c).lift(N).data
             if K.s_is_zero(c):
@@ -608,18 +576,9 @@ class Matrix:
                 )
             if N % M.N:
                 raise ValueError("conductor %d does not divide %d" % (M.N, N))
-            unit = c == one
-            for orow, mrow in zip(out, M._data):
-                for j, x in enumerate(mrow):
-                    if K.s_is_zero(x):
-                        continue
-                    x = lift_raw(x, M.N, N)
-                    if not unit:
-                        x = K.s_mul(ctx, c, x)
-                    cur = orow[j]
-                    # canonical scalars: 0 + x is x itself
-                    orow[j] = x if K.s_is_zero(cur) else K.s_add(ctx, cur, x)
-        return cls(N, out)
+            for orow, mrow in zip(out, M.lift(N).srows):
+                _axpy(ctx, orow, mrow, c)
+        return cls.from_sparse(N, cols, out)
 
     # -- access ------------------------------------------------------------
 
@@ -628,18 +587,41 @@ class Matrix:
         return K.make_ctx(self.N)
 
     def entry(self, i, j):
-        return Cyclotomic(self.N, self._data[i][j])
+        if not 0 <= j < self.cols:
+            raise IndexError("column %d of a %dx%d matrix" % (j, self.rows, self.cols))
+        return Cyclotomic(self.N, self.srows[i].get(j) or K.s_zero(self.ctx))
 
     def raw(self):
-        return [list(r) for r in self._data]
+        """Dense rows of raw scalars."""
+        z = K.s_zero(self.ctx)
+        out = []
+        for row in self.srows:
+            dense = [z] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
     def col_raw(self, j):
-        return [r[j] for r in self._data]
+        z = K.s_zero(self.ctx)
+        return [row.get(j, z) for row in self.srows]
+
+    def col(self, j):
+        """Column j as a sparse vector."""
+        return {i: row[j] for i, row in enumerate(self.srows) if j in row}
+
+    def key(self):
+        """A hashable value: equal matrices at one conductor have equal keys,
+        whatever order their rows were filled in."""
+        return (self.cols,) + tuple(tuple(sorted(row.items())) for row in self.srows)
 
     def lift(self, M):
         if M == self.N:
             return self
-        return Matrix(M, [[lift_raw(x, self.N, M) for x in row] for row in self._data])
+        N = self.N
+        return Matrix.from_sparse(
+            M, self.cols, [{j: K.s_lift(x, N, M) for j, x in row.items()} for row in self.srows]
+        )
 
     def _pair(self, other):
         if not isinstance(other, Matrix):
@@ -655,7 +637,7 @@ class Matrix:
         a, b = self._pair(other)
         if a.cols != b.rows:
             raise ShapeError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
-        return Matrix(a.N, mat_mul_raw(a.raw(), b.raw(), a.ctx))
+        return Matrix.from_sparse(a.N, b.cols, mat_mul_raw(a.srows, b.srows, a.ctx))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -668,80 +650,69 @@ class Matrix:
         a = self.lift(M)
         cd = c.lift(M).data
         ctx = a.ctx
-        return Matrix(M, [[K.s_mul(ctx, cd, x) for x in row] for row in a._data])
+        return Matrix.from_sparse(M, a.cols, [_scale(ctx, row, cd) for row in a.srows])
 
     def __add__(self, other):
         a, b = self._pair(other)
         if (a.rows, a.cols) != (b.rows, b.cols):
             raise ShapeError("matrix addition shape mismatch")
         ctx = a.ctx
-        return Matrix(
-            a.N,
-            [
-                [K.s_add(ctx, x, y) for x, y in zip(ra, rb)]
-                for ra, rb in zip(a._data, b._data)
-            ],
+        one = K.s_one(ctx)
+        return Matrix.from_sparse(
+            a.N, a.cols, [_axpy(ctx, dict(ra), rb, one) for ra, rb in zip(a.srows, b.srows)]
         )
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if (a.rows, a.cols) != (b.rows, b.cols):
-            raise ShapeError("matrix subtraction shape mismatch")
-        ctx = a.ctx
-        return Matrix(
-            a.N,
-            [
-                [K.s_sub(ctx, x, y) for x, y in zip(ra, rb)]
-                for ra, rb in zip(a._data, b._data)
-            ],
-        )
+        return self + -other
 
     def __neg__(self):
-        return Matrix(self.N, [[K.s_neg(x) for x in row] for row in self._data])
+        return Matrix.from_sparse(
+            self.N, self.cols, [{j: K.s_neg(x) for j, x in row.items()} for row in self.srows]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         a, b = self._pair(other)
-        return a._data == b._data
+        return (a.rows, a.cols) == (b.rows, b.cols) and a.srows == b.srows
 
     def transpose(self):
-        return Matrix(self.N, [list(col) for col in zip(*self._data)] if self._data else [])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.srows):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix.from_sparse(self.N, self.rows, out)
 
     def kron(self, other):
+        """Kronecker product with row-major pair indexing (iA*rowsB + iB)."""
         a, b = self._pair(other)
-        return Matrix(a.N, kron_raw(a.raw(), b.raw(), a.ctx))
+        ctx = a.ctx
+        cb = b.cols
+        out = []
+        for ra in a.srows:
+            for rb in b.srows:
+                out.append({
+                    ja * cb + jb: K.s_mul(ctx, x, y) for ja, x in ra.items() for jb, y in rb.items()
+                })
+        return Matrix.from_sparse(a.N, a.cols * cb, out)
 
     def is_zero(self):
-        return all(K.s_is_zero(x) for row in self._data for x in row)
+        return not any(self.srows)
 
     def is_identity(self):
         if self.rows != self.cols:
             return False
-        ctx = self.ctx
-        one = K.s_one(ctx)
-        for i, row in enumerate(self._data):
-            for j, x in enumerate(row):
-                if i == j:
-                    if x != one:
-                        return False
-                elif not K.s_is_zero(x):
-                    return False
-        return True
+        one = K.s_one(self.ctx)
+        return all(row == {i: one} for i, row in enumerate(self.srows))
 
     def is_scalar_multiple_of_identity(self):
         """The scalar c with self == c*I, or None."""
         if self.rows != self.cols or self.rows == 0:
             return None
-        c = self._data[0][0]
-        for i, row in enumerate(self._data):
-            for j, x in enumerate(row):
-                if i == j:
-                    if x != c:
-                        return None
-                elif not K.s_is_zero(x):
-                    return None
-        return Cyclotomic(self.N, c)
+        c = self.srows[0].get(0)
+        if any(row != ({} if c is None else {i: c}) for i, row in enumerate(self.srows)):
+            return None
+        return Cyclotomic(self.N, c or K.s_zero(self.ctx))
 
     # -- elimination -------------------------------------------------------
 
@@ -760,7 +731,11 @@ class Matrix:
             return None
         n = self.rows
         ctx = self.ctx
-        aug = [list(row) + identity_raw(n, ctx)[i] for i, row in enumerate(self._data)]
+        z = K.s_zero(ctx)
+        aug = self.raw()
+        for i, row in enumerate(aug):
+            row.extend([z] * n)
+            row[n + i] = K.s_one(ctx)
         pivots = rref_raw(aug, ctx)
         if pivots != list(range(n)):
             return None
@@ -778,7 +753,7 @@ class Matrix:
             raise ShapeError("solve: rhs has %d rows, expected %d" % (b.rows, a.rows))
         ctx = a.ctx
         ncols = a.cols
-        aug = [list(ra) + list(rb) for ra, rb in zip(a._data, b._data)]
+        aug = [ra + rb for ra, rb in zip(a.raw(), b.raw())]
         pivots = rref_raw(aug, ctx)
         pivots = [p for p in pivots if p < ncols]
         # consistency: no pivot may fall in the rhs block

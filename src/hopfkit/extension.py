@@ -63,7 +63,7 @@ class HopfInclusion:
         key = ("col", b)
         got = self._cache.get(key)
         if got is None:
-            got = _clean(enumerate(self.embed.col_raw(b)))
+            got = self.embed.col(b)
             self._cache[key] = got
         return got
 
@@ -568,51 +568,39 @@ class Decomposer:
     """Decompose H-vectors over a free basis: x = sum_i embed(k_i) * h_i (side='left')
     or x = sum_i h_i * embed(k_i) (side='right')."""
 
-    __slots__ = ("incl", "free", "side", "inv", "m")
+    __slots__ = ("incl", "free", "side", "inv_cols", "m")
 
     def __init__(self, incl, free, side):
         H, Kk = incl.H, incl.K
-        n, m = H.dim, Kk.dim
-        cols = []
+        m = Kk.dim
+        images = []
         for i in free:
             hi = H.basis_vec(i)
             for b in range(m):
                 if side == "left":
-                    v = H.mult_vec(incl.embed_col(b), hi)
+                    images.append(H.mult_vec(incl.embed_col(b), hi))
                 else:
-                    v = H.mult_vec(hi, incl.embed_col(b))
-                z = K.s_zero(incl.ctx)
-                dense = [z] * n
-                for idx, s in v.items():
-                    dense[idx] = s
-                cols.append(dense)
-        M = Matrix(incl.N, [list(r) for r in zip(*cols)])
-        inv = M.inverse()
+                    images.append(H.mult_vec(hi, incl.embed_col(b)))
+        inv = Matrix.from_sparse(incl.N, H.dim, images).transpose().inverse()
         if inv is None:
             raise PipelineError("free basis is not %s-regular along declared order" % side)
         self.incl = incl
         self.free = free
         self.side = side
-        self.inv = inv
+        self.inv_cols = inv.transpose().srows
         self.m = m
 
     def __call__(self, hvec):
-        """List (per free index) of dense K-coordinate raw vectors."""
+        """List (per free index) of sparse K-coordinate vectors."""
         ctx = self.incl.ctx
-        n = self.incl.H.dim
-        inv = self.inv
-        z = K.s_zero(ctx)
-        out = [z] * n
+        coords = {}
         for j, s in hvec.items():
-            if K.s_is_zero(s):
-                continue
-            col = inv.col_raw(j)
-            for i in range(n):
-                c = col[i]
-                if not K.s_is_zero(c):
-                    out[i] = K.s_add(ctx, out[i], K.s_mul(ctx, c, s))
-        m = self.m
-        return [out[i * m : (i + 1) * m] for i in range(len(self.free))]
+            _axpy(ctx, coords, self.inv_cols[j], s)
+        parts = [{} for _ in self.free]
+        for x, c in coords.items():
+            i, b = divmod(x, self.m)
+            parts[i][b] = c
+        return parts
 
 
 class FrobeniusData:
@@ -726,22 +714,13 @@ def dual_bases(incl, tr_K, free, verify=True):
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
     r = len(free)
+    # row j*m + b, column t: the b-th K-coordinate of tr(h_j e_t)
     rows = []
     for j in free:
         hj = H.basis_vec(j)
-        block = [[None] * n for _ in range(m)]
-        for t in range(n):
-            w = H.mult_vec(hj, H.basis_vec(t))
-            col = [K.s_zero(ctx)] * m
-            for idx, s in w.items():
-                for b in range(m):
-                    c = tr_K._data[b][idx]
-                    if not K.s_is_zero(c):
-                        col[b] = K.s_add(ctx, col[b], K.s_mul(ctx, s, c))
-            for b in range(m):
-                block[b][t] = col[b]
-        rows.extend(block)
-    A = Matrix(incl.N, rows)
+        trs = [_mat_vec(tr_K, H.mult_vec(hj, H.basis_vec(t))) for t in range(n)]
+        rows.extend({t: tr[b] for t, tr in enumerate(trs) if b in tr} for b in range(m))
+    A = Matrix.from_sparse(incl.N, n, rows)
     z = K.s_zero(ctx)
     rhs_cols = []
     unit_K = [Kk.unit[b] for b in range(m)]
@@ -793,7 +772,7 @@ def _verify_dual_bases(incl, tr_K, free, deltas):
             hih = H.mult_vec(H.basis_vec(free[i]), ex)
             parts = right_dec(delta_sparse[i])
             for j in range(r):
-                kv = _clean(enumerate(parts[j]))
+                kv = parts[j]
                 if kv:
                     for idx, s in H.mult_vec(incl.embed_vec(kv), hih).items():
                         _add(ctx, lhs, j * n + idx, s)
@@ -801,7 +780,7 @@ def _verify_dual_bases(incl, tr_K, free, deltas):
             parts2 = right_dec(hdelta)
             hi = H.basis_vec(free[i])
             for j in range(r):
-                kv = _clean(enumerate(parts2[j]))
+                kv = parts2[j]
                 if kv:
                     for idx, s in H.mult_vec(incl.embed_vec(kv), hi).items():
                         _add(ctx, rhs, j * n + idx, s)
@@ -840,10 +819,10 @@ def tr_bicomodule_map(incl, tr_K):
     for i in range(n):
         lhs = {}
         for (a, b, c), s in H.comult2(i):
-            for kb, coeff in _clean(enumerate(tr_K.col_raw(b))).items():
+            for kb, coeff in tr_K.col(b).items():
                 _add(ctx, lhs, (a * m + kb) * n + c, K.s_mul(ctx, s, coeff))
         rhs = {}
-        for b, coeff in _clean(enumerate(tr_K.col_raw(i))).items():
+        for b, coeff in tr_K.col(i).items():
             for (p, q, rr), s in Kk.comult2(b):
                 cs = K.s_mul(ctx, coeff, s)
                 for hp, e1 in incl.embed_col(p).items():
@@ -1077,7 +1056,7 @@ def fms_lambda_construction(incl):
     LamK = integral_space(Kk, "left")
     if len(LamK) != 1:
         raise PipelineError("left integral space of K not one-dimensional")
-    lk = _clean(enumerate(LamK[0].col_raw(0)))
+    lk = LamK[0].col(0)
     lk_H = incl.embed_vec(lk)
     vals = []
     for i in range(H.dim):

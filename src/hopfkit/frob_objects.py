@@ -6,7 +6,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import HopfkitError, ShapeError
-from .exact_math import Matrix, RowSpace
+from .exact_math import Matrix, RowSpace, _add
 from .induction import ind_morphism, lax_pair, oplax_pair, induce
 from .module_theory import HModule, tensor_modules, trivial_module
 from .reports import Report
@@ -377,29 +377,21 @@ def invariant_space_dim(carrier):
     for i in range(H.dim):
         act = mod.action[i]
         eps = K.s_lift(H.counit[i], H.N, mod.N) if H.N != mod.N else H.counit[i]
-        for r in range(d):
-            row = {}
-            for c in range(d):
-                v = act._data[r][c]
-                if r == c:
-                    v = K.s_sub(ctx, v, eps)
-                if not K.s_is_zero(v):
-                    row[c] = v
+        for r, arow in enumerate(act.srows):
+            row = dict(arow)
+            if not K.s_is_zero(eps):
+                _add(ctx, row, r, K.s_neg(eps))
             if row:
                 space.add(row)
     if _is_yd(carrier):
         coact = carrier.coaction
         unit = H.unit
         for hrow in range(H.dim):
+            u = K.s_lift(unit[hrow], H.N, mod.N) if H.N != mod.N else unit[hrow]
             for r in range(d):
-                row = {}
-                u = K.s_lift(unit[hrow], H.N, mod.N) if H.N != mod.N else unit[hrow]
-                for c in range(d):
-                    v = coact._data[hrow * d + r][c]
-                    if r == c and not K.s_is_zero(u):
-                        v = K.s_sub(ctx, v, u)
-                    if not K.s_is_zero(v):
-                        row[c] = v
+                row = dict(coact.srows[hrow * d + r])
+                if not K.s_is_zero(u):
+                    _add(ctx, row, r, K.s_neg(u))
                 if row:
                     space.add(row)
     return d - space.rank

@@ -192,15 +192,7 @@ class FinHopf:
         if isinstance(antipode, Matrix):
             if antipode.rows != n or antipode.cols != n:
                 raise ShapeError("antipode must be %dx%d" % (n, n))
-            A = antipode.lift(N)
-            cols = []
-            for j in range(n):
-                col = []
-                for i in range(n):
-                    raw = A._data[i][j]
-                    if not K.s_is_zero(raw):
-                        col.append((i, raw))
-                cols.append(tuple(col))
+            cols = [tuple(sorted(col.items())) for col in antipode.lift(N).transpose().srows]
         else:
             cols = [tuple((i, _to_raw(v, ctx)) for i, v in sorted(col.items())) for col in antipode]
         return cls(
@@ -637,7 +629,7 @@ def distinguished_grouplike(H):
         return got
     Lam = right_integral_element(H)
     ctx = H.ctx
-    lam_vec = _clean(enumerate(Lam.col_raw(0)))
+    lam_vec = Lam.col(0)
     pivot = min(lam_vec)  # normalized so lam_vec[pivot] == 1
     values = []
     for a in range(H.dim):
@@ -677,8 +669,8 @@ def is_unimodular(H):
         return False
     space = RowSpace(H.dim, H.ctx)
     for v in right:
-        space.add({i: v._data[i][0] for i in range(H.dim)})
-    return all(space.contains({i: v._data[i][0] for i in range(H.dim)}) for v in left)
+        space.add(v.col(0))
+    return all(space.contains(v.col(0)) for v in left)
 
 
 def right_integral_of_dual(H):

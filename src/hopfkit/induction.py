@@ -9,9 +9,9 @@ is an exact matrix and every coherence diagram is a matrix equality.
 from math import lcm
 
 from . import _kernel as K
-from .errors import PipelineError, ShapeError
-from .exact_math import Cyclotomic, Matrix, _axpy, _clean, _scale, _tensor
-from .extension import analyze_extension, bar_quotient, make_frobenius_data, right_integral_bar_dual
+from .errors import PipelineError
+from .exact_math import Cyclotomic, Matrix, _add, _axpy, _scale, _tensor
+from .extension import bar_quotient, make_frobenius_data, right_integral_bar_dual
 from .hopf_core import antipode_inverse
 from .module_theory import HModule, ModuleMap, tensor_modules, trivial_module, restrict
 from .reports import Report
@@ -28,15 +28,16 @@ class InductionContext:
     - ``("ind", name, key(V))``: ``induce(self, V)``;
     - ``("lax", key(V), key(U))`` and ``("oplax", key(V), key(U))``:
       ``lax_pair`` and ``oplax_pair``;
-    - ``("zind", name, key(M.module), M.coaction)``: ``z_induce(self, M)``.
+    - ``("zind", name, key(M.module), M.coaction.key())``: ``z_induce(self, M)``.
 
-    ``key(V)`` is the module's value, (algebra name, conductor, action
-    matrices), so equal modules built separately (as ``tensor_modules`` does
-    on every call) share an entry.  Results that carry a name are keyed by
-    the name too.  The lax structure scales with the Frobenius morphism, so
-    a rescaled context is a new object with a cache of its own.  Threads
-    that share a context (``HOPFKIT_JOBS``) may both build a missing entry;
-    the builds are equal, so whichever is stored is right.
+    ``key(V)`` is the module's value, (algebra name, conductor, ``key()`` of
+    each action matrix), so equal modules built separately (as
+    ``tensor_modules`` does on every call) share an entry. Results that
+    carry a name are keyed by the name too. The lax structure scales with
+    the Frobenius morphism, so a rescaled context is a new object with a
+    cache of its own. Threads that share a context (``HOPFKIT_JOBS``) may
+    both build a missing entry; the builds are equal, so whichever is stored
+    is right.
     """
 
     __slots__ = ("incl", "frob", "central", "_cache")
@@ -59,7 +60,7 @@ class InductionContext:
         return self.incl.H.basis_vec(self.frob.free[i])
 
     def delta_parts(self, i):
-        """Right decomposition of delta_i: list over j of dense K-coord vectors."""
+        """Right decomposition of delta_i: list over j of sparse K-coord vectors."""
         key = ("ddec", i)
         got = self._cache.get(key)
         if got is None:
@@ -103,7 +104,7 @@ def induction_context(incl, lam_scale=1):
 
 def _module_key(V):
     """A module's value: equal modules built separately share the key."""
-    return (V.H.name, V.N, tuple(a._data for a in V.action))
+    return (V.H.name, V.N, tuple(a.key() for a in V.action))
 
 
 def _act_K(V, kvec, conductor, ctxN):
@@ -111,6 +112,25 @@ def _act_K(V, kvec, conductor, ctxN):
     return Matrix.lincomb(
         V.dim, V.dim, conductor, ((V.action[b], Cyclotomic(ctxN, c)) for b, c in kvec.items())
     )
+
+
+def _at(t, d):
+    """The indices of block t of size d."""
+    return range(t * d, (t + 1) * d)
+
+
+def _pair_map(i, dV, j, dU, rU):
+    """Index of (i*dV + a) x (j*dU + b) in a tensor product whose right
+    factor has dimension rU*dU, over a < dV and b < dU in row-major order."""
+    return [(i * dV + a) * (rU * dU) + j * dU + b for a in range(dV) for b in range(dU)]
+
+
+def _add_block(ctx, out, blk, rmap, cmap):
+    """out[rmap[b]][cmap[a]] += blk[b][a] over the nonzero entries of the Matrix blk."""
+    for b, row in enumerate(blk.srows):
+        orow = out[rmap[b]]
+        for a, v in row.items():
+            _add(ctx, orow, cmap[a], v)
 
 
 class InducedModule:
@@ -164,29 +184,16 @@ def induce(ictx, V):
     r = ictx.rank
     d = V.dim
     conductor = _conductor_for(ictx, V)
-    rows = r * d
+    ctx = K.make_ctx(conductor)
     mats = []
     for g in range(H.dim):
-        out = Matrix.zeros(rows, rows, conductor)
-        data = out.raw()
+        out = [{} for _ in range(r * d)]
         for i in range(r):
             w = H.mult_vec(H.basis_vec(g), ictx.free_vec(i))
-            parts = ictx.frob.right_decomp(w)
-            for j in range(r):
-                kv = _clean(enumerate(parts[j]))
-                if not kv:
-                    continue
-                blk = _act_K(V, kv, conductor, incl.N)
-                braw = blk.raw()
-                for bb in range(d):
-                    roww = data[j * d + bb]
-                    for aa in range(d):
-                        v = braw[bb][aa]
-                        if not K.s_is_zero(v):
-                            roww[i * d + aa] = K.s_add(
-                                K.make_ctx(conductor), roww[i * d + aa], v
-                            )
-        mats.append(Matrix(conductor, data))
+            for j, kv in enumerate(ictx.frob.right_decomp(w)):
+                if kv:
+                    _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
+        mats.append(Matrix.from_sparse(conductor, r * d, out))
     mod = HModule(H, mats, name="Ind(%s)" % V.name, N=conductor)
     got = ictx._cache[memo] = InducedModule(ictx, V, mod)
     return got
@@ -201,16 +208,9 @@ def ind_morphism(ictx, phi, src_ind=None, tgt_ind=None):
     if tgt_ind is not None:
         conductor = lcm(conductor, tgt_ind.module.N)
     p = phi.lift(conductor)
-    ds, dt = p.cols, p.rows
-    out = Matrix.zeros(r * dt, r * ds, conductor).raw()
-    praw = p.raw()
-    for i in range(r):
-        for bb in range(dt):
-            for aa in range(ds):
-                v = praw[bb][aa]
-                if not K.s_is_zero(v):
-                    out[i * dt + bb][i * ds + aa] = v
-    return Matrix(conductor, out)
+    ds = p.cols
+    out = [{i * ds + a: v for a, v in row.items()} for i in range(r) for row in p.srows]
+    return Matrix.from_sparse(conductor, r * ds, out)
 
 
 def coinduce(ictx, V):
@@ -220,25 +220,16 @@ def coinduce(ictx, V):
     r = ictx.rank
     d = V.dim
     conductor = _conductor_for(ictx, V)
+    ctx = K.make_ctx(conductor)
     mats = []
     for g in range(H.dim):
-        out = Matrix.zeros(r * d, r * d, conductor).raw()
+        out = [{} for _ in range(r * d)]
         for j in range(r):
             w = H.mult_vec(ictx.free_vec(j), H.basis_vec(g))
-            parts = ictx.frob.left_decomp(w)
-            for i in range(r):
-                kv = _clean(enumerate(parts[i]))
-                if not kv:
-                    continue
-                blk = _act_K(V, kv, conductor, incl.N).raw()
-                for bb in range(d):
-                    for aa in range(d):
-                        v = blk[bb][aa]
-                        if not K.s_is_zero(v):
-                            out[j * d + bb][i * d + aa] = K.s_add(
-                                K.make_ctx(conductor), out[j * d + bb][i * d + aa], v
-                            )
-        mats.append(Matrix(conductor, out))
+            for i, kv in enumerate(ictx.frob.left_decomp(w)):
+                if kv:
+                    _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
+        mats.append(Matrix.from_sparse(conductor, r * d, out))
     mod = HModule(H, mats, name="CoInd(%s)" % V.name, N=conductor)
     return CoinducedModule(ictx, V, mod)
 
@@ -249,36 +240,23 @@ def theta_iso(ictx, V):
     r = ictx.rank
     d = V.dim
     conductor = _conductor_for(ictx, V)
+    ctx = K.make_ctx(conductor)
     ind = induce(ictx, V)
     coind = coinduce(ictx, V)
-    theta = Matrix.zeros(r * d, r * d, conductor).raw()
+    theta = [{} for _ in range(r * d)]
     for i in range(r):
         for j in range(r):
             kv = ictx.tr_prod(ictx.frob.free[j], i)
-            blk = _act_K(V, kv, conductor, incl.N).raw()
-            for bb in range(d):
-                for aa in range(d):
-                    v = blk[bb][aa]
-                    if not K.s_is_zero(v):
-                        theta[j * d + bb][i * d + aa] = v
-    theta = Matrix(conductor, theta)
+            if kv:
+                _add_block(ctx, theta, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
+    theta = Matrix.from_sparse(conductor, r * d, theta)
 
-    inv = Matrix.zeros(r * d, r * d, conductor).raw()
+    inv = [{} for _ in range(r * d)]
     for j in range(r):
-        parts = ictx.delta_parts(j)
-        for t in range(r):
-            kv = _clean(enumerate(parts[t]))
-            if not kv:
-                continue
-            blk = _act_K(V, kv, conductor, incl.N).raw()
-            for bb in range(d):
-                for aa in range(d):
-                    v = blk[bb][aa]
-                    if not K.s_is_zero(v):
-                        inv[t * d + bb][j * d + aa] = K.s_add(
-                            K.make_ctx(conductor), inv[t * d + bb][j * d + aa], v
-                        )
-    theta_inv = Matrix(conductor, inv)
+        for t, kv in enumerate(ictx.delta_parts(j)):
+            if kv:
+                _add_block(ctx, inv, _act_K(V, kv, conductor, incl.N), _at(t, d), _at(j, d))
+    theta_inv = Matrix.from_sparse(conductor, r * d, inv)
     if not (theta * theta_inv).is_identity() or not (theta_inv * theta).is_identity():
         raise PipelineError("theta and its closed-form inverse do not compose to identity")
     tm = ModuleMap(ind.module, coind.module, theta)
@@ -293,82 +271,29 @@ def adjunction_maps(ictx, V, W):
     V is a K-module, W an H-module.  Returns (report, dict of matrices).
     """
     incl = ictx.incl
-    H = incl.H
-    r = ictx.rank
     conductor = lcm(_conductor_for(ictx, V), W.N)
     rep = Report("adjunction-maps")
-    ctx = K.make_ctx(conductor)
 
     indV = induce(ictx, V)
     resW = restrict(incl, W)
-    ind_resW = induce(ictx, resW)
-    dV, dW = V.dim, W.dim
-
-    # unit^{G -| F}_W : W -> Ind Res W, w -> sum_i delta_i x h_i w
-    unit_GF = Matrix.zeros(r * dW, dW, conductor).raw()
-    for i in range(r):
-        hi_act = W.act_alg_vec(ictx.free_vec(i)).lift(conductor)
-        parts = ictx.delta_parts(i)
-        for t in range(r):
-            kv = _clean(enumerate(parts[t]))
-            if not kv:
-                continue
-            blk = (_act_K(resW, kv, conductor, incl.N) * hi_act).raw()
-            for bb in range(dW):
-                for aa in range(dW):
-                    v = blk[bb][aa]
-                    if not K.s_is_zero(v):
-                        unit_GF[t * dW + bb][aa] = K.s_add(ctx, unit_GF[t * dW + bb][aa], v)
-    unit_GF = Matrix(conductor, unit_GF)
-
-    # counit^{G -| F}_V : Res Ind V -> V, h_i x v -> tr(h_i) v
-    counit_GF = Matrix.zeros(dV, r * dV, conductor).raw()
-    for i in range(r):
-        kv = ictx.frob.tr_vec(ictx.free_vec(i))
-        blk = _act_K(V, kv, conductor, incl.N).raw()
-        for bb in range(dV):
-            for aa in range(dV):
-                v = blk[bb][aa]
-                if not K.s_is_zero(v):
-                    counit_GF[bb][i * dV + aa] = v
-    counit_GF = Matrix(conductor, counit_GF)
-
-    # unit^{F -| G}_V : V -> Res Ind V, v -> 1 x v
-    unit_FG = Matrix.zeros(r * dV, dV, conductor).raw()
-    parts = ictx.frob.right_decomp(H.unit_vec())
-    for t in range(r):
-        kv = _clean(enumerate(parts[t]))
-        if not kv:
-            continue
-        blk = _act_K(V, kv, conductor, incl.N).raw()
-        for bb in range(dV):
-            for aa in range(dV):
-                v = blk[bb][aa]
-                if not K.s_is_zero(v):
-                    unit_FG[t * dV + bb][aa] = v
-    unit_FG = Matrix(conductor, unit_FG)
-
-    # counit^{F -| G}_W : Ind Res W -> W, h_i x w -> h_i w
-    counit_FG = Matrix.zeros(dW, r * dW, conductor).raw()
-    for i in range(r):
-        blk = W.act_alg_vec(ictx.free_vec(i)).lift(conductor).raw()
-        for bb in range(dW):
-            for aa in range(dW):
-                v = blk[bb][aa]
-                if not K.s_is_zero(v):
-                    counit_FG[bb][i * dW + aa] = v
-    counit_FG = Matrix(conductor, counit_FG)
+    ind_res_indV = induce(ictx, restrict(incl, indV.module))
+    unit_GF = unit_gf_at(ictx, W, conductor)
+    counit_GF = counit_gf_at(ictx, V, conductor)
+    unit_FG = unit_fg_at(ictx, V, conductor)
+    counit_FG = counit_fg_at(ictx, W, conductor)
 
     # triangles for F -| G (F = Ind left adjoint)
-    t1 = counit_FG_on(ictx, indV, conductor) * ind_morphism(ictx, unit_FG, indV, induce(ictx, restrict(incl, indV.module)))
+    F_unit_FG = ind_morphism(ictx, unit_FG, indV, ind_res_indV)
+    t1 = counit_fg_at(ictx, indV.module, conductor) * F_unit_FG
     rep.add("triangle-FG-left", t1.is_identity(), anchor="adjunction")
     t2 = counit_FG * unit_fg_at(ictx, resW, conductor)
     rep.add("triangle-FG-right", t2.is_identity(), anchor="adjunction")
 
     # triangles for G -| F (F = Ind right adjoint)
-    t3 = ind_morphism(ictx, counit_GF, induce(ictx, restrict(incl, indV.module)), indV) * unit_gf_at(ictx, indV.module, V, conductor)
+    F_counit_GF = ind_morphism(ictx, counit_GF, ind_res_indV, indV)
+    t3 = F_counit_GF * unit_gf_at(ictx, indV.module, conductor)
     rep.add("triangle-GF-left", t3.is_identity(), anchor="adjunction")
-    t4 = counit_gf_at(ictx, resW, conductor) * restrict_map(unit_GF)
+    t4 = counit_gf_at(ictx, resW, conductor) * unit_GF
     rep.add("triangle-GF-right", t4.is_identity(), anchor="adjunction")
 
     maps = {
@@ -380,84 +305,58 @@ def adjunction_maps(ictx, V, W):
     return rep, maps
 
 
-def restrict_map(mat):
-    return mat
-
-
-def counit_FG_on(ictx, ind_mod, conductor):
-    """counit^{F -| G} at the H-module ind_mod.module."""
-    incl = ictx.incl
+def counit_fg_at(ictx, W, conductor):
+    """counit^{F -| G} at the H-module W: Ind Res W -> W, h_i x w -> h_i w."""
     r = ictx.rank
-    W = ind_mod.module
     dW = W.dim
-    out = Matrix.zeros(dW, r * dW, conductor).raw()
+    ctx = K.make_ctx(conductor)
+    out = [{} for _ in range(dW)]
     for i in range(r):
-        blk = W.act_alg_vec(ictx.free_vec(i)).lift(conductor).raw()
-        for bb in range(dW):
-            for aa in range(dW):
-                v = blk[bb][aa]
-                if not K.s_is_zero(v):
-                    out[bb][i * dW + aa] = v
-    return Matrix(conductor, out)
+        blk = W.act_alg_vec(ictx.free_vec(i)).lift(conductor)
+        _add_block(ctx, out, blk, range(dW), _at(i, dW))
+    return Matrix.from_sparse(conductor, r * dW, out)
 
 
 def unit_fg_at(ictx, V, conductor):
+    """unit^{F -| G} at the K-module V: V -> Res Ind V, v -> 1 x v."""
     incl = ictx.incl
-    r = ictx.rank
     dV = V.dim
-    out = Matrix.zeros(r * dV, dV, conductor).raw()
-    parts = ictx.frob.right_decomp(incl.H.unit_vec())
-    for t in range(r):
-        kv = _clean(enumerate(parts[t]))
-        if not kv:
-            continue
-        blk = _act_K(V, kv, conductor, incl.N).raw()
-        for bb in range(dV):
-            for aa in range(dV):
-                v = blk[bb][aa]
-                if not K.s_is_zero(v):
-                    out[t * dV + bb][aa] = v
-    return Matrix(conductor, out)
+    ctx = K.make_ctx(conductor)
+    out = [{} for _ in range(ictx.rank * dV)]
+    for t, kv in enumerate(ictx.frob.right_decomp(incl.H.unit_vec())):
+        if kv:
+            _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), _at(t, dV), range(dV))
+    return Matrix.from_sparse(conductor, dV, out)
 
 
-def unit_gf_at(ictx, W, V_for_name, conductor):
-    """unit^{G -| F} at the H-module W."""
+def unit_gf_at(ictx, W, conductor):
+    """unit^{G -| F} at the H-module W: W -> Ind Res W, w -> sum_i delta_i x h_i w."""
     incl = ictx.incl
     r = ictx.rank
     dW = W.dim
     resW = restrict(incl, W)
-    out = Matrix.zeros(r * dW, dW, conductor).raw()
     ctx = K.make_ctx(conductor)
+    out = [{} for _ in range(r * dW)]
     for i in range(r):
         hi_act = W.act_alg_vec(ictx.free_vec(i)).lift(conductor)
-        parts = ictx.delta_parts(i)
-        for t in range(r):
-            kv = _clean(enumerate(parts[t]))
-            if not kv:
-                continue
-            blk = (_act_K(resW, kv, conductor, incl.N) * hi_act).raw()
-            for bb in range(dW):
-                for aa in range(dW):
-                    v = blk[bb][aa]
-                    if not K.s_is_zero(v):
-                        out[t * dW + bb][aa] = K.s_add(ctx, out[t * dW + bb][aa], v)
-    return Matrix(conductor, out)
+        for t, kv in enumerate(ictx.delta_parts(i)):
+            if kv:
+                blk = _act_K(resW, kv, conductor, incl.N) * hi_act
+                _add_block(ctx, out, blk, _at(t, dW), range(dW))
+    return Matrix.from_sparse(conductor, dW, out)
 
 
 def counit_gf_at(ictx, V, conductor):
+    """counit^{G -| F} at the K-module V: Res Ind V -> V, h_i x v -> tr(h_i) v."""
     incl = ictx.incl
     r = ictx.rank
     dV = V.dim
-    out = Matrix.zeros(dV, r * dV, conductor).raw()
+    ctx = K.make_ctx(conductor)
+    out = [{} for _ in range(dV)]
     for i in range(r):
         kv = ictx.frob.tr_vec(ictx.free_vec(i))
-        blk = _act_K(V, kv, conductor, incl.N).raw()
-        for bb in range(dV):
-            for aa in range(dV):
-                v = blk[bb][aa]
-                if not K.s_is_zero(v):
-                    out[bb][i * dV + aa] = v
-    return Matrix(conductor, out)
+        _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), range(dV), _at(i, dV))
+    return Matrix.from_sparse(conductor, r * dV, out)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +378,7 @@ def lax_pair(ictx, V, U):
     conductor = lcm(_conductor_for(ictx, V), U.N)
     ctx = K.make_ctx(conductor)
     VU = tensor_modules(V, U)
-    rows = r * dV * dU
-    cols = (r * dV) * (r * dU)
-    out = Matrix.zeros(rows, cols, conductor).raw()
+    out = [{} for _ in range(r * dV * dU)]
 
     for l in range(r):
         parts = ictx.delta_parts(l)
@@ -505,30 +402,21 @@ def lax_pair(ictx, V, U):
                     ((V.action[x // m].kron(U.action[x % m]), Cyclotomic(incl.N, c))
                      for x, c in acc.items()),
                 )
-                for t in range(r):
-                    kv = _clean(enumerate(parts[t]))
-                    if not kv:
-                        continue
-                    blk = (_act_K(VU, kv, conductor, incl.N) * mat).raw()
-                    for bb in range(dV * dU):
-                        row = out[t * dV * dU + bb]
-                        for a1 in range(dV):
-                            for a2 in range(dU):
-                                v = blk[bb][a1 * dU + a2]
-                                if not K.s_is_zero(v):
-                                    colidx = (i * dV + a1) * (r * dU) + (j * dU + a2)
-                                    row[colidx] = K.s_add(ctx, row[colidx], v)
-    lax = Matrix(conductor, out)
+                cmap = _pair_map(i, dV, j, dU, r)
+                for t, kv in enumerate(parts):
+                    if kv:
+                        blk = _act_K(VU, kv, conductor, incl.N) * mat
+                        _add_block(ctx, out, blk, _at(t, dV * dU), cmap)
+    lax = Matrix.from_sparse(conductor, (r * dV) * (r * dU), out)
 
     # lax_0: 1 -> Ind(1_K): sum_i eps_H(h_i) delta_i, decomposed
     w = {}
     for i in range(r):
         _axpy(incl.ctx, w, ictx.frob.delta_vec(i), H.counit[ictx.frob.free[i]])
-    parts = ictx.frob.right_decomp(w)
     lax0_col = []
-    for t in range(r):
+    for kv in ictx.frob.right_decomp(w):
         acc = K.s_zero(incl.ctx)
-        for b, c in enumerate(parts[t]):
+        for b, c in kv.items():
             acc = K.s_add(incl.ctx, acc, K.s_mul(incl.ctx, incl.K.counit[b], c))
         lax0_col.append(acc)
     lax0 = Matrix(incl.N, [[v] for v in lax0_col]).lift(conductor)
@@ -549,39 +437,21 @@ def oplax_pair(ictx, V, U):
     dV, dU = V.dim, U.dim
     conductor = lcm(_conductor_for(ictx, V), U.N)
     ctx = K.make_ctx(conductor)
-    rows = (r * dV) * (r * dU)
-    cols = r * dV * dU
-    out = Matrix.zeros(rows, cols, conductor).raw()
+    out = [{} for _ in range((r * dV) * (r * dU))]
     for i in range(r):
         hi = ictx.frob.free[i]
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
-            parts_p = ictx.frob.right_decomp({p: s})
             parts_q = ictx.basis_parts(q)
-            for t in range(r):
-                kvp = _clean(enumerate(parts_p[t]))
+            for t, kvp in enumerate(ictx.frob.right_decomp({p: s})):
                 if not kvp:
                     continue
-                blkV = _act_K(V, kvp, conductor, incl.N).raw()
-                for u2 in range(r):
-                    kvq = _clean(enumerate(parts_q[u2]))
-                    if not kvq:
-                        continue
-                    blkU = _act_K(U, kvq, conductor, incl.N).raw()
-                    for b1 in range(dV):
-                        for a1 in range(dV):
-                            v1 = blkV[b1][a1]
-                            if K.s_is_zero(v1):
-                                continue
-                            for b2 in range(dU):
-                                rowidx = (t * dV + b1) * (r * dU) + (u2 * dU + b2)
-                                row = out[rowidx]
-                                for a2 in range(dU):
-                                    v2 = blkU[b2][a2]
-                                    if not K.s_is_zero(v2):
-                                        colidx = i * dV * dU + a1 * dU + a2
-                                        row[colidx] = K.s_add(ctx, row[colidx], K.s_mul(ctx, v1, v2))
-    oplax = Matrix(conductor, out)
+                blkV = _act_K(V, kvp, conductor, incl.N)
+                for u2, kvq in enumerate(parts_q):
+                    if kvq:
+                        blk = blkV.kron(_act_K(U, kvq, conductor, incl.N))
+                        _add_block(ctx, out, blk, _pair_map(t, dV, u2, dU, r), _at(i, dV * dU))
+    oplax = Matrix.from_sparse(conductor, r * dV * dU, out)
     oplax0 = Matrix(
         incl.N, [[H.counit[ictx.frob.free[i]] for i in range(r)]]
     ).lift(conductor)
@@ -769,7 +639,7 @@ def projection_morphisms(ictx, W, V):
     Wact = [W.act_alg_vec(H.basis_vec(i)).lift(conductor) for i in range(n)]
 
     # lproj^{F,G-|F}: W x F(V) -> F(GW x V)
-    lproj_GF = Matrix.zeros(r * dW * dV, dW * (r * dV), conductor).raw()
+    out = [{} for _ in range(r * dW * dV)]
     for l in range(r):
         parts = ictx.delta_parts(l)
         hl = ictx.frob.free[l]
@@ -785,51 +655,28 @@ def projection_morphisms(ictx, W, V):
                 ((Wact[x // m].kron(V.action[x % m]), Cyclotomic(incl.N, c))
                  for x, c in acc.items()),
             )
-            for t in range(r):
-                kv = _clean(enumerate(parts[t]))
-                if not kv:
-                    continue
-                blk = (_act_K(resWV, kv, conductor, incl.N) * mat).raw()
-                for bb in range(dW * dV):
-                    row = lproj_GF[t * dW * dV + bb]
-                    for aw in range(dW):
-                        for av in range(dV):
-                            v = blk[bb][aw * dV + av]
-                            if not K.s_is_zero(v):
-                                colidx = aw * (r * dV) + (i * dV + av)
-                                row[colidx] = K.s_add(ctx, row[colidx], v)
-    lproj_GF = Matrix(conductor, lproj_GF)
+            cmap = _pair_map(0, dW, i, dV, r)
+            for t, kv in enumerate(parts):
+                if kv:
+                    blk = _act_K(resWV, kv, conductor, incl.N) * mat
+                    _add_block(ctx, out, blk, _at(t, dW * dV), cmap)
+    lproj_GF = Matrix.from_sparse(conductor, dW * (r * dV), out)
 
     # lproj^{F,F-|G}: F(GW x V) -> W x F(V): h_i x (w x v) -> h_i(1) w x (h_i(2) x v)
-    lproj_FG = Matrix.zeros(dW * (r * dV), r * dW * dV, conductor).raw()
+    out = [{} for _ in range(dW * (r * dV))]
     for i in range(r):
         hi = ictx.frob.free[i]
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
-            Wp = Wact[p].scale(Cyclotomic(incl.N, s)).raw()
-            parts_q = ictx.basis_parts(q)
-            for t in range(r):
-                kv = _clean(enumerate(parts_q[t]))
-                if not kv:
-                    continue
-                blkV = _act_K(V, kv, conductor, incl.N).raw()
-                for bw in range(dW):
-                    for aw in range(dW):
-                        v1 = Wp[bw][aw]
-                        if K.s_is_zero(v1):
-                            continue
-                        for bv in range(dV):
-                            rowidx = bw * (r * dV) + (t * dV + bv)
-                            row = lproj_FG[rowidx]
-                            for av in range(dV):
-                                v2 = blkV[bv][av]
-                                if not K.s_is_zero(v2):
-                                    colidx = i * dW * dV + aw * dV + av
-                                    row[colidx] = K.s_add(ctx, row[colidx], K.s_mul(ctx, v1, v2))
-    lproj_FG = Matrix(conductor, lproj_FG)
+            Wp = Wact[p].scale(Cyclotomic(incl.N, s))
+            for t, kv in enumerate(ictx.basis_parts(q)):
+                if kv:
+                    blk = Wp.kron(_act_K(V, kv, conductor, incl.N))
+                    _add_block(ctx, out, blk, _pair_map(0, dW, t, dV, r), _at(i, dW * dV))
+    lproj_FG = Matrix.from_sparse(conductor, r * dW * dV, out)
 
     # rproj^{F,G-|F}: F(V) x W -> F(V x GW)
-    rproj_GF = Matrix.zeros(r * dV * dW, (r * dV) * dW, conductor).raw()
+    out = [{} for _ in range(r * dV * dW)]
     for l in range(r):
         parts = ictx.delta_parts(l)
         hl = ictx.frob.free[l]
@@ -845,48 +692,24 @@ def projection_morphisms(ictx, W, V):
                 ((V.action[x // n].kron(Wact[x % n]), Cyclotomic(incl.N, c))
                  for x, c in acc.items()),
             )
-            for t in range(r):
-                kv = _clean(enumerate(parts[t]))
-                if not kv:
-                    continue
-                blk = (_act_K(VresW, kv, conductor, incl.N) * mat).raw()
-                for bb in range(dV * dW):
-                    row = rproj_GF[t * dV * dW + bb]
-                    for av in range(dV):
-                        for aw in range(dW):
-                            v = blk[bb][av * dW + aw]
-                            if not K.s_is_zero(v):
-                                colidx = (i * dV + av) * dW + aw
-                                row[colidx] = K.s_add(ctx, row[colidx], v)
-    rproj_GF = Matrix(conductor, rproj_GF)
+            cmap = _pair_map(i, dV, 0, dW, 1)
+            for t, kv in enumerate(parts):
+                if kv:
+                    blk = _act_K(VresW, kv, conductor, incl.N) * mat
+                    _add_block(ctx, out, blk, _at(t, dV * dW), cmap)
+    rproj_GF = Matrix.from_sparse(conductor, (r * dV) * dW, out)
 
     # rproj^{F,F-|G}: F(V x GW) -> F(V) x W: h_i x (v x w) -> (h_i(1) x v) x h_i(2) w
-    rproj_FG = Matrix.zeros((r * dV) * dW, r * dV * dW, conductor).raw()
+    out = [{} for _ in range((r * dV) * dW)]
     for i in range(r):
         hi = ictx.frob.free[i]
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
-            parts_p = ictx.frob.right_decomp({p: s})
-            Wq = Wact[q].raw()
-            for t in range(r):
-                kv = _clean(enumerate(parts_p[t]))
-                if not kv:
-                    continue
-                blkV = _act_K(V, kv, conductor, incl.N).raw()
-                for bv in range(dV):
-                    for av in range(dV):
-                        v1 = blkV[bv][av]
-                        if K.s_is_zero(v1):
-                            continue
-                        for bw in range(dW):
-                            rowidx = (t * dV + bv) * dW + bw
-                            row = rproj_FG[rowidx]
-                            for aw in range(dW):
-                                v2 = Wq[bw][aw]
-                                if not K.s_is_zero(v2):
-                                    colidx = i * dV * dW + av * dW + aw
-                                    row[colidx] = K.s_add(ctx, row[colidx], K.s_mul(ctx, v1, v2))
-    rproj_FG = Matrix(conductor, rproj_FG)
+            for t, kv in enumerate(ictx.frob.right_decomp({p: s})):
+                if kv:
+                    blk = _act_K(V, kv, conductor, incl.N).kron(Wact[q])
+                    _add_block(ctx, out, blk, _pair_map(t, dV, 0, dW, 1), _at(i, dV * dW))
+    rproj_FG = Matrix.from_sparse(conductor, r * dV * dW, out)
 
     right_inv = (rproj_GF * rproj_FG).is_identity() and (rproj_FG * rproj_GF).is_identity()
     rep.add("rproj-pair-mutually-inverse", right_inv, anchor="projection-formula")
@@ -898,86 +721,56 @@ def projection_morphisms(ictx, W, V):
         anchor="projection-formula",
     )
 
-    # closed-form inverses via the (inverse) antipode
-    Sinv = antipode_inverse(H).lift(conductor)
-    S = H.antipode_matrix().lift(conductor)
+    # closed-form inverses via the (inverse) antipode; column p of S^-1 and S
+    # gives the coordinates of S^-1(e_p) and S(e_p)
+    Sinv_cols = antipode_inverse(H).lift(conductor).transpose().srows
+    S_cols = H.antipode_matrix().lift(conductor).transpose().srows
+    idV = Matrix.identity(dV, conductor)
     SinvW = [None] * n
     SW = [None] * n
 
-    lproj_FG_inv = Matrix.zeros(r * dW * dV, dW * (r * dV), conductor).raw()
+    # h_(2) x (S^-1(h_(1)) w x v): S^-1(h_(1)) acts on the W leg of each column
+    out = [{} for _ in range(r * dW * dV)]
     for i in range(r):
         hi = ictx.frob.free[i]
+        cmap = _pair_map(0, dW, i, dV, r)
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
-            # h_(2) x ( S^-1(h_(1)) w x v )
             if SinvW[p] is None:
                 SinvW[p] = Matrix.lincomb(
                     dW, dW, conductor,
-                    ((Wact[t], Cyclotomic(conductor, Sinv._data[t][p])) for t in range(n)),
+                    ((Wact[t], Cyclotomic(conductor, c)) for t, c in Sinv_cols[p].items()),
                 )
-            Wp = SinvW[p].scale(Cyclotomic(incl.N, s)).raw()
-            parts_q = ictx.basis_parts(q)
-            for t in range(r):
-                kv = _clean(enumerate(parts_q[t]))
-                if not kv:
-                    continue
-                blkWV = _act_K(resWV, kv, conductor, incl.N).raw()
-                # column: w x (h_i x v); output (t, (w', v'))
-                for bwv in range(dW * dV):
-                    rowidx = t * dW * dV + bwv
-                    row = lproj_FG_inv[rowidx]
-                    for aw1 in range(dW):
-                        for av in range(dV):
-                            # first apply S^-1(h1)s to w: w index aw, then kv acts on (w x v)
-                            for aw in range(dW):
-                                v1 = Wp[aw1][aw]
-                                if K.s_is_zero(v1):
-                                    continue
-                                v2 = blkWV[bwv][aw1 * dV + av]
-                                if K.s_is_zero(v2):
-                                    continue
-                                colidx = aw * (r * dV) + (i * dV + av)
-                                row[colidx] = K.s_add(ctx, row[colidx], K.s_mul(ctx, v1, v2))
-    lproj_FG_inv = Matrix(conductor, lproj_FG_inv)
+            Wp_id = SinvW[p].scale(Cyclotomic(incl.N, s)).kron(idV)
+            for t, kv in enumerate(ictx.basis_parts(q)):
+                if kv:
+                    blk = _act_K(resWV, kv, conductor, incl.N) * Wp_id
+                    _add_block(ctx, out, blk, _at(t, dW * dV), cmap)
+    lproj_FG_inv = Matrix.from_sparse(conductor, dW * (r * dV), out)
     rep.add(
         "lproj-closed-form-inverse",
         (lproj_FG * lproj_FG_inv).is_identity() and (lproj_FG_inv * lproj_FG).is_identity(),
         anchor="projection-inverses",
     )
 
-    rproj_FG_inv = Matrix.zeros(r * dV * dW, (r * dV) * dW, conductor).raw()
+    # h_(1) x (v x S(h_(2)) w): S(h_(2)) acts on the W leg of each column
+    out = [{} for _ in range(r * dV * dW)]
     for i in range(r):
         hi = ictx.frob.free[i]
+        cmap = _pair_map(i, dV, 0, dW, 1)
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
-            # h_(1) x ( v x S(h_(2)) w )
             if SW[q] is None:
                 SW[q] = Matrix.lincomb(
                     dW, dW, conductor,
-                    ((Wact[t], Cyclotomic(conductor, S._data[t][q])) for t in range(n)),
+                    ((Wact[t], Cyclotomic(conductor, c)) for t, c in S_cols[q].items()),
                 )
-            Wq = SW[q].scale(Cyclotomic(incl.N, s)).raw()
-            parts_p = ictx.basis_parts(p)
-            for t in range(r):
-                kv = _clean(enumerate(parts_p[t]))
-                if not kv:
-                    continue
-                blkVW = _act_K(VresW, kv, conductor, incl.N).raw()
-                for bvw in range(dV * dW):
-                    rowidx = t * dV * dW + bvw
-                    row = rproj_FG_inv[rowidx]
-                    for av in range(dV):
-                        for aw1 in range(dW):
-                            for aw in range(dW):
-                                v1 = Wq[aw1][aw]
-                                if K.s_is_zero(v1):
-                                    continue
-                                v2 = blkVW[bvw][av * dW + aw1]
-                                if K.s_is_zero(v2):
-                                    continue
-                                colidx = (i * dV + av) * dW + aw
-                                row[colidx] = K.s_add(ctx, row[colidx], K.s_mul(ctx, v1, v2))
-    rproj_FG_inv = Matrix(conductor, rproj_FG_inv)
+            id_Wq = idV.kron(SW[q].scale(Cyclotomic(incl.N, s)))
+            for t, kv in enumerate(ictx.basis_parts(p)):
+                if kv:
+                    blk = _act_K(VresW, kv, conductor, incl.N) * id_Wq
+                    _add_block(ctx, out, blk, _at(t, dV * dW), cmap)
+    rproj_FG_inv = Matrix.from_sparse(conductor, (r * dV) * dW, out)
     rep.add(
         "rproj-closed-form-inverse",
         (rproj_FG * rproj_FG_inv).is_identity() and (rproj_FG_inv * rproj_FG).is_identity(),

@@ -6,8 +6,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import ShapeError
-from .exact_math import Cyclotomic, Matrix, RowSpace, _add, kron_raw, mat_mul_raw
-from .hopf_core import FinHopf
+from .exact_math import Cyclotomic, Matrix, RowSpace, _add
 from .reports import Report
 
 
@@ -139,7 +138,6 @@ def tensor_modules(M, N_mod):
     H = M.H.lifted(conductor)
     a = [m.lift(conductor) for m in M.action]
     b = [m.lift(conductor) for m in N_mod.action]
-    ctx = K.make_ctx(conductor)
     n = H.dim
     d = M.dim * N_mod.dim
     mats = []
@@ -147,8 +145,7 @@ def tensor_modules(M, N_mod):
         terms = []
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
-            kr = Matrix(conductor, kron_raw(a[j].raw(), b[k2].raw(), ctx))
-            terms.append((kr, Cyclotomic(conductor, s)))
+            terms.append((a[j].kron(b[k2]), Cyclotomic(conductor, s)))
         mats.append(Matrix.lincomb(d, d, conductor, terms))
     return HModule(H, mats, name="%s(x)%s" % (M.name, N_mod.name), N=conductor)
 
@@ -172,12 +169,8 @@ def direct_sum(M, N_mod):
     for i in range(M.H.dim):
         A = M.action[i].lift(conductor)
         B = N_mod.action[i].lift(conductor)
-        rows = []
-        for r in range(d1):
-            rows.append(list(A.raw()[r]) + [K.s_zero(K.make_ctx(conductor))] * d2)
-        for r in range(d2):
-            rows.append([K.s_zero(K.make_ctx(conductor))] * d1 + list(B.raw()[r]))
-        mats.append(Matrix(conductor, rows))
+        shifted = [{d1 + j: x for j, x in row.items()} for row in B.srows]
+        mats.append(Matrix.from_sparse(conductor, d1 + d2, A.srows + tuple(shifted)))
     return HModule(M.H, mats, name="%s(+)%s" % (M.name, N_mod.name), N=conductor)
 
 
@@ -192,19 +185,12 @@ def hom_space(M, N_mod):
     B = [m.lift(conductor) for m in N_mod.action]
     space = RowSpace(dn * dm, ctx)
     for i in range(M.H.dim):
-        Ai = A[i].raw()
-        Bi = B[i].raw()
-        for r in range(dn):
+        Acols = A[i].transpose().srows
+        for r, brow in enumerate(B[i].srows):
             for c in range(dm):
-                row = {}
-                for s in range(dm):
-                    v = Ai[s][c]
-                    if not K.s_is_zero(v):
-                        _add(ctx, row, r * dm + s, v)
-                for s in range(dn):
-                    v = Bi[r][s]
-                    if not K.s_is_zero(v):
-                        _add(ctx, row, s * dm + c, K.s_neg(v))
+                row = {r * dm + s: v for s, v in Acols[c].items()}
+                for s, v in brow.items():
+                    _add(ctx, row, s * dm + c, K.s_neg(v))
                 if row:
                     space.add(row)
     out = []

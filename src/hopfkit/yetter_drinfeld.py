@@ -5,7 +5,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError, ShapeError
-from .exact_math import Matrix, _add, _clean
+from .exact_math import Matrix, _add
 from .induction import _act_K, _module_key, induce, ind_morphism, lax_pair, oplax_pair
 from .module_theory import HModule, tensor_modules
 from .reports import Report
@@ -14,7 +14,7 @@ from .reports import Report
 class YDModule:
     """A module-comodule pair; coaction matrix rows indexed (H-index)*dim + v-index."""
 
-    __slots__ = ("module", "coaction", "name")
+    __slots__ = ("module", "coaction", "name", "_terms")
     __hash__ = None
 
     def __init__(self, module, coaction, name=None):
@@ -30,6 +30,10 @@ class YDModule:
         self.module = module
         self.coaction = coaction.lift(conductor)
         self.name = name or module.name
+        d = module.dim
+        self._terms = [
+            {divmod(row, d): v for row, v in col.items()} for col in self.coaction.transpose().srows
+        ]
 
     @property
     def H(self):
@@ -45,13 +49,7 @@ class YDModule:
 
     def coaction_terms(self, a):
         """Coaction of the a-th basis vector as {(h_index, v_index): raw}."""
-        d = self.dim
-        out = {}
-        for row in range(self.coaction.rows):
-            v = self.coaction._data[row][a]
-            if not K.s_is_zero(v):
-                out[(row // d, row % d)] = v
-        return out
+        return self._terms[a]
 
     def __repr__(self):
         return "YDModule(%s over %s, dim=%d)" % (self.name, self.H.name, self.dim)
@@ -119,11 +117,7 @@ def verify_yd(M):
         act_i = M.module.action[i]
         for a in range(d):
             lhs = {}
-            col = [act_i._data[b][a] for b in range(d)]
-            for b in range(d):
-                cb = col[b]
-                if K.s_is_zero(cb):
-                    continue
+            for b, cb in act_i.col(a).items():
                 for key, v in M.coaction_terms(b).items():
                     _add(ctx, lhs, key, K.s_mul(ctx, cb, v))
             rhs = {}
@@ -134,11 +128,7 @@ def verify_yd(M):
                     )
                     if not u:
                         continue
-                    act_q = M.module.action[q]
-                    for b in range(d):
-                        vb = act_q._data[b][a0]
-                        if K.s_is_zero(vb):
-                            continue
+                    for b, vb in M.module.action[q].col(a0).items():
                         for hu, cu in u.items():
                             _add(ctx, rhs, (hu, b), K.s_mul(ctx, cu, vb))
             if lhs != rhs:
@@ -160,29 +150,21 @@ def yd_tensor(M, N_mod):
     H = M.H.lifted(conductor)
     n = H.dim
     dM, dN = M.dim, N_mod.dim
-    rows = [[K.s_zero(ctx)] * (dM * dN) for _ in range(n * dM * dN)]
-    Ml = M.coaction.lift(conductor)
-    Nl = N_mod.coaction.lift(conductor)
+    rows = [{} for _ in range(n * dM * dN)]
+    Mcols = M.coaction.lift(conductor).transpose().srows
+    Ncols = N_mod.coaction.lift(conductor).transpose().srows
     for a in range(dM):
-        terms_a = {}
-        for row in range(n * dM):
-            v = Ml._data[row][a]
-            if not K.s_is_zero(v):
-                terms_a[(row // dM, row % dM)] = v
         for b in range(dN):
-            for (g, a0), v in terms_a.items():
-                for row in range(n * dN):
-                    u = Nl._data[row][b]
-                    if K.s_is_zero(u):
-                        continue
-                    h, b0 = divmod(row, dN)
+            for row_a, v in Mcols[a].items():
+                g, a0 = divmod(row_a, dM)
+                for row_b, u in Ncols[b].items():
+                    h, b0 = divmod(row_b, dN)
                     vu = K.s_mul(ctx, v, u)
                     for k2, s in H.mult[g * n + h]:
-                        out_row = k2 * dM * dN + a0 * dN + b0
-                        rows[out_row][a * dN + b] = K.s_add(
-                            ctx, rows[out_row][a * dN + b], K.s_mul(ctx, vu, s)
-                        )
-    return YDModule(mod, Matrix(conductor, rows), name="%s(x)%s" % (M.name, N_mod.name))
+                        row = rows[k2 * dM * dN + a0 * dN + b0]
+                        _add(ctx, row, a * dN + b, K.s_mul(ctx, vu, s))
+    coaction = Matrix.from_sparse(conductor, dM * dN, rows)
+    return YDModule(mod, coaction, name="%s(x)%s" % (M.name, N_mod.name))
 
 
 def yd_braiding(M, N_mod, verify=True):
@@ -190,24 +172,16 @@ def yd_braiding(M, N_mod, verify=True):
     conductor = lcm(M.N, N_mod.N)
     ctx = K.make_ctx(conductor)
     dM, dN = M.dim, N_mod.dim
-    rows = [[K.s_zero(ctx)] * (dM * dN) for _ in range(dN * dM)]
-    Ml = M.coaction.lift(conductor)
+    rows = [{} for _ in range(dN * dM)]
+    Mcols = M.coaction.lift(conductor).transpose().srows
     act = [m.lift(conductor) for m in N_mod.module.action]
     for a in range(dM):
-        for row in range(Ml.rows):
-            v = Ml._data[row][a]
-            if K.s_is_zero(v):
-                continue
+        for row, v in Mcols[a].items():
             g, a0 = divmod(row, dM)
-            Ag = act[g]
-            for b in range(dN):
-                for b0 in range(dN):
-                    u = Ag._data[b0][b]
-                    if not K.s_is_zero(u):
-                        rows[b0 * dM + a0][a * dN + b] = K.s_add(
-                            ctx, rows[b0 * dM + a0][a * dN + b], K.s_mul(ctx, v, u)
-                        )
-    psi = Matrix(conductor, rows)
+            for b0, arow in enumerate(act[g].srows):
+                for b, u in arow.items():
+                    _add(ctx, rows[b0 * dM + a0], a * dN + b, K.s_mul(ctx, v, u))
+    psi = Matrix.from_sparse(conductor, dM * dN, rows)
     if verify:
         if psi.inverse() is None:
             raise PipelineError("YD braiding is not invertible")
@@ -282,7 +256,7 @@ def z_induce(ictx, M):
     """
     if not ictx.central:
         raise PipelineError("z_induce requires a central Frobenius extension")
-    memo = ("zind", M.name, _module_key(M.module), M.coaction._data)
+    memo = ("zind", M.name, _module_key(M.module), M.coaction.key())
     got = ictx._cache.get(memo)
     if got is not None:
         return got
@@ -295,7 +269,7 @@ def z_induce(ictx, M):
     ctx = K.make_ctx(conductor)
     d = M.dim
     dim = r * d
-    rows = [[K.s_zero(ctx)] * dim for _ in range(n * dim)]
+    rows = [{} for _ in range(n * dim)]
     for i in range(r):
         hi = ictx.frob.free[i]
         for a in range(d):
@@ -306,22 +280,16 @@ def z_induce(ictx, M):
                     u = H.mult_vec(H.mult_vec({p: s}, gH), H.antipode_vec(H.basis_vec(rr)))
                     if not u:
                         continue
-                    for t in range(r):
-                        kv = _clean(enumerate(parts[t]))
+                    for t, kv in enumerate(parts):
                         if not kv:
                             continue
                         blk = _act_K(M.module, kv, conductor, incl.N)
-                        for b in range(d):
-                            w = blk._data[b][a0]
-                            if K.s_is_zero(w):
-                                continue
+                        for b, w in blk.col(a0).items():
                             for hu, cu in u.items():
-                                rowidx = hu * dim + t * d + b
                                 val = K.s_mul(ctx, K.s_mul(ctx, cu, v), w)
-                                rows[rowidx][i * d + a] = K.s_add(
-                                    ctx, rows[rowidx][i * d + a], val
-                                )
-    out = YDModule(ind.module, Matrix(conductor, rows), name="ZInd(%s)" % M.name)
+                                _add(ctx, rows[hu * dim + t * d + b], i * d + a, val)
+    coaction = Matrix.from_sparse(conductor, dim, rows)
+    out = YDModule(ind.module, coaction, name="ZInd(%s)" % M.name)
     rep = verify_yd(out)
     if not rep.ok:
         raise PipelineError("z_induce output failed YD verification: %r" % rep.failures())
@@ -381,8 +349,7 @@ def yd_as_double_module(D, H, yd):
     coact = yd.coaction.lift(conductor)
     mats = []
     for c in range(n):
-        block_rows = [coact._data[c * d + b] for b in range(d)]
-        Pc = Matrix(conductor, [list(row) for row in block_rows])
+        Pc = Matrix.from_sparse(conductor, d, coact.srows[c * d : (c + 1) * d])
         for dd in range(n):
             mats.append(Pc * yd.module.action[dd].lift(conductor))
     return HModule(D, mats, name="Drin(%s)" % yd.name, N=conductor)

@@ -306,7 +306,7 @@ def test_criterion_07_drinfeld_doubles(h8_incl):
         for c in range(n):
             for d in range(n):
                 vals.append(
-                    K.s_mul(incl.ctx, LamH._data[c][0], H.lifted(incl.N).counit[d])
+                    K.s_mul(incl.ctx, LamH.raw()[c][0], H.lifted(incl.N).counit[d])
                 )
         from hopfkit.hopf_core import LinearFunctional
 

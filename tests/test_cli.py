@@ -307,10 +307,16 @@ GOLDEN_REPORTS = [
       "--object", "builtin:etale?n=y&ex=-1&ey=-1",
       "--object", "builtin:etale?n=xy&ex=1&ey=1"], 1,
      "63cee6875bfcefa36d483c61fd3f8c4422b38fccd719b0d458d209cd1c88d8db"),
+    # the paper's application: induction from the Cartan part of u_q(sl2),
+    # recorded while Matrix still stored dense rows
+    (["check-functor", "builtin:uqsl2?l=3&sub=cartan",
+      "--module", "builtin:kchar?act=1,z,z^2&cond=3", "--frobenius-monoidal"], 0,
+     "c6fc7e8ec916f728731eb197beba7ebbc58b55302c061fad85c9437dcbf5ffa6"),
 ]
 
 
-@pytest.mark.parametrize("argv, rc, sha256", GOLDEN_REPORTS, ids=["h8-y4", "dkk-xy2", "frob-h8-3"])
+@pytest.mark.parametrize("argv, rc, sha256", GOLDEN_REPORTS,
+                         ids=["h8-y4", "dkk-xy2", "frob-h8-3", "uqsl2-l3-cartan"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 

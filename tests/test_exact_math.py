@@ -232,7 +232,7 @@ def test_lincomb_equals_fold(case):
         fold = fold + M.scale(c)
     got = Matrix.lincomb(rows, cols, N, terms)
     # the same canonical entries at the same conductor, so reports keep their bytes
-    assert (got.N, got._data) == (fold.N, fold._data)
+    assert (got.N, got.raw()) == (fold.N, fold.raw())
 
 
 def test_lincomb_empty_and_conductor_check():
@@ -257,7 +257,7 @@ def test_matrix_product_equals_entrywise_sum(case):
     got = Matrix(N, [[a.data for a in row] for row in A]) * Matrix(N, [[b.data for b in row] for row in B])
     want = [[sum((A[i][k] * B[k][j] for k in range(len(B))), Cyclotomic.rational(0, N)).data
              for j in range(len(B[0]))] for i in range(len(A))]
-    assert got._data == tuple(tuple(row) for row in want)
+    assert got.raw() == [list(row) for row in want]
 
 
 @st.composite
@@ -328,3 +328,103 @@ def test_sparse_vector_helpers_match_dense_reference(case):
                    for i in range(n)])
     assert _mat_vec(M, _raw(u)) == _reference(
         N, [(i, M.entry(i, j) * x) for j, x in u.items() for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# the sparse-row layer of Matrix against a dense reference in Cyclotomic
+# ---------------------------------------------------------------------------
+
+
+def _dense_at(N, rows, cols):
+    row = st.lists(_scalar_at(N), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+def _matrix(N, dense):
+    return Matrix(N, [[x.data for x in row] for row in dense])
+
+
+def _assert_matches(got, want, N):
+    """got holds the canonical entries of the dense Cyclotomic rows want at
+    conductor N, and stores no zero."""
+    assert (got.N, got.rows) == (N, len(want))
+    assert got.raw() == [[x.lift(N).data for x in row] for row in want]
+    for row in got.srows:
+        assert all(not K.s_is_zero(x) and 0 <= j < got.cols for j, x in row.items())
+
+
+@st.composite
+def _sparse_case(draw):
+    """A (r x n at NA) and B (n x m at NB) with entries often zero or one.
+    With ``cancel``, A gets a copy of its first column and B a negated copy of
+    its first row, so the product's partial sums cancel (to zero for n = 1).
+    C is -A at NA or a fresh matrix of A's shape at NB."""
+    NA, NB = draw(st.sampled_from([1, 4, 8])), draw(st.sampled_from([1, 4, 8]))
+    r, n, m = (draw(st.integers(1, 3)) for _ in range(3))
+    A = draw(_dense_at(NA, r, n))
+    B = draw(_dense_at(NB, n, m))
+    if draw(st.booleans()):
+        A = [row + [row[0]] for row in A]
+        B = B + [[-x for x in B[0]]]
+    if draw(st.booleans()):
+        NC, C = NA, [[-x for x in row] for row in A]
+    else:
+        NC, C = NB, draw(_dense_at(NB, r, len(A[0])))
+    c = draw(st.one_of(_scalar_at(NB), st.just(Cyclotomic.rational(-1, NB))))
+    return NA, NB, NC, A, B, C, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_case())
+def test_sparse_matrix_ops_match_dense_reference(case):
+    NA, NB, NC, A, B, C, c = case
+    N = lcm(NA, NB)
+    zero = Cyclotomic.rational(0, N)
+    MA, MB, MC = _matrix(NA, A), _matrix(NB, B), _matrix(NC, C)
+    n = len(B)
+
+    want = [[sum((A[i][k] * B[k][j] for k in range(n)), zero) for j in range(len(B[0]))]
+            for i in range(len(A))]
+    _assert_matches(MA * MB, want, N)
+    want = [[a * b for a in ra for b in rb] for ra in A for rb in B]
+    _assert_matches(MA.kron(MB), want, N)
+    _assert_matches(MA + MC, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(A, C)], lcm(NA, NC))
+    _assert_matches(MA - MC, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(A, C)], lcm(NA, NC))
+    _assert_matches(-MA, [[-x for x in row] for row in A], NA)
+    _assert_matches(MA.scale(c), [[c * x for x in row] for row in A], N)
+    _assert_matches(MA.transpose(), [list(col) for col in zip(*A)], NA)
+    got = Matrix.lincomb(len(A), len(A[0]), N, [(MA, c), (MC, 1), (MA, -c)])
+    _assert_matches(got, C, N)
+
+    # equality across conductors goes through lift
+    assert MA == MA.lift(8) and MA.lift(8) == MA
+    assert (MA == MC) == all(x == y for ra, rc in zip(A, C) for x, y in zip(ra, rc))
+    assert (MA - MA).is_zero() and (MA - MA) == Matrix.zeros(len(A), len(A[0]), NA)
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (3, 4)])
+def test_zero_matrix_is_the_zero_multiple_of_identity(n, N):
+    got = Matrix.zeros(n, n, N).is_scalar_multiple_of_identity()
+    assert got is not None and got == 0
+    i4 = root_of_unity(4)
+    assert Matrix.identity(n, N).scale(i4).is_scalar_multiple_of_identity() == i4
+    assert Matrix.zeros(n, n + 1, N).is_scalar_multiple_of_identity() is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 4]).flatmap(lambda N: _dense_at(N, 3, 3)), st.randoms())
+def test_module_key_ignores_row_fill_order(h8, dense, rnd):
+    from hopfkit.induction import _module_key
+    from hopfkit.module_theory import HModule
+
+    M = _matrix(dense[0][0].N, dense)
+    shuffled = []
+    for row in M.srows:
+        items = list(row.items())
+        rnd.shuffle(items)
+        shuffled.append(dict(items))
+    M2 = Matrix.from_sparse(M.N, M.cols, shuffled)
+    assert M2 == M
+    V, V2 = HModule(h8, [M] * h8.dim, name="V"), HModule(h8, [M2] * h8.dim, name="V")
+    assert _module_key(V) == _module_key(V2)
+    assert isinstance(hash(_module_key(V)), int)

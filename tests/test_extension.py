@@ -87,7 +87,8 @@ def test_h8_integral_type(h8_incl):
     # oracle: lambda(bar(Lambda h)) = eps(h) for all basis h
     H = h8_incl.H
     lamH = lift_bar_functional(bq, lam)
-    lvec = {i: Lam._data[i][0] for i in range(H.dim) if not K.s_is_zero(Lam._data[i][0])}
+    lam_raw = Lam.raw()
+    lvec = {i: lam_raw[i][0] for i in range(H.dim) if not K.s_is_zero(lam_raw[i][0])}
     for j in range(H.dim):
         assert lamH(H.mult_vec(lvec, H.basis_vec(j))) == H.counit[j]
 
@@ -126,7 +127,7 @@ def test_unit_inclusion_tr_is_dual_integral(h8):
     assert ana.decision.frobenius
     # tr: H8 -> k is the right integral of H8* up to the canonical scale
     lam_dual = right_integral_of_dual(h8)
-    tr_fun = LinearFunctional(incl.N, [ana.frob.tr_K._data[0][i] for i in range(8)])
+    tr_fun = LinearFunctional(incl.N, [ana.frob.tr_K.raw()[0][i] for i in range(8)])
     c = tr_fun.is_proportional(lam_dual.lift(incl.N))
     assert c is not None and not c.is_zero()
 

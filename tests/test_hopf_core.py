@@ -98,7 +98,8 @@ def test_dual_of_cyclic_group_selfdual():
             col = Matrix(D.N, [[prod.get(0, K.s_zero(D.ctx))], [prod.get(1, K.s_zero(D.ctx))]])
             back = Pinv * col
             expect = C2.mult_vec(C2.basis_vec(i), C2.basis_vec(j))
-            got = {r: back._data[r][0] for r in range(2) if not K.s_is_zero(back._data[r][0])}
+            back_raw = back.raw()
+            got = {r: back_raw[r][0] for r in range(2) if not K.s_is_zero(back_raw[r][0])}
             assert got == expect
     assert is_unimodular(D) and is_dual_unimodular(D)
 
@@ -134,7 +135,8 @@ def test_taft_not_unimodular(taft3):
     assert alpha != T.counit_functional()
     # independent oracle: a * Lambda = alpha(a) Lambda for every basis element
     Lam = integral_space(T, "right")[0]
-    lam_vec = {i: Lam._data[i][0] for i in range(T.dim) if not K.s_is_zero(Lam._data[i][0])}
+    lam_raw = Lam.raw()
+    lam_vec = {i: lam_raw[i][0] for i in range(T.dim) if not K.s_is_zero(lam_raw[i][0])}
     for a in range(T.dim):
         w = {i: v for i, v in T.mult_vec(T.basis_vec(a), lam_vec).items() if not K.s_is_zero(v)}
         scaled = {}

@@ -247,7 +247,7 @@ def test_lax_pair_is_built_once_per_module_value(h8_incl):
     assert lax_pair(ictx, V, UW()) is first
     assert oplax_pair(ictx, V, UW()) is oplax_pair(ictx, V, UW())
     uncached = lax_pair(induction_context(h8_incl), V, UW())
-    assert [(m.N, m._data) for m in uncached] == [(m.N, m._data) for m in first]
+    assert [(m.N, m.raw()) for m in uncached] == [(m.N, m.raw()) for m in first]
     assert induce(ictx, kchar(Kk, 1, -1)) is induce(ictx, V)
 
 
