@@ -218,10 +218,22 @@ def s_lift(a, N, M):
     return _pykernel._norm(a[0], out)
 
 
+_inv_cache = {}
+
+
 def s_inv(ctx, a):
-    """Multiplicative inverse via the regular-representation linear solve."""
+    """Multiplicative inverse via the regular-representation linear solve,
+    made once per (conductor, canonical scalar)."""
     if s_is_zero(a):
         raise ZeroDivisionError("inverse of zero cyclotomic scalar")
+    key = (ctx[0], a)
+    got = _inv_cache.get(key)
+    if got is None:
+        got = _inv_cache[key] = _solve_inv(ctx, a)
+    return got
+
+
+def _solve_inv(ctx, a):
     N, phi, red = ctx
     if phi == 1:
         return s_from_ratio(ctx, a[0], a[1])

@@ -55,6 +55,12 @@ def s_neg(a):
 
 def s_mul(ctx, a, b):
     phi = ctx[1]
+    # A factor equal to one, (1, 1, 0, ..., 0): the product is the other
+    # operand, which is already canonical.
+    if a[1] == 1 and a[0] == 1 and a.count(0) == phi - 1:
+        return b
+    if b[1] == 1 and b[0] == 1 and b.count(0) == phi - 1:
+        return a
     if phi == 1:
         return _norm(a[0] * b[0], [a[1] * b[1]])
     red = ctx[2]

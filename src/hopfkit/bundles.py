@@ -61,6 +61,9 @@ class _Parser:
         self.lines = text.splitlines()
         self.at = 0
         self.header_lines = {}
+        # scalar text -> parsed Cyclotomic, shared by all sections of the
+        # bundle, which declares one conductor; Cyclotomic values are immutable
+        self.scalars = {}
 
     def peek(self):
         while self.at < len(self.lines):
@@ -147,10 +150,13 @@ def _entries(p, sections, name, bounds, N):
         if idxs in seen:
             p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name), lineno)
         seen.add(idxs)
-        try:
-            val = parse_scalar(parts[nidx], N)
-        except (ValueError, ZeroDivisionError) as e:
-            p.error("bad scalar in %r (%s)" % (line, e), lineno)
+        text = parts[nidx]
+        val = p.scalars.get(text)
+        if val is None:
+            try:
+                val = p.scalars[text] = parse_scalar(text, N)
+            except (ValueError, ZeroDivisionError) as e:
+                p.error("bad scalar in %r (%s)" % (line, e), lineno)
         yield idxs, val
 
 

@@ -11,6 +11,7 @@ tie-breaking, then back-substitutes to reduced echelon form, so all outputs
 are deterministic.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -186,8 +187,23 @@ def format_scalar(a):
     return " + ".join(terms)
 
 
+# Coefficient and exponent tokens of the bundle scalar grammar.  Fraction and
+# int accept more (exponent, decimal and underscore forms, inner spaces), and
+# Fraction("1e999999999") builds a billion-digit integer, so a token is
+# matched here before either sees it.
+_COEFF = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_POWER = re.compile(r"[+-]?[0-9]+")
+
+
+def _token(pattern, token, text):
+    if pattern.fullmatch(token) is None:
+        raise ValueError("bad token %r in scalar %r" % (token, text))
+    return token
+
+
 def parse_scalar(text, N):
-    """Inverse of format_scalar for a declared conductor N."""
+    """Inverse of format_scalar for a declared conductor N.  Coefficients are
+    integers ``p`` or ratios ``p/q``; any other token raises ValueError."""
     text = text.strip()
     phi = K.euler_phi(N)
     fracs = [Fraction(0)] * phi
@@ -203,15 +219,15 @@ def parse_scalar(text, N):
             if pow_s == "z":
                 k = 1
             elif pow_s.startswith("z^"):
-                k = int(pow_s[2:])
+                k = int(_token(_POWER, pow_s[2:], text))
             else:
                 raise ValueError("bad power %r in scalar %r" % (pow_s, text))
-            coeff = Fraction(coeff_s.strip())
+            coeff = Fraction(_token(_COEFF, coeff_s.strip(), text))
         elif term in ("z",) or term.startswith("z^"):
             coeff = Fraction(1)
-            k = 1 if term == "z" else int(term[2:])
+            k = 1 if term == "z" else int(_token(_POWER, term[2:], text))
         else:
-            coeff = Fraction(term)
+            coeff = Fraction(_token(_COEFF, term, text))
             k = 0
         if not 0 <= k < phi:
             # allow higher powers of z; fold via multiplication

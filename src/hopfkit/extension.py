@@ -736,18 +736,17 @@ def dual_bases(incl, tr_K, free, verify=True):
         raise PipelineError("dual-basis system inconsistent (extension not Frobenius?)") from None
     deltas = [sol.particular.col_raw(i) for i in range(r)]
     if verify:
-        _verify_dual_bases(incl, tr_K, free, deltas)
+        _verify_dual_bases(incl, tr_K, free, deltas, Decomposer(incl, free, "right"))
     return deltas
 
 
-def _verify_dual_bases(incl, tr_K, free, deltas):
+def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
     H = incl.H
     ctx = incl.ctx
     n = H.dim
     r = len(free)
     one = K.s_one(ctx)
     delta_sparse = [_clean(enumerate(dv)) for dv in deltas]
-    right_dec = Decomposer(incl, free, "right")
 
     for x in range(n):
         ex = H.basis_vec(x)
@@ -950,11 +949,11 @@ def make_frobenius_data(incl, bq, lam0, lam_scale=1):
     lamH = lamH0.scale(factor).lift(incl.N)
     tr_K = tr0.scale(factor)
     deltas = [[K.s_mul(ctx, finv, v) for v in dv] for dv in deltas0]
-    _verify_dual_bases(incl, tr_K, free, deltas)
+    right_dec = Decomposer(incl, free, "right")
+    _verify_dual_bases(incl, tr_K, free, deltas, right_dec)
 
     Lambda = check_integral_type(incl, bq, lam)
     left_dec = Decomposer(incl, free, "left")
-    right_dec = Decomposer(incl, free, "right")
     return FrobeniusData(
         incl, bq, lam0, lam, factor, lamH, tr_K, free, deltas, left_dec, right_dec, Lambda
     )

@@ -103,6 +103,59 @@ def test_bundle_rejects_duplicate_section(tmp_path, capsys, h8):
     assert "duplicate section UNIT" in err
 
 
+def test_bad_scalar_on_two_lines_names_the_first(tmp_path, capsys, h8):
+    # parsed scalars are shared by text across sections; a bad text is not
+    lines = serialize_hopf(h8).splitlines()
+    first = lines.index("0 0 0 1")
+    second = lines.index("0 0 1", lines.index("BEGIN ANTIPODE"))
+    lines[first] = "0 0 0 1.0"
+    lines[second] = "0 0 1.0"
+    code, err = _verify_bundle_error("\n".join(lines) + "\n", tmp_path, capsys)
+    assert code == 2
+    assert "line %d: bad scalar in '0 0 0 1.0'" % (first + 1) in err
+
+
+def test_scalar_text_shared_across_sections(tmp_path, capsys, taft3):
+    # "1*z^1" and "-1 + -1*z^1" occur in MULT and ANTIPODE, "1" in every section
+    H = taft3[0]
+    text = serialize_hopf(H)
+    H2 = parse_hopf(text)
+    assert (H2.mult, H2.comult, H2.unit, H2.counit, H2.antipode_cols) == (
+        H.mult, H.comult, H.unit, H.counit, H.antipode_cols)
+    p = tmp_path / "taft3.bundle"
+    p.write_text(text)
+    code, out = run(["verify", str(p)], capsys)
+    code2, out2 = run(["verify", "builtin:taft?l=3"], capsys)
+    assert code == code2 == 0
+    # the first two lines name the input
+    assert out.splitlines()[2:] == out2.splitlines()[2:]
+
+
+def _cli_exit_code(argv, seconds):
+    """Exit code of the CLI run in a fresh interpreter, killed after ``seconds``."""
+    import os
+    import subprocess
+    import sys
+
+    import hopfkit
+
+    src = os.path.dirname(os.path.dirname(hopfkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "hopfkit.cli"] + argv, env=env,
+                          capture_output=True, timeout=seconds).returncode
+
+
+def test_huge_exponent_scalar_exits_2_quickly(tmp_path, h8):
+    # Fraction("1e999999999") would build a billion-digit integer
+    text = serialize_hopf(h8).replace("BEGIN COUNIT\n0 1\n", "BEGIN COUNIT\n0 1e999999999\n", 1)
+    p = tmp_path / "huge.bundle"
+    p.write_text(text)
+    assert _cli_exit_code(["verify", str(p)], 10) == 2
+    assert _cli_exit_code(["check-functor", "builtin:h8",
+                           "--module", "builtin:kchar?act=1e999999999,1,1,1",
+                           "--frobenius-monoidal"], 10) == 2
+
+
 def test_module_bundle_rejects_duplicate_entry(h8_incl):
     from conftest import kchar
 

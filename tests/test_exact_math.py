@@ -58,6 +58,69 @@ def test_invert_zero_raises():
         scalar_invert(Cyclotomic.rational(0))
 
 
+# phi = 1, 2, 2, 4, 6, 4, 4: conductors 3 and 4, and 5, 8 and 12, share a
+# scalar tuple length, so a kernel memo keyed without N would mix them up
+KERNEL_CONDUCTORS = [1, 3, 4, 5, 7, 8, 12]
+_COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _canonical(N):
+    """A canonical kernel scalar at conductor N; zero and one often."""
+    ctx = K.make_ctx(N)
+    return st.one_of(
+        st.just(K.s_zero(ctx)),
+        st.just(K.s_one(ctx)),
+        st.lists(_COEFF, min_size=ctx[1], max_size=ctx[1]).map(
+            lambda fracs: K.s_from_fractions(ctx, fracs)
+        ),
+    )
+
+
+def _at_conductor(count):
+    return st.sampled_from(KERNEL_CONDUCTORS).flatmap(
+        lambda N: st.tuples(st.just(K.make_ctx(N)), *[_canonical(N)] * count)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_at_conductor(1))
+def test_s_mul_by_one_is_the_other_operand(case):
+    ctx, b = case
+    one = K.s_one(ctx)
+    assert K.s_mul(ctx, one, b) == b
+    assert K.s_mul(ctx, b, one) == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_at_conductor(2))
+def test_s_mul_commutes(case):
+    ctx, a, b = case
+    assert K.s_mul(ctx, a, b) == K.s_mul(ctx, b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_COEFF, min_size=6, max_size=6).filter(any))
+def test_s_inv_is_the_inverse_at_every_conductor(fracs):
+    # the same coefficients at every conductor, so equal scalar tuples recur
+    # across conductors of equal phi
+    for N in KERNEL_CONDUCTORS:
+        ctx = K.make_ctx(N)
+        a = K.s_from_fractions(ctx, fracs[: ctx[1]])
+        if K.s_is_zero(a):
+            continue
+        inv = K.s_inv(ctx, a)
+        assert K.s_mul(ctx, a, inv) == K.s_one(ctx)
+        assert K.s_inv(ctx, a) == inv
+
+
+@pytest.mark.parametrize("N", KERNEL_CONDUCTORS)
+def test_s_inv_of_zero_raises_on_every_call(N):
+    ctx = K.make_ctx(N)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            K.s_inv(ctx, K.s_zero(ctx))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([1, 3, 4, 5, 8]),
@@ -99,6 +162,13 @@ def test_scalar_parse_format_roundtrip():
     assert parse_scalar("-2/3", 1) == Fraction(-2, 3)
     # powers beyond phi(N) fold back
     assert parse_scalar("1*z^4", 4) == 1
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1e9", "1E3", "1.0", ".5", "1_0", "1/2_0",
+                                  "1/-2", "1/ 2", "2.5*z", "1e3*z^1", "z^1_0", "z^1.0", "1*z^ 2"])
+def test_parse_scalar_rejects_tokens_outside_the_grammar(text):
+    with pytest.raises(ValueError, match="bad token"):
+        parse_scalar(text, 4)
 
 
 def test_solve_identity():

@@ -3,7 +3,9 @@ raise a HopfkitError, and ``cli.main`` exits 0, 1 or 2 without a traceback.
 
 Bundles are small valid bundles with random line edits.  Numbers in the drawn
 tokens and spec values stay small, so that an input which still parses is
-cheap to check; values just past each documented size limit are drawn too.
+cheap to check; values just past each documented size limit are drawn too,
+and so are number forms outside the scalar grammar, which the parser rejects
+before it reads their value.
 ``scan-sl2 --l`` is drawn only from values its bound rejects, because an
 accepted l builds u_q(sl2) of dim l^3.
 """
@@ -38,9 +40,16 @@ BASES = {
     "yd": serialize_module(_LINE.module, "builtin:group?table=klein", coaction=_LINE.coaction),
 }
 
+# Numbers that Fraction or int would read but the bundle grammar (p, p/q,
+# p/q*z^k) does not allow: exponent, decimal and underscore forms.  Their
+# values stay small; tests/test_cli.py runs the billion-digit exponent in a
+# subprocess under a timeout.
+OFF_GRAMMAR = ["1e9", "1e99", "2E3", "1.0", ".5", "1_0", "1/2_0", "1e2*z", "z^1_0"]
+
 TOKENS = st.one_of(
     st.sampled_from([
         "0", "1", "2", "3", "-1", "1/2", "1/0", "z", "z^1", "z^-1", "2*z^3", "1 + z", "x", "",
+        *OFF_GRAMMAR,
         "BEGIN", "END", "BEGIN MULT", "BEGIN COMULT", "BEGIN UNIT", "BEGIN COUNIT",
         "BEGIN ANTIPODE", "BEGIN EMBED", "BEGIN ACTION 0", "BEGIN ACTION 9", "BEGIN COACTION",
         "hopf-bundle v1", "hopf-module v1", "dim", "dim 513", "conductor", "conductor 0",
@@ -129,12 +138,24 @@ def test_malformed_bundle_exits_cleanly(workdir, kind, edits):
     assert _run(argv) in (0, 1, 2)
 
 
+@settings(max_examples=40, deadline=None)
+@given(token=st.sampled_from(OFF_GRAMMAR), at=st.integers(0, 10 ** 4))
+def test_off_grammar_scalar_is_rejected_with_its_line(token, at):
+    lines = BASES["hopf"].splitlines()
+    entries = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    i = entries[at % len(entries)]
+    lines[i] = lines[i].rsplit(" ", 1)[0] + " " + token
+    with pytest.raises(BundleParseError, match="^line %d: bad scalar" % (i + 1)):
+        parse_hopf("\n".join(lines) + "\n")
+
+
 KINDS = ["h8", "group", "taft", "uqsl2", "double", "trivial", "unit", "kchar", "etale", "nope", ""]
 KEYS = ["l", "q", "table", "of", "sub", "act", "deg", "cond", "name", "n", "ex", "ey"]
 VALUES = st.one_of(
     st.sampled_from([
         "-1", "0", "1", "2", "3", "4", "9", "23", "10001", "100000", "abc", "", "1.5", "²",
         "1,1,1,1", "1,-1,-1,1", "1,1", "1,1,1,x", "1/0,1,1,1", "z,1,1,1", "x", "xy", "q",
+        *("%s,1,1,1" % t for t in OFF_GRAMMAR),
         "cartan", "borel+", "borel-", "c2", "c3", "c0", "c513", "c²", "klein",
         "builtin:group?table=c2", "builtin:taft?l=2", "builtin:double?of=builtin:group?table=c2",
         "builtin:double?of=builtin:taft?l=2", "builtin:uqsl2?l=3", "builtin:nope", "nofile",
