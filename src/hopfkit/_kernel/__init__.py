@@ -4,9 +4,11 @@ The hot loops (scalar ring operations and the axiom scans) live in
 ``_pykernel`` and are re-exported here.  They stay a module of their own:
 the scans call ``_pykernel``'s scalar functions directly, so the hopfbench
 tracer, which patches the names bound in this package, counts only the
-scalar calls made from outside the kernel.  Everything else here
-(cyclotomic polynomial tables, conductor lifting, inverses) is cold-path
-code.
+scalar calls made from outside the kernel.  Everything else here is
+conversion and table code: cyclotomic polynomials, contexts, powers of zeta
+and lift tables are built once per conductor, and ``s_inv`` solves once per
+distinct operand, memoized like the binary ring operations
+(``_pykernel._remember``).
 """
 
 from fractions import Fraction
@@ -218,18 +220,18 @@ def s_lift(a, N, M):
     return _pykernel._norm(a[0], out)
 
 
-_inv_cache = {}
+_inv_memo = {}
 
 
 def s_inv(ctx, a):
     """Multiplicative inverse via the regular-representation linear solve,
-    made once per (conductor, canonical scalar)."""
+    made once per (conductor, scalar) while the memo holds it."""
     if s_is_zero(a):
         raise ZeroDivisionError("inverse of zero cyclotomic scalar")
     key = (ctx[0], a)
-    got = _inv_cache.get(key)
+    got = _inv_memo.get(key)
     if got is None:
-        got = _inv_cache[key] = _solve_inv(ctx, a)
+        got = _pykernel._remember(_inv_memo, key, _solve_inv(ctx, a))
     return got
 
 

@@ -224,13 +224,13 @@ def is_isomorphic(M, N_mod):
     """Deterministic search for an invertible intertwiner.
 
     Tries hom-basis elements, then prefix sums, then an integer coefficient
-    grid with entries 0, +-1, ..., +-GRID_BOUND.  With hom basis h_1..h_k,
-    det(sum t_i h_i) is a polynomial of degree at most d = dim M in each t_i.
-    If it vanishes on the whole grid, whose side has 2*GRID_BOUND + 1 points,
-    and d <= 2*GRID_BOUND, it is the zero polynomial (Alon, Combinatorial
+    grid with entries 0, +-1, ..., +-B, where B = max(GRID_BOUND, ceil(d/2)).
+    With hom basis h_1..h_k, det(sum t_i h_i) is a polynomial of degree at
+    most d = dim M in each t_i.  If it vanishes on the whole grid, whose side
+    has 2*B + 1 > d points, it is the zero polynomial (Alon, Combinatorial
     Nullstellensatz, CPC 1999, Lemma 2.1), so no intertwiner is invertible
     and the answer is "none".  "undetermined" means the grid was cut short
-    at GRID_LIMIT points or d > 2*GRID_BOUND.
+    at GRID_LIMIT points.
     """
     if M.dim != N_mod.dim:
         return IsoSearch("none", None)
@@ -250,7 +250,7 @@ def is_isomorphic(M, N_mod):
         if check(acc):
             return IsoSearch("iso", ModuleMap(M, N_mod, acc))
     coeffs = [0]
-    for v in range(1, GRID_BOUND + 1):
+    for v in range(1, max(GRID_BOUND, (M.dim + 1) // 2) + 1):
         coeffs.extend((v, -v))
     mats = [h.matrix for h in homs]
     shape = (mats[0].rows, mats[0].cols, mats[0].N)
@@ -260,7 +260,6 @@ def is_isomorphic(M, N_mod):
         mat = Matrix.lincomb(*shape, zip(mats, combo))
         if check(mat):
             return IsoSearch("iso", ModuleMap(M, N_mod, mat))
-    complete = len(coeffs) ** len(homs) <= GRID_LIMIT
-    if complete and M.dim <= 2 * GRID_BOUND:
+    if len(coeffs) ** len(homs) <= GRID_LIMIT:
         return IsoSearch("none", None)
     return IsoSearch("undetermined", None)

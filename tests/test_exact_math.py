@@ -1,11 +1,13 @@
 from fractions import Fraction
 from math import lcm
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfkit import _kernel as K
+from hopfkit._kernel import _pykernel
 from hopfkit.errors import InconsistentSystemError
 from hopfkit.exact_math import (
     Cyclotomic,
@@ -111,6 +113,48 @@ def test_s_inv_is_the_inverse_at_every_conductor(fracs):
         inv = K.s_inv(ctx, a)
         assert K.s_mul(ctx, a, inv) == K.s_one(ctx)
         assert K.s_inv(ctx, a) == inv
+
+
+def _reference_product(N, x, y):
+    """x*y for coefficient lists of Fractions: the polynomial product, reduced
+    modulo the monic Phi_N by long division."""
+    prod = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] += xi * yj
+    cyc = K.cyclotomic_poly(N)
+    phi = len(cyc) - 1
+    for deg in range(len(prod) - 1, phi - 1, -1):
+        c = prod[deg]
+        for j in range(phi + 1):
+            prod[deg - phi + j] -= c * cyc[j]
+    return tuple(prod[:phi])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_COEFF, min_size=6, max_size=6), st.lists(_COEFF, min_size=6, max_size=6))
+def test_memoized_ring_ops_match_a_reference_at_every_conductor(xs, ys):
+    # one example runs every conductor on the same coefficients, so the same
+    # operand tuples come back at 3 and 4, and at 5, 8 and 12, where they
+    # denote other numbers; each op runs twice, the second time from its memo
+    for N in KERNEL_CONDUCTORS:
+        ctx = K.make_ctx(N)
+        x, y = xs[: ctx[1]], ys[: ctx[1]]
+        a, b = K.s_from_fractions(ctx, x), K.s_from_fractions(ctx, y)
+        for _ in range(2):
+            assert K.s_to_fractions(K.s_mul(ctx, a, b)) == _reference_product(N, x, y)
+            assert K.s_to_fractions(K.s_add(ctx, a, b)) == tuple(p + q for p, q in zip(x, y))
+            assert K.s_to_fractions(K.s_sub(ctx, a, b)) == tuple(p - q for p, q in zip(x, y))
+
+
+def test_scalar_memos_stay_within_their_cap():
+    # a dense 30 x 30 rational inverse stores about 59,000 results, far more
+    # distinct products and differences than one memo may hold
+    rng = Random(0)
+    A = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)])
+    assert (A * A.inverse()).is_identity()
+    for memo in (_pykernel._mul_memo, _pykernel._add_memo, _pykernel._sub_memo, K._inv_memo):
+        assert len(memo) <= _pykernel._MEMO_CAP
 
 
 @pytest.mark.parametrize("N", KERNEL_CONDUCTORS)

@@ -140,11 +140,32 @@ def test_is_isomorphic_singular_hom_space_is_none(h8):
 
 
 def test_is_isomorphic_undetermined(h8, monkeypatch):
-    # a grid cut short, or too coarse for the dimension, decides nothing
+    # a grid cut short decides nothing
     M, N = _singular_hom_pair(h8)
     monkeypatch.setattr(module_theory, "GRID_LIMIT", 48)
     assert is_isomorphic(M, N).status == "undetermined"
     monkeypatch.setattr(module_theory, "GRID_LIMIT", 49)
     assert is_isomorphic(M, N).status == "none"
+    # a grid too coarse for the dimension widens to side d + 1 = 3, 9 points
     monkeypatch.setattr(module_theory, "GRID_BOUND", 0)
+    monkeypatch.setattr(module_theory, "GRID_LIMIT", 8)
     assert is_isomorphic(M, N).status == "undetermined"
+    monkeypatch.setattr(module_theory, "GRID_LIMIT", 9)
+    assert is_isomorphic(M, N).status == "none"
+
+
+def test_is_isomorphic_is_decisive_above_dimension_six(h8):
+    # d = 7 with a 2-dimensional hom space, spanned by the two maps from the
+    # trivial summands of M; the grid widens from side 7 to side 9 = d + 2
+    i = root_of_unity(4)
+
+    def sum_of(*chars):
+        out = h8_v1(h8, chars[0])
+        for b in chars[1:]:
+            out = direct_sum(out, h8_v1(h8, b))
+        return out
+
+    M = sum_of(1, 1, i, i, i, i, i)
+    N = sum_of(1, -1, -i, -i, -i, -i, -i)
+    assert M.dim == 7 and len(hom_space(M, N)) == 2
+    assert is_isomorphic(M, N).status == "none"
