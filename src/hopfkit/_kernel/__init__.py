@@ -30,16 +30,6 @@ from ._pykernel import (  # noqa: F401
 IMPLEMENTATIONS = {"pure": _pykernel}
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _poly_exact_div(a, b):
     # b monic; division of integer polynomials with zero remainder.
     a = list(a)

@@ -743,10 +743,6 @@ class CartanRowSumReport:
         self.part_ii_exists = part_ii_exists
         self.witness = witness
 
-    @property
-    def all_zero_rowsums_exist(self):
-        return self.part_ii_exists
-
     def __repr__(self):
         return "CartanRowSumReport(%s%d, l=%d, part_i=%s, part_ii=%s, witness=%r)" % (
             self.datum.type_label,

@@ -379,6 +379,7 @@ def cmd_frob_objects(args):
         push_frobenius,
         trivial_frobenius,
         verify_frobenius_object,
+        verify_pushed_frobenius,
     )
     from .extension import rescale_frobenius_data
     from .induction import InductionContext, induction_context, is_separable_functor
@@ -415,8 +416,8 @@ def cmd_frob_objects(args):
         F = trivial_frobenius(incl.K) if etale is None else build_group_etale(incl.K, *etale)
         vrep = verify_frobenius_object(F)
         report.add("source-frobenius[%s]" % F.name, vrep.ok, anchor="frobenius-object")
-        B = push_frobenius(ictx, F)
-        rig = is_rigid_frobenius(B)
+        B = push_frobenius(ictx, F, verify=False)
+        rig = is_rigid_frobenius(B, verify_pushed_frobenius(B))
         for c in rig.checks:
             report.add("%s[%s]" % (c.name, B.name), c.status, witness=c.witness,
                        anchor=c.anchor, detail=c.detail)

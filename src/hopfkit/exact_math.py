@@ -736,11 +736,6 @@ class Matrix:
         rows = self.raw()
         return len(rref_raw(rows, self.ctx))
 
-    def rref(self):
-        rows = self.raw()
-        pivots = rref_raw(rows, self.ctx)
-        return Matrix(self.N, rows), pivots
-
     def inverse(self):
         """Exact inverse, or None if singular."""
         if self.rows != self.cols:

@@ -94,15 +94,6 @@ class HopfInclusion:
             return None
         return [sol.particular.col_raw(j) for j in range(len(vectors))]
 
-    def to_K_coords(self, hvec):
-        """K-coordinates of a sparse H-vector in the image, or None."""
-        z = K.s_zero(self.ctx)
-        dense = [z] * self.H.dim
-        for i, s in hvec.items():
-            dense[i] = s
-        got = self.to_K_coords_many([dense])
-        return got[0] if got is not None else None
-
     def __repr__(self):
         return "HopfInclusion(%s -> %s)" % (self.K.name, self.H.name)
 
@@ -209,15 +200,6 @@ class BarQuotient:
 
     def section_vec(self, t):
         return {self.reps[t]: K.s_one(self.incl.ctx)}
-
-    def proj_matrix(self):
-        ctx = self.incl.ctx
-        z = K.s_zero(ctx)
-        rows = [[z] * self.incl.H.dim for _ in range(self.dimbar)]
-        for i, col in enumerate(self.proj_cols):
-            for t, c in col.items():
-                rows[t][i] = c
-        return Matrix(self.incl.N, rows)
 
     def __repr__(self):
         return "BarQuotient(dim=%d of %s)" % (self.dimbar, self.incl.H.name)
@@ -960,9 +942,18 @@ def make_frobenius_data(incl, bq, lam0, lam_scale=1):
 
 
 def rescale_frobenius_data(frob, c):
-    """A new FrobeniusData with lambda (hence tr) multiplied by the scalar c."""
+    """A new FrobeniusData with lambda (hence tr) multiplied by the scalar c.
+
+    c may be stored at a conductor that incl.N does not divide (a scalar read
+    off modules over a larger field); a rational c is moved down to incl.N,
+    any other raises PipelineError."""
     incl = frob.incl
-    c = Cyclotomic.promote(c).lift(incl.N)
+    c = Cyclotomic.promote(c)
+    if incl.N % c.N:
+        if not c.is_rational():
+            raise PipelineError("scalar %s does not lie in Q(zeta_%d)" % (c, incl.N))
+        c = Cyclotomic.rational(c.as_fraction())
+    c = c.lift(incl.N)
     ctx = incl.ctx
     cinv = K.s_inv(ctx, c.data)
     deltas = [[K.s_mul(ctx, cinv, v) for v in dv] for dv in frob.deltas]

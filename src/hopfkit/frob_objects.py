@@ -97,6 +97,12 @@ def _morphism_in_category(src_carrier, tgt_carrier, mat):
 
 def verify_algebra_object(A):
     rep = Report("verify-algebra %s" % A.name)
+    _algebra_checks(rep, A, _tensor_carrier(A.carrier), _unit_carrier(A.carrier))
+    return rep
+
+
+def _algebra_checks(rep, A, CC, one):
+    """The algebra-object checks of A into rep; CC = A (x) A and one = the unit."""
     d = A.dim
     conductor = lcm(A.module.N, lcm(A.mult.N, A.unit.N))
     mult = A.mult.lift(conductor)
@@ -108,17 +114,16 @@ def verify_algebra_object(A):
     lu = mult * unit.kron(idA)
     ru = mult * idA.kron(unit)
     rep.add("unital", lu == idA and ru == idA, anchor="algebra-object")
-    CC = _tensor_carrier(A.carrier)
-    one = _unit_carrier(A.carrier)
     rep.add("mult-is-morphism", _morphism_in_category(CC, A.carrier, A.mult), anchor="algebra-object")
     rep.add("unit-is-morphism", _morphism_in_category(one, A.carrier, A.unit), anchor="algebra-object")
-    return rep
 
 
 def verify_frobenius_object(F):
     """Algebra + coalgebra axioms, morphism conditions, and both Frobenius squares."""
-    rep = verify_algebra_object(F)
-    rep.title = "verify-frobenius %s" % F.name
+    rep = Report("verify-frobenius %s" % F.name)
+    CC = _tensor_carrier(F.carrier)
+    one = _unit_carrier(F.carrier)
+    _algebra_checks(rep, F, CC, one)
     d = F.dim
     conductor = lcm(lcm(F.module.N, F.comult.N), lcm(F.counit.N, lcm(F.mult.N, F.unit.N)))
     mult = F.mult.lift(conductor)
@@ -132,8 +137,6 @@ def verify_frobenius_object(F):
     lu = cou.kron(idA) * com
     ru = idA.kron(cou) * com
     rep.add("counital", lu == idA and ru == idA, anchor="coalgebra-object")
-    CC = _tensor_carrier(F.carrier)
-    one = _unit_carrier(F.carrier)
     rep.add("comult-is-morphism", _morphism_in_category(F.carrier, CC, F.comult), anchor="coalgebra-object")
     rep.add("counit-is-morphism", _morphism_in_category(F.carrier, one, F.counit), anchor="coalgebra-object")
     mid = com * mult
@@ -187,12 +190,18 @@ def push_frobenius(ictx, F, name=None, verify=True):
     _, comult, counit = push_coalgebra(ictx, F, name=name)
     out = FrobObject(alg.carrier, alg.mult, alg.unit, comult, counit, name=alg.name)
     if verify:
-        rep = verify_frobenius_object(out)
-        if not rep.ok:
-            raise HopfkitError(
-                "pushed object failed Frobenius verification: %r" % [c.name for c in rep.failures()]
-            )
+        verify_pushed_frobenius(out)
     return out
+
+
+def verify_pushed_frobenius(B):
+    """verify_frobenius_object(B) for a pushed object B; raises if it fails."""
+    rep = verify_frobenius_object(B)
+    if not rep.ok:
+        raise HopfkitError(
+            "pushed object failed Frobenius verification: %r" % [c.name for c in rep.failures()]
+        )
+    return rep
 
 
 def trivial_frobenius(K_hopf, yd=True):
@@ -402,10 +411,13 @@ def is_connected(A):
     return invariant_space_dim(A.carrier) == 1
 
 
-def is_rigid_frobenius(F):
-    """Frobenius + commutative + special + connected, with individual flags."""
+def is_rigid_frobenius(F, frob=None):
+    """Frobenius + commutative + special + connected, with individual flags.
+
+    frob is F's verify_frobenius_object report when it is already made."""
     rep = Report("rigid-frobenius %s" % F.name)
-    frob = verify_frobenius_object(F)
+    if frob is None:
+        frob = verify_frobenius_object(F)
     rep.add("frobenius", frob.ok, anchor="frobenius-object")
     rep.add("commutative", is_commutative_object(F), anchor="commutative-algebra")
     sp = is_special(F)

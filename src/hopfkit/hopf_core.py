@@ -25,7 +25,6 @@ from .exact_math import (
     _add,
     _axpy,
     _clean,
-    _mat_vec,
     _scale,
     _table_mul,
     _tensor,
@@ -52,14 +51,6 @@ class LinearFunctional:
     def __init__(self, N, values):
         self.N = N
         self.values = tuple(values)
-
-    @classmethod
-    def from_values(cls, values, N=None):
-        vals = [Cyclotomic.promote(v) for v in values]
-        conductor = N or 1
-        for v in vals:
-            conductor = lcm(conductor, v.N)
-        return cls(conductor, [v.lift(conductor).data for v in vals])
 
     @property
     def dim(self):
@@ -89,9 +80,6 @@ class LinearFunctional:
         ctx = K.make_ctx(M)
         cd = c.lift(M).data
         return LinearFunctional(M, [K.s_mul(ctx, cd, v) for v in me.values])
-
-    def as_row(self):
-        return Matrix(self.N, [list(self.values)])
 
     def __eq__(self, other):
         if not isinstance(other, LinearFunctional):
@@ -320,6 +308,25 @@ class FinHopf:
             self._cache[key] = got
         return got
 
+    def yd_twist(self, i, g):
+        """Cached sum of s * (e_p e_g S(e_r)) x e_q over (Delta x id)Delta(e_i)
+        = sum s e_p x e_q x e_r, as a tuple of ((k, q), raw) for the term
+        e_k x e_q.  This is h_1 g S(h_3) x h_2 for h = e_i, the twist in the
+        Yetter-Drinfeld condition delta(h v) = h_1 v_(-1) S(h_3) x h_2 v_(0)."""
+        key = ("yd_twist", i, g)
+        got = self._cache.get(key)
+        if got is None:
+            ctx = self.ctx
+            one = K.s_one(ctx)
+            acc = {}
+            for (p, q, r), s in self.comult2(i):
+                u = self.mult_vec(self.mult_vec({p: s}, {g: one}), self.antipode_vec({r: one}))
+                for k, c in u.items():
+                    _add(ctx, acc, (k, q), c)
+            got = tuple(sorted(acc.items()))
+            self._cache[key] = got
+        return got
+
     def antipode_vec(self, u):
         ctx = self.ctx
         out = {}
@@ -504,10 +511,6 @@ def antipode_inverse(H):
         H._cache["S_inv"] = inv
         got = inv
     return got
-
-
-def antipode_inverse_vec(H, u):
-    return _mat_vec(antipode_inverse(H), u)
 
 
 def dual_hopf(H):

@@ -28,7 +28,10 @@ class InductionContext:
     - ``("ind", name, key(V))``: ``induce(self, V)``;
     - ``("lax", key(V), key(U))`` and ``("oplax", key(V), key(U))``:
       ``lax_pair`` and ``oplax_pair``;
-    - ``("zind", name, key(M.module), M.coaction.key())``: ``z_induce(self, M)``.
+    - ``("zind", name, key(M.module), M.coaction.key())``: ``z_induce(self, M)``;
+    - ``("zten", zkey(M), zkey(N))``: ``yd_tensor`` of ZInd(M) and ZInd(N),
+      which ``verify_braided_frobenius`` checks the braiding against;
+      ``zkey(M)`` is the ``"zind"`` key of M without its first element.
 
     ``key(V)`` is the module's value, (algebra name, conductor, ``key()`` of
     each action matrix), so equal modules built separately (as

@@ -111,26 +111,22 @@ def verify_yd(M):
             break
     rep.add("comodule-coassociative", w is None, witness=w, anchor="comodule-axioms")
 
-    # YD condition: delta(h v) = h1 v(-1) S(h3) x h2 v(0)
+    # YD condition: delta(h v) = h1 v(-1) S(h3) x h2 v(0), with the twist
+    # h1 g S(h3) x h2 read from H.yd_twist (H is lifted to the module's conductor)
+    cols = [m.transpose().srows for m in M.module.action]
     w = None
     for i in range(n):
-        act_i = M.module.action[i]
         for a in range(d):
             lhs = {}
-            for b, cb in act_i.col(a).items():
+            for b, cb in cols[i][a].items():
                 for key, v in M.coaction_terms(b).items():
                     _add(ctx, lhs, key, K.s_mul(ctx, cb, v))
             rhs = {}
-            for (p, q, rr), s in H.comult2(i):
-                for (g, a0), v in M.coaction_terms(a).items():
-                    u = H.mult_vec(
-                        H.mult_vec({p: s}, {g: v}), H.antipode_vec(H.basis_vec(rr))
-                    )
-                    if not u:
-                        continue
-                    for b, vb in M.module.action[q].col(a0).items():
-                        for hu, cu in u.items():
-                            _add(ctx, rhs, (hu, b), K.s_mul(ctx, cu, vb))
+            for (g, a0), v in M.coaction_terms(a).items():
+                for (k, q), t in H.yd_twist(i, g):
+                    tv = K.s_mul(ctx, t, v)
+                    for b, vb in cols[q][a0].items():
+                        _add(ctx, rhs, (k, b), K.s_mul(ctx, tv, vb))
             if lhs != rhs:
                 w = (i, a)
                 break
@@ -183,13 +179,16 @@ def yd_braiding(M, N_mod, verify=True):
                     _add(ctx, rows[b0 * dM + a0], a * dN + b, K.s_mul(ctx, v, u))
     psi = Matrix.from_sparse(conductor, dM * dN, rows)
     if verify:
-        if psi.inverse() is None:
-            raise PipelineError("YD braiding is not invertible")
-        src = yd_tensor(M, N_mod)
-        tgt = yd_tensor(N_mod, M)
-        if not yd_morphism_check(src, tgt, psi):
-            raise PipelineError("YD braiding is not a YD module map")
+        _check_braiding(psi, yd_tensor(M, N_mod), yd_tensor(N_mod, M))
     return psi
+
+
+def _check_braiding(psi, src, tgt):
+    """Raise unless psi is an invertible YD map src = M (x) N -> tgt = N (x) M."""
+    if psi.inverse() is None:
+        raise PipelineError("YD braiding is not invertible")
+    if not yd_morphism_check(src, tgt, psi):
+        raise PipelineError("YD braiding is not a YD module map")
 
 
 def yd_morphism_check(src, tgt, mat):
@@ -247,47 +246,56 @@ def yd_braiding_natural(f_src, f_tgt, g_src, g_tgt, f_mat, g_mat):
 # ---------------------------------------------------------------------------
 
 
+def _zind_key(M):
+    return (M.name, _module_key(M.module), M.coaction.key())
+
+
 def z_induce(ictx, M):
     """Induce a YD module over K to one over H along a central Frobenius extension.
 
-    delta(h x v) = h_(1) v^(-1) S(h_(3)) x (h_(2) x v^(0)).
-    The result is built and verified once per context and YD module value;
-    a module that fails verification raises and is not cached.
+    delta(h x v) = h_(1) v^(-1) S(h_(3)) x (h_(2) x v^(0)), with the twist
+    h_(1) g S(h_(3)) x h_(2) read from ``H.yd_twist`` over H lifted to the
+    induced module's conductor.  The result is built and verified once per
+    context and YD module value; a module that fails verification raises and
+    is not cached.
     """
     if not ictx.central:
         raise PipelineError("z_induce requires a central Frobenius extension")
-    memo = ("zind", M.name, _module_key(M.module), M.coaction.key())
+    memo = ("zind",) + _zind_key(M)
     got = ictx._cache.get(memo)
     if got is not None:
         return got
     incl = ictx.incl
-    H = incl.H
-    n = H.dim
     r = ictx.rank
     ind = induce(ictx, M.module)
+    H = ind.module.H
     conductor = ind.module.N
     ctx = K.make_ctx(conductor)
     d = M.dim
     dim = r * d
-    rows = [{} for _ in range(n * dim)]
+    coact = M.coaction.lift(conductor).transpose().srows
+    embed = incl.embed.lift(conductor).transpose().srows
+    parts = {}
+    rows = [{} for _ in range(H.dim * dim)]
     for i in range(r):
         hi = ictx.frob.free[i]
         for a in range(d):
-            for (p, q, rr), s in H.comult2(hi):
-                parts = ictx.basis_parts(q)
-                for (g, a0), v in M.coaction_terms(a).items():
-                    gH = incl.embed_col(g)
-                    u = H.mult_vec(H.mult_vec({p: s}, gH), H.antipode_vec(H.basis_vec(rr)))
-                    if not u:
-                        continue
-                    for t, kv in enumerate(parts):
-                        if not kv:
-                            continue
-                        blk = _act_K(M.module, kv, conductor, incl.N)
-                        for b, w in blk.col(a0).items():
-                            for hu, cu in u.items():
-                                val = K.s_mul(ctx, K.s_mul(ctx, cu, v), w)
-                                _add(ctx, rows[hu * dim + t * d + b], i * d + a, val)
+            for row, v in coact[a].items():
+                g, a0 = divmod(row, d)
+                for j, e in embed[g].items():
+                    ev = K.s_mul(ctx, e, v)
+                    for (k, q), tw in H.yd_twist(hi, j):
+                        blocks = parts.get(q)
+                        if blocks is None:
+                            # e_q = sum_t h_t k_t: the columns of each k_t acting on M
+                            blocks = parts[q] = [
+                                (t, _act_K(M.module, kv, conductor, incl.N).transpose().srows)
+                                for t, kv in enumerate(ictx.basis_parts(q)) if kv
+                            ]
+                        c = K.s_mul(ctx, tw, ev)
+                        for t, cols in blocks:
+                            for b, w in cols[a0].items():
+                                _add(ctx, rows[k * dim + t * d + b], i * d + a, K.s_mul(ctx, c, w))
     coaction = Matrix.from_sparse(conductor, dim, rows)
     out = YDModule(ind.module, coaction, name="ZInd(%s)" % M.name)
     rep = verify_yd(out)
@@ -297,11 +305,22 @@ def z_induce(ictx, M):
     return out
 
 
+def _zind_tensor(ictx, M, N_mod):
+    """yd_tensor(ZInd(M), ZInd(N)), built once per context and ordered pair."""
+    memo = ("zten", _zind_key(M), _zind_key(N_mod))
+    got = ictx._cache.get(memo)
+    if got is None:
+        got = ictx._cache[memo] = yd_tensor(z_induce(ictx, M), z_induce(ictx, N_mod))
+    return got
+
+
 def verify_braided_frobenius(ictx, M, N_mod):
     """Both braided compatibility squares for the pair (M, N) of K-YD modules.
 
     Only ZInd(M) and ZInd(N) are built; ZInd(M (x) N) is not, since no
-    square reads it.
+    square reads it.  The braiding of ZInd(M) and ZInd(N) is checked to be an
+    invertible YD map on their tensor products, which are built once per
+    ordered pair and context.
     """
     rep = Report("braided-frobenius[%s,%s]" % (M.name, N_mod.name))
     FM = z_induce(ictx, M)
@@ -309,7 +328,8 @@ def verify_braided_frobenius(ictx, M, N_mod):
 
     psi_K = yd_braiding(M, N_mod)
     F_psi = ind_morphism(ictx, psi_K)
-    psi_H = yd_braiding(FM, FN)
+    psi_H = yd_braiding(FM, FN, verify=False)
+    _check_braiding(psi_H, _zind_tensor(ictx, M, N_mod), _zind_tensor(ictx, N_mod, M))
 
     lax_MN, _ = lax_pair(ictx, M.module, N_mod.module)
     lax_NM, _ = lax_pair(ictx, N_mod.module, M.module)

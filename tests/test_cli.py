@@ -365,11 +365,19 @@ GOLDEN_REPORTS = [
     (["check-functor", "builtin:uqsl2?l=3&sub=cartan",
       "--module", "builtin:kchar?act=1,z,z^2&cond=3", "--frobenius-monoidal"], 0,
      "c6fc7e8ec916f728731eb197beba7ebbc58b55302c061fad85c9437dcbf5ffa6"),
+    # kC3 < D(kC3) over Q with the two zeta_3 characters: braided and separable
+    # ended in a traceback before z_induce and rescale_frobenius_data lifted
+    # their scalars, so this digest was recorded once they did; every line is PASS
+    (["check-functor", "builtin:double?of=builtin:group?table=c3",
+      "--module", "builtin:kchar?act=1,z,z^2&deg=g1&cond=3",
+      "--module", "builtin:kchar?act=1,z^2,z&deg=g2&cond=3",
+      "--frobenius-monoidal", "--separable", "--braided"], 0,
+     "ffcec9154ac156e2c30f6d388f1b5276237be936e1a561fedc968749c6857a17"),
 ]
 
 
 @pytest.mark.parametrize("argv, rc, sha256", GOLDEN_REPORTS,
-                         ids=["h8-y4", "dkk-xy2", "frob-h8-3", "uqsl2-l3-cartan"])
+                         ids=["h8-y4", "dkk-xy2", "frob-h8-3", "uqsl2-l3-cartan", "dc3-zeta3"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 

@@ -165,3 +165,48 @@ def test_rigid_report_flags(sctx):
     rep = is_rigid_frobenius(B)
     flags = {c.name: c.ok for c in rep.checks}
     assert flags == {"frobenius": True, "commutative": True, "special": True, "connected": True}
+
+
+def test_frob_objects_verifies_each_object_once(monkeypatch, capsys):
+    # once on the source and once on the pushed object, each with one
+    # tensor square of its carrier
+    from hopfkit import frob_objects
+    from hopfkit.cli import main
+
+    verified, squared = [], []
+    real_verify, real_tensor = frob_objects.verify_frobenius_object, frob_objects.yd_tensor
+
+    def counting_verify(F):
+        verified.append(F.name)
+        return real_verify(F)
+
+    def counting_tensor(M, N_mod):
+        squared.append(M.name)
+        return real_tensor(M, N_mod)
+
+    monkeypatch.setattr(frob_objects, "verify_frobenius_object", counting_verify)
+    monkeypatch.setattr(frob_objects, "yd_tensor", counting_tensor)
+    objects = [("x", 1, -1), ("xy", 1, 1)]
+    argv = ["frob-objects", "builtin:h8"]
+    for n, ex, ey in objects:
+        argv += ["--object", "builtin:etale?n=%s&ex=%d&ey=%d" % (n, ex, ey)]
+    main(argv)
+    sources = ["A_%s(%d,%d)" % o for o in objects]
+    expected = [name for s in sources for name in (s, "Ind(%s)" % s)]
+    assert verified == expected
+    assert squared == [name for s in sources for name in (s, "ZInd(%s)" % s)]
+    assert "frobenius[Ind(A_x(1,-1))]" in capsys.readouterr().out
+
+
+def test_rescale_moves_a_rational_scalar_down_and_refuses_an_irrational_one(h8_ictx):
+    from hopfkit.errors import PipelineError
+    from hopfkit.exact_math import Cyclotomic, root_of_unity
+
+    N = h8_ictx.N
+    up = 3 if N % 3 else 5
+    c = Cyclotomic.rational(Fraction(1, 2), N * up)
+    assert c.N % N == 0 and c.N != N
+    moved = rescale_frobenius_data(h8_ictx.frob, c)
+    assert moved.tr_K == rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)).tr_K
+    with pytest.raises(PipelineError):
+        rescale_frobenius_data(h8_ictx.frob, root_of_unity(N * up))

@@ -243,3 +243,27 @@ def test_unreadable_bundle_exits_2(tmp_path):
     (tmp_path / "bin.bundle").write_bytes(b"\xff\xfe\x00")
     assert _run(["verify", str(tmp_path)]) == 2
     assert _run(["verify", str(tmp_path / "bin.bundle")]) == 2
+
+
+# Each builtin inclusion with a kchar module, with characters that need a
+# larger field than the inclusion's (z^k at cond=3 or 4), and lists that are
+# not characters at every conductor (1,z,z^2,z^3 at cond=3).
+KCHAR_INCLUSIONS = [
+    ("builtin:h8", "1,-1,-1,1", "x"),
+    ("builtin:h8", "1,z,z^2,z^3", "y"),
+    ("builtin:double?of=builtin:group?table=klein", "1,-1,1,-1", "xy"),
+    ("builtin:double?of=builtin:group?table=c3", "1,z,z^2", "g1"),
+    ("builtin:double?of=builtin:group?table=c3", "1,z^2,z", "g2"),
+]
+
+
+@pytest.mark.parametrize("cond", [1, 3, 4])
+@pytest.mark.parametrize("spec, act, deg", KCHAR_INCLUSIONS)
+def test_kchar_at_any_conductor_exits_cleanly(spec, act, deg, cond):
+    err = io.StringIO()
+    argv = ["check-functor", spec, "--module", "builtin:kchar?act=%s&deg=%s&cond=%d" % (act, deg, cond),
+            "--braided", "--separable"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

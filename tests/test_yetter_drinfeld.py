@@ -1,5 +1,6 @@
 import pytest
 
+
 from conftest import kline
 from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, small_quantum_sl2
 from hopfkit.errors import PipelineError
@@ -216,3 +217,209 @@ def test_z_induce_is_built_once_per_yd_value(h8_incl):
     other = z_induce(ictx, kline(h8_incl.K, "y", -1, 1, name="L"))
     assert other is not Z and other.module == Z.module
     assert other.coaction != Z.coaction
+
+
+# ---------------------------------------------------------------------------
+# the twist table h_1 g S(h_3) x h_2 against the per-term formula
+# ---------------------------------------------------------------------------
+
+
+def _reference_zind_coaction(ictx, M):
+    """The coaction of ZInd(M), evaluating h_1 g S(h_3) for every Delta^2 term,
+    coaction term and K-part of h_2 anew (no twist table)."""
+    from hopfkit import _kernel as K
+    from hopfkit.induction import _act_K
+
+    incl = ictx.incl
+    ind = induce(ictx, M.module)
+    H = ind.module.H
+    conductor = ind.module.N
+    ctx = K.make_ctx(conductor)
+    d, r, n = M.dim, ictx.rank, H.dim
+    dim = r * d
+    coact = M.coaction.lift(conductor).transpose().srows
+    embed = incl.embed.lift(conductor)
+    rows = [{} for _ in range(n * dim)]
+    for i in range(r):
+        for a in range(d):
+            for (p, q, rr), s in H.comult2(ictx.frob.free[i]):
+                for row, v in coact[a].items():
+                    g, a0 = divmod(row, d)
+                    u = H.mult_vec(H.mult_vec({p: s}, embed.col(g)), H.antipode_vec(H.basis_vec(rr)))
+                    for t, kv in enumerate(ictx.basis_parts(q)):
+                        if not kv:
+                            continue
+                        blk = _act_K(M.module, kv, conductor, incl.N)
+                        for b, w in blk.col(a0).items():
+                            for hu, cu in u.items():
+                                val = K.s_mul(ctx, K.s_mul(ctx, cu, v), w)
+                                key = hu * dim + t * d + b
+                                rows[key][i * d + a] = K.s_add(
+                                    ctx, rows[key].get(i * d + a, K.s_zero(ctx)), val
+                                )
+    rows = [{c: x for c, x in row.items() if not K.s_is_zero(x)} for row in rows]
+    return Matrix.from_sparse(conductor, dim, rows)
+
+
+def _reference_yd_witness(M):
+    """The first (i, a) where delta(e_i v_a) differs from the per-term
+    evaluation of h_1 v_(-1) S(h_3) x h_2 v_(0), or None."""
+    from hopfkit import _kernel as K
+
+    H, n, d = M.H, M.H.dim, M.dim
+    ctx = K.make_ctx(M.N)
+
+    def accumulate(acc, key, x):
+        acc[key] = K.s_add(ctx, acc.get(key, K.s_zero(ctx)), x)
+
+    for i in range(n):
+        for a in range(d):
+            lhs, rhs = {}, {}
+            for b, cb in M.module.action[i].col(a).items():
+                for key, v in M.coaction_terms(b).items():
+                    accumulate(lhs, key, K.s_mul(ctx, cb, v))
+            for (p, q, rr), s in H.comult2(i):
+                for (g, a0), v in M.coaction_terms(a).items():
+                    u = H.mult_vec(H.mult_vec({p: s}, {g: v}), H.antipode_vec(H.basis_vec(rr)))
+                    for b, vb in M.module.action[q].col(a0).items():
+                        for hu, cu in u.items():
+                            accumulate(rhs, (hu, b), K.s_mul(ctx, cu, vb))
+            nonzero = lambda acc: {k: x for k, x in acc.items() if not K.s_is_zero(x)}
+            if nonzero(lhs) != nonzero(rhs):
+                return (i, a)
+    return None
+
+
+def _double_entry(Z, pick):
+    """Z with the coaction entry pick(nonzero (row, col) list) doubled."""
+    from hopfkit import _kernel as K
+    from hopfkit.yetter_drinfeld import YDModule
+
+    rows = [dict(row) for row in Z.coaction.srows]
+    r, c = pick([(r, c) for r, row in enumerate(rows) for c in sorted(row)])
+    rows[r][c] = K.s_add(K.make_ctx(Z.N), rows[r][c], rows[r][c])
+    return YDModule(Z.module, Matrix.from_sparse(Z.N, Z.coaction.cols, rows), name="bad")
+
+
+_ETALE = [(n, ex, ey) for n in ("x", "y", "xy") for ex in (1, -1) for ey in (1, -1)]
+_SIGNS = [(ex, ey) for ex in (1, -1) for ey in (1, -1)]
+
+
+def _assert_yd_parity(M):
+    rep = verify_yd(M)
+    ref = _reference_yd_witness(M)
+    assert rep["yd-compatibility"].witness == ref
+    assert (rep["yd-compatibility"].status == "pass") == (ref is None)
+
+
+@pytest.mark.parametrize("n, ex, ey", _ETALE)
+def test_twist_table_matches_per_term_formula_on_etale_carriers(h8_ictx, n, ex, ey):
+    from hopfkit.frob_objects import build_group_etale
+
+    M = build_group_etale(h8_ictx.incl.K, n, ex, ey).carrier
+    Z = z_induce(h8_ictx, M)
+    assert Z.coaction == _reference_zind_coaction(h8_ictx, M)
+    for Y in (M, Z, _double_entry(Z, min), _double_entry(Z, max)):
+        _assert_yd_parity(Y)
+
+
+@pytest.mark.parametrize("spec", ["builtin:h8", "builtin:double?of=builtin:group?table=klein"])
+def test_twist_table_matches_per_term_formula_on_klein_lines(spec):
+    from hopfkit.cli import resolve_inclusion
+
+    ictx = induction_context(resolve_inclusion(spec))
+    for g in ("1", "x", "y", "xy"):
+        for ex, ey in _SIGNS:
+            M = kline(ictx.incl.K, g, ex, ey)
+            Z = z_induce(ictx, M)
+            assert Z.coaction == _reference_zind_coaction(ictx, M), (spec, g, ex, ey)
+            _assert_yd_parity(M)
+            _assert_yd_parity(Z)
+    _assert_yd_parity(_double_entry(Z, max))
+
+
+def test_twist_table_at_a_larger_module_conductor():
+    # kC3 < D(kC3) is defined over Q; the characters need zeta_3
+    from hopfkit.cli import resolve_inclusion, resolve_module
+
+    ictx = induction_context(resolve_inclusion("builtin:double?of=builtin:group?table=c3"))
+    for spec in ("builtin:kchar?act=1,z,z^2&deg=g1&cond=3", "builtin:kchar?act=1,z^2,z&deg=g2&cond=3"):
+        M = resolve_module(spec, ictx.incl.K)
+        assert M.N % ictx.N == 0 and M.N != ictx.N
+        Z = z_induce(ictx, M)
+        assert Z.coaction == _reference_zind_coaction(ictx, M)
+        _assert_yd_parity(Z)
+
+
+def _adjoint_yd(H):
+    """H as a YD module over itself: h.v = h_1 v S(h_2), delta = Delta."""
+    from hopfkit import _kernel as K
+    from hopfkit.yetter_drinfeld import YDModule
+
+    n = H.dim
+    mats = []
+    for i in range(n):
+        cols = []
+        for j in range(n):
+            col = {}
+            for x, s in H.comult[i]:
+                a, b = divmod(x, n)
+                u = H.mult_vec(H.mult_vec({a: s}, H.basis_vec(j)), H.antipode_vec(H.basis_vec(b)))
+                for k, c in u.items():
+                    col[k] = K.s_add(H.ctx, col.get(k, K.s_zero(H.ctx)), c)
+            cols.append({k: c for k, c in col.items() if not K.s_is_zero(c)})
+        mats.append(Matrix.from_sparse(H.N, n, cols).transpose())
+    rows = [{} for _ in range(n * n)]
+    for a in range(n):
+        for x, s in H.comult[a]:
+            rows[x][a] = s
+    return YDModule(HModule(H, mats, name="ad"), Matrix.from_sparse(H.N, n, rows), name="ad")
+
+
+@pytest.mark.parametrize("spec", ["builtin:h8", "builtin:taft?l=3", "builtin:double?of=builtin:group?table=c3"])
+def test_twist_table_matches_per_term_formula_on_adjoint_modules(spec):
+    # neither H8 nor the Taft algebra is cocommutative, so the legs of
+    # Delta^2 cannot be exchanged without changing the twist
+    from hopfkit.cli import resolve_hopf
+
+    M = _adjoint_yd(resolve_hopf(spec))
+    assert verify_yd(M).ok
+    for Y in (M, _double_entry(M, min), _double_entry(M, max)):
+        _assert_yd_parity(Y)
+
+
+def test_yd_compatibility_witness_on_a_doubled_coaction_entry(h8_ictx):
+    # recorded before the twist table: ZInd of the etale carrier A_x(1,-1)
+    # with one coaction entry doubled
+    from hopfkit.frob_objects import build_group_etale
+
+    Z = z_induce(h8_ictx, build_group_etale(h8_ictx.incl.K, "x", 1, -1).carrier)
+    first = verify_yd(_double_entry(Z, min))
+    assert [(c.name, c.status, c.witness) for c in first.checks] == [
+        ("comodule-counital", "fail", None),
+        ("comodule-coassociative", "fail", 0),
+        ("yd-compatibility", "fail", (3, 0)),
+    ]
+    assert verify_yd(_double_entry(Z, max))["yd-compatibility"].witness == (3, 1)
+
+
+def test_braided_check_builds_each_zind_tensor_once(monkeypatch, capsys):
+    from hopfkit import yetter_drinfeld
+    from hopfkit.cli import main
+
+    built = []
+    real = yetter_drinfeld.yd_tensor
+
+    def counting(M, N_mod):
+        if M.name.startswith("ZInd("):
+            built.append((M.name, N_mod.name))
+        return real(M, N_mod)
+
+    monkeypatch.setattr(yetter_drinfeld, "yd_tensor", counting)
+    argv = ["check-functor", "builtin:h8", "--braided"]
+    for name, act in (("a", "1,1,1,1"), ("b", "1,-1,-1,1"), ("c", "1,1,-1,-1")):
+        argv += ["--module", "builtin:kchar?act=%s&deg=x&name=%s" % (act, name)]
+    assert main(argv) == 0
+    names = ["ZInd(%s)" % m for m in "abc"]
+    assert sorted(built) == sorted((p, q) for p in names for q in names)
+    assert capsys.readouterr().out.count("braided-frobenius[") == 9
