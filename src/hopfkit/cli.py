@@ -294,24 +294,26 @@ def cmd_analyze(args):
 
 
 def cmd_check_functor(args):
-    from .extension import analyze_extension
     from .induction import induction_context, is_separable_functor, verify_frobenius_monoidal
-    from .module_theory import HModule
+    from .module_theory import verify_module
     from .yetter_drinfeld import YDModule, verify_braided_frobenius, verify_yd
 
     spec = args.input
     incl = resolve_inclusion(spec)
     report = Report("check-functor %s" % spec, tool="hopfkit %s" % __version__,
                     inputs=[(spec, _spec_digest(spec))])
+    modules = [resolve_module(m, incl.K) for m in args.module or ["builtin:trivial"]]
+    plain = [m.module if isinstance(m, YDModule) else m for m in modules]
+    for m in plain:
+        if not verify_module(m).ok:
+            report.add("module-input[%s]" % m.name, False)
+            return _emit(report, args)
     try:
         ictx = induction_context(incl)
     except HopfkitError as e:
         report.add("frobenius-extension", False, detail=str(e))
         return _emit(report, args)
     report.add("frobenius-extension", True)
-
-    modules = [resolve_module(m, incl.K) for m in args.module or ["builtin:trivial"]]
-    plain = [m.module if isinstance(m, YDModule) else m for m in modules]
 
     if args.frobenius_monoidal:
         triples = [(a, b, c) for a in plain for b in plain for c in plain]

@@ -61,10 +61,6 @@ class Cyclotomic:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def conductor(self):
-        return self.N
-
     def coeffs(self):
         """Coefficients over the power basis 1, z, ..., z^(phi(N)-1), as Fractions."""
         return K.s_to_fractions(self.data)
@@ -835,10 +831,6 @@ class SparseTensor:
             vals[idx] = val
         self.N = conductor
         self.entries = {idx: v.lift(conductor) for idx, v in sorted(vals.items())}
-
-    @property
-    def arity(self):
-        return len(self.shape)
 
     def get(self, idx):
         v = self.entries.get(tuple(idx))

@@ -205,7 +205,7 @@ class BarQuotient:
         return "BarQuotient(dim=%d of %s)" % (self.dimbar, self.incl.H.name)
 
 
-def bar_quotient(incl, verify=True):
+def bar_quotient(incl):
     """Compute Hbar = H/HK+ with its coalgebra structure, verified."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
@@ -270,10 +270,9 @@ def bar_quotient(incl, verify=True):
         coaug[t] = s
 
     bq = BarQuotient(incl, reps, tuple(proj_cols), tuple(comult_bar), counit_bar, tuple(coaug), sub)
-    if verify:
-        rep = verify_bar_quotient(bq)
-        if not rep.ok:
-            raise PipelineError("bar quotient verification failed: %r" % rep.failures())
+    rep = verify_bar_quotient(bq)
+    if not rep.ok:
+        raise PipelineError("bar quotient verification failed: %r" % rep.failures())
     return bq
 
 
@@ -586,36 +585,20 @@ class Decomposer:
 
 
 class FrobeniusData:
-    """Everything attached to a chosen Frobenius morphism for an inclusion."""
+    """What induction reads of a chosen Frobenius morphism: lambda, tr in
+    K-coordinates, the free basis h_i with its dual basis delta_i, and the
+    decomposers over that free basis."""
 
-    __slots__ = (
-        "incl",
-        "bq",
-        "lam0",
-        "lam",
-        "scale",
-        "lamH",
-        "tr_K",
-        "free",
-        "deltas",
-        "left_decomp",
-        "right_decomp",
-        "Lambda",
-    )
+    __slots__ = ("incl", "lam", "tr_K", "free", "deltas", "left_decomp", "right_decomp")
 
-    def __init__(self, incl, bq, lam0, lam, scale, lamH, tr_K, free, deltas, left_decomp, right_decomp, Lambda):
+    def __init__(self, incl, lam, tr_K, free, deltas, left_decomp, right_decomp):
         self.incl = incl
-        self.bq = bq
-        self.lam0 = lam0
         self.lam = lam
-        self.scale = scale
-        self.lamH = lamH
         self.tr_K = tr_K
         self.free = free
         self.deltas = deltas
         self.left_decomp = left_decomp
         self.right_decomp = right_decomp
-        self.Lambda = Lambda
 
     @property
     def rank(self):
@@ -651,7 +634,7 @@ def frobenius_morphism(incl, bq, lam):
         raise PipelineError("image of tr is not contained in K")
     tr_K = Matrix(incl.N, [list(r) for r in zip(*coords)])
     _verify_frobenius_morphism(incl, tr_K)
-    return tr_K, lamH
+    return tr_K
 
 
 def _verify_frobenius_morphism(incl, tr_K):
@@ -690,8 +673,8 @@ def _verify_frobenius_morphism(incl, tr_K):
             raise PipelineError("tr is not a morphism of right H-comodules at %d" % i)
 
 
-def dual_bases(incl, tr_K, free, verify=True):
-    """Solve tr(h_j delta_i) = delta_ij 1_K, then verify both dual-basis identities."""
+def dual_bases(incl, tr_K, free):
+    """Solve tr(h_j delta_i) = delta_ij 1_K for the dual basis delta_i."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
@@ -716,10 +699,7 @@ def dual_bases(incl, tr_K, free, verify=True):
         sol = A.solve(B)
     except InconsistentSystemError:
         raise PipelineError("dual-basis system inconsistent (extension not Frobenius?)") from None
-    deltas = [sol.particular.col_raw(i) for i in range(r)]
-    if verify:
-        _verify_dual_bases(incl, tr_K, free, deltas, Decomposer(incl, free, "right"))
-    return deltas
+    return [sol.particular.col_raw(i) for i in range(r)]
 
 
 def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
@@ -882,8 +862,6 @@ class ExtensionAnalysis:
         "report",
         "bq",
         "lam0",
-        "lam",
-        "scale",
         "decision",
         "Lambda",
         "frob",
@@ -907,12 +885,18 @@ def make_frobenius_data(incl, bq, lam0, lam_scale=1):
     values tr(1) = dim(H)/dim(K) on the worked examples.  A further explicit
     ``lam_scale`` multiplier is applied afterwards (used by the
     scale-robustness property checks).
+
+    Both dual-basis identities are checked on the unscaled data: they are
+    invariant under tr -> c tr, delta_i -> delta_i / c, so the check holds,
+    and fails at the same basis index, for the rescaled data as well.
     """
     H = incl.H
     ctx = incl.ctx
     free = free_basis(incl)
-    tr0, lamH0 = frobenius_morphism(incl, bq, lam0)
-    deltas0 = dual_bases(incl, tr0, free, verify=False)
+    tr0 = frobenius_morphism(incl, bq, lam0)
+    deltas0 = dual_bases(incl, tr0, free)
+    right_dec = Decomposer(incl, free, "right")
+    _verify_dual_bases(incl, tr0, free, deltas0, right_dec)
 
     s = K.s_zero(ctx)
     for i, t in enumerate(free):
@@ -921,24 +905,10 @@ def make_frobenius_data(incl, bq, lam0, lam_scale=1):
             if not K.s_is_zero(v):
                 eps_delta = K.s_add(ctx, eps_delta, K.s_mul(ctx, H.counit[idx], v))
         s = K.s_add(ctx, s, K.s_mul(ctx, eps_delta, H.counit[t]))
-
     factor = Cyclotomic(incl.N, s) if not K.s_is_zero(s) else Cyclotomic.rational(1)
-    factor = factor * Cyclotomic.promote(lam_scale)
-    fd = factor.lift(incl.N).data
-    finv = K.s_inv(ctx, fd)
 
-    lam = lam0.scale(factor).lift(incl.N)
-    lamH = lamH0.scale(factor).lift(incl.N)
-    tr_K = tr0.scale(factor)
-    deltas = [[K.s_mul(ctx, finv, v) for v in dv] for dv in deltas0]
-    right_dec = Decomposer(incl, free, "right")
-    _verify_dual_bases(incl, tr_K, free, deltas, right_dec)
-
-    Lambda = check_integral_type(incl, bq, lam)
-    left_dec = Decomposer(incl, free, "left")
-    return FrobeniusData(
-        incl, bq, lam0, lam, factor, lamH, tr_K, free, deltas, left_dec, right_dec, Lambda
-    )
+    frob0 = FrobeniusData(incl, lam0, tr0, free, deltas0, Decomposer(incl, free, "left"), right_dec)
+    return rescale_frobenius_data(frob0, factor * Cyclotomic.promote(lam_scale))
 
 
 def rescale_frobenius_data(frob, c):
@@ -957,24 +927,13 @@ def rescale_frobenius_data(frob, c):
     ctx = incl.ctx
     cinv = K.s_inv(ctx, c.data)
     deltas = [[K.s_mul(ctx, cinv, v) for v in dv] for dv in frob.deltas]
-    Lambda = frob.Lambda.scale(Cyclotomic(incl.N, cinv)) if frob.Lambda is not None else None
     return FrobeniusData(
-        incl,
-        frob.bq,
-        frob.lam0,
-        frob.lam.scale(c),
-        frob.scale * c,
-        frob.lamH.scale(c),
-        frob.tr_K.scale(c),
-        frob.free,
-        deltas,
-        frob.left_decomp,
-        frob.right_decomp,
-        Lambda,
+        incl, frob.lam.scale(c), frob.tr_K.scale(c), frob.free, deltas,
+        frob.left_decomp, frob.right_decomp,
     )
 
 
-def analyze_extension(incl, lam_scale=1, with_frobenius_data=True):
+def analyze_extension(incl, lam_scale=1):
     """Run the full pipeline; returns an ExtensionAnalysis with a Report."""
     rep = Report("analyze %s -> %s" % (incl.K.name, incl.H.name))
     vrep = verify_inclusion(incl)
@@ -1008,7 +967,7 @@ def analyze_extension(incl, lam_scale=1, with_frobenius_data=True):
 
     frob = None
     central = None
-    if decision.frobenius and with_frobenius_data:
+    if decision.frobenius:
         frob = make_frobenius_data(incl, bq, lam0, lam_scale=lam_scale)
         rep.add("frobenius-morphism", True, anchor="good-frob-morphism")
         rep.add("dual-bases", True, anchor="dual-generators")
@@ -1018,16 +977,12 @@ def analyze_extension(incl, lam_scale=1, with_frobenius_data=True):
             rep.add("central-implies-bar-dual-unimodular", False, anchor="bar-dual-unimodularity")
         else:
             rep.add("central-implies-bar-dual-unimodular", True, anchor="bar-dual-unimodularity")
-    elif decision.frobenius:
-        central = is_central_extension(incl, bq, lam0)
 
     return ExtensionAnalysis(
         incl=incl,
         report=rep,
         bq=bq,
         lam0=lam0,
-        lam=frob.lam if frob is not None else lam0,
-        scale=frob.scale if frob is not None else Cyclotomic.rational(1),
         decision=decision,
         Lambda=Lambda,
         frob=frob,

@@ -198,10 +198,6 @@ class FinHopf:
     # -- views -------------------------------------------------------------
 
     @property
-    def conductor(self):
-        return self.N
-
-    @property
     def ctx(self):
         return K.make_ctx(self.N)
 

@@ -11,7 +11,7 @@ from math import lcm
 from . import _kernel as K
 from .errors import PipelineError
 from .exact_math import Cyclotomic, Matrix, _add, _axpy, _scale, _tensor
-from .extension import bar_quotient, make_frobenius_data, right_integral_bar_dual
+from .extension import bar_quotient, make_frobenius_data, rescale_frobenius_data, right_integral_bar_dual
 from .hopf_core import antipode_inverse
 from .module_theory import HModule, ModuleMap, tensor_modules, trivial_module, restrict
 from .reports import Report
@@ -584,8 +584,6 @@ def is_separable_functor(ictx, pairs, verify_witness=True):
     separable = consistent and scalar is not None and not scalar.is_zero()
     witness_ok = None
     if separable and verify_witness and pairs:
-        from .extension import rescale_frobenius_data
-
         rescaled = InductionContext(
             ictx.incl,
             rescale_frobenius_data(ictx.frob, Cyclotomic.promote(1) / scalar),

@@ -373,11 +373,32 @@ GOLDEN_REPORTS = [
       "--module", "builtin:kchar?act=1,z^2,z&deg=g2&cond=3",
       "--frobenius-monoidal", "--separable", "--braided"], 0,
      "ffcec9154ac156e2c30f6d388f1b5276237be936e1a561fedc968749c6857a17"),
+    # analyze reports, recorded while FrobeniusData still carried Lambda, lamH,
+    # lam0, bq and scale and make_frobenius_data ran check_integral_type
+    (["analyze", "builtin:h8"], 0,
+     "8f28e79a13746bdaba5e4e087466ca0a4153084b2715b0031b93b734ab92f400"),
+    (["analyze", "builtin:unit?of=builtin:h8"], 0,
+     "899281284812ed1040ade580f53dda52501e5160db4f5203f3d6b461bf8df249"),
+    (["analyze", "builtin:trivial?of=builtin:h8"], 0,
+     "34f031e6da5c24dd10ba655bee190215ea51e6209e4bfe2ef5dde15b8b3e5a36"),
+    (["analyze", "builtin:uqsl2?l=3&sub=cartan"], 0,
+     "142f6714a74122ee9928dfe4fa00c29082e0f123b9594786265c3fd1665a979c"),
+    (["analyze", "builtin:double?of=builtin:group?table=c2"], 0,
+     "7d316892d6708524a759ed359a8cafc69f23f8be25283b4df0f44c2f3d8b6e99"),
+    (["analyze", "builtin:double?of=builtin:group?table=c3"], 0,
+     "9376375247f6d716dd510c3503f73b8e563d3ca972e301e9bcbe12c61bae8032"),
+    (["analyze", "builtin:double?of=builtin:group?table=klein"], 0,
+     "00f4055b96e76d41c0ed34d24d749e15077875dc6718562b6b634ba82ffa21ee"),
+    (["analyze", "builtin:taft?l=3"], 0,
+     "5f610196e330608588c957c5d11b343122f9584d8ea6ecbf9f3b5e1f12148191"),
 ]
 
 
 @pytest.mark.parametrize("argv, rc, sha256", GOLDEN_REPORTS,
-                         ids=["h8-y4", "dkk-xy2", "frob-h8-3", "uqsl2-l3-cartan", "dc3-zeta3"])
+                         ids=["h8-y4", "dkk-xy2", "frob-h8-3", "uqsl2-l3-cartan", "dc3-zeta3",
+                              "analyze-h8", "analyze-unit-h8", "analyze-trivial-h8",
+                              "analyze-uqsl2-l3-cartan", "analyze-dc2", "analyze-dc3",
+                              "analyze-dkk", "analyze-taft3"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 
@@ -400,3 +421,23 @@ def test_report_bytes_with_threads_sharing_the_memo(monkeypatch, capsys):
     finally:
         sys.setswitchinterval(interval)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out
+
+
+def test_check_integral_type_runs_once_per_analyze(monkeypatch, capsys):
+    # the integral-type element feeds only analyze's report line; the
+    # Frobenius data that check-functor builds does not solve for it
+    import hopfkit.extension as ext
+
+    calls = []
+    real = ext.check_integral_type
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ext, "check_integral_type", counted)
+    code, _ = run(["check-functor", "builtin:h8", "--module", "builtin:kchar?act=1,-1,-1,1",
+                   "--frobenius-monoidal", "--separable"], capsys)
+    assert (code, len(calls)) == (0, 0)
+    code, _ = run(["analyze", "builtin:h8"], capsys)
+    assert (code, len(calls)) == (0, 1)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -212,3 +213,39 @@ def test_scale_seven(h8_incl):
     assert d1 == Fraction(1, 14)
     # booleans unchanged
     assert ana7.central == ana1.central and ana7.decision.frobenius == ana1.decision.frobenius
+
+
+# sha256 of repr((tr_K.key(), deltas)) for each lam_scale in 1, 7, 1/2, recorded
+# while make_frobenius_data verified the dual bases after its own rescale
+FROBENIUS_DATA_PINS = [
+    ("builtin:h8", [
+        "31768c23e404ef07d113522759ff99061d76725d1ac28a202c0b715c3d8c5914",
+        "deb65719363c37da5d3ab91680c8622973546087ff57a3f335fc65c503788ab2",
+        "ab5f60ddc1f3381e2a346f2fbaa5d87f17ab9b216c18f42d84a461edcfa73738",
+    ]),
+    ("builtin:double?of=builtin:group?table=c3", [
+        "a28637f4de9fe34bcd1df0fd4fc964a1b28c6a0850d543a77edf9b1110dc30a9",
+        "fd431bc4e99a6c670e868fa1d510e6ab71c0a65cb190babf1adddff7ae6cb454",
+        "49ecadf1b2b4777edc28088a2be0c675fe5f8c7ddb5e0a55d3fb26951eb8a8d7",
+    ]),
+    ("builtin:uqsl2?l=3&sub=cartan", [
+        "13423144a6d668fd0996bae6e9211b2f740e7a04362fefd0fd3157f1f7af7cfd",
+        "b2eb695b73487c05b36f575c997c206e8386d8c751f26b5a2b2fabaabee7666a",
+        "c2e2d17368e5aae07e098962f34503cf4c65ada3d48f338df0b80b1d091c70e0",
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec, digests", FROBENIUS_DATA_PINS, ids=["h8", "dc3", "uqsl2-l3-cartan"])
+def test_frobenius_data_is_pinned(spec, digests):
+    from hopfkit.cli import resolve_inclusion
+
+    incl = resolve_inclusion(spec)
+    bq = bar_quotient(incl)
+    lam0 = right_integral_bar_dual(bq)
+    got = []
+    for lam_scale in (1, 7, Fraction(1, 2)):
+        fr = make_frobenius_data(incl, bq, lam0, lam_scale=lam_scale)
+        blob = repr((fr.tr_K.key(), [list(d) for d in fr.deltas])).encode()
+        got.append(hashlib.sha256(blob).hexdigest())
+    assert got == digests

@@ -267,3 +267,26 @@ def test_kchar_at_any_conductor_exits_cleanly(spec, act, deg, cond):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# kchar lists that are no character of K: x -> i on the Klein group (x^2 = 1),
+# and zeta_3 values for elements of order 2.  check-functor stops at the input
+# check instead of passing every line, failing inside z_induce, or reporting a
+# frobenius-monoidal FAIL that blames the functor.
+NOT_K_MODULES = [
+    ("builtin:double?of=builtin:group?table=klein", "act=1,z,z,z^2&deg=x&cond=4",
+     ["--braided", "--separable"]),
+    ("builtin:h8", "act=1,z,z^2,z^3&deg=y&cond=3", ["--braided"]),
+    ("builtin:h8", "act=1,z,z,z^2&cond=4", ["--frobenius-monoidal"]),
+]
+
+
+@pytest.mark.parametrize("spec, act, flags", NOT_K_MODULES)
+def test_check_functor_rejects_a_non_module_input(spec, act, flags):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["check-functor", spec, "--module", "builtin:kchar?" + act] + flags
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 1
+    assert ["module-input[kchar]", "FAIL"] in [line.split() for line in out.getvalue().splitlines()]
+    assert "Traceback" not in err.getvalue() and not err.getvalue()
