@@ -61,6 +61,18 @@ def cyclotomic_poly(N):
     return num
 
 
+def _times_zeta(coeffs, base):
+    """The integer coefficients of zeta * (sum of coeffs[j] zeta^j), reduced
+    modulo Phi_N, where base holds those of zeta^phi."""
+    top = coeffs[-1]
+    out = [0]
+    out.extend(coeffs[:-1])
+    if top:
+        for j, b in enumerate(base):
+            out[j] += top * b
+    return out
+
+
 _ctx_cache = {}
 
 
@@ -74,12 +86,7 @@ def make_ctx(N):
     base = tuple(-poly[j] for j in range(phi))
     rows = [base]
     for _ in range(max(0, phi - 2)):
-        prev = rows[-1]
-        top = prev[phi - 1]
-        new = [top * base[0]]
-        for j in range(1, phi):
-            new.append(prev[j - 1] + top * base[j])
-        rows.append(tuple(new))
+        rows.append(tuple(_times_zeta(rows[-1], base)))
     ctx = (N, phi, tuple(rows))
     _ctx_cache[N] = ctx
     return ctx
@@ -141,18 +148,9 @@ def zeta_power(ctx, k):
     got = _power_cache.get(key)
     if got is not None:
         return got
-    base = red[0]
-    cur = [0] * phi
-    cur[0] = 1
+    cur = [1] + [0] * (phi - 1)
     for _ in range(k):
-        top = cur[phi - 1]
-        nxt = [0] * phi
-        for j in range(phi - 1, 0, -1):
-            nxt[j] = cur[j - 1]
-        if top:
-            for j in range(phi):
-                nxt[j] += top * base[j]
-        cur = nxt
+        cur = _times_zeta(cur, red[0])
     out = _pykernel._norm(1, cur)
     _power_cache[key] = out
     return out
@@ -181,14 +179,7 @@ def lift_table(N, M):
         if j == phiN - 1:
             break
         for _ in range(step):
-            top = cur[phiM - 1]
-            nxt = [0] * phiM
-            for t in range(phiM - 1, 0, -1):
-                nxt[t] = cur[t - 1]
-            if top:
-                for t in range(phiM):
-                    nxt[t] += top * base[t]
-            cur = nxt
+            cur = _times_zeta(cur, base)
     rows = tuple(rows)
     _lift_cache[key] = rows
     return rows
@@ -236,15 +227,7 @@ def _solve_inv(ctx, a):
         cols.append(list(cur))
         if j == phi - 1:
             break
-        top = cur[phi - 1]
-        nxt = [0] * phi
-        for t in range(phi - 1, 0, -1):
-            nxt[t] = cur[t - 1]
-        if top:
-            row = red[0]
-            for t in range(phi):
-                nxt[t] += top * row[t]
-        cur = nxt
+        cur = _times_zeta(cur, red[0])
     # solve M v = e0 over Q
     mat = [[Fraction(cols[j][i]) for j in range(phi)] for i in range(phi)]
     rhs = [Fraction(1 if i == 0 else 0) for i in range(phi)]

@@ -85,21 +85,13 @@ def _double(params):
     return builders.drinfeld_double(H)
 
 
+# hopfkit runs single-threaded and reads HOPFKIT_JOBS nowhere else; the
+# benchmark harness (hopfbench/run.py) still imports this parser.
 def _jobs():
     try:
         return max(1, int(os.environ.get("HOPFKIT_JOBS", "1")))
     except ValueError:
         return 1
-
-
-def _map_checks(fn, items):
-    jobs = _jobs()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def resolve_hopf(spec):
@@ -269,7 +261,7 @@ def cmd_dump(args):
 
 
 def cmd_analyze(args):
-    from .extension import analyze_extension, verify_inclusion
+    from .extension import analyze_extension
 
     spec = args.input
     incl = resolve_inclusion(spec)
@@ -316,12 +308,8 @@ def cmd_check_functor(args):
     report.add("frobenius-extension", True)
 
     if args.frobenius_monoidal:
-        triples = [(a, b, c) for a in plain for b in plain for c in plain]
-
-        def run(tr):
-            return verify_frobenius_monoidal(ictx, *tr)
-
-        for tr, rep in zip(triples, _map_checks(run, triples)):
+        for tr in ((a, b, c) for a in plain for b in plain for c in plain):
+            rep = verify_frobenius_monoidal(ictx, *tr)
             names = ",".join(m.name for m in tr)
             report.add("frobenius-monoidal[%s]" % names, rep.ok, anchor="frobmon")
     if args.separable:
@@ -344,12 +332,8 @@ def cmd_check_functor(args):
                 if not rep.ok:
                     report.add("yd-input[%s]" % m.name, False)
                     return _emit(report, args)
-            pairs = [(a, b) for a in yds for b in yds]
-
-            def runb(pr):
-                return verify_braided_frobenius(ictx, *pr)
-
-            for pr, rep in zip(pairs, _map_checks(runb, pairs)):
+            for pr in ((a, b) for a in yds for b in yds):
+                rep = verify_braided_frobenius(ictx, *pr)
                 names = ",".join(m.name for m in pr)
                 report.add("braided-frobenius[%s]" % names, rep.ok, anchor="braided")
     return _emit(report, args)

@@ -5,15 +5,14 @@ coefficient-wise.  Mixed conductors are lifted to the lcm; there is no
 automatic conductor minimization.  All values are immutable and all
 operations are pure.
 
-The row-reduction engine uses a fraction-free forward pass (cross
-multiplication, per-row content stripping) with first-nonzero-pivot
-tie-breaking, then back-substitutes to reduced echelon form, so all outputs
-are deterministic.
+Every elimination (rank, inverse, solve, null spaces) runs on one
+incrementally maintained sparse reduced row echelon form, ``RowSpace``.  A
+row space has exactly one RREF, so all outputs are deterministic.
 """
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import _kernel as K
 from .errors import InconsistentSystemError, ShapeError
@@ -345,86 +344,19 @@ def _table_mul(ctx, table, n, u, v):
     return out
 
 
-def _row_content_strip(row):
-    """Divide an integer-vector row through by the gcd of all numerators."""
-    g = 0
-    for s in row:
-        for c in s[1:]:
-            if c:
-                g = gcd(g, c)
-        if g == 1:
-            return row
-    if g in (0, 1):
-        return row
-    return [(s[0],) + tuple(c // g for c in s[1:]) if not K.s_is_zero(s) else s for s in row]
-
-
-def rref_raw(rows, ctx):
-    """In-place reduced row echelon form; returns pivot column list.
-
-    Forward pass is fraction-free (cross multiplication with content
-    stripping); pivots are then scaled to one and eliminated upwards.
-    First-nonzero-pivot tie-breaking keeps the output deterministic.
-    """
-    if not rows:
-        return []
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not K.s_is_zero(rows[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, nrows):
-            a = rows[i][col]
-            if K.s_is_zero(a):
-                continue
-            ri = rows[i]
-            rr = rows[r]
-            new = [
-                K.s_sub(ctx, K.s_mul(ctx, pv, ri[j]), K.s_mul(ctx, a, rr[j]))
-                for j in range(ncols)
-            ]
-            rows[i] = _row_content_strip(new)
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    # back pass: normalize pivots to 1 and clear above
-    for k in range(len(pivots) - 1, -1, -1):
-        col = pivots[k]
-        pv = rows[k][col]
-        inv = K.s_inv(ctx, pv)
-        rows[k] = [K.s_mul(ctx, inv, s) for s in rows[k]]
-        for i in range(k):
-            a = rows[i][col]
-            if K.s_is_zero(a):
-                continue
-            rk = rows[k]
-            rows[i] = [
-                K.s_sub(ctx, rows[i][j], K.s_mul(ctx, a, rk[j])) for j in range(len(rows[i]))
-            ]
-    return pivots
-
-
-def nullspace_raw(rows, ncols, ctx):
-    """Null-space basis (list of dense raw vectors) of stacked constraint rows.
-
-    Rows are dicts {col: raw} or dense lists; reduction is incremental so very
-    tall sparse systems stay cheap.
-    """
+def rref_raw(rows, ncols, ctx):
+    """The reduced row echelon form of sparse (dict) or dense rows of width
+    ncols, as a RowSpace.  A row space has exactly one RREF, so the result
+    does not depend on the order of the rows."""
     space = RowSpace(ncols, ctx)
     for row in rows:
         space.add(row)
-    return space.nullspace()
+    return space
+
+
+def nullspace_raw(rows, ncols, ctx):
+    """Null-space basis (list of dense raw vectors) of stacked constraint rows."""
+    return rref_raw(rows, ncols, ctx).nullspace()
 
 
 class RowSpace:
@@ -473,23 +405,34 @@ class RowSpace:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def nullspace(self):
-        """Dense raw basis vectors of the solution set of (rows) x = 0."""
-        ctx = self.ctx
-        z = K.s_zero(ctx)
-        o = K.s_one(ctx)
+    def _null_vectors(self, ncols=None):
+        """Sparse basis of the solution set of (rows) x = 0 in the first ncols
+        columns (all by default), one vector per free column in increasing
+        order: 1 at its own free column, 0 at the other free columns."""
+        ncols = self.ncols if ncols is None else ncols
+        one = K.s_one(self.ctx)
         pivset = set(self.pivots)
         basis = []
-        for free in range(self.ncols):
+        for free in range(ncols):
             if free in pivset:
                 continue
-            vec = [z] * self.ncols
-            vec[free] = o
+            vec = {free: one}
             for piv, row in zip(self.pivots, self.rows):
                 a = row.get(free)
                 if a is not None:
                     vec[piv] = K.s_neg(a)
             basis.append(vec)
+        return basis
+
+    def nullspace(self):
+        """Dense raw basis vectors of the solution set of (rows) x = 0."""
+        z = K.s_zero(self.ctx)
+        basis = []
+        for vec in self._null_vectors():
+            dense = [z] * self.ncols
+            for j, x in vec.items():
+                dense[j] = x
+            basis.append(dense)
         return basis
 
 
@@ -729,24 +672,22 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rank(self):
-        rows = self.raw()
-        return len(rref_raw(rows, self.ctx))
+        return rref_raw(self.srows, self.cols, self.ctx).rank
 
     def inverse(self):
-        """Exact inverse, or None if singular."""
+        """Exact inverse, or None if singular: the RREF of [A | I] is
+        [I | A^-1] exactly when its pivots are the columns of A."""
         if self.rows != self.cols:
             return None
         n = self.rows
-        ctx = self.ctx
-        z = K.s_zero(ctx)
-        aug = self.raw()
-        for i, row in enumerate(aug):
-            row.extend([z] * n)
-            row[n + i] = K.s_one(ctx)
-        pivots = rref_raw(aug, ctx)
-        if pivots != list(range(n)):
+        one = K.s_one(self.ctx)
+        aug = ({**row, n + i: one} for i, row in enumerate(self.srows))
+        space = rref_raw(aug, 2 * n, self.ctx)
+        if space.pivots != list(range(n)):
             return None
-        return Matrix(self.N, [row[n:] for row in aug])
+        return Matrix.from_sparse(
+            self.N, n, [{j - n: x for j, x in row.items() if j >= n} for row in space.rows]
+        )
 
     def solve(self, rhs):
         """Solve self * x = rhs exactly.
@@ -758,37 +699,22 @@ class Matrix:
         a, b = self._pair(rhs)
         if b.rows != a.rows:
             raise ShapeError("solve: rhs has %d rows, expected %d" % (b.rows, a.rows))
-        ctx = a.ctx
-        ncols = a.cols
-        aug = [ra + rb for ra, rb in zip(a.raw(), b.raw())]
-        pivots = rref_raw(aug, ctx)
-        pivots = [p for p in pivots if p < ncols]
-        # consistency: no pivot may fall in the rhs block
-        for i, row in enumerate(aug):
-            if all(K.s_is_zero(x) for x in row[:ncols]) and any(
-                not K.s_is_zero(x) for x in row[ncols:]
-            ):
-                raise InconsistentSystemError("linear system has no solution")
-        z = K.s_zero(ctx)
-        nrhs = b.cols
-        part = [[z] * nrhs for _ in range(ncols)]
-        for r, p in enumerate(pivots):
-            for j in range(nrhs):
-                part[p][j] = aug[r][ncols + j]
-        pivset = set(pivots)
-        o = K.s_one(ctx)
-        null = []
-        for free in range(ncols):
-            if free in pivset:
-                continue
-            vec = [z] * ncols
-            vec[free] = o
-            for r, p in enumerate(pivots):
-                x = aug[r][free]
-                if not K.s_is_zero(x):
-                    vec[p] = K.s_neg(x)
-            null.append(Matrix(a.N, [[x] for x in vec]))
-        return LinearSolution(Matrix(a.N, part), null)
+        n = a.cols
+        aug = (
+            {**ra, **{n + j: x for j, x in rb.items()}} for ra, rb in zip(a.srows, b.srows)
+        )
+        space = rref_raw(aug, n + b.cols, a.ctx)
+        # a pivot in the rhs block is a row 0 = nonzero
+        if space.pivots and space.pivots[-1] >= n:
+            raise InconsistentSystemError("linear system has no solution")
+        part = [{} for _ in range(n)]
+        for p, row in zip(space.pivots, space.rows):
+            part[p] = {j - n: x for j, x in row.items() if j >= n}
+        null = [
+            Matrix.from_sparse(a.N, 1, [{0: vec[i]} if i in vec else {} for i in range(n)])
+            for vec in space._null_vectors(n)
+        ]
+        return LinearSolution(Matrix.from_sparse(a.N, b.cols, part), null)
 
     def __repr__(self):
         body = "; ".join(

@@ -38,9 +38,7 @@ class InductionContext:
     ``tensor_modules`` does on every call) share an entry. Results that
     carry a name are keyed by the name too. The lax structure scales with
     the Frobenius morphism, so a rescaled context is a new object with a
-    cache of its own. Threads that share a context (``HOPFKIT_JOBS``) may
-    both build a missing entry; the builds are equal, so whichever is stored
-    is right.
+    cache of its own.
     """
 
     __slots__ = ("incl", "frob", "central", "_cache")

@@ -319,25 +319,6 @@ def test_yd_module_bundle_verify(tmp_path, h8_incl, capsys):
     assert "yd-compatibility" in out
 
 
-def test_check_functor_parallel_jobs(monkeypatch, capsys):
-    monkeypatch.setenv("HOPFKIT_JOBS", "2")
-    code1, out1 = run([
-        "check-functor", "builtin:h8",
-        "--module", "builtin:kchar?act=1,1,1,1",
-        "--module", "builtin:kchar?act=1,-1,-1,1",
-        "--frobenius-monoidal", "--report", "json",
-    ], capsys)
-    monkeypatch.setenv("HOPFKIT_JOBS", "1")
-    code2, out2 = run([
-        "check-functor", "builtin:h8",
-        "--module", "builtin:kchar?act=1,1,1,1",
-        "--module", "builtin:kchar?act=1,-1,-1,1",
-        "--frobenius-monoidal", "--report", "json",
-    ], capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2  # deterministic assembly regardless of parallelism
-
-
 _KLEIN_CHARS = ("1,1,1,1", "1,-1,-1,1", "1,1,-1,-1", "1,-1,1,-1")
 
 
@@ -403,23 +384,6 @@ def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 
     code, out = run(argv, capsys)
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out
-
-
-def test_report_bytes_with_threads_sharing_the_memo(monkeypatch, capsys):
-    # HOPFKIT_JOBS threads share one InductionContext cache; a race on it may
-    # build an entry twice, but must not change a report byte
-    import hashlib
-    import sys
-
-    argv, rc, sha256 = GOLDEN_REPORTS[0]
-    monkeypatch.setenv("HOPFKIT_JOBS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        code, out = run(argv, capsys)
-    finally:
-        sys.setswitchinterval(interval)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out
 
 

@@ -148,8 +148,9 @@ def test_memoized_ring_ops_match_a_reference_at_every_conductor(xs, ys):
 
 
 def test_scalar_memos_stay_within_their_cap():
-    # a dense 30 x 30 rational inverse stores about 59,000 results, far more
-    # distinct products and differences than one memo may hold
+    # the elimination of a dense 30 x 30 rational inverse stores about 23,600
+    # distinct products and as many distinct sums, each far more than one
+    # memo may hold
     rng = Random(0)
     A = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)])
     assert (A * A.inverse()).is_identity()
@@ -312,9 +313,100 @@ def test_solve_resubstitutes(av, bv):
     assert len(sol.null_basis) == 2 - A.rank()
 
 
+def _reference_pivots(rows):
+    """Pivot columns of a list of rows of Cyclotomic values, by plain
+    Gaussian elimination; their number is the rank."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((i for i in range(len(pivots), len(rows)) if not rows[i][col].is_zero()), None)
+        if at is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[at] = rows[at], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+@st.composite
+def _sparse_system(draw):
+    """(A, B) over Q(zeta_N), N in 1, 4, 5, 8, with most entries zero."""
+    N = draw(st.sampled_from([1, 4, 5, 8]))
+    entry = st.one_of(st.just(Cyclotomic.rational(0, N)), _scalar_at(N))
+    rows, cols, nrhs = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    A = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    B = draw(st.lists(st.lists(entry, min_size=nrhs, max_size=nrhs), min_size=rows, max_size=rows))
+    return A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_system())
+def test_elimination_gives_the_reduced_row_echelon_answer(system):
+    A_rows, B_rows = system
+    A, B = Matrix.from_rows(A_rows), Matrix.from_rows(B_rows)
+    n, pivots = A.cols, _reference_pivots(A_rows)
+    rank = len(pivots)
+    assert A.rank() == rank
+    if A.rows == n:
+        inv = A.inverse()
+        assert (inv is None) == (rank < n)
+        if inv is not None:
+            assert (A * inv).is_identity() and (inv * A).is_identity()
+    consistent = len(_reference_pivots([a + b for a, b in zip(A_rows, B_rows)])) == rank
+    try:
+        sol = A.solve(B)
+    except InconsistentSystemError:
+        assert not consistent
+        return
+    assert consistent
+    assert A * sol.particular == B
+    # the free variables of the particular solution are 0
+    for j in range(n):
+        if j not in pivots:
+            assert not sol.particular.srows[j]
+    free = [j for j in range(n) if j not in pivots]
+    assert len(sol.null_basis) == len(free)
+    for own, vec in zip(free, sol.null_basis):
+        assert (A * vec).is_zero()
+        assert [vec.entry(j, 0) == (1 if j == own else 0) for j in free] == [True] * len(free)
+
+
+def test_dense_cyclotomic_inverse_and_solve_finish_quickly():
+    # dense 20 x 20 elimination over Q(zeta_5) once grew its entries without
+    # bound: it did not finish in minutes
+    import os
+    import subprocess
+    import sys
+
+    import hopfkit
+
+    script = """
+from random import Random
+from hopfkit.exact_math import Cyclotomic, Matrix
+
+rng = Random(5)
+def entry():
+    return Cyclotomic.from_coeffs(5, [rng.randint(-3, 3) for _ in range(4)])
+A = Matrix.from_rows([[entry() for _ in range(20)] for _ in range(20)])
+b = Matrix.column([entry() for _ in range(20)])
+inv = A.inverse()
+assert (A * inv).is_identity() and (inv * A).is_identity()
+sol = A.solve(b)
+assert A * sol.particular == b and sol.null_basis == []
+"""
+    src = os.path.dirname(os.path.dirname(hopfkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def _scalar_at(N):
     """Zero, one or an arbitrary element of Q(zeta_N), zero and one often."""
-    phi = {1: 1, 4: 2, 8: 4}[N]
+    phi = {1: 1, 4: 2, 5: 4, 8: 4}[N]
     return st.one_of(
         st.just(Cyclotomic.rational(0, N)),
         st.just(Cyclotomic.rational(1, N)),
