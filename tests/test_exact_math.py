@@ -371,7 +371,7 @@ def test_elimination_gives_the_reduced_row_echelon_answer(system):
     assert len(sol.null_basis) == len(free)
     for own, vec in zip(free, sol.null_basis):
         assert (A * vec).is_zero()
-        assert [vec.entry(j, 0) == (1 if j == own else 0) for j in free] == [True] * len(free)
+        assert all(vec.entry(j, 0) == (1 if j == own else 0) for j in free)
 
 
 def test_dense_cyclotomic_inverse_and_solve_finish_quickly():
