@@ -67,9 +67,6 @@ class Cyclotomic:
     def is_zero(self):
         return K.s_is_zero(self.data)
 
-    def is_rational(self):
-        return K.s_rational_part(self.data) is not None
-
     def as_fraction(self):
         f = K.s_rational_part(self.data)
         if f is None:
@@ -83,6 +80,21 @@ class Cyclotomic:
         if M % self.N != 0:
             raise ValueError("conductor %d does not divide %d" % (self.N, M))
         return Cyclotomic(M, K.s_lift(self.data, self.N, M))
+
+    def lower(self, M):
+        """The same value viewed in Q(zeta_M), for M dividing N; raises
+        ValueError when the value does not lie in that subfield."""
+        if M == self.N:
+            return self
+        if self.N % M != 0:
+            raise ValueError("conductor %d does not divide %d" % (M, self.N))
+        # column j of A holds the coefficients of zeta_M**j at conductor N
+        A = Matrix.from_rows(list(zip(*K.lift_table(M, self.N))))
+        try:
+            x = A.solve(Matrix.column(self.coeffs())).particular
+        except InconsistentSystemError:
+            raise ValueError("%s does not lie in Q(zeta_%d)" % (self, M)) from None
+        return Cyclotomic.from_coeffs(M, [x.entry(j, 0).as_fraction() for j in range(x.rows)])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -302,9 +314,27 @@ def _scale(ctx, terms, c):
     return {k: K.s_mul(ctx, c, s) for k, s in _items(terms)}
 
 
+def _normalize_first_one(ctx, vec):
+    """The nonzero sparse vector vec scaled so that its first entry is 1."""
+    return _scale(ctx, vec, K.s_inv(ctx, vec[min(vec)]))
+
+
 def _clean(terms):
     """The nonzero entries of terms (e.g. ``enumerate(dense)``) as a sparse vector."""
     return {k: s for k, s in _items(terms) if not K.s_is_zero(s)}
+
+
+def _dense(ctx, terms, n):
+    """terms as a dense list of n raw scalars."""
+    out = [K.s_zero(ctx)] * n
+    for k, s in _items(terms):
+        out[k] = s
+    return out
+
+
+def _column(N, vec, n):
+    """The sparse vector vec over Q(zeta_N) as an n x 1 Matrix."""
+    return Matrix.from_sparse(N, 1, [{0: vec[i]} if i in vec else {} for i in range(n)])
 
 
 def _tensor(ctx, acc, u, v, n):
@@ -355,27 +385,36 @@ def rref_raw(rows, ncols, ctx):
 
 
 def nullspace_raw(rows, ncols, ctx):
-    """Null-space basis (list of dense raw vectors) of stacked constraint rows."""
+    """Null-space basis (list of sparse raw vectors) of stacked constraint rows."""
     return rref_raw(rows, ncols, ctx).nullspace()
 
 
 class RowSpace:
-    """Incrementally maintained RREF of a set of rows (sparse dict rows)."""
+    """Incrementally maintained RREF of a set of rows (sparse dict rows).
+
+    ``rows`` and ``pivots`` list the rows in increasing pivot order;
+    ``_row_at`` maps each pivot to its row, so that a reduction looks up only
+    the pivots the vector touches."""
 
     def __init__(self, ncols, ctx):
         self.ncols = ncols
         self.ctx = ctx
         self.rows = []  # list of dict col->raw, pivot coefficient 1
         self.pivots = []  # sorted pivot columns, parallel to rows
+        self._row_at = {}  # pivot column -> its row in rows
 
     def reduce(self, vec):
-        """Remainder of a sparse (dict) or dense vector modulo the row space."""
+        """Remainder of a sparse (dict) or dense vector modulo the row space.
+
+        Row p is zero at every other pivot column, so subtracting it leaves the
+        vector's entries at the other pivots as they were: the multiplier of
+        row p is the vector's own entry at p, and only the pivots present in
+        the vector are visited, in increasing order."""
         ctx = self.ctx
         vec = _clean(vec if isinstance(vec, dict) else enumerate(vec))
-        for piv, row in zip(self.pivots, self.rows):
-            a = vec.get(piv)
-            if a is not None:
-                _axpy(ctx, vec, row, K.s_neg(a))
+        row_at = self._row_at
+        for piv in sorted(p for p in vec if p in row_at):
+            _axpy(ctx, vec, row_at[piv], K.s_neg(vec[piv]))
         return vec
 
     def add(self, vec):
@@ -387,15 +426,17 @@ class RowSpace:
         piv = min(rem)
         row = _scale(ctx, rem, K.s_inv(ctx, rem[piv]))
         # clear the new pivot column from existing rows
-        for i, r in enumerate(self.rows):
+        rows, row_at = self.rows, self._row_at
+        for i, r in enumerate(rows):
             a = r.get(piv)
             if a is not None:
-                self.rows[i] = _axpy(ctx, dict(r), row, K.s_neg(a))
+                rows[i] = row_at[self.pivots[i]] = _axpy(ctx, dict(r), row, K.s_neg(a))
         at = 0
         while at < len(self.pivots) and self.pivots[at] < piv:
             at += 1
         self.pivots.insert(at, piv)
-        self.rows.insert(at, row)
+        rows.insert(at, row)
+        row_at[piv] = row
         return True
 
     @property
@@ -405,16 +446,15 @@ class RowSpace:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def _null_vectors(self, ncols=None):
+    def nullspace(self, ncols=None):
         """Sparse basis of the solution set of (rows) x = 0 in the first ncols
         columns (all by default), one vector per free column in increasing
         order: 1 at its own free column, 0 at the other free columns."""
         ncols = self.ncols if ncols is None else ncols
         one = K.s_one(self.ctx)
-        pivset = set(self.pivots)
         basis = []
         for free in range(ncols):
-            if free in pivset:
+            if free in self._row_at:
                 continue
             vec = {free: one}
             for piv, row in zip(self.pivots, self.rows):
@@ -422,17 +462,6 @@ class RowSpace:
                 if a is not None:
                     vec[piv] = K.s_neg(a)
             basis.append(vec)
-        return basis
-
-    def nullspace(self):
-        """Dense raw basis vectors of the solution set of (rows) x = 0."""
-        z = K.s_zero(self.ctx)
-        basis = []
-        for vec in self._null_vectors():
-            dense = [z] * self.ncols
-            for j, x in vec.items():
-                dense[j] = x
-            basis.append(dense)
         return basis
 
 
@@ -548,14 +577,7 @@ class Matrix:
 
     def raw(self):
         """Dense rows of raw scalars."""
-        z = K.s_zero(self.ctx)
-        out = []
-        for row in self.srows:
-            dense = [z] * self.cols
-            for j, x in row.items():
-                dense[j] = x
-            out.append(dense)
-        return out
+        return [_dense(self.ctx, row, self.cols) for row in self.srows]
 
     def col_raw(self, j):
         z = K.s_zero(self.ctx)
@@ -710,10 +732,7 @@ class Matrix:
         part = [{} for _ in range(n)]
         for p, row in zip(space.pivots, space.rows):
             part[p] = {j - n: x for j, x in row.items() if j >= n}
-        null = [
-            Matrix.from_sparse(a.N, 1, [{0: vec[i]} if i in vec else {} for i in range(n)])
-            for vec in space._null_vectors(n)
-        ]
+        null = [_column(a.N, vec, n) for vec in space.nullspace(n)]
         return LinearSolution(Matrix.from_sparse(a.N, b.cols, part), null)
 
     def __repr__(self):

@@ -8,7 +8,7 @@ normality tests.  Everything is exact; every derived structure is verified
 against its defining identities at construction time.
 """
 
-from math import lcm
+from math import gcd, lcm
 
 from . import _kernel as K
 from .errors import HopfkitError, InconsistentSystemError, PipelineError, ShapeError
@@ -19,7 +19,9 @@ from .exact_math import (
     _add,
     _axpy,
     _clean,
+    _dense,
     _mat_vec,
+    _normalize_first_one,
     _scale,
     _tensor,
 )
@@ -218,7 +220,7 @@ def bar_quotient(incl):
 
     sub = RowSpace(n, ctx)
     for w in kplus:
-        wimg = incl.embed_vec(_clean(enumerate(w)))
+        wimg = incl.embed_vec(w)
         for i in range(n):
             sub.add(H.mult_vec(H.basis_vec(i), wimg))
 
@@ -240,10 +242,7 @@ def bar_quotient(incl):
     cols = []
     for t in reps:
         rem = sub.reduce({t: one})
-        col = [K.s_zero(ctx)] * dimbar
-        for c, s in rem.items():
-            col[np_pos[c]] = s
-        cols.append(col)
+        cols.append(_dense(ctx, ((np_pos[c], s) for c, s in rem.items()), dimbar))
     M = Matrix(incl.N, [list(r) for r in zip(*cols)])
     Minv = M.inverse()
     if Minv is None:
@@ -363,13 +362,7 @@ def right_integral_bar_dual(bq):
         raise PipelineError(
             "right integral space of Hbar* has dimension %d, expected 1" % len(basis)
         )
-    vec = basis[0]
-    for v in vec:
-        if not K.s_is_zero(v):
-            inv = K.s_inv(ctx, v)
-            vec = [K.s_mul(ctx, inv, x) for x in vec]
-            break
-    return LinearFunctional(bq.incl.N, vec)
+    return LinearFunctional(bq.incl.N, _dense(ctx, _normalize_first_one(ctx, basis[0]), d))
 
 
 def lift_bar_functional(bq, lam):
@@ -382,6 +375,25 @@ def lift_bar_functional(bq, lam):
             acc = K.s_add(ctx, acc, K.s_mul(ctx, lam.values[t], c))
         vals.append(acc)
     return LinearFunctional(bq.incl.N, vals)
+
+
+def _lambda_products(H, lamH, lefts):
+    """{a: row} for each a in lefts, where row is the sparse vector
+    {j: lambda(bar(h_a h_j))}, read off H's multiplication table and the
+    lifted values lamH of lambda."""
+    ctx = H.ctx
+    n = H.dim
+    lam = {k: v for k, v in enumerate(lamH.values) if not K.s_is_zero(v)}
+    out = {}
+    for a in lefts:
+        row = {}
+        for j in range(n):
+            for k, s in H.mult[a * n + j]:
+                v = lam.get(k)
+                if v is not None:
+                    _add(ctx, row, j, K.s_mul(ctx, v, s))
+        out[a] = row
+    return out
 
 
 def relative_modular_function(incl, bq, lam):
@@ -397,18 +409,22 @@ def relative_modular_function(incl, bq, lam):
     if h0 is None:
         raise PipelineError("zero integral passed to relative_modular_function")
     d_inv = K.s_inv(ctx, lamH.values[h0])
-    values = []
-    for b in range(Kk.dim):
-        v = H.mult_vec(incl.embed_col(b), H.basis_vec(h0))
-        values.append(K.s_mul(ctx, lamH(v), d_inv))
-    chi = LinearFunctional(incl.N, values)
+    z = K.s_zero(ctx)
+    cols = [incl.embed_col(b) for b in range(Kk.dim)]
+    prods = _lambda_products(H, lamH, sorted({a for col in cols for a in col}))
+    # kh[b][i] = lambda(bar(k_b h_i)) for the embedded K-basis vector k_b
+    kh = []
+    for col in cols:
+        acc = {}
+        for a, c in col.items():
+            _axpy(ctx, acc, prods[a], c)
+        kh.append(acc)
+    chi = LinearFunctional(incl.N, [K.s_mul(ctx, row.get(h0, z), d_inv) for row in kh])
     # global verification over all (k, h) basis pairs
-    for b in range(Kk.dim):
+    for b, row in enumerate(kh):
         cb = chi.values[b]
-        col = incl.embed_col(b)
         for i in range(H.dim):
-            lhs = lamH(H.mult_vec(col, H.basis_vec(i)))
-            if lhs != K.s_mul(ctx, cb, lamH.values[i]):
+            if row.get(i, z) != K.s_mul(ctx, cb, lamH.values[i]):
                 raise PipelineError(
                     "no relative modular function: condition fails at (k=%d, h=%d)" % (b, i)
                 )
@@ -433,16 +449,10 @@ def _assert_algebra_map_K(Kk, f):
 def check_integral_type(incl, bq, lam):
     """An element Lambda in H with lambda(bar(Lambda h)) = eps(h) for all h, or None."""
     H = incl.H
-    ctx = incl.ctx
     n = H.dim
-    lamH = lift_bar_functional(bq, lam)
-    rows = []
-    for j in range(n):
-        row = []
-        for t in range(n):
-            row.append(lamH(H.mult_vec(H.basis_vec(t), H.basis_vec(j))))
-        rows.append(row)
-    A = Matrix(incl.N, rows)
+    prods = _lambda_products(H, lift_bar_functional(bq, lam), range(n))
+    # row j, column t: lambda(bar(h_t h_j))
+    A = Matrix.from_sparse(incl.N, n, [prods[t] for t in range(n)]).transpose()
     b = Matrix(incl.N, [[H.counit[j]] for j in range(n)])
     try:
         sol = A.solve(b)
@@ -524,23 +534,49 @@ def is_frobenius_extension(incl, bq=None, lam=None):
 # ---------------------------------------------------------------------------
 
 
+def _added_rank(space, rows):
+    """dim(space + span(rows)) - dim(space): the rank of the remainders of
+    rows modulo space, counted in a scratch RowSpace."""
+    scratch = RowSpace(space.ncols, space.ctx)
+    for row in rows:
+        scratch.add(space.reduce(row))
+    return scratch.rank
+
+
 def free_basis(incl):
     """Greedy free-basis scan over H's basis in declared order.
 
-    Returns the index sequence h_1..h_r with span K*h_1 + ... + K*h_r = H.
+    Returns the index sequence h_1..h_r with K*h_1 + ... + K*h_r = H and
+    h_1*K + ... + h_r*K = H: h_t is taken only if both K*h_t and h_t*K add
+    dim K dimensions to the spans so far.
     """
     H, Kk = incl.H, incl.K
     n, m = H.dim, Kk.dim
     if n % m != 0:
         raise HopfkitError("dim H = %d not divisible by dim K = %d" % (n, m))
-    space = RowSpace(n, incl.ctx)
+    one = K.s_one(incl.ctx)
+    cols = [incl.embed_col(b) for b in range(m)]
+    left = RowSpace(n, incl.ctx)
+    right = RowSpace(n, incl.ctx)
     free = []
     for t in range(n):
-        if not space.contains({t: K.s_one(incl.ctx)}):
-            free.append(t)
-            for b in range(m):
-                space.add(H.mult_vec(incl.embed_col(b), H.basis_vec(t)))
-    if space.rank != n or len(free) != n // m:
+        if left.rank == n:
+            break
+        et = {t: one}
+        if left.contains(et) or right.contains(et):
+            continue
+        lrows = [H.mult_vec(col, et) for col in cols]
+        if _added_rank(left, lrows) != m:
+            continue
+        rrows = [H.mult_vec(et, col) for col in cols]
+        if _added_rank(right, rrows) != m:
+            continue
+        free.append(t)
+        for row in lrows:
+            left.add(row)
+        for row in rrows:
+            right.add(row)
+    if left.rank != n or len(free) != n // m:
         raise HopfkitError("free basis not found along declared order")
     return free
 
@@ -619,16 +655,12 @@ def frobenius_morphism(incl, bq, lam):
     n, m = H.dim, Kk.dim
     lamH = lift_bar_functional(bq, lam)
     images = []
-    z = K.s_zero(ctx)
     for i in range(n):
         acc = {}
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
             _axpy(ctx, acc, {k2: s}, lamH.values[j])
-        dense = [z] * n
-        for idx, s in acc.items():
-            dense[idx] = s
-        images.append(dense)
+        images.append(_dense(ctx, acc, n))
     coords = incl.to_K_coords_many(images)
     if coords is None:
         raise PipelineError("image of tr is not contained in K")
@@ -914,15 +946,17 @@ def make_frobenius_data(incl, bq, lam0, lam_scale=1):
 def rescale_frobenius_data(frob, c):
     """A new FrobeniusData with lambda (hence tr) multiplied by the scalar c.
 
-    c may be stored at a conductor that incl.N does not divide (a scalar read
-    off modules over a larger field); a rational c is moved down to incl.N,
-    any other raises PipelineError."""
+    c may be stored at a conductor M that incl.N does not divide (a scalar
+    read off modules over a larger field).  Q(zeta_M) meets Q(zeta_N) in
+    Q(zeta_gcd(M, N)), so c is lowered there exactly when it lies in it;
+    otherwise PipelineError is raised."""
     incl = frob.incl
     c = Cyclotomic.promote(c)
     if incl.N % c.N:
-        if not c.is_rational():
-            raise PipelineError("scalar %s does not lie in Q(zeta_%d)" % (c, incl.N))
-        c = Cyclotomic.rational(c.as_fraction())
+        try:
+            c = c.lower(gcd(c.N, incl.N))
+        except ValueError:
+            raise PipelineError("scalar %s does not lie in Q(zeta_%d)" % (c, incl.N)) from None
     c = c.lift(incl.N)
     ctx = incl.ctx
     cinv = K.s_inv(ctx, c.data)

@@ -25,6 +25,9 @@ from .exact_math import (
     _add,
     _axpy,
     _clean,
+    _column,
+    _dense,
+    _normalize_first_one,
     _scale,
     _table_mul,
     _tensor,
@@ -538,14 +541,6 @@ def dual_hopf(H):
     )
 
 
-def _normalize_first_one(ctx, vec):
-    for v in vec:
-        if not K.s_is_zero(v):
-            inv = K.s_inv(ctx, v)
-            return [K.s_mul(ctx, inv, x) for x in vec]
-    return list(vec)
-
-
 def _integral_rows(H, side, js=None):
     """Constraint rows of Lambda h_j = eps(h_j) Lambda (right) or
     h_j Lambda = eps(h_j) Lambda (left), for j in js (default: every basis
@@ -567,10 +562,9 @@ def _integral_rows(H, side, js=None):
                 yield r
 
 
-def _is_integral(H, side, vec):
-    """True iff the dense raw vector satisfies the integral equation for
-    every basis element h_j."""
-    lam = _clean(enumerate(vec))
+def _is_integral(H, side, lam):
+    """True iff the sparse raw vector lam satisfies the integral equation
+    for every basis element h_j."""
     for j in range(H.dim):
         hj = H.basis_vec(j)
         prod = H.mult_vec(lam, hj) if side == "right" else H.mult_vec(hj, lam)
@@ -606,8 +600,7 @@ def integral_space(H, side):
             null = space.nullspace()
             if js is None or all(_is_integral(H, side, v) for v in null):
                 break
-        basis = [_normalize_first_one(H.ctx, v) for v in null]
-        got = [Matrix(H.N, [[x] for x in vec]) for vec in basis]
+        got = [_column(H.N, _normalize_first_one(H.ctx, v), H.dim) for v in null]
         H._cache[key] = got
     return got
 
@@ -696,7 +689,7 @@ def right_integral_of_dual(H):
         raise PipelineError(
             "right integral space of %s* has dimension %d, expected 1" % (H.name, len(basis))
         )
-    lam = LinearFunctional(H.N, _normalize_first_one(ctx, basis[0]))
+    lam = LinearFunctional(H.N, _dense(ctx, _normalize_first_one(ctx, basis[0]), n))
     H._cache["dual_right_integral"] = lam
     return lam
 

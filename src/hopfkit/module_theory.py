@@ -195,7 +195,9 @@ def hom_space(M, N_mod):
                     space.add(row)
     out = []
     for vec in space.nullspace():
-        mat = Matrix(conductor, [[vec[r * dm + c] for c in range(dm)] for r in range(dn)])
+        mat = Matrix.from_sparse(conductor, dm, [
+            {c: vec[r * dm + c] for c in range(dm) if r * dm + c in vec} for r in range(dn)
+        ])
         out.append(ModuleMap(M, N_mod, mat))
     return out
 

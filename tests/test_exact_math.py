@@ -12,6 +12,7 @@ from hopfkit.errors import InconsistentSystemError
 from hopfkit.exact_math import (
     Cyclotomic,
     Matrix,
+    RowSpace,
     SparseTensor,
     _axpy,
     _clean,
@@ -634,3 +635,53 @@ def test_module_key_ignores_row_fill_order(h8, dense, rnd):
     V, V2 = HModule(h8, [M] * h8.dim, name="V"), HModule(h8, [M2] * h8.dim, name="V")
     assert _module_key(V) == _module_key(V2)
     assert isinstance(hash(_module_key(V)), int)
+
+
+class _SequentialRowSpace(RowSpace):
+    """RowSpace with the reduction that visits every pivot in turn."""
+
+    def reduce(self, vec):
+        vec = _clean(vec if isinstance(vec, dict) else enumerate(vec))
+        for piv, row in zip(self.pivots, self.rows):
+            a = vec.get(piv)
+            if a is not None:
+                _axpy(self.ctx, vec, row, K.s_neg(a))
+        return vec
+
+
+@st.composite
+def _sparse_rows(draw):
+    """(N, ncols, rows, probes): sparse raw rows over Q(zeta_N), N in 1, 4, 5, 8."""
+    N = draw(st.sampled_from([1, 4, 5, 8]))
+    ncols = draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, ncols - 1), _scalar_at(N), max_size=4).map(
+        lambda d: {j: x.data for j, x in d.items()}
+    )
+    return N, ncols, draw(st.lists(row, max_size=10)), draw(st.lists(row, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_rows())
+def test_pivot_indexed_reduce_matches_the_sequential_reduction(case):
+    N, ncols, rows, probes = case
+    ctx = K.make_ctx(N)
+    fast, slow = RowSpace(ncols, ctx), _SequentialRowSpace(ncols, ctx)
+    for row in rows:
+        assert fast.reduce(dict(row)) == slow.reduce(dict(row))
+        assert fast.add(dict(row)) == slow.add(dict(row))
+        assert (fast.rows, fast.pivots) == (slow.rows, slow.pivots)
+        assert fast._row_at == dict(zip(fast.pivots, fast.rows))
+    for vec in probes:
+        assert fast.reduce(vec) == slow.reduce(vec)
+    assert fast.nullspace() == slow.nullspace()
+
+
+def test_lower_finds_the_value_in_a_subfield():
+    i = root_of_unity(12, 3)
+    assert i.lower(4) == root_of_unity(4) and i.lower(4).N == 4
+    assert root_of_unity(12, 4).lower(3) == root_of_unity(3)
+    assert Cyclotomic.rational(Fraction(2, 3), 12).lower(1).data == (3, 2)
+    with pytest.raises(ValueError):
+        root_of_unity(12, 4).lower(4)
+    with pytest.raises(ValueError):
+        i.lower(5)

@@ -249,3 +249,79 @@ def test_frobenius_data_is_pinned(spec, digests):
         blob = repr((fr.tr_K.key(), [list(d) for d in fr.deltas])).encode()
         got.append(hashlib.sha256(blob).hexdigest())
     assert got == digests
+
+
+def _s3_inclusion():
+    """kC2 = k<(0 1)> inside kS3, from a hand-written S3 table."""
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    KG = group_algebra(table, name="kS3", labels=["e", "(01)", "(12)", "(02)", "(012)", "(021)"])
+    sub, embed = subhopf_from_basis(KG, [0, 1], name="kC2")
+    return HopfInclusion(sub, KG, embed)
+
+
+def test_non_normal_group_inclusion_is_central_frobenius():
+    # kC2 in kS3 is the smallest non-normal group inclusion; its left free
+    # basis along declared order was once not right-regular
+    incl = _s3_inclusion()
+    assert verify_hopf(incl.H).ok
+    free = free_basis(incl)
+    assert len(free) == 3
+    ana = analyze_extension(incl)
+    assert ana.report.ok
+    assert ana.decision.frobenius
+    assert ana.central is True
+    assert ana.normal is False
+
+
+def test_double_of_h8_over_h8_is_central_frobenius():
+    from hopfkit.cli import resolve_inclusion
+
+    incl = resolve_inclusion("builtin:double?of=builtin:h8")
+    assert free_basis(incl) == [0, 8, 16, 24, 32, 40, 48, 56]
+    ana = analyze_extension(incl)
+    assert ana.report.ok
+    assert ana.decision.frobenius and ana.central is True
+
+
+LAMBDA_PRODUCT_SPECS = ["builtin:h8", "builtin:taft?l=3", "builtin:uqsl2?l=3&sub=cartan",
+                        "builtin:double?of=builtin:group?table=c3"]
+
+
+@pytest.mark.parametrize("spec", LAMBDA_PRODUCT_SPECS, ids=["h8", "taft3", "uqsl2-l3-cartan", "dc3"])
+def test_lambda_products_read_off_the_table(spec):
+    from hopfkit.cli import resolve_inclusion
+    from hopfkit.extension import _lambda_products
+
+    incl = resolve_inclusion(spec)
+    H = incl.H
+    bq = bar_quotient(incl)
+    lamH = lift_bar_functional(bq, right_integral_bar_dual(bq))
+    got = _lambda_products(H, lamH, range(H.dim))
+    for a in range(H.dim):
+        want = [lamH(H.mult_vec(H.basis_vec(a), H.basis_vec(j))) for j in range(H.dim)]
+        z = K.s_zero(H.ctx)
+        assert [got[a].get(j, z) for j in range(H.dim)] == want, (spec, a)
+        assert all(not K.s_is_zero(v) for v in got[a].values())
+
+
+@pytest.mark.parametrize("spec", LAMBDA_PRODUCT_SPECS, ids=["h8", "taft3", "uqsl2-l3-cartan", "dc3"])
+def test_modular_function_and_integral_type_make_no_products(monkeypatch, spec):
+    from hopfkit.cli import resolve_inclusion
+    from hopfkit.hopf_core import FinHopf
+
+    incl = resolve_inclusion(spec)
+    bq = bar_quotient(incl)
+    lam = right_integral_bar_dual(bq)
+    calls = []
+    real = FinHopf.mult_vec
+
+    def counted(self, u, v):
+        calls.append(self.name)
+        return real(self, u, v)
+
+    monkeypatch.setattr(FinHopf, "mult_vec", counted)
+    chi = relative_modular_function(incl, bq, lam)
+    Lambda = check_integral_type(incl, bq, lam)
+    assert calls == []
+    assert chi.dim == incl.K.dim and Lambda is not None

@@ -210,3 +210,27 @@ def test_rescale_moves_a_rational_scalar_down_and_refuses_an_irrational_one(h8_i
     assert moved.tr_K == rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)).tr_K
     with pytest.raises(PipelineError):
         rescale_frobenius_data(h8_ictx.frob, root_of_unity(N * up))
+
+
+def test_rescale_lowers_a_scalar_that_lies_in_the_common_subfield(h8_incl):
+    from hopfkit.errors import PipelineError
+    from hopfkit.exact_math import Cyclotomic, root_of_unity
+    from hopfkit.extension import HopfInclusion, bar_quotient, make_frobenius_data, right_integral_bar_dual
+
+    incl = HopfInclusion(h8_incl.K, h8_incl.H, h8_incl.embed.lift(4))
+    assert incl.N == 4
+    bq = bar_quotient(incl)
+    frob = make_frobenius_data(incl, bq, right_integral_bar_dual(bq))
+
+    def data(fr):
+        return fr.lam, fr.tr_K, fr.deltas
+
+    # i stored at conductor 12 lies in Q(zeta_12) meet Q(zeta_4) = Q(i)
+    i12 = root_of_unity(12, 3)
+    assert i12.N == 12
+    assert data(rescale_frobenius_data(frob, i12)) == data(rescale_frobenius_data(frob, root_of_unity(4)))
+    # zeta_3 does not
+    with pytest.raises(PipelineError):
+        rescale_frobenius_data(frob, root_of_unity(12, 4))
+    half = Cyclotomic.rational(Fraction(1, 2), 12)
+    assert data(rescale_frobenius_data(frob, half)) == data(rescale_frobenius_data(frob, Fraction(1, 2)))

@@ -15,7 +15,7 @@ from hopfkit.builders import (
     taft,
 )
 from hopfkit.errors import PipelineError
-from hopfkit.exact_math import Matrix, RowSpace
+from hopfkit.exact_math import Matrix, RowSpace, _column, _normalize_first_one
 from hopfkit.hopf_core import (
     FinHopf,
     algebra_generators,
@@ -236,8 +236,7 @@ def _integrals_of(H, side, js=None):
     space = RowSpace(H.dim, H.ctx)
     for row in hopf_core._integral_rows(H, side, js):
         space.add(row)
-    return [Matrix(H.N, [[x] for x in hopf_core._normalize_first_one(H.ctx, v)])
-            for v in space.nullspace()]
+    return [_column(H.N, _normalize_first_one(H.ctx, v), H.dim) for v in space.nullspace()]
 
 
 def test_reduced_integrals_match_full_system(h8, taft3, uq3):
