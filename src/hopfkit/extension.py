@@ -21,14 +21,17 @@ from .exact_math import (
     _clean,
     _dense,
     _mat_vec,
-    _normalize_first_one,
     _scale,
     _tensor,
 )
 from .hopf_core import (
     LinearFunctional,
+    _assert_algebra_map,
+    counital_defect,
     distinguished_grouplike,
     integral_space,
+    is_dual_unimodular,
+    is_symmetric,
     right_integral_of_dual,
 )
 from .reports import Report
@@ -178,33 +181,49 @@ def verify_inclusion(incl):
 
 
 class BarQuotient:
-    """H/HK+ with deterministic coset representatives (lex-first H-basis vectors)."""
+    """H/HK+ with deterministic coset representatives (lex-first H-basis
+    vectors), a coalgebra under FinHopf's field names: ``dim``, ``comult``,
+    ``counit`` and ``unit`` (the image of 1_H), so the coalgebra routines of
+    ``hopf_core`` run on it as on H."""
 
-    __slots__ = ("incl", "reps", "dimbar", "proj_cols", "comult_bar", "counit_bar", "coaug", "_subspace")
+    __slots__ = ("incl", "reps", "dim", "N", "ctx", "proj_cols", "comult", "counit", "unit", "_cache")
+    name = "Hbar"
 
-    def __init__(self, incl, reps, proj_cols, comult_bar, counit_bar, coaug, subspace):
+    def __init__(self, incl, reps, proj_cols):
+        H = incl.H
         self.incl = incl
         self.reps = tuple(reps)
-        self.dimbar = len(self.reps)
-        self.proj_cols = proj_cols
-        self.comult_bar = comult_bar
-        self.counit_bar = counit_bar
-        self.coaug = coaug
-        self._subspace = subspace
+        self.dim = len(self.reps)
+        self.N = incl.N
+        self.ctx = incl.ctx
+        self.proj_cols = tuple(proj_cols)
+        self.comult = tuple(tuple(sorted(self.proj_comult(i).items())) for i in self.reps)
+        self.counit = tuple(H.counit[i] for i in self.reps)
+        self.unit = tuple(_dense(self.ctx, self.proj_vec(H.unit_vec()), self.dim))
+        self._cache = {}
 
     def proj_vec(self, hvec):
         """Image of a sparse H-vector in Hbar coordinates."""
-        ctx = self.incl.ctx
         out = {}
         for i, s in hvec.items():
-            _axpy(ctx, out, self.proj_cols[i], s)
+            _axpy(self.ctx, out, self.proj_cols[i], s)
+        return out
+
+    def proj_comult(self, i):
+        """(proj x proj) Delta_H(h_i) in Hbar x Hbar coordinates."""
+        ctx = self.ctx
+        n = self.incl.H.dim
+        out = {}
+        for x, s in self.incl.H.comult[i]:
+            j, k = divmod(x, n)
+            _tensor(ctx, out, _scale(ctx, self.proj_cols[j], s), self.proj_cols[k], self.dim)
         return out
 
     def section_vec(self, t):
-        return {self.reps[t]: K.s_one(self.incl.ctx)}
+        return {self.reps[t]: K.s_one(self.ctx)}
 
     def __repr__(self):
-        return "BarQuotient(dim=%d of %s)" % (self.dimbar, self.incl.H.name)
+        return "BarQuotient(dim=%d of %s)" % (self.dim, self.incl.H.name)
 
 
 def bar_quotient(incl):
@@ -233,16 +252,17 @@ def bar_quotient(incl):
     for t in range(n):
         if filled.add({t: one}):
             reps.append(t)
-    dimbar = len(reps)
+    d = len(reps)
 
-    nonpiv = [c for c in range(n) if c not in set(sub.pivots)]
+    pivots = set(sub.pivots)
+    nonpiv = [c for c in range(n) if c not in pivots]
     np_pos = {c: i for i, c in enumerate(nonpiv)}
-    assert len(nonpiv) == dimbar
+    assert len(nonpiv) == d
     # express residues of basis vectors in terms of the residues of the reps
     cols = []
     for t in reps:
         rem = sub.reduce({t: one})
-        cols.append(_dense(ctx, ((np_pos[c], s) for c, s in rem.items()), dimbar))
+        cols.append(_dense(ctx, ((np_pos[c], s) for c, s in rem.items()), d))
     M = Matrix(incl.N, [list(r) for r in zip(*cols)])
     Minv = M.inverse()
     if Minv is None:
@@ -252,23 +272,8 @@ def bar_quotient(incl):
     for i in range(n):
         rem = sub.reduce({i: one})
         proj_cols.append(_mat_vec(Minv, {np_pos[c]: s for c, s in rem.items()}))
-    comult_bar = []
-    for t in range(dimbar):
-        acc = {}
-        for x, s in H.comult[reps[t]]:
-            j, k2 = divmod(x, n)
-            _tensor(ctx, acc, _scale(ctx, proj_cols[j], s), proj_cols[k2], dimbar)
-        comult_bar.append(tuple(sorted(acc.items())))
-    counit_bar = tuple(H.counit[i] for i in reps)
-    coaug_vec = {}
-    for i, s in H.unit_vec().items():
-        _axpy(ctx, coaug_vec, proj_cols[i], s)
-    z = K.s_zero(ctx)
-    coaug = [z] * dimbar
-    for t, s in coaug_vec.items():
-        coaug[t] = s
 
-    bq = BarQuotient(incl, reps, tuple(proj_cols), tuple(comult_bar), counit_bar, tuple(coaug), sub)
+    bq = BarQuotient(incl, reps, proj_cols)
     rep = verify_bar_quotient(bq)
     if not rep.ok:
         raise PipelineError("bar quotient verification failed: %r" % rep.failures())
@@ -278,8 +283,8 @@ def bar_quotient(incl):
 def verify_bar_quotient(bq):
     incl = bq.incl
     H, Kk = incl.H, incl.K
-    ctx = incl.ctx
-    n, m, d = H.dim, Kk.dim, bq.dimbar
+    ctx = bq.ctx
+    n, m, d = H.dim, Kk.dim, bq.dim
     rep = Report("verify-bar-quotient %s" % incl.H.name)
 
     # the chosen coset representatives project to the standard basis of Hbar
@@ -290,36 +295,21 @@ def verify_bar_quotient(bq):
     # coalgebra map: (proj x proj) Delta_H = Delta_bar proj on all basis vectors
     w = None
     for i in range(n):
-        lhs = {}
-        for x, s in H.comult[i]:
-            j, k2 = divmod(x, n)
-            _tensor(ctx, lhs, _scale(ctx, bq.proj_cols[j], s), bq.proj_cols[k2], d)
         rhs = {}
         for t, c in bq.proj_cols[i].items():
-            _axpy(ctx, rhs, bq.comult_bar[t], c)
-        if lhs != rhs:
+            _axpy(ctx, rhs, bq.comult[t], c)
+        if bq.proj_comult(i) != rhs:
             w = i
             break
     rep.add("proj-coalgebra-map", w is None, witness=w, anchor="bar-quotient")
 
     # coassociativity / counitality of Delta_bar
-    w = K.coassoc_first_defect(d, bq.comult_bar, ctx)
+    w = K.coassoc_first_defect(d, bq.comult, ctx)
     rep.add("bar-coassociative", w is None, witness=w, anchor="bar-quotient")
-    w = None
-    for t in range(d):
-        lacc = {}
-        racc = {}
-        for x, s in bq.comult_bar[t]:
-            a, b = divmod(x, d)
-            _axpy(ctx, lacc, {b: s}, bq.counit_bar[a])
-            _axpy(ctx, racc, {a: s}, bq.counit_bar[b])
-        et = {t: one}
-        if lacc != et or racc != et:
-            w = t
-            break
+    w = counital_defect(bq)
     rep.add("bar-counital", w is None, witness=w, anchor="bar-quotient")
 
-    one_bar = _clean(enumerate(bq.coaug))
+    one_bar = _clean(enumerate(bq.unit))
     rep.add("proj-sends-unit-to-unit", bq.proj_vec(H.unit_vec()) == one_bar)
 
     # right K-triviality: proj(h * embed(k)) = eps_K(k) proj(h)
@@ -344,37 +334,17 @@ def verify_bar_quotient(bq):
 
 def right_integral_bar_dual(bq):
     """The right integral of Hbar* (unique up to scale), first-nonzero normalized."""
-    ctx = bq.incl.ctx
-    d = bq.dimbar
-    space = RowSpace(d, ctx)
-    for t in range(d):
-        rows = [dict() for _ in range(d)]
-        for x, s in bq.comult_bar[t]:
-            j, k2 = divmod(x, d)
-            _add(ctx, rows[k2], j, s)
-        for k2, c in _clean(enumerate(bq.coaug)).items():
-            _add(ctx, rows[k2], t, K.s_neg(c))
-        for r in rows:
-            if r:
-                space.add(r)
-    basis = space.nullspace()
-    if len(basis) != 1:
-        raise PipelineError(
-            "right integral space of Hbar* has dimension %d, expected 1" % len(basis)
-        )
-    return LinearFunctional(bq.incl.N, _dense(ctx, _normalize_first_one(ctx, basis[0]), d))
+    return right_integral_of_dual(bq)
 
 
-def lift_bar_functional(bq, lam):
-    """lambda o proj as a functional on H."""
-    ctx = bq.incl.ctx
-    vals = []
-    for i in range(bq.incl.H.dim):
-        acc = K.s_zero(ctx)
-        for t, c in bq.proj_cols[i].items():
-            acc = K.s_add(ctx, acc, K.s_mul(ctx, lam.values[t], c))
-        vals.append(acc)
-    return LinearFunctional(bq.incl.N, vals)
+def lift_bar_functional(bq):
+    """lambda o proj as a functional on H, for the right integral lambda of
+    Hbar*; cached on bq."""
+    got = bq._cache.get("lifted_integral")
+    if got is None:
+        lam = right_integral_of_dual(bq)
+        got = bq._cache["lifted_integral"] = LinearFunctional(bq.N, [lam(col) for col in bq.proj_cols])
+    return got
 
 
 def _lambda_products(H, lamH, lefts):
@@ -396,18 +366,13 @@ def _lambda_products(H, lamH, lefts):
     return out
 
 
-def relative_modular_function(incl, bq, lam):
+def relative_modular_function(incl, bq):
     """chi on K with lambda(bar(k h)) = chi(k) lambda(bar(h)); verified globally."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
-    lamH = lift_bar_functional(bq, lam)
-    h0 = None
-    for t in range(bq.dimbar):
-        if not K.s_is_zero(lam.values[t]):
-            h0 = bq.reps[t]
-            break
-    if h0 is None:
-        raise PipelineError("zero integral passed to relative_modular_function")
+    lamH = lift_bar_functional(bq)
+    # the first representative where lambda o proj does not vanish
+    h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
     d_inv = K.s_inv(ctx, lamH.values[h0])
     z = K.s_zero(ctx)
     cols = [incl.embed_col(b) for b in range(Kk.dim)]
@@ -428,29 +393,15 @@ def relative_modular_function(incl, bq, lam):
                 raise PipelineError(
                     "no relative modular function: condition fails at (k=%d, h=%d)" % (b, i)
                 )
-    _assert_algebra_map_K(Kk, chi)
+    _assert_algebra_map(Kk, chi, "relative modular function")
     return chi
 
 
-def _assert_algebra_map_K(Kk, f):
-    ctx = Kk.ctx
-    m = Kk.dim
-    if f(Kk.unit_vec()) != K.s_one(ctx):
-        raise PipelineError("functional does not send 1_K to 1")
-    for a in range(m):
-        for b in range(m):
-            acc = K.s_zero(ctx)
-            for k2, s in Kk.mult[a * m + b]:
-                acc = K.s_add(ctx, acc, K.s_mul(ctx, f.values[k2], s))
-            if acc != K.s_mul(ctx, f.values[a], f.values[b]):
-                raise PipelineError("relative modular function is not an algebra map")
-
-
-def check_integral_type(incl, bq, lam):
+def check_integral_type(incl, bq):
     """An element Lambda in H with lambda(bar(Lambda h)) = eps(h) for all h, or None."""
     H = incl.H
     n = H.dim
-    prods = _lambda_products(H, lift_bar_functional(bq, lam), range(n))
+    prods = _lambda_products(H, lift_bar_functional(bq), range(n))
     # row j, column t: lambda(bar(h_t h_j))
     A = Matrix.from_sparse(incl.N, n, [prods[t] for t in range(n)]).transpose()
     b = Matrix(incl.N, [[H.counit[j]] for j in range(n)])
@@ -481,7 +432,7 @@ class FrobeniusDecision:
         )
 
 
-def is_frobenius_extension(incl, bq=None, lam=None):
+def is_frobenius_extension(incl, bq=None):
     """Decide via chi = eps_K and independently via the distinguished grouplikes.
 
     The two criteria are asserted to agree; the convolution identity
@@ -491,9 +442,7 @@ def is_frobenius_extension(incl, bq=None, lam=None):
     ctx = incl.ctx
     if bq is None:
         bq = bar_quotient(incl)
-    if lam is None:
-        lam = right_integral_bar_dual(bq)
-    chi = relative_modular_function(incl, bq, lam)
+    chi = relative_modular_function(incl, bq)
     eps_K = LinearFunctional(incl.N, Kk.counit)
     via_chi = chi == eps_K
 
@@ -623,17 +572,16 @@ class Decomposer:
 class FrobeniusData:
     """What induction reads of a chosen Frobenius morphism: lambda, tr in
     K-coordinates, the free basis h_i with its dual basis delta_i, and the
-    decomposers over that free basis."""
+    right decomposer over that free basis."""
 
-    __slots__ = ("incl", "lam", "tr_K", "free", "deltas", "left_decomp", "right_decomp")
+    __slots__ = ("incl", "lam", "tr_K", "free", "deltas", "right_decomp")
 
-    def __init__(self, incl, lam, tr_K, free, deltas, left_decomp, right_decomp):
+    def __init__(self, incl, lam, tr_K, free, deltas, right_decomp):
         self.incl = incl
         self.lam = lam
         self.tr_K = tr_K
         self.free = free
         self.deltas = deltas
-        self.left_decomp = left_decomp
         self.right_decomp = right_decomp
 
     @property
@@ -648,12 +596,12 @@ class FrobeniusData:
         return _clean(enumerate(self.deltas[i]))
 
 
-def frobenius_morphism(incl, bq, lam):
+def frobenius_morphism(incl, bq):
     """tr(h) = lambda(bar(h_(1))) h_(2), rewritten in K-coordinates and verified."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
-    lamH = lift_bar_functional(bq, lam)
+    lamH = lift_bar_functional(bq)
     images = []
     for i in range(n):
         acc = {}
@@ -741,6 +689,7 @@ def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
     r = len(free)
     one = K.s_one(ctx)
     delta_sparse = [_clean(enumerate(dv)) for dv in deltas]
+    delta_parts = [right_dec(dv) for dv in delta_sparse]
 
     for x in range(n):
         ex = H.basis_vec(x)
@@ -763,9 +712,8 @@ def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
         rhs = {}
         for i in range(r):
             hih = H.mult_vec(H.basis_vec(free[i]), ex)
-            parts = right_dec(delta_sparse[i])
             for j in range(r):
-                kv = parts[j]
+                kv = delta_parts[i][j]
                 if kv:
                     for idx, s in H.mult_vec(incl.embed_vec(kv), hih).items():
                         _add(ctx, lhs, j * n + idx, s)
@@ -782,26 +730,8 @@ def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
 
 
 # ---------------------------------------------------------------------------
-# centrality / normality / bar-dual unimodularity
+# centrality / normality
 # ---------------------------------------------------------------------------
-
-
-def lambda_left_right_symmetric(incl, bq, lam):
-    """lambda(bar h_(1)) h_(2) == h_(1) lambda(bar h_(2)) for all basis h."""
-    H = incl.H
-    ctx = incl.ctx
-    n = H.dim
-    lamH = lift_bar_functional(bq, lam)
-    for i in range(n):
-        left = {}
-        right = {}
-        for x, s in H.comult[i]:
-            j, k2 = divmod(x, n)
-            _axpy(ctx, left, {k2: s}, lamH.values[j])
-            _axpy(ctx, right, {j: s}, lamH.values[k2])
-        if left != right:
-            return False
-    return True
 
 
 def tr_bicomodule_map(incl, tr_K):
@@ -825,16 +755,15 @@ def tr_bicomodule_map(incl, tr_K):
     return True
 
 
-def is_central_extension(incl, bq=None, lam=None, tr_K=None):
+def is_central_extension(incl, bq=None, tr_K=None):
     """Central Frobenius test: the lambda symmetry and the bicomodule identity.
 
     Both characterizations are evaluated and asserted to agree.
     """
     if bq is None:
         bq = bar_quotient(incl)
-    if lam is None:
-        lam = right_integral_bar_dual(bq)
-    sym = lambda_left_right_symmetric(incl, bq, lam)
+    # lambda(bar h_(1)) h_(2) == h_(1) lambda(bar h_(2)) for all basis h
+    sym = is_symmetric(incl.H, lift_bar_functional(bq))
     if tr_K is not None:
         bic = tr_bicomodule_map(incl, tr_K)
         if bic != sym:
@@ -842,22 +771,6 @@ def is_central_extension(incl, bq=None, lam=None, tr_K=None):
                 "centrality criteria disagree: lambda-symmetry=%s, bicomodule=%s" % (sym, bic)
             )
     return sym
-
-
-def bar_dual_is_unimodular(bq, lam):
-    """lambda(h_(1)) h_(2) == h_(1) lambda(h_(2)) inside Hbar."""
-    ctx = bq.incl.ctx
-    d = bq.dimbar
-    for t in range(d):
-        left = {}
-        right = {}
-        for x, s in bq.comult_bar[t]:
-            a, b = divmod(x, d)
-            _axpy(ctx, left, {b: s}, lam.values[a])
-            _axpy(ctx, right, {a: s}, lam.values[b])
-        if left != right:
-            return False
-    return True
 
 
 def is_normal_subalgebra(incl):
@@ -893,9 +806,7 @@ class ExtensionAnalysis:
         "incl",
         "report",
         "bq",
-        "lam0",
         "decision",
-        "Lambda",
         "frob",
         "central",
         "normal",
@@ -907,7 +818,7 @@ class ExtensionAnalysis:
             setattr(self, k2, kw.get(k2))
 
 
-def make_frobenius_data(incl, bq, lam0, lam_scale=1):
+def make_frobenius_data(incl, bq, lam_scale=1):
     """Assemble FrobeniusData with the canonical normalization of lambda.
 
     The deterministic solver representative lambda0 is rescaled so that the
@@ -925,7 +836,7 @@ def make_frobenius_data(incl, bq, lam0, lam_scale=1):
     H = incl.H
     ctx = incl.ctx
     free = free_basis(incl)
-    tr0 = frobenius_morphism(incl, bq, lam0)
+    tr0 = frobenius_morphism(incl, bq)
     deltas0 = dual_bases(incl, tr0, free)
     right_dec = Decomposer(incl, free, "right")
     _verify_dual_bases(incl, tr0, free, deltas0, right_dec)
@@ -939,7 +850,7 @@ def make_frobenius_data(incl, bq, lam0, lam_scale=1):
         s = K.s_add(ctx, s, K.s_mul(ctx, eps_delta, H.counit[t]))
     factor = Cyclotomic(incl.N, s) if not K.s_is_zero(s) else Cyclotomic.rational(1)
 
-    frob0 = FrobeniusData(incl, lam0, tr0, free, deltas0, Decomposer(incl, free, "left"), right_dec)
+    frob0 = FrobeniusData(incl, right_integral_of_dual(bq), tr0, free, deltas0, right_dec)
     return rescale_frobenius_data(frob0, factor * Cyclotomic.promote(lam_scale))
 
 
@@ -962,8 +873,7 @@ def rescale_frobenius_data(frob, c):
     cinv = K.s_inv(ctx, c.data)
     deltas = [[K.s_mul(ctx, cinv, v) for v in dv] for dv in frob.deltas]
     return FrobeniusData(
-        incl, frob.lam.scale(c), frob.tr_K.scale(c), frob.free, deltas,
-        frob.left_decomp, frob.right_decomp,
+        incl, frob.lam.scale(c), frob.tr_K.scale(c), frob.free, deltas, frob.right_decomp
     )
 
 
@@ -976,25 +886,25 @@ def analyze_extension(incl, lam_scale=1):
         return ExtensionAnalysis(incl=incl, report=rep)
 
     bq = bar_quotient(incl)
-    rep.add("bar-quotient-dim", True, detail="dim Hbar = %d" % bq.dimbar, anchor="bar-quotient")
-    lam0 = right_integral_bar_dual(bq)
+    rep.add("bar-quotient-dim", True, detail="dim Hbar = %d" % bq.dim, anchor="bar-quotient")
+    right_integral_bar_dual(bq)
     rep.add("bar-dual-integral-1dim", True, anchor="integral-type")
 
-    decision = is_frobenius_extension(incl, bq, lam0)
+    decision = is_frobenius_extension(incl, bq)
     rep.add(
         "frobenius",
         True,
         detail="frobenius=%s (chi and alpha criteria agree)" % decision.frobenius,
         anchor="schneider-criterion",
     )
-    Lambda = check_integral_type(incl, bq, lam0)
+    Lambda = check_integral_type(incl, bq)
     rep.add(
         "integral-type-element",
         Lambda is not None,
         detail="Lambda exists" if Lambda is not None else "no Lambda",
         anchor="integral-type",
     )
-    bdu = bar_dual_is_unimodular(bq, lam0)
+    bdu = is_dual_unimodular(bq)
     rep.add("bar-dual-unimodular", True, detail=str(bdu), anchor="bar-dual-unimodularity")
     normal = is_normal_subalgebra(incl)
     rep.add("normal-subalgebra", True, detail=str(normal), anchor="normality")
@@ -1002,10 +912,10 @@ def analyze_extension(incl, lam_scale=1):
     frob = None
     central = None
     if decision.frobenius:
-        frob = make_frobenius_data(incl, bq, lam0, lam_scale=lam_scale)
+        frob = make_frobenius_data(incl, bq, lam_scale=lam_scale)
         rep.add("frobenius-morphism", True, anchor="good-frob-morphism")
         rep.add("dual-bases", True, anchor="dual-generators")
-        central = is_central_extension(incl, bq, lam0, tr_K=frob.tr_K)
+        central = is_central_extension(incl, bq, tr_K=frob.tr_K)
         rep.add("central", True, detail=str(central), anchor="central-frobenius")
         if central and not bdu:
             rep.add("central-implies-bar-dual-unimodular", False, anchor="bar-dual-unimodularity")
@@ -1016,9 +926,7 @@ def analyze_extension(incl, lam_scale=1):
         incl=incl,
         report=rep,
         bq=bq,
-        lam0=lam0,
         decision=decision,
-        Lambda=Lambda,
         frob=frob,
         central=central,
         normal=normal,

@@ -440,18 +440,7 @@ def verify_hopf(H):
     w = K.coassoc_first_defect(n, H.comult, ctx)
     rep.add("comult-coassociative", w is None, witness=w, anchor="hopf-axioms")
 
-    w = None
-    for i in range(n):
-        lacc = {}
-        racc = {}
-        for x, s in H.comult[i]:
-            j, k = divmod(x, n)
-            _axpy(ctx, lacc, {k: s}, H.counit[j])
-            _axpy(ctx, racc, {j: s}, H.counit[k])
-        ei = H.basis_vec(i)
-        if lacc != ei or racc != ei:
-            w = i
-            break
+    w = counital_defect(H)
     rep.add("comult-counital", w is None, witness=w, anchor="hopf-axioms")
 
     unit_grouplike = H.comult_vec(unit) == _tensor(ctx, {}, unit, unit, n)
@@ -665,21 +654,41 @@ def is_unimodular(H):
     return all(space.contains(v.col(0)) for v in left)
 
 
-def right_integral_of_dual(H):
-    """Right integral lambda of H* as a functional on H (not materializing H*)."""
-    got = H._cache.get("dual_right_integral")
+def counital_defect(C):
+    """The first basis index t of the coalgebra C (a FinHopf or a BarQuotient)
+    where (eps x id)Delta(c_t) = c_t = (id x eps)Delta(c_t) fails, or None."""
+    n = C.dim
+    ctx = C.ctx
+    one = K.s_one(ctx)
+    for t in range(n):
+        lacc = {}
+        racc = {}
+        for x, s in C.comult[t]:
+            j, k = divmod(x, n)
+            _axpy(ctx, lacc, {k: s}, C.counit[j])
+            _axpy(ctx, racc, {j: s}, C.counit[k])
+        if lacc != {t: one} or racc != {t: one}:
+            return t
+    return None
+
+
+def right_integral_of_dual(C):
+    """Right integral lambda of C* as a functional on the coalgebra C (a
+    FinHopf or a BarQuotient), without materializing C*; cached on C."""
+    got = C._cache.get("dual_right_integral")
     if got is not None:
         return got
-    n = H.dim
-    ctx = H.ctx
+    n = C.dim
+    ctx = C.ctx
+    unit = _clean(enumerate(C.unit))
     space = RowSpace(n, ctx)
-    # lambda(h_(1)) h_(2) = lambda(h) 1 for all basis h
+    # lambda(c_(1)) c_(2) = lambda(c) 1 for all basis c
     for i in range(n):
         rows = [dict() for _ in range(n)]
-        for x, s in H.comult[i]:
+        for x, s in C.comult[i]:
             j, k = divmod(x, n)
             _add(ctx, rows[k], j, s)
-        for k, u in H.unit_vec().items():
+        for k, u in unit.items():
             _add(ctx, rows[k], i, K.s_neg(u))
         for r in rows:
             if r:
@@ -687,28 +696,32 @@ def right_integral_of_dual(H):
     basis = space.nullspace()
     if len(basis) != 1:
         raise PipelineError(
-            "right integral space of %s* has dimension %d, expected 1" % (H.name, len(basis))
+            "right integral space of %s* has dimension %d, expected 1" % (C.name, len(basis))
         )
-    lam = LinearFunctional(H.N, _dense(ctx, _normalize_first_one(ctx, basis[0]), n))
-    H._cache["dual_right_integral"] = lam
+    lam = LinearFunctional(C.N, _dense(ctx, _normalize_first_one(ctx, basis[0]), n))
+    C._cache["dual_right_integral"] = lam
     return lam
 
 
-def is_dual_unimodular(H):
-    """True iff lambda(h_(1)) h_(2) == h_(1) lambda(h_(2)) for the dual right integral."""
-    lam = right_integral_of_dual(H)
-    n = H.dim
-    ctx = H.ctx
+def is_symmetric(C, lam):
+    """True iff lam(c_(1)) c_(2) == c_(1) lam(c_(2)) for every basis c of C."""
+    n = C.dim
+    ctx = C.ctx
     for i in range(n):
         left = {}
         right = {}
-        for x, s in H.comult[i]:
+        for x, s in C.comult[i]:
             j, k = divmod(x, n)
             _axpy(ctx, left, {k: s}, lam.values[j])
             _axpy(ctx, right, {j: s}, lam.values[k])
         if left != right:
             return False
     return True
+
+
+def is_dual_unimodular(C):
+    """True iff the right integral of C* is symmetric (see ``is_symmetric``)."""
+    return is_symmetric(C, right_integral_of_dual(C))
 
 
 def subhopf_from_basis(H, indices, name=None):

@@ -11,7 +11,7 @@ from math import lcm
 from . import _kernel as K
 from .errors import PipelineError
 from .exact_math import Cyclotomic, Matrix, _add, _axpy, _scale, _tensor
-from .extension import bar_quotient, make_frobenius_data, rescale_frobenius_data, right_integral_bar_dual
+from .extension import Decomposer, bar_quotient, make_frobenius_data, rescale_frobenius_data
 from .hopf_core import antipode_inverse
 from .module_theory import HModule, ModuleMap, tensor_modules, trivial_module, restrict
 from .reports import Report
@@ -94,12 +94,11 @@ def induction_context(incl, lam_scale=1):
     from .extension import is_central_extension, is_frobenius_extension
 
     bq = bar_quotient(incl)
-    lam0 = right_integral_bar_dual(bq)
-    decision = is_frobenius_extension(incl, bq, lam0)
+    decision = is_frobenius_extension(incl, bq)
     if not decision.frobenius:
         raise PipelineError("inclusion %r is not a Frobenius extension" % incl)
-    frob = make_frobenius_data(incl, bq, lam0, lam_scale=lam_scale)
-    central = is_central_extension(incl, bq, lam0, tr_K=frob.tr_K)
+    frob = make_frobenius_data(incl, bq, lam_scale=lam_scale)
+    central = is_central_extension(incl, bq, tr_K=frob.tr_K)
     return InductionContext(incl, frob, central=central)
 
 
@@ -222,12 +221,13 @@ def coinduce(ictx, V):
     d = V.dim
     conductor = _conductor_for(ictx, V)
     ctx = K.make_ctx(conductor)
+    left_dec = Decomposer(incl, ictx.frob.free, "left")
     mats = []
     for g in range(H.dim):
         out = [{} for _ in range(r * d)]
         for j in range(r):
             w = H.mult_vec(ictx.free_vec(j), H.basis_vec(g))
-            for i, kv in enumerate(ictx.frob.left_decomp(w)):
+            for i, kv in enumerate(left_dec(w)):
                 if kv:
                     _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
         mats.append(Matrix.from_sparse(conductor, r * d, out))

@@ -1,7 +1,18 @@
 import pytest
 
-from hopfkit.builders import kac_paljutkin, small_quantum_sl2, taft
+from hopfkit.builders import (
+    cyclic_table,
+    drinfeld_double,
+    group_algebra,
+    kac_paljutkin,
+    klein_table,
+    small_quantum_sl2,
+    taft,
+    trivial_hopf,
+)
 from hopfkit.exact_math import Matrix, root_of_unity
+from hopfkit.extension import HopfInclusion, trivial_inclusion, unit_inclusion
+from hopfkit.hopf_core import subhopf_from_basis
 from hopfkit.induction import induction_context
 from hopfkit.module_theory import HModule
 from hopfkit.yetter_drinfeld import yd_line
@@ -37,6 +48,36 @@ def taft3():
 @pytest.fixture(scope="session")
 def uq3():
     return small_quantum_sl2(3)
+
+
+@pytest.fixture(scope="session")
+def uq5():
+    return small_quantum_sl2(5)
+
+
+def criterion_09_registry(h8_incl, taft3, uq3, uq5):
+    """The (name, inclusion) pairs that acceptance criterion 9 cross-checks."""
+    registry = []
+    H8 = h8_incl.H
+    registry.append(("kK<H8", h8_incl))
+    registry.append(("k<H8", unit_inclusion(H8, trivial_hopf())))
+    registry.append(("H8=H8", trivial_inclusion(H8)))
+    KG = group_algebra(klein_table(), name="kK", labels=["1", "x", "y", "xy"])
+    sub, embed = subhopf_from_basis(KG, [0, 1], name="kC2")
+    registry.append(("kC2<kK", HopfInclusion(sub, KG, embed)))
+    registry.append(("kC3<T3", taft3[1]))
+    registry.append(("kC2<T2", taft(2)[1]))
+    registry.append(("cartan3", uq3.cartan()))
+    registry.append(("borel+3", uq3.borel_plus()))
+    registry.append(("borel-3", uq3.borel_minus()))
+    registry.append(("cartan5", uq5.cartan()))
+    registry.append(("borel+5", uq5.borel_plus()))
+    registry.append(("borel-5", uq5.borel_minus()))
+    D2, dincl2 = drinfeld_double(group_algebra(cyclic_table(2), name="kC2"))
+    registry.append(("kC2<Drin", dincl2))
+    D4, dincl4 = drinfeld_double(KG)
+    registry.append(("kK<Drin", dincl4))
+    return registry
 
 
 def kchar(K, ex, ey, name=None):

@@ -355,7 +355,8 @@ GOLDEN_REPORTS = [
       "--frobenius-monoidal", "--separable", "--braided"], 0,
      "ffcec9154ac156e2c30f6d388f1b5276237be936e1a561fedc968749c6857a17"),
     # analyze reports, recorded while FrobeniusData still carried Lambda, lamH,
-    # lam0, bq and scale and make_frobenius_data ran check_integral_type
+    # the unscaled lambda, bq and scale, and make_frobenius_data ran
+    # check_integral_type
     (["analyze", "builtin:h8"], 0,
      "8f28e79a13746bdaba5e4e087466ca0a4153084b2715b0031b93b734ab92f400"),
     (["analyze", "builtin:unit?of=builtin:h8"], 0,

@@ -1,9 +1,11 @@
+import copy
 import hashlib
 from fractions import Fraction
 
 import pytest
 
 import hopfkit._kernel as K
+from conftest import criterion_09_registry
 from hopfkit.builders import cyclic_table, group_algebra, taft, trivial_hopf
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, Matrix
@@ -24,9 +26,16 @@ from hopfkit.extension import (
     right_integral_bar_dual,
     trivial_inclusion,
     unit_inclusion,
+    verify_bar_quotient,
     verify_inclusion,
 )
-from hopfkit.hopf_core import LinearFunctional, right_integral_of_dual, subhopf_from_basis, verify_hopf
+from hopfkit.hopf_core import (
+    LinearFunctional,
+    is_dual_unimodular,
+    right_integral_of_dual,
+    subhopf_from_basis,
+    verify_hopf,
+)
 
 
 def test_verify_inclusion_h8(h8_incl):
@@ -52,16 +61,110 @@ def test_bad_inclusion_generator_to_z(h8):
 
 def test_bar_quotient_h8(h8, h8_incl):
     bq = bar_quotient(h8_incl)
-    assert bq.dimbar == 2
+    assert bq.dim == 2
     assert [h8.basis_labels[i] for i in bq.reps] == ["1", "z"]
     # both cosets are grouplike in Hbar
     for t in range(2):
-        assert dict(bq.comult_bar[t]) == {t * 2 + t: K.s_one(h8_incl.ctx)}
+        assert dict(bq.comult[t]) == {t * 2 + t: K.s_one(h8_incl.ctx)}
 
 
 def test_bar_quotient_trivial_case(h8):
     bq = bar_quotient(trivial_inclusion(h8))
-    assert bq.dimbar == 1
+    assert bq.dim == 1
+
+
+@pytest.mark.parametrize("field", ["comult", "counit"])
+def test_verify_bar_quotient_reports_a_counit_defect(h8_incl, field):
+    # Hbar = span{bar 1, bar z} for kK < H8, both grouplike: doubling the one
+    # term of Delta(bar z), or eps(bar z), breaks counitality at bar z only
+    bq = bar_quotient(h8_incl)
+    ctx = h8_incl.ctx
+    two = K.s_from_ratio(ctx, 2)
+    bad = copy.copy(bq)
+    if field == "comult":
+        ((x, s),) = bq.comult[1]
+        bad.comult = (bq.comult[0], ((x, K.s_mul(ctx, two, s)),))
+    else:
+        bad.counit = (bq.counit[0], K.s_mul(ctx, two, bq.counit[1]))
+    assert verify_bar_quotient(bq).ok
+    check = verify_bar_quotient(bad)["bar-counital"]
+    assert (check.status, check.witness) == ("fail", 1)
+
+
+def _reference_dual_integrals(C):
+    """Basis of the lambda with lambda(c_(1)) c_(2) = lambda(c) 1 for every
+    basis c of the coalgebra C, by Gauss-Jordan elimination over Cyclotomic,
+    each vector scaled to 1 at its first nonzero entry."""
+    d, N = C.dim, C.N
+    zero = Cyclotomic.rational(0, N)
+    # one equation per (basis c_i, coordinate k), one unknown per lambda_j
+    eqs = []
+    for i in range(d):
+        rows = [[zero] * d for _ in range(d)]
+        for x, s in C.comult[i]:
+            j, k = divmod(x, d)
+            rows[k][j] = rows[k][j] + Cyclotomic(N, s)
+        for k in range(d):
+            rows[k][i] = rows[k][i] - Cyclotomic(N, C.unit[k])
+        eqs.extend(rows)
+    pivots = []
+    for col in range(d):
+        top = len(pivots)
+        p = next((r for r in range(top, len(eqs)) if not eqs[r][col].is_zero()), None)
+        if p is None:
+            continue
+        eqs[top], eqs[p] = eqs[p], eqs[top]
+        inv = eqs[top][col].inverse()
+        eqs[top] = [v * inv for v in eqs[top]]
+        for r in range(len(eqs)):
+            f = eqs[r][col]
+            if r != top and not f.is_zero():
+                eqs[r] = [a - f * b for a, b in zip(eqs[r], eqs[top])]
+        pivots.append(col)
+    basis = []
+    for free in range(d):
+        if free in pivots:
+            continue
+        vec = [zero] * d
+        vec[free] = Cyclotomic.rational(1, N)
+        for r, piv in enumerate(pivots):
+            vec[piv] = -eqs[r][free]
+        first = next(v for v in vec if not v.is_zero())
+        basis.append([v / first for v in vec])
+    return basis
+
+
+def _reference_symmetric(C, lam):
+    """lam(c_(1)) c_(2) == c_(1) lam(c_(2)) for every basis c, over Cyclotomic."""
+    d, N = C.dim, C.N
+    for i in range(d):
+        left = [Cyclotomic.rational(0, N)] * d
+        right = list(left)
+        for x, s in C.comult[i]:
+            j, k = divmod(x, d)
+            left[k] = left[k] + lam[j] * Cyclotomic(N, s)
+            right[j] = right[j] + lam[k] * Cyclotomic(N, s)
+        if left != right:
+            return False
+    return True
+
+
+def test_bar_dual_integral_matches_a_reference_solve(h8_incl, taft3, uq3, uq5):
+    # every criterion-9 quotient has a symmetric integral; over k < T3 the
+    # quotient is T3 itself, whose dual is not unimodular
+    registry = criterion_09_registry(h8_incl, taft3, uq3, uq5)
+    registry.append(("k<T3", unit_inclusion(taft3[0], trivial_hopf())))
+    seen = set()
+    for name, incl in registry:
+        bq = bar_quotient(incl)
+        ref = _reference_dual_integrals(bq)
+        assert len(ref) == 1, name
+        lam = right_integral_of_dual(bq)
+        assert [lam.value(t) for t in range(bq.dim)] == ref[0], name
+        unimodular = is_dual_unimodular(bq)
+        assert unimodular == _reference_symmetric(bq, ref[0]), name
+        seen.add(unimodular)
+    assert seen == {True, False}
 
 
 def test_h8_lambda(h8_incl):
@@ -73,21 +176,19 @@ def test_h8_lambda(h8_incl):
 
 def test_h8_chi_trivial_and_frobenius(h8_incl):
     bq = bar_quotient(h8_incl)
-    lam = right_integral_bar_dual(bq)
-    chi = relative_modular_function(h8_incl, bq, lam)
+    chi = relative_modular_function(h8_incl, bq)
     assert chi == h8_incl.K.counit_functional()
-    dec = is_frobenius_extension(h8_incl, bq, lam)
+    dec = is_frobenius_extension(h8_incl, bq)
     assert dec.frobenius and dec.via_chi and dec.via_alpha
 
 
 def test_h8_integral_type(h8_incl):
     bq = bar_quotient(h8_incl)
-    lam = right_integral_bar_dual(bq)
-    Lam = check_integral_type(h8_incl, bq, lam)
+    Lam = check_integral_type(h8_incl, bq)
     assert Lam is not None
     # oracle: lambda(bar(Lambda h)) = eps(h) for all basis h
     H = h8_incl.H
-    lamH = lift_bar_functional(bq, lam)
+    lamH = lift_bar_functional(bq)
     lam_raw = Lam.raw()
     lvec = {i: lam_raw[i][0] for i in range(H.dim) if not K.s_is_zero(lam_raw[i][0])}
     for j in range(H.dim):
@@ -142,24 +243,22 @@ def test_h8_centrality_and_normality(h8_incl):
 
 def test_central_agrees_with_bicomodule_criterion(h8_incl):
     bq = bar_quotient(h8_incl)
-    lam = right_integral_bar_dual(bq)
-    frob = make_frobenius_data(h8_incl, bq, lam)
+    frob = make_frobenius_data(h8_incl, bq)
     # is_central_extension asserts internally that both criteria agree
-    assert is_central_extension(h8_incl, bq, lam, tr_K=frob.tr_K) is True
+    assert is_central_extension(h8_incl, bq, tr_K=frob.tr_K) is True
 
 
 def test_taft_not_frobenius(taft3):
     T, incl = taft3
     bq = bar_quotient(incl)
-    assert bq.dimbar == 3
-    lam = right_integral_bar_dual(bq)
-    dec = is_frobenius_extension(incl, bq, lam)
+    assert bq.dim == 3
+    dec = is_frobenius_extension(incl, bq)
     assert not dec.frobenius
     assert not dec.via_chi and not dec.via_alpha
     # chi is an algebra map but differs from the counit
     assert dec.chi != incl.K.counit_functional()
     # integral-type element exists even though Frobenius fails
-    assert check_integral_type(incl, bq, lam) is not None
+    assert check_integral_type(incl, bq) is not None
 
 
 def test_sweedler_t2():
@@ -182,8 +281,7 @@ def test_free_basis_divisibility_error(h8):
 def test_fms_lambda_proportional(h8_incl, taft3):
     for incl in (h8_incl, taft3[1]):
         bq = bar_quotient(incl)
-        lam = right_integral_bar_dual(bq)
-        lamH = lift_bar_functional(bq, lam)
+        lamH = lift_bar_functional(bq)
         lamp = fms_lambda_construction(incl)
         c = lamp.is_proportional(lamH)
         assert c is not None and not c.is_zero()
@@ -242,10 +340,9 @@ def test_frobenius_data_is_pinned(spec, digests):
 
     incl = resolve_inclusion(spec)
     bq = bar_quotient(incl)
-    lam0 = right_integral_bar_dual(bq)
     got = []
     for lam_scale in (1, 7, Fraction(1, 2)):
-        fr = make_frobenius_data(incl, bq, lam0, lam_scale=lam_scale)
+        fr = make_frobenius_data(incl, bq, lam_scale=lam_scale)
         blob = repr((fr.tr_K.key(), [list(d) for d in fr.deltas])).encode()
         got.append(hashlib.sha256(blob).hexdigest())
     assert got == digests
@@ -296,7 +393,7 @@ def test_lambda_products_read_off_the_table(spec):
     incl = resolve_inclusion(spec)
     H = incl.H
     bq = bar_quotient(incl)
-    lamH = lift_bar_functional(bq, right_integral_bar_dual(bq))
+    lamH = lift_bar_functional(bq)
     got = _lambda_products(H, lamH, range(H.dim))
     for a in range(H.dim):
         want = [lamH(H.mult_vec(H.basis_vec(a), H.basis_vec(j))) for j in range(H.dim)]
@@ -312,7 +409,6 @@ def test_modular_function_and_integral_type_make_no_products(monkeypatch, spec):
 
     incl = resolve_inclusion(spec)
     bq = bar_quotient(incl)
-    lam = right_integral_bar_dual(bq)
     calls = []
     real = FinHopf.mult_vec
 
@@ -321,7 +417,7 @@ def test_modular_function_and_integral_type_make_no_products(monkeypatch, spec):
         return real(self, u, v)
 
     monkeypatch.setattr(FinHopf, "mult_vec", counted)
-    chi = relative_modular_function(incl, bq, lam)
-    Lambda = check_integral_type(incl, bq, lam)
+    chi = relative_modular_function(incl, bq)
+    Lambda = check_integral_type(incl, bq)
     assert calls == []
     assert chi.dim == incl.K.dim and Lambda is not None

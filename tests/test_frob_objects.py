@@ -215,12 +215,12 @@ def test_rescale_moves_a_rational_scalar_down_and_refuses_an_irrational_one(h8_i
 def test_rescale_lowers_a_scalar_that_lies_in_the_common_subfield(h8_incl):
     from hopfkit.errors import PipelineError
     from hopfkit.exact_math import Cyclotomic, root_of_unity
-    from hopfkit.extension import HopfInclusion, bar_quotient, make_frobenius_data, right_integral_bar_dual
+    from hopfkit.extension import HopfInclusion, bar_quotient, make_frobenius_data
 
     incl = HopfInclusion(h8_incl.K, h8_incl.H, h8_incl.embed.lift(4))
     assert incl.N == 4
     bq = bar_quotient(incl)
-    frob = make_frobenius_data(incl, bq, right_integral_bar_dual(bq))
+    frob = make_frobenius_data(incl, bq)
 
     def data(fr):
         return fr.lam, fr.tr_K, fr.deltas
