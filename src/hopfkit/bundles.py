@@ -5,8 +5,10 @@ One scalar per entry line keeps fixtures diffable.  Scalars are rendered as
 conductor declared in the header.
 """
 
+import locale
 import os
 
+from . import _kernel as K
 from .errors import BundleParseError
 from .exact_math import Cyclotomic, Matrix, format_scalar, parse_scalar
 from .hopf_core import FinHopf
@@ -29,18 +31,11 @@ def serialize_hopf(H):
         for x, s in H.comult[i]:
             lines.append("%d %d %d %s" % (i, x // n, x % n, format_scalar(Cyclotomic(H.N, s))))
     lines.append("END")
-    lines.append("BEGIN UNIT")
-    for i, s in enumerate(H.unit):
-        c = Cyclotomic(H.N, s)
-        if not c.is_zero():
-            lines.append("%d %s" % (i, format_scalar(c)))
-    lines.append("END")
-    lines.append("BEGIN COUNIT")
-    for i, s in enumerate(H.counit):
-        c = Cyclotomic(H.N, s)
-        if not c.is_zero():
-            lines.append("%d %s" % (i, format_scalar(c)))
-    lines.append("END")
+    for section, vec in (("UNIT", H.unit), ("COUNIT", H.counit)):
+        lines.append("BEGIN %s" % section)
+        lines.extend("%d %s" % (i, format_scalar(Cyclotomic(H.N, s)))
+                     for i, s in enumerate(vec) if not K.s_is_zero(s))
+        lines.append("END")
     lines.append("BEGIN ANTIPODE")
     for j, col in enumerate(H.antipode_cols):
         for i, s in col:
@@ -58,45 +53,40 @@ MAX_CONDUCTOR = 10000
 
 class _Parser:
     def __init__(self, text):
-        self.lines = text.splitlines()
-        self.at = 0
+        lines = text.splitlines()
+        self.nlines = len(lines)
+        # (line number, text) of each line that is neither blank nor a comment
+        self.content = [(at, line) for at, line in enumerate(map(str.strip, lines), 1)
+                        if line and line[0] != "#"]
+        self.pos = 0  # index in content of the next line to read
         self.header_lines = {}
-        # scalar text -> parsed Cyclotomic, shared by all sections of the
-        # bundle, which declares one conductor; Cyclotomic values are immutable
+        # scalar text -> raw scalar, or None for zero; shared by all sections
+        # of the bundle, which declares one conductor
         self.scalars = {}
 
-    def peek(self):
-        while self.at < len(self.lines):
-            line = self.lines[self.at].strip()
-            if line and not line.startswith("#"):
-                return line
-            self.at += 1
-        return None
-
-    def next(self):
-        line = self.peek()
-        if line is None:
-            raise BundleParseError("unexpected end of file", self.at + 1)
-        self.at += 1
-        return line
+    @property
+    def at(self):
+        """The number of the line before the next one to read, or of the last line."""
+        return self.content[self.pos][0] - 1 if self.pos < len(self.content) else self.nlines
 
     def error(self, msg, line=None):
         raise BundleParseError(msg, self.at if line is None else line)
 
 
 def _parse_header(p, kind):
-    first = p.next()
+    if not p.content:
+        p.error("unexpected end of file", p.nlines + 1)
+    at, first = p.content[0]
     if first != "%s v1" % kind:
-        p.error("expected '%s v1' header, got %r" % (kind, first))
+        p.error("expected '%s v1' header, got %r" % (kind, first), at)
     fields = {}
-    while True:
-        line = p.peek()
-        if line is None or line.startswith("BEGIN "):
-            break
-        p.next()
+    p.pos = 1
+    while p.pos < len(p.content) and not p.content[p.pos][1].startswith("BEGIN "):
+        at, line = p.content[p.pos]
         key, _, value = line.partition(" ")
         fields[key] = value.strip()
-        p.header_lines[key] = p.at
+        p.header_lines[key] = at
+        p.pos += 1
     return fields
 
 
@@ -116,92 +106,115 @@ def _int_field(p, fields, key, default, upper):
 def _parse_sections(p):
     """{section name: [(line number, entry line)]}; each name appears once."""
     sections = {}
-    while p.peek() is not None:
-        line = p.next()
-        if not line.startswith("BEGIN "):
-            p.error("expected BEGIN <section>, got %r" % line)
-        name = line[6:].strip()
-        if name in sections:
-            p.error("duplicate section %s" % name)
-        entries = sections[name] = []
-        while True:
-            row = p.next()
-            if row == "END":
-                break
-            entries.append((p.at, row))
+    entries = None
+    for at, line in p.content[p.pos:]:
+        if entries is None:
+            if not line.startswith("BEGIN "):
+                p.error("expected BEGIN <section>, got %r" % line, at)
+            name = line[6:].strip()
+            if name in sections:
+                p.error("duplicate section %s" % name, at)
+            entries = sections[name] = []
+        elif line == "END":
+            entries = None
+        else:
+            entries.append((at, line))
+    p.pos = len(p.content)
+    if entries is not None:
+        p.error("unexpected end of file", p.nlines + 1)
     return sections
 
 
 def _entries(p, sections, name, bounds, N):
-    """(indices, scalar) for each entry line of a section.  Index i must lie
-    in 0..bounds[i]-1 and no index tuple may appear twice."""
+    """(indices, raw scalar) for each entry line of a section whose scalar is
+    not zero.  Index i must lie in 0..bounds[i]-1 and no index tuple may
+    appear twice, zero entries included."""
     nidx = len(bounds)
     seen = set()
+    scalars = p.scalars
     for lineno, line in sections[name]:
         parts = line.split(None, nidx)
         if len(parts) != nidx + 1:
             p.error("expected %d indices and a scalar: %r" % (nidx, line), lineno)
         try:
-            idxs = tuple(int(x) for x in parts[:nidx])
+            idxs = tuple(map(int, parts[:nidx]))
         except ValueError:
             p.error("bad index in %r" % line, lineno)
-        if not all(0 <= i < b for i, b in zip(idxs, bounds)):
-            p.error("index out of range in %r" % line, lineno)
+        for i, b in zip(idxs, bounds):
+            if not 0 <= i < b:
+                p.error("index out of range in %r" % line, lineno)
         if idxs in seen:
             p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name), lineno)
         seen.add(idxs)
         text = parts[nidx]
-        val = p.scalars.get(text)
-        if val is None:
+        if text in scalars:
+            val = scalars[text]
+        else:
             try:
-                val = p.scalars[text] = parse_scalar(text, N)
+                val = parse_scalar(text, N)
             except (ValueError, ZeroDivisionError) as e:
                 p.error("bad scalar in %r (%s)" % (line, e), lineno)
-        yield idxs, val
+            val = scalars[text] = None if val.is_zero() else val.data
+        if val is not None:
+            yield idxs, val
+
+
+def _sorted_rows(rows):
+    return tuple(tuple(sorted(row)) for row in rows)
 
 
 def parse_hopf(text):
+    """The FinHopf of a hopf-bundle text; entry lines go straight into its tables."""
     p = _Parser(text)
     fields = _parse_header(p, "hopf-bundle")
-    dim = _int_field(p, fields, "dim", None, MAX_DIM)
+    n = _int_field(p, fields, "dim", None, MAX_DIM)
     N = _int_field(p, fields, "conductor", "1", MAX_CONDUCTOR)
     name = fields.get("name", "H")
     labels = fields.get("labels")
-    labels = labels.split(",") if labels else ["e%d" % i for i in range(dim)]
-    if len(labels) != dim:
+    labels = labels.split(",") if labels else ["e%d" % i for i in range(n)]
+    if len(labels) != n:
         p.error("label count does not match dim", p.header_lines.get("labels"))
     sections = _parse_sections(p)
     for required in ("MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE"):
         if required not in sections:
             p.error("missing section %s" % required)
 
-    mult = dict(_entries(p, sections, "MULT", (dim, dim, dim), N))
-    comult = dict(_entries(p, sections, "COMULT", (dim, dim, dim), N))
-    unit = [Cyclotomic.rational(0, N)] * dim
-    for (i,), val in _entries(p, sections, "UNIT", (dim,), N):
-        unit[i] = val
-    counit = [Cyclotomic.rational(0, N)] * dim
-    for (i,), val in _entries(p, sections, "COUNIT", (dim,), N):
-        counit[i] = val
-    srows = [[Cyclotomic.rational(0, N)] * dim for _ in range(dim)]
-    for (i, j), val in _entries(p, sections, "ANTIPODE", (dim, dim), N):
-        srows[i][j] = val
-    S = Matrix.from_rows(srows)
-    return FinHopf.from_tensors(
-        name, labels, mult, unit, comult, counit, S, conductor=N,
-        convention=fields.get("convention", ""),
-    )
+    mult = [[] for _ in range(n * n)]
+    for (i, j, k), s in _entries(p, sections, "MULT", (n, n, n), N):
+        mult[i * n + j].append((k, s))
+    comult = [[] for _ in range(n)]
+    for (i, j, k), s in _entries(p, sections, "COMULT", (n, n, n), N):
+        comult[i].append((j * n + k, s))
+    unit = [K.s_zero(K.make_ctx(N))] * n
+    counit = list(unit)
+    for (i,), s in _entries(p, sections, "UNIT", (n,), N):
+        unit[i] = s
+    for (i,), s in _entries(p, sections, "COUNIT", (n,), N):
+        counit[i] = s
+    cols = [[] for _ in range(n)]
+    for (i, j), s in _entries(p, sections, "ANTIPODE", (n, n), N):
+        cols[j].append((i, s))
+    return FinHopf(name, labels, N, _sorted_rows(mult), tuple(unit), _sorted_rows(comult),
+                   tuple(counit), _sorted_rows(cols), convention=fields.get("convention", ""))
+
+
+def _matrix(p, sections, name, rows, cols, N):
+    """The rows x cols matrix of a section of (row, column, scalar) entries."""
+    srows = [{} for _ in range(rows)]
+    for (r, c), s in _entries(p, sections, name, (rows, cols), N):
+        srows[r][c] = s
+    return Matrix.from_sparse(N, cols, srows)
+
+
+def _entry_lines(M):
+    """"r c scalar" for each nonzero entry of the Matrix M, row by row."""
+    return ["%d %d %s" % (r, c, format_scalar(Cyclotomic(M.N, s)))
+            for r, row in enumerate(M.srows) for c, s in sorted(row.items())]
 
 
 def serialize_inclusion(incl, sub_ref, big_ref):
     lines = ["hopf-inclusion v1", "sub %s" % sub_ref, "big %s" % big_ref,
-             "conductor %d" % incl.N, "BEGIN EMBED"]
-    for i in range(incl.H.dim):
-        for b in range(incl.K.dim):
-            c = incl.embed.entry(i, b)
-            if not c.is_zero():
-                lines.append("%d %d %s" % (i, b, format_scalar(c)))
-    lines.append("END")
+             "conductor %d" % incl.N, "BEGIN EMBED", *_entry_lines(incl.embed), "END"]
     return "\n".join(lines) + "\n"
 
 
@@ -220,32 +233,16 @@ def parse_inclusion(text, resolver):
     sections = _parse_sections(p)
     if "EMBED" not in sections:
         p.error("missing EMBED section")
-    rows = [[Cyclotomic.rational(0, N)] * sub.dim for _ in range(big.dim)]
-    for (i, b), val in _entries(p, sections, "EMBED", (big.dim, sub.dim), N):
-        rows[i][b] = val
-    return HopfInclusion(sub, big, Matrix.from_rows(rows))
+    return HopfInclusion(sub, big, _matrix(p, sections, "EMBED", big.dim, sub.dim, N))
 
 
 def serialize_module(mod, over_ref, coaction=None):
     lines = ["hopf-module v1", "over %s" % over_ref, "dim %d" % mod.dim,
              "conductor %d" % mod.N, "name %s" % mod.name]
     for i in range(mod.H.dim):
-        lines.append("BEGIN ACTION %d" % i)
-        A = mod.action[i]
-        for r in range(mod.dim):
-            for c in range(mod.dim):
-                v = A.entry(r, c)
-                if not v.is_zero():
-                    lines.append("%d %d %s" % (r, c, format_scalar(v)))
-        lines.append("END")
+        lines += ["BEGIN ACTION %d" % i, *_entry_lines(mod.action[i]), "END"]
     if coaction is not None:
-        lines.append("BEGIN COACTION")
-        for r in range(coaction.rows):
-            for c in range(coaction.cols):
-                v = coaction.entry(r, c)
-                if not v.is_zero():
-                    lines.append("%d %d %s" % (r, c, format_scalar(v)))
-        lines.append("END")
+        lines += ["BEGIN COACTION", *_entry_lines(coaction), "END"]
     return "\n".join(lines) + "\n"
 
 
@@ -269,24 +266,20 @@ def parse_module(text, resolver):
         key = "ACTION %d" % i
         if key not in sections:
             p.error("missing section %r" % key)
-        rows = [[Cyclotomic.rational(0, N)] * dim for _ in range(dim)]
-        for (r, c), val in _entries(p, sections, key, (dim, dim), N):
-            rows[r][c] = val
-        mats.append(Matrix.from_rows(rows))
+        mats.append(_matrix(p, sections, key, dim, dim, N))
     mod = HModule(H, mats, name=name, N=N)
     if "COACTION" in sections:
-        rows = [[Cyclotomic.rational(0, N)] * dim for _ in range(H.dim * dim)]
-        for (r, c), val in _entries(p, sections, "COACTION", (H.dim * dim, dim), N):
-            rows[r][c] = val
-        return YDModule(mod, Matrix.from_rows(rows), name=name)
+        return YDModule(mod, _matrix(p, sections, "COACTION", H.dim * dim, dim, N), name=name)
     return mod
 
 
-def load_text(path):
+def read_bundle(path):
+    """The bytes of a bundle file and their text, from one read."""
     if not os.path.exists(path):
         raise BundleParseError("no such file: %s" % path)
     try:
-        with open(path, "r") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data, data.decode(locale.getpreferredencoding(False))
     except (OSError, UnicodeDecodeError) as e:
         raise BundleParseError("cannot read %s (%s)" % (path, e)) from None

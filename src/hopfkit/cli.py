@@ -27,6 +27,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed or an
 """
 
 import argparse
+import functools
 import os
 import sys
 from urllib.parse import parse_qs, urlparse
@@ -35,10 +36,10 @@ from . import __version__
 from .bundles import (
     MAX_CONDUCTOR,
     MAX_DIM,
-    load_text,
     parse_hopf,
     parse_inclusion,
     parse_module,
+    read_bundle,
     serialize_hopf,
 )
 from .errors import BundleParseError, HopfkitError
@@ -100,8 +101,7 @@ def resolve_hopf(spec):
 
     scheme, path, params = _parse_spec(spec)
     if scheme != "builtin":
-        text = load_text(spec)
-        return parse_hopf(text)
+        return parse_hopf(read_bundle(spec)[1])
     kind = path
     if kind == "h8":
         return builders.kac_paljutkin()[0]
@@ -146,8 +146,7 @@ def resolve_inclusion(spec):
 
     scheme, path, params = _parse_spec(spec)
     if scheme != "builtin":
-        text = load_text(spec)
-        return parse_inclusion(text, resolve_hopf)
+        return parse_inclusion(read_bundle(spec)[1], resolve_hopf)
     kind = path
     if kind == "h8":
         return builders.kac_paljutkin()[1]
@@ -179,7 +178,7 @@ def resolve_module(spec, K_hopf):
 
     scheme, path, params = _parse_spec(spec)
     if scheme != "builtin":
-        text = load_text(spec)
+        text = read_bundle(spec)[1]
         return parse_module(text, lambda ref: K_hopf if ref == "K" else resolve_hopf(ref))
     if path == "trivial":
         if params.get("deg") or params.get("yd"):
@@ -233,23 +232,23 @@ def _emit(report, args):
 
 def cmd_verify(args):
     from .hopf_core import verify_hopf
-    from .module_theory import HModule, verify_module
+    from .module_theory import verify_module
     from .yetter_drinfeld import YDModule, verify_yd
 
     spec = args.input
-    report = Report("verify %s" % spec, tool="hopfkit %s" % __version__,
-                    inputs=[(spec, _spec_digest(spec))])
+    data = text = None
     if not spec.startswith("builtin:") and os.path.exists(spec):
-        text = load_text(spec)
-        head = text.lstrip().splitlines()[0] if text.strip() else ""
-        if head.startswith("hopf-module"):
-            mod = parse_module(text, resolve_hopf)
-            if isinstance(mod, YDModule):
-                report.extend(verify_yd(mod))
-            else:
-                report.extend(verify_module(mod))
-            return _emit(report, args)
-    H = resolve_hopf(spec)
+        data, text = read_bundle(spec)
+    report = Report("verify %s" % spec, tool="hopfkit %s" % __version__,
+                    inputs=[(spec, digest_bytes(spec.encode() if data is None else data))])
+    if text is not None and text.lstrip().startswith("hopf-module"):
+        mod = parse_module(text, resolve_hopf)
+        if isinstance(mod, YDModule):
+            report.extend(verify_yd(mod))
+        else:
+            report.extend(verify_module(mod))
+        return _emit(report, args)
+    H = resolve_hopf(spec) if text is None else parse_hopf(text)
     report.extend(verify_hopf(H))
     return _emit(report, args)
 
@@ -483,7 +482,11 @@ def cmd_cartan_check(args):
     return _emit(report, args)
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: parsing leaves it as it was, and
+    argparse copies the list defaults of --module and --object before
+    appending to them."""
     ap = argparse.ArgumentParser(prog="hopfkit",
                                  description="exact Hopf-algebra extension verifier")
     ap.add_argument("--version", action="version", version="hopfkit %s" % __version__)
@@ -495,19 +498,16 @@ def build_parser():
     p = sub.add_parser("verify", help="verify Hopf/module axioms of a bundle or builtin")
     p.add_argument("input")
     common(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("dump", help="serialize a builtin algebra as a bundle")
     p.add_argument("input")
     common(p)
-    p.set_defaults(fn=cmd_dump)
 
     p = sub.add_parser("analyze", help="run the extension analysis pipeline")
     p.add_argument("input")
     p.add_argument("--expect-frobenius", type=_bool_flag, default=None)
     p.add_argument("--expect-central", type=_bool_flag, default=None)
     common(p)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("check-functor", help="diagram suites for the induction functor")
     p.add_argument("input")
@@ -516,25 +516,21 @@ def build_parser():
     p.add_argument("--braided", action="store_true")
     p.add_argument("--separable", action="store_true")
     common(p)
-    p.set_defaults(fn=cmd_check_functor)
 
     p = sub.add_parser("frob-objects", help="build/push Frobenius objects and test rigidity")
     p.add_argument("input")
     p.add_argument("--object", action="append", default=[])
     p.add_argument("--separable-normalized", action="store_true")
     common(p)
-    p.set_defaults(fn=cmd_frob_objects)
 
     p = sub.add_parser("scan-sl2", help="unimodularity scan over small quantum sl2 subalgebras")
     p.add_argument("--l", default="5")
     common(p)
-    p.set_defaults(fn=cmd_scan_sl2)
 
     p = sub.add_parser("cartan-check", help="row-sum scan over finite-type Cartan matrices")
     p.add_argument("--types", default="A1,A2,A3,A4,B2,B3,B4,C3,C4,D4,G2")
     p.add_argument("--l", default="5,7,9")
     common(p)
-    p.set_defaults(fn=cmd_cartan_check)
     return ap
 
 
@@ -547,10 +543,11 @@ def _bool_flag(text):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the shared parser
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return fn(args)
     except BundleParseError as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2

@@ -371,9 +371,9 @@ def relative_modular_function(incl, bq):
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     lamH = lift_bar_functional(bq)
-    # the first representative where lambda o proj does not vanish
+    # the first representative where lambda o proj does not vanish; lambda is
+    # normalized to 1 there, so chi(k) = lambda(bar(k h0))
     h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
-    d_inv = K.s_inv(ctx, lamH.values[h0])
     z = K.s_zero(ctx)
     cols = [incl.embed_col(b) for b in range(Kk.dim)]
     prods = _lambda_products(H, lamH, sorted({a for col in cols for a in col}))
@@ -384,7 +384,7 @@ def relative_modular_function(incl, bq):
         for a, c in col.items():
             _axpy(ctx, acc, prods[a], c)
         kh.append(acc)
-    chi = LinearFunctional(incl.N, [K.s_mul(ctx, row.get(h0, z), d_inv) for row in kh])
+    chi = LinearFunctional(incl.N, [row.get(h0, z) for row in kh])
     # global verification over all (k, h) basis pairs
     for b, row in enumerate(kh):
         cb = chi.values[b]
@@ -497,7 +497,8 @@ def free_basis(incl):
 
     Returns the index sequence h_1..h_r with K*h_1 + ... + K*h_r = H and
     h_1*K + ... + h_r*K = H: h_t is taken only if both K*h_t and h_t*K add
-    dim K dimensions to the spans so far.
+    dim K dimensions to the spans so far.  The products h_t * embed(k_b),
+    t outer, come with it, in the order ``Decomposer(..., "right")`` takes.
     """
     H, Kk = incl.H, incl.K
     n, m = H.dim, Kk.dim
@@ -508,6 +509,7 @@ def free_basis(incl):
     left = RowSpace(n, incl.ctx)
     right = RowSpace(n, incl.ctx)
     free = []
+    images = []
     for t in range(n):
         if left.rank == n:
             break
@@ -521,32 +523,29 @@ def free_basis(incl):
         if _added_rank(right, rrows) != m:
             continue
         free.append(t)
+        images.extend(rrows)
         for row in lrows:
             left.add(row)
         for row in rrows:
             right.add(row)
     if left.rank != n or len(free) != n // m:
         raise HopfkitError("free basis not found along declared order")
-    return free
+    return free, images
 
 
 class Decomposer:
     """Decompose H-vectors over a free basis: x = sum_i embed(k_i) * h_i (side='left')
-    or x = sum_i h_i * embed(k_i) (side='right')."""
+    or x = sum_i h_i * embed(k_i) (side='right'); ``images`` hands over these
+    products for the basis vectors k_b, i outer, when they are already formed."""
 
     __slots__ = ("incl", "free", "side", "inv_cols", "m")
 
-    def __init__(self, incl, free, side):
+    def __init__(self, incl, free, side, images=None):
         H, Kk = incl.H, incl.K
         m = Kk.dim
-        images = []
-        for i in free:
-            hi = H.basis_vec(i)
-            for b in range(m):
-                if side == "left":
-                    images.append(H.mult_vec(incl.embed_col(b), hi))
-                else:
-                    images.append(H.mult_vec(hi, incl.embed_col(b)))
+        if images is None:
+            pairs = ((H.basis_vec(i), incl.embed_col(b)) for i in free for b in range(m))
+            images = [H.mult_vec(k, h) if side == "left" else H.mult_vec(h, k) for h, k in pairs]
         inv = Matrix.from_sparse(incl.N, H.dim, images).transpose().inverse()
         if inv is None:
             raise PipelineError("free basis is not %s-regular along declared order" % side)
@@ -835,10 +834,10 @@ def make_frobenius_data(incl, bq, lam_scale=1):
     """
     H = incl.H
     ctx = incl.ctx
-    free = free_basis(incl)
+    free, right_images = free_basis(incl)
     tr0 = frobenius_morphism(incl, bq)
     deltas0 = dual_bases(incl, tr0, free)
-    right_dec = Decomposer(incl, free, "right")
+    right_dec = Decomposer(incl, free, "right", right_images)
     _verify_dual_bases(incl, tr0, free, deltas0, right_dec)
 
     s = K.s_zero(ctx)

@@ -19,6 +19,23 @@ from hopfkit.yetter_drinfeld import yd_line
 
 _ACCEPTANCE = {}
 
+# The builtin algebras of the CLI catalogue, at the sizes the tests can afford.
+CATALOGUE = [
+    "builtin:group?table=c2",
+    "builtin:group?table=c3",
+    "builtin:group?table=c4",
+    "builtin:group?table=klein",
+    "builtin:h8",
+    "builtin:taft?l=2",
+    "builtin:taft?l=3",
+    "builtin:taft?l=5&q=2",
+    "builtin:taft?l=7&q=3",
+    "builtin:uqsl2?l=3",
+    "builtin:double?of=builtin:group?table=c3",
+    "builtin:double?of=builtin:group?table=klein",
+    "builtin:double?of=builtin:taft?l=2",
+]
+
 
 @pytest.fixture(scope="session")
 def h8_pair():

@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 import hopfkit._kernel as K
+from conftest import CATALOGUE
 from hopfkit.builders import (
     CartanDatum,
     cartan_matrix,
@@ -18,6 +20,8 @@ from hopfkit.builders import (
     trivial_hopf,
     unimodularity_scan_sl2,
 )
+from hopfkit.bundles import parse_hopf, serialize_hopf
+from hopfkit.cli import resolve_hopf
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, Matrix, root_of_unity
 from hopfkit.extension import bar_quotient, verify_inclusion
@@ -258,3 +262,49 @@ def test_builder_integral_spaces_one_dimensional(h8, taft3, uq3):
     for H in (h8, taft3[0], uq3.hopf, C2, D2, trivial_hopf()):
         for side in ("left", "right"):
             assert len(integral_space(H, side)) == 1, (H.name, side)
+
+
+def _tables(H):
+    return H.N, H.mult, H.comult, H.unit, H.counit, H.antipode_cols
+
+
+@pytest.mark.parametrize("spec", CATALOGUE)
+def test_bundle_round_trip_keeps_every_table(spec):
+    H = resolve_hopf(spec)
+    H2 = parse_hopf(serialize_hopf(H))
+    assert _tables(H2) == _tables(H)
+    assert (H2.name, H2.basis_labels, H2.convention) == (H.name, H.basis_labels, H.convention)
+
+
+# spellings of zero that the scalar grammar accepts
+ZEROS = ["0", "-0", "+0", "0/3", "0*z", "0*z^2"]
+
+
+def _with_explicit_zeros(H):
+    """H's bundle with a zero entry, spelled in turn as in ZEROS, on every
+    index tuple that the serializer leaves out."""
+    n = H.dim
+    arity = {"MULT": 3, "COMULT": 3, "UNIT": 1, "COUNIT": 1, "ANTIPODE": 2}
+    zeros = itertools.cycle(ZEROS)
+    out, section, written = [], None, set()
+    for line in serialize_hopf(H).splitlines():
+        if line.startswith("BEGIN "):
+            section, written = line[6:], set()
+        elif line == "END":
+            for idx in itertools.product(range(n), repeat=arity[section]):
+                if idx not in written:
+                    out.append("%s %s" % (" ".join(map(str, idx)), next(zeros)))
+        elif section is not None:
+            written.add(tuple(map(int, line.split()[: arity[section]])))
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["builtin:h8", "builtin:taft?l=3", "builtin:uqsl2?l=3"])
+def test_explicit_zero_entries_parse_like_missing_ones(spec):
+    H = resolve_hopf(spec)
+    text = _with_explicit_zeros(H)
+    n = H.dim
+    assert len(text.splitlines()) > 2 * n ** 3
+    H2 = parse_hopf(text)
+    assert _tables(H2) == _tables(parse_hopf(serialize_hopf(H))) == _tables(H)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import CATALOGUE
 from hopfkit.bundles import parse_hopf, parse_module, serialize_hopf, serialize_module
 from hopfkit.cli import main, resolve_hopf, resolve_inclusion, resolve_module
 from hopfkit.errors import BundleParseError
@@ -131,8 +132,8 @@ def test_scalar_text_shared_across_sections(tmp_path, capsys, taft3):
     assert out.splitlines()[2:] == out2.splitlines()[2:]
 
 
-def _cli_exit_code(argv, seconds):
-    """Exit code of the CLI run in a fresh interpreter, killed after ``seconds``."""
+def _cli_process(argv, seconds):
+    """The CLI run in a fresh interpreter, killed after ``seconds``."""
     import os
     import subprocess
     import sys
@@ -142,7 +143,7 @@ def _cli_exit_code(argv, seconds):
     src = os.path.dirname(os.path.dirname(hopfkit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "hopfkit.cli"] + argv, env=env,
-                          capture_output=True, timeout=seconds).returncode
+                          capture_output=True, text=True, timeout=seconds)
 
 
 def test_huge_exponent_scalar_exits_2_quickly(tmp_path, h8):
@@ -150,10 +151,44 @@ def test_huge_exponent_scalar_exits_2_quickly(tmp_path, h8):
     text = serialize_hopf(h8).replace("BEGIN COUNIT\n0 1\n", "BEGIN COUNIT\n0 1e999999999\n", 1)
     p = tmp_path / "huge.bundle"
     p.write_text(text)
-    assert _cli_exit_code(["verify", str(p)], 10) == 2
-    assert _cli_exit_code(["check-functor", "builtin:h8",
-                           "--module", "builtin:kchar?act=1e999999999,1,1,1",
-                           "--frobenius-monoidal"], 10) == 2
+    assert _cli_process(["verify", str(p)], 10).returncode == 2
+    assert _cli_process(["check-functor", "builtin:h8",
+                         "--module", "builtin:kchar?act=1e999999999,1,1,1",
+                         "--frobenius-monoidal"], 10).returncode == 2
+
+
+# --module is an append option: a parser shared across calls must not carry
+# the modules of one call into the next
+REPEATED_CALLS = [
+    ["check-functor", "builtin:h8", "--module", "builtin:kchar?act=1,-1,-1,1",
+     "--module", "builtin:trivial", "--frobenius-monoidal"],
+    ["check-functor", "builtin:h8", "--module", "builtin:kchar?act=1,1,-1,-1", "--separable"],
+    ["check-functor", "builtin:h8", "--frobenius-monoidal"],
+    ["frob-objects", "builtin:double?of=builtin:group?table=c2",
+     "--object", "builtin:etale?n=x&ex=1&ey=1"],
+    ["frob-objects", "builtin:double?of=builtin:group?table=c2"],
+]
+
+
+def test_main_called_repeatedly_matches_separate_processes(capsys):
+    in_process = [run(argv, capsys) for argv in REPEATED_CALLS + REPEATED_CALLS[:1]]
+    separate = [_cli_process(argv, 120) for argv in REPEATED_CALLS]
+    for (code, out), proc in zip(in_process, separate + separate[:1]):
+        assert (code, out) == (proc.returncode, proc.stdout)
+
+
+@pytest.mark.parametrize("spec", CATALOGUE)
+def test_verify_of_a_dump_matches_verify_of_the_builtin(spec, tmp_path, capsys):
+    code, text = run(["dump", spec], capsys)
+    assert code == 0
+    p = tmp_path / "dumped.bundle"
+    p.write_text(text)
+    code1, out1 = run(["verify", str(p)], capsys)
+    code2, out2 = run(["verify", spec], capsys)
+    assert code1 == code2 == 0
+    # the first two lines name the input
+    assert out1.splitlines()[2:] == out2.splitlines()[2:]
+    assert len(out1.splitlines()) == 14
 
 
 def test_module_bundle_rejects_duplicate_entry(h8_incl):

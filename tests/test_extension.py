@@ -196,7 +196,7 @@ def test_h8_integral_type(h8_incl):
 
 
 def test_h8_free_basis_and_dual_bases(h8, h8_incl):
-    free = free_basis(h8_incl)
+    free, _ = free_basis(h8_incl)
     assert [h8.basis_labels[i] for i in free] == ["1", "z"]
     ana = analyze_extension(h8_incl)
     fr = ana.frob
@@ -362,7 +362,7 @@ def test_non_normal_group_inclusion_is_central_frobenius():
     # basis along declared order was once not right-regular
     incl = _s3_inclusion()
     assert verify_hopf(incl.H).ok
-    free = free_basis(incl)
+    free, _ = free_basis(incl)
     assert len(free) == 3
     ana = analyze_extension(incl)
     assert ana.report.ok
@@ -375,7 +375,7 @@ def test_double_of_h8_over_h8_is_central_frobenius():
     from hopfkit.cli import resolve_inclusion
 
     incl = resolve_inclusion("builtin:double?of=builtin:h8")
-    assert free_basis(incl) == [0, 8, 16, 24, 32, 40, 48, 56]
+    assert free_basis(incl)[0] == [0, 8, 16, 24, 32, 40, 48, 56]
     ana = analyze_extension(incl)
     assert ana.report.ok
     assert ana.decision.frobenius and ana.central is True
@@ -421,3 +421,25 @@ def test_modular_function_and_integral_type_make_no_products(monkeypatch, spec):
     Lambda = check_integral_type(incl, bq)
     assert calls == []
     assert chi.dim == incl.K.dim and Lambda is not None
+
+
+# builtin inclusions of the CLI catalogue that the criterion-9 registry leaves out
+CLI_INCLUSIONS = ["builtin:taft?l=5&q=2", "builtin:double?of=builtin:group?table=c3",
+                  "builtin:double?of=builtin:taft?l=2", "builtin:double?of=builtin:h8",
+                  "builtin:unit?of=builtin:taft?l=3", "builtin:trivial?of=builtin:taft?l=3"]
+
+
+def test_lambda_is_one_at_the_first_coset_it_does_not_vanish_on(h8_incl, taft3, uq3, uq5):
+    # relative_modular_function reads chi(k) = lambda(bar(k h0)) without dividing by lambda(bar h0)
+    from hopfkit.cli import resolve_inclusion
+
+    registry = criterion_09_registry(h8_incl, taft3, uq3, uq5)
+    registry += [(spec, resolve_inclusion(spec)) for spec in CLI_INCLUSIONS]
+    for name, incl in registry:
+        assert verify_inclusion(incl).ok, name
+        bq = bar_quotient(incl)
+        lamH = lift_bar_functional(bq)
+        h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
+        assert lamH.values[h0] == K.s_one(incl.ctx), name
+        chi = relative_modular_function(incl, bq)
+        assert chi.values[0] == K.s_one(incl.ctx), name

@@ -14,6 +14,7 @@ from hopfkit.builders import (
     small_quantum_sl2,
     taft,
 )
+from hopfkit.bundles import parse_hopf, serialize_hopf
 from hopfkit.errors import PipelineError
 from hopfkit.exact_math import Matrix, RowSpace, _column, _normalize_first_one
 from hopfkit.hopf_core import (
@@ -29,6 +30,7 @@ from hopfkit.hopf_core import (
     subhopf_from_basis,
     verify_hopf,
 )
+from hopfkit.reports import FAIL, PASS
 
 
 def test_group_algebra_verifies():
@@ -217,7 +219,7 @@ def _perturb(H, section, row, key, c):
 @settings(max_examples=40, deadline=None)
 @given(
     which=st.sampled_from(["h8", "taft3", "uq3"]),
-    section=st.sampled_from(["MULT", "COMULT", "UNIT"]),
+    section=st.sampled_from(["MULT", "COMULT", "UNIT", "COUNIT"]),
     row=st.integers(0, 10 ** 6),
     key=st.integers(0, 10 ** 6),
     c=st.sampled_from([-1, 1, 2]),
@@ -228,6 +230,60 @@ def test_reduced_scans_match_full_scans(h8, taft3, uq3, which, section, row, key
     with mock.patch.object(hopf_core, "algebra_generators", lambda H: None):
         full = verify_hopf(H).as_dict()
     assert reduced == full
+
+
+def _edited_bundle(H, section, entry, scalar):
+    """H read back from its bundle with one entry line of a section given a
+    new scalar."""
+    lines = serialize_hopf(H).splitlines()
+    at = lines.index(entry, lines.index("BEGIN " + section))
+    lines[at] = "%s %s" % (entry.rsplit(" ", 1)[0], scalar)
+    return parse_hopf("\n".join(lines) + "\n")
+
+
+def _counit_scans(H):
+    """verify_hopf's report on H and the lefts of each counit scan it ran
+    (None for a full scan)."""
+    with mock.patch.object(hopf_core, "_counit_defect", wraps=hopf_core._counit_defect) as scan:
+        rep = verify_hopf(H)
+    return rep, [call.args[1] if len(call.args) > 1 else None for call in scan.call_args_list]
+
+
+def _counit_entries(H):
+    return ["%d 1" % i for i in range(H.dim) if H.counit[i] == K.s_one(H.ctx)]
+
+
+@pytest.mark.parametrize("which", ["h8", "taft3", "uq3"])
+def test_doubled_counit_entry_fails_with_the_full_scan_witness(h8, taft3, uq3, which):
+    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which]
+    for entry in _counit_entries(base):
+        H = _edited_bundle(base, "COUNIT", entry, "2")
+        rep, scans = _counit_scans(H)
+        check = rep["counit-multiplicative"]
+        assert check.status == FAIL, entry
+        assert check.witness == hopf_core._counit_defect(H), entry
+        if rep["counit-of-unit"].status == PASS:
+            # scanned on G first, found the defect, then scanned in full
+            assert scans == [algebra_generators(H), None], entry
+        else:
+            assert scans == [None], entry
+
+
+def test_non_associative_bundle_takes_the_full_counit_scan(h8):
+    # x * y = 2 xy: (x y) y = 2x but x (y y) = x
+    H = _edited_bundle(h8, "MULT", "1 2 4 1", "2")
+    rep, scans = _counit_scans(H)
+    assert rep["mult-associative"].status == FAIL
+    assert rep["counit-of-unit"].status == PASS
+    assert scans == [None]
+    assert rep["counit-multiplicative"].witness == hopf_core._counit_defect(H)
+
+
+def test_counit_scan_on_generators_when_its_premises_hold(h8, taft3, uq3):
+    for H in (h8, taft3[0], uq3.hopf):
+        rep, scans = _counit_scans(H)
+        assert rep.ok
+        assert scans == [algebra_generators(H)]
 
 
 def _integrals_of(H, side, js=None):

@@ -149,6 +149,37 @@ def test_off_grammar_scalar_is_rejected_with_its_line(token, at):
         parse_hopf("\n".join(lines) + "\n")
 
 
+# Edits lines[start:stop] = new of the kC2 bundle, and the error parse_hopf
+# raises.  Line 8 is the MULT entry "0 1 1 1", lines 19-22 are the COUNIT
+# section, line 21 is its entry "1 1" and line 26 is the last END.
+PARSE_ERRORS = {
+    "wrong index count": (7, 8, ["0 1 1"], "line 8: expected 3 indices and a scalar: '0 1 1'"),
+    "non-integer index": (7, 8, ["0 x 1 1"], "line 8: bad index in '0 x 1 1'"),
+    "index out of range": (7, 8, ["0 1 2 1"], "line 8: index out of range in '0 1 2 1'"),
+    "negative index": (7, 8, ["0 -1 1 1"], "line 8: index out of range in '0 -1 1 1'"),
+    "duplicate entry": (8, 8, ["0 1 1 0"], "line 9: duplicate entry 0 1 1 in section MULT"),
+    "bad scalar": (20, 21, ["1 1/0"], "line 21: bad scalar in '1 1/0' (Fraction(1, 0))"),
+    "off-grammar scalar": (20, 21, ["1 1.0"],
+                           "line 21: bad scalar in '1 1.0' (bad token '1.0' in scalar '1.0')"),
+    "duplicate section": (26, 26, ["BEGIN UNIT", "0 1", "END"], "line 27: duplicate section UNIT"),
+    "missing section": (18, 22, [], "line 22: missing section COUNIT"),
+    "missing section before comments": (18, 22, ["# note", ""], "line 24: missing section COUNIT"),
+    "EOF before END": (25, 26, [], "line 26: unexpected end of file"),
+    "EOF before END after a blank": (25, 26, [""], "line 27: unexpected end of file"),
+    "text between sections": (11, 11, ["junk"], "line 12: expected BEGIN <section>, got 'junk'"),
+    "comments and blanks count": (7, 8, ["# c", "", "0 x 1 1"], "line 10: bad index in '0 x 1 1'"),
+}
+
+
+@pytest.mark.parametrize("start, stop, new, message", PARSE_ERRORS.values(), ids=list(PARSE_ERRORS))
+def test_parse_error_names_its_line(start, stop, new, message):
+    lines = BASES["hopf"].splitlines()
+    lines[start:stop] = new
+    with pytest.raises(BundleParseError) as info:
+        parse_hopf("\n".join(lines) + "\n")
+    assert str(info.value) == message
+
+
 KINDS = ["h8", "group", "taft", "uqsl2", "double", "trivial", "unit", "kchar", "etale", "nope", ""]
 KEYS = ["l", "q", "table", "of", "sub", "act", "deg", "cond", "name", "n", "ex", "ey"]
 VALUES = st.one_of(
