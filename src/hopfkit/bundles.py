@@ -7,6 +7,7 @@ conductor declared in the header.
 
 import locale
 import os
+import re
 
 from . import _kernel as K
 from .errors import BundleParseError
@@ -271,6 +272,25 @@ def parse_module(text, resolver):
     if "COACTION" in sections:
         return YDModule(mod, _matrix(p, sections, "COACTION", H.dim * dim, dim, N), name=name)
     return mod
+
+
+# the line boundaries of str.splitlines, which _Parser splits on
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def bundle_header(text):
+    """The header line the parsers read: the first line of text that is
+    neither blank nor a comment, stripped ("" if there is none).  Lines are
+    split only as far as that line."""
+    start = 0
+    while True:
+        brk = _LINE_BREAK.search(text, start)
+        line = text[start:brk.start() if brk else len(text)].strip()
+        if line and line[0] != "#":
+            return line
+        if brk is None:
+            return ""
+        start = brk.end()
 
 
 def read_bundle(path):

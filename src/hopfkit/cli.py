@@ -36,6 +36,7 @@ from . import __version__
 from .bundles import (
     MAX_CONDUCTOR,
     MAX_DIM,
+    bundle_header,
     parse_hopf,
     parse_inclusion,
     parse_module,
@@ -207,14 +208,14 @@ def resolve_module(spec, K_hopf):
     raise BundleParseError("unknown builtin module %r" % spec)
 
 
-def _spec_digest(spec):
-    if spec.startswith("builtin:"):
-        return digest_bytes(spec.encode())
-    try:
-        with open(spec, "rb") as fh:
-            return digest_bytes(fh.read())
-    except (OSError, ValueError):  # ValueError: a NUL byte in the path
-        return digest_bytes(spec.encode())
+def _inclusion_input(spec):
+    """The inclusion of a builtin spec or bundle file, and the digest the
+    report records for it: of the spec text, or of the bytes of the file,
+    which is read once."""
+    if _parse_spec(spec)[0] == "builtin":
+        return resolve_inclusion(spec), digest_bytes(spec.encode())
+    data, text = read_bundle(spec)
+    return parse_inclusion(text, resolve_hopf), digest_bytes(data)
 
 
 def _emit(report, args):
@@ -241,7 +242,7 @@ def cmd_verify(args):
         data, text = read_bundle(spec)
     report = Report("verify %s" % spec, tool="hopfkit %s" % __version__,
                     inputs=[(spec, digest_bytes(spec.encode() if data is None else data))])
-    if text is not None and text.lstrip().startswith("hopf-module"):
+    if text is not None and bundle_header(text).startswith("hopf-module"):
         mod = parse_module(text, resolve_hopf)
         if isinstance(mod, YDModule):
             report.extend(verify_yd(mod))
@@ -263,10 +264,10 @@ def cmd_analyze(args):
     from .extension import analyze_extension
 
     spec = args.input
-    incl = resolve_inclusion(spec)
+    incl, digest = _inclusion_input(spec)
     ana = analyze_extension(incl)
     report = Report("analyze %s" % spec, tool="hopfkit %s" % __version__,
-                    inputs=[(spec, _spec_digest(spec))])
+                    inputs=[(spec, digest)])
     report.extend(ana.report)
     if ana.decision is not None:
         if args.expect_frobenius is not None:
@@ -290,9 +291,9 @@ def cmd_check_functor(args):
     from .yetter_drinfeld import YDModule, verify_braided_frobenius, verify_yd
 
     spec = args.input
-    incl = resolve_inclusion(spec)
+    incl, digest = _inclusion_input(spec)
     report = Report("check-functor %s" % spec, tool="hopfkit %s" % __version__,
-                    inputs=[(spec, _spec_digest(spec))])
+                    inputs=[(spec, digest)])
     modules = [resolve_module(m, incl.K) for m in args.module or ["builtin:trivial"]]
     plain = [m.module if isinstance(m, YDModule) else m for m in modules]
     for m in plain:
@@ -372,9 +373,9 @@ def cmd_frob_objects(args):
 
     objects = [_etale_params(obj_spec) for obj_spec in args.object or ["builtin:unit"]]
     spec = args.input
-    incl = resolve_inclusion(spec)
+    incl, digest = _inclusion_input(spec)
     report = Report("frob-objects %s" % spec, tool="hopfkit %s" % __version__,
-                    inputs=[(spec, _spec_digest(spec))])
+                    inputs=[(spec, digest)])
     try:
         ictx = induction_context(incl)
     except HopfkitError as e:

@@ -27,6 +27,8 @@ from .exact_math import (
 from .hopf_core import (
     LinearFunctional,
     _assert_algebra_map,
+    _first_defect,
+    algebra_generators,
     counital_defect,
     distinguished_grouplike,
     integral_space,
@@ -681,31 +683,38 @@ def dual_bases(incl, tr_K, free):
     return [sol.particular.col_raw(i) for i in range(r)]
 
 
-def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
+def _reconstruction_defect(incl, tr_K, free, delta_sparse, xs=None):
+    """The first basis index x, x in xs (all of H by default), where
+    h = sum_i tr(h delta_i) h_i or h = sum_i delta_i tr(h_i h) fails for h = h_x."""
+    H = incl.H
+    ctx = incl.ctx
+    one = K.s_one(ctx)
+    for x in range(H.dim) if xs is None else xs:
+        ex = H.basis_vec(x)
+        acc1 = {}
+        acc2 = {}
+        for i, delta in enumerate(delta_sparse):
+            # h = sum_i tr(h delta_i) h_i
+            ki = _mat_vec(tr_K, H.mult_vec(ex, delta))
+            _axpy(ctx, acc1, H.mult_vec(incl.embed_vec(ki), H.basis_vec(free[i])), one)
+            # h = sum_i delta_i tr(h_i h)
+            ki2 = _mat_vec(tr_K, H.mult_vec(H.basis_vec(free[i]), ex))
+            _axpy(ctx, acc2, H.mult_vec(delta, incl.embed_vec(ki2)), one)
+        if acc1 != ex or acc2 != ex:
+            return x
+    return None
+
+
+def _exchange_defect(incl, free, delta_sparse, right_dec, xs=None):
+    """The first basis index x, x in xs (all of H by default), where
+    sum_i delta_i x_K h_i h == sum_i h delta_i x_K h_i fails in H (x)_K H
+    for h = h_x."""
     H = incl.H
     ctx = incl.ctx
     n = H.dim
     r = len(free)
-    one = K.s_one(ctx)
-    delta_sparse = [_clean(enumerate(dv)) for dv in deltas]
     delta_parts = [right_dec(dv) for dv in delta_sparse]
-
-    for x in range(n):
-        ex = H.basis_vec(x)
-        acc1 = {}
-        acc2 = {}
-        for i in range(r):
-            # h = sum_i tr(h delta_i) h_i
-            ki = _mat_vec(tr_K, H.mult_vec(ex, delta_sparse[i]))
-            _axpy(ctx, acc1, H.mult_vec(incl.embed_vec(ki), H.basis_vec(free[i])), one)
-            # h = sum_i delta_i tr(h_i h)
-            ki2 = _mat_vec(tr_K, H.mult_vec(H.basis_vec(free[i]), ex))
-            _axpy(ctx, acc2, H.mult_vec(delta_sparse[i], incl.embed_vec(ki2)), one)
-        if acc1 != ex or acc2 != ex:
-            raise PipelineError("dual-basis reconstruction identity fails at basis %d" % x)
-
-    # sum_i delta_i x_K h_i h == sum_i h delta_i x_K h_i, inside H (x)_K H
-    for x in range(n):
+    for x in range(n) if xs is None else xs:
         ex = H.basis_vec(x)
         lhs = {}
         rhs = {}
@@ -725,7 +734,33 @@ def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
                     for idx, s in H.mult_vec(incl.embed_vec(kv), hi).items():
                         _add(ctx, rhs, j * n + idx, s)
         if lhs != rhs:
-            raise PipelineError("dual-basis exchange identity fails at basis %d" % x)
+            return x
+    return None
+
+
+def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
+    """Check both reconstruction identities and the exchange identity.
+
+    On a proven H (see ``FinHopf.proven``) each is checked on a generating
+    set.  tr is a K-bimodule map (``_verify_frobenius_morphism``), so
+    h -> sum_i tr(h delta_i) h_i is left and h -> sum_i delta_i tr(h_i h)
+    right K-linear; the free basis spans H on both sides (``free_basis``), so
+    the reconstruction identities hold on H once they hold on it.  The h
+    with hE = Eh, for E = sum_i delta_i x_K h_i, form a unital subalgebra, so
+    the exchange identity needs h in ``algebra_generators(H)`` only.  A
+    defect found on a generating set is looked up again by the full scan,
+    whose first witness the error names.
+    """
+    H = incl.H
+    delta_sparse = [_clean(enumerate(dv)) for dv in deltas]
+    w = _first_defect(_reconstruction_defect, free if H.proven else None,
+                      incl, tr_K, free, delta_sparse)
+    if w is not None:
+        raise PipelineError("dual-basis reconstruction identity fails at basis %d" % w)
+    w = _first_defect(_exchange_defect, algebra_generators(H) if H.proven else None,
+                      incl, free, delta_sparse, right_dec)
+    if w is not None:
+        raise PipelineError("dual-basis exchange identity fails at basis %d" % w)
 
 
 # ---------------------------------------------------------------------------
@@ -773,13 +808,19 @@ def is_central_extension(incl, bq=None, tr_K=None):
 
 
 def is_normal_subalgebra(incl):
-    """Closure of embed(K) under left and right adjoint actions of H."""
+    """Closure of embed(K) under left and right adjoint actions of H.
+
+    On a proven H (see ``FinHopf.proven``) only h in ``algebra_generators(H)``
+    are tried: ad_(gh) = ad_g ad_h for the left and ad_(gh) = ad_h ad_g for
+    the right adjoint action, and ad_1 is the identity, so a subspace closed
+    under ad_g for g in G is closed under ad_h for every h in H.
+    """
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
     image = incl.image_space()
     one = K.s_one(ctx)
-    for i in range(n):
+    for i in algebra_generators(H) if H.proven else range(n):
         for b in range(m):
             col = incl.embed_col(b)
             acc_l = {}

@@ -13,6 +13,14 @@ associative and eps(1) = 1.  When a premise fails, or the reduced scan finds
 a defect, the full scan runs, so every failure carries the first witness in
 basis order.
 All instances are immutable after construction and all operations are pure.
+
+A FinHopf built by a catalogue constructor (``builders``) is a Hopf algebra
+by construction and carries ``proven = True``; sub-Hopf algebras, lifts,
+duals and Drinfeld doubles inherit the bit from their input.  Parsed bundles
+and direct construction leave it unset.  On a proven H the checks of derived
+data that rest on H being an associative algebra (integrals, the
+distinguished grouplike, and in ``extension`` and ``module_theory`` the dual
+bases, normality and module multiplicativity) run on a generating set.
 """
 
 from math import lcm
@@ -131,10 +139,12 @@ class FinHopf:
         "counit",
         "antipode_cols",
         "convention",
+        "proven",
         "_cache",
     )
 
-    def __init__(self, name, basis_labels, N, mult, unit, comult, counit, antipode_cols, convention=""):
+    def __init__(self, name, basis_labels, N, mult, unit, comult, counit, antipode_cols, convention="",
+                 proven=False):
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
@@ -145,12 +155,15 @@ class FinHopf:
         self.counit = counit
         self.antipode_cols = antipode_cols
         self.convention = convention
+        # True only for a Hopf algebra by construction (see the module docstring)
+        self.proven = proven
         self._cache = {}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_tensors(cls, name, basis_labels, mult, unit, comult, counit, antipode, conductor=1, convention=""):
+    def from_tensors(cls, name, basis_labels, mult, unit, comult, counit, antipode, conductor=1, convention="",
+                     proven=False):
         """Build from mappings {(i,j,k): scalar}, vectors and an antipode Matrix."""
         n = len(basis_labels)
         N = conductor
@@ -198,6 +211,7 @@ class FinHopf:
             cvec,
             tuple(cols),
             convention=convention,
+            proven=proven,
         )
 
     # -- views -------------------------------------------------------------
@@ -263,6 +277,7 @@ class FinHopf:
                 tuple(lift_raw(s, N, M) for s in self.counit),
                 tuple(tuple((i, lift_raw(s, N, M)) for i, s in col) for col in self.antipode_cols),
                 convention=self.convention,
+                proven=self.proven,
             )
             self._cache[key] = got
         return got
@@ -410,19 +425,25 @@ def _first_defect(scan, restrict, *args):
     return scan(*args)
 
 
-def _counit_defect(H, lefts=None):
+def _multiplicative_defect(H, values, lefts=None):
     """The first (i, j), i in lefts (all of H by default), with
-    eps(e_i e_j) != eps(e_i) eps(e_j)."""
+    f(e_i e_j) != f(e_i) f(e_j) for the functional f with raw values."""
     n = H.dim
     ctx = H.ctx
     for i in range(n) if lefts is None else lefts:
         for j in range(n):
             acc = K.s_zero(ctx)
             for k, s in H.mult[i * n + j]:
-                acc = K.s_add(ctx, acc, K.s_mul(ctx, H.counit[k], s))
-            if acc != K.s_mul(ctx, H.counit[i], H.counit[j]):
+                acc = K.s_add(ctx, acc, K.s_mul(ctx, values[k], s))
+            if acc != K.s_mul(ctx, values[i], values[j]):
                 return (i, j)
     return None
+
+
+def _counit_defect(H, lefts=None):
+    """The first (i, j), i in lefts (all of H by default), with
+    eps(e_i e_j) != eps(e_i) eps(e_j)."""
+    return _multiplicative_defect(H, H.counit, lefts)
 
 
 def verify_hopf(H):
@@ -537,6 +558,7 @@ def dual_hopf(H):
         tuple(H.unit),
         tuple(tuple(sorted(c)) for c in dual_cols),
         convention=H.convention,
+        proven=H.proven,
     )
 
 
@@ -580,12 +602,13 @@ def integral_space(H, side):
     generating set G only (see ``algebra_generators``): when H is unital and
     associative and eps is multiplicative with eps(1) = 1, the equations for
     a and b give Lambda ab = eps(a) Lambda b = eps(ab) Lambda, so they hold on
-    every word in G, hence on H.  The input is not trusted to satisfy these
-    axioms: every solution is checked against all n basis elements, and if
-    one fails, the full system over all n basis elements is solved instead.
-    The reduced rows are a subset of the full ones, so a passing check means
-    the two solution spaces, hence the two row spaces and their reduced
-    echelon forms, are equal, and the returned basis is the same.
+    every word in G, hence on H.  A proven H (see ``FinHopf.proven``)
+    satisfies these axioms by construction.  Any other input is not trusted
+    to: every solution is checked against all n basis elements, and if one
+    fails, the full system over all n basis elements is solved instead.
+    The reduced rows are a subset of the full ones, so equal solution spaces
+    (by the argument or by the check) have equal row spaces and reduced
+    echelon forms, and the returned basis is the same.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -597,7 +620,7 @@ def integral_space(H, side):
             for row in _integral_rows(H, side, js):
                 space.add(row)
             null = space.nullspace()
-            if js is None or all(_is_integral(H, side, v) for v in null):
+            if js is None or H.proven or all(_is_integral(H, side, v) for v in null):
                 break
         got = [_column(H.N, _normalize_first_one(H.ctx, v), H.dim) for v in null]
         H._cache[key] = got
@@ -630,26 +653,24 @@ def distinguished_grouplike(H):
             raise PipelineError("left action on the right integral of %s is not scalar" % H.name)
         values.append(alpha_a)
     alpha = LinearFunctional(H.N, values)
-    _assert_algebra_map(H, alpha, "distinguished grouplike")
+    # right_integral_element has cached G through integral_space
+    _assert_algebra_map(H, alpha, "distinguished grouplike",
+                        algebra_generators(H) if H.proven else None)
     H._cache["alpha"] = alpha
     return alpha
 
 
-def _assert_algebra_map(H, f, what):
-    ctx = H.ctx
-    n = H.dim
-    if f(H.unit_vec()) != K.s_one(ctx):
+def _assert_algebra_map(H, f, what, lefts=None):
+    """Raise unless f(1) = 1 and f(ab) = f(a) f(b).  With lefts = G (see
+    ``algebra_generators``), a proven H needs a in G only: once f(1) = 1,
+    {a : f(ab) = f(a) f(b) for all b} contains 1 and, as H is associative,
+    is closed under products, so it is H.  A defect found on G is looked
+    up again by the full scan, whose first witness the error names."""
+    if f(H.unit_vec()) != K.s_one(H.ctx):
         raise PipelineError("%s of %s does not send 1 to 1" % (what, H.name))
-    for i in range(n):
-        fi = f.values[i]
-        for j in range(n):
-            acc = K.s_zero(ctx)
-            for k, s in H.mult[i * n + j]:
-                acc = K.s_add(ctx, acc, K.s_mul(ctx, f.values[k], s))
-            if acc != K.s_mul(ctx, fi, f.values[j]):
-                raise PipelineError(
-                    "%s of %s is not an algebra map at (%d,%d)" % (what, H.name, i, j)
-                )
+    w = _first_defect(_multiplicative_defect, lefts, H, f.values)
+    if w is not None:
+        raise PipelineError("%s of %s is not an algebra map at (%d,%d)" % ((what, H.name) + w))
 
 
 def is_unimodular(H):
@@ -788,6 +809,7 @@ def subhopf_from_basis(H, indices, name=None):
         tuple(counit),
         tuple(cols),
         convention=H.convention,
+        proven=H.proven,
     )
     z = K.s_zero(ctx)
     o = K.s_one(ctx)

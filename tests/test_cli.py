@@ -354,6 +354,57 @@ def test_yd_module_bundle_verify(tmp_path, h8_incl, capsys):
     assert "yd-compatibility" in out
 
 
+def test_verify_routes_a_module_bundle_that_opens_with_a_comment(tmp_path, h8_incl, capsys):
+    # the header is the first line that is neither blank nor a comment
+    from conftest import kline
+
+    L = kline(h8_incl.K, "x", 1, -1)
+    text = serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction)
+    p = tmp_path / "line.bundle"
+    p.write_text("# a comment\n\n" + text)
+    code, out = run(["verify", str(p)], capsys)
+    assert code == 0, out
+    assert "yd-compatibility" in out
+    p.write_text("# a comment\n" + serialize_module(L.module, "builtin:group?table=klein"))
+    code, out = run(["verify", str(p)], capsys)
+    assert code == 0, out
+    assert "action-multiplicative" in out
+
+
+@pytest.mark.parametrize("argv", [["analyze"],
+                                  ["check-functor", "--module", "builtin:kchar?act=1,-1,-1,1",
+                                   "--frobenius-monoidal"],
+                                  ["frob-objects", "--object", "builtin:etale?n=x&ex=1&ey=-1"]],
+                         ids=["analyze", "check-functor", "frob-objects"])
+def test_inclusion_bundle_is_read_once(argv, tmp_path, h8_incl, monkeypatch, capsys):
+    # the report hashes the bytes the parser reads; its checks are those of the builtin
+    import builtins
+    import hashlib
+
+    from hopfkit.bundles import serialize_inclusion
+
+    p = tmp_path / "incl.bundle"
+    p.write_text(serialize_inclusion(h8_incl, "builtin:group?table=klein", "builtin:h8"))
+    data = p.read_bytes()
+    cmd, *flags = argv
+    code, want = run([cmd, "builtin:h8"] + flags, capsys)
+    opened = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if str(file) == str(p):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    got = run([cmd, str(p)] + flags, capsys)
+    monkeypatch.undo()
+    assert len(opened) == 1
+    lines = got[1].splitlines()
+    assert lines[1] == "input %s sha256=%s" % (p, hashlib.sha256(data).hexdigest())
+    assert (got[0], lines[2:]) == (code, want.splitlines()[2:])
+
+
 _KLEIN_CHARS = ("1,1,1,1", "1,-1,-1,1", "1,1,-1,-1", "1,-1,1,-1")
 
 
@@ -408,6 +459,13 @@ GOLDEN_REPORTS = [
      "00f4055b96e76d41c0ed34d24d749e15077875dc6718562b6b634ba82ffa21ee"),
     (["analyze", "builtin:taft?l=3"], 0,
      "5f610196e330608588c957c5d11b343122f9584d8ea6ecbf9f3b5e1f12148191"),
+    # the paper's application at l = 7, recorded before the Frobenius data,
+    # alpha and normality of a catalogue-built H were checked on generating sets
+    (["analyze", "builtin:uqsl2?l=7&sub=cartan"], 0,
+     "7fe3ec153b2457b036b3261b84db6a005ae4844aadf6d7018df0e7da7b7f2961"),
+    (["check-functor", "builtin:uqsl2?l=7&sub=cartan",
+      "--module", "builtin:kchar?act=1,1,1,1,1,1,1", "--frobenius-monoidal"], 0,
+     "511dbddf7a269fd63030ab77794f9d5943cba702a6b6f8c2af20e2afe5430063"),
 ]
 
 
@@ -415,7 +473,8 @@ GOLDEN_REPORTS = [
                          ids=["h8-y4", "dkk-xy2", "frob-h8-3", "uqsl2-l3-cartan", "dc3-zeta3",
                               "analyze-h8", "analyze-unit-h8", "analyze-trivial-h8",
                               "analyze-uqsl2-l3-cartan", "analyze-dc2", "analyze-dc3",
-                              "analyze-dkk", "analyze-taft3"])
+                              "analyze-dkk", "analyze-taft3", "analyze-uqsl2-l7-cartan",
+                              "uqsl2-l7-cartan"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 

@@ -443,3 +443,84 @@ def test_lambda_is_one_at_the_first_coset_it_does_not_vanish_on(h8_incl, taft3, 
         assert lamH.values[h0] == K.s_one(incl.ctx), name
         chi = relative_modular_function(incl, bq)
         assert chi.values[0] == K.s_one(incl.ctx), name
+
+
+# the analyze specs of the benchmark's extension workload, and D(H8)
+_DBL = "builtin:double?of=builtin:"
+EXTENSION_SPECS = ["builtin:h8", "builtin:unit?of=builtin:h8", "builtin:trivial?of=builtin:h8",
+                   "builtin:taft?l=3", "builtin:taft?l=5", "builtin:taft?l=7",
+                   "builtin:uqsl2?l=3&sub=cartan", "builtin:uqsl2?l=3&sub=borel-",
+                   _DBL + "group?table=c2", _DBL + "group?table=c3", _DBL + "group?table=klein",
+                   _DBL + "taft?l=2", _DBL + "taft?l=3", _DBL + "h8"]
+
+
+def _analyze_check_lines(spec, capsys):
+    """Exit code and the check lines of ``analyze spec``: the text report
+    without its title and input lines, which name the spec."""
+    from hopfkit.cli import main
+
+    code = main(["analyze", spec])
+    return code, capsys.readouterr().out.splitlines()[2:]
+
+
+@pytest.mark.parametrize("spec", EXTENSION_SPECS)
+def test_analyze_of_a_builtin_matches_analyze_of_its_bundles(spec, tmp_path, capsys):
+    # the builtin is proven, so its Frobenius data, alpha, normality and
+    # integrals are checked on generating sets; the same inclusion read from
+    # bundle files is not, so it takes the full scans
+    from hopfkit.bundles import serialize_hopf, serialize_inclusion
+    from hopfkit.cli import resolve_inclusion
+
+    incl = resolve_inclusion(spec)
+    refs = {}
+    for key, H in (("sub", incl.K), ("big", incl.H)):
+        refs[key] = tmp_path / ("%s.bundle" % key)
+        refs[key].write_text(serialize_hopf(H))
+    path = tmp_path / "incl.bundle"
+    path.write_text(serialize_inclusion(incl, refs["sub"], refs["big"]))
+    read = resolve_inclusion(str(path))
+    assert incl.K.proven and incl.H.proven
+    assert not read.K.proven and not read.H.proven
+    assert _analyze_check_lines(str(path), capsys) == _analyze_check_lines(spec, capsys)
+
+
+def test_dual_basis_defect_on_a_proven_algebra_names_the_full_scan_witness(h8_incl):
+    # one dual-basis vector doubled: the free-basis scan finds the defect, and
+    # the error names the first basis index of the full scan
+    from hopfkit.errors import PipelineError
+    from hopfkit.exact_math import _clean
+    from hopfkit.extension import (
+        Decomposer,
+        _reconstruction_defect,
+        _verify_dual_bases,
+        frobenius_morphism,
+    )
+
+    incl = h8_incl
+    assert incl.H.proven
+    bq = bar_quotient(incl)
+    free, images = free_basis(incl)
+    tr = frobenius_morphism(incl, bq)
+    deltas = dual_bases(incl, tr, free)
+    right_dec = Decomposer(incl, free, "right", images)
+    _verify_dual_bases(incl, tr, free, deltas, right_dec)
+    ctx = incl.ctx
+    two = K.s_from_ratio(ctx, 2)
+    bad = [[K.s_mul(ctx, two, v) for v in deltas[0]]] + deltas[1:]
+    w = _reconstruction_defect(incl, tr, free, [_clean(enumerate(dv)) for dv in bad])
+    assert w is not None
+    with pytest.raises(PipelineError, match="reconstruction identity fails at basis %d$" % w):
+        _verify_dual_bases(incl, tr, free, bad, right_dec)
+
+
+def test_normality_on_generators_matches_the_full_scan(h8_incl, taft3, uq3, uq5):
+    from hopfkit.hopf_core import FinHopf
+
+    def unproven(H):
+        return FinHopf(H.name, H.basis_labels, H.N, H.mult, H.unit, H.comult, H.counit,
+                       H.antipode_cols, convention=H.convention)
+
+    for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
+        assert incl.H.proven, name
+        copy_ = HopfInclusion(unproven(incl.K), unproven(incl.H), incl.embed)
+        assert is_normal_subalgebra(incl) == is_normal_subalgebra(copy_), name

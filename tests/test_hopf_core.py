@@ -334,3 +334,68 @@ def test_integral_space_matches_full_system_on_perturbed_tables(h8, taft3, uq3, 
                                                                  row, key, c, side):
     H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which], section, row, key, c)
     assert integral_space(H, side) == _integrals_of(H, side)
+
+
+def test_provenance_bit_follows_construction(tmp_path):
+    # set by the catalogue constructors and passed on by sub-Hopf algebras,
+    # lifts, duals and doubles; unset on parsed bundles and direct construction
+    from conftest import CATALOGUE
+    from hopfkit.bundles import serialize_inclusion
+    from hopfkit.cli import resolve_hopf, resolve_inclusion
+
+    for spec in CATALOGUE:
+        H = resolve_hopf(spec)
+        assert H.proven, spec
+        assert H.lifted(4 * H.N).proven and dual_hopf(H).proven, spec
+        if H.dim <= 9:
+            assert drinfeld_double(H)[0].proven, spec
+    for spec in ("builtin:h8", "builtin:taft?l=3", "builtin:uqsl2?l=3&sub=cartan",
+                 "builtin:uqsl2?l=3&sub=borel+", "builtin:double?of=builtin:group?table=c3",
+                 "builtin:unit?of=builtin:h8", "builtin:trivial?of=builtin:taft?l=2"):
+        incl = resolve_inclusion(spec)
+        assert incl.K.proven and incl.H.proven, spec
+    h8 = resolve_hopf("builtin:h8")
+    assert subhopf_from_basis(h8, [0, 1, 2, 4])[0].proven
+
+    path = tmp_path / "h8.bundle"
+    path.write_text(serialize_hopf(h8))
+    assert not parse_hopf(serialize_hopf(h8)).proven
+    assert not resolve_hopf(str(path)).proven
+    assert not resolve_hopf("builtin:double?of=%s" % path).proven
+    assert not resolve_inclusion("builtin:double?of=%s" % path).K.proven
+    assert not dual_hopf(resolve_hopf(str(path))).proven
+    incl = resolve_inclusion("builtin:h8")
+    ipath = tmp_path / "incl.bundle"
+    ipath.write_text(serialize_inclusion(incl, "builtin:group?table=klein", path))
+    read = resolve_inclusion(str(ipath))
+    assert read.K.proven and not read.H.proven
+    assert not _perturb(h8, "MULT", 0, 0, 1).proven
+
+
+def test_proven_integrals_skip_the_post_check(h8, taft3, uq3):
+    for H in (h8, taft3[0], uq3.hopf):
+        assert H.proven
+        fresh = FinHopf(H.name, H.basis_labels, H.N, H.mult, H.unit, H.comult, H.counit,
+                        H.antipode_cols, proven=True)
+        with mock.patch.object(hopf_core, "_is_integral") as post:
+            got = [integral_space(fresh, side) for side in ("left", "right")]
+        assert post.call_count == 0
+        assert got == [_integrals_of(H, side) for side in ("left", "right")], H.name
+
+
+def test_algebra_map_defect_on_a_proven_algebra_names_the_full_scan_witness(h8, taft3, uq3):
+    # alpha changed at one basis element outside G: the check on G finds a
+    # defect, and the error names the first pair of the full scan
+    from hopfkit.hopf_core import LinearFunctional, _assert_algebra_map, _multiplicative_defect
+
+    for H in (h8, taft3[0], uq3.hopf):
+        alpha = distinguished_grouplike(H)
+        gens = algebra_generators(H)
+        j = next(j for j in range(H.dim) if j not in gens and H.unit_vec().get(j) is None)
+        values = list(alpha.values)
+        values[j] = K.s_add(H.ctx, values[j], K.s_one(H.ctx))
+        f = LinearFunctional(H.N, values)
+        w = _multiplicative_defect(H, values)
+        assert w is not None and _multiplicative_defect(H, values, gens) is not None
+        with pytest.raises(PipelineError, match=r"not an algebra map at \(%d,%d\)$" % w):
+            _assert_algebra_map(H, f, "test", gens)

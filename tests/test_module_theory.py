@@ -169,3 +169,35 @@ def test_is_isomorphic_is_decisive_above_dimension_six(h8):
     N = sum_of(1, -1, -i, -i, -i, -i, -i)
     assert M.dim == 7 and len(hom_space(M, N)) == 2
     assert is_isomorphic(M, N).status == "none"
+
+
+def _action_scans(M):
+    """verify_module's report on M and the lefts of each action scan it ran
+    (None for a full scan)."""
+    from unittest import mock
+
+    with mock.patch.object(module_theory, "_action_defect", wraps=module_theory._action_defect) as scan:
+        rep = verify_module(M)
+    return rep, [call.args[1] if len(call.args) > 1 else None for call in scan.call_args_list]
+
+
+def test_action_scan_on_generators_keeps_the_full_scan_witness(h8):
+    from hopfkit.hopf_core import FinHopf, algebra_generators
+
+    gens = algebra_generators(h8)
+    rep, scans = _action_scans(h8_v2(h8))
+    assert rep.ok and scans == [gens]
+    mats = list(h8_v2(h8).action)
+    mats[1] = -mats[1]
+    bad = HModule(h8, mats, name="bad")
+    rep, scans = _action_scans(bad)
+    # the scan on G finds the defect; the full scan names its first witness
+    assert scans == [gens, None]
+    assert rep["action-multiplicative"].witness == module_theory._action_defect(bad)
+    # an algebra that is not proven, or 1 not acting as the identity, gets the full scan
+    plain = FinHopf(h8.name, h8.basis_labels, h8.N, h8.mult, h8.unit, h8.comult, h8.counit,
+                    h8.antipode_cols)
+    assert _action_scans(HModule(plain, mats, name="bad"))[1] == [None]
+    mats[0] = -mats[0]
+    rep, scans = _action_scans(HModule(h8, mats, name="bad"))
+    assert scans == [None] and rep["unit-acts-as-identity"].status == "fail"
