@@ -23,8 +23,14 @@ class InductionContext:
     ``_cache`` holds what the context builds, so each structure is built once
     per context:
 
-    - ``("ddec", i)``, ``("bdec", q)`` and ``("trp", p, i)``: decompositions
-      of delta_i and of the basis element e_q, and tr_K(e_p h_i);
+    - ``("ddec", i)`` and ``("bdec", q)``: decompositions of delta_i and of
+      the basis element e_q;
+    - ``("trrow", p)``: the nonzero tr_K(e_p h_i), by i;
+    - ``"ldec"``: the left decomposer over the free basis, which ``coinduce``
+      reads;
+    - ``"sigma"``: the nonzero lax structure constants sigma_{l,i,j};
+    - ``"unit"``: lax_0 and oplax_0;
+    - ``("tensor", V.name, U.name, key(V), key(U))``: ``tensor_modules(V, U)``;
     - ``("ind", name, key(V))``: ``induce(self, V)``;
     - ``("lax", key(V), key(U))`` and ``("oplax", key(V), key(U))``:
       ``lax_pair`` and ``oplax_pair``;
@@ -33,12 +39,11 @@ class InductionContext:
       which ``verify_braided_frobenius`` checks the braiding against;
       ``zkey(M)`` is the ``"zind"`` key of M without its first element.
 
-    ``key(V)`` is the module's value, (algebra name, conductor, ``key()`` of
-    each action matrix), so equal modules built separately (as
-    ``tensor_modules`` does on every call) share an entry. Results that
-    carry a name are keyed by the name too. The lax structure scales with
-    the Frobenius morphism, so a rescaled context is a new object with a
-    cache of its own.
+    ``key(V)`` is ``V.key()``, the module's value, so equal modules built
+    separately share an entry. Results that carry a name are keyed by the
+    name too. Everything but the module-keyed entries depends on the
+    Frobenius data alone. The lax structure scales with the Frobenius
+    morphism, so a rescaled context is a new object with a cache of its own.
     """
 
     __slots__ = ("incl", "frob", "central", "_cache")
@@ -78,14 +83,85 @@ class InductionContext:
             self._cache[key] = got
         return got
 
+    def left_decomp(self):
+        """The decomposer of H-vectors as sum_i embed(k_i) * h_i."""
+        got = self._cache.get("ldec")
+        if got is None:
+            got = self._cache["ldec"] = Decomposer(self.incl, self.frob.free, "left")
+        return got
+
     def tr_prod(self, p, i):
-        """tr_K coordinates of e_p * h_i as a sparse dict."""
-        key = ("trp", p, i)
+        """tr_K coordinates of e_p * h_i as a sparse dict (not cached: see ``tr_row``)."""
+        H = self.incl.H
+        return self.frob.tr_vec(H.mult_vec(H.basis_vec(p), self.free_vec(i)))
+
+    def tr_row(self, p):
+        """The nonzero tr_K(e_p h_i) as {i: sparse K-coord vector}."""
+        key = ("trrow", p)
         got = self._cache.get(key)
         if got is None:
-            H = self.incl.H
-            got = self.frob.tr_vec(H.mult_vec(H.basis_vec(p), self.free_vec(i)))
+            got = {}
+            for i in range(self.rank):
+                kv = self.tr_prod(p, i)
+                if kv:
+                    got[i] = kv
             self._cache[key] = got
+        return got
+
+    def sigma(self):
+        """The nonzero (l, i, j, sigma_{l,i,j}), l, i, j in ascending order.
+
+        sigma_{l,i,j} is the sum, over the terms s e_p (x) e_q of Delta(h_l),
+        of s tr(e_p h_i) (x) tr(e_q h_j) in K (x) K, the pair (b, c) at index
+        b * dim K + c.  Only the nonzero tr rows are paired, so the build
+        visits the nonzero (i, j) of each term rather than all r^2."""
+        got = self._cache.get("sigma")
+        if got is None:
+            incl = self.incl
+            ctx, n, m = incl.ctx, incl.H.dim, incl.K.dim
+            got = []
+            for l, hl in enumerate(self.frob.free):
+                acc = {}
+                for x, s in incl.H.comult[hl]:
+                    p, q = divmod(x, n)
+                    row_q = self.tr_row(q)
+                    if not row_q:
+                        continue
+                    for i, tp in self.tr_row(p).items():
+                        tp = _scale(ctx, tp, s)
+                        for j, tq in row_q.items():
+                            _tensor(ctx, acc.setdefault((i, j), {}), tp, tq, m)
+                got.extend((l, i, j, v) for (i, j), v in sorted(acc.items()) if v)
+            self._cache["sigma"] = got
+        return got
+
+    def unit_maps(self):
+        """lax_0: 1 -> Ind(1), the decomposition of sum_i eps(h_i) delta_i
+        under eps_K, and oplax_0: Ind(1) -> 1, h_i x 1 -> eps(h_i), at incl.N."""
+        got = self._cache.get("unit")
+        if got is None:
+            incl = self.incl
+            H, ctx = incl.H, incl.ctx
+            free = self.frob.free
+            w = {}
+            for i in range(self.rank):
+                _axpy(ctx, w, self.frob.delta_vec(i), H.counit[free[i]])
+            lax0 = []
+            for kv in self.frob.right_decomp(w):
+                acc = K.s_zero(ctx)
+                for b, c in kv.items():
+                    acc = K.s_add(ctx, acc, K.s_mul(ctx, incl.K.counit[b], c))
+                lax0.append([acc])
+            oplax0 = [[H.counit[t] for t in free]]
+            got = self._cache["unit"] = (Matrix(incl.N, lax0), Matrix(incl.N, oplax0))
+        return got
+
+    def tensor(self, V, U):
+        """``tensor_modules(V, U)``, built once per pair of names and values."""
+        key = ("tensor", V.name, U.name, V.key(), U.key())
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = tensor_modules(V, U)
         return got
 
 
@@ -100,11 +176,6 @@ def induction_context(incl, lam_scale=1):
     frob = make_frobenius_data(incl, bq, lam_scale=lam_scale)
     central = is_central_extension(incl, bq, tr_K=frob.tr_K)
     return InductionContext(incl, frob, central=central)
-
-
-def _module_key(V):
-    """A module's value: equal modules built separately share the key."""
-    return (V.H.name, V.N, tuple(a.key() for a in V.action))
 
 
 def _act_K(V, kvec, conductor, ctxN):
@@ -175,7 +246,7 @@ def _conductor_for(ictx, *modules):
 
 def induce(ictx, V):
     """Explicit action matrices for H (x)_K V."""
-    memo = ("ind", V.name, _module_key(V))
+    memo = ("ind", V.name, V.key())
     got = ictx._cache.get(memo)
     if got is not None:
         return got
@@ -221,7 +292,7 @@ def coinduce(ictx, V):
     d = V.dim
     conductor = _conductor_for(ictx, V)
     ctx = K.make_ctx(conductor)
-    left_dec = Decomposer(incl, ictx.frob.free, "left")
+    left_dec = ictx.left_decomp()
     mats = []
     for g in range(H.dim):
         out = [{} for _ in range(r * d)]
@@ -245,11 +316,9 @@ def theta_iso(ictx, V):
     ind = induce(ictx, V)
     coind = coinduce(ictx, V)
     theta = [{} for _ in range(r * d)]
-    for i in range(r):
-        for j in range(r):
-            kv = ictx.tr_prod(ictx.frob.free[j], i)
-            if kv:
-                _add_block(ctx, theta, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
+    for j in range(r):
+        for i, kv in ictx.tr_row(ictx.frob.free[j]).items():
+            _add_block(ctx, theta, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
     theta = Matrix.from_sparse(conductor, r * d, theta)
 
     inv = [{} for _ in range(r * d)]
@@ -366,68 +435,66 @@ def counit_gf_at(ictx, V, conductor):
 
 
 def lax_pair(ictx, V, U):
-    """lax_{V,U}: Ind V x Ind U -> Ind(V x U) and lax_0: 1 -> Ind(1)."""
-    memo = ("lax", _module_key(V), _module_key(U))
+    """lax_{V,U}: Ind V x Ind U -> Ind(V x U) and lax_0: 1 -> Ind(1).
+
+    (h_i x v) x (h_j x u) -> sum_{l,t} h_t x kv_{l,t} . sigma_{l,i,j} . (v x u),
+    where delta_l = sum_t h_t kv_{l,t}; only the action of the context's
+    sigma table on V x U is formed here."""
+    memo = ("lax", V.key(), U.key())
     got = ictx._cache.get(memo)
     if got is not None:
         return got
     incl = ictx.incl
-    H = incl.H
-    r = ictx.rank
-    n, m = H.dim, incl.K.dim
+    r, m = ictx.rank, incl.K.dim
     dV, dU = V.dim, U.dim
+    d = dV * dU
     conductor = lcm(_conductor_for(ictx, V), U.N)
     ctx = K.make_ctx(conductor)
-    VU = tensor_modules(V, U)
-    out = [{} for _ in range(r * dV * dU)]
-
-    for l in range(r):
-        parts = ictx.delta_parts(l)
-        hl = ictx.frob.free[l]
-        for i in range(r):
-            for j in range(r):
-                # sigma_{l,i,j} = sum over Delta(h_l) of tr(p h_i) x tr(q h_j) in KxK
-                acc = {}
-                for x, s in H.comult[hl]:
-                    p, q = divmod(x, n)
-                    tp = ictx.tr_prod(p, i)
-                    if not tp:
-                        continue
-                    tq = ictx.tr_prod(q, j)
-                    if tq:
-                        _tensor(incl.ctx, acc, _scale(incl.ctx, tp, s), tq, m)
-                if not acc:
-                    continue
-                mat = Matrix.lincomb(
-                    dV * dU, dV * dU, conductor,
-                    ((V.action[x // m].kron(U.action[x % m]), Cyclotomic(incl.N, c))
-                     for x, c in acc.items()),
-                )
-                cmap = _pair_map(i, dV, j, dU, r)
-                for t, kv in enumerate(parts):
-                    if kv:
-                        blk = _act_K(VU, kv, conductor, incl.N) * mat
-                        _add_block(ctx, out, blk, _at(t, dV * dU), cmap)
+    VU = ictx.tensor(V, U)
+    kron = {}
+    # per l, the rows of one matrix holding each sigma_{l,i,j} acting on V x U
+    # at the columns of (i, j)
+    sig_rows = [[{} for _ in range(d)] for _ in range(r)]
+    for l, i, j, sig in ictx.sigma():
+        for x in sig:
+            if x not in kron:
+                kron[x] = V.action[x // m].kron(U.action[x % m])
+        mat = Matrix.lincomb(
+            d, d, conductor, ((kron[x], Cyclotomic(incl.N, c)) for x, c in sig.items())
+        )
+        cmap = _pair_map(i, dV, j, dU, r)
+        for row, mrow in zip(sig_rows[l], mat.srows):
+            for a, v in mrow.items():
+                row[cmap[a]] = v
+    out = [{} for _ in range(r * d)]
+    for l, rows in enumerate(sig_rows):
+        if not any(rows):
+            continue
+        S = Matrix.from_sparse(conductor, r * d * r, rows)
+        for t, kv in enumerate(ictx.delta_parts(l)):
+            if kv:
+                blk = _act_K(VU, kv, conductor, incl.N) * S
+                _add_block(ctx, out, blk, _at(t, d), range(S.cols))
     lax = Matrix.from_sparse(conductor, (r * dV) * (r * dU), out)
-
-    # lax_0: 1 -> Ind(1_K): sum_i eps_H(h_i) delta_i, decomposed
-    w = {}
-    for i in range(r):
-        _axpy(incl.ctx, w, ictx.frob.delta_vec(i), H.counit[ictx.frob.free[i]])
-    lax0_col = []
-    for kv in ictx.frob.right_decomp(w):
-        acc = K.s_zero(incl.ctx)
-        for b, c in kv.items():
-            acc = K.s_add(incl.ctx, acc, K.s_mul(incl.ctx, incl.K.counit[b], c))
-        lax0_col.append(acc)
-    lax0 = Matrix(incl.N, [[v] for v in lax0_col]).lift(conductor)
-    got = ictx._cache[memo] = (lax, lax0)
+    got = ictx._cache[memo] = (lax, ictx.unit_maps()[0].lift(conductor))
     return got
 
 
+def _part_actions(ictx, M, q, conductor):
+    """(t, action on M of the t-th part of e_q) over the nonzero parts of e_q."""
+    return [
+        (t, _act_K(M, kv, conductor, ictx.N))
+        for t, kv in enumerate(ictx.basis_parts(q)) if kv
+    ]
+
+
 def oplax_pair(ictx, V, U):
-    """oplax_{V,U}: Ind(V x U) -> Ind V x Ind U and oplax_0: Ind(1) -> 1."""
-    memo = ("oplax", _module_key(V), _module_key(U))
+    """oplax_{V,U}: Ind(V x U) -> Ind V x Ind U and oplax_0: Ind(1) -> 1.
+
+    h_i x (v x u) -> sum over Delta(h_i) of (h_i(1) x v) x (h_i(2) x u), each
+    leg rewritten on the free basis through the parts of e_p, scaled by the
+    coefficient of the term (``Decomposer`` is linear)."""
+    memo = ("oplax", V.key(), U.key())
     got = ictx._cache.get(memo)
     if got is not None:
         return got
@@ -438,25 +505,22 @@ def oplax_pair(ictx, V, U):
     dV, dU = V.dim, U.dim
     conductor = lcm(_conductor_for(ictx, V), U.N)
     ctx = K.make_ctx(conductor)
+    actV, actU = {}, {}
     out = [{} for _ in range((r * dV) * (r * dU))]
     for i in range(r):
         hi = ictx.frob.free[i]
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
-            parts_q = ictx.basis_parts(q)
-            for t, kvp in enumerate(ictx.frob.right_decomp({p: s})):
-                if not kvp:
-                    continue
-                blkV = _act_K(V, kvp, conductor, incl.N)
-                for u2, kvq in enumerate(parts_q):
-                    if kvq:
-                        blk = blkV.kron(_act_K(U, kvq, conductor, incl.N))
-                        _add_block(ctx, out, blk, _pair_map(t, dV, u2, dU, r), _at(i, dV * dU))
+            if p not in actV:
+                actV[p] = _part_actions(ictx, V, p, conductor)
+            if q not in actU:
+                actU[q] = _part_actions(ictx, U, q, conductor)
+            for t, A in actV[p]:
+                As = A.scale(Cyclotomic(incl.N, s))
+                for u, B in actU[q]:
+                    _add_block(ctx, out, As.kron(B), _pair_map(t, dV, u, dU, r), _at(i, dV * dU))
     oplax = Matrix.from_sparse(conductor, r * dV * dU, out)
-    oplax0 = Matrix(
-        incl.N, [[H.counit[ictx.frob.free[i]] for i in range(r)]]
-    ).lift(conductor)
-    got = ictx._cache[memo] = (oplax, oplax0)
+    got = ictx._cache[memo] = (oplax, ictx.unit_maps()[1].lift(conductor))
     return got
 
 
@@ -489,8 +553,8 @@ def verify_lax_coherence(ictx, modules):
     for V in modules:
         for U in modules:
             for W in modules:
-                VU = tensor_modules(V, U)
-                UW = tensor_modules(U, W)
+                VU = ictx.tensor(V, U)
+                UW = ictx.tensor(U, W)
                 lax_VU, _ = lax_pair(ictx, V, U)
                 lax_UW, _ = lax_pair(ictx, U, W)
                 lax_VU_W, _ = lax_pair(ictx, VU, W)
@@ -522,8 +586,8 @@ def verify_lax_coherence(ictx, modules):
 def verify_frobenius_monoidal(ictx, V, U, W):
     """The two Frobenius compatibility squares for the triple (V, U, W)."""
     rep = Report("frobenius-monoidal[%s,%s,%s]" % (V.name, U.name, W.name))
-    UW = tensor_modules(U, W)
-    VU = tensor_modules(V, U)
+    UW = ictx.tensor(U, W)
+    VU = ictx.tensor(V, U)
     lax_VU, _ = lax_pair(ictx, V, U)
     lax_V_UW, _ = lax_pair(ictx, V, UW)
     oplax_UW, _ = oplax_pair(ictx, U, W)
@@ -642,11 +706,12 @@ def projection_morphisms(ictx, W, V):
     for l in range(r):
         parts = ictx.delta_parts(l)
         hl = ictx.frob.free[l]
-        for i in range(r):
-            acc = {}
-            for x, s in H.comult[hl]:
-                p, q = divmod(x, n)
-                _tensor(incl.ctx, acc, {p: s}, ictx.tr_prod(q, i), m)
+        accs = {}
+        for x, s in H.comult[hl]:
+            p, q = divmod(x, n)
+            for i, tq in ictx.tr_row(q).items():
+                _tensor(incl.ctx, accs.setdefault(i, {}), {p: s}, tq, m)
+        for i, acc in sorted(accs.items()):
             if not acc:
                 continue
             mat = Matrix.lincomb(
@@ -668,10 +733,8 @@ def projection_morphisms(ictx, W, V):
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
             Wp = Wact[p].scale(Cyclotomic(incl.N, s))
-            for t, kv in enumerate(ictx.basis_parts(q)):
-                if kv:
-                    blk = Wp.kron(_act_K(V, kv, conductor, incl.N))
-                    _add_block(ctx, out, blk, _pair_map(0, dW, t, dV, r), _at(i, dW * dV))
+            for t, A in _part_actions(ictx, V, q, conductor):
+                _add_block(ctx, out, Wp.kron(A), _pair_map(0, dW, t, dV, r), _at(i, dW * dV))
     lproj_FG = Matrix.from_sparse(conductor, r * dW * dV, out)
 
     # rproj^{F,G-|F}: F(V) x W -> F(V x GW)
@@ -679,11 +742,12 @@ def projection_morphisms(ictx, W, V):
     for l in range(r):
         parts = ictx.delta_parts(l)
         hl = ictx.frob.free[l]
-        for i in range(r):
-            acc = {}
-            for x, s in H.comult[hl]:
-                p, q = divmod(x, n)
-                _tensor(incl.ctx, acc, ictx.tr_prod(p, i), {q: s}, n)
+        accs = {}
+        for x, s in H.comult[hl]:
+            p, q = divmod(x, n)
+            for i, tp in ictx.tr_row(p).items():
+                _tensor(incl.ctx, accs.setdefault(i, {}), tp, {q: s}, n)
+        for i, acc in sorted(accs.items()):
             if not acc:
                 continue
             mat = Matrix.lincomb(
@@ -704,10 +768,9 @@ def projection_morphisms(ictx, W, V):
         hi = ictx.frob.free[i]
         for x, s in H.comult[hi]:
             p, q = divmod(x, n)
-            for t, kv in enumerate(ictx.frob.right_decomp({p: s})):
-                if kv:
-                    blk = _act_K(V, kv, conductor, incl.N).kron(Wact[q])
-                    _add_block(ctx, out, blk, _pair_map(t, dV, 0, dW, 1), _at(i, dV * dW))
+            Wq = Wact[q].scale(Cyclotomic(incl.N, s))
+            for t, A in _part_actions(ictx, V, p, conductor):
+                _add_block(ctx, out, A.kron(Wq), _pair_map(t, dV, 0, dW, 1), _at(i, dV * dW))
     rproj_FG = Matrix.from_sparse(conductor, r * dV * dW, out)
 
     right_inv = (rproj_GF * rproj_FG).is_identity() and (rproj_FG * rproj_GF).is_identity()

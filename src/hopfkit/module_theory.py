@@ -14,7 +14,7 @@ from .reports import Report
 class HModule:
     """A left module given by one exact action matrix per algebra basis element."""
 
-    __slots__ = ("H", "dim", "N", "action", "name")
+    __slots__ = ("H", "dim", "N", "action", "name", "_key")
     __hash__ = None
 
     def __init__(self, H, action, name="V", N=None):
@@ -44,6 +44,7 @@ class HModule:
         self.dim = d[0]
         self.action = tuple(a.lift(conductor) for a in lifted)
         self.name = name
+        self._key = None
 
     @property
     def ctx(self):
@@ -51,6 +52,14 @@ class HModule:
 
     def act(self, i):
         return self.action[i]
+
+    def key(self):
+        """The module's value, (algebra name, conductor, ``key()`` of each
+        action matrix): equal modules built separately share it.  Formed on
+        the first call; the action matrices are not changed afterwards."""
+        if self._key is None:
+            self._key = (self.H.name, self.N, tuple(a.key() for a in self.action))
+        return self._key
 
     def act_alg_vec(self, hvec):
         """Action matrix of a sparse algebra vector {index: raw}."""

@@ -6,7 +6,7 @@ from math import lcm
 from . import _kernel as K
 from .errors import PipelineError, ShapeError
 from .exact_math import Matrix, _add
-from .induction import _act_K, _module_key, induce, ind_morphism, lax_pair, oplax_pair
+from .induction import _act_K, induce, ind_morphism, lax_pair, oplax_pair
 from .module_theory import HModule, tensor_modules
 from .reports import Report
 
@@ -247,7 +247,7 @@ def yd_braiding_natural(f_src, f_tgt, g_src, g_tgt, f_mat, g_mat):
 
 
 def _zind_key(M):
-    return (M.name, _module_key(M.module), M.coaction.key())
+    return (M.name, M.module.key(), M.coaction.key())
 
 
 def z_induce(ictx, M):

@@ -466,6 +466,13 @@ GOLDEN_REPORTS = [
     (["check-functor", "builtin:uqsl2?l=7&sub=cartan",
       "--module", "builtin:kchar?act=1,1,1,1,1,1,1", "--frobenius-monoidal"], 0,
      "511dbddf7a269fd63030ab77794f9d5943cba702a6b6f8c2af20e2afe5430063"),
+    # the paper's application at l = 5 with two characters, recorded before
+    # the lax structure constants were built once per induction context
+    (["check-functor", "builtin:uqsl2?l=5&sub=cartan",
+      "--module", "builtin:kchar?act=1,1,1,1,1",
+      "--module", "builtin:kchar?act=1,z,z^2,z^3,z^4&cond=5",
+      "--frobenius-monoidal", "--separable"], 1,
+     "31bffa7d145c6ff7dd425422d7e1cb1ba037bdb7e46f0fc550a6c0ac4043d865"),
 ]
 
 
@@ -474,7 +481,7 @@ GOLDEN_REPORTS = [
                               "analyze-h8", "analyze-unit-h8", "analyze-trivial-h8",
                               "analyze-uqsl2-l3-cartan", "analyze-dc2", "analyze-dc3",
                               "analyze-dkk", "analyze-taft3", "analyze-uqsl2-l7-cartan",
-                              "uqsl2-l7-cartan"])
+                              "uqsl2-l7-cartan", "uqsl2-l5-cartan-2chars"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 

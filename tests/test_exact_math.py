@@ -621,7 +621,6 @@ def test_zero_matrix_is_the_zero_multiple_of_identity(n, N):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 4]).flatmap(lambda N: _dense_at(N, 3, 3)), st.randoms())
 def test_module_key_ignores_row_fill_order(h8, dense, rnd):
-    from hopfkit.induction import _module_key
     from hopfkit.module_theory import HModule
 
     M = _matrix(dense[0][0].N, dense)
@@ -633,8 +632,8 @@ def test_module_key_ignores_row_fill_order(h8, dense, rnd):
     M2 = Matrix.from_sparse(M.N, M.cols, shuffled)
     assert M2 == M
     V, V2 = HModule(h8, [M] * h8.dim, name="V"), HModule(h8, [M2] * h8.dim, name="V")
-    assert _module_key(V) == _module_key(V2)
-    assert isinstance(hash(_module_key(V)), int)
+    assert V.key() == V2.key()
+    assert isinstance(hash(V.key()), int)
 
 
 class _SequentialRowSpace(RowSpace):

@@ -3,11 +3,16 @@ from math import lcm
 import pytest
 
 from conftest import h8_v1, h8_v2, kchar
-from hopfkit.builders import cyclic_table, group_algebra, trivial_hopf
-from hopfkit.exact_math import Matrix, root_of_unity
+from hopfkit import _kernel as K
+from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, klein_table, trivial_hopf
+from hopfkit.exact_math import Cyclotomic, Matrix, _scale, _tensor, root_of_unity
 from hopfkit.extension import rescale_frobenius_data, trivial_inclusion, unit_inclusion
 from hopfkit.induction import (
     InductionContext,
+    _act_K,
+    _add_block,
+    _at,
+    _pair_map,
     adjunction_maps,
     coinduce,
     induce,
@@ -261,3 +266,184 @@ def test_rescaled_context_has_its_own_cache(h8_incl):
     # lax scales with the Frobenius morphism, so a shared cache would be wrong
     assert lax5 == lax.scale(5)
     assert lax_pair(ictx, V, U)[0] is lax
+
+
+# ---------------------------------------------------------------------------
+# the lax/oplax tables of a context against the per-pair formulas
+# ---------------------------------------------------------------------------
+
+
+def _reference_lax(ictx, V, U):
+    """lax_{V,U} and lax_0 as built per pair: sigma_{l,i,j} summed over
+    Delta(h_l) for every (l, i, j), with tr(e_p h_i) formed on the spot."""
+    incl, frob = ictx.incl, ictx.frob
+    H = incl.H
+    r, n, m = ictx.rank, H.dim, incl.K.dim
+    dV, dU = V.dim, U.dim
+    conductor = lcm(ictx.N, V.N, U.N)
+    ctx = K.make_ctx(conductor)
+    VU = tensor_modules(V, U)
+
+    def tr(p, i):
+        return frob.tr_vec(H.mult_vec(H.basis_vec(p), H.basis_vec(frob.free[i])))
+
+    out = [{} for _ in range(r * dV * dU)]
+    for l in range(r):
+        parts = frob.right_decomp(frob.delta_vec(l))
+        for i in range(r):
+            for j in range(r):
+                acc = {}
+                for x, s in H.comult[frob.free[l]]:
+                    p, q = divmod(x, n)
+                    _tensor(incl.ctx, acc, _scale(incl.ctx, tr(p, i), s), tr(q, j), m)
+                if not acc:
+                    continue
+                mat = Matrix.lincomb(
+                    dV * dU, dV * dU, conductor,
+                    ((V.action[x // m].kron(U.action[x % m]), Cyclotomic(incl.N, c))
+                     for x, c in acc.items()),
+                )
+                for t, kv in enumerate(parts):
+                    if kv:
+                        blk = _act_K(VU, kv, conductor, incl.N) * mat
+                        _add_block(ctx, out, blk, _at(t, dV * dU), _pair_map(i, dV, j, dU, r))
+    lax = Matrix.from_sparse(conductor, (r * dV) * (r * dU), out)
+    w = {}
+    for i in range(r):
+        for k, v in frob.delta_vec(i).items():
+            w[k] = K.s_add(incl.ctx, w.get(k, K.s_zero(incl.ctx)),
+                           K.s_mul(incl.ctx, H.counit[frob.free[i]], v))
+    col = []
+    for kv in frob.right_decomp(w):
+        acc = K.s_zero(incl.ctx)
+        for b, c in kv.items():
+            acc = K.s_add(incl.ctx, acc, K.s_mul(incl.ctx, incl.K.counit[b], c))
+        col.append([acc])
+    return lax, Matrix(incl.N, col).lift(conductor)
+
+
+def _reference_oplax(ictx, V, U):
+    """oplax_{V,U} and oplax_0 as built per pair, with right_decomp({p: s})."""
+    incl, frob = ictx.incl, ictx.frob
+    H = incl.H
+    r, n = ictx.rank, H.dim
+    dV, dU = V.dim, U.dim
+    conductor = lcm(ictx.N, V.N, U.N)
+    ctx = K.make_ctx(conductor)
+    one = K.s_one(incl.ctx)
+    out = [{} for _ in range((r * dV) * (r * dU))]
+    for i in range(r):
+        for x, s in H.comult[frob.free[i]]:
+            p, q = divmod(x, n)
+            for t, kvp in enumerate(frob.right_decomp({p: s})):
+                if not kvp:
+                    continue
+                for u, kvq in enumerate(frob.right_decomp({q: one})):
+                    if kvq:
+                        blk = _act_K(V, kvp, conductor, incl.N).kron(_act_K(U, kvq, conductor, incl.N))
+                        _add_block(ctx, out, blk, _pair_map(t, dV, u, dU, r), _at(i, dV * dU))
+    oplax = Matrix.from_sparse(conductor, r * dV * dU, out)
+    oplax0 = Matrix(incl.N, [[H.counit[t] for t in frob.free]]).lift(conductor)
+    return oplax, oplax0
+
+
+def _zeta_chars(Kk, ell):
+    """The ell characters of the cyclic group algebra Kk = k<g>, g^ell = 1."""
+    z = root_of_unity(ell)
+    return [HModule(Kk, [Matrix.from_rows([[z ** (k * a)]]) for a in range(ell)], name="chi%d" % k)
+            for k in range(ell)]
+
+
+def _klein_double_case():
+    KG = group_algebra(klein_table(), name="kK", labels=["1", "x", "y", "xy"])
+    incl = drinfeld_double(KG)[1]
+    return induction_context(incl), [kchar(incl.K, 1, -1), kchar(incl.K, -1, -1)]
+
+
+def _c3_double_case():
+    incl = drinfeld_double(group_algebra(cyclic_table(3), name="kC3"))[1]
+    return induction_context(incl), _zeta_chars(incl.K, 3)[1:]
+
+
+def _uq3_cartan_case(uq3):
+    ictx = induction_context(uq3.cartan())
+    return ictx, _zeta_chars(ictx.incl.K, 3)[:2]
+
+
+def _h8_cases(h8_incl, rescale):
+    ictx = induction_context(h8_incl)
+    if rescale:
+        ictx = InductionContext(h8_incl, rescale_frobenius_data(ictx.frob, 5), central=ictx.central)
+    Kk = h8_incl.K
+    chars = [kchar(Kk, *s) for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]]
+    wide = tensor_modules(direct_sum(chars[1], chars[2]), chars[3])
+    return ictx, chars + [wide]
+
+
+@pytest.mark.parametrize("case", ["h8", "h8-rescaled", "kK<D(kK)", "kC3<D(kC3)", "uq3-cartan"])
+def test_lax_oplax_match_the_per_pair_formulas(case, h8_incl, uq3):
+    if case.startswith("h8"):
+        ictx, mods = _h8_cases(h8_incl, case == "h8-rescaled")
+    else:
+        ictx, mods = {"kK<D(kK)": _klein_double_case, "kC3<D(kC3)": _c3_double_case,
+                      "uq3-cartan": lambda: _uq3_cartan_case(uq3)}[case]()
+    pairs = [(a, b) for a in mods for b in mods]
+    if case == "uq3-cartan":
+        # the reference visits r^3 |Delta| terms per pair, r = 9 here
+        pairs = pairs[:3]
+    for V, U in pairs:
+        got = lax_pair(ictx, V, U) + oplax_pair(ictx, V, U)
+        want = _reference_lax(ictx, V, U) + _reference_oplax(ictx, V, U)
+        assert [(m.N, m.key()) for m in got] == [(m.N, m.key()) for m in want], (V.name, U.name)
+
+
+def test_lax_structure_constants_are_built_once_per_context(h8_incl, monkeypatch):
+    builds, prods = [], []
+    real_sigma, real_tr = InductionContext.sigma, InductionContext.tr_prod
+
+    def sigma(self):
+        if "sigma" not in self._cache:
+            builds.append(self)
+        return real_sigma(self)
+
+    def tr_prod(self, p, i):
+        prods.append((self, p, i))
+        return real_tr(self, p, i)
+
+    monkeypatch.setattr(InductionContext, "sigma", sigma)
+    monkeypatch.setattr(InductionContext, "tr_prod", tr_prod)
+    ictx = induction_context(h8_incl)
+    Kk = h8_incl.K
+    V, U, W = kchar(Kk, 1, -1), kchar(Kk, -1, 1), kchar(Kk, -1, -1)
+    for a, b in [(V, U), (U, V), (V, W), (W, direct_sum(V, U))]:
+        lax_pair(ictx, a, b)
+    assert sum(1 for key in ictx._cache if key[0] == "lax") == 4
+    assert builds == [ictx]
+    assert len(prods) == len({(p, i) for _, p, i in prods}) <= h8_incl.H.dim * ictx.rank
+
+    rescaled = InductionContext(h8_incl, rescale_frobenius_data(ictx.frob, 5), central=ictx.central)
+    lax_pair(rescaled, V, U)
+    assert builds == [ictx, rescaled]
+    # sigma is bilinear in tr, which scales by 5
+    N = h8_incl.N
+    assert [(l, i, j, {x: Cyclotomic(N, c) * 25 for x, c in sig.items()})
+            for l, i, j, sig in ictx.sigma()] == \
+        [(l, i, j, {x: Cyclotomic(N, c) for x, c in sig.items()})
+         for l, i, j, sig in rescaled.sigma()]
+
+
+def test_coinduce_builds_the_left_decomposer_once(h8_incl, kmods, monkeypatch):
+    import hopfkit.induction as ind
+
+    built = []
+    real = ind.Decomposer
+
+    def counted(*args, **kwargs):
+        built.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ind, "Decomposer", counted)
+    ictx = induction_context(h8_incl)
+    coinduce(ictx, kmods[(1, 1)])
+    coinduce(ictx, kmods[(1, -1)])
+    assert built == ["left"]
