@@ -2,15 +2,16 @@
 Yetter-Drinfeld categories, and their transport through the induction functor."""
 
 from fractions import Fraction
-from math import lcm
 
 from . import _kernel as K
 from .errors import HopfkitError, ShapeError
 from .exact_math import Matrix, RowSpace, _add
 from .induction import ind_morphism, lax_pair, oplax_pair, induce
-from .module_theory import HModule, tensor_modules, trivial_module
+from .module_theory import HModule, ModuleMap, tensor_modules, trivial_module
 from .reports import Report
-from .yetter_drinfeld import YDModule, trivial_yd, yd_braiding, yd_tensor, z_induce
+from .yetter_drinfeld import (
+    YDModule, trivial_yd, yd_braiding, yd_morphism_check, yd_tensor, z_induce,
+)
 
 
 def _is_yd(carrier):
@@ -81,18 +82,9 @@ def _unit_carrier(carrier):
 
 def _morphism_in_category(src_carrier, tgt_carrier, mat):
     """mat is H-equivariant (and comodule-equivariant for YD carriers)."""
-    src = _carrier_module(src_carrier)
-    tgt = _carrier_module(tgt_carrier)
-    conductor = lcm(lcm(src.N, tgt.N), mat.N)
-    m = mat.lift(conductor)
-    for i in range(src.H.dim):
-        if m * src.action[i].lift(conductor) != tgt.action[i].lift(conductor) * m:
-            return False
     if _is_yd(src_carrier) and _is_yd(tgt_carrier):
-        idH = Matrix.identity(src.H.dim, conductor)
-        if tgt_carrier.coaction.lift(conductor) * m != idH.kron(m) * src_carrier.coaction.lift(conductor):
-            return False
-    return True
+        return yd_morphism_check(src_carrier, tgt_carrier, mat)
+    return ModuleMap(_carrier_module(src_carrier), _carrier_module(tgt_carrier), mat).intertwines()
 
 
 def verify_algebra_object(A):
@@ -103,11 +95,8 @@ def verify_algebra_object(A):
 
 def _algebra_checks(rep, A, CC, one):
     """The algebra-object checks of A into rep; CC = A (x) A and one = the unit."""
-    d = A.dim
-    conductor = lcm(A.module.N, lcm(A.mult.N, A.unit.N))
-    mult = A.mult.lift(conductor)
-    unit = A.unit.lift(conductor)
-    idA = Matrix.identity(d, conductor)
+    mult, unit = A.mult, A.unit
+    idA = Matrix.identity(A.dim)
     lhs = mult * mult.kron(idA)
     rhs = mult * idA.kron(mult)
     rep.add("associative", lhs == rhs, anchor="algebra-object")
@@ -124,13 +113,8 @@ def verify_frobenius_object(F):
     CC = _tensor_carrier(F.carrier)
     one = _unit_carrier(F.carrier)
     _algebra_checks(rep, F, CC, one)
-    d = F.dim
-    conductor = lcm(lcm(F.module.N, F.comult.N), lcm(F.counit.N, lcm(F.mult.N, F.unit.N)))
-    mult = F.mult.lift(conductor)
-    unit = F.unit.lift(conductor)
-    com = F.comult.lift(conductor)
-    cou = F.counit.lift(conductor)
-    idA = Matrix.identity(d, conductor)
+    mult, com, cou = F.mult, F.comult, F.counit
+    idA = Matrix.identity(F.dim)
     lhs = com.kron(idA) * com
     rhs = idA.kron(com) * com
     rep.add("coassociative", lhs == rhs, anchor="coalgebra-object")
@@ -159,12 +143,8 @@ def push_algebra(ictx, A, name=None):
     else:
         carrier = induce(ictx, A.carrier).module
     lax, lax0 = lax_pair(ictx, A.module, A.module)
-    Fm = ind_morphism(ictx, A.mult)
-    conductor = lcm(Fm.N, lax.N)
-    mult = Fm.lift(conductor) * lax.lift(conductor)
-    Fu = ind_morphism(ictx, A.unit)
-    conductor = lcm(Fu.N, lax0.N)
-    unit = Fu.lift(conductor) * lax0.lift(conductor)
+    mult = ind_morphism(ictx, A.mult) * lax
+    unit = ind_morphism(ictx, A.unit) * lax0
     return AlgObject(carrier, mult, unit, name=name or "Ind(%s)" % A.name)
 
 
@@ -175,12 +155,8 @@ def push_coalgebra(ictx, C, name=None):
     else:
         carrier = induce(ictx, C.carrier).module
     oplax, oplax0 = oplax_pair(ictx, C.module, C.module)
-    Fd = ind_morphism(ictx, C.comult)
-    conductor = lcm(Fd.N, oplax.N)
-    comult = oplax.lift(conductor) * Fd.lift(conductor)
-    Fe = ind_morphism(ictx, C.counit)
-    conductor = lcm(Fe.N, oplax0.N)
-    counit = oplax0.lift(conductor) * Fe.lift(conductor)
+    comult = oplax * ind_morphism(ictx, C.comult)
+    counit = oplax0 * ind_morphism(ictx, C.counit)
     return carrier, comult, counit
 
 
@@ -260,8 +236,6 @@ def direct_b_algebra(ictx, n, ex, ey):
     labels = list(H.basis_labels)
     if labels[:4] != ["1", "x", "y", "z"]:
         raise HopfkitError("direct_b_algebra expects the Kac-Paljutkin basis order")
-    chi = {"1": 1, "x": ex, "y": ey, "xy": ex * ey}
-    swapped = {"1": 1, "x": ey, "y": ex, "xy": ex * ey}
 
     def word_index(lbl):
         return labels.index(lbl)
@@ -357,20 +331,15 @@ def is_commutative_object(A):
     """m o Psi = m with respect to the YD braiding of the carrier."""
     if not A.is_yd:
         raise HopfkitError("commutativity check needs a YD carrier")
-    psi = yd_braiding(A.carrier, A.carrier, verify=False)
-    conductor = lcm(A.mult.N, psi.N)
-    return A.mult.lift(conductor) * psi.lift(conductor) == A.mult.lift(conductor)
+    return A.mult * yd_braiding(A.carrier, A.carrier, verify=False) == A.mult
 
 
 def is_special(F):
     """(beta_A, beta_1) with m o Delta = beta_A id and eps o u = beta_1, or None."""
-    conductor = lcm(F.mult.N, F.comult.N)
-    comp = F.mult.lift(conductor) * F.comult.lift(conductor)
-    beta_A = comp.is_scalar_multiple_of_identity()
+    beta_A = (F.mult * F.comult).is_scalar_multiple_of_identity()
     if beta_A is None or beta_A.is_zero():
         return None
-    conductor = lcm(F.counit.N, F.unit.N)
-    beta_1 = (F.counit.lift(conductor) * F.unit.lift(conductor)).entry(0, 0)
+    beta_1 = (F.counit * F.unit).entry(0, 0)
     if beta_1.is_zero():
         return None
     return beta_A, beta_1

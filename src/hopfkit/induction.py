@@ -270,14 +270,10 @@ def induce(ictx, V):
     return got
 
 
-def ind_morphism(ictx, phi, src_ind=None, tgt_ind=None):
+def ind_morphism(ictx, phi):
     """Ind of a K-module map: block-diagonal over the free basis."""
     r = ictx.rank
     conductor = lcm(ictx.N, phi.N)
-    if src_ind is not None:
-        conductor = lcm(conductor, src_ind.module.N)
-    if tgt_ind is not None:
-        conductor = lcm(conductor, tgt_ind.module.N)
     p = phi.lift(conductor)
     ds = p.cols
     out = [{i * ds + a: v for a, v in row.items()} for i in range(r) for row in p.srows]
@@ -346,21 +342,20 @@ def adjunction_maps(ictx, V, W):
 
     indV = induce(ictx, V)
     resW = restrict(incl, W)
-    ind_res_indV = induce(ictx, restrict(incl, indV.module))
     unit_GF = unit_gf_at(ictx, W, conductor)
     counit_GF = counit_gf_at(ictx, V, conductor)
     unit_FG = unit_fg_at(ictx, V, conductor)
     counit_FG = counit_fg_at(ictx, W, conductor)
 
     # triangles for F -| G (F = Ind left adjoint)
-    F_unit_FG = ind_morphism(ictx, unit_FG, indV, ind_res_indV)
+    F_unit_FG = ind_morphism(ictx, unit_FG)
     t1 = counit_fg_at(ictx, indV.module, conductor) * F_unit_FG
     rep.add("triangle-FG-left", t1.is_identity(), anchor="adjunction")
     t2 = counit_FG * unit_fg_at(ictx, resW, conductor)
     rep.add("triangle-FG-right", t2.is_identity(), anchor="adjunction")
 
     # triangles for G -| F (F = Ind right adjoint)
-    F_counit_GF = ind_morphism(ictx, counit_GF, ind_res_indV, indV)
+    F_counit_GF = ind_morphism(ictx, counit_GF)
     t3 = F_counit_GF * unit_gf_at(ictx, indV.module, conductor)
     rep.add("triangle-GF-left", t3.is_identity(), anchor="adjunction")
     t4 = counit_gf_at(ictx, resW, conductor) * unit_GF
@@ -381,9 +376,8 @@ def counit_fg_at(ictx, W, conductor):
     dW = W.dim
     ctx = K.make_ctx(conductor)
     out = [{} for _ in range(dW)]
-    for i in range(r):
-        blk = W.act_alg_vec(ictx.free_vec(i)).lift(conductor)
-        _add_block(ctx, out, blk, range(dW), _at(i, dW))
+    for i, hi in enumerate(ictx.frob.free):
+        _add_block(ctx, out, W.action[hi].lift(conductor), range(dW), _at(i, dW))
     return Matrix.from_sparse(conductor, r * dW, out)
 
 
@@ -407,11 +401,10 @@ def unit_gf_at(ictx, W, conductor):
     resW = restrict(incl, W)
     ctx = K.make_ctx(conductor)
     out = [{} for _ in range(r * dW)]
-    for i in range(r):
-        hi_act = W.act_alg_vec(ictx.free_vec(i)).lift(conductor)
+    for i, hi in enumerate(ictx.frob.free):
         for t, kv in enumerate(ictx.delta_parts(i)):
             if kv:
-                blk = _act_K(resW, kv, conductor, incl.N) * hi_act
+                blk = _act_K(resW, kv, conductor, incl.N) * W.action[hi]
                 _add_block(ctx, out, blk, _at(t, dW), range(dW))
     return Matrix.from_sparse(conductor, dW, out)
 
@@ -528,53 +521,41 @@ def verify_lax_coherence(ictx, modules):
     """Associativity and unitality of lax, coassociativity/counitality of oplax,
     over all triples/objects from the supplied module list."""
     incl = ictx.incl
+    r = ictx.rank
     rep = Report("lax-oplax-coherence")
     one = trivial_module(incl.K, N=incl.N)
     for V in modules:
         laxV1, lax0 = lax_pair(ictx, V, one)
         lax1V, _ = lax_pair(ictx, one, V)
-        r = ictx.rank
-        dV = V.dim
-        conductor = laxV1.N
-        indV = induce(ictx, V)
-        idV = Matrix.identity(r * dV, conductor)
+        idV = Matrix.identity(r * V.dim)
         # lax_{V,1} (id x lax0) = id
-        m1 = laxV1 * idV.kron(lax0.lift(conductor))
+        m1 = laxV1 * idV.kron(lax0)
         rep.add("lax-right-unital[%s]" % V.name, m1 == idV, anchor="lax-unitality")
-        m2 = lax1V * lax0.lift(conductor).kron(idV)
+        m2 = lax1V * lax0.kron(idV)
         rep.add("lax-left-unital[%s]" % V.name, m2 == idV, anchor="lax-unitality")
         # oplax counitality
         oplaxV1, oplax0 = oplax_pair(ictx, V, one)
-        m3 = idV.kron(oplax0.lift(conductor)) * oplaxV1
+        m3 = idV.kron(oplax0) * oplaxV1
         rep.add("oplax-right-counital[%s]" % V.name, m3 == idV, anchor="oplax-unitality")
         oplax1V, _ = oplax_pair(ictx, one, V)
-        m4 = oplax0.lift(conductor).kron(idV) * oplax1V
+        m4 = oplax0.kron(idV) * oplax1V
         rep.add("oplax-left-counital[%s]" % V.name, m4 == idV, anchor="oplax-unitality")
     for V in modules:
         for U in modules:
             for W in modules:
                 VU = ictx.tensor(V, U)
                 UW = ictx.tensor(U, W)
-                lax_VU, _ = lax_pair(ictx, V, U)
-                lax_UW, _ = lax_pair(ictx, U, W)
-                lax_VU_W, _ = lax_pair(ictx, VU, W)
-                lax_V_UW, _ = lax_pair(ictx, V, UW)
-                conductor = lax_VU_W.N
-                idW = Matrix.identity(ictx.rank * W.dim, conductor)
-                idV = Matrix.identity(ictx.rank * V.dim, conductor)
-                lhs = lax_VU_W * lax_VU.lift(conductor).kron(idW)
-                rhs = lax_V_UW * idV.kron(lax_UW.lift(conductor))
+                idW = Matrix.identity(r * W.dim)
+                idV = Matrix.identity(r * V.dim)
+                lhs = lax_pair(ictx, VU, W)[0] * lax_pair(ictx, V, U)[0].kron(idW)
+                rhs = lax_pair(ictx, V, UW)[0] * idV.kron(lax_pair(ictx, U, W)[0])
                 rep.add(
                     "lax-associative[%s,%s,%s]" % (V.name, U.name, W.name),
                     lhs == rhs,
                     anchor="lax-associativity",
                 )
-                oplax_VU, _ = oplax_pair(ictx, V, U)
-                oplax_UW, _ = oplax_pair(ictx, U, W)
-                oplax_VU_W, _ = oplax_pair(ictx, VU, W)
-                oplax_V_UW, _ = oplax_pair(ictx, V, UW)
-                lhs = oplax_VU.lift(conductor).kron(idW) * oplax_VU_W
-                rhs = idV.kron(oplax_UW.lift(conductor)) * oplax_V_UW
+                lhs = oplax_pair(ictx, V, U)[0].kron(idW) * oplax_pair(ictx, VU, W)[0]
+                rhs = idV.kron(oplax_pair(ictx, U, W)[0]) * oplax_pair(ictx, V, UW)[0]
                 rep.add(
                     "oplax-coassociative[%s,%s,%s]" % (V.name, U.name, W.name),
                     lhs == rhs,
@@ -588,27 +569,13 @@ def verify_frobenius_monoidal(ictx, V, U, W):
     rep = Report("frobenius-monoidal[%s,%s,%s]" % (V.name, U.name, W.name))
     UW = ictx.tensor(U, W)
     VU = ictx.tensor(V, U)
-    lax_VU, _ = lax_pair(ictx, V, U)
-    lax_V_UW, _ = lax_pair(ictx, V, UW)
-    oplax_UW, _ = oplax_pair(ictx, U, W)
-    oplax_VU_W, _ = oplax_pair(ictx, VU, W)
-    conductor = lcm(lax_VU.N, lcm(lax_V_UW.N, lcm(oplax_UW.N, oplax_VU_W.N)))
-    r = ictx.rank
-    idV = Matrix.identity(r * V.dim, conductor)
-    idW = Matrix.identity(r * W.dim, conductor)
-    lhs = lax_VU.lift(conductor).kron(idW) * idV.kron(oplax_UW.lift(conductor))
-    rhs = oplax_VU_W.lift(conductor) * lax_V_UW.lift(conductor)
+    idV = Matrix.identity(ictx.rank * V.dim)
+    idW = Matrix.identity(ictx.rank * W.dim)
+    lhs = lax_pair(ictx, V, U)[0].kron(idW) * idV.kron(oplax_pair(ictx, U, W)[0])
+    rhs = oplax_pair(ictx, VU, W)[0] * lax_pair(ictx, V, UW)[0]
     rep.add("frobenius-square-1", lhs == rhs, anchor="frobmon")
-
-    lax_UW, _ = lax_pair(ictx, U, W)
-    lax_VU_W, _ = lax_pair(ictx, VU, W)
-    oplax_VU, _ = oplax_pair(ictx, V, U)
-    oplax_V_UW, _ = oplax_pair(ictx, V, UW)
-    conductor = lcm(lax_UW.N, lcm(lax_VU_W.N, lcm(oplax_VU.N, oplax_V_UW.N)))
-    idV = Matrix.identity(r * V.dim, conductor)
-    idW = Matrix.identity(r * W.dim, conductor)
-    lhs = idV.kron(lax_UW.lift(conductor)) * oplax_VU.lift(conductor).kron(idW)
-    rhs = oplax_V_UW.lift(conductor) * lax_VU_W.lift(conductor)
+    lhs = idV.kron(lax_pair(ictx, U, W)[0]) * oplax_pair(ictx, V, U)[0].kron(idW)
+    rhs = oplax_pair(ictx, V, UW)[0] * lax_pair(ictx, VU, W)[0]
     rep.add("frobenius-square-2", lhs == rhs, anchor="frobmon")
     return rep
 
@@ -628,10 +595,7 @@ def is_separable_functor(ictx, pairs, verify_witness=True):
     scalar = None
     consistent = True
     for V, U in pairs:
-        lax, _ = lax_pair(ictx, V, U)
-        oplax, _ = oplax_pair(ictx, V, U)
-        conductor = lcm(lax.N, oplax.N)
-        comp = lax.lift(conductor) * oplax.lift(conductor)
+        comp = lax_pair(ictx, V, U)[0] * oplax_pair(ictx, V, U)[0]
         c = comp.is_scalar_multiple_of_identity()
         if c is None:
             strict = False
@@ -652,10 +616,7 @@ def is_separable_functor(ictx, pairs, verify_witness=True):
             central=ictx.central,
         )
         V, U = pairs[0]
-        lax, _ = lax_pair(rescaled, V, U)
-        oplax, _ = oplax_pair(rescaled, V, U)
-        conductor = lcm(lax.N, oplax.N)
-        witness_ok = (lax.lift(conductor) * oplax.lift(conductor)).is_identity()
+        witness_ok = (lax_pair(rescaled, V, U)[0] * oplax_pair(rescaled, V, U)[0]).is_identity()
         separable = separable and witness_ok
     return {
         "separable": separable,
@@ -684,94 +645,36 @@ class ProjectionMorphisms:
 def projection_morphisms(ictx, W, V):
     """The four projection-formula maps for an H-module W and K-module V.
 
+    Each is lax or oplax whiskered with the adjunction at W (Fausk-Hu-May,
+    TAC 11, 2003):
+
+    - lproj^{G-|F} = lax_{Res W,V} (unit^{G-|F}_W x id_{Ind V});
+    - lproj^{F-|G} = (counit^{F-|G}_W x id_{Ind V}) oplax_{Res W,V};
+    - rproj^{G-|F} = lax_{V,Res W} (id_{Ind V} x unit^{G-|F}_W);
+    - rproj^{F-|G} = (id_{Ind V} x counit^{F-|G}_W) oplax_{V,Res W}.
+
     Checks mutual invertibility of each pair and the closed-form inverses
     built from the antipode and its inverse.
     """
     incl = ictx.incl
     H = incl.H
     r = ictx.rank
-    n, m = H.dim, incl.K.dim
+    n = H.dim
     dW, dV = W.dim, V.dim
     conductor = lcm(_conductor_for(ictx, V), W.N)
     ctx = K.make_ctx(conductor)
     resW = restrict(incl, W)
-    resWV = tensor_modules(resW, V)
-    VresW = tensor_modules(V, resW)
+    resWV = ictx.tensor(resW, V)
+    VresW = ictx.tensor(V, resW)
     rep = Report("projection-morphisms")
 
-    Wact = [W.act_alg_vec(H.basis_vec(i)).lift(conductor) for i in range(n)]
-
-    # lproj^{F,G-|F}: W x F(V) -> F(GW x V)
-    out = [{} for _ in range(r * dW * dV)]
-    for l in range(r):
-        parts = ictx.delta_parts(l)
-        hl = ictx.frob.free[l]
-        accs = {}
-        for x, s in H.comult[hl]:
-            p, q = divmod(x, n)
-            for i, tq in ictx.tr_row(q).items():
-                _tensor(incl.ctx, accs.setdefault(i, {}), {p: s}, tq, m)
-        for i, acc in sorted(accs.items()):
-            if not acc:
-                continue
-            mat = Matrix.lincomb(
-                dW * dV, dW * dV, conductor,
-                ((Wact[x // m].kron(V.action[x % m]), Cyclotomic(incl.N, c))
-                 for x, c in acc.items()),
-            )
-            cmap = _pair_map(0, dW, i, dV, r)
-            for t, kv in enumerate(parts):
-                if kv:
-                    blk = _act_K(resWV, kv, conductor, incl.N) * mat
-                    _add_block(ctx, out, blk, _at(t, dW * dV), cmap)
-    lproj_GF = Matrix.from_sparse(conductor, dW * (r * dV), out)
-
-    # lproj^{F,F-|G}: F(GW x V) -> W x F(V): h_i x (w x v) -> h_i(1) w x (h_i(2) x v)
-    out = [{} for _ in range(dW * (r * dV))]
-    for i in range(r):
-        hi = ictx.frob.free[i]
-        for x, s in H.comult[hi]:
-            p, q = divmod(x, n)
-            Wp = Wact[p].scale(Cyclotomic(incl.N, s))
-            for t, A in _part_actions(ictx, V, q, conductor):
-                _add_block(ctx, out, Wp.kron(A), _pair_map(0, dW, t, dV, r), _at(i, dW * dV))
-    lproj_FG = Matrix.from_sparse(conductor, r * dW * dV, out)
-
-    # rproj^{F,G-|F}: F(V) x W -> F(V x GW)
-    out = [{} for _ in range(r * dV * dW)]
-    for l in range(r):
-        parts = ictx.delta_parts(l)
-        hl = ictx.frob.free[l]
-        accs = {}
-        for x, s in H.comult[hl]:
-            p, q = divmod(x, n)
-            for i, tp in ictx.tr_row(p).items():
-                _tensor(incl.ctx, accs.setdefault(i, {}), tp, {q: s}, n)
-        for i, acc in sorted(accs.items()):
-            if not acc:
-                continue
-            mat = Matrix.lincomb(
-                dV * dW, dV * dW, conductor,
-                ((V.action[x // n].kron(Wact[x % n]), Cyclotomic(incl.N, c))
-                 for x, c in acc.items()),
-            )
-            cmap = _pair_map(i, dV, 0, dW, 1)
-            for t, kv in enumerate(parts):
-                if kv:
-                    blk = _act_K(VresW, kv, conductor, incl.N) * mat
-                    _add_block(ctx, out, blk, _at(t, dV * dW), cmap)
-    rproj_GF = Matrix.from_sparse(conductor, (r * dV) * dW, out)
-
-    # rproj^{F,F-|G}: F(V x GW) -> F(V) x W: h_i x (v x w) -> (h_i(1) x v) x h_i(2) w
-    out = [{} for _ in range((r * dV) * dW)]
-    for i in range(r):
-        hi = ictx.frob.free[i]
-        for x, s in H.comult[hi]:
-            p, q = divmod(x, n)
-            Wq = Wact[q].scale(Cyclotomic(incl.N, s))
-            for t, A in _part_actions(ictx, V, p, conductor):
-                _add_block(ctx, out, A.kron(Wq), _pair_map(t, dV, 0, dW, 1), _at(i, dV * dW))
-    rproj_FG = Matrix.from_sparse(conductor, r * dV * dW, out)
+    unit = unit_gf_at(ictx, W, conductor)
+    counit = counit_fg_at(ictx, W, conductor)
+    idIndV = Matrix.identity(r * dV)
+    lproj_GF = lax_pair(ictx, resW, V)[0] * unit.kron(idIndV)
+    lproj_FG = counit.kron(idIndV) * oplax_pair(ictx, resW, V)[0]
+    rproj_GF = lax_pair(ictx, V, resW)[0] * idIndV.kron(unit)
+    rproj_FG = idIndV.kron(counit) * oplax_pair(ictx, V, resW)[0]
 
     right_inv = (rproj_GF * rproj_FG).is_identity() and (rproj_FG * rproj_GF).is_identity()
     rep.add("rproj-pair-mutually-inverse", right_inv, anchor="projection-formula")
@@ -787,7 +690,7 @@ def projection_morphisms(ictx, W, V):
     # gives the coordinates of S^-1(e_p) and S(e_p)
     Sinv_cols = antipode_inverse(H).lift(conductor).transpose().srows
     S_cols = H.antipode_matrix().lift(conductor).transpose().srows
-    idV = Matrix.identity(dV, conductor)
+    idV = Matrix.identity(dV)
     SinvW = [None] * n
     SW = [None] * n
 
@@ -801,7 +704,7 @@ def projection_morphisms(ictx, W, V):
             if SinvW[p] is None:
                 SinvW[p] = Matrix.lincomb(
                     dW, dW, conductor,
-                    ((Wact[t], Cyclotomic(conductor, c)) for t, c in Sinv_cols[p].items()),
+                    ((W.action[t], Cyclotomic(conductor, c)) for t, c in Sinv_cols[p].items()),
                 )
             Wp_id = SinvW[p].scale(Cyclotomic(incl.N, s)).kron(idV)
             for t, kv in enumerate(ictx.basis_parts(q)):
@@ -825,7 +728,7 @@ def projection_morphisms(ictx, W, V):
             if SW[q] is None:
                 SW[q] = Matrix.lincomb(
                     dW, dW, conductor,
-                    ((Wact[t], Cyclotomic(conductor, c)) for t, c in S_cols[q].items()),
+                    ((W.action[t], Cyclotomic(conductor, c)) for t, c in S_cols[q].items()),
                 )
             id_Wq = idV.kron(SW[q].scale(Cyclotomic(incl.N, s)))
             for t, kv in enumerate(ictx.basis_parts(p)):

@@ -7,7 +7,7 @@ from . import _kernel as K
 from .errors import PipelineError, ShapeError
 from .exact_math import Matrix, _add
 from .induction import _act_K, induce, ind_morphism, lax_pair, oplax_pair
-from .module_theory import HModule, tensor_modules
+from .module_theory import HModule, ModuleMap, tensor_modules
 from .reports import Report
 
 
@@ -193,16 +193,9 @@ def _check_braiding(psi, src, tgt):
 
 def yd_morphism_check(src, tgt, mat):
     """mat intertwines both the actions and the coactions."""
-    conductor = lcm(lcm(src.N, tgt.N), mat.N)
-    m = mat.lift(conductor)
-    for i in range(src.H.dim):
-        if m * src.module.action[i].lift(conductor) != tgt.module.action[i].lift(conductor) * m:
-            return False
-    n = src.H.dim
-    idH = Matrix.identity(n, conductor)
-    lhs = tgt.coaction.lift(conductor) * m
-    rhs = idH.kron(m) * src.coaction.lift(conductor)
-    return lhs == rhs
+    if not ModuleMap(src.module, tgt.module, mat).intertwines():
+        return False
+    return tgt.coaction * mat == Matrix.identity(src.H.dim).kron(mat) * src.coaction
 
 
 def yd_hexagons(A, B, C):
@@ -214,20 +207,13 @@ def yd_hexagons(A, B, C):
     BC = yd_tensor(B, C)
     psi_a_bc = yd_braiding(A, BC, verify=False)
     psi_ab_c = yd_braiding(AB, C, verify=False)
-    conductor = 1
-    for mat in (psi_ab, psi_ac, psi_bc, psi_a_bc, psi_ab_c):
-        conductor = lcm(conductor, mat.N)
-    idA = Matrix.identity(A.dim, conductor)
-    idB = Matrix.identity(B.dim, conductor)
-    idC = Matrix.identity(C.dim, conductor)
+    idA = Matrix.identity(A.dim)
+    idB = Matrix.identity(B.dim)
+    idC = Matrix.identity(C.dim)
     # Psi_{A, B x C} = (id_B x Psi_{A,C}) (Psi_{A,B} x id_C)
-    lhs = psi_a_bc.lift(conductor)
-    rhs = idB.kron(psi_ac.lift(conductor)) * psi_ab.lift(conductor).kron(idC)
-    ok1 = lhs == rhs
+    ok1 = psi_a_bc == idB.kron(psi_ac) * psi_ab.kron(idC)
     # Psi_{A x B, C} = (Psi_{A,C} x id_B) (id_A x Psi_{B,C})
-    lhs = psi_ab_c.lift(conductor)
-    rhs = psi_ac.lift(conductor).kron(idB) * idA.kron(psi_bc.lift(conductor))
-    ok2 = lhs == rhs
+    ok2 = psi_ab_c == psi_ac.kron(idB) * idA.kron(psi_bc)
     return ok1 and ok2
 
 
@@ -235,10 +221,7 @@ def yd_braiding_natural(f_src, f_tgt, g_src, g_tgt, f_mat, g_mat):
     """Naturality square of the braiding for YD maps f: f_src->f_tgt, g: g_src->g_tgt."""
     psi1 = yd_braiding(f_src, g_src, verify=False)
     psi2 = yd_braiding(f_tgt, g_tgt, verify=False)
-    conductor = lcm(lcm(psi1.N, psi2.N), lcm(f_mat.N, g_mat.N))
-    lhs = psi2.lift(conductor) * f_mat.lift(conductor).kron(g_mat.lift(conductor))
-    rhs = g_mat.lift(conductor).kron(f_mat.lift(conductor)) * psi1.lift(conductor)
-    return lhs == rhs
+    return psi2 * f_mat.kron(g_mat) == g_mat.kron(f_mat) * psi1
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +314,11 @@ def verify_braided_frobenius(ictx, M, N_mod):
     psi_H = yd_braiding(FM, FN, verify=False)
     _check_braiding(psi_H, _zind_tensor(ictx, M, N_mod), _zind_tensor(ictx, N_mod, M))
 
-    lax_MN, _ = lax_pair(ictx, M.module, N_mod.module)
-    lax_NM, _ = lax_pair(ictx, N_mod.module, M.module)
-    conductor = 1
-    for mat in (F_psi, psi_H, lax_MN, lax_NM):
-        conductor = lcm(conductor, mat.N)
-    lhs = lax_NM.lift(conductor) * psi_H.lift(conductor)
-    rhs = F_psi.lift(conductor) * lax_MN.lift(conductor)
+    lhs = lax_pair(ictx, N_mod.module, M.module)[0] * psi_H
+    rhs = F_psi * lax_pair(ictx, M.module, N_mod.module)[0]
     rep.add("lax-braided", lhs == rhs, anchor="braided-lax")
-
-    oplax_MN, _ = oplax_pair(ictx, M.module, N_mod.module)
-    oplax_NM, _ = oplax_pair(ictx, N_mod.module, M.module)
-    conductor = 1
-    for mat in (F_psi, psi_H, oplax_MN, oplax_NM):
-        conductor = lcm(conductor, mat.N)
-    lhs = oplax_NM.lift(conductor) * F_psi.lift(conductor)
-    rhs = psi_H.lift(conductor) * oplax_MN.lift(conductor)
+    lhs = oplax_pair(ictx, N_mod.module, M.module)[0] * F_psi
+    rhs = psi_H * oplax_pair(ictx, M.module, N_mod.module)[0]
     rep.add("oplax-braided", lhs == rhs, anchor="braided-oplax")
 
     # functor-level compatibility: the module part of z_induce equals induce
@@ -371,5 +343,5 @@ def yd_as_double_module(D, H, yd):
     for c in range(n):
         Pc = Matrix.from_sparse(conductor, d, coact.srows[c * d : (c + 1) * d])
         for dd in range(n):
-            mats.append(Pc * yd.module.action[dd].lift(conductor))
+            mats.append(Pc * yd.module.action[dd])
     return HModule(D, mats, name="Drin(%s)" % yd.name, N=conductor)

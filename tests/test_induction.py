@@ -1,3 +1,4 @@
+import hashlib
 from math import lcm
 
 import pytest
@@ -447,3 +448,52 @@ def test_coinduce_builds_the_left_decomposer_once(h8_incl, kmods, monkeypatch):
     coinduce(ictx, kmods[(1, 1)])
     coinduce(ictx, kmods[(1, -1)])
     assert built == ["left"]
+
+
+def _at_conductor(V, N):
+    """The module V with its action written over Q(zeta_N)."""
+    return HModule(V.H, list(V.action), name=V.name, N=N)
+
+
+def _digest(m):
+    return hashlib.sha256(repr((m.N, m.key())).encode()).hexdigest()[:16]
+
+
+# (N, key()) digests of lproj^{G-|F}, lproj^{F-|G}, rproj^{G-|F} and rproj^{F-|G},
+# recorded from the block-loop construction the lax/oplax composites replaced
+PROJECTION_DIGESTS = {
+    "uq3-cartan": ["1f4bc204e689cb30", "da46c58eec50a60a", "201c9f7d34f8349d", "1786278201002231"],
+    "kC3<D(kC3)": ["720480777fc7850f", "0157693618794004", "22a0bac94b82ba67", "5e0db97cd18ac724"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROJECTION_DIGESTS))
+def test_projection_maps_match_the_recorded_digests(case, uq3):
+    if case == "uq3-cartan":
+        # W = Ind(chi1) is not central: the lproj pair is not inverse, so
+        # no invertibility check constrains lproj^{G-|F} there
+        ictx = induction_context(uq3.cartan())
+        chi1 = _zeta_chars(ictx.incl.K, 3)[1]
+        W, V = induce(ictx, chi1).module, chi1
+    else:
+        incl = drinfeld_double(group_algebra(cyclic_table(3), name="kC3"))[1]
+        ictx = induction_context(incl)
+        W = induce(ictx, trivial_module(incl.K)).module
+        V = _at_conductor(_zeta_chars(incl.K, 3)[1], 12)
+    pm = projection_morphisms(ictx, W, V)
+    got = [_digest(m) for m in (pm.lproj_GF, pm.lproj_FG, pm.rproj_GF, pm.rproj_FG)]
+    assert got == PROJECTION_DIGESTS[case]
+    rep = pm.report
+    assert rep["lproj-pair-mutually-inverse"].status == ("pass" if ictx.central else "fail")
+    assert all(c.ok for c in rep.checks if c.name != "lproj-pair-mutually-inverse"), rep.failures()
+
+
+def test_structure_maps_accept_modules_over_a_larger_field(h8, h8_ictx, kmods):
+    # W and V written over Q(zeta_4) and Q(zeta_12), past the inclusion's conductor
+    W = h8_v1(h8, root_of_unity(4))
+    V = _at_conductor(kmods[(1, -1)], 12)
+    pm = projection_morphisms(h8_ictx, W, V)
+    assert pm.lproj_GF.N == 12 and pm.report.ok, pm.report.failures()
+    rep, maps = adjunction_maps(h8_ictx, V, W)
+    assert rep.ok, rep.failures()
+    assert {m.N for m in maps.values()} == {12}

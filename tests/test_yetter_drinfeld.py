@@ -8,9 +8,16 @@ from hopfkit.exact_math import Matrix
 from hopfkit.extension import HopfInclusion
 from hopfkit.frob_objects import push_frobenius, trivial_frobenius
 from hopfkit.hopf_core import subhopf_from_basis
-from hopfkit.induction import induce, induction_context
+from hopfkit.induction import (
+    induce,
+    induction_context,
+    lax_pair,
+    verify_frobenius_monoidal,
+    verify_lax_coherence,
+)
 from hopfkit.module_theory import HModule, verify_module
 from hopfkit.yetter_drinfeld import (
+    YDModule,
     trivial_yd,
     verify_braided_frobenius,
     verify_yd,
@@ -423,3 +430,23 @@ def test_braided_check_builds_each_zind_tensor_once(monkeypatch, capsys):
     names = ["ZInd(%s)" % m for m in "abc"]
     assert sorted(built) == sorted((p, q) for p in names for q in names)
     assert capsys.readouterr().out.count("braided-frobenius[") == 9
+
+
+def test_reports_are_the_same_for_a_module_lifted_to_a_larger_conductor(h8_ictx):
+    # the checks multiply maps at different conductors and leave the alignment
+    # to Matrix; lifting is an injective ring map, so no verdict may move
+    K = h8_ictx.incl.K
+    a, b = kline(K, "x", 1, -1), kline(K, "y", -1, 1)
+    a12 = YDModule(HModule(K, list(a.module.action), name=a.module.name, N=12), a.coaction,
+                   name=a.name)
+    assert a.N != 12 and lax_pair(h8_ictx, a12.module, b.module)[0].N == 12
+    reports = []
+    for x in (a, a12):
+        reports.append([
+            verify_lax_coherence(h8_ictx, [x.module, b.module]),
+            verify_frobenius_monoidal(h8_ictx, x.module, b.module, x.module),
+            verify_braided_frobenius(h8_ictx, x, b),
+        ])
+    own, lifted = reports
+    assert all(rep.ok for rep in own), [rep.failures() for rep in own]
+    assert [rep.to_text() for rep in lifted] == [rep.to_text() for rep in own]
