@@ -27,7 +27,6 @@ from .exact_math import (
     _scale,
     _table_mul,
     _tensor,
-    root_of_unity,
 )
 from .extension import HopfInclusion
 from .hopf_core import FinHopf, subhopf_from_basis

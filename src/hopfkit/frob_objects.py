@@ -141,7 +141,7 @@ def push_algebra(ictx, A, name=None):
     if yd:
         carrier = z_induce(ictx, A.carrier)
     else:
-        carrier = induce(ictx, A.carrier).module
+        carrier = induce(ictx, A.carrier)
     lax, lax0 = lax_pair(ictx, A.module, A.module)
     mult = ind_morphism(ictx, A.mult) * lax
     unit = ind_morphism(ictx, A.unit) * lax0
@@ -153,7 +153,7 @@ def push_coalgebra(ictx, C, name=None):
     if yd:
         carrier = z_induce(ictx, C.carrier)
     else:
-        carrier = induce(ictx, C.carrier).module
+        carrier = induce(ictx, C.carrier)
     oplax, oplax0 = oplax_pair(ictx, C.module, C.module)
     comult = oplax * ind_morphism(ictx, C.comult)
     counit = oplax0 * ind_morphism(ictx, C.counit)

@@ -3,7 +3,9 @@
 Induced modules are coordinatized by a free basis h_1..h_r of H over K
 (pairs (i, a) flattened as i*dim(V) + a), so every functorial structure map
 (theta, adjunction units/counits, lax/oplax, projection-formula morphisms)
-is an exact matrix and every coherence diagram is a matrix equality.
+is an exact matrix and every coherence diagram is a matrix equality.  Each
+structure map is built from the insertion map iota_V(x): v -> x (x)_K v,
+whose block t is the action on V of the t-th part of x = sum_t h_t k_t.
 """
 
 from math import lcm
@@ -28,10 +30,12 @@ class InductionContext:
     - ``("trrow", p)``: the nonzero tr_K(e_p h_i), by i;
     - ``"ldec"``: the left decomposer over the free basis, which ``coinduce``
       reads;
+    - ``"comult"``: the terms (i, p, q, s) of Delta(h_i), which ``oplax_pair``
+      and ``projection_morphisms`` read;
     - ``"sigma"``: the nonzero lax structure constants sigma_{l,i,j};
     - ``"unit"``: lax_0 and oplax_0;
     - ``("tensor", V.name, U.name, key(V), key(U))``: ``tensor_modules(V, U)``;
-    - ``("ind", name, key(V))``: ``induce(self, V)``;
+    - ``("ind", name, key(V))``: ``induce(self, V)``, the module Ind V;
     - ``("lax", key(V), key(U))`` and ``("oplax", key(V), key(U))``:
       ``lax_pair`` and ``oplax_pair``;
     - ``("zind", name, key(M.module), M.coaction.key())``: ``z_induce(self, M)``;
@@ -108,6 +112,17 @@ class InductionContext:
             self._cache[key] = got
         return got
 
+    def comult_terms(self):
+        """(i, p, q, s) over the terms s e_p (x) e_q of Delta(h_i), i ascending."""
+        got = self._cache.get("comult")
+        if got is None:
+            n = self.incl.H.dim
+            got = self._cache["comult"] = [
+                (i, *divmod(x, n), s)
+                for i, hi in enumerate(self.frob.free) for x, s in self.incl.H.comult[hi]
+            ]
+        return got
+
     def sigma(self):
         """The nonzero (l, i, j, sigma_{l,i,j}), l, i, j in ascending order.
 
@@ -178,13 +193,6 @@ def induction_context(incl, lam_scale=1):
     return InductionContext(incl, frob, central=central)
 
 
-def _act_K(V, kvec, conductor, ctxN):
-    """Action matrix of a sparse K-vector whose scalars live at conductor ctxN."""
-    return Matrix.lincomb(
-        V.dim, V.dim, conductor, ((V.action[b], Cyclotomic(ctxN, c)) for b, c in kvec.items())
-    )
-
-
 def _at(t, d):
     """The indices of block t of size d."""
     return range(t * d, (t + 1) * d)
@@ -196,77 +204,53 @@ def _pair_map(i, dV, j, dU, rU):
     return [(i * dV + a) * (rU * dU) + j * dU + b for a in range(dV) for b in range(dU)]
 
 
-def _add_block(ctx, out, blk, rmap, cmap):
-    """out[rmap[b]][cmap[a]] += blk[b][a] over the nonzero entries of the Matrix blk."""
-    for b, row in enumerate(blk.srows):
-        orow = out[rmap[b]]
-        for a, v in row.items():
-            _add(ctx, orow, cmap[a], v)
+def _assemble(N, rows, cols, blocks):
+    """The rows x cols matrix over Q(zeta_N) that sums the blocks (rmap, cmap, B):
+    entry (b, a) of the Matrix B is added at (rmap[b], cmap[a])."""
+    ctx = K.make_ctx(N)
+    out = [{} for _ in range(rows)]
+    for rmap, cmap, B in blocks:
+        for b, row in enumerate(B.lift(N).srows):
+            orow = out[rmap[b]]
+            for a, v in row.items():
+                _add(ctx, orow, cmap[a], v)
+    return Matrix.from_sparse(N, cols, out)
 
 
-class InducedModule:
-    """H (x)_K V with carrier basis (free index i, source index a) -> i*dimV + a."""
-
-    __slots__ = ("context", "source", "module")
-
-    def __init__(self, context, source, module):
-        self.context = context
-        self.source = source
-        self.module = module
-
-    @property
-    def dim(self):
-        return self.module.dim
-
-    def __repr__(self):
-        return "InducedModule(%s, dim=%d)" % (self.source.name, self.module.dim)
+def _k_blocks(ictx, M, shape, entries):
+    """The matrix of shape[0] x shape[1] blocks of size dim M whose block
+    (s, t) sums the actions on the K-module M of the K-vectors k of the
+    entries (s, t, k)."""
+    d, N = M.dim, ictx.N
+    return _assemble(
+        lcm(N, M.N), shape[0] * d, shape[1] * d,
+        ((_at(s, d), _at(t, d), M.act_alg_vec(k, N)) for s, t, k in entries if k),
+    )
 
 
-class CoinducedModule:
-    """Hom_K(H, V) on the basis dual to the free basis; action (h.f)(g) = f(gh)."""
-
-    __slots__ = ("context", "source", "module")
-
-    def __init__(self, context, source, module):
-        self.context = context
-        self.source = source
-        self.module = module
-
-    @property
-    def dim(self):
-        return self.module.dim
-
-
-def _conductor_for(ictx, *modules):
-    N = ictx.N
-    for m in modules:
-        N = lcm(N, m.N)
-    return N
+def _insertion(ictx, M, xs):
+    """[iota_M(x_0) | iota_M(x_1) | ...], where iota_M(x): M -> Ind M is
+    v -> x (x)_K v.  Each x_j = sum_t h_t k_t is given by its parts [k_t]_t,
+    so block (t, j) is the action of k_t on M."""
+    return _k_blocks(
+        ictx, M, (ictx.rank, len(xs)),
+        ((t, j, k) for j, parts in enumerate(xs) for t, k in enumerate(parts)),
+    )
 
 
 def induce(ictx, V):
-    """Explicit action matrices for H (x)_K V."""
+    """Ind V = H (x)_K V on the carrier basis (i, a) -> i*dim V + a: e_g acts
+    as [iota_V(e_g h_i)]_i."""
     memo = ("ind", V.name, V.key())
     got = ictx._cache.get(memo)
-    if got is not None:
-        return got
-    incl = ictx.incl
-    H = incl.H
-    r = ictx.rank
-    d = V.dim
-    conductor = _conductor_for(ictx, V)
-    ctx = K.make_ctx(conductor)
-    mats = []
-    for g in range(H.dim):
-        out = [{} for _ in range(r * d)]
-        for i in range(r):
-            w = H.mult_vec(H.basis_vec(g), ictx.free_vec(i))
-            for j, kv in enumerate(ictx.frob.right_decomp(w)):
-                if kv:
-                    _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
-        mats.append(Matrix.from_sparse(conductor, r * d, out))
-    mod = HModule(H, mats, name="Ind(%s)" % V.name, N=conductor)
-    got = ictx._cache[memo] = InducedModule(ictx, V, mod)
+    if got is None:
+        H, decomp = ictx.incl.H, ictx.frob.right_decomp
+        mats = [
+            _insertion(ictx, V, [decomp(H.mult_vec(H.basis_vec(g), ictx.free_vec(i)))
+                                 for i in range(ictx.rank)])
+            for g in range(H.dim)
+        ]
+        got = ictx._cache[memo] = HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N))
     return got
 
 
@@ -281,145 +265,108 @@ def ind_morphism(ictx, phi):
 
 
 def coinduce(ictx, V):
-    """Hom_K(H, V) with (h.f)(g) = f(gh), on the dual free basis."""
-    incl = ictx.incl
-    H = incl.H
-    r = ictx.rank
-    d = V.dim
-    conductor = _conductor_for(ictx, V)
-    ctx = K.make_ctx(conductor)
-    left_dec = ictx.left_decomp()
-    mats = []
-    for g in range(H.dim):
-        out = [{} for _ in range(r * d)]
-        for j in range(r):
-            w = H.mult_vec(ictx.free_vec(j), H.basis_vec(g))
-            for i, kv in enumerate(left_dec(w)):
-                if kv:
-                    _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
-        mats.append(Matrix.from_sparse(conductor, r * d, out))
-    mod = HModule(H, mats, name="CoInd(%s)" % V.name, N=conductor)
-    return CoinducedModule(ictx, V, mod)
+    """CoInd V = Hom_K(H, V) on the basis dual to the free basis, with
+    (h.f)(g) = f(gh): block (j, i) of e_g is the i-th part of h_j e_g under
+    the left decomposer."""
+    H, r = ictx.incl.H, ictx.rank
+    decomp = ictx.left_decomp()
+    mats = [
+        _k_blocks(ictx, V, (r, r), (
+            (j, i, k)
+            for j in range(r)
+            for i, k in enumerate(decomp(H.mult_vec(ictx.free_vec(j), H.basis_vec(g))))
+        ))
+        for g in range(H.dim)
+    ]
+    return HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(ictx.N, V.N))
 
 
 def theta_iso(ictx, V):
-    """theta_V(h x v) = (g -> tr(gh) v) and its closed-form inverse, both verified."""
-    incl = ictx.incl
+    """theta_V(h x v) = (g -> tr(gh) v) and its closed-form inverse
+    [iota_V(delta_j)]_j, both verified."""
     r = ictx.rank
-    d = V.dim
-    conductor = _conductor_for(ictx, V)
-    ctx = K.make_ctx(conductor)
     ind = induce(ictx, V)
     coind = coinduce(ictx, V)
-    theta = [{} for _ in range(r * d)]
-    for j in range(r):
-        for i, kv in ictx.tr_row(ictx.frob.free[j]).items():
-            _add_block(ctx, theta, _act_K(V, kv, conductor, incl.N), _at(j, d), _at(i, d))
-    theta = Matrix.from_sparse(conductor, r * d, theta)
-
-    inv = [{} for _ in range(r * d)]
-    for j in range(r):
-        for t, kv in enumerate(ictx.delta_parts(j)):
-            if kv:
-                _add_block(ctx, inv, _act_K(V, kv, conductor, incl.N), _at(t, d), _at(j, d))
-    theta_inv = Matrix.from_sparse(conductor, r * d, inv)
+    theta = _k_blocks(ictx, V, (r, r), (
+        (j, i, k) for j, hj in enumerate(ictx.frob.free) for i, k in ictx.tr_row(hj).items()
+    ))
+    theta_inv = _insertion(ictx, V, [ictx.delta_parts(j) for j in range(r)])
     if not (theta * theta_inv).is_identity() or not (theta_inv * theta).is_identity():
         raise PipelineError("theta and its closed-form inverse do not compose to identity")
-    tm = ModuleMap(ind.module, coind.module, theta)
+    tm = ModuleMap(ind, coind, theta)
     if not tm.intertwines():
         raise PipelineError("theta is not a module map")
-    return ind, coind, tm, ModuleMap(coind.module, ind.module, theta_inv)
+    return ind, coind, tm, ModuleMap(coind, ind, theta_inv)
 
 
 def adjunction_maps(ictx, V, W):
     """The four unit/counit maps and their triangle identities.
 
-    V is a K-module, W an H-module.  Returns (report, dict of matrices).
+    V is a K-module, W an H-module.  Returns (report, dict of matrices), the
+    matrices over Q(zeta_N) for N the lcm of the conductors of the
+    inclusion, V and W.
     """
     incl = ictx.incl
-    conductor = lcm(_conductor_for(ictx, V), W.N)
     rep = Report("adjunction-maps")
 
     indV = induce(ictx, V)
     resW = restrict(incl, W)
-    unit_GF = unit_gf_at(ictx, W, conductor)
-    counit_GF = counit_gf_at(ictx, V, conductor)
-    unit_FG = unit_fg_at(ictx, V, conductor)
-    counit_FG = counit_fg_at(ictx, W, conductor)
+    unit_GF = unit_gf_at(ictx, W)
+    counit_GF = counit_gf_at(ictx, V)
+    unit_FG = unit_fg_at(ictx, V)
+    counit_FG = counit_fg_at(ictx, W)
 
     # triangles for F -| G (F = Ind left adjoint)
-    F_unit_FG = ind_morphism(ictx, unit_FG)
-    t1 = counit_fg_at(ictx, indV.module, conductor) * F_unit_FG
+    t1 = counit_fg_at(ictx, indV) * ind_morphism(ictx, unit_FG)
     rep.add("triangle-FG-left", t1.is_identity(), anchor="adjunction")
-    t2 = counit_FG * unit_fg_at(ictx, resW, conductor)
+    t2 = counit_FG * unit_fg_at(ictx, resW)
     rep.add("triangle-FG-right", t2.is_identity(), anchor="adjunction")
 
     # triangles for G -| F (F = Ind right adjoint)
-    F_counit_GF = ind_morphism(ictx, counit_GF)
-    t3 = F_counit_GF * unit_gf_at(ictx, indV.module, conductor)
+    t3 = ind_morphism(ictx, counit_GF) * unit_gf_at(ictx, indV)
     rep.add("triangle-GF-left", t3.is_identity(), anchor="adjunction")
-    t4 = counit_gf_at(ictx, resW, conductor) * unit_GF
+    t4 = counit_gf_at(ictx, resW) * unit_GF
     rep.add("triangle-GF-right", t4.is_identity(), anchor="adjunction")
 
+    conductor = lcm(ictx.N, V.N, W.N)
     maps = {
-        "unit_GF": unit_GF,
-        "counit_GF": counit_GF,
-        "unit_FG": unit_FG,
-        "counit_FG": counit_FG,
+        "unit_GF": unit_GF.lift(conductor),
+        "counit_GF": counit_GF.lift(conductor),
+        "unit_FG": unit_FG.lift(conductor),
+        "counit_FG": counit_FG.lift(conductor),
     }
     return rep, maps
 
 
-def counit_fg_at(ictx, W, conductor):
+def counit_fg_at(ictx, W):
     """counit^{F -| G} at the H-module W: Ind Res W -> W, h_i x w -> h_i w."""
-    r = ictx.rank
     dW = W.dim
-    ctx = K.make_ctx(conductor)
-    out = [{} for _ in range(dW)]
-    for i, hi in enumerate(ictx.frob.free):
-        _add_block(ctx, out, W.action[hi].lift(conductor), range(dW), _at(i, dW))
-    return Matrix.from_sparse(conductor, r * dW, out)
+    return _assemble(W.N, dW, ictx.rank * dW, (
+        (range(dW), _at(i, dW), W.action[hi]) for i, hi in enumerate(ictx.frob.free)
+    ))
 
 
-def unit_fg_at(ictx, V, conductor):
-    """unit^{F -| G} at the K-module V: V -> Res Ind V, v -> 1 x v."""
-    incl = ictx.incl
-    dV = V.dim
-    ctx = K.make_ctx(conductor)
-    out = [{} for _ in range(ictx.rank * dV)]
-    for t, kv in enumerate(ictx.frob.right_decomp(incl.H.unit_vec())):
-        if kv:
-            _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), _at(t, dV), range(dV))
-    return Matrix.from_sparse(conductor, dV, out)
+def unit_fg_at(ictx, V):
+    """unit^{F -| G} at the K-module V: V -> Res Ind V, v -> 1 x v, i.e. iota_V(1)."""
+    return _insertion(ictx, V, [ictx.frob.right_decomp(ictx.incl.H.unit_vec())])
 
 
-def unit_gf_at(ictx, W, conductor):
-    """unit^{G -| F} at the H-module W: W -> Ind Res W, w -> sum_i delta_i x h_i w."""
-    incl = ictx.incl
-    r = ictx.rank
-    dW = W.dim
-    resW = restrict(incl, W)
-    ctx = K.make_ctx(conductor)
-    out = [{} for _ in range(r * dW)]
-    for i, hi in enumerate(ictx.frob.free):
-        for t, kv in enumerate(ictx.delta_parts(i)):
-            if kv:
-                blk = _act_K(resW, kv, conductor, incl.N) * W.action[hi]
-                _add_block(ctx, out, blk, _at(t, dW), range(dW))
-    return Matrix.from_sparse(conductor, dW, out)
+def unit_gf_at(ictx, W):
+    """unit^{G -| F} at the H-module W: W -> Ind Res W, w -> sum_i delta_i x h_i w,
+    i.e. [iota_{Res W}(delta_i)]_i times the actions of the h_i stacked."""
+    r, dW = ictx.rank, W.dim
+    stacked = _assemble(W.N, r * dW, dW, (
+        (_at(i, dW), range(dW), W.action[hi]) for i, hi in enumerate(ictx.frob.free)
+    ))
+    resW = restrict(ictx.incl, W)
+    return _insertion(ictx, resW, [ictx.delta_parts(i) for i in range(r)]) * stacked
 
 
-def counit_gf_at(ictx, V, conductor):
+def counit_gf_at(ictx, V):
     """counit^{G -| F} at the K-module V: Res Ind V -> V, h_i x v -> tr(h_i) v."""
-    incl = ictx.incl
-    r = ictx.rank
-    dV = V.dim
-    ctx = K.make_ctx(conductor)
-    out = [{} for _ in range(dV)]
-    for i in range(r):
-        kv = ictx.frob.tr_vec(ictx.free_vec(i))
-        _add_block(ctx, out, _act_K(V, kv, conductor, incl.N), range(dV), _at(i, dV))
-    return Matrix.from_sparse(conductor, r * dV, out)
+    return _k_blocks(ictx, V, (1, ictx.rank), (
+        (0, i, ictx.frob.tr_vec(ictx.free_vec(i))) for i in range(ictx.rank)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -430,89 +377,67 @@ def counit_gf_at(ictx, V, conductor):
 def lax_pair(ictx, V, U):
     """lax_{V,U}: Ind V x Ind U -> Ind(V x U) and lax_0: 1 -> Ind(1).
 
-    (h_i x v) x (h_j x u) -> sum_{l,t} h_t x kv_{l,t} . sigma_{l,i,j} . (v x u),
-    where delta_l = sum_t h_t kv_{l,t}; only the action of the context's
-    sigma table on V x U is formed here."""
+    (h_i x v) x (h_j x u) -> sum_l delta_l x sigma_{l,i,j} . (v x u), so
+    lax_{V,U} = [iota_{V x U}(delta_l)]_l times the context's sigma table
+    acting on V x U, laid out as one row of blocks per l."""
     memo = ("lax", V.key(), U.key())
     got = ictx._cache.get(memo)
     if got is not None:
         return got
-    incl = ictx.incl
-    r, m = ictx.rank, incl.K.dim
+    r, m, N = ictx.rank, ictx.incl.K.dim, ictx.N
     dV, dU = V.dim, U.dim
     d = dV * dU
-    conductor = lcm(_conductor_for(ictx, V), U.N)
-    ctx = K.make_ctx(conductor)
+    conductor = lcm(N, V.N, U.N)
     VU = ictx.tensor(V, U)
     kron = {}
-    # per l, the rows of one matrix holding each sigma_{l,i,j} acting on V x U
-    # at the columns of (i, j)
-    sig_rows = [[{} for _ in range(d)] for _ in range(r)]
+    # block row l holds each sigma_{l,i,j} acting on V x U at the columns of (i, j)
+    blocks = []
     for l, i, j, sig in ictx.sigma():
         for x in sig:
             if x not in kron:
                 kron[x] = V.action[x // m].kron(U.action[x % m])
         mat = Matrix.lincomb(
-            d, d, conductor, ((kron[x], Cyclotomic(incl.N, c)) for x, c in sig.items())
+            d, d, conductor, ((kron[x], Cyclotomic(N, c)) for x, c in sig.items())
         )
-        cmap = _pair_map(i, dV, j, dU, r)
-        for row, mrow in zip(sig_rows[l], mat.srows):
-            for a, v in mrow.items():
-                row[cmap[a]] = v
-    out = [{} for _ in range(r * d)]
-    for l, rows in enumerate(sig_rows):
-        if not any(rows):
-            continue
-        S = Matrix.from_sparse(conductor, r * d * r, rows)
-        for t, kv in enumerate(ictx.delta_parts(l)):
-            if kv:
-                blk = _act_K(VU, kv, conductor, incl.N) * S
-                _add_block(ctx, out, blk, _at(t, d), range(S.cols))
-    lax = Matrix.from_sparse(conductor, (r * dV) * (r * dU), out)
+        blocks.append((_at(l, d), _pair_map(i, dV, j, dU, r), mat))
+    sigma = _assemble(conductor, r * d, r * d * r, blocks)
+    lax = _insertion(ictx, VU, [ictx.delta_parts(l) for l in range(r)]) * sigma
     got = ictx._cache[memo] = (lax, ictx.unit_maps()[0].lift(conductor))
     return got
-
-
-def _part_actions(ictx, M, q, conductor):
-    """(t, action on M of the t-th part of e_q) over the nonzero parts of e_q."""
-    return [
-        (t, _act_K(M, kv, conductor, ictx.N))
-        for t, kv in enumerate(ictx.basis_parts(q)) if kv
-    ]
 
 
 def oplax_pair(ictx, V, U):
     """oplax_{V,U}: Ind(V x U) -> Ind V x Ind U and oplax_0: Ind(1) -> 1.
 
-    h_i x (v x u) -> sum over Delta(h_i) of (h_i(1) x v) x (h_i(2) x u), each
-    leg rewritten on the free basis through the parts of e_p, scaled by the
-    coefficient of the term (``Decomposer`` is linear)."""
+    h_i x (v x u) -> sum over Delta(h_i) = sum s e_p x e_q of
+    s iota_V(e_p) v x iota_U(e_q) u, formed block by block: block t of
+    iota_V(e_p) is the action of the t-th part of e_p."""
     memo = ("oplax", V.key(), U.key())
     got = ictx._cache.get(memo)
     if got is not None:
         return got
-    incl = ictx.incl
-    H = incl.H
-    r = ictx.rank
-    n = H.dim
+    r, N = ictx.rank, ictx.N
     dV, dU = V.dim, U.dim
-    conductor = lcm(_conductor_for(ictx, V), U.N)
-    ctx = K.make_ctx(conductor)
-    actV, actU = {}, {}
-    out = [{} for _ in range((r * dV) * (r * dU))]
-    for i in range(r):
-        hi = ictx.frob.free[i]
-        for x, s in H.comult[hi]:
-            p, q = divmod(x, n)
-            if p not in actV:
-                actV[p] = _part_actions(ictx, V, p, conductor)
-            if q not in actU:
-                actU[q] = _part_actions(ictx, U, q, conductor)
-            for t, A in actV[p]:
-                As = A.scale(Cyclotomic(incl.N, s))
-                for u, B in actU[q]:
-                    _add_block(ctx, out, As.kron(B), _pair_map(t, dV, u, dU, r), _at(i, dV * dU))
-    oplax = Matrix.from_sparse(conductor, r * dV * dU, out)
+    conductor = lcm(N, V.N, U.N)
+    terms = ictx.comult_terms()
+
+    def blocks_of(M, ps):
+        # the nonzero blocks (t, action of k_t) of iota_M(e_p), e_p = sum_t h_t k_t
+        return {
+            p: [(t, M.act_alg_vec(k, N)) for t, k in enumerate(ictx.basis_parts(p)) if k]
+            for p in ps
+        }
+
+    legV = blocks_of(V, {p for _, p, _, _ in terms})
+    legU = blocks_of(U, {q for _, _, q, _ in terms})
+    blocks = []
+    for i, p, q, s in terms:
+        for t, A in legV[p]:
+            As = A.scale(Cyclotomic(N, s))
+            blocks.extend(
+                (_pair_map(t, dV, u, dU, r), _at(i, dV * dU), As.kron(B)) for u, B in legU[q]
+            )
+    oplax = _assemble(conductor, (r * dV) * (r * dU), r * dV * dU, blocks)
     got = ictx._cache[memo] = (oplax, ictx.unit_maps()[1].lift(conductor))
     return got
 
@@ -632,13 +557,17 @@ def is_separable_functor(ictx, pairs, verify_witness=True):
 
 
 class ProjectionMorphisms:
-    __slots__ = ("lproj_GF", "lproj_FG", "rproj_GF", "rproj_FG", "report")
+    __slots__ = (
+        "lproj_GF", "lproj_FG", "rproj_GF", "rproj_FG", "lproj_FG_inv", "rproj_FG_inv", "report"
+    )
 
-    def __init__(self, lproj_GF, lproj_FG, rproj_GF, rproj_FG, report):
+    def __init__(self, lproj_GF, lproj_FG, rproj_GF, rproj_FG, lproj_FG_inv, rproj_FG_inv, report):
         self.lproj_GF = lproj_GF
         self.lproj_FG = lproj_FG
         self.rproj_GF = rproj_GF
         self.rproj_FG = rproj_FG
+        self.lproj_FG_inv = lproj_FG_inv
+        self.rproj_FG_inv = rproj_FG_inv
         self.report = report
 
 
@@ -654,22 +583,21 @@ def projection_morphisms(ictx, W, V):
     - rproj^{F-|G} = (id_{Ind V} x counit^{F-|G}_W) oplax_{V,Res W}.
 
     Checks mutual invertibility of each pair and the closed-form inverses
-    built from the antipode and its inverse.
+    built from the antipode and its inverse, returned as ``lproj_FG_inv``
+    and ``rproj_FG_inv``.
     """
     incl = ictx.incl
     H = incl.H
     r = ictx.rank
-    n = H.dim
     dW, dV = W.dim, V.dim
-    conductor = lcm(_conductor_for(ictx, V), W.N)
-    ctx = K.make_ctx(conductor)
+    conductor = lcm(ictx.N, V.N, W.N)
     resW = restrict(incl, W)
     resWV = ictx.tensor(resW, V)
     VresW = ictx.tensor(V, resW)
     rep = Report("projection-morphisms")
 
-    unit = unit_gf_at(ictx, W, conductor)
-    counit = counit_fg_at(ictx, W, conductor)
+    unit = unit_gf_at(ictx, W)
+    counit = counit_fg_at(ictx, W)
     idIndV = Matrix.identity(r * dV)
     lproj_GF = lax_pair(ictx, resW, V)[0] * unit.kron(idIndV)
     lproj_FG = counit.kron(idIndV) * oplax_pair(ictx, resW, V)[0]
@@ -686,56 +614,38 @@ def projection_morphisms(ictx, W, V):
         anchor="projection-formula",
     )
 
-    # closed-form inverses via the (inverse) antipode; column p of S^-1 and S
-    # gives the coordinates of S^-1(e_p) and S(e_p)
-    Sinv_cols = antipode_inverse(H).lift(conductor).transpose().srows
-    S_cols = H.antipode_matrix().lift(conductor).transpose().srows
+    # closed-form inverses via the (inverse) antipode, summed over
+    # Delta(h_i) = sum s e_p x e_q; column p of S^-1 and S gives the
+    # coordinates of S^-1(e_p) and S(e_p).  iota(e_q) and the action of
+    # S^-1(e_p) (resp. iota(e_p) and the action of S(e_q)) are formed once.
+    terms = ictx.comult_terms()
+    ps, qs = {p for _, p, _, _ in terms}, {q for _, _, q, _ in terms}
+    Sinv, S = antipode_inverse(H).transpose().srows, H.antipode_matrix().transpose().srows
+    SinvW = {p: W.act_alg_vec(Sinv[p], H.N) for p in ps}
+    SW = {q: W.act_alg_vec(S[q], H.N) for q in qs}
+    iota_WV = {q: _insertion(ictx, resWV, [ictx.basis_parts(q)]) for q in qs}
+    iota_VW = {p: _insertion(ictx, VresW, [ictx.basis_parts(p)]) for p in ps}
     idV = Matrix.identity(dV)
-    SinvW = [None] * n
-    SW = [None] * n
+    every_row = range(r * dW * dV)
 
-    # h_(2) x (S^-1(h_(1)) w x v): S^-1(h_(1)) acts on the W leg of each column
-    out = [{} for _ in range(r * dW * dV)]
-    for i in range(r):
-        hi = ictx.frob.free[i]
-        cmap = _pair_map(0, dW, i, dV, r)
-        for x, s in H.comult[hi]:
-            p, q = divmod(x, n)
-            if SinvW[p] is None:
-                SinvW[p] = Matrix.lincomb(
-                    dW, dW, conductor,
-                    ((W.action[t], Cyclotomic(conductor, c)) for t, c in Sinv_cols[p].items()),
-                )
-            Wp_id = SinvW[p].scale(Cyclotomic(incl.N, s)).kron(idV)
-            for t, kv in enumerate(ictx.basis_parts(q)):
-                if kv:
-                    blk = _act_K(resWV, kv, conductor, incl.N) * Wp_id
-                    _add_block(ctx, out, blk, _at(t, dW * dV), cmap)
-    lproj_FG_inv = Matrix.from_sparse(conductor, dW * (r * dV), out)
+    # w x (h_i x v) -> h_(2) x (S^-1(h_(1)) w x v)
+    lproj_FG_inv = _assemble(conductor, r * dW * dV, dW * (r * dV), (
+        (every_row, _pair_map(0, dW, i, dV, r),
+         iota_WV[q] * SinvW[p].scale(Cyclotomic(ictx.N, s)).kron(idV))
+        for i, p, q, s in terms
+    ))
     rep.add(
         "lproj-closed-form-inverse",
         (lproj_FG * lproj_FG_inv).is_identity() and (lproj_FG_inv * lproj_FG).is_identity(),
         anchor="projection-inverses",
     )
 
-    # h_(1) x (v x S(h_(2)) w): S(h_(2)) acts on the W leg of each column
-    out = [{} for _ in range(r * dV * dW)]
-    for i in range(r):
-        hi = ictx.frob.free[i]
-        cmap = _pair_map(i, dV, 0, dW, 1)
-        for x, s in H.comult[hi]:
-            p, q = divmod(x, n)
-            if SW[q] is None:
-                SW[q] = Matrix.lincomb(
-                    dW, dW, conductor,
-                    ((W.action[t], Cyclotomic(conductor, c)) for t, c in S_cols[q].items()),
-                )
-            id_Wq = idV.kron(SW[q].scale(Cyclotomic(incl.N, s)))
-            for t, kv in enumerate(ictx.basis_parts(p)):
-                if kv:
-                    blk = _act_K(VresW, kv, conductor, incl.N) * id_Wq
-                    _add_block(ctx, out, blk, _at(t, dV * dW), cmap)
-    rproj_FG_inv = Matrix.from_sparse(conductor, (r * dV) * dW, out)
+    # (h_i x v) x w -> h_(1) x (v x S(h_(2)) w)
+    rproj_FG_inv = _assemble(conductor, r * dV * dW, (r * dV) * dW, (
+        (every_row, _pair_map(i, dV, 0, dW, 1),
+         iota_VW[p] * idV.kron(SW[q].scale(Cyclotomic(ictx.N, s))))
+        for i, p, q, s in terms
+    ))
     rep.add(
         "rproj-closed-form-inverse",
         (rproj_FG * rproj_FG_inv).is_identity() and (rproj_FG_inv * rproj_FG).is_identity(),
@@ -748,4 +658,6 @@ def projection_morphisms(ictx, W, V):
             left_inv == ictx.central,
             anchor="central-frobenius",
         )
-    return ProjectionMorphisms(lproj_GF, lproj_FG, rproj_GF, rproj_FG, rep)
+    return ProjectionMorphisms(
+        lproj_GF, lproj_FG, rproj_GF, rproj_FG, lproj_FG_inv, rproj_FG_inv, rep
+    )

@@ -61,11 +61,12 @@ class HModule:
             self._key = (self.H.name, self.N, tuple(a.key() for a in self.action))
         return self._key
 
-    def act_alg_vec(self, hvec):
-        """Action matrix of a sparse algebra vector {index: raw}."""
+    def act_alg_vec(self, hvec, N):
+        """Action matrix of a sparse algebra vector {index: raw} whose raw
+        scalars are written at conductor N, over Q(zeta_lcm(self.N, N))."""
         return Matrix.lincomb(
-            self.dim, self.dim, self.N,
-            ((self.action[i], Cyclotomic(self.N, c)) for i, c in hvec.items()),
+            self.dim, self.dim, lcm(self.N, N),
+            ((self.action[i], Cyclotomic(N, c)) for i, c in hvec.items()),
         )
 
     def __eq__(self, other):
@@ -143,7 +144,7 @@ def verify_module(M):
     H = M.H
     rep = Report("verify-module %s" % M.name)
     ident = Matrix.identity(M.dim, M.N)
-    unital = M.act_alg_vec(H.unit_vec()) == ident
+    unital = M.act_alg_vec(H.unit_vec(), H.N) == ident
     rep.add("unit-acts-as-identity", unital, anchor="module-axioms")
     lefts = algebra_generators(H) if H.proven and unital else None
     w = _first_defect(_action_defect, lefts, M)

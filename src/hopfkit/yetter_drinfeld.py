@@ -6,7 +6,7 @@ from math import lcm
 from . import _kernel as K
 from .errors import PipelineError, ShapeError
 from .exact_math import Matrix, _add
-from .induction import _act_K, induce, ind_morphism, lax_pair, oplax_pair
+from .induction import _insertion, induce, ind_morphism, lax_pair, oplax_pair
 from .module_theory import HModule, ModuleMap, tensor_modules
 from .reports import Report
 
@@ -251,14 +251,14 @@ def z_induce(ictx, M):
     incl = ictx.incl
     r = ictx.rank
     ind = induce(ictx, M.module)
-    H = ind.module.H
-    conductor = ind.module.N
+    H = ind.H
+    conductor = ind.N
     ctx = K.make_ctx(conductor)
     d = M.dim
     dim = r * d
     coact = M.coaction.lift(conductor).transpose().srows
     embed = incl.embed.lift(conductor).transpose().srows
-    parts = {}
+    iota = {}
     rows = [{} for _ in range(H.dim * dim)]
     for i in range(r):
         hi = ictx.frob.free[i]
@@ -268,19 +268,17 @@ def z_induce(ictx, M):
                 for j, e in embed[g].items():
                     ev = K.s_mul(ctx, e, v)
                     for (k, q), tw in H.yd_twist(hi, j):
-                        blocks = parts.get(q)
-                        if blocks is None:
-                            # e_q = sum_t h_t k_t: the columns of each k_t acting on M
-                            blocks = parts[q] = [
-                                (t, _act_K(M.module, kv, conductor, incl.N).transpose().srows)
-                                for t, kv in enumerate(ictx.basis_parts(q)) if kv
-                            ]
+                        cols = iota.get(q)
+                        if cols is None:
+                            # the columns of iota_M(e_q): v -> e_q (x)_K v
+                            cols = iota[q] = _insertion(
+                                ictx, M.module, [ictx.basis_parts(q)]
+                            ).transpose().srows
                         c = K.s_mul(ctx, tw, ev)
-                        for t, cols in blocks:
-                            for b, w in cols[a0].items():
-                                _add(ctx, rows[k * dim + t * d + b], i * d + a, K.s_mul(ctx, c, w))
+                        for tb, w in cols[a0].items():
+                            _add(ctx, rows[k * dim + tb], i * d + a, K.s_mul(ctx, c, w))
     coaction = Matrix.from_sparse(conductor, dim, rows)
-    out = YDModule(ind.module, coaction, name="ZInd(%s)" % M.name)
+    out = YDModule(ind, coaction, name="ZInd(%s)" % M.name)
     rep = verify_yd(out)
     if not rep.ok:
         raise PipelineError("z_induce output failed YD verification: %r" % rep.failures())
@@ -324,7 +322,7 @@ def verify_braided_frobenius(ictx, M, N_mod):
     # functor-level compatibility: the module part of z_induce equals induce
     rep.add(
         "module-part-matches-induce",
-        FM.module == induce(ictx, M.module).module,
+        FM.module == induce(ictx, M.module),
         anchor="zind-underlying",
     )
     return rep

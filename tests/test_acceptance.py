@@ -97,7 +97,7 @@ def test_criterion_02_h8_decomposition_list(h8, h8_ictx):
     ]
     for sig, target in pairs:
         ind = induce(h8_ictx, kchar(Kk, *sig))
-        iso = is_isomorphic(ind.module, target)
+        iso = is_isomorphic(ind, target)
         assert iso.status == "iso", sig
         assert iso.map.is_invertible() and iso.map.intertwines()
     elapsed = time.monotonic() - t0
@@ -277,7 +277,7 @@ def test_criterion_07_drinfeld_doubles(h8_incl):
         assert ana.central is True
         # both projection pairs are mutually inverse
         ictx = InductionContext(incl, ana.frob, central=ana.central)
-        W = induce(ictx, trivial_module(H)).module
+        W = induce(ictx, trivial_module(H))
         V = trivial_module(H)
         pm = projection_morphisms(ictx, W, V)
         assert pm.report.ok, pm.report.failures()
@@ -376,10 +376,10 @@ def test_criterion_11_scale_robustness(h8, h8_incl, h8_ictx):
     # criterion 2 outcomes unchanged
     i = root_of_unity(4)
     Kk = h8_incl.K
-    assert is_isomorphic(induce(ictx7, kchar(Kk, 1, -1)).module, h8_v2(h8)).status == "iso"
+    assert is_isomorphic(induce(ictx7, kchar(Kk, 1, -1)), h8_v2(h8)).status == "iso"
     assert (
         is_isomorphic(
-            induce(ictx7, kchar(Kk, -1, -1)).module, direct_sum(h8_v1(h8, i), h8_v1(h8, -i))
+            induce(ictx7, kchar(Kk, -1, -1)), direct_sum(h8_v1(h8, i), h8_v1(h8, -i))
         ).status
         == "iso"
     )

@@ -6,14 +6,10 @@ import pytest
 from conftest import h8_v1, h8_v2, kchar
 from hopfkit import _kernel as K
 from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, klein_table, trivial_hopf
-from hopfkit.exact_math import Cyclotomic, Matrix, _scale, _tensor, root_of_unity
+from hopfkit.exact_math import Cyclotomic, Matrix, _add, _scale, _tensor, root_of_unity
 from hopfkit.extension import rescale_frobenius_data, trivial_inclusion, unit_inclusion
 from hopfkit.induction import (
     InductionContext,
-    _act_K,
-    _add_block,
-    _at,
-    _pair_map,
     adjunction_maps,
     coinduce,
     induce,
@@ -45,44 +41,44 @@ def kmods(h8_incl):
 def test_induce_verifies_and_decomposes(h8, h8_ictx, kmods):
     i = root_of_unity(4)
     ind = induce(h8_ictx, kmods[(1, 1)])
-    assert verify_module(ind.module).ok
+    assert verify_module(ind).ok
     assert ind.dim == 2
-    assert is_isomorphic(ind.module, direct_sum(h8_v1(h8, 1), h8_v1(h8, -1))).status == "iso"
-    assert is_isomorphic(induce(h8_ictx, kmods[(1, -1)]).module, h8_v2(h8)).status == "iso"
-    assert is_isomorphic(induce(h8_ictx, kmods[(-1, 1)]).module, h8_v2(h8)).status == "iso"
+    assert is_isomorphic(ind, direct_sum(h8_v1(h8, 1), h8_v1(h8, -1))).status == "iso"
+    assert is_isomorphic(induce(h8_ictx, kmods[(1, -1)]), h8_v2(h8)).status == "iso"
+    assert is_isomorphic(induce(h8_ictx, kmods[(-1, 1)]), h8_v2(h8)).status == "iso"
     assert (
-        is_isomorphic(induce(h8_ictx, kmods[(-1, -1)]).module, direct_sum(h8_v1(h8, i), h8_v1(h8, -i))).status
+        is_isomorphic(induce(h8_ictx, kmods[(-1, -1)]), direct_sum(h8_v1(h8, i), h8_v1(h8, -i))).status
         == "iso"
     )
 
 
 def test_hom_dim_ind_to_v2(h8, h8_ictx, kmods):
     ind = induce(h8_ictx, kmods[(1, -1)])
-    assert len(hom_space(ind.module, h8_v2(h8))) == 1
+    assert len(hom_space(ind, h8_v2(h8))) == 1
 
 
 def test_induce_trivial_inclusion_is_identity(h8):
     ictx = induction_context(trivial_inclusion(h8))
     V = h8_v2(h8)  # any H-module is a K-module here
     ind = induce(ictx, V)
-    assert ind.module.action == V.action
+    assert ind.action == V.action
 
 
 def test_induce_from_ground_field_is_regular(h8):
     ictx = induction_context(unit_inclusion(h8, trivial_hopf()))
     ind = induce(ictx, trivial_module(ictx.incl.K))
     assert ind.dim == 8
-    assert verify_module(ind.module).ok
+    assert verify_module(ind).ok
     # the regular module: action of e_i in the free-basis coordinates
     # is conjugate to left multiplication; check dimension + faithfulness via rank
     for i in range(8):
-        assert ind.module.action[i].rank() == 8
+        assert ind.action[i].rank() == 8
 
 
 def test_coinduce_and_theta(h8_ictx, kmods):
     for s, V in kmods.items():
         ind, coind, th, thinv = theta_iso(h8_ictx, V)
-        assert verify_module(coind.module).ok
+        assert verify_module(coind).ok
         assert th.intertwines()
 
 
@@ -274,6 +270,28 @@ def test_rescaled_context_has_its_own_cache(h8_incl):
 # ---------------------------------------------------------------------------
 
 
+def _act(M, kvec, N):
+    """The action on M of a sparse K-vector whose scalars are written at N."""
+    terms = ((M.action[b], Cyclotomic(N, c)) for b, c in kvec.items())
+    return Matrix.lincomb(M.dim, M.dim, lcm(M.N, N), terms)
+
+
+def _place(ctx, out, blk, rows, cols):
+    """out[rows[b]][cols[a]] += blk[b][a] over the nonzero entries of blk."""
+    for b, row in enumerate(blk.srows):
+        for a, v in row.items():
+            _add(ctx, out[rows[b]], cols[a], v)
+
+
+def _block(t, d):
+    return range(t * d, (t + 1) * d)
+
+
+def _pairs(i, dV, j, dU, rU):
+    """The indices of (i*dV + a) x (j*dU + b) in Ind V x Ind U, rU = rank."""
+    return [(i * dV + a) * (rU * dU) + j * dU + b for a in range(dV) for b in range(dU)]
+
+
 def _reference_lax(ictx, V, U):
     """lax_{V,U} and lax_0 as built per pair: sigma_{l,i,j} summed over
     Delta(h_l) for every (l, i, j), with tr(e_p h_i) formed on the spot."""
@@ -306,8 +324,8 @@ def _reference_lax(ictx, V, U):
                 )
                 for t, kv in enumerate(parts):
                     if kv:
-                        blk = _act_K(VU, kv, conductor, incl.N) * mat
-                        _add_block(ctx, out, blk, _at(t, dV * dU), _pair_map(i, dV, j, dU, r))
+                        blk = _act(VU, kv, incl.N) * mat
+                        _place(ctx, out, blk, _block(t, dV * dU), _pairs(i, dV, j, dU, r))
     lax = Matrix.from_sparse(conductor, (r * dV) * (r * dU), out)
     w = {}
     for i in range(r):
@@ -341,8 +359,8 @@ def _reference_oplax(ictx, V, U):
                     continue
                 for u, kvq in enumerate(frob.right_decomp({q: one})):
                     if kvq:
-                        blk = _act_K(V, kvp, conductor, incl.N).kron(_act_K(U, kvq, conductor, incl.N))
-                        _add_block(ctx, out, blk, _pair_map(t, dV, u, dU, r), _at(i, dV * dU))
+                        blk = _act(V, kvp, incl.N).kron(_act(U, kvq, incl.N))
+                        _place(ctx, out, blk, _pairs(t, dV, u, dU, r), _block(i, dV * dU))
     oplax = Matrix.from_sparse(conductor, r * dV * dU, out)
     oplax0 = Matrix(incl.N, [[H.counit[t] for t in frob.free]]).lift(conductor)
     return oplax, oplax0
@@ -467,25 +485,104 @@ PROJECTION_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PROJECTION_DIGESTS))
-def test_projection_maps_match_the_recorded_digests(case, uq3):
+def _projection_case(case, uq3):
+    """(ictx, W, V) of the recorded digests."""
     if case == "uq3-cartan":
         # W = Ind(chi1) is not central: the lproj pair is not inverse, so
         # no invertibility check constrains lproj^{G-|F} there
         ictx = induction_context(uq3.cartan())
         chi1 = _zeta_chars(ictx.incl.K, 3)[1]
-        W, V = induce(ictx, chi1).module, chi1
-    else:
-        incl = drinfeld_double(group_algebra(cyclic_table(3), name="kC3"))[1]
-        ictx = induction_context(incl)
-        W = induce(ictx, trivial_module(incl.K)).module
-        V = _at_conductor(_zeta_chars(incl.K, 3)[1], 12)
+        return ictx, induce(ictx, chi1), chi1
+    incl = drinfeld_double(group_algebra(cyclic_table(3), name="kC3"))[1]
+    ictx = induction_context(incl)
+    return ictx, induce(ictx, trivial_module(incl.K)), _at_conductor(_zeta_chars(incl.K, 3)[1], 12)
+
+
+@pytest.mark.parametrize("case", sorted(PROJECTION_DIGESTS))
+def test_projection_maps_match_the_recorded_digests(case, uq3):
+    ictx, W, V = _projection_case(case, uq3)
     pm = projection_morphisms(ictx, W, V)
     got = [_digest(m) for m in (pm.lproj_GF, pm.lproj_FG, pm.rproj_GF, pm.rproj_FG)]
     assert got == PROJECTION_DIGESTS[case]
     rep = pm.report
     assert rep["lproj-pair-mutually-inverse"].status == ("pass" if ictx.central else "fail")
     assert all(c.ok for c in rep.checks if c.name != "lproj-pair-mutually-inverse"), rep.failures()
+
+
+# (N, key()) digests of the other structure maps on the same cases, recorded
+# from the per-map block loops the insertion map replaced: Ind V and CoInd V
+# (all action matrices), theta and theta^-1, the four adjunction maps at
+# (V, W), the closed-form inverses of lproj^{F-|G} and rproj^{F-|G}, and, on
+# the central kC3 < D(kC3), the coaction of ZInd(M) for a zeta_3 character
+# M of degree g1, written over Q(zeta_3) and over Q(zeta_12)
+STRUCTURE_DIGESTS = {
+    "uq3-cartan": {
+        "induce": "175d0f22d9ae1b26", "coinduce": "15a5c32953a14ad9",
+        "theta": "eb935f375210f05b", "theta_inv": "87bbfb4d9a5aa411",
+        "unit_GF": "25f3686d895c985b", "counit_GF": "92edc28e91394ed9",
+        "unit_FG": "e13e30f5ee20dd01", "counit_FG": "972ce07d6b95a51f",
+        "lproj_FG_inv": "18ef467bce9a7e37", "rproj_FG_inv": "201c9f7d34f8349d",
+    },
+    "kC3<D(kC3)": {
+        "W": "dbb57d664e78d8a9",
+        "induce": "3860562995c279e3", "coinduce": "3860562995c279e3",
+        "theta": "4a47d3bc2cdd79ee", "theta_inv": "4a47d3bc2cdd79ee",
+        "unit_GF": "cc7d137c0d0609b2", "counit_GF": "148075ca647390af",
+        "unit_FG": "13b814f085138d09", "counit_FG": "61fd02a3bf0229e3",
+        "lproj_FG_inv": "720480777fc7850f", "rproj_FG_inv": "22a0bac94b82ba67",
+        "zind": "891aabaf2c41e629", "zind12": "48db477b2e1a108a",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_DIGESTS))
+def test_structure_maps_match_the_recorded_digests(case, uq3):
+    from hopfkit.cli import resolve_module
+    from hopfkit.yetter_drinfeld import YDModule, z_induce
+
+    ictx, W, V = _projection_case(case, uq3)
+    got = {"induce": _digest(induce(ictx, V)), "coinduce": _digest(coinduce(ictx, V))}
+    if case != "uq3-cartan":  # there W is Ind V
+        got["W"] = _digest(W)
+    _, _, th, thinv = theta_iso(ictx, V)
+    got["theta"], got["theta_inv"] = _digest(th.matrix), _digest(thinv.matrix)
+    rep, maps = adjunction_maps(ictx, V, W)
+    assert rep.ok, rep.failures()
+    got.update((name, _digest(m)) for name, m in maps.items())
+    pm = projection_morphisms(ictx, W, V)
+    got["lproj_FG_inv"], got["rproj_FG_inv"] = _digest(pm.lproj_FG_inv), _digest(pm.rproj_FG_inv)
+    if ictx.central:
+        M = resolve_module("builtin:kchar?act=1,z,z^2&deg=g1&cond=3", ictx.incl.K)
+        got["zind"] = _digest(z_induce(ictx, M).coaction)
+        M12 = YDModule(_at_conductor(M.module, 12), M.coaction, name=M.name)
+        got["zind12"] = _digest(z_induce(ictx, M12).coaction)
+    assert got == STRUCTURE_DIGESTS[case]
+
+
+def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkeypatch):
+    # the closed-form inverses read iota(e_q) for each q of a Delta-term, and
+    # form the action of each nonzero part of e_q once, not once per term
+    ictx, W, V = _projection_case("uq3-cartan", uq3)
+    projection_morphisms(ictx, W, V)  # the lax/oplax pairs are cached now
+    acted = []
+    real = HModule.act_alg_vec
+
+    def counted(self, hvec, N):
+        acted.append(self.name)
+        return real(self, hvec, N)
+
+    monkeypatch.setattr(HModule, "act_alg_vec", counted)
+    projection_morphisms(ictx, W, V)
+    terms = ictx.comult_terms()
+
+    def nparts(xs):
+        return sum(1 for x in xs for k in ictx.basis_parts(x) if k)
+
+    lefts, rights = [p for _, p, _, _ in terms], [q for _, _, q, _ in terms]
+    assert acted.count("Res(Ind(chi1))(x)chi1") == nparts(set(rights))
+    assert acted.count("chi1(x)Res(Ind(chi1))") == nparts(set(lefts))
+    # once per Delta-term and part would be more
+    assert nparts(rights) > nparts(set(rights)) and nparts(lefts) > nparts(set(lefts))
 
 
 def test_structure_maps_accept_modules_over_a_larger_field(h8, h8_ictx, kmods):

@@ -1,0 +1,98 @@
+"""No dead code in ``src/hopfkit``: every module-level import is used in its
+module, and every private module-level def or class is referenced somewhere
+in the package.  Package ``__init__`` files re-export what they import, so
+their imports count as used."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hopfkit"
+
+# (module, name) of private defs that nothing in the package references, with
+# the reason each stays
+ALLOWED_UNREFERENCED = {
+    ("cli", "_jobs"): "hopfbench/run.py imports it and test_benchmark_names.py pins it",
+}
+
+
+def _modules():
+    """{dotted name below hopfkit: parsed module} for every source file."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        name = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        out[name] = ast.parse(path.read_text(), filename=str(path))
+    return out
+
+
+def _bound_names(node):
+    """The names a module-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [a.asname or a.name.split(".")[0] for a in node.names]
+
+
+def _loaded_names(tree, skip=None):
+    """Every Name, Attribute attribute and from-imported name in tree, outside
+    the subtree skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _dunder_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__" or name.endswith(".__init__"):
+            continue
+        imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+        used = set()
+        for node in tree.body:
+            if node not in imports:
+                used |= _loaded_names(node)
+        used |= _dunder_all(tree)
+        unused += [(name, b) for n in imports for b in _bound_names(n) if b not in used]
+    assert unused == []
+
+
+def test_every_private_module_level_def_is_referenced():
+    modules = _modules()
+    unreferenced = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            private = node.name.startswith("_") and not node.name.startswith("__")
+            if not private or (name, node.name) in ALLOWED_UNREFERENCED:
+                continue
+            if not any(node.name in _loaded_names(t, skip=node) for t in modules.values()):
+                unreferenced.append((name, node.name))
+    assert unreferenced == []
+
+
+def test_allow_list_names_only_private_defs_that_exist():
+    modules = _modules()
+    for name, attr in ALLOWED_UNREFERENCED:
+        assert any(
+            isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == attr
+            for n in modules[name].body
+        ), (name, attr)

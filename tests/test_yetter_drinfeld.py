@@ -147,7 +147,7 @@ def test_z_induce_refuses_non_central():
 def test_z_induce_module_part_is_induce(h8_ictx):
     L = kline(h8_ictx.incl.K, "x", -1, 1)
     Z = z_induce(h8_ictx, L)
-    assert Z.module.action == induce(h8_ictx, L.module).module.action
+    assert Z.module.action == induce(h8_ictx, L.module).action
 
 
 def test_braided_frobenius_pairs(h8_ictx):
@@ -235,12 +235,12 @@ def _reference_zind_coaction(ictx, M):
     """The coaction of ZInd(M), evaluating h_1 g S(h_3) for every Delta^2 term,
     coaction term and K-part of h_2 anew (no twist table)."""
     from hopfkit import _kernel as K
-    from hopfkit.induction import _act_K
+    from hopfkit.exact_math import Cyclotomic
 
     incl = ictx.incl
     ind = induce(ictx, M.module)
-    H = ind.module.H
-    conductor = ind.module.N
+    H = ind.H
+    conductor = ind.N
     ctx = K.make_ctx(conductor)
     d, r, n = M.dim, ictx.rank, H.dim
     dim = r * d
@@ -256,7 +256,9 @@ def _reference_zind_coaction(ictx, M):
                     for t, kv in enumerate(ictx.basis_parts(q)):
                         if not kv:
                             continue
-                        blk = _act_K(M.module, kv, conductor, incl.N)
+                        blk = Matrix.lincomb(d, d, conductor, (
+                            (M.module.action[b], Cyclotomic(incl.N, c)) for b, c in kv.items()
+                        ))
                         for b, w in blk.col(a0).items():
                             for hu, cu in u.items():
                                 val = K.s_mul(ctx, K.s_mul(ctx, cu, v), w)
