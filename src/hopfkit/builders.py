@@ -11,7 +11,8 @@ tensor-square algebra.  verify_hopf then certifies the result.
 Each constructor builds a Hopf algebra by construction, so it marks its
 result ``proven`` (see ``hopf_core``); ``group_algebra`` first proves its
 table associative in ``_check_group``, and ``drinfeld_double`` passes the bit
-on from its input.  The tests run verify_hopf on every catalogue algebra.
+on from its input.  The inclusions they build are marked ``proven`` too, when
+both of their algebras are.  The tests run verify_hopf on every catalogue algebra.
 """
 
 from fractions import Fraction
@@ -191,7 +192,7 @@ def kac_paljutkin():
     H8 = FinHopf.from_tensors("H8", _H8_LABELS, mult, unit, comult, counit, S, proven=True)
 
     Kk, embed = subhopf_from_basis(H8, [0, 1, 2, 4], name="kK")
-    return H8, HopfInclusion(Kk, H8, embed)
+    return H8, HopfInclusion(Kk, H8, embed, proven=True)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def taft(l, q_power=1):
         proven=True,
     )
     Kk, embed = subhopf_from_basis(T, [idx(a, 0) for a in range(l)], name="kC%d" % l)
-    return T, HopfInclusion(Kk, T, embed)
+    return T, HopfInclusion(Kk, T, embed, proven=True)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,7 @@ class SmallQuantumSL2:
             "{1}" if i_minus else "{}",
         )
         sub, embed = subhopf_from_basis(self.hopf, idxs, name=label)
-        return HopfInclusion(sub, self.hopf, embed)
+        return HopfInclusion(sub, self.hopf, embed, proven=True)
 
     def cartan(self):
         return self.subalgebra(False, False, name="kC%d" % self.l)
@@ -642,7 +643,7 @@ def drinfeld_double(H):
             if not K.s_is_zero(H.counit[c]):
                 embed_rows[c * n + d][d] = H.counit[c]
     embed = Matrix(N, embed_rows)
-    return D, HopfInclusion(H, D, embed)
+    return D, HopfInclusion(H, D, embed, proven=True)
 
 
 def double_r_matrix(H, D):

@@ -40,11 +40,16 @@ from .reports import Report
 
 
 class HopfInclusion:
-    """An embedding K -> H given by the matrix of images of K's basis."""
+    """An embedding K -> H given by the matrix of images of K's basis.
 
-    __slots__ = ("K", "H", "embed", "_cache")
+    ``proven`` is True only when both algebras are proven (see
+    ``FinHopf.proven``) and a catalogue constructor built the embedding, so
+    that it is a Hopf algebra map by construction.  A parsed or directly
+    built inclusion leaves it unset."""
 
-    def __init__(self, sub, big, embed):
+    __slots__ = ("K", "H", "embed", "proven", "_cache")
+
+    def __init__(self, sub, big, embed, proven=False):
         N = lcm(sub.N, big.N)
         N = lcm(N, embed.N)
         self.K = sub.lifted(N)
@@ -55,6 +60,7 @@ class HopfInclusion:
                 "embed must be %dx%d, got %dx%d"
                 % (self.H.dim, self.K.dim, self.embed.rows, self.embed.cols)
             )
+        self.proven = proven and sub.proven and big.proven
         self._cache = {}
 
     @property
@@ -107,13 +113,13 @@ class HopfInclusion:
 
 def trivial_inclusion(H):
     """The identity inclusion H -> H."""
-    return HopfInclusion(H, H, Matrix.identity(H.dim, H.N))
+    return HopfInclusion(H, H, Matrix.identity(H.dim, H.N), proven=True)
 
 
 def unit_inclusion(H, base_field_hopf):
     """The inclusion of the ground field (as a one-dimensional Hopf algebra)."""
     embed = Matrix(H.N, [[v] for v in H.unit])
-    return HopfInclusion(base_field_hopf, H, embed)
+    return HopfInclusion(base_field_hopf, H, embed, proven=True)
 
 
 # ---------------------------------------------------------------------------

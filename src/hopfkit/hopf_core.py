@@ -20,7 +20,10 @@ duals and Drinfeld doubles inherit the bit from their input.  Parsed bundles
 and direct construction leave it unset.  On a proven H the checks of derived
 data that rest on H being an associative algebra (integrals, the
 distinguished grouplike, and in ``extension`` and ``module_theory`` the dual
-bases, normality and module multiplicativity) run on a generating set.
+bases, normality and module multiplicativity) run on a generating set.  So,
+between proven modules (see ``module_theory.HModule``), do the H-linearity
+of module maps, hom spaces, the invariants of ``frob_objects`` and the
+Yetter-Drinfeld condition of ``yetter_drinfeld.verify_yd``.
 """
 
 from math import lcm

@@ -15,7 +15,9 @@ from .errors import PipelineError
 from .exact_math import Cyclotomic, Matrix, _add, _axpy, _scale, _tensor
 from .extension import Decomposer, bar_quotient, make_frobenius_data, rescale_frobenius_data
 from .hopf_core import antipode_inverse
-from .module_theory import HModule, ModuleMap, tensor_modules, trivial_module, restrict
+from .module_theory import (
+    HModule, ModuleMap, _with_proven, restrict, tensor_modules, trivial_module,
+)
 from .reports import Report
 
 
@@ -250,7 +252,10 @@ def induce(ictx, V):
                                  for i in range(ictx.rank)])
             for g in range(H.dim)
         ]
-        got = ictx._cache[memo] = HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N))
+        got = ictx._cache[memo] = _with_proven(
+            HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N)),
+            V.proven and ictx.incl.proven,
+        )
     return got
 
 
@@ -278,7 +283,14 @@ def coinduce(ictx, V):
         ))
         for g in range(H.dim)
     ]
-    return HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(ictx.N, V.N))
+    return _with_proven(HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(ictx.N, V.N)),
+                        V.proven and ictx.incl.proven)
+
+
+def _mutually_inverse(A, B):
+    """A B = I and B A = I.  Over a field both need A and B square of one
+    size, and then A B = I already gives B A = I, so one product is formed."""
+    return A.rows == A.cols == B.rows == B.cols and (A * B).is_identity()
 
 
 def theta_iso(ictx, V):
@@ -291,7 +303,7 @@ def theta_iso(ictx, V):
         (j, i, k) for j, hj in enumerate(ictx.frob.free) for i, k in ictx.tr_row(hj).items()
     ))
     theta_inv = _insertion(ictx, V, [ictx.delta_parts(j) for j in range(r)])
-    if not (theta * theta_inv).is_identity() or not (theta_inv * theta).is_identity():
+    if not _mutually_inverse(theta, theta_inv):
         raise PipelineError("theta and its closed-form inverse do not compose to identity")
     tm = ModuleMap(ind, coind, theta)
     if not tm.intertwines():
@@ -604,9 +616,9 @@ def projection_morphisms(ictx, W, V):
     rproj_GF = lax_pair(ictx, V, resW)[0] * idIndV.kron(unit)
     rproj_FG = idIndV.kron(counit) * oplax_pair(ictx, V, resW)[0]
 
-    right_inv = (rproj_GF * rproj_FG).is_identity() and (rproj_FG * rproj_GF).is_identity()
+    right_inv = _mutually_inverse(rproj_GF, rproj_FG)
     rep.add("rproj-pair-mutually-inverse", right_inv, anchor="projection-formula")
-    left_inv = (lproj_GF * lproj_FG).is_identity() and (lproj_FG * lproj_GF).is_identity()
+    left_inv = _mutually_inverse(lproj_GF, lproj_FG)
     rep.add(
         "lproj-pair-mutually-inverse",
         "pass" if left_inv else "fail",
@@ -636,7 +648,7 @@ def projection_morphisms(ictx, W, V):
     ))
     rep.add(
         "lproj-closed-form-inverse",
-        (lproj_FG * lproj_FG_inv).is_identity() and (lproj_FG_inv * lproj_FG).is_identity(),
+        _mutually_inverse(lproj_FG, lproj_FG_inv),
         anchor="projection-inverses",
     )
 
@@ -648,7 +660,7 @@ def projection_morphisms(ictx, W, V):
     ))
     rep.add(
         "rproj-closed-form-inverse",
-        (rproj_FG * rproj_FG_inv).is_identity() and (rproj_FG_inv * rproj_FG).is_identity(),
+        _mutually_inverse(rproj_FG, rproj_FG_inv),
         anchor="projection-inverses",
     )
 

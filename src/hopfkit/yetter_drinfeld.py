@@ -7,7 +7,8 @@ from . import _kernel as K
 from .errors import PipelineError, ShapeError
 from .exact_math import Matrix, _add
 from .induction import _insertion, induce, ind_morphism, lax_pair, oplax_pair
-from .module_theory import HModule, ModuleMap, tensor_modules
+from .hopf_core import _first_defect, algebra_generators
+from .module_theory import HModule, ModuleMap, _with_proven, tensor_modules
 from .reports import Report
 
 
@@ -26,7 +27,10 @@ class YDModule:
             )
         conductor = lcm(module.N, coaction.N)
         if conductor != module.N:
-            module = HModule(module.H, list(module.action), name=module.name, N=conductor)
+            module = _with_proven(
+                HModule(module.H, list(module.action), name=module.name, N=conductor),
+                module.proven,
+            )
         self.module = module
         self.coaction = coaction.lift(conductor)
         self.name = name or module.name
@@ -75,8 +79,39 @@ def yd_line(H, degree_index, char_values, name=None):
     return YDModule(mod, coact, name=name or ("line@%s" % H.basis_labels[degree_index]))
 
 
+def _yd_defect(M, lefts=None):
+    """The first (i, a), i in lefts (all of H by default), with
+    delta(e_i v_a) != h_1 v_a(-1) S(h_3) x h_2 v_a(0) for h = e_i; the twist
+    h_1 g S(h_3) x h_2 is read from H.yd_twist (H is lifted to the module's
+    conductor)."""
+    H = M.H
+    ctx = K.make_ctx(M.N)
+    cols = [m.transpose().srows for m in M.module.action]
+    for i in range(H.dim) if lefts is None else lefts:
+        for a in range(M.dim):
+            lhs = {}
+            for b, cb in cols[i][a].items():
+                for key, v in M.coaction_terms(b).items():
+                    _add(ctx, lhs, key, K.s_mul(ctx, cb, v))
+            rhs = {}
+            for (g, a0), v in M.coaction_terms(a).items():
+                for (k, q), t in H.yd_twist(i, g):
+                    tv = K.s_mul(ctx, t, v)
+                    for b, vb in cols[q][a0].items():
+                        _add(ctx, rhs, (k, b), K.s_mul(ctx, tv, vb))
+            if lhs != rhs:
+                return (i, a)
+    return None
+
+
 def verify_yd(M):
-    """Comodule axioms plus the Yetter-Drinfeld compatibility, exhaustively."""
+    """Comodule axioms plus the Yetter-Drinfeld compatibility.
+
+    Over a proven module (see ``HModule``) the compatibility is scanned for
+    h in ``algebra_generators(H)`` only: the h for which it holds on every v
+    contain 1 and are closed under products, since the action is
+    multiplicative, Delta is multiplicative and S anti-multiplicative.  A
+    defect found there is looked up again by the full scan."""
     H = M.H
     n = H.dim
     d = M.dim
@@ -111,27 +146,7 @@ def verify_yd(M):
             break
     rep.add("comodule-coassociative", w is None, witness=w, anchor="comodule-axioms")
 
-    # YD condition: delta(h v) = h1 v(-1) S(h3) x h2 v(0), with the twist
-    # h1 g S(h3) x h2 read from H.yd_twist (H is lifted to the module's conductor)
-    cols = [m.transpose().srows for m in M.module.action]
-    w = None
-    for i in range(n):
-        for a in range(d):
-            lhs = {}
-            for b, cb in cols[i][a].items():
-                for key, v in M.coaction_terms(b).items():
-                    _add(ctx, lhs, key, K.s_mul(ctx, cb, v))
-            rhs = {}
-            for (g, a0), v in M.coaction_terms(a).items():
-                for (k, q), t in H.yd_twist(i, g):
-                    tv = K.s_mul(ctx, t, v)
-                    for b, vb in cols[q][a0].items():
-                        _add(ctx, rhs, (k, b), K.s_mul(ctx, tv, vb))
-            if lhs != rhs:
-                w = (i, a)
-                break
-        if w:
-            break
+    w = _first_defect(_yd_defect, algebra_generators(H) if M.module.proven else None, M)
     rep.add("yd-compatibility", w is None, witness=w, anchor="yd-condition")
     return rep
 

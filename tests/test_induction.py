@@ -509,6 +509,24 @@ def test_projection_maps_match_the_recorded_digests(case, uq3):
     assert all(c.ok for c in rep.checks if c.name != "lproj-pair-mutually-inverse"), rep.failures()
 
 
+def test_projection_inverse_checks_form_one_product_per_pair(uq3, monkeypatch):
+    # the maps of each inverse check are square of one size, so A B = I gives
+    # B A = I: forming both products in the three checks that reach the second
+    # product (the lproj pair fails at the first) made 86 products here
+    ictx, W, V = _projection_case("uq3-cartan", uq3)
+    real = Matrix.__mul__
+    count = [0]
+
+    def counted(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    rep = projection_morphisms(ictx, W, V).report
+    assert count[0] == 83
+    assert [c.name for c in rep.checks if not c.ok] == ["lproj-pair-mutually-inverse"]
+
+
 # (N, key()) digests of the other structure maps on the same cases, recorded
 # from the per-map block loops the insertion map replaced: Ind V and CoInd V
 # (all action matrices), theta and theta^-1, the four adjunction maps at
