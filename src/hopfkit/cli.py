@@ -245,6 +245,10 @@ def cmd_verify(args):
     if text is not None and bundle_header(text).startswith("hopf-module"):
         mod = parse_module(text, resolve_hopf)
         if isinstance(mod, YDModule):
+            # a YD module is first a module; its lines appear only on failure,
+            # so a valid bundle's report reads as the YD checks alone
+            if not verify_module(mod.module).ok:
+                report.add("module-input[%s]" % mod.module.name, False)
             report.extend(verify_yd(mod))
         else:
             report.extend(verify_module(mod))

@@ -346,6 +346,22 @@ def _tensor(ctx, acc, u, v, n):
     return acc
 
 
+def _kron_sum(ctx, out, blocks):
+    """out[i*nb + k] += a (x) b in place, the pair (j, l) at index j*cb + l,
+    for each block (arows, brows, nb, cb), (i, a) in arows and (k, b) in
+    brows, where a and b are sparse vectors (dicts)."""
+    for arows, brows, nb, cb in blocks:
+        for i, a in arows:
+            a = a.items()
+            for k, b in brows:
+                acc = out[i * nb + k]
+                b = b.items()
+                for j, x in a:
+                    base = j * cb
+                    for l, y in b:
+                        _add(ctx, acc, base + l, K.s_mul(ctx, x, y))
+
+
 def _mat_vec(M, vec):
     """M * vec for a Matrix M and a sparse vector vec, as a sparse vector."""
     ctx = M.ctx
@@ -551,17 +567,33 @@ class Matrix:
         ctx = K.make_ctx(N)
         out = [{} for _ in range(rows)]
         for M, c in terms:
-            c = Cyclotomic.promote(c).lift(N).data
-            if K.s_is_zero(c):
+            c = _lincomb_coefficient(rows, cols, N, c, (M.rows, M.cols), M)
+            if c is None:
                 continue
-            if (M.rows, M.cols) != (rows, cols):
-                raise ShapeError(
-                    "lincomb term is %dx%d, expected %dx%d" % (M.rows, M.cols, rows, cols)
-                )
-            if N % M.N:
-                raise ValueError("conductor %d does not divide %d" % (M.N, N))
             for orow, mrow in zip(out, M.lift(N).srows):
                 _axpy(ctx, orow, mrow, c)
+        return cls.from_sparse(N, cols, out)
+
+    @classmethod
+    def kron_lincomb(cls, rows, cols, N, terms):
+        """Sum of c*(A (x) B) over the (A, B, c) triples of terms, under the
+        conditions of ``lincomb``, without forming any A (x) B: row
+        i*rows(B) + k accumulates (c*A[i]) (x) B[k].  Equal to ``lincomb`` of
+        the formed products, entry for entry."""
+        ctx = K.make_ctx(N)
+        one = K.s_one(ctx)
+        out = [{} for _ in range(rows)]
+        blocks = []
+        for A, B, c in terms:
+            shape = (A.rows * B.rows, A.cols * B.cols)
+            c = _lincomb_coefficient(rows, cols, N, c, shape, A, B)
+            if c is None:
+                continue
+            arows = [(i, r if c == one else _scale(ctx, r, c))
+                     for i, r in enumerate(A.lift(N).srows) if r]
+            B = B.lift(N)
+            blocks.append((arows, [(k, r) for k, r in enumerate(B.srows) if r], B.rows, B.cols))
+        _kron_sum(ctx, out, blocks)
         return cls.from_sparse(N, cols, out)
 
     # -- access ------------------------------------------------------------
@@ -611,6 +643,8 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             return self.scale(other)
+        if isinstance(other, IdKron):
+            return NotImplemented
         a, b = self._pair(other)
         if a.cols != b.rows:
             raise ShapeError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
@@ -741,6 +775,124 @@ class Matrix:
             for i in range(self.rows)
         )
         return "Matrix(%dx%d over Q(z_%d): %s)" % (self.rows, self.cols, self.N, body)
+
+
+def _lincomb_coefficient(rows, cols, N, c, shape, *factors):
+    """The raw coefficient c of a lincomb term at conductor N, or None when it
+    is zero; raises unless the term is rows x cols and N is a multiple of the
+    conductor of each of its factors."""
+    c = Cyclotomic.promote(c).lift(N).data
+    if K.s_is_zero(c):
+        return None
+    if shape != (rows, cols):
+        raise ShapeError("lincomb term is %dx%d, expected %dx%d" % (shape + (rows, cols)))
+    for M in factors:
+        if N % M.N:
+            raise ValueError("conductor %d does not divide %d" % (M.N, N))
+    return c
+
+
+class IdKron:
+    """A (x) I_m or I_m (x) A, applied in products without being formed.
+
+    ``kron_id(A, m)`` and ``id_kron(m, A)`` build one.  As I_p (x) A (x) I_q
+    it has p = 1 or q = 1, and a Matrix A counts as I_1 (x) A (x) I_1.  A
+    product of two such factors is a sum of Kronecker products of slices of
+    their A's (see ``_kron_product``): each entry adds the same products of
+    entries as the product of the formed matrices, less the identities'
+    zeros and with their ones unmultiplied, so the result is the same exact
+    matrix.
+    """
+
+    __slots__ = ("A", "p", "q", "N", "rows", "cols")
+
+    def __init__(self, A, p, q):
+        self.A = A
+        self.p = p
+        self.q = q
+        self.N = A.N
+        self.rows = p * A.rows * q
+        self.cols = p * A.cols * q
+
+    def __mul__(self, other):
+        return _kron_product(self, other)
+
+    def __rmul__(self, other):
+        return _kron_product(other, self)
+
+
+def kron_id(A, m):
+    """A (x) I_m, not formed (see ``IdKron``)."""
+    return IdKron(A, 1, m)
+
+
+def id_kron(m, A):
+    """I_m (x) A, not formed (see ``IdKron``)."""
+    return IdKron(A, m, 1)
+
+
+def _column_slices(M, d, by_remainder):
+    """{u: {i: sparse row}} holding entry (i, h*d + l) of M at column h of
+    row i of slice u = l (by_remainder) or at column l of slice u = h."""
+    out = {}
+    for i, row in enumerate(M.srows):
+        for c, x in row.items():
+            h, l = divmod(c, d)
+            u, at = (l, h) if by_remainder else (h, l)
+            out.setdefault(u, {}).setdefault(i, {})[at] = x
+    return out
+
+
+def _slice_count(n, p, P, Q):
+    """n/p, the number of slices of the product P*Q; raises ShapeError when p
+    does not divide n, i.e. when the identity factors do not line up."""
+    k, rest = divmod(n, p)
+    if rest:
+        raise ShapeError("the identity factors of a %dx%d by %dx%d product do not align"
+                         % (P.rows, P.cols, Q.rows, Q.cols))
+    return k
+
+
+def _kron_product(P, Q):
+    """P*Q for Matrix or IdKron factors, one of them an IdKron.  Both
+    products with identity factors on either side are sums over u of
+    Kronecker products A_u (x) B_u of slices, which ``_kron_sum`` adds:
+
+    - (A (x) I_m)(I_p (x) B): entry ((i, w), (v, c)) is the sum over u of
+      A[i, v*k + u] B[u*m + w, c], k = cols(A)/p, so A_u holds the columns
+      v*k + u of A at v and B_u the rows u*m + w of B at w;
+    - (I_p (x) B)(A (x) I_m): entry ((v, j), (c, w)) is the sum over u of
+      A[v*k + u, c] B[j, u*m + w], k = rows(A)/p, so A_u holds the rows
+      v*k + u of A at v and B_u the columns u*m + w of B at w.
+
+    Only nonempty rows of the slices are paired."""
+    P, Q = (IdKron(X, 1, 1) if isinstance(X, Matrix) else X for X in (P, Q))
+    if not isinstance(P, IdKron) or not isinstance(Q, IdKron):
+        raise TypeError("expected a Matrix")
+    if P.cols != Q.rows:
+        raise ShapeError("cannot multiply %dx%d by %dx%d" % (P.rows, P.cols, Q.rows, Q.cols))
+    N = lcm(P.N, Q.N)
+    if P.p == Q.q == 1:
+        A, m, p, B = P.A.lift(N), P.q, Q.p, Q.A.lift(N)
+        k = _slice_count(A.cols, p, P, Q)
+        blocks = (
+            (arows.items(), [(w, r) for w, r in enumerate(B.srows[u * m:(u + 1) * m]) if r],
+             m, B.cols)
+            for u, arows in _column_slices(A, k, True).items()
+        )
+    elif P.q == Q.p == 1:
+        B, p, A, m = P.A.lift(N), P.p, Q.A.lift(N), Q.q
+        k = _slice_count(A.rows, p, P, Q)
+        blocks = (
+            ([(v, A.srows[v * k + u]) for v in range(p) if A.srows[v * k + u]], brows.items(),
+             B.rows, m)
+            for u, brows in _column_slices(B, m, False).items()
+        )
+    else:
+        raise TypeError("only (A x I)(I x B) and (I x B)(A x I) are applied unformed")
+    out = [{} for _ in range(P.rows)]
+    _kron_sum(K.make_ctx(N), out, blocks)
+    return Matrix.from_sparse(N, Q.cols, out)
 
 
 def solve_linear(A, b):

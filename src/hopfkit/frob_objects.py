@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from . import _kernel as K
 from .errors import HopfkitError, ShapeError
-from .exact_math import Matrix, RowSpace, _add
+from .exact_math import Matrix, RowSpace, _add, id_kron, kron_id
 from .induction import ind_morphism, lax_pair, oplax_pair, induce
 from .module_theory import (
     HModule, ModuleMap, _scan_indices, tensor_modules, trivial_module, verify_module,
@@ -97,14 +97,13 @@ def verify_algebra_object(A):
 
 def _algebra_checks(rep, A, CC, one):
     """The algebra-object checks of A into rep; CC = A (x) A and one = the unit."""
-    mult, unit = A.mult, A.unit
-    idA = Matrix.identity(A.dim)
-    lhs = mult * mult.kron(idA)
-    rhs = mult * idA.kron(mult)
+    mult, unit, n = A.mult, A.unit, A.dim
+    lhs = mult * kron_id(mult, n)
+    rhs = mult * id_kron(n, mult)
     rep.add("associative", lhs == rhs, anchor="algebra-object")
-    lu = mult * unit.kron(idA)
-    ru = mult * idA.kron(unit)
-    rep.add("unital", lu == idA and ru == idA, anchor="algebra-object")
+    lu = mult * kron_id(unit, n)
+    ru = mult * id_kron(n, unit)
+    rep.add("unital", lu.is_identity() and ru.is_identity(), anchor="algebra-object")
     rep.add("mult-is-morphism", _morphism_in_category(CC, A.carrier, A.mult), anchor="algebra-object")
     rep.add("unit-is-morphism", _morphism_in_category(one, A.carrier, A.unit), anchor="algebra-object")
 
@@ -115,19 +114,18 @@ def verify_frobenius_object(F):
     CC = _tensor_carrier(F.carrier)
     one = _unit_carrier(F.carrier)
     _algebra_checks(rep, F, CC, one)
-    mult, com, cou = F.mult, F.comult, F.counit
-    idA = Matrix.identity(F.dim)
-    lhs = com.kron(idA) * com
-    rhs = idA.kron(com) * com
+    mult, com, cou, n = F.mult, F.comult, F.counit, F.dim
+    lhs = kron_id(com, n) * com
+    rhs = id_kron(n, com) * com
     rep.add("coassociative", lhs == rhs, anchor="coalgebra-object")
-    lu = cou.kron(idA) * com
-    ru = idA.kron(cou) * com
-    rep.add("counital", lu == idA and ru == idA, anchor="coalgebra-object")
+    lu = kron_id(cou, n) * com
+    ru = id_kron(n, cou) * com
+    rep.add("counital", lu.is_identity() and ru.is_identity(), anchor="coalgebra-object")
     rep.add("comult-is-morphism", _morphism_in_category(F.carrier, CC, F.comult), anchor="coalgebra-object")
     rep.add("counit-is-morphism", _morphism_in_category(F.carrier, one, F.counit), anchor="coalgebra-object")
     mid = com * mult
-    left = mult.kron(idA) * idA.kron(com)
-    right = idA.kron(mult) * com.kron(idA)
+    left = kron_id(mult, n) * id_kron(n, com)
+    right = id_kron(n, mult) * kron_id(com, n)
     rep.add("frobenius-squares", left == mid and right == mid, anchor="frobenius-object")
     return rep
 

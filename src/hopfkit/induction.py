@@ -12,7 +12,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError
-from .exact_math import Cyclotomic, Matrix, _add, _axpy, _scale, _tensor
+from .exact_math import Cyclotomic, Matrix, _add, _axpy, _scale, _tensor, id_kron, kron_id
 from .extension import Decomposer, bar_quotient, make_frobenius_data, rescale_frobenius_data
 from .hopf_core import antipode_inverse
 from .module_theory import (
@@ -401,15 +401,14 @@ def lax_pair(ictx, V, U):
     d = dV * dU
     conductor = lcm(N, V.N, U.N)
     VU = ictx.tensor(V, U)
-    kron = {}
+    actV = [a.lift(conductor) for a in V.action]
+    actU = [a.lift(conductor) for a in U.action]
     # block row l holds each sigma_{l,i,j} acting on V x U at the columns of (i, j)
     blocks = []
     for l, i, j, sig in ictx.sigma():
-        for x in sig:
-            if x not in kron:
-                kron[x] = V.action[x // m].kron(U.action[x % m])
-        mat = Matrix.lincomb(
-            d, d, conductor, ((kron[x], Cyclotomic(N, c)) for x, c in sig.items())
+        mat = Matrix.kron_lincomb(
+            d, d, conductor,
+            ((actV[x // m], actU[x % m], Cyclotomic(N, c)) for x, c in sig.items()),
         )
         blocks.append((_at(l, d), _pair_map(i, dV, j, dU, r), mat))
     sigma = _assemble(conductor, r * d, r * d * r, blocks)
@@ -423,7 +422,8 @@ def oplax_pair(ictx, V, U):
 
     h_i x (v x u) -> sum over Delta(h_i) = sum s e_p x e_q of
     s iota_V(e_p) v x iota_U(e_q) u, formed block by block: block t of
-    iota_V(e_p) is the action of the t-th part of e_p."""
+    iota_V(e_p) is the action A of the t-th part of e_p, so block (t, u) of
+    column block i sums s A x B over those terms, B block u of iota_U(e_q)."""
     memo = ("oplax", V.key(), U.key())
     got = ictx._cache.get(memo)
     if got is not None:
@@ -442,14 +442,16 @@ def oplax_pair(ictx, V, U):
 
     legV = blocks_of(V, {p for _, p, _, _ in terms})
     legU = blocks_of(U, {q for _, _, q, _ in terms})
-    blocks = []
+    sums = {}
     for i, p, q, s in terms:
         for t, A in legV[p]:
-            As = A.scale(Cyclotomic(N, s))
-            blocks.extend(
-                (_pair_map(t, dV, u, dU, r), _at(i, dV * dU), As.kron(B)) for u, B in legU[q]
-            )
-    oplax = _assemble(conductor, (r * dV) * (r * dU), r * dV * dU, blocks)
+            for u, B in legU[q]:
+                sums.setdefault((i, t, u), []).append((A, B, Cyclotomic(N, s)))
+    d = dV * dU
+    oplax = _assemble(conductor, (r * dV) * (r * dU), r * d, (
+        (_pair_map(t, dV, u, dU, r), _at(i, d), Matrix.kron_lincomb(d, d, conductor, ts))
+        for (i, t, u), ts in sums.items()
+    ))
     got = ictx._cache[memo] = (oplax, ictx.unit_maps()[1].lift(conductor))
     return got
 
@@ -464,35 +466,34 @@ def verify_lax_coherence(ictx, modules):
     for V in modules:
         laxV1, lax0 = lax_pair(ictx, V, one)
         lax1V, _ = lax_pair(ictx, one, V)
-        idV = Matrix.identity(r * V.dim)
+        rV = r * V.dim
         # lax_{V,1} (id x lax0) = id
-        m1 = laxV1 * idV.kron(lax0)
-        rep.add("lax-right-unital[%s]" % V.name, m1 == idV, anchor="lax-unitality")
-        m2 = lax1V * lax0.kron(idV)
-        rep.add("lax-left-unital[%s]" % V.name, m2 == idV, anchor="lax-unitality")
+        m1 = laxV1 * id_kron(rV, lax0)
+        rep.add("lax-right-unital[%s]" % V.name, m1.is_identity(), anchor="lax-unitality")
+        m2 = lax1V * kron_id(lax0, rV)
+        rep.add("lax-left-unital[%s]" % V.name, m2.is_identity(), anchor="lax-unitality")
         # oplax counitality
         oplaxV1, oplax0 = oplax_pair(ictx, V, one)
-        m3 = idV.kron(oplax0) * oplaxV1
-        rep.add("oplax-right-counital[%s]" % V.name, m3 == idV, anchor="oplax-unitality")
+        m3 = id_kron(rV, oplax0) * oplaxV1
+        rep.add("oplax-right-counital[%s]" % V.name, m3.is_identity(), anchor="oplax-unitality")
         oplax1V, _ = oplax_pair(ictx, one, V)
-        m4 = oplax0.kron(idV) * oplax1V
-        rep.add("oplax-left-counital[%s]" % V.name, m4 == idV, anchor="oplax-unitality")
+        m4 = kron_id(oplax0, rV) * oplax1V
+        rep.add("oplax-left-counital[%s]" % V.name, m4.is_identity(), anchor="oplax-unitality")
     for V in modules:
         for U in modules:
             for W in modules:
                 VU = ictx.tensor(V, U)
                 UW = ictx.tensor(U, W)
-                idW = Matrix.identity(r * W.dim)
-                idV = Matrix.identity(r * V.dim)
-                lhs = lax_pair(ictx, VU, W)[0] * lax_pair(ictx, V, U)[0].kron(idW)
-                rhs = lax_pair(ictx, V, UW)[0] * idV.kron(lax_pair(ictx, U, W)[0])
+                rV, rW = r * V.dim, r * W.dim
+                lhs = lax_pair(ictx, VU, W)[0] * kron_id(lax_pair(ictx, V, U)[0], rW)
+                rhs = lax_pair(ictx, V, UW)[0] * id_kron(rV, lax_pair(ictx, U, W)[0])
                 rep.add(
                     "lax-associative[%s,%s,%s]" % (V.name, U.name, W.name),
                     lhs == rhs,
                     anchor="lax-associativity",
                 )
-                lhs = oplax_pair(ictx, V, U)[0].kron(idW) * oplax_pair(ictx, VU, W)[0]
-                rhs = idV.kron(oplax_pair(ictx, U, W)[0]) * oplax_pair(ictx, V, UW)[0]
+                lhs = kron_id(oplax_pair(ictx, V, U)[0], rW) * oplax_pair(ictx, VU, W)[0]
+                rhs = id_kron(rV, oplax_pair(ictx, U, W)[0]) * oplax_pair(ictx, V, UW)[0]
                 rep.add(
                     "oplax-coassociative[%s,%s,%s]" % (V.name, U.name, W.name),
                     lhs == rhs,
@@ -506,12 +507,11 @@ def verify_frobenius_monoidal(ictx, V, U, W):
     rep = Report("frobenius-monoidal[%s,%s,%s]" % (V.name, U.name, W.name))
     UW = ictx.tensor(U, W)
     VU = ictx.tensor(V, U)
-    idV = Matrix.identity(ictx.rank * V.dim)
-    idW = Matrix.identity(ictx.rank * W.dim)
-    lhs = lax_pair(ictx, V, U)[0].kron(idW) * idV.kron(oplax_pair(ictx, U, W)[0])
+    rV, rW = ictx.rank * V.dim, ictx.rank * W.dim
+    lhs = kron_id(lax_pair(ictx, V, U)[0], rW) * id_kron(rV, oplax_pair(ictx, U, W)[0])
     rhs = oplax_pair(ictx, VU, W)[0] * lax_pair(ictx, V, UW)[0]
     rep.add("frobenius-square-1", lhs == rhs, anchor="frobmon")
-    lhs = idV.kron(lax_pair(ictx, U, W)[0]) * oplax_pair(ictx, V, U)[0].kron(idW)
+    lhs = id_kron(rV, lax_pair(ictx, U, W)[0]) * kron_id(oplax_pair(ictx, V, U)[0], rW)
     rhs = oplax_pair(ictx, V, UW)[0] * lax_pair(ictx, VU, W)[0]
     rep.add("frobenius-square-2", lhs == rhs, anchor="frobmon")
     return rep
@@ -610,11 +610,11 @@ def projection_morphisms(ictx, W, V):
 
     unit = unit_gf_at(ictx, W)
     counit = counit_fg_at(ictx, W)
-    idIndV = Matrix.identity(r * dV)
-    lproj_GF = lax_pair(ictx, resW, V)[0] * unit.kron(idIndV)
-    lproj_FG = counit.kron(idIndV) * oplax_pair(ictx, resW, V)[0]
-    rproj_GF = lax_pair(ictx, V, resW)[0] * idIndV.kron(unit)
-    rproj_FG = idIndV.kron(counit) * oplax_pair(ictx, V, resW)[0]
+    rV = r * dV
+    lproj_GF = lax_pair(ictx, resW, V)[0] * kron_id(unit, rV)
+    lproj_FG = kron_id(counit, rV) * oplax_pair(ictx, resW, V)[0]
+    rproj_GF = lax_pair(ictx, V, resW)[0] * id_kron(rV, unit)
+    rproj_FG = id_kron(rV, counit) * oplax_pair(ictx, V, resW)[0]
 
     right_inv = _mutually_inverse(rproj_GF, rproj_FG)
     rep.add("rproj-pair-mutually-inverse", right_inv, anchor="projection-formula")
@@ -637,13 +637,12 @@ def projection_morphisms(ictx, W, V):
     SW = {q: W.act_alg_vec(S[q], H.N) for q in qs}
     iota_WV = {q: _insertion(ictx, resWV, [ictx.basis_parts(q)]) for q in qs}
     iota_VW = {p: _insertion(ictx, VresW, [ictx.basis_parts(p)]) for p in ps}
-    idV = Matrix.identity(dV)
     every_row = range(r * dW * dV)
 
     # w x (h_i x v) -> h_(2) x (S^-1(h_(1)) w x v)
     lproj_FG_inv = _assemble(conductor, r * dW * dV, dW * (r * dV), (
         (every_row, _pair_map(0, dW, i, dV, r),
-         iota_WV[q] * SinvW[p].scale(Cyclotomic(ictx.N, s)).kron(idV))
+         iota_WV[q] * kron_id(SinvW[p].scale(Cyclotomic(ictx.N, s)), dV))
         for i, p, q, s in terms
     ))
     rep.add(
@@ -655,7 +654,7 @@ def projection_morphisms(ictx, W, V):
     # (h_i x v) x w -> h_(1) x (v x S(h_(2)) w)
     rproj_FG_inv = _assemble(conductor, r * dV * dW, (r * dV) * dW, (
         (every_row, _pair_map(i, dV, 0, dW, 1),
-         iota_VW[p] * idV.kron(SW[q].scale(Cyclotomic(ictx.N, s))))
+         iota_VW[p] * id_kron(dV, SW[q].scale(Cyclotomic(ictx.N, s))))
         for i, p, q, s in terms
     ))
     rep.add(

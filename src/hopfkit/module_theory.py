@@ -192,13 +192,12 @@ def tensor_modules(M, N_mod):
     b = [m.lift(conductor) for m in N_mod.action]
     n = H.dim
     d = M.dim * N_mod.dim
-    mats = []
-    for i in range(n):
-        terms = []
-        for x, s in H.comult[i]:
-            j, k2 = divmod(x, n)
-            terms.append((a[j].kron(b[k2]), Cyclotomic(conductor, s)))
-        mats.append(Matrix.lincomb(d, d, conductor, terms))
+    mats = [
+        Matrix.kron_lincomb(d, d, conductor, (
+            (a[x // n], b[x % n], Cyclotomic(conductor, s)) for x, s in H.comult[i]
+        ))
+        for i in range(n)
+    ]
     return _with_proven(HModule(H, mats, name="%s(x)%s" % (M.name, N_mod.name), N=conductor),
                         M.proven and N_mod.proven)
 

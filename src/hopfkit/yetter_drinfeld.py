@@ -5,7 +5,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError, ShapeError
-from .exact_math import Matrix, _add
+from .exact_math import Matrix, _add, id_kron, kron_id
 from .induction import _insertion, induce, ind_morphism, lax_pair, oplax_pair
 from .hopf_core import _first_defect, algebra_generators
 from .module_theory import HModule, ModuleMap, _with_proven, tensor_modules
@@ -210,7 +210,7 @@ def yd_morphism_check(src, tgt, mat):
     """mat intertwines both the actions and the coactions."""
     if not ModuleMap(src.module, tgt.module, mat).intertwines():
         return False
-    return tgt.coaction * mat == Matrix.identity(src.H.dim).kron(mat) * src.coaction
+    return tgt.coaction * mat == id_kron(src.H.dim, mat) * src.coaction
 
 
 def yd_hexagons(A, B, C):
@@ -222,13 +222,10 @@ def yd_hexagons(A, B, C):
     BC = yd_tensor(B, C)
     psi_a_bc = yd_braiding(A, BC, verify=False)
     psi_ab_c = yd_braiding(AB, C, verify=False)
-    idA = Matrix.identity(A.dim)
-    idB = Matrix.identity(B.dim)
-    idC = Matrix.identity(C.dim)
     # Psi_{A, B x C} = (id_B x Psi_{A,C}) (Psi_{A,B} x id_C)
-    ok1 = psi_a_bc == idB.kron(psi_ac) * psi_ab.kron(idC)
+    ok1 = psi_a_bc == id_kron(B.dim, psi_ac) * kron_id(psi_ab, C.dim)
     # Psi_{A x B, C} = (Psi_{A,C} x id_B) (id_A x Psi_{B,C})
-    ok2 = psi_ab_c == psi_ac.kron(idB) * idA.kron(psi_bc)
+    ok2 = psi_ab_c == kron_id(psi_ac, B.dim) * id_kron(A.dim, psi_bc)
     return ok1 and ok2
 
 

@@ -473,6 +473,13 @@ GOLDEN_REPORTS = [
       "--module", "builtin:kchar?act=1,z,z^2,z^3,z^4&cond=5",
       "--frobenius-monoidal", "--separable"], 1,
      "31bffa7d145c6ff7dd425422d7e1cb1ba037bdb7e46f0fc550a6c0ac4043d865"),
+    # the paper's application at l = 7 with two characters, recorded while
+    # the Frobenius squares still formed lax x id and id x oplax
+    (["check-functor", "builtin:uqsl2?l=7&sub=cartan",
+      "--module", "builtin:kchar?act=1,1,1,1,1,1,1",
+      "--module", "builtin:kchar?act=1,z,z^2,z^3,z^4,z^5,z^6&cond=7",
+      "--frobenius-monoidal"], 0,
+     "a0e8afe0b742354be58754f03b9e1cfad1a16be913993d8c487afde55339b911"),
 ]
 
 
@@ -481,12 +488,85 @@ GOLDEN_REPORTS = [
                               "analyze-h8", "analyze-unit-h8", "analyze-trivial-h8",
                               "analyze-uqsl2-l3-cartan", "analyze-dc2", "analyze-dc3",
                               "analyze-dkk", "analyze-taft3", "analyze-uqsl2-l7-cartan",
-                              "uqsl2-l7-cartan", "uqsl2-l5-cartan-2chars"])
+                              "uqsl2-l7-cartan", "uqsl2-l5-cartan-2chars",
+                              "uqsl2-l7-cartan-2chars"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 
     code, out = run(argv, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out
+
+
+def test_no_kronecker_product_with_an_identity_is_formed(monkeypatch, capsys):
+    # products with an identity factor go through IdKron; Matrix.kron is left
+    # for products of two maps.  The reports are those recorded while the
+    # identity factors were formed.
+    import hashlib
+
+    from conftest import kchar, kline
+    from hopfkit.exact_math import Matrix
+    from hopfkit.induction import (
+        induce, induction_context, lax_pair, oplax_pair, projection_morphisms, verify_lax_coherence,
+    )
+    from hopfkit.module_theory import restrict, tensor_modules
+    from hopfkit.yetter_drinfeld import yd_hexagons, z_induce
+
+    real = Matrix.kron
+
+    def guarded(A, B):
+        if A.is_identity() or B.is_identity():
+            raise AssertionError("a Kronecker product with an identity factor was formed")
+        return real(A, B)
+
+    monkeypatch.setattr(Matrix, "kron", guarded)
+    # check-functor over H8 with four kchar modules and every flag, and one frob-objects op
+    for argv, rc, sha256 in (GOLDEN_REPORTS[0], GOLDEN_REPORTS[2]):
+        code, out = run(argv, capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out
+
+    incl = resolve_inclusion("builtin:h8")
+    ictx = induction_context(incl)
+    V, U = kchar(incl.K, 1, 1), kchar(incl.K, -1, -1)
+    reports = [verify_lax_coherence(ictx, [V, U]),
+               projection_morphisms(ictx, induce(ictx, kchar(incl.K, 1, -1)), U).report]
+    assert [hashlib.sha256(r.to_text().encode()).hexdigest() for r in reports] == [
+        "a0ad31eb8220415761427ed4e8222165d0b3e1a13e7980686102394a487a483c",
+        "61f0e0b0b5b62c82f38977c262a6c2fd2bdcbfd01235e7631fcb37ddaf2c8b81",
+    ]
+    lines = [kline(incl.K, g, ex, ey) for g, ex, ey in (("x", 1, -1), ("y", -1, 1), ("xy", -1, -1))]
+    assert yd_hexagons(*(z_induce(ictx, L) for L in lines))
+
+    # tensor products and the lax/oplax maps form no Kronecker product at all
+    def refused(A, B):
+        raise AssertionError("Matrix.kron was called")
+
+    monkeypatch.setattr(Matrix, "kron", refused)
+    R = restrict(incl, induce(ictx, kchar(incl.K, 1, -1)))  # two-dimensional
+    assert tensor_modules(R, R).dim == 4
+    assert (lax_pair(ictx, R, V)[0].rows, oplax_pair(ictx, R, R)[0].cols) == (2 * 2, 2 * 4)
+
+
+def test_verify_of_a_yd_bundle_checks_the_module_too(tmp_path, monkeypatch, capsys):
+    # x and y act trivially but xy by -1, so the action is not multiplicative;
+    # the comodule and YD checks alone all pass on it
+    import hashlib
+
+    from hopfkit.yetter_drinfeld import yd_line
+
+    monkeypatch.chdir(tmp_path)
+    K = resolve_hopf("builtin:group?table=klein")
+    for acts, rc in (([1, 1, -1, -1], 0), ([1, 1, 1, -1], 1)):
+        L = yd_line(K, 1, acts)
+        (tmp_path / "line.bundle").write_text(
+            serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction))
+        code, out = run(["verify", "line.bundle"], capsys)
+        assert code == rc, out
+        assert ("module-input[line]      FAIL" in out) == (rc == 1)
+        assert "yd-compatibility        PASS" in out
+        if rc == 0:
+            # a valid bundle's report is the one recorded before the module check ran
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "bb81a6d30edbac88a1cef5384febbee2d25d509d5f5b86df39f59690fa93c8e0")
 
 
 def test_check_integral_type_runs_once_per_analyze(monkeypatch, capsys):

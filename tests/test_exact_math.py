@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hopfkit import _kernel as K
 from hopfkit._kernel import _pykernel
-from hopfkit.errors import InconsistentSystemError
+from hopfkit.errors import InconsistentSystemError, ShapeError
 from hopfkit.exact_math import (
     Cyclotomic,
     Matrix,
@@ -21,7 +21,9 @@ from hopfkit.exact_math import (
     _table_mul,
     _tensor,
     format_scalar,
+    id_kron,
     kron,
+    kron_id,
     parse_scalar,
     root_of_unity,
     scalar_invert,
@@ -684,3 +686,86 @@ def test_lower_finds_the_value_in_a_subfield():
         root_of_unity(12, 4).lower(4)
     with pytest.raises(ValueError):
         i.lower(5)
+
+
+# Kronecker products applied without being formed: each is compared with the
+# formed product at conductors 1, 3 and 4, whose mixtures lift to 12.  A third
+# of the entries are zero, so empty rows and columns are frequent.
+_FACTOR_CONDUCTORS = [1, 3, 4]
+
+
+@st.composite
+def _factor(draw, rows, cols):
+    N = draw(st.sampled_from(_FACTOR_CONDUCTORS))
+    entry = st.one_of(st.just(K.s_zero(K.make_ctx(N))), _canonical(N))
+    return Matrix(N, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _kron_lincomb_case(draw):
+    ra, ca, rb, cb = (draw(st.integers(1, 3)) for _ in range(4))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        Nc = draw(st.sampled_from(_FACTOR_CONDUCTORS))
+        c = Cyclotomic(Nc, draw(_canonical(Nc)))  # zero a third of the time
+        terms.append((draw(_factor(ra, ca)), draw(_factor(rb, cb)), c))
+    N = lcm(draw(st.sampled_from(_FACTOR_CONDUCTORS)),
+            *(x.N for term in terms for x in term))
+    return ra * rb, ca * cb, N, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kron_lincomb_case())
+def test_kron_lincomb_equals_lincomb_of_formed_products(case):
+    rows, cols, N, terms = case
+    got = Matrix.kron_lincomb(rows, cols, N, terms)
+    want = Matrix.lincomb(rows, cols, N, [(A.kron(B), c) for A, B, c in terms])
+    assert (got.N, got.raw()) == (want.N, want.raw())
+
+
+@st.composite
+def _identity_factor_product(draw):
+    """(unformed product, formed product) for each product shape with an
+    identity factor: (A x I)(I x B), (I x B)(A x I), and a Matrix X on one
+    side of A x I or I x B."""
+    kind = draw(st.sampled_from(["AI.IB", "IB.AI", "X.AI", "X.IB", "AI.X", "IB.X"]))
+    R, C, k, p, m = (draw(st.integers(1, 3)) for _ in range(5))
+    I = Matrix.identity
+    if kind == "AI.IB":
+        A, B = draw(_factor(R, p * k)), draw(_factor(k * m, C))
+        return kron_id(A, m) * id_kron(p, B), A.kron(I(m)) * I(p).kron(B)
+    if kind == "IB.AI":
+        B, A = draw(_factor(R, k * m)), draw(_factor(p * k, C))
+        return id_kron(p, B) * kron_id(A, m), I(p).kron(B) * A.kron(I(m))
+    if kind == "X.AI":
+        X, A = draw(_factor(R, k * m)), draw(_factor(k, C))
+        return X * kron_id(A, m), X * A.kron(I(m))
+    if kind == "X.IB":
+        X, B = draw(_factor(R, p * k)), draw(_factor(k, C))
+        return X * id_kron(p, B), X * I(p).kron(B)
+    if kind == "AI.X":
+        A, X = draw(_factor(R, k)), draw(_factor(k * m, C))
+        return kron_id(A, m) * X, A.kron(I(m)) * X
+    B, X = draw(_factor(R, k)), draw(_factor(p * k, C))
+    return id_kron(p, B) * X, I(p).kron(B) * X
+
+
+@settings(max_examples=150, deadline=None)
+@given(_identity_factor_product())
+def test_identity_factor_products_equal_the_formed_products(case):
+    got, want = case
+    assert (got.N, got.raw()) == (want.N, want.raw())
+
+
+def test_identity_factor_product_errors():
+    A = Matrix.from_rows([[1, 2]])
+    with pytest.raises(ShapeError):
+        kron_id(A, 2) * Matrix.identity(3)
+    # (A x I_3)(I_3 x B) with A 1x2 and B 2x1 has matching sizes, 6, but the
+    # identity factors do not line up
+    with pytest.raises(ShapeError):
+        kron_id(A, 3) * id_kron(3, Matrix.from_rows([[1], [1]]))
+    with pytest.raises(TypeError):
+        kron_id(A, 2) * kron_id(Matrix.identity(2), 2)
+    with pytest.raises(TypeError):
+        kron_id(A, 2) * 3

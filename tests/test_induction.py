@@ -512,18 +512,33 @@ def test_projection_maps_match_the_recorded_digests(case, uq3):
 def test_projection_inverse_checks_form_one_product_per_pair(uq3, monkeypatch):
     # the maps of each inverse check are square of one size, so A B = I gives
     # B A = I: forming both products in the three checks that reach the second
-    # product (the lproj pair fails at the first) made 86 products here
+    # product (the lproj pair fails at the first) made 86 products here.  Only
+    # the products formed inside the four checks are counted, so building the
+    # maps themselves another way does not move the count.
+    import hopfkit.induction as induction
+
     ictx, W, V = _projection_case("uq3-cartan", uq3)
-    real = Matrix.__mul__
-    count = [0]
+    real_mul, real_check = Matrix.__mul__, induction._mutually_inverse
+    per_check = []
+    inside = [False]
 
-    def counted(a, b):
-        count[0] += 1
-        return real(a, b)
+    def counted_mul(a, b):
+        if inside[0]:
+            per_check[-1] += 1
+        return real_mul(a, b)
 
-    monkeypatch.setattr(Matrix, "__mul__", counted)
+    def counted_check(A, B):
+        per_check.append(0)
+        inside[0] = True
+        try:
+            return real_check(A, B)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+    monkeypatch.setattr(induction, "_mutually_inverse", counted_check)
     rep = projection_morphisms(ictx, W, V).report
-    assert count[0] == 83
+    assert per_check == [1, 1, 1, 1]
     assert [c.name for c in rep.checks if not c.ok] == ["lproj-pair-mutually-inverse"]
 
 
