@@ -2,11 +2,15 @@
 
 All builders produce exact structure constants.  Where an algebra is
 presented by generators and relations (Kac-Paljutkin, Taft, small quantum
-sl2, Drinfeld doubles), the tensors are computed constructively from the
-generator relations: products of basis monomials are normalized by repeated
-application of the defining rewrite rules, and coproducts/antipodes of
-monomials are obtained by multiplying out the generator images inside the
-tensor-square algebra.  verify_hopf then certifies the result.
+sl2, Drinfeld doubles), each product table is computed once from a closed
+form of the relations: a product of two normal-form words of H8 or of a Taft
+algebra is one word times a scalar (or, for z^2 in H8, four words); a product
+in small quantum sl2 is a q-power rescaling of the PBW expansion of some
+e^i f^j; a product in a double sums a middle functional, built once per pair
+of outer factors, over the iterated coproduct.  Coproducts and antipodes of
+monomials are obtained by multiplying out the generator images, each from
+that of a shorter monomial, in the tensor-square algebra for coproducts.
+verify_hopf then certifies the result.
 
 Each constructor builds a Hopf algebra by construction, so it marks its
 result ``proven`` (see ``hopf_core``); ``group_algebra`` first proves its
@@ -15,12 +19,12 @@ on from its input.  The inclusions they build are marked ``proven`` too, when
 both of their algebras are.  The tests run verify_hopf on every catalogue algebra.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import _kernel as K
 from .errors import HopfkitError
 from .exact_math import (
-    Cyclotomic,
     Matrix,
     _add,
     _axpy,
@@ -229,18 +233,14 @@ def taft(l, q_power=1):
                 lb = ("x^%d" % b if b > 1 else "x") if b else ""
                 labels.append(la + lb)
 
-    mult = [[] for _ in range(n * n)]
-    for a in range(l):
-        for b in range(l):
-            for a2 in range(l):
-                for b2 in range(l):
-                    if b + b2 >= l:
-                        continue
-                    # x^b g^a2 = q^(-a2 b) g^a2 x^b
-                    s = q[(-a2 * b) % l]
-                    mult[idx(a, b) * n + idx(a2, b2)].append((idx((a + a2) % l, b + b2), s))
+    # x^b g^a2 = q^(-a2 b) g^a2 x^b
+    mult = tuple(
+        ((idx((a + a2) % l, b + b2), q[(-a2 * b) % l]),) if b + b2 < l else ()
+        for a in range(l) for b in range(l) for a2 in range(l) for b2 in range(l)
+    )
 
     one = K.s_one(ctx)
+    z = K.s_zero(ctx)
     dg = {idx(1, 0) * n + idx(1, 0): one}
     dx = {idx(0, 1) * n + idx(0, 0): one, idx(1, 0) * n + idx(0, 1): one}
     delta = [None] * n
@@ -256,41 +256,30 @@ def taft(l, q_power=1):
             else:
                 delta[idx(a, b)] = dx
 
-    comult = {}
-    for i in range(n):
-        for x, s in delta[i].items():
-            comult[(i, x // n, x % n)] = Cyclotomic(l, s)
-
-    # S(g) = g^(l-1), S(x) = -g^(l-1) x, extended anti-multiplicatively
+    # S(g^a x^b) = S(x)^b S(g)^a with S(g) = g^(l-1) and S(x) = -g^(l-1) x;
+    # each S(x)^b is extended by S(g) once per a
     sg = {idx(l - 1, 0): one}
     sx = {idx(l - 1, 1): K.s_neg(one)}
-    Scols = []
-    for a in range(l):
-        for b in range(l):
-            w = {idx(0, 0): one}
-            for _ in range(b):
-                w = _table_mul(ctx, mult, n, w, sx)
-            for _ in range(a):
+    Scols = [None] * n
+    w_x = {idx(0, 0): one}
+    for b in range(l):
+        if b:
+            w_x = _table_mul(ctx, mult, n, w_x, sx)
+        w = w_x
+        for a in range(l):
+            if a:
                 w = _table_mul(ctx, mult, n, w, sg)
-            Scols.append(w)
+            Scols[idx(a, b)] = tuple(sorted(w.items()))
 
-    mult_d = {}
-    for a in range(l):
-        for b in range(l):
-            for a2 in range(l):
-                for b2 in range(l):
-                    for k2, s in mult[idx(a, b) * n + idx(a2, b2)]:
-                        mult_d[(idx(a, b), idx(a2, b2), k2)] = Cyclotomic(l, s)
-    unit = [1 if i == 0 else 0 for i in range(n)]
-    counit = [1 if (i % l) == 0 else 0 for i in range(n)]
-    z = K.s_zero(ctx)
-    Srows = [[z] * n for _ in range(n)]
-    for j, col in enumerate(Scols):
-        for i, s in col.items():
-            Srows[i][j] = s
-    S = Matrix(l, Srows)
-    T = FinHopf.from_tensors(
-        "T%d(z^%d)" % (l, q_power), labels, mult_d, unit, comult, counit, S, conductor=l,
+    T = FinHopf(
+        "T%d(z^%d)" % (l, q_power),
+        labels,
+        l,
+        mult,
+        tuple(one if i == 0 else z for i in range(n)),
+        tuple(tuple(sorted(d.items())) for d in delta),
+        tuple(one if i % l == 0 else z for i in range(n)),
+        tuple(Scols),
         proven=True,
     )
     Kk, embed = subhopf_from_basis(T, [idx(a, 0) for a in range(l)], name="kC%d" % l)
@@ -348,6 +337,12 @@ def small_quantum_sl2(l):
     Delta(f) = k^-1 x f + f x 1, Delta(k) = k x k,
     S(e) = -e k^-1, S(f) = -k f, S(k) = k^-1.
     PBW basis f^j k^m e^i ordered by (j, m, i).
+
+    Only the l^2 products e^i f^j need the commutator [e, f]; they are
+    expanded once.  Every other product is one of them rescaled by a power
+    of q and shifted (see the comment at the product loop).  Coproducts
+    multiply out Delta(f), Delta(k), Delta(e) in H x H, and the antipode of
+    each monomial extends that of a shorter one by one factor.
     """
     if l < 3 or l % 2 == 0:
         raise HopfkitError("small_quantum_sl2 needs odd l >= 3")
@@ -358,85 +353,64 @@ def small_quantum_sl2(l):
     def idx(j, m, i):
         return (j * l + m) * l + i
 
+    ll = l * l
     one = K.s_one(ctx)
     z = K.s_zero(ctx)
+    # [e, f] = (k - k^-1)/(q - q^-1)
+    qm_inv = K.s_inv(ctx, K.s_sub(ctx, q[1], q[l - 1]))
 
-    # left multiplication by generators on PBW monomials
-    def L_f(vec):
-        out = {}
-        for t, c in vec.items():
-            j, rest = divmod(t, l * l)
-            if j + 1 < l:
-                _add(ctx, out, t + l * l, c)
-        return out
-
-    def L_k(vec):
-        out = {}
-        for t, c in vec.items():
-            j, rest = divmod(t, l * l)
-            m, i = divmod(rest, l)
-            if m + 1 < l:
-                t2 = idx(j, m + 1, i)
-            else:
-                t2 = idx(j, 0, i)
-            _add(ctx, out, t2, K.s_mul(ctx, c, q[(-2 * j) % l]))
-        return out
-
-    def L_k_inv(vec):
-        out = {}
-        for t, c in vec.items():
-            j, rest = divmod(t, l * l)
-            m, i = divmod(rest, l)
-            t2 = idx(j, (m - 1) % l, i)
-            _add(ctx, out, t2, K.s_mul(ctx, c, q[(2 * j) % l]))
-        return out
-
-    # (q - q^-1)^-1
-    qm = K.s_sub(ctx, q[1], q[l - 1])
-    qm_inv = K.s_inv(ctx, qm)
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def e_times(t):
-        """e * (basis monomial t), as a sparse dict."""
-        j, rest = divmod(t, l * l)
+    # e_left[t] = e * (basis monomial t), in order of rising f-degree j:
+    # e f^j k^m e^i = f (e f^(j-1) k^m e^i) + [e, f] f^(j-1) k^m e^i, where
+    # k f^(j-1) = q^(-2(j-1)) f^(j-1) k and e k^m = q^(-2m) k^m e
+    e_left = []
+    for t in range(n):
+        j, rest = divmod(t, ll)
         m, i = divmod(rest, l)
         if j == 0:
-            if i + 1 == l:
-                return {}
-            # e k^m = q^(-2m) k^m e
-            return {idx(0, m, i + 1): K.s_mul(ctx, one, q[(-2 * m) % l])}
-        # e f = f e + (k - k^-1)/(q - q^-1)
-        rest_mon = idx(j - 1, m, i)
-        corr = L_k({rest_mon: one})
-        for k2, s in L_k_inv({rest_mon: one}).items():
-            _add(ctx, corr, k2, K.s_neg(s))
-        return _axpy(ctx, L_f(e_times(rest_mon)), corr, qm_inv)
+            e_left.append({t + 1: q[(-2 * m) % l]} if i + 1 < l else {})
+            continue
+        out = {s + ll: c for s, c in e_left[t - ll].items()}
+        _add(ctx, out, idx(j - 1, (m + 1) % l, i), K.s_mul(ctx, qm_inv, q[(-2 * (j - 1)) % l]))
+        _add(ctx, out, idx(j - 1, (m - 1) % l, i), K.s_neg(K.s_mul(ctx, qm_inv, q[(2 * (j - 1)) % l])))
+        e_left.append(out)
 
-    def L_e(vec):
-        out = {}
-        for t, c in vec.items():
-            _axpy(ctx, out, e_times(t), c)
-        return out
-
-    # multiplication tensor: e_a * e_b with e_a = f^j k^m e^i
-    mult = [None] * (n * n)
-    for b in range(n):
-        cur_e = {b: one}
+    # e^i f^j1 for i, j1 < l, each term f^j2 k^m2 e^i2 as (j2, m2, i2, c)
+    ef = []
+    for j1 in range(l):
+        w = {idx(j1, 0, 0): one}
         for i in range(l):
-            cur_k = cur_e
+            ef.append([(t // ll, t // l % l, t % l, c) for t, c in w.items()])
+            nxt = {}
+            for t, c in w.items():
+                _axpy(ctx, nxt, e_left[t], c)
+            w = nxt
+
+    # (f^j k^m e^i)(f^j1 k^m1 e^i1) = f^j k^m (e^i f^j1) k^m1 e^i1
+    #   = sum c q^(-2m j2 - 2m1 i2) f^(j+j2) k^(m+m2+m1) e^(i2+i1)
+    # over the terms c f^j2 k^m2 e^i2 of e^i f^j1, dropping those with
+    # j + j2 >= l or i2 + i1 >= l.  For fixed (i, j1, m, m1) the entry at any
+    # (j, i1) is the sorted list at j = i1 = 0 shifted by j l^2 + i1.  Sorting
+    # by key sorts by j2, and i2 = j2 + i - j1, so the kept terms are a prefix.
+    mult = [None] * (n * n)
+    for j1 in range(l):
+        for i in range(l):
+            terms = ef[j1 * l + i]
+            j2s = sorted(j2 for j2, _, _, _ in terms)
+            cuts = [[bisect_left(j2s, min(l - j, l - i1 - i + j1)) for i1 in range(l)]
+                    for j in range(l)]
             for m in range(l):
-                cur_f = cur_k
-                for j in range(l):
-                    a = idx(j, m, i)
-                    mult[a * n + b] = tuple(sorted(cur_f.items()))
-                    if j + 1 < l:
-                        cur_f = L_f(cur_f)
-                if m + 1 < l:
-                    cur_k = L_k(cur_k)
-            if i + 1 < l:
-                cur_e = L_e(cur_e)
+                for m1 in range(l):
+                    row = sorted(
+                        (j2 * ll + (m + m2 + m1) % l * l + i2,
+                         K.s_mul(ctx, c, q[(-2 * m * j2 - 2 * m1 * i2) % l]))
+                        for j2, m2, i2, c in terms
+                    )
+                    b0 = idx(j1, m1, 0)
+                    for j in range(l):
+                        base = idx(j, m, i) * n + b0
+                        for i1, cut in enumerate(cuts[j]):
+                            shift = j * ll + i1
+                            mult[base + i1] = tuple([(t + shift, c) for t, c in row[:cut]])
     mult = tuple(mult)
 
     e_1 = idx(0, 0, 0)
@@ -468,22 +442,25 @@ def small_quantum_sl2(l):
     comult_rows = tuple(tuple(sorted(d.items())) for d in delta)
 
     # antipode: S(f^j k^m e^i) = S(e)^i S(k)^m S(f)^j, with
-    # S(e) = -e k^-1 and S(f) = -k f computed through the product
+    # S(e) = -e k^-1 and S(f) = -k f computed through the product; each
+    # S(e)^i S(k)^m is extended by S(f) once per j
     Se = _table_mul(ctx, mult, n, {e_e: K.s_neg(one)}, {e_kinv: one})
     Sf = _table_mul(ctx, mult, n, {e_k: K.s_neg(one)}, {e_f: one})
     Sk = {e_kinv: one}
-    Scols = []
-    for j in range(l):
+    Scols = [None] * n
+    w_e = {e_1: one}
+    for i in range(l):
+        if i:
+            w_e = _table_mul(ctx, mult, n, w_e, Se)
+        w_k = w_e
         for m in range(l):
-            for i in range(l):
-                w = {e_1: one}
-                for _ in range(i):
-                    w = _table_mul(ctx, mult, n, w, Se)
-                for _ in range(m):
-                    w = _table_mul(ctx, mult, n, w, Sk)
-                for _ in range(j):
+            if m:
+                w_k = _table_mul(ctx, mult, n, w_k, Sk)
+            w = w_k
+            for j in range(l):
+                if j:
                     w = _table_mul(ctx, mult, n, w, Sf)
-                Scols.append(tuple(sorted(w.items())))
+                Scols[idx(j, m, i)] = tuple(sorted(w.items()))
 
     unit = tuple(one if t == e_1 else z for t in range(n))
     counit = []
@@ -530,6 +507,13 @@ def drinfeld_double(H):
     Multiplication (f x h)(f' x h') = f (h_(1) -> f' <- S^-1(h_(3))) x h_(2) h',
     coproduct Delta(f x h) = (f_(2) x h_(1)) x (f_(1) x h_(2)),
     where (h -> f)(a) = f(a h) and (f <- h)(a) = f(h a).
+
+    On the basis f_c x e_d this reads
+    (f_c x e_d)(f_c' x e_d') = sum s f_c phi x e_q e_d' over the terms
+    s e_p x e_q x e_r of Delta^2(e_d), where phi is the middle functional
+    u -> f_c'(S^-1(e_r) e_u e_p).  It depends on (r, p, c') only, so it is
+    built once per (r, p), and the terms sharing e_q are summed before the
+    loops over c and d'.
     """
     from .hopf_core import antipode_inverse, dual_hopf
 
@@ -543,45 +527,48 @@ def drinfeld_double(H):
     one = K.s_one(ctx)
     sinv_cols = Sinv.transpose().srows
 
-    # sandwich[r][p]: matrix over (c', u): coeff_{c'}( S^-1(e_r) e_u e_p )
-    sandwich = {}
+    # phis[(r, p)][c']: the middle functional phi, as {u: raw}
+    phis = {}
 
-    def sandwich_vec(r, p, u):
-        key = (r, p)
-        got = sandwich.get(key)
+    def phi_of(r, p):
+        got = phis.get((r, p))
         if got is None:
-            got = {}
-            sandwich[key] = got
-        if u in got:
-            return got[u]
-        w = H.mult_vec(H.mult_vec(sinv_cols[r], H.basis_vec(u)), H.basis_vec(p))
-        got[u] = w
-        return w
+            got = [{} for _ in range(n)]
+            for u in range(n):
+                w = H.mult_vec(H.mult_vec(sinv_cols[r], {u: one}), {p: one})
+                for cp, cu in w.items():
+                    got[cp][u] = cu
+            phis[(r, p)] = got
+        return got
 
+    def times_every_f(v):
+        """[f_c v for c in range(n)] in H*: (f_c v)(e_k) sums s v(e_u) over
+        the terms s e_c x e_u of Delta(e_k)."""
+        out = [{} for _ in range(n)]
+        for k in range(n):
+            for x, s in H.comult[k]:
+                c, u = divmod(x, n)
+                vu = v.get(u)
+                if vu is not None:
+                    _add(ctx, out[c], k, K.s_mul(ctx, s, vu))
+        return out
+
+    # (f_c x e_d)(f_c' x e_d') = sum_q f_c Phi_q x e_q e_d', where Phi_q sums
+    # s phi over the Delta^2 terms (p, q, r), s of e_d
     mult = [None] * (nn * nn)
-    for c in range(n):
-        fc = {c: one}
-        for d in range(n):
-            d2 = H.comult2(d)
-            for cp in range(n):
-                # middle functional per Delta^2 term
-                mid_total = {}
-                for (p, qq, r), s in d2:
-                    # phi_u = f_cp( S^-1(e_r) e_u e_p ); phi = sum_u phi_u f_u
-                    phi = {}
-                    for u in range(n):
-                        w = sandwich_vec(r, p, u)
-                        cu = w.get(cp)
-                        if cu is not None:
-                            phi[u] = cu
-                    if not phi:
-                        continue
-                    _tensor(ctx, mid_total, Hd.mult_vec(fc, phi), {qq: s}, n)
+    for d in range(n):
+        d2 = H.comult2(d)
+        for cp in range(n):
+            Phi = {}
+            for (p, qq, r), s in d2:
+                _axpy(ctx, Phi.setdefault(qq, {}), phi_of(r, p)[cp], s)
+            fPhi = [(times_every_f(v), qq) for qq, v in Phi.items() if v]
+            for c in range(n):
+                left = [(fv[c], qq) for fv, qq in fPhi if fv[c]]
                 for dp in range(n):
                     row = {}
-                    for key, cval in mid_total.items():
-                        uu, qq = divmod(key, n)
-                        _tensor(ctx, row, {uu: cval}, H.mult[qq * n + dp], n)
+                    for a, qq in left:
+                        _tensor(ctx, row, a, H.mult[qq * n + dp], n)
                     mult[(c * n + d) * nn + (cp * n + dp)] = tuple(sorted(row.items()))
     mult = tuple(mult)
 

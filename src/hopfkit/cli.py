@@ -175,7 +175,7 @@ def resolve_inclusion(spec):
 
 def resolve_module(spec, K_hopf):
     from .module_theory import HModule, trivial_module
-    from .yetter_drinfeld import YDModule, trivial_yd, yd_line
+    from .yetter_drinfeld import trivial_yd, yd_line
 
     scheme, path, params = _parse_spec(spec)
     if scheme != "builtin":

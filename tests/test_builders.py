@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from hopfkit.builders import (
 from hopfkit.bundles import parse_hopf, serialize_hopf
 from hopfkit.cli import resolve_hopf
 from hopfkit.errors import HopfkitError
-from hopfkit.exact_math import Cyclotomic, Matrix, root_of_unity
+from hopfkit.exact_math import Cyclotomic, Matrix, _add, _axpy, root_of_unity
 from hopfkit.extension import bar_quotient, verify_inclusion
 from hopfkit.hopf_core import is_unimodular, verify_hopf
 from hopfkit.reports import Report
@@ -308,3 +309,98 @@ def test_explicit_zero_entries_parse_like_missing_ones(spec):
     assert len(text.splitlines()) > 2 * n ** 3
     H2 = parse_hopf(text)
     assert _tables(H2) == _tables(parse_hopf(serialize_hopf(H))) == _tables(H)
+
+
+# serialize_hopf sha256 of each catalogue algebra, recorded from the builders
+# that normalized every product by the generator rewrite rules
+DOUBLE = "builtin:double?of=builtin:"
+TABLE_DIGESTS = {
+    "builtin:h8": "f3052c652ee8d802068d3741d7cd9d7ec0286b370eab45d495ab6c362fb22a9e",
+    "builtin:taft?l=2": "674e122170a07484fa58fe44a55c69f1979682a714fde7d3fda5b0877037eb60",
+    "builtin:taft?l=3": "403fd9b08ffb06fe076fa2f7c4829944debd177d013711479719e243aa2a595a",
+    "builtin:taft?l=3&q=2": "87293946e7bf76883951964a70a0b61695ad689cbf554003e7745004caa642c3",
+    "builtin:taft?l=5&q=2": "5d91384613d31e5066a173601011709c9c4fa2f6f7e0d6c42810d5bd0292d6b1",
+    "builtin:taft?l=7&q=3": "85b47dd3cf2c6b7f221a2364e9015a622d1c287cabdbc4913a0e6e082fcaabaf",
+    "builtin:uqsl2?l=3": "cd1a2e35bfb0b44451f5cc9aebfdbdcd1104cf042a25185389430ea16daf4c50",
+    "builtin:uqsl2?l=5": "2aa665984b8682aae255cbf6f0cdda22cd2a1f85a8f17d44036b47735769f373",
+    "builtin:uqsl2?l=7": "f6a484e990033579f8561c8cf753fb37b6d9e75b9f5f40eb3b4da7918a05f076",
+    DOUBLE + "group?table=c2": "1518a60ceeb7e3509c1269a7a5fb6adca38fc6559c01182669096466f9232541",
+    DOUBLE + "group?table=c3": "79e944d9276e6b0b32c4cd337954c083d8e951e6f9090e95c376956d02726751",
+    DOUBLE + "group?table=klein": "0feb766054324b19e895cdb9de92da130ee22891b708fc96051cd5169fed392c",
+    DOUBLE + "taft?l=2": "cbe51959bea46c2513566e1e5b1cb26119907f3b683b7095c48650c34b68505f",
+    DOUBLE + "taft?l=3": "0ec25da6f34fa5bf7b0270fa1742e7ee1841011e36d50265f847d8bd20ff5662",
+    DOUBLE + "h8": "7f15cef4d3d7c2ede9ffdf0fd6b9bbc2162f6a558f5babef8633171bd27bc1f4",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_DIGESTS))
+def test_catalogue_tables_match_the_recorded_digests(spec):
+    text = serialize_hopf(resolve_hopf(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[spec]
+
+
+def _uq_mult_by_rewriting(l):
+    """The product table of u_q(sl2), PBW basis f^j k^m e^i, computed by
+    left-multiplying every basis element b by e, then k, then f, one
+    generator rewrite at a time: e^i b, k^m e^i b, f^j k^m e^i b."""
+    ctx = K.make_ctx(l)
+    n = l ** 3
+    q = [K.zeta_power(ctx, t % l) for t in range(l)]
+    one = K.s_one(ctx)
+
+    def idx(j, m, i):
+        return (j * l + m) * l + i
+
+    def L_f(vec):
+        return {t + l * l: c for t, c in vec.items() if t // (l * l) + 1 < l}
+
+    def L_k(vec, sign=1):
+        # k^sign f^j k^m e^i = q^(-2 sign j) f^j k^(m + sign) e^i
+        out = {}
+        for t, c in vec.items():
+            j, m, i = t // (l * l), t // l % l, t % l
+            _add(ctx, out, idx(j, (m + sign) % l, i), K.s_mul(ctx, c, q[(-2 * sign * j) % l]))
+        return out
+
+    qm_inv = K.s_inv(ctx, K.s_sub(ctx, q[1], q[l - 1]))
+    e_memo = {}
+
+    def e_times(t):
+        if t not in e_memo:
+            j, m, i = t // (l * l), t // l % l, t % l
+            if j == 0:
+                # e k^m = q^(-2m) k^m e
+                e_memo[t] = {idx(0, m, i + 1): q[(-2 * m) % l]} if i + 1 < l else {}
+            else:
+                # e f = f e + (k - k^-1)/(q - q^-1)
+                rest = {idx(j - 1, m, i): one}
+                corr = L_k(rest)
+                _axpy(ctx, corr, L_k(rest, -1), K.s_neg(one))
+                e_memo[t] = _axpy(ctx, L_f(e_times(idx(j - 1, m, i))), corr, qm_inv)
+        return e_memo[t]
+
+    def L_e(vec):
+        out = {}
+        for t, c in vec.items():
+            _axpy(ctx, out, e_times(t), c)
+        return out
+
+    mult = [None] * (n * n)
+    for b in range(n):
+        cur_e = {b: one}
+        for i in range(l):
+            cur_k = cur_e
+            for m in range(l):
+                cur_f = cur_k
+                for j in range(l):
+                    mult[idx(j, m, i) * n + b] = tuple(sorted(cur_f.items()))
+                    cur_f = L_f(cur_f)
+                cur_k = L_k(cur_k)
+            cur_e = L_e(cur_e)
+    return tuple(mult)
+
+
+@pytest.mark.parametrize("fixture", ["uq3", "uq5"])
+def test_uq_products_match_generator_rewriting(fixture, request):
+    uq = request.getfixturevalue(fixture)
+    assert uq.hopf.mult == _uq_mult_by_rewriting(uq.l)

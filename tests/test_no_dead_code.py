@@ -1,7 +1,8 @@
 """No dead code in ``src/hopfkit``: every module-level import is used in its
-module, and every private module-level def or class is referenced somewhere
-in the package.  Package ``__init__`` files re-export what they import, so
-their imports count as used."""
+module, every private module-level def or class is referenced somewhere in
+the package, and every import, def or class inside a function is used by that
+function.  Package ``__init__`` files re-export what they import, so their
+module-level imports count as used."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,22 @@ def _loaded_names(tree, skip=None):
     return names
 
 
+def _local_bindings(func):
+    """(node, bound names) for each import, def and class in the scope of the
+    function func itself, outside the bodies of its nested defs and classes."""
+    out = []
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.append((node, _bound_names(node)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node, [node.name]))
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
 def _dunder_all(tree):
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -71,6 +88,19 @@ def test_every_module_level_import_is_used():
                 used |= _loaded_names(node)
         used |= _dunder_all(tree)
         unused += [(name, b) for n in imports for b in _bound_names(n) if b not in used]
+    assert unused == []
+
+
+def test_every_function_local_import_and_def_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node, bound in _local_bindings(func):
+                # a nested def that only calls itself is still unused
+                used = _loaded_names(func, skip=node)
+                unused += [(name, func.name, b) for b in bound if b not in used]
     assert unused == []
 
 
