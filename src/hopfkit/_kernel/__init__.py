@@ -77,7 +77,9 @@ _ctx_cache = {}
 
 
 def make_ctx(N):
-    """Context tuple (N, phi, red) for arithmetic in Q(zeta_N)."""
+    """Context tuple (N, phi, red, zero, one) for arithmetic in Q(zeta_N),
+    one per conductor.  Canonical scalars are equal exactly when their tuples
+    are, so ``s == ctx[3]`` tests for zero and ``s == ctx[4]`` for one."""
     ctx = _ctx_cache.get(N)
     if ctx is not None:
         return ctx
@@ -87,7 +89,7 @@ def make_ctx(N):
     rows = [base]
     for _ in range(max(0, phi - 2)):
         rows.append(tuple(_times_zeta(rows[-1], base)))
-    ctx = (N, phi, tuple(rows))
+    ctx = (N, phi, tuple(rows), (1,) + (0,) * phi, (1, 1) + (0,) * (phi - 1))
     _ctx_cache[N] = ctx
     return ctx
 
@@ -97,11 +99,11 @@ def euler_phi(N):
 
 
 def s_zero(ctx):
-    return (1,) + (0,) * ctx[1]
+    return ctx[3]
 
 
 def s_one(ctx):
-    return (1, 1) + (0,) * (ctx[1] - 1)
+    return ctx[4]
 
 
 def s_from_ratio(ctx, p, q=1):
@@ -142,7 +144,7 @@ _power_cache = {}
 
 def zeta_power(ctx, k):
     """Canonical scalar zeta_N**k (iterative multiply-by-x reduction)."""
-    N, phi, red = ctx
+    N, phi, red = ctx[:3]
     k %= N
     key = (N, k)
     got = _power_cache.get(key)
@@ -207,7 +209,7 @@ _inv_memo = {}
 def s_inv(ctx, a):
     """Multiplicative inverse via the regular-representation linear solve,
     made once per (conductor, scalar) while the memo holds it."""
-    if s_is_zero(a):
+    if a == ctx[3]:
         raise ZeroDivisionError("inverse of zero cyclotomic scalar")
     key = (ctx[0], a)
     got = _inv_memo.get(key)
@@ -217,7 +219,7 @@ def s_inv(ctx, a):
 
 
 def _solve_inv(ctx, a):
-    N, phi, red = ctx
+    phi, red = ctx[1], ctx[2]
     if phi == 1:
         return s_from_ratio(ctx, a[0], a[1])
     # columns: x**j * (numerator of a), as integer vectors

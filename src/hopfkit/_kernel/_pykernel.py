@@ -6,8 +6,9 @@ form as a tuple ``(den, c0, ..., c_{phi-1})`` of Python ints: the value is
 cyclotomic polynomial, ``den > 0`` and ``gcd(den, c0, ..., c_{phi-1}) == 1``.
 Equality of canonical scalars is tuple equality.
 
-A context is the tuple ``(N, phi, red)`` where ``red[t]`` holds the integer
-coefficients of ``x**(phi+t)`` reduced modulo the cyclotomic polynomial.
+A context is the tuple ``(N, phi, red, zero, one)`` where ``red[t]`` holds the
+integer coefficients of ``x**(phi+t)`` reduced modulo the cyclotomic
+polynomial, and ``zero`` and ``one`` are the canonical scalars 0 and 1.
 
 Everything here is allocation-heavy but exact.  The binary ring operations
 are memoized on their operand values (``_remember``): on the benchmark

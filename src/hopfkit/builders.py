@@ -595,7 +595,7 @@ def drinfeld_double(H):
             counit.append(K.s_mul(ctx, H.unit[c], H.counit[d]))
 
     # S_D(f_c x e_d) = (eps x S(e_d)) * (f_c o S^-1 x 1)
-    eps_coords = _clean(enumerate(H.counit))
+    eps_coords = _clean(ctx, enumerate(H.counit))
     unit_coords = H.unit_vec()
     Scols = []
     for c in range(n):
@@ -639,7 +639,7 @@ def double_r_matrix(H, D):
     ctx = H.ctx
     nn = n * n
     unit = H.unit_vec()
-    counit = _clean(enumerate(H.counit))
+    counit = _clean(ctx, enumerate(H.counit))
     out = {}
     for c in range(n):
         left = {c * n + u: s for u, s in unit.items()}

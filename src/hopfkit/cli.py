@@ -30,6 +30,7 @@ import argparse
 import functools
 import os
 import sys
+from math import gcd
 from urllib.parse import parse_qs, urlparse
 
 from . import __version__
@@ -112,20 +113,28 @@ def resolve_hopf(spec):
     if kind == "taft":
         return builders.taft(*_taft_params(params))[0]
     if kind == "uqsl2":
-        return builders.small_quantum_sl2(_uqsl2_l(params)).hopf
+        return builders.small_quantum_sl2(_uqsl2_l(params.get("l", "3"))).hopf
     if kind == "double":
         return _double(params)[0]
     raise BundleParseError("unknown builtin algebra %r" % spec)
 
 
 def _taft_params(params):
-    """(l, q) of a Taft spec; T_l has dim l^2 <= MAX_DIM."""
-    return _int_param("l", params.get("l", "3"), 2, 22), _int_param("q", params.get("q", "1"))
+    """(l, q) of a Taft spec; T_l has dim l^2 <= MAX_DIM, and zeta_l^q must
+    be a primitive l-th root of unity."""
+    l = _int_param("l", params.get("l", "3"), 2, 22)
+    q = _int_param("q", params.get("q", "1"))
+    if gcd(q, l) != 1:
+        raise BundleParseError("q = zeta_%d^%d is not a primitive root of unity" % (l, q))
+    return l, q
 
 
-def _uqsl2_l(params):
-    """l of a u_q(sl2) spec."""
-    return _int_param("l", params.get("l", "3"), *UQSL2_L_RANGE)
+def _uqsl2_l(raw, key="l"):
+    """The odd l of a u_q(sl2) spec or of ``scan-sl2 --l``."""
+    l = _int_param(key, raw, *UQSL2_L_RANGE)
+    if l % 2 == 0:
+        raise BundleParseError("small_quantum_sl2 needs odd l >= 3")
+    return l
 
 
 def _group_by_name(name):
@@ -154,7 +163,7 @@ def resolve_inclusion(spec):
     if kind == "taft":
         return builders.taft(*_taft_params(params))[1]
     if kind == "uqsl2":
-        uq = builders.small_quantum_sl2(_uqsl2_l(params))
+        uq = builders.small_quantum_sl2(_uqsl2_l(params.get("l", "3")))
         sub = params.get("sub", "cartan")
         if sub == "cartan":
             return uq.cartan()
@@ -417,7 +426,7 @@ def cmd_frob_objects(args):
 def cmd_scan_sl2(args):
     from .builders import unimodularity_scan_sl2
 
-    l = _int_param("--l", args.l, *UQSL2_L_RANGE)
+    l = _uqsl2_l(args.l, "--l")
     report = Report("scan-sl2 l=%d" % l, tool="hopfkit %s" % __version__)
     rows = unimodularity_scan_sl2(l)
     for row in rows:

@@ -11,6 +11,7 @@ row space has exactly one RREF, so all outputs are deterministic.
 """
 
 import re
+from bisect import insort
 from fractions import Fraction
 from math import lcm
 
@@ -287,7 +288,7 @@ def _add(ctx, acc, k, s):
         acc[k] = s
     else:
         s = K.s_add(ctx, prev, s)
-        if K.s_is_zero(s):
+        if s == ctx[3]:
             del acc[k]
         else:
             acc[k] = s
@@ -296,9 +297,9 @@ def _add(ctx, acc, k, s):
 def _axpy(ctx, acc, terms, c):
     """acc += c*terms in place for terms holding no zero; returns acc.  A unit
     c adds without products."""
-    if K.s_is_zero(c):
+    if c == ctx[3]:
         return acc
-    if c == K.s_one(ctx):
+    if c == ctx[4]:
         for k, s in _items(terms):
             _add(ctx, acc, k, s)
     else:
@@ -309,7 +310,7 @@ def _axpy(ctx, acc, terms, c):
 
 def _scale(ctx, terms, c):
     """c*terms as a new sparse vector."""
-    if K.s_is_zero(c):
+    if c == ctx[3]:
         return {}
     return {k: K.s_mul(ctx, c, s) for k, s in _items(terms)}
 
@@ -319,9 +320,10 @@ def _normalize_first_one(ctx, vec):
     return _scale(ctx, vec, K.s_inv(ctx, vec[min(vec)]))
 
 
-def _clean(terms):
+def _clean(ctx, terms):
     """The nonzero entries of terms (e.g. ``enumerate(dense)``) as a sparse vector."""
-    return {k: s for k, s in _items(terms) if not K.s_is_zero(s)}
+    zero = ctx[3]
+    return {k: s for k, s in _items(terms) if s != zero}
 
 
 def _dense(ctx, terms, n):
@@ -376,17 +378,18 @@ def _mat_vec(M, vec):
 
 def _table_mul(ctx, table, n, u, v):
     """Product of sparse vectors u and v, where table[i*n + j] lists the
-    (k, raw) terms of e_i e_j."""
-    v = [(j, b) for j, b in v.items() if not K.s_is_zero(b)]
+    (k, raw) terms of e_i e_j.  Zero entries of u and v are skipped, and a
+    unit factor is not multiplied."""
+    zero, one = ctx[3], ctx[4]
+    v = [(j, b) for j, b in v.items() if b != zero]
     out = {}
     for i, a in u.items():
-        if K.s_is_zero(a):
+        if a == zero:
             continue
         base = i * n
         for j, b in v:
-            ab = K.s_mul(ctx, a, b)
-            for k, s in table[base + j]:
-                _add(ctx, out, k, K.s_mul(ctx, ab, s))
+            ab = b if a == one else a if b == one else K.s_mul(ctx, a, b)
+            _axpy(ctx, out, table[base + j], ab)
     return out
 
 
@@ -408,16 +411,23 @@ def nullspace_raw(rows, ncols, ctx):
 class RowSpace:
     """Incrementally maintained RREF of a set of rows (sparse dict rows).
 
-    ``rows`` and ``pivots`` list the rows in increasing pivot order;
-    ``_row_at`` maps each pivot to its row, so that a reduction looks up only
-    the pivots the vector touches."""
+    ``pivots`` lists the pivot columns in increasing order and ``rows`` the
+    rows in the same order; ``_row_at`` maps each pivot to its row, so that a
+    reduction looks up only the pivots the vector touches.  ``_rows_with``
+    maps each non-pivot column c to the set of pivots whose rows hold an
+    entry at c, so that a new pivot rewrites only the rows that hold it."""
 
     def __init__(self, ncols, ctx):
         self.ncols = ncols
         self.ctx = ctx
-        self.rows = []  # list of dict col->raw, pivot coefficient 1
-        self.pivots = []  # sorted pivot columns, parallel to rows
-        self._row_at = {}  # pivot column -> its row in rows
+        self.pivots = []  # sorted pivot columns
+        self._row_at = {}  # pivot column -> its row, pivot coefficient 1
+        self._rows_with = {}  # non-pivot column -> pivots of the rows holding it
+
+    @property
+    def rows(self):
+        row_at = self._row_at
+        return [row_at[p] for p in self.pivots]
 
     def reduce(self, vec):
         """Remainder of a sparse (dict) or dense vector modulo the row space.
@@ -427,7 +437,7 @@ class RowSpace:
         row p is the vector's own entry at p, and only the pivots present in
         the vector are visited, in increasing order."""
         ctx = self.ctx
-        vec = _clean(vec if isinstance(vec, dict) else enumerate(vec))
+        vec = _clean(ctx, vec if isinstance(vec, dict) else enumerate(vec))
         row_at = self._row_at
         for piv in sorted(p for p in vec if p in row_at):
             _axpy(ctx, vec, row_at[piv], K.s_neg(vec[piv]))
@@ -441,17 +451,22 @@ class RowSpace:
         ctx = self.ctx
         piv = min(rem)
         row = _scale(ctx, rem, K.s_inv(ctx, rem[piv]))
-        # clear the new pivot column from existing rows
-        rows, row_at = self.rows, self._row_at
-        for i, r in enumerate(rows):
-            a = r.get(piv)
-            if a is not None:
-                rows[i] = row_at[self.pivots[i]] = _axpy(ctx, dict(r), row, K.s_neg(a))
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.pivots.insert(at, piv)
-        rows.insert(at, row)
+        row_at, rows_with = self._row_at, self._rows_with
+        # clear the new pivot column from the rows that hold it; a rewritten
+        # row changes only at the columns of the new row
+        for p in rows_with.pop(piv, ()):
+            old = row_at[p]
+            new = row_at[p] = _axpy(ctx, dict(old), row, K.s_neg(old[piv]))
+            for c in row:
+                if c in new:
+                    if c not in old:
+                        rows_with.setdefault(c, set()).add(p)
+                elif c in old and c != piv:
+                    rows_with[c].discard(p)
+        for c in row:
+            if c != piv:
+                rows_with.setdefault(c, set()).add(piv)
+        insort(self.pivots, piv)
         row_at[piv] = row
         return True
 
@@ -468,15 +483,14 @@ class RowSpace:
         order: 1 at its own free column, 0 at the other free columns."""
         ncols = self.ncols if ncols is None else ncols
         one = K.s_one(self.ctx)
+        row_at = self._row_at
         basis = []
         for free in range(ncols):
-            if free in self._row_at:
+            if free in row_at:
                 continue
             vec = {free: one}
-            for piv, row in zip(self.pivots, self.rows):
-                a = row.get(free)
-                if a is not None:
-                    vec[piv] = K.s_neg(a)
+            for piv in sorted(self._rows_with.get(free, ())):
+                vec[piv] = K.s_neg(row_at[piv][free])
             basis.append(vec)
         return basis
 
@@ -507,7 +521,7 @@ class Matrix:
     matrices and are never mutated.
     """
 
-    __slots__ = ("rows", "cols", "N", "srows")
+    __slots__ = ("rows", "cols", "N", "ctx", "srows")
     __hash__ = None
 
     def __init__(self, N, data):
@@ -519,7 +533,8 @@ class Matrix:
         self.N = N
         self.rows = len(data)
         self.cols = cols
-        self.srows = tuple(_clean(enumerate(r)) for r in data)
+        self.ctx = K.make_ctx(N)
+        self.srows = tuple(_clean(self.ctx, enumerate(r)) for r in data)
 
     # -- constructors ------------------------------------------------------
 
@@ -528,6 +543,7 @@ class Matrix:
         """From sparse rows that hold no zero; the row dicts are taken, not copied."""
         self = cls.__new__(cls)
         self.N = N
+        self.ctx = K.make_ctx(N)
         self.srows = tuple(srows)
         self.rows = len(self.srows)
         self.cols = cols
@@ -597,10 +613,6 @@ class Matrix:
         return cls.from_sparse(N, cols, out)
 
     # -- access ------------------------------------------------------------
-
-    @property
-    def ctx(self):
-        return K.make_ctx(self.N)
 
     def entry(self, i, j):
         if not 0 <= j < self.cols:

@@ -47,7 +47,7 @@ class HopfInclusion:
     that it is a Hopf algebra map by construction.  A parsed or directly
     built inclusion leaves it unset."""
 
-    __slots__ = ("K", "H", "embed", "proven", "_cache")
+    __slots__ = ("K", "H", "embed", "proven", "ctx", "_cache")
 
     def __init__(self, sub, big, embed, proven=False):
         N = lcm(sub.N, big.N)
@@ -61,15 +61,12 @@ class HopfInclusion:
                 % (self.H.dim, self.K.dim, self.embed.rows, self.embed.cols)
             )
         self.proven = proven and sub.proven and big.proven
+        self.ctx = self.H.ctx
         self._cache = {}
 
     @property
     def N(self):
         return self.H.N
-
-    @property
-    def ctx(self):
-        return K.make_ctx(self.N)
 
     def embed_col(self, b):
         """Image of the b-th K-basis vector as a sparse H-vector."""
@@ -242,7 +239,7 @@ def bar_quotient(incl):
 
     # basis of K+ = ker eps_K
     eps_space = RowSpace(m, ctx)
-    eps_space.add(_clean(enumerate(Kk.counit)))
+    eps_space.add(_clean(ctx, enumerate(Kk.counit)))
     kplus = eps_space.nullspace()
 
     sub = RowSpace(n, ctx)
@@ -317,8 +314,15 @@ def verify_bar_quotient(bq):
     w = counital_defect(bq)
     rep.add("bar-counital", w is None, witness=w, anchor="bar-quotient")
 
-    one_bar = _clean(enumerate(bq.unit))
-    rep.add("proj-sends-unit-to-unit", bq.proj_vec(H.unit_vec()) == one_bar)
+    # 1bar = proj(1_H) is grouplike in Hbar: eps(1bar) = 1, Delta(1bar) = 1bar x 1bar
+    one_bar = _clean(ctx, enumerate(bq.unit))
+    delta_one = {}
+    for t, c in one_bar.items():
+        _axpy(ctx, delta_one, bq.comult[t], c)
+    rep.add("proj-sends-unit-to-unit",
+            bq.proj_vec(H.unit_vec()) == one_bar
+            and LinearFunctional(bq.N, bq.counit)(one_bar) == one
+            and delta_one == _tensor(ctx, {}, one_bar, one_bar, d))
 
     # right K-triviality: proj(h * embed(k)) = eps_K(k) proj(h)
     w = None
@@ -600,7 +604,7 @@ class FrobeniusData:
         return _mat_vec(self.tr_K, hvec)
 
     def delta_vec(self, i):
-        return _clean(enumerate(self.deltas[i]))
+        return _clean(self.incl.ctx, enumerate(self.deltas[i]))
 
 
 def frobenius_morphism(incl, bq):
@@ -758,7 +762,7 @@ def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
     whose first witness the error names.
     """
     H = incl.H
-    delta_sparse = [_clean(enumerate(dv)) for dv in deltas]
+    delta_sparse = [_clean(incl.ctx, enumerate(dv)) for dv in deltas]
     w = _first_defect(_reconstruction_defect, free if H.proven else None,
                       incl, tr_K, free, delta_sparse)
     if w is not None:

@@ -143,6 +143,7 @@ class FinHopf:
         "antipode_cols",
         "convention",
         "proven",
+        "ctx",
         "_cache",
     )
 
@@ -160,6 +161,7 @@ class FinHopf:
         self.convention = convention
         # True only for a Hopf algebra by construction (see the module docstring)
         self.proven = proven
+        self.ctx = K.make_ctx(N)
         self._cache = {}
 
     # -- construction ------------------------------------------------------
@@ -218,10 +220,6 @@ class FinHopf:
         )
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def ctx(self):
-        return K.make_ctx(self.N)
 
     def mult_tensor(self):
         n = self.dim
@@ -294,10 +292,10 @@ class FinHopf:
     # -- sparse-vector calculus --------------------------------------------
 
     def basis_vec(self, i):
-        return {i: K.s_one(self.ctx)}
+        return {i: self.ctx[4]}
 
     def unit_vec(self):
-        return _clean(enumerate(self.unit))
+        return _clean(self.ctx, enumerate(self.unit))
 
     def mult_vec(self, u, v):
         """Product of two sparse vectors {index: raw}."""
@@ -578,7 +576,7 @@ def _integral_rows(H, side, js=None):
             pair = i * n + j if side == "right" else j * n + i
             for k, s in H.mult[pair]:
                 _add(ctx, rows[k], i, s)
-        if not K.s_is_zero(eps_j):
+        if eps_j != ctx[3]:
             for i in range(n):
                 _add(ctx, rows[i], i, K.s_neg(eps_j))
         for r in rows:
@@ -714,7 +712,7 @@ def right_integral_of_dual(C):
         return got
     n = C.dim
     ctx = C.ctx
-    unit = _clean(enumerate(C.unit))
+    unit = _clean(ctx, enumerate(C.unit))
     space = RowSpace(n, ctx)
     # lambda(c_(1)) c_(2) = lambda(c) 1 for all basis c
     for i in range(n):

@@ -26,7 +26,7 @@ class HModule:
     products once both actions are algebra maps.
     """
 
-    __slots__ = ("H", "dim", "N", "action", "name", "proven", "_key")
+    __slots__ = ("H", "dim", "N", "ctx", "action", "name", "proven", "_key")
     __hash__ = None
 
     def __init__(self, H, action, name="V", N=None):
@@ -53,15 +53,12 @@ class HModule:
             raise ShapeError("action matrices must be square")
         self.H = H.lifted(conductor) if conductor != H.N else H
         self.N = conductor
+        self.ctx = K.make_ctx(conductor)
         self.dim = d[0]
         self.action = tuple(a.lift(conductor) for a in lifted)
         self.name = name
         self.proven = False
         self._key = None
-
-    @property
-    def ctx(self):
-        return K.make_ctx(self.N)
 
     def act(self, i):
         return self.action[i]

@@ -3,7 +3,7 @@ from math import lcm
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfkit import _kernel as K
@@ -101,6 +101,28 @@ def test_s_mul_by_one_is_the_other_operand(case):
 def test_s_mul_commutes(case):
     ctx, a, b = case
     assert K.s_mul(ctx, a, b) == K.s_mul(ctx, b, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.lists(_COEFF, min_size=4, max_size=4),
+       st.lists(_COEFF, min_size=4, max_size=4), _COEFF)
+def test_zero_and_one_are_the_context_tuples(N, xs, ys, r):
+    # the sparse helpers test s == ctx[3] for zero and s == ctx[4] for one;
+    # the scalars compared here are built by arithmetic, not taken from ctx
+    ctx = K.make_ctx(N)
+    phi = ctx[1]
+    zero, one = ctx[3], ctx[4]
+    assert (zero, one) == (K.s_zero(ctx), K.s_one(ctx))
+    a, b = K.s_from_fractions(ctx, xs[:phi]), K.s_from_fractions(ctx, ys[:phi])
+    scalars = [a, b, K.s_sub(ctx, a, a), K.s_sub(ctx, a, b), K.s_add(ctx, a, b), K.s_mul(ctx, a, b),
+               K.s_from_ratio(ctx, r.numerator, r.denominator), K.s_from_ratio(ctx, 3, 3),
+               K.s_from_fractions(ctx, [r] + [Fraction(0)] * (phi - 1))]
+    if not K.s_is_zero(a):
+        scalars.append(K.s_mul(ctx, a, K.s_inv(ctx, a)))
+    unit_value = (Fraction(1),) + (Fraction(0),) * (phi - 1)
+    for s in scalars:
+        assert (s == zero) == K.s_is_zero(s)
+        assert (s == one) == (K.s_to_fractions(s) == unit_value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,11 +538,11 @@ def test_sparse_vector_helpers_match_dense_reference(case):
     assert _axpy(ctx, _raw(acc), tuple(_raw(v).items()), c.data) == _reference(N, list(acc.items()) + cv)
     assert _axpy(ctx, {}, {}, c.data) == {}
     assert _scale(ctx, _raw(v), c.data) == _reference(N, cv)
-    assert _clean({k: x.data for k, x in acc.items()}) == _reference(N, acc.items())
+    assert _clean(ctx, {k: x.data for k, x in acc.items()}) == _reference(N, acc.items())
     dense = [Cyclotomic.rational(0, N)] * 4
     for i, x in u.items():
         dense[i] = x
-    assert _clean(enumerate(x.data for x in dense)) == _reference(N, enumerate(dense))
+    assert _clean(ctx, enumerate(x.data for x in dense)) == _reference(N, enumerate(dense))
 
     flat = {i: x for i, x in enumerate(acc.values())}
     outer = [(i * n + j, a * b) for i, a in u.items() for j, b in w.items()]
@@ -642,7 +664,7 @@ class _SequentialRowSpace(RowSpace):
     """RowSpace with the reduction that visits every pivot in turn."""
 
     def reduce(self, vec):
-        vec = _clean(vec if isinstance(vec, dict) else enumerate(vec))
+        vec = _clean(self.ctx, vec if isinstance(vec, dict) else enumerate(vec))
         for piv, row in zip(self.pivots, self.rows):
             a = vec.get(piv)
             if a is not None:
@@ -661,8 +683,13 @@ def _sparse_rows(draw):
     return N, ncols, draw(st.lists(row, max_size=10)), draw(st.lists(row, max_size=4))
 
 
+_ONE = K.s_one(K.make_ctx(1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sparse_rows())
+# the second row rewrites the first to e0: its entry at column 2 cancels
+@example((1, 3, [{0: _ONE, 1: _ONE, 2: _ONE}, {1: _ONE, 2: _ONE}], []))
 def test_pivot_indexed_reduce_matches_the_sequential_reduction(case):
     N, ncols, rows, probes = case
     ctx = K.make_ctx(N)
@@ -672,6 +699,9 @@ def test_pivot_indexed_reduce_matches_the_sequential_reduction(case):
         assert fast.add(dict(row)) == slow.add(dict(row))
         assert (fast.rows, fast.pivots) == (slow.rows, slow.pivots)
         assert fast._row_at == dict(zip(fast.pivots, fast.rows))
+        # the column index holds exactly the stored non-pivot entries (p, c)
+        stored = {(p, c) for p, r in fast._row_at.items() for c in r if c != p}
+        assert {(p, c) for c, ps in fast._rows_with.items() for p in ps} == stored
     for vec in probes:
         assert fast.reduce(vec) == slow.reduce(vec)
     assert fast.nullspace() == slow.nullspace()

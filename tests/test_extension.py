@@ -91,6 +91,22 @@ def test_verify_bar_quotient_reports_a_counit_defect(h8_incl, field):
     assert (check.status, check.witness) == ("fail", 1)
 
 
+def test_verify_bar_quotient_requires_a_grouplike_unit(h8, h8_incl):
+    # doubling bar 1 and the column of proj that 1_H = e_0 maps to keeps
+    # proj(1_H) equal to bq.unit, but 2 bar 1 is not grouplike:
+    # eps(2 bar 1) = 2 and Delta(2 bar 1) = 2 bar 1 x bar 1 != 4 bar 1 x bar 1
+    bq = bar_quotient(h8_incl)
+    ctx = h8_incl.ctx
+    two = K.s_from_ratio(ctx, 2)
+    assert h8.unit_vec() == {0: K.s_one(ctx)}
+    bad = copy.copy(bq)
+    bad.unit = tuple(K.s_mul(ctx, two, s) for s in bq.unit)
+    bad.proj_cols = ({t: K.s_mul(ctx, two, s) for t, s in bq.proj_cols[0].items()},) + bq.proj_cols[1:]
+    assert bad.proj_vec(h8.unit_vec()) == {t: s for t, s in enumerate(bad.unit) if s != K.s_zero(ctx)}
+    assert verify_bar_quotient(bq)["proj-sends-unit-to-unit"].status == "pass"
+    assert verify_bar_quotient(bad)["proj-sends-unit-to-unit"].status == "fail"
+
+
 def _reference_dual_integrals(C):
     """Basis of the lambda with lambda(c_(1)) c_(2) = lambda(c) 1 for every
     basis c of the coalgebra C, by Gauss-Jordan elimination over Cyclotomic,
@@ -507,7 +523,7 @@ def test_dual_basis_defect_on_a_proven_algebra_names_the_full_scan_witness(h8_in
     ctx = incl.ctx
     two = K.s_from_ratio(ctx, 2)
     bad = [[K.s_mul(ctx, two, v) for v in deltas[0]]] + deltas[1:]
-    w = _reconstruction_defect(incl, tr, free, [_clean(enumerate(dv)) for dv in bad])
+    w = _reconstruction_defect(incl, tr, free, [_clean(ctx, enumerate(dv)) for dv in bad])
     assert w is not None
     with pytest.raises(PipelineError, match="reconstruction identity fails at basis %d$" % w):
         _verify_dual_bases(incl, tr, free, bad, right_dec)

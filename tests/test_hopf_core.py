@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import pytest
@@ -31,6 +32,53 @@ from hopfkit.hopf_core import (
     verify_hopf,
 )
 from hopfkit.reports import FAIL, PASS
+
+
+def test_every_algebra_computes_at_its_own_conductor():
+    # a stored context that outlived a change of conductor would compute in
+    # the wrong field without any error
+    from hopfkit.extension import HopfInclusion
+    from hopfkit.module_theory import HModule
+
+    T3 = taft(3)[0]
+    algebras = [T3, small_quantum_sl2(3).hopf, group_algebra(cyclic_table(2)),
+                parse_hopf(serialize_hopf(T3)), T3.lifted(12), dual_hopf(T3),
+                subhopf_from_basis(T3, [0, 3, 6])[0], drinfeld_double(T3)[0]]
+    assert [H.N for H in algebras] == [3, 3, 1, 3, 12, 3, 3, 3]
+    for H in algebras:
+        assert H.ctx is K.make_ctx(H.N), H.name
+    KG = group_algebra(cyclic_table(2))
+    incl = HopfInclusion(KG, T3.lifted(12), Matrix.from_rows([[1, 0]] + [[0, 0]] * 8))
+    assert incl.ctx is K.make_ctx(12)
+    V = HModule(KG, [Matrix.identity(1), Matrix.identity(1, 4)])
+    assert V.ctx is K.make_ctx(4)
+    for M in (Matrix.identity(2, 3), Matrix.identity(2, 3).lift(12), Matrix.zeros(1, 1, 5)):
+        assert M.ctx is K.make_ctx(M.N)
+
+
+def test_elimination_and_products_make_no_zero_test_calls(monkeypatch):
+    # the sparse helpers find zero and one by comparing with the context's
+    # tuples; a K.s_is_zero call put back into RowSpace, _table_mul or the
+    # integral rows is counted here, in every hopfkit namespace that binds it
+    calls = []
+    original = K.s_is_zero
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "hopfkit" or name.startswith("hopfkit.")) and getattr(mod, "s_is_zero", None) is original:
+            monkeypatch.setattr(mod, "s_is_zero", counted)
+    uq = small_quantum_sl2(3).hopf
+    # a copy with an empty cache, so that nothing is looked up
+    H = FinHopf(uq.name, uq.basis_labels, uq.N, uq.mult, uq.unit, uq.comult, uq.counit,
+                uq.antipode_cols, proven=uq.proven)
+    assert len(algebra_generators(H)) == 3
+    assert [len(integral_space(H, side)) for side in ("left", "right")] == [1, 1]
+    products = [H.mult_vec(H.basis_vec(i), H.basis_vec(j)) for i in range(H.dim) for j in range(H.dim)]
+    assert sum(map(len, products)) > 0
+    assert K.s_is_zero(K.s_zero(H.ctx)) and len(calls) == 1
 
 
 def test_group_algebra_verifies():

@@ -262,6 +262,26 @@ def test_spec_out_of_range_is_malformed_input(spec):
         resolve_hopf(spec)
 
 
+# Builtin parameters inside their numeric bounds that name no algebra: an even
+# l for u_q(sl2), and a power q of zeta_l that is no primitive l-th root.
+INVALID_BUILTIN_PARAMETERS = [
+    (["analyze", "builtin:uqsl2?l=4"], "small_quantum_sl2 needs odd l >= 3"),
+    (["verify", "builtin:uqsl2?l=6"], "small_quantum_sl2 needs odd l >= 3"),
+    (["scan-sl2", "--l", "4"], "small_quantum_sl2 needs odd l >= 3"),
+    (["analyze", "builtin:taft?l=4&q=2"], "q = zeta_4^2 is not a primitive root of unity"),
+    (["analyze", "builtin:taft?l=3&q=0"], "q = zeta_3^0 is not a primitive root of unity"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INVALID_BUILTIN_PARAMETERS)
+def test_invalid_builtin_parameter_exits_2(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert err.getvalue() == "input error: %s\n" % message
+
+
 @pytest.mark.parametrize("module", [
     "builtin:kchar?act=1,1,1,x", "builtin:kchar?act=1/0,1,1,1", "builtin:kchar?act=1,1,1,1&cond=0",
     "builtin:kchar?act=1,1,1,1&cond=abc", "builtin:kchar?act=1,1,1,1&deg=q",
