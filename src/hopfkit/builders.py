@@ -27,6 +27,7 @@ from .errors import HopfkitError
 from .exact_math import (
     Matrix,
     _add,
+    _apply,
     _axpy,
     _clean,
     _scale,
@@ -380,10 +381,7 @@ def small_quantum_sl2(l):
         w = {idx(j1, 0, 0): one}
         for i in range(l):
             ef.append([(t // ll, t // l % l, t % l, c) for t, c in w.items()])
-            nxt = {}
-            for t, c in w.items():
-                _axpy(ctx, nxt, e_left[t], c)
-            w = nxt
+            w = _apply(ctx, e_left, w)
 
     # (f^j k^m e^i)(f^j1 k^m1 e^i1) = f^j k^m (e^i f^j1) k^m1 e^i1
     #   = sum c q^(-2m j2 - 2m1 i2) f^(j+j2) k^(m+m2+m1) e^(i2+i1)

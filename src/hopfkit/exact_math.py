@@ -20,7 +20,7 @@ from .errors import InconsistentSystemError, ShapeError
 
 
 def _coerce_ratio(value):
-    """(p, q) for ints, Fractions and rational strings."""
+    """(p, q) for an int or a Fraction; raises TypeError for anything else."""
     if isinstance(value, int):
         return value, 1
     if isinstance(value, Fraction):
@@ -42,7 +42,7 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, value, N=1):
-        p, q = _coerce_ratio(value if not isinstance(value, Cyclotomic) else 0)
+        p, q = _coerce_ratio(value)
         return cls(N, K.s_from_ratio(K.make_ctx(N), p, q))
 
     @classmethod
@@ -258,13 +258,7 @@ def lift_raw(data, N, M):
 def mat_mul_raw(A, B, ctx):
     """Gustavson product of sparse rows (dicts {col: raw} holding no zero):
     row i of A*B is the sum of a*B[k] over the entries (k, a) of A[i]."""
-    out = []
-    for row in A:
-        acc = {}
-        for k, a in row.items():
-            _axpy(ctx, acc, B[k], a)
-        out.append(acc)
-    return out
+    return [_apply(ctx, B, row) for row in A]
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +358,14 @@ def _kron_sum(ctx, out, blocks):
                         _add(ctx, acc, base + l, K.s_mul(ctx, x, y))
 
 
-def _mat_vec(M, vec):
-    """M * vec for a Matrix M and a sparse vector vec, as a sparse vector."""
-    ctx = M.ctx
+def _apply(ctx, cols, vec):
+    """Sum of c*cols[k] over the entries (k, c) of the sparse vector vec: the
+    linear map with column table cols (each column a sparse vector or a
+    sequence of (index, raw) pairs) applied to vec.  For a Matrix M, M*vec
+    is ``_apply(ctx, M.transpose().srows, vec)``."""
     out = {}
-    for i, row in enumerate(M.srows):
-        for j, b in vec.items():
-            a = row.get(j)
-            if a is not None:
-                _add(ctx, out, i, K.s_mul(ctx, a, b))
+    for k, c in vec.items():
+        _axpy(ctx, out, cols[k], c)
     return out
 
 
@@ -394,9 +387,9 @@ def _table_mul(ctx, table, n, u, v):
 
 
 def rref_raw(rows, ncols, ctx):
-    """The reduced row echelon form of sparse (dict) or dense rows of width
-    ncols, as a RowSpace.  A row space has exactly one RREF, so the result
-    does not depend on the order of the rows."""
+    """The reduced row echelon form of sparse (dict) rows of width ncols, as
+    a RowSpace.  A row space has exactly one RREF, so the result does not
+    depend on the order of the rows."""
     space = RowSpace(ncols, ctx)
     for row in rows:
         space.add(row)
@@ -430,14 +423,15 @@ class RowSpace:
         return [row_at[p] for p in self.pivots]
 
     def reduce(self, vec):
-        """Remainder of a sparse (dict) or dense vector modulo the row space.
+        """Remainder of a sparse (dict) vector modulo the row space; zero
+        values in vec are dropped.
 
         Row p is zero at every other pivot column, so subtracting it leaves the
         vector's entries at the other pivots as they were: the multiplier of
         row p is the vector's own entry at p, and only the pivots present in
         the vector are visited, in increasing order."""
         ctx = self.ctx
-        vec = _clean(ctx, vec if isinstance(vec, dict) else enumerate(vec))
+        vec = _clean(ctx, vec)
         row_at = self._row_at
         for piv in sorted(p for p in vec if p in row_at):
             _axpy(ctx, vec, row_at[piv], K.s_neg(vec[piv]))
@@ -615,6 +609,8 @@ class Matrix:
     # -- access ------------------------------------------------------------
 
     def entry(self, i, j):
+        if not 0 <= i < self.rows:
+            raise IndexError("row %d of a %dx%d matrix" % (i, self.rows, self.cols))
         if not 0 <= j < self.cols:
             raise IndexError("column %d of a %dx%d matrix" % (j, self.rows, self.cols))
         return Cyclotomic(self.N, self.srows[i].get(j) or K.s_zero(self.ctx))

@@ -17,10 +17,10 @@ from .exact_math import (
     Matrix,
     RowSpace,
     _add,
+    _apply,
     _axpy,
     _clean,
     _dense,
-    _mat_vec,
     _scale,
     _tensor,
 )
@@ -68,41 +68,29 @@ class HopfInclusion:
     def N(self):
         return self.H.N
 
-    def embed_col(self, b):
-        """Image of the b-th K-basis vector as a sparse H-vector."""
-        key = ("col", b)
-        got = self._cache.get(key)
+    def embed_cols(self):
+        """The column table of embed: the images of K's basis vectors as
+        sparse H-vectors."""
+        got = self._cache.get("embed_cols")
         if got is None:
-            got = self.embed.col(b)
-            self._cache[key] = got
+            got = self._cache["embed_cols"] = self.embed.transpose().srows
         return got
 
+    def embed_col(self, b):
+        """Image of the b-th K-basis vector as a sparse H-vector."""
+        return self.embed_cols()[b]
+
     def embed_vec(self, kvec):
-        ctx = self.ctx
-        out = {}
-        for b, c in kvec.items():
-            _axpy(ctx, out, self.embed_col(b), c)
-        return out
+        return _apply(self.ctx, self.embed_cols(), kvec)
 
     def image_space(self):
         got = self._cache.get("image_space")
         if got is None:
             got = RowSpace(self.H.dim, self.ctx)
-            for b in range(self.K.dim):
-                got.add(self.embed_col(b))
+            for col in self.embed_cols():
+                got.add(col)
             self._cache["image_space"] = got
         return got
-
-    def to_K_coords_many(self, vectors):
-        """Solve embed * x = v for a list of dense raw vectors; None if any fails."""
-        cols = Matrix(self.N, [list(col) for col in zip(*vectors)]) if vectors else None
-        if cols is None:
-            return []
-        try:
-            sol = self.embed.solve(cols)
-        except InconsistentSystemError:
-            return None
-        return [sol.particular.col_raw(j) for j in range(len(vectors))]
 
     def __repr__(self):
         return "HopfInclusion(%s -> %s)" % (self.K.name, self.H.name)
@@ -209,10 +197,7 @@ class BarQuotient:
 
     def proj_vec(self, hvec):
         """Image of a sparse H-vector in Hbar coordinates."""
-        out = {}
-        for i, s in hvec.items():
-            _axpy(self.ctx, out, self.proj_cols[i], s)
-        return out
+        return _apply(self.ctx, self.proj_cols, hvec)
 
     def proj_comult(self, i):
         """(proj x proj) Delta_H(h_i) in Hbar x Hbar coordinates."""
@@ -259,26 +244,20 @@ def bar_quotient(incl):
             reps.append(t)
     d = len(reps)
 
+    # res[i] is the residue of e_i modulo HK+, indexed by the position of each
+    # non-pivot column of sub
     pivots = set(sub.pivots)
-    nonpiv = [c for c in range(n) if c not in pivots]
-    np_pos = {c: i for i, c in enumerate(nonpiv)}
-    assert len(nonpiv) == d
-    # express residues of basis vectors in terms of the residues of the reps
-    cols = []
-    for t in reps:
-        rem = sub.reduce({t: one})
-        cols.append(_dense(ctx, ((np_pos[c], s) for c, s in rem.items()), d))
-    M = Matrix(incl.N, [list(r) for r in zip(*cols)])
-    Minv = M.inverse()
-    if Minv is None:
+    np_pos = {c: i for i, c in enumerate(c for c in range(n) if c not in pivots)}
+    assert len(np_pos) == d
+    res = [{np_pos[c]: s for c, s in sub.reduce({i: one}).items()} for i in range(n)]
+    # proj(e_i) solves sum_t y_t res[reps[t]] = res[i], i.e. R^T y = res[i] for
+    # the matrix R with rows res[reps[t]]; the columns of (R^T)^-1 are the
+    # rows of R^-1
+    inv = Matrix.from_sparse(incl.N, d, [res[t] for t in reps]).inverse()
+    if inv is None:
         raise PipelineError("coset representative residues are not independent")
 
-    proj_cols = []
-    for i in range(n):
-        rem = sub.reduce({i: one})
-        proj_cols.append(_mat_vec(Minv, {np_pos[c]: s for c, s in rem.items()}))
-
-    bq = BarQuotient(incl, reps, proj_cols)
+    bq = BarQuotient(incl, reps, [_apply(ctx, inv.srows, r) for r in res])
     rep = verify_bar_quotient(bq)
     if not rep.ok:
         raise PipelineError("bar quotient verification failed: %r" % rep.failures())
@@ -300,10 +279,7 @@ def verify_bar_quotient(bq):
     # coalgebra map: (proj x proj) Delta_H = Delta_bar proj on all basis vectors
     w = None
     for i in range(n):
-        rhs = {}
-        for t, c in bq.proj_cols[i].items():
-            _axpy(ctx, rhs, bq.comult[t], c)
-        if bq.proj_comult(i) != rhs:
+        if bq.proj_comult(i) != _apply(ctx, bq.comult, bq.proj_cols[i]):
             w = i
             break
     rep.add("proj-coalgebra-map", w is None, witness=w, anchor="bar-quotient")
@@ -316,13 +292,10 @@ def verify_bar_quotient(bq):
 
     # 1bar = proj(1_H) is grouplike in Hbar: eps(1bar) = 1, Delta(1bar) = 1bar x 1bar
     one_bar = _clean(ctx, enumerate(bq.unit))
-    delta_one = {}
-    for t, c in one_bar.items():
-        _axpy(ctx, delta_one, bq.comult[t], c)
     rep.add("proj-sends-unit-to-unit",
             bq.proj_vec(H.unit_vec()) == one_bar
             and LinearFunctional(bq.N, bq.counit)(one_bar) == one
-            and delta_one == _tensor(ctx, {}, one_bar, one_bar, d))
+            and _apply(ctx, bq.comult, one_bar) == _tensor(ctx, {}, one_bar, one_bar, d))
 
     # right K-triviality: proj(h * embed(k)) = eps_K(k) proj(h)
     w = None
@@ -387,15 +360,10 @@ def relative_modular_function(incl, bq):
     # normalized to 1 there, so chi(k) = lambda(bar(k h0))
     h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
     z = K.s_zero(ctx)
-    cols = [incl.embed_col(b) for b in range(Kk.dim)]
+    cols = incl.embed_cols()
     prods = _lambda_products(H, lamH, sorted({a for col in cols for a in col}))
     # kh[b][i] = lambda(bar(k_b h_i)) for the embedded K-basis vector k_b
-    kh = []
-    for col in cols:
-        acc = {}
-        for a, c in col.items():
-            _axpy(ctx, acc, prods[a], c)
-        kh.append(acc)
+    kh = [_apply(ctx, prods, col) for col in cols]
     chi = LinearFunctional(incl.N, [row.get(h0, z) for row in kh])
     # global verification over all (k, h) basis pairs
     for b, row in enumerate(kh):
@@ -460,9 +428,7 @@ def is_frobenius_extension(incl, bq=None):
 
     alpha_H = distinguished_grouplike(H)
     alpha_K = distinguished_grouplike(Kk)
-    alpha_H_on_K = LinearFunctional(
-        incl.N, [alpha_H(incl.embed_col(b)) for b in range(Kk.dim)]
-    )
+    alpha_H_on_K = LinearFunctional(incl.N, [alpha_H(col) for col in incl.embed_cols()])
     via_alpha = alpha_H_on_K == alpha_K
 
     if via_chi != via_alpha:
@@ -517,7 +483,7 @@ def free_basis(incl):
     if n % m != 0:
         raise HopfkitError("dim H = %d not divisible by dim K = %d" % (n, m))
     one = K.s_one(incl.ctx)
-    cols = [incl.embed_col(b) for b in range(m)]
+    cols = incl.embed_cols()
     left = RowSpace(n, incl.ctx)
     right = RowSpace(n, incl.ctx)
     free = []
@@ -558,23 +524,22 @@ class Decomposer:
         if images is None:
             pairs = ((H.basis_vec(i), incl.embed_col(b)) for i in free for b in range(m))
             images = [H.mult_vec(k, h) if side == "left" else H.mult_vec(h, k) for h, k in pairs]
-        inv = Matrix.from_sparse(incl.N, H.dim, images).transpose().inverse()
+        # coordinates solve A x = h for the matrix A whose columns are the
+        # products; the columns of A^-1 are the rows of (A^T)^-1, and A^T has
+        # the products as rows
+        inv = Matrix.from_sparse(incl.N, H.dim, images).inverse()
         if inv is None:
             raise PipelineError("free basis is not %s-regular along declared order" % side)
         self.incl = incl
         self.free = free
         self.side = side
-        self.inv_cols = inv.transpose().srows
+        self.inv_cols = inv.srows
         self.m = m
 
     def __call__(self, hvec):
         """List (per free index) of sparse K-coordinate vectors."""
-        ctx = self.incl.ctx
-        coords = {}
-        for j, s in hvec.items():
-            _axpy(ctx, coords, self.inv_cols[j], s)
         parts = [{} for _ in self.free]
-        for x, c in coords.items():
+        for x, c in _apply(self.incl.ctx, self.inv_cols, hvec).items():
             i, b = divmod(x, self.m)
             parts[i][b] = c
         return parts
@@ -582,15 +547,16 @@ class Decomposer:
 
 class FrobeniusData:
     """What induction reads of a chosen Frobenius morphism: lambda, tr in
-    K-coordinates, the free basis h_i with its dual basis delta_i, and the
-    right decomposer over that free basis."""
+    K-coordinates with its column table ``tr_cols``, the free basis h_i with
+    its dual basis delta_i, and the right decomposer over that free basis."""
 
-    __slots__ = ("incl", "lam", "tr_K", "free", "deltas", "right_decomp")
+    __slots__ = ("incl", "lam", "tr_K", "tr_cols", "free", "deltas", "right_decomp")
 
     def __init__(self, incl, lam, tr_K, free, deltas, right_decomp):
         self.incl = incl
         self.lam = lam
         self.tr_K = tr_K
+        self.tr_cols = tr_K.transpose().srows
         self.free = free
         self.deltas = deltas
         self.right_decomp = right_decomp
@@ -601,7 +567,7 @@ class FrobeniusData:
 
     def tr_vec(self, hvec):
         """tr of a sparse H-vector, as a sparse K-vector."""
-        return _mat_vec(self.tr_K, hvec)
+        return _apply(self.incl.ctx, self.tr_cols, hvec)
 
     def delta_vec(self, i):
         return _clean(self.incl.ctx, enumerate(self.deltas[i]))
@@ -619,11 +585,12 @@ def frobenius_morphism(incl, bq):
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
             _axpy(ctx, acc, {k2: s}, lamH.values[j])
-        images.append(_dense(ctx, acc, n))
-    coords = incl.to_K_coords_many(images)
-    if coords is None:
-        raise PipelineError("image of tr is not contained in K")
-    tr_K = Matrix(incl.N, [list(r) for r in zip(*coords)])
+        images.append(acc)
+    # tr_K solves embed * tr_K = [tr(e_0) ... tr(e_(n-1))]
+    try:
+        tr_K = incl.embed.solve(Matrix.from_sparse(incl.N, n, images).transpose()).particular
+    except InconsistentSystemError:
+        raise PipelineError("image of tr is not contained in K") from None
     _verify_frobenius_morphism(incl, tr_K)
     return tr_K
 
@@ -632,19 +599,20 @@ def _verify_frobenius_morphism(incl, tr_K):
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
+    tr_cols = tr_K.transpose().srows
 
     # K-K-bimodule property: tr(k h k') = k tr(h) k'
     for b in range(m):
         col_b = incl.embed_col(b)
         for i in range(n):
             hb = H.mult_vec(col_b, H.basis_vec(i))
-            lhs = _mat_vec(tr_K, hb)
-            rhs = Kk.mult_vec(Kk.basis_vec(b), _mat_vec(tr_K, H.basis_vec(i)))
+            lhs = _apply(ctx, tr_cols, hb)
+            rhs = Kk.mult_vec(Kk.basis_vec(b), tr_cols[i])
             if lhs != rhs:
                 raise PipelineError("tr is not a left K-module map at (%d,%d)" % (b, i))
             hb2 = H.mult_vec(H.basis_vec(i), col_b)
-            lhs2 = _mat_vec(tr_K, hb2)
-            rhs2 = Kk.mult_vec(_mat_vec(tr_K, H.basis_vec(i)), Kk.basis_vec(b))
+            lhs2 = _apply(ctx, tr_cols, hb2)
+            rhs2 = Kk.mult_vec(tr_cols[i], Kk.basis_vec(b))
             if lhs2 != rhs2:
                 raise PipelineError("tr is not a right K-module map at (%d,%d)" % (i, b))
 
@@ -653,10 +621,10 @@ def _verify_frobenius_morphism(incl, tr_K):
         lhs = {}
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
-            for b, c in _mat_vec(tr_K, {j: s}).items():
+            for b, c in _scale(ctx, tr_cols[j], s).items():
                 _add(ctx, lhs, b * n + k2, c)
         rhs = {}
-        for b, c in _mat_vec(tr_K, H.basis_vec(i)).items():
+        for b, c in tr_cols[i].items():
             for x, s in Kk.comult[b]:
                 p, q = divmod(x, m)
                 _tensor(ctx, rhs, {p: K.s_mul(ctx, c, s)}, incl.embed_col(q), n)
@@ -670,11 +638,12 @@ def dual_bases(incl, tr_K, free):
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
     r = len(free)
+    tr_cols = tr_K.transpose().srows
     # row j*m + b, column t: the b-th K-coordinate of tr(h_j e_t)
     rows = []
     for j in free:
         hj = H.basis_vec(j)
-        trs = [_mat_vec(tr_K, H.mult_vec(hj, H.basis_vec(t))) for t in range(n)]
+        trs = [_apply(ctx, tr_cols, H.mult_vec(hj, H.basis_vec(t))) for t in range(n)]
         rows.extend({t: tr[b] for t, tr in enumerate(trs) if b in tr} for b in range(m))
     A = Matrix.from_sparse(incl.N, n, rows)
     z = K.s_zero(ctx)
@@ -699,16 +668,17 @@ def _reconstruction_defect(incl, tr_K, free, delta_sparse, xs=None):
     H = incl.H
     ctx = incl.ctx
     one = K.s_one(ctx)
+    tr_cols = tr_K.transpose().srows
     for x in range(H.dim) if xs is None else xs:
         ex = H.basis_vec(x)
         acc1 = {}
         acc2 = {}
         for i, delta in enumerate(delta_sparse):
             # h = sum_i tr(h delta_i) h_i
-            ki = _mat_vec(tr_K, H.mult_vec(ex, delta))
+            ki = _apply(ctx, tr_cols, H.mult_vec(ex, delta))
             _axpy(ctx, acc1, H.mult_vec(incl.embed_vec(ki), H.basis_vec(free[i])), one)
             # h = sum_i delta_i tr(h_i h)
-            ki2 = _mat_vec(tr_K, H.mult_vec(H.basis_vec(free[i]), ex))
+            ki2 = _apply(ctx, tr_cols, H.mult_vec(H.basis_vec(free[i]), ex))
             _axpy(ctx, acc2, H.mult_vec(delta, incl.embed_vec(ki2)), one)
         if acc1 != ex or acc2 != ex:
             return x
@@ -783,13 +753,14 @@ def tr_bicomodule_map(incl, tr_K):
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
+    tr_cols = tr_K.transpose().srows
     for i in range(n):
         lhs = {}
         for (a, b, c), s in H.comult2(i):
-            for kb, coeff in tr_K.col(b).items():
+            for kb, coeff in tr_cols[b].items():
                 _add(ctx, lhs, (a * m + kb) * n + c, K.s_mul(ctx, s, coeff))
         rhs = {}
-        for b, coeff in tr_K.col(i).items():
+        for b, coeff in tr_cols[i].items():
             for (p, q, rr), s in Kk.comult2(b):
                 cs = K.s_mul(ctx, coeff, s)
                 for hp, e1 in incl.embed_col(p).items():

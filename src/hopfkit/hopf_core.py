@@ -36,6 +36,7 @@ from .exact_math import (
     RowSpace,
     SparseTensor,
     _add,
+    _apply,
     _axpy,
     _clean,
     _column,
@@ -81,12 +82,11 @@ class LinearFunctional:
         return Cyclotomic(self.N, self.values[i])
 
     def __call__(self, vec):
-        """Apply to a sparse dict {index: raw} over the same conductor."""
+        """Apply to a sparse vector {index: raw} over the same conductor."""
         ctx = K.make_ctx(self.N)
         acc = K.s_zero(ctx)
         for i, a in vec.items():
-            if not K.s_is_zero(a):
-                acc = K.s_add(ctx, acc, K.s_mul(ctx, self.values[i], a))
+            acc = K.s_add(ctx, acc, K.s_mul(ctx, self.values[i], a))
         return acc
 
     def scale(self, c):
@@ -303,11 +303,7 @@ class FinHopf:
 
     def comult_vec(self, u):
         """Coproduct of a sparse vector, keys flattened as j*dim + k."""
-        ctx = self.ctx
-        out = {}
-        for i, a in u.items():
-            _axpy(ctx, out, self.comult[i], a)
-        return out
+        return _apply(self.ctx, self.comult, u)
 
     def comult2(self, i):
         """Cached (Delta x id)Delta(e_i) as tuple of ((a,b,c), raw)."""
@@ -345,11 +341,7 @@ class FinHopf:
         return got
 
     def antipode_vec(self, u):
-        ctx = self.ctx
-        out = {}
-        for j, a in u.items():
-            _axpy(ctx, out, self.antipode_cols[j], a)
-        return out
+        return _apply(self.ctx, self.antipode_cols, u)
 
     def counit_raw(self, u):
         ctx = self.ctx

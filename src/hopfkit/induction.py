@@ -12,9 +12,9 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError
-from .exact_math import Cyclotomic, Matrix, _add, _axpy, _scale, _tensor, id_kron, kron_id
+from .exact_math import Cyclotomic, Matrix, _add, _apply, _clean, _scale, _tensor, id_kron, kron_id
 from .extension import Decomposer, bar_quotient, make_frobenius_data, rescale_frobenius_data
-from .hopf_core import antipode_inverse
+from .hopf_core import LinearFunctional, antipode_inverse
 from .module_theory import (
     HModule, ModuleMap, _with_proven, restrict, tensor_modules, trivial_module,
 )
@@ -160,15 +160,10 @@ class InductionContext:
             incl = self.incl
             H, ctx = incl.H, incl.ctx
             free = self.frob.free
-            w = {}
-            for i in range(self.rank):
-                _axpy(ctx, w, self.frob.delta_vec(i), H.counit[free[i]])
-            lax0 = []
-            for kv in self.frob.right_decomp(w):
-                acc = K.s_zero(ctx)
-                for b, c in kv.items():
-                    acc = K.s_add(ctx, acc, K.s_mul(ctx, incl.K.counit[b], c))
-                lax0.append([acc])
+            eps_free = _clean(ctx, enumerate(H.counit[t] for t in free))
+            w = _apply(ctx, [self.frob.delta_vec(i) for i in range(self.rank)], eps_free)
+            eps_K = LinearFunctional(incl.N, incl.K.counit)
+            lax0 = [[eps_K(kv)] for kv in self.frob.right_decomp(w)]
             oplax0 = [[H.counit[t] for t in free]]
             got = self._cache["unit"] = (Matrix(incl.N, lax0), Matrix(incl.N, oplax0))
         return got

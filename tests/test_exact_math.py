@@ -14,9 +14,9 @@ from hopfkit.exact_math import (
     Matrix,
     RowSpace,
     SparseTensor,
+    _apply,
     _axpy,
     _clean,
-    _mat_vec,
     _scale,
     _table_mul,
     _tensor,
@@ -555,10 +555,15 @@ def test_sparse_vector_helpers_match_dense_reference(case):
                      {j: x.data for j, x in w.items()})
     assert got == _reference(N, products)
 
+    # a map held as its column table: dict columns (the rows of a transposed
+    # Matrix) and pair-sequence columns (the rows of a structure table)
     M = Matrix(N, [[table[i * n + j].get(0, Cyclotomic.rational(0, N)).data for j in range(n)]
                    for i in range(n)])
-    assert _mat_vec(M, _raw(u)) == _reference(
+    assert _apply(ctx, M.transpose().srows, _raw(u)) == _reference(
         N, [(i, M.entry(i, j) * x) for j, x in u.items() for i in range(n)])
+    assert _apply(ctx, raw_table, _raw(u)) == _reference(
+        N, [(k, x * s) for j, x in u.items() for k, s in table[j].items()])
+    assert _apply(ctx, raw_table, {}) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +669,7 @@ class _SequentialRowSpace(RowSpace):
     """RowSpace with the reduction that visits every pivot in turn."""
 
     def reduce(self, vec):
-        vec = _clean(self.ctx, vec if isinstance(vec, dict) else enumerate(vec))
+        vec = _clean(self.ctx, vec)
         for piv, row in zip(self.pivots, self.rows):
             a = vec.get(piv)
             if a is not None:
@@ -705,6 +710,23 @@ def test_pivot_indexed_reduce_matches_the_sequential_reduction(case):
     for vec in probes:
         assert fast.reduce(vec) == slow.reduce(vec)
     assert fast.nullspace() == slow.nullspace()
+
+
+def test_rational_takes_only_ints_and_fractions():
+    assert Cyclotomic.rational(Fraction(-3, 4), 5) == Fraction(-3, 4)
+    assert Cyclotomic.rational(2, 4).N == 4
+    # a Cyclotomic is not read as 0, and a rational string is not parsed
+    for bad in (root_of_unity(4), Cyclotomic.rational(1), "1/2", 0.5):
+        with pytest.raises(TypeError):
+            Cyclotomic.rational(bad)
+
+
+def test_entry_checks_the_row_index_as_it_checks_the_column():
+    M = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert M.entry(2, 1) == 6 and M.entry(0, 0) == 1
+    for i, j, what in ((-1, 0, "row -1"), (3, 0, "row 3"), (0, -1, "column -1"), (0, 2, "column 2")):
+        with pytest.raises(IndexError, match="^%s of a 3x2 matrix$" % what):
+            M.entry(i, j)
 
 
 def test_lower_finds_the_value_in_a_subfield():

@@ -364,6 +364,26 @@ def test_frobenius_data_is_pinned(spec, digests):
     assert got == digests
 
 
+# sha256 of repr((reps, sorted proj_cols entries, comult, unit)) of the bar
+# quotient, recorded while proj_cols came from the dense inverse of the
+# coset-representative residues
+BAR_QUOTIENT_PINS = [
+    ("builtin:h8", "be55870f30f740ad0a59a1e668ee228cdf4ac406f21fb3f5ed96bdfe313e481e"),
+    ("builtin:double?of=builtin:group?table=c3",
+     "f227c154780aff3e390afdbe83b2eaa1442d2e46e13897c86a44723a05c113a5"),
+    ("builtin:uqsl2?l=3&sub=cartan", "aafaf4a5b3127c43ccb297d67914a4008bd97aa0a893dec53a636183f14e1f59"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", BAR_QUOTIENT_PINS, ids=["h8", "dc3", "uqsl2-l3-cartan"])
+def test_bar_quotient_is_pinned(spec, digest):
+    from hopfkit.cli import resolve_inclusion
+
+    bq = bar_quotient(resolve_inclusion(spec))
+    blob = repr((bq.reps, [sorted(c.items()) for c in bq.proj_cols], bq.comult, bq.unit)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def _s3_inclusion():
     """kC2 = k<(0 1)> inside kS3, from a hand-written S3 table."""
     perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]

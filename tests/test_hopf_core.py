@@ -20,6 +20,7 @@ from hopfkit.errors import PipelineError
 from hopfkit.exact_math import Matrix, RowSpace, _column, _normalize_first_one
 from hopfkit.hopf_core import (
     FinHopf,
+    LinearFunctional,
     algebra_generators,
     antipode_inverse,
     distinguished_grouplike,
@@ -58,8 +59,9 @@ def test_every_algebra_computes_at_its_own_conductor():
 
 def test_elimination_and_products_make_no_zero_test_calls(monkeypatch):
     # the sparse helpers find zero and one by comparing with the context's
-    # tuples; a K.s_is_zero call put back into RowSpace, _table_mul or the
-    # integral rows is counted here, in every hopfkit namespace that binds it
+    # tuples, and a sparse vector stores no zero; a K.s_is_zero call put back
+    # into RowSpace, _table_mul, the integral rows or LinearFunctional.__call__
+    # is counted here, in every hopfkit namespace that binds it
     calls = []
     original = K.s_is_zero
 
@@ -78,6 +80,8 @@ def test_elimination_and_products_make_no_zero_test_calls(monkeypatch):
     assert [len(integral_space(H, side)) for side in ("left", "right")] == [1, 1]
     products = [H.mult_vec(H.basis_vec(i), H.basis_vec(j)) for i in range(H.dim) for j in range(H.dim)]
     assert sum(map(len, products)) > 0
+    eps = LinearFunctional(H.N, H.counit)
+    assert [eps(p) for p in products[:H.dim]] == [H.counit[j] for j in range(H.dim)]
     assert K.s_is_zero(K.s_zero(H.ctx)) and len(calls) == 1
 
 
