@@ -1,7 +1,7 @@
 """hopfkit: exact verification kernel for finite-dimensional Hopf algebra extensions."""
 
 from ._kernel import KERNEL_NAME
-from .exact_math import Cyclotomic, Matrix, SparseTensor, kron, root_of_unity, scalar_invert, solve_linear
+from .exact_math import Cyclotomic, Matrix, root_of_unity
 
 __version__ = "0.1.0"
 
@@ -9,10 +9,6 @@ __all__ = [
     "KERNEL_NAME",
     "Cyclotomic",
     "Matrix",
-    "SparseTensor",
-    "kron",
     "root_of_unity",
-    "scalar_invert",
-    "solve_linear",
     "__version__",
 ]

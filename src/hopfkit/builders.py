@@ -117,9 +117,9 @@ def group_algebra(table, name="kG", labels=None, conductor=1):
                                 proven=True)
 
 
-def trivial_hopf(conductor=1):
+def trivial_hopf():
     """The ground field as a one-dimensional Hopf algebra."""
-    return group_algebra(cyclic_table(1), name="k", labels=["1"], conductor=conductor)
+    return group_algebra(cyclic_table(1), name="k", labels=["1"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +299,11 @@ class SmallQuantumSL2:
         self.l = l
         self.hopf = hopf
 
-    def _indices(self, with_e, with_f, sigma_full=True):
+    def _indices(self, with_e, with_f):
         l = self.l
         out = []
         for j in range(l if with_f else 1):
-            for m in range(l if sigma_full else 1):
+            for m in range(l):
                 for i in range(l if with_e else 1):
                     out.append((j * l + m) * l + i)
         return out
@@ -631,7 +631,7 @@ def drinfeld_double(H):
     return D, HopfInclusion(H, D, embed, proven=True)
 
 
-def double_r_matrix(H, D):
+def double_r_matrix(H):
     """The canonical element sum_c (f_c x 1) x (eps x e_c) of Drin(H)^{x2}."""
     n = H.dim
     ctx = H.ctx
@@ -710,19 +710,17 @@ def cartan_matrix(type_label, rank):
 class CartanDatum:
     """A finite-type Cartan matrix plus the root-of-unity modulus and sign data."""
 
-    __slots__ = ("type_label", "rank", "C", "l", "J")
+    __slots__ = ("type_label", "rank", "C", "l")
 
-    def __init__(self, type_label, rank, l, J=()):
+    def __init__(self, type_label, rank, l):
         self.type_label = type_label.upper()
         self.rank = rank
         self.C = cartan_matrix(type_label, rank)
         self.l = l
-        self.J = tuple(sorted(set(J)))
-        if any(not 0 <= j < rank for j in self.J):
-            raise HopfkitError("sign subset J out of range")
 
-    def signed_matrix(self, J=None):
-        J = set(self.J if J is None else J)
+    def signed_matrix(self, J):
+        """C with the columns j in J negated."""
+        J = set(J)
         return [
             [(-v if j in J else v) for j, v in enumerate(row)]
             for row in self.C

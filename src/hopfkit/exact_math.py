@@ -175,11 +175,6 @@ def root_of_unity(N, k=1):
     return Cyclotomic(N, K.zeta_power(K.make_ctx(N), k))
 
 
-def scalar_invert(a):
-    """Inverse of a nonzero scalar; raises ZeroDivisionError on zero."""
-    return Cyclotomic.promote(a).inverse()
-
-
 def format_scalar(a):
     """Render as "p/q" or a sum of "p/q*z^k" terms (z denotes zeta_N)."""
     a = Cyclotomic.promote(a)
@@ -490,7 +485,7 @@ class RowSpace:
 
 
 # ---------------------------------------------------------------------------
-# public Matrix / SparseTensor
+# public Matrix
 # ---------------------------------------------------------------------------
 
 
@@ -901,59 +896,3 @@ def _kron_product(P, Q):
     out = [{} for _ in range(P.rows)]
     _kron_sum(K.make_ctx(N), out, blocks)
     return Matrix.from_sparse(N, Q.cols, out)
-
-
-def solve_linear(A, b):
-    """Module-level alias for Matrix.solve (particular + null basis)."""
-    return A.solve(b)
-
-
-def kron(A, B):
-    """Kronecker product; (A kron B)(v kron w) = Av kron Bw in row-major pairing."""
-    return A.kron(B)
-
-
-class SparseTensor:
-    """Sparse exact tensor: shape plus a map multi-index -> Cyclotomic (no zeros)."""
-
-    __slots__ = ("shape", "N", "entries")
-    __hash__ = None
-
-    def __init__(self, shape, entries, N=None):
-        self.shape = tuple(shape)
-        vals = {}
-        conductor = N or 1
-        for idx, val in entries.items():
-            val = Cyclotomic.promote(val)
-            if val.is_zero():
-                continue
-            idx = tuple(idx)
-            if len(idx) != len(self.shape) or any(
-                not 0 <= i < d for i, d in zip(idx, self.shape)
-            ):
-                raise ShapeError("tensor index %r outside shape %r" % (idx, self.shape))
-            conductor = lcm(conductor, val.N)
-            vals[idx] = val
-        self.N = conductor
-        self.entries = {idx: v.lift(conductor) for idx, v in sorted(vals.items())}
-
-    def get(self, idx):
-        v = self.entries.get(tuple(idx))
-        return v if v is not None else Cyclotomic.rational(0, self.N)
-
-    def items(self):
-        return self.entries.items()
-
-    def nnz(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseTensor):
-            return NotImplemented
-        if self.shape != other.shape:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        return all(self.get(k) == other.get(k) for k in keys)
-
-    def __repr__(self):
-        return "SparseTensor(shape=%r, nnz=%d)" % (self.shape, self.nnz())

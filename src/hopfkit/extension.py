@@ -862,16 +862,12 @@ def make_frobenius_data(incl, bq, lam_scale=1):
     right_dec = Decomposer(incl, free, "right", right_images)
     _verify_dual_bases(incl, tr0, free, deltas0, right_dec)
 
+    frob0 = FrobeniusData(incl, right_integral_of_dual(bq), tr0, free, deltas0, right_dec)
+    eps = LinearFunctional(incl.N, H.counit)
     s = K.s_zero(ctx)
     for i, t in enumerate(free):
-        eps_delta = K.s_zero(ctx)
-        for idx, v in enumerate(deltas0[i]):
-            if not K.s_is_zero(v):
-                eps_delta = K.s_add(ctx, eps_delta, K.s_mul(ctx, H.counit[idx], v))
-        s = K.s_add(ctx, s, K.s_mul(ctx, eps_delta, H.counit[t]))
+        s = K.s_add(ctx, s, K.s_mul(ctx, eps(frob0.delta_vec(i)), H.counit[t]))
     factor = Cyclotomic(incl.N, s) if not K.s_is_zero(s) else Cyclotomic.rational(1)
-
-    frob0 = FrobeniusData(incl, right_integral_of_dual(bq), tr0, free, deltas0, right_dec)
     return rescale_frobenius_data(frob0, factor * Cyclotomic.promote(lam_scale))
 
 

@@ -135,7 +135,7 @@ def verify_frobenius_object(F):
 # ---------------------------------------------------------------------------
 
 
-def push_algebra(ictx, A, name=None):
+def push_algebra(ictx, A):
     """Transport an algebra object along induction via the lax structure."""
     yd = A.is_yd
     if yd:
@@ -145,10 +145,10 @@ def push_algebra(ictx, A, name=None):
     lax, lax0 = lax_pair(ictx, A.module, A.module)
     mult = ind_morphism(ictx, A.mult) * lax
     unit = ind_morphism(ictx, A.unit) * lax0
-    return AlgObject(carrier, mult, unit, name=name or "Ind(%s)" % A.name)
+    return AlgObject(carrier, mult, unit, name="Ind(%s)" % A.name)
 
 
-def push_coalgebra(ictx, C, name=None):
+def push_coalgebra(ictx, C):
     yd = C.is_yd
     if yd:
         carrier = z_induce(ictx, C.carrier)
@@ -160,10 +160,10 @@ def push_coalgebra(ictx, C, name=None):
     return carrier, comult, counit
 
 
-def push_frobenius(ictx, F, name=None, verify=True):
+def push_frobenius(ictx, F, verify=True):
     """Transport a Frobenius object; the context must be Frobenius monoidal."""
-    alg = push_algebra(ictx, F, name=name)
-    _, comult, counit = push_coalgebra(ictx, F, name=name)
+    alg = push_algebra(ictx, F)
+    _, comult, counit = push_coalgebra(ictx, F)
     out = FrobObject(alg.carrier, alg.mult, alg.unit, comult, counit, name=alg.name)
     if verify:
         verify_pushed_frobenius(out)
@@ -180,11 +180,11 @@ def verify_pushed_frobenius(B):
     return rep
 
 
-def trivial_frobenius(K_hopf, yd=True):
-    """The tensor unit as a Frobenius algebra (all structure maps scalars 1)."""
-    carrier = trivial_yd(K_hopf) if yd else trivial_module(K_hopf)
+def trivial_frobenius(K_hopf):
+    """The tensor unit as a Frobenius algebra in YD(K) (all structure maps
+    scalars 1)."""
     one = Matrix.identity(1, K_hopf.N)
-    return FrobObject(carrier, one, one, one, one, name="1")
+    return FrobObject(trivial_yd(K_hopf), one, one, one, one, name="1")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def is_commutative_object(A):
     """m o Psi = m with respect to the YD braiding of the carrier."""
     if not A.is_yd:
         raise HopfkitError("commutativity check needs a YD carrier")
-    return A.mult * yd_braiding(A.carrier, A.carrier, verify=False) == A.mult
+    return A.mult * yd_braiding(A.carrier, A.carrier) == A.mult
 
 
 def is_special(F):

@@ -34,7 +34,6 @@ from .exact_math import (
     Cyclotomic,
     Matrix,
     RowSpace,
-    SparseTensor,
     _add,
     _apply,
     _axpy,
@@ -172,10 +171,6 @@ class FinHopf:
         """Build from mappings {(i,j,k): scalar}, vectors and an antipode Matrix."""
         n = len(basis_labels)
         N = conductor
-        if isinstance(mult, SparseTensor):
-            mult = dict(mult.items())
-        if isinstance(comult, SparseTensor):
-            comult = dict(comult.items())
         vals = list(mult.values()) + list(comult.values()) + list(unit) + list(counit)
         for v in vals:
             N = lcm(N, Cyclotomic.promote(v).N)
@@ -220,26 +215,6 @@ class FinHopf:
         )
 
     # -- views -------------------------------------------------------------
-
-    def mult_tensor(self):
-        n = self.dim
-        entries = {}
-        for i in range(n):
-            for j in range(n):
-                for k, s in self.mult[i * n + j]:
-                    entries[(i, j, k)] = Cyclotomic(self.N, s)
-        return SparseTensor((n, n, n), entries, N=self.N)
-
-    def comult_tensor(self):
-        n = self.dim
-        entries = {}
-        for i in range(n):
-            for x, s in self.comult[i]:
-                entries[(i, x // n, x % n)] = Cyclotomic(self.N, s)
-        return SparseTensor((n, n, n), entries, N=self.N)
-
-    def unit_vector(self):
-        return Matrix(self.N, [[v] for v in self.unit])
 
     def counit_functional(self):
         return LinearFunctional(self.N, self.counit)

@@ -40,10 +40,7 @@ class InductionContext:
     - ``("ind", name, key(V))``: ``induce(self, V)``, the module Ind V;
     - ``("lax", key(V), key(U))`` and ``("oplax", key(V), key(U))``:
       ``lax_pair`` and ``oplax_pair``;
-    - ``("zind", name, key(M.module), M.coaction.key())``: ``z_induce(self, M)``;
-    - ``("zten", zkey(M), zkey(N))``: ``yd_tensor`` of ZInd(M) and ZInd(N),
-      which ``verify_braided_frobenius`` checks the braiding against;
-      ``zkey(M)`` is the ``"zind"`` key of M without its first element.
+    - ``("zind", name, key(M.module), M.coaction.key())``: ``z_induce(self, M)``.
 
     ``key(V)`` is ``V.key()``, the module's value, so equal modules built
     separately share an entry. Results that carry a name are keyed by the

@@ -173,7 +173,7 @@ def test_double_r_matrix_intertwines_coproduct():
     # Delta^cop(d) R = R Delta(d) inside Drin(H) x Drin(H)
     C2 = group_algebra(cyclic_table(2), name="kC2")
     D, _ = drinfeld_double(C2)
-    R = double_r_matrix(C2, D)
+    R = double_r_matrix(C2)
     nn = D.dim
     ctx = D.ctx
 

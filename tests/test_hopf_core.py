@@ -97,16 +97,10 @@ def test_h8_verifies(h8):
 
 
 def test_h8_broken_antipode_fails_at_z(h8):
-    broken = FinHopf.from_tensors(
-        "H8-broken",
-        h8.basis_labels,
-        dict(h8.mult_tensor().items()),
-        [h8.unit_vector().entry(i, 0) for i in range(8)],
-        dict(h8.comult_tensor().items()),
-        [v for v in map(lambda i: h8.counit_functional().value(i), range(8))],
-        Matrix.identity(8),
-        conductor=h8.N,
-    )
+    # H8's raw tables with the identity in place of the antipode
+    identity = tuple(((j, K.s_one(h8.ctx)),) for j in range(8))
+    broken = FinHopf("H8-broken", h8.basis_labels, h8.N, h8.mult, h8.unit, h8.comult, h8.counit,
+                     identity)
     rep = verify_hopf(broken)
     assert not rep.ok
     # first witness is the basis element z (index 3): grouplikes 1, x, y pass

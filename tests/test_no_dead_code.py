@@ -1,8 +1,9 @@
 """No dead code in ``src/hopfkit``: every module-level import is used in its
 module, every private module-level def or class is referenced somewhere in
-the package, and every import, def or class inside a function is used by that
-function.  Package ``__init__`` files re-export what they import, so their
-module-level imports count as used."""
+the package, every import, def or class inside a function is used by that
+function, and every parameter of a function is read in its body.  Package
+``__init__`` files re-export what they import, so their module-level imports
+count as used."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hopfkit"
 # the reason each stays
 ALLOWED_UNREFERENCED = {
     ("cli", "_jobs"): "hopfbench/run.py imports it and test_benchmark_names.py pins it",
+}
+
+# (module, function, parameter) that the function's body does not read, with
+# the reason each stays
+ALLOWED_UNREAD = {
+    (m, f, "ctx"): "every scalar operation takes the context first, so that "
+                   "callers need not know which ones read it"
+    for m, f in (("_kernel._pykernel", "s_add"), ("_kernel._pykernel", "s_sub"),
+                 ("_kernel.__init__", "s_from_fractions"))
 }
 
 
@@ -126,3 +136,44 @@ def test_allow_list_names_only_private_defs_that_exist():
             isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == attr
             for n in modules[name].body
         ), (name, attr)
+
+
+def _unread_parameters(tree):
+    """(function, parameter) for each parameter of a def in tree that its body
+    never reads, leaving out the self or cls of a method."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in func.decorator_list)
+        if id(func) in methods and not static:
+            params = params[1:]
+        read = {n.id for stmt in func.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(func.name, p) for p in params if p not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [(name,) + fp for name, tree in _modules().items() for fp in _unread_parameters(tree)]
+    assert [u for u in unread if u not in ALLOWED_UNREAD] == []
+    assert sorted(set(ALLOWED_UNREAD) - set(unread)) == []
+
+
+def test_unread_parameter_detector():
+    tree = ast.parse(
+        "def f(a, b, *c, d=1, **e):\n"
+        "    return a + sum(c) + (lambda: d)()\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        return 1\n"
+        "    @staticmethod\n"
+        "    def s(y):\n"
+        "        return 1\n"
+    )
+    assert _unread_parameters(tree) == [("f", "b"), ("f", "e"), ("m", "x"), ("s", "y")]

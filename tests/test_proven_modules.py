@@ -24,7 +24,9 @@ from hopfkit.module_theory import (
     HModule, ModuleMap, direct_sum, hom_space, restrict, tensor_modules, trivial_module,
     verify_module,
 )
-from hopfkit.yetter_drinfeld import YDModule, verify_yd, yd_braiding, yd_line, yd_tensor, z_induce
+from hopfkit.yetter_drinfeld import (
+    YDModule, verify_yd, yd_braiding, yd_line, yd_morphism_check, yd_tensor, z_induce,
+)
 
 ETALE = [(n, ex, ey) for n in ("x", "y", "xy") for ex in (1, -1) for ey in (1, -1)]
 
@@ -210,7 +212,7 @@ def _assert_parity(M, N):
     # is one only where their actions agree
     src, tgt = yd_tensor(M, N), yd_tensor(N, M)
     assert src.module.proven and tgt.module.proven
-    psi = yd_braiding(M, N, verify=False)
+    psi = yd_braiding(M, N)
     assert ModuleMap(src.module, tgt.module, psi).intertwines()
     for f in (psi, Matrix.identity(src.dim)):
         assert ModuleMap(src.module, tgt.module, f).intertwines() == \
@@ -224,6 +226,17 @@ def test_generator_scans_match_the_full_scans_on_induced_yd_modules(case):
         _assert_parity(M, M)
     for M, N in zip(ind, ind[1:] + ind[:1]):
         _assert_parity(M, N)
+
+
+def test_braiding_of_induced_yd_modules_is_an_invertible_yd_map(case):
+    # the YD category is braided; check-functor --braided reads this theorem
+    # for ZInd(M) and ZInd(N) instead of checking it per pair
+    ictx, lines = case
+    ind = [z_induce(ictx, M) for M in lines]
+    for M, N in zip(ind, ind[1:] + ind[:1]):
+        psi = yd_braiding(M, N)
+        assert psi.inverse() is not None
+        assert yd_morphism_check(yd_tensor(M, N), yd_tensor(N, M), psi)
 
 
 def test_a_yd_defect_keeps_the_full_scan_witness(case):
