@@ -99,7 +99,7 @@ def _check_group(table):
     return e
 
 
-def group_algebra(table, name="kG", labels=None, conductor=1):
+def group_algebra(table, name="kG", labels=None):
     """The group algebra of a finite group given by its multiplication table."""
     e = _check_group(table)
     if e != 0:
@@ -113,8 +113,7 @@ def group_algebra(table, name="kG", labels=None, conductor=1):
     inv = [table[i].index(0) for i in range(n)]
     S = Matrix.from_rows([[1 if i == inv[j] else 0 for j in range(n)] for i in range(n)])
     # _check_group has proved the table associative
-    return FinHopf.from_tensors(name, labels, mult, unit, comult, counit, S, conductor=conductor,
-                                proven=True)
+    return FinHopf.from_tensors(name, labels, mult, unit, comult, counit, S, proven=True)
 
 
 def trivial_hopf():

@@ -44,7 +44,7 @@ from .bundles import (
     read_bundle,
     serialize_hopf,
 )
-from .errors import BundleParseError, HopfkitError
+from .errors import BundleParseError, HopfkitError, PipelineError
 from .exact_math import Matrix, parse_scalar
 from .reports import Report, digest_bytes
 
@@ -346,9 +346,13 @@ def cmd_check_functor(args):
                     report.add("yd-input[%s]" % m.name, False)
                     return _emit(report, args)
             for pr in ((a, b) for a in yds for b in yds):
-                rep = verify_braided_frobenius(ictx, *pr)
-                names = ",".join(m.name for m in pr)
-                report.add("braided-frobenius[%s]" % names, rep.ok, anchor="braided")
+                name = "braided-frobenius[%s]" % ",".join(m.name for m in pr)
+                try:
+                    rep = verify_braided_frobenius(ictx, *pr)
+                except PipelineError as e:
+                    report.add(name, False, detail=str(e), anchor="braided")
+                    return _emit(report, args)
+                report.add(name, rep.ok, anchor="braided")
     return _emit(report, args)
 
 

@@ -338,19 +338,33 @@ def _tensor(ctx, acc, u, v, n):
 
 
 def _kron_sum(ctx, out, blocks):
-    """out[i*nb + k] += a (x) b in place, the pair (j, l) at index j*cb + l,
-    for each block (arows, brows, nb, cb), (i, a) in arows and (k, b) in
-    brows, where a and b are sparse vectors (dicts)."""
-    for arows, brows, nb, cb in blocks:
+    """out[row0 + i*rs + k] += a (x) b in place, the pair (j, l) at index
+    col0 + j*cs + l, for each block (arows, brows, row0, rs, col0, cs), (i, a)
+    in arows and (k, b) in brows, where a and b are sparse vectors (dicts)."""
+    for arows, brows, row0, rs, col0, cs in blocks:
         for i, a in arows:
             a = a.items()
+            base_row = row0 + i * rs
             for k, b in brows:
-                acc = out[i * nb + k]
+                acc = out[base_row + k]
                 b = b.items()
                 for j, x in a:
-                    base = j * cb
+                    base = col0 + j * cs
                     for l, y in b:
                         _add(ctx, acc, base + l, K.s_mul(ctx, x, y))
+
+
+def _kron_act(ctx, out, A, B, m, terms, row0, rs, col0, cs):
+    """out += sum c*(A[x // m] (x) B[x % m]) over the (x, c) of terms, placed
+    as by ``_kron_sum``: an element of X (x) X acting through the actions A
+    and B of X, tables of ``Matrix.srows`` at ctx.  Zero coefficients are
+    skipped and c = 1 adds without multiplying."""
+    zero, one = ctx[3], ctx[4]
+    _kron_sum(ctx, out, (
+        ([(i, r if c == one else _scale(ctx, r, c)) for i, r in enumerate(A[x // m]) if r],
+         [(k, r) for k, r in enumerate(B[x % m]) if r], row0, rs, col0, cs)
+        for x, c in terms if c != zero
+    ))
 
 
 def _apply(ctx, cols, vec):
@@ -572,33 +586,11 @@ class Matrix:
         ctx = K.make_ctx(N)
         out = [{} for _ in range(rows)]
         for M, c in terms:
-            c = _lincomb_coefficient(rows, cols, N, c, (M.rows, M.cols), M)
+            c = _lincomb_coefficient(rows, cols, N, c, M)
             if c is None:
                 continue
             for orow, mrow in zip(out, M.lift(N).srows):
                 _axpy(ctx, orow, mrow, c)
-        return cls.from_sparse(N, cols, out)
-
-    @classmethod
-    def kron_lincomb(cls, rows, cols, N, terms):
-        """Sum of c*(A (x) B) over the (A, B, c) triples of terms, under the
-        conditions of ``lincomb``, without forming any A (x) B: row
-        i*rows(B) + k accumulates (c*A[i]) (x) B[k].  Equal to ``lincomb`` of
-        the formed products, entry for entry."""
-        ctx = K.make_ctx(N)
-        one = K.s_one(ctx)
-        out = [{} for _ in range(rows)]
-        blocks = []
-        for A, B, c in terms:
-            shape = (A.rows * B.rows, A.cols * B.cols)
-            c = _lincomb_coefficient(rows, cols, N, c, shape, A, B)
-            if c is None:
-                continue
-            arows = [(i, r if c == one else _scale(ctx, r, c))
-                     for i, r in enumerate(A.lift(N).srows) if r]
-            B = B.lift(N)
-            blocks.append((arows, [(k, r) for k, r in enumerate(B.srows) if r], B.rows, B.cols))
-        _kron_sum(ctx, out, blocks)
         return cls.from_sparse(N, cols, out)
 
     # -- access ------------------------------------------------------------
@@ -780,18 +772,17 @@ class Matrix:
         return "Matrix(%dx%d over Q(z_%d): %s)" % (self.rows, self.cols, self.N, body)
 
 
-def _lincomb_coefficient(rows, cols, N, c, shape, *factors):
-    """The raw coefficient c of a lincomb term at conductor N, or None when it
-    is zero; raises unless the term is rows x cols and N is a multiple of the
-    conductor of each of its factors."""
+def _lincomb_coefficient(rows, cols, N, c, M):
+    """The raw coefficient c of the lincomb term c*M at conductor N, or None
+    when it is zero; raises unless M is rows x cols and N is a multiple of
+    its conductor."""
     c = Cyclotomic.promote(c).lift(N).data
     if K.s_is_zero(c):
         return None
-    if shape != (rows, cols):
-        raise ShapeError("lincomb term is %dx%d, expected %dx%d" % (shape + (rows, cols)))
-    for M in factors:
-        if N % M.N:
-            raise ValueError("conductor %d does not divide %d" % (M.N, N))
+    if (M.rows, M.cols) != (rows, cols):
+        raise ShapeError("lincomb term is %dx%d, expected %dx%d" % (M.rows, M.cols, rows, cols))
+    if N % M.N:
+        raise ValueError("conductor %d does not divide %d" % (M.N, N))
     return c
 
 
@@ -880,7 +871,7 @@ def _kron_product(P, Q):
         k = _slice_count(A.cols, p, P, Q)
         blocks = (
             (arows.items(), [(w, r) for w, r in enumerate(B.srows[u * m:(u + 1) * m]) if r],
-             m, B.cols)
+             0, m, 0, B.cols)
             for u, arows in _column_slices(A, k, True).items()
         )
     elif P.q == Q.p == 1:
@@ -888,7 +879,7 @@ def _kron_product(P, Q):
         k = _slice_count(A.rows, p, P, Q)
         blocks = (
             ([(v, A.srows[v * k + u]) for v in range(p) if A.srows[v * k + u]], brows.items(),
-             B.rows, m)
+             0, B.rows, 0, m)
             for u, brows in _column_slices(B, m, False).items()
         )
     else:

@@ -152,8 +152,9 @@ def verify_inclusion(incl):
     rep.add("comult-intertwines", w is None, witness=w, anchor="hopf-map")
 
     w = None
+    eps = H.counit_functional()
     for a in range(m):
-        if H.counit_raw(incl.embed_col(a)) != Kk.counit[a]:
+        if eps(incl.embed_col(a)) != Kk.counit[a]:
             w = a
             break
     rep.add("counit-intertwines", w is None, witness=w, anchor="hopf-map")

@@ -149,21 +149,16 @@ def push_algebra(ictx, A):
 
 
 def push_coalgebra(ictx, C):
-    yd = C.is_yd
-    if yd:
-        carrier = z_induce(ictx, C.carrier)
-    else:
-        carrier = induce(ictx, C.carrier)
+    """The comultiplication and counit of Ind C: oplax composed with Ind of
+    those of C."""
     oplax, oplax0 = oplax_pair(ictx, C.module, C.module)
-    comult = oplax * ind_morphism(ictx, C.comult)
-    counit = oplax0 * ind_morphism(ictx, C.counit)
-    return carrier, comult, counit
+    return oplax * ind_morphism(ictx, C.comult), oplax0 * ind_morphism(ictx, C.counit)
 
 
 def push_frobenius(ictx, F, verify=True):
     """Transport a Frobenius object; the context must be Frobenius monoidal."""
     alg = push_algebra(ictx, F)
-    _, comult, counit = push_coalgebra(ictx, F)
+    comult, counit = push_coalgebra(ictx, F)
     out = FrobObject(alg.carrier, alg.mult, alg.unit, comult, counit, name=alg.name)
     if verify:
         verify_pushed_frobenius(out)

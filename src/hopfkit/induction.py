@@ -12,7 +12,8 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError
-from .exact_math import Cyclotomic, Matrix, _add, _apply, _clean, _scale, _tensor, id_kron, kron_id
+from .exact_math import (Cyclotomic, Matrix, _add, _apply, _clean, _kron_act, _scale, _tensor,
+                         id_kron, kron_id, lift_raw)
 from .extension import Decomposer, bar_quotient, make_frobenius_data, rescale_frobenius_data
 from .hopf_core import LinearFunctional, antipode_inverse
 from .module_theory import (
@@ -32,9 +33,10 @@ class InductionContext:
     - ``("trrow", p)``: the nonzero tr_K(e_p h_i), by i;
     - ``"ldec"``: the left decomposer over the free basis, which ``coinduce``
       reads;
-    - ``"comult"``: the terms (i, p, q, s) of Delta(h_i), which ``oplax_pair``
-      and ``projection_morphisms`` read;
-    - ``"sigma"``: the nonzero lax structure constants sigma_{l,i,j};
+    - ``"comult"``: the terms (i, p, q, s) of Delta(h_i), which
+      ``projection_morphisms`` reads;
+    - ``"sigma"`` and ``"tau"``: the nonzero lax and oplax structure
+      constants sigma_{l,i,j} and tau_{i,t,u};
     - ``"unit"``: lax_0 and oplax_0;
     - ``("tensor", V.name, U.name, key(V), key(U))``: ``tensor_modules(V, U)``;
     - ``("ind", name, key(V))``: ``induce(self, V)``, the module Ind V;
@@ -122,14 +124,12 @@ class InductionContext:
             ]
         return got
 
-    def sigma(self):
-        """The nonzero (l, i, j, sigma_{l,i,j}), l, i, j in ascending order.
-
-        sigma_{l,i,j} is the sum, over the terms s e_p (x) e_q of Delta(h_l),
-        of s tr(e_p h_i) (x) tr(e_q h_j) in K (x) K, the pair (b, c) at index
-        b * dim K + c.  Only the nonzero tr rows are paired, so the build
-        visits the nonzero (i, j) of each term rather than all r^2."""
-        got = self._cache.get("sigma")
+    def _structure(self, key, parts):
+        """The nonzero (l, i, j, c), l, i, j ascending, c the sum over the terms
+        s e_p (x) e_q of Delta(h_l) of s parts(p)[i] (x) parts(q)[j] in K (x) K
+        ((b, c) at b * dim K + c).  parts(p) holds the nonzero parts only, so
+        the build visits the nonzero (i, j) of each term, not all r^2."""
+        got = self._cache.get(key)
         if got is None:
             incl = self.incl
             ctx, n, m = incl.ctx, incl.H.dim, incl.K.dim
@@ -138,16 +138,25 @@ class InductionContext:
                 acc = {}
                 for x, s in incl.H.comult[hl]:
                     p, q = divmod(x, n)
-                    row_q = self.tr_row(q)
+                    row_q = parts(q)
                     if not row_q:
                         continue
-                    for i, tp in self.tr_row(p).items():
+                    for i, tp in parts(p).items():
                         tp = _scale(ctx, tp, s)
                         for j, tq in row_q.items():
                             _tensor(ctx, acc.setdefault((i, j), {}), tp, tq, m)
                 got.extend((l, i, j, v) for (i, j), v in sorted(acc.items()) if v)
-            self._cache["sigma"] = got
+            self._cache[key] = got
         return got
+
+    def sigma(self):
+        """The lax structure constants sigma_{l,i,j}: parts(p) = tr(e_p h_i), by i."""
+        return self._structure("sigma", self.tr_row)
+
+    def tau(self):
+        """The oplax structure constants tau_{i,t,u}: parts(p) = part t of e_p, by t."""
+        return self._structure(
+            "tau", lambda p: {t: k for t, k in enumerate(self.basis_parts(p)) if k})
 
     def unit_maps(self):
         """lax_0: 1 -> Ind(1), the decomposition of sum_i eps(h_i) delta_i
@@ -378,34 +387,41 @@ def counit_gf_at(ictx, V):
 # ---------------------------------------------------------------------------
 
 
+def _act_structure(ictx, V, U, consts, rows, cols, place):
+    """The rows x cols matrix that sums each structure constant (l, i, j, c)
+    of consts, an element of K (x) K, acting on V x U through the actions of
+    V and U, placed at place(l, i, j) = (row0, rs, col0, cs) as by
+    ``exact_math._kron_act``."""
+    N, m = ictx.N, ictx.incl.K.dim
+    conductor = lcm(N, V.N, U.N)
+    ctx = K.make_ctx(conductor)
+    actV = [a.lift(conductor).srows for a in V.action]
+    actU = [a.lift(conductor).srows for a in U.action]
+    out = [{} for _ in range(rows)]
+    for l, i, j, c in consts:
+        _kron_act(ctx, out, actV, actU, m,
+                  ((x, lift_raw(s, N, conductor)) for x, s in c.items()), *place(l, i, j))
+    return Matrix.from_sparse(conductor, cols, out)
+
+
 def lax_pair(ictx, V, U):
     """lax_{V,U}: Ind V x Ind U -> Ind(V x U) and lax_0: 1 -> Ind(1).
 
     (h_i x v) x (h_j x u) -> sum_l delta_l x sigma_{l,i,j} . (v x u), so
     lax_{V,U} = [iota_{V x U}(delta_l)]_l times the context's sigma table
-    acting on V x U, laid out as one row of blocks per l."""
+    acting on V x U, laid out as one row of blocks per l: sigma_{l,i,j}
+    acts from the columns of (i, j)."""
     memo = ("lax", V.key(), U.key())
     got = ictx._cache.get(memo)
     if got is not None:
         return got
-    r, m, N = ictx.rank, ictx.incl.K.dim, ictx.N
-    dV, dU = V.dim, U.dim
+    r, dV, dU = ictx.rank, V.dim, U.dim
     d = dV * dU
-    conductor = lcm(N, V.N, U.N)
+    sigma = _act_structure(ictx, V, U, ictx.sigma(), r * d, r * d * r,
+                           lambda l, i, j: (l * d, dU, (i * dV * r + j) * dU, r * dU))
     VU = ictx.tensor(V, U)
-    actV = [a.lift(conductor) for a in V.action]
-    actU = [a.lift(conductor) for a in U.action]
-    # block row l holds each sigma_{l,i,j} acting on V x U at the columns of (i, j)
-    blocks = []
-    for l, i, j, sig in ictx.sigma():
-        mat = Matrix.kron_lincomb(
-            d, d, conductor,
-            ((actV[x // m], actU[x % m], Cyclotomic(N, c)) for x, c in sig.items()),
-        )
-        blocks.append((_at(l, d), _pair_map(i, dV, j, dU, r), mat))
-    sigma = _assemble(conductor, r * d, r * d * r, blocks)
     lax = _insertion(ictx, VU, [ictx.delta_parts(l) for l in range(r)]) * sigma
-    got = ictx._cache[memo] = (lax, ictx.unit_maps()[0].lift(conductor))
+    got = ictx._cache[memo] = (lax, ictx.unit_maps()[0].lift(sigma.N))
     return got
 
 
@@ -413,38 +429,18 @@ def oplax_pair(ictx, V, U):
     """oplax_{V,U}: Ind(V x U) -> Ind V x Ind U and oplax_0: Ind(1) -> 1.
 
     h_i x (v x u) -> sum over Delta(h_i) = sum s e_p x e_q of
-    s iota_V(e_p) v x iota_U(e_q) u, formed block by block: block t of
-    iota_V(e_p) is the action A of the t-th part of e_p, so block (t, u) of
-    column block i sums s A x B over those terms, B block u of iota_U(e_q)."""
+    s iota_V(e_p) v x iota_U(e_q) u.  Block t of iota_V(e_p) is the action
+    of the t-th part of e_p, so block (t, u) of column block i is the
+    context's tau_{i,t,u} acting on V x U."""
     memo = ("oplax", V.key(), U.key())
     got = ictx._cache.get(memo)
     if got is not None:
         return got
-    r, N = ictx.rank, ictx.N
-    dV, dU = V.dim, U.dim
-    conductor = lcm(N, V.N, U.N)
-    terms = ictx.comult_terms()
-
-    def blocks_of(M, ps):
-        # the nonzero blocks (t, action of k_t) of iota_M(e_p), e_p = sum_t h_t k_t
-        return {
-            p: [(t, M.act_alg_vec(k, N)) for t, k in enumerate(ictx.basis_parts(p)) if k]
-            for p in ps
-        }
-
-    legV = blocks_of(V, {p for _, p, _, _ in terms})
-    legU = blocks_of(U, {q for _, _, q, _ in terms})
-    sums = {}
-    for i, p, q, s in terms:
-        for t, A in legV[p]:
-            for u, B in legU[q]:
-                sums.setdefault((i, t, u), []).append((A, B, Cyclotomic(N, s)))
+    r, dV, dU = ictx.rank, V.dim, U.dim
     d = dV * dU
-    oplax = _assemble(conductor, (r * dV) * (r * dU), r * d, (
-        (_pair_map(t, dV, u, dU, r), _at(i, d), Matrix.kron_lincomb(d, d, conductor, ts))
-        for (i, t, u), ts in sums.items()
-    ))
-    got = ictx._cache[memo] = (oplax, ictx.unit_maps()[1].lift(conductor))
+    oplax = _act_structure(ictx, V, U, ictx.tau(), (r * dV) * (r * dU), r * d,
+                           lambda i, t, u: ((t * dV * r + u) * dU, r * dU, i * d, dU))
+    got = ictx._cache[memo] = (oplax, ictx.unit_maps()[1].lift(oplax.N))
     return got
 
 

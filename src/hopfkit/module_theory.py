@@ -6,7 +6,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import ShapeError
-from .exact_math import Cyclotomic, Matrix, RowSpace, _add
+from .exact_math import Cyclotomic, Matrix, RowSpace, _add, _kron_act
 from .hopf_core import _first_defect, algebra_generators
 from .reports import Report
 
@@ -185,16 +185,15 @@ def tensor_modules(M, N_mod):
         raise ShapeError("tensor of modules over different algebras")
     conductor = lcm(M.N, N_mod.N)
     H = M.H.lifted(conductor)
-    a = [m.lift(conductor) for m in M.action]
-    b = [m.lift(conductor) for m in N_mod.action]
-    n = H.dim
-    d = M.dim * N_mod.dim
-    mats = [
-        Matrix.kron_lincomb(d, d, conductor, (
-            (a[x // n], b[x % n], Cyclotomic(conductor, s)) for x, s in H.comult[i]
-        ))
-        for i in range(n)
-    ]
+    a = [m.lift(conductor).srows for m in M.action]
+    b = [m.lift(conductor).srows for m in N_mod.action]
+    n, dU = H.dim, N_mod.dim
+    d = M.dim * dU
+    mats = []
+    for i in range(n):
+        out = [{} for _ in range(d)]
+        _kron_act(H.ctx, out, a, b, n, H.comult[i], 0, dU, 0, dU)
+        mats.append(Matrix.from_sparse(conductor, d, out))
     return _with_proven(HModule(H, mats, name="%s(x)%s" % (M.name, N_mod.name), N=conductor),
                         M.proven and N_mod.proven)
 

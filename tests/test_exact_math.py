@@ -13,9 +13,11 @@ from hopfkit.exact_math import (
     Cyclotomic,
     Matrix,
     RowSpace,
+    _add,
     _apply,
     _axpy,
     _clean,
+    _kron_act,
     _scale,
     _table_mul,
     _tensor,
@@ -742,25 +744,44 @@ def _factor(draw, rows, cols):
 
 
 @st.composite
-def _kron_lincomb_case(draw):
+def _kron_act_case(draw):
+    """Two tables of actions, a list of (x, c) terms and a placement
+    (row0, rs, col0, cs) with strides at least the size of a B block."""
     ra, ca, rb, cb = (draw(st.integers(1, 3)) for _ in range(4))
+    A = [draw(_factor(ra, ca)) for _ in range(draw(st.integers(1, 3)))]
+    B = [draw(_factor(rb, cb)) for _ in range(draw(st.integers(1, 3)))]
     terms = []
     for _ in range(draw(st.integers(0, 3))):
         Nc = draw(st.sampled_from(_FACTOR_CONDUCTORS))
         c = Cyclotomic(Nc, draw(_canonical(Nc)))  # zero a third of the time
-        terms.append((draw(_factor(ra, ca)), draw(_factor(rb, cb)), c))
-    N = lcm(draw(st.sampled_from(_FACTOR_CONDUCTORS)),
-            *(x.N for term in terms for x in term))
-    return ra * rb, ca * cb, N, terms
+        terms.append((draw(st.integers(0, len(A) * len(B) - 1)), c))
+    N = lcm(draw(st.sampled_from(_FACTOR_CONDUCTORS)), *(X.N for X in A + B),
+            *(c.N for _, c in terms))
+    place = (draw(st.integers(0, 3)), rb + draw(st.integers(0, 2)),
+             draw(st.integers(0, 3)), cb + draw(st.integers(0, 2)))
+    return N, A, B, terms, place
 
 
 @settings(max_examples=80, deadline=None)
-@given(_kron_lincomb_case())
-def test_kron_lincomb_equals_lincomb_of_formed_products(case):
-    rows, cols, N, terms = case
-    got = Matrix.kron_lincomb(rows, cols, N, terms)
-    want = Matrix.lincomb(rows, cols, N, [(A.kron(B), c) for A, B, c in terms])
-    assert (got.N, got.raw()) == (want.N, want.raw())
+@given(_kron_act_case())
+def test_kron_act_equals_the_formed_products_placed_entry_by_entry(case):
+    N, A, B, terms, (row0, rs, col0, cs) = case
+    ctx, m = K.make_ctx(N), len(B)
+    rb, cb = B[0].rows, B[0].cols
+    rows, cols = row0 + A[0].rows * rs + 2, col0 + A[0].cols * cs + 2
+    got = [{} for _ in range(rows)]
+    _kron_act(ctx, got, [X.lift(N).srows for X in A], [X.lift(N).srows for X in B], m,
+              [(x, c.lift(N).data) for x, c in terms], row0, rs, col0, cs)
+    want = [{} for _ in range(rows)]
+    for x, c in terms:
+        prod = A[x // m].kron(B[x % m]).scale(c).lift(N)
+        for a, row in enumerate(prod.srows):
+            i, k = divmod(a, rb)
+            for b, v in row.items():
+                j, l = divmod(b, cb)
+                _add(ctx, want[row0 + i * rs + k], col0 + j * cs + l, v)
+    assert (Matrix.from_sparse(N, cols, got).raw()
+            == Matrix.from_sparse(N, cols, want).raw())
 
 
 @st.composite

@@ -131,7 +131,7 @@ def test_dual_is_involution(h8):
 
 
 def test_dual_of_cyclic_group_selfdual():
-    C2 = group_algebra(cyclic_table(2), name="kC2", conductor=2)
+    C2 = group_algebra(cyclic_table(2), name="kC2").lifted(2)
     D = dual_hopf(C2)
     assert verify_hopf(D).ok
     # the character basis (1,1), (1,-1) identifies kC2* with kC2

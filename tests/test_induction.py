@@ -451,6 +451,53 @@ def test_lax_structure_constants_are_built_once_per_context(h8_incl, monkeypatch
          for l, i, j, sig in rescaled.sigma()]
 
 
+def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch):
+    # sigma and tau act on V x U by summing into the assembled rows: oplax_pair
+    # forms no action of a K-vector, and lax_pair forms as many matrices
+    # whatever the number of sigma entries
+    Kk = h8_incl.K
+    V, U = direct_sum(kchar(Kk, 1, -1), kchar(Kk, -1, 1)), kchar(Kk, -1, -1)
+    ictx = induction_context(h8_incl)
+    sigma = ictx.sigma()
+    assert len(sigma) > 1
+    calls = []
+    real_lincomb, real_act = Matrix.lincomb.__func__, HModule.act_alg_vec
+    real_from_sparse, real_init = Matrix.from_sparse.__func__, Matrix.__init__
+
+    def lincomb(cls, *args):
+        calls.append("lincomb")
+        return real_lincomb(cls, *args)
+
+    def act_alg_vec(self, *args):
+        calls.append("act_alg_vec")
+        return real_act(self, *args)
+
+    def from_sparse(cls, *args):
+        calls.append("formed")
+        return real_from_sparse(cls, *args)
+
+    def init(self, *args):
+        calls.append("formed")
+        real_init(self, *args)
+
+    monkeypatch.setattr(Matrix, "lincomb", classmethod(lincomb))
+    monkeypatch.setattr(HModule, "act_alg_vec", act_alg_vec)
+    monkeypatch.setattr(Matrix, "from_sparse", classmethod(from_sparse))
+    monkeypatch.setattr(Matrix, "__init__", init)
+    calls.clear()
+    oplax_pair(ictx, V, U)
+    assert "lincomb" not in calls and "act_alg_vec" not in calls
+
+    def formed_by_lax(table):
+        fresh = InductionContext(h8_incl, ictx.frob, central=ictx.central)
+        fresh._cache["sigma"] = table
+        calls.clear()
+        lax_pair(fresh, V, U)
+        return calls.count("formed")
+
+    assert formed_by_lax(sigma) == formed_by_lax(sigma * 3)
+
+
 def test_coinduce_builds_the_left_decomposer_once(h8_incl, kmods, monkeypatch):
     import hopfkit.induction as ind
 

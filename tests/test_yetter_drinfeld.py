@@ -440,7 +440,8 @@ def test_braided_check_builds_no_zind_tensor(monkeypatch, capsys):
 # middle basis element (e_4 of H8, e_2 of kK) doubled in one section: the
 # first error or FAIL line of each run, recorded before the braiding of
 # ZInd(M) and ZInd(N) stopped being re-checked.  Checks that run earlier stop
-# every defect.
+# every defect; a z_induce that fails its own verification ends the report
+# with a FAIL line of the braided check.
 _BAR_UNIT = ("frobenius-extension  FAIL  [bar quotient verification failed: "
              "[<Check proj-sends-unit-to-unit: fail>]]")
 _NO_INTEGRAL = "frobenius-extension  FAIL  [right integral space of H8 has dimension 0, expected 1]"
@@ -449,8 +450,9 @@ DEFECT_PROBE = {
     ("big", "MULT"): [_BAR_UNIT] * 3 + [_NO_INTEGRAL, _BAR_UNIT] + [_NO_INTEGRAL] * 3,
     ("big", "COMULT"): ["frobenius-extension  FAIL  [bar quotient verification failed: "
                         "[<Check proj-coalgebra-map: fail witness=4>]]"],
-    ("big", "ANTIPODE"): ["error: z_induce output failed YD verification: "
-                          "[<Check yd-compatibility: fail witness=(4, 0)>]"],
+    ("big", "ANTIPODE"): ["braided-frobenius[kchar,kchar]  FAIL  [z_induce output failed YD "
+                          "verification: [<Check yd-compatibility: fail witness=(4, 0)>]]  "
+                          "(braided)"],
     ("sub", "MULT"): ["module-input[kchar]  FAIL"] * 4,
     ("sub", "COMULT"): [_CHI],
     ("sub", "ANTIPODE"): [_CHI],
