@@ -17,6 +17,7 @@ from math import gcd
 from . import _pykernel
 from ._pykernel import (  # noqa: F401
     KERNEL_NAME,
+    antipode_first_defects,
     assoc_first_defect,
     bialg_first_defect,
     coassoc_first_defect,

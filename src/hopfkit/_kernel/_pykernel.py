@@ -14,6 +14,12 @@ Everything here is allocation-heavy but exact.  The binary ring operations
 are memoized on their operand values (``_remember``): on the benchmark
 workloads about 98% of the products one CLI call makes repeat an operand
 pair it has already seen.
+
+The axiom scans add up the two sides of an axiom as separate sparse sums and
+compare them: canonical scalars are equal exactly when their tuples are.  A
+sum that cancels keeps its key with the canonical zero, so sums whose dicts
+differ are compared again key by key (``_differ``).  Products with the
+canonical one are not computed.
 """
 
 from math import gcd
@@ -55,7 +61,6 @@ def _norm(den, coeffs):
 
 
 _add_memo = {}
-_sub_memo = {}
 
 
 def s_add(ctx, a, b):
@@ -68,11 +73,7 @@ def s_add(ctx, a, b):
 
 
 def s_sub(ctx, a, b):
-    key = (a, b)
-    got = _sub_memo.get(key)
-    if got is None:
-        got = _remember(_sub_memo, key, _sub(a, b))
-    return got
+    return s_add(ctx, a, s_neg(b))
 
 
 def _add(a, b):
@@ -81,14 +82,6 @@ def _add(a, b):
     if da == db:
         return _norm(da, [a[i] + b[i] for i in range(1, len(a))])
     return _norm(da * db, [a[i] * db + b[i] * da for i in range(1, len(a))])
-
-
-def _sub(a, b):
-    da = a[0]
-    db = b[0]
-    if da == db:
-        return _norm(da, [a[i] - b[i] for i in range(1, len(a))])
-    return _norm(da * db, [a[i] * db - b[i] * da for i in range(1, len(a))])
 
 
 def s_neg(a):
@@ -133,10 +126,24 @@ def _mul(ctx, a, b):
 
 
 def s_is_zero(a):
-    for c in a[1:]:
-        if c:
-            return False
-    return True
+    return not any(a[1:])
+
+
+def _sum_into(ctx, acc, terms, c):
+    """acc += c*terms in place, keeping a key whose sum is zero; a product
+    with the canonical one is not computed."""
+    one = ctx[4]
+    for m, t in terms:
+        if c != one:
+            t = c if t == one else s_mul(ctx, c, t)
+        prev = acc.get(m)
+        acc[m] = t if prev is None else s_add(ctx, prev, t)
+
+
+def _differ(lhs, rhs, zero):
+    """Whether two sparse sums of canonical scalars differ, an absent key
+    reading as zero."""
+    return any(lhs.get(k, zero) != rhs.get(k, zero) for k in lhs.keys() | rhs.keys())
 
 
 def assoc_first_defect(n, mult, ctx, mids=None):
@@ -145,26 +152,27 @@ def assoc_first_defect(n, mult, ctx, mids=None):
     ``mult[a*n+b]`` is a tuple of ``(k, scalar)`` pairs for ea*eb.  Given
     ``mids``, the middle index b runs over ``mids`` only.
     """
+    zero, one = ctx[3], ctx[4]
     for a in range(n):
         an = a * n
         for b in range(n) if mids is None else mids:
             rab = mult[an + b]
             bn = b * n
             for c in range(n):
-                acc = {}
+                lhs = {}
                 for k, s in rab:
                     for m, t in mult[k * n + c]:
-                        st = s_mul(ctx, s, t)
-                        prev = acc.get(m)
-                        acc[m] = st if prev is None else s_add(ctx, prev, st)
+                        st = t if s == one else s if t == one else s_mul(ctx, s, t)
+                        prev = lhs.get(m)
+                        lhs[m] = st if prev is None else s_add(ctx, prev, st)
+                rhs = {}
                 for m, t in mult[bn + c]:
                     for p, u in mult[an + m]:
-                        tu = s_mul(ctx, t, u)
-                        prev = acc.get(p)
-                        acc[p] = s_neg(tu) if prev is None else s_sub(ctx, prev, tu)
-                for v in acc.values():
-                    if not s_is_zero(v):
-                        return (a, b, c)
+                        tu = u if t == one else t if u == one else s_mul(ctx, t, u)
+                        prev = rhs.get(p)
+                        rhs[p] = tu if prev is None else s_add(ctx, prev, tu)
+                if lhs != rhs and _differ(lhs, rhs, zero):
+                    return (a, b, c)
     return None
 
 
@@ -174,36 +182,32 @@ def bialg_first_defect(n, mult, comult, ctx, lefts=None):
     ``comult[i]`` is a tuple of ``(j*n+k, scalar)`` pairs.  Given ``lefts``,
     the left index a runs over ``lefts`` only.
     """
+    zero, one = ctx[3], ctx[4]
     for a in range(n) if lefts is None else lefts:
         da = comult[a]
         an = a * n
         for b in range(n):
             db = comult[b]
-            acc = {}
+            lhs = {}
             for x1, s1 in da:
-                j1 = x1 // n
-                k1 = x1 - j1 * n
+                j1, k1 = divmod(x1, n)
                 for x2, s2 in db:
-                    j2 = x2 // n
-                    k2 = x2 - j2 * n
-                    s12 = s_mul(ctx, s1, s2)
+                    j2, k2 = divmod(x2, n)
+                    s12 = s2 if s1 == one else s1 if s2 == one else s_mul(ctx, s1, s2)
                     r2 = mult[k1 * n + k2]
                     for p, u in mult[j1 * n + j2]:
-                        su = s_mul(ctx, s12, u)
+                        su = u if s12 == one else s12 if u == one else s_mul(ctx, s12, u)
                         pn = p * n
                         for q, v in r2:
-                            suv = s_mul(ctx, su, v)
+                            suv = v if su == one else su if v == one else s_mul(ctx, su, v)
                             key = pn + q
-                            prev = acc.get(key)
-                            acc[key] = suv if prev is None else s_add(ctx, prev, suv)
+                            prev = lhs.get(key)
+                            lhs[key] = suv if prev is None else s_add(ctx, prev, suv)
+            rhs = {}
             for k3, s3 in mult[an + b]:
-                for x, t in comult[k3]:
-                    st = s_mul(ctx, s3, t)
-                    prev = acc.get(x)
-                    acc[x] = s_neg(st) if prev is None else s_sub(ctx, prev, st)
-            for v in acc.values():
-                if not s_is_zero(v):
-                    return (a, b)
+                _sum_into(ctx, rhs, comult[k3], s3)
+            if lhs != rhs and _differ(lhs, rhs, zero):
+                return (a, b)
     return None
 
 
@@ -211,22 +215,41 @@ def coassoc_first_defect(n, comult, ctx):
     """First index i with (Delta x id)Delta(ei) != (id x Delta)Delta(ei)."""
     nn = n * n
     for i in range(n):
-        acc = {}
+        lhs = {}
+        rhs = {}
         for x, s in comult[i]:
-            j = x // n
-            k = x - j * n
-            for y, t in comult[j]:
-                st = s_mul(ctx, s, t)
-                key = y * n + k
-                prev = acc.get(key)
-                acc[key] = st if prev is None else s_add(ctx, prev, st)
-            kn = j * nn
-            for y, t in comult[k]:
-                st = s_mul(ctx, s, t)
-                key = kn + y
-                prev = acc.get(key)
-                acc[key] = s_neg(st) if prev is None else s_sub(ctx, prev, st)
-        for v in acc.values():
-            if not s_is_zero(v):
-                return i
+            j, k = divmod(x, n)
+            _sum_into(ctx, lhs, [(y * n + k, t) for y, t in comult[j]], s)
+            _sum_into(ctx, rhs, [(j * nn + y, t) for y, t in comult[k]], s)
+        if lhs != rhs and _differ(lhs, rhs, ctx[3]):
+            return i
     return None
+
+
+def antipode_first_defects(n, mult, comult, antipode_cols, unit, counit, ctx):
+    """The first i with S(h1)h2 != eps(h)1 and the first i with
+    h1 S(h2) != eps(h)1, for h = ei with Delta(h) = h1 x h2, each None when
+    there is none.  ``antipode_cols[j]`` is a tuple of ``(i, scalar)`` pairs
+    for S(ej)."""
+    zero = ctx[3]
+    unit = [(m, u) for m, u in enumerate(unit) if u != zero]
+    left = right = None
+    for i in range(n):
+        eps = {}
+        if counit[i] != zero:
+            _sum_into(ctx, eps, unit, counit[i])
+        lhs = {}
+        rhs = {}
+        for x, s in comult[i]:
+            j, k = divmod(x, n)
+            for p, u in antipode_cols[j]:
+                _sum_into(ctx, lhs, mult[p * n + k], s_mul(ctx, s, u))
+            for p, u in antipode_cols[k]:
+                _sum_into(ctx, rhs, mult[j * n + p], s_mul(ctx, s, u))
+        if left is None and lhs != eps and _differ(lhs, eps, zero):
+            left = i
+        if right is None and rhs != eps and _differ(rhs, eps, zero):
+            right = i
+        if left is not None and right is not None:
+            break
+    return left, right

@@ -333,14 +333,12 @@ def _check_shapes(H):
         raise ShapeError("structure tensor arity mismatch for %s" % H.name)
     if len(H.unit) != n or len(H.counit) != n or len(H.antipode_cols) != n:
         raise ShapeError("unit/counit/antipode size mismatch for %s" % H.name)
-    for row in H.mult:
-        for k, _ in row:
-            if not 0 <= k < n:
-                raise ShapeError("mult output index %d out of range" % k)
-    for row in H.comult:
-        for x, _ in row:
-            if not 0 <= x < n * n:
-                raise ShapeError("comult output index %d out of range" % x)
+    for rows, bound, what in ((H.mult, n, "mult"), (H.comult, n * n, "comult"),
+                              (H.antipode_cols, n, "antipode")):
+        for row in rows:
+            for k, _ in row:
+                if not 0 <= k < bound:
+                    raise ShapeError("%s output index %d out of range" % (what, k))
 
 
 def algebra_generators(H):
@@ -425,14 +423,8 @@ def verify_hopf(H):
     rep = Report("verify-hopf %s" % H.name)
 
     unit = H.unit_vec()
-    w_unit = None
-    for i in range(n):
-        left = H.mult_vec(unit, H.basis_vec(i))
-        right = H.mult_vec(H.basis_vec(i), unit)
-        ei = H.basis_vec(i)
-        if left != ei or right != ei:
-            w_unit = i
-            break
+    w_unit = next((i for i in range(n) if H.mult_vec(unit, H.basis_vec(i)) != H.basis_vec(i)
+                   or H.mult_vec(H.basis_vec(i), unit) != H.basis_vec(i)), None)
     gens = algebra_generators(H) if w_unit is None else None
     w_assoc = _first_defect(K.assoc_first_defect, gens, n, H.mult, ctx)
     rep.add("mult-associative", w_assoc is None, witness=w_assoc, anchor="hopf-axioms")
@@ -456,24 +448,8 @@ def verify_hopf(H):
     rep.add("counit-multiplicative", w is None, witness=w, anchor="bialgebra")
     rep.add("counit-of-unit", counit_of_unit, anchor="bialgebra")
 
-    one = K.s_one(ctx)
-    w_left = w_right = None
-    for i in range(n):
-        eps_u = _scale(ctx, unit, H.counit[i])
-        lacc = {}
-        racc = {}
-        for x, s in H.comult[i]:
-            j, k = divmod(x, n)
-            sj = H.antipode_vec({j: s})
-            _axpy(ctx, lacc, H.mult_vec(sj, H.basis_vec(k)), one)
-            sk = H.antipode_vec({k: s})
-            _axpy(ctx, racc, H.mult_vec({j: one}, sk), one)
-        if w_left is None and lacc != eps_u:
-            w_left = i
-        if w_right is None and racc != eps_u:
-            w_right = i
-        if w_left is not None and w_right is not None:
-            break
+    w_left, w_right = K.antipode_first_defects(n, H.mult, H.comult, H.antipode_cols, H.unit,
+                                               H.counit, ctx)
     rep.add("antipode-left", w_left is None, witness=w_left, anchor="antipode-axiom")
     rep.add("antipode-right", w_right is None, witness=w_right, anchor="antipode-axiom")
 

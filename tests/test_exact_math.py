@@ -177,7 +177,7 @@ def test_scalar_memos_stay_within_their_cap():
     rng = Random(0)
     A = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)])
     assert (A * A.inverse()).is_identity()
-    for memo in (_pykernel._mul_memo, _pykernel._add_memo, _pykernel._sub_memo, K._inv_memo):
+    for memo in (_pykernel._mul_memo, _pykernel._add_memo, K._inv_memo):
         assert len(memo) <= _pykernel._MEMO_CAP
 
 
