@@ -22,8 +22,16 @@ Module specs (over the small algebra K of an inclusion):
   builtin:trivial                         the tensor unit
   builtin:kchar?act=1,-1,...[&deg=x][&cond=N]   one-dimensional (YD) module
 
-Exit codes: 0 all checks passed, 1 at least one check failed or an
---expect flag was contradicted, 2 malformed input.
+A bundle is checked once, where it is read: a Hopf algebra bundle must pass
+every check of ``verify_hopf`` and an inclusion bundle every check of
+``verify_inclusion``.  Otherwise the command stops with ``error:`` naming the
+algebra or inclusion, its first failing check and the witness.  This holds
+for every bundle a command reads (``dump`` too, and the ``of=`` and module
+``over`` references), except the one named on the ``verify`` command line,
+whose checks that command reports.
+
+Exit codes: 0 all checks passed, 1 at least one check failed, an --expect
+flag was contradicted, or a bundle was refused as above, 2 malformed input.
 """
 
 import argparse
@@ -97,13 +105,26 @@ def _jobs():
         return 1
 
 
+def _refuse_failed(rep, name, what):
+    """Raise HopfkitError naming the first failing check of rep, if any."""
+    failed = rep.failures()
+    if failed:
+        c = failed[0]
+        witness = "" if c.witness is None else " witness=%s" % (c.witness,)
+        raise HopfkitError("%s is not a %s: %s FAIL%s" % (name, what, c.name, witness))
+
+
 def resolve_hopf(spec):
-    """A FinHopf from a builtin spec or a bundle file path."""
+    """A FinHopf from a builtin spec or a bundle file path; a bundle is
+    refused unless it passes ``verify_hopf``."""
     from . import builders
+    from .hopf_core import verify_hopf
 
     scheme, path, params = _parse_spec(spec)
     if scheme != "builtin":
-        return parse_hopf(read_bundle(spec)[1])
+        H = parse_hopf(read_bundle(spec)[1])
+        _refuse_failed(verify_hopf(H), H.name, "Hopf algebra")
+        return H
     kind = path
     if kind == "h8":
         return builders.kac_paljutkin()[0]
@@ -156,7 +177,7 @@ def resolve_inclusion(spec):
 
     scheme, path, params = _parse_spec(spec)
     if scheme != "builtin":
-        return parse_inclusion(read_bundle(spec)[1], resolve_hopf)
+        return _read_inclusion(read_bundle(spec)[1])
     kind = path
     if kind == "h8":
         return builders.kac_paljutkin()[1]
@@ -217,6 +238,17 @@ def resolve_module(spec, K_hopf):
     raise BundleParseError("unknown builtin module %r" % spec)
 
 
+def _read_inclusion(text):
+    """The inclusion of a bundle text, refused unless it passes
+    ``verify_inclusion``; its algebras are read by ``resolve_hopf``."""
+    from .extension import verify_inclusion
+
+    incl = parse_inclusion(text, resolve_hopf)
+    _refuse_failed(verify_inclusion(incl), "%s -> %s" % (incl.K.name, incl.H.name),
+                   "Hopf algebra map")
+    return incl
+
+
 def _inclusion_input(spec):
     """The inclusion of a builtin spec or bundle file, and the digest the
     report records for it: of the spec text, or of the bytes of the file,
@@ -224,7 +256,7 @@ def _inclusion_input(spec):
     if _parse_spec(spec)[0] == "builtin":
         return resolve_inclusion(spec), digest_bytes(spec.encode())
     data, text = read_bundle(spec)
-    return parse_inclusion(text, resolve_hopf), digest_bytes(data)
+    return _read_inclusion(text), digest_bytes(data)
 
 
 def _emit(report, args):

@@ -261,13 +261,11 @@ def mat_mul_raw(A, B, ctx):
 #
 # A sparse vector is a dict {index: raw scalar} that stores no zero value;
 # indices are ints or tuples.  Only the helpers below build or add into one,
-# so only they know this convention.  An argument named ``terms`` may also be
-# a sequence of (index, raw) pairs, such as a row of a structure table.
+# so only they know this convention.  Each helper takes sparse vectors,
+# except ``_clean``, which takes (index, raw) pairs such as
+# ``enumerate(dense)``, and the two that read a structure table, whose rows
+# list (index, raw) pairs: ``_table_apply`` and ``_table_mul``.
 # ---------------------------------------------------------------------------
-
-
-def _items(terms):
-    return terms.items() if isinstance(terms, dict) else terms
 
 
 def _add(ctx, acc, k, s):
@@ -283,25 +281,24 @@ def _add(ctx, acc, k, s):
             acc[k] = s
 
 
-def _axpy(ctx, acc, terms, c):
-    """acc += c*terms in place for terms holding no zero; returns acc.  A unit
-    c adds without products."""
+def _axpy(ctx, acc, vec, c):
+    """acc += c*vec in place; returns acc.  A unit c adds without products."""
     if c == ctx[3]:
         return acc
     if c == ctx[4]:
-        for k, s in _items(terms):
+        for k, s in vec.items():
             _add(ctx, acc, k, s)
     else:
-        for k, s in _items(terms):
+        for k, s in vec.items():
             _add(ctx, acc, k, K.s_mul(ctx, c, s))
     return acc
 
 
-def _scale(ctx, terms, c):
-    """c*terms as a new sparse vector."""
+def _scale(ctx, vec, c):
+    """c*vec as a new sparse vector."""
     if c == ctx[3]:
         return {}
-    return {k: K.s_mul(ctx, c, s) for k, s in _items(terms)}
+    return {k: K.s_mul(ctx, c, s) for k, s in vec.items()}
 
 
 def _normalize_first_one(ctx, vec):
@@ -312,13 +309,13 @@ def _normalize_first_one(ctx, vec):
 def _clean(ctx, terms):
     """The nonzero entries of terms (e.g. ``enumerate(dense)``) as a sparse vector."""
     zero = ctx[3]
-    return {k: s for k, s in _items(terms) if s != zero}
+    return {k: s for k, s in terms if s != zero}
 
 
-def _dense(ctx, terms, n):
-    """terms as a dense list of n raw scalars."""
+def _dense(ctx, vec, n):
+    """vec as a dense list of n raw scalars."""
     out = [K.s_zero(ctx)] * n
-    for k, s in _items(terms):
+    for k, s in vec.items():
         out[k] = s
     return out
 
@@ -330,9 +327,9 @@ def _column(N, vec, n):
 
 def _tensor(ctx, acc, u, v, n):
     """acc += u (x) v in place, the pair (i, j) at index i*n + j; returns acc."""
-    for i, a in _items(u):
+    for i, a in u.items():
         base = i * n
-        for j, b in _items(v):
+        for j, b in v.items():
             _add(ctx, acc, base + j, K.s_mul(ctx, a, b))
     return acc
 
@@ -369,12 +366,24 @@ def _kron_act(ctx, out, A, B, m, terms, row0, rs, col0, cs):
 
 def _apply(ctx, cols, vec):
     """Sum of c*cols[k] over the entries (k, c) of the sparse vector vec: the
-    linear map with column table cols (each column a sparse vector or a
-    sequence of (index, raw) pairs) applied to vec.  For a Matrix M, M*vec
-    is ``_apply(ctx, M.transpose().srows, vec)``."""
+    linear map with column table cols, a sequence of sparse vectors, applied
+    to vec.  For a Matrix M, M*vec is ``_apply(ctx, M.transpose().srows, vec)``."""
     out = {}
     for k, c in vec.items():
         _axpy(ctx, out, cols[k], c)
+    return out
+
+
+def _table_apply(ctx, table, vec):
+    """``_apply`` for a structure table, whose rows list (index, raw) pairs,
+    such as ``FinHopf.comult``.  Zero entries of vec are skipped, and a unit
+    one is not multiplied."""
+    zero, one = ctx[3], ctx[4]
+    out = {}
+    for k, c in vec.items():
+        if c != zero:
+            for x, s in table[k]:
+                _add(ctx, out, x, s if c == one else K.s_mul(ctx, c, s))
     return out
 
 
@@ -391,7 +400,8 @@ def _table_mul(ctx, table, n, u, v):
         base = i * n
         for j, b in v:
             ab = b if a == one else a if b == one else K.s_mul(ctx, a, b)
-            _axpy(ctx, out, table[base + j], ab)
+            for k, s in table[base + j]:
+                _add(ctx, out, k, s if ab == one else K.s_mul(ctx, ab, s))
     return out
 
 
@@ -440,7 +450,7 @@ class RowSpace:
         row p is the vector's own entry at p, and only the pivots present in
         the vector are visited, in increasing order."""
         ctx = self.ctx
-        vec = _clean(ctx, vec)
+        vec = _clean(ctx, vec.items())
         row_at = self._row_at
         for piv in sorted(p for p in vec if p in row_at):
             _axpy(ctx, vec, row_at[piv], K.s_neg(vec[piv]))

@@ -22,6 +22,7 @@ from .exact_math import (
     _clean,
     _dense,
     _scale,
+    _table_apply,
     _tensor,
 )
 from .hopf_core import (
@@ -42,14 +43,13 @@ from .reports import Report
 class HopfInclusion:
     """An embedding K -> H given by the matrix of images of K's basis.
 
-    ``proven`` is True only when both algebras are proven (see
-    ``FinHopf.proven``) and a catalogue constructor built the embedding, so
-    that it is a Hopf algebra map by construction.  A parsed or directly
-    built inclusion leaves it unset."""
+    The derived checks take it to be a Hopf algebra map: a catalogue
+    constructor builds one by construction, and the command line refuses an
+    inclusion bundle that fails ``verify_inclusion``."""
 
-    __slots__ = ("K", "H", "embed", "proven", "ctx", "_cache")
+    __slots__ = ("K", "H", "embed", "ctx", "_cache")
 
-    def __init__(self, sub, big, embed, proven=False):
+    def __init__(self, sub, big, embed):
         N = lcm(sub.N, big.N)
         N = lcm(N, embed.N)
         self.K = sub.lifted(N)
@@ -60,7 +60,6 @@ class HopfInclusion:
                 "embed must be %dx%d, got %dx%d"
                 % (self.H.dim, self.K.dim, self.embed.rows, self.embed.cols)
             )
-        self.proven = proven and sub.proven and big.proven
         self.ctx = self.H.ctx
         self._cache = {}
 
@@ -98,13 +97,13 @@ class HopfInclusion:
 
 def trivial_inclusion(H):
     """The identity inclusion H -> H."""
-    return HopfInclusion(H, H, Matrix.identity(H.dim, H.N), proven=True)
+    return HopfInclusion(H, H, Matrix.identity(H.dim, H.N))
 
 
 def unit_inclusion(H, base_field_hopf):
     """The inclusion of the ground field (as a one-dimensional Hopf algebra)."""
     embed = Matrix(H.N, [[v] for v in H.unit])
-    return HopfInclusion(base_field_hopf, H, embed, proven=True)
+    return HopfInclusion(base_field_hopf, H, embed)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +279,7 @@ def verify_bar_quotient(bq):
     # coalgebra map: (proj x proj) Delta_H = Delta_bar proj on all basis vectors
     w = None
     for i in range(n):
-        if bq.proj_comult(i) != _apply(ctx, bq.comult, bq.proj_cols[i]):
+        if bq.proj_comult(i) != _table_apply(ctx, bq.comult, bq.proj_cols[i]):
             w = i
             break
     rep.add("proj-coalgebra-map", w is None, witness=w, anchor="bar-quotient")
@@ -296,7 +295,7 @@ def verify_bar_quotient(bq):
     rep.add("proj-sends-unit-to-unit",
             bq.proj_vec(H.unit_vec()) == one_bar
             and LinearFunctional(bq.N, bq.counit)(one_bar) == one
-            and _apply(ctx, bq.comult, one_bar) == _tensor(ctx, {}, one_bar, one_bar, d))
+            and _table_apply(ctx, bq.comult, one_bar) == _tensor(ctx, {}, one_bar, one_bar, d))
 
     # right K-triviality: proj(h * embed(k)) = eps_K(k) proj(h)
     w = None
@@ -686,62 +685,22 @@ def _reconstruction_defect(incl, tr_K, free, delta_sparse, xs=None):
     return None
 
 
-def _exchange_defect(incl, free, delta_sparse, right_dec, xs=None):
-    """The first basis index x, x in xs (all of H by default), where
-    sum_i delta_i x_K h_i h == sum_i h delta_i x_K h_i fails in H (x)_K H
-    for h = h_x."""
-    H = incl.H
-    ctx = incl.ctx
-    n = H.dim
-    r = len(free)
-    delta_parts = [right_dec(dv) for dv in delta_sparse]
-    for x in range(n) if xs is None else xs:
-        ex = H.basis_vec(x)
-        lhs = {}
-        rhs = {}
-        for i in range(r):
-            hih = H.mult_vec(H.basis_vec(free[i]), ex)
-            for j in range(r):
-                kv = delta_parts[i][j]
-                if kv:
-                    for idx, s in H.mult_vec(incl.embed_vec(kv), hih).items():
-                        _add(ctx, lhs, j * n + idx, s)
-            hdelta = H.mult_vec(ex, delta_sparse[i])
-            parts2 = right_dec(hdelta)
-            hi = H.basis_vec(free[i])
-            for j in range(r):
-                kv = parts2[j]
-                if kv:
-                    for idx, s in H.mult_vec(incl.embed_vec(kv), hi).items():
-                        _add(ctx, rhs, j * n + idx, s)
-        if lhs != rhs:
-            return x
-    return None
+def _verify_dual_bases(incl, tr_K, free, deltas):
+    """Check both reconstruction identities on the free basis.
 
-
-def _verify_dual_bases(incl, tr_K, free, deltas, right_dec):
-    """Check both reconstruction identities and the exchange identity.
-
-    On a proven H (see ``FinHopf.proven``) each is checked on a generating
-    set.  tr is a K-bimodule map (``_verify_frobenius_morphism``), so
+    tr is a K-bimodule map (``_verify_frobenius_morphism``), so
     h -> sum_i tr(h delta_i) h_i is left and h -> sum_i delta_i tr(h_i h)
     right K-linear; the free basis spans H on both sides (``free_basis``), so
-    the reconstruction identities hold on H once they hold on it.  The h
-    with hE = Eh, for E = sum_i delta_i x_K h_i, form a unital subalgebra, so
-    the exchange identity needs h in ``algebra_generators(H)`` only.  A
-    defect found on a generating set is looked up again by the full scan,
+    the identities hold on H once they hold on it.  On the associative H they
+    imply the exchange identity hE = Eh for E = sum_i delta_i x_K h_i (see
+    notes/decisions.md, "Frobenius data keeps only what induction reads").
+    A defect found on the free basis is looked up again by the full scan,
     whose first witness the error names.
     """
-    H = incl.H
     delta_sparse = [_clean(incl.ctx, enumerate(dv)) for dv in deltas]
-    w = _first_defect(_reconstruction_defect, free if H.proven else None,
-                      incl, tr_K, free, delta_sparse)
+    w = _first_defect(_reconstruction_defect, free, incl, tr_K, free, delta_sparse)
     if w is not None:
         raise PipelineError("dual-basis reconstruction identity fails at basis %d" % w)
-    w = _first_defect(_exchange_defect, algebra_generators(H) if H.proven else None,
-                      incl, free, delta_sparse, right_dec)
-    if w is not None:
-        raise PipelineError("dual-basis exchange identity fails at basis %d" % w)
 
 
 # ---------------------------------------------------------------------------
@@ -792,17 +751,17 @@ def is_central_extension(incl, bq=None, tr_K=None):
 def is_normal_subalgebra(incl):
     """Closure of embed(K) under left and right adjoint actions of H.
 
-    On a proven H (see ``FinHopf.proven``) only h in ``algebra_generators(H)``
-    are tried: ad_(gh) = ad_g ad_h for the left and ad_(gh) = ad_h ad_g for
-    the right adjoint action, and ad_1 is the identity, so a subspace closed
-    under ad_g for g in G is closed under ad_h for every h in H.
+    Only h in ``algebra_generators(H)`` are tried: ad_(gh) = ad_g ad_h for
+    the left and ad_(gh) = ad_h ad_g for the right adjoint action, and ad_1 is
+    the identity, so a subspace closed under ad_g for g in G is closed under
+    ad_h for every h in H.
     """
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
     image = incl.image_space()
     one = K.s_one(ctx)
-    for i in algebra_generators(H) if H.proven else range(n):
+    for i in algebra_generators(H):
         for b in range(m):
             col = incl.embed_col(b)
             acc_l = {}
@@ -860,10 +819,10 @@ def make_frobenius_data(incl, bq, lam_scale=1):
     free, right_images = free_basis(incl)
     tr0 = frobenius_morphism(incl, bq)
     deltas0 = dual_bases(incl, tr0, free)
-    right_dec = Decomposer(incl, free, "right", right_images)
-    _verify_dual_bases(incl, tr0, free, deltas0, right_dec)
+    _verify_dual_bases(incl, tr0, free, deltas0)
 
-    frob0 = FrobeniusData(incl, right_integral_of_dual(bq), tr0, free, deltas0, right_dec)
+    frob0 = FrobeniusData(incl, right_integral_of_dual(bq), tr0, free, deltas0,
+                          Decomposer(incl, free, "right", right_images))
     eps = LinearFunctional(incl.N, H.counit)
     s = K.s_zero(ctx)
     for i, t in enumerate(free):

@@ -211,7 +211,7 @@ def build_group_etale(K_hopf, n, ex, ey):
     for lbl in labels:
         mats.append(Matrix.from_rows([[1, 0], [0, chi[lbl]]]))
     mod = HModule(K_hopf, mats, name="A_%s(%d,%d)" % (n, ex, ey))
-    # a pass over a proven K marks the carrier proven
+    # a pass marks the carrier proven
     verify_module(mod)
     rows = [[0, 0] for _ in range(K_hopf.dim * 2)]
     rows[labels.index("1") * 2 + 0][0] = 1

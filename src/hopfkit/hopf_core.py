@@ -14,15 +14,15 @@ a defect, the full scan runs, so every failure carries the first witness in
 basis order.
 All instances are immutable after construction and all operations are pure.
 
-A FinHopf built by a catalogue constructor (``builders``) is a Hopf algebra
-by construction and carries ``proven = True``; sub-Hopf algebras, lifts,
-duals and Drinfeld doubles inherit the bit from their input.  Parsed bundles
-and direct construction leave it unset.  On a proven H the checks of derived
-data that rest on H being an associative algebra (integrals, the
-distinguished grouplike, and in ``extension`` and ``module_theory`` the dual
-bases, normality and module multiplicativity) run on a generating set.  So,
-between proven modules (see ``module_theory.HModule``), do the H-linearity
-of module maps, hom spaces, the invariants of ``frob_objects`` and the
+Every FinHopf that reaches the derived checks is a Hopf algebra: a catalogue
+constructor (``builders``) builds one by construction, and the command line
+runs ``verify_hopf`` on every bundle it reads and refuses one that fails.  So
+the checks of derived data that rest on H being an associative algebra
+(integrals, the distinguished grouplike, and in ``extension`` and
+``module_theory`` the dual bases, normality and module multiplicativity) run
+on a generating set.  So, between modules whose action is known to be
+multiplicative (see ``module_theory.HModule``), do the H-linearity of module
+maps, hom spaces, the invariants of ``frob_objects`` and the
 Yetter-Drinfeld condition of ``yetter_drinfeld.verify_yd``.
 """
 
@@ -35,13 +35,13 @@ from .exact_math import (
     Matrix,
     RowSpace,
     _add,
-    _apply,
     _axpy,
     _clean,
     _column,
     _dense,
     _normalize_first_one,
     _scale,
+    _table_apply,
     _table_mul,
     _tensor,
     lift_raw,
@@ -141,13 +141,11 @@ class FinHopf:
         "counit",
         "antipode_cols",
         "convention",
-        "proven",
         "ctx",
         "_cache",
     )
 
-    def __init__(self, name, basis_labels, N, mult, unit, comult, counit, antipode_cols, convention="",
-                 proven=False):
+    def __init__(self, name, basis_labels, N, mult, unit, comult, counit, antipode_cols, convention=""):
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
@@ -158,16 +156,13 @@ class FinHopf:
         self.counit = counit
         self.antipode_cols = antipode_cols
         self.convention = convention
-        # True only for a Hopf algebra by construction (see the module docstring)
-        self.proven = proven
         self.ctx = K.make_ctx(N)
         self._cache = {}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_tensors(cls, name, basis_labels, mult, unit, comult, counit, antipode, convention="",
-                     proven=False):
+    def from_tensors(cls, name, basis_labels, mult, unit, comult, counit, antipode, convention=""):
         """Build from mappings {(i,j,k): scalar}, vectors and an antipode Matrix."""
         n = len(basis_labels)
         N = 1
@@ -211,7 +206,6 @@ class FinHopf:
             cvec,
             tuple(cols),
             convention=convention,
-            proven=proven,
         )
 
     # -- views -------------------------------------------------------------
@@ -253,7 +247,6 @@ class FinHopf:
                 tuple(lift_raw(s, N, M) for s in self.counit),
                 tuple(tuple((i, lift_raw(s, N, M)) for i, s in col) for col in self.antipode_cols),
                 convention=self.convention,
-                proven=self.proven,
             )
             self._cache[key] = got
         return got
@@ -278,7 +271,7 @@ class FinHopf:
 
     def comult_vec(self, u):
         """Coproduct of a sparse vector, keys flattened as j*dim + k."""
-        return _apply(self.ctx, self.comult, u)
+        return _table_apply(self.ctx, self.comult, u)
 
     def comult2(self, i):
         """Cached (Delta x id)Delta(e_i) as tuple of ((a,b,c), raw)."""
@@ -316,7 +309,7 @@ class FinHopf:
         return got
 
     def antipode_vec(self, u):
-        return _apply(self.ctx, self.antipode_cols, u)
+        return _table_apply(self.ctx, self.antipode_cols, u)
 
     def __repr__(self):
         return "FinHopf(%s, dim=%d, conductor=%d)" % (self.name, self.dim, self.N)
@@ -495,7 +488,6 @@ def dual_hopf(H):
         tuple(H.unit),
         tuple(tuple(sorted(c)) for c in dual_cols),
         convention=H.convention,
-        proven=H.proven,
     )
 
 
@@ -520,46 +512,27 @@ def _integral_rows(H, side, js=None):
                 yield r
 
 
-def _is_integral(H, side, lam):
-    """True iff the sparse raw vector lam satisfies the integral equation
-    for every basis element h_j."""
-    for j in range(H.dim):
-        hj = H.basis_vec(j)
-        prod = H.mult_vec(lam, hj) if side == "right" else H.mult_vec(hj, lam)
-        if prod != _scale(H.ctx, lam, H.counit[j]):
-            return False
-    return True
-
-
 def integral_space(H, side):
     """Exact basis of left or right integrals, first coordinate normalized to 1.
 
     Right integrals solve Lambda h = eps(h) Lambda, left integrals
-    h Lambda = eps(h) Lambda.  The system is first built for h in a
-    generating set G only (see ``algebra_generators``): when H is unital and
-    associative and eps is multiplicative with eps(1) = 1, the equations for
-    a and b give Lambda ab = eps(a) Lambda b = eps(ab) Lambda, so they hold on
-    every word in G, hence on H.  A proven H (see ``FinHopf.proven``)
-    satisfies these axioms by construction.  Any other input is not trusted
-    to: every solution is checked against all n basis elements, and if one
-    fails, the full system over all n basis elements is solved instead.
-    The reduced rows are a subset of the full ones, so equal solution spaces
-    (by the argument or by the check) have equal row spaces and reduced
-    echelon forms, and the returned basis is the same.
+    h Lambda = eps(h) Lambda.  The system is built for h in a generating set
+    G only (see ``algebra_generators``): H is unital and associative and eps
+    is multiplicative with eps(1) = 1, so the equations for a and b give
+    Lambda ab = eps(a) Lambda b = eps(ab) Lambda; they hold on every word in
+    G, hence on H.  The reduced rows are a subset of the full ones with the
+    same solution space, so they have the same reduced echelon form, and the
+    returned basis is the one of the full system.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     key = ("integrals", side)
     got = H._cache.get(key)
     if got is None:
-        for js in (algebra_generators(H), None):
-            space = RowSpace(H.dim, H.ctx)
-            for row in _integral_rows(H, side, js):
-                space.add(row)
-            null = space.nullspace()
-            if js is None or H.proven or all(_is_integral(H, side, v) for v in null):
-                break
-        got = [_column(H.N, _normalize_first_one(H.ctx, v), H.dim) for v in null]
+        space = RowSpace(H.dim, H.ctx)
+        for row in _integral_rows(H, side, algebra_generators(H)):
+            space.add(row)
+        got = [_column(H.N, _normalize_first_one(H.ctx, v), H.dim) for v in space.nullspace()]
         H._cache[key] = got
     return got
 
@@ -591,15 +564,14 @@ def distinguished_grouplike(H):
         values.append(alpha_a)
     alpha = LinearFunctional(H.N, values)
     # right_integral_element has cached G through integral_space
-    _assert_algebra_map(H, alpha, "distinguished grouplike",
-                        algebra_generators(H) if H.proven else None)
+    _assert_algebra_map(H, alpha, "distinguished grouplike", algebra_generators(H))
     H._cache["alpha"] = alpha
     return alpha
 
 
 def _assert_algebra_map(H, f, what, lefts=None):
     """Raise unless f(1) = 1 and f(ab) = f(a) f(b).  With lefts = G (see
-    ``algebra_generators``), a proven H needs a in G only: once f(1) = 1,
+    ``algebra_generators``), a in G suffices: once f(1) = 1,
     {a : f(ab) = f(a) f(b) for all b} contains 1 and, as H is associative,
     is closed under products, so it is H.  A defect found on G is looked
     up again by the full scan, whose first witness the error names."""
@@ -746,7 +718,6 @@ def subhopf_from_basis(H, indices, name=None):
         tuple(counit),
         tuple(cols),
         convention=H.convention,
-        proven=H.proven,
     )
     z = K.s_zero(ctx)
     o = K.s_one(ctx)

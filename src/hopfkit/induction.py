@@ -254,9 +254,7 @@ def induce(ictx, V):
             for g in range(H.dim)
         ]
         got = ictx._cache[memo] = _with_proven(
-            HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N)),
-            V.proven and ictx.incl.proven,
-        )
+            HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N)), V.proven)
     return got
 
 
@@ -285,7 +283,7 @@ def coinduce(ictx, V):
         for g in range(H.dim)
     ]
     return _with_proven(HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(ictx.N, V.N)),
-                        V.proven and ictx.incl.proven)
+                        V.proven)
 
 
 def _mutually_inverse(A, B):

@@ -14,16 +14,16 @@ from .reports import Report
 class HModule:
     """A left module given by one exact action matrix per algebra basis element.
 
-    ``proven`` is True only for a module over a proven algebra (see
-    ``FinHopf.proven``) whose action is known to be multiplicative and unital:
-    ``verify_module`` sets it on a pass, and ``trivial_module``,
-    ``tensor_modules``, ``restrict``, ``direct_sum`` and induction set it to
-    the AND of their inputs' bits.  A module built directly or parsed from a
-    bundle starts unproven.  When every module involved is proven,
-    ``ModuleMap.intertwines``, ``hom_space``, the invariants and the
-    Yetter-Drinfeld condition are checked for h in ``algebra_generators(H)``
-    only: the h a linear condition holds for contain 1 and are closed under
-    products once both actions are algebra maps.
+    ``proven`` is True only for a module whose action is known to be
+    multiplicative and unital: ``verify_module`` sets it on a pass, the
+    trivial module has it, and ``tensor_modules``, ``restrict``,
+    ``direct_sum`` and induction set it to the AND of their inputs' bits.  A
+    module built directly or parsed from a bundle starts unproven.  When
+    every module involved is proven, ``ModuleMap.intertwines``,
+    ``hom_space``, the invariants and the Yetter-Drinfeld condition are
+    checked for h in ``algebra_generators(H)`` only: the h a linear
+    condition holds for contain 1 and are closed under products once both
+    actions are algebra maps.
     """
 
     __slots__ = ("H", "dim", "N", "ctx", "action", "name", "proven", "_key")
@@ -136,7 +136,7 @@ def trivial_module(H, N=None):
     """The tensor unit: the counit acting on a one-dimensional space."""
     conductor = N or H.N
     mats = [Matrix(H.N, [[H.counit[i]]]).lift(conductor) for i in range(H.dim)]
-    return _with_proven(HModule(H, mats, name="1", N=conductor), H.proven)
+    return _with_proven(HModule(H, mats, name="1", N=conductor), True)
 
 
 def _action_defect(M, lefts=None):
@@ -160,21 +160,20 @@ def _action_defect(M, lefts=None):
 def verify_module(M):
     """Unitality and multiplicativity check, with the full scan's witness.
 
-    Over a proven algebra (see ``FinHopf.proven``) with 1 acting as the
-    identity, rho(ab) = rho(a) rho(b) is scanned for a in
-    ``algebra_generators`` only: the a where it holds for all b contain 1 and,
-    as the algebra is associative, are closed under products.  A defect found
-    there is looked up again by the full scan.  A pass over a proven
-    algebra marks M proven."""
+    With 1 acting as the identity, rho(ab) = rho(a) rho(b) is scanned for a
+    in ``algebra_generators`` only: the a where it holds for all b contain 1
+    and, as the algebra is associative, are closed under products.  A defect
+    found there is looked up again by the full scan.  A pass marks M
+    proven."""
     H = M.H
     rep = Report("verify-module %s" % M.name)
     ident = Matrix.identity(M.dim, M.N)
     unital = M.act_alg_vec(H.unit_vec(), H.N) == ident
     rep.add("unit-acts-as-identity", unital, anchor="module-axioms")
-    lefts = algebra_generators(H) if H.proven and unital else None
+    lefts = algebra_generators(H) if unital else None
     w = _first_defect(_action_defect, lefts, M)
     rep.add("action-multiplicative", w is None, witness=w, anchor="module-axioms")
-    if rep.ok and H.proven:
+    if rep.ok:
         M.proven = True
     return rep
 
@@ -206,7 +205,7 @@ def restrict(incl, W):
         terms = ((W.action[i], Cyclotomic(incl.N, c)) for i, c in incl.embed_col(b).items())
         mats.append(Matrix.lincomb(W.dim, W.dim, conductor, terms))
     return _with_proven(HModule(incl.K, mats, name="Res(%s)" % W.name, N=conductor),
-                        W.proven and incl.proven)
+                        W.proven)
 
 
 def direct_sum(M, N_mod):

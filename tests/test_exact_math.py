@@ -19,6 +19,7 @@ from hopfkit.exact_math import (
     _clean,
     _kron_act,
     _scale,
+    _table_apply,
     _table_mul,
     _tensor,
     format_scalar,
@@ -525,10 +526,9 @@ def test_sparse_vector_helpers_match_dense_reference(case):
     ctx = K.make_ctx(N)
     cv = [(k, c * x) for k, x in v.items()]
     assert _axpy(ctx, _raw(acc), _raw(v), c.data) == _reference(N, list(acc.items()) + cv)
-    assert _axpy(ctx, _raw(acc), tuple(_raw(v).items()), c.data) == _reference(N, list(acc.items()) + cv)
     assert _axpy(ctx, {}, {}, c.data) == {}
     assert _scale(ctx, _raw(v), c.data) == _reference(N, cv)
-    assert _clean(ctx, {k: x.data for k, x in acc.items()}) == _reference(N, acc.items())
+    assert _clean(ctx, ((k, x.data) for k, x in acc.items())) == _reference(N, acc.items())
     dense = [Cyclotomic.rational(0, N)] * 4
     for i, x in u.items():
         dense[i] = x
@@ -546,14 +546,16 @@ def test_sparse_vector_helpers_match_dense_reference(case):
     assert got == _reference(N, products)
 
     # a map held as its column table: dict columns (the rows of a transposed
-    # Matrix) and pair-sequence columns (the rows of a structure table)
+    # Matrix) for _apply, pair-sequence columns (the rows of a structure
+    # table) for _table_apply, which skips a zero coefficient
     M = Matrix(N, [[table[i * n + j].get(0, Cyclotomic.rational(0, N)).data for j in range(n)]
                    for i in range(n)])
     assert _apply(ctx, M.transpose().srows, _raw(u)) == _reference(
         N, [(i, M.entry(i, j) * x) for j, x in u.items() for i in range(n)])
-    assert _apply(ctx, raw_table, _raw(u)) == _reference(
+    assert _table_apply(ctx, raw_table, _raw(u)) == _reference(
         N, [(k, x * s) for j, x in u.items() for k, s in table[j].items()])
-    assert _apply(ctx, raw_table, {}) == {}
+    assert _table_apply(ctx, raw_table, {}) == {}
+    assert _table_apply(ctx, raw_table, {j: ctx[3] for j in range(n)}) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +661,7 @@ class _SequentialRowSpace(RowSpace):
     """RowSpace with the reduction that visits every pivot in turn."""
 
     def reduce(self, vec):
-        vec = _clean(self.ctx, vec)
+        vec = _clean(self.ctx, vec.items())
         for piv, row in zip(self.pivots, self.rows):
             a = vec.get(piv)
             if a is not None:

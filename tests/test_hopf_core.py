@@ -1,4 +1,5 @@
 import functools
+import re
 import sys
 from unittest import mock
 
@@ -76,7 +77,7 @@ def test_elimination_and_products_make_no_zero_test_calls(monkeypatch):
     uq = small_quantum_sl2(3).hopf
     # a copy with an empty cache, so that nothing is looked up
     H = FinHopf(uq.name, uq.basis_labels, uq.N, uq.mult, uq.unit, uq.comult, uq.counit,
-                uq.antipode_cols, proven=uq.proven)
+                uq.antipode_cols)
     assert len(algebra_generators(H)) == 3
     assert [len(integral_space(H, side)) for side in ("left", "right")] == [1, 1]
     products = [H.mult_vec(H.basis_vec(i), H.basis_vec(j)) for i in range(H.dim) for j in range(H.dim)]
@@ -456,7 +457,7 @@ def test_counit_scan_on_generators_when_its_premises_hold(h8, taft3, uq3):
 
 def _integrals_of(H, side, js=None):
     """Normalized null space of the integral rows for j in js (all when None),
-    without the cache or the post-check of ``integral_space``."""
+    without the cache of ``integral_space``."""
     space = RowSpace(H.dim, H.ctx)
     for row in hopf_core._integral_rows(H, side, js):
         space.add(row)
@@ -477,16 +478,24 @@ def test_reduced_integrals_match_full_system(h8, taft3, uq3):
             assert integral_space(H, side) == full, (H.name, side)
 
 
-def test_integral_post_check_rejects_counit_off_generators(h8, taft3, uq3):
-    # eps(h_j) for j outside G never enters the reduced system, so the reduced
-    # solutions are wrong and only the post-check can notice
+def test_a_counit_changed_off_generators_is_refused_at_input(h8, taft3, uq3, tmp_path):
+    # eps(h_j) for j outside G never enters the reduced system, so its
+    # solutions are wrong; such a table is no Hopf algebra, and resolve_hopf
+    # refuses its bundle before any integral is solved
+    from hopfkit.cli import resolve_hopf
+    from hopfkit.errors import HopfkitError
+
     for base in (h8, taft3[0], uq3.hopf):
         j = next(j for j in range(base.dim) if j not in algebra_generators(base))
         H = _perturb(base, "COUNIT", j, 0, 1)
         for side in ("left", "right"):
-            full = _integrals_of(H, side)
-            assert _integrals_of(H, side, algebra_generators(H)) != full
-            assert integral_space(H, side) == full, (H.name, side)
+            assert _integrals_of(H, side, algebra_generators(H)) != _integrals_of(H, side)
+        first = verify_hopf(H).failures()[0]
+        path = tmp_path / "bad.bundle"
+        path.write_text(serialize_hopf(H))
+        with pytest.raises(HopfkitError, match="^%s is not a Hopf algebra: %s FAIL" % (
+                re.escape(H.name), first.name)):
+            resolve_hopf(str(path))
 
 
 @settings(max_examples=40, deadline=None)
@@ -498,56 +507,55 @@ def test_integral_post_check_rejects_counit_off_generators(h8, taft3, uq3):
     c=st.sampled_from([-1, 1, 2]),
     side=st.sampled_from(["left", "right"]),
 )
-def test_integral_space_matches_full_system_on_perturbed_tables(h8, taft3, uq3, which, section,
-                                                                 row, key, c, side):
+def test_reduced_integrals_differ_only_on_tables_that_fail_verify_hopf(h8, taft3, uq3, which,
+                                                                       section, row, key, c,
+                                                                       side):
+    # integral_space solves the equations of G only; a table where that
+    # misses a constraint is no Hopf algebra, so no bundle of it is read
     H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which], section, row, key, c)
-    assert integral_space(H, side) == _integrals_of(H, side)
+    if integral_space(H, side) != _integrals_of(H, side):
+        assert not verify_hopf(H).ok
 
 
-def test_provenance_bit_follows_construction(tmp_path):
-    # set by the catalogue constructors and passed on by sub-Hopf algebras,
-    # lifts, duals and doubles; unset on parsed bundles and direct construction
-    from conftest import CATALOGUE
+def test_every_bundle_algebra_is_verified_where_it_is_read(h8, tmp_path):
+    # a bundle read as an algebra, as the of= algebra of a double or of a
+    # trivial inclusion, or as a side of an inclusion bundle, passes
+    # verify_hopf or is refused naming its first failing check
     from hopfkit.bundles import serialize_inclusion
     from hopfkit.cli import resolve_hopf, resolve_inclusion
+    from hopfkit.errors import HopfkitError
 
-    for spec in CATALOGUE:
-        H = resolve_hopf(spec)
-        assert H.proven, spec
-        assert H.lifted(4 * H.N).proven and dual_hopf(H).proven, spec
-        if H.dim <= 9:
-            assert drinfeld_double(H)[0].proven, spec
-    for spec in ("builtin:h8", "builtin:taft?l=3", "builtin:uqsl2?l=3&sub=cartan",
-                 "builtin:uqsl2?l=3&sub=borel+", "builtin:double?of=builtin:group?table=c3",
-                 "builtin:unit?of=builtin:h8", "builtin:trivial?of=builtin:taft?l=2"):
-        incl = resolve_inclusion(spec)
-        assert incl.K.proven and incl.H.proven, spec
-    h8 = resolve_hopf("builtin:h8")
-    assert subhopf_from_basis(h8, [0, 1, 2, 4])[0].proven
-
-    path = tmp_path / "h8.bundle"
-    path.write_text(serialize_hopf(h8))
-    assert not parse_hopf(serialize_hopf(h8)).proven
-    assert not resolve_hopf(str(path)).proven
-    assert not resolve_hopf("builtin:double?of=%s" % path).proven
-    assert not resolve_inclusion("builtin:double?of=%s" % path).K.proven
-    assert not dual_hopf(resolve_hopf(str(path))).proven
     incl = resolve_inclusion("builtin:h8")
-    ipath = tmp_path / "incl.bundle"
-    ipath.write_text(serialize_inclusion(incl, "builtin:group?table=klein", path))
-    read = resolve_inclusion(str(ipath))
-    assert read.K.proven and not read.H.proven
-    assert not _perturb(h8, "MULT", 0, 0, 1).proven
+    bad_h8 = _perturb(h8, "MULT", 9, 0, 1)
+    first = verify_hopf(bad_h8).failures()[0]
+    for H, refused in ((h8, False), (bad_h8, True)):
+        path = tmp_path / "h8.bundle"
+        path.write_text(serialize_hopf(H))
+        ipath = tmp_path / "incl.bundle"
+        ipath.write_text(serialize_inclusion(incl, "builtin:group?table=klein", path))
+        reads = [(resolve_hopf, str(path)), (resolve_hopf, "builtin:double?of=%s" % path),
+                 (resolve_inclusion, "builtin:trivial?of=%s" % path),
+                 (resolve_inclusion, str(ipath))]
+        for read, spec in reads:
+            if not refused:
+                read(spec)
+                continue
+            with pytest.raises(HopfkitError, match="^%s is not a Hopf algebra: %s FAIL witness=%s$"
+                               % (re.escape(H.name), first.name, re.escape(str(first.witness)))):
+                read(spec)
+    # no algebra carries a trust bit that could select another path
+    assert not hasattr(h8, "proven") and not hasattr(incl, "proven")
 
 
-def test_proven_integrals_skip_the_post_check(h8, taft3, uq3):
+def test_integral_rows_are_built_on_generators_only(h8, taft3, uq3):
     for H in (h8, taft3[0], uq3.hopf):
-        assert H.proven
+        # a copy with an empty cache
         fresh = FinHopf(H.name, H.basis_labels, H.N, H.mult, H.unit, H.comult, H.counit,
-                        H.antipode_cols, proven=True)
-        with mock.patch.object(hopf_core, "_is_integral") as post:
+                        H.antipode_cols)
+        with mock.patch.object(hopf_core, "_integral_rows", wraps=hopf_core._integral_rows) as rows:
             got = [integral_space(fresh, side) for side in ("left", "right")]
-        assert post.call_count == 0
+        gens = algebra_generators(fresh)
+        assert [call.args[1:] for call in rows.call_args_list] == [("left", gens), ("right", gens)]
         assert got == [_integrals_of(H, side) for side in ("left", "right")], H.name
 
 

@@ -194,10 +194,11 @@ def test_action_scan_on_generators_keeps_the_full_scan_witness(h8):
     # the scan on G finds the defect; the full scan names its first witness
     assert scans == [gens, None]
     assert rep["action-multiplicative"].witness == module_theory._action_defect(bad)
-    # an algebra that is not proven, or 1 not acting as the identity, gets the full scan
+    # a module over an algebra built directly is scanned the same way
     plain = FinHopf(h8.name, h8.basis_labels, h8.N, h8.mult, h8.unit, h8.comult, h8.counit,
                     h8.antipode_cols)
-    assert _action_scans(HModule(plain, mats, name="bad"))[1] == [None]
+    assert _action_scans(HModule(plain, mats, name="bad"))[1] == [algebra_generators(plain), None]
+    # 1 not acting as the identity gets the full scan
     mats[0] = -mats[0]
     rep, scans = _action_scans(HModule(h8, mats, name="bad"))
     assert scans == [None] and rep["unit-acts-as-identity"].status == "fail"

@@ -436,26 +436,21 @@ def test_braided_check_builds_no_zind_tensor(monkeypatch, capsys):
     assert capsys.readouterr().out.count("braided-frobenius[") == 9
 
 
+def _refused(name, check, witness):
+    return "error: %s is not a Hopf algebra: %s FAIL witness=%s" % (name, check, witness)
+
+
 # check-functor --braided over kK < H8 read from bundles, with one entry of the
 # middle basis element (e_4 of H8, e_2 of kK) doubled in one section: the
-# first error or FAIL line of each run, recorded before the braiding of
-# ZInd(M) and ZInd(N) stopped being re-checked.  Checks that run earlier stop
-# every defect; a z_induce that fails its own verification ends the report
-# with a FAIL line of the braided check.
-_BAR_UNIT = ("frobenius-extension  FAIL  [bar quotient verification failed: "
-             "[<Check proj-sends-unit-to-unit: fail>]]")
-_NO_INTEGRAL = "frobenius-extension  FAIL  [right integral space of H8 has dimension 0, expected 1]"
-_CHI = "frobenius-extension  FAIL  [convolution identity for chi fails (finite-dimensional case)]"
+# error of each run.  The bundle is no Hopf algebra, so it is refused where it
+# is read, naming the first failing check of verify_hopf and its witness.
 DEFECT_PROBE = {
-    ("big", "MULT"): [_BAR_UNIT] * 3 + [_NO_INTEGRAL, _BAR_UNIT] + [_NO_INTEGRAL] * 3,
-    ("big", "COMULT"): ["frobenius-extension  FAIL  [bar quotient verification failed: "
-                        "[<Check proj-coalgebra-map: fail witness=4>]]"],
-    ("big", "ANTIPODE"): ["braided-frobenius[kchar,kchar]  FAIL  [z_induce output failed YD "
-                          "verification: [<Check yd-compatibility: fail witness=(4, 0)>]]  "
-                          "(braided)"],
-    ("sub", "MULT"): ["module-input[kchar]  FAIL"] * 4,
-    ("sub", "COMULT"): [_CHI],
-    ("sub", "ANTIPODE"): [_CHI],
+    ("big", "MULT"): [_refused("H8", "mult-associative", (1, 2, k)) for k in range(8)],
+    ("big", "COMULT"): [_refused("H8", "comult-counital", 4)],
+    ("big", "ANTIPODE"): [_refused("H8", "antipode-left", 4)],
+    ("sub", "MULT"): [_refused("kK", "mult-associative", (1, 2, k)) for k in range(4)],
+    ("sub", "COMULT"): [_refused("kK", "comult-counital", 2)],
+    ("sub", "ANTIPODE"): [_refused("kK", "antipode-left", 2)],
 }
 
 
@@ -478,7 +473,7 @@ def _doubled_entries(text, section):
 
 
 @pytest.mark.parametrize("which, section", sorted(DEFECT_PROBE))
-def test_braided_check_stops_a_doubled_structure_entry_before_the_braiding(
+def test_check_functor_refuses_a_doubled_structure_entry_where_it_is_read(
         which, section, h8_incl, tmp_path, capsys):
     from hopfkit.bundles import serialize_hopf, serialize_inclusion
     from hopfkit.cli import main
@@ -496,7 +491,8 @@ def test_braided_check_stops_a_doubled_structure_entry_before_the_braiding(
             paths[key].write_text(bad if key == which else text)
         assert main(argv) == 1
         out = capsys.readouterr()
-        first.append(out.err.strip() or next(l for l in out.out.splitlines() if "FAIL" in l))
+        assert out.out == ""
+        first.append(out.err.strip())
     assert first == DEFECT_PROBE[which, section]
 
 
