@@ -30,6 +30,10 @@ for every bundle a command reads (``dump`` too, and the ``of=`` and module
 ``over`` references), except the one named on the ``verify`` command line,
 whose checks that command reports.
 
+A module is checked where it enters: ``check-functor``, and ``verify`` of a
+Yetter-Drinfeld module bundle, stop at ``module-input[...] FAIL`` when an
+input's action fails ``verify_module``.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, an --expect
 flag was contradicted, or a bundle was refused as above, 2 malformed input.
 """
@@ -286,10 +290,11 @@ def cmd_verify(args):
     if text is not None and bundle_header(text).startswith("hopf-module"):
         mod = parse_module(text, resolve_hopf)
         if isinstance(mod, YDModule):
-            # a YD module is first a module; its lines appear only on failure,
-            # so a valid bundle's report reads as the YD checks alone
+            # a YD module is first a module; a valid bundle's report reads as
+            # the YD checks alone
             if not verify_module(mod.module).ok:
                 report.add("module-input[%s]" % mod.module.name, False)
+                return _emit(report, args)
             report.extend(verify_yd(mod))
         else:
             report.extend(verify_module(mod))

@@ -112,7 +112,13 @@ def unit_inclusion(H, base_field_hopf):
 
 
 def verify_inclusion(incl):
-    """Injectivity plus all five Hopf-map intertwining conditions, exhaustively."""
+    """Injectivity plus all five Hopf-map intertwining conditions, exhaustively.
+
+    The report is formed once per inclusion and kept in its cache, so the
+    command line's check of a bundle and ``analyze_extension`` share it."""
+    got = incl._cache.get("verify")
+    if got is not None:
+        return got
     Kk, H = incl.K, incl.H
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
@@ -165,6 +171,7 @@ def verify_inclusion(incl):
             w = a
             break
     rep.add("antipode-intertwines", w is None, witness=w, anchor="hopf-map")
+    incl._cache["verify"] = rep
     return rep
 
 
@@ -799,16 +806,14 @@ class ExtensionAnalysis:
             setattr(self, k2, kw.get(k2))
 
 
-def make_frobenius_data(incl, bq, lam_scale=1):
+def make_frobenius_data(incl, bq):
     """Assemble FrobeniusData with the canonical normalization of lambda.
 
     The deterministic solver representative lambda0 is rescaled so that the
     unit constraint sum_i eps(delta_i) eps(h_i) = 1 holds (when the sum is
     nonzero); this makes the induced lax/oplax pair strictly separable
     whenever separability-up-to-scalar holds, and reproduces the reference
-    values tr(1) = dim(H)/dim(K) on the worked examples.  A further explicit
-    ``lam_scale`` multiplier is applied afterwards (used by the
-    scale-robustness property checks).
+    values tr(1) = dim(H)/dim(K) on the worked examples.
 
     Both dual-basis identities are checked on the unscaled data: they are
     invariant under tr -> c tr, delta_i -> delta_i / c, so the check holds,
@@ -828,7 +833,7 @@ def make_frobenius_data(incl, bq, lam_scale=1):
     for i, t in enumerate(free):
         s = K.s_add(ctx, s, K.s_mul(ctx, eps(frob0.delta_vec(i)), H.counit[t]))
     factor = Cyclotomic(incl.N, s) if not K.s_is_zero(s) else Cyclotomic.rational(1)
-    return rescale_frobenius_data(frob0, factor * Cyclotomic.promote(lam_scale))
+    return rescale_frobenius_data(frob0, factor)
 
 
 def rescale_frobenius_data(frob, c):
@@ -854,7 +859,7 @@ def rescale_frobenius_data(frob, c):
     )
 
 
-def analyze_extension(incl, lam_scale=1):
+def analyze_extension(incl):
     """Run the full pipeline; returns an ExtensionAnalysis with a Report."""
     rep = Report("analyze %s -> %s" % (incl.K.name, incl.H.name))
     vrep = verify_inclusion(incl)
@@ -889,7 +894,7 @@ def analyze_extension(incl, lam_scale=1):
     frob = None
     central = None
     if decision.frobenius:
-        frob = make_frobenius_data(incl, bq, lam_scale=lam_scale)
+        frob = make_frobenius_data(incl, bq)
         rep.add("frobenius-morphism", True, anchor="good-frob-morphism")
         rep.add("dual-bases", True, anchor="dual-generators")
         central = is_central_extension(incl, bq, tr_K=frob.tr_K)

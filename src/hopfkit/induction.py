@@ -16,9 +16,7 @@ from .exact_math import (Cyclotomic, Matrix, _add, _apply, _clean, _kron_act, _s
                          id_kron, kron_id, lift_raw)
 from .extension import Decomposer, bar_quotient, make_frobenius_data, rescale_frobenius_data
 from .hopf_core import LinearFunctional, antipode_inverse
-from .module_theory import (
-    HModule, ModuleMap, _with_proven, restrict, tensor_modules, trivial_module,
-)
+from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial_module
 from .reports import Report
 
 
@@ -183,7 +181,7 @@ class InductionContext:
         return got
 
 
-def induction_context(incl, lam_scale=1):
+def induction_context(incl):
     """Build the context (bar quotient, integral, Frobenius data) for induction."""
     from .extension import is_central_extension, is_frobenius_extension
 
@@ -191,7 +189,7 @@ def induction_context(incl, lam_scale=1):
     decision = is_frobenius_extension(incl, bq)
     if not decision.frobenius:
         raise PipelineError("inclusion %r is not a Frobenius extension" % incl)
-    frob = make_frobenius_data(incl, bq, lam_scale=lam_scale)
+    frob = make_frobenius_data(incl, bq)
     central = is_central_extension(incl, bq, tr_K=frob.tr_K)
     return InductionContext(incl, frob, central=central)
 
@@ -253,8 +251,7 @@ def induce(ictx, V):
                                  for i in range(ictx.rank)])
             for g in range(H.dim)
         ]
-        got = ictx._cache[memo] = _with_proven(
-            HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N)), V.proven)
+        got = ictx._cache[memo] = HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N))
     return got
 
 
@@ -282,8 +279,7 @@ def coinduce(ictx, V):
         ))
         for g in range(H.dim)
     ]
-    return _with_proven(HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(ictx.N, V.N)),
-                        V.proven)
+    return HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(ictx.N, V.N))
 
 
 def _mutually_inverse(A, B):

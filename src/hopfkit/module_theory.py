@@ -14,19 +14,18 @@ from .reports import Report
 class HModule:
     """A left module given by one exact action matrix per algebra basis element.
 
-    ``proven`` is True only for a module whose action is known to be
-    multiplicative and unital: ``verify_module`` sets it on a pass, the
-    trivial module has it, and ``tensor_modules``, ``restrict``,
-    ``direct_sum`` and induction set it to the AND of their inputs' bits.  A
-    module built directly or parsed from a bundle starts unproven.  When
-    every module involved is proven, ``ModuleMap.intertwines``,
-    ``hom_space``, the invariants and the Yetter-Drinfeld condition are
-    checked for h in ``algebra_generators(H)`` only: the h a linear
-    condition holds for contain 1 and are closed under products once both
-    actions are algebra maps.
+    The action is taken to be an algebra map H -> End(V): multiplicative and
+    unital.  ``ModuleMap.intertwines``, ``hom_space``, the invariants and the
+    Yetter-Drinfeld condition are checked for h in ``algebra_generators(H)``
+    only, which is exact under that premise: the h a linear condition holds
+    for contain 1 and are closed under products once both actions are algebra
+    maps.  Tensor products, direct sums, restrictions, induced and coinduced
+    modules and the trivial module are modules by construction; the command
+    line runs ``verify_module`` on every module it reads.  A caller that
+    builds an HModule directly takes on the premise.
     """
 
-    __slots__ = ("H", "dim", "N", "ctx", "action", "name", "proven", "_key")
+    __slots__ = ("H", "dim", "N", "ctx", "action", "name", "_key")
     __hash__ = None
 
     def __init__(self, H, action, name="V", N=None):
@@ -57,7 +56,6 @@ class HModule:
         self.dim = d[0]
         self.action = tuple(a.lift(conductor) for a in lifted)
         self.name = name
-        self.proven = False
         self._key = None
 
     def act(self, i):
@@ -106,9 +104,9 @@ class ModuleMap:
         self.matrix = matrix
 
     def intertwines(self):
-        """f rho(h) = rho'(h) f for all h; for h in ``algebra_generators``
-        when both modules are proven (see ``HModule``)."""
-        for i in _scan_indices(self.source, self.target):
+        """f rho(h) = rho'(h) f for all h, checked for h in
+        ``algebra_generators`` (see ``HModule``)."""
+        for i in algebra_generators(self.source.H):
             if self.matrix * self.source.act(i) != self.target.act(i) * self.matrix:
                 return False
         return True
@@ -120,23 +118,11 @@ class ModuleMap:
         return "ModuleMap(%s -> %s)" % (self.source.name, self.target.name)
 
 
-def _scan_indices(*modules):
-    """The algebra indices a for-all-h check over these modules scans:
-    ``algebra_generators(H)`` when every module is proven, else all of H."""
-    H = modules[0].H
-    return algebra_generators(H) if all(M.proven for M in modules) else range(H.dim)
-
-
-def _with_proven(M, proven):
-    M.proven = proven
-    return M
-
-
 def trivial_module(H, N=None):
     """The tensor unit: the counit acting on a one-dimensional space."""
     conductor = N or H.N
     mats = [Matrix(H.N, [[H.counit[i]]]).lift(conductor) for i in range(H.dim)]
-    return _with_proven(HModule(H, mats, name="1", N=conductor), True)
+    return HModule(H, mats, name="1", N=conductor)
 
 
 def _action_defect(M, lefts=None):
@@ -163,8 +149,7 @@ def verify_module(M):
     With 1 acting as the identity, rho(ab) = rho(a) rho(b) is scanned for a
     in ``algebra_generators`` only: the a where it holds for all b contain 1
     and, as the algebra is associative, are closed under products.  A defect
-    found there is looked up again by the full scan.  A pass marks M
-    proven."""
+    found there is looked up again by the full scan."""
     H = M.H
     rep = Report("verify-module %s" % M.name)
     ident = Matrix.identity(M.dim, M.N)
@@ -173,8 +158,6 @@ def verify_module(M):
     lefts = algebra_generators(H) if unital else None
     w = _first_defect(_action_defect, lefts, M)
     rep.add("action-multiplicative", w is None, witness=w, anchor="module-axioms")
-    if rep.ok:
-        M.proven = True
     return rep
 
 
@@ -193,8 +176,7 @@ def tensor_modules(M, N_mod):
         out = [{} for _ in range(d)]
         _kron_act(H.ctx, out, a, b, n, H.comult[i], 0, dU, 0, dU)
         mats.append(Matrix.from_sparse(conductor, d, out))
-    return _with_proven(HModule(H, mats, name="%s(x)%s" % (M.name, N_mod.name), N=conductor),
-                        M.proven and N_mod.proven)
+    return HModule(H, mats, name="%s(x)%s" % (M.name, N_mod.name), N=conductor)
 
 
 def restrict(incl, W):
@@ -204,8 +186,7 @@ def restrict(incl, W):
     for b in range(incl.K.dim):
         terms = ((W.action[i], Cyclotomic(incl.N, c)) for i, c in incl.embed_col(b).items())
         mats.append(Matrix.lincomb(W.dim, W.dim, conductor, terms))
-    return _with_proven(HModule(incl.K, mats, name="Res(%s)" % W.name, N=conductor),
-                        W.proven)
+    return HModule(incl.K, mats, name="Res(%s)" % W.name, N=conductor)
 
 
 def direct_sum(M, N_mod):
@@ -219,16 +200,15 @@ def direct_sum(M, N_mod):
         B = N_mod.action[i].lift(conductor)
         shifted = [{d1 + j: x for j, x in row.items()} for row in B.srows]
         mats.append(Matrix.from_sparse(conductor, d1 + d2, A.srows + tuple(shifted)))
-    return _with_proven(HModule(M.H, mats, name="%s(+)%s" % (M.name, N_mod.name), N=conductor),
-                        M.proven and N_mod.proven)
+    return HModule(M.H, mats, name="%s(+)%s" % (M.name, N_mod.name), N=conductor)
 
 
 def hom_space(M, N_mod):
     """Exact basis of intertwiners M -> N, in deterministic order.
 
-    When both modules are proven, the equations of h in
-    ``algebra_generators`` only are solved (see ``ModuleMap.intertwines``):
-    the solution space is the same, and so is its reduced echelon basis."""
+    The equations of h in ``algebra_generators`` only are solved (see
+    ``HModule``): the solution space is the same as for all of H, and so is
+    its reduced echelon basis."""
     if M.H.name != N_mod.H.name:
         raise ShapeError("hom between modules over different algebras")
     conductor = lcm(M.N, N_mod.N)
@@ -237,7 +217,7 @@ def hom_space(M, N_mod):
     A = [m.lift(conductor) for m in M.action]
     B = [m.lift(conductor) for m in N_mod.action]
     space = RowSpace(dn * dm, ctx)
-    for i in _scan_indices(M, N_mod):
+    for i in algebra_generators(M.H):
         Acols = A[i].transpose().srows
         for r, brow in enumerate(B[i].srows):
             for c in range(dm):

@@ -8,7 +8,7 @@ from .errors import PipelineError, ShapeError
 from .exact_math import Matrix, _add, id_kron, kron_id
 from .induction import _insertion, induce, ind_morphism, lax_pair, oplax_pair
 from .hopf_core import _first_defect, algebra_generators
-from .module_theory import HModule, ModuleMap, _with_proven, tensor_modules
+from .module_theory import HModule, ModuleMap, tensor_modules
 from .reports import Report
 
 
@@ -27,10 +27,7 @@ class YDModule:
             )
         conductor = lcm(module.N, coaction.N)
         if conductor != module.N:
-            module = _with_proven(
-                HModule(module.H, list(module.action), name=module.name, N=conductor),
-                module.proven,
-            )
+            module = HModule(module.H, list(module.action), name=module.name, N=conductor)
         self.module = module
         self.coaction = coaction.lift(conductor)
         self.name = name or module.name
@@ -107,11 +104,11 @@ def _yd_defect(M, lefts=None):
 def verify_yd(M):
     """Comodule axioms plus the Yetter-Drinfeld compatibility.
 
-    Over a proven module (see ``HModule``) the compatibility is scanned for
-    h in ``algebra_generators(H)`` only: the h for which it holds on every v
-    contain 1 and are closed under products, since the action is
-    multiplicative, Delta is multiplicative and S anti-multiplicative.  A
-    defect found there is looked up again by the full scan."""
+    The compatibility is scanned for h in ``algebra_generators(H)`` only
+    (see ``HModule``): the h for which it holds on every v contain 1 and are
+    closed under products, since the action is multiplicative, Delta is
+    multiplicative and S anti-multiplicative.  A defect found there is looked
+    up again by the full scan."""
     H = M.H
     n = H.dim
     d = M.dim
@@ -146,7 +143,7 @@ def verify_yd(M):
             break
     rep.add("comodule-coassociative", w is None, witness=w, anchor="comodule-axioms")
 
-    w = _first_defect(_yd_defect, algebra_generators(H) if M.module.proven else None, M)
+    w = _first_defect(_yd_defect, algebra_generators(H), M)
     rep.add("yd-compatibility", w is None, witness=w, anchor="yd-condition")
     return rep
 

@@ -23,6 +23,7 @@ from hopfkit.extension import (
     lift_bar_functional,
     make_frobenius_data,
     relative_modular_function,
+    rescale_frobenius_data,
     right_integral_bar_dual,
     trivial_inclusion,
     unit_inclusion,
@@ -320,16 +321,18 @@ def test_klein_subgroup_inclusion(h8):
 
 def test_scale_seven(h8_incl):
     ana1 = analyze_extension(h8_incl)
-    ana7 = analyze_extension(h8_incl, lam_scale=7)
-    assert ana7.frob.lam.value(0) == 14
-    assert ana7.frob.tr_K == ana1.frob.tr_K.scale(7)
-    d1 = Cyclotomic(h8_incl.N, ana7.frob.deltas[0][0])
+    bq = bar_quotient(h8_incl)
+    scaled = rescale_frobenius_data(make_frobenius_data(h8_incl, bq), Cyclotomic.promote(7))
+    assert scaled.lam.value(0) == 14
+    assert scaled.tr_K == ana1.frob.tr_K.scale(7)
+    d1 = Cyclotomic(h8_incl.N, scaled.deltas[0][0])
     assert d1 == Fraction(1, 14)
     # booleans unchanged
-    assert ana7.central == ana1.central and ana7.decision.frobenius == ana1.decision.frobenius
+    assert is_central_extension(h8_incl, bq, tr_K=scaled.tr_K) == ana1.central
+    assert is_frobenius_extension(h8_incl, bq).frobenius == ana1.decision.frobenius
 
 
-# sha256 of repr((tr_K.key(), deltas)) for each lam_scale in 1, 7, 1/2, recorded
+# sha256 of repr((tr_K.key(), deltas)) for each scale in 1, 7, 1/2, recorded
 # while make_frobenius_data verified the dual bases after its own rescale
 FROBENIUS_DATA_PINS = [
     ("builtin:h8", [
@@ -357,8 +360,8 @@ def test_frobenius_data_is_pinned(spec, digests):
     incl = resolve_inclusion(spec)
     bq = bar_quotient(incl)
     got = []
-    for lam_scale in (1, 7, Fraction(1, 2)):
-        fr = make_frobenius_data(incl, bq, lam_scale=lam_scale)
+    for scale in (1, 7, Fraction(1, 2)):
+        fr = rescale_frobenius_data(make_frobenius_data(incl, bq), Cyclotomic.promote(scale))
         blob = repr((fr.tr_K.key(), [list(d) for d in fr.deltas])).encode()
         got.append(hashlib.sha256(blob).hexdigest())
     assert got == digests

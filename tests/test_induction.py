@@ -197,14 +197,15 @@ def test_lax_naturality(h8_ictx, kmods):
 
 
 def test_scale_robustness_functor(h8_incl, kmods):
-    ictx7 = induction_context(h8_incl, lam_scale=7)
+    ictx1 = induction_context(h8_incl)
+    frob7 = rescale_frobenius_data(ictx1.frob, Cyclotomic.promote(7))
+    ictx7 = InductionContext(h8_incl, frob7, central=ictx1.central)
     mods = list(kmods.values())
     rep = verify_frobenius_monoidal(ictx7, mods[0], mods[1], mods[3])
     assert rep.ok
     sep = is_separable_functor(ictx7, [(mods[0], mods[0])])
     assert sep["separable"] and str(sep["scalar"]) == "14"
     # lax scales by exactly 7
-    ictx1 = induction_context(h8_incl)
     lax7, lax07 = lax_pair(ictx7, mods[0], mods[0])
     lax1, lax01 = lax_pair(ictx1, mods[0], mods[0])
     assert lax7 == lax1.scale(7)

@@ -1,10 +1,11 @@
-"""One trust path: a bundle algebra is verified where it is read.
+"""One trust path: a bundle is verified where it is read.
 
 Only ``cli.resolve_hopf``, which runs ``verify_hopf`` on what it parses, and
 ``cli.cmd_verify``, which reports those checks, turn bundle text into a
-FinHopf.  No provenance bit selects a second path through the checks: the
-modules that build, verify and analyze algebras and inclusions never mention
-one."""
+FinHopf.  Only ``cli.resolve_module``, whose modules ``check-functor`` runs
+``verify_module`` on, and ``cli.cmd_verify`` turn it into a module.  No
+provenance bit selects a second path through the checks: no module of the
+package mentions one."""
 
 import ast
 from pathlib import Path
@@ -49,15 +50,24 @@ def test_the_detector_finds_calls_by_name_and_by_attribute():
     assert _callers(ast.parse(src), "parse_hopf") == {"a", "inner", "<module>"}
 
 
-def test_only_resolve_hopf_and_cmd_verify_parse_a_hopf_bundle():
+def _package_callers(name):
+    """{file: callers of ``name``} over every file of the package."""
     found = {}
     for path in sorted(SRC.rglob("*.py")):
-        callers = _callers(ast.parse(path.read_text(), filename=str(path)), "parse_hopf")
+        callers = _callers(ast.parse(path.read_text(), filename=str(path)), name)
         if callers:
             found[path.relative_to(SRC).as_posix()] = callers
-    assert found == {"cli.py": {"resolve_hopf", "cmd_verify"}}
+    return found
+
+
+def test_only_resolve_hopf_and_cmd_verify_parse_a_hopf_bundle():
+    assert _package_callers("parse_hopf") == {"cli.py": {"resolve_hopf", "cmd_verify"}}
+
+
+def test_only_resolve_module_and_cmd_verify_parse_a_module_bundle():
+    assert _package_callers("parse_module") == {"cli.py": {"resolve_module", "cmd_verify"}}
 
 
 def test_no_provenance_bit_in_the_algebra_modules():
-    for name in ("hopf_core", "extension", "builders", "cli"):
-        assert "proven" not in (SRC / ("%s.py" % name)).read_text(), name
+    for path in sorted(SRC.rglob("*.py")):
+        assert "proven" not in path.read_text(), path.relative_to(SRC).as_posix()

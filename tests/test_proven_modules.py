@@ -1,31 +1,37 @@
-"""The ``proven`` bit of HModule and the generator scans it allows.
+"""Modules are checked where they enter; the for-all-h checks run on generators.
 
-A module is proven when its action is known to be an algebra map: a
-passing ``verify_module``, or a construction from such modules.  Only then do ``ModuleMap.intertwines``, ``hom_space``, the module
-part of ``invariant_space_dim`` and the Yetter-Drinfeld scan of ``verify_yd``
-run on ``algebra_generators(H)``.  Every result must equal the full scan's:
-the references below are the same checks on copies with the bit off, which
-scan every basis element (``test_verify_yd_scans_all_of_h_on_an_unproven_module``).
+``ModuleMap.intertwines``, ``hom_space``, the module part of
+``invariant_space_dim`` and the Yetter-Drinfeld scan of ``verify_yd`` run on
+``algebra_generators(H)``.  That is exact when every action is an algebra
+map, so the command line runs ``verify_module`` on each module it reads, and
+every other module is one by construction.  Every result must equal the full
+scan's: the references below run the same checks with every basis element of
+H in place of the generators (``_all_of_h``).
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
+import hopfkit.frob_objects as frob_objects
+import hopfkit.module_theory as module_theory
+import hopfkit.yetter_drinfeld as yd
 from conftest import kchar, kline
 from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, kac_paljutkin, klein_table
-from hopfkit.bundles import parse_hopf, parse_inclusion, serialize_hopf, serialize_inclusion
+from hopfkit.bundles import serialize_module
+from hopfkit.cli import main, resolve_hopf
 from hopfkit.exact_math import Matrix, root_of_unity
-from hopfkit.extension import HopfInclusion
 from hopfkit.frob_objects import (
-    FrobObject, build_group_etale, invariant_space_dim, push_frobenius, verify_frobenius_object,
+    build_group_etale, direct_b_algebra, invariant_space_dim, push_frobenius,
+    verify_frobenius_object,
 )
 from hopfkit.hopf_core import FinHopf, algebra_generators
-from hopfkit.induction import coinduce, induce, induction_context
-from hopfkit.module_theory import (
-    HModule, ModuleMap, direct_sum, hom_space, restrict, tensor_modules, trivial_module,
-    verify_module,
-)
+from hopfkit.induction import induction_context
+from hopfkit.module_theory import HModule, ModuleMap, hom_space, verify_module
 from hopfkit.yetter_drinfeld import (
-    YDModule, verify_yd, yd_braiding, yd_line, yd_morphism_check, yd_tensor, z_induce,
+    YDModule, verify_yd, yd_as_double_module, yd_braiding, yd_line, yd_morphism_check, yd_tensor,
+    z_induce,
 )
 
 ETALE = [(n, ex, ey) for n in ("x", "y", "xy") for ex in (1, -1) for ey in (1, -1)]
@@ -35,19 +41,28 @@ def _klein():
     return group_algebra(klein_table(), name="kK", labels=["1", "x", "y", "xy"])
 
 
-def _proven(M):
-    """M after a passing ``verify_module``, which marks it proven."""
+def _module(M):
+    """M, after the check an input module gets where it enters."""
     assert verify_module(M.module if isinstance(M, YDModule) else M).ok
     return M
 
 
-def _unproven(M):
-    """A copy of M (a module, YD module or Frobenius object) with the bit off."""
-    if isinstance(M, FrobObject):
-        return FrobObject(_unproven(M.carrier), M.mult, M.unit, M.comult, M.counit, name=M.name)
-    if isinstance(M, YDModule):
-        return YDModule(_unproven(M.module), M.coaction, name=M.name)
-    return HModule(M.H, list(M.action), name=M.name, N=M.N)
+@contextmanager
+def _all_of_h():
+    """The for-all-h checks scan every basis element of H instead of
+    ``algebra_generators(H)``: the full scans the generator scans must match."""
+    def every(H):
+        return range(H.dim)
+
+    with mock.patch.object(module_theory, "algebra_generators", every), \
+            mock.patch.object(frob_objects, "algebra_generators", every), \
+            mock.patch.object(yd, "algebra_generators", every):
+        yield
+
+
+def _on_all_of_h(f, *args):
+    with _all_of_h():
+        return f(*args)
 
 
 def _checks(rep):
@@ -55,34 +70,58 @@ def _checks(rep):
 
 
 # ---------------------------------------------------------------------------
-# the premise: a reduced scan is exact only on modules
+# the premise: a generator scan is exact only on modules
 # ---------------------------------------------------------------------------
 
 
-def _broken_and_chi():
-    """A kK "module" that is the trivial character on x and y but sends xy to
-    -1, and the trivial character itself, proven."""
+def _broken():
+    """A kK "module" that is the trivial character on x and y (G(kK) = {x, y})
+    but sends xy to -1."""
     kK = _klein()
     assert algebra_generators(kK) == (1, 2)
     broken = HModule(kK, [Matrix.from_rows([[v]]) for v in (1, 1, 1, -1)], name="broken")
     assert not verify_module(broken).ok
-    return broken, _proven(kchar(kK, 1, 1))
+    return broken
 
 
-def test_checks_against_an_unproven_non_module_scan_all_of_h():
-    broken, chi = _broken_and_chi()
-    assert not broken.proven and chi.proven
-    one = Matrix.identity(1)
-    assert not ModuleMap(broken, chi, one).intertwines()
-    assert not ModuleMap(chi, broken, one).intertwines()
-    assert hom_space(broken, chi) == [] and hom_space(chi, broken) == []
-    assert invariant_space_dim(broken) == 0
-    # with the bit forced on, the generator scans miss the defect at xy: the
-    # premise, not the scan, is what keeps these answers exact
-    broken.proven = True
-    assert ModuleMap(broken, chi, one).intertwines()
-    assert len(hom_space(broken, chi)) == 1
-    assert invariant_space_dim(broken) == 1
+def test_check_functor_stops_at_an_input_that_is_not_a_module(capsys):
+    # on the broken "module" the generator scans miss the defect at xy, and
+    # only the full scans see it: this is why an input is checked first
+    broken, one = _broken(), Matrix.identity(1)
+    chi = kchar(broken.H, 1, 1)
+    assert ModuleMap(broken, chi, one).intertwines() and invariant_space_dim(broken) == 1
+    assert not _on_all_of_h(ModuleMap(broken, chi, one).intertwines)
+    assert _on_all_of_h(invariant_space_dim, broken) == 0
+    code = main(["check-functor", "builtin:h8", "--module", "builtin:kchar?act=1,1,1,-1",
+                 "--frobenius-monoidal", "--separable"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ["module-input[kchar]", "FAIL"] in map(str.split, out.splitlines())
+    assert "frobenius-extension" not in out and "frobenius-monoidal" not in out
+
+
+def test_verify_of_a_yd_bundle_stops_at_an_action_that_is_not_a_module(tmp_path, capsys):
+    K = resolve_hopf("builtin:group?table=klein")
+    L = yd_line(K, 1, [1, 1, 1, -1], name="broken")
+    assert verify_yd(L).ok  # the comodule and YD checks alone pass on it
+    path = tmp_path / "broken.bundle"
+    path.write_text(serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction))
+    code = main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ["module-input[broken]", "FAIL"] in map(str.split, out.splitlines())
+    assert "yd-compatibility" not in out and "comodule-" not in out
+
+
+def test_constructed_modules_pass_verify_module(h8_ictx):
+    for params in ETALE:
+        assert verify_module(build_group_etale(h8_ictx.incl.K, *params).carrier.module).ok
+        assert verify_module(direct_b_algebra(h8_ictx, *params).carrier.module).ok
+    C2 = group_algebra(cyclic_table(2), name="kC2")
+    D = drinfeld_double(C2)[0]
+    for g in (0, 1):
+        for sign in (1, -1):
+            assert verify_module(yd_as_double_module(D, C2, yd_line(C2, g, [1, sign]))).ok
 
 
 def _twist_indices(monkeypatch, M):
@@ -99,72 +138,11 @@ def _twist_indices(monkeypatch, M):
     return seen
 
 
-def test_verify_yd_scans_all_of_h_on_an_unproven_module(monkeypatch):
+def test_verify_yd_scans_generators_and_the_reference_all_of_h(monkeypatch):
     kK = _klein()
-    M = kline(kK, "x", 1, -1)
-    assert not M.module.proven
-    assert _twist_indices(monkeypatch, M) == set(range(kK.dim))
-    _proven(M)
+    M = _module(kline(kK, "x", 1, -1))
     assert _twist_indices(monkeypatch, M) == set(algebra_generators(kK))
-
-
-# ---------------------------------------------------------------------------
-# how the bit propagates
-# ---------------------------------------------------------------------------
-
-
-def test_the_bit_is_set_by_a_passing_verify_module_only():
-    kK = _klein()
-    chi = kchar(kK, 1, -1)
-    assert not chi.proven
-    verify_module(chi)
-    assert chi.proven
-    broken, _ = _broken_and_chi()
-    assert not broken.proven
-    # the algebra of a module is a Hopf algebra wherever it was read, so only
-    # the module's own check decides
-    parsed = parse_hopf(serialize_hopf(kK))
-    over_parsed = kchar(parsed, 1, -1)
-    assert not over_parsed.proven
-    assert verify_module(over_parsed).ok and over_parsed.proven
-    assert trivial_module(kK).proven and trivial_module(parsed).proven
-
-
-def test_constructions_give_the_and_of_their_inputs():
-    H8, incl = kac_paljutkin()
-    K = incl.K
-    p = _proven(kchar(K, 1, -1))
-    u = kchar(K, -1, 1)  # a character, but not proven
-    for build in (tensor_modules, direct_sum):
-        assert build(p, p).proven
-        assert not build(p, u).proven and not build(u, p).proven
-    ictx = induction_context(incl)
-    for build in (induce, coinduce):
-        assert build(ictx, p).proven and not build(ictx, u).proven
-    assert restrict(incl, induce(ictx, p)).proven
-    assert not restrict(incl, induce(ictx, u)).proven
-    # an inclusion parsed or built directly is a Hopf algebra map as well
-    # (the command line verifies an inclusion bundle where it reads it), so
-    # only the modules decide
-    parsed = parse_inclusion(serialize_inclusion(incl, "sub", "big"),
-                             {"sub": incl.K, "big": H8}.get)
-    direct = HopfInclusion(incl.K, H8, incl.embed)
-    for other in (parsed, direct):
-        assert restrict(other, induce(ictx, p)).proven
-        assert not restrict(other, induce(ictx, u)).proven
-        assert induce(induction_context(other), p).proven
-        assert not induce(induction_context(other), u).proven
-    # the YD module re-lift to the coaction's conductor keeps the bit
-    coact = kline(K, "x", 1, -1).coaction.lift(4)
-    for mod, bit in ((p, True), (u, False)):
-        lifted = YDModule(mod, coact).module
-        assert lifted is not mod and lifted.N == 4 and lifted.proven is bit
-
-
-def test_etale_carriers_are_proven():
-    _, incl = kac_paljutkin()
-    for params in ETALE:
-        assert build_group_etale(incl.K, *params).carrier.module.proven
+    assert _on_all_of_h(_twist_indices, monkeypatch, M) == set(range(kK.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +151,19 @@ def test_etale_carriers_are_proven():
 
 
 def _klein_lines(K):
-    return [_proven(kline(K, g, ex, ey))
+    return [_module(kline(K, g, ex, ey))
             for g in ("1", "x", "y", "xy") for ex in (1, -1) for ey in (1, -1)]
 
 
 def _zeta_lines(K):
     z = root_of_unity(3)
-    return [_proven(yd_line(K, g, [z ** (k * a) for a in range(3)], name="chi%d@%d" % (k, g)))
+    return [_module(yd_line(K, g, [z ** (k * a) for a in range(3)], name="chi%d@%d" % (k, g)))
             for k in (1, 2) for g in range(3)]
 
 
 @pytest.fixture(scope="module", params=["kK<H8", "kK<D(kK)", "kC3<D(kC3)"])
 def case(request):
-    """The induction context of a parity case and its proven YD lines over K."""
+    """The induction context of a parity case and its YD lines over K."""
     if request.param == "kK<H8":
         incl, lines = kac_paljutkin()[1], _klein_lines
     elif request.param == "kK<D(kK)":
@@ -195,31 +173,29 @@ def case(request):
     return induction_context(incl), lines(incl.K)
 
 
-def _assert_parity(M, N):
-    """intertwines, hom_space, invariants and verify_yd on the proven YD
-    modules M and N equal the full scans of their unproven copies."""
-    assert M.module.proven and N.module.proven
-    uM, uN = _unproven(M), _unproven(N)
-    assert _checks(verify_yd(M)) == _checks(verify_yd(uM))
-    assert invariant_space_dim(M) == invariant_space_dim(uM)
-    assert invariant_space_dim(M.module) == invariant_space_dim(uM.module)
-    homs = hom_space(M.module, N.module)
-    assert [h.matrix for h in homs] == [h.matrix for h in hom_space(uM.module, uN.module)]
-    maps = [h.matrix for h in homs]
-    if M.dim == N.dim:
-        maps.append(Matrix.identity(M.dim))
-    for f in maps:
-        assert ModuleMap(M.module, N.module, f).intertwines() == \
-            ModuleMap(uM.module, uN.module, f).intertwines()
-    # the braiding is a module map between the tensor products; the identity
-    # is one only where their actions agree
+def _scans(M, N):
+    """verify_yd, the invariants, hom_space and intertwines on the YD modules
+    M and N, and intertwines of the braiding and the identity between their
+    tensor products (the identity is a module map only where the actions
+    agree)."""
+    homs = [h.matrix for h in hom_space(M.module, N.module)]
+    maps = homs + ([Matrix.identity(M.dim)] if M.dim == N.dim else [])
     src, tgt = yd_tensor(M, N), yd_tensor(N, M)
-    assert src.module.proven and tgt.module.proven
-    psi = yd_braiding(M, N)
-    assert ModuleMap(src.module, tgt.module, psi).intertwines()
-    for f in (psi, Matrix.identity(src.dim)):
-        assert ModuleMap(src.module, tgt.module, f).intertwines() == \
-            ModuleMap(_unproven(src.module), _unproven(tgt.module), f).intertwines()
+    return (
+        _checks(verify_yd(M)),
+        invariant_space_dim(M),
+        invariant_space_dim(M.module),
+        homs,
+        [ModuleMap(M.module, N.module, f).intertwines() for f in maps],
+        [ModuleMap(src.module, tgt.module, f).intertwines()
+         for f in (yd_braiding(M, N), Matrix.identity(src.dim))],
+    )
+
+
+def _assert_parity(M, N):
+    got = _scans(M, N)
+    assert got[-1][0]  # the braiding is a module map
+    assert got == _on_all_of_h(_scans, M, N)
 
 
 def test_generator_scans_match_the_full_scans_on_induced_yd_modules(case):
@@ -243,30 +219,25 @@ def test_braiding_of_induced_yd_modules_is_an_invertible_yd_map(case):
 
 
 def test_a_yd_defect_keeps_the_full_scan_witness(case):
-    from unittest import mock
-
-    import hopfkit.yetter_drinfeld as yd
-
     ictx, lines = case
     M = z_induce(ictx, lines[1])
     # add e_0 (x) v_0 to the coaction of v_1: the YD condition fails at some (i, a)
     bump = Matrix.from_rows([[int(r == 0 and a == 1) for a in range(M.dim)]
                              for r in range(M.coaction.rows)])
     bad = YDModule(M.module, M.coaction + bump.lift(M.N), name="bad")
-    assert bad.module.proven
     with mock.patch.object(yd, "_yd_defect", wraps=yd._yd_defect) as scan:
         got = verify_yd(bad)
     # the scan on G finds the defect; the full scan names its first witness
     assert [call.args[1:] for call in scan.call_args_list] == [(algebra_generators(M.H),), ()]
     assert got["yd-compatibility"].status == "fail"
-    assert _checks(got) == _checks(verify_yd(_unproven(bad)))
+    assert got["yd-compatibility"].witness == yd._yd_defect(bad)
 
 
 def test_pushed_etale_objects_match_the_full_scans(h8_ictx):
+    def scans(B):
+        return (_checks(verify_frobenius_object(B)), invariant_space_dim(B.carrier),
+                _checks(verify_yd(B.carrier)))
+
     for params in ETALE:
         B = push_frobenius(h8_ictx, build_group_etale(h8_ictx.incl.K, *params), verify=False)
-        assert B.carrier.module.proven
-        uB = _unproven(B)
-        assert _checks(verify_frobenius_object(B)) == _checks(verify_frobenius_object(uB))
-        assert invariant_space_dim(B.carrier) == invariant_space_dim(uB.carrier)
-        assert _checks(verify_yd(B.carrier)) == _checks(verify_yd(uB.carrier))
+        assert scans(B) == _on_all_of_h(scans, B)

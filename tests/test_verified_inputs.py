@@ -156,3 +156,28 @@ def test_verify_of_a_bundle_runs_verify_hopf_once(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(hopf_core, "verify_hopf", lambda H: calls.append(H.name) or real(H))
     code, out, _ = run(["verify", str(path)], capsys)
     assert code == 0 and calls == ["H8"]
+
+
+def test_analyze_of_an_inclusion_bundle_runs_verify_inclusion_once(tmp_path, monkeypatch, capsys):
+    # the reader's check and the report's inclusion/ lines share one run of
+    # the intertwining loops, kept in the inclusion's cache
+    import hashlib
+    from pathlib import Path
+
+    from hopfkit import extension
+
+    titles = []
+
+    class Counted(extension.Report):
+        def __init__(self, title, *args, **kw):
+            titles.append(title)
+            super().__init__(title, *args, **kw)
+
+    monkeypatch.setattr(extension, "Report", Counted)
+    monkeypatch.chdir(tmp_path)
+    paths = _bundles(Path("."), kac_paljutkin()[1])
+    code, out, _ = run(["analyze", paths["incl"]], capsys)
+    assert code == 0 and titles.count("verify-inclusion kK -> H8") == 1
+    # the report recorded while the inclusion was verified twice
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "501b3c4b8261d71e7b5a400de15935cfce4c39cb5a2171ef192acb498916d595")
