@@ -17,6 +17,7 @@ from math import gcd
 from . import _pykernel
 from ._pykernel import (  # noqa: F401
     KERNEL_NAME,
+    antimult_first_defect,
     antipode_first_defects,
     assoc_first_defect,
     bialg_first_defect,
@@ -118,13 +119,18 @@ def s_from_ratio(ctx, p, q=1):
     return (q // g, p // g) + (0,) * (ctx[1] - 1)
 
 
+def s_from_ints(den, coeffs):
+    """Canonical scalar (c0 + c1*z + ...) / den from phi Python ints and an
+    int den > 0."""
+    return _pykernel._norm(den, coeffs)
+
+
 def s_from_fractions(ctx, fracs):
     """Canonical scalar from a sequence of phi Fractions."""
     den = 1
     for f in fracs:
         den = den * f.denominator // gcd(den, f.denominator)
-    coeffs = [int(f * den) for f in fracs]
-    return _pykernel._norm(den, coeffs)
+    return s_from_ints(den, [int(f * den) for f in fracs])
 
 
 def s_to_fractions(a):

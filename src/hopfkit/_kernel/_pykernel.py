@@ -27,9 +27,12 @@ from math import gcd
 KERNEL_NAME = "pure"
 
 # Entries a memo holds before it is emptied.  The largest working set of one
-# CLI call measured is 4,124 distinct products (``verify builtin:uqsl2?l=5``);
-# the cap keeps a stream of distinct operands, such as a dense matrix inverse,
-# from growing a memo without bound.
+# axiom scan measured is 6,322 distinct products: the S(ab) = S(b)S(a) scan
+# of ``verify`` on the u_q(sl2) l = 7 bundle, whose associativity scan has
+# 3,342 and Delta-multiplicativity scan 1,591 (the antipode scan on its
+# generators has 5).  The cap keeps a stream of distinct operands, such as a
+# dense matrix inverse or a full antipode scan (36,686 at l = 7), from
+# growing a memo without bound.
 _MEMO_CAP = 8192
 
 
@@ -211,10 +214,11 @@ def bialg_first_defect(n, mult, comult, ctx, lefts=None):
     return None
 
 
-def coassoc_first_defect(n, comult, ctx):
-    """First index i with (Delta x id)Delta(ei) != (id x Delta)Delta(ei)."""
+def coassoc_first_defect(n, comult, ctx, indices=None):
+    """First index i with (Delta x id)Delta(ei) != (id x Delta)Delta(ei).
+    Given ``indices``, i runs over ``indices`` only."""
     nn = n * n
-    for i in range(n):
+    for i in range(n) if indices is None else indices:
         lhs = {}
         rhs = {}
         for x, s in comult[i]:
@@ -226,15 +230,37 @@ def coassoc_first_defect(n, comult, ctx):
     return None
 
 
-def antipode_first_defects(n, mult, comult, antipode_cols, unit, counit, ctx):
+def antimult_first_defect(n, mult, antipode_cols, ctx, lefts=None):
+    """First pair (a,b) with S(ea*eb) != S(eb)*S(ea), or None.  Given
+    ``lefts``, the left index a runs over ``lefts`` only."""
+    zero, one = ctx[3], ctx[4]
+    for a in range(n) if lefts is None else lefts:
+        sa = antipode_cols[a]
+        an = a * n
+        for b in range(n):
+            lhs = {}
+            for k, s in mult[an + b]:
+                _sum_into(ctx, lhs, antipode_cols[k], s)
+            rhs = {}
+            for p, u in antipode_cols[b]:
+                pn = p * n
+                for q, v in sa:
+                    uv = v if u == one else u if v == one else s_mul(ctx, u, v)
+                    _sum_into(ctx, rhs, mult[pn + q], uv)
+            if lhs != rhs and _differ(lhs, rhs, zero):
+                return (a, b)
+    return None
+
+
+def antipode_first_defects(n, mult, comult, antipode_cols, unit, counit, ctx, indices=None):
     """The first i with S(h1)h2 != eps(h)1 and the first i with
     h1 S(h2) != eps(h)1, for h = ei with Delta(h) = h1 x h2, each None when
     there is none.  ``antipode_cols[j]`` is a tuple of ``(i, scalar)`` pairs
-    for S(ej)."""
+    for S(ej).  Given ``indices``, i runs over ``indices`` only."""
     zero = ctx[3]
     unit = [(m, u) for m, u in enumerate(unit) if u != zero]
     left = right = None
-    for i in range(n):
+    for i in range(n) if indices is None else indices:
         eps = {}
         if counit[i] != zero:
             _sum_into(ctx, eps, unit, counit[i])

@@ -8,6 +8,7 @@ conductor declared in the header.
 import locale
 import os
 import re
+from math import prod
 
 from . import _kernel as K
 from .errors import BundleParseError
@@ -54,47 +55,49 @@ MAX_CONDUCTOR = 10000
 
 class _Parser:
     def __init__(self, text):
-        lines = text.splitlines()
-        self.nlines = len(lines)
-        # (line number, text) of each line that is neither blank nor a comment
-        self.content = [(at, line) for at, line in enumerate(map(str.strip, lines), 1)
-                        if line and line[0] != "#"]
-        self.pos = 0  # index in content of the next line to read
+        self.lines = text.splitlines()
+        # index in lines of the next line to read: a line that is neither
+        # blank nor a comment, or len(lines).  It is also the number of the
+        # line before it, which errors found between lines name.
+        self.pos = 0
         self.header_lines = {}
+        # section name -> (start, stop): lines[start:stop] are its entry lines
+        self.sections = {}
         # scalar text -> raw scalar, or None for zero; shared by all sections
         # of the bundle, which declares one conductor
         self.scalars = {}
 
-    @property
-    def at(self):
-        """The number of the line before the next one to read, or of the last line."""
-        return self.content[self.pos][0] - 1 if self.pos < len(self.content) else self.nlines
-
     def error(self, msg, line=None):
-        raise BundleParseError(msg, self.at if line is None else line)
+        raise BundleParseError(msg, self.pos if line is None else line)
 
 
 def _parse_header(p, kind):
-    if not p.content:
-        p.error("unexpected end of file", p.nlines + 1)
-    at, first = p.content[0]
-    if first != "%s v1" % kind:
-        p.error("expected '%s v1' header, got %r" % (kind, first), at)
     fields = {}
-    p.pos = 1
-    while p.pos < len(p.content) and not p.content[p.pos][1].startswith("BEGIN "):
-        at, line = p.content[p.pos]
-        key, _, value = line.partition(" ")
-        fields[key] = value.strip()
-        p.header_lines[key] = at
-        p.pos += 1
+    header = None
+    p.pos = len(p.lines)
+    for at, line in enumerate(map(str.strip, p.lines)):
+        if not line or line[0] == "#":
+            continue
+        if header is None:
+            header = line
+            if line != "%s v1" % kind:
+                p.error("expected '%s v1' header, got %r" % (kind, line), at + 1)
+        elif line.startswith("BEGIN "):
+            p.pos = at
+            break
+        else:
+            key, _, value = line.partition(" ")
+            fields[key] = value.strip()
+            p.header_lines[key] = at + 1
+    if header is None:
+        p.error("unexpected end of file", len(p.lines) + 1)
     return fields
 
 
 def _int_field(p, fields, key, default, upper):
     """Header field ``key`` as an integer in 1..upper; errors name its line."""
     raw = fields.get(key, default)
-    line = p.header_lines.get(key, p.at)
+    line = p.header_lines.get(key, p.pos)
     try:
         value = int(raw)
     except (TypeError, ValueError):
@@ -105,48 +108,71 @@ def _int_field(p, fields, key, default, upper):
 
 
 def _parse_sections(p):
-    """{section name: [(line number, entry line)]}; each name appears once."""
-    sections = {}
-    entries = None
-    for at, line in p.content[p.pos:]:
-        if entries is None:
+    """Record the line range of each section in p.sections; each name appears once."""
+    lines = p.lines
+    name = None
+    for at in range(p.pos, len(lines)):
+        line = lines[at]
+        # inside a section only a line that holds END can end it
+        if name is not None and "END" not in line:
+            continue
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if name is None:
             if not line.startswith("BEGIN "):
-                p.error("expected BEGIN <section>, got %r" % line, at)
+                p.error("expected BEGIN <section>, got %r" % line, at + 1)
             name = line[6:].strip()
-            if name in sections:
-                p.error("duplicate section %s" % name, at)
-            entries = sections[name] = []
+            if name in p.sections:
+                p.error("duplicate section %s" % name, at + 1)
+            start = at + 1
         elif line == "END":
-            entries = None
-        else:
-            entries.append((at, line))
-    p.pos = len(p.content)
-    if entries is not None:
-        p.error("unexpected end of file", p.nlines + 1)
-    return sections
+            p.sections[name] = (start, at)
+            name = None
+    p.pos = len(p.lines)
+    if name is not None:
+        p.error("unexpected end of file", p.pos + 1)
 
 
-def _entries(p, sections, name, bounds, N):
-    """(indices, raw scalar) for each entry line of a section whose scalar is
-    not zero.  Index i must lie in 0..bounds[i]-1 and no index tuple may
-    appear twice, zero entries included."""
+def _entries(p, name, bounds, N, width):
+    """The rows of a section of entry lines "i_1 ... i_m scalar", each a
+    sorted tuple of (key, raw scalar) pairs: an entry whose scalar is not
+    zero goes into row x // width with key x % width, for x the flat index
+    of (i_1, ..., i_m) in the box ``bounds``.  Index i_t must lie in
+    0..bounds[t]-1 and no index tuple may appear twice, zero entries
+    included.  The section's lines are walked once."""
     nidx = len(bounds)
+    rows = [[] for _ in range(prod(bounds) // width)]
     seen = set()
+    # the largest key so far, and whether every key exceeded the one before,
+    # so that the rows are sorted as filled (serialize_hopf writes them so)
+    last = -1
+    ordered = True
     scalars = p.scalars
-    for lineno, line in sections[name]:
+    lines = p.lines
+    for at in range(*p.sections[name]):
+        line = lines[at]
         parts = line.split(None, nidx)
+        if not parts or parts[0][0] == "#":
+            continue
         if len(parts) != nidx + 1:
-            p.error("expected %d indices and a scalar: %r" % (nidx, line), lineno)
+            p.error("expected %d indices and a scalar: %r" % (nidx, line.strip()), at + 1)
         try:
             idxs = tuple(map(int, parts[:nidx]))
         except ValueError:
-            p.error("bad index in %r" % line, lineno)
+            p.error("bad index in %r" % line.strip(), at + 1)
+        x = 0
         for i, b in zip(idxs, bounds):
             if not 0 <= i < b:
-                p.error("index out of range in %r" % line, lineno)
-        if idxs in seen:
-            p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name), lineno)
-        seen.add(idxs)
+                p.error("index out of range in %r" % line.strip(), at + 1)
+            x = x * b + i
+        if x > last:
+            last = x
+        elif x in seen:
+            p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name), at + 1)
+        else:
+            ordered = False
+        seen.add(x)
         text = parts[nidx]
         if text in scalars:
             val = scalars[text]
@@ -154,14 +180,12 @@ def _entries(p, sections, name, bounds, N):
             try:
                 val = parse_scalar(text, N)
             except (ValueError, ZeroDivisionError) as e:
-                p.error("bad scalar in %r (%s)" % (line, e), lineno)
+                p.error("bad scalar in %r (%s)" % (line.strip(), e), at + 1)
             val = scalars[text] = None if val.is_zero() else val.data
         if val is not None:
-            yield idxs, val
-
-
-def _sorted_rows(rows):
-    return tuple(tuple(sorted(row)) for row in rows)
+            r, c = divmod(x, width)
+            rows[r].append((c, val))
+    return tuple(map(tuple, rows if ordered else map(sorted, rows)))
 
 
 def parse_hopf(text):
@@ -175,36 +199,28 @@ def parse_hopf(text):
     labels = labels.split(",") if labels else ["e%d" % i for i in range(n)]
     if len(labels) != n:
         p.error("label count does not match dim", p.header_lines.get("labels"))
-    sections = _parse_sections(p)
+    _parse_sections(p)
     for required in ("MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE"):
-        if required not in sections:
+        if required not in p.sections:
             p.error("missing section %s" % required)
 
-    mult = [[] for _ in range(n * n)]
-    for (i, j, k), s in _entries(p, sections, "MULT", (n, n, n), N):
-        mult[i * n + j].append((k, s))
-    comult = [[] for _ in range(n)]
-    for (i, j, k), s in _entries(p, sections, "COMULT", (n, n, n), N):
-        comult[i].append((j * n + k, s))
-    unit = [K.s_zero(K.make_ctx(N))] * n
-    counit = list(unit)
-    for (i,), s in _entries(p, sections, "UNIT", (n,), N):
-        unit[i] = s
-    for (i,), s in _entries(p, sections, "COUNIT", (n,), N):
-        counit[i] = s
+    mult = _entries(p, "MULT", (n, n, n), N, n)
+    comult = _entries(p, "COMULT", (n, n, n), N, n * n)
+    zero = K.s_zero(K.make_ctx(N))
+    unit = tuple(row[0][1] if row else zero for row in _entries(p, "UNIT", (n,), N, 1))
+    counit = tuple(row[0][1] if row else zero for row in _entries(p, "COUNIT", (n,), N, 1))
+    # an entry "i j s" puts s*e_i into the column S(e_j)
     cols = [[] for _ in range(n)]
-    for (i, j), s in _entries(p, sections, "ANTIPODE", (n, n), N):
-        cols[j].append((i, s))
-    return FinHopf(name, labels, N, _sorted_rows(mult), tuple(unit), _sorted_rows(comult),
-                   tuple(counit), _sorted_rows(cols), convention=fields.get("convention", ""))
+    for i, row in enumerate(_entries(p, "ANTIPODE", (n, n), N, n)):
+        for j, s in row:
+            cols[j].append((i, s))
+    return FinHopf(name, labels, N, mult, unit, comult, counit,
+                   tuple(map(tuple, cols)), convention=fields.get("convention", ""))
 
 
-def _matrix(p, sections, name, rows, cols, N):
+def _matrix(p, name, rows, cols, N):
     """The rows x cols matrix of a section of (row, column, scalar) entries."""
-    srows = [{} for _ in range(rows)]
-    for (r, c), s in _entries(p, sections, name, (rows, cols), N):
-        srows[r][c] = s
-    return Matrix.from_sparse(N, cols, srows)
+    return Matrix.from_sparse(N, cols, list(map(dict, _entries(p, name, (rows, cols), N, cols))))
 
 
 def _entry_lines(M):
@@ -220,7 +236,10 @@ def serialize_inclusion(incl, sub_ref, big_ref):
 
 
 def parse_inclusion(text, resolver):
-    """resolver maps a 'sub'/'big' reference string to a FinHopf."""
+    """resolver maps a 'sub'/'big' reference string to a FinHopf.  The
+    command line resolves them with ``cli.resolve_hopf``, so a relative path
+    is read from the working directory, not from the directory of the
+    inclusion bundle."""
     from .extension import HopfInclusion
 
     p = _Parser(text)
@@ -231,10 +250,10 @@ def parse_inclusion(text, resolver):
     sub = resolver(fields["sub"])
     big = resolver(fields["big"])
     N = _int_field(p, fields, "conductor", str(max(sub.N, big.N)), MAX_CONDUCTOR)
-    sections = _parse_sections(p)
-    if "EMBED" not in sections:
+    _parse_sections(p)
+    if "EMBED" not in p.sections:
         p.error("missing EMBED section")
-    return HopfInclusion(sub, big, _matrix(p, sections, "EMBED", big.dim, sub.dim, N))
+    return HopfInclusion(sub, big, _matrix(p, "EMBED", big.dim, sub.dim, N))
 
 
 def serialize_module(mod, over_ref, coaction=None):
@@ -261,16 +280,16 @@ def parse_module(text, resolver):
     name = fields.get("name", "V")
 
     # one ACTION <i> section per basis element of H, plus optional COACTION
-    sections = _parse_sections(p)
+    _parse_sections(p)
     mats = []
     for i in range(H.dim):
         key = "ACTION %d" % i
-        if key not in sections:
+        if key not in p.sections:
             p.error("missing section %r" % key)
-        mats.append(_matrix(p, sections, key, dim, dim, N))
+        mats.append(_matrix(p, key, dim, dim, N))
     mod = HModule(H, mats, name=name, N=N)
-    if "COACTION" in sections:
-        return YDModule(mod, _matrix(p, sections, "COACTION", H.dim * dim, dim, N), name=name)
+    if "COACTION" in p.sections:
+        return YDModule(mod, _matrix(p, "COACTION", H.dim * dim, dim, N), name=name)
     return mod
 
 

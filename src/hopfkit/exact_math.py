@@ -204,14 +204,29 @@ def _token(pattern, token, text):
     return token
 
 
+def _ratio(token):
+    """(p, q) with q > 0 of a matched coefficient token, read as Fraction
+    reads it: a zero denominator raises the ZeroDivisionError Fraction does."""
+    num, _, den = token.partition("/")
+    p = int(num)
+    q = int(den) if den else 1
+    if q == 0:
+        raise ZeroDivisionError("Fraction(%s, 0)" % p)
+    return p, q
+
+
 def parse_scalar(text, N):
     """Inverse of format_scalar for a declared conductor N.  Coefficients are
-    integers ``p`` or ratios ``p/q``; any other token raises ValueError."""
+    integers ``p`` or ratios ``p/q``; any other token raises ValueError.  The
+    terms are summed as integers over their common denominator; a power
+    z^k outside 0..phi(N)-1 is folded through ``zeta_power``."""
     text = text.strip()
-    phi = K.euler_phi(N)
-    fracs = [Fraction(0)] * phi
+    ctx = K.make_ctx(N)
+    phi = ctx[1]
     if text in ("0", "+0", "-0"):
-        return Cyclotomic.from_coeffs(N, fracs)
+        return Cyclotomic(N, ctx[3])
+    terms = []  # (p, q, k) for the term p/q*z^k
+    den = 1
     for term in text.split("+"):
         term = term.strip()
         if not term:
@@ -225,20 +240,25 @@ def parse_scalar(text, N):
                 k = int(_token(_POWER, pow_s[2:], text))
             else:
                 raise ValueError("bad power %r in scalar %r" % (pow_s, text))
-            coeff = Fraction(_token(_COEFF, coeff_s.strip(), text))
-        elif term in ("z",) or term.startswith("z^"):
-            coeff = Fraction(1)
+            p, q = _ratio(_token(_COEFF, coeff_s.strip(), text))
+        elif term == "z" or term.startswith("z^"):
+            p = q = 1
             k = 1 if term == "z" else int(_token(_POWER, term[2:], text))
         else:
-            coeff = Fraction(_token(_COEFF, term, text))
+            p, q = _ratio(_token(_COEFF, term, text))
             k = 0
-        if not 0 <= k < phi:
-            # allow higher powers of z; fold via multiplication
-            extra = root_of_unity(N, k) * Cyclotomic.rational(coeff, N)
-            fracs = [f + g for f, g in zip(fracs, extra.coeffs())]
-            continue
-        fracs[k] += coeff
-    return Cyclotomic.from_coeffs(N, fracs)
+        terms.append((p, q, k))
+        den = lcm(den, q)
+    coeffs = [0] * phi
+    for p, q, k in terms:
+        c = p * (den // q)
+        if 0 <= k < phi:
+            coeffs[k] += c
+        else:
+            # zeta_power is canonical with denominator 1: integer coefficients
+            for j, z in enumerate(K.zeta_power(ctx, k)[1:]):
+                coeffs[j] += c * z
+    return Cyclotomic(N, K.s_from_ints(den, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,23 @@ def test_bundle_roundtrip(h8, tmp_path):
     assert serialize_hopf(H2) == text
 
 
+def test_entry_lines_in_any_order_give_the_same_tables(h8, uq3):
+    # serialize_hopf writes each section in index order; reversed, every
+    # row must still come out sorted
+    for H in (h8, uq3.hopf):
+        lines = serialize_hopf(H).splitlines()
+        out, section = [], []
+        for line in lines:
+            if line[:1].isdigit():
+                section.append(line)
+                continue
+            out += section[::-1] + [line]
+            section = []
+        H2 = parse_hopf("\n".join(out) + "\n")
+        assert (H2.mult, H2.comult, H2.unit, H2.counit, H2.antipode_cols) == (
+            H.mult, H.comult, H.unit, H.counit, H.antipode_cols)
+
+
 def test_bundle_file_verify(tmp_path, capsys, h8):
     p = tmp_path / "h8.bundle"
     p.write_text(serialize_hopf(h8))
@@ -403,6 +420,27 @@ def test_inclusion_bundle_is_read_once(argv, tmp_path, h8_incl, monkeypatch, cap
     lines = got[1].splitlines()
     assert lines[1] == "input %s sha256=%s" % (p, hashlib.sha256(data).hexdigest())
     assert (got[0], lines[2:]) == (code, want.splitlines()[2:])
+
+
+def test_inclusion_references_resolve_against_the_working_directory(h8_incl, tmp_path,
+                                                                   monkeypatch):
+    # the sub and big references of an inclusion bundle are specs read from
+    # the working directory, not from the directory of the inclusion bundle
+    from hopfkit.bundles import serialize_inclusion
+
+    work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+    work.mkdir()
+    elsewhere.mkdir()
+    (work / "h8.bundle").write_text(serialize_hopf(h8_incl.H))
+    path = elsewhere / "incl.bundle"
+    path.write_text(serialize_inclusion(h8_incl, "builtin:group?table=klein", "h8.bundle"))
+    (elsewhere / "h8.bundle").write_text("not a bundle\n")
+    monkeypatch.chdir(work)
+    incl = resolve_inclusion(str(path))
+    assert (incl.H.mult, incl.embed) == (h8_incl.H.mult, h8_incl.embed)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(BundleParseError, match="^no such file: h8.bundle$"):
+        resolve_inclusion(str(path))
 
 
 _KLEIN_CHARS = ("1,1,1,1", "1,-1,-1,1", "1,1,-1,-1", "1,-1,1,-1")

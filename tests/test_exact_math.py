@@ -233,6 +233,28 @@ def test_scalar_parse_format_roundtrip():
     assert parse_scalar("1*z^4", 4) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([1, 3, 4, 5, 8, 9, 12]),
+       terms=st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 12), st.integers(-30, 30)),
+                      min_size=1, max_size=5))
+def test_parse_scalar_is_the_sum_of_its_terms(N, terms):
+    # mixed denominators and powers of z outside 0..phi(N)-1, negative ones too
+    text = " + ".join("%d/%d*z^%d" % t for t in terms)
+    want = sum((Cyclotomic.rational(Fraction(p, q), N) * root_of_unity(N, k) for p, q, k in terms),
+               Cyclotomic.rational(0, N))
+    got = parse_scalar(text, N)
+    assert (got.N, got.data) == (N, want.data)
+
+
+@pytest.mark.parametrize("text, message", [("1/0", "Fraction(1, 0)"), ("-3/0", "Fraction(-3, 0)"),
+                                           ("007/0*z", "Fraction(7, 0)"), ("-0/0", "Fraction(0, 0)")])
+def test_zero_denominator_names_the_fraction(text, message):
+    # the message Fraction(text) raised, kept for the bundle parse errors
+    with pytest.raises(ZeroDivisionError) as info:
+        parse_scalar(text, 4)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text", ["1e999999999", "1e9", "1E3", "1.0", ".5", "1_0", "1/2_0",
                                   "1/-2", "1/ 2", "2.5*z", "1e3*z^1", "z^1_0", "z^1.0", "1*z^ 2"])
 def test_parse_scalar_rejects_tokens_outside_the_grammar(text):

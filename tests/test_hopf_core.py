@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import hashlib
 import re
 import sys
 from unittest import mock
@@ -16,10 +18,18 @@ from hopfkit.builders import (
     klein_table,
     small_quantum_sl2,
     taft,
+    trivial_hopf,
 )
 from hopfkit.bundles import parse_hopf, serialize_hopf
 from hopfkit.errors import PipelineError, ShapeError
-from hopfkit.exact_math import Matrix, RowSpace, _column, _normalize_first_one
+from hopfkit.exact_math import (
+    Matrix,
+    RowSpace,
+    _column,
+    _normalize_first_one,
+    format_scalar,
+    parse_scalar,
+)
 from hopfkit.hopf_core import (
     FinHopf,
     LinearFunctional,
@@ -270,7 +280,7 @@ def _perturb(H, section, row, key, c):
 @settings(max_examples=40, deadline=None)
 @given(
     which=st.sampled_from(["h8", "taft3", "uq3"]),
-    section=st.sampled_from(["MULT", "COMULT", "UNIT", "COUNIT"]),
+    section=st.sampled_from(["MULT", "COMULT", "ANTIPODE", "UNIT", "COUNIT"]),
     row=st.integers(0, 10 ** 6),
     key=st.integers(0, 10 ** 6),
     c=st.sampled_from([-1, 1, 2]),
@@ -321,8 +331,8 @@ def _ref_bialg(n, mult, comult, ctx, lefts=None):
     return None
 
 
-def _ref_coassoc(n, comult, ctx):
-    for i in range(n):
+def _ref_coassoc(n, comult, ctx, indices=None):
+    for i in range(n) if indices is None else indices:
         lhs = [(y * n + x % n, _ref_mul(ctx, s, t)) for x, s in comult[i] for y, t in comult[x // n]]
         rhs = [((x // n) * n * n + y, _ref_mul(ctx, s, t)) for x, s in comult[i] for y, t in comult[x % n]]
         if _ref_defect(ctx, lhs, rhs):
@@ -330,10 +340,10 @@ def _ref_coassoc(n, comult, ctx):
     return None
 
 
-def _ref_antipode(n, mult, comult, antipode_cols, unit, counit, ctx):
+def _ref_antipode(n, mult, comult, antipode_cols, unit, counit, ctx, indices=None):
     sides = []
     for side in ("left", "right"):
-        for i in range(n):
+        for i in range(n) if indices is None else indices:
             eps = [(m, _ref_mul(ctx, counit[i], u)) for m, u in enumerate(unit)]
             terms = []
             for x, s in comult[i]:
@@ -347,6 +357,17 @@ def _ref_antipode(n, mult, comult, antipode_cols, unit, counit, ctx):
         else:
             sides.append(None)
     return tuple(sides)
+
+
+def _ref_antimult(n, mult, antipode_cols, ctx, lefts=None):
+    for a in range(n) if lefts is None else lefts:
+        for b in range(n):
+            lhs = [(p, _ref_mul(ctx, s, u)) for k, s in mult[a * n + b] for p, u in antipode_cols[k]]
+            rhs = [(r, _ref_mul(ctx, u, v, w)) for p, u in antipode_cols[b] for q, v in antipode_cols[a]
+                   for r, w in mult[p * n + q]]
+            if _ref_defect(ctx, lhs, rhs):
+                return (a, b)
+    return None
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,9 +389,12 @@ def test_scans_match_subtract_and_zero_test_references(h8, taft3, uq3, which, se
         assert K.assoc_first_defect(n, H.mult, ctx, restrict) == _ref_assoc(n, H.mult, ctx, restrict)
         assert (K.bialg_first_defect(n, H.mult, H.comult, ctx, restrict)
                 == _ref_bialg(n, H.mult, H.comult, ctx, restrict))
-    assert K.coassoc_first_defect(n, H.comult, ctx) == _ref_coassoc(n, H.comult, ctx)
-    args = (n, H.mult, H.comult, H.antipode_cols, H.unit, H.counit, ctx)
-    assert K.antipode_first_defects(*args) == _ref_antipode(*args)
+        assert (K.antimult_first_defect(n, H.mult, H.antipode_cols, ctx, restrict)
+                == _ref_antimult(n, H.mult, H.antipode_cols, ctx, restrict))
+        assert (K.coassoc_first_defect(n, H.comult, ctx, restrict)
+                == _ref_coassoc(n, H.comult, ctx, restrict))
+        args = (n, H.mult, H.comult, H.antipode_cols, H.unit, H.counit, ctx, restrict)
+        assert K.antipode_first_defects(*args) == _ref_antipode(*args)
 
 
 def test_scans_on_h8_compare_cancelled_sums_key_by_key(h8):
@@ -453,6 +477,96 @@ def test_counit_scan_on_generators_when_its_premises_hold(h8, taft3, uq3):
         rep, scans = _counit_scans(H)
         assert rep.ok
         assert scans == [algebra_generators(H)]
+
+
+def _scan_restrictions(H):
+    """verify_hopf's report on H and, for the coassociativity, the
+    anti-multiplicativity and the antipode scans, the index restriction each
+    call received (None for a full scan)."""
+    scans = {"coassoc_first_defect": 3, "antimult_first_defect": 4, "antipode_first_defects": 7}
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(K, name, wraps=getattr(K, name)))
+                 for name in scans}
+        rep = verify_hopf(H)
+    return rep, {name: [call.args[at] if len(call.args) > at else None
+                        for call in spies[name].call_args_list] for name, at in scans.items()}
+
+
+def test_coassoc_and_antipode_scans_on_generators_when_their_premises_hold(h8, taft3, uq3):
+    for H in (h8, taft3[0], uq3.hopf):
+        rep, scans = _scan_restrictions(H)
+        assert rep.ok
+        G = algebra_generators(H)
+        assert scans == {"coassoc_first_defect": [G], "antimult_first_defect": [G],
+                         "antipode_first_defects": [G]}, H.name
+
+
+def _scaled(H, section, row, t, c):
+    """H with the t-th entry of one COMULT row or ANTIPODE column times the
+    integer c, and dropped when c is 0."""
+    table = list(H.comult if section == "COMULT" else H.antipode_cols)
+    entries = list(table[row])
+    key, s = entries.pop(t)
+    if c:
+        entries.insert(t, (key, K.s_mul(H.ctx, K.s_from_ratio(H.ctx, c), s)))
+    table[row] = tuple(entries)
+    comult, cols = (table, H.antipode_cols) if section == "COMULT" else (H.comult, table)
+    return FinHopf(H.name + "~", H.basis_labels, H.N, H.mult, H.unit, tuple(comult), H.counit,
+                   tuple(cols), convention=H.convention)
+
+
+@pytest.mark.parametrize("which", ["h8", "taft3", "uq3"])
+def test_doubled_comult_entry_of_a_generator_fails_with_the_full_scan_witness(h8, taft3, uq3, which):
+    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which]
+    n = base.dim
+    failed = 0
+    for g in algebra_generators(base):
+        for t in range(len(base.comult[g])):
+            H = _scaled(base, "COMULT", g, t, 2)
+            check = verify_hopf(H)["comult-coassociative"]
+            w = K.coassoc_first_defect(n, H.comult, H.ctx)
+            assert (check.status, check.witness) == (PASS if w is None else FAIL, w), (g, t)
+            failed += w is not None
+    # doubling a grouplike's one term keeps Delta(x) = 2 x (x) x coassociative
+    assert failed >= 3
+
+
+@pytest.mark.parametrize("which", ["h8", "taft3", "uq3"])
+def test_doubled_entry_of_the_middle_antipode_column_fails_with_the_full_witnesses(h8, taft3, uq3,
+                                                                                  which):
+    # a dropped entry too; antipode-invertible is then decided by rank
+    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which]
+    m = base.dim // 2
+    assert base.antipode_cols[m]
+    singular = 0
+    for t in range(len(base.antipode_cols[m])):
+        for c in (2, 0):
+            H = _scaled(base, "ANTIPODE", m, t, c)
+            rep, scans = _scan_restrictions(H)
+            full = K.antipode_first_defects(H.dim, H.mult, H.comult, H.antipode_cols, H.unit,
+                                            H.counit, H.ctx)
+            assert full != (None, None), (t, c)
+            assert (rep["antipode-left"].witness, rep["antipode-right"].witness) == full, (t, c)
+            # only S changed, so the pre-scan ran on G; it or the scan on G
+            # found the defect, and the full scan ran last
+            assert scans["antimult_first_defect"] == [algebra_generators(H)], (t, c)
+            assert scans["antipode_first_defects"][-1] is None, (t, c)
+            invertible = H.antipode_matrix().rank() == H.dim
+            assert rep["antipode-invertible"].status == (PASS if invertible else FAIL), (t, c)
+            singular += not invertible
+    assert singular
+
+
+def test_antipode_of_the_unit_is_checked_when_g_is_empty():
+    # the ground field has G = (); S(1) = 2 fails the antipode axiom at 1,
+    # which the scans on G never see
+    k = trivial_hopf()
+    assert algebra_generators(k) == ()
+    two = ((0, K.s_from_ratio(k.ctx, 2)),)
+    H = FinHopf("k~", k.basis_labels, k.N, k.mult, k.unit, k.comult, k.counit, (two,))
+    rep = verify_hopf(H)
+    assert [(c.name, c.witness) for c in rep.failures()] == [("antipode-left", 0),
+                                                              ("antipode-right", 0)]
 
 
 def _integrals_of(H, side, js=None):
@@ -545,6 +659,40 @@ def test_every_bundle_algebra_is_verified_where_it_is_read(h8, tmp_path):
                 read(spec)
     # no algebra carries a trust bit that could select another path
     assert not hasattr(h8, "proven") and not hasattr(incl, "proven")
+
+
+def _doubled_middle_antipode_entry(text, N, n):
+    """A bundle text with the first entry of the column S(e_m), m = n // 2, doubled."""
+    lines = text.splitlines()
+    at = next(i for i in range(lines.index("BEGIN ANTIPODE") + 1, len(lines))
+              if lines[i].split()[1] == str(n // 2))
+    head, scalar = lines[at].rsplit(" ", 1)
+    lines[at] = "%s %s" % (head, format_scalar(parse_scalar(scalar, N) * 2))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of verify_hopf's report text on a bundle and on the bundle with one
+# entry of its middle antipode column doubled, recorded before coassociativity
+# and the antipode axiom were scanned on generators and S was taken to be
+# invertible by theorem
+BUNDLE_REPORTS = {
+    "builtin:uqsl2?l=5": ("f5ae57508604623d7da780d6a0f8f0d26991f4c793c65685608352d649a793d8",
+                          "feb81fc26a3f0b6fbbbc7655310ae2b2cd4afb33210863b1cfa84e3f199fd543"),
+    "builtin:double?of=builtin:group?table=c3": (
+        "9d2d6de986db2627515ac47c5870470b49a6f78098c13840c42c065a1aa731e1",
+        "d599961ebbbb82c31a13d8bc2798846e7c96ae530a920a81269278fafab2ed7f"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BUNDLE_REPORTS))
+def test_bundle_reports_match_the_recorded_digests(spec):
+    from hopfkit.cli import resolve_hopf
+
+    H = resolve_hopf(spec)
+    text = serialize_hopf(H)
+    got = tuple(hashlib.sha256(verify_hopf(parse_hopf(t)).to_text().encode()).hexdigest()
+                for t in (text, _doubled_middle_antipode_entry(text, H.N, H.dim)))
+    assert got == BUNDLE_REPORTS[spec]
 
 
 def test_integral_rows_are_built_on_generators_only(h8, taft3, uq3):

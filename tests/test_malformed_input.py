@@ -151,7 +151,9 @@ def test_off_grammar_scalar_is_rejected_with_its_line(token, at):
 
 # Edits lines[start:stop] = new of the kC2 bundle, and the error parse_hopf
 # raises.  Line 8 is the MULT entry "0 1 1 1", lines 19-22 are the COUNIT
-# section, line 21 is its entry "1 1" and line 26 is the last END.
+# section, line 21 is its entry "1 1", lines 23-26 are the ANTIPODE section
+# and line 26 is the last END.
+_KC2 = BASES["hopf"].splitlines()
 PARSE_ERRORS = {
     "wrong index count": (7, 8, ["0 1 1"], "line 8: expected 3 indices and a scalar: '0 1 1'"),
     "non-integer index": (7, 8, ["0 x 1 1"], "line 8: bad index in '0 x 1 1'"),
@@ -168,6 +170,13 @@ PARSE_ERRORS = {
     "EOF before END after a blank": (25, 26, [""], "line 27: unexpected end of file"),
     "text between sections": (11, 11, ["junk"], "line 12: expected BEGIN <section>, got 'junk'"),
     "comments and blanks count": (7, 8, ["# c", "", "0 x 1 1"], "line 10: bad index in '0 x 1 1'"),
+    # two errors: section structure is checked before any entry, and entries
+    # section by section in the order MULT, COMULT, UNIT, COUNIT, ANTIPODE
+    "missing section after a bad index": (7, 22, ["0 x 1 1"] + _KC2[8:18],
+                                          "line 22: missing section COUNIT"),
+    "bad MULT scalar after a bad ANTIPODE scalar": (
+        5, 26, ["BEGIN ANTIPODE", "0 0 1/0", "1 1 1", "END", "BEGIN MULT", "0 0 0 1/0"] + _KC2[7:22],
+        "line 11: bad scalar in '0 0 0 1/0' (Fraction(1, 0))"),
 }
 
 

@@ -47,6 +47,6 @@ def test_the_detector_finds_a_subtracting_scan():
 def test_no_scan_subtracts_or_zero_tests():
     tree = ast.parse(KERNEL.read_text(), filename=str(KERNEL))
     scans = [f.name for f in tree.body if isinstance(f, ast.FunctionDef) and "_first_defect" in f.name]
-    assert sorted(scans) == ["antipode_first_defects", "assoc_first_defect", "bialg_first_defect",
-                             "coassoc_first_defect"]
+    assert sorted(scans) == ["antimult_first_defect", "antipode_first_defects", "assoc_first_defect",
+                             "bialg_first_defect", "coassoc_first_defect"]
     assert _subtracting_scans(tree) == []
