@@ -12,6 +12,7 @@ distinct operand, memoized like the binary ring operations
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from . import _pykernel
@@ -47,19 +48,13 @@ def _poly_exact_div(a, b):
     return out
 
 
-_cyclo_cache = {1: [-1, 1]}
-
-
+@cache
 def cyclotomic_poly(N):
     """Integer coefficients (low degree first) of the N-th cyclotomic polynomial."""
-    poly = _cyclo_cache.get(N)
-    if poly is not None:
-        return poly
     num = [-1] + [0] * (N - 1) + [1]
     for d in range(1, N):
         if N % d == 0:
             num = _poly_exact_div(num, cyclotomic_poly(d))
-    _cyclo_cache[N] = num
     return num
 
 
@@ -75,25 +70,18 @@ def _times_zeta(coeffs, base):
     return out
 
 
-_ctx_cache = {}
-
-
+@cache
 def make_ctx(N):
     """Context tuple (N, phi, red, zero, one) for arithmetic in Q(zeta_N),
     one per conductor.  Canonical scalars are equal exactly when their tuples
     are, so ``s == ctx[3]`` tests for zero and ``s == ctx[4]`` for one."""
-    ctx = _ctx_cache.get(N)
-    if ctx is not None:
-        return ctx
     poly = cyclotomic_poly(N)
     phi = len(poly) - 1
     base = tuple(-poly[j] for j in range(phi))
     rows = [base]
     for _ in range(max(0, phi - 2)):
         rows.append(tuple(_times_zeta(rows[-1], base)))
-    ctx = (N, phi, tuple(rows), (1,) + (0,) * phi, (1, 1) + (0,) * (phi - 1))
-    _ctx_cache[N] = ctx
-    return ctx
+    return (N, phi, tuple(rows), (1,) + (0,) * phi, (1, 1) + (0,) * (phi - 1))
 
 
 def euler_phi(N):
@@ -146,6 +134,8 @@ def s_rational_part(a):
     return Fraction(a[1], a[0])
 
 
+# keyed by (N, k), not by the arguments: a functools.cache on ctx would hash
+# its O(phi^2) reduction rows on every call
 _power_cache = {}
 
 
@@ -165,15 +155,9 @@ def zeta_power(ctx, k):
     return out
 
 
-_lift_cache = {}
-
-
+@cache
 def lift_table(N, M):
     """Rows: coefficients of zeta_M**(j*M/N) for j < phi(N), reduced mod Phi_M."""
-    key = (N, M)
-    got = _lift_cache.get(key)
-    if got is not None:
-        return got
     assert M % N == 0
     ctxM = make_ctx(M)
     phiM = ctxM[1]
@@ -189,9 +173,7 @@ def lift_table(N, M):
             break
         for _ in range(step):
             cur = _times_zeta(cur, base)
-    rows = tuple(rows)
-    _lift_cache[key] = rows
-    return rows
+    return tuple(rows)
 
 
 def s_lift(a, N, M):

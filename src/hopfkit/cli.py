@@ -419,10 +419,8 @@ def cmd_frob_objects(args):
         push_frobenius,
         trivial_frobenius,
         verify_frobenius_object,
-        verify_pushed_frobenius,
     )
-    from .extension import rescale_frobenius_data
-    from .induction import InductionContext, induction_context, is_separable_functor
+    from .induction import induction_context, is_separable_functor
     from .module_theory import trivial_module
 
     objects = [_etale_params(obj_spec) for obj_spec in args.object or ["builtin:unit"]]
@@ -442,11 +440,9 @@ def cmd_frob_objects(args):
 
     if args.separable_normalized:
         one = trivial_module(incl.K)
-        sep = is_separable_functor(ictx, [(one, one)], verify_witness=False)
-        if sep["scalar"] is not None and not sep["scalar"].is_zero():
-            ictx = InductionContext(
-                incl, rescale_frobenius_data(ictx.frob, 1 / sep["scalar"]), central=ictx.central
-            )
+        sep = is_separable_functor(ictx, [(one, one)])
+        if sep["rescaled"] is not None:
+            ictx = sep["rescaled"]
             report.add("separable-normalization", True,
                        detail="lambda rescaled by 1/%s" % sep["scalar"])
         else:
@@ -456,9 +452,8 @@ def cmd_frob_objects(args):
         F = trivial_frobenius(incl.K) if etale is None else build_group_etale(incl.K, *etale)
         vrep = verify_frobenius_object(F)
         report.add("source-frobenius[%s]" % F.name, vrep.ok, anchor="frobenius-object")
-        B = push_frobenius(ictx, F, verify=False)
-        rig = is_rigid_frobenius(B, verify_pushed_frobenius(B))
-        for c in rig.checks:
+        B = push_frobenius(ictx, F)
+        for c in is_rigid_frobenius(B).checks:
             report.add("%s[%s]" % (c.name, B.name), c.status, witness=c.witness,
                        anchor=c.anchor, detail=c.detail)
     return _emit(report, args)

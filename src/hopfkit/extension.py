@@ -30,6 +30,7 @@ from .hopf_core import (
     _assert_algebra_map,
     _first_defect,
     algebra_generators,
+    cached,
     counital_defect,
     distinguished_grouplike,
     integral_space,
@@ -67,13 +68,11 @@ class HopfInclusion:
     def N(self):
         return self.H.N
 
+    @cached()
     def embed_cols(self):
         """The column table of embed: the images of K's basis vectors as
         sparse H-vectors."""
-        got = self._cache.get("embed_cols")
-        if got is None:
-            got = self._cache["embed_cols"] = self.embed.transpose().srows
-        return got
+        return self.embed.transpose().srows
 
     def embed_col(self, b):
         """Image of the b-th K-basis vector as a sparse H-vector."""
@@ -82,14 +81,12 @@ class HopfInclusion:
     def embed_vec(self, kvec):
         return _apply(self.ctx, self.embed_cols(), kvec)
 
+    @cached()
     def image_space(self):
-        got = self._cache.get("image_space")
-        if got is None:
-            got = RowSpace(self.H.dim, self.ctx)
-            for col in self.embed_cols():
-                got.add(col)
-            self._cache["image_space"] = got
-        return got
+        space = RowSpace(self.H.dim, self.ctx)
+        for col in self.embed_cols():
+            space.add(col)
+        return space
 
     def __repr__(self):
         return "HopfInclusion(%s -> %s)" % (self.K.name, self.H.name)
@@ -111,14 +108,12 @@ def unit_inclusion(H, base_field_hopf):
 # ---------------------------------------------------------------------------
 
 
+@cached()
 def verify_inclusion(incl):
     """Injectivity plus all five Hopf-map intertwining conditions, exhaustively.
 
     The report is formed once per inclusion and kept in its cache, so the
     command line's check of a bundle and ``analyze_extension`` share it."""
-    got = incl._cache.get("verify")
-    if got is not None:
-        return got
     Kk, H = incl.K, incl.H
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
@@ -171,7 +166,6 @@ def verify_inclusion(incl):
             w = a
             break
     rep.add("antipode-intertwines", w is None, witness=w, anchor="hopf-map")
-    incl._cache["verify"] = rep
     return rep
 
 
@@ -223,8 +217,10 @@ class BarQuotient:
         return "BarQuotient(dim=%d of %s)" % (self.dim, self.incl.H.name)
 
 
+@cached()
 def bar_quotient(incl):
-    """Compute Hbar = H/HK+ with its coalgebra structure, verified."""
+    """Hbar = H/HK+ with its coalgebra structure, verified; a function of the
+    inclusion, so it is built once and kept in the inclusion's cache."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
@@ -329,14 +325,12 @@ def right_integral_bar_dual(bq):
     return right_integral_of_dual(bq)
 
 
+@cached()
 def lift_bar_functional(bq):
     """lambda o proj as a functional on H, for the right integral lambda of
     Hbar*; cached on bq."""
-    got = bq._cache.get("lifted_integral")
-    if got is None:
-        lam = right_integral_of_dual(bq)
-        got = bq._cache["lifted_integral"] = LinearFunctional(bq.N, [lam(col) for col in bq.proj_cols])
-    return got
+    lam = right_integral_of_dual(bq)
+    return LinearFunctional(bq.N, [lam(col) for col in bq.proj_cols])
 
 
 def _lambda_products(H, lamH, lefts):
@@ -358,10 +352,11 @@ def _lambda_products(H, lamH, lefts):
     return out
 
 
-def relative_modular_function(incl, bq):
+def relative_modular_function(incl):
     """chi on K with lambda(bar(k h)) = chi(k) lambda(bar(h)); verified globally."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
+    bq = bar_quotient(incl)
     lamH = lift_bar_functional(bq)
     # the first representative where lambda o proj does not vanish; lambda is
     # normalized to 1 there, so chi(k) = lambda(bar(k h0))
@@ -384,11 +379,11 @@ def relative_modular_function(incl, bq):
     return chi
 
 
-def check_integral_type(incl, bq):
+def check_integral_type(incl):
     """An element Lambda in H with lambda(bar(Lambda h)) = eps(h) for all h, or None."""
     H = incl.H
     n = H.dim
-    prods = _lambda_products(H, lift_bar_functional(bq), range(n))
+    prods = _lambda_products(H, lift_bar_functional(bar_quotient(incl)), range(n))
     # row j, column t: lambda(bar(h_t h_j))
     A = Matrix.from_sparse(incl.N, n, [prods[t] for t in range(n)]).transpose()
     b = Matrix(incl.N, [[H.counit[j]] for j in range(n)])
@@ -400,36 +395,28 @@ def check_integral_type(incl, bq):
 
 
 class FrobeniusDecision:
-    __slots__ = ("frobenius", "via_chi", "via_alpha", "chi", "alpha_H", "alpha_K", "chi_fd_identity")
+    __slots__ = ("frobenius", "chi", "alpha_H", "alpha_K")
 
-    def __init__(self, frobenius, via_chi, via_alpha, chi, alpha_H, alpha_K, chi_fd_identity):
+    def __init__(self, frobenius, chi, alpha_H, alpha_K):
         self.frobenius = frobenius
-        self.via_chi = via_chi
-        self.via_alpha = via_alpha
         self.chi = chi
         self.alpha_H = alpha_H
         self.alpha_K = alpha_K
-        self.chi_fd_identity = chi_fd_identity
 
     def __repr__(self):
-        return "FrobeniusDecision(frobenius=%s, via_chi=%s, via_alpha=%s)" % (
-            self.frobenius,
-            self.via_chi,
-            self.via_alpha,
-        )
+        return "FrobeniusDecision(frobenius=%s)" % self.frobenius
 
 
-def is_frobenius_extension(incl, bq=None):
+def is_frobenius_extension(incl):
     """Decide via chi = eps_K and independently via the distinguished grouplikes.
 
     The two criteria are asserted to agree; the convolution identity
-    chi = (alpha_H|_K) * (alpha_K o S_K) is cross-checked as well.
+    chi = (alpha_H|_K) * (alpha_K o S_K) is cross-checked as well.  Either
+    disagreement raises PipelineError.
     """
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
-    if bq is None:
-        bq = bar_quotient(incl)
-    chi = relative_modular_function(incl, bq)
+    chi = relative_modular_function(incl)
     eps_K = LinearFunctional(incl.N, Kk.counit)
     via_chi = chi == eps_K
 
@@ -445,7 +432,6 @@ def is_frobenius_extension(incl, bq=None):
 
     # chi = (alpha_H|_K) * (alpha_K o S_K), convolution on K*
     m = Kk.dim
-    ok_fd = True
     alphaKS = [alpha_K(Kk.antipode_vec(Kk.basis_vec(b))) for b in range(m)]
     for b in range(m):
         acc = K.s_zero(ctx)
@@ -455,12 +441,9 @@ def is_frobenius_extension(incl, bq=None):
                 ctx, acc, K.s_mul(ctx, s, K.s_mul(ctx, alpha_H_on_K.values[p], alphaKS[q]))
             )
         if acc != chi.values[b]:
-            ok_fd = False
-            break
-    if not ok_fd:
-        raise PipelineError("convolution identity for chi fails (finite-dimensional case)")
+            raise PipelineError("convolution identity for chi fails (finite-dimensional case)")
 
-    return FrobeniusDecision(via_chi, via_chi, via_alpha, chi, alpha_H, alpha_K, ok_fd)
+    return FrobeniusDecision(via_chi, chi, alpha_H, alpha_K)
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +563,12 @@ class FrobeniusData:
         return _clean(self.incl.ctx, enumerate(self.deltas[i]))
 
 
-def frobenius_morphism(incl, bq):
+def frobenius_morphism(incl):
     """tr(h) = lambda(bar(h_(1))) h_(2), rewritten in K-coordinates and verified."""
-    H, Kk = incl.H, incl.K
+    H = incl.H
     ctx = incl.ctx
-    n, m = H.dim, Kk.dim
-    lamH = lift_bar_functional(bq)
+    n = H.dim
+    lamH = lift_bar_functional(bar_quotient(incl))
     images = []
     for i in range(n):
         acc = {}
@@ -737,15 +720,13 @@ def tr_bicomodule_map(incl, tr_K):
     return True
 
 
-def is_central_extension(incl, bq=None, tr_K=None):
+def is_central_extension(incl, tr_K=None):
     """Central Frobenius test: the lambda symmetry and the bicomodule identity.
 
     Both characterizations are evaluated and asserted to agree.
     """
-    if bq is None:
-        bq = bar_quotient(incl)
     # lambda(bar h_(1)) h_(2) == h_(1) lambda(bar h_(2)) for all basis h
-    sym = is_symmetric(incl.H, lift_bar_functional(bq))
+    sym = is_symmetric(incl.H, lift_bar_functional(bar_quotient(incl)))
     if tr_K is not None:
         bic = tr_bicomodule_map(incl, tr_K)
         if bic != sym:
@@ -793,7 +774,6 @@ class ExtensionAnalysis:
     __slots__ = (
         "incl",
         "report",
-        "bq",
         "decision",
         "frob",
         "central",
@@ -806,7 +786,7 @@ class ExtensionAnalysis:
             setattr(self, k2, kw.get(k2))
 
 
-def make_frobenius_data(incl, bq):
+def make_frobenius_data(incl):
     """Assemble FrobeniusData with the canonical normalization of lambda.
 
     The deterministic solver representative lambda0 is rescaled so that the
@@ -822,11 +802,11 @@ def make_frobenius_data(incl, bq):
     H = incl.H
     ctx = incl.ctx
     free, right_images = free_basis(incl)
-    tr0 = frobenius_morphism(incl, bq)
+    tr0 = frobenius_morphism(incl)
     deltas0 = dual_bases(incl, tr0, free)
     _verify_dual_bases(incl, tr0, free, deltas0)
 
-    frob0 = FrobeniusData(incl, right_integral_of_dual(bq), tr0, free, deltas0,
+    frob0 = FrobeniusData(incl, right_integral_of_dual(bar_quotient(incl)), tr0, free, deltas0,
                           Decomposer(incl, free, "right", right_images))
     eps = LinearFunctional(incl.N, H.counit)
     s = K.s_zero(ctx)
@@ -872,14 +852,14 @@ def analyze_extension(incl):
     right_integral_bar_dual(bq)
     rep.add("bar-dual-integral-1dim", True, anchor="integral-type")
 
-    decision = is_frobenius_extension(incl, bq)
+    decision = is_frobenius_extension(incl)
     rep.add(
         "frobenius",
         True,
         detail="frobenius=%s (chi and alpha criteria agree)" % decision.frobenius,
         anchor="schneider-criterion",
     )
-    Lambda = check_integral_type(incl, bq)
+    Lambda = check_integral_type(incl)
     rep.add(
         "integral-type-element",
         Lambda is not None,
@@ -894,10 +874,10 @@ def analyze_extension(incl):
     frob = None
     central = None
     if decision.frobenius:
-        frob = make_frobenius_data(incl, bq)
+        frob = make_frobenius_data(incl)
         rep.add("frobenius-morphism", True, anchor="good-frob-morphism")
         rep.add("dual-bases", True, anchor="dual-generators")
-        central = is_central_extension(incl, bq, tr_K=frob.tr_K)
+        central = is_central_extension(incl, tr_K=frob.tr_K)
         rep.add("central", True, detail=str(central), anchor="central-frobenius")
         if central and not bdu:
             rep.add("central-implies-bar-dual-unimodular", False, anchor="bar-dual-unimodularity")
@@ -907,7 +887,6 @@ def analyze_extension(incl):
     return ExtensionAnalysis(
         incl=incl,
         report=rep,
-        bq=bq,
         decision=decision,
         frob=frob,
         central=central,

@@ -154,24 +154,13 @@ def push_coalgebra(ictx, C):
     return oplax * ind_morphism(ictx, C.comult), oplax0 * ind_morphism(ictx, C.counit)
 
 
-def push_frobenius(ictx, F, verify=True):
-    """Transport a Frobenius object; the context must be Frobenius monoidal."""
+def push_frobenius(ictx, F):
+    """Transport a Frobenius object; the context must be Frobenius monoidal.
+    The pushed object is built, not verified: ``is_rigid_frobenius`` and
+    ``verify_frobenius_object`` report on it."""
     alg = push_algebra(ictx, F)
     comult, counit = push_coalgebra(ictx, F)
-    out = FrobObject(alg.carrier, alg.mult, alg.unit, comult, counit, name=alg.name)
-    if verify:
-        verify_pushed_frobenius(out)
-    return out
-
-
-def verify_pushed_frobenius(B):
-    """verify_frobenius_object(B) for a pushed object B; raises if it fails."""
-    rep = verify_frobenius_object(B)
-    if not rep.ok:
-        raise HopfkitError(
-            "pushed object failed Frobenius verification: %r" % [c.name for c in rep.failures()]
-        )
-    return rep
+    return FrobObject(alg.carrier, alg.mult, alg.unit, comult, counit, name=alg.name)
 
 
 def trivial_frobenius(K_hopf):
@@ -378,14 +367,10 @@ def is_connected(A):
     return invariant_space_dim(A.carrier) == 1
 
 
-def is_rigid_frobenius(F, frob=None):
-    """Frobenius + commutative + special + connected, with individual flags.
-
-    frob is F's verify_frobenius_object report when it is already made."""
+def is_rigid_frobenius(F):
+    """Frobenius + commutative + special + connected, with individual flags."""
     rep = Report("rigid-frobenius %s" % F.name)
-    if frob is None:
-        frob = verify_frobenius_object(F)
-    rep.add("frobenius", frob.ok, anchor="frobenius-object")
+    rep.add("frobenius", verify_frobenius_object(F).ok, anchor="frobenius-object")
     rep.add("commutative", is_commutative_object(F), anchor="commutative-algebra")
     sp = is_special(F)
     rep.add(

@@ -33,6 +33,7 @@ maps, hom spaces, the invariants of ``frob_objects`` and the
 Yetter-Drinfeld condition of ``yetter_drinfeld.verify_yd``.
 """
 
+from functools import wraps
 from math import lcm
 
 from . import _kernel as K
@@ -63,6 +64,29 @@ def _to_raw(value, ctx):
     if ctx[0] % v.N != 0:
         raise ShapeError("scalar conductor %d does not divide %d" % (v.N, ctx[0]))
     return K.s_lift(v.data, v.N, ctx[0])
+
+
+def cached(key=None):
+    """Memoize a derived value on its subject: ``fn(obj, *args)`` is computed
+    once per object and kept in ``obj._cache`` under
+    ``(fn.__name__, *key(*args))``, by default ``(fn.__name__, *args)``.  A
+    call that raises stores nothing.  No decorated function returns None,
+    which marks a missing entry."""
+
+    def decorate(fn):
+        name = fn.__name__
+
+        @wraps(fn)
+        def memo(obj, *args):
+            k = (name, *(args if key is None else key(*args)))
+            got = obj._cache.get(k)
+            if got is None:
+                got = obj._cache[k] = fn(obj, *args)
+            return got
+
+        return memo
+
+    return decorate
 
 
 class LinearFunctional:
@@ -176,8 +200,7 @@ class FinHopf:
         vals = list(mult.values()) + list(comult.values()) + list(unit) + list(counit)
         for v in vals:
             N = lcm(N, Cyclotomic.promote(v).N)
-        if isinstance(antipode, Matrix):
-            N = lcm(N, antipode.N)
+        N = lcm(N, antipode.N)
         ctx = K.make_ctx(N)
         mrows = [[] for _ in range(n * n)]
         for (i, j, k), v in mult.items():
@@ -197,12 +220,9 @@ class FinHopf:
             raise ShapeError("unit/counit length mismatch")
         uvec = tuple(_to_raw(v, ctx) for v in unit)
         cvec = tuple(_to_raw(v, ctx) for v in counit)
-        if isinstance(antipode, Matrix):
-            if antipode.rows != n or antipode.cols != n:
-                raise ShapeError("antipode must be %dx%d" % (n, n))
-            cols = [tuple(sorted(col.items())) for col in antipode.lift(N).transpose().srows]
-        else:
-            cols = [tuple((i, _to_raw(v, ctx)) for i, v in sorted(col.items())) for col in antipode]
+        if antipode.rows != n or antipode.cols != n:
+            raise ShapeError("antipode must be %dx%d" % (n, n))
+        cols = [tuple(sorted(col.items())) for col in antipode.lift(N).transpose().srows]
         return cls(
             name,
             basis_labels,
@@ -220,43 +240,37 @@ class FinHopf:
     def counit_functional(self):
         return LinearFunctional(self.N, self.counit)
 
+    @cached()
     def antipode_matrix(self):
-        got = self._cache.get("S_matrix")
-        if got is None:
-            n = self.dim
-            ctx = self.ctx
-            z = K.s_zero(ctx)
-            data = [[z] * n for _ in range(n)]
-            for j, col in enumerate(self.antipode_cols):
-                for i, s in col:
-                    data[i][j] = s
-            got = Matrix(self.N, data)
-            self._cache["S_matrix"] = got
-        return got
+        n = self.dim
+        z = K.s_zero(self.ctx)
+        data = [[z] * n for _ in range(n)]
+        for j, col in enumerate(self.antipode_cols):
+            for i, s in col:
+                data[i][j] = s
+        return Matrix(self.N, data)
 
     def lifted(self, M):
         """The same Hopf algebra with scalars re-expressed at conductor M."""
-        if M == self.N:
-            return self
+        # H itself is not cached on H, which would make a reference cycle
+        return self if M == self.N else self._lifted(M)
+
+    @cached()
+    def _lifted(self, M):
         if M % self.N != 0:
             raise ShapeError("conductor %d does not divide %d" % (self.N, M))
-        key = ("lift", M)
-        got = self._cache.get(key)
-        if got is None:
-            N = self.N
-            got = FinHopf(
-                self.name,
-                self.basis_labels,
-                M,
-                tuple(tuple((k, lift_raw(s, N, M)) for k, s in row) for row in self.mult),
-                tuple(lift_raw(s, N, M) for s in self.unit),
-                tuple(tuple((x, lift_raw(s, N, M)) for x, s in row) for row in self.comult),
-                tuple(lift_raw(s, N, M) for s in self.counit),
-                tuple(tuple((i, lift_raw(s, N, M)) for i, s in col) for col in self.antipode_cols),
-                convention=self.convention,
-            )
-            self._cache[key] = got
-        return got
+        N = self.N
+        return FinHopf(
+            self.name,
+            self.basis_labels,
+            M,
+            tuple(tuple((k, lift_raw(s, N, M)) for k, s in row) for row in self.mult),
+            tuple(lift_raw(s, N, M) for s in self.unit),
+            tuple(tuple((x, lift_raw(s, N, M)) for x, s in row) for row in self.comult),
+            tuple(lift_raw(s, N, M) for s in self.counit),
+            tuple(tuple((i, lift_raw(s, N, M)) for i, s in col) for col in self.antipode_cols),
+            convention=self.convention,
+        )
 
     def label_index(self, label):
         try:
@@ -280,40 +294,32 @@ class FinHopf:
         """Coproduct of a sparse vector, keys flattened as j*dim + k."""
         return _table_apply(self.ctx, self.comult, u)
 
+    @cached()
     def comult2(self, i):
         """Cached (Delta x id)Delta(e_i) as tuple of ((a,b,c), raw)."""
-        key = ("comult2", i)
-        got = self._cache.get(key)
-        if got is None:
-            ctx = self.ctx
-            n = self.dim
-            acc = {}
-            for x, s in self.comult[i]:
-                a, b = divmod(x, n)
-                for y, t in self.comult[a]:
-                    _add(ctx, acc, divmod(y, n) + (b,), K.s_mul(ctx, s, t))
-            got = tuple(sorted(acc.items()))
-            self._cache[key] = got
-        return got
+        ctx = self.ctx
+        n = self.dim
+        acc = {}
+        for x, s in self.comult[i]:
+            a, b = divmod(x, n)
+            for y, t in self.comult[a]:
+                _add(ctx, acc, divmod(y, n) + (b,), K.s_mul(ctx, s, t))
+        return tuple(sorted(acc.items()))
 
+    @cached()
     def yd_twist(self, i, g):
         """Cached sum of s * (e_p e_g S(e_r)) x e_q over (Delta x id)Delta(e_i)
         = sum s e_p x e_q x e_r, as a tuple of ((k, q), raw) for the term
         e_k x e_q.  This is h_1 g S(h_3) x h_2 for h = e_i, the twist in the
         Yetter-Drinfeld condition delta(h v) = h_1 v_(-1) S(h_3) x h_2 v_(0)."""
-        key = ("yd_twist", i, g)
-        got = self._cache.get(key)
-        if got is None:
-            ctx = self.ctx
-            one = K.s_one(ctx)
-            acc = {}
-            for (p, q, r), s in self.comult2(i):
-                u = self.mult_vec(self.mult_vec({p: s}, {g: one}), self.antipode_vec({r: one}))
-                for k, c in u.items():
-                    _add(ctx, acc, (k, q), c)
-            got = tuple(sorted(acc.items()))
-            self._cache[key] = got
-        return got
+        ctx = self.ctx
+        one = K.s_one(ctx)
+        acc = {}
+        for (p, q, r), s in self.comult2(i):
+            u = self.mult_vec(self.mult_vec({p: s}, {g: one}), self.antipode_vec({r: one}))
+            for k, c in u.items():
+                _add(ctx, acc, (k, q), c)
+        return tuple(sorted(acc.items()))
 
     def antipode_vec(self, u):
         return _table_apply(self.ctx, self.antipode_cols, u)
@@ -341,6 +347,7 @@ def _check_shapes(H):
                     raise ShapeError("%s output index %d out of range" % (what, k))
 
 
+@cached()
 def algebra_generators(H):
     """Basis indices G such that 1 and the products of elements of G span H;
     cached on H.
@@ -349,31 +356,28 @@ def algebra_generators(H):
     span and close the span under right multiplication by G; repeat until
     the span is H.  Only meaningful when 1 is a two-sided unit.
     """
-    got = H._cache.get("generators")
-    if got is None:
-        space = RowSpace(H.dim, H.ctx)
-        spanning = []
-        pending = []
-        gens = []
+    space = RowSpace(H.dim, H.ctx)
+    spanning = []
+    pending = []
+    gens = []
 
-        def grow(vec):
-            if space.add(vec):
-                spanning.append(vec)
-                pending.extend((vec, g) for g in gens)
+    def grow(vec):
+        if space.add(vec):
+            spanning.append(vec)
+            pending.extend((vec, g) for g in gens)
 
-        grow(H.unit_vec())
-        for i in range(H.dim):
-            if space.rank == H.dim:
-                break
-            if not space.contains(H.basis_vec(i)):
-                gens.append(i)
-                pending.extend((vec, i) for vec in spanning)
-                grow(H.basis_vec(i))
-                while pending:
-                    vec, g = pending.pop()
-                    grow(H.mult_vec(vec, H.basis_vec(g)))
-        got = H._cache["generators"] = tuple(gens)
-    return got
+    grow(H.unit_vec())
+    for i in range(H.dim):
+        if space.rank == H.dim:
+            break
+        if not space.contains(H.basis_vec(i)):
+            gens.append(i)
+            pending.extend((vec, i) for vec in spanning)
+            grow(H.basis_vec(i))
+            while pending:
+                vec, g = pending.pop()
+                grow(H.mult_vec(vec, H.basis_vec(g)))
+    return tuple(gens)
 
 
 def _first_defect(scan, restrict, *args):
@@ -469,16 +473,13 @@ def verify_hopf(H):
     return rep
 
 
+@cached()
 def antipode_inverse(H):
     """S^{-1} as an exact matrix; raises SingularAntipodeError if singular."""
-    got = H._cache.get("S_inv")
-    if got is None:
-        inv = H.antipode_matrix().inverse()
-        if inv is None:
-            raise SingularAntipodeError("antipode of %s is singular" % H.name)
-        H._cache["S_inv"] = inv
-        got = inv
-    return got
+    inv = H.antipode_matrix().inverse()
+    if inv is None:
+        raise SingularAntipodeError("antipode of %s is singular" % H.name)
+    return inv
 
 
 def dual_hopf(H):
@@ -531,6 +532,7 @@ def _integral_rows(H, side, js=None):
                 yield r
 
 
+@cached()
 def integral_space(H, side):
     """Exact basis of left or right integrals, first coordinate normalized to 1.
 
@@ -545,15 +547,10 @@ def integral_space(H, side):
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    key = ("integrals", side)
-    got = H._cache.get(key)
-    if got is None:
-        space = RowSpace(H.dim, H.ctx)
-        for row in _integral_rows(H, side, algebra_generators(H)):
-            space.add(row)
-        got = [_column(H.N, _normalize_first_one(H.ctx, v), H.dim) for v in space.nullspace()]
-        H._cache[key] = got
-    return got
+    space = RowSpace(H.dim, H.ctx)
+    for row in _integral_rows(H, side, algebra_generators(H)):
+        space.add(row)
+    return [_column(H.N, _normalize_first_one(H.ctx, v), H.dim) for v in space.nullspace()]
 
 
 def right_integral_element(H):
@@ -565,11 +562,9 @@ def right_integral_element(H):
     return basis[0]
 
 
+@cached()
 def distinguished_grouplike(H):
     """The algebra map alpha with a*Lambda = alpha(a)*Lambda for the right integral."""
-    got = H._cache.get("alpha")
-    if got is not None:
-        return got
     Lam = right_integral_element(H)
     ctx = H.ctx
     lam_vec = Lam.col(0)
@@ -584,7 +579,6 @@ def distinguished_grouplike(H):
     alpha = LinearFunctional(H.N, values)
     # right_integral_element has cached G through integral_space
     _assert_algebra_map(H, alpha, "distinguished grouplike", algebra_generators(H))
-    H._cache["alpha"] = alpha
     return alpha
 
 
@@ -631,12 +625,10 @@ def counital_defect(C):
     return None
 
 
+@cached()
 def right_integral_of_dual(C):
     """Right integral lambda of C* as a functional on the coalgebra C (a
     FinHopf or a BarQuotient), without materializing C*; cached on C."""
-    got = C._cache.get("dual_right_integral")
-    if got is not None:
-        return got
     n = C.dim
     ctx = C.ctx
     unit = _clean(ctx, enumerate(C.unit))
@@ -657,9 +649,7 @@ def right_integral_of_dual(C):
         raise PipelineError(
             "right integral space of %s* has dimension %d, expected 1" % (C.name, len(basis))
         )
-    lam = LinearFunctional(C.N, _dense(ctx, _normalize_first_one(ctx, basis[0]), n))
-    C._cache["dual_right_integral"] = lam
-    return lam
+    return LinearFunctional(C.N, _dense(ctx, _normalize_first_one(ctx, basis[0]), n))
 
 
 def is_symmetric(C, lam):

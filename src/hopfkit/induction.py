@@ -14,8 +14,8 @@ from . import _kernel as K
 from .errors import PipelineError
 from .exact_math import (Cyclotomic, Matrix, _add, _apply, _clean, _kron_act, _scale, _tensor,
                          id_kron, kron_id, lift_raw)
-from .extension import Decomposer, bar_quotient, make_frobenius_data, rescale_frobenius_data
-from .hopf_core import LinearFunctional, antipode_inverse
+from .extension import Decomposer, make_frobenius_data, rescale_frobenius_data
+from .hopf_core import LinearFunctional, antipode_inverse, cached
 from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial_module
 from .reports import Report
 
@@ -23,29 +23,13 @@ from .reports import Report
 class InductionContext:
     """An inclusion together with a chosen Frobenius morphism and free basis.
 
-    ``_cache`` holds what the context builds, so each structure is built once
-    per context:
-
-    - ``("ddec", i)`` and ``("bdec", q)``: decompositions of delta_i and of
-      the basis element e_q;
-    - ``("trrow", p)``: the nonzero tr_K(e_p h_i), by i;
-    - ``"ldec"``: the left decomposer over the free basis, which ``coinduce``
-      reads;
-    - ``"comult"``: the terms (i, p, q, s) of Delta(h_i), which
-      ``projection_morphisms`` reads;
-    - ``"sigma"`` and ``"tau"``: the nonzero lax and oplax structure
-      constants sigma_{l,i,j} and tau_{i,t,u};
-    - ``"unit"``: lax_0 and oplax_0;
-    - ``("tensor", V.name, U.name, key(V), key(U))``: ``tensor_modules(V, U)``;
-    - ``("ind", name, key(V))``: ``induce(self, V)``, the module Ind V;
-    - ``("lax", key(V), key(U))`` and ``("oplax", key(V), key(U))``:
-      ``lax_pair`` and ``oplax_pair``;
-    - ``("zind", name, key(M.module), M.coaction.key())``: ``z_induce(self, M)``.
-
-    ``key(V)`` is ``V.key()``, the module's value, so equal modules built
-    separately share an entry. Results that carry a name are keyed by the
-    name too. Everything but the module-keyed entries depends on the
-    Frobenius data alone. The lax structure scales with the Frobenius
+    ``_cache`` holds what the context builds (see ``hopf_core.cached``), so
+    each structure is built once per context.  The functions of a module
+    (``tensor``, ``induce``, ``lax_pair``, ``oplax_pair`` and
+    ``yetter_drinfeld.z_induce``) are keyed by ``V.key()``, the module's
+    value, so equal modules built separately share an entry; results that
+    carry a name are keyed by the name too.  Everything else depends on the
+    Frobenius data alone.  The lax structure scales with the Frobenius
     morphism, so a rescaled context is a new object with a cache of its own.
     """
 
@@ -68,129 +52,106 @@ class InductionContext:
     def free_vec(self, i):
         return self.incl.H.basis_vec(self.frob.free[i])
 
+    @cached()
     def delta_parts(self, i):
         """Right decomposition of delta_i: list over j of sparse K-coord vectors."""
-        key = ("ddec", i)
-        got = self._cache.get(key)
-        if got is None:
-            got = self.frob.right_decomp(self.frob.delta_vec(i))
-            self._cache[key] = got
-        return got
+        return self.frob.right_decomp(self.frob.delta_vec(i))
 
+    @cached()
     def basis_parts(self, q):
         """Right decomposition of the basis element e_q of H."""
-        key = ("bdec", q)
-        got = self._cache.get(key)
-        if got is None:
-            got = self.frob.right_decomp({q: K.s_one(self.incl.ctx)})
-            self._cache[key] = got
-        return got
+        return self.frob.right_decomp({q: K.s_one(self.incl.ctx)})
 
+    @cached()
     def left_decomp(self):
         """The decomposer of H-vectors as sum_i embed(k_i) * h_i."""
-        got = self._cache.get("ldec")
-        if got is None:
-            got = self._cache["ldec"] = Decomposer(self.incl, self.frob.free, "left")
-        return got
+        return Decomposer(self.incl, self.frob.free, "left")
 
     def tr_prod(self, p, i):
         """tr_K coordinates of e_p * h_i as a sparse dict (not cached: see ``tr_row``)."""
         H = self.incl.H
         return self.frob.tr_vec(H.mult_vec(H.basis_vec(p), self.free_vec(i)))
 
+    @cached()
     def tr_row(self, p):
         """The nonzero tr_K(e_p h_i) as {i: sparse K-coord vector}."""
-        key = ("trrow", p)
-        got = self._cache.get(key)
-        if got is None:
-            got = {}
-            for i in range(self.rank):
-                kv = self.tr_prod(p, i)
-                if kv:
-                    got[i] = kv
-            self._cache[key] = got
-        return got
+        row = {}
+        for i in range(self.rank):
+            kv = self.tr_prod(p, i)
+            if kv:
+                row[i] = kv
+        return row
 
+    @cached()
     def comult_terms(self):
         """(i, p, q, s) over the terms s e_p (x) e_q of Delta(h_i), i ascending."""
-        got = self._cache.get("comult")
-        if got is None:
-            n = self.incl.H.dim
-            got = self._cache["comult"] = [
-                (i, *divmod(x, n), s)
-                for i, hi in enumerate(self.frob.free) for x, s in self.incl.H.comult[hi]
-            ]
-        return got
+        n = self.incl.H.dim
+        return [
+            (i, *divmod(x, n), s)
+            for i, hi in enumerate(self.frob.free) for x, s in self.incl.H.comult[hi]
+        ]
 
-    def _structure(self, key, parts):
+    def _structure(self, parts):
         """The nonzero (l, i, j, c), l, i, j ascending, c the sum over the terms
         s e_p (x) e_q of Delta(h_l) of s parts(p)[i] (x) parts(q)[j] in K (x) K
         ((b, c) at b * dim K + c).  parts(p) holds the nonzero parts only, so
         the build visits the nonzero (i, j) of each term, not all r^2."""
-        got = self._cache.get(key)
-        if got is None:
-            incl = self.incl
-            ctx, n, m = incl.ctx, incl.H.dim, incl.K.dim
-            got = []
-            for l, hl in enumerate(self.frob.free):
-                acc = {}
-                for x, s in incl.H.comult[hl]:
-                    p, q = divmod(x, n)
-                    row_q = parts(q)
-                    if not row_q:
-                        continue
-                    for i, tp in parts(p).items():
-                        tp = _scale(ctx, tp, s)
-                        for j, tq in row_q.items():
-                            _tensor(ctx, acc.setdefault((i, j), {}), tp, tq, m)
-                got.extend((l, i, j, v) for (i, j), v in sorted(acc.items()) if v)
-            self._cache[key] = got
-        return got
+        incl = self.incl
+        ctx, n, m = incl.ctx, incl.H.dim, incl.K.dim
+        out = []
+        for l, hl in enumerate(self.frob.free):
+            acc = {}
+            for x, s in incl.H.comult[hl]:
+                p, q = divmod(x, n)
+                row_q = parts(q)
+                if not row_q:
+                    continue
+                for i, tp in parts(p).items():
+                    tp = _scale(ctx, tp, s)
+                    for j, tq in row_q.items():
+                        _tensor(ctx, acc.setdefault((i, j), {}), tp, tq, m)
+            out.extend((l, i, j, v) for (i, j), v in sorted(acc.items()) if v)
+        return out
 
+    @cached()
     def sigma(self):
         """The lax structure constants sigma_{l,i,j}: parts(p) = tr(e_p h_i), by i."""
-        return self._structure("sigma", self.tr_row)
+        return self._structure(self.tr_row)
 
+    @cached()
     def tau(self):
         """The oplax structure constants tau_{i,t,u}: parts(p) = part t of e_p, by t."""
-        return self._structure(
-            "tau", lambda p: {t: k for t, k in enumerate(self.basis_parts(p)) if k})
+        return self._structure(lambda p: {t: k for t, k in enumerate(self.basis_parts(p)) if k})
 
+    @cached()
     def unit_maps(self):
         """lax_0: 1 -> Ind(1), the decomposition of sum_i eps(h_i) delta_i
         under eps_K, and oplax_0: Ind(1) -> 1, h_i x 1 -> eps(h_i), at incl.N."""
-        got = self._cache.get("unit")
-        if got is None:
-            incl = self.incl
-            H, ctx = incl.H, incl.ctx
-            free = self.frob.free
-            eps_free = _clean(ctx, enumerate(H.counit[t] for t in free))
-            w = _apply(ctx, [self.frob.delta_vec(i) for i in range(self.rank)], eps_free)
-            eps_K = LinearFunctional(incl.N, incl.K.counit)
-            lax0 = [[eps_K(kv)] for kv in self.frob.right_decomp(w)]
-            oplax0 = [[H.counit[t] for t in free]]
-            got = self._cache["unit"] = (Matrix(incl.N, lax0), Matrix(incl.N, oplax0))
-        return got
+        incl = self.incl
+        H, ctx = incl.H, incl.ctx
+        free = self.frob.free
+        eps_free = _clean(ctx, enumerate(H.counit[t] for t in free))
+        w = _apply(ctx, [self.frob.delta_vec(i) for i in range(self.rank)], eps_free)
+        eps_K = LinearFunctional(incl.N, incl.K.counit)
+        lax0 = [[eps_K(kv)] for kv in self.frob.right_decomp(w)]
+        oplax0 = [[H.counit[t] for t in free]]
+        return Matrix(incl.N, lax0), Matrix(incl.N, oplax0)
 
+    @cached(key=lambda V, U: (V.name, U.name, V.key(), U.key()))
     def tensor(self, V, U):
         """``tensor_modules(V, U)``, built once per pair of names and values."""
-        key = ("tensor", V.name, U.name, V.key(), U.key())
-        got = self._cache.get(key)
-        if got is None:
-            got = self._cache[key] = tensor_modules(V, U)
-        return got
+        return tensor_modules(V, U)
 
 
 def induction_context(incl):
-    """Build the context (bar quotient, integral, Frobenius data) for induction."""
+    """Build the context (Frobenius decision, Frobenius data, centrality) for
+    induction; Hbar and its integral are read from the inclusion's cache."""
     from .extension import is_central_extension, is_frobenius_extension
 
-    bq = bar_quotient(incl)
-    decision = is_frobenius_extension(incl, bq)
-    if not decision.frobenius:
+    if not is_frobenius_extension(incl).frobenius:
         raise PipelineError("inclusion %r is not a Frobenius extension" % incl)
-    frob = make_frobenius_data(incl, bq)
-    central = is_central_extension(incl, bq, tr_K=frob.tr_K)
+    frob = make_frobenius_data(incl)
+    central = is_central_extension(incl, tr_K=frob.tr_K)
     return InductionContext(incl, frob, central=central)
 
 
@@ -239,20 +200,17 @@ def _insertion(ictx, M, xs):
     )
 
 
+@cached(key=lambda V: (V.name, V.key()))
 def induce(ictx, V):
     """Ind V = H (x)_K V on the carrier basis (i, a) -> i*dim V + a: e_g acts
     as [iota_V(e_g h_i)]_i."""
-    memo = ("ind", V.name, V.key())
-    got = ictx._cache.get(memo)
-    if got is None:
-        H, decomp = ictx.incl.H, ictx.frob.right_decomp
-        mats = [
-            _insertion(ictx, V, [decomp(H.mult_vec(H.basis_vec(g), ictx.free_vec(i)))
-                                 for i in range(ictx.rank)])
-            for g in range(H.dim)
-        ]
-        got = ictx._cache[memo] = HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N))
-    return got
+    H, decomp = ictx.incl.H, ictx.frob.right_decomp
+    mats = [
+        _insertion(ictx, V, [decomp(H.mult_vec(H.basis_vec(g), ictx.free_vec(i)))
+                             for i in range(ictx.rank)])
+        for g in range(H.dim)
+    ]
+    return HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N))
 
 
 def ind_morphism(ictx, phi):
@@ -398,6 +356,7 @@ def _act_structure(ictx, V, U, consts, rows, cols, place):
     return Matrix.from_sparse(conductor, cols, out)
 
 
+@cached(key=lambda V, U: (V.key(), U.key()))
 def lax_pair(ictx, V, U):
     """lax_{V,U}: Ind V x Ind U -> Ind(V x U) and lax_0: 1 -> Ind(1).
 
@@ -405,20 +364,16 @@ def lax_pair(ictx, V, U):
     lax_{V,U} = [iota_{V x U}(delta_l)]_l times the context's sigma table
     acting on V x U, laid out as one row of blocks per l: sigma_{l,i,j}
     acts from the columns of (i, j)."""
-    memo = ("lax", V.key(), U.key())
-    got = ictx._cache.get(memo)
-    if got is not None:
-        return got
     r, dV, dU = ictx.rank, V.dim, U.dim
     d = dV * dU
     sigma = _act_structure(ictx, V, U, ictx.sigma(), r * d, r * d * r,
                            lambda l, i, j: (l * d, dU, (i * dV * r + j) * dU, r * dU))
     VU = ictx.tensor(V, U)
     lax = _insertion(ictx, VU, [ictx.delta_parts(l) for l in range(r)]) * sigma
-    got = ictx._cache[memo] = (lax, ictx.unit_maps()[0].lift(sigma.N))
-    return got
+    return lax, ictx.unit_maps()[0].lift(sigma.N)
 
 
+@cached(key=lambda V, U: (V.key(), U.key()))
 def oplax_pair(ictx, V, U):
     """oplax_{V,U}: Ind(V x U) -> Ind V x Ind U and oplax_0: Ind(1) -> 1.
 
@@ -426,16 +381,11 @@ def oplax_pair(ictx, V, U):
     s iota_V(e_p) v x iota_U(e_q) u.  Block t of iota_V(e_p) is the action
     of the t-th part of e_p, so block (t, u) of column block i is the
     context's tau_{i,t,u} acting on V x U."""
-    memo = ("oplax", V.key(), U.key())
-    got = ictx._cache.get(memo)
-    if got is not None:
-        return got
     r, dV, dU = ictx.rank, V.dim, U.dim
     d = dV * dU
     oplax = _act_structure(ictx, V, U, ictx.tau(), (r * dV) * (r * dU), r * d,
                            lambda i, t, u: ((t * dV * r + u) * dU, r * dU, i * d, dU))
-    got = ictx._cache[memo] = (oplax, ictx.unit_maps()[1].lift(oplax.N))
-    return got
+    return oplax, ictx.unit_maps()[1].lift(oplax.N)
 
 
 def verify_lax_coherence(ictx, modules):
@@ -499,16 +449,16 @@ def verify_frobenius_monoidal(ictx, V, U, W):
     return rep
 
 
-def is_separable_functor(ictx, pairs, verify_witness=True):
+def is_separable_functor(ictx, pairs):
     """Separability of the induction functor over the sampled pairs.
 
     Computes lax o oplax on Ind(V x U) for each pair.  The functor counts as
     separable when the composite is the same nonzero scalar multiple c of the
     identity on every pair (the lax structure scales linearly with the choice
     of Frobenius morphism, so c depends on the normalization while
-    separability itself does not).  When verify_witness is set, the witness
-    normalization lam/c is rebuilt and lax o oplax = id is confirmed strictly
-    on the first pair.
+    separability itself does not).  The witness normalization lam/c is then
+    built as a context of its own, returned as ``rescaled``, and
+    lax o oplax = id is confirmed strictly on the first pair.
     """
     strict = True
     scalar = None
@@ -527,8 +477,8 @@ def is_separable_functor(ictx, pairs, verify_witness=True):
         elif scalar != c:
             consistent = False
     separable = consistent and scalar is not None and not scalar.is_zero()
-    witness_ok = None
-    if separable and verify_witness and pairs:
+    rescaled = witness_ok = None
+    if separable:
         rescaled = InductionContext(
             ictx.incl,
             rescale_frobenius_data(ictx.frob, Cyclotomic.promote(1) / scalar),
@@ -536,12 +486,13 @@ def is_separable_functor(ictx, pairs, verify_witness=True):
         )
         V, U = pairs[0]
         witness_ok = (lax_pair(rescaled, V, U)[0] * oplax_pair(rescaled, V, U)[0]).is_identity()
-        separable = separable and witness_ok
+        separable = witness_ok
     return {
         "separable": separable,
         "scalar": scalar,
         "strict_at_current_scale": strict,
         "witness_verified": witness_ok,
+        "rescaled": rescaled,
     }
 
 

@@ -7,7 +7,7 @@ from . import _kernel as K
 from .errors import PipelineError, ShapeError
 from .exact_math import Matrix, _add, id_kron, kron_id
 from .induction import _insertion, induce, ind_morphism, lax_pair, oplax_pair
-from .hopf_core import _first_defect, algebra_generators
+from .hopf_core import _first_defect, algebra_generators, cached
 from .module_theory import HModule, ModuleMap, tensor_modules
 from .reports import Report
 
@@ -230,6 +230,7 @@ def yd_braiding_natural(f_src, f_tgt, g_src, g_tgt, f_mat, g_mat):
 # ---------------------------------------------------------------------------
 
 
+@cached(key=lambda M: (M.name, M.module.key(), M.coaction.key()))
 def z_induce(ictx, M):
     """Induce a YD module over K to one over H along a central Frobenius extension.
 
@@ -241,10 +242,6 @@ def z_induce(ictx, M):
     """
     if not ictx.central:
         raise PipelineError("z_induce requires a central Frobenius extension")
-    memo = ("zind", M.name, M.module.key(), M.coaction.key())
-    got = ictx._cache.get(memo)
-    if got is not None:
-        return got
     incl = ictx.incl
     r = ictx.rank
     ind = induce(ictx, M.module)
@@ -279,7 +276,6 @@ def z_induce(ictx, M):
     rep = verify_yd(out)
     if not rep.ok:
         raise PipelineError("z_induce output failed YD verification: %r" % rep.failures())
-    ictx._cache[memo] = out
     return out
 
 

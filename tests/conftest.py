@@ -12,7 +12,7 @@ from hopfkit.builders import (
 )
 from hopfkit.exact_math import Matrix, root_of_unity
 from hopfkit.extension import HopfInclusion, trivial_inclusion, unit_inclusion
-from hopfkit.hopf_core import subhopf_from_basis
+from hopfkit.hopf_core import LinearFunctional, subhopf_from_basis
 from hopfkit.induction import induction_context
 from hopfkit.module_theory import HModule
 from hopfkit.yetter_drinfeld import yd_line
@@ -95,6 +95,13 @@ def criterion_09_registry(h8_incl, taft3, uq3, uq5):
     D4, dincl4 = drinfeld_double(KG)
     registry.append(("kK<Drin", dincl4))
     return registry
+
+
+def alpha_criterion(incl, dec):
+    """alpha_H restricted to K equals alpha_K, for the FrobeniusDecision dec:
+    the Frobenius criterion through the distinguished grouplikes."""
+    on_K = LinearFunctional(incl.N, [dec.alpha_H(col) for col in incl.embed_cols()])
+    return on_K == dec.alpha_K
 
 
 def kchar(K, ex, ey, name=None):

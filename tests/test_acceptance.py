@@ -10,7 +10,8 @@ import time
 from fractions import Fraction
 
 import hopfkit._kernel as K
-from conftest import criterion_09_registry, h8_v1, h8_v2, kchar, kline, record_criterion
+from conftest import (alpha_criterion, criterion_09_registry, h8_v1, h8_v2, kchar, kline,
+                      record_criterion)
 from hopfkit.builders import (
     CartanDatum,
     cartan_row_sum_check,
@@ -41,6 +42,7 @@ from hopfkit.frob_objects import (
     is_special,
     push_frobenius,
     trivial_frobenius,
+    verify_frobenius_object,
 )
 from hopfkit.hopf_core import (
     integral_space,
@@ -185,6 +187,7 @@ def test_criterion_04_twelve_rigid_frobenius_algebras(h8_ictx):
 def test_criterion_05_zone_h_example(h8_ictx):
     t0 = time.monotonic()
     A = push_frobenius(h8_ictx, trivial_frobenius(h8_ictx.incl.K))
+    assert verify_frobenius_object(A).ok
     # unit = (1 + z)/2 x 1 identifies the basis (1_A, a)
     assert [str(A.unit.entry(i, 0)) for i in range(2)] == ["1/2", "1/2"]
     P = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]])
@@ -236,10 +239,10 @@ def _criterion_06_for(uq, l, budget):
         else:
             assert val.is_zero(), (j, i)
     assert top == 1
-    dec = is_frobenius_extension(cart, bq)
+    dec = is_frobenius_extension(cart)
     assert dec.frobenius
     assert not is_normal_subalgebra(cart)
-    assert is_central_extension(cart, bq) is False
+    assert is_central_extension(cart) is False
     assert is_dual_unimodular(bq)
     return cart
 
@@ -284,7 +287,7 @@ def test_criterion_07_drinfeld_doubles(h8_incl):
         assert pm.report["lproj-pair-mutually-inverse"].status == "pass"
         assert pm.report["rproj-pair-mutually-inverse"].status == "pass"
         # lambda_Drin(f x h) = eps(h) f(Lambda_H) for a left integral of H, up to scale
-        lamH = lift_bar_functional(ana.bq)
+        lamH = lift_bar_functional(bar_quotient(incl))
         LamH = integral_space(H, "left")[0].lift(incl.N)
         n = H.dim
         vals = []
@@ -306,14 +309,11 @@ def test_criterion_07_drinfeld_doubles(h8_incl):
 def test_criterion_08_taft_negative_control(taft3):
     t0 = time.monotonic()
     T, incl = taft3
-    bq = bar_quotient(incl)
-    dec = is_frobenius_extension(incl, bq)
+    dec = is_frobenius_extension(incl)
     assert dec.frobenius is False
-    assert dec.via_chi is False  # chi != eps_K
-    assert dec.via_alpha is False  # alpha mismatch
-    assert dec.chi != incl.K.counit_functional()
     # the two criteria agree (asserted internally as well)
-    assert dec.via_chi == dec.via_alpha
+    assert dec.chi != incl.K.counit_functional()  # chi != eps_K
+    assert not alpha_criterion(incl, dec)  # alpha mismatch
     elapsed = time.monotonic() - t0
     record_criterion(8, True, "%.2fs" % elapsed)
     assert elapsed < 1.0
@@ -327,15 +327,16 @@ def test_criterion_09_cross_consistency(h8_incl, taft3, uq3, uq5):
         bq = bar_quotient(incl)
         # (chi = eps) <=> (alpha_H|_K = alpha_K), plus the convolution identity:
         # is_frobenius_extension raises on any disagreement
-        dec = is_frobenius_extension(incl, bq)
-        assert dec.via_chi == dec.via_alpha, name
+        dec = is_frobenius_extension(incl)
+        chi_criterion = dec.chi == incl.K.counit_functional()
+        assert dec.frobenius == chi_criterion == alpha_criterion(incl, dec), name
         # FMS lambda' construction is proportional to the solver lambda, nonzero
         lamH = lift_bar_functional(bq)
         ratio = fms_lambda_construction(incl).is_proportional(lamH)
         assert ratio is not None and not ratio.is_zero(), name
         # central => bar-dual unimodular
         if dec.frobenius:
-            central = is_central_extension(incl, bq)
+            central = is_central_extension(incl)
             if central:
                 assert is_dual_unimodular(bq), name
             # (H* and K* unimodular and Frobenius) => central
@@ -371,7 +372,7 @@ def test_criterion_11_scale_robustness(h8, h8_incl, h8_ictx):
     assert frob7.tr_K == ana1.frob.tr_K.scale(7)
     assert Cyclotomic(h8_incl.N, frob7.deltas[0][0]) == Fraction(1, 14)
     # ... and both dual-basis identities still hold (invariant under the rescale)
-    central7 = is_central_extension(h8_incl, bar_quotient(h8_incl), tr_K=frob7.tr_K)
+    central7 = is_central_extension(h8_incl, tr_K=frob7.tr_K)
     ictx7 = InductionContext(h8_incl, frob7, central=central7)
 
     # criterion 2 outcomes unchanged

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import hopfkit._kernel as K
-from conftest import criterion_09_registry
+from conftest import alpha_criterion, criterion_09_registry
 from hopfkit.builders import cyclic_table, group_algebra, taft, trivial_hopf
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, Matrix, _add
@@ -192,16 +192,15 @@ def test_h8_lambda(h8_incl):
 
 
 def test_h8_chi_trivial_and_frobenius(h8_incl):
-    bq = bar_quotient(h8_incl)
-    chi = relative_modular_function(h8_incl, bq)
+    chi = relative_modular_function(h8_incl)
     assert chi == h8_incl.K.counit_functional()
-    dec = is_frobenius_extension(h8_incl, bq)
-    assert dec.frobenius and dec.via_chi and dec.via_alpha
+    dec = is_frobenius_extension(h8_incl)
+    assert dec.frobenius and dec.chi == chi and alpha_criterion(h8_incl, dec)
 
 
 def test_h8_integral_type(h8_incl):
     bq = bar_quotient(h8_incl)
-    Lam = check_integral_type(h8_incl, bq)
+    Lam = check_integral_type(h8_incl)
     assert Lam is not None
     # oracle: lambda(bar(Lambda h)) = eps(h) for all basis h
     H = h8_incl.H
@@ -259,23 +258,22 @@ def test_h8_centrality_and_normality(h8_incl):
 
 
 def test_central_agrees_with_bicomodule_criterion(h8_incl):
-    bq = bar_quotient(h8_incl)
-    frob = make_frobenius_data(h8_incl, bq)
+    frob = make_frobenius_data(h8_incl)
     # is_central_extension asserts internally that both criteria agree
-    assert is_central_extension(h8_incl, bq, tr_K=frob.tr_K) is True
+    assert is_central_extension(h8_incl, tr_K=frob.tr_K) is True
 
 
 def test_taft_not_frobenius(taft3):
     T, incl = taft3
     bq = bar_quotient(incl)
     assert bq.dim == 3
-    dec = is_frobenius_extension(incl, bq)
+    dec = is_frobenius_extension(incl)
     assert not dec.frobenius
-    assert not dec.via_chi and not dec.via_alpha
+    assert not alpha_criterion(incl, dec)
     # chi is an algebra map but differs from the counit
     assert dec.chi != incl.K.counit_functional()
     # integral-type element exists even though Frobenius fails
-    assert check_integral_type(incl, bq) is not None
+    assert check_integral_type(incl) is not None
 
 
 def test_sweedler_t2():
@@ -321,15 +319,14 @@ def test_klein_subgroup_inclusion(h8):
 
 def test_scale_seven(h8_incl):
     ana1 = analyze_extension(h8_incl)
-    bq = bar_quotient(h8_incl)
-    scaled = rescale_frobenius_data(make_frobenius_data(h8_incl, bq), Cyclotomic.promote(7))
+    scaled = rescale_frobenius_data(make_frobenius_data(h8_incl), Cyclotomic.promote(7))
     assert scaled.lam.value(0) == 14
     assert scaled.tr_K == ana1.frob.tr_K.scale(7)
     d1 = Cyclotomic(h8_incl.N, scaled.deltas[0][0])
     assert d1 == Fraction(1, 14)
     # booleans unchanged
-    assert is_central_extension(h8_incl, bq, tr_K=scaled.tr_K) == ana1.central
-    assert is_frobenius_extension(h8_incl, bq).frobenius == ana1.decision.frobenius
+    assert is_central_extension(h8_incl, tr_K=scaled.tr_K) == ana1.central
+    assert is_frobenius_extension(h8_incl).frobenius == ana1.decision.frobenius
 
 
 # sha256 of repr((tr_K.key(), deltas)) for each scale in 1, 7, 1/2, recorded
@@ -358,10 +355,9 @@ def test_frobenius_data_is_pinned(spec, digests):
     from hopfkit.cli import resolve_inclusion
 
     incl = resolve_inclusion(spec)
-    bq = bar_quotient(incl)
     got = []
     for scale in (1, 7, Fraction(1, 2)):
-        fr = rescale_frobenius_data(make_frobenius_data(incl, bq), Cyclotomic.promote(scale))
+        fr = rescale_frobenius_data(make_frobenius_data(incl), Cyclotomic.promote(scale))
         blob = repr((fr.tr_K.key(), [list(d) for d in fr.deltas])).encode()
         got.append(hashlib.sha256(blob).hexdigest())
     assert got == digests
@@ -447,7 +443,7 @@ def test_modular_function_and_integral_type_make_no_products(monkeypatch, spec):
     from hopfkit.hopf_core import FinHopf
 
     incl = resolve_inclusion(spec)
-    bq = bar_quotient(incl)
+    bar_quotient(incl)  # Hbar is formed from products; it is kept on incl
     calls = []
     real = FinHopf.mult_vec
 
@@ -456,8 +452,8 @@ def test_modular_function_and_integral_type_make_no_products(monkeypatch, spec):
         return real(self, u, v)
 
     monkeypatch.setattr(FinHopf, "mult_vec", counted)
-    chi = relative_modular_function(incl, bq)
-    Lambda = check_integral_type(incl, bq)
+    chi = relative_modular_function(incl)
+    Lambda = check_integral_type(incl)
     assert calls == []
     assert chi.dim == incl.K.dim and Lambda is not None
 
@@ -480,7 +476,7 @@ def test_lambda_is_one_at_the_first_coset_it_does_not_vanish_on(h8_incl, taft3, 
         lamH = lift_bar_functional(bq)
         h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
         assert lamH.values[h0] == K.s_one(incl.ctx), name
-        chi = relative_modular_function(incl, bq)
+        chi = relative_modular_function(incl)
         assert chi.values[0] == K.s_one(incl.ctx), name
 
 
@@ -527,9 +523,8 @@ def test_dual_basis_defect_names_the_full_scan_witness(h8_incl):
     from hopfkit.extension import _reconstruction_defect, _verify_dual_bases, frobenius_morphism
 
     incl = h8_incl
-    bq = bar_quotient(incl)
     free, _ = free_basis(incl)
-    tr = frobenius_morphism(incl, bq)
+    tr = frobenius_morphism(incl)
     deltas = dual_bases(incl, tr, free)
     _verify_dual_bases(incl, tr, free, deltas)
     ctx = incl.ctx
@@ -567,3 +562,25 @@ def _normal_on_every_basis_element(incl):
 def test_normality_on_generators_matches_the_full_scan(h8_incl, taft3, uq3, uq5):
     for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
         assert is_normal_subalgebra(incl) == _normal_on_every_basis_element(incl), name
+
+
+def test_bar_quotient_is_built_once_per_inclusion(monkeypatch):
+    # Hbar is a function of the inclusion, kept in its cache: the analysis and
+    # the induction context of one inclusion share it
+    from hopfkit.builders import kac_paljutkin
+    from hopfkit.extension import BarQuotient
+    from hopfkit.induction import induction_context
+
+    built = []
+    real = BarQuotient.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(BarQuotient, "__init__", counted)
+    incl = kac_paljutkin()[1]
+    analyze_extension(incl)
+    induction_context(incl)
+    assert len(built) == 1
+    assert bar_quotient(incl) is built[0]

@@ -60,6 +60,7 @@ def test_zone_h_counit_flip_fails(h8_ictx):
     # the true counit is (1, 1) in carrier coordinates (equivalently eps(a) = 0
     # in the unit/complement basis); zeroing the second value breaks counitality
     A = push_frobenius(h8_ictx, trivial_frobenius(h8_ictx.incl.K))
+    assert verify_frobenius_object(A).ok
     bad = FrobObject(A.carrier, A.mult, A.unit, A.comult, Matrix.from_rows([[1, 0]]), name="bad")
     rep = verify_frobenius_object(bad)
     assert not rep.ok
@@ -103,6 +104,7 @@ def test_push_matches_direct_tables_except_fermionic_sign(sctx, n, ex, ey):
     ledger)."""
     A = build_group_etale(sctx.incl.K, n, ex, ey)
     B1 = push_frobenius(sctx, A)
+    assert verify_frobenius_object(B1).ok
     B2 = direct_b_algebra(sctx, n, ex, ey)
     if (ex, ey) != (-1, -1):
         assert frob_objects_equal(B1, B2)
@@ -120,6 +122,7 @@ def test_push_matches_direct_tables_except_fermionic_sign(sctx, n, ex, ey):
 def test_beta_scalars_at_canonical_normalization(h8_ictx):
     A = build_group_etale(h8_ictx.incl.K, "x", 1, 1)
     B = push_frobenius(h8_ictx, A)
+    assert verify_frobenius_object(B).ok
     # with tr(1) = 2 the composite lax o oplax is 2 id, so beta_B doubles
     assert is_special(B) == (4, 1)
 
@@ -128,6 +131,7 @@ def test_connectedness_fails_for_direct_sum(h8_ictx):
     # A (+) A has a two-dimensional invariant space
     one = trivial_frobenius(h8_ictx.incl.K)
     A = push_frobenius(h8_ictx, one)
+    assert verify_frobenius_object(A).ok
     mod = A.module
     from hopfkit.module_theory import direct_sum
 
@@ -215,12 +219,11 @@ def test_rescale_moves_a_rational_scalar_down_and_refuses_an_irrational_one(h8_i
 def test_rescale_lowers_a_scalar_that_lies_in_the_common_subfield(h8_incl):
     from hopfkit.errors import PipelineError
     from hopfkit.exact_math import Cyclotomic, root_of_unity
-    from hopfkit.extension import HopfInclusion, bar_quotient, make_frobenius_data
+    from hopfkit.extension import HopfInclusion, make_frobenius_data
 
     incl = HopfInclusion(h8_incl.K, h8_incl.H, h8_incl.embed.lift(4))
     assert incl.N == 4
-    bq = bar_quotient(incl)
-    frob = make_frobenius_data(incl, bq)
+    frob = make_frobenius_data(incl)
 
     def data(fr):
         return fr.lam, fr.tr_K, fr.deltas

@@ -239,5 +239,5 @@ def test_pushed_etale_objects_match_the_full_scans(h8_ictx):
                 _checks(verify_yd(B.carrier)))
 
     for params in ETALE:
-        B = push_frobenius(h8_ictx, build_group_etale(h8_ictx.incl.K, *params), verify=False)
+        B = push_frobenius(h8_ictx, build_group_etale(h8_ictx.incl.K, *params))
         assert scans(B) == _on_all_of_h(scans, B)

@@ -6,7 +6,7 @@ from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, small
 from hopfkit.errors import PipelineError
 from hopfkit.exact_math import Matrix
 from hopfkit.extension import HopfInclusion
-from hopfkit.frob_objects import push_frobenius, trivial_frobenius
+from hopfkit.frob_objects import push_frobenius, trivial_frobenius, verify_frobenius_object
 from hopfkit.hopf_core import subhopf_from_basis
 from hopfkit.induction import (
     induce,
@@ -46,6 +46,7 @@ def test_all_klein_lines_are_yd(h8_incl):
 
 def test_zone_h_object_is_yd(h8, h8_ictx):
     A = push_frobenius(h8_ictx, trivial_frobenius(h8_ictx.incl.K))
+    assert verify_frobenius_object(A).ok
     assert verify_yd(A.carrier).ok
     # trivial coaction means Psi is the plain swap; in particular a x a -> a x a
     psi = yd_braiding(A.carrier, A.carrier)
@@ -134,7 +135,7 @@ def test_z_induce_trivial_inclusion(h8):
     assert Z.coaction == M.coaction
 
 
-def test_z_induce_refuses_non_central():
+def test_z_induce_refuses_non_central(h8_ictx):
     uq = small_quantum_sl2(3)
     ictx = induction_context(uq.cartan())
     assert ictx.central is False
@@ -142,7 +143,10 @@ def test_z_induce_refuses_non_central():
     for _ in range(2):  # nothing is cached by a refusal
         with pytest.raises(PipelineError):
             z_induce(ictx, M)
-    assert not [key for key in ictx._cache if key[0] == "zind"]
+    assert not [key for key in ictx._cache if key[0] == "z_induce"]
+    # a central context keeps what z_induce builds under that name
+    z_induce(h8_ictx, trivial_yd(h8_ictx.incl.K))
+    assert [key for key in h8_ictx._cache if key[0] == "z_induce"]
 
 
 def test_z_induce_module_part_is_induce(h8_ictx):
