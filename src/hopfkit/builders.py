@@ -7,10 +7,12 @@ form of the relations: a product of two normal-form words of H8 or of a Taft
 algebra is one word times a scalar (or, for z^2 in H8, four words); a product
 in small quantum sl2 is a q-power rescaling of the PBW expansion of some
 e^i f^j; a product in a double sums a middle functional, built once per pair
-of outer factors, over the iterated coproduct.  Coproducts and antipodes of
-monomials are obtained by multiplying out the generator images, each from
-that of a shorter monomial, in the tensor-square algebra for coproducts.
-verify_hopf then certifies the result.
+of outer factors, over the iterated coproduct.  The labels, coproducts,
+counits and antipodes of the monomial bases of H8, Taft and small quantum
+sl2 come from one helper, ``_pbw``: each monomial multiplies the images of
+its first generator with those of the shorter monomial, in the
+tensor-square algebra for coproducts.  Every builder writes FinHopf's raw
+tables.  verify_hopf then certifies the result.
 
 Each constructor builds a Hopf algebra by construction, so the derived
 checks run on generating sets of its result (see ``hopf_core``);
@@ -21,7 +23,6 @@ algebra.
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 
 from . import _kernel as K
 from .errors import HopfkitError
@@ -52,6 +53,37 @@ def _tensor_square_mul(ctx, mult, n, u, v):
                 for k2, s2 in right:
                     _add(ctx, out, k1 * n + k2, K.s_mul(ctx, a, s2))
     return out
+
+
+def _pbw(ctx, mult, names, words, gens):
+    """Labels, coproduct rows, counit and antipode columns of a monomial basis.
+
+    Basis element t is the monomial of the exponent tuple words[t] in the
+    generators named by ``names``; the empty word comes first, and each
+    other word after the word with its first nonzero exponent lowered by
+    one.  gens[s] = (Delta(g_s), eps(g_s), S(g_s)), Delta keyed i*n + j.
+    Each monomial peels its first generator off that shorter word w:
+    Delta(g_s w) = Delta(g_s)Delta(w), eps(g_s w) = eps(g_s)eps(w) and
+    S(g_s w) = S(w)S(g_s).
+    """
+    n = len(words)
+    one = K.s_one(ctx)
+    index = {w: t for t, w in enumerate(words)}
+    labels = ["1"]
+    delta = [{0: one}]
+    counit = [one]
+    S = [{0: one}]
+    for w in words[1:]:
+        s = next(s for s, e in enumerate(w) if e)
+        r = index[w[:s] + (w[s] - 1,) + w[s + 1:]]
+        d_g, e_g, S_g = gens[s]
+        labels.append("".join(name if e == 1 else "%s^%d" % (name, e)
+                              for name, e in zip(names, w) if e))
+        delta.append(_tensor_square_mul(ctx, mult, n, d_g, delta[r]))
+        counit.append(K.s_mul(ctx, e_g, counit[r]))
+        S.append(_table_mul(ctx, mult, n, S[r], S_g))
+    return (labels, tuple(tuple(sorted(d.items())) for d in delta), tuple(counit),
+            tuple(tuple(sorted(v.items())) for v in S))
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +141,19 @@ def group_algebra(table, name="kG", labels=None):
     if e != 0:
         raise HopfkitError("identity must be element 0 of the table")
     n = len(table)
-    labels = labels or ["g%d" % i for i in range(n)]
-    mult = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
-    comult = {(i, i, i): 1 for i in range(n)}
-    unit = [1 if i == 0 else 0 for i in range(n)]
-    counit = [1] * n
-    inv = [table[i].index(0) for i in range(n)]
-    S = Matrix.from_rows([[1 if i == inv[j] else 0 for j in range(n)] for i in range(n)])
-    return FinHopf.from_tensors(name, labels, mult, unit, comult, counit, S)
+    ctx = K.make_ctx(1)
+    one = K.s_one(ctx)
+    z = K.s_zero(ctx)
+    return FinHopf(
+        name,
+        labels or ["g%d" % i for i in range(n)],
+        1,
+        tuple(((table[i][j], one),) for i in range(n) for j in range(n)),
+        tuple(one if i == 0 else z for i in range(n)),
+        tuple(((i * n + i, one),) for i in range(n)),
+        (one,) * n,
+        tuple(((table[j].index(0), one),) for j in range(n)),
+    )
 
 
 def trivial_hopf():
@@ -129,28 +166,7 @@ def trivial_hopf():
 # ---------------------------------------------------------------------------
 
 _H8_WORDS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-_H8_LABELS = ["1", "x", "y", "z", "xy", "xz", "yz", "xyz"]
 _H8_INDEX = {w: i for i, w in enumerate(_H8_WORDS)}
-
-
-def _h8_mult_word(w1, w2):
-    """Product of two normal-form words x^a y^b z^c, as {basis index: Fraction}."""
-    a, b, c = w1
-    a2, b2, c2 = w2
-    if c == 0:
-        aa, bb, cc = (a ^ a2, b ^ b2, c2)
-        return {_H8_INDEX[(aa, bb, cc)]: Fraction(1)}
-    # z x^a2 y^b2 = x^b2 y^a2 z
-    aa, bb = a ^ b2, b ^ a2
-    if c2 == 0:
-        return {_H8_INDEX[(aa, bb, 1)]: Fraction(1)}
-    # z^2 = (1 + x + y - xy)/2
-    half = Fraction(1, 2)
-    out = {}
-    for (da, db), sign in (((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), -1)):
-        idx = _H8_INDEX[(aa ^ da, bb ^ db, 0)]
-        out[idx] = out.get(idx, Fraction(0)) + sign * half
-    return {i: v for i, v in out.items() if v}
 
 
 def kac_paljutkin():
@@ -162,41 +178,31 @@ def kac_paljutkin():
     S fixes x, y and z (S swaps the x/y exponents on words containing z).
     """
     n = 8
-    mult = {}
-    for i, w1 in enumerate(_H8_WORDS):
-        for j, w2 in enumerate(_H8_WORDS):
-            for k2, v in _h8_mult_word(w1, w2).items():
-                mult[(i, j, k2)] = v
+    ctx = K.make_ctx(1)
+    one = K.s_one(ctx)
+    half = K.s_from_ratio(ctx, 1, 2)
+    # z^2 = (1 + x + y - xy)/2, as the signed x/y exponent shifts
+    z2 = (((0, 0), half), ((1, 0), half), ((0, 1), half), ((1, 1), K.s_neg(half)))
+    mult = []
+    for a, b, c in _H8_WORDS:
+        for a2, b2, c2 in _H8_WORDS:
+            if c:
+                # z x^a2 y^b2 = x^b2 y^a2 z
+                a2, b2 = b2, a2
+            if c + c2 < 2:
+                mult.append(((_H8_INDEX[(a ^ a2, b ^ b2, c + c2)], one),))
+            else:
+                mult.append(tuple(sorted(
+                    (_H8_INDEX[(a ^ a2 ^ da, b ^ b2 ^ db, 0)], s) for (da, db), s in z2)))
+    mult = tuple(mult)
 
+    x, y, z, xz, yz = (_H8_INDEX[w]
+                       for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)))
     # Delta(z) = 1/2 (z x z + z x xz + yz x z - yz x xz)
-    dz = {
-        (_H8_INDEX[(0, 0, 1)], _H8_INDEX[(0, 0, 1)]): Fraction(1, 2),
-        (_H8_INDEX[(0, 0, 1)], _H8_INDEX[(1, 0, 1)]): Fraction(1, 2),
-        (_H8_INDEX[(0, 1, 1)], _H8_INDEX[(0, 0, 1)]): Fraction(1, 2),
-        (_H8_INDEX[(0, 1, 1)], _H8_INDEX[(1, 0, 1)]): Fraction(-1, 2),
-    }
-    comult = {}
-    for i, (a, b, c) in enumerate(_H8_WORDS):
-        g = _H8_INDEX[(a, b, 0)]
-        if c == 0:
-            comult[(i, g, g)] = Fraction(1)
-        else:
-            # (g x g) * Delta(z), multiplied out in each tensor leg
-            for (p, q), v in dz.items():
-                for p2, vp in _h8_mult_word(_H8_WORDS[g], _H8_WORDS[p]).items():
-                    for q2, vq in _h8_mult_word(_H8_WORDS[g], _H8_WORDS[q]).items():
-                        key = (i, p2, q2)
-                        comult[key] = comult.get(key, Fraction(0)) + v * vp * vq
-    comult = {k2: v for k2, v in comult.items() if v}
-
-    unit = [1, 0, 0, 0, 0, 0, 0, 0]
-    counit = [1] * 8
-    Srows = [[0] * 8 for _ in range(8)]
-    for j, (a, b, c) in enumerate(_H8_WORDS):
-        img = _H8_INDEX[(b, a, 1)] if c else j
-        Srows[img][j] = 1
-    S = Matrix.from_rows(Srows)
-    H8 = FinHopf.from_tensors("H8", _H8_LABELS, mult, unit, comult, counit, S)
+    dz = {z * n + z: half, z * n + xz: half, yz * n + z: half, yz * n + xz: K.s_neg(half)}
+    gens = [({g * n + g: one}, one, {g: one}) for g in (x, y)] + [(dz, one, {z: one})]
+    labels, comult, counit, Scols = _pbw(ctx, mult, "xyz", _H8_WORDS, gens)
+    H8 = FinHopf("H8", labels, 1, mult, (one,) + (K.s_zero(ctx),) * (n - 1), comult, counit, Scols)
 
     Kk, embed = subhopf_from_basis(H8, [0, 1, 2, 4], name="kK")
     return H8, HopfInclusion(Kk, H8, embed)
@@ -226,16 +232,6 @@ def taft(l, q_power=1):
     def idx(a, b):
         return a * l + b
 
-    labels = []
-    for a in range(l):
-        for b in range(l):
-            if a == 0 and b == 0:
-                labels.append("1")
-            else:
-                la = ("g^%d" % a if a > 1 else "g") if a else ""
-                lb = ("x^%d" % b if b > 1 else "x") if b else ""
-                labels.append(la + lb)
-
     # x^b g^a2 = q^(-a2 b) g^a2 x^b
     mult = tuple(
         ((idx((a + a2) % l, b + b2), q[(-a2 * b) % l]),) if b + b2 < l else ()
@@ -244,46 +240,16 @@ def taft(l, q_power=1):
 
     one = K.s_one(ctx)
     z = K.s_zero(ctx)
-    dg = {idx(1, 0) * n + idx(1, 0): one}
-    dx = {idx(0, 1) * n + idx(0, 0): one, idx(1, 0) * n + idx(0, 1): one}
-    delta = [None] * n
-    delta[idx(0, 0)] = {idx(0, 0) * n + idx(0, 0): one}
-    for a in range(l):
-        for b in range(l):
-            if a == 0 and b == 0:
-                continue
-            if a > 0:
-                delta[idx(a, b)] = _tensor_square_mul(ctx, mult, n, dg, delta[idx(a - 1, b)])
-            elif b > 1:
-                delta[idx(a, b)] = _tensor_square_mul(ctx, mult, n, delta[idx(a, b - 1)], dx)
-            else:
-                delta[idx(a, b)] = dx
-
-    # S(g^a x^b) = S(x)^b S(g)^a with S(g) = g^(l-1) and S(x) = -g^(l-1) x;
-    # each S(x)^b is extended by S(g) once per a
-    sg = {idx(l - 1, 0): one}
-    sx = {idx(l - 1, 1): K.s_neg(one)}
-    Scols = [None] * n
-    w_x = {idx(0, 0): one}
-    for b in range(l):
-        if b:
-            w_x = _table_mul(ctx, mult, n, w_x, sx)
-        w = w_x
-        for a in range(l):
-            if a:
-                w = _table_mul(ctx, mult, n, w, sg)
-            Scols[idx(a, b)] = tuple(sorted(w.items()))
-
-    T = FinHopf(
-        "T%d(z^%d)" % (l, q_power),
-        labels,
-        l,
-        mult,
-        tuple(one if i == 0 else z for i in range(n)),
-        tuple(tuple(sorted(d.items())) for d in delta),
-        tuple(one if i % l == 0 else z for i in range(n)),
-        tuple(Scols),
-    )
+    g, x = idx(1, 0), idx(0, 1)
+    gens = [
+        ({g * n + g: one}, one, {idx(l - 1, 0): one}),
+        # S(x) = -g^(l-1) x
+        ({x * n: one, g * n + x: one}, z, {idx(l - 1, 1): K.s_neg(one)}),
+    ]
+    words = [(a, b) for a in range(l) for b in range(l)]
+    labels, comult, counit, Scols = _pbw(ctx, mult, "gx", words, gens)
+    unit = (one,) + (z,) * (n - 1)
+    T = FinHopf("T%d(z^%d)" % (l, q_power), labels, l, mult, unit, comult, counit, Scols)
     Kk, embed = subhopf_from_basis(T, [idx(a, 0) for a in range(l)], name="kC%d" % l)
     return T, HopfInclusion(Kk, T, embed)
 
@@ -342,9 +308,8 @@ def small_quantum_sl2(l):
 
     Only the l^2 products e^i f^j need the commutator [e, f]; they are
     expanded once.  Every other product is one of them rescaled by a power
-    of q and shifted (see the comment at the product loop).  Coproducts
-    multiply out Delta(f), Delta(k), Delta(e) in H x H, and the antipode of
-    each monomial extends that of a shorter one by one factor.
+    of q and shifted (see the comment at the product loop).  Coproducts,
+    counit and antipode come from those of f, k and e (``_pbw``).
     """
     if l < 3 or l % 2 == 0:
         raise HopfkitError("small_quantum_sl2 needs odd l >= 3")
@@ -417,68 +382,18 @@ def small_quantum_sl2(l):
     e_f = idx(1, 0, 0)
     e_k = idx(0, 1, 0)
     e_kinv = idx(0, l - 1, 0)
-
-    d_e = {e_1 * n + e_e: one, e_e * n + e_k: one}
-    d_f = {e_kinv * n + e_f: one, e_f * n + e_1: one}
-    d_k = {e_k * n + e_k: one}
-
-    delta = [None] * n
-    delta[e_1] = {e_1 * n + e_1: one}
-    for j in range(l):
-        for m in range(l):
-            for i in range(l):
-                t = idx(j, m, i)
-                if t == e_1:
-                    continue
-                if j > 0:
-                    delta[t] = _tensor_square_mul(ctx, mult, n, d_f, delta[idx(j - 1, m, i)])
-                elif m > 0:
-                    delta[t] = _tensor_square_mul(ctx, mult, n, d_k, delta[idx(0, m - 1, i)])
-                elif i > 1:
-                    delta[t] = _tensor_square_mul(ctx, mult, n, delta[idx(0, 0, i - 1)], d_e)
-                else:
-                    delta[t] = d_e
-    comult_rows = tuple(tuple(sorted(d.items())) for d in delta)
-
-    # antipode: S(f^j k^m e^i) = S(e)^i S(k)^m S(f)^j, with
-    # S(e) = -e k^-1 and S(f) = -k f computed through the product; each
-    # S(e)^i S(k)^m is extended by S(f) once per j
-    Se = _table_mul(ctx, mult, n, {e_e: K.s_neg(one)}, {e_kinv: one})
-    Sf = _table_mul(ctx, mult, n, {e_k: K.s_neg(one)}, {e_f: one})
-    Sk = {e_kinv: one}
-    Scols = [None] * n
-    w_e = {e_1: one}
-    for i in range(l):
-        if i:
-            w_e = _table_mul(ctx, mult, n, w_e, Se)
-        w_k = w_e
-        for m in range(l):
-            if m:
-                w_k = _table_mul(ctx, mult, n, w_k, Sk)
-            w = w_k
-            for j in range(l):
-                if j:
-                    w = _table_mul(ctx, mult, n, w, Sf)
-                Scols[idx(j, m, i)] = tuple(sorted(w.items()))
-
-    unit = tuple(one if t == e_1 else z for t in range(n))
-    counit = []
-    for j in range(l):
-        for m in range(l):
-            for i in range(l):
-                counit.append(one if i == 0 and j == 0 else z)
-    labels = []
-    for j in range(l):
-        for m in range(l):
-            for i in range(l):
-                parts = []
-                if j:
-                    parts.append("f^%d" % j if j > 1 else "f")
-                if m:
-                    parts.append("k^%d" % m if m > 1 else "k")
-                if i:
-                    parts.append("e^%d" % i if i > 1 else "e")
-                labels.append("".join(parts) or "1")
+    gens = [
+        # Delta(f) = k^-1 x f + f x 1, S(f) = -k f
+        ({e_kinv * n + e_f: one, e_f * n + e_1: one}, z,
+         _table_mul(ctx, mult, n, {e_k: K.s_neg(one)}, {e_f: one})),
+        ({e_k * n + e_k: one}, one, {e_kinv: one}),
+        # Delta(e) = 1 x e + e x k, S(e) = -e k^-1
+        ({e_1 * n + e_e: one, e_e * n + e_k: one}, z,
+         _table_mul(ctx, mult, n, {e_e: K.s_neg(one)}, {e_kinv: one})),
+    ]
+    words = [(j, m, i) for j in range(l) for m in range(l) for i in range(l)]
+    labels, comult_rows, counit, Scols = _pbw(ctx, mult, "fke", words, gens)
+    unit = (one,) + (z,) * (n - 1)
 
     hopf = FinHopf(
         "u%d(sl2)" % l,
@@ -487,8 +402,8 @@ def small_quantum_sl2(l):
         mult,
         unit,
         comult_rows,
-        tuple(counit),
-        tuple(Scols),
+        counit,
+        Scols,
         convention="kassel: Delta(e)=1xe+exk, Delta(f)=k^-1xf+fx1, ke=q^2ek",
     )
     return SmallQuantumSL2(l, hopf)
@@ -779,14 +694,7 @@ def unimodularity_scan_sl2(l):
     out = []
     for i_plus in (False, True):
         for i_minus in (False, True):
-            if not i_plus and not i_minus:
-                sub = uq.cartan().K
-            elif i_plus and not i_minus:
-                sub = uq.borel_plus().K
-            elif not i_plus and i_minus:
-                sub = uq.borel_minus().K
-            else:
-                sub = uq.hopf
+            sub = uq.hopf if i_plus and i_minus else uq.subalgebra(i_plus, i_minus).K
             uni = is_unimodular(sub)
             out.append(
                 {

@@ -266,10 +266,6 @@ def parse_scalar(text, N):
 # ---------------------------------------------------------------------------
 
 
-def lift_raw(data, N, M):
-    return K.s_lift(data, N, M) if N != M else data
-
-
 def mat_mul_raw(A, B, ctx):
     """Gustavson product of sparse rows (dicts {col: raw} holding no zero):
     row i of A*B is the sum of a*B[k] over the entries (k, a) of A[i]."""

@@ -341,7 +341,7 @@ def invariant_space_dim(carrier):
     space = RowSpace(d, ctx)
     for i in algebra_generators(H):
         act = mod.action[i]
-        eps = K.s_lift(H.counit[i], H.N, mod.N) if H.N != mod.N else H.counit[i]
+        eps = K.s_lift(H.counit[i], H.N, mod.N)
         for r, arow in enumerate(act.srows):
             row = dict(arow)
             if not K.s_is_zero(eps):
@@ -352,7 +352,7 @@ def invariant_space_dim(carrier):
         coact = carrier.coaction
         unit = H.unit
         for hrow in range(H.dim):
-            u = K.s_lift(unit[hrow], H.N, mod.N) if H.N != mod.N else unit[hrow]
+            u = K.s_lift(unit[hrow], H.N, mod.N)
             for r in range(d):
                 row = dict(coact.srows[hrow * d + r])
                 if not K.s_is_zero(u):

@@ -1,8 +1,8 @@
 """Finite-dimensional Hopf algebras as exact structure-constant tensors.
 
-A FinHopf stores the multiplication and comultiplication as sparse tensors
-over a cyclotomic field, the unit and counit as exact vectors, and the
-antipode as a matrix.  Axiom verification scans basis tuples in the selected
+A FinHopf stores the multiplication, the comultiplication and the antipode
+as sparse rows over a cyclotomic field, and the unit and counit as exact
+vectors.  Axiom verification scans basis tuples in the selected
 arithmetic kernel.  Associativity, Delta(ab) = Delta(a)Delta(b) and
 eps(ab) = eps(a)eps(b) are scanned with one index on an algebra generating
 set only: the middle nucleus {a : (xa)y = x(ay)} is a unital subalgebra for
@@ -52,18 +52,8 @@ from .exact_math import (
     _table_apply,
     _table_mul,
     _tensor,
-    lift_raw,
 )
 from .reports import Report
-
-
-def _to_raw(value, ctx):
-    v = Cyclotomic.promote(value)
-    if v.N == ctx[0]:
-        return v.data
-    if ctx[0] % v.N != 0:
-        raise ShapeError("scalar conductor %d does not divide %d" % (v.N, ctx[0]))
-    return K.s_lift(v.data, v.N, ctx[0])
 
 
 def cached(key=None):
@@ -106,7 +96,7 @@ class LinearFunctional:
     def lift(self, M):
         if M == self.N:
             return self
-        return LinearFunctional(M, [lift_raw(v, self.N, M) for v in self.values])
+        return LinearFunctional(M, [K.s_lift(v, self.N, M) for v in self.values])
 
     def value(self, i):
         return Cyclotomic(self.N, self.values[i])
@@ -159,7 +149,13 @@ class LinearFunctional:
 
 
 class FinHopf:
-    """A finite-dimensional Hopf algebra given by exact structure constants."""
+    """A finite-dimensional Hopf algebra given by exact structure constants.
+
+    The constructor is the only way in, and takes raw tables over
+    Q(zeta_N): ``mult[i*n + j]``, ``comult[i]`` and ``antipode_cols[j]`` are
+    tuples of ``(k, raw)`` pairs sorted by k with no zero scalar, for
+    e_i e_j, Delta(e_i) (k = a*n + b for e_a x e_b) and S(e_j); ``unit``
+    and ``counit`` are dense tuples of n raw scalars."""
 
     __slots__ = (
         "name",
@@ -190,51 +186,6 @@ class FinHopf:
         self.ctx = K.make_ctx(N)
         self._cache = {}
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_tensors(cls, name, basis_labels, mult, unit, comult, counit, antipode, convention=""):
-        """Build from mappings {(i,j,k): scalar}, vectors and an antipode Matrix."""
-        n = len(basis_labels)
-        N = 1
-        vals = list(mult.values()) + list(comult.values()) + list(unit) + list(counit)
-        for v in vals:
-            N = lcm(N, Cyclotomic.promote(v).N)
-        N = lcm(N, antipode.N)
-        ctx = K.make_ctx(N)
-        mrows = [[] for _ in range(n * n)]
-        for (i, j, k), v in mult.items():
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise ShapeError("mult index out of range: %r" % ((i, j, k),))
-            raw = _to_raw(v, ctx)
-            if not K.s_is_zero(raw):
-                mrows[i * n + j].append((k, raw))
-        crows = [[] for _ in range(n)]
-        for (i, j, k), v in comult.items():
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise ShapeError("comult index out of range: %r" % ((i, j, k),))
-            raw = _to_raw(v, ctx)
-            if not K.s_is_zero(raw):
-                crows[i].append((j * n + k, raw))
-        if len(unit) != n or len(counit) != n:
-            raise ShapeError("unit/counit length mismatch")
-        uvec = tuple(_to_raw(v, ctx) for v in unit)
-        cvec = tuple(_to_raw(v, ctx) for v in counit)
-        if antipode.rows != n or antipode.cols != n:
-            raise ShapeError("antipode must be %dx%d" % (n, n))
-        cols = [tuple(sorted(col.items())) for col in antipode.lift(N).transpose().srows]
-        return cls(
-            name,
-            basis_labels,
-            N,
-            tuple(tuple(sorted(row)) for row in mrows),
-            uvec,
-            tuple(tuple(sorted(row)) for row in crows),
-            cvec,
-            tuple(cols),
-            convention=convention,
-        )
-
     # -- views -------------------------------------------------------------
 
     def counit_functional(self):
@@ -264,11 +215,11 @@ class FinHopf:
             self.name,
             self.basis_labels,
             M,
-            tuple(tuple((k, lift_raw(s, N, M)) for k, s in row) for row in self.mult),
-            tuple(lift_raw(s, N, M) for s in self.unit),
-            tuple(tuple((x, lift_raw(s, N, M)) for x, s in row) for row in self.comult),
-            tuple(lift_raw(s, N, M) for s in self.counit),
-            tuple(tuple((i, lift_raw(s, N, M)) for i, s in col) for col in self.antipode_cols),
+            tuple(tuple((k, K.s_lift(s, N, M)) for k, s in row) for row in self.mult),
+            tuple(K.s_lift(s, N, M) for s in self.unit),
+            tuple(tuple((x, K.s_lift(s, N, M)) for x, s in row) for row in self.comult),
+            tuple(K.s_lift(s, N, M) for s in self.counit),
+            tuple(tuple((i, K.s_lift(s, N, M)) for i, s in col) for col in self.antipode_cols),
             convention=self.convention,
         )
 

@@ -13,7 +13,7 @@ from math import lcm
 from . import _kernel as K
 from .errors import PipelineError
 from .exact_math import (Cyclotomic, Matrix, _add, _apply, _clean, _kron_act, _scale, _tensor,
-                         id_kron, kron_id, lift_raw)
+                         id_kron, kron_id)
 from .extension import Decomposer, make_frobenius_data, rescale_frobenius_data
 from .hopf_core import LinearFunctional, antipode_inverse, cached
 from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial_module
@@ -352,7 +352,7 @@ def _act_structure(ictx, V, U, consts, rows, cols, place):
     out = [{} for _ in range(rows)]
     for l, i, j, c in consts:
         _kron_act(ctx, out, actV, actU, m,
-                  ((x, lift_raw(s, N, conductor)) for x, s in c.items()), *place(l, i, j))
+                  ((x, K.s_lift(s, N, conductor)) for x, s in c.items()), *place(l, i, j))
     return Matrix.from_sparse(conductor, cols, out)
 
 

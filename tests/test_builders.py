@@ -21,8 +21,8 @@ from hopfkit.builders import (
     trivial_hopf,
     unimodularity_scan_sl2,
 )
-from hopfkit.bundles import parse_hopf, serialize_hopf
-from hopfkit.cli import resolve_hopf
+from hopfkit.bundles import parse_hopf, serialize_hopf, serialize_inclusion
+from hopfkit.cli import resolve_hopf, resolve_inclusion
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, Matrix, _add, _axpy, root_of_unity
 from hopfkit.extension import bar_quotient, verify_inclusion
@@ -315,6 +315,10 @@ def test_explicit_zero_entries_parse_like_missing_ones(spec):
 # that normalized every product by the generator rewrite rules
 DOUBLE = "builtin:double?of=builtin:"
 TABLE_DIGESTS = {
+    "builtin:group?table=c2": "118a58de3b014b3011b3c1b193496debc28ac1cc805f0dd6339158784c41522e",
+    "builtin:group?table=c3": "f8b398532f693e12ce67c9851b9a60186780246bf84204fa91a7b444d2bfba8e",
+    "builtin:group?table=c4": "3cf6a24c50a0a980c49631837fd667ae07c9e10baf71c2ebce98356ba9149fbe",
+    "builtin:group?table=klein": "7cd09f9fae342575e03ca89a4b228953923c4c9c3b4bddb0c4c66ddcc86ddc7e",
     "builtin:h8": "f3052c652ee8d802068d3741d7cd9d7ec0286b370eab45d495ab6c362fb22a9e",
     "builtin:taft?l=2": "674e122170a07484fa58fe44a55c69f1979682a714fde7d3fda5b0877037eb60",
     "builtin:taft?l=3": "403fd9b08ffb06fe076fa2f7c4829944debd177d013711479719e243aa2a595a",
@@ -337,6 +341,26 @@ TABLE_DIGESTS = {
 def test_catalogue_tables_match_the_recorded_digests(spec):
     text = serialize_hopf(resolve_hopf(spec))
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[spec]
+
+
+# sha256 of serialize_hopf(K), serialize_hopf(H) and serialize_inclusion of
+# each catalogue inclusion K -> H, recorded from the builders that wrote
+# Delta, S and the labels of each monomial basis by hand
+INCLUSION_DIGESTS = {
+    "builtin:h8": "308a7c973113e8a27f1ffc0ec5b489e66f5c7022bf18925a44bbe20f18a34122",
+    "builtin:taft?l=3": "ce57f443f26b2a05cf8887f32565375b2d5e73a8609088f5f2db52275b853a27",
+    "builtin:uqsl2?l=5&sub=cartan": "891ba5f3a56c60d835d8eeadf75cc6f45183a455b771bb58fd39190516d932db",
+    "builtin:uqsl2?l=5&sub=borel+": "420d6be1196be27bad5ae3acc75e8edd57dd08c9147858006600f910da741325",
+    "builtin:uqsl2?l=5&sub=borel-": "79406e78831927f9bed8834be46b3e1004626e9ab7d504f49411b1544f6cde18",
+    "builtin:unit?of=builtin:h8": "f8a0c92a0f6c2fa8f8d04c9fdb74a7bd0e59c563514f73e82b827f89225e2223",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(INCLUSION_DIGESTS))
+def test_catalogue_inclusions_match_the_recorded_digests(spec):
+    incl = resolve_inclusion(spec)
+    text = serialize_hopf(incl.K) + serialize_hopf(incl.H) + serialize_inclusion(incl, "sub", "big")
+    assert hashlib.sha256(text.encode()).hexdigest() == INCLUSION_DIGESTS[spec]
 
 
 def _uq_mult_by_rewriting(l):
