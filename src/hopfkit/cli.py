@@ -467,22 +467,14 @@ def cmd_scan_sl2(args):
     rows = unimodularity_scan_sl2(l)
     for row in rows:
         name = "I+=%s I-=%s" % (sorted(row["I+"]), sorted(row["I-"]))
+        u, dim = row["unimodular"], row["dim"]
         if l > 3:
-            report.add(
-                "unimodular[%s]" % name,
-                row["unimodular"] == row["expected"],
-                detail="unimodular=%s expected=%s dim=%d"
-                % (row["unimodular"], row["expected"], row["dim"]),
-                anchor="subalgebra-unimodularity",
-            )
+            ok = u == row["expected"]
+            detail = "unimodular=%s expected=%s dim=%d" % (u, row["expected"], dim)
         else:
-            report.add(
-                "unimodular[%s]" % name,
-                True,
-                detail="unimodular=%s dim=%d (no prediction at l=3)"
-                % (row["unimodular"], row["dim"]),
-                anchor="subalgebra-unimodularity",
-            )
+            ok = True
+            detail = "unimodular=%s dim=%d (no prediction at l=3)" % (u, dim)
+        report.add("unimodular[%s]" % name, ok, detail=detail, anchor="subalgebra-unimodularity")
     return _emit(report, args)
 
 
@@ -512,23 +504,14 @@ def cmd_cartan_check(args):
         for l in ls:
             datum = CartanDatum(label, rank, l)
             res = cartan_row_sum_check(datum)
-            name = "%s%d[l=%d]" % (label, rank, l)
-            if l > 3:
-                report.add(
-                    name,
-                    not res.part_i_all_zero and not res.part_ii_exists,
-                    detail="part_i=%s part_ii=%s witness=%r"
-                    % (res.part_i_all_zero, res.part_ii_exists, res.witness),
-                    anchor="cartan-row-sums",
-                )
-            else:
-                report.add(
-                    name,
-                    True,
-                    detail="part_i=%s part_ii=%s witness=%r (l<=3 excluded from the bound)"
-                    % (res.part_i_all_zero, res.part_ii_exists, res.witness),
-                    anchor="cartan-row-sums",
-                )
+            report.add(
+                "%s%d[l=%d]" % (label, rank, l),
+                l <= 3 or not (res.part_i_all_zero or res.part_ii_exists),
+                detail="part_i=%s part_ii=%s witness=%r%s"
+                % (res.part_i_all_zero, res.part_ii_exists, res.witness,
+                   "" if l > 3 else " (l<=3 excluded from the bound)"),
+                anchor="cartan-row-sums",
+            )
     return _emit(report, args)
 
 

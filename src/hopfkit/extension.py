@@ -536,17 +536,21 @@ class Decomposer:
 
 
 class FrobeniusData:
-    """What induction reads of a chosen Frobenius morphism: lambda, tr in
-    K-coordinates with its column table ``tr_cols``, the free basis h_i with
-    its dual basis delta_i, and the right decomposer over that free basis."""
+    """What induction reads of a chosen Frobenius morphism: lambda, tr as its
+    column table ``tr`` (tr(e_j) as a sparse K-vector), the free basis h_i
+    with its dual basis ``deltas`` (delta_i as sparse H-vectors), and the
+    right decomposer over that free basis.
 
-    __slots__ = ("incl", "lam", "tr_K", "tr_cols", "free", "deltas", "right_decomp")
+    The canonical data is a value of the inclusion, cached on it by
+    ``make_frobenius_data``; ``rescale_frobenius_data`` builds a new object
+    that is not cached."""
 
-    def __init__(self, incl, lam, tr_K, free, deltas, right_decomp):
+    __slots__ = ("incl", "lam", "tr", "free", "deltas", "right_decomp")
+
+    def __init__(self, incl, lam, tr, free, deltas, right_decomp):
         self.incl = incl
         self.lam = lam
-        self.tr_K = tr_K
-        self.tr_cols = tr_K.transpose().srows
+        self.tr = tr
         self.free = free
         self.deltas = deltas
         self.right_decomp = right_decomp
@@ -557,14 +561,12 @@ class FrobeniusData:
 
     def tr_vec(self, hvec):
         """tr of a sparse H-vector, as a sparse K-vector."""
-        return _apply(self.incl.ctx, self.tr_cols, hvec)
-
-    def delta_vec(self, i):
-        return _clean(self.incl.ctx, enumerate(self.deltas[i]))
+        return _apply(self.incl.ctx, self.tr, hvec)
 
 
 def frobenius_morphism(incl):
-    """tr(h) = lambda(bar(h_(1))) h_(2), rewritten in K-coordinates and verified."""
+    """tr(h) = lambda(bar(h_(1))) h_(2), rewritten in K-coordinates and
+    verified; returned as its column table, tr(e_j) at j."""
     H = incl.H
     ctx = incl.ctx
     n = H.dim
@@ -576,20 +578,20 @@ def frobenius_morphism(incl):
             j, k2 = divmod(x, n)
             _axpy(ctx, acc, {k2: s}, lamH.values[j])
         images.append(acc)
-    # tr_K solves embed * tr_K = [tr(e_0) ... tr(e_(n-1))]
+    # the K-coordinates X of tr solve embed * X = [tr(e_0) ... tr(e_(n-1))]
     try:
-        tr_K = incl.embed.solve(Matrix.from_sparse(incl.N, n, images).transpose()).particular
+        X = incl.embed.solve(Matrix.from_sparse(incl.N, n, images).transpose()).particular
     except InconsistentSystemError:
         raise PipelineError("image of tr is not contained in K") from None
-    _verify_frobenius_morphism(incl, tr_K)
-    return tr_K
+    tr = X.transpose().srows
+    _verify_frobenius_morphism(incl, tr)
+    return tr
 
 
-def _verify_frobenius_morphism(incl, tr_K):
+def _verify_frobenius_morphism(incl, tr_cols):
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
-    tr_cols = tr_K.transpose().srows
 
     # K-K-bimodule property: tr(k h k') = k tr(h) k'
     for b in range(m):
@@ -622,13 +624,12 @@ def _verify_frobenius_morphism(incl, tr_K):
             raise PipelineError("tr is not a morphism of right H-comodules at %d" % i)
 
 
-def dual_bases(incl, tr_K, free):
-    """Solve tr(h_j delta_i) = delta_ij 1_K for the dual basis delta_i."""
+def dual_bases(incl, tr_cols, free):
+    """Solve tr(h_j delta_i) = delta_ij 1_K for the dual basis delta_i, as
+    sparse H-vectors."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
-    r = len(free)
-    tr_cols = tr_K.transpose().srows
     # row j*m + b, column t: the b-th K-coordinate of tr(h_j e_t)
     rows = []
     for j in free:
@@ -636,34 +637,27 @@ def dual_bases(incl, tr_K, free):
         trs = [_apply(ctx, tr_cols, H.mult_vec(hj, H.basis_vec(t))) for t in range(n)]
         rows.extend({t: tr[b] for t, tr in enumerate(trs) if b in tr} for b in range(m))
     A = Matrix.from_sparse(incl.N, n, rows)
-    z = K.s_zero(ctx)
-    rhs_cols = []
-    unit_K = [Kk.unit[b] for b in range(m)]
-    for i in range(r):
-        col = [z] * (r * m)
-        for b in range(m):
-            col[i * m + b] = unit_K[b]
-        rhs_cols.append(col)
-    B = Matrix(incl.N, [list(rr) for rr in zip(*rhs_cols)])
+    # row i*m + b, column i: the b-th K-coordinate of 1_K
+    r = len(free)
+    B = Matrix.from_sparse(incl.N, r, [_clean(ctx, [(i, u)]) for i in range(r) for u in Kk.unit])
     try:
         sol = A.solve(B)
     except InconsistentSystemError:
         raise PipelineError("dual-basis system inconsistent (extension not Frobenius?)") from None
-    return [sol.particular.col_raw(i) for i in range(r)]
+    return sol.particular.transpose().srows
 
 
-def _reconstruction_defect(incl, tr_K, free, delta_sparse, xs=None):
+def _reconstruction_defect(incl, tr_cols, free, deltas, xs=None):
     """The first basis index x, x in xs (all of H by default), where
     h = sum_i tr(h delta_i) h_i or h = sum_i delta_i tr(h_i h) fails for h = h_x."""
     H = incl.H
     ctx = incl.ctx
     one = K.s_one(ctx)
-    tr_cols = tr_K.transpose().srows
     for x in range(H.dim) if xs is None else xs:
         ex = H.basis_vec(x)
         acc1 = {}
         acc2 = {}
-        for i, delta in enumerate(delta_sparse):
+        for i, delta in enumerate(deltas):
             # h = sum_i tr(h delta_i) h_i
             ki = _apply(ctx, tr_cols, H.mult_vec(ex, delta))
             _axpy(ctx, acc1, H.mult_vec(incl.embed_vec(ki), H.basis_vec(free[i])), one)
@@ -675,7 +669,7 @@ def _reconstruction_defect(incl, tr_K, free, delta_sparse, xs=None):
     return None
 
 
-def _verify_dual_bases(incl, tr_K, free, deltas):
+def _verify_dual_bases(incl, tr_cols, free, deltas):
     """Check both reconstruction identities on the free basis.
 
     tr is a K-bimodule map (``_verify_frobenius_morphism``), so
@@ -687,8 +681,7 @@ def _verify_dual_bases(incl, tr_K, free, deltas):
     A defect found on the free basis is looked up again by the full scan,
     whose first witness the error names.
     """
-    delta_sparse = [_clean(incl.ctx, enumerate(dv)) for dv in deltas]
-    w = _first_defect(_reconstruction_defect, free, incl, tr_K, free, delta_sparse)
+    w = _first_defect(_reconstruction_defect, free, incl, tr_cols, free, deltas)
     if w is not None:
         raise PipelineError("dual-basis reconstruction identity fails at basis %d" % w)
 
@@ -698,12 +691,12 @@ def _verify_dual_bases(incl, tr_K, free, deltas):
 # ---------------------------------------------------------------------------
 
 
-def tr_bicomodule_map(incl, tr_K):
-    """h_(1) x tr(h_(2)) x h_(3) == Delta2 of tr(h) with outer legs embedded."""
+def tr_bicomodule_map(incl, tr_cols):
+    """h_(1) x tr(h_(2)) x h_(3) == Delta2 of tr(h) with outer legs embedded,
+    for tr given by its column table."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
-    tr_cols = tr_K.transpose().srows
     for i in range(n):
         lhs = {}
         for (a, b, c), s in H.comult2(i):
@@ -720,19 +713,23 @@ def tr_bicomodule_map(incl, tr_K):
     return True
 
 
-def is_central_extension(incl, tr_K=None):
-    """Central Frobenius test: the lambda symmetry and the bicomodule identity.
+@cached()
+def is_central_extension(incl):
+    """Central Frobenius test for a Frobenius extension: the lambda symmetry
+    and the bicomodule identity of the tr of ``make_frobenius_data(incl)``.
 
-    Both characterizations are evaluated and asserted to agree.
+    Both characterizations are evaluated and asserted to agree.  The answer
+    is a value of the inclusion, kept in its cache: it does not change under
+    tr -> c tr, so every context over the inclusion, rescaled or not, reads
+    the same entry.
     """
     # lambda(bar h_(1)) h_(2) == h_(1) lambda(bar h_(2)) for all basis h
     sym = is_symmetric(incl.H, lift_bar_functional(bar_quotient(incl)))
-    if tr_K is not None:
-        bic = tr_bicomodule_map(incl, tr_K)
-        if bic != sym:
-            raise PipelineError(
-                "centrality criteria disagree: lambda-symmetry=%s, bicomodule=%s" % (sym, bic)
-            )
+    bic = tr_bicomodule_map(incl, make_frobenius_data(incl).tr)
+    if bic != sym:
+        raise PipelineError(
+            "centrality criteria disagree: lambda-symmetry=%s, bicomodule=%s" % (sym, bic)
+        )
     return sym
 
 
@@ -786,8 +783,10 @@ class ExtensionAnalysis:
             setattr(self, k2, kw.get(k2))
 
 
+@cached()
 def make_frobenius_data(incl):
-    """Assemble FrobeniusData with the canonical normalization of lambda.
+    """Assemble FrobeniusData with the canonical normalization of lambda; a
+    value of the inclusion, built once and kept in its cache.
 
     The deterministic solver representative lambda0 is rescaled so that the
     unit constraint sum_i eps(delta_i) eps(h_i) = 1 holds (when the sum is
@@ -811,7 +810,7 @@ def make_frobenius_data(incl):
     eps = LinearFunctional(incl.N, H.counit)
     s = K.s_zero(ctx)
     for i, t in enumerate(free):
-        s = K.s_add(ctx, s, K.s_mul(ctx, eps(frob0.delta_vec(i)), H.counit[t]))
+        s = K.s_add(ctx, s, K.s_mul(ctx, eps(deltas0[i]), H.counit[t]))
     factor = Cyclotomic(incl.N, s) if not K.s_is_zero(s) else Cyclotomic.rational(1)
     return rescale_frobenius_data(frob0, factor)
 
@@ -833,9 +832,9 @@ def rescale_frobenius_data(frob, c):
     c = c.lift(incl.N)
     ctx = incl.ctx
     cinv = K.s_inv(ctx, c.data)
-    deltas = [[K.s_mul(ctx, cinv, v) for v in dv] for dv in frob.deltas]
     return FrobeniusData(
-        incl, frob.lam.scale(c), frob.tr_K.scale(c), frob.free, deltas, frob.right_decomp
+        incl, frob.lam.scale(c), [_scale(ctx, col, c.data) for col in frob.tr], frob.free,
+        [_scale(ctx, dv, cinv) for dv in frob.deltas], frob.right_decomp
     )
 
 
@@ -877,7 +876,7 @@ def analyze_extension(incl):
         frob = make_frobenius_data(incl)
         rep.add("frobenius-morphism", True, anchor="good-frob-morphism")
         rep.add("dual-bases", True, anchor="dual-generators")
-        central = is_central_extension(incl, tr_K=frob.tr_K)
+        central = is_central_extension(incl)
         rep.add("central", True, detail=str(central), anchor="central-frobenius")
         if central and not bdu:
             rep.add("central-implies-bar-dual-unimodular", False, anchor="bar-dual-unimodularity")

@@ -337,11 +337,11 @@ def invariant_space_dim(carrier):
     mod = _carrier_module(carrier)
     H = mod.H
     d = mod.dim
-    ctx = K.make_ctx(mod.N)
+    ctx = mod.ctx
     space = RowSpace(d, ctx)
     for i in algebra_generators(H):
         act = mod.action[i]
-        eps = K.s_lift(H.counit[i], H.N, mod.N)
+        eps = H.counit[i]
         for r, arow in enumerate(act.srows):
             row = dict(arow)
             if not K.s_is_zero(eps):
@@ -350,9 +350,7 @@ def invariant_space_dim(carrier):
                 space.add(row)
     if _is_yd(carrier):
         coact = carrier.coaction
-        unit = H.unit
-        for hrow in range(H.dim):
-            u = K.s_lift(unit[hrow], H.N, mod.N)
+        for hrow, u in enumerate(H.unit):
             for r in range(d):
                 row = dict(coact.srows[hrow * d + r])
                 if not K.s_is_zero(u):

@@ -14,14 +14,16 @@ from . import _kernel as K
 from .errors import PipelineError
 from .exact_math import (Cyclotomic, Matrix, _add, _apply, _clean, _kron_act, _scale, _tensor,
                          id_kron, kron_id)
-from .extension import Decomposer, make_frobenius_data, rescale_frobenius_data
+from .extension import (Decomposer, is_central_extension, is_frobenius_extension,
+                        make_frobenius_data, rescale_frobenius_data)
 from .hopf_core import LinearFunctional, antipode_inverse, cached
 from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial_module
 from .reports import Report
 
 
 class InductionContext:
-    """An inclusion together with a chosen Frobenius morphism and free basis.
+    """The induction functor of a chosen Frobenius morphism and free basis,
+    given by its Frobenius data ``frob`` over the inclusion ``frob.incl``.
 
     ``_cache`` holds what the context builds (see ``hopf_core.cached``), so
     each structure is built once per context.  The functions of a module
@@ -31,15 +33,23 @@ class InductionContext:
     carry a name are keyed by the name too.  Everything else depends on the
     Frobenius data alone.  The lax structure scales with the Frobenius
     morphism, so a rescaled context is a new object with a cache of its own.
+    What depends on the inclusion alone, the canonical Frobenius data and
+    centrality, is cached on the inclusion (``extension.make_frobenius_data``,
+    ``extension.is_central_extension``).
     """
 
-    __slots__ = ("incl", "frob", "central", "_cache")
+    __slots__ = ("incl", "frob", "_cache")
 
-    def __init__(self, incl, frob, central=None):
-        self.incl = incl
+    def __init__(self, frob):
+        self.incl = frob.incl
         self.frob = frob
-        self.central = central
         self._cache = {}
+
+    @property
+    def central(self):
+        """Whether the inclusion is a central Frobenius extension, read from
+        the inclusion's cache: the answer does not depend on the scale of tr."""
+        return is_central_extension(self.incl)
 
     @property
     def rank(self):
@@ -55,7 +65,7 @@ class InductionContext:
     @cached()
     def delta_parts(self, i):
         """Right decomposition of delta_i: list over j of sparse K-coord vectors."""
-        return self.frob.right_decomp(self.frob.delta_vec(i))
+        return self.frob.right_decomp(self.frob.deltas[i])
 
     @cached()
     def basis_parts(self, q):
@@ -68,13 +78,13 @@ class InductionContext:
         return Decomposer(self.incl, self.frob.free, "left")
 
     def tr_prod(self, p, i):
-        """tr_K coordinates of e_p * h_i as a sparse dict (not cached: see ``tr_row``)."""
+        """The K-coordinates of tr(e_p h_i) as a sparse dict (not cached: see ``tr_row``)."""
         H = self.incl.H
         return self.frob.tr_vec(H.mult_vec(H.basis_vec(p), self.free_vec(i)))
 
     @cached()
     def tr_row(self, p):
-        """The nonzero tr_K(e_p h_i) as {i: sparse K-coord vector}."""
+        """The nonzero tr(e_p h_i) as {i: sparse K-coord vector}."""
         row = {}
         for i in range(self.rank):
             kv = self.tr_prod(p, i)
@@ -131,7 +141,7 @@ class InductionContext:
         H, ctx = incl.H, incl.ctx
         free = self.frob.free
         eps_free = _clean(ctx, enumerate(H.counit[t] for t in free))
-        w = _apply(ctx, [self.frob.delta_vec(i) for i in range(self.rank)], eps_free)
+        w = _apply(ctx, self.frob.deltas, eps_free)
         eps_K = LinearFunctional(incl.N, incl.K.counit)
         lax0 = [[eps_K(kv)] for kv in self.frob.right_decomp(w)]
         oplax0 = [[H.counit[t] for t in free]]
@@ -144,15 +154,15 @@ class InductionContext:
 
 
 def induction_context(incl):
-    """Build the context (Frobenius decision, Frobenius data, centrality) for
-    induction; Hbar and its integral are read from the inclusion's cache."""
-    from .extension import is_central_extension, is_frobenius_extension
-
+    """The context of the canonical Frobenius data of a Frobenius extension.
+    Centrality is decided before the context is returned, so a disagreement
+    of its two criteria raises here; Hbar, its integral, the Frobenius data
+    and centrality are read from the inclusion's cache."""
     if not is_frobenius_extension(incl).frobenius:
         raise PipelineError("inclusion %r is not a Frobenius extension" % incl)
     frob = make_frobenius_data(incl)
-    central = is_central_extension(incl, tr_K=frob.tr_K)
-    return InductionContext(incl, frob, central=central)
+    is_central_extension(incl)
+    return InductionContext(frob)
 
 
 def _at(t, d):
@@ -480,9 +490,7 @@ def is_separable_functor(ictx, pairs):
     rescaled = witness_ok = None
     if separable:
         rescaled = InductionContext(
-            ictx.incl,
-            rescale_frobenius_data(ictx.frob, Cyclotomic.promote(1) / scalar),
-            central=ictx.central,
+            rescale_frobenius_data(ictx.frob, Cyclotomic.promote(1) / scalar)
         )
         V, U = pairs[0]
         witness_ok = (lax_pair(rescaled, V, U)[0] * oplax_pair(rescaled, V, U)[0]).is_identity()
@@ -596,12 +604,11 @@ def projection_morphisms(ictx, W, V):
         anchor="projection-inverses",
     )
 
-    if ictx.central is not None:
-        rep.add(
-            "lproj-invertibility-matches-centrality",
-            left_inv == ictx.central,
-            anchor="central-frobenius",
-        )
+    rep.add(
+        "lproj-invertibility-matches-centrality",
+        left_inv == ictx.central,
+        anchor="central-frobenius",
+    )
     return ProjectionMorphisms(
         lproj_GF, lproj_FG, rproj_GF, rproj_FG, lproj_FG_inv, rproj_FG_inv, rep
     )

@@ -23,28 +23,19 @@ class HModule:
     modules and the trivial module are modules by construction; the command
     line runs ``verify_module`` on every module it reads.  A caller that
     builds an HModule directly takes on the premise.
-    """
+
+    The module lives over Q(zeta_M) for M the lcm of ``N``, the conductor
+    of H and those of the action matrices, and H is lifted to M."""
 
     __slots__ = ("H", "dim", "N", "ctx", "action", "name", "_key")
     __hash__ = None
 
-    def __init__(self, H, action, name="V", N=None):
-        conductor = N or H.N
-        mats = []
-        for a in action:
-            if isinstance(a, Matrix):
-                conductor = lcm(conductor, a.N)
-            mats.append(a)
+    def __init__(self, H, action, name="V", N=1):
+        mats = list(action)
         if len(mats) != H.dim:
             raise ShapeError("need one action matrix per algebra basis element")
-        dims = set()
-        lifted = []
-        for a in mats:
-            if not isinstance(a, Matrix):
-                a = Matrix.from_rows(a)
-                conductor = lcm(conductor, a.N)
-            dims.add((a.rows, a.cols))
-            lifted.append(a)
+        conductor = lcm(N, H.N, *(a.N for a in mats))
+        dims = {(a.rows, a.cols) for a in mats}
         if len(dims) != 1:
             raise ShapeError("action matrices have mixed shapes: %r" % dims)
         d = dims.pop()
@@ -54,7 +45,7 @@ class HModule:
         self.N = conductor
         self.ctx = K.make_ctx(conductor)
         self.dim = d[0]
-        self.action = tuple(a.lift(conductor) for a in lifted)
+        self.action = tuple(a.lift(conductor) for a in mats)
         self.name = name
         self._key = None
 
@@ -118,11 +109,9 @@ class ModuleMap:
         return "ModuleMap(%s -> %s)" % (self.source.name, self.target.name)
 
 
-def trivial_module(H, N=None):
+def trivial_module(H, N=1):
     """The tensor unit: the counit acting on a one-dimensional space."""
-    conductor = N or H.N
-    mats = [Matrix(H.N, [[H.counit[i]]]).lift(conductor) for i in range(H.dim)]
-    return HModule(H, mats, name="1", N=conductor)
+    return HModule(H, [Matrix(H.N, [[c]]) for c in H.counit], name="1", N=N)
 
 
 def _action_defect(M, lefts=None):

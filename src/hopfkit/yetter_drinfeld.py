@@ -56,7 +56,7 @@ class YDModule:
         return "YDModule(%s over %s, dim=%d)" % (self.name, self.H.name, self.dim)
 
 
-def trivial_yd(H, N=None):
+def trivial_yd(H, N=1):
     from .module_theory import trivial_module
 
     mod = trivial_module(H, N=N)

@@ -10,7 +10,7 @@ from hopfkit.builders import (
     taft,
     trivial_hopf,
 )
-from hopfkit.exact_math import Matrix, root_of_unity
+from hopfkit.exact_math import Matrix, _dense, root_of_unity
 from hopfkit.extension import HopfInclusion, trivial_inclusion, unit_inclusion
 from hopfkit.hopf_core import LinearFunctional, subhopf_from_basis
 from hopfkit.induction import induction_context
@@ -145,6 +145,15 @@ def h8_v2(H8):
         "xyz": xM * yM * zM,
     }
     return HModule(H8, [acts[l] for l in H8.basis_labels], name="V2")
+
+
+def dense_frobenius(fr):
+    """tr as the dim K x dim H Matrix tr_K and the delta_i as dense lists of
+    raw scalars, built from the sparse fields of a FrobeniusData: the form in
+    which criterion 1 and the Frobenius data pins were recorded."""
+    incl = fr.incl
+    tr_K = Matrix.from_sparse(incl.N, incl.K.dim, fr.tr).transpose()
+    return tr_K, [_dense(incl.ctx, d, incl.H.dim) for d in fr.deltas]
 
 
 def record_criterion(number, ok, detail=""):

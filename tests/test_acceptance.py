@@ -10,8 +10,8 @@ import time
 from fractions import Fraction
 
 import hopfkit._kernel as K
-from conftest import (alpha_criterion, criterion_09_registry, h8_v1, h8_v2, kchar, kline,
-                      record_criterion)
+from conftest import (alpha_criterion, criterion_09_registry, dense_frobenius, h8_v1, h8_v2,
+                      kchar, kline, record_criterion)
 from hopfkit.builders import (
     CartanDatum,
     cartan_row_sum_check,
@@ -33,6 +33,7 @@ from hopfkit.extension import (
     lift_bar_functional,
     rescale_frobenius_data,
     right_integral_bar_dual,
+    tr_bicomodule_map,
 )
 from hopfkit.frob_objects import (
     build_group_etale,
@@ -67,16 +68,17 @@ def test_criterion_01_h8_trace_and_dual_bases(h8, h8_incl):
     t0 = time.monotonic()
     ana = analyze_extension(h8_incl)
     fr = ana.frob
+    tr_K, deltas = dense_frobenius(fr)
     ctx = h8_incl.ctx
     # tr(1) = 2, tr(z) = 0
-    assert fr.tr_K.col_raw(0) == [K.s_from_ratio(ctx, 2)] + [K.s_zero(ctx)] * 3
-    assert all(K.s_is_zero(v) for v in fr.tr_K.col_raw(3))
+    assert tr_K.col_raw(0) == [K.s_from_ratio(ctx, 2)] + [K.s_zero(ctx)] * 3
+    assert all(K.s_is_zero(v) for v in tr_K.col_raw(3))
     # free basis {1, z}
     assert [h8.basis_labels[i] for i in fr.free] == ["1", "z"]
     # delta_1 = 1/2, delta_2 = (1+x+y-xy)z/4 = (z + xz + yz - xyz)/4
-    d1 = [Cyclotomic(h8_incl.N, v) for v in fr.deltas[0]]
+    d1 = [Cyclotomic(h8_incl.N, v) for v in deltas[0]]
     assert d1[0] == Fraction(1, 2) and all(v.is_zero() for v in d1[1:])
-    d2 = {h8.basis_labels[i]: Cyclotomic(h8_incl.N, v) for i, v in enumerate(fr.deltas[1])
+    d2 = {h8.basis_labels[i]: Cyclotomic(h8_incl.N, v) for i, v in enumerate(deltas[1])
           if not Cyclotomic(h8_incl.N, v).is_zero()}
     assert d2 == {"z": Fraction(1, 4), "xz": Fraction(1, 4), "yz": Fraction(1, 4),
                   "xyz": Fraction(-1, 4)}
@@ -147,9 +149,7 @@ def test_criterion_04_twelve_rigid_frobenius_algebras(h8_ictx):
     """
     t0 = time.monotonic()
     Kk = h8_ictx.incl.K
-    sctx = InductionContext(
-        h8_ictx.incl, rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)), central=True
-    )
+    sctx = InductionContext(rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)))
     failures = []
     for n in ("x", "y", "xy"):
         for ex in (1, -1):
@@ -279,7 +279,7 @@ def test_criterion_07_drinfeld_doubles(h8_incl):
         assert ana.decision.frobenius
         assert ana.central is True
         # both projection pairs are mutually inverse
-        ictx = InductionContext(incl, ana.frob, central=ana.central)
+        ictx = InductionContext(ana.frob)
         W = induce(ictx, trivial_module(H))
         V = trivial_module(H)
         pm = projection_morphisms(ictx, W, V)
@@ -369,11 +369,11 @@ def test_criterion_11_scale_robustness(h8, h8_incl, h8_ictx):
     ana1 = analyze_extension(h8_incl)
     frob7 = rescale_frobenius_data(ana1.frob, Cyclotomic.promote(7))
     # criterion 1 data transforms by the forced scalars ...
-    assert frob7.tr_K == ana1.frob.tr_K.scale(7)
+    assert dense_frobenius(frob7)[0] == dense_frobenius(ana1.frob)[0].scale(7)
     assert Cyclotomic(h8_incl.N, frob7.deltas[0][0]) == Fraction(1, 14)
     # ... and both dual-basis identities still hold (invariant under the rescale)
-    central7 = is_central_extension(h8_incl, tr_K=frob7.tr_K)
-    ictx7 = InductionContext(h8_incl, frob7, central=central7)
+    assert tr_bicomodule_map(h8_incl, frob7.tr) == ana1.central
+    ictx7 = InductionContext(frob7)
 
     # criterion 2 outcomes unchanged
     i = root_of_unity(4)

@@ -388,6 +388,25 @@ def test_verify_routes_a_module_bundle_that_opens_with_a_comment(tmp_path, h8_in
     assert "action-multiplicative" in out
 
 
+def test_a_module_bundle_may_declare_a_conductor_its_algebra_does_not_divide(tmp_path, capsys):
+    # the module lives over Q(zeta_lcm(declared, algebra's)), as an inclusion
+    # bundle does, so declaring conductor 3 over the Taft algebra at 5 is no error
+    from hopfkit.module_theory import trivial_module
+
+    text = serialize_module(trivial_module(resolve_hopf("builtin:taft?l=5")), "builtin:taft?l=5")
+    assert "conductor 5\n" in text
+    outs = []
+    for conductor in (5, 3):
+        p = tmp_path / ("one-%d.bundle" % conductor)
+        p.write_text(text.replace("conductor 5\n", "conductor %d\n" % conductor))
+        code, out = run(["verify", str(p)], capsys)
+        assert code == 0, out
+        # the first two lines name the input
+        outs.append(out.splitlines()[2:])
+    assert outs[0] == outs[1]
+    assert "action-multiplicative  PASS  (module-axioms)" in outs[1]
+
+
 @pytest.mark.parametrize("argv", [["analyze"],
                                   ["check-functor", "--module", "builtin:kchar?act=1,-1,-1,1",
                                    "--frobenius-monoidal"],
@@ -518,6 +537,16 @@ GOLDEN_REPORTS = [
       "--module", "builtin:kchar?act=1,z,z^2,z^3,z^4,z^5,z^6&cond=7",
       "--frobenius-monoidal"], 0,
      "a0e8afe0b742354be58754f03b9e1cfad1a16be913993d8c487afde55339b911"),
+    # the scans, recorded while each command added its rows along two branches
+    # (l <= 3 and l > 3)
+    (["scan-sl2", "--l", "3"], 0,
+     "12a733bb8751e1ee5dbcac39bc19dc6c49bceadcbd71a48d9cbcc11e35e346a9"),
+    (["scan-sl2", "--l", "5"], 0,
+     "e87a8c1218297dd8ca75aa492191e40535ea71bbda1cfb4f8ba8dccdc1313a26"),
+    (["cartan-check"], 0,
+     "660f3913e10e572cfaa5027713a5b21f2f570bbfbe2c260a9ff2ffbc49edc598"),
+    (["cartan-check", "--types", "A2", "--l", "3"], 0,
+     "e70b20845a8edf0c825545ef4781a5ab01681a5890f680b9c4c7ca2c975e1bd4"),
 ]
 
 
@@ -527,7 +556,8 @@ GOLDEN_REPORTS = [
                               "analyze-uqsl2-l3-cartan", "analyze-dc2", "analyze-dc3",
                               "analyze-dkk", "analyze-taft3", "analyze-uqsl2-l7-cartan",
                               "uqsl2-l7-cartan", "uqsl2-l5-cartan-2chars",
-                              "uqsl2-l7-cartan-2chars"])
+                              "uqsl2-l7-cartan-2chars", "scan-sl2-l3", "scan-sl2-l5",
+                              "cartan-check", "cartan-check-a2-l3"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 

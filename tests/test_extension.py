@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import hopfkit._kernel as K
-from conftest import alpha_criterion, criterion_09_registry
+from conftest import alpha_criterion, criterion_09_registry, dense_frobenius
 from hopfkit.builders import cyclic_table, group_algebra, taft, trivial_hopf
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, Matrix, _add
@@ -25,6 +25,7 @@ from hopfkit.extension import (
     relative_modular_function,
     rescale_frobenius_data,
     right_integral_bar_dual,
+    tr_bicomodule_map,
     trivial_inclusion,
     unit_inclusion,
     verify_bar_quotient,
@@ -216,15 +217,16 @@ def test_h8_free_basis_and_dual_bases(h8, h8_incl):
     assert [h8.basis_labels[i] for i in free] == ["1", "z"]
     ana = analyze_extension(h8_incl)
     fr = ana.frob
+    tr_K, deltas = dense_frobenius(fr)
     # canonical normalization: lambda = 2 delta_1 in the paper's coordinates
     assert fr.lam.value(0) == 2 and fr.lam.value(1) == 0
     # tr(1) = 2, tr(z) = 0
-    assert fr.tr_K.col_raw(0) == [K.s_from_ratio(h8_incl.ctx, 2)] + [K.s_zero(h8_incl.ctx)] * 3
-    assert all(K.s_is_zero(v) for v in fr.tr_K.col_raw(3))
+    assert tr_K.col_raw(0) == [K.s_from_ratio(h8_incl.ctx, 2)] + [K.s_zero(h8_incl.ctx)] * 3
+    assert all(K.s_is_zero(v) for v in tr_K.col_raw(3))
     # delta_1 = 1/2, delta_2 = (z + xz + yz - xyz)/4
-    d1 = [Cyclotomic(h8_incl.N, v) for v in fr.deltas[0]]
+    d1 = [Cyclotomic(h8_incl.N, v) for v in deltas[0]]
     assert d1[0] == Fraction(1, 2) and all(v.is_zero() for v in d1[1:])
-    d2 = {h8.basis_labels[i]: Cyclotomic(h8_incl.N, v) for i, v in enumerate(fr.deltas[1])}
+    d2 = {h8.basis_labels[i]: Cyclotomic(h8_incl.N, v) for i, v in enumerate(deltas[1])}
     expect = {"z": Fraction(1, 4), "xz": Fraction(1, 4), "yz": Fraction(1, 4), "xyz": Fraction(-1, 4)}
     for lbl, v in d2.items():
         assert v == expect.get(lbl, 0), (lbl, str(v))
@@ -233,9 +235,10 @@ def test_h8_free_basis_and_dual_bases(h8, h8_incl):
 def test_trivial_inclusion_data(h8):
     ana = analyze_extension(trivial_inclusion(h8))
     assert ana.decision.frobenius
-    assert ana.frob.tr_K == Matrix.identity(8)
+    tr_K, deltas = dense_frobenius(ana.frob)
+    assert tr_K == Matrix.identity(8)
     assert ana.frob.free == [0]
-    assert [Cyclotomic(ana.incl.N, v) for v in ana.frob.deltas[0]][0] == 1
+    assert [Cyclotomic(ana.incl.N, v) for v in deltas[0]][0] == 1
     assert ana.central is True
 
 
@@ -245,7 +248,7 @@ def test_unit_inclusion_tr_is_dual_integral(h8):
     assert ana.decision.frobenius
     # tr: H8 -> k is the right integral of H8* up to the canonical scale
     lam_dual = right_integral_of_dual(h8)
-    tr_fun = LinearFunctional(incl.N, [ana.frob.tr_K.raw()[0][i] for i in range(8)])
+    tr_fun = LinearFunctional(incl.N, [dense_frobenius(ana.frob)[0].raw()[0][i] for i in range(8)])
     c = tr_fun.is_proportional(lam_dual.lift(incl.N))
     assert c is not None and not c.is_zero()
 
@@ -258,9 +261,9 @@ def test_h8_centrality_and_normality(h8_incl):
 
 
 def test_central_agrees_with_bicomodule_criterion(h8_incl):
-    frob = make_frobenius_data(h8_incl)
     # is_central_extension asserts internally that both criteria agree
-    assert is_central_extension(h8_incl, tr_K=frob.tr_K) is True
+    assert is_central_extension(h8_incl) is True
+    assert tr_bicomodule_map(h8_incl, make_frobenius_data(h8_incl).tr) is True
 
 
 def test_taft_not_frobenius(taft3):
@@ -321,16 +324,17 @@ def test_scale_seven(h8_incl):
     ana1 = analyze_extension(h8_incl)
     scaled = rescale_frobenius_data(make_frobenius_data(h8_incl), Cyclotomic.promote(7))
     assert scaled.lam.value(0) == 14
-    assert scaled.tr_K == ana1.frob.tr_K.scale(7)
+    assert dense_frobenius(scaled)[0] == dense_frobenius(ana1.frob)[0].scale(7)
     d1 = Cyclotomic(h8_incl.N, scaled.deltas[0][0])
     assert d1 == Fraction(1, 14)
     # booleans unchanged
-    assert is_central_extension(h8_incl, tr_K=scaled.tr_K) == ana1.central
+    assert tr_bicomodule_map(h8_incl, scaled.tr) == ana1.central
     assert is_frobenius_extension(h8_incl).frobenius == ana1.decision.frobenius
 
 
 # sha256 of repr((tr_K.key(), deltas)) for each scale in 1, 7, 1/2, recorded
-# while make_frobenius_data verified the dual bases after its own rescale
+# while make_frobenius_data verified the dual bases after its own rescale and
+# FrobeniusData held tr_K as a Matrix and the delta_i as dense lists
 FROBENIUS_DATA_PINS = [
     ("builtin:h8", [
         "31768c23e404ef07d113522759ff99061d76725d1ac28a202c0b715c3d8c5914",
@@ -358,7 +362,8 @@ def test_frobenius_data_is_pinned(spec, digests):
     got = []
     for scale in (1, 7, Fraction(1, 2)):
         fr = rescale_frobenius_data(make_frobenius_data(incl), Cyclotomic.promote(scale))
-        blob = repr((fr.tr_K.key(), [list(d) for d in fr.deltas])).encode()
+        tr_K, deltas = dense_frobenius(fr)
+        blob = repr((tr_K.key(), deltas)).encode()
         got.append(hashlib.sha256(blob).hexdigest())
     assert got == digests
 
@@ -519,7 +524,7 @@ def test_dual_basis_defect_names_the_full_scan_witness(h8_incl):
     # one dual-basis vector doubled: the free-basis scan finds the defect, and
     # the error names the first basis index of the full scan
     from hopfkit.errors import PipelineError
-    from hopfkit.exact_math import _clean
+    from hopfkit.exact_math import _scale
     from hopfkit.extension import _reconstruction_defect, _verify_dual_bases, frobenius_morphism
 
     incl = h8_incl
@@ -528,9 +533,8 @@ def test_dual_basis_defect_names_the_full_scan_witness(h8_incl):
     deltas = dual_bases(incl, tr, free)
     _verify_dual_bases(incl, tr, free, deltas)
     ctx = incl.ctx
-    two = K.s_from_ratio(ctx, 2)
-    bad = [[K.s_mul(ctx, two, v) for v in deltas[0]]] + deltas[1:]
-    w = _reconstruction_defect(incl, tr, free, [_clean(ctx, enumerate(dv)) for dv in bad])
+    bad = [_scale(ctx, deltas[0], K.s_from_ratio(ctx, 2))] + list(deltas[1:])
+    w = _reconstruction_defect(incl, tr, free, bad)
     assert w is not None
     with pytest.raises(PipelineError, match="reconstruction identity fails at basis %d$" % w):
         _verify_dual_bases(incl, tr, free, bad)

@@ -34,9 +34,7 @@ BOSONIC = [(n, ex, ey) for (n, ex, ey) in ALL_PARAMS
 @pytest.fixture(scope="module")
 def sctx(h8_ictx):
     """The strictly separable normalization (lambda divided by the scalar 2)."""
-    return InductionContext(
-        h8_ictx.incl, rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)), central=True
-    )
+    return InductionContext(rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)))
 
 
 def test_trivial_frobenius(h8_incl):
@@ -46,6 +44,33 @@ def test_trivial_frobenius(h8_incl):
     assert is_special(one) == (1, 1)
     assert is_connected(one)
     assert is_rigid_frobenius(one).ok
+
+
+# The paper's first theorem without braiding: Ind is Frobenius monoidal on
+# plain modules over any Frobenius extension, central or not, so it carries
+# the unit Frobenius algebra of K-modules to a Frobenius algebra of H-modules.
+# The scalars of is_special were recorded before tr was held as a column table.
+PLAIN_UNIT_PUSHES = [
+    ("builtin:h8", (2, 1)),
+    ("builtin:double?of=builtin:group?table=c3", (3, 1)),
+    ("builtin:uqsl2?l=3&sub=cartan", None),
+]
+
+
+@pytest.mark.parametrize("spec, special", PLAIN_UNIT_PUSHES, ids=["h8", "dc3", "uqsl2-l3-cartan"])
+def test_the_plain_unit_frobenius_algebra_pushes_to_a_frobenius_algebra(spec, special):
+    from hopfkit.cli import resolve_inclusion
+    from hopfkit.induction import induction_context
+    from hopfkit.module_theory import trivial_module
+
+    ictx = induction_context(resolve_inclusion(spec))
+    Kk = ictx.incl.K
+    one = Matrix.identity(1, Kk.N)
+    F = push_frobenius(ictx, FrobObject(trivial_module(Kk), one, one, one, one, name="1"))
+    assert not F.is_yd
+    rep = verify_frobenius_object(F)
+    assert rep.ok, rep.failures()
+    assert is_special(F) == special
 
 
 def test_zone_h_push(h8_ictx):
@@ -211,7 +236,7 @@ def test_rescale_moves_a_rational_scalar_down_and_refuses_an_irrational_one(h8_i
     c = Cyclotomic.rational(Fraction(1, 2), N * up)
     assert c.N % N == 0 and c.N != N
     moved = rescale_frobenius_data(h8_ictx.frob, c)
-    assert moved.tr_K == rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)).tr_K
+    assert moved.tr == rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)).tr
     with pytest.raises(PipelineError):
         rescale_frobenius_data(h8_ictx.frob, root_of_unity(N * up))
 
@@ -226,7 +251,7 @@ def test_rescale_lowers_a_scalar_that_lies_in_the_common_subfield(h8_incl):
     frob = make_frobenius_data(incl)
 
     def data(fr):
-        return fr.lam, fr.tr_K, fr.deltas
+        return fr.lam, fr.tr, fr.deltas
 
     # i stored at conductor 12 lies in Q(zeta_12) meet Q(zeta_4) = Q(i)
     i12 = root_of_unity(12, 3)

@@ -199,7 +199,7 @@ def test_lax_naturality(h8_ictx, kmods):
 def test_scale_robustness_functor(h8_incl, kmods):
     ictx1 = induction_context(h8_incl)
     frob7 = rescale_frobenius_data(ictx1.frob, Cyclotomic.promote(7))
-    ictx7 = InductionContext(h8_incl, frob7, central=ictx1.central)
+    ictx7 = InductionContext(frob7)
     mods = list(kmods.values())
     rep = verify_frobenius_monoidal(ictx7, mods[0], mods[1], mods[3])
     assert rep.ok
@@ -259,7 +259,7 @@ def test_rescaled_context_has_its_own_cache(h8_incl):
     Kk = h8_incl.K
     V, U = kchar(Kk, 1, -1), kchar(Kk, -1, 1)
     lax, _ = lax_pair(ictx, V, U)
-    rescaled = InductionContext(h8_incl, rescale_frobenius_data(ictx.frob, 5), central=ictx.central)
+    rescaled = InductionContext(rescale_frobenius_data(ictx.frob, 5))
     lax5, _ = lax_pair(rescaled, V, U)
     # lax scales with the Frobenius morphism, so a shared cache would be wrong
     assert lax5 == lax.scale(5)
@@ -309,7 +309,7 @@ def _reference_lax(ictx, V, U):
 
     out = [{} for _ in range(r * dV * dU)]
     for l in range(r):
-        parts = frob.right_decomp(frob.delta_vec(l))
+        parts = frob.right_decomp(frob.deltas[l])
         for i in range(r):
             for j in range(r):
                 acc = {}
@@ -330,7 +330,7 @@ def _reference_lax(ictx, V, U):
     lax = Matrix.from_sparse(conductor, (r * dV) * (r * dU), out)
     w = {}
     for i in range(r):
-        for k, v in frob.delta_vec(i).items():
+        for k, v in frob.deltas[i].items():
             w[k] = K.s_add(incl.ctx, w.get(k, K.s_zero(incl.ctx)),
                            K.s_mul(incl.ctx, H.counit[frob.free[i]], v))
     col = []
@@ -393,7 +393,7 @@ def _uq3_cartan_case(uq3):
 def _h8_cases(h8_incl, rescale):
     ictx = induction_context(h8_incl)
     if rescale:
-        ictx = InductionContext(h8_incl, rescale_frobenius_data(ictx.frob, 5), central=ictx.central)
+        ictx = InductionContext(rescale_frobenius_data(ictx.frob, 5))
     Kk = h8_incl.K
     chars = [kchar(Kk, *s) for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]]
     wide = tensor_modules(direct_sum(chars[1], chars[2]), chars[3])
@@ -441,7 +441,7 @@ def test_lax_structure_constants_are_built_once_per_context(h8_incl, monkeypatch
     assert builds == [ictx]
     assert len(prods) == len({(p, i) for _, p, i in prods}) <= h8_incl.H.dim * ictx.rank
 
-    rescaled = InductionContext(h8_incl, rescale_frobenius_data(ictx.frob, 5), central=ictx.central)
+    rescaled = InductionContext(rescale_frobenius_data(ictx.frob, 5))
     lax_pair(rescaled, V, U)
     assert builds == [ictx, rescaled]
     # sigma is bilinear in tr, which scales by 5
@@ -490,7 +490,7 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
     assert "lincomb" not in calls and "act_alg_vec" not in calls
 
     def formed_by_lax(table):
-        fresh = InductionContext(h8_incl, ictx.frob, central=ictx.central)
+        fresh = InductionContext(ictx.frob)
         fresh._cache[("sigma",)] = table
         assert fresh.sigma() is table
         calls.clear()

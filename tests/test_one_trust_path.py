@@ -5,7 +5,9 @@ Only ``cli.resolve_hopf``, which runs ``verify_hopf`` on what it parses, and
 FinHopf.  Only ``cli.resolve_module``, whose modules ``check-functor`` runs
 ``verify_module`` on, and ``cli.cmd_verify`` turn it into a module.  No
 provenance bit selects a second path through the checks: no module of the
-package mentions one."""
+package mentions one.  Nor does a caller hand in what an inclusion decides
+itself: no function takes a centrality bit or a tr matrix beside the
+inclusion, and an induction context is built from its Frobenius data alone."""
 
 import ast
 from pathlib import Path
@@ -71,3 +73,67 @@ def test_only_resolve_module_and_cmd_verify_parse_a_module_bundle():
 def test_no_provenance_bit_in_the_algebra_modules():
     for path in sorted(SRC.rglob("*.py")):
         assert "proven" not in path.read_text(), path.relative_to(SRC).as_posix()
+
+
+def _signatures(tree):
+    """{qualified name: parameter names} of every function of tree: a method
+    is named Class.method, a nested function outer.inner."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    a = child.args
+                    params = (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                    out[name] = [p.arg for p in params if p is not None]
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def test_the_signature_detector_names_methods_and_nested_functions():
+    src = (
+        "class C:\n"
+        "    def __init__(self, frob, *, central=None):\n"
+        "        def inner(tr_K, *rest, **kw):\n"
+        "            pass\n"
+        "def f(a, /, b):\n"
+        "    pass\n"
+        "if True:\n"
+        "    def g():\n"
+        "        pass\n"
+    )
+    assert _signatures(ast.parse(src)) == {
+        "C.__init__": ["self", "frob", "central"],
+        "C.__init__.inner": ["tr_K", "rest", "kw"],
+        "f": ["a", "b"],
+        "g": [],
+    }
+
+
+def _package_signatures():
+    """{file: signatures} over every file of the package."""
+    return {
+        path.relative_to(SRC).as_posix(): _signatures(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def test_no_function_takes_a_centrality_bit_or_a_tr_matrix():
+    found = [
+        (path, name, p)
+        for path, sigs in _package_signatures().items()
+        for name, params in sigs.items()
+        for p in params
+        if p in ("central", "tr_K")
+    ]
+    assert found == []
+
+
+def test_an_induction_context_is_built_from_its_frobenius_data_alone():
+    assert _package_signatures()["induction.py"]["InductionContext.__init__"] == ["self", "frob"]
