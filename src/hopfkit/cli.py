@@ -336,6 +336,7 @@ def cmd_analyze(args):
 
 
 def cmd_check_functor(args):
+    from .extension import is_central_extension
     from .induction import induction_context, is_separable_functor, verify_frobenius_monoidal
     from .module_theory import verify_module
     from .yetter_drinfeld import YDModule, verify_braided_frobenius, verify_yd
@@ -351,7 +352,7 @@ def cmd_check_functor(args):
             report.add("module-input[%s]" % m.name, False)
             return _emit(report, args)
     try:
-        ictx = induction_context(incl)
+        frob = induction_context(incl)
     except HopfkitError as e:
         report.add("frobenius-extension", False, detail=str(e))
         return _emit(report, args)
@@ -359,12 +360,12 @@ def cmd_check_functor(args):
 
     if args.frobenius_monoidal:
         for tr in ((a, b, c) for a in plain for b in plain for c in plain):
-            rep = verify_frobenius_monoidal(ictx, *tr)
+            rep = verify_frobenius_monoidal(frob, *tr)
             names = ",".join(m.name for m in tr)
             report.add("frobenius-monoidal[%s]" % names, rep.ok, anchor="frobmon")
     if args.separable:
         pairs = [(a, b) for a in plain for b in plain]
-        sep = is_separable_functor(ictx, pairs)
+        sep = is_separable_functor(frob, pairs)
         report.add(
             "separable",
             sep["separable"],
@@ -372,7 +373,7 @@ def cmd_check_functor(args):
             anchor="separability",
         )
     if args.braided:
-        if not ictx.central:
+        if not is_central_extension(incl):
             report.add("braided", "skipped", detail="extension not central",
                        anchor="central-frobenius")
         else:
@@ -385,7 +386,7 @@ def cmd_check_functor(args):
             for pr in ((a, b) for a in yds for b in yds):
                 name = "braided-frobenius[%s]" % ",".join(m.name for m in pr)
                 try:
-                    rep = verify_braided_frobenius(ictx, *pr)
+                    rep = verify_braided_frobenius(frob, *pr)
                 except PipelineError as e:
                     report.add(name, False, detail=str(e), anchor="braided")
                     return _emit(report, args)
@@ -420,6 +421,7 @@ def cmd_frob_objects(args):
         trivial_frobenius,
         verify_frobenius_object,
     )
+    from .extension import is_central_extension
     from .induction import induction_context, is_separable_functor
     from .module_theory import trivial_module
 
@@ -429,20 +431,20 @@ def cmd_frob_objects(args):
     report = Report("frob-objects %s" % spec, tool="hopfkit %s" % __version__,
                     inputs=[(spec, digest)])
     try:
-        ictx = induction_context(incl)
+        frob = induction_context(incl)
     except HopfkitError as e:
         report.add("frobenius-extension", False, detail=str(e))
         return _emit(report, args)
-    if not ictx.central:
+    if not is_central_extension(incl):
         report.add("central-extension", False, detail="cannot push YD Frobenius objects")
         return _emit(report, args)
     report.add("central-extension", True, anchor="central-frobenius")
 
     if args.separable_normalized:
         one = trivial_module(incl.K)
-        sep = is_separable_functor(ictx, [(one, one)])
+        sep = is_separable_functor(frob, [(one, one)])
         if sep["rescaled"] is not None:
-            ictx = sep["rescaled"]
+            frob = sep["rescaled"]
             report.add("separable-normalization", True,
                        detail="lambda rescaled by 1/%s" % sep["scalar"])
         else:
@@ -452,7 +454,7 @@ def cmd_frob_objects(args):
         F = trivial_frobenius(incl.K) if etale is None else build_group_etale(incl.K, *etale)
         vrep = verify_frobenius_object(F)
         report.add("source-frobenius[%s]" % F.name, vrep.ok, anchor="frobenius-object")
-        B = push_frobenius(ictx, F)
+        B = push_frobenius(frob, F)
         for c in is_rigid_frobenius(B).checks:
             report.add("%s[%s]" % (c.name, B.name), c.status, witness=c.witness,
                        anchor=c.anchor, detail=c.detail)

@@ -541,11 +541,15 @@ class FrobeniusData:
     with its dual basis ``deltas`` (delta_i as sparse H-vectors), and the
     right decomposer over that free basis.
 
-    The canonical data is a value of the inclusion, cached on it by
-    ``make_frobenius_data``; ``rescale_frobenius_data`` builds a new object
-    that is not cached."""
+    The data fixes the induction functor, so it is what ``induction`` and
+    ``yetter_drinfeld`` take: ``_cache`` holds what they build from it (see
+    ``hopf_core.cached``), once per object.  The canonical data is a value of
+    the inclusion, cached on it by ``make_frobenius_data``;
+    ``rescale_frobenius_data`` builds a new object, not kept on the
+    inclusion, with an empty cache of its own: the lax structure scales
+    with tr."""
 
-    __slots__ = ("incl", "lam", "tr", "free", "deltas", "right_decomp")
+    __slots__ = ("incl", "lam", "tr", "free", "deltas", "right_decomp", "_cache")
 
     def __init__(self, incl, lam, tr, free, deltas, right_decomp):
         self.incl = incl
@@ -554,6 +558,7 @@ class FrobeniusData:
         self.free = free
         self.deltas = deltas
         self.right_decomp = right_decomp
+        self._cache = {}
 
     @property
     def rank(self):
@@ -720,7 +725,7 @@ def is_central_extension(incl):
 
     Both characterizations are evaluated and asserted to agree.  The answer
     is a value of the inclusion, kept in its cache: it does not change under
-    tr -> c tr, so every context over the inclusion, rescaled or not, reads
+    tr -> c tr, so all Frobenius data over the inclusion, rescaled or not, reads
     the same entry.
     """
     # lambda(bar h_(1)) h_(2) == h_(1) lambda(bar h_(2)) for all basis h

@@ -6,7 +6,7 @@ from fractions import Fraction
 from . import _kernel as K
 from .errors import HopfkitError, ShapeError
 from .exact_math import Matrix, RowSpace, _add, id_kron, kron_id
-from .induction import ind_morphism, lax_pair, oplax_pair, induce
+from .induction import ind_morphism, lax_pair, oplax_pair, induce, unit_maps
 from .hopf_core import algebra_generators
 from .module_theory import HModule, ModuleMap, tensor_modules, trivial_module
 from .reports import Report
@@ -134,32 +134,32 @@ def verify_frobenius_object(F):
 # ---------------------------------------------------------------------------
 
 
-def push_algebra(ictx, A):
+def push_algebra(frob, A):
     """Transport an algebra object along induction via the lax structure."""
     yd = A.is_yd
     if yd:
-        carrier = z_induce(ictx, A.carrier)
+        carrier = z_induce(frob, A.carrier)
     else:
-        carrier = induce(ictx, A.carrier)
-    lax, lax0 = lax_pair(ictx, A.module, A.module)
-    mult = ind_morphism(ictx, A.mult) * lax
-    unit = ind_morphism(ictx, A.unit) * lax0
+        carrier = induce(frob, A.carrier)
+    mult = ind_morphism(frob, A.mult) * lax_pair(frob, A.module, A.module)
+    unit = ind_morphism(frob, A.unit) * unit_maps(frob)[0]
     return AlgObject(carrier, mult, unit, name="Ind(%s)" % A.name)
 
 
-def push_coalgebra(ictx, C):
+def push_coalgebra(frob, C):
     """The comultiplication and counit of Ind C: oplax composed with Ind of
     those of C."""
-    oplax, oplax0 = oplax_pair(ictx, C.module, C.module)
-    return oplax * ind_morphism(ictx, C.comult), oplax0 * ind_morphism(ictx, C.counit)
+    comult = oplax_pair(frob, C.module, C.module) * ind_morphism(frob, C.comult)
+    return comult, unit_maps(frob)[1] * ind_morphism(frob, C.counit)
 
 
-def push_frobenius(ictx, F):
-    """Transport a Frobenius object; the context must be Frobenius monoidal.
-    The pushed object is built, not verified: ``is_rigid_frobenius`` and
-    ``verify_frobenius_object`` report on it."""
-    alg = push_algebra(ictx, F)
-    comult, counit = push_coalgebra(ictx, F)
+def push_frobenius(frob, F):
+    """Transport a Frobenius object along the induction functor of frob,
+    which must be Frobenius monoidal.  The pushed object is built, not
+    verified: ``is_rigid_frobenius`` and ``verify_frobenius_object`` report
+    on it."""
+    alg = push_algebra(frob, F)
+    comult, counit = push_coalgebra(frob, F)
     return FrobObject(alg.carrier, alg.mult, alg.unit, comult, counit, name=alg.name)
 
 
@@ -211,11 +211,10 @@ def build_group_etale(K_hopf, n, ex, ey):
     return FrobObject(carrier, mult, unit, comult, counit, name=mod.name)
 
 
-def direct_b_algebra(ictx, n, ex, ey):
+def direct_b_algebra(frob, n, ex, ey):
     """B_{n,ex,ey} from its structure tables, on the basis
     (1 x e_1, 1 x e_n, z x e_1, z x e_n) matching the pushed object."""
-    incl = ictx.incl
-    H = incl.H
+    H = frob.incl.H
     labels = list(H.basis_labels)
     if labels[:4] != ["1", "x", "y", "z"]:
         raise HopfkitError("direct_b_algebra expects the Kac-Paljutkin basis order")

@@ -21,148 +21,111 @@ from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial
 from .reports import Report
 
 
-class InductionContext:
-    """The induction functor of a chosen Frobenius morphism and free basis,
-    given by its Frobenius data ``frob`` over the inclusion ``frob.incl``.
-
-    ``_cache`` holds what the context builds (see ``hopf_core.cached``), so
-    each structure is built once per context.  The functions of a module
-    (``tensor``, ``induce``, ``lax_pair``, ``oplax_pair`` and
-    ``yetter_drinfeld.z_induce``) are keyed by ``V.key()``, the module's
-    value, so equal modules built separately share an entry; results that
-    carry a name are keyed by the name too.  Everything else depends on the
-    Frobenius data alone.  The lax structure scales with the Frobenius
-    morphism, so a rescaled context is a new object with a cache of its own.
-    What depends on the inclusion alone, the canonical Frobenius data and
-    centrality, is cached on the inclusion (``extension.make_frobenius_data``,
-    ``extension.is_central_extension``).
-    """
-
-    __slots__ = ("incl", "frob", "_cache")
-
-    def __init__(self, frob):
-        self.incl = frob.incl
-        self.frob = frob
-        self._cache = {}
-
-    @property
-    def central(self):
-        """Whether the inclusion is a central Frobenius extension, read from
-        the inclusion's cache: the answer does not depend on the scale of tr."""
-        return is_central_extension(self.incl)
-
-    @property
-    def rank(self):
-        return len(self.frob.free)
-
-    @property
-    def N(self):
-        return self.incl.N
-
-    def free_vec(self, i):
-        return self.incl.H.basis_vec(self.frob.free[i])
-
-    @cached()
-    def delta_parts(self, i):
-        """Right decomposition of delta_i: list over j of sparse K-coord vectors."""
-        return self.frob.right_decomp(self.frob.deltas[i])
-
-    @cached()
-    def basis_parts(self, q):
-        """Right decomposition of the basis element e_q of H."""
-        return self.frob.right_decomp({q: K.s_one(self.incl.ctx)})
-
-    @cached()
-    def left_decomp(self):
-        """The decomposer of H-vectors as sum_i embed(k_i) * h_i."""
-        return Decomposer(self.incl, self.frob.free, "left")
-
-    def tr_prod(self, p, i):
-        """The K-coordinates of tr(e_p h_i) as a sparse dict (not cached: see ``tr_row``)."""
-        H = self.incl.H
-        return self.frob.tr_vec(H.mult_vec(H.basis_vec(p), self.free_vec(i)))
-
-    @cached()
-    def tr_row(self, p):
-        """The nonzero tr(e_p h_i) as {i: sparse K-coord vector}."""
-        row = {}
-        for i in range(self.rank):
-            kv = self.tr_prod(p, i)
-            if kv:
-                row[i] = kv
-        return row
-
-    @cached()
-    def comult_terms(self):
-        """(i, p, q, s) over the terms s e_p (x) e_q of Delta(h_i), i ascending."""
-        n = self.incl.H.dim
-        return [
-            (i, *divmod(x, n), s)
-            for i, hi in enumerate(self.frob.free) for x, s in self.incl.H.comult[hi]
-        ]
-
-    def _structure(self, parts):
-        """The nonzero (l, i, j, c), l, i, j ascending, c the sum over the terms
-        s e_p (x) e_q of Delta(h_l) of s parts(p)[i] (x) parts(q)[j] in K (x) K
-        ((b, c) at b * dim K + c).  parts(p) holds the nonzero parts only, so
-        the build visits the nonzero (i, j) of each term, not all r^2."""
-        incl = self.incl
-        ctx, n, m = incl.ctx, incl.H.dim, incl.K.dim
-        out = []
-        for l, hl in enumerate(self.frob.free):
-            acc = {}
-            for x, s in incl.H.comult[hl]:
-                p, q = divmod(x, n)
-                row_q = parts(q)
-                if not row_q:
-                    continue
-                for i, tp in parts(p).items():
-                    tp = _scale(ctx, tp, s)
-                    for j, tq in row_q.items():
-                        _tensor(ctx, acc.setdefault((i, j), {}), tp, tq, m)
-            out.extend((l, i, j, v) for (i, j), v in sorted(acc.items()) if v)
-        return out
-
-    @cached()
-    def sigma(self):
-        """The lax structure constants sigma_{l,i,j}: parts(p) = tr(e_p h_i), by i."""
-        return self._structure(self.tr_row)
-
-    @cached()
-    def tau(self):
-        """The oplax structure constants tau_{i,t,u}: parts(p) = part t of e_p, by t."""
-        return self._structure(lambda p: {t: k for t, k in enumerate(self.basis_parts(p)) if k})
-
-    @cached()
-    def unit_maps(self):
-        """lax_0: 1 -> Ind(1), the decomposition of sum_i eps(h_i) delta_i
-        under eps_K, and oplax_0: Ind(1) -> 1, h_i x 1 -> eps(h_i), at incl.N."""
-        incl = self.incl
-        H, ctx = incl.H, incl.ctx
-        free = self.frob.free
-        eps_free = _clean(ctx, enumerate(H.counit[t] for t in free))
-        w = _apply(ctx, self.frob.deltas, eps_free)
-        eps_K = LinearFunctional(incl.N, incl.K.counit)
-        lax0 = [[eps_K(kv)] for kv in self.frob.right_decomp(w)]
-        oplax0 = [[H.counit[t] for t in free]]
-        return Matrix(incl.N, lax0), Matrix(incl.N, oplax0)
-
-    @cached(key=lambda V, U: (V.name, U.name, V.key(), U.key()))
-    def tensor(self, V, U):
-        """``tensor_modules(V, U)``, built once per pair of names and values."""
-        return tensor_modules(V, U)
-
-
 def induction_context(incl):
-    """The context of the canonical Frobenius data of a Frobenius extension.
-    Centrality is decided before the context is returned, so a disagreement
-    of its two criteria raises here; Hbar, its integral, the Frobenius data
-    and centrality are read from the inclusion's cache."""
+    """The canonical Frobenius data of a Frobenius extension, which fixes the
+    induction functor: every function of this module takes it.  Centrality
+    is decided before the data is returned, so a disagreement of its two
+    criteria raises here; Hbar, its integral, the Frobenius data and
+    centrality are read from the inclusion's cache.
+
+    What is built from the data is kept in its cache (see
+    ``hopf_core.cached``), so each structure is built once per Frobenius
+    data.  The functions of a module (``induce``, ``lax_pair``, ``oplax_pair``
+    and ``yetter_drinfeld.z_induce``) are keyed by ``V.key()``, the module's
+    value, so equal modules built separately share an entry; results that
+    carry a name are keyed by the name too.  The lax structure scales with
+    the Frobenius morphism, so rescaled data (``rescale_frobenius_data``) is
+    a new object with a cache of its own."""
     if not is_frobenius_extension(incl).frobenius:
         raise PipelineError("inclusion %r is not a Frobenius extension" % incl)
-    frob = make_frobenius_data(incl)
     is_central_extension(incl)
-    return InductionContext(frob)
+    return make_frobenius_data(incl)
+
+
+@cached()
+def delta_parts(frob, i):
+    """Right decomposition of delta_i: list over j of sparse K-coord vectors."""
+    return frob.right_decomp(frob.deltas[i])
+
+
+@cached()
+def basis_parts(frob, q):
+    """Right decomposition of the basis element e_q of H."""
+    return frob.right_decomp({q: K.s_one(frob.incl.ctx)})
+
+
+@cached()
+def left_decomp(frob):
+    """The decomposer of H-vectors as sum_i embed(k_i) * h_i."""
+    return Decomposer(frob.incl, frob.free, "left")
+
+
+@cached()
+def tr_row(frob, p):
+    """The nonzero tr(e_p h_i) as {i: sparse K-coord vector}."""
+    H = frob.incl.H
+    row = {}
+    for i, hi in enumerate(frob.free):
+        kv = frob.tr_vec(H.mult_vec(H.basis_vec(p), H.basis_vec(hi)))
+        if kv:
+            row[i] = kv
+    return row
+
+
+@cached()
+def comult_terms(frob):
+    """(i, p, q, s) over the terms s e_p (x) e_q of Delta(h_i), i ascending."""
+    H = frob.incl.H
+    return [(i, *divmod(x, H.dim), s) for i, hi in enumerate(frob.free) for x, s in H.comult[hi]]
+
+
+def _structure(frob, parts):
+    """The nonzero (l, i, j, c), l, i, j ascending, c the sum over the terms
+    s e_p (x) e_q of Delta(h_l) of s parts(p)[i] (x) parts(q)[j] in K (x) K
+    ((b, c) at b * dim K + c).  parts(p) holds the nonzero parts only, so
+    the build visits the nonzero (i, j) of each term, not all r^2."""
+    incl = frob.incl
+    ctx, n, m = incl.ctx, incl.H.dim, incl.K.dim
+    out = []
+    for l, hl in enumerate(frob.free):
+        acc = {}
+        for x, s in incl.H.comult[hl]:
+            p, q = divmod(x, n)
+            row_q = parts(q)
+            if not row_q:
+                continue
+            for i, tp in parts(p).items():
+                tp = _scale(ctx, tp, s)
+                for j, tq in row_q.items():
+                    _tensor(ctx, acc.setdefault((i, j), {}), tp, tq, m)
+        out.extend((l, i, j, v) for (i, j), v in sorted(acc.items()) if v)
+    return out
+
+
+@cached()
+def sigma(frob):
+    """The lax structure constants sigma_{l,i,j}: parts(p) = tr(e_p h_i), by i."""
+    return _structure(frob, lambda p: tr_row(frob, p))
+
+
+@cached()
+def tau(frob):
+    """The oplax structure constants tau_{i,t,u}: parts(p) = part t of e_p, by t."""
+    return _structure(frob, lambda p: {t: k for t, k in enumerate(basis_parts(frob, p)) if k})
+
+
+@cached()
+def unit_maps(frob):
+    """lax_0: 1 -> Ind(1), the decomposition of sum_i eps(h_i) delta_i
+    under eps_K, and oplax_0: Ind(1) -> 1, h_i x 1 -> eps(h_i), at incl.N."""
+    incl = frob.incl
+    H, ctx = incl.H, incl.ctx
+    eps_free = _clean(ctx, enumerate(H.counit[t] for t in frob.free))
+    w = _apply(ctx, frob.deltas, eps_free)
+    eps_K = LinearFunctional(incl.N, incl.K.counit)
+    lax0 = [[eps_K(kv)] for kv in frob.right_decomp(w)]
+    oplax0 = [[H.counit[t] for t in frob.free]]
+    return Matrix(incl.N, lax0), Matrix(incl.N, oplax0)
 
 
 def _at(t, d):
@@ -189,65 +152,65 @@ def _assemble(N, rows, cols, blocks):
     return Matrix.from_sparse(N, cols, out)
 
 
-def _k_blocks(ictx, M, shape, entries):
+def _k_blocks(frob, M, shape, entries):
     """The matrix of shape[0] x shape[1] blocks of size dim M whose block
     (s, t) sums the actions on the K-module M of the K-vectors k of the
     entries (s, t, k)."""
-    d, N = M.dim, ictx.N
+    d, N = M.dim, frob.incl.N
     return _assemble(
         lcm(N, M.N), shape[0] * d, shape[1] * d,
         ((_at(s, d), _at(t, d), M.act_alg_vec(k, N)) for s, t, k in entries if k),
     )
 
 
-def _insertion(ictx, M, xs):
+def _insertion(frob, M, xs):
     """[iota_M(x_0) | iota_M(x_1) | ...], where iota_M(x): M -> Ind M is
     v -> x (x)_K v.  Each x_j = sum_t h_t k_t is given by its parts [k_t]_t,
     so block (t, j) is the action of k_t on M."""
     return _k_blocks(
-        ictx, M, (ictx.rank, len(xs)),
+        frob, M, (frob.rank, len(xs)),
         ((t, j, k) for j, parts in enumerate(xs) for t, k in enumerate(parts)),
     )
 
 
 @cached(key=lambda V: (V.name, V.key()))
-def induce(ictx, V):
+def induce(frob, V):
     """Ind V = H (x)_K V on the carrier basis (i, a) -> i*dim V + a: e_g acts
     as [iota_V(e_g h_i)]_i."""
-    H, decomp = ictx.incl.H, ictx.frob.right_decomp
+    H, decomp = frob.incl.H, frob.right_decomp
     mats = [
-        _insertion(ictx, V, [decomp(H.mult_vec(H.basis_vec(g), ictx.free_vec(i)))
-                             for i in range(ictx.rank)])
+        _insertion(frob, V, [decomp(H.mult_vec(H.basis_vec(g), H.basis_vec(hi)))
+                             for hi in frob.free])
         for g in range(H.dim)
     ]
-    return HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(ictx.N, V.N))
+    return HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(frob.incl.N, V.N))
 
 
-def ind_morphism(ictx, phi):
+def ind_morphism(frob, phi):
     """Ind of a K-module map: block-diagonal over the free basis."""
-    r = ictx.rank
-    conductor = lcm(ictx.N, phi.N)
+    r = frob.rank
+    conductor = lcm(frob.incl.N, phi.N)
     p = phi.lift(conductor)
     ds = p.cols
     out = [{i * ds + a: v for a, v in row.items()} for i in range(r) for row in p.srows]
     return Matrix.from_sparse(conductor, r * ds, out)
 
 
-def coinduce(ictx, V):
+def coinduce(frob, V):
     """CoInd V = Hom_K(H, V) on the basis dual to the free basis, with
     (h.f)(g) = f(gh): block (j, i) of e_g is the i-th part of h_j e_g under
     the left decomposer."""
-    H, r = ictx.incl.H, ictx.rank
-    decomp = ictx.left_decomp()
+    H, r = frob.incl.H, frob.rank
+    decomp = left_decomp(frob)
     mats = [
-        _k_blocks(ictx, V, (r, r), (
+        _k_blocks(frob, V, (r, r), (
             (j, i, k)
-            for j in range(r)
-            for i, k in enumerate(decomp(H.mult_vec(ictx.free_vec(j), H.basis_vec(g))))
+            for j, hj in enumerate(frob.free)
+            for i, k in enumerate(decomp(H.mult_vec(H.basis_vec(hj), H.basis_vec(g))))
         ))
         for g in range(H.dim)
     ]
-    return HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(ictx.N, V.N))
+    return HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(frob.incl.N, V.N))
 
 
 def _mutually_inverse(A, B):
@@ -256,16 +219,16 @@ def _mutually_inverse(A, B):
     return A.rows == A.cols == B.rows == B.cols and (A * B).is_identity()
 
 
-def theta_iso(ictx, V):
+def theta_iso(frob, V):
     """theta_V(h x v) = (g -> tr(gh) v) and its closed-form inverse
     [iota_V(delta_j)]_j, both verified."""
-    r = ictx.rank
-    ind = induce(ictx, V)
-    coind = coinduce(ictx, V)
-    theta = _k_blocks(ictx, V, (r, r), (
-        (j, i, k) for j, hj in enumerate(ictx.frob.free) for i, k in ictx.tr_row(hj).items()
+    r = frob.rank
+    ind = induce(frob, V)
+    coind = coinduce(frob, V)
+    theta = _k_blocks(frob, V, (r, r), (
+        (j, i, k) for j, hj in enumerate(frob.free) for i, k in tr_row(frob, hj).items()
     ))
-    theta_inv = _insertion(ictx, V, [ictx.delta_parts(j) for j in range(r)])
+    theta_inv = _insertion(frob, V, [delta_parts(frob, j) for j in range(r)])
     if not _mutually_inverse(theta, theta_inv):
         raise PipelineError("theta and its closed-form inverse do not compose to identity")
     tm = ModuleMap(ind, coind, theta)
@@ -274,36 +237,36 @@ def theta_iso(ictx, V):
     return ind, coind, tm, ModuleMap(coind, ind, theta_inv)
 
 
-def adjunction_maps(ictx, V, W):
+def adjunction_maps(frob, V, W):
     """The four unit/counit maps and their triangle identities.
 
     V is a K-module, W an H-module.  Returns (report, dict of matrices), the
     matrices over Q(zeta_N) for N the lcm of the conductors of the
     inclusion, V and W.
     """
-    incl = ictx.incl
+    incl = frob.incl
     rep = Report("adjunction-maps")
 
-    indV = induce(ictx, V)
+    indV = induce(frob, V)
     resW = restrict(incl, W)
-    unit_GF = unit_gf_at(ictx, W)
-    counit_GF = counit_gf_at(ictx, V)
-    unit_FG = unit_fg_at(ictx, V)
-    counit_FG = counit_fg_at(ictx, W)
+    unit_GF = unit_gf_at(frob, W)
+    counit_GF = counit_gf_at(frob, V)
+    unit_FG = unit_fg_at(frob, V)
+    counit_FG = counit_fg_at(frob, W)
 
     # triangles for F -| G (F = Ind left adjoint)
-    t1 = counit_fg_at(ictx, indV) * ind_morphism(ictx, unit_FG)
+    t1 = counit_fg_at(frob, indV) * ind_morphism(frob, unit_FG)
     rep.add("triangle-FG-left", t1.is_identity(), anchor="adjunction")
-    t2 = counit_FG * unit_fg_at(ictx, resW)
+    t2 = counit_FG * unit_fg_at(frob, resW)
     rep.add("triangle-FG-right", t2.is_identity(), anchor="adjunction")
 
     # triangles for G -| F (F = Ind right adjoint)
-    t3 = ind_morphism(ictx, counit_GF) * unit_gf_at(ictx, indV)
+    t3 = ind_morphism(frob, counit_GF) * unit_gf_at(frob, indV)
     rep.add("triangle-GF-left", t3.is_identity(), anchor="adjunction")
-    t4 = counit_gf_at(ictx, resW) * unit_GF
+    t4 = counit_gf_at(frob, resW) * unit_GF
     rep.add("triangle-GF-right", t4.is_identity(), anchor="adjunction")
 
-    conductor = lcm(ictx.N, V.N, W.N)
+    conductor = lcm(incl.N, V.N, W.N)
     maps = {
         "unit_GF": unit_GF.lift(conductor),
         "counit_GF": counit_GF.lift(conductor),
@@ -313,34 +276,34 @@ def adjunction_maps(ictx, V, W):
     return rep, maps
 
 
-def counit_fg_at(ictx, W):
+def counit_fg_at(frob, W):
     """counit^{F -| G} at the H-module W: Ind Res W -> W, h_i x w -> h_i w."""
     dW = W.dim
-    return _assemble(W.N, dW, ictx.rank * dW, (
-        (range(dW), _at(i, dW), W.action[hi]) for i, hi in enumerate(ictx.frob.free)
+    return _assemble(W.N, dW, frob.rank * dW, (
+        (range(dW), _at(i, dW), W.action[hi]) for i, hi in enumerate(frob.free)
     ))
 
 
-def unit_fg_at(ictx, V):
+def unit_fg_at(frob, V):
     """unit^{F -| G} at the K-module V: V -> Res Ind V, v -> 1 x v, i.e. iota_V(1)."""
-    return _insertion(ictx, V, [ictx.frob.right_decomp(ictx.incl.H.unit_vec())])
+    return _insertion(frob, V, [frob.right_decomp(frob.incl.H.unit_vec())])
 
 
-def unit_gf_at(ictx, W):
+def unit_gf_at(frob, W):
     """unit^{G -| F} at the H-module W: W -> Ind Res W, w -> sum_i delta_i x h_i w,
     i.e. [iota_{Res W}(delta_i)]_i times the actions of the h_i stacked."""
-    r, dW = ictx.rank, W.dim
+    r, dW = frob.rank, W.dim
     stacked = _assemble(W.N, r * dW, dW, (
-        (_at(i, dW), range(dW), W.action[hi]) for i, hi in enumerate(ictx.frob.free)
+        (_at(i, dW), range(dW), W.action[hi]) for i, hi in enumerate(frob.free)
     ))
-    resW = restrict(ictx.incl, W)
-    return _insertion(ictx, resW, [ictx.delta_parts(i) for i in range(r)]) * stacked
+    resW = restrict(frob.incl, W)
+    return _insertion(frob, resW, [delta_parts(frob, i) for i in range(r)]) * stacked
 
 
-def counit_gf_at(ictx, V):
+def counit_gf_at(frob, V):
     """counit^{G -| F} at the K-module V: Res Ind V -> V, h_i x v -> tr(h_i) v."""
-    return _k_blocks(ictx, V, (1, ictx.rank), (
-        (0, i, ictx.frob.tr_vec(ictx.free_vec(i))) for i in range(ictx.rank)
+    return _k_blocks(frob, V, (1, frob.rank), (
+        (0, i, frob.tr_vec(frob.incl.H.basis_vec(hi))) for i, hi in enumerate(frob.free)
     ))
 
 
@@ -349,12 +312,12 @@ def counit_gf_at(ictx, V):
 # ---------------------------------------------------------------------------
 
 
-def _act_structure(ictx, V, U, consts, rows, cols, place):
+def _act_structure(frob, V, U, consts, rows, cols, place):
     """The rows x cols matrix that sums each structure constant (l, i, j, c)
     of consts, an element of K (x) K, acting on V x U through the actions of
     V and U, placed at place(l, i, j) = (row0, rs, col0, cs) as by
     ``exact_math._kron_act``."""
-    N, m = ictx.N, ictx.incl.K.dim
+    N, m = frob.incl.N, frob.incl.K.dim
     conductor = lcm(N, V.N, U.N)
     ctx = K.make_ctx(conductor)
     actV = [a.lift(conductor).srows for a in V.action]
@@ -367,75 +330,70 @@ def _act_structure(ictx, V, U, consts, rows, cols, place):
 
 
 @cached(key=lambda V, U: (V.key(), U.key()))
-def lax_pair(ictx, V, U):
-    """lax_{V,U}: Ind V x Ind U -> Ind(V x U) and lax_0: 1 -> Ind(1).
+def lax_pair(frob, V, U):
+    """lax_{V,U}: Ind V x Ind U -> Ind(V x U); lax_0 is ``unit_maps(frob)[0]``.
 
     (h_i x v) x (h_j x u) -> sum_l delta_l x sigma_{l,i,j} . (v x u), so
-    lax_{V,U} = [iota_{V x U}(delta_l)]_l times the context's sigma table
+    lax_{V,U} = [iota_{V x U}(delta_l)]_l times the sigma table
     acting on V x U, laid out as one row of blocks per l: sigma_{l,i,j}
     acts from the columns of (i, j)."""
-    r, dV, dU = ictx.rank, V.dim, U.dim
+    r, dV, dU = frob.rank, V.dim, U.dim
     d = dV * dU
-    sigma = _act_structure(ictx, V, U, ictx.sigma(), r * d, r * d * r,
+    acted = _act_structure(frob, V, U, sigma(frob), r * d, r * d * r,
                            lambda l, i, j: (l * d, dU, (i * dV * r + j) * dU, r * dU))
-    VU = ictx.tensor(V, U)
-    lax = _insertion(ictx, VU, [ictx.delta_parts(l) for l in range(r)]) * sigma
-    return lax, ictx.unit_maps()[0].lift(sigma.N)
+    VU = tensor_modules(V, U)
+    return _insertion(frob, VU, [delta_parts(frob, l) for l in range(r)]) * acted
 
 
 @cached(key=lambda V, U: (V.key(), U.key()))
-def oplax_pair(ictx, V, U):
-    """oplax_{V,U}: Ind(V x U) -> Ind V x Ind U and oplax_0: Ind(1) -> 1.
+def oplax_pair(frob, V, U):
+    """oplax_{V,U}: Ind(V x U) -> Ind V x Ind U; oplax_0 is ``unit_maps(frob)[1]``.
 
     h_i x (v x u) -> sum over Delta(h_i) = sum s e_p x e_q of
     s iota_V(e_p) v x iota_U(e_q) u.  Block t of iota_V(e_p) is the action
     of the t-th part of e_p, so block (t, u) of column block i is the
-    context's tau_{i,t,u} acting on V x U."""
-    r, dV, dU = ictx.rank, V.dim, U.dim
+    tau_{i,t,u} acting on V x U."""
+    r, dV, dU = frob.rank, V.dim, U.dim
     d = dV * dU
-    oplax = _act_structure(ictx, V, U, ictx.tau(), (r * dV) * (r * dU), r * d,
-                           lambda i, t, u: ((t * dV * r + u) * dU, r * dU, i * d, dU))
-    return oplax, ictx.unit_maps()[1].lift(oplax.N)
+    return _act_structure(frob, V, U, tau(frob), (r * dV) * (r * dU), r * d,
+                          lambda i, t, u: ((t * dV * r + u) * dU, r * dU, i * d, dU))
 
 
-def verify_lax_coherence(ictx, modules):
+def verify_lax_coherence(frob, modules):
     """Associativity and unitality of lax, coassociativity/counitality of oplax,
     over all triples/objects from the supplied module list."""
-    incl = ictx.incl
-    r = ictx.rank
+    incl = frob.incl
+    r = frob.rank
     rep = Report("lax-oplax-coherence")
     one = trivial_module(incl.K, N=incl.N)
+    lax0, oplax0 = unit_maps(frob)
     for V in modules:
-        laxV1, lax0 = lax_pair(ictx, V, one)
-        lax1V, _ = lax_pair(ictx, one, V)
         rV = r * V.dim
         # lax_{V,1} (id x lax0) = id
-        m1 = laxV1 * id_kron(rV, lax0)
+        m1 = lax_pair(frob, V, one) * id_kron(rV, lax0)
         rep.add("lax-right-unital[%s]" % V.name, m1.is_identity(), anchor="lax-unitality")
-        m2 = lax1V * kron_id(lax0, rV)
+        m2 = lax_pair(frob, one, V) * kron_id(lax0, rV)
         rep.add("lax-left-unital[%s]" % V.name, m2.is_identity(), anchor="lax-unitality")
         # oplax counitality
-        oplaxV1, oplax0 = oplax_pair(ictx, V, one)
-        m3 = id_kron(rV, oplax0) * oplaxV1
+        m3 = id_kron(rV, oplax0) * oplax_pair(frob, V, one)
         rep.add("oplax-right-counital[%s]" % V.name, m3.is_identity(), anchor="oplax-unitality")
-        oplax1V, _ = oplax_pair(ictx, one, V)
-        m4 = kron_id(oplax0, rV) * oplax1V
+        m4 = kron_id(oplax0, rV) * oplax_pair(frob, one, V)
         rep.add("oplax-left-counital[%s]" % V.name, m4.is_identity(), anchor="oplax-unitality")
     for V in modules:
         for U in modules:
             for W in modules:
-                VU = ictx.tensor(V, U)
-                UW = ictx.tensor(U, W)
+                VU = tensor_modules(V, U)
+                UW = tensor_modules(U, W)
                 rV, rW = r * V.dim, r * W.dim
-                lhs = lax_pair(ictx, VU, W)[0] * kron_id(lax_pair(ictx, V, U)[0], rW)
-                rhs = lax_pair(ictx, V, UW)[0] * id_kron(rV, lax_pair(ictx, U, W)[0])
+                lhs = lax_pair(frob, VU, W) * kron_id(lax_pair(frob, V, U), rW)
+                rhs = lax_pair(frob, V, UW) * id_kron(rV, lax_pair(frob, U, W))
                 rep.add(
                     "lax-associative[%s,%s,%s]" % (V.name, U.name, W.name),
                     lhs == rhs,
                     anchor="lax-associativity",
                 )
-                lhs = kron_id(oplax_pair(ictx, V, U)[0], rW) * oplax_pair(ictx, VU, W)[0]
-                rhs = id_kron(rV, oplax_pair(ictx, U, W)[0]) * oplax_pair(ictx, V, UW)[0]
+                lhs = kron_id(oplax_pair(frob, V, U), rW) * oplax_pair(frob, VU, W)
+                rhs = id_kron(rV, oplax_pair(frob, U, W)) * oplax_pair(frob, V, UW)
                 rep.add(
                     "oplax-coassociative[%s,%s,%s]" % (V.name, U.name, W.name),
                     lhs == rhs,
@@ -444,22 +402,22 @@ def verify_lax_coherence(ictx, modules):
     return rep
 
 
-def verify_frobenius_monoidal(ictx, V, U, W):
+def verify_frobenius_monoidal(frob, V, U, W):
     """The two Frobenius compatibility squares for the triple (V, U, W)."""
     rep = Report("frobenius-monoidal[%s,%s,%s]" % (V.name, U.name, W.name))
-    UW = ictx.tensor(U, W)
-    VU = ictx.tensor(V, U)
-    rV, rW = ictx.rank * V.dim, ictx.rank * W.dim
-    lhs = kron_id(lax_pair(ictx, V, U)[0], rW) * id_kron(rV, oplax_pair(ictx, U, W)[0])
-    rhs = oplax_pair(ictx, VU, W)[0] * lax_pair(ictx, V, UW)[0]
+    UW = tensor_modules(U, W)
+    VU = tensor_modules(V, U)
+    rV, rW = frob.rank * V.dim, frob.rank * W.dim
+    lhs = kron_id(lax_pair(frob, V, U), rW) * id_kron(rV, oplax_pair(frob, U, W))
+    rhs = oplax_pair(frob, VU, W) * lax_pair(frob, V, UW)
     rep.add("frobenius-square-1", lhs == rhs, anchor="frobmon")
-    lhs = id_kron(rV, lax_pair(ictx, U, W)[0]) * kron_id(oplax_pair(ictx, V, U)[0], rW)
-    rhs = oplax_pair(ictx, V, UW)[0] * lax_pair(ictx, VU, W)[0]
+    lhs = id_kron(rV, lax_pair(frob, U, W)) * kron_id(oplax_pair(frob, V, U), rW)
+    rhs = oplax_pair(frob, V, UW) * lax_pair(frob, VU, W)
     rep.add("frobenius-square-2", lhs == rhs, anchor="frobmon")
     return rep
 
 
-def is_separable_functor(ictx, pairs):
+def is_separable_functor(frob, pairs):
     """Separability of the induction functor over the sampled pairs.
 
     Computes lax o oplax on Ind(V x U) for each pair.  The functor counts as
@@ -467,14 +425,14 @@ def is_separable_functor(ictx, pairs):
     identity on every pair (the lax structure scales linearly with the choice
     of Frobenius morphism, so c depends on the normalization while
     separability itself does not).  The witness normalization lam/c is then
-    built as a context of its own, returned as ``rescaled``, and
+    built as Frobenius data of its own, returned as ``rescaled``, and
     lax o oplax = id is confirmed strictly on the first pair.
     """
     strict = True
     scalar = None
     consistent = True
     for V, U in pairs:
-        comp = lax_pair(ictx, V, U)[0] * oplax_pair(ictx, V, U)[0]
+        comp = lax_pair(frob, V, U) * oplax_pair(frob, V, U)
         c = comp.is_scalar_multiple_of_identity()
         if c is None:
             strict = False
@@ -489,11 +447,9 @@ def is_separable_functor(ictx, pairs):
     separable = consistent and scalar is not None and not scalar.is_zero()
     rescaled = witness_ok = None
     if separable:
-        rescaled = InductionContext(
-            rescale_frobenius_data(ictx.frob, Cyclotomic.promote(1) / scalar)
-        )
+        rescaled = rescale_frobenius_data(frob, Cyclotomic.promote(1) / scalar)
         V, U = pairs[0]
-        witness_ok = (lax_pair(rescaled, V, U)[0] * oplax_pair(rescaled, V, U)[0]).is_identity()
+        witness_ok = (lax_pair(rescaled, V, U) * oplax_pair(rescaled, V, U)).is_identity()
         separable = witness_ok
     return {
         "separable": separable,
@@ -524,7 +480,7 @@ class ProjectionMorphisms:
         self.report = report
 
 
-def projection_morphisms(ictx, W, V):
+def projection_morphisms(frob, W, V):
     """The four projection-formula maps for an H-module W and K-module V.
 
     Each is lax or oplax whiskered with the adjunction at W (Fausk-Hu-May,
@@ -539,23 +495,23 @@ def projection_morphisms(ictx, W, V):
     built from the antipode and its inverse, returned as ``lproj_FG_inv``
     and ``rproj_FG_inv``.
     """
-    incl = ictx.incl
+    incl = frob.incl
     H = incl.H
-    r = ictx.rank
+    r = frob.rank
     dW, dV = W.dim, V.dim
-    conductor = lcm(ictx.N, V.N, W.N)
+    conductor = lcm(incl.N, V.N, W.N)
     resW = restrict(incl, W)
-    resWV = ictx.tensor(resW, V)
-    VresW = ictx.tensor(V, resW)
+    resWV = tensor_modules(resW, V)
+    VresW = tensor_modules(V, resW)
     rep = Report("projection-morphisms")
 
-    unit = unit_gf_at(ictx, W)
-    counit = counit_fg_at(ictx, W)
+    unit = unit_gf_at(frob, W)
+    counit = counit_fg_at(frob, W)
     rV = r * dV
-    lproj_GF = lax_pair(ictx, resW, V)[0] * kron_id(unit, rV)
-    lproj_FG = kron_id(counit, rV) * oplax_pair(ictx, resW, V)[0]
-    rproj_GF = lax_pair(ictx, V, resW)[0] * id_kron(rV, unit)
-    rproj_FG = id_kron(rV, counit) * oplax_pair(ictx, V, resW)[0]
+    lproj_GF = lax_pair(frob, resW, V) * kron_id(unit, rV)
+    lproj_FG = kron_id(counit, rV) * oplax_pair(frob, resW, V)
+    rproj_GF = lax_pair(frob, V, resW) * id_kron(rV, unit)
+    rproj_FG = id_kron(rV, counit) * oplax_pair(frob, V, resW)
 
     right_inv = _mutually_inverse(rproj_GF, rproj_FG)
     rep.add("rproj-pair-mutually-inverse", right_inv, anchor="projection-formula")
@@ -571,19 +527,19 @@ def projection_morphisms(ictx, W, V):
     # Delta(h_i) = sum s e_p x e_q; column p of S^-1 and S gives the
     # coordinates of S^-1(e_p) and S(e_p).  iota(e_q) and the action of
     # S^-1(e_p) (resp. iota(e_p) and the action of S(e_q)) are formed once.
-    terms = ictx.comult_terms()
+    terms = comult_terms(frob)
     ps, qs = {p for _, p, _, _ in terms}, {q for _, _, q, _ in terms}
-    Sinv, S = antipode_inverse(H).transpose().srows, H.antipode_matrix().transpose().srows
+    Sinv = antipode_inverse(H).transpose().srows
     SinvW = {p: W.act_alg_vec(Sinv[p], H.N) for p in ps}
-    SW = {q: W.act_alg_vec(S[q], H.N) for q in qs}
-    iota_WV = {q: _insertion(ictx, resWV, [ictx.basis_parts(q)]) for q in qs}
-    iota_VW = {p: _insertion(ictx, VresW, [ictx.basis_parts(p)]) for p in ps}
+    SW = {q: W.act_alg_vec(dict(H.antipode_cols[q]), H.N) for q in qs}
+    iota_WV = {q: _insertion(frob, resWV, [basis_parts(frob, q)]) for q in qs}
+    iota_VW = {p: _insertion(frob, VresW, [basis_parts(frob, p)]) for p in ps}
     every_row = range(r * dW * dV)
 
     # w x (h_i x v) -> h_(2) x (S^-1(h_(1)) w x v)
     lproj_FG_inv = _assemble(conductor, r * dW * dV, dW * (r * dV), (
         (every_row, _pair_map(0, dW, i, dV, r),
-         iota_WV[q] * kron_id(SinvW[p].scale(Cyclotomic(ictx.N, s)), dV))
+         iota_WV[q] * kron_id(SinvW[p].scale(Cyclotomic(incl.N, s)), dV))
         for i, p, q, s in terms
     ))
     rep.add(
@@ -595,7 +551,7 @@ def projection_morphisms(ictx, W, V):
     # (h_i x v) x w -> h_(1) x (v x S(h_(2)) w)
     rproj_FG_inv = _assemble(conductor, r * dV * dW, (r * dV) * dW, (
         (every_row, _pair_map(i, dV, 0, dW, 1),
-         iota_VW[p] * id_kron(dV, SW[q].scale(Cyclotomic(ictx.N, s))))
+         iota_VW[p] * id_kron(dV, SW[q].scale(Cyclotomic(incl.N, s))))
         for i, p, q, s in terms
     ))
     rep.add(
@@ -606,7 +562,7 @@ def projection_morphisms(ictx, W, V):
 
     rep.add(
         "lproj-invertibility-matches-centrality",
-        left_inv == ictx.central,
+        left_inv == is_central_extension(frob.incl),
         anchor="central-frobenius",
     )
     return ProjectionMorphisms(

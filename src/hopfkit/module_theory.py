@@ -7,7 +7,7 @@ from math import lcm
 from . import _kernel as K
 from .errors import ShapeError
 from .exact_math import Cyclotomic, Matrix, RowSpace, _add, _kron_act
-from .hopf_core import _first_defect, algebra_generators
+from .hopf_core import _first_defect, algebra_generators, cached
 from .reports import Report
 
 
@@ -25,9 +25,10 @@ class HModule:
     builds an HModule directly takes on the premise.
 
     The module lives over Q(zeta_M) for M the lcm of ``N``, the conductor
-    of H and those of the action matrices, and H is lifted to M."""
+    of H and those of the action matrices, and H is lifted to M.  ``_cache``
+    holds its ``key()`` and its tensor products (see ``hopf_core.cached``)."""
 
-    __slots__ = ("H", "dim", "N", "ctx", "action", "name", "_key")
+    __slots__ = ("H", "dim", "N", "ctx", "action", "name", "_cache")
     __hash__ = None
 
     def __init__(self, H, action, name="V", N=1):
@@ -47,18 +48,14 @@ class HModule:
         self.dim = d[0]
         self.action = tuple(a.lift(conductor) for a in mats)
         self.name = name
-        self._key = None
+        self._cache = {}
 
-    def act(self, i):
-        return self.action[i]
-
+    @cached()
     def key(self):
         """The module's value, (algebra name, conductor, ``key()`` of each
         action matrix): equal modules built separately share it.  Formed on
         the first call; the action matrices are not changed afterwards."""
-        if self._key is None:
-            self._key = (self.H.name, self.N, tuple(a.key() for a in self.action))
-        return self._key
+        return (self.H.name, self.N, tuple(a.key() for a in self.action))
 
     def act_alg_vec(self, hvec, N):
         """Action matrix of a sparse algebra vector {index: raw} whose raw
@@ -98,7 +95,7 @@ class ModuleMap:
         """f rho(h) = rho'(h) f for all h, checked for h in
         ``algebra_generators`` (see ``HModule``)."""
         for i in algebra_generators(self.source.H):
-            if self.matrix * self.source.act(i) != self.target.act(i) * self.matrix:
+            if self.matrix * self.source.action[i] != self.target.action[i] * self.matrix:
                 return False
         return True
 
@@ -150,8 +147,10 @@ def verify_module(M):
     return rep
 
 
+@cached(key=lambda N_mod: (N_mod.name, N_mod.key()))
 def tensor_modules(M, N_mod):
-    """Tensor product module with the diagonal action via the coproduct."""
+    """Tensor product module with the diagonal action via the coproduct,
+    built once per left factor and name and value of the right factor."""
     if M.H.name != N_mod.H.name:
         raise ShapeError("tensor of modules over different algebras")
     conductor = lcm(M.N, N_mod.N)

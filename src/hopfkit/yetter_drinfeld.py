@@ -6,7 +6,8 @@ from math import lcm
 from . import _kernel as K
 from .errors import PipelineError, ShapeError
 from .exact_math import Matrix, _add, id_kron, kron_id
-from .induction import _insertion, induce, ind_morphism, lax_pair, oplax_pair
+from .extension import is_central_extension
+from .induction import _insertion, basis_parts, induce, ind_morphism, lax_pair, oplax_pair
 from .hopf_core import _first_defect, algebra_generators, cached
 from .module_theory import HModule, ModuleMap, tensor_modules
 from .reports import Report
@@ -231,20 +232,20 @@ def yd_braiding_natural(f_src, f_tgt, g_src, g_tgt, f_mat, g_mat):
 
 
 @cached(key=lambda M: (M.name, M.module.key(), M.coaction.key()))
-def z_induce(ictx, M):
+def z_induce(frob, M):
     """Induce a YD module over K to one over H along a central Frobenius extension.
 
     delta(h x v) = h_(1) v^(-1) S(h_(3)) x (h_(2) x v^(0)), with the twist
     h_(1) g S(h_(3)) x h_(2) read from ``H.yd_twist`` over H lifted to the
     induced module's conductor.  The result is built and verified once per
-    context and YD module value; a module that fails verification raises and
-    is not cached.
+    Frobenius data and YD module value; a module that fails verification
+    raises and is not cached.
     """
-    if not ictx.central:
+    incl = frob.incl
+    if not is_central_extension(incl):
         raise PipelineError("z_induce requires a central Frobenius extension")
-    incl = ictx.incl
-    r = ictx.rank
-    ind = induce(ictx, M.module)
+    r = frob.rank
+    ind = induce(frob, M.module)
     H = ind.H
     conductor = ind.N
     ctx = K.make_ctx(conductor)
@@ -255,7 +256,7 @@ def z_induce(ictx, M):
     iota = {}
     rows = [{} for _ in range(H.dim * dim)]
     for i in range(r):
-        hi = ictx.frob.free[i]
+        hi = frob.free[i]
         for a in range(d):
             for row, v in coact[a].items():
                 g, a0 = divmod(row, d)
@@ -266,7 +267,7 @@ def z_induce(ictx, M):
                         if cols is None:
                             # the columns of iota_M(e_q): v -> e_q (x)_K v
                             cols = iota[q] = _insertion(
-                                ictx, M.module, [ictx.basis_parts(q)]
+                                frob, M.module, [basis_parts(frob, q)]
                             ).transpose().srows
                         c = K.s_mul(ctx, tw, ev)
                         for tb, w in cols[a0].items():
@@ -279,7 +280,7 @@ def z_induce(ictx, M):
     return out
 
 
-def verify_braided_frobenius(ictx, M, N_mod):
+def verify_braided_frobenius(frob, M, N_mod):
     """Both braided compatibility squares for the pair (M, N) of K-YD modules.
 
     Only ZInd(M) and ZInd(N) are built; ZInd(M (x) N) is not, since no
@@ -287,24 +288,24 @@ def verify_braided_frobenius(ictx, M, N_mod):
     isomorphisms by theorem, so no tensor product of YD modules is built.
     """
     rep = Report("braided-frobenius[%s,%s]" % (M.name, N_mod.name))
-    FM = z_induce(ictx, M)
-    FN = z_induce(ictx, N_mod)
+    FM = z_induce(frob, M)
+    FN = z_induce(frob, N_mod)
 
     psi_K = yd_braiding(M, N_mod)
-    F_psi = ind_morphism(ictx, psi_K)
+    F_psi = ind_morphism(frob, psi_K)
     psi_H = yd_braiding(FM, FN)
 
-    lhs = lax_pair(ictx, N_mod.module, M.module)[0] * psi_H
-    rhs = F_psi * lax_pair(ictx, M.module, N_mod.module)[0]
+    lhs = lax_pair(frob, N_mod.module, M.module) * psi_H
+    rhs = F_psi * lax_pair(frob, M.module, N_mod.module)
     rep.add("lax-braided", lhs == rhs, anchor="braided-lax")
-    lhs = oplax_pair(ictx, N_mod.module, M.module)[0] * F_psi
-    rhs = psi_H * oplax_pair(ictx, M.module, N_mod.module)[0]
+    lhs = oplax_pair(frob, N_mod.module, M.module) * F_psi
+    rhs = psi_H * oplax_pair(frob, M.module, N_mod.module)
     rep.add("oplax-braided", lhs == rhs, anchor="braided-oplax")
 
     # functor-level compatibility: the module part of z_induce equals induce
     rep.add(
         "module-part-matches-induce",
-        FM.module == induce(ictx, M.module),
+        FM.module == induce(frob, M.module),
         anchor="zind-underlying",
     )
     return rep

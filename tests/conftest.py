@@ -53,7 +53,7 @@ def h8_incl(h8_pair):
 
 
 @pytest.fixture(scope="session")
-def h8_ictx(h8_incl):
+def h8_frob(h8_incl):
     return induction_context(h8_incl)
 
 

@@ -18,7 +18,6 @@ from hopfkit.builders import (
     cyclic_table,
     drinfeld_double,
     group_algebra,
-    kac_paljutkin,
     klein_table,
     unimodularity_scan_sl2,
 )
@@ -52,9 +51,7 @@ from hopfkit.hopf_core import (
     verify_hopf,
 )
 from hopfkit.induction import (
-    InductionContext,
     induce,
-    induction_context,
     is_separable_functor,
     lax_pair,
     projection_morphisms,
@@ -89,10 +86,10 @@ def test_criterion_01_h8_trace_and_dual_bases(h8, h8_incl):
     assert elapsed < 1.0
 
 
-def test_criterion_02_h8_decomposition_list(h8, h8_ictx):
+def test_criterion_02_h8_decomposition_list(h8, h8_frob):
     t0 = time.monotonic()
     i = root_of_unity(4)
-    Kk = h8_ictx.incl.K
+    Kk = h8_frob.incl.K
     pairs = [
         ((1, 1), direct_sum(h8_v1(h8, 1), h8_v1(h8, -1))),
         ((1, -1), h8_v2(h8)),
@@ -100,7 +97,7 @@ def test_criterion_02_h8_decomposition_list(h8, h8_ictx):
         ((-1, -1), direct_sum(h8_v1(h8, i), h8_v1(h8, -i))),
     ]
     for sig, target in pairs:
-        ind = induce(h8_ictx, kchar(Kk, *sig))
+        ind = induce(h8_frob, kchar(Kk, *sig))
         iso = is_isomorphic(ind, target)
         assert iso.status == "iso", sig
         assert iso.map.is_invertible() and iso.map.intertwines()
@@ -109,9 +106,9 @@ def test_criterion_02_h8_decomposition_list(h8, h8_ictx):
     assert elapsed < 1.0
 
 
-def test_criterion_03_h8_braided_frobenius_suite(h8_ictx):
+def test_criterion_03_h8_braided_frobenius_suite(h8_frob):
     t0 = time.monotonic()
-    Kk = h8_ictx.incl.K
+    Kk = h8_frob.incl.K
     simples = [kline(Kk, "1", ex, ey) for ex in (1, -1) for ey in (1, -1)]
     for m in simples:
         assert verify_yd(m).ok
@@ -119,11 +116,11 @@ def test_criterion_03_h8_braided_frobenius_suite(h8_ictx):
     for a in plain:
         for b in plain:
             for c in plain:
-                assert verify_frobenius_monoidal(h8_ictx, a, b, c).ok
+                assert verify_frobenius_monoidal(h8_frob, a, b, c).ok
     for a in simples:
         for b in simples:
-            assert verify_braided_frobenius(h8_ictx, a, b).ok
-    sep = is_separable_functor(h8_ictx, [(a, b) for a in plain for b in plain])
+            assert verify_braided_frobenius(h8_frob, a, b).ok
+    sep = is_separable_functor(h8_frob, [(a, b) for a in plain for b in plain])
     assert sep["separable"] is True
     assert sep["witness_verified"] is True
     assert str(sep["scalar"]) == "2"
@@ -132,7 +129,7 @@ def test_criterion_03_h8_braided_frobenius_suite(h8_ictx):
     assert elapsed < 10.0
 
 
-def test_criterion_04_twelve_rigid_frobenius_algebras(h8_ictx):
+def test_criterion_04_twelve_rigid_frobenius_algebras(h8_frob):
     """Asserted exactly as stated; fails on machine-verified counterexamples.
 
     With the strictly separable normalization (the one the specialness
@@ -148,15 +145,15 @@ def test_criterion_04_twelve_rigid_frobenius_algebras(h8_ictx):
     See notes/decisions.md for the full analysis.
     """
     t0 = time.monotonic()
-    Kk = h8_ictx.incl.K
-    sctx = InductionContext(rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)))
+    Kk = h8_frob.incl.K
+    half = rescale_frobenius_data(h8_frob, Fraction(1, 2))
     failures = []
     for n in ("x", "y", "xy"):
         for ex in (1, -1):
             for ey in (1, -1):
                 A = build_group_etale(Kk, n, ex, ey)
-                B = push_frobenius(sctx, A)
-                B2 = direct_b_algebra(sctx, n, ex, ey)
+                B = push_frobenius(half, A)
+                B2 = direct_b_algebra(half, n, ex, ey)
                 if not frob_objects_equal(B, B2):
                     failures.append("push != direct tables at (%s,%d,%d)" % (n, ex, ey))
                 rig = is_rigid_frobenius(B)
@@ -184,9 +181,9 @@ def test_criterion_04_twelve_rigid_frobenius_algebras(h8_ictx):
     )
 
 
-def test_criterion_05_zone_h_example(h8_ictx):
+def test_criterion_05_zone_h_example(h8_frob):
     t0 = time.monotonic()
-    A = push_frobenius(h8_ictx, trivial_frobenius(h8_ictx.incl.K))
+    A = push_frobenius(h8_frob, trivial_frobenius(h8_frob.incl.K))
     assert verify_frobenius_object(A).ok
     # unit = (1 + z)/2 x 1 identifies the basis (1_A, a)
     assert [str(A.unit.entry(i, 0)) for i in range(2)] == ["1/2", "1/2"]
@@ -279,10 +276,9 @@ def test_criterion_07_drinfeld_doubles(h8_incl):
         assert ana.decision.frobenius
         assert ana.central is True
         # both projection pairs are mutually inverse
-        ictx = InductionContext(ana.frob)
-        W = induce(ictx, trivial_module(H))
+        W = induce(ana.frob, trivial_module(H))
         V = trivial_module(H)
-        pm = projection_morphisms(ictx, W, V)
+        pm = projection_morphisms(ana.frob, W, V)
         assert pm.report.ok, pm.report.failures()
         assert pm.report["lproj-pair-mutually-inverse"].status == "pass"
         assert pm.report["rproj-pair-mutually-inverse"].status == "pass"
@@ -364,7 +360,7 @@ def test_criterion_10_cartan_row_sums():
     assert elapsed < 10.0
 
 
-def test_criterion_11_scale_robustness(h8, h8_incl, h8_ictx):
+def test_criterion_11_scale_robustness(h8, h8_incl, h8_frob):
     t0 = time.monotonic()
     ana1 = analyze_extension(h8_incl)
     frob7 = rescale_frobenius_data(ana1.frob, Cyclotomic.promote(7))
@@ -373,15 +369,14 @@ def test_criterion_11_scale_robustness(h8, h8_incl, h8_ictx):
     assert Cyclotomic(h8_incl.N, frob7.deltas[0][0]) == Fraction(1, 14)
     # ... and both dual-basis identities still hold (invariant under the rescale)
     assert tr_bicomodule_map(h8_incl, frob7.tr) == ana1.central
-    ictx7 = InductionContext(frob7)
 
     # criterion 2 outcomes unchanged
     i = root_of_unity(4)
     Kk = h8_incl.K
-    assert is_isomorphic(induce(ictx7, kchar(Kk, 1, -1)), h8_v2(h8)).status == "iso"
+    assert is_isomorphic(induce(frob7, kchar(Kk, 1, -1)), h8_v2(h8)).status == "iso"
     assert (
         is_isomorphic(
-            induce(ictx7, kchar(Kk, -1, -1)), direct_sum(h8_v1(h8, i), h8_v1(h8, -i))
+            induce(frob7, kchar(Kk, -1, -1)), direct_sum(h8_v1(h8, i), h8_v1(h8, -i))
         ).status
         == "iso"
     )
@@ -392,17 +387,15 @@ def test_criterion_11_scale_robustness(h8, h8_incl, h8_ictx):
     for a in plain:
         for b in plain:
             for c in plain:
-                assert verify_frobenius_monoidal(ictx7, a, b, c).ok
+                assert verify_frobenius_monoidal(frob7, a, b, c).ok
     for a in simples[:2]:
         for b in simples[:2]:
-            assert verify_braided_frobenius(ictx7, a, b).ok
-    sep7 = is_separable_functor(ictx7, [(a, b) for a in plain for b in plain])
-    sep1 = is_separable_functor(h8_ictx, [(a, b) for a in plain for b in plain])
+            assert verify_braided_frobenius(frob7, a, b).ok
+    sep7 = is_separable_functor(frob7, [(a, b) for a in plain for b in plain])
+    sep1 = is_separable_functor(h8_frob, [(a, b) for a in plain for b in plain])
     assert sep7["separable"] == sep1["separable"] is True
     assert str(sep7["scalar"]) == "14"  # the forced scalar
-    lax7, _ = lax_pair(ictx7, plain[0], plain[0])
-    lax1, _ = lax_pair(h8_ictx, plain[0], plain[0])
-    assert lax7 == lax1.scale(7)
+    assert lax_pair(frob7, plain[0], plain[0]) == lax_pair(h8_frob, plain[0], plain[0]).scale(7)
     elapsed = time.monotonic() - t0
     record_criterion(11, True, "%.1fs" % elapsed)
     assert elapsed < 30.0

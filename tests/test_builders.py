@@ -14,7 +14,6 @@ from hopfkit.builders import (
     double_r_matrix,
     drinfeld_double,
     group_algebra,
-    kac_paljutkin,
     klein_table,
     small_quantum_sl2,
     taft,
@@ -24,10 +23,9 @@ from hopfkit.builders import (
 from hopfkit.bundles import parse_hopf, serialize_hopf, serialize_inclusion
 from hopfkit.cli import resolve_hopf, resolve_inclusion
 from hopfkit.errors import HopfkitError
-from hopfkit.exact_math import Cyclotomic, Matrix, _add, _axpy, root_of_unity
+from hopfkit.exact_math import Cyclotomic, _add, _axpy
 from hopfkit.extension import bar_quotient, verify_inclusion
 from hopfkit.hopf_core import is_unimodular, verify_hopf
-from hopfkit.reports import Report
 
 
 def test_group_algebra_rejects_non_group():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CATALOGUE
 from hopfkit.bundles import parse_hopf, parse_module, serialize_hopf, serialize_module
-from hopfkit.cli import main, resolve_hopf, resolve_inclusion, resolve_module
+from hopfkit.cli import main, resolve_hopf, resolve_inclusion
 from hopfkit.errors import BundleParseError
 from hopfkit.hopf_core import verify_hopf
 
@@ -593,25 +593,25 @@ def test_no_kronecker_product_with_an_identity_is_formed(monkeypatch, capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out
 
     incl = resolve_inclusion("builtin:h8")
-    ictx = induction_context(incl)
+    frob = induction_context(incl)
     V, U = kchar(incl.K, 1, 1), kchar(incl.K, -1, -1)
-    reports = [verify_lax_coherence(ictx, [V, U]),
-               projection_morphisms(ictx, induce(ictx, kchar(incl.K, 1, -1)), U).report]
+    reports = [verify_lax_coherence(frob, [V, U]),
+               projection_morphisms(frob, induce(frob, kchar(incl.K, 1, -1)), U).report]
     assert [hashlib.sha256(r.to_text().encode()).hexdigest() for r in reports] == [
         "a0ad31eb8220415761427ed4e8222165d0b3e1a13e7980686102394a487a483c",
         "61f0e0b0b5b62c82f38977c262a6c2fd2bdcbfd01235e7631fcb37ddaf2c8b81",
     ]
     lines = [kline(incl.K, g, ex, ey) for g, ex, ey in (("x", 1, -1), ("y", -1, 1), ("xy", -1, -1))]
-    assert yd_hexagons(*(z_induce(ictx, L) for L in lines))
+    assert yd_hexagons(*(z_induce(frob, L) for L in lines))
 
     # tensor products and the lax/oplax maps form no Kronecker product at all
     def refused(A, B):
         raise AssertionError("Matrix.kron was called")
 
     monkeypatch.setattr(Matrix, "kron", refused)
-    R = restrict(incl, induce(ictx, kchar(incl.K, 1, -1)))  # two-dimensional
+    R = restrict(incl, induce(frob, kchar(incl.K, 1, -1)))  # two-dimensional
     assert tensor_modules(R, R).dim == 4
-    assert (lax_pair(ictx, R, V)[0].rows, oplax_pair(ictx, R, R)[0].cols) == (2 * 2, 2 * 4)
+    assert (lax_pair(frob, R, V).rows, oplax_pair(frob, R, R).cols) == (2 * 2, 2 * 4)
 
 
 def test_verify_of_a_yd_bundle_checks_the_module_too(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import kline
 from hopfkit.exact_math import Matrix
 from hopfkit.extension import rescale_frobenius_data
 from hopfkit.frob_objects import (
@@ -20,8 +19,7 @@ from hopfkit.frob_objects import (
     trivial_frobenius,
     verify_frobenius_object,
 )
-from hopfkit.induction import InductionContext
-from hopfkit.yetter_drinfeld import YDModule, yd_tensor
+from hopfkit.yetter_drinfeld import YDModule
 
 
 ALL_PARAMS = [(n, ex, ey) for n in ("x", "y", "xy") for ex in (1, -1) for ey in (1, -1)]
@@ -32,9 +30,9 @@ BOSONIC = [(n, ex, ey) for (n, ex, ey) in ALL_PARAMS
 
 
 @pytest.fixture(scope="module")
-def sctx(h8_ictx):
+def half_frob(h8_frob):
     """The strictly separable normalization (lambda divided by the scalar 2)."""
-    return InductionContext(rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)))
+    return rescale_frobenius_data(h8_frob, Fraction(1, 2))
 
 
 def test_trivial_frobenius(h8_incl):
@@ -63,28 +61,28 @@ def test_the_plain_unit_frobenius_algebra_pushes_to_a_frobenius_algebra(spec, sp
     from hopfkit.induction import induction_context
     from hopfkit.module_theory import trivial_module
 
-    ictx = induction_context(resolve_inclusion(spec))
-    Kk = ictx.incl.K
+    frob = induction_context(resolve_inclusion(spec))
+    Kk = frob.incl.K
     one = Matrix.identity(1, Kk.N)
-    F = push_frobenius(ictx, FrobObject(trivial_module(Kk), one, one, one, one, name="1"))
+    F = push_frobenius(frob, FrobObject(trivial_module(Kk), one, one, one, one, name="1"))
     assert not F.is_yd
     rep = verify_frobenius_object(F)
     assert rep.ok, rep.failures()
     assert is_special(F) == special
 
 
-def test_zone_h_push(h8_ictx):
-    A = push_frobenius(h8_ictx, trivial_frobenius(h8_ictx.incl.K))
+def test_zone_h_push(h8_frob):
+    A = push_frobenius(h8_frob, trivial_frobenius(h8_frob.incl.K))
     rep = verify_frobenius_object(A)
     assert rep.ok, rep.failures()
     assert is_commutative_object(A)
     assert is_connected(A)
 
 
-def test_zone_h_counit_flip_fails(h8_ictx):
+def test_zone_h_counit_flip_fails(h8_frob):
     # the true counit is (1, 1) in carrier coordinates (equivalently eps(a) = 0
     # in the unit/complement basis); zeroing the second value breaks counitality
-    A = push_frobenius(h8_ictx, trivial_frobenius(h8_ictx.incl.K))
+    A = push_frobenius(h8_frob, trivial_frobenius(h8_frob.incl.K))
     assert verify_frobenius_object(A).ok
     bad = FrobObject(A.carrier, A.mult, A.unit, A.comult, Matrix.from_rows([[1, 0]]), name="bad")
     rep = verify_frobenius_object(bad)
@@ -109,9 +107,9 @@ def test_etale_commutativity_is_the_boson_condition(h8_incl, n, ex, ey):
 
 
 @pytest.mark.parametrize("n,ex,ey", ALL_PARAMS)
-def test_pushed_b_algebras(sctx, n, ex, ey):
-    A = build_group_etale(sctx.incl.K, n, ex, ey)
-    B = push_frobenius(sctx, A)
+def test_pushed_b_algebras(half_frob, n, ex, ey):
+    A = build_group_etale(half_frob.incl.K, n, ex, ey)
+    B = push_frobenius(half_frob, A)
     rep = verify_frobenius_object(B)
     assert rep.ok, rep.failures()
     # at the separable normalization: m Delta = 2 id, eps(unit) = 2
@@ -122,15 +120,15 @@ def test_pushed_b_algebras(sctx, n, ex, ey):
 
 
 @pytest.mark.parametrize("n,ex,ey", ALL_PARAMS)
-def test_push_matches_direct_tables_except_fermionic_sign(sctx, n, ex, ey):
+def test_push_matches_direct_tables_except_fermionic_sign(half_frob, n, ex, ey):
     """The structure-table constructor agrees with the pushed object except for
     the three (ex, ey) = (-1, -1) parameter points, where the published
     multiplication table is off by a sign on the z-block (see the decisions
     ledger)."""
-    A = build_group_etale(sctx.incl.K, n, ex, ey)
-    B1 = push_frobenius(sctx, A)
+    A = build_group_etale(half_frob.incl.K, n, ex, ey)
+    B1 = push_frobenius(half_frob, A)
     assert verify_frobenius_object(B1).ok
-    B2 = direct_b_algebra(sctx, n, ex, ey)
+    B2 = direct_b_algebra(half_frob, n, ex, ey)
     if (ex, ey) != (-1, -1):
         assert frob_objects_equal(B1, B2)
     else:
@@ -144,25 +142,23 @@ def test_push_matches_direct_tables_except_fermionic_sign(sctx, n, ex, ey):
         assert vals == ["0", "0", "-1", "0"]
 
 
-def test_beta_scalars_at_canonical_normalization(h8_ictx):
-    A = build_group_etale(h8_ictx.incl.K, "x", 1, 1)
-    B = push_frobenius(h8_ictx, A)
+def test_beta_scalars_at_canonical_normalization(h8_frob):
+    A = build_group_etale(h8_frob.incl.K, "x", 1, 1)
+    B = push_frobenius(h8_frob, A)
     assert verify_frobenius_object(B).ok
     # with tr(1) = 2 the composite lax o oplax is 2 id, so beta_B doubles
     assert is_special(B) == (4, 1)
 
 
-def test_connectedness_fails_for_direct_sum(h8_ictx):
+def test_connectedness_fails_for_direct_sum(h8_frob):
     # A (+) A has a two-dimensional invariant space
-    one = trivial_frobenius(h8_ictx.incl.K)
-    A = push_frobenius(h8_ictx, one)
+    one = trivial_frobenius(h8_frob.incl.K)
+    A = push_frobenius(h8_frob, one)
     assert verify_frobenius_object(A).ok
     mod = A.module
     from hopfkit.module_theory import direct_sum
 
     carrier2 = direct_sum(mod, mod)
-    import hopfkit._kernel as K
-
     n = A.carrier.H.dim
     d = mod.dim
     rows = [[0] * (2 * d) for _ in range(n * 2 * d)]
@@ -180,17 +176,17 @@ def test_connectedness_fails_for_direct_sum(h8_ictx):
     assert invariant_space_dim(Y) == 2
 
 
-def test_push_algebra_only(h8_ictx):
-    A = build_group_etale(h8_ictx.incl.K, "y", -1, 1)
-    alg = push_algebra(h8_ictx, A)
+def test_push_algebra_only(h8_frob):
+    A = build_group_etale(h8_frob.incl.K, "y", -1, 1)
+    alg = push_algebra(h8_frob, A)
     from hopfkit.frob_objects import verify_algebra_object
 
     assert verify_algebra_object(alg).ok
 
 
-def test_rigid_report_flags(sctx):
-    A = build_group_etale(sctx.incl.K, "x", 1, -1)
-    B = push_frobenius(sctx, A)
+def test_rigid_report_flags(half_frob):
+    A = build_group_etale(half_frob.incl.K, "x", 1, -1)
+    B = push_frobenius(half_frob, A)
     rep = is_rigid_frobenius(B)
     flags = {c.name: c.ok for c in rep.checks}
     assert flags == {"frobenius": True, "commutative": True, "special": True, "connected": True}
@@ -227,18 +223,18 @@ def test_frob_objects_verifies_each_object_once(monkeypatch, capsys):
     assert "frobenius[Ind(A_x(1,-1))]" in capsys.readouterr().out
 
 
-def test_rescale_moves_a_rational_scalar_down_and_refuses_an_irrational_one(h8_ictx):
+def test_rescale_moves_a_rational_scalar_down_and_refuses_an_irrational_one(h8_frob):
     from hopfkit.errors import PipelineError
     from hopfkit.exact_math import Cyclotomic, root_of_unity
 
-    N = h8_ictx.N
+    N = h8_frob.incl.N
     up = 3 if N % 3 else 5
     c = Cyclotomic.rational(Fraction(1, 2), N * up)
     assert c.N % N == 0 and c.N != N
-    moved = rescale_frobenius_data(h8_ictx.frob, c)
-    assert moved.tr == rescale_frobenius_data(h8_ictx.frob, Fraction(1, 2)).tr
+    moved = rescale_frobenius_data(h8_frob, c)
+    assert moved.tr == rescale_frobenius_data(h8_frob, Fraction(1, 2)).tr
     with pytest.raises(PipelineError):
-        rescale_frobenius_data(h8_ictx.frob, root_of_unity(N * up))
+        rescale_frobenius_data(h8_frob, root_of_unity(N * up))
 
 
 def test_rescale_lowers_a_scalar_that_lies_in_the_common_subfield(h8_incl):

@@ -7,18 +7,22 @@ from conftest import h8_v1, h8_v2, kchar
 from hopfkit import _kernel as K
 from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, klein_table, trivial_hopf
 from hopfkit.exact_math import Cyclotomic, Matrix, _add, _scale, _tensor, root_of_unity
-from hopfkit.extension import rescale_frobenius_data, trivial_inclusion, unit_inclusion
+from hopfkit.extension import (is_central_extension, rescale_frobenius_data, trivial_inclusion,
+                               unit_inclusion)
 from hopfkit.induction import (
-    InductionContext,
     adjunction_maps,
+    basis_parts,
     coinduce,
+    comult_terms,
     induce,
     induction_context,
     is_separable_functor,
     lax_pair,
     oplax_pair,
     projection_morphisms,
+    sigma,
     theta_iso,
+    unit_maps,
     verify_frobenius_monoidal,
     verify_lax_coherence,
 )
@@ -38,35 +42,35 @@ def kmods(h8_incl):
     return {s: kchar(h8_incl.K, *s) for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]}
 
 
-def test_induce_verifies_and_decomposes(h8, h8_ictx, kmods):
+def test_induce_verifies_and_decomposes(h8, h8_frob, kmods):
     i = root_of_unity(4)
-    ind = induce(h8_ictx, kmods[(1, 1)])
+    ind = induce(h8_frob, kmods[(1, 1)])
     assert verify_module(ind).ok
     assert ind.dim == 2
     assert is_isomorphic(ind, direct_sum(h8_v1(h8, 1), h8_v1(h8, -1))).status == "iso"
-    assert is_isomorphic(induce(h8_ictx, kmods[(1, -1)]), h8_v2(h8)).status == "iso"
-    assert is_isomorphic(induce(h8_ictx, kmods[(-1, 1)]), h8_v2(h8)).status == "iso"
+    assert is_isomorphic(induce(h8_frob, kmods[(1, -1)]), h8_v2(h8)).status == "iso"
+    assert is_isomorphic(induce(h8_frob, kmods[(-1, 1)]), h8_v2(h8)).status == "iso"
     assert (
-        is_isomorphic(induce(h8_ictx, kmods[(-1, -1)]), direct_sum(h8_v1(h8, i), h8_v1(h8, -i))).status
+        is_isomorphic(induce(h8_frob, kmods[(-1, -1)]), direct_sum(h8_v1(h8, i), h8_v1(h8, -i))).status
         == "iso"
     )
 
 
-def test_hom_dim_ind_to_v2(h8, h8_ictx, kmods):
-    ind = induce(h8_ictx, kmods[(1, -1)])
+def test_hom_dim_ind_to_v2(h8, h8_frob, kmods):
+    ind = induce(h8_frob, kmods[(1, -1)])
     assert len(hom_space(ind, h8_v2(h8))) == 1
 
 
 def test_induce_trivial_inclusion_is_identity(h8):
-    ictx = induction_context(trivial_inclusion(h8))
+    frob = induction_context(trivial_inclusion(h8))
     V = h8_v2(h8)  # any H-module is a K-module here
-    ind = induce(ictx, V)
+    ind = induce(frob, V)
     assert ind.action == V.action
 
 
 def test_induce_from_ground_field_is_regular(h8):
-    ictx = induction_context(unit_inclusion(h8, trivial_hopf()))
-    ind = induce(ictx, trivial_module(ictx.incl.K))
+    frob = induction_context(unit_inclusion(h8, trivial_hopf()))
+    ind = induce(frob, trivial_module(frob.incl.K))
     assert ind.dim == 8
     assert verify_module(ind).ok
     # the regular module: action of e_i in the free-basis coordinates
@@ -75,32 +79,32 @@ def test_induce_from_ground_field_is_regular(h8):
         assert ind.action[i].rank() == 8
 
 
-def test_coinduce_and_theta(h8_ictx, kmods):
+def test_coinduce_and_theta(h8_frob, kmods):
     for s, V in kmods.items():
-        ind, coind, th, thinv = theta_iso(h8_ictx, V)
+        ind, coind, th, thinv = theta_iso(h8_frob, V)
         assert verify_module(coind).ok
         assert th.intertwines()
 
 
 def test_theta_ground_field_c2():
     C2 = group_algebra(cyclic_table(2), name="kC2")
-    ictx = induction_context(unit_inclusion(C2, trivial_hopf()))
-    ind, coind, th, thinv = theta_iso(ictx, trivial_module(ictx.incl.K))
+    frob = induction_context(unit_inclusion(C2, trivial_hopf()))
+    ind, coind, th, thinv = theta_iso(frob, trivial_module(frob.incl.K))
     # H = H* as left H-modules, realized by theta
     assert th.matrix.inverse() is not None
     assert th.intertwines()
 
 
-def test_adjunction_triangles(h8, h8_ictx, kmods):
-    rep, maps = adjunction_maps(h8_ictx, kmods[(1, 1)], h8_v2(h8))
+def test_adjunction_triangles(h8, h8_frob, kmods):
+    rep, maps = adjunction_maps(h8_frob, kmods[(1, 1)], h8_v2(h8))
     assert rep.ok, rep.failures()
     # counit^{F-|G} is surjective: Ind Res V2 ->> V2
     assert maps["counit_FG"].rank() == 2
 
 
-def test_lax_values_h8(h8_ictx, kmods):
+def test_lax_values_h8(h8_frob, kmods):
     V = kmods[(1, 1)]
-    lax, lax0 = lax_pair(h8_ictx, V, V)
+    lax, lax0 = lax_pair(h8_frob, V, V), unit_maps(h8_frob)[0]
     # canonical normalization: lax_0 = (1+z)/2 x 1
     assert [str(lax0.entry(i, 0)) for i in range(2)] == ["1/2", "1/2"]
     # mixed 1/z terms are killed
@@ -111,9 +115,9 @@ def test_lax_values_h8(h8_ictx, kmods):
     assert str(lax.entry(1, 3)) == "2" and lax.entry(0, 3).is_zero()
 
 
-def test_oplax_values_h8(h8_ictx, kmods):
+def test_oplax_values_h8(h8_frob, kmods):
     V = kmods[(1, 1)]
-    oplax, oplax0 = oplax_pair(h8_ictx, V, V)
+    oplax, oplax0 = oplax_pair(h8_frob, V, V), unit_maps(h8_frob)[1]
     # oplax_0(h x 1) = eps(h); on the free basis (1, z) this is (1, 1)
     assert [str(oplax0.entry(0, i)) for i in range(2)] == ["1", "1"]
     # oplax(1 x (v x u)) = (1 x v) x (1 x u)
@@ -121,32 +125,32 @@ def test_oplax_values_h8(h8_ictx, kmods):
     assert str(col[0]) == "1" and all(c.is_zero() for c in col[1:])
 
 
-def test_lax_coherence(h8_ictx, kmods):
-    rep = verify_lax_coherence(h8_ictx, [kmods[(1, 1)], kmods[(-1, -1)]])
+def test_lax_coherence(h8_frob, kmods):
+    rep = verify_lax_coherence(h8_frob, [kmods[(1, 1)], kmods[(-1, -1)]])
     assert rep.ok, rep.failures()
 
 
-def test_frobenius_monoidal_all_triples(h8_ictx, kmods):
+def test_frobenius_monoidal_all_triples(h8_frob, kmods):
     mods = list(kmods.values())
     for a in mods:
         for b in mods:
             for c in mods:
-                rep = verify_frobenius_monoidal(h8_ictx, a, b, c)
+                rep = verify_frobenius_monoidal(h8_frob, a, b, c)
                 assert rep.ok, (a.name, b.name, c.name)
 
 
 def test_frobenius_monoidal_trivial_inclusion(h8):
-    ictx = induction_context(trivial_inclusion(h8))
+    frob = induction_context(trivial_inclusion(h8))
     V = h8_v2(h8)
     one = trivial_module(h8)
-    rep = verify_frobenius_monoidal(ictx, V, one, V)
+    rep = verify_frobenius_monoidal(frob, V, one, V)
     assert rep.ok
 
 
-def test_separability(h8_ictx, kmods):
+def test_separability(h8_frob, kmods):
     mods = list(kmods.values())
     pairs = [(a, b) for a in mods for b in mods]
-    sep = is_separable_functor(h8_ictx, pairs)
+    sep = is_separable_functor(h8_frob, pairs)
     assert sep["separable"] is True
     assert str(sep["scalar"]) == "2"
     assert sep["witness_verified"] is True
@@ -155,40 +159,40 @@ def test_separability(h8_ictx, kmods):
 
 
 def test_separability_trivial_inclusion(h8):
-    ictx = induction_context(trivial_inclusion(h8))
+    frob = induction_context(trivial_inclusion(h8))
     one = trivial_module(h8)
-    sep = is_separable_functor(ictx, [(one, one)])
+    sep = is_separable_functor(frob, [(one, one)])
     assert sep["separable"] and str(sep["scalar"]) == "1"
     assert sep["strict_at_current_scale"] is True
 
 
-def test_projection_morphisms_h8(h8, h8_ictx, kmods):
-    pm = projection_morphisms(h8_ictx, h8_v2(h8), kmods[(1, 1)])
+def test_projection_morphisms_h8(h8, h8_frob, kmods):
+    pm = projection_morphisms(h8_frob, h8_v2(h8), kmods[(1, 1)])
     assert pm.report.ok, pm.report.failures()
     assert pm.report["lproj-pair-mutually-inverse"].status == "pass"
 
 
 def test_projection_morphisms_trivial(h8):
-    ictx = induction_context(trivial_inclusion(h8))
+    frob = induction_context(trivial_inclusion(h8))
     one = trivial_module(h8)
-    pm = projection_morphisms(ictx, h8_v2(h8), one)
+    pm = projection_morphisms(frob, h8_v2(h8), one)
     assert pm.report.ok
 
 
-def test_lax_naturality(h8_ictx, kmods):
+def test_lax_naturality(h8_frob, kmods):
     # naturality in V: for f: V -> V' an intertwiner, the lax square commutes
     V = kmods[(1, -1)]
     homs = hom_space(V, V)
     f = homs[0].matrix
     U = kmods[(1, 1)]
-    lax1, _ = lax_pair(h8_ictx, V, U)
-    lax2, _ = lax_pair(h8_ictx, V, U)
+    lax1 = lax_pair(h8_frob, V, U)
+    lax2 = lax_pair(h8_frob, V, U)
     from hopfkit.induction import ind_morphism
 
-    Ff = ind_morphism(h8_ictx, f)
+    Ff = ind_morphism(h8_frob, f)
     VU = tensor_modules(V, U)
     f_id = f.kron(Matrix.identity(1))
-    F_fid = ind_morphism(h8_ictx, f_id)
+    F_fid = ind_morphism(h8_frob, f_id)
     N = lcm(lax1.N, Ff.N)
     idU = Matrix.identity(2, N)
     lhs = F_fid.lift(N) * lax1.lift(N)
@@ -197,31 +201,28 @@ def test_lax_naturality(h8_ictx, kmods):
 
 
 def test_scale_robustness_functor(h8_incl, kmods):
-    ictx1 = induction_context(h8_incl)
-    frob7 = rescale_frobenius_data(ictx1.frob, Cyclotomic.promote(7))
-    ictx7 = InductionContext(frob7)
+    frob1 = induction_context(h8_incl)
+    frob7 = rescale_frobenius_data(frob1, Cyclotomic.promote(7))
     mods = list(kmods.values())
-    rep = verify_frobenius_monoidal(ictx7, mods[0], mods[1], mods[3])
+    rep = verify_frobenius_monoidal(frob7, mods[0], mods[1], mods[3])
     assert rep.ok
-    sep = is_separable_functor(ictx7, [(mods[0], mods[0])])
+    sep = is_separable_functor(frob7, [(mods[0], mods[0])])
     assert sep["separable"] and str(sep["scalar"]) == "14"
     # lax scales by exactly 7
-    lax7, lax07 = lax_pair(ictx7, mods[0], mods[0])
-    lax1, lax01 = lax_pair(ictx1, mods[0], mods[0])
-    assert lax7 == lax1.scale(7)
-    assert lax07 == lax01.scale(root_of_unity(1) / 7)
+    assert lax_pair(frob7, mods[0], mods[0]) == lax_pair(frob1, mods[0], mods[0]).scale(7)
+    assert unit_maps(frob7)[0] == unit_maps(frob1)[0].scale(root_of_unity(1) / 7)
 
 
-def test_theta_natural_in_v(h8_ictx, kmods):
+def test_theta_natural_in_v(h8_frob, kmods):
     # CoInd(f) o theta_V = theta_V' o Ind(f) for a sampled intertwiner f
     from hopfkit.induction import ind_morphism
 
     V = kmods[(1, -1)]
     f = hom_space(V, V)[0].matrix  # scalar multiple of the identity
     f = f.scale(3)
-    _, _, thV, _ = theta_iso(h8_ictx, V)
-    _, _, thV2, _ = theta_iso(h8_ictx, V)
-    Ff = ind_morphism(h8_ictx, f)  # same block-diagonal shape for Ind and CoInd
+    _, _, thV, _ = theta_iso(h8_frob, V)
+    _, _, thV2, _ = theta_iso(h8_frob, V)
+    Ff = ind_morphism(h8_frob, f)  # same block-diagonal shape for Ind and CoInd
     N = lcm(thV.matrix.N, Ff.N)
     assert Ff.lift(N) * thV.matrix.lift(N) == thV2.matrix.lift(N) * Ff.lift(N)
 
@@ -230,15 +231,15 @@ def test_lax_coherence_uq_cartan(uq3):
     from hopfkit.exact_math import root_of_unity
 
     cart = uq3.cartan()
-    ictx = induction_context(cart)
+    frob = induction_context(cart)
     z3 = root_of_unity(3)
     chi = HModule(cart.K, [Matrix.from_rows([[z3 ** a]]) for a in range(3)], name="chi1")
-    rep = verify_lax_coherence(ictx, [chi])
+    rep = verify_lax_coherence(frob, [chi])
     assert rep.ok, rep.failures()
 
 
 def test_lax_pair_is_built_once_per_module_value(h8_incl):
-    ictx = induction_context(h8_incl)
+    frob = induction_context(h8_incl)
     Kk = h8_incl.K
     V = kchar(Kk, 1, -1)
 
@@ -246,28 +247,28 @@ def test_lax_pair_is_built_once_per_module_value(h8_incl):
         # a fresh tensor product on every call, as verify_frobenius_monoidal builds it
         return tensor_modules(kchar(Kk, -1, 1), kchar(Kk, -1, -1))
 
-    first = lax_pair(ictx, V, UW())
-    assert lax_pair(ictx, V, UW()) is first
-    assert oplax_pair(ictx, V, UW()) is oplax_pair(ictx, V, UW())
-    uncached = lax_pair(induction_context(h8_incl), V, UW())
-    assert [(m.N, m.raw()) for m in uncached] == [(m.N, m.raw()) for m in first]
-    assert induce(ictx, kchar(Kk, 1, -1)) is induce(ictx, V)
+    first = lax_pair(frob, V, UW())
+    assert lax_pair(frob, V, UW()) is first
+    assert oplax_pair(frob, V, UW()) is oplax_pair(frob, V, UW())
+    uncached = lax_pair(rescale_frobenius_data(frob, 1), V, UW())
+    assert (uncached.N, uncached.raw()) == (first.N, first.raw())
+    assert induce(frob, kchar(Kk, 1, -1)) is induce(frob, V)
 
 
 def test_rescaled_context_has_its_own_cache(h8_incl):
-    ictx = induction_context(h8_incl)
+    frob = induction_context(h8_incl)
     Kk = h8_incl.K
     V, U = kchar(Kk, 1, -1), kchar(Kk, -1, 1)
-    lax, _ = lax_pair(ictx, V, U)
-    rescaled = InductionContext(rescale_frobenius_data(ictx.frob, 5))
-    lax5, _ = lax_pair(rescaled, V, U)
+    lax = lax_pair(frob, V, U)
+    rescaled = rescale_frobenius_data(frob, 5)
+    assert rescaled is not frob and rescaled._cache is not frob._cache
     # lax scales with the Frobenius morphism, so a shared cache would be wrong
-    assert lax5 == lax.scale(5)
-    assert lax_pair(ictx, V, U)[0] is lax
+    assert lax_pair(rescaled, V, U) == lax.scale(5)
+    assert lax_pair(frob, V, U) is lax
 
 
 # ---------------------------------------------------------------------------
-# the lax/oplax tables of a context against the per-pair formulas
+# the lax/oplax tables of Frobenius data against the per-pair formulas
 # ---------------------------------------------------------------------------
 
 
@@ -293,14 +294,15 @@ def _pairs(i, dV, j, dU, rU):
     return [(i * dV + a) * (rU * dU) + j * dU + b for a in range(dV) for b in range(dU)]
 
 
-def _reference_lax(ictx, V, U):
-    """lax_{V,U} and lax_0 as built per pair: sigma_{l,i,j} summed over
-    Delta(h_l) for every (l, i, j), with tr(e_p h_i) formed on the spot."""
-    incl, frob = ictx.incl, ictx.frob
+def _reference_lax(frob, V, U):
+    """lax_{V,U} and lax_0 (at the inclusion's conductor) as built per pair:
+    sigma_{l,i,j} summed over Delta(h_l) for every (l, i, j), with
+    tr(e_p h_i) formed on the spot."""
+    incl = frob.incl
     H = incl.H
-    r, n, m = ictx.rank, H.dim, incl.K.dim
+    r, n, m = frob.rank, H.dim, incl.K.dim
     dV, dU = V.dim, U.dim
-    conductor = lcm(ictx.N, V.N, U.N)
+    conductor = lcm(incl.N, V.N, U.N)
     ctx = K.make_ctx(conductor)
     VU = tensor_modules(V, U)
 
@@ -339,16 +341,17 @@ def _reference_lax(ictx, V, U):
         for b, c in kv.items():
             acc = K.s_add(incl.ctx, acc, K.s_mul(incl.ctx, incl.K.counit[b], c))
         col.append([acc])
-    return lax, Matrix(incl.N, col).lift(conductor)
+    return lax, Matrix(incl.N, col)
 
 
-def _reference_oplax(ictx, V, U):
-    """oplax_{V,U} and oplax_0 as built per pair, with right_decomp({p: s})."""
-    incl, frob = ictx.incl, ictx.frob
+def _reference_oplax(frob, V, U):
+    """oplax_{V,U} and oplax_0 (at the inclusion's conductor) as built per
+    pair, with right_decomp({p: s})."""
+    incl = frob.incl
     H = incl.H
-    r, n = ictx.rank, H.dim
+    r, n = frob.rank, H.dim
     dV, dU = V.dim, U.dim
-    conductor = lcm(ictx.N, V.N, U.N)
+    conductor = lcm(incl.N, V.N, U.N)
     ctx = K.make_ctx(conductor)
     one = K.s_one(incl.ctx)
     out = [{} for _ in range((r * dV) * (r * dU))]
@@ -363,7 +366,7 @@ def _reference_oplax(ictx, V, U):
                         blk = _act(V, kvp, incl.N).kron(_act(U, kvq, incl.N))
                         _place(ctx, out, blk, _pairs(t, dV, u, dU, r), _block(i, dV * dU))
     oplax = Matrix.from_sparse(conductor, r * dV * dU, out)
-    oplax0 = Matrix(incl.N, [[H.counit[t] for t in frob.free]]).lift(conductor)
+    oplax0 = Matrix(incl.N, [[H.counit[t] for t in frob.free]])
     return oplax, oplax0
 
 
@@ -386,70 +389,77 @@ def _c3_double_case():
 
 
 def _uq3_cartan_case(uq3):
-    ictx = induction_context(uq3.cartan())
-    return ictx, _zeta_chars(ictx.incl.K, 3)[:2]
+    frob = induction_context(uq3.cartan())
+    return frob, _zeta_chars(frob.incl.K, 3)[:2]
 
 
 def _h8_cases(h8_incl, rescale):
-    ictx = induction_context(h8_incl)
+    frob = induction_context(h8_incl)
     if rescale:
-        ictx = InductionContext(rescale_frobenius_data(ictx.frob, 5))
+        frob = rescale_frobenius_data(frob, 5)
     Kk = h8_incl.K
     chars = [kchar(Kk, *s) for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]]
     wide = tensor_modules(direct_sum(chars[1], chars[2]), chars[3])
-    return ictx, chars + [wide]
+    return frob, chars + [wide]
 
 
 @pytest.mark.parametrize("case", ["h8", "h8-rescaled", "kK<D(kK)", "kC3<D(kC3)", "uq3-cartan"])
 def test_lax_oplax_match_the_per_pair_formulas(case, h8_incl, uq3):
     if case.startswith("h8"):
-        ictx, mods = _h8_cases(h8_incl, case == "h8-rescaled")
+        frob, mods = _h8_cases(h8_incl, case == "h8-rescaled")
     else:
-        ictx, mods = {"kK<D(kK)": _klein_double_case, "kC3<D(kC3)": _c3_double_case,
+        frob, mods = {"kK<D(kK)": _klein_double_case, "kC3<D(kC3)": _c3_double_case,
                       "uq3-cartan": lambda: _uq3_cartan_case(uq3)}[case]()
     pairs = [(a, b) for a in mods for b in mods]
     if case == "uq3-cartan":
         # the reference visits r^3 |Delta| terms per pair, r = 9 here
         pairs = pairs[:3]
     for V, U in pairs:
-        got = lax_pair(ictx, V, U) + oplax_pair(ictx, V, U)
-        want = _reference_lax(ictx, V, U) + _reference_oplax(ictx, V, U)
+        lax0, oplax0 = unit_maps(frob)
+        got = (lax_pair(frob, V, U), lax0, oplax_pair(frob, V, U), oplax0)
+        want = _reference_lax(frob, V, U) + _reference_oplax(frob, V, U)
         assert [(m.N, m.key()) for m in got] == [(m.N, m.key()) for m in want], (V.name, U.name)
 
 
 def test_lax_structure_constants_are_built_once_per_context(h8_incl, monkeypatch):
+    import hopfkit.induction as induction
+    from hopfkit.extension import FrobeniusData
+
     builds, prods = [], []
-    real_sigma, real_tr = InductionContext.sigma, InductionContext.tr_prod
+    real_tr = FrobeniusData.tr_vec
 
-    def sigma(self):
-        if ("sigma",) not in self._cache:
-            builds.append(self)
-        return real_sigma(self)
+    def counted_sigma(frob):
+        if ("sigma",) not in frob._cache:
+            builds.append(frob)
+        return sigma(frob)
 
-    def tr_prod(self, p, i):
-        prods.append((self, p, i))
-        return real_tr(self, p, i)
+    def tr_vec(self, hvec):
+        prods.append(self)
+        return real_tr(self, hvec)
 
-    monkeypatch.setattr(InductionContext, "sigma", sigma)
-    monkeypatch.setattr(InductionContext, "tr_prod", tr_prod)
-    ictx = induction_context(h8_incl)
+    monkeypatch.setattr(induction, "sigma", counted_sigma)
+    monkeypatch.setattr(FrobeniusData, "tr_vec", tr_vec)
+    # uncached data: the inclusion's own keeps what other tests built from it
+    frob = rescale_frobenius_data(induction_context(h8_incl), 1)
     Kk = h8_incl.K
     V, U, W = kchar(Kk, 1, -1), kchar(Kk, -1, 1), kchar(Kk, -1, -1)
     for a, b in [(V, U), (U, V), (V, W), (W, direct_sum(V, U))]:
-        lax_pair(ictx, a, b)
-    assert sum(1 for key in ictx._cache if key[0] == "lax_pair") == 4
-    assert builds == [ictx]
-    assert len(prods) == len({(p, i) for _, p, i in prods}) <= h8_incl.H.dim * ictx.rank
+        lax_pair(frob, a, b)
+    assert sum(1 for key in frob._cache if key[0] == "lax_pair") == 4
+    assert builds == [frob]
+    # each row tr(e_p h_i), i < rank, is formed once, for at most dim H rows p
+    rows = sum(1 for key in frob._cache if key[0] == "tr_row")
+    assert len(prods) == rows * frob.rank <= h8_incl.H.dim * frob.rank
 
-    rescaled = InductionContext(rescale_frobenius_data(ictx.frob, 5))
+    rescaled = rescale_frobenius_data(frob, 5)
     lax_pair(rescaled, V, U)
-    assert builds == [ictx, rescaled]
+    assert builds == [frob, rescaled]
     # sigma is bilinear in tr, which scales by 5
     N = h8_incl.N
     assert [(l, i, j, {x: Cyclotomic(N, c) * 25 for x, c in sig.items()})
-            for l, i, j, sig in ictx.sigma()] == \
+            for l, i, j, sig in sigma(frob)] == \
         [(l, i, j, {x: Cyclotomic(N, c) for x, c in sig.items()})
-         for l, i, j, sig in rescaled.sigma()]
+         for l, i, j, sig in sigma(rescaled)]
 
 
 def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch):
@@ -458,9 +468,10 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
     # whatever the number of sigma entries
     Kk = h8_incl.K
     V, U = direct_sum(kchar(Kk, 1, -1), kchar(Kk, -1, 1)), kchar(Kk, -1, -1)
-    ictx = induction_context(h8_incl)
-    sigma = ictx.sigma()
-    assert len(sigma) > 1
+    frob = rescale_frobenius_data(induction_context(h8_incl), 1)
+    table = sigma(frob)
+    assert len(table) > 1
+    tensor_modules(V, U)  # kept on V, so neither count below includes it
     calls = []
     real_lincomb, real_act = Matrix.lincomb.__func__, HModule.act_alg_vec
     real_from_sparse, real_init = Matrix.from_sparse.__func__, Matrix.__init__
@@ -486,18 +497,18 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
     monkeypatch.setattr(Matrix, "from_sparse", classmethod(from_sparse))
     monkeypatch.setattr(Matrix, "__init__", init)
     calls.clear()
-    oplax_pair(ictx, V, U)
+    oplax_pair(frob, V, U)
     assert "lincomb" not in calls and "act_alg_vec" not in calls
 
-    def formed_by_lax(table):
-        fresh = InductionContext(ictx.frob)
-        fresh._cache[("sigma",)] = table
-        assert fresh.sigma() is table
+    def formed_by_lax(consts):
+        fresh = rescale_frobenius_data(frob, 1)
+        fresh._cache[("sigma",)] = consts
+        assert sigma(fresh) is consts
         calls.clear()
         lax_pair(fresh, V, U)
         return calls.count("formed")
 
-    assert formed_by_lax(sigma) == formed_by_lax(sigma * 3)
+    assert formed_by_lax(table) == formed_by_lax(table * 3)
 
 
 def test_coinduce_builds_the_left_decomposer_once(h8_incl, kmods, monkeypatch):
@@ -511,9 +522,10 @@ def test_coinduce_builds_the_left_decomposer_once(h8_incl, kmods, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ind, "Decomposer", counted)
-    ictx = induction_context(h8_incl)
-    coinduce(ictx, kmods[(1, 1)])
-    coinduce(ictx, kmods[(1, -1)])
+    # uncached data: the inclusion's own keeps what other tests built from it
+    frob = rescale_frobenius_data(induction_context(h8_incl), 1)
+    coinduce(frob, kmods[(1, 1)])
+    coinduce(frob, kmods[(1, -1)])
     assert built == ["left"]
 
 
@@ -535,26 +547,26 @@ PROJECTION_DIGESTS = {
 
 
 def _projection_case(case, uq3):
-    """(ictx, W, V) of the recorded digests."""
+    """(frob, W, V) of the recorded digests."""
     if case == "uq3-cartan":
         # W = Ind(chi1) is not central: the lproj pair is not inverse, so
         # no invertibility check constrains lproj^{G-|F} there
-        ictx = induction_context(uq3.cartan())
-        chi1 = _zeta_chars(ictx.incl.K, 3)[1]
-        return ictx, induce(ictx, chi1), chi1
+        frob = induction_context(uq3.cartan())
+        chi1 = _zeta_chars(frob.incl.K, 3)[1]
+        return frob, induce(frob, chi1), chi1
     incl = drinfeld_double(group_algebra(cyclic_table(3), name="kC3"))[1]
-    ictx = induction_context(incl)
-    return ictx, induce(ictx, trivial_module(incl.K)), _at_conductor(_zeta_chars(incl.K, 3)[1], 12)
+    frob = induction_context(incl)
+    return frob, induce(frob, trivial_module(incl.K)), _at_conductor(_zeta_chars(incl.K, 3)[1], 12)
 
 
 @pytest.mark.parametrize("case", sorted(PROJECTION_DIGESTS))
 def test_projection_maps_match_the_recorded_digests(case, uq3):
-    ictx, W, V = _projection_case(case, uq3)
-    pm = projection_morphisms(ictx, W, V)
+    frob, W, V = _projection_case(case, uq3)
+    pm = projection_morphisms(frob, W, V)
     got = [_digest(m) for m in (pm.lproj_GF, pm.lproj_FG, pm.rproj_GF, pm.rproj_FG)]
     assert got == PROJECTION_DIGESTS[case]
     rep = pm.report
-    assert rep["lproj-pair-mutually-inverse"].status == ("pass" if ictx.central else "fail")
+    assert rep["lproj-pair-mutually-inverse"].status == ("pass" if is_central_extension(frob.incl) else "fail")
     assert all(c.ok for c in rep.checks if c.name != "lproj-pair-mutually-inverse"), rep.failures()
 
 
@@ -566,7 +578,7 @@ def test_projection_inverse_checks_form_one_product_per_pair(uq3, monkeypatch):
     # maps themselves another way does not move the count.
     import hopfkit.induction as induction
 
-    ictx, W, V = _projection_case("uq3-cartan", uq3)
+    frob, W, V = _projection_case("uq3-cartan", uq3)
     real_mul, real_check = Matrix.__mul__, induction._mutually_inverse
     per_check = []
     inside = [False]
@@ -586,7 +598,7 @@ def test_projection_inverse_checks_form_one_product_per_pair(uq3, monkeypatch):
 
     monkeypatch.setattr(Matrix, "__mul__", counted_mul)
     monkeypatch.setattr(induction, "_mutually_inverse", counted_check)
-    rep = projection_morphisms(ictx, W, V).report
+    rep = projection_morphisms(frob, W, V).report
     assert per_check == [1, 1, 1, 1]
     assert [c.name for c in rep.checks if not c.ok] == ["lproj-pair-mutually-inverse"]
 
@@ -622,30 +634,30 @@ def test_structure_maps_match_the_recorded_digests(case, uq3):
     from hopfkit.cli import resolve_module
     from hopfkit.yetter_drinfeld import YDModule, z_induce
 
-    ictx, W, V = _projection_case(case, uq3)
-    got = {"induce": _digest(induce(ictx, V)), "coinduce": _digest(coinduce(ictx, V))}
+    frob, W, V = _projection_case(case, uq3)
+    got = {"induce": _digest(induce(frob, V)), "coinduce": _digest(coinduce(frob, V))}
     if case != "uq3-cartan":  # there W is Ind V
         got["W"] = _digest(W)
-    _, _, th, thinv = theta_iso(ictx, V)
+    _, _, th, thinv = theta_iso(frob, V)
     got["theta"], got["theta_inv"] = _digest(th.matrix), _digest(thinv.matrix)
-    rep, maps = adjunction_maps(ictx, V, W)
+    rep, maps = adjunction_maps(frob, V, W)
     assert rep.ok, rep.failures()
     got.update((name, _digest(m)) for name, m in maps.items())
-    pm = projection_morphisms(ictx, W, V)
+    pm = projection_morphisms(frob, W, V)
     got["lproj_FG_inv"], got["rproj_FG_inv"] = _digest(pm.lproj_FG_inv), _digest(pm.rproj_FG_inv)
-    if ictx.central:
-        M = resolve_module("builtin:kchar?act=1,z,z^2&deg=g1&cond=3", ictx.incl.K)
-        got["zind"] = _digest(z_induce(ictx, M).coaction)
+    if is_central_extension(frob.incl):
+        M = resolve_module("builtin:kchar?act=1,z,z^2&deg=g1&cond=3", frob.incl.K)
+        got["zind"] = _digest(z_induce(frob, M).coaction)
         M12 = YDModule(_at_conductor(M.module, 12), M.coaction, name=M.name)
-        got["zind12"] = _digest(z_induce(ictx, M12).coaction)
+        got["zind12"] = _digest(z_induce(frob, M12).coaction)
     assert got == STRUCTURE_DIGESTS[case]
 
 
 def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkeypatch):
     # the closed-form inverses read iota(e_q) for each q of a Delta-term, and
     # form the action of each nonzero part of e_q once, not once per term
-    ictx, W, V = _projection_case("uq3-cartan", uq3)
-    projection_morphisms(ictx, W, V)  # the lax/oplax pairs are cached now
+    frob, W, V = _projection_case("uq3-cartan", uq3)
+    projection_morphisms(frob, W, V)  # the lax/oplax pairs are cached now
     acted = []
     real = HModule.act_alg_vec
 
@@ -654,11 +666,11 @@ def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkey
         return real(self, hvec, N)
 
     monkeypatch.setattr(HModule, "act_alg_vec", counted)
-    projection_morphisms(ictx, W, V)
-    terms = ictx.comult_terms()
+    projection_morphisms(frob, W, V)
+    terms = comult_terms(frob)
 
     def nparts(xs):
-        return sum(1 for x in xs for k in ictx.basis_parts(x) if k)
+        return sum(1 for x in xs for k in basis_parts(frob, x) if k)
 
     lefts, rights = [p for _, p, _, _ in terms], [q for _, _, q, _ in terms]
     assert acted.count("Res(Ind(chi1))(x)chi1") == nparts(set(rights))
@@ -667,12 +679,12 @@ def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkey
     assert nparts(rights) > nparts(set(rights)) and nparts(lefts) > nparts(set(lefts))
 
 
-def test_structure_maps_accept_modules_over_a_larger_field(h8, h8_ictx, kmods):
+def test_structure_maps_accept_modules_over_a_larger_field(h8, h8_frob, kmods):
     # W and V written over Q(zeta_4) and Q(zeta_12), past the inclusion's conductor
     W = h8_v1(h8, root_of_unity(4))
     V = _at_conductor(kmods[(1, -1)], 12)
-    pm = projection_morphisms(h8_ictx, W, V)
+    pm = projection_morphisms(h8_frob, W, V)
     assert pm.lproj_GF.N == 12 and pm.report.ok, pm.report.failures()
-    rep, maps = adjunction_maps(h8_ictx, V, W)
+    rep, maps = adjunction_maps(h8_frob, V, W)
     assert rep.ok, rep.failures()
     assert {m.N for m in maps.values()} == {12}

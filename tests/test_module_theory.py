@@ -1,5 +1,3 @@
-import pytest
-
 from conftest import h8_v1, h8_v2, kchar
 from hopfkit import module_theory
 from hopfkit.exact_math import Matrix, root_of_unity

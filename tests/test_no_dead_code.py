@@ -3,12 +3,14 @@ module, every private module-level def or class is referenced somewhere in
 the package, every import, def or class inside a function is used by that
 function, and every parameter of a function is read in its body.  Package
 ``__init__`` files re-export what they import, so their module-level imports
-count as used."""
+count as used.  The test files of ``tests`` use every name they import at
+module level too."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hopfkit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hopfkit"
 
 # (module, name) of private defs that nothing in the package references, with
 # the reason each stays
@@ -32,6 +34,12 @@ def _modules():
         name = ".".join(path.relative_to(SRC).with_suffix("").parts)
         out[name] = ast.parse(path.read_text(), filename=str(path))
     return out
+
+
+def _test_modules():
+    """{tests/<file>: parsed module} for every test file."""
+    return {"tests/" + path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(TESTS.glob("*.py"))}
 
 
 def _bound_names(node):
@@ -85,19 +93,34 @@ def _dunder_all(tree):
     return set()
 
 
+def _unused_imports(tree):
+    """The names that module-level imports of tree bind and nothing reads.
+    An import binds a bare name, so an attribute of the same name (``m.f``)
+    does not use it."""
+    imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    used = {n.id for node in tree.body if node not in imports
+            for n in ast.walk(node) if isinstance(n, ast.Name)}
+    used |= _dunder_all(tree)
+    return [b for n in imports for b in _bound_names(n) if b not in used]
+
+
 def test_every_module_level_import_is_used():
-    unused = []
-    for name, tree in _modules().items():
-        if name == "__init__" or name.endswith(".__init__"):
-            continue
-        imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
-        used = set()
-        for node in tree.body:
-            if node not in imports:
-                used |= _loaded_names(node)
-        used |= _dunder_all(tree)
-        unused += [(name, b) for n in imports for b in _bound_names(n) if b not in used]
+    unused = [(name, b) for name, tree in {**_modules(), **_test_modules()}.items()
+              if not (name == "__init__" or name.endswith(".__init__"))
+              for b in _unused_imports(tree)]
     assert unused == []
+
+
+def test_unused_import_detector():
+    tree = ast.parse(
+        "import a.b\n"
+        "from m import f, g, h as k\n"
+        "x = mod.f\n"
+        "y = g(a.b)\n"
+        "def u():\n"
+        "    from m import k\n"
+    )
+    assert _unused_imports(tree) == ["f", "k"]
 
 
 def test_every_function_local_import_and_def_is_used():

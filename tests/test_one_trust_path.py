@@ -7,7 +7,8 @@ FinHopf.  Only ``cli.resolve_module``, whose modules ``check-functor`` runs
 provenance bit selects a second path through the checks: no module of the
 package mentions one.  Nor does a caller hand in what an inclusion decides
 itself: no function takes a centrality bit or a tr matrix beside the
-inclusion, and an induction context is built from its Frobenius data alone."""
+inclusion.  The induction functor is its Frobenius data: no wrapper class
+stands between the two."""
 
 import ast
 from pathlib import Path
@@ -135,5 +136,14 @@ def test_no_function_takes_a_centrality_bit_or_a_tr_matrix():
     assert found == []
 
 
-def test_an_induction_context_is_built_from_its_frobenius_data_alone():
-    assert _package_signatures()["induction.py"]["InductionContext.__init__"] == ["self", "frob"]
+def test_no_module_defines_or_mentions_an_induction_context_class():
+    found = [path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+             if "InductionContext" in path.read_text()]
+    assert found == []
+
+
+def test_the_induction_context_is_the_frobenius_data_of_the_inclusion(h8_incl):
+    from hopfkit.extension import make_frobenius_data
+    from hopfkit.induction import induction_context
+
+    assert induction_context(h8_incl) is make_frobenius_data(h8_incl)

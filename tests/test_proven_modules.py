@@ -113,10 +113,10 @@ def test_verify_of_a_yd_bundle_stops_at_an_action_that_is_not_a_module(tmp_path,
     assert "yd-compatibility" not in out and "comodule-" not in out
 
 
-def test_constructed_modules_pass_verify_module(h8_ictx):
+def test_constructed_modules_pass_verify_module(h8_frob):
     for params in ETALE:
-        assert verify_module(build_group_etale(h8_ictx.incl.K, *params).carrier.module).ok
-        assert verify_module(direct_b_algebra(h8_ictx, *params).carrier.module).ok
+        assert verify_module(build_group_etale(h8_frob.incl.K, *params).carrier.module).ok
+        assert verify_module(direct_b_algebra(h8_frob, *params).carrier.module).ok
     C2 = group_algebra(cyclic_table(2), name="kC2")
     D = drinfeld_double(C2)[0]
     for g in (0, 1):
@@ -163,7 +163,7 @@ def _zeta_lines(K):
 
 @pytest.fixture(scope="module", params=["kK<H8", "kK<D(kK)", "kC3<D(kC3)"])
 def case(request):
-    """The induction context of a parity case and its YD lines over K."""
+    """The Frobenius data of a parity case and its YD lines over K."""
     if request.param == "kK<H8":
         incl, lines = kac_paljutkin()[1], _klein_lines
     elif request.param == "kK<D(kK)":
@@ -199,8 +199,8 @@ def _assert_parity(M, N):
 
 
 def test_generator_scans_match_the_full_scans_on_induced_yd_modules(case):
-    ictx, lines = case
-    ind = [z_induce(ictx, M) for M in lines]
+    frob, lines = case
+    ind = [z_induce(frob, M) for M in lines]
     for M in ind:
         _assert_parity(M, M)
     for M, N in zip(ind, ind[1:] + ind[:1]):
@@ -210,8 +210,8 @@ def test_generator_scans_match_the_full_scans_on_induced_yd_modules(case):
 def test_braiding_of_induced_yd_modules_is_an_invertible_yd_map(case):
     # the YD category is braided; check-functor --braided reads this theorem
     # for ZInd(M) and ZInd(N) instead of checking it per pair
-    ictx, lines = case
-    ind = [z_induce(ictx, M) for M in lines]
+    frob, lines = case
+    ind = [z_induce(frob, M) for M in lines]
     for M, N in zip(ind, ind[1:] + ind[:1]):
         psi = yd_braiding(M, N)
         assert psi.inverse() is not None
@@ -219,8 +219,8 @@ def test_braiding_of_induced_yd_modules_is_an_invertible_yd_map(case):
 
 
 def test_a_yd_defect_keeps_the_full_scan_witness(case):
-    ictx, lines = case
-    M = z_induce(ictx, lines[1])
+    frob, lines = case
+    M = z_induce(frob, lines[1])
     # add e_0 (x) v_0 to the coaction of v_1: the YD condition fails at some (i, a)
     bump = Matrix.from_rows([[int(r == 0 and a == 1) for a in range(M.dim)]
                              for r in range(M.coaction.rows)])
@@ -233,11 +233,11 @@ def test_a_yd_defect_keeps_the_full_scan_witness(case):
     assert got["yd-compatibility"].witness == yd._yd_defect(bad)
 
 
-def test_pushed_etale_objects_match_the_full_scans(h8_ictx):
+def test_pushed_etale_objects_match_the_full_scans(h8_frob):
     def scans(B):
         return (_checks(verify_frobenius_object(B)), invariant_space_dim(B.carrier),
                 _checks(verify_yd(B.carrier)))
 
     for params in ETALE:
-        B = push_frobenius(h8_ictx, build_group_etale(h8_ictx.incl.K, *params))
+        B = push_frobenius(h8_frob, build_group_etale(h8_frob.incl.K, *params))
         assert scans(B) == _on_all_of_h(scans, B)

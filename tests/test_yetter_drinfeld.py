@@ -5,10 +5,11 @@ from conftest import kline
 from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, small_quantum_sl2
 from hopfkit.errors import PipelineError
 from hopfkit.exact_math import Matrix
-from hopfkit.extension import HopfInclusion
+from hopfkit.extension import HopfInclusion, is_central_extension
 from hopfkit.frob_objects import push_frobenius, trivial_frobenius, verify_frobenius_object
 from hopfkit.hopf_core import subhopf_from_basis
 from hopfkit.induction import (
+    basis_parts,
     induce,
     induction_context,
     lax_pair,
@@ -44,8 +45,8 @@ def test_all_klein_lines_are_yd(h8_incl):
                 assert verify_yd(kline(h8_incl.K, g, ex, ey)).ok
 
 
-def test_zone_h_object_is_yd(h8, h8_ictx):
-    A = push_frobenius(h8_ictx, trivial_frobenius(h8_ictx.incl.K))
+def test_zone_h_object_is_yd(h8, h8_frob):
+    A = push_frobenius(h8_frob, trivial_frobenius(h8_frob.incl.K))
     assert verify_frobenius_object(A).ok
     assert verify_yd(A.carrier).ok
     # trivial coaction means Psi is the plain swap; in particular a x a -> a x a
@@ -102,7 +103,7 @@ def test_yd_braiding_naturality(h8_incl):
     assert yd_braiding_natural(A, A, A, A, ident, ident.scale(3))
 
 
-def test_z_induce_coaction_table(h8, h8_incl, h8_ictx):
+def test_z_induce_coaction_table(h8, h8_incl, h8_frob):
     wcase = {(1, 1): "1", (1, -1): "y", (-1, 1): "x", (-1, -1): "xy"}
     swap = {"1": "1", "x": "y", "y": "x", "xy": "xy"}
     words = {"1": (0, 0), "x": (1, 0), "y": (0, 1), "xy": (1, 1)}
@@ -116,7 +117,7 @@ def test_z_induce_coaction_table(h8, h8_incl, h8_ictx):
         for ex in (1, -1):
             for ey in (1, -1):
                 L = kline(h8_incl.K, g, ex, ey)
-                Z = z_induce(h8_ictx, L)
+                Z = z_induce(h8_frob, L)
                 assert verify_yd(Z).ok
                 # delta(1 x v) = deg(v) x (1 x v)
                 assert list(Z.coaction_terms(0)) == [(h8.label_index(g), 0)]
@@ -128,38 +129,38 @@ def test_z_induce_coaction_table(h8, h8_incl, h8_ictx):
 def test_z_induce_trivial_inclusion(h8):
     from hopfkit.extension import trivial_inclusion
 
-    ictx = induction_context(trivial_inclusion(h8))
+    frob = induction_context(trivial_inclusion(h8))
     M = trivial_yd(h8)
-    Z = z_induce(ictx, M)
+    Z = z_induce(frob, M)
     assert Z.module.action == M.module.action
     assert Z.coaction == M.coaction
 
 
-def test_z_induce_refuses_non_central(h8_ictx):
+def test_z_induce_refuses_non_central(h8_frob):
     uq = small_quantum_sl2(3)
-    ictx = induction_context(uq.cartan())
-    assert ictx.central is False
-    M = trivial_yd(ictx.incl.K)
+    frob = induction_context(uq.cartan())
+    assert is_central_extension(frob.incl) is False
+    M = trivial_yd(frob.incl.K)
     for _ in range(2):  # nothing is cached by a refusal
         with pytest.raises(PipelineError):
-            z_induce(ictx, M)
-    assert not [key for key in ictx._cache if key[0] == "z_induce"]
-    # a central context keeps what z_induce builds under that name
-    z_induce(h8_ictx, trivial_yd(h8_ictx.incl.K))
-    assert [key for key in h8_ictx._cache if key[0] == "z_induce"]
+            z_induce(frob, M)
+    assert not [key for key in frob._cache if key[0] == "z_induce"]
+    # central Frobenius data keeps what z_induce builds under that name
+    z_induce(h8_frob, trivial_yd(h8_frob.incl.K))
+    assert [key for key in h8_frob._cache if key[0] == "z_induce"]
 
 
-def test_z_induce_module_part_is_induce(h8_ictx):
-    L = kline(h8_ictx.incl.K, "x", -1, 1)
-    Z = z_induce(h8_ictx, L)
-    assert Z.module.action == induce(h8_ictx, L.module).action
+def test_z_induce_module_part_is_induce(h8_frob):
+    L = kline(h8_frob.incl.K, "x", -1, 1)
+    Z = z_induce(h8_frob, L)
+    assert Z.module.action == induce(h8_frob, L.module).action
 
 
-def test_braided_frobenius_pairs(h8_ictx):
-    chars = [kline(h8_ictx.incl.K, "1", ex, ey) for ex in (1, -1) for ey in (1, -1)]
+def test_braided_frobenius_pairs(h8_frob):
+    chars = [kline(h8_frob.incl.K, "1", ex, ey) for ex in (1, -1) for ey in (1, -1)]
     for a in chars:
         for b in chars:
-            rep = verify_braided_frobenius(h8_ictx, a, b)
+            rep = verify_braided_frobenius(h8_frob, a, b)
             assert rep.ok, (a.name, b.name, rep.failures())
 
 
@@ -172,8 +173,8 @@ def test_braided_frobenius_group_case():
     )
     sub, embed = subhopf_from_basis(KG, [0, 1], name="kC2")
     incl = HopfInclusion(sub, KG, embed)
-    ictx = induction_context(incl)
-    assert ictx.central
+    frob = induction_context(incl)
+    assert is_central_extension(incl)
     lines = [
         yd_line(sub, 0, [1, 1], name="triv"),
         yd_line(sub, 1, [1, -1], name="sgn@x"),
@@ -181,10 +182,10 @@ def test_braided_frobenius_group_case():
     ]
     for a in lines:
         for b in lines:
-            rep = verify_braided_frobenius(ictx, a, b)
+            rep = verify_braided_frobenius(frob, a, b)
             assert rep.ok
     # the induced coaction is conjugation by group elements (group-theoretic induction)
-    Z = z_induce(ictx, lines[1])
+    Z = z_induce(frob, lines[1])
     for col in range(Z.dim):
         terms = Z.coaction_terms(col)
         assert len(terms) == 1  # grouplike coaction
@@ -222,11 +223,11 @@ def test_yd_to_double_module():
 
 
 def test_z_induce_is_built_once_per_yd_value(h8_incl):
-    ictx = induction_context(h8_incl)
-    Z = z_induce(ictx, kline(h8_incl.K, "x", -1, 1, name="L"))
-    assert z_induce(ictx, kline(h8_incl.K, "x", -1, 1, name="L")) is Z
+    frob = induction_context(h8_incl)
+    Z = z_induce(frob, kline(h8_incl.K, "x", -1, 1, name="L"))
+    assert z_induce(frob, kline(h8_incl.K, "x", -1, 1, name="L")) is Z
     # another coaction on the same module, under the same name, is another YD module
-    other = z_induce(ictx, kline(h8_incl.K, "y", -1, 1, name="L"))
+    other = z_induce(frob, kline(h8_incl.K, "y", -1, 1, name="L"))
     assert other is not Z and other.module == Z.module
     assert other.coaction != Z.coaction
 
@@ -236,29 +237,29 @@ def test_z_induce_is_built_once_per_yd_value(h8_incl):
 # ---------------------------------------------------------------------------
 
 
-def _reference_zind_coaction(ictx, M):
+def _reference_zind_coaction(frob, M):
     """The coaction of ZInd(M), evaluating h_1 g S(h_3) for every Delta^2 term,
     coaction term and K-part of h_2 anew (no twist table)."""
     from hopfkit import _kernel as K
     from hopfkit.exact_math import Cyclotomic
 
-    incl = ictx.incl
-    ind = induce(ictx, M.module)
+    incl = frob.incl
+    ind = induce(frob, M.module)
     H = ind.H
     conductor = ind.N
     ctx = K.make_ctx(conductor)
-    d, r, n = M.dim, ictx.rank, H.dim
+    d, r, n = M.dim, frob.rank, H.dim
     dim = r * d
     coact = M.coaction.lift(conductor).transpose().srows
     embed = incl.embed.lift(conductor)
     rows = [{} for _ in range(n * dim)]
     for i in range(r):
         for a in range(d):
-            for (p, q, rr), s in H.comult2(ictx.frob.free[i]):
+            for (p, q, rr), s in H.comult2(frob.free[i]):
                 for row, v in coact[a].items():
                     g, a0 = divmod(row, d)
                     u = H.mult_vec(H.mult_vec({p: s}, embed.col(g)), H.antipode_vec(H.basis_vec(rr)))
-                    for t, kv in enumerate(ictx.basis_parts(q)):
+                    for t, kv in enumerate(basis_parts(frob, q)):
                         if not kv:
                             continue
                         blk = Matrix.lincomb(d, d, conductor, (
@@ -327,12 +328,12 @@ def _assert_yd_parity(M):
 
 
 @pytest.mark.parametrize("n, ex, ey", _ETALE)
-def test_twist_table_matches_per_term_formula_on_etale_carriers(h8_ictx, n, ex, ey):
+def test_twist_table_matches_per_term_formula_on_etale_carriers(h8_frob, n, ex, ey):
     from hopfkit.frob_objects import build_group_etale
 
-    M = build_group_etale(h8_ictx.incl.K, n, ex, ey).carrier
-    Z = z_induce(h8_ictx, M)
-    assert Z.coaction == _reference_zind_coaction(h8_ictx, M)
+    M = build_group_etale(h8_frob.incl.K, n, ex, ey).carrier
+    Z = z_induce(h8_frob, M)
+    assert Z.coaction == _reference_zind_coaction(h8_frob, M)
     for Y in (M, Z, _double_entry(Z, min), _double_entry(Z, max)):
         _assert_yd_parity(Y)
 
@@ -341,12 +342,12 @@ def test_twist_table_matches_per_term_formula_on_etale_carriers(h8_ictx, n, ex, 
 def test_twist_table_matches_per_term_formula_on_klein_lines(spec):
     from hopfkit.cli import resolve_inclusion
 
-    ictx = induction_context(resolve_inclusion(spec))
+    frob = induction_context(resolve_inclusion(spec))
     for g in ("1", "x", "y", "xy"):
         for ex, ey in _SIGNS:
-            M = kline(ictx.incl.K, g, ex, ey)
-            Z = z_induce(ictx, M)
-            assert Z.coaction == _reference_zind_coaction(ictx, M), (spec, g, ex, ey)
+            M = kline(frob.incl.K, g, ex, ey)
+            Z = z_induce(frob, M)
+            assert Z.coaction == _reference_zind_coaction(frob, M), (spec, g, ex, ey)
             _assert_yd_parity(M)
             _assert_yd_parity(Z)
     _assert_yd_parity(_double_entry(Z, max))
@@ -356,12 +357,12 @@ def test_twist_table_at_a_larger_module_conductor():
     # kC3 < D(kC3) is defined over Q; the characters need zeta_3
     from hopfkit.cli import resolve_inclusion, resolve_module
 
-    ictx = induction_context(resolve_inclusion("builtin:double?of=builtin:group?table=c3"))
+    frob = induction_context(resolve_inclusion("builtin:double?of=builtin:group?table=c3"))
     for spec in ("builtin:kchar?act=1,z,z^2&deg=g1&cond=3", "builtin:kchar?act=1,z^2,z&deg=g2&cond=3"):
-        M = resolve_module(spec, ictx.incl.K)
-        assert M.N % ictx.N == 0 and M.N != ictx.N
-        Z = z_induce(ictx, M)
-        assert Z.coaction == _reference_zind_coaction(ictx, M)
+        M = resolve_module(spec, frob.incl.K)
+        assert M.N % frob.incl.N == 0 and M.N != frob.incl.N
+        Z = z_induce(frob, M)
+        assert Z.coaction == _reference_zind_coaction(frob, M)
         _assert_yd_parity(Z)
 
 
@@ -402,12 +403,12 @@ def test_twist_table_matches_per_term_formula_on_adjoint_modules(spec):
         _assert_yd_parity(Y)
 
 
-def test_yd_compatibility_witness_on_a_doubled_coaction_entry(h8_ictx):
+def test_yd_compatibility_witness_on_a_doubled_coaction_entry(h8_frob):
     # recorded before the twist table: ZInd of the etale carrier A_x(1,-1)
     # with one coaction entry doubled
     from hopfkit.frob_objects import build_group_etale
 
-    Z = z_induce(h8_ictx, build_group_etale(h8_ictx.incl.K, "x", 1, -1).carrier)
+    Z = z_induce(h8_frob, build_group_etale(h8_frob.incl.K, "x", 1, -1).carrier)
     first = verify_yd(_double_entry(Z, min))
     assert [(c.name, c.status, c.witness) for c in first.checks] == [
         ("comodule-counital", "fail", None),
@@ -500,20 +501,20 @@ def test_check_functor_refuses_a_doubled_structure_entry_where_it_is_read(
     assert first == DEFECT_PROBE[which, section]
 
 
-def test_reports_are_the_same_for_a_module_lifted_to_a_larger_conductor(h8_ictx):
+def test_reports_are_the_same_for_a_module_lifted_to_a_larger_conductor(h8_frob):
     # the checks multiply maps at different conductors and leave the alignment
     # to Matrix; lifting is an injective ring map, so no verdict may move
-    K = h8_ictx.incl.K
+    K = h8_frob.incl.K
     a, b = kline(K, "x", 1, -1), kline(K, "y", -1, 1)
     a12 = YDModule(HModule(K, list(a.module.action), name=a.module.name, N=12), a.coaction,
                    name=a.name)
-    assert a.N != 12 and lax_pair(h8_ictx, a12.module, b.module)[0].N == 12
+    assert a.N != 12 and lax_pair(h8_frob, a12.module, b.module).N == 12
     reports = []
     for x in (a, a12):
         reports.append([
-            verify_lax_coherence(h8_ictx, [x.module, b.module]),
-            verify_frobenius_monoidal(h8_ictx, x.module, b.module, x.module),
-            verify_braided_frobenius(h8_ictx, x, b),
+            verify_lax_coherence(h8_frob, [x.module, b.module]),
+            verify_frobenius_monoidal(h8_frob, x.module, b.module, x.module),
+            verify_braided_frobenius(h8_frob, x, b),
         ])
     own, lifted = reports
     assert all(rep.ok for rep in own), [rep.failures() for rep in own]
