@@ -8,12 +8,20 @@ conductor declared in the header.
 import locale
 import os
 import re
+from itertools import chain
 from math import prod
 
 from . import _kernel as K
 from .errors import BundleParseError
-from .exact_math import Cyclotomic, Matrix, format_scalar, parse_scalar
+from .exact_math import Matrix, format_raw, parse_scalar
 from .hopf_core import FinHopf
+
+
+def _texts(scalars):
+    """The text of each distinct raw scalar among ``scalars``, each formatted
+    once, as ``_Parser.scalars`` parses each distinct text once."""
+    distinct = set(scalars)
+    return dict(zip(distinct, map(format_raw, distinct)))
 
 
 def serialize_hopf(H):
@@ -22,26 +30,27 @@ def serialize_hopf(H):
         lines.append("convention %s" % H.convention)
     lines.append("labels %s" % ",".join(H.basis_labels))
     n = H.dim
+    text = _texts(chain(H.unit, H.counit, (s for table in (H.mult, H.comult, H.antipode_cols)
+                                            for row in table for _, s in row)))
     lines.append("BEGIN MULT")
     for i in range(n):
         for j in range(n):
             for k, s in H.mult[i * n + j]:
-                lines.append("%d %d %d %s" % (i, j, k, format_scalar(Cyclotomic(H.N, s))))
+                lines.append("%d %d %d %s" % (i, j, k, text[s]))
     lines.append("END")
     lines.append("BEGIN COMULT")
     for i in range(n):
         for x, s in H.comult[i]:
-            lines.append("%d %d %d %s" % (i, x // n, x % n, format_scalar(Cyclotomic(H.N, s))))
+            lines.append("%d %d %d %s" % (i, x // n, x % n, text[s]))
     lines.append("END")
     for section, vec in (("UNIT", H.unit), ("COUNIT", H.counit)):
         lines.append("BEGIN %s" % section)
-        lines.extend("%d %s" % (i, format_scalar(Cyclotomic(H.N, s)))
-                     for i, s in enumerate(vec) if not K.s_is_zero(s))
+        lines.extend("%d %s" % (i, text[s]) for i, s in enumerate(vec) if not K.s_is_zero(s))
         lines.append("END")
     lines.append("BEGIN ANTIPODE")
     for j, col in enumerate(H.antipode_cols):
         for i, s in col:
-            lines.append("%d %d %s" % (i, j, format_scalar(Cyclotomic(H.N, s))))
+            lines.append("%d %d %s" % (i, j, text[s]))
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -225,7 +234,8 @@ def _matrix(p, name, rows, cols, N):
 
 def _entry_lines(M):
     """"r c scalar" for each nonzero entry of the Matrix M, row by row."""
-    return ["%d %d %s" % (r, c, format_scalar(Cyclotomic(M.N, s)))
+    text = _texts(s for row in M.srows for s in row.values())
+    return ["%d %d %s" % (r, c, text[s])
             for r, row in enumerate(M.srows) for c, s in sorted(row.items())]
 
 

@@ -32,7 +32,9 @@ whose checks that command reports.
 
 A module is checked where it enters: ``check-functor``, and ``verify`` of a
 Yetter-Drinfeld module bundle, stop at ``module-input[...] FAIL`` when an
-input's action fails ``verify_module``.
+input's action fails ``verify_module``, and ``check-functor --braided`` at
+``yd-input[...] FAIL`` when a Yetter-Drinfeld input fails ``verify_yd``.
+Either line names the first failing check and carries its witness.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, an --expect
 flag was contradicted, or a bundle was refused as above, 2 malformed input.
@@ -271,6 +273,14 @@ def _emit(report, args):
     return 0 if report.ok else 1
 
 
+def _input_failure(report, name, rep):
+    """Add the FAIL line ``name`` of an input refused by the checks ``rep``:
+    its detail names their first failing check, and its witness is that
+    check's."""
+    bad = rep.failures()[0]
+    report.add(name, False, witness=bad.witness, detail=bad.name)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -292,8 +302,9 @@ def cmd_verify(args):
         if isinstance(mod, YDModule):
             # a YD module is first a module; a valid bundle's report reads as
             # the YD checks alone
-            if not verify_module(mod.module).ok:
-                report.add("module-input[%s]" % mod.module.name, False)
+            rep = verify_module(mod.module)
+            if not rep.ok:
+                _input_failure(report, "module-input[%s]" % mod.module.name, rep)
                 return _emit(report, args)
             report.extend(verify_yd(mod))
         else:
@@ -348,8 +359,9 @@ def cmd_check_functor(args):
     modules = [resolve_module(m, incl.K) for m in args.module or ["builtin:trivial"]]
     plain = [m.module if isinstance(m, YDModule) else m for m in modules]
     for m in plain:
-        if not verify_module(m).ok:
-            report.add("module-input[%s]" % m.name, False)
+        rep = verify_module(m)
+        if not rep.ok:
+            _input_failure(report, "module-input[%s]" % m.name, rep)
             return _emit(report, args)
     try:
         frob = induction_context(incl)
@@ -373,15 +385,18 @@ def cmd_check_functor(args):
             anchor="separability",
         )
     if args.braided:
+        yds = [m for m in modules if isinstance(m, YDModule)]
         if not is_central_extension(incl):
             report.add("braided", "skipped", detail="extension not central",
                        anchor="central-frobenius")
+        elif not yds:
+            report.add("braided", "skipped", detail="no Yetter-Drinfeld module among the inputs",
+                       anchor="braided")
         else:
-            yds = [m for m in modules if isinstance(m, YDModule)]
             for m in yds:
                 rep = verify_yd(m)
                 if not rep.ok:
-                    report.add("yd-input[%s]" % m.name, False)
+                    _input_failure(report, "yd-input[%s]" % m.name, rep)
                     return _emit(report, args)
             for pr in ((a, b) for a in yds for b in yds):
                 name = "braided-frobenius[%s]" % ",".join(m.name for m in pr)

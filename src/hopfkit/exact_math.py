@@ -13,7 +13,7 @@ row space has exactly one RREF, so all outputs are deterministic.
 import re
 from bisect import insort
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import _kernel as K
 from .errors import InconsistentSystemError, ShapeError
@@ -175,19 +175,25 @@ def root_of_unity(N, k=1):
     return Cyclotomic(N, K.zeta_power(K.make_ctx(N), k))
 
 
-def format_scalar(a):
-    """Render as "p/q" or a sum of "p/q*z^k" terms (z denotes zeta_N)."""
-    a = Cyclotomic.promote(a)
-    fracs = a.coeffs()
+def format_raw(a):
+    """Render the raw scalar a = (den, c_0, ..., c_(phi-1)), den > 0, as
+    "p/q" or a sum of "p/q*z^k" terms (z denotes zeta_N).  Each c_k/den is
+    written in lowest terms by its gcd with den, which is the normal form
+    Fraction(c_k, den) prints; the text does not depend on N."""
+    den = a[0]
     terms = []
-    for k, f in enumerate(fracs):
-        if f == 0:
+    for k, c in enumerate(a[1:]):
+        if not c:
             continue
-        num = str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+        g = gcd(c, den)
+        num = str(c // g) if g == den else "%d/%d" % (c // g, den // g)
         terms.append(num if k == 0 else "%s*z^%d" % (num, k))
-    if not terms:
-        return "0"
-    return " + ".join(terms)
+    return " + ".join(terms) or "0"
+
+
+def format_scalar(a):
+    """``format_raw`` of a Cyclotomic, int or Fraction."""
+    return format_raw(Cyclotomic.promote(a).data)
 
 
 # Coefficient and exponent tokens of the bundle scalar grammar.  Fraction and

@@ -20,8 +20,8 @@ from hopfkit.builders import (
     trivial_hopf,
     unimodularity_scan_sl2,
 )
-from hopfkit.bundles import parse_hopf, serialize_hopf, serialize_inclusion
-from hopfkit.cli import resolve_hopf, resolve_inclusion
+from hopfkit.bundles import parse_hopf, serialize_hopf, serialize_inclusion, serialize_module
+from hopfkit.cli import resolve_hopf, resolve_inclusion, resolve_module
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, _add, _axpy
 from hopfkit.extension import bar_quotient, verify_inclusion
@@ -359,6 +359,40 @@ def test_catalogue_inclusions_match_the_recorded_digests(spec):
     incl = resolve_inclusion(spec)
     text = serialize_hopf(incl.K) + serialize_hopf(incl.H) + serialize_inclusion(incl, "sub", "big")
     assert hashlib.sha256(text.encode()).hexdigest() == INCLUSION_DIGESTS[spec]
+
+
+def _module_bundle(name):
+    """serialize_module of one of the MODULE_DIGESTS modules."""
+    from hopfkit.induction import induce, induction_context
+    from hopfkit.yetter_drinfeld import z_induce
+
+    if name == "uqsl2?l=3-ind":
+        frob = induction_context(resolve_inclusion("builtin:uqsl2?l=3&sub=cartan"))
+        V = resolve_module("builtin:kchar?act=1,z,z^2", frob.incl.K)
+        return serialize_module(induce(frob, V), "builtin:uqsl2?l=3")
+    incl = resolve_inclusion("builtin:h8")
+    L = resolve_module("builtin:kchar?act=1,-1,1,-1&deg=x", incl.K)
+    if name == "h8-zind":
+        L = z_induce(induction_context(incl), L)
+        return serialize_module(L.module, "builtin:h8", coaction=L.coaction)
+    return serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction)
+
+
+# sha256 of serialize_module of a graded character line of the Klein group
+# with its coaction, of its induction to H8 (dim 2, with its coaction) and of
+# a character of the Cartan part induced to u_q(sl2) at l = 3 (dim 9, with
+# z terms), recorded before the writers formatted each distinct scalar once
+MODULE_DIGESTS = {
+    "kK-line": "eb56e3fd4f5a316a685b4f2d083eacf172ac1b843629e0d5002a844ab8a4efc7",
+    "h8-zind": "922e70d0740ec0f32a7c629200faae97e9364c846682fe9535e31edfa6005bc9",
+    "uqsl2?l=3-ind": "2b1ca4cc6d9400188d0a6d7530873b276c6612190be278f8552b8d240f359101",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_DIGESTS))
+def test_module_bundles_match_the_recorded_digests(name):
+    text = _module_bundle(name)
+    assert hashlib.sha256(text.encode()).hexdigest() == MODULE_DIGESTS[name]
 
 
 def _uq_mult_by_rewriting(l):

@@ -273,6 +273,29 @@ def test_check_functor_braided_skipped_on_noncentral(capsys):
     assert "SKIPPED" in out and "not central" in out
 
 
+def test_check_functor_braided_says_when_no_input_is_yetter_drinfeld(capsys):
+    # kK < H8 is central, but a plain module gives --braided nothing to check
+    code, out = run(["check-functor", "builtin:h8", "--module", "builtin:trivial", "--braided"],
+                    capsys)
+    assert code == 0
+    assert ["braided", "SKIPPED", "[no", "Yetter-Drinfeld", "module", "among", "the", "inputs]",
+            "(braided)"] in map(str.split, out.splitlines())
+
+
+def test_check_functor_names_the_failing_check_of_a_yd_input(tmp_path, monkeypatch, capsys):
+    # delta(v) = (2x - 1) (x) v is counital but not coassociative at v = e_0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.bundle").write_text(
+        "hopf-module v1\nover K\ndim 1\nconductor 1\nname bad\n"
+        + "".join("BEGIN ACTION %d\n0 0 1\nEND\n" % i for i in range(4))
+        + "BEGIN COACTION\n0 0 -1\n1 0 2\nEND\n")
+    code, out = run(["check-functor", "builtin:h8", "--module", "bad.bundle", "--braided"], capsys)
+    assert code == 1
+    assert ["yd-input[bad]", "FAIL", "witness=0", "[comodule-coassociative]"] in map(
+        str.split, out.splitlines())
+    assert "braided-frobenius" not in out
+
+
 def test_frob_objects_cmd(capsys):
     code, out = run([
         "frob-objects", "builtin:h8", "--separable-normalized",
@@ -629,7 +652,9 @@ def test_verify_of_a_yd_bundle_checks_the_module_too(tmp_path, monkeypatch, caps
             serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction))
         code, out = run(["verify", "line.bundle"], capsys)
         assert code == rc, out
-        assert (["module-input[line]", "FAIL"] in map(str.split, out.splitlines())) == (rc == 1)
+        # the refusal names verify_module's failing check and its witness x*y
+        assert ("module-input[line]  FAIL  witness=(1, 2)  [action-multiplicative]"
+                in out.splitlines()) == (rc == 1)
         assert ("yd-compatibility        PASS" in out) == (rc == 0)
         if rc == 0:
             # a valid bundle's report is the one recorded before the module check ran

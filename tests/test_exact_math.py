@@ -233,6 +233,44 @@ def test_scalar_parse_format_roundtrip():
     assert parse_scalar("1*z^4", 4) == 1
 
 
+def _fraction_format(a):
+    """The rendering of a scalar through one Fraction per coefficient, as
+    format_scalar wrote it before it read the raw tuple: the reference."""
+    terms = []
+    for k, f in enumerate(Cyclotomic.promote(a).coeffs()):
+        if f == 0:
+            continue
+        num = str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+        terms.append(num if k == 0 else "%s*z^%d" % (num, k))
+    return " + ".join(terms) if terms else "0"
+
+
+# coefficients p/q with q of either sign and not always 1, zero included
+_COEFFS = st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+                    st.integers(-60, 60).filter(bool)) | st.sampled_from([0, 1, -1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12, 15]), data=st.data())
+def test_format_scalar_matches_the_fraction_rendering(N, data):
+    phi = K.make_ctx(N)[1]
+    x = Cyclotomic.from_coeffs(N, data.draw(st.lists(_COEFFS, min_size=phi, max_size=phi)))
+    text = format_scalar(x)
+    assert text == _fraction_format(x)
+    assert parse_scalar(text, N) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10 ** 20, 10 ** 20) | _COEFFS)
+@example(0)
+@example(Fraction(0, -7))
+@example(Fraction(6, -4))
+def test_format_scalar_of_ints_and_fractions_matches_the_fraction_rendering(value):
+    text = format_scalar(value)
+    assert text == _fraction_format(value) == str(Fraction(value))
+    assert parse_scalar(text, 1) == value
+
+
 @settings(max_examples=60, deadline=None)
 @given(N=st.sampled_from([1, 3, 4, 5, 8, 9, 12]),
        terms=st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 12), st.integers(-30, 30)),

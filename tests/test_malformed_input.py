@@ -348,5 +348,7 @@ def test_check_functor_rejects_a_non_module_input(spec, act, flags):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == 1
-    assert ["module-input[kchar]", "FAIL"] in [line.split() for line in out.getvalue().splitlines()]
+    # each act value list fails rho(x)rho(x) = rho(x^2) at x, index 1
+    assert ("module-input[kchar]  FAIL  witness=(1, 1)  [action-multiplicative]"
+            in out.getvalue().splitlines())
     assert "Traceback" not in err.getvalue() and not err.getvalue()

@@ -96,7 +96,7 @@ def test_check_functor_stops_at_an_input_that_is_not_a_module(capsys):
                  "--frobenius-monoidal", "--separable"])
     out = capsys.readouterr().out
     assert code == 1
-    assert ["module-input[kchar]", "FAIL"] in map(str.split, out.splitlines())
+    assert "module-input[kchar]  FAIL  witness=(1, 2)  [action-multiplicative]" in out.splitlines()
     assert "frobenius-extension" not in out and "frobenius-monoidal" not in out
 
 
@@ -109,7 +109,7 @@ def test_verify_of_a_yd_bundle_stops_at_an_action_that_is_not_a_module(tmp_path,
     code = main(["verify", str(path)])
     out = capsys.readouterr().out
     assert code == 1
-    assert ["module-input[broken]", "FAIL"] in map(str.split, out.splitlines())
+    assert "module-input[broken]  FAIL  witness=(1, 2)  [action-multiplicative]" in out.splitlines()
     assert "yd-compatibility" not in out and "comodule-" not in out
 
 
