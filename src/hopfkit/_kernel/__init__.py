@@ -6,7 +6,7 @@ the scans call ``_pykernel``'s scalar functions directly, so the hopfbench
 tracer, which patches the names bound in this package, counts only the
 scalar calls made from outside the kernel.  Everything else here is
 conversion and table code: cyclotomic polynomials, contexts, powers of zeta
-and lift tables are built once per conductor, and ``s_inv`` solves once per
+and lift tables are built once per conductor, and ``s_inv`` inverts once per
 distinct operand, memoized like the binary ring operations
 (``_pykernel._remember``).
 """
@@ -196,8 +196,8 @@ _inv_memo = {}
 
 
 def s_inv(ctx, a):
-    """Multiplicative inverse via the regular-representation linear solve,
-    made once per (conductor, scalar) while the memo holds it."""
+    """Multiplicative inverse by the norm (``_solve_inv``), made once per
+    (conductor, scalar) while the memo holds it."""
     if a == ctx[3]:
         raise ZeroDivisionError("inverse of zero cyclotomic scalar")
     key = (ctx[0], a)
@@ -208,37 +208,20 @@ def s_inv(ctx, a):
 
 
 def _solve_inv(ctx, a):
-    phi, red = ctx[1], ctx[2]
+    """a^-1 = c / Norm(a), c the product of the conjugates sigma_k(a),
+    sigma_k(zeta) = zeta^k for 1 < k < N prime to N; Norm(a) = a c is
+    rational.  Each product is made once, so none goes through a memo."""
+    N, phi = ctx[0], ctx[1]
     if phi == 1:
         return s_from_ratio(ctx, a[0], a[1])
-    # columns: x**j * (numerator of a), as integer vectors
-    cols = []
-    cur = list(a[1:])
-    for j in range(phi):
-        cols.append(list(cur))
-        if j == phi - 1:
-            break
-        cur = _times_zeta(cur, red[0])
-    # solve M v = e0 over Q
-    mat = [[Fraction(cols[j][i]) for j in range(phi)] for i in range(phi)]
-    rhs = [Fraction(1 if i == 0 else 0) for i in range(phi)]
-    for col in range(phi):
-        piv = None
-        for r in range(col, phi):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("scalar is a zero divisor (not reduced?)")
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        rhs[col] = rhs[col] / pv
-        for r in range(phi):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return s_from_fractions(ctx, [x * a[0] for x in rhs])
+    c = ctx[4]
+    for k in range(2, N):
+        if gcd(k, N) == 1:
+            conj = [0] * phi
+            for j, cj in enumerate(a[1:]):
+                if cj:
+                    for t, z in enumerate(zeta_power(ctx, j * k)[1:]):
+                        conj[t] += cj * z
+            c = _pykernel._mul(ctx, c, _pykernel._norm(a[0], conj))
+    norm = _pykernel._mul(ctx, a, c)
+    return _pykernel._mul(ctx, c, s_from_ratio(ctx, norm[0], norm[1]))

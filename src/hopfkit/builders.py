@@ -23,6 +23,7 @@ algebra.
 """
 
 from bisect import bisect_left
+from math import inf
 
 from . import _kernel as K
 from .errors import HopfkitError
@@ -564,30 +565,19 @@ def double_r_matrix(H):
 # Cartan row-sum combinatorics
 # ---------------------------------------------------------------------------
 
-_FINITE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
+# the least and greatest rank of each finite type
+_RANKS = {"A": (1, inf), "B": (2, inf), "C": (2, inf), "D": (4, inf),
+          "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
 def cartan_matrix(type_label, rank):
     """Standard finite-type Cartan matrix (B_n: last simple root short)."""
     t = type_label.upper()
     r = rank
-    if t not in _FINITE_TYPES:
+    if t not in _RANKS:
         raise HopfkitError("unknown Cartan type %r" % type_label)
-    if t == "A" and r >= 1:
-        pass
-    elif t == "B" and r >= 2:
-        pass
-    elif t == "C" and r >= 2:
-        pass
-    elif t == "D" and r >= 4:
-        pass
-    elif t == "E" and r in (6, 7, 8):
-        pass
-    elif t == "F" and r == 4:
-        pass
-    elif t == "G" and r == 2:
-        pass
-    else:
+    lo, hi = _RANKS[t]
+    if not lo <= r <= hi:
         raise HopfkitError("invalid rank %d for type %s" % (rank, t))
 
     C = [[2 if i == j else 0 for j in range(r)] for i in range(r)]

@@ -266,13 +266,15 @@ def parse_inclusion(text, resolver):
     return HopfInclusion(sub, big, _matrix(p, "EMBED", big.dim, sub.dim, N))
 
 
-def serialize_module(mod, over_ref, coaction=None):
+def serialize_module(mod, over_ref):
+    from .yetter_drinfeld import YDModule
+
     lines = ["hopf-module v1", "over %s" % over_ref, "dim %d" % mod.dim,
              "conductor %d" % mod.N, "name %s" % mod.name]
     for i in range(mod.H.dim):
         lines += ["BEGIN ACTION %d" % i, *_entry_lines(mod.action[i]), "END"]
-    if coaction is not None:
-        lines += ["BEGIN COACTION", *_entry_lines(coaction), "END"]
+    if isinstance(mod, YDModule):
+        lines += ["BEGIN COACTION", *_entry_lines(mod.coaction), "END"]
     return "\n".join(lines) + "\n"
 
 
@@ -299,7 +301,7 @@ def parse_module(text, resolver):
         mats.append(_matrix(p, key, dim, dim, N))
     mod = HModule(H, mats, name=name, N=N)
     if "COACTION" in p.sections:
-        return YDModule(mod, _matrix(p, "COACTION", H.dim * dim, dim, N), name=name)
+        return YDModule(mod, _matrix(p, "COACTION", H.dim * dim, dim, N))
     return mod
 
 

@@ -299,16 +299,15 @@ def cmd_verify(args):
                     inputs=[(spec, digest_bytes(spec.encode() if data is None else data))])
     if text is not None and bundle_header(text).startswith("hopf-module"):
         mod = parse_module(text, resolve_hopf)
+        rep = verify_module(mod)
         if isinstance(mod, YDModule):
             # a YD module is first a module; a valid bundle's report reads as
             # the YD checks alone
-            rep = verify_module(mod.module)
             if not rep.ok:
-                _input_failure(report, "module-input[%s]" % mod.module.name, rep)
+                _input_failure(report, "module-input[%s]" % mod.name, rep)
                 return _emit(report, args)
-            report.extend(verify_yd(mod))
-        else:
-            report.extend(verify_module(mod))
+            rep = verify_yd(mod)
+        report.extend(rep)
         return _emit(report, args)
     H = resolve_hopf(spec) if text is None else parse_hopf(text)
     report.extend(verify_hopf(H))
@@ -356,9 +355,8 @@ def cmd_check_functor(args):
     incl, digest = _inclusion_input(spec)
     report = Report("check-functor %s" % spec, tool="hopfkit %s" % __version__,
                     inputs=[(spec, digest)])
-    modules = [resolve_module(m, incl.K) for m in args.module or ["builtin:trivial"]]
-    plain = [m.module if isinstance(m, YDModule) else m for m in modules]
-    for m in plain:
+    modules = [resolve_module(m, incl.K) for m in args.modules or ["builtin:trivial"]]
+    for m in modules:
         rep = verify_module(m)
         if not rep.ok:
             _input_failure(report, "module-input[%s]" % m.name, rep)
@@ -371,12 +369,12 @@ def cmd_check_functor(args):
     report.add("frobenius-extension", True)
 
     if args.frobenius_monoidal:
-        for tr in ((a, b, c) for a in plain for b in plain for c in plain):
+        for tr in ((a, b, c) for a in modules for b in modules for c in modules):
             rep = verify_frobenius_monoidal(frob, *tr)
             names = ",".join(m.name for m in tr)
             report.add("frobenius-monoidal[%s]" % names, rep.ok, anchor="frobmon")
     if args.separable:
-        pairs = [(a, b) for a in plain for b in plain]
+        pairs = [(a, b) for a in modules for b in modules]
         sep = is_separable_functor(frob, pairs)
         report.add(
             "separable",
@@ -561,7 +559,7 @@ def build_parser():
 
     p = sub.add_parser("check-functor", help="diagram suites for the induction functor")
     p.add_argument("input")
-    p.add_argument("--module", action="append", default=[])
+    p.add_argument("--module", dest="modules", metavar="MODULE", action="append", default=[])
     p.add_argument("--frobenius-monoidal", action="store_true")
     p.add_argument("--braided", action="store_true")
     p.add_argument("--separable", action="store_true")

@@ -19,17 +19,13 @@ def _is_yd(carrier):
     return isinstance(carrier, YDModule)
 
 
-def _carrier_module(carrier):
-    return carrier.module if _is_yd(carrier) else carrier
-
-
 class AlgObject:
     """An algebra object: carrier plus mult (d x d^2) and unit (d x 1) morphisms."""
 
     __slots__ = ("carrier", "mult", "unit", "name")
 
     def __init__(self, carrier, mult, unit, name="A"):
-        d = _carrier_module(carrier).dim
+        d = carrier.dim
         if mult.rows != d or mult.cols != d * d:
             raise ShapeError("mult must be %dx%d" % (d, d * d))
         if unit.rows != d or unit.cols != 1:
@@ -41,11 +37,7 @@ class AlgObject:
 
     @property
     def dim(self):
-        return _carrier_module(self.carrier).dim
-
-    @property
-    def module(self):
-        return _carrier_module(self.carrier)
+        return self.carrier.dim
 
     @property
     def is_yd(self):
@@ -75,17 +67,16 @@ def _tensor_carrier(carrier):
 
 
 def _unit_carrier(carrier):
-    mod = _carrier_module(carrier)
     if _is_yd(carrier):
-        return trivial_yd(mod.H, N=mod.N)
-    return trivial_module(mod.H, N=mod.N)
+        return trivial_yd(carrier.H, N=carrier.N)
+    return trivial_module(carrier.H, N=carrier.N)
 
 
 def _morphism_in_category(src_carrier, tgt_carrier, mat):
     """mat is H-equivariant (and comodule-equivariant for YD carriers)."""
     if _is_yd(src_carrier) and _is_yd(tgt_carrier):
         return yd_morphism_check(src_carrier, tgt_carrier, mat)
-    return ModuleMap(_carrier_module(src_carrier), _carrier_module(tgt_carrier), mat).intertwines()
+    return ModuleMap(src_carrier, tgt_carrier, mat).intertwines()
 
 
 def verify_algebra_object(A):
@@ -141,7 +132,7 @@ def push_algebra(frob, A):
         carrier = z_induce(frob, A.carrier)
     else:
         carrier = induce(frob, A.carrier)
-    mult = ind_morphism(frob, A.mult) * lax_pair(frob, A.module, A.module)
+    mult = ind_morphism(frob, A.mult) * lax_pair(frob, A.carrier, A.carrier)
     unit = ind_morphism(frob, A.unit) * unit_maps(frob)[0]
     return AlgObject(carrier, mult, unit, name="Ind(%s)" % A.name)
 
@@ -149,7 +140,7 @@ def push_algebra(frob, A):
 def push_coalgebra(frob, C):
     """The comultiplication and counit of Ind C: oplax composed with Ind of
     those of C."""
-    comult = oplax_pair(frob, C.module, C.module) * ind_morphism(frob, C.comult)
+    comult = oplax_pair(frob, C.carrier, C.carrier) * ind_morphism(frob, C.comult)
     return comult, unit_maps(frob)[1] * ind_morphism(frob, C.counit)
 
 
@@ -203,7 +194,7 @@ def build_group_etale(K_hopf, n, ex, ey):
     rows[labels.index("1") * 2 + 0][0] = 1
     rows[deg * 2 + 1][1] = 1
     coact = Matrix.from_rows(rows)
-    carrier = YDModule(mod, coact, name=mod.name)
+    carrier = YDModule(mod, coact)
     mult = Matrix.from_rows([[1, 0, 0, 1], [0, 1, 1, 0]])
     unit = Matrix.from_rows([[1], [0]])
     comult = Matrix.from_rows([[1, 0], [0, 1], [0, 1], [1, 0]])
@@ -254,7 +245,7 @@ def direct_b_algebra(frob, n, ex, ey):
     rows = [[0] * 4 for _ in range(H.dim * 4)]
     for a, dlbl in enumerate(degs):
         rows[word_index(dlbl) * 4 + a][a] = 1
-    carrier = YDModule(mod, Matrix.from_rows(rows), name=mod.name)
+    carrier = YDModule(mod, Matrix.from_rows(rows))
 
     # multiplication: indices 0=(1,1) 1=(1,n) 2=(z,1) 3=(z,n)
     z4 = [[0] * 16 for _ in range(4)]
@@ -299,7 +290,7 @@ def frob_objects_equal(F1, F2):
         and F1.unit == F2.unit
         and F1.comult == F2.comult
         and F1.counit == F2.counit
-        and _carrier_module(F1.carrier) == _carrier_module(F2.carrier)
+        and F1.carrier == F2.carrier
         and (not (_is_yd(F1.carrier) and _is_yd(F2.carrier)) or F1.carrier.coaction == F2.carrier.coaction)
     )
 
@@ -333,13 +324,12 @@ def invariant_space_dim(carrier):
     h v = eps(h) v is imposed for h in ``algebra_generators(H)`` only (see
     ``HModule``): the h it holds for contain 1 and are closed under products,
     as eps is multiplicative."""
-    mod = _carrier_module(carrier)
-    H = mod.H
-    d = mod.dim
-    ctx = mod.ctx
+    H = carrier.H
+    d = carrier.dim
+    ctx = carrier.ctx
     space = RowSpace(d, ctx)
     for i in algebra_generators(H):
-        act = mod.action[i]
+        act = carrier.action[i]
         eps = H.counit[i]
         for r, arow in enumerate(act.srows):
             row = dict(arow)

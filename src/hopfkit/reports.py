@@ -39,7 +39,10 @@ class Check:
 
 
 class Report:
-    """Ordered list of named checks; every failure carries a witness or detail."""
+    """Ordered list of named checks.  A failing scan carries its first
+    defect as a witness or detail; a check that compares whole matrices
+    (``frobenius-monoidal[...]``, ``commutative[...]`` and the algebra and
+    Frobenius object checks) fails with neither."""
 
     def __init__(self, title, tool="hopfkit", inputs=None):
         self.title = title

@@ -13,41 +13,27 @@ from .module_theory import HModule, ModuleMap, tensor_modules
 from .reports import Report
 
 
-class YDModule:
-    """A module-comodule pair; coaction matrix rows indexed (H-index)*dim + v-index."""
+class YDModule(HModule):
+    """A module with a compatible coaction; coaction matrix rows indexed
+    (H-index)*dim + v-index.  It is named, keyed and compared by its module:
+    ``key()`` and ``==`` read the action only."""
 
-    __slots__ = ("module", "coaction", "name", "_terms")
-    __hash__ = None
+    __slots__ = ("coaction", "_terms")
 
-    def __init__(self, module, coaction, name=None):
+    def __init__(self, module, coaction):
         n = module.H.dim
         if coaction.rows != n * module.dim or coaction.cols != module.dim:
             raise ShapeError(
                 "coaction must be %dx%d, got %dx%d"
                 % (n * module.dim, module.dim, coaction.rows, coaction.cols)
             )
-        conductor = lcm(module.N, coaction.N)
-        if conductor != module.N:
-            module = HModule(module.H, list(module.action), name=module.name, N=conductor)
-        self.module = module
-        self.coaction = coaction.lift(conductor)
-        self.name = name or module.name
-        d = module.dim
+        HModule.__init__(self, module.H, module.action, name=module.name,
+                         N=lcm(module.N, coaction.N))
+        self.coaction = coaction.lift(self.N)
+        d = self.dim
         self._terms = [
             {divmod(row, d): v for row, v in col.items()} for col in self.coaction.transpose().srows
         ]
-
-    @property
-    def H(self):
-        return self.module.H
-
-    @property
-    def dim(self):
-        return self.module.dim
-
-    @property
-    def N(self):
-        return self.module.N
 
     def coaction_terms(self, a):
         """Coaction of the a-th basis vector as {(h_index, v_index): raw}."""
@@ -61,20 +47,14 @@ def trivial_yd(H, N=1):
     from .module_theory import trivial_module
 
     mod = trivial_module(H, N=N)
-    coact = Matrix(H.N, [[v] for v in H.unit]).lift(mod.N)
-    return YDModule(mod, coact, name="1")
+    return YDModule(mod, Matrix(H.N, [[v] for v in H.unit]))
 
 
 def yd_line(H, degree_index, char_values, name=None):
     """One-dimensional YD module over a group algebra: a graded character line."""
     mats = [Matrix.from_rows([[v]]) for v in char_values]
     mod = HModule(H, mats, name=name or "line")
-    conductor = mod.N
-    rows = []
-    for i in range(H.dim):
-        rows.append([1 if i == degree_index else 0])
-    coact = Matrix.from_rows(rows).lift(conductor)
-    return YDModule(mod, coact, name=name or ("line@%s" % H.basis_labels[degree_index]))
+    return YDModule(mod, Matrix.from_rows([[int(i == degree_index)] for i in range(H.dim)]))
 
 
 def _yd_defect(M, lefts=None):
@@ -84,7 +64,7 @@ def _yd_defect(M, lefts=None):
     conductor)."""
     H = M.H
     ctx = K.make_ctx(M.N)
-    cols = [m.transpose().srows for m in M.module.action]
+    cols = [m.transpose().srows for m in M.action]
     for i in range(H.dim) if lefts is None else lefts:
         for a in range(M.dim):
             lhs = {}
@@ -153,7 +133,7 @@ def yd_tensor(M, N_mod):
     """Tensor product: diagonal action, coaction via the multiplication."""
     if M.H.name != N_mod.H.name:
         raise ShapeError("tensor of YD modules over different algebras")
-    mod = tensor_modules(M.module, N_mod.module)
+    mod = tensor_modules(M, N_mod)
     conductor = mod.N
     ctx = K.make_ctx(conductor)
     H = M.H.lifted(conductor)
@@ -173,7 +153,7 @@ def yd_tensor(M, N_mod):
                         row = rows[k2 * dM * dN + a0 * dN + b0]
                         _add(ctx, row, a * dN + b, K.s_mul(ctx, vu, s))
     coaction = Matrix.from_sparse(conductor, dM * dN, rows)
-    return YDModule(mod, coaction, name="%s(x)%s" % (M.name, N_mod.name))
+    return YDModule(mod, coaction)
 
 
 def yd_braiding(M, N_mod):
@@ -186,7 +166,7 @@ def yd_braiding(M, N_mod):
     dM, dN = M.dim, N_mod.dim
     rows = [{} for _ in range(dN * dM)]
     Mcols = M.coaction.lift(conductor).transpose().srows
-    act = [m.lift(conductor) for m in N_mod.module.action]
+    act = [m.lift(conductor) for m in N_mod.action]
     for a in range(dM):
         for row, v in Mcols[a].items():
             g, a0 = divmod(row, dM)
@@ -198,7 +178,7 @@ def yd_braiding(M, N_mod):
 
 def yd_morphism_check(src, tgt, mat):
     """mat intertwines both the actions and the coactions."""
-    if not ModuleMap(src.module, tgt.module, mat).intertwines():
+    if not ModuleMap(src, tgt, mat).intertwines():
         return False
     return tgt.coaction * mat == id_kron(src.H.dim, mat) * src.coaction
 
@@ -231,7 +211,7 @@ def yd_braiding_natural(f_src, f_tgt, g_src, g_tgt, f_mat, g_mat):
 # ---------------------------------------------------------------------------
 
 
-@cached(key=lambda M: (M.name, M.module.key(), M.coaction.key()))
+@cached(key=lambda M: (M.name, M.key(), M.coaction.key()))
 def z_induce(frob, M):
     """Induce a YD module over K to one over H along a central Frobenius extension.
 
@@ -245,7 +225,7 @@ def z_induce(frob, M):
     if not is_central_extension(incl):
         raise PipelineError("z_induce requires a central Frobenius extension")
     r = frob.rank
-    ind = induce(frob, M.module)
+    ind = induce(frob, M)
     H = ind.H
     conductor = ind.N
     ctx = K.make_ctx(conductor)
@@ -267,13 +247,13 @@ def z_induce(frob, M):
                         if cols is None:
                             # the columns of iota_M(e_q): v -> e_q (x)_K v
                             cols = iota[q] = _insertion(
-                                frob, M.module, [basis_parts(frob, q)]
+                                frob, M, [basis_parts(frob, q)]
                             ).transpose().srows
                         c = K.s_mul(ctx, tw, ev)
                         for tb, w in cols[a0].items():
                             _add(ctx, rows[k * dim + tb], i * d + a, K.s_mul(ctx, c, w))
     coaction = Matrix.from_sparse(conductor, dim, rows)
-    out = YDModule(ind, coaction, name="ZInd(%s)" % M.name)
+    out = YDModule(ind, coaction)
     rep = verify_yd(out)
     if not rep.ok:
         raise PipelineError("z_induce output failed YD verification: %r" % rep.failures())
@@ -295,17 +275,17 @@ def verify_braided_frobenius(frob, M, N_mod):
     F_psi = ind_morphism(frob, psi_K)
     psi_H = yd_braiding(FM, FN)
 
-    lhs = lax_pair(frob, N_mod.module, M.module) * psi_H
-    rhs = F_psi * lax_pair(frob, M.module, N_mod.module)
+    lhs = lax_pair(frob, N_mod, M) * psi_H
+    rhs = F_psi * lax_pair(frob, M, N_mod)
     rep.add("lax-braided", lhs == rhs, anchor="braided-lax")
-    lhs = oplax_pair(frob, N_mod.module, M.module) * F_psi
-    rhs = psi_H * oplax_pair(frob, M.module, N_mod.module)
+    lhs = oplax_pair(frob, N_mod, M) * F_psi
+    rhs = psi_H * oplax_pair(frob, M, N_mod)
     rep.add("oplax-braided", lhs == rhs, anchor="braided-oplax")
 
     # functor-level compatibility: the module part of z_induce equals induce
     rep.add(
         "module-part-matches-induce",
-        FM.module == induce(frob, M.module),
+        FM == induce(frob, M),
         anchor="zind-underlying",
     )
     return rep
@@ -324,5 +304,5 @@ def yd_as_double_module(D, H, yd):
     for c in range(n):
         Pc = Matrix.from_sparse(conductor, d, coact.srows[c * d : (c + 1) * d])
         for dd in range(n):
-            mats.append(Pc * yd.module.action[dd])
+            mats.append(Pc * yd.action[dd])
     return HModule(D, mats, name="Drin(%s)" % yd.name, N=conductor)

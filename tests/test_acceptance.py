@@ -112,15 +112,14 @@ def test_criterion_03_h8_braided_frobenius_suite(h8_frob):
     simples = [kline(Kk, "1", ex, ey) for ex in (1, -1) for ey in (1, -1)]
     for m in simples:
         assert verify_yd(m).ok
-    plain = [m.module for m in simples]
-    for a in plain:
-        for b in plain:
-            for c in plain:
+    for a in simples:
+        for b in simples:
+            for c in simples:
                 assert verify_frobenius_monoidal(h8_frob, a, b, c).ok
     for a in simples:
         for b in simples:
             assert verify_braided_frobenius(h8_frob, a, b).ok
-    sep = is_separable_functor(h8_frob, [(a, b) for a in plain for b in plain])
+    sep = is_separable_functor(h8_frob, [(a, b) for a in simples for b in simples])
     assert sep["separable"] is True
     assert sep["witness_verified"] is True
     assert str(sep["scalar"]) == "2"
@@ -197,10 +196,10 @@ def test_criterion_05_zone_h_example(h8_frob):
     # eps(1) = 1, eps(a) = 0
     assert str(cou.entry(0, 0)) == "1" and cou.entry(0, 1).is_zero()
     # z.a = -a, x.a = y.a = a
-    zact = Pinv * A.module.action[3] * P
+    zact = Pinv * A.carrier.action[3] * P
     assert zact == Matrix.from_rows([[1, 0], [0, -1]])
     for g in (1, 2):  # x, y
-        act = Pinv * A.module.action[g] * P
+        act = Pinv * A.carrier.action[g] * P
         assert act == Matrix.identity(2)
     # trivial coaction
     ca = A.carrier.coaction
@@ -383,19 +382,18 @@ def test_criterion_11_scale_robustness(h8, h8_incl, h8_frob):
 
     # criterion 3 booleans unchanged; lax rescales by exactly 7
     simples = [kline(Kk, "1", ex, ey) for ex in (1, -1) for ey in (1, -1)]
-    plain = [m.module for m in simples]
-    for a in plain:
-        for b in plain:
-            for c in plain:
+    for a in simples:
+        for b in simples:
+            for c in simples:
                 assert verify_frobenius_monoidal(frob7, a, b, c).ok
     for a in simples[:2]:
         for b in simples[:2]:
             assert verify_braided_frobenius(frob7, a, b).ok
-    sep7 = is_separable_functor(frob7, [(a, b) for a in plain for b in plain])
-    sep1 = is_separable_functor(h8_frob, [(a, b) for a in plain for b in plain])
+    sep7 = is_separable_functor(frob7, [(a, b) for a in simples for b in simples])
+    sep1 = is_separable_functor(h8_frob, [(a, b) for a in simples for b in simples])
     assert sep7["separable"] == sep1["separable"] is True
     assert str(sep7["scalar"]) == "14"  # the forced scalar
-    assert lax_pair(frob7, plain[0], plain[0]) == lax_pair(h8_frob, plain[0], plain[0]).scale(7)
+    assert lax_pair(frob7, simples[0], simples[0]) == lax_pair(h8_frob, simples[0], simples[0]).scale(7)
     elapsed = time.monotonic() - t0
     record_criterion(11, True, "%.1fs" % elapsed)
     assert elapsed < 30.0

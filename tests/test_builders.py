@@ -374,8 +374,8 @@ def _module_bundle(name):
     L = resolve_module("builtin:kchar?act=1,-1,1,-1&deg=x", incl.K)
     if name == "h8-zind":
         L = z_induce(induction_context(incl), L)
-        return serialize_module(L.module, "builtin:h8", coaction=L.coaction)
-    return serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction)
+        return serialize_module(L, "builtin:h8")
+    return serialize_module(L, "builtin:group?table=klein")
 
 
 # sha256 of serialize_module of a graded character line of the Klein group

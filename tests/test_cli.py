@@ -7,6 +7,7 @@ from hopfkit.bundles import parse_hopf, parse_module, serialize_hopf, serialize_
 from hopfkit.cli import main, resolve_hopf, resolve_inclusion
 from hopfkit.errors import BundleParseError
 from hopfkit.hopf_core import verify_hopf
+from hopfkit.module_theory import HModule
 
 
 def run(argv, capsys):
@@ -386,7 +387,7 @@ def test_yd_module_bundle_verify(tmp_path, h8_incl, capsys):
     from hopfkit.bundles import serialize_module
 
     L = kline(h8_incl.K, "x", 1, -1)
-    text = serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction)
+    text = serialize_module(L, "builtin:group?table=klein")
     p = tmp_path / "line.bundle"
     p.write_text(text)
     code, out = run(["verify", str(p)], capsys)
@@ -399,13 +400,14 @@ def test_verify_routes_a_module_bundle_that_opens_with_a_comment(tmp_path, h8_in
     from conftest import kline
 
     L = kline(h8_incl.K, "x", 1, -1)
-    text = serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction)
+    text = serialize_module(L, "builtin:group?table=klein")
     p = tmp_path / "line.bundle"
     p.write_text("# a comment\n\n" + text)
     code, out = run(["verify", str(p)], capsys)
     assert code == 0, out
     assert "yd-compatibility" in out
-    p.write_text("# a comment\n" + serialize_module(L.module, "builtin:group?table=klein"))
+    plain = HModule(L.H, L.action, name=L.name)
+    p.write_text("# a comment\n" + serialize_module(plain, "builtin:group?table=klein"))
     code, out = run(["verify", str(p)], capsys)
     assert code == 0, out
     assert "action-multiplicative" in out
@@ -649,7 +651,7 @@ def test_verify_of_a_yd_bundle_checks_the_module_too(tmp_path, monkeypatch, caps
     for acts, rc in (([1, 1, -1, -1], 0), ([1, 1, 1, -1], 1)):
         L = yd_line(K, 1, acts)
         (tmp_path / "line.bundle").write_text(
-            serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction))
+            serialize_module(L, "builtin:group?table=klein"))
         code, out = run(["verify", "line.bundle"], capsys)
         assert code == rc, out
         # the refusal names verify_module's failing check and its witness x*y

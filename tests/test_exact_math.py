@@ -125,11 +125,12 @@ def test_zero_and_one_are_the_context_tuples(N, xs, ys, r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_COEFF, min_size=6, max_size=6).filter(any))
+@given(st.lists(_COEFF, min_size=8, max_size=8).filter(any))
 def test_s_inv_is_the_inverse_at_every_conductor(fracs):
     # the same coefficients at every conductor, so equal scalar tuples recur
-    # across conductors of equal phi
-    for N in KERNEL_CONDUCTORS:
+    # across conductors of equal phi; 9 and 15 are odd composite conductors,
+    # where the norm multiplies 5 and 7 conjugates
+    for N in KERNEL_CONDUCTORS + [9, 15]:
         ctx = K.make_ctx(N)
         a = K.s_from_fractions(ctx, fracs[: ctx[1]])
         if K.s_is_zero(a):

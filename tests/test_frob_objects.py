@@ -155,7 +155,7 @@ def test_connectedness_fails_for_direct_sum(h8_frob):
     one = trivial_frobenius(h8_frob.incl.K)
     A = push_frobenius(h8_frob, one)
     assert verify_frobenius_object(A).ok
-    mod = A.module
+    mod = A.carrier
     from hopfkit.module_theory import direct_sum
 
     carrier2 = direct_sum(mod, mod)
@@ -172,7 +172,7 @@ def test_connectedness_fails_for_direct_sum(h8_frob):
                     rows[h * 2 * d + d + r][d + c] = v
     from hopfkit.exact_math import Matrix as Mx
 
-    Y = YDModule(carrier2, Mx.from_rows(rows), name="A+A")
+    Y = YDModule(carrier2, Mx.from_rows(rows))
     assert invariant_space_dim(Y) == 2
 
 
@@ -219,7 +219,7 @@ def test_frob_objects_verifies_each_object_once(monkeypatch, capsys):
     sources = ["A_%s(%d,%d)" % o for o in objects]
     expected = [name for s in sources for name in (s, "Ind(%s)" % s)]
     assert verified == expected
-    assert squared == [name for s in sources for name in (s, "ZInd(%s)" % s)]
+    assert squared == [name for s in sources for name in (s, "Ind(%s)" % s)]
     assert "frobenius[Ind(A_x(1,-1))]" in capsys.readouterr().out
 
 

@@ -648,7 +648,7 @@ def test_structure_maps_match_the_recorded_digests(case, uq3):
     if is_central_extension(frob.incl):
         M = resolve_module("builtin:kchar?act=1,z,z^2&deg=g1&cond=3", frob.incl.K)
         got["zind"] = _digest(z_induce(frob, M).coaction)
-        M12 = YDModule(_at_conductor(M.module, 12), M.coaction, name=M.name)
+        M12 = YDModule(_at_conductor(M, 12), M.coaction)
         got["zind12"] = _digest(z_induce(frob, M12).coaction)
     assert got == STRUCTURE_DIGESTS[case]
 

@@ -28,6 +28,7 @@ from hopfkit.bundles import (
 )
 from hopfkit.cli import MAX_CARTAN_RANK, UQSL2_L_RANGE, main, resolve_hopf
 from hopfkit.errors import BundleParseError, HopfkitError
+from hopfkit.module_theory import HModule
 from hopfkit.yetter_drinfeld import yd_line
 
 KLEIN = group_algebra(klein_table(), name="kK", labels=["1", "x", "y", "xy"])
@@ -36,8 +37,8 @@ _LINE = yd_line(KLEIN, 1, [1, 1, -1, -1], name="line")
 BASES = {
     "hopf": serialize_hopf(group_algebra(cyclic_table(2), name="kC2")),
     "inclusion": serialize_inclusion(taft(2)[1], "builtin:group?table=c2", "builtin:taft?l=2"),
-    "module": serialize_module(_LINE.module, "K"),
-    "yd": serialize_module(_LINE.module, "builtin:group?table=klein", coaction=_LINE.coaction),
+    "module": serialize_module(HModule(_LINE.H, _LINE.action, name=_LINE.name), "K"),
+    "yd": serialize_module(_LINE, "builtin:group?table=klein"),
 }
 
 # Numbers that Fraction or int would read but the bundle grammar (p, p/q,

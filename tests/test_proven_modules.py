@@ -43,7 +43,7 @@ def _klein():
 
 def _module(M):
     """M, after the check an input module gets where it enters."""
-    assert verify_module(M.module if isinstance(M, YDModule) else M).ok
+    assert verify_module(M).ok
     return M
 
 
@@ -105,7 +105,7 @@ def test_verify_of_a_yd_bundle_stops_at_an_action_that_is_not_a_module(tmp_path,
     L = yd_line(K, 1, [1, 1, 1, -1], name="broken")
     assert verify_yd(L).ok  # the comodule and YD checks alone pass on it
     path = tmp_path / "broken.bundle"
-    path.write_text(serialize_module(L.module, "builtin:group?table=klein", coaction=L.coaction))
+    path.write_text(serialize_module(L, "builtin:group?table=klein"))
     code = main(["verify", str(path)])
     out = capsys.readouterr().out
     assert code == 1
@@ -115,8 +115,8 @@ def test_verify_of_a_yd_bundle_stops_at_an_action_that_is_not_a_module(tmp_path,
 
 def test_constructed_modules_pass_verify_module(h8_frob):
     for params in ETALE:
-        assert verify_module(build_group_etale(h8_frob.incl.K, *params).carrier.module).ok
-        assert verify_module(direct_b_algebra(h8_frob, *params).carrier.module).ok
+        assert verify_module(build_group_etale(h8_frob.incl.K, *params).carrier).ok
+        assert verify_module(direct_b_algebra(h8_frob, *params).carrier).ok
     C2 = group_algebra(cyclic_table(2), name="kC2")
     D = drinfeld_double(C2)[0]
     for g in (0, 1):
@@ -178,16 +178,16 @@ def _scans(M, N):
     M and N, and intertwines of the braiding and the identity between their
     tensor products (the identity is a module map only where the actions
     agree)."""
-    homs = [h.matrix for h in hom_space(M.module, N.module)]
+    homs = [h.matrix for h in hom_space(M, N)]
     maps = homs + ([Matrix.identity(M.dim)] if M.dim == N.dim else [])
     src, tgt = yd_tensor(M, N), yd_tensor(N, M)
     return (
         _checks(verify_yd(M)),
         invariant_space_dim(M),
-        invariant_space_dim(M.module),
+        invariant_space_dim(HModule(M.H, M.action, name=M.name)),
         homs,
-        [ModuleMap(M.module, N.module, f).intertwines() for f in maps],
-        [ModuleMap(src.module, tgt.module, f).intertwines()
+        [ModuleMap(M, N, f).intertwines() for f in maps],
+        [ModuleMap(src, tgt, f).intertwines()
          for f in (yd_braiding(M, N), Matrix.identity(src.dim))],
     )
 
@@ -224,7 +224,7 @@ def test_a_yd_defect_keeps_the_full_scan_witness(case):
     # add e_0 (x) v_0 to the coaction of v_1: the YD condition fails at some (i, a)
     bump = Matrix.from_rows([[int(r == 0 and a == 1) for a in range(M.dim)]
                              for r in range(M.coaction.rows)])
-    bad = YDModule(M.module, M.coaction + bump.lift(M.N), name="bad")
+    bad = YDModule(HModule(M.H, M.action, name="bad"), M.coaction + bump.lift(M.N))
     with mock.patch.object(yd, "_yd_defect", wraps=yd._yd_defect) as scan:
         got = verify_yd(bad)
     # the scan on G finds the defect; the full scan names its first witness
