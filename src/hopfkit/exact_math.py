@@ -412,8 +412,18 @@ def _table_apply(ctx, table, vec):
 def _table_mul(ctx, table, n, u, v):
     """Product of sparse vectors u and v, where table[i*n + j] lists the
     (k, raw) terms of e_i e_j.  Zero entries of u and v are skipped, and a
-    unit factor is not multiplied."""
+    unit factor is not multiplied.  A product of two one-term vectors is
+    a copy of one table row, scaled unless its coefficient is 1; the rows
+    store no zero and no repeated index, so the general sum gives the same."""
     zero, one = ctx[3], ctx[4]
+    if len(u) == 1 == len(v):
+        (i, a), = u.items()
+        (j, b), = v.items()
+        ab = b if a == one else a if b == one else K.s_mul(ctx, a, b)
+        if ab == zero:
+            return {}
+        row = table[i * n + j]
+        return dict(row) if ab == one else {k: K.s_mul(ctx, ab, s) for k, s in row}
     v = [(j, b) for j, b in v.items() if b != zero]
     out = {}
     for i, a in u.items():
@@ -470,10 +480,23 @@ class RowSpace:
         Row p is zero at every other pivot column, so subtracting it leaves the
         vector's entries at the other pivots as they were: the multiplier of
         row p is the vector's own entry at p, and only the pivots present in
-        the vector are visited, in increasing order."""
+        the vector are visited, in increasing order.  A vector of one nonzero
+        entry c is looked up: it is its own remainder when c is no pivot, and
+        has remainder 0 when row c is the bare pivot."""
         ctx = self.ctx
-        vec = _clean(ctx, vec.items())
         row_at = self._row_at
+        if len(vec) == 1:
+            (c, a), = vec.items()
+            if a == ctx[3]:
+                return {}
+            row = row_at.get(c)
+            if row is None:
+                return {c: a}
+            if len(row) == 1:
+                return {}
+        elif not vec:
+            return {}
+        vec = _clean(ctx, vec.items())
         for piv in sorted(p for p in vec if p in row_at):
             _axpy(ctx, vec, row_at[piv], K.s_neg(vec[piv]))
         return vec

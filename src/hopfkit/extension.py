@@ -24,6 +24,7 @@ from .exact_math import (
     _scale,
     _table_apply,
     _tensor,
+    rref_raw,
 )
 from .hopf_core import (
     LinearFunctional,
@@ -83,10 +84,7 @@ class HopfInclusion:
 
     @cached()
     def image_space(self):
-        space = RowSpace(self.H.dim, self.ctx)
-        for col in self.embed_cols():
-            space.add(col)
-        return space
+        return rref_raw(self.embed_cols(), self.H.dim, self.ctx)
 
     def __repr__(self):
         return "HopfInclusion(%s -> %s)" % (self.K.name, self.H.name)
@@ -220,26 +218,22 @@ class BarQuotient:
 @cached()
 def bar_quotient(incl):
     """Hbar = H/HK+ with its coalgebra structure, verified; a function of the
-    inclusion, so it is built once and kept in the inclusion's cache."""
+    inclusion, so it is built once and kept in the inclusion's cache.  HK+ is
+    spanned by the products h(g - eps(g)1), g in G_K (notes/decisions.md,
+    "HK+ and the K-linear checks run on generators of K"): the row space of
+    h w over a basis of K+, so it has the same reduced echelon form."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
-    n, m = H.dim, Kk.dim
-
-    # basis of K+ = ker eps_K
-    eps_space = RowSpace(m, ctx)
-    eps_space.add(_clean(ctx, enumerate(Kk.counit)))
-    kplus = eps_space.nullspace()
+    n = H.dim
 
     sub = RowSpace(n, ctx)
-    for w in kplus:
-        wimg = incl.embed_vec(w)
+    for g in algebra_generators(Kk):
+        wimg = incl.embed_vec(_axpy(ctx, Kk.basis_vec(g), Kk.unit_vec(), K.s_neg(Kk.counit[g])))
         for i in range(n):
             sub.add(H.mult_vec(H.basis_vec(i), wimg))
 
     # lexicographically-first complete set of H-basis coset representatives
-    filled = RowSpace(n, ctx)
-    for row in sub.rows:
-        filled.add(dict(row))
+    filled = rref_raw(map(dict, sub.rows), n, ctx)
     reps = []
     one = K.s_one(ctx)
     for t in range(n):
@@ -267,11 +261,31 @@ def bar_quotient(incl):
     return bq
 
 
-def verify_bar_quotient(bq):
+def _right_k_defect(bq, bs=None):
+    """The first (i, b), b in bs (all of K by default), where
+    proj(h_i embed(k_b)) = eps_K(k_b) proj(h_i) fails."""
     incl = bq.incl
     H, Kk = incl.H, incl.K
     ctx = bq.ctx
-    n, m, d = H.dim, Kk.dim, bq.dim
+    one = K.s_one(ctx)
+    for i in range(H.dim):
+        pi = bq.proj_vec({i: one})
+        for b in range(Kk.dim) if bs is None else bs:
+            lhs = bq.proj_vec(H.mult_vec(H.basis_vec(i), incl.embed_col(b)))
+            if lhs != _scale(ctx, pi, Kk.counit[b]):
+                return (i, b)
+    return None
+
+
+def verify_bar_quotient(bq):
+    """Check the representatives, the coalgebra Hbar and the projection.
+    Right K-triviality is scanned for k in G_K (notes/decisions.md, "HK+ and
+    the K-linear checks run on generators of K"); a defect found there is
+    looked up again by the full scan, whose first witness the report names."""
+    incl = bq.incl
+    H, Kk = incl.H, incl.K
+    ctx = bq.ctx
+    n, d = H.dim, bq.dim
     rep = Report("verify-bar-quotient %s" % incl.H.name)
 
     # the chosen coset representatives project to the standard basis of Hbar
@@ -301,16 +315,7 @@ def verify_bar_quotient(bq):
             and _table_apply(ctx, bq.comult, one_bar) == _tensor(ctx, {}, one_bar, one_bar, d))
 
     # right K-triviality: proj(h * embed(k)) = eps_K(k) proj(h)
-    w = None
-    for i in range(n):
-        pi = bq.proj_vec({i: one})
-        for b in range(m):
-            lhs = bq.proj_vec(H.mult_vec(H.basis_vec(i), incl.embed_col(b)))
-            if lhs != _scale(ctx, pi, Kk.counit[b]):
-                w = (i, b)
-                break
-        if w:
-            break
+    w = _first_defect(_right_k_defect, algebra_generators(Kk), bq)
     rep.add("right-K-trivial", w is None, witness=w, anchor="bar-quotient")
     return rep
 
@@ -454,10 +459,7 @@ def is_frobenius_extension(incl):
 def _added_rank(space, rows):
     """dim(space + span(rows)) - dim(space): the rank of the remainders of
     rows modulo space, counted in a scratch RowSpace."""
-    scratch = RowSpace(space.ncols, space.ctx)
-    for row in rows:
-        scratch.add(space.reduce(row))
-    return scratch.rank
+    return rref_raw(map(space.reduce, rows), space.ncols, space.ctx).rank
 
 
 def free_basis(incl):
@@ -593,25 +595,37 @@ def frobenius_morphism(incl):
     return tr
 
 
+def _bimodule_defect(incl, tr_cols, bs=None):
+    """The error text of the first failure of tr(kh) = k tr(h) or
+    tr(hk) = tr(h) k, k = k_b for b in bs (all of K by default) and h = h_i,
+    in the order of the exhaustive scan."""
+    H, Kk = incl.H, incl.K
+    ctx = incl.ctx
+    for b in range(Kk.dim) if bs is None else bs:
+        col_b = incl.embed_col(b)
+        for i in range(H.dim):
+            hb = H.mult_vec(col_b, H.basis_vec(i))
+            if _apply(ctx, tr_cols, hb) != Kk.mult_vec(Kk.basis_vec(b), tr_cols[i]):
+                return "tr is not a left K-module map at (%d,%d)" % (b, i)
+            hb2 = H.mult_vec(H.basis_vec(i), col_b)
+            if _apply(ctx, tr_cols, hb2) != Kk.mult_vec(tr_cols[i], Kk.basis_vec(b)):
+                return "tr is not a right K-module map at (%d,%d)" % (i, b)
+    return None
+
+
 def _verify_frobenius_morphism(incl, tr_cols):
+    """Raise unless tr is a K-K-bimodule map and a right H-comodule map.  The
+    bimodule property is scanned for k in G_K (notes/decisions.md, "HK+ and
+    the K-linear checks run on generators of K"); a defect found there is
+    looked up again by the full scan, whose first failure the error names."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
 
     # K-K-bimodule property: tr(k h k') = k tr(h) k'
-    for b in range(m):
-        col_b = incl.embed_col(b)
-        for i in range(n):
-            hb = H.mult_vec(col_b, H.basis_vec(i))
-            lhs = _apply(ctx, tr_cols, hb)
-            rhs = Kk.mult_vec(Kk.basis_vec(b), tr_cols[i])
-            if lhs != rhs:
-                raise PipelineError("tr is not a left K-module map at (%d,%d)" % (b, i))
-            hb2 = H.mult_vec(H.basis_vec(i), col_b)
-            lhs2 = _apply(ctx, tr_cols, hb2)
-            rhs2 = Kk.mult_vec(tr_cols[i], Kk.basis_vec(b))
-            if lhs2 != rhs2:
-                raise PipelineError("tr is not a right K-module map at (%d,%d)" % (i, b))
+    w = _first_defect(_bimodule_defect, algebra_generators(Kk), incl, tr_cols)
+    if w is not None:
+        raise PipelineError(w)
 
     # right H-comodule property: tr(h_(1)) x h_(2) = Delta_K(tr h) with second leg in H
     for i in range(n):

@@ -43,6 +43,7 @@ from .exact_math import (
     Matrix,
     RowSpace,
     _add,
+    _apply,
     _axpy,
     _clean,
     _column,
@@ -52,6 +53,8 @@ from .exact_math import (
     _table_apply,
     _table_mul,
     _tensor,
+    nullspace_raw,
+    rref_raw,
 )
 from .reports import Report
 
@@ -488,20 +491,30 @@ def integral_space(H, side):
     """Exact basis of left or right integrals, first coordinate normalized to 1.
 
     Right integrals solve Lambda h = eps(h) Lambda, left integrals
-    h Lambda = eps(h) Lambda.  The system is built for h in a generating set
-    G only (see ``algebra_generators``): H is unital and associative and eps
-    is multiplicative with eps(1) = 1, so the equations for a and b give
-    Lambda ab = eps(a) Lambda b = eps(ab) Lambda; they hold on every word in
-    G, hence on H.  The reduced rows are a subset of the full ones with the
-    same solution space, so they have the same reduced echelon form, and the
-    returned basis is the one of the full system.
+    h Lambda = eps(h) Lambda.  As H is associative and eps multiplicative
+    with eps(1) = 1, the equations for a and b give those for ab, so h runs
+    over a generating set G only (see ``algebra_generators``), one generator
+    at a time: the n rows of the one with fewest table terms give a basis
+    v_1..v_d, and each further g keeps the sums sum_t c_t v_t it fixes,
+    solved in d unknowns.  The integrals of a Hopf algebra form a line
+    (Larson-Sweedler), whose normalized basis is the full system's.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    space = RowSpace(H.dim, H.ctx)
-    for row in _integral_rows(H, side, algebra_generators(H)):
-        space.add(row)
-    return [_column(H.N, _normalize_first_one(H.ctx, v), H.dim) for v in space.nullspace()]
+    n, ctx = H.dim, H.ctx
+    right = side == "right"
+    gens = sorted(algebra_generators(H), key=lambda j: (sum(
+        len(H.mult[i * n + j] if right else H.mult[j * n + i]) for i in range(n)), j))
+    basis = nullspace_raw(_integral_rows(H, side, gens[:1]), n, ctx)
+    for j in gens[1:]:
+        e_j, neg_eps = H.basis_vec(j), K.s_neg(H.counit[j])
+        rows = {}  # output coordinate -> {t: coefficient of v_t}
+        for t, v in enumerate(basis):
+            w = H.mult_vec(v, e_j) if right else H.mult_vec(e_j, v)
+            for k, s in _axpy(ctx, w, v, neg_eps).items():
+                rows.setdefault(k, {})[t] = s
+        basis = [_apply(ctx, basis, c) for c in nullspace_raw(rows.values(), len(basis), ctx)]
+    return [_column(H.N, _normalize_first_one(ctx, v), n) for v in basis]
 
 
 def right_integral_element(H):
@@ -552,9 +565,7 @@ def is_unimodular(H):
     right = integral_space(H, "right")
     if len(left) != len(right):
         return False
-    space = RowSpace(H.dim, H.ctx)
-    for v in right:
-        space.add(v.col(0))
+    space = rref_raw([v.col(0) for v in right], H.dim, H.ctx)
     return all(space.contains(v.col(0)) for v in left)
 
 

@@ -10,7 +10,7 @@ from hopfkit.builders import (
     taft,
     trivial_hopf,
 )
-from hopfkit.exact_math import Matrix, _dense, root_of_unity
+from hopfkit.exact_math import Matrix, RowSpace, _clean, _dense, root_of_unity
 from hopfkit.extension import HopfInclusion, trivial_inclusion, unit_inclusion
 from hopfkit.hopf_core import LinearFunctional, subhopf_from_basis
 from hopfkit.induction import induction_context
@@ -95,6 +95,21 @@ def criterion_09_registry(h8_incl, taft3, uq3, uq5):
     D4, dincl4 = drinfeld_double(KG)
     registry.append(("kK<Drin", dincl4))
     return registry
+
+
+def hkplus_over_a_kplus_basis(incl):
+    """The row space of HK+ spanned by h w, h over H's basis and w over the
+    null-space basis of eps_K: the span of a basis of K+ = ker eps_K."""
+    H, Kk = incl.H, incl.K
+    ctx = incl.ctx
+    eps_space = RowSpace(Kk.dim, ctx)
+    eps_space.add(_clean(ctx, enumerate(Kk.counit)))
+    sub = RowSpace(H.dim, ctx)
+    for w in eps_space.nullspace():
+        wimg = incl.embed_vec(w)
+        for i in range(H.dim):
+            sub.add(H.mult_vec(H.basis_vec(i), wimg))
+    return sub
 
 
 def alpha_criterion(incl, dec):

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 import hopfkit._kernel as K
-from conftest import alpha_criterion, criterion_09_registry, dense_frobenius
+from conftest import (alpha_criterion, criterion_09_registry, dense_frobenius,
+                      hkplus_over_a_kplus_basis)
 from hopfkit.builders import cyclic_table, group_algebra, taft, trivial_hopf
 from hopfkit.errors import HopfkitError
-from hopfkit.exact_math import Cyclotomic, Matrix, _add
+from hopfkit.exact_math import Cyclotomic, Matrix, RowSpace, _add, _apply, _axpy, _scale
 from hopfkit.extension import (
+    BarQuotient,
     HopfInclusion,
     analyze_extension,
     bar_quotient,
@@ -33,6 +35,7 @@ from hopfkit.extension import (
 )
 from hopfkit.hopf_core import (
     LinearFunctional,
+    algebra_generators,
     is_dual_unimodular,
     right_integral_of_dual,
     subhopf_from_basis,
@@ -524,7 +527,6 @@ def test_dual_basis_defect_names_the_full_scan_witness(h8_incl):
     # one dual-basis vector doubled: the free-basis scan finds the defect, and
     # the error names the first basis index of the full scan
     from hopfkit.errors import PipelineError
-    from hopfkit.exact_math import _scale
     from hopfkit.extension import _reconstruction_defect, _verify_dual_bases, frobenius_morphism
 
     incl = h8_incl
@@ -572,7 +574,6 @@ def test_bar_quotient_is_built_once_per_inclusion(monkeypatch):
     # Hbar is a function of the inclusion, kept in its cache: the analysis and
     # the induction context of one inclusion share it
     from hopfkit.builders import kac_paljutkin
-    from hopfkit.extension import BarQuotient
     from hopfkit.induction import induction_context
 
     built = []
@@ -588,3 +589,103 @@ def test_bar_quotient_is_built_once_per_inclusion(monkeypatch):
     induction_context(incl)
     assert len(built) == 1
     assert bar_quotient(incl) is built[0]
+
+
+def test_hkplus_from_generators_of_k_has_the_rows_of_a_kplus_basis(monkeypatch, h8_incl, taft3,
+                                                                   uq3, uq5):
+    # bar_quotient spans HK+ by the products h (g - eps(g)1), g in G_K; the
+    # first row space it forms is HK+, and it is the one a basis of K+ gives
+    import hopfkit.extension as extension
+
+    made = []
+
+    class Recorded(RowSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(extension, "RowSpace", Recorded)
+    for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
+        made.clear()
+        bar_quotient.__wrapped__(incl)
+        assert made[0].rows == hkplus_over_a_kplus_basis(incl).rows, name
+
+
+def _first_bimodule_failure(incl, tr_cols):
+    """The error text of the first failure of the K-K-bimodule scan of tr
+    over every pair of basis elements of K and H, or None."""
+    H, Kk = incl.H, incl.K
+    ctx = incl.ctx
+    for b in range(Kk.dim):
+        col_b = incl.embed_col(b)
+        for i in range(H.dim):
+            lhs = _apply(ctx, tr_cols, H.mult_vec(col_b, H.basis_vec(i)))
+            if lhs != Kk.mult_vec(Kk.basis_vec(b), tr_cols[i]):
+                return "tr is not a left K-module map at (%d,%d)" % (b, i)
+            lhs = _apply(ctx, tr_cols, H.mult_vec(H.basis_vec(i), col_b))
+            if lhs != Kk.mult_vec(tr_cols[i], Kk.basis_vec(b)):
+                return "tr is not a right K-module map at (%d,%d)" % (i, b)
+    return None
+
+
+def test_a_bimodule_defect_names_the_exhaustive_scan_pair(h8_incl, taft3, uq3, uq5):
+    # tr with one column doubled: the scan over G_K finds a defect, and the
+    # error names the first pair of the scan over every basis element of K
+    from hopfkit.errors import PipelineError
+    from hopfkit.extension import _verify_frobenius_morphism
+
+    failed = 0
+    for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
+        if not is_frobenius_extension(incl).frobenius:
+            continue
+        ctx, n = incl.ctx, incl.H.dim
+        tr = make_frobenius_data(incl).tr
+        for j in (n // 2, n - 1):
+            bad = list(tr)
+            bad[j] = _scale(ctx, tr[j], K.s_from_ratio(ctx, 2))
+            want = _first_bimodule_failure(incl, bad)
+            if want is None:
+                continue
+            failed += 1
+            with pytest.raises(PipelineError) as err:
+                _verify_frobenius_morphism(incl, bad)
+            assert str(err.value) == want, (name, j)
+    assert failed >= 5
+
+
+def _first_right_k_defect(bq):
+    """The first (i, b) over every pair of basis elements of H and K where
+    proj(h_i k_b) = eps_K(k_b) proj(h_i) fails, or None."""
+    incl = bq.incl
+    H, Kk = incl.H, incl.K
+    ctx = bq.ctx
+    for i in range(H.dim):
+        pi = bq.proj_vec({i: K.s_one(ctx)})
+        for b in range(Kk.dim):
+            lhs = bq.proj_vec(H.mult_vec(H.basis_vec(i), incl.embed_col(b)))
+            if lhs != _scale(ctx, pi, Kk.counit[b]):
+                return (i, b)
+    return None
+
+
+def test_a_right_k_triviality_defect_names_the_exhaustive_scan_pair(h8_incl, taft3, uq3, uq5):
+    # one projection column off the representatives changed: the scan over
+    # G_K finds a defect, and the report names the first pair of the scan
+    # over every basis element of K, which is often not one of G_K's
+    from hopfkit.extension import _right_k_defect
+
+    moved = 0
+    for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
+        bq = bar_quotient(incl)
+        i = max((i for i in range(incl.H.dim) if i not in bq.reps), default=None)
+        if i is None:
+            continue
+        one = K.s_one(incl.ctx)
+        cols = list(bq.proj_cols)
+        cols[i] = _axpy(incl.ctx, dict(cols[i]), {0: one}, one)
+        bad = BarQuotient(incl, bq.reps, cols)
+        want = _first_right_k_defect(bad)
+        assert want is not None, name
+        assert verify_bar_quotient(bad)["right-K-trivial"].witness == want, name
+        moved += _right_k_defect(bad, algebra_generators(incl.K)) != want
+    assert moved >= 5
