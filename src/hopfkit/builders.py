@@ -427,7 +427,9 @@ def drinfeld_double(H):
     s e_p x e_q x e_r of Delta^2(e_d), where phi is the middle functional
     u -> f_c'(S^-1(e_r) e_u e_p).  It depends on (r, p, c') only, so it is
     built once per (r, p), and the terms sharing e_q are summed before the
-    loops over c and d'.
+    loops over c and d'.  The nonzero products e_q e_d' are listed once per
+    q, and each term of f_c Phi_q x e_q e_d' is added straight into the
+    entry of its d'.
     """
     from .hopf_core import antipode_inverse, dual_hopf
 
@@ -455,21 +457,30 @@ def drinfeld_double(H):
             phis[(r, p)] = got
         return got
 
+    # by_second[u]: (k, c, s) for each term s e_c x e_u of Delta(e_k)
+    by_second = [[] for _ in range(n)]
+    for k in range(n):
+        for x, s in H.comult[k]:
+            c, u = divmod(x, n)
+            by_second[u].append((k, c, s))
+
     def times_every_f(v):
         """[f_c v for c in range(n)] in H*: (f_c v)(e_k) sums s v(e_u) over
-        the terms s e_c x e_u of Delta(e_k)."""
+        the terms s e_c x e_u of Delta(e_k), for the u where v is nonzero."""
         out = [{} for _ in range(n)]
-        for k in range(n):
-            for x, s in H.comult[k]:
-                c, u = divmod(x, n)
-                vu = v.get(u)
-                if vu is not None:
-                    _add(ctx, out[c], k, K.s_mul(ctx, s, vu))
+        for u, vu in v.items():
+            for k, c, s in by_second[u]:
+                _add(ctx, out[c], k, K.s_mul(ctx, s, vu))
         return out
 
+    # right[q]: (d', e_q e_d') for each d' where the product is nonzero
+    right = [[(dp, row) for dp, row in enumerate(H.mult[q * n:(q + 1) * n]) if row]
+             for q in range(n)]
+
     # (f_c x e_d)(f_c' x e_d') = sum_q f_c Phi_q x e_q e_d', where Phi_q sums
-    # s phi over the Delta^2 terms (p, q, r), s of e_d
-    mult = [None] * (nn * nn)
+    # s phi over the Delta^2 terms (p, q, r), s of e_d; each term of
+    # f_c Phi_q x e_q e_d' is added straight into the row of its d'
+    mult = [()] * (nn * nn)
     for d in range(n):
         d2 = H.comult2(d)
         for cp in range(n):
@@ -478,12 +489,21 @@ def drinfeld_double(H):
                 _axpy(ctx, Phi.setdefault(qq, {}), phi_of(r, p)[cp], s)
             fPhi = [(times_every_f(v), qq) for qq, v in Phi.items() if v]
             for c in range(n):
-                left = [(fv[c], qq) for fv, qq in fPhi if fv[c]]
-                for dp in range(n):
-                    row = {}
-                    for a, qq in left:
-                        _tensor(ctx, row, a, dict(H.mult[qq * n + dp]), n)
-                    mult[(c * n + d) * nn + (cp * n + dp)] = tuple(sorted(row.items()))
+                rows = {}
+                for fv, qq in fPhi:
+                    a = fv[c]
+                    if not a:
+                        continue
+                    for dp, prod in right[qq]:
+                        row = rows.setdefault(dp, {})
+                        for i, x in a.items():
+                            off = i * n
+                            for k, y in prod:
+                                _add(ctx, row, off + k, x if y == one else K.s_mul(ctx, x, y))
+                base = (c * n + d) * nn + cp * n
+                for dp, row in rows.items():
+                    if row:
+                        mult[base + dp] = tuple(sorted(row.items()))
     mult = tuple(mult)
 
     comult = [None] * nn
@@ -536,13 +556,9 @@ def drinfeld_double(H):
         convention="double: (fxh)(f'xh') = f (h1->f'<-S^-1 h3) x h2 h'",
     )
 
-    z = K.s_zero(ctx)
-    embed_rows = [[z] * n for _ in range(nn)]
-    for d in range(n):
-        for c in range(n):
-            if not K.s_is_zero(H.counit[c]):
-                embed_rows[c * n + d][d] = H.counit[c]
-    embed = Matrix(N, embed_rows)
+    # embed(e_d) = sum_c eps(e_c) f_c x e_d
+    embed = Matrix.from_sparse(N, n, [{d: H.counit[c]} if not K.s_is_zero(H.counit[c]) else {}
+                                      for c in range(n) for d in range(n)])
     return D, HopfInclusion(H, D, embed)
 
 

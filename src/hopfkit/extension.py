@@ -106,12 +106,29 @@ def unit_inclusion(H, base_field_hopf):
 # ---------------------------------------------------------------------------
 
 
+def _mult_defect(incl, lefts=None):
+    """The first (a, b), a in lefts (all of K by default), where
+    embed(k_a k_b) = embed(k_a) embed(k_b) fails."""
+    Kk, H = incl.K, incl.H
+    for a in range(Kk.dim) if lefts is None else lefts:
+        for b in range(Kk.dim):
+            lhs = incl.embed_vec(Kk.mult_vec(Kk.basis_vec(a), Kk.basis_vec(b)))
+            if lhs != H.mult_vec(incl.embed_col(a), incl.embed_col(b)):
+                return (a, b)
+    return None
+
+
 @cached()
 def verify_inclusion(incl):
-    """Injectivity plus all five Hopf-map intertwining conditions, exhaustively.
+    """Injectivity plus all five Hopf-map intertwining conditions.
 
-    The report is formed once per inclusion and kept in its cache, so the
-    command line's check of a bundle and ``analyze_extension`` share it."""
+    Once embed(1_K) = 1_H holds, multiplicativity is scanned for left factors
+    in G_K (notes/decisions.md, "Identities K-linear in h are decided on a
+    K-basis of H"); a defect found there is looked up again by the full scan,
+    whose first witness the report names.  The other conditions are scanned
+    over every basis element of K.  The report is formed once per inclusion
+    and kept in its cache, so the command line's check of a bundle and
+    ``analyze_extension`` share it."""
     Kk, H = incl.K, incl.H
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
@@ -119,24 +136,10 @@ def verify_inclusion(incl):
 
     rep.add("embed-injective", incl.embed.rank() == m, anchor="hopf-map")
 
-    w = None
-    for a in range(m):
-        for b in range(m):
-            prod_K = Kk.mult_vec(Kk.basis_vec(a), Kk.basis_vec(b))
-            lhs = incl.embed_vec(prod_K)
-            rhs = H.mult_vec(incl.embed_col(a), incl.embed_col(b))
-            if lhs != rhs:
-                w = (a, b)
-                break
-        if w:
-            break
+    unital = incl.embed_vec(Kk.unit_vec()) == H.unit_vec()
+    w = _first_defect(_mult_defect, algebra_generators(Kk) if unital else None, incl)
     rep.add("mult-intertwines", w is None, witness=w, anchor="hopf-map")
-
-    rep.add(
-        "unit-intertwines",
-        incl.embed_vec(Kk.unit_vec()) == H.unit_vec(),
-        anchor="hopf-map",
-    )
+    rep.add("unit-intertwines", unital, anchor="hopf-map")
 
     w = None
     for a in range(m):
@@ -277,11 +280,25 @@ def _right_k_defect(bq, bs=None):
     return None
 
 
+def _coalgebra_map_defect(bq, hs=None):
+    """The first basis index i, i in hs (all of H by default), where
+    (proj x proj) Delta_H(h_i) = Delta_bar proj(h_i) fails."""
+    for i in range(bq.incl.H.dim) if hs is None else hs:
+        if bq.proj_comult(i) != _table_apply(bq.ctx, bq.comult, bq.proj_cols[i]):
+            return i
+    return None
+
+
 def verify_bar_quotient(bq):
     """Check the representatives, the coalgebra Hbar and the projection.
+
     Right K-triviality is scanned for k in G_K (notes/decisions.md, "HK+ and
-    the K-linear checks run on generators of K"); a defect found there is
-    looked up again by the full scan, whose first witness the report names."""
+    the K-linear checks run on generators of K").  It is decided first: once
+    it holds, proj is surjective and dim Hbar * dim K = dim H, the coalgebra
+    map identity is scanned on the representatives (notes/decisions.md,
+    "Identities K-linear in h are decided on a K-basis of H").  A defect
+    found on a restricted set is looked up again by the full scan, whose
+    first witness the report names; the report lines keep their order."""
     incl = bq.incl
     H, Kk = incl.H, incl.K
     ctx = bq.ctx
@@ -293,12 +310,12 @@ def verify_bar_quotient(bq):
     surj = all(bq.proj_vec(bq.section_vec(t)) == {t: one} for t in range(d))
     rep.add("proj-surjective", surj, anchor="bar-quotient")
 
-    # coalgebra map: (proj x proj) Delta_H = Delta_bar proj on all basis vectors
-    w = None
-    for i in range(n):
-        if bq.proj_comult(i) != _table_apply(ctx, bq.comult, bq.proj_cols[i]):
-            w = i
-            break
+    # right K-triviality: proj(h * embed(k)) = eps_K(k) proj(h)
+    w_triv = _first_defect(_right_k_defect, algebra_generators(Kk), bq)
+
+    # coalgebra map: (proj x proj) Delta_H = Delta_bar proj
+    reduced = surj and w_triv is None and d * Kk.dim == n
+    w = _first_defect(_coalgebra_map_defect, bq.reps if reduced else None, bq)
     rep.add("proj-coalgebra-map", w is None, witness=w, anchor="bar-quotient")
 
     # coassociativity / counitality of Delta_bar
@@ -314,9 +331,7 @@ def verify_bar_quotient(bq):
             and LinearFunctional(bq.N, bq.counit)(one_bar) == one
             and _table_apply(ctx, bq.comult, one_bar) == _tensor(ctx, {}, one_bar, one_bar, d))
 
-    # right K-triviality: proj(h * embed(k)) = eps_K(k) proj(h)
-    w = _first_defect(_right_k_defect, algebra_generators(Kk), bq)
-    rep.add("right-K-trivial", w is None, witness=w, anchor="bar-quotient")
+    rep.add("right-K-trivial", w_triv is None, witness=w_triv, anchor="bar-quotient")
     return rep
 
 
@@ -338,17 +353,17 @@ def lift_bar_functional(bq):
     return LinearFunctional(bq.N, [lam(col) for col in bq.proj_cols])
 
 
-def _lambda_products(H, lamH, lefts):
+def _lambda_products(H, lamH, lefts, rights):
     """{a: row} for each a in lefts, where row is the sparse vector
-    {j: lambda(bar(h_a h_j))}, read off H's multiplication table and the
-    lifted values lamH of lambda."""
+    {j: lambda(bar(h_a h_j))} over the j in rights, read off H's
+    multiplication table and the lifted values lamH of lambda."""
     ctx = H.ctx
     n = H.dim
     lam = {k: v for k, v in enumerate(lamH.values) if not K.s_is_zero(v)}
     out = {}
     for a in lefts:
         row = {}
-        for j in range(n):
+        for j in rights:
             for k, s in H.mult[a * n + j]:
                 v = lam.get(k)
                 if v is not None:
@@ -357,41 +372,70 @@ def _lambda_products(H, lamH, lefts):
     return out
 
 
-def relative_modular_function(incl):
-    """chi on K with lambda(bar(k h)) = chi(k) lambda(bar(h)); verified globally."""
-    H, Kk = incl.H, incl.K
+def _k_lambda_rows(incl, lamH, hs):
+    """[{i: lambda(bar(k_b h_i)) for i in hs} for each embedded K-basis
+    vector k_b], from the products of the H-basis vectors in its support."""
+    cols = incl.embed_cols()
+    prods = _lambda_products(incl.H, lamH, sorted({a for col in cols for a in col}), hs)
+    return [_apply(incl.ctx, prods, col) for col in cols]
+
+
+def _modular_defect(incl, lamH, chi, hs=None):
+    """The first (b, i), i in hs (all of H by default), where
+    lambda(bar(k_b h_i)) = chi(k_b) lambda(bar(h_i)) fails."""
     ctx = incl.ctx
+    z = K.s_zero(ctx)
+    hs = range(incl.H.dim) if hs is None else hs
+    for b, row in enumerate(_k_lambda_rows(incl, lamH, hs)):
+        cb = chi.values[b]
+        for i in hs:
+            if row.get(i, z) != K.s_mul(ctx, cb, lamH.values[i]):
+                return (b, i)
+    return None
+
+
+def relative_modular_function(incl):
+    """chi on K with lambda(bar(k h)) = chi(k) lambda(bar(h)); verified globally.
+
+    Both sides vanish on HK+, so the identity is scanned on the coset
+    representatives (notes/decisions.md, "Identities K-linear in h are
+    decided on a K-basis of H"); a defect found there is looked up again by
+    the full scan, whose first pair the error names."""
+    Kk = incl.K
     bq = bar_quotient(incl)
     lamH = lift_bar_functional(bq)
     # the first representative where lambda o proj does not vanish; lambda is
     # normalized to 1 there, so chi(k) = lambda(bar(k h0))
     h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
-    z = K.s_zero(ctx)
-    cols = incl.embed_cols()
-    prods = _lambda_products(H, lamH, sorted({a for col in cols for a in col}))
-    # kh[b][i] = lambda(bar(k_b h_i)) for the embedded K-basis vector k_b
-    kh = [_apply(ctx, prods, col) for col in cols]
-    chi = LinearFunctional(incl.N, [row.get(h0, z) for row in kh])
-    # global verification over all (k, h) basis pairs
-    for b, row in enumerate(kh):
-        cb = chi.values[b]
-        for i in range(H.dim):
-            if row.get(i, z) != K.s_mul(ctx, cb, lamH.values[i]):
-                raise PipelineError(
-                    "no relative modular function: condition fails at (k=%d, h=%d)" % (b, i)
-                )
+    z = K.s_zero(incl.ctx)
+    chi = LinearFunctional(incl.N, [row.get(h0, z) for row in _k_lambda_rows(incl, lamH, [h0])])
+    w = _first_defect(_modular_defect, bq.reps, incl, lamH, chi)
+    if w is not None:
+        raise PipelineError("no relative modular function: condition fails at (k=%d, h=%d)" % w)
     _assert_algebra_map(Kk, chi, "relative modular function")
     return chi
 
 
 def check_integral_type(incl):
-    """An element Lambda in H with lambda(bar(Lambda h)) = eps(h) for all h, or None."""
+    """An element Lambda in H with lambda(bar(Lambda h)) = eps(h) for all h, or None.
+
+    Both sides vanish on HK+, so only the equations at the coset
+    representatives are imposed: d rows, whose row space is that of all n,
+    hence the same reduced system and the same particular solution
+    (notes/decisions.md, "Identities K-linear in h are decided on a K-basis
+    of H")."""
     H = incl.H
     n = H.dim
-    prods = _lambda_products(H, lift_bar_functional(bar_quotient(incl)), range(n))
-    # row j, column t: lambda(bar(h_t h_j))
-    A = Matrix.from_sparse(incl.N, n, [prods[t] for t in range(n)]).transpose()
-    b = Matrix(incl.N, [[H.counit[j]] for j in range(n)])
+    bq = bar_quotient(incl)
+    reps = bq.reps
+    prods = _lambda_products(H, lift_bar_functional(bq), range(n), reps)
+    # row j, column t: lambda(bar(h_t h_j)), for j in reps
+    rows = {j: {} for j in reps}
+    for t in range(n):
+        for j, v in prods[t].items():
+            rows[j][t] = v
+    A = Matrix.from_sparse(incl.N, n, [rows[j] for j in reps])
+    b = Matrix(incl.N, [[H.counit[j]] for j in reps])
     try:
         sol = A.solve(b)
     except InconsistentSystemError:
@@ -462,8 +506,10 @@ def _added_rank(space, rows):
     return rref_raw(map(space.reduce, rows), space.ncols, space.ctx).rank
 
 
+@cached()
 def free_basis(incl):
-    """Greedy free-basis scan over H's basis in declared order.
+    """Greedy free-basis scan over H's basis in declared order; a function
+    of the inclusion, so it is built once and kept in its cache.
 
     Returns the index sequence h_1..h_r with K*h_1 + ... + K*h_r = H and
     h_1*K + ... + h_r*K = H: h_t is taken only if both K*h_t and h_t*K add
@@ -613,22 +659,13 @@ def _bimodule_defect(incl, tr_cols, bs=None):
     return None
 
 
-def _verify_frobenius_morphism(incl, tr_cols):
-    """Raise unless tr is a K-K-bimodule map and a right H-comodule map.  The
-    bimodule property is scanned for k in G_K (notes/decisions.md, "HK+ and
-    the K-linear checks run on generators of K"); a defect found there is
-    looked up again by the full scan, whose first failure the error names."""
+def _comodule_defect(incl, tr_cols, hs=None):
+    """The first basis index i, i in hs (all of H by default), where
+    tr(h_(1)) x h_(2) = Delta_K(tr h), second leg in H, fails for h = h_i."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
-
-    # K-K-bimodule property: tr(k h k') = k tr(h) k'
-    w = _first_defect(_bimodule_defect, algebra_generators(Kk), incl, tr_cols)
-    if w is not None:
-        raise PipelineError(w)
-
-    # right H-comodule property: tr(h_(1)) x h_(2) = Delta_K(tr h) with second leg in H
-    for i in range(n):
+    for i in range(n) if hs is None else hs:
         lhs = {}
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
@@ -640,7 +677,25 @@ def _verify_frobenius_morphism(incl, tr_cols):
                 p, q = divmod(x, m)
                 _tensor(ctx, rhs, {p: K.s_mul(ctx, c, s)}, incl.embed_col(q), n)
         if lhs != rhs:
-            raise PipelineError("tr is not a morphism of right H-comodules at %d" % i)
+            return i
+    return None
+
+
+def _verify_frobenius_morphism(incl, tr_cols):
+    """Raise unless tr is a K-K-bimodule map and a right H-comodule map.  The
+    bimodule property is scanned for k in G_K (notes/decisions.md, "HK+ and
+    the K-linear checks run on generators of K").  Once tr is right
+    K-linear, the comodule identity at hk is the one at h times Delta(k), so
+    it is scanned on the free basis (notes/decisions.md, "Identities
+    K-linear in h are decided on a K-basis of H").  A defect found on a
+    restricted set is looked up again by the full scan, whose first failure
+    the error names."""
+    w = _first_defect(_bimodule_defect, algebra_generators(incl.K), incl, tr_cols)
+    if w is not None:
+        raise PipelineError(w)
+    w = _first_defect(_comodule_defect, free_basis(incl)[0], incl, tr_cols)
+    if w is not None:
+        raise PipelineError("tr is not a morphism of right H-comodules at %d" % w)
 
 
 def dual_bases(incl, tr_cols, free):
@@ -710,13 +765,14 @@ def _verify_dual_bases(incl, tr_cols, free, deltas):
 # ---------------------------------------------------------------------------
 
 
-def tr_bicomodule_map(incl, tr_cols):
-    """h_(1) x tr(h_(2)) x h_(3) == Delta2 of tr(h) with outer legs embedded,
-    for tr given by its column table."""
+def _bicomodule_defect(incl, tr_cols, hs=None):
+    """The first basis index i, i in hs (all of H by default), where
+    h_(1) x tr(h_(2)) x h_(3) = Delta2(tr h), outer legs embedded, fails
+    for h = h_i."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
-    for i in range(n):
+    for i in range(n) if hs is None else hs:
         lhs = {}
         for (a, b, c), s in H.comult2(i):
             for kb, coeff in tr_cols[b].items():
@@ -728,8 +784,18 @@ def tr_bicomodule_map(incl, tr_cols):
                 for hp, e1 in incl.embed_col(p).items():
                     _tensor(ctx, rhs, {hp * m + q: K.s_mul(ctx, cs, e1)}, incl.embed_col(rr), n)
         if lhs != rhs:
-            return False
-    return True
+            return i
+    return None
+
+
+def tr_bicomodule_map(incl, tr_cols):
+    """h_(1) x tr(h_(2)) x h_(3) == Delta2 of tr(h) with outer legs embedded,
+    for a right K-linear tr given by its column table, as every tr of
+    ``make_frobenius_data`` is verified to be.  The identity at hk is the
+    one at h times Delta2(k), so it is decided on the free basis
+    (notes/decisions.md, "Identities K-linear in h are decided on a K-basis
+    of H")."""
+    return _bicomodule_defect(incl, tr_cols, free_basis(incl)[0]) is None
 
 
 @cached()

@@ -690,7 +690,8 @@ def subhopf_from_basis(H, indices, name=None):
         tuple(cols),
         convention=H.convention,
     )
-    z = K.s_zero(ctx)
     o = K.s_one(ctx)
-    embed = Matrix(H.N, [[o if i == indices[b] else z for b in range(m)] for i in range(n)])
-    return sub, embed
+    embed_rows = [{} for _ in range(n)]
+    for b, i in enumerate(indices):
+        embed_rows[i][b] = o
+    return sub, Matrix.from_sparse(H.N, m, embed_rows)

@@ -112,6 +112,25 @@ def hkplus_over_a_kplus_basis(incl):
     return sub
 
 
+def integral_type_over_all_of_h(incl):
+    """Lambda with lambda(bar(Lambda h)) = eps(h) imposed at every basis
+    element h of H: the n x n system, solved as ``Matrix.solve`` solves it,
+    or None when it is inconsistent."""
+    from hopfkit.errors import InconsistentSystemError
+    from hopfkit.extension import _lambda_products, bar_quotient, lift_bar_functional
+
+    H = incl.H
+    n = H.dim
+    prods = _lambda_products(H, lift_bar_functional(bar_quotient(incl)), range(n), range(n))
+    # row j, column t: lambda(bar(h_t h_j))
+    A = Matrix.from_sparse(incl.N, n, [prods[t] for t in range(n)]).transpose()
+    b = Matrix(incl.N, [[H.counit[j]] for j in range(n)])
+    try:
+        return A.solve(b).particular
+    except InconsistentSystemError:
+        return None
+
+
 def alpha_criterion(incl, dec):
     """alpha_H restricted to K equals alpha_K, for the FrobeniusDecision dec:
     the Frobenius criterion through the distinguished grouplikes."""

@@ -576,6 +576,19 @@ GOLDEN_REPORTS = [
      "660f3913e10e572cfaa5027713a5b21f2f570bbfbe2c260a9ff2ffbc49edc598"),
     (["cartan-check", "--types", "A2", "--l", "3"], 0,
      "e70b20845a8edf0c825545ef4781a5ab01681a5890f680b9c4c7ca2c975e1bd4"),
+    # analyze reports of the extension benchmark's doubles, Taft algebras and
+    # Borel, recorded before the inclusion's K-linear identities were decided
+    # on a K-basis of H and the double's table was built per right factor
+    (["analyze", "builtin:double?of=builtin:taft?l=2"], 0,
+     "d46a61fe615ec5ff3e2116827a0fa37e072ef1292a3322ab73d7a556aa194749"),
+    (["analyze", "builtin:double?of=builtin:taft?l=3"], 0,
+     "b1ace2b221c480c5f6cdf68073f490572c8582a25e6c33849e6dffa041f1f7f9"),
+    (["analyze", "builtin:taft?l=5"], 0,
+     "2b777d8a38825b48cc4987efc4f756a84e9b233869a1cc2e032941bd2ab4d84f"),
+    (["analyze", "builtin:taft?l=7"], 0,
+     "130d4c37385106fcc536378a6a01afabd91b78b45f24665191de5842f0007bf2"),
+    (["analyze", "builtin:uqsl2?l=3&sub=borel-"], 0,
+     "7fa7a29313de1587b03068cdb4954104eaff8616744b1af5ebeac0c2b43d05d3"),
 ]
 
 
@@ -586,7 +599,9 @@ GOLDEN_REPORTS = [
                               "analyze-dkk", "analyze-taft3", "analyze-uqsl2-l7-cartan",
                               "uqsl2-l7-cartan", "uqsl2-l5-cartan-2chars",
                               "uqsl2-l7-cartan-2chars", "scan-sl2-l3", "scan-sl2-l5",
-                              "scan-sl2-l7", "cartan-check", "cartan-check-a2-l3"])
+                              "scan-sl2-l7", "cartan-check", "cartan-check-a2-l3",
+                              "analyze-dt2", "analyze-dt3", "analyze-taft5", "analyze-taft7",
+                              "analyze-uqsl2-l3-borel-minus"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 

@@ -6,7 +6,7 @@ import pytest
 
 import hopfkit._kernel as K
 from conftest import (alpha_criterion, criterion_09_registry, dense_frobenius,
-                      hkplus_over_a_kplus_basis)
+                      hkplus_over_a_kplus_basis, integral_type_over_all_of_h)
 from hopfkit.builders import cyclic_table, group_algebra, taft, trivial_hopf
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, Matrix, RowSpace, _add, _apply, _axpy, _scale
@@ -437,7 +437,7 @@ def test_lambda_products_read_off_the_table(spec):
     H = incl.H
     bq = bar_quotient(incl)
     lamH = lift_bar_functional(bq)
-    got = _lambda_products(H, lamH, range(H.dim))
+    got = _lambda_products(H, lamH, range(H.dim), range(H.dim))
     for a in range(H.dim):
         want = [lamH(H.mult_vec(H.basis_vec(a), H.basis_vec(j))) for j in range(H.dim)]
         z = K.s_zero(H.ctx)
@@ -689,3 +689,297 @@ def test_a_right_k_triviality_defect_names_the_exhaustive_scan_pair(h8_incl, taf
         assert verify_bar_quotient(bad)["right-K-trivial"].witness == want, name
         moved += _right_k_defect(bad, algebra_generators(incl.K)) != want
     assert moved >= 5
+
+
+# ---------------------------------------------------------------------------
+# identities K-linear in h, decided on a K-basis of H, against the full scans
+# ---------------------------------------------------------------------------
+
+
+def _registry_and_cli_inclusions(h8_incl, taft3, uq3, uq5):
+    from hopfkit.cli import resolve_inclusion
+
+    registry = criterion_09_registry(h8_incl, taft3, uq3, uq5)
+    return registry + [(spec, resolve_inclusion(spec)) for spec in CLI_INCLUSIONS]
+
+
+def test_integral_type_on_the_representatives_matches_the_full_system(h8_incl, taft3, uq3, uq5):
+    found = 0
+    for name, incl in _registry_and_cli_inclusions(h8_incl, taft3, uq3, uq5):
+        Lambda = check_integral_type(incl)
+        assert Lambda == integral_type_over_all_of_h(incl), name
+        found += Lambda is not None
+    assert found >= 10
+
+
+def _modular_function_on_every_pair(incl, lamH):
+    """Reference for ``relative_modular_function`` with lambda o proj given
+    by lamH: chi read at the first representative where lamH is nonzero and
+    checked at every pair (k_b, h_i) of basis elements; its values, or the
+    text of the first failure."""
+    from hopfkit.hopf_core import _assert_algebra_map
+
+    H, ctx = incl.H, incl.ctx
+    z = K.s_zero(ctx)
+    h0 = next(r for r in bar_quotient(incl).reps if not K.s_is_zero(lamH.values[r]))
+    kh = []
+    for col in incl.embed_cols():
+        kh.append({i: v for i in range(H.dim)
+                   if not K.s_is_zero(v := lamH(H.mult_vec(col, H.basis_vec(i))))})
+    chi = LinearFunctional(incl.N, [row.get(h0, z) for row in kh])
+    for b, row in enumerate(kh):
+        for i in range(H.dim):
+            if row.get(i, z) != K.s_mul(ctx, chi.values[b], lamH.values[i]):
+                return "no relative modular function: condition fails at (k=%d, h=%d)" % (b, i)
+    try:
+        _assert_algebra_map(incl.K, chi, "relative modular function")
+    except HopfkitError as err:
+        return str(err)
+    return chi.values
+
+
+def _modular_function_outcome(incl):
+    try:
+        return relative_modular_function(incl).values
+    except HopfkitError as err:
+        return str(err)
+
+
+def test_modular_function_with_a_perturbed_lambda_names_the_full_scan_pair(monkeypatch, h8_incl,
+                                                                          taft3, uq3, uq5):
+    # lambda on Hbar with one coset value raised by 1, lifted through proj:
+    # the scan on the representatives decides, and a defect is named by the
+    # scan over every pair
+    import hopfkit.extension as extension
+
+    failed = 0
+    for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
+        bq = bar_quotient(incl)
+        assert _modular_function_outcome(incl) == \
+            _modular_function_on_every_pair(incl, lift_bar_functional(bq)), name
+        ctx = incl.ctx
+        lam = right_integral_bar_dual(bq)
+        for t in range(bq.dim):
+            values = list(lam.values)
+            values[t] = K.s_add(ctx, values[t], K.s_one(ctx))
+            bad = LinearFunctional(incl.N, values)
+            lamH = LinearFunctional(incl.N, [bad(col) for col in bq.proj_cols])
+            monkeypatch.setattr(extension, "lift_bar_functional", lambda _bq: lamH)
+            got = _modular_function_outcome(incl)
+            monkeypatch.undo()
+            want = _modular_function_on_every_pair(incl, lamH)
+            assert got == want, (name, t)
+            failed += isinstance(want, str) and want.startswith("no relative")
+    assert failed >= 10
+
+
+def test_modular_function_with_perturbed_table_entries_names_the_full_scan_pair(h8_incl, taft3,
+                                                                               uq3, uq5):
+    # the entries e_a e_r and e_a e_i of H's table gain a term, for a in the
+    # support of embed(K), r the last representative besides h0 and i the
+    # first index off the representatives below it: the scan on the
+    # representatives sees the defect at r, and the error names the full
+    # scan's first pair.  Both scans read H with that table and Hbar as built
+    # from the true one.
+    moved = 0
+    for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
+        H, ctx = incl.H, incl.ctx
+        n = H.dim
+        bq = bar_quotient(incl)
+        lamH = lift_bar_functional(bq)
+        h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
+        rs = [r for r in bq.reps if r != h0]
+        if not rs:
+            continue
+        a = max(incl.embed_col(incl.K.dim - 1))
+        mult = list(H.mult)
+        for i in {rs[-1], min((i for i in range(rs[-1]) if i not in bq.reps), default=rs[-1])}:
+            row = dict(mult[a * n + i])
+            _add(ctx, row, h0, K.s_one(ctx))
+            mult[a * n + i] = tuple(sorted(row.items()))
+        badH = copy.copy(H)
+        badH._cache = {}
+        badH.mult = tuple(mult)
+        bad = HopfInclusion(incl.K, badH, incl.embed)
+        bad._cache[("bar_quotient",)] = bq
+        want = _modular_function_on_every_pair(bad, lamH)
+        assert isinstance(want, str), name
+        assert _modular_function_outcome(bad) == want, name
+        moved += not want.endswith("h=%d)" % rs[-1])
+    assert moved >= 3
+
+
+def _first_coalgebra_map_defect(bq):
+    """The first basis index i of H where (proj x proj) Delta(h_i) =
+    Delta_bar proj(h_i) fails, or None."""
+    from hopfkit.exact_math import _table_apply
+
+    for i in range(bq.incl.H.dim):
+        if bq.proj_comult(i) != _table_apply(bq.ctx, bq.comult, bq.proj_cols[i]):
+            return i
+    return None
+
+
+def test_a_coalgebra_map_defect_names_the_exhaustive_scan_index(h8_incl, taft3, uq3, uq5):
+    # one projection column changed (off and on the representatives), or one
+    # term of Delta_bar doubled: the report names the first index of the
+    # scan over every basis element of H
+    from hopfkit.exact_math import _table_apply
+
+    failed = 0
+    for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
+        bq = bar_quotient(incl)
+        ctx, one = incl.ctx, K.s_one(incl.ctx)
+        assert verify_bar_quotient(bq)["proj-coalgebra-map"].witness is None, name
+        bads = []
+        for i in (max(bq.reps), max(range(incl.H.dim))):
+            cols = list(bq.proj_cols)
+            cols[i] = _axpy(ctx, dict(cols[i]), {0: one}, one)
+            bads.append(BarQuotient(incl, bq.reps, cols))
+        t = bq.dim - 1
+        (x, s), *rest = bq.comult[t]
+        bad = copy.copy(bq)
+        bad.comult = bq.comult[:t] + (((x, K.s_mul(ctx, K.s_from_ratio(ctx, 2), s)), *rest),)
+        bads.append(bad)
+        for bad in bads:
+            want = _first_coalgebra_map_defect(bad)
+            assert verify_bar_quotient(bad)["proj-coalgebra-map"].witness == want, name
+            failed += want is not None
+        # a doubled term of Delta_bar is seen at its representative
+        r = bq.reps[t]
+        assert bad.proj_comult(r) != _table_apply(ctx, bad.comult, bad.proj_cols[r])
+    assert failed >= 20
+
+
+def _first_comodule_failure(incl, tr_cols):
+    """The first basis index i of H where tr(h_(1)) x h_(2) = Delta_K(tr h)
+    fails for h = h_i, or None."""
+    H, Kk, ctx = incl.H, incl.K, incl.ctx
+    n, m = H.dim, Kk.dim
+    for i in range(n):
+        lhs, rhs = {}, {}
+        for x, s in H.comult[i]:
+            j, k2 = divmod(x, n)
+            for b, c in tr_cols[j].items():
+                _add(ctx, lhs, b * n + k2, K.s_mul(ctx, c, s))
+        for b, c in tr_cols[i].items():
+            for x, s in Kk.comult[b]:
+                p, q = divmod(x, m)
+                for h, e in incl.embed_col(q).items():
+                    _add(ctx, rhs, p * n + h, K.s_mul(ctx, K.s_mul(ctx, c, s), e))
+        if lhs != rhs:
+            return i
+    return None
+
+
+def _bicomodule_on_every_basis_element(incl, tr_cols):
+    """Reference for ``tr_bicomodule_map``: h_(1) x tr(h_(2)) x h_(3) =
+    Delta2(tr h), outer legs embedded, at every basis element h of H."""
+    H, Kk, ctx = incl.H, incl.K, incl.ctx
+    n, m = H.dim, Kk.dim
+    for i in range(n):
+        lhs, rhs = {}, {}
+        for (a, b, c), s in H.comult2(i):
+            for kb, coeff in tr_cols[b].items():
+                _add(ctx, lhs, (a * m + kb) * n + c, K.s_mul(ctx, s, coeff))
+        for b, coeff in tr_cols[i].items():
+            for (p, q, r), s in Kk.comult2(b):
+                for hp, e1 in incl.embed_col(p).items():
+                    for hr, e2 in incl.embed_col(r).items():
+                        v = K.s_mul(ctx, K.s_mul(ctx, coeff, s), K.s_mul(ctx, e1, e2))
+                        _add(ctx, rhs, (hp * m + q) * n + hr, v)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _right_linear_scaling(incl, tr_cols, t):
+    """tr multiplied by 2 on the summand h_t K of H = sum_i h_i K and kept
+    on the others: right K-linear, as a tr must be for the free-basis scans."""
+    from hopfkit.extension import Decomposer
+
+    H, ctx = incl.H, incl.ctx
+    free, _ = free_basis(incl)
+    decomp = Decomposer(incl, free, "right")
+    out = []
+    for j in range(H.dim):
+        k = decomp(H.basis_vec(j))[t]
+        extra = _apply(ctx, tr_cols, H.mult_vec(H.basis_vec(free[t]), incl.embed_vec(k)))
+        out.append(_axpy(ctx, dict(tr_cols[j]), extra, K.s_one(ctx)))
+    return out
+
+
+def _frobenius_morphism_error(incl, tr_cols):
+    from hopfkit.errors import PipelineError
+    from hopfkit.extension import _verify_frobenius_morphism
+
+    try:
+        _verify_frobenius_morphism(incl, tr_cols)
+    except PipelineError as err:
+        return str(err)
+    return None
+
+
+def test_comodule_and_bicomodule_defects_match_the_exhaustive_scans(h8_incl, taft3, uq3, uq5):
+    # tr with one column doubled, or doubled on one summand h_t K: the
+    # frobenius-morphism error is the exhaustive scans' first failure, and
+    # the bicomodule verdict is the one over every basis element
+    from hopfkit.extension import _comodule_defect, _first_defect
+
+    comodule = 0
+    for name, incl in _registry_and_cli_inclusions(h8_incl, taft3, uq3, uq5):
+        if not is_frobenius_extension(incl).frobenius:
+            continue
+        ctx, n = incl.ctx, incl.H.dim
+        tr = make_frobenius_data(incl).tr
+        free, _ = free_basis(incl)
+        assert tr_bicomodule_map(incl, tr) == _bicomodule_on_every_basis_element(incl, tr), name
+        bads = []
+        for j in (n // 2, n - 1):
+            bad = list(tr)
+            bad[j] = _scale(ctx, tr[j], K.s_from_ratio(ctx, 2))
+            bads.append(bad)
+        bads += [_right_linear_scaling(incl, tr, t) for t in range(len(free))]
+        for bad in bads:
+            want = _first_bimodule_failure(incl, bad)
+            if want is None and (i := _first_comodule_failure(incl, bad)) is not None:
+                want = "tr is not a morphism of right H-comodules at %d" % i
+            assert _frobenius_morphism_error(incl, bad) == want, name
+        for t in range(len(free)):
+            bad = bads[2 + t]
+            want = _first_comodule_failure(incl, bad)
+            assert _first_defect(_comodule_defect, free, incl, bad) == want, (name, t)
+            comodule += want is not None
+            assert tr_bicomodule_map(incl, bad) == _bicomodule_on_every_basis_element(incl, bad)
+    assert comodule >= 5
+
+
+def _first_mult_failure(incl):
+    """The first pair (a, b) of basis elements of K where embed(k_a k_b) =
+    embed(k_a) embed(k_b) fails, or None."""
+    H, Kk = incl.H, incl.K
+    for a in range(Kk.dim):
+        for b in range(Kk.dim):
+            lhs = incl.embed_vec(Kk.mult_vec(Kk.basis_vec(a), Kk.basis_vec(b)))
+            if lhs != H.mult_vec(incl.embed_col(a), incl.embed_col(b)):
+                return (a, b)
+    return None
+
+
+def test_a_mult_intertwining_defect_names_the_exhaustive_scan_pair(h8_incl, taft3, uq3, uq5):
+    # one column of embed doubled, that of 1_K or another: the scan over
+    # left factors in G_K runs once embed(1_K) = 1_H, and the report names
+    # the first pair of the scan over every basis element of K
+    failed = 0
+    for name, incl in criterion_09_registry(h8_incl, taft3, uq3, uq5):
+        assert verify_inclusion(incl)["mult-intertwines"].witness is None, name
+        ctx, m = incl.ctx, incl.K.dim
+        two = K.s_from_ratio(ctx, 2)
+        for b in sorted({0, m // 2, m - 1}):
+            rows = [{c: K.s_mul(ctx, two, v) if c == b else v for c, v in row.items()}
+                    for row in incl.embed.srows]
+            bad = HopfInclusion(incl.K, incl.H, Matrix.from_sparse(incl.N, m, rows))
+            want = _first_mult_failure(bad)
+            assert verify_inclusion(bad)["mult-intertwines"].witness == want, (name, b)
+            failed += want is not None
+    assert failed >= 10
