@@ -154,6 +154,12 @@ def assoc_first_defect(n, mult, ctx, mids=None):
 
     ``mult[a*n+b]`` is a tuple of ``(k, scalar)`` pairs for ea*eb.  Given
     ``mids``, the middle index b runs over ``mids`` only.
+
+    Where ea*eb = s*ek and eb*ec = t*em each have one term, the sides are
+    (s*ek)*ec and t*(ea*em): when rows (k,c) and (a,m) are both empty the
+    triple holds, and when each has one term, at one index, the two products
+    are compared directly.  Where ea*eb and eb*ec are both zero, so are the
+    two sides.  Every other triple adds up both sides.
     """
     zero, one = ctx[3], ctx[4]
     for a in range(n):
@@ -161,7 +167,29 @@ def assoc_first_defect(n, mult, ctx, mids=None):
         for b in range(n) if mids is None else mids:
             rab = mult[an + b]
             bn = b * n
+            kn = -1  # k1*n when ea*eb = s1*ek1 has one term
+            if len(rab) == 1:
+                (k1, s1), = rab
+                kn = k1 * n
             for c in range(n):
+                rbc = mult[bn + c]
+                if len(rbc) == 1:
+                    if kn >= 0:
+                        (m1, t1), = rbc
+                        rl = mult[kn + c]
+                        rr = mult[an + m1]
+                        if not rl:
+                            if not rr:
+                                continue
+                        elif len(rl) == 1 and len(rr) == 1 and rl[0][0] == rr[0][0]:
+                            u = rl[0][1]
+                            v = rr[0][1]
+                            if (u if s1 == one else s1 if u == one else s_mul(ctx, s1, u)) == (
+                                    v if t1 == one else t1 if v == one else s_mul(ctx, t1, v)):
+                                continue
+                            return (a, b, c)
+                elif not rbc and not rab:
+                    continue
                 lhs = {}
                 for k, s in rab:
                     for m, t in mult[k * n + c]:
@@ -169,7 +197,7 @@ def assoc_first_defect(n, mult, ctx, mids=None):
                         prev = lhs.get(m)
                         lhs[m] = st if prev is None else s_add(ctx, prev, st)
                 rhs = {}
-                for m, t in mult[bn + c]:
+                for m, t in rbc:
                     for p, u in mult[an + m]:
                         tu = u if t == one else t if u == one else s_mul(ctx, t, u)
                         prev = rhs.get(p)
@@ -194,11 +222,19 @@ def bialg_first_defect(n, mult, comult, ctx, lefts=None):
             lhs = {}
             for x1, s1 in da:
                 j1, k1 = divmod(x1, n)
+                j1n = j1 * n
+                k1n = k1 * n
                 for x2, s2 in db:
                     j2, k2 = divmod(x2, n)
+                    # a pair with an empty product adds nothing
+                    r1 = mult[j1n + j2]
+                    if not r1:
+                        continue
+                    r2 = mult[k1n + k2]
+                    if not r2:
+                        continue
                     s12 = s2 if s1 == one else s1 if s2 == one else s_mul(ctx, s1, s2)
-                    r2 = mult[k1 * n + k2]
-                    for p, u in mult[j1 * n + j2]:
+                    for p, u in r1:
                         su = u if s12 == one else s12 if u == one else s_mul(ctx, s12, u)
                         pn = p * n
                         for q, v in r2:

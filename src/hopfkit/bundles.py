@@ -75,6 +75,9 @@ class _Parser:
         # scalar text -> raw scalar, or None for zero; shared by all sections
         # of the bundle, which declares one conductor
         self.scalars = {}
+        # (bound, stride) -> {index text: index * stride}, shared by the
+        # index positions of every section that have that bound and stride
+        self.terms = {}
 
     def error(self, msg, line=None):
         raise BundleParseError(msg, self.pos if line is None else line)
@@ -143,23 +146,50 @@ def _parse_sections(p):
         p.error("unexpected end of file", p.pos + 1)
 
 
+def _learn(p, at, parts, bounds, strides, terms):
+    """The flat index of entry line ``at``, split into ``parts``, whose index
+    texts are not all in ``terms`` yet: every index is decoded before any is
+    checked against its bound, and each text is then put into ``terms``."""
+    line = p.lines[at]
+    try:
+        idxs = tuple(map(int, parts[:len(bounds)]))
+    except ValueError:
+        p.error("bad index in %r" % line.strip(), at + 1)
+    for i, b in zip(idxs, bounds):
+        if not 0 <= i < b:
+            p.error("index out of range in %r" % line.strip(), at + 1)
+    for i, stride, term, text in zip(idxs, strides, terms, parts):
+        term[text] = i * stride
+    return sum(i * stride for i, stride in zip(idxs, strides))
+
+
 def _entries(p, name, bounds, N, width):
     """The rows of a section of entry lines "i_1 ... i_m scalar", each a
     sorted tuple of (key, raw scalar) pairs: an entry whose scalar is not
     zero goes into row x // width with key x % width, for x the flat index
     of (i_1, ..., i_m) in the box ``bounds``.  Index i_t must lie in
     0..bounds[t]-1 and no index tuple may appear twice, zero entries
-    included.  The section's lines are walked once."""
+    included.  Every empty row is the one empty tuple.
+
+    ``terms[t]`` maps each index text read at position t to its term
+    i_t * bounds[t+1] * ... * bounds[m-1] of x, so a line whose index texts
+    were all read before, in this section or at a position of another with
+    the same bound and stride, is decoded by lookup.  While each x exceeds
+    the one before, no x can repeat and the rows fill in order
+    (serialize_hopf writes them so); the x are kept in a set only from the
+    first that does not, when the lines read so far are walked again for
+    theirs, and the rows are then sorted."""
     nidx = len(bounds)
-    rows = [[] for _ in range(prod(bounds) // width)]
-    seen = set()
-    # the largest key so far, and whether every key exceeded the one before,
-    # so that the rows are sorted as filled (serialize_hopf writes them so)
+    start, stop = p.sections[name]
+    strides = [prod(bounds[t + 1:]) for t in range(nidx)]
+    terms = [p.terms.setdefault(key, {}) for key in zip(bounds, strides)]
+    term_of = dict.__getitem__
+    filled = {}  # row -> its (key, scalar) pairs, for rows with an entry
+    seen = None
     last = -1
-    ordered = True
     scalars = p.scalars
     lines = p.lines
-    for at in range(*p.sections[name]):
+    for at in range(start, stop):
         line = lines[at]
         parts = line.split(None, nidx)
         if not parts or parts[0][0] == "#":
@@ -167,21 +197,23 @@ def _entries(p, name, bounds, N, width):
         if len(parts) != nidx + 1:
             p.error("expected %d indices and a scalar: %r" % (nidx, line.strip()), at + 1)
         try:
-            idxs = tuple(map(int, parts[:nidx]))
-        except ValueError:
-            p.error("bad index in %r" % line.strip(), at + 1)
-        x = 0
-        for i, b in zip(idxs, bounds):
-            if not 0 <= i < b:
-                p.error("index out of range in %r" % line.strip(), at + 1)
-            x = x * b + i
+            x = sum(map(term_of, terms, parts))
+        except KeyError:
+            x = _learn(p, at, parts, bounds, strides, terms)
         if x > last:
             last = x
-        elif x in seen:
-            p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name), at + 1)
         else:
-            ordered = False
-        seen.add(x)
+            if seen is None:
+                # every earlier line of the section was read as an entry
+                seen = {sum(map(term_of, terms, earlier))
+                        for earlier in map(str.split, lines[start:at])
+                        if earlier and earlier[0][0] != "#"}
+            if x in seen:
+                idxs = map(int, parts[:nidx])
+                p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name),
+                        at + 1)
+        if seen is not None:
+            seen.add(x)
         text = parts[nidx]
         if text in scalars:
             val = scalars[text]
@@ -193,8 +225,15 @@ def _entries(p, name, bounds, N, width):
             val = scalars[text] = None if val.is_zero() else val.data
         if val is not None:
             r, c = divmod(x, width)
-            rows[r].append((c, val))
-    return tuple(map(tuple, rows if ordered else map(sorted, rows)))
+            row = filled.get(r)
+            if row is None:
+                filled[r] = [(c, val)]
+            else:
+                row.append((c, val))
+    rows = [()] * (prod(bounds) // width)
+    for r, row in filled.items():
+        rows[r] = tuple(row if seen is None else sorted(row))
+    return tuple(rows)
 
 
 def parse_hopf(text):

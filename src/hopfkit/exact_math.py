@@ -530,7 +530,7 @@ class RowSpace:
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def contains(self, vec):
         return not self.reduce(vec)

@@ -308,7 +308,8 @@ def algebra_generators(H):
 
     Greedy: starting from span{1}, add the first basis element outside the
     span and close the span under right multiplication by G; repeat until
-    the span is H.  Only meaningful when 1 is a two-sided unit.
+    the span is H.  Once it is, no product is formed.  Only meaningful when
+    1 is a two-sided unit.
     """
     space = RowSpace(H.dim, H.ctx)
     spanning = []
@@ -328,7 +329,7 @@ def algebra_generators(H):
             gens.append(i)
             pending.extend((vec, i) for vec in spanning)
             grow(H.basis_vec(i))
-            while pending:
+            while pending and space.rank < H.dim:
                 vec, g = pending.pop()
                 grow(H.mult_vec(vec, H.basis_vec(g)))
     return tuple(gens)
@@ -347,11 +348,14 @@ def _multiplicative_defect(H, values, lefts=None):
     f(e_i e_j) != f(e_i) f(e_j) for the functional f with raw values."""
     n = H.dim
     ctx = H.ctx
+    zero = K.s_zero(ctx)
     for i in range(n) if lefts is None else lefts:
         for j in range(n):
-            acc = K.s_zero(ctx)
+            acc = zero
+            # a term where f vanishes adds f(e_k) s = 0
             for k, s in H.mult[i * n + j]:
-                acc = K.s_add(ctx, acc, K.s_mul(ctx, values[k], s))
+                if values[k] != zero:
+                    acc = K.s_add(ctx, acc, K.s_mul(ctx, values[k], s))
             if acc != K.s_mul(ctx, values[i], values[j]):
                 return (i, j)
     return None

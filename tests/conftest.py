@@ -63,6 +63,11 @@ def taft3():
 
 
 @pytest.fixture(scope="session")
+def taft5():
+    return taft(5)
+
+
+@pytest.fixture(scope="session")
 def uq3():
     return small_quantum_sl2(3)
 

@@ -309,6 +309,14 @@ def test_explicit_zero_entries_parse_like_missing_ones(spec):
     assert _tables(H2) == _tables(parse_hopf(serialize_hopf(H))) == _tables(H)
 
 
+def test_empty_rows_of_a_parsed_table_are_empty_tuples():
+    H = parse_hopf(serialize_hopf(resolve_hopf("builtin:taft?l=7&q=3")))
+    sizes = [len(row) for row in H.mult]
+    assert (sizes.count(0), sizes.count(1), len(sizes)) == (1029, 1372, 2401)
+    assert all(type(row) is tuple for row in H.mult + H.comult + H.antipode_cols)
+    assert [row for row in H.mult if not row] == [()] * 1029
+
+
 # serialize_hopf sha256 of each catalogue algebra, recorded from the builders
 # that normalized every product by the generator rewrite rules
 DOUBLE = "builtin:double?of=builtin:"

@@ -50,21 +50,24 @@ def test_bundle_roundtrip(h8, tmp_path):
     assert serialize_hopf(H2) == text
 
 
-def test_entry_lines_in_any_order_give_the_same_tables(h8, uq3):
-    # serialize_hopf writes each section in index order; reversed, every
-    # row must still come out sorted
-    for H in (h8, uq3.hopf):
-        lines = serialize_hopf(H).splitlines()
-        out, section = [], []
-        for line in lines:
-            if line[:1].isdigit():
-                section.append(line)
-                continue
-            out += section[::-1] + [line]
-            section = []
-        H2 = parse_hopf("\n".join(out) + "\n")
-        assert (H2.mult, H2.comult, H2.unit, H2.counit, H2.antipode_cols) == (
-            H.mult, H.comult, H.unit, H.counit, H.antipode_cols)
+def test_entry_lines_in_any_order_give_the_same_tables(h8, uq3, taft5):
+    # serialize_hopf writes each section in index order; reversed or
+    # shuffled, every row must still come out sorted
+    import random
+
+    rng = random.Random(0)
+    for H in (h8, uq3.hopf, taft5[0]):
+        for order in (lambda section: section[::-1], lambda section: rng.sample(section, len(section))):
+            out, section = [], []
+            for line in serialize_hopf(H).splitlines():
+                if line[:1].isdigit():
+                    section.append(line)
+                    continue
+                out += order(section) + [line]
+                section = []
+            H2 = parse_hopf("\n".join(out) + "\n")
+            assert (H2.mult, H2.comult, H2.unit, H2.counit, H2.antipode_cols) == (
+                H.mult, H.comult, H.unit, H.counit, H.antipode_cols)
 
 
 def test_bundle_file_verify(tmp_path, capsys, h8):
@@ -607,6 +610,82 @@ def test_report_bytes_are_golden(capsys, argv, rc, sha256):
 
     code, out = run(argv, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rc, sha256), out
+
+
+def _doubled(text, section):
+    """The bundle text with one entry of the middle basis element e_m,
+    m = dim // 2, doubled: the middle one of the section's entry lines of
+    e_m * e_j, Delta(e_m) or S(e_m)."""
+    from hopfkit.exact_math import format_scalar, parse_scalar
+
+    lines = text.splitlines()
+    header = dict(line.split(" ", 1) for line in lines[1:lines.index("BEGIN MULT")])
+    begin = lines.index("BEGIN " + section)
+    field = 1 if section == "ANTIPODE" else 0
+    choices = [i for i in range(begin + 1, lines.index("END", begin))
+               if int(lines[i].split()[field]) == int(header["dim"]) // 2]
+    at = choices[len(choices) // 2]
+    head, scalar = lines[at].rsplit(" ", 1)
+    lines[at] = "%s %s" % (head, format_scalar(parse_scalar(scalar, int(header["conductor"])) * 2))
+    return "\n".join(lines) + "\n"
+
+
+# exit code and report sha256 of `verify` on the bundles of the seven
+# algebras the axiom benchmark reads, as dumped and with one MULT, COMULT or
+# ANTIPODE entry doubled, recorded before one-term table rows took a short
+# path in the parser and the axiom scans
+VERIFY_ALGEBRAS = {
+    "h8": "builtin:h8",
+    "dkc3": "builtin:double?of=builtin:group?table=c3",
+    "dkk": "builtin:double?of=builtin:group?table=klein",
+    "uqsl2-3": "builtin:uqsl2?l=3",
+    "taft5": "builtin:taft?l=5&q=2",
+    "taft7": "builtin:taft?l=7&q=3",
+    "dt2": "builtin:double?of=builtin:taft?l=2",
+}
+GOLDEN_VERIFY = {
+    "h8.bundle": (0, "133c0a79740d532d70dd7418be22ed4f5f3cbb3ec9571f0d1bcaae8fd970ff03"),
+    "h8-mult.bundle": (1, "050e81d8911f25c316a5704590e24913bbae2930cd979f3d88b536c95327c504"),
+    "h8-comult.bundle": (1, "17e483061630550dbef9bed201ff8d2d3a0952541d3c8f72ce1969054533d1d2"),
+    "h8-antipode.bundle": (1, "237381971d8a9fd5587dae4c89cc0c9bdc3707ae32a4c6170454072fa7b56cc6"),
+    "dkc3.bundle": (0, "1f2711bfde9a8004e884ff01d9bae5ea700e001cadf37c3f7784e7ac7d679e23"),
+    "dkc3-mult.bundle": (1, "0766062c8ee88a8910e612a3e2e38b4c50d15995c5f59ab71528732b73d9ead1"),
+    "dkc3-comult.bundle": (1, "701c2d56f2cf836e5807566f75b910446ba01112f78cf44d7853708ce9668404"),
+    "dkc3-antipode.bundle": (1, "c854d9b8055546ebc0b1ed534f6a282c4b0f93fbca772a4b5a556ab4c4a27fab"),
+    "dkk.bundle": (0, "5bf5e260e809ebc9c2cc8c768018f12ada0f08938f56e8555178fc4d2fc56895"),
+    "dkk-mult.bundle": (1, "269c5d624cc488d767771c7840247317e2d4cfd2d414c28262b605fe032fa3b7"),
+    "dkk-comult.bundle": (1, "d688c1eea46bfd683f975d930e759a9eacca2b78f2da8b270829e98faa2bcd07"),
+    "dkk-antipode.bundle": (1, "854e50b31c885cba5abdfeec0948481fb96a6c6e57fc7ce958d07cebd82d1aad"),
+    "uqsl2-3.bundle": (0, "faa5c10ec9f8867a71d8ef18cc0f1480a5671fd26e7fbfdf616829a1f3d70e2e"),
+    "uqsl2-3-mult.bundle": (1, "0b316e9edea3e662621829db6ee4c5b456a89a2be9b44a77d074e7caaeae9a2f"),
+    "uqsl2-3-comult.bundle": (1, "9b17f467a1a86a963e5557a8b716d5d78170e9e5e4b2d4c09a911c35b287a82c"),
+    "uqsl2-3-antipode.bundle": (1, "fa1a567ad8e9be7a286e2368db5d7f787ba9fef545ca17872a3b009fd0b22707"),
+    "taft5.bundle": (0, "7a8308f69a940832470946e03cbb4ef3e6230a22fd6097a542e2783c92262854"),
+    "taft5-mult.bundle": (1, "ad911269aa02b2c4587f9450d2f81c1e1c3e48de4a454a02797b95f10386b9a7"),
+    "taft5-comult.bundle": (1, "c1579359961afc90c5f4c8f638c56d759e203635d36870ff409f7d090ffd2675"),
+    "taft5-antipode.bundle": (1, "f813c2d732f53857a71a55771dfb0153a8914f6fa65f80517916b88e48883f5f"),
+    "taft7.bundle": (0, "40a910efeb98bb29a0a2a951d84240e839286ec8db8f322a8876ee8a86d8ac2a"),
+    "taft7-mult.bundle": (1, "5010ba04f2cb92f266c297df84b20b1520208df5a71f75f08fece0b9e4977b7b"),
+    "taft7-comult.bundle": (1, "e3001947622b9800e956821dc96a9e0b165992ac82e443f3981e35e3e36ce2b1"),
+    "taft7-antipode.bundle": (1, "86c608281bb2ac83dacd9620bf6cd1f604c9ef9c19e18b0f529580b897048f66"),
+    "dt2.bundle": (0, "b7348d90915698c292c5dc2e47074d680f1c943aa4caeaeb85cf7642e38ea2db"),
+    "dt2-mult.bundle": (1, "bbbf505ab1301c487a49f2db0a4c836564e81a74dc2e5b08f422d8a543bd6bc1"),
+    "dt2-comult.bundle": (1, "fe1dbd0b8cc43bbec9f547c0234c66f515490cdfbd4b8d9ca0e434de6b7508cc"),
+    "dt2-antipode.bundle": (1, "f514e5fb0f4564322da406e4c4685b28dbaee48d4cd41988985706e46d33fc0a"),
+}
+
+
+@pytest.mark.parametrize("name, section", [(name, section) for name in VERIFY_ALGEBRAS
+                                           for section in ("", "MULT", "COMULT", "ANTIPODE")])
+def test_verify_report_bytes_are_golden(capsys, monkeypatch, tmp_path, name, section):
+    import hashlib
+
+    text = serialize_hopf(resolve_hopf(VERIFY_ALGEBRAS[name]))
+    path = "%s%s.bundle" % (name, section and "-" + section.lower())
+    (tmp_path / path).write_text(_doubled(text, section) if section else text)
+    monkeypatch.chdir(tmp_path)
+    code, out = run(["verify", path], capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_VERIFY[path], out
 
 
 def test_no_kronecker_product_with_an_identity_is_formed(monkeypatch, capsys):

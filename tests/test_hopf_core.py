@@ -248,6 +248,39 @@ def test_generators_span_every_builtin(h8, taft3, uq3):
     assert len(algebra_generators(taft3[0])) == 2
 
 
+# G of each catalogue algebra, and the products e_i g that algebra_generators
+# forms, recorded while it still formed the pending products once the span
+# was all of H (24 on H8, 81 on u_3(sl2), 375 on u_5(sl2), 1344 on D(H8))
+GENERATORS = {
+    "builtin:group?table=c2": ((1,), 0),
+    "builtin:group?table=c3": ((1,), 1),
+    "builtin:group?table=c4": ((1,), 2),
+    "builtin:group?table=klein": ((1, 2), 4),
+    "builtin:h8": ((1, 2, 3), 15),
+    "builtin:taft?l=2": ((1, 2), 4),
+    "builtin:taft?l=3": ((1, 3), 13),
+    "builtin:taft?l=5&q=2": ((1, 5), 43),
+    "builtin:taft?l=7&q=3": ((1, 7), 89),
+    "builtin:uqsl2?l=3": ((1, 3, 9), 63),
+    "builtin:uqsl2?l=5": ((1, 5, 25), 327),
+    "builtin:double?of=builtin:group?table=c3": ((0, 1, 3, 4, 7), 29),
+    "builtin:double?of=builtin:group?table=klein": ((0, 1, 2, 4, 5, 6, 8, 9, 10, 13, 14), 142),
+    "builtin:double?of=builtin:taft?l=2": ((0, 1, 2, 4, 9, 10, 12), 86),
+    "builtin:double?of=builtin:h8": ((0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27,
+                                      32, 33, 34, 35, 40), 1124),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GENERATORS))
+def test_generators_stop_once_the_span_is_h(spec):
+    from hopfkit.cli import resolve_hopf
+
+    H = resolve_hopf(spec)
+    H._cache.pop(("algebra_generators",), None)
+    with mock.patch.object(FinHopf, "mult_vec", autospec=True, side_effect=FinHopf.mult_vec) as product:
+        assert (algebra_generators(H), product.call_count) == GENERATORS[spec]
+
+
 def _bump(entries, key, delta, ctx):
     """A sparse row with delta added at key."""
     row = dict(entries)
@@ -257,13 +290,16 @@ def _bump(entries, key, delta, ctx):
 
 def _perturb(H, section, row, key, c):
     """H with c added to one MULT, COMULT or ANTIPODE entry, or to one UNIT or
-    COUNIT coordinate."""
+    COUNIT coordinate; section "MULT-EMPTY" empties one nonempty MULT row."""
     n = H.dim
     ctx = H.ctx
     delta = K.s_from_ratio(ctx, c)
     mult, comult, unit, counit = list(H.mult), list(H.comult), list(H.unit), list(H.counit)
     cols = list(H.antipode_cols)
-    if section == "MULT":
+    if section == "MULT-EMPTY":
+        full = [r for r, terms in enumerate(mult) if terms]
+        mult[full[row % len(full)]] = ()
+    elif section == "MULT":
         mult[row % (n * n)] = _bump(mult[row % (n * n)], key % n, delta, ctx)
     elif section == "COMULT":
         comult[row % n] = _bump(comult[row % n], key % (n * n), delta, ctx)
@@ -277,16 +313,24 @@ def _perturb(H, section, row, key, c):
                    tuple(counit), tuple(cols), convention=H.convention)
 
 
+# T5's table is monomial with empty rows: each row holds one term or none, so
+# the scans' one-term short path meets defects, and so does its fall-through
+# once MULT gives a row a second term or MULT-EMPTY empties one
+SCANNED = ["h8", "taft3", "uq3", "taft5"]
+PERTURBED = ["MULT", "MULT-EMPTY", "COMULT", "ANTIPODE", "UNIT", "COUNIT"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    which=st.sampled_from(["h8", "taft3", "uq3"]),
-    section=st.sampled_from(["MULT", "COMULT", "ANTIPODE", "UNIT", "COUNIT"]),
+    which=st.sampled_from(SCANNED),
+    section=st.sampled_from(PERTURBED),
     row=st.integers(0, 10 ** 6),
     key=st.integers(0, 10 ** 6),
     c=st.sampled_from([-1, 1, 2]),
 )
-def test_reduced_scans_match_full_scans(h8, taft3, uq3, which, section, row, key, c):
-    H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which], section, row, key, c)
+def test_reduced_scans_match_full_scans(h8, taft3, uq3, taft5, which, section, row, key, c):
+    H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf, "taft5": taft5[0]}[which],
+                 section, row, key, c)
     reduced = verify_hopf(H).as_dict()
     with mock.patch.object(hopf_core, "algebra_generators", lambda H: None):
         full = verify_hopf(H).as_dict()
@@ -372,17 +416,18 @@ def _ref_antimult(n, mult, antipode_cols, ctx, lefts=None):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    which=st.sampled_from(["h8", "taft3", "uq3"]),
-    section=st.sampled_from(["MULT", "COMULT", "ANTIPODE", "UNIT", "COUNIT"]),
+    which=st.sampled_from(SCANNED),
+    section=st.sampled_from(PERTURBED),
     row=st.integers(0, 10 ** 6),
     key=st.integers(0, 10 ** 6),
     c=st.sampled_from([-1, 1, 2]),
 )
-def test_scans_match_subtract_and_zero_test_references(h8, taft3, uq3, which, section, row, key, c):
+def test_scans_match_subtract_and_zero_test_references(h8, taft3, uq3, taft5, which, section,
+                                                       row, key, c):
     # the kernel scans compare two canonical sums; the references form the
     # difference and test every coordinate for zero, and must find the same
     # witness, None included
-    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which]
+    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf, "taft5": taft5[0]}[which]
     H = _perturb(base, section, row, key, c)
     n, ctx, G = H.dim, H.ctx, algebra_generators(base)
     for restrict in (None, G):
@@ -395,6 +440,38 @@ def test_scans_match_subtract_and_zero_test_references(h8, taft3, uq3, which, se
                 == _ref_coassoc(n, H.comult, ctx, restrict))
         args = (n, H.mult, H.comult, H.antipode_cols, H.unit, H.counit, ctx, restrict)
         assert K.antipode_first_defects(*args) == _ref_antipode(*args)
+
+
+def test_one_term_rows_meet_defects_on_the_short_path_and_past_it(taft5):
+    # every row of T5's table holds one term or none.  A one-term row scaled
+    # is found where the scan compares two one-term products directly; a
+    # term moved to another index, a row emptied and a second term added are
+    # found past the short path, where the sums are compared key by key
+    from hopfkit._kernel import _pykernel
+
+    H = taft5[0]
+    n, ctx, G = H.dim, H.ctx, algebra_generators(H)
+    two = K.s_from_ratio(ctx, 2)
+    rows = [r for r, terms in enumerate(H.mult) if terms][1::40]
+    assert len(rows) == 10 and all(len(H.mult[r]) == 1 for r in rows)
+    compare = _pykernel._differ
+    for kind in ("scale", "move", "empty", "second term"):
+        for r in rows:
+            (k, s), = H.mult[r]
+            mult = list(H.mult)
+            mult[r] = {"scale": ((k, K.s_mul(ctx, two, s)),), "move": (((k + 1) % n, s),),
+                       "empty": (), "second term": tuple(sorted([(k, s), ((k + 1) % n, s)]))}[kind]
+            decided = []
+
+            def spy(lhs, rhs, zero):
+                decided.append(compare(lhs, rhs, zero))
+                return decided[-1]
+
+            with mock.patch.object(_pykernel, "_differ", spy):
+                w = K.assoc_first_defect(n, mult, ctx)
+            assert w is not None and w == _ref_assoc(n, mult, ctx), (kind, r)
+            assert (True in decided) == (kind != "scale"), (kind, r)
+            assert K.assoc_first_defect(n, mult, ctx, G) == _ref_assoc(n, mult, ctx, G)
 
 
 def test_scans_on_h8_compare_cancelled_sums_key_by_key(h8):
@@ -736,3 +813,27 @@ def test_algebra_map_defect_on_a_proven_algebra_names_the_full_scan_witness(h8, 
         assert w is not None and _multiplicative_defect(H, values, gens) is not None
         with pytest.raises(PipelineError, match=r"not an algebra map at \(%d,%d\)$" % w):
             _assert_algebra_map(H, f, "test", gens)
+
+
+def test_multiplicative_scan_forms_no_product_with_a_zero_value(taft5, uq3):
+    # a term where f vanishes adds 0, so it is skipped; the witness is the
+    # one of the sum over every term, which the reference forms
+    from hopfkit.hopf_core import _multiplicative_defect
+
+    for H in (taft5[0], uq3.hopf):
+        n, ctx, zero = H.dim, H.ctx, K.s_zero(H.ctx)
+        for t in (1, n // 2, n - 1):
+            values = list(H.counit)
+            values[t] = K.s_add(ctx, values[t], K.s_one(ctx))
+            with mock.patch.object(K, "s_mul", wraps=K.s_mul) as mul:
+                w = _multiplicative_defect(H, values)
+            assert w is not None and w == next(
+                (i, j) for i in range(n) for j in range(n)
+                if functools.reduce(lambda acc, term: K.s_add(ctx, acc, term), [
+                    K.s_mul(ctx, values[k], s) for k, s in H.mult[i * n + j]], zero)
+                != K.s_mul(ctx, values[i], values[j]))
+            # one product f(e_i) f(e_j) per pair scanned, and one f(e_k) s per
+            # term whose f(e_k) is not zero
+            scanned = [(i, j) for i in range(n) for j in range(n)][:w[0] * n + w[1] + 1]
+            assert mul.call_count == len(scanned) + sum(
+                values[k] != zero for i, j in scanned for k, _ in H.mult[i * n + j])

@@ -161,6 +161,21 @@ PARSE_ERRORS = {
     "index out of range": (7, 8, ["0 1 2 1"], "line 8: index out of range in '0 1 2 1'"),
     "negative index": (7, 8, ["0 -1 1 1"], "line 8: index out of range in '0 -1 1 1'"),
     "duplicate entry": (8, 8, ["0 1 1 0"], "line 9: duplicate entry 0 1 1 in section MULT"),
+    # the parser tracks keys only once they stop increasing; a duplicate
+    # found later, or of a zero entry read while they still increased, must
+    # name the same line as one found at once
+    "duplicate after the keys stop increasing": (
+        10, 10, ["0 1 0 0", "1 0 1 2"], "line 12: duplicate entry 1 0 1 in section MULT"),
+    "duplicate of a zero entry after the keys stop increasing": (
+        7, 10, ["0 0 1 0", "0 1 1 1", "1 0 1 1", "1 1 0 1", "1 0 0 0", "0 0 1 5"],
+        "line 13: duplicate entry 0 0 1 in section MULT"),
+    "duplicate of a zero entry": (7, 10, ["0 0 1 0", "0 0 1 3"],
+                                  "line 9: duplicate entry 0 0 1 in section MULT"),
+    "duplicate with a leading zero": (9, 10, ["1 1 1 1", "01 1 1 1"],
+                                      "line 11: duplicate entry 1 1 1 in section MULT"),
+    # every index is decoded before any is range-checked
+    "bad index after an index out of range": (7, 8, ["0 x 99 1"], "line 8: bad index in '0 x 99 1'"),
+    "bad index before an index out of range": (7, 8, ["0 99 x 1"], "line 8: bad index in '0 99 x 1'"),
     "bad scalar": (20, 21, ["1 1/0"], "line 21: bad scalar in '1 1/0' (Fraction(1, 0))"),
     "off-grammar scalar": (20, 21, ["1 1.0"],
                            "line 21: bad scalar in '1 1.0' (bad token '1.0' in scalar '1.0')"),
