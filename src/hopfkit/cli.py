@@ -1,26 +1,26 @@
 """Command-line frontend.
 
-Inputs are either bundle files or builtin specs:
+Inputs are either bundle files or builtin specs ``builtin:<kind>?key=value&...``.
+Each kind reads the keys listed below, each at most once, and a spec with any
+other key exits 2.  ``of=`` takes the rest of the spec verbatim, so a nested
+spec keeps its own keys; it is the only key of double, trivial and unit.
 
-  builtin:group?table=c2|c3|c4|klein      group algebras
-  builtin:h8                              the Kac-Paljutkin algebra
-  builtin:taft?l=3&q=1                    Taft algebra T_l(zeta_l^q)
-  builtin:uqsl2?l=5                       small quantum sl2
-  builtin:double?of=<spec>                Drinfeld double of a builtin/bundle
+Hopf algebras, and the inclusions K -> H of every kind but group:
 
-Inclusion specs additionally accept sub=... selectors:
-
-  builtin:h8                              kK -> H8 (when used as an inclusion)
-  builtin:taft?l=3                        kC_l -> T_l
-  builtin:uqsl2?l=5&sub=cartan|borel+|borel-
-  builtin:double?of=<spec>                H -> Drin(H)
+  builtin:group?table=c<n>|klein          kC_n, kK
+  builtin:h8                              H8; kK -> H8
+  builtin:taft?l=3&q=1                    T_l(zeta_l^q); kC_l -> T_l
+  builtin:uqsl2?l=3&sub=cartan|borel+|borel-   u_q(sl2); its sub -> u_q(sl2)
+  builtin:double?of=<spec>                Drin(H); H -> Drin(H)
   builtin:trivial?of=<spec>               H -> H
   builtin:unit?of=<spec>                  k -> H
 
-Module specs (over the small algebra K of an inclusion):
+Modules over the small algebra K of an inclusion, and frob-objects objects:
 
   builtin:trivial                         the tensor unit
-  builtin:kchar?act=1,-1,...[&deg=x][&cond=N]   one-dimensional (YD) module
+  builtin:kchar?act=v1,v2,...&deg=x&cond=N&name=s   one-dimensional (YD with deg) module
+  builtin:unit                            the tensor unit as a Frobenius object
+  builtin:etale?n=x|y|xy&ex=1|-1&ey=1|-1  the graded etale algebra A_{n,ex,ey}
 
 A bundle is checked once, where it is read: a Hopf algebra bundle must pass
 every check of ``verify_hopf`` and an inclusion bundle every check of
@@ -45,7 +45,6 @@ import functools
 import os
 import sys
 from math import gcd
-from urllib.parse import parse_qs, urlparse
 
 from . import __version__
 from .bundles import (
@@ -60,7 +59,7 @@ from .bundles import (
 )
 from .errors import BundleParseError, HopfkitError, PipelineError
 from .exact_math import Matrix, parse_scalar
-from .reports import Report, digest_bytes
+from .reports import SKIPPED, Report, digest_bytes
 
 # u_q(sl2) has dim l^3 <= MAX_DIM
 UQSL2_L_RANGE = (3, 8)
@@ -69,13 +68,33 @@ MAX_CARTAN_RANK = 8
 
 
 def _parse_spec(spec):
-    try:
-        u = urlparse(spec)
-    except ValueError as e:
-        raise BundleParseError("bad spec %r (%s)" % (spec, e)) from None
-    # "+" is literal in specs (sub=borel+, scalar sums), not an encoded space
-    params = {k: v[-1] for k, v in parse_qs(u.query.replace("+", "%2B")).items()}
-    return u.scheme, u.path, params
+    """(kind, {key: value}) of a builtin spec, None for a bundle path."""
+    scheme, _, rest = spec.partition(":")
+    if scheme != "builtin":
+        return None
+    kind, _, query = rest.partition("?")
+    fields = query.split("&") if query else []
+    params = {}
+    for i, field in enumerate(fields):
+        key, eq, value = field.partition("=")
+        if not eq:
+            raise BundleParseError("builtin:%s: %r is not key=value" % (kind, field))
+        if key in params:
+            raise BundleParseError("builtin:%s repeats key %r" % (kind, key))
+        if key == "of":
+            params[key] = "&".join([value] + fields[i + 1:])
+            break
+        params[key] = value
+    return kind, params
+
+
+def _keys(kind, params, **defaults):
+    """The values of the keys ``kind`` reads, in the order given; any other
+    key is refused."""
+    for key in params:
+        if key not in defaults:
+            raise BundleParseError("builtin:%s takes no key %r" % (kind, key))
+    return [params.get(key, default) for key, default in defaults.items()]
 
 
 def _int_param(key, raw, low=None, high=None):
@@ -89,17 +108,12 @@ def _int_param(key, raw, low=None, high=None):
     return value
 
 
-def _double(params):
-    """Drin(H) and H -> Drin(H) for the of=<spec> parameter; dim Drin(H) = dim(H)^2."""
-    from . import builders
-
-    of = params.get("of")
-    if not of:
-        raise BundleParseError("builtin:double needs of=<spec>")
-    H = resolve_hopf(of)
-    if H.dim * H.dim > MAX_DIM:
-        raise BundleParseError("double of %s has dim %d > %d" % (H.name, H.dim * H.dim, MAX_DIM))
-    return builders.drinfeld_double(H)
+def _uqsl2_l(raw, key="l"):
+    """The odd l of a u_q(sl2) spec or of ``scan-sl2 --l``."""
+    l = _int_param(key, raw, *UQSL2_L_RANGE)
+    if l % 2 == 0:
+        raise BundleParseError("small_quantum_sl2 needs odd l >= 3")
+    return l
 
 
 # hopfkit runs single-threaded and reads HOPFKIT_JOBS nowhere else; the
@@ -120,149 +134,148 @@ def _refuse_failed(rep, name, what):
         raise HopfkitError("%s is not a %s: %s FAIL%s" % (name, what, c.name, witness))
 
 
-def resolve_hopf(spec):
-    """A FinHopf from a builtin spec or a bundle file path; a bundle is
-    refused unless it passes ``verify_hopf``."""
-    from . import builders
-    from .hopf_core import verify_hopf
-
-    scheme, path, params = _parse_spec(spec)
-    if scheme != "builtin":
-        H = parse_hopf(read_bundle(spec)[1])
-        _refuse_failed(verify_hopf(H), H.name, "Hopf algebra")
-        return H
-    kind = path
-    if kind == "h8":
-        return builders.kac_paljutkin()[0]
-    if kind == "group":
-        table = params.get("table", "c2")
-        return _group_by_name(table)
-    if kind == "taft":
-        return builders.taft(*_taft_params(params))[0]
-    if kind == "uqsl2":
-        return builders.small_quantum_sl2(_uqsl2_l(params.get("l", "3"))).hopf
-    if kind == "double":
-        return _double(params)[0]
-    raise BundleParseError("unknown builtin algebra %r" % spec)
-
-
-def _taft_params(params):
-    """(l, q) of a Taft spec; T_l has dim l^2 <= MAX_DIM, and zeta_l^q must
-    be a primitive l-th root of unity."""
-    l = _int_param("l", params.get("l", "3"), 2, 22)
-    q = _int_param("q", params.get("q", "1"))
-    if gcd(q, l) != 1:
-        raise BundleParseError("q = zeta_%d^%d is not a primitive root of unity" % (l, q))
-    return l, q
-
-
-def _uqsl2_l(raw, key="l"):
-    """The odd l of a u_q(sl2) spec or of ``scan-sl2 --l``."""
-    l = _int_param(key, raw, *UQSL2_L_RANGE)
-    if l % 2 == 0:
-        raise BundleParseError("small_quantum_sl2 needs odd l >= 3")
-    return l
-
-
-def _group_by_name(name):
-    from . import builders
-
-    name = name.lower()
-    if name in ("klein", "c2xc2", "k4"):
-        return builders.group_algebra(builders.klein_table(), name="kK",
-                                      labels=["1", "x", "y", "xy"])
-    if name.startswith("c") and name[1:].isdigit():
-        n = _int_param("cyclic order", name[1:], 1, MAX_DIM)
-        return builders.group_algebra(builders.cyclic_table(n), name="kC%d" % n)
-    raise BundleParseError("unknown group table %r" % name)
-
-
-def resolve_inclusion(spec):
+def _builtin(kind, params):
+    """(H, K -> H) of a builtin algebra or inclusion; group names no
+    inclusion, and trivial and unit no algebra (None)."""
     from . import builders
     from .extension import trivial_inclusion, unit_inclusion
 
-    scheme, path, params = _parse_spec(spec)
-    if scheme != "builtin":
-        return _read_inclusion(read_bundle(spec)[1])
-    kind = path
+    if kind == "group":
+        (table,) = _keys(kind, params, table="c2")
+        if table == "klein":
+            return builders.group_algebra(builders.klein_table(), name="kK",
+                                          labels=["1", "x", "y", "xy"]), None
+        if table[:1] != "c" or not table[1:].isdigit():
+            raise BundleParseError("unknown group table %r" % table)
+        n = _int_param("cyclic order", table[1:], 1, MAX_DIM)
+        return builders.group_algebra(builders.cyclic_table(n), name="kC%d" % n), None
     if kind == "h8":
-        return builders.kac_paljutkin()[1]
+        _keys(kind, params)
+        return builders.kac_paljutkin()
     if kind == "taft":
-        return builders.taft(*_taft_params(params))[1]
+        # T_l has dim l^2 <= MAX_DIM, and zeta_l^q must be a primitive l-th root of unity
+        l, q = _keys(kind, params, l="3", q="1")
+        l, q = _int_param("l", l, 2, 22), _int_param("q", q)
+        if gcd(q, l) != 1:
+            raise BundleParseError("q = zeta_%d^%d is not a primitive root of unity" % (l, q))
+        return builders.taft(l, q)
     if kind == "uqsl2":
-        uq = builders.small_quantum_sl2(_uqsl2_l(params.get("l", "3")))
-        sub = params.get("sub", "cartan")
-        if sub == "cartan":
-            return uq.cartan()
-        if sub in ("borel+", "borelplus"):
-            return uq.borel_plus()
-        if sub in ("borel-", "borelminus"):
-            return uq.borel_minus()
-        raise BundleParseError("unknown uqsl2 subalgebra %r" % sub)
-    if kind == "double":
-        return _double(params)[1]
+        l, sub = _keys(kind, params, l="3", sub="cartan")
+        l, sl2 = _uqsl2_l(l), builders.SmallQuantumSL2
+        # the selector is read before u_q(sl2), of dim l^3, is built
+        select = {"cartan": sl2.cartan, "borel+": sl2.borel_plus, "borel-": sl2.borel_minus}.get(sub)
+        if select is None:
+            raise BundleParseError("unknown uqsl2 subalgebra %r" % sub)
+        uq = builders.small_quantum_sl2(l)
+        return uq.hopf, select(uq)
+    if kind not in ("double", "trivial", "unit"):
+        raise BundleParseError("unknown builtin %r" % kind)
+    (of,) = _keys(kind, params, of=None)
+    if of is None:
+        raise BundleParseError("builtin:%s needs of=<spec>" % kind)
+    H = resolve_hopf(of)
     if kind == "trivial":
-        return trivial_inclusion(resolve_hopf(params.get("of", "builtin:h8")))
+        return None, trivial_inclusion(H)
     if kind == "unit":
-        H = resolve_hopf(params.get("of", "builtin:h8"))
-        return unit_inclusion(H, builders.trivial_hopf())
-    raise BundleParseError("unknown builtin inclusion %r" % spec)
+        return None, unit_inclusion(H, builders.trivial_hopf())
+    if H.dim * H.dim > MAX_DIM:
+        raise BundleParseError("double of %s has dim %d > %d" % (H.name, H.dim * H.dim, MAX_DIM))
+    return builders.drinfeld_double(H)
 
 
-def resolve_module(spec, K_hopf):
-    from .module_theory import HModule, trivial_module
-    from .yetter_drinfeld import trivial_yd, yd_line
+def resolve_hopf(spec):
+    """A FinHopf from a builtin spec or a bundle file path; a bundle is
+    refused unless it passes ``verify_hopf``."""
+    from .hopf_core import verify_hopf
 
-    scheme, path, params = _parse_spec(spec)
-    if scheme != "builtin":
-        text = read_bundle(spec)[1]
-        return parse_module(text, lambda ref: K_hopf if ref == "K" else resolve_hopf(ref))
-    if path == "trivial":
-        if params.get("deg") or params.get("yd"):
-            return trivial_yd(K_hopf)
-        return trivial_module(K_hopf)
-    if path == "kchar":
-        act = params.get("act")
-        if not act:
-            raise BundleParseError("builtin:kchar needs act=v1,v2,...")
-        cond = _int_param("cond", params.get("cond", K_hopf.N), 1, MAX_CONDUCTOR)
-        try:
-            vals = [parse_scalar(v, cond) for v in act.split(",")]
-        except (ValueError, ZeroDivisionError) as e:
-            raise BundleParseError("bad act value in %r (%s)" % (act, e)) from None
-        if len(vals) != K_hopf.dim:
-            raise BundleParseError(
-                "act needs %d values for %s" % (K_hopf.dim, K_hopf.name)
-            )
-        deg = params.get("deg")
-        name = params.get("name", "kchar")
-        if deg is None:
-            return HModule(K_hopf, [Matrix.from_rows([[v]]) for v in vals], name=name)
-        if deg not in K_hopf.basis_labels:
-            raise BundleParseError("deg=%r is not a basis label of %s" % (deg, K_hopf.name))
-        return yd_line(K_hopf, K_hopf.label_index(deg), vals, name=name)
-    raise BundleParseError("unknown builtin module %r" % spec)
+    parsed = _parse_spec(spec)
+    if parsed is None:
+        H = parse_hopf(read_bundle(spec)[1])
+        _refuse_failed(verify_hopf(H), H.name, "Hopf algebra")
+        return H
+    H = _builtin(*parsed)[0]
+    if H is None:
+        raise BundleParseError("builtin:%s names an inclusion, not a Hopf algebra" % parsed[0])
+    return H
 
 
-def _read_inclusion(text):
-    """The inclusion of a bundle text, refused unless it passes
-    ``verify_inclusion``; its algebras are read by ``resolve_hopf``."""
-    from .extension import verify_inclusion
-
-    incl = parse_inclusion(text, resolve_hopf)
-    _refuse_failed(verify_inclusion(incl), "%s -> %s" % (incl.K.name, incl.H.name),
-                   "Hopf algebra map")
-    return incl
+def resolve_inclusion(spec):
+    return _inclusion_input(spec)[0]
 
 
 def _inclusion_input(spec):
     """The inclusion of a builtin spec or bundle file, and the digest the
     report records for it: of the spec text, or of the bytes of the file,
-    which is read once."""
-    if _parse_spec(spec)[0] == "builtin":
-        return resolve_inclusion(spec), digest_bytes(spec.encode())
-    data, text = read_bundle(spec)
-    return _read_inclusion(text), digest_bytes(data)
+    which is read once and refused unless it passes ``verify_inclusion``;
+    its algebras are read by ``resolve_hopf``."""
+    from .extension import verify_inclusion
+
+    parsed = _parse_spec(spec)
+    if parsed is None:
+        data, text = read_bundle(spec)
+        incl = parse_inclusion(text, resolve_hopf)
+        _refuse_failed(verify_inclusion(incl), "%s -> %s" % (incl.K.name, incl.H.name),
+                       "Hopf algebra map")
+        return incl, digest_bytes(data)
+    incl = _builtin(*parsed)[1]
+    if incl is None:
+        raise BundleParseError("builtin:%s names a Hopf algebra, not an inclusion" % parsed[0])
+    return incl, digest_bytes(spec.encode())
+
+
+def resolve_module(spec, K_hopf):
+    from .module_theory import HModule, trivial_module
+    from .yetter_drinfeld import yd_line
+
+    parsed = _parse_spec(spec)
+    if parsed is None:
+        text = read_bundle(spec)[1]
+        return parse_module(text, lambda ref: K_hopf if ref == "K" else resolve_hopf(ref))
+    kind, params = parsed
+    if kind == "trivial":
+        _keys(kind, params)
+        return trivial_module(K_hopf)
+    if kind != "kchar":
+        raise BundleParseError("unknown builtin module %r" % spec)
+    act, deg, cond, name = _keys(kind, params, act="", deg=None, cond=K_hopf.N, name="kchar")
+    if not act:
+        raise BundleParseError("builtin:kchar needs act=v1,v2,...")
+    cond = _int_param("cond", cond, 1, MAX_CONDUCTOR)
+    try:
+        vals = [parse_scalar(v, cond) for v in act.split(",")]
+    except (ValueError, ZeroDivisionError) as e:
+        raise BundleParseError("bad act value in %r (%s)" % (act, e)) from None
+    if len(vals) != K_hopf.dim:
+        raise BundleParseError("act needs %d values for %s" % (K_hopf.dim, K_hopf.name))
+    if deg is None:
+        return HModule(K_hopf, [Matrix.from_rows([[v]]) for v in vals], name=name)
+    if deg not in K_hopf.basis_labels:
+        raise BundleParseError("deg=%r is not a basis label of %s" % (deg, K_hopf.name))
+    return yd_line(K_hopf, K_hopf.label_index(deg), vals, name=name)
+
+
+def _frob_object(spec):
+    """The builder K -> Frobenius object of an object spec, so that the spec
+    is read before the inclusion."""
+    from .frob_objects import build_group_etale, trivial_frobenius
+
+    parsed = _parse_spec(spec)
+    if parsed is None:
+        raise BundleParseError("object specs must be builtin:unit or builtin:etale")
+    kind, params = parsed
+    if kind == "unit":
+        _keys(kind, params)
+        return trivial_frobenius
+    if kind != "etale":
+        raise BundleParseError("unknown object spec %r" % spec)
+    n, ex, ey = _keys(kind, params, n="x", ex="1", ey="1")
+    if n not in ("x", "y", "xy"):
+        raise BundleParseError("n=%r is not one of x, y, xy" % n)
+    ex, ey = _int_param("ex", ex), _int_param("ey", ey)
+    for key, sign in (("ex", ex), ("ey", ey)):
+        if sign not in (1, -1):
+            raise BundleParseError("%s must be 1 or -1, got %d" % (key, sign))
+    return lambda K: build_group_etale(K, n, ex, ey)
 
 
 def _emit(report, args):
@@ -293,7 +306,7 @@ def cmd_verify(args):
 
     spec = args.input
     data = text = None
-    if not spec.startswith("builtin:") and os.path.exists(spec):
+    if _parse_spec(spec) is None:
         data, text = read_bundle(spec)
     report = Report("verify %s" % spec, tool="hopfkit %s" % __version__,
                     inputs=[(spec, digest_bytes(spec.encode() if data is None else data))])
@@ -385,10 +398,10 @@ def cmd_check_functor(args):
     if args.braided:
         yds = [m for m in modules if isinstance(m, YDModule)]
         if not is_central_extension(incl):
-            report.add("braided", "skipped", detail="extension not central",
+            report.add("braided", SKIPPED, detail="extension not central",
                        anchor="central-frobenius")
         elif not yds:
-            report.add("braided", "skipped", detail="no Yetter-Drinfeld module among the inputs",
+            report.add("braided", SKIPPED, detail="no Yetter-Drinfeld module among the inputs",
                        anchor="braided")
         else:
             for m in yds:
@@ -407,38 +420,13 @@ def cmd_check_functor(args):
     return _emit(report, args)
 
 
-def _etale_params(obj_spec):
-    """None for ``builtin:unit``, else the (n, ex, ey) of ``builtin:etale``."""
-    scheme, path, params = _parse_spec(obj_spec)
-    if scheme != "builtin":
-        raise BundleParseError("object specs must be builtin:unit or builtin:etale")
-    if path == "unit":
-        return None
-    if path != "etale":
-        raise BundleParseError("unknown object spec %r" % obj_spec)
-    n = params.get("n", "x")
-    if n not in ("x", "y", "xy"):
-        raise BundleParseError("n=%r is not one of x, y, xy" % n)
-    ex, ey = (_int_param(key, params.get(key, "1")) for key in ("ex", "ey"))
-    for key, sign in (("ex", ex), ("ey", ey)):
-        if sign not in (1, -1):
-            raise BundleParseError("%s must be 1 or -1, got %d" % (key, sign))
-    return n, ex, ey
-
-
 def cmd_frob_objects(args):
-    from .frob_objects import (
-        build_group_etale,
-        is_rigid_frobenius,
-        push_frobenius,
-        trivial_frobenius,
-        verify_frobenius_object,
-    )
+    from .frob_objects import is_rigid_frobenius, push_frobenius, verify_frobenius_object
     from .extension import is_central_extension
     from .induction import induction_context, is_separable_functor
     from .module_theory import trivial_module
 
-    objects = [_etale_params(obj_spec) for obj_spec in args.object or ["builtin:unit"]]
+    objects = [_frob_object(obj_spec) for obj_spec in args.object or ["builtin:unit"]]
     spec = args.input
     incl, digest = _inclusion_input(spec)
     report = Report("frob-objects %s" % spec, tool="hopfkit %s" % __version__,
@@ -463,8 +451,8 @@ def cmd_frob_objects(args):
         else:
             report.add("separable-normalization", False, detail="no nonzero scalar")
 
-    for etale in objects:
-        F = trivial_frobenius(incl.K) if etale is None else build_group_etale(incl.K, *etale)
+    for build in objects:
+        F = build(incl.K)
         vrep = verify_frobenius_object(F)
         report.add("source-frobenius[%s]" % F.name, vrep.ok, anchor="frobenius-object")
         B = push_frobenius(frob, F)

@@ -518,7 +518,7 @@ def projection_morphisms(frob, W, V):
     left_inv = _mutually_inverse(lproj_GF, lproj_FG)
     rep.add(
         "lproj-pair-mutually-inverse",
-        "pass" if left_inv else "fail",
+        left_inv,
         detail="expected iff central",
         anchor="projection-formula",
     )

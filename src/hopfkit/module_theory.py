@@ -239,7 +239,6 @@ class IsoSearch:
         return "IsoSearch(%s)" % self.status
 
 
-GRID_BOUND = 3
 GRID_LIMIT = 100000
 
 
@@ -247,7 +246,7 @@ def is_isomorphic(M, N_mod):
     """Deterministic search for an invertible intertwiner.
 
     Tries hom-basis elements, then prefix sums, then an integer coefficient
-    grid with entries 0, +-1, ..., +-B, where B = max(GRID_BOUND, ceil(d/2)).
+    grid with entries 0, +-1, ..., +-B, where B = ceil(d/2).
     With hom basis h_1..h_k, det(sum t_i h_i) is a polynomial of degree at
     most d = dim M in each t_i.  If it vanishes on the whole grid, whose side
     has 2*B + 1 > d points, it is the zero polynomial (Alon, Combinatorial
@@ -273,7 +272,7 @@ def is_isomorphic(M, N_mod):
         if check(acc):
             return IsoSearch("iso", ModuleMap(M, N_mod, acc))
     coeffs = [0]
-    for v in range(1, max(GRID_BOUND, (M.dim + 1) // 2) + 1):
+    for v in range(1, (M.dim + 1) // 2 + 1):
         coeffs.extend((v, -v))
     mats = [h.matrix for h in homs]
     shape = (mats[0].rows, mats[0].cols, mats[0].N)

@@ -6,7 +6,6 @@ import json
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
-UNDETERMINED = "undetermined"
 
 
 class Check:

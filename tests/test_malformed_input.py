@@ -7,7 +7,8 @@ cheap to check; values just past each documented size limit are drawn too,
 and so are number forms outside the scalar grammar, which the parser rejects
 before it reads their value.
 ``scan-sl2 --l`` is drawn only from values its bound rejects, because an
-accepted l builds u_q(sl2) of dim l^3.
+accepted l builds u_q(sl2) of dim l^3.  A valid builtin spec with one key its
+kind does not read, or with a key given twice, exits exactly 2.
 """
 
 import contextlib
@@ -26,7 +27,7 @@ from hopfkit.bundles import (
     serialize_inclusion,
     serialize_module,
 )
-from hopfkit.cli import MAX_CARTAN_RANK, UQSL2_L_RANGE, main, resolve_hopf
+from hopfkit.cli import MAX_CARTAN_RANK, UQSL2_L_RANGE, main, resolve_hopf, resolve_inclusion
 from hopfkit.errors import BundleParseError, HopfkitError
 from hopfkit.module_theory import HModule
 from hopfkit.yetter_drinfeld import yd_line
@@ -243,6 +244,74 @@ def test_malformed_spec_exits_cleanly(command, spec):
     assert _run(argv) in (0, 1, 2)
 
 
+# A valid spec of each builtin kind, as fields, and the command that reads it.
+# Each kind reads exactly the keys of its fields; of= comes last, since it
+# takes the rest of the spec.
+STRICT_BASES = [
+    (["verify"], "group", ["table=c2"]),
+    (["analyze"], "h8", []),
+    (["analyze"], "taft", ["l=2", "q=1"]),
+    (["analyze"], "uqsl2", ["l=3", "sub=cartan"]),
+    (["analyze"], "double", ["of=builtin:group?table=c2"]),
+    (["analyze"], "trivial", ["of=builtin:taft?l=2"]),
+    (["analyze"], "unit", ["of=builtin:h8"]),
+    (["check-functor", "builtin:h8", "--module"], "trivial", []),
+    (["check-functor", "builtin:h8", "--module"], "kchar",
+     ["act=1,-1,-1,1", "deg=x", "cond=4", "name=m"]),
+    (["frob-objects", "builtin:h8", "--object"], "unit", []),
+    (["frob-objects", "builtin:h8", "--object"], "etale", ["n=x", "ex=1", "ey=-1"]),
+]
+
+
+def _strict_argv(argv, kind, fields):
+    return argv + ["builtin:%s?%s" % (kind, "&".join(fields))]
+
+
+@st.composite
+def strict_violations(draw):
+    """A valid spec of STRICT_BASES with one key its kind does not read, or
+    with one of its fields repeated, put before any of=."""
+    argv, kind, fields = draw(st.sampled_from(STRICT_BASES))
+    reads = [f.split("=", 1)[0] for f in fields]
+    if reads and draw(st.booleans()):
+        field = draw(st.sampled_from(fields))
+    else:
+        key = draw(st.sampled_from(KEYS + ["L", "tabel", "Sub", "x"]).filter(
+            lambda k: k not in reads))
+        field = "%s=%s" % (key, draw(st.sampled_from(["1", "3", "cartan", "c2", "builtin:h8"])))
+    fields = list(fields)
+    fields.insert(draw(st.integers(0, len(fields) - (reads[-1:] == ["of"]))), field)
+    return _strict_argv(argv, kind, fields)
+
+
+def _run_err(argv):
+    """cli.main's exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv, kind, fields", STRICT_BASES,
+                         ids=["%s-%s" % (b[0][-1], b[1]) for b in STRICT_BASES])
+def test_strict_bases_are_read(argv, kind, fields):
+    assert _run(_strict_argv(argv, kind, fields)) in (0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=strict_violations())
+def test_unread_or_repeated_key_exits_2(argv):
+    code, err = _run_err(argv)
+    assert code == 2
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_a_nested_spec_keeps_its_own_keys():
+    assert resolve_hopf("builtin:double?of=builtin:taft?l=3&q=2").name == "Drin(T3(z^2))"
+    incl = resolve_inclusion("builtin:trivial?of=builtin:double?of=builtin:group?table=c3")
+    assert (incl.K.name, incl.H.name, incl.H.dim) == ("Drin(kC3)", "Drin(kC3)", 9)
+
+
 def _outside_uqsl2_range(raw):
     try:
         value = int(raw)
@@ -298,13 +367,39 @@ INVALID_BUILTIN_PARAMETERS = [
 ]
 
 
-@pytest.mark.parametrize("argv, message", INVALID_BUILTIN_PARAMETERS)
+# Spellings accepted before every key had to be read: repeated, unread and
+# mistyped keys, aliases, case variants and a default of=.
+STRICT_REFUSALS = [
+    (["verify", "builtin:taft?l=3&l=5"], "builtin:taft repeats key 'l'"),
+    (["verify", "builtin:h8?l=3"], "builtin:h8 takes no key 'l'"),
+    (["analyze", "builtin:uqsl2?L=7&sub=cartan"], "builtin:uqsl2 takes no key 'L'"),
+    (["analyze", "builtin:double?q=2&of=builtin:taft?l=3"], "builtin:double takes no key 'q'"),
+    (["verify", "builtin:h8?l"], "builtin:h8: 'l' is not key=value"),
+    (["verify", "builtin:taft?l=3&"], "builtin:taft: '' is not key=value"),
+    (["verify", "builtin:taft?l="], "l='' is not an integer"),
+    (["analyze", "builtin:trivial"], "builtin:trivial needs of=<spec>"),
+    (["analyze", "builtin:unit"], "builtin:unit needs of=<spec>"),
+    (["verify", "builtin:group?table=k4"], "unknown group table 'k4'"),
+    (["verify", "builtin:group?table=c2xc2"], "unknown group table 'c2xc2'"),
+    (["verify", "builtin:group?table=Klein"], "unknown group table 'Klein'"),
+    (["verify", "builtin:group?table=C3"], "unknown group table 'C3'"),
+    (["analyze", "builtin:uqsl2?l=3&sub=borelplus"], "unknown uqsl2 subalgebra 'borelplus'"),
+    (["analyze", "builtin:uqsl2?l=3&sub=borelminus"], "unknown uqsl2 subalgebra 'borelminus'"),
+    (["verify", "builtin:trivial?of=builtin:h8"],
+     "builtin:trivial names an inclusion, not a Hopf algebra"),
+    (["analyze", "builtin:group?table=c2"], "builtin:group names a Hopf algebra, not an inclusion"),
+    (["check-functor", "builtin:h8", "--module", "builtin:trivial?deg=x"],
+     "builtin:trivial takes no key 'deg'"),
+    (["check-functor", "builtin:h8", "--module", "builtin:trivial?yd=1"],
+     "builtin:trivial takes no key 'yd'"),
+    (["frob-objects", "builtin:h8", "--object", "builtin:etale?n=x&m=y"],
+     "builtin:etale takes no key 'm'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INVALID_BUILTIN_PARAMETERS + STRICT_REFUSALS)
 def test_invalid_builtin_parameter_exits_2(argv, message):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code == 2
-    assert err.getvalue() == "input error: %s\n" % message
+    assert _run_err(argv) == (2, "input error: %s\n" % message)
 
 
 @pytest.mark.parametrize("module", [

@@ -133,19 +133,13 @@ def _singular_hom_pair(h8):
 
 def test_is_isomorphic_singular_hom_space_is_none(h8):
     # det(t1 h1 + t2 h2) has degree <= 2 in each t_i and vanishes on the full
-    # 7 x 7 grid, so it is the zero polynomial: no isomorphism exists
+    # 3 x 3 grid, so it is the zero polynomial: no isomorphism exists
     assert is_isomorphic(*_singular_hom_pair(h8)).status == "none"
 
 
 def test_is_isomorphic_undetermined(h8, monkeypatch):
-    # a grid cut short decides nothing
+    # a grid cut short decides nothing; the full grid has side d + 1 = 3, 9 points
     M, N = _singular_hom_pair(h8)
-    monkeypatch.setattr(module_theory, "GRID_LIMIT", 48)
-    assert is_isomorphic(M, N).status == "undetermined"
-    monkeypatch.setattr(module_theory, "GRID_LIMIT", 49)
-    assert is_isomorphic(M, N).status == "none"
-    # a grid too coarse for the dimension widens to side d + 1 = 3, 9 points
-    monkeypatch.setattr(module_theory, "GRID_BOUND", 0)
     monkeypatch.setattr(module_theory, "GRID_LIMIT", 8)
     assert is_isomorphic(M, N).status == "undetermined"
     monkeypatch.setattr(module_theory, "GRID_LIMIT", 9)
@@ -154,7 +148,7 @@ def test_is_isomorphic_undetermined(h8, monkeypatch):
 
 def test_is_isomorphic_is_decisive_above_dimension_six(h8):
     # d = 7 with a 2-dimensional hom space, spanned by the two maps from the
-    # trivial summands of M; the grid widens from side 7 to side 9 = d + 2
+    # trivial summands of M; the grid has side 9 = d + 2
     i = root_of_unity(4)
 
     def sum_of(*chars):
