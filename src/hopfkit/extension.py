@@ -177,9 +177,10 @@ def verify_inclusion(incl):
 
 class BarQuotient:
     """H/HK+ with deterministic coset representatives (lex-first H-basis
-    vectors), a coalgebra under FinHopf's field names: ``dim``, ``comult``,
-    ``counit`` and ``unit`` (the image of 1_H), so the coalgebra routines of
-    ``hopf_core`` run on it as on H."""
+    vectors) and ``proj_cols[i]`` = proj(e_i), the remainder of e_i modulo
+    HK+ written on them; a coalgebra under FinHopf's field names: ``dim``,
+    ``comult``, ``counit`` and ``unit`` (the image of 1_H), so the coalgebra
+    routines of ``hopf_core`` run on it as on H."""
 
     __slots__ = ("incl", "reps", "dim", "N", "ctx", "proj_cols", "comult", "counit", "unit", "_cache")
     name = "Hbar"
@@ -224,40 +225,31 @@ def bar_quotient(incl):
     inclusion, so it is built once and kept in the inclusion's cache.  HK+ is
     spanned by the products h(g - eps(g)1), g in G_K (notes/decisions.md,
     "HK+ and the K-linear checks run on generators of K"): the row space of
-    h w over a basis of K+, so it has the same reduced echelon form."""
+    h w over a basis of K+, so it has the same reduced echelon form.
+
+    The rows are added with the column order reversed, c -> n-1-c, so a
+    row's pivot is its last H-column.  Then e_t is not in HK+ +
+    span(e_s : s < t) exactly when no row of HK+ ends at t: the lex-first
+    representatives are the non-pivot columns, and the remainder of e_i
+    modulo HK+, written on them, is proj(e_i) (notes/decisions.md, "Hbar and
+    the left K-coordinates are read off eliminations already made")."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     n = H.dim
+    last = n - 1
 
     sub = RowSpace(n, ctx)
     for g in algebra_generators(Kk):
         wimg = incl.embed_vec(_axpy(ctx, Kk.basis_vec(g), Kk.unit_vec(), K.s_neg(Kk.counit[g])))
         for i in range(n):
-            sub.add(H.mult_vec(H.basis_vec(i), wimg))
+            sub.add({last - c: s for c, s in H.mult_vec(H.basis_vec(i), wimg).items()})
 
-    # lexicographically-first complete set of H-basis coset representatives
-    filled = rref_raw(map(dict, sub.rows), n, ctx)
-    reps = []
-    one = K.s_one(ctx)
-    for t in range(n):
-        if filled.add({t: one}):
-            reps.append(t)
-    d = len(reps)
-
-    # res[i] is the residue of e_i modulo HK+, indexed by the position of each
-    # non-pivot column of sub
     pivots = set(sub.pivots)
-    np_pos = {c: i for i, c in enumerate(c for c in range(n) if c not in pivots)}
-    assert len(np_pos) == d
-    res = [{np_pos[c]: s for c, s in sub.reduce({i: one}).items()} for i in range(n)]
-    # proj(e_i) solves sum_t y_t res[reps[t]] = res[i], i.e. R^T y = res[i] for
-    # the matrix R with rows res[reps[t]]; the columns of (R^T)^-1 are the
-    # rows of R^-1
-    inv = Matrix.from_sparse(incl.N, d, [res[t] for t in reps]).inverse()
-    if inv is None:
-        raise PipelineError("coset representative residues are not independent")
-
-    bq = BarQuotient(incl, reps, [_apply(ctx, inv.srows, r) for r in res])
+    reps = [t for t in range(n) if last - t not in pivots]
+    pos = {last - t: k for k, t in enumerate(reps)}
+    one = K.s_one(ctx)
+    proj_cols = [{pos[c]: s for c, s in sub.reduce({last - i: one}).items()} for i in range(n)]
+    bq = BarQuotient(incl, reps, proj_cols)
     rep = verify_bar_quotient(bq)
     if not rep.ok:
         raise PipelineError("bar quotient verification failed: %r" % rep.failures())
@@ -514,7 +506,9 @@ def free_basis(incl):
     Returns the index sequence h_1..h_r with K*h_1 + ... + K*h_r = H and
     h_1*K + ... + h_r*K = H: h_t is taken only if both K*h_t and h_t*K add
     dim K dimensions to the spans so far.  The products h_t * embed(k_b),
-    t outer, come with it, in the order ``Decomposer(..., "right")`` takes.
+    t outer, come with it, in the order ``Decomposer`` takes; the left
+    K-coordinates need no products, as they are read off the dual bases
+    (``induction.coinduce``).
     """
     H, Kk = incl.H, incl.K
     n, m = H.dim, Kk.dim
@@ -550,29 +544,22 @@ def free_basis(incl):
 
 
 class Decomposer:
-    """Decompose H-vectors over a free basis: x = sum_i embed(k_i) * h_i (side='left')
-    or x = sum_i h_i * embed(k_i) (side='right'); ``images`` hands over these
-    products for the basis vectors k_b, i outer, when they are already formed."""
+    """Decompose H-vectors over a free basis as x = sum_i h_i * embed(k_i),
+    from the products h_i * embed(k_b), i outer, that ``free_basis`` forms."""
 
-    __slots__ = ("incl", "free", "side", "inv_cols", "m")
+    __slots__ = ("incl", "free", "inv_cols", "m")
 
-    def __init__(self, incl, free, side, images=None):
-        H, Kk = incl.H, incl.K
-        m = Kk.dim
-        if images is None:
-            pairs = ((H.basis_vec(i), incl.embed_col(b)) for i in free for b in range(m))
-            images = [H.mult_vec(k, h) if side == "left" else H.mult_vec(h, k) for h, k in pairs]
+    def __init__(self, incl, free, images):
         # coordinates solve A x = h for the matrix A whose columns are the
         # products; the columns of A^-1 are the rows of (A^T)^-1, and A^T has
         # the products as rows
-        inv = Matrix.from_sparse(incl.N, H.dim, images).inverse()
+        inv = Matrix.from_sparse(incl.N, incl.H.dim, images).inverse()
         if inv is None:
-            raise PipelineError("free basis is not %s-regular along declared order" % side)
+            raise PipelineError("free basis is not right-regular along declared order")
         self.incl = incl
         self.free = free
-        self.side = side
         self.inv_cols = inv.srows
-        self.m = m
+        self.m = incl.K.dim
 
     def __call__(self, hvec):
         """List (per free index) of sparse K-coordinate vectors."""
@@ -891,7 +878,7 @@ def make_frobenius_data(incl):
     _verify_dual_bases(incl, tr0, free, deltas0)
 
     frob0 = FrobeniusData(incl, right_integral_of_dual(bar_quotient(incl)), tr0, free, deltas0,
-                          Decomposer(incl, free, "right", right_images))
+                          Decomposer(incl, free, right_images))
     eps = LinearFunctional(incl.N, H.counit)
     s = K.s_zero(ctx)
     for i, t in enumerate(free):

@@ -14,8 +14,8 @@ from . import _kernel as K
 from .errors import PipelineError
 from .exact_math import (Cyclotomic, Matrix, _add, _apply, _clean, _kron_act, _scale, _tensor,
                          id_kron, kron_id)
-from .extension import (Decomposer, is_central_extension, is_frobenius_extension,
-                        make_frobenius_data, rescale_frobenius_data)
+from .extension import (is_central_extension, is_frobenius_extension, make_frobenius_data,
+                        rescale_frobenius_data)
 from .hopf_core import LinearFunctional, antipode_inverse, cached
 from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial_module
 from .reports import Report
@@ -52,12 +52,6 @@ def delta_parts(frob, i):
 def basis_parts(frob, q):
     """Right decomposition of the basis element e_q of H."""
     return frob.right_decomp({q: K.s_one(frob.incl.ctx)})
-
-
-@cached()
-def left_decomp(frob):
-    """The decomposer of H-vectors as sum_i embed(k_i) * h_i."""
-    return Decomposer(frob.incl, frob.free, "left")
 
 
 @cached()
@@ -198,15 +192,15 @@ def ind_morphism(frob, phi):
 
 def coinduce(frob, V):
     """CoInd V = Hom_K(H, V) on the basis dual to the free basis, with
-    (h.f)(g) = f(gh): block (j, i) of e_g is the i-th part of h_j e_g under
-    the left decomposer."""
+    (h.f)(g) = f(gh): block (j, i) of e_g is the i-th left K-coordinate of
+    x = h_j e_g, which is tr(x delta_i) by the dual-basis identity
+    x = sum_i tr(x delta_i) h_i."""
     H, r = frob.incl.H, frob.rank
-    decomp = left_decomp(frob)
     mats = [
         _k_blocks(frob, V, (r, r), (
-            (j, i, k)
+            (j, i, frob.tr_vec(H.mult_vec(H.mult_vec(H.basis_vec(hj), H.basis_vec(g)), d)))
             for j, hj in enumerate(frob.free)
-            for i, k in enumerate(decomp(H.mult_vec(H.basis_vec(hj), H.basis_vec(g))))
+            for i, d in enumerate(frob.deltas)
         ))
         for g in range(H.dim)
     ]

@@ -100,7 +100,8 @@ class ModuleMap:
         return True
 
     def is_invertible(self):
-        return self.matrix.inverse() is not None
+        m = self.matrix
+        return m.rows == m.cols == m.rank()
 
     def __repr__(self):
         return "ModuleMap(%s -> %s)" % (self.source.name, self.target.name)
@@ -260,16 +261,14 @@ def is_isomorphic(M, N_mod):
     if not homs:
         return IsoSearch("none", None)
 
-    def check(mat):
-        return mat.inverse() is not None
-
+    # a square matrix is invertible exactly when it has full rank
     for h in homs:
-        if check(h.matrix):
+        if h.matrix.rank() == M.dim:
             return IsoSearch("iso", h)
     acc = homs[0].matrix
     for h in homs[1:]:
         acc = acc + h.matrix
-        if check(acc):
+        if acc.rank() == M.dim:
             return IsoSearch("iso", ModuleMap(M, N_mod, acc))
     coeffs = [0]
     for v in range(1, (M.dim + 1) // 2 + 1):
@@ -280,7 +279,7 @@ def is_isomorphic(M, N_mod):
         if not any(combo):
             continue
         mat = Matrix.lincomb(*shape, zip(mats, combo))
-        if check(mat):
+        if mat.rank() == M.dim:
             return IsoSearch("iso", ModuleMap(M, N_mod, mat))
     if len(coeffs) ** len(homs) <= GRID_LIMIT:
         return IsoSearch("none", None)

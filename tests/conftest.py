@@ -104,16 +104,19 @@ def criterion_09_registry(h8_incl, taft3, uq3, uq5):
 
 def hkplus_over_a_kplus_basis(incl):
     """The row space of HK+ spanned by h w, h over H's basis and w over the
-    null-space basis of eps_K: the span of a basis of K+ = ker eps_K."""
+    null-space basis of eps_K: the span of a basis of K+ = ker eps_K.  The
+    rows are added with the column order reversed, c -> n-1-c, as
+    ``bar_quotient`` adds them; the RREF is unique for a given order."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
+    last = H.dim - 1
     eps_space = RowSpace(Kk.dim, ctx)
     eps_space.add(_clean(ctx, enumerate(Kk.counit)))
     sub = RowSpace(H.dim, ctx)
     for w in eps_space.nullspace():
         wimg = incl.embed_vec(w)
         for i in range(H.dim):
-            sub.add(H.mult_vec(H.basis_vec(i), wimg))
+            sub.add({last - c: s for c, s in H.mult_vec(H.basis_vec(i), wimg).items()})
     return sub
 
 

@@ -373,20 +373,64 @@ def test_frobenius_data_is_pinned(spec, digests):
 
 # sha256 of repr((reps, sorted proj_cols entries, comult, unit)) of the bar
 # quotient, recorded while proj_cols came from the dense inverse of the
-# coset-representative residues
+# coset-representative residues; a name without a scheme is an inclusion of
+# the criterion-9 registry
 BAR_QUOTIENT_PINS = [
-    ("builtin:h8", "be55870f30f740ad0a59a1e668ee228cdf4ac406f21fb3f5ed96bdfe313e481e"),
-    ("builtin:double?of=builtin:group?table=c3",
-     "f227c154780aff3e390afdbe83b2eaa1442d2e46e13897c86a44723a05c113a5"),
-    ("builtin:uqsl2?l=3&sub=cartan", "aafaf4a5b3127c43ccb297d67914a4008bd97aa0a893dec53a636183f14e1f59"),
+    pytest.param("builtin:h8",
+                 "be55870f30f740ad0a59a1e668ee228cdf4ac406f21fb3f5ed96bdfe313e481e", id="h8"),
+    pytest.param("builtin:double?of=builtin:group?table=c3",
+                 "f227c154780aff3e390afdbe83b2eaa1442d2e46e13897c86a44723a05c113a5", id="dc3"),
+    pytest.param("builtin:uqsl2?l=3&sub=cartan",
+                 "aafaf4a5b3127c43ccb297d67914a4008bd97aa0a893dec53a636183f14e1f59",
+                 id="uqsl2-l3-cartan"),
+    pytest.param("builtin:double?of=builtin:h8",
+                 "076e1f0e5c882e2bc8e59483195e54ded8432b6a439dfc6bdf9c6e73d0200143", id="dh8"),
+    pytest.param("builtin:double?of=builtin:taft?l=3",
+                 "c46fdfb2f6ce59cee4354ce41c526a92feb83bfadda48af220cd1132978eb3e3", id="dt3"),
+    pytest.param("builtin:taft?l=5",
+                 "81da2ff6f9b4b5f9a2369ae8e3a3d9874ef7ea83846e95d615a597410f8a77ad", id="taft5"),
+    pytest.param("builtin:taft?l=7",
+                 "440b9711e44b2d8213532a99fb98484ff557a41cb7dd562562fe2a94e312ec3d", id="taft7"),
+    pytest.param("kK<H8",
+                 "be55870f30f740ad0a59a1e668ee228cdf4ac406f21fb3f5ed96bdfe313e481e", id="kK<H8"),
+    pytest.param("k<H8",
+                 "326a5da261d341a602d075e83498b4dbe752e0b7f6bb0e78a8e30e34605c1617", id="k<H8"),
+    pytest.param("H8=H8",
+                 "b6b1e63b3aafbd12e0aefba1d51970aa8ffa71010ea87d6a65208cc392ba8886", id="H8=H8"),
+    pytest.param("kC2<kK",
+                 "aed0db20ca166c0dc902c730231e7d39cf5b38d65c7ec06f9bfa60f1a832d22c", id="kC2<kK"),
+    pytest.param("kC3<T3",
+                 "14d972c32cfb2af0392b01ad80817f874d6f5ecc9d30f048f492d57047dbb760", id="kC3<T3"),
+    pytest.param("kC2<T2",
+                 "7ac732dd61fc529a4904afbd3ceb302fdfcfd4a5e693ff8b57474e03e523f6b3", id="kC2<T2"),
+    pytest.param("cartan3",
+                 "aafaf4a5b3127c43ccb297d67914a4008bd97aa0a893dec53a636183f14e1f59", id="cartan3"),
+    pytest.param("borel+3",
+                 "afeb6a3fe4ebcf5c60ce6dc6564b6bfde739cae822386359ecb88cb30a8defa7", id="borel+3"),
+    pytest.param("borel-3",
+                 "a86e1eefdd620440eaf1d6094da9440e7f363ea88acd7143d6c3eda641c2a436", id="borel-3"),
+    pytest.param("cartan5",
+                 "a1341aa5ae61e7bd84578515fdb480aa7f29836251d401abf53ac85752d39db4", id="cartan5"),
+    pytest.param("borel+5",
+                 "ab068f9f064878e739c0a3623caaf30e079ec5b96370689cfe3820a9b73a1ecb", id="borel+5"),
+    pytest.param("borel-5",
+                 "2f9b854a2afdfc45bd9ab877f90c36bdf6e52c81d1ec8a7ff57fe6f8ccb32d11", id="borel-5"),
+    pytest.param("kC2<Drin",
+                 "e6fc64fd079cccc84bd20f8b672a909a33e0641807261d3faea572374b09ae6c", id="kC2<Drin"),
+    pytest.param("kK<Drin",
+                 "9025d323f7ce322b5b5ab4ba003b4487103f8b08d7987765ee00c5b2e0b44be2", id="kK<Drin"),
 ]
 
 
-@pytest.mark.parametrize("spec, digest", BAR_QUOTIENT_PINS, ids=["h8", "dc3", "uqsl2-l3-cartan"])
-def test_bar_quotient_is_pinned(spec, digest):
+@pytest.mark.parametrize("name, digest", BAR_QUOTIENT_PINS)
+def test_bar_quotient_is_pinned(name, digest, h8_incl, taft3, uq3, uq5):
     from hopfkit.cli import resolve_inclusion
 
-    bq = bar_quotient(resolve_inclusion(spec))
+    if name.startswith("builtin:"):
+        incl = resolve_inclusion(name)
+    else:
+        incl = dict(criterion_09_registry(h8_incl, taft3, uq3, uq5))[name]
+    bq = bar_quotient(incl)
     blob = repr((bq.reps, [sorted(c.items()) for c in bq.proj_cols], bq.comult, bq.unit)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -593,8 +637,9 @@ def test_bar_quotient_is_built_once_per_inclusion(monkeypatch):
 
 def test_hkplus_from_generators_of_k_has_the_rows_of_a_kplus_basis(monkeypatch, h8_incl, taft3,
                                                                    uq3, uq5):
-    # bar_quotient spans HK+ by the products h (g - eps(g)1), g in G_K; the
-    # first row space it forms is HK+, and it is the one a basis of K+ gives
+    # bar_quotient spans HK+ by the products h (g - eps(g)1), g in G_K, with
+    # the column order reversed; the row space it forms is HK+, and it is the
+    # one a basis of K+ gives in the same order
     import hopfkit.extension as extension
 
     made = []
@@ -899,8 +944,8 @@ def _right_linear_scaling(incl, tr_cols, t):
     from hopfkit.extension import Decomposer
 
     H, ctx = incl.H, incl.ctx
-    free, _ = free_basis(incl)
-    decomp = Decomposer(incl, free, "right")
+    free, images = free_basis(incl)
+    decomp = Decomposer(incl, free, images)
     out = []
     for j in range(H.dim):
         k = decomp(H.basis_vec(j))[t]

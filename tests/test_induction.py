@@ -511,22 +511,21 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
     assert formed_by_lax(table) == formed_by_lax(table * 3)
 
 
-def test_coinduce_builds_the_left_decomposer_once(h8_incl, kmods, monkeypatch):
-    import hopfkit.induction as ind
+def test_coinduce_reads_the_left_coordinates_off_the_dual_bases(h8_incl, kmods, monkeypatch):
+    # the left K-coordinates of x = h_j e_g are tr(x delta_i), read off the
+    # dual bases, and they do not change under tr -> c tr, delta_i -> delta_i / c
+    import hopfkit.extension as extension
 
-    built = []
-    real = ind.Decomposer
+    def refused(*args, **kwargs):
+        raise AssertionError("coinduce built a Decomposer")
 
-    def counted(*args, **kwargs):
-        built.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ind, "Decomposer", counted)
     # uncached data: the inclusion's own keeps what other tests built from it
     frob = rescale_frobenius_data(induction_context(h8_incl), 1)
-    coinduce(frob, kmods[(1, 1)])
-    coinduce(frob, kmods[(1, -1)])
-    assert built == ["left"]
+    monkeypatch.setattr(extension, "Decomposer", refused)
+    for V in (kmods[(1, 1)], kmods[(1, -1)]):
+        coind = coinduce(frob, V)
+        assert verify_module(coind).ok
+        assert coinduce(rescale_frobenius_data(frob, 7), V) == coind
 
 
 def _at_conductor(V, N):
