@@ -12,7 +12,8 @@ counits and antipodes of the monomial bases of H8, Taft and small quantum
 sl2 come from one helper, ``_pbw``: each monomial multiplies the images of
 its first generator with those of the shorter monomial, in the
 tensor-square algebra for coproducts.  Every builder writes FinHopf's raw
-tables.  verify_hopf then certifies the result.
+tables.  verify_hopf then certifies the result.  Each catalogue Hopf
+subalgebra is named by its generators (``generated_inclusion``).
 
 Each constructor builds a Hopf algebra by construction, so the derived
 checks run on generating sets of its result (see ``hopf_core``);
@@ -23,7 +24,7 @@ algebra.
 """
 
 from bisect import bisect_left
-from math import inf
+from math import gcd, inf
 
 from . import _kernel as K
 from .errors import HopfkitError
@@ -37,7 +38,14 @@ from .exact_math import (
     _tensor,
 )
 from .extension import HopfInclusion
-from .hopf_core import FinHopf, subhopf_from_basis
+from .hopf_core import (
+    FinHopf,
+    antipode_inverse,
+    basis_closure,
+    dual_hopf,
+    is_unimodular,
+    subhopf_from_basis,
+)
 
 
 def _tensor_square_mul(ctx, mult, n, u, v):
@@ -85,6 +93,14 @@ def _pbw(ctx, mult, names, words, gens):
         S.append(_table_mul(ctx, mult, n, S[r], S_g))
     return (labels, tuple(tuple(sorted(d.items())) for d in delta), tuple(counit),
             tuple(tuple(sorted(v.items())) for v in S))
+
+
+def generated_inclusion(H, labels, name):
+    """The inclusion in H, named ``name``, of the Hopf subalgebra spanned by
+    the ``basis_closure`` of the basis elements with the given labels."""
+    gens = [H.label_index(label) for label in labels]
+    Kk, embed = subhopf_from_basis(H, basis_closure(H, gens), name=name)
+    return HopfInclusion(Kk, H, embed)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +221,7 @@ def kac_paljutkin():
     labels, comult, counit, Scols = _pbw(ctx, mult, "xyz", _H8_WORDS, gens)
     H8 = FinHopf("H8", labels, 1, mult, (one,) + (K.s_zero(ctx),) * (n - 1), comult, counit, Scols)
 
-    Kk, embed = subhopf_from_basis(H8, [0, 1, 2, 4], name="kK")
-    return H8, HopfInclusion(Kk, H8, embed)
+    return H8, generated_inclusion(H8, ("x", "y"), "kK")
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +237,6 @@ def taft(l, q_power=1):
     """
     if l < 2:
         raise HopfkitError("Taft algebra needs l >= 2")
-    from math import gcd
-
     if gcd(q_power, l) != 1:
         raise HopfkitError("q = zeta_%d^%d is not a primitive root of unity" % (l, q_power))
     ctx = K.make_ctx(l)
@@ -251,8 +264,7 @@ def taft(l, q_power=1):
     labels, comult, counit, Scols = _pbw(ctx, mult, "gx", words, gens)
     unit = (one,) + (z,) * (n - 1)
     T = FinHopf("T%d(z^%d)" % (l, q_power), labels, l, mult, unit, comult, counit, Scols)
-    Kk, embed = subhopf_from_basis(T, [idx(a, 0) for a in range(l)], name="kC%d" % l)
-    return T, HopfInclusion(Kk, T, embed)
+    return T, generated_inclusion(T, ("g",), "kC%d" % l)
 
 
 # ---------------------------------------------------------------------------
@@ -260,41 +272,11 @@ def taft(l, q_power=1):
 # ---------------------------------------------------------------------------
 
 
-class SmallQuantumSL2:
-    """u_eps(sl2) at an odd root of unity, with Hopf-subalgebra selectors."""
-
-    def __init__(self, l, hopf):
-        self.l = l
-        self.hopf = hopf
-
-    def _indices(self, with_e, with_f):
-        l = self.l
-        out = []
-        for j in range(l if with_f else 1):
-            for m in range(l):
-                for i in range(l if with_e else 1):
-                    out.append((j * l + m) * l + i)
-        return out
-
-    def subalgebra(self, i_plus, i_minus, name=None):
-        """u_eps(Sigma, I+, I-) for Sigma = <k> and I+, I- subsets of {1}."""
-        idxs = self._indices(bool(i_plus), bool(i_minus))
-        label = name or "u%d(K,%s,%s)" % (
-            self.l,
-            "{1}" if i_plus else "{}",
-            "{1}" if i_minus else "{}",
-        )
-        sub, embed = subhopf_from_basis(self.hopf, idxs, name=label)
-        return HopfInclusion(sub, self.hopf, embed)
-
-    def cartan(self):
-        return self.subalgebra(False, False, name="kC%d" % self.l)
-
-    def borel_plus(self):
-        return self.subalgebra(True, False, name="borel+%d" % self.l)
-
-    def borel_minus(self):
-        return self.subalgebra(False, True, name="borel-%d" % self.l)
+# The Hopf subalgebras u_eps(<k>, I+, I-) of u_q(sl2) that ``builtin:uqsl2``
+# names by ``sub=``: the prefix of each name, which ends in l, and the
+# generators, in the (I+, I-) order of ``unimodularity_scan_sl2``.
+UQSL2_SUBALGEBRAS = {"cartan": ("kC", ("k",)), "borel-": ("borel-", ("k", "f")),
+                     "borel+": ("borel+", ("k", "e"))}
 
 
 def small_quantum_sl2(l):
@@ -396,7 +378,7 @@ def small_quantum_sl2(l):
     labels, comult_rows, counit, Scols = _pbw(ctx, mult, "fke", words, gens)
     unit = (one,) + (z,) * (n - 1)
 
-    hopf = FinHopf(
+    return FinHopf(
         "u%d(sl2)" % l,
         labels,
         l,
@@ -407,7 +389,6 @@ def small_quantum_sl2(l):
         Scols,
         convention="kassel: Delta(e)=1xe+exk, Delta(f)=k^-1xf+fx1, ke=q^2ek",
     )
-    return SmallQuantumSL2(l, hopf)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +412,6 @@ def drinfeld_double(H):
     q, and each term of f_c Phi_q x e_q e_d' is added straight into the
     entry of its d'.
     """
-    from .hopf_core import antipode_inverse, dual_hopf
-
     n = H.dim
     ctx = H.ctx
     N = H.N
@@ -627,65 +606,15 @@ def cartan_matrix(type_label, rank):
     return C
 
 
-class CartanDatum:
-    """A finite-type Cartan matrix plus the root-of-unity modulus and sign data."""
-
-    __slots__ = ("type_label", "rank", "C", "l")
-
-    def __init__(self, type_label, rank, l):
-        self.type_label = type_label.upper()
-        self.rank = rank
-        self.C = cartan_matrix(type_label, rank)
-        self.l = l
-
-    def signed_matrix(self, J):
-        """C with the columns j in J negated."""
-        J = set(J)
-        return [
-            [(-v if j in J else v) for j, v in enumerate(row)]
-            for row in self.C
-        ]
-
-
-class CartanRowSumReport:
-    __slots__ = ("datum", "part_i_all_zero", "part_ii_exists", "witness")
-
-    def __init__(self, datum, part_i_all_zero, part_ii_exists, witness):
-        self.datum = datum
-        self.part_i_all_zero = part_i_all_zero
-        self.part_ii_exists = part_ii_exists
-        self.witness = witness
-
-    def __repr__(self):
-        return "CartanRowSumReport(%s%d, l=%d, part_i=%s, part_ii=%s, witness=%r)" % (
-            self.datum.type_label,
-            self.datum.rank,
-            self.datum.l,
-            self.part_i_all_zero,
-            self.part_ii_exists,
-            self.witness,
-        )
-
-
-def cartan_row_sum_check(datum):
-    """Row sums of C (and of all sign-twisted C_J) modulo l.
-
-    part_i_all_zero: True iff all row sums of C vanish mod l.
-    part_ii_exists: True iff some sign subset J makes all row sums of C_J
-    vanish mod l, with the first such J as witness.
-    """
-    l = datum.l
-    C = datum.C
-    r = datum.rank
-    part_i = all(sum(row) % l == 0 for row in C)
-    witness = None
+def cartan_row_sum_witness(C, l):
+    """The first sign subset J, in mask order, for which every row sum of C
+    with the columns in J negated vanishes mod l, or None.  Mask 0 is J = (),
+    so the row sums of C itself vanish exactly when the witness is ()."""
+    r = len(C)
     for mask in range(1 << r):
-        J = [j for j in range(r) if mask >> j & 1]
-        CJ = datum.signed_matrix(J)
-        if all(sum(row) % l == 0 for row in CJ):
-            witness = tuple(J)
-            break
-    return CartanRowSumReport(datum, part_i, witness is not None, witness)
+        if all(sum(-v if mask >> j & 1 else v for j, v in enumerate(row)) % l == 0 for row in C):
+            return tuple(j for j in range(r) if mask >> j & 1)
+    return None
 
 
 def unimodularity_scan_sl2(l):
@@ -693,22 +622,14 @@ def unimodularity_scan_sl2(l):
 
     Returns a list of dicts; 'expected' is the prediction I+ == I- (meaningful
     for l > 3, where the converse direction of the classification applies).
+    The row I+ = I- = {1} is u_q(sl2) itself.
     """
-    from .hopf_core import is_unimodular
-
-    uq = small_quantum_sl2(l)
+    H = small_quantum_sl2(l)
+    rows = [(gens, generated_inclusion(H, gens, prefix + str(l)).K)
+            for prefix, gens in UQSL2_SUBALGEBRAS.values()]
     out = []
-    for i_plus in (False, True):
-        for i_minus in (False, True):
-            sub = uq.hopf if i_plus and i_minus else uq.subalgebra(i_plus, i_minus).K
-            uni = is_unimodular(sub)
-            out.append(
-                {
-                    "I+": {1} if i_plus else set(),
-                    "I-": {1} if i_minus else set(),
-                    "dim": sub.dim,
-                    "unimodular": uni,
-                    "expected": i_plus == i_minus,
-                }
-            )
+    for gens, sub in rows + [(("k", "e", "f"), H)]:
+        i_plus, i_minus = "e" in gens, "f" in gens
+        out.append({"I+": {1} if i_plus else set(), "I-": {1} if i_minus else set(),
+                    "dim": sub.dim, "unimodular": is_unimodular(sub), "expected": i_plus == i_minus})
     return out

@@ -15,6 +15,9 @@ Hopf algebras, and the inclusions K -> H of every kind but group:
   builtin:trivial?of=<spec>               H -> H
   builtin:unit?of=<spec>                  k -> H
 
+The subalgebra K is named by its generators: x and y in H8, g in T_l, and in
+u_q(sl2) k for cartan, k and e for borel+, k and f for borel-.
+
 Modules over the small algebra K of an inclusion, and frob-objects objects:
 
   builtin:trivial                         the tensor unit
@@ -161,13 +164,13 @@ def _builtin(kind, params):
         return builders.taft(l, q)
     if kind == "uqsl2":
         l, sub = _keys(kind, params, l="3", sub="cartan")
-        l, sl2 = _uqsl2_l(l), builders.SmallQuantumSL2
-        # the selector is read before u_q(sl2), of dim l^3, is built
-        select = {"cartan": sl2.cartan, "borel+": sl2.borel_plus, "borel-": sl2.borel_minus}.get(sub)
-        if select is None:
+        l = _uqsl2_l(l)
+        # sub is read before u_q(sl2), of dim l^3, is built
+        if sub not in builders.UQSL2_SUBALGEBRAS:
             raise BundleParseError("unknown uqsl2 subalgebra %r" % sub)
-        uq = builders.small_quantum_sl2(l)
-        return uq.hopf, select(uq)
+        prefix, gens = builders.UQSL2_SUBALGEBRAS[sub]
+        H = builders.small_quantum_sl2(l)
+        return H, builders.generated_inclusion(H, gens, prefix + str(l))
     if kind not in ("double", "trivial", "unit"):
         raise BundleParseError("unknown builtin %r" % kind)
     (of,) = _keys(kind, params, of=None)
@@ -426,9 +429,15 @@ def cmd_frob_objects(args):
     from .induction import induction_context, is_separable_functor
     from .module_theory import trivial_module
 
-    objects = [_frob_object(obj_spec) for obj_spec in args.object or ["builtin:unit"]]
+    builds = [_frob_object(obj_spec) for obj_spec in args.object or ["builtin:unit"]]
     spec = args.input
     incl, digest = _inclusion_input(spec)
+    try:
+        # an object that does not fit K, as an etale one on a K without the
+        # labels 1, x, y, xy, is malformed input
+        objects = [build(incl.K) for build in builds]
+    except HopfkitError as e:
+        raise BundleParseError(str(e)) from None
     report = Report("frob-objects %s" % spec, tool="hopfkit %s" % __version__,
                     inputs=[(spec, digest)])
     try:
@@ -451,8 +460,7 @@ def cmd_frob_objects(args):
         else:
             report.add("separable-normalization", False, detail="no nonzero scalar")
 
-    for build in objects:
-        F = build(incl.K)
+    for F in objects:
         vrep = verify_frobenius_object(F)
         report.add("source-frobenius[%s]" % F.name, vrep.ok, anchor="frobenius-object")
         B = push_frobenius(frob, F)
@@ -498,20 +506,21 @@ def _cartan_types(text):
 
 
 def cmd_cartan_check(args):
-    from .builders import CartanDatum, cartan_row_sum_check
+    from .builders import cartan_matrix, cartan_row_sum_witness
 
     report = Report("cartan-check", tool="hopfkit %s" % __version__)
     types = _cartan_types(args.types)
     ls = [_int_param("--l", x, 2, MAX_CONDUCTOR) for x in args.l.split(",")]
     for label, rank in types:
+        C = cartan_matrix(label, rank)
         for l in ls:
-            datum = CartanDatum(label, rank, l)
-            res = cartan_row_sum_check(datum)
+            # part i: the row sums of C vanish mod l; part ii: those of some C_J do
+            witness = cartan_row_sum_witness(C, l)
             report.add(
                 "%s%d[l=%d]" % (label, rank, l),
-                l <= 3 or not (res.part_i_all_zero or res.part_ii_exists),
+                l <= 3 or witness is None,
                 detail="part_i=%s part_ii=%s witness=%r%s"
-                % (res.part_i_all_zero, res.part_ii_exists, res.witness,
+                % (witness == (), witness is not None, witness,
                    "" if l > 3 else " (l<=3 excluded from the bound)"),
                 anchor="cartan-row-sums",
             )

@@ -639,6 +639,35 @@ def is_dual_unimodular(C):
     return is_symmetric(C, right_integral_of_dual(C))
 
 
+def basis_closure(H, gens):
+    """The least set of basis indices, ascending, that holds ``gens`` and the
+    support of 1 and holds the supports of e_i e_j, e_j e_i, both legs of
+    Delta(e_i) and S(e_i) for all i, j in it.  The span of some basis vectors
+    is closed under the product, Delta or S exactly when their values on
+    those vectors have their supports in it, so this spans the least Hopf
+    subalgebra that holds the e_g and is spanned by basis vectors."""
+    n = H.dim
+    found, todo, done = set(), [], []
+
+    def reach(keys):
+        for k in keys:
+            if k not in found:
+                found.add(k)
+                todo.append(k)
+
+    reach(gens)
+    reach(H.unit_vec())
+    while todo:
+        i = todo.pop()
+        done.append(i)
+        # each product of two reached elements is read once, when the later is
+        for j in done:
+            reach(k for k, _ in H.mult[i * n + j] + H.mult[j * n + i])
+        reach(y for x, _ in H.comult[i] for y in divmod(x, n))
+        reach(k for k, _ in H.antipode_cols[i])
+    return sorted(found)
+
+
 def subhopf_from_basis(H, indices, name=None):
     """The Hopf subalgebra spanned by the given basis indices.
 
@@ -650,15 +679,6 @@ def subhopf_from_basis(H, indices, name=None):
     n = H.dim
     m = len(indices)
     ctx = H.ctx
-
-    def reindex_vec(vec):
-        out = {}
-        for i, s in vec.items():
-            if i not in pos:
-                raise HopfkitError("span of %r not closed in %s" % (indices, H.name))
-            out[pos[i]] = s
-        return out
-
     mult = [[] for _ in range(m * m)]
     for a, i in enumerate(indices):
         for b, j in enumerate(indices):
@@ -680,9 +700,10 @@ def subhopf_from_basis(H, indices, name=None):
         unit[pos[i]] = s
     counit = [H.counit[i] for i in indices]
     cols = []
-    for a, i in enumerate(indices):
-        col = reindex_vec(H.antipode_vec(H.basis_vec(i)))
-        cols.append(tuple(sorted(col.items())))
+    for i in indices:
+        if any(k not in pos for k, _ in H.antipode_cols[i]):
+            raise HopfkitError("antipode leaves the span at %d" % i)
+        cols.append(tuple(sorted((pos[k], s) for k, s in H.antipode_cols[i])))
     sub = FinHopf(
         name or ("%s[%s]" % (H.name, ",".join(H.basis_labels[i] for i in indices[:4]) + ("..." if m > 4 else ""))),
         tuple(H.basis_labels[i] for i in indices),

@@ -1,8 +1,10 @@
 import pytest
 
 from hopfkit.builders import (
+    UQSL2_SUBALGEBRAS,
     cyclic_table,
     drinfeld_double,
+    generated_inclusion,
     group_algebra,
     kac_paljutkin,
     klein_table,
@@ -77,6 +79,13 @@ def uq5():
     return small_quantum_sl2(5)
 
 
+def uqsl2_sub(uq, sub):
+    """The inclusion of the subalgebra ``sub`` of u_q(sl2) = uq that
+    ``builtin:uqsl2?sub=`` names, read from the builders' table."""
+    prefix, gens = UQSL2_SUBALGEBRAS[sub]
+    return generated_inclusion(uq, gens, prefix + str(uq.N))
+
+
 def criterion_09_registry(h8_incl, taft3, uq3, uq5):
     """The (name, inclusion) pairs that acceptance criterion 9 cross-checks."""
     registry = []
@@ -89,12 +98,12 @@ def criterion_09_registry(h8_incl, taft3, uq3, uq5):
     registry.append(("kC2<kK", HopfInclusion(sub, KG, embed)))
     registry.append(("kC3<T3", taft3[1]))
     registry.append(("kC2<T2", taft(2)[1]))
-    registry.append(("cartan3", uq3.cartan()))
-    registry.append(("borel+3", uq3.borel_plus()))
-    registry.append(("borel-3", uq3.borel_minus()))
-    registry.append(("cartan5", uq5.cartan()))
-    registry.append(("borel+5", uq5.borel_plus()))
-    registry.append(("borel-5", uq5.borel_minus()))
+    registry.append(("cartan3", uqsl2_sub(uq3, "cartan")))
+    registry.append(("borel+3", uqsl2_sub(uq3, "borel+")))
+    registry.append(("borel-3", uqsl2_sub(uq3, "borel-")))
+    registry.append(("cartan5", uqsl2_sub(uq5, "cartan")))
+    registry.append(("borel+5", uqsl2_sub(uq5, "borel+")))
+    registry.append(("borel-5", uqsl2_sub(uq5, "borel-")))
     D2, dincl2 = drinfeld_double(group_algebra(cyclic_table(2), name="kC2"))
     registry.append(("kC2<Drin", dincl2))
     D4, dincl4 = drinfeld_double(KG)

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import hopfkit._kernel as K
 from conftest import (alpha_criterion, criterion_09_registry, dense_frobenius, h8_v1, h8_v2,
-                      kchar, kline, record_criterion)
+                      kchar, kline, record_criterion, uqsl2_sub)
 from hopfkit.builders import (
-    CartanDatum,
-    cartan_row_sum_check,
+    cartan_matrix,
+    cartan_row_sum_witness,
     cyclic_table,
     drinfeld_double,
     group_algebra,
@@ -216,10 +216,10 @@ def test_criterion_05_zone_h_example(h8_frob):
 
 
 def _criterion_06_for(uq, l, budget):
-    u = uq.hopf
+    u = uq
     assert verify_hopf(u).ok
     assert is_unimodular(u)
-    cart = uq.cartan()
+    cart = uqsl2_sub(uq, "cartan")
     bq = bar_quotient(cart)
     lam = right_integral_bar_dual(bq)
     # lambda(f^j e^i) = delta_{i,l-1} delta_{j,l-1} up to scale: the deterministic
@@ -252,7 +252,7 @@ def test_criterion_06_small_quantum_sl2(uq3, uq5):
     t0 = time.monotonic()
     _criterion_06_for(uq5, 5, 300.0)
     # Borel inclusions at l = 5 are not Frobenius extensions
-    for bincl in (uq5.borel_plus(), uq5.borel_minus()):
+    for bincl in (uqsl2_sub(uq5, "borel+"), uqsl2_sub(uq5, "borel-")):
         assert not is_frobenius_extension(bincl).frobenius
     # the unimodularity scan matches the subalgebra classification
     for row in unimodularity_scan_sl2(5):
@@ -348,12 +348,13 @@ def test_criterion_10_cartan_row_sums():
              ("C", 3), ("C", 4), ("D", 4), ("G", 2)]
     for label, rank in types:
         for l in (5, 7, 9):
-            res = cartan_row_sum_check(CartanDatum(label, rank, l))
-            assert not res.part_i_all_zero, (label, rank, l)
-            assert not res.part_ii_exists, (label, rank, l)
+            # part i holds iff the witness is (), part ii iff there is one
+            witness = cartan_row_sum_witness(cartan_matrix(label, rank), l)
+            assert witness != (), (label, rank, l)
+            assert witness is None, (label, rank, l)
     # the l = 3 exception is found for A2 with opposite signs
-    res = cartan_row_sum_check(CartanDatum("A", 2, 3))
-    assert res.part_ii_exists and res.witness in ((0,), (1,))
+    witness = cartan_row_sum_witness(cartan_matrix("A", 2), 3)
+    assert witness is not None and witness in ((0,), (1,))
     elapsed = time.monotonic() - t0
     record_criterion(10, True, "%.2fs" % elapsed)
     assert elapsed < 10.0

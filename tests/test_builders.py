@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 import hopfkit._kernel as K
-from conftest import CATALOGUE
+from conftest import CATALOGUE, uqsl2_sub
 from hopfkit.builders import (
-    CartanDatum,
     cartan_matrix,
-    cartan_row_sum_check,
+    cartan_row_sum_witness,
     cyclic_table,
     double_r_matrix,
     drinfeld_double,
@@ -25,7 +24,7 @@ from hopfkit.cli import resolve_hopf, resolve_inclusion, resolve_module
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, _add, _axpy
 from hopfkit.extension import bar_quotient, verify_inclusion
-from hopfkit.hopf_core import is_unimodular, verify_hopf
+from hopfkit.hopf_core import basis_closure, is_unimodular, subhopf_from_basis, verify_hopf
 
 
 def test_group_algebra_rejects_non_group():
@@ -68,12 +67,12 @@ def test_sweedler_is_taft2():
 
 
 def test_uq3(uq3):
-    u = uq3.hopf
+    u = uq3
     assert u.dim == 27
     assert verify_hopf(u).ok
     assert is_unimodular(u)
-    for sel in (uq3.cartan(), uq3.borel_plus(), uq3.borel_minus()):
-        assert verify_inclusion(sel).ok
+    for sub in ("cartan", "borel+", "borel-"):
+        assert verify_inclusion(uqsl2_sub(uq3, sub)).ok
     with pytest.raises(HopfkitError):
         small_quantum_sl2(4)
 
@@ -85,8 +84,8 @@ def test_uq_bar_coproduct_matches_qbinomial_oracle(uq3):
         f^s e^(i-r) x f^(j-s) e^r
     """
     l = 3
-    u = uq3.hopf
-    cart = uq3.cartan()
+    u = uq3
+    cart = uqsl2_sub(uq3, "cartan")
     bq = bar_quotient(cart)
     assert bq.dim == l * l
     ctx = K.make_ctx(cart.N)
@@ -134,7 +133,7 @@ def test_uq_bar_coproduct_matches_qbinomial_oracle(uq3):
 
 
 def test_uq3_counit_on_pbw(uq3):
-    u = uq3.hopf
+    u = uq3
     for t in range(u.dim):
         j = t // 9
         i = t % 3
@@ -221,20 +220,19 @@ def test_cartan_matrices():
 
 
 def test_cartan_row_sums_a2_l5():
-    res = cartan_row_sum_check(CartanDatum("A", 2, 5))
-    assert not res.part_i_all_zero  # row sums (1,1) mod 5
-    assert not res.part_ii_exists
+    witness = cartan_row_sum_witness(cartan_matrix("A", 2), 5)
+    assert witness != ()  # row sums (1,1) mod 5
+    assert witness is None
 
 
 def test_cartan_row_sums_a1_any_sign():
-    res = cartan_row_sum_check(CartanDatum("A", 1, 5))
-    assert not res.part_ii_exists  # row sum +-2 mod 5
+    assert cartan_row_sum_witness(cartan_matrix("A", 1), 5) is None  # row sum +-2 mod 5
 
 
 def test_cartan_row_sums_a2_l3_exception():
-    res = cartan_row_sum_check(CartanDatum("A", 2, 3))
-    assert res.part_ii_exists
-    assert res.witness in ((0,), (1,))  # eta_1 = -eta_2
+    witness = cartan_row_sum_witness(cartan_matrix("A", 2), 3)
+    assert witness is not None
+    assert witness in ((0,), (1,))  # eta_1 = -eta_2
 
 
 def test_unimodularity_scan_l3():
@@ -258,7 +256,7 @@ def test_builder_integral_spaces_one_dimensional(h8, taft3, uq3):
 
     C2 = group_algebra(cyclic_table(2), name="kC2")
     D2, _ = drinfeld_double(C2)
-    for H in (h8, taft3[0], uq3.hopf, C2, D2, trivial_hopf()):
+    for H in (h8, taft3[0], uq3, C2, D2, trivial_hopf()):
         for side in ("left", "right"):
             assert len(integral_space(H, side)) == 1, (H.name, side)
 
@@ -317,6 +315,24 @@ def test_empty_rows_of_a_parsed_table_are_empty_tuples():
     assert [row for row in H.mult if not row] == [()] * 1029
 
 
+@pytest.mark.parametrize("spec", CATALOGUE)
+def test_basis_closure_of_each_basis_element_is_the_least_subalgebra(spec):
+    H = resolve_hopf(spec)
+    unit = set(H.unit_vec())
+    closures = [basis_closure(H, [g]) for g in range(H.dim)]
+    for g, T in enumerate(closures):
+        assert g in T and unit <= set(T), g
+        assert T == sorted(T)
+        subhopf_from_basis(H, T)
+        assert basis_closure(H, T) == T
+        # the least: inside every other closure that holds g
+        assert all(set(T) <= set(U) for U in closures if g in U), g
+
+
+def test_basis_closure_of_z_is_all_of_h8(h8):
+    assert basis_closure(h8, [h8.label_index("z")]) == list(range(8))
+
+
 # serialize_hopf sha256 of each catalogue algebra, recorded from the builders
 # that normalized every product by the generator rewrite rules
 DOUBLE = "builtin:double?of=builtin:"
@@ -351,13 +367,23 @@ def test_catalogue_tables_match_the_recorded_digests(spec):
 
 # sha256 of serialize_hopf(K), serialize_hopf(H) and serialize_inclusion of
 # each catalogue inclusion K -> H, recorded from the builders that wrote
-# Delta, S and the labels of each monomial basis by hand
+# Delta, S and the labels of each monomial basis by hand; the u_q(sl2)
+# inclusions at l = 3 and 7 and the Taft ones at l = 5 and 7 were recorded
+# from the builders that listed the basis indices of each subalgebra by hand
 INCLUSION_DIGESTS = {
     "builtin:h8": "308a7c973113e8a27f1ffc0ec5b489e66f5c7022bf18925a44bbe20f18a34122",
     "builtin:taft?l=3": "ce57f443f26b2a05cf8887f32565375b2d5e73a8609088f5f2db52275b853a27",
+    "builtin:taft?l=5": "ec829f0e474aeef2d8b7cd057893ad1569dfe3dadfda2e030317afba72a027e0",
+    "builtin:taft?l=7&q=3": "2b6fd5577fc9072628f5dbf4a152267c91d4d6371d9fe9abc25315a3d9e0606c",
+    "builtin:uqsl2?l=3&sub=cartan": "37f88b3ed6eea1cde3e06b986da5dbada89837f5e38e1e48d32ea8778dd6b45a",
+    "builtin:uqsl2?l=3&sub=borel+": "87e8bd2ba7524f412d6c96a4272108f12fde7af86eac8bda7b9d0990c806560c",
+    "builtin:uqsl2?l=3&sub=borel-": "4bff9cccab18b71f48dec5b01fd0a1be23468806ba3f1cf4d910b626c6c3ee8c",
     "builtin:uqsl2?l=5&sub=cartan": "891ba5f3a56c60d835d8eeadf75cc6f45183a455b771bb58fd39190516d932db",
     "builtin:uqsl2?l=5&sub=borel+": "420d6be1196be27bad5ae3acc75e8edd57dd08c9147858006600f910da741325",
     "builtin:uqsl2?l=5&sub=borel-": "79406e78831927f9bed8834be46b3e1004626e9ab7d504f49411b1544f6cde18",
+    "builtin:uqsl2?l=7&sub=cartan": "d8dbba1f10947b914efe5ea8be407dd50c730b5fc5f67ba4f5676f727c12622d",
+    "builtin:uqsl2?l=7&sub=borel+": "12c78a3689f20b8dc63fa3e2e74bf2e3d49b7a78444d42fd4428a87b46cb4b44",
+    "builtin:uqsl2?l=7&sub=borel-": "32162bd9c32eacd49d02d0844f4f0b2fbc06e995543fd36c655aa7e84fcd4946",
     "builtin:unit?of=builtin:h8": "f8a0c92a0f6c2fa8f8d04c9fdb74a7bd0e59c563514f73e82b827f89225e2223",
 }
 
@@ -467,4 +493,4 @@ def _uq_mult_by_rewriting(l):
 @pytest.mark.parametrize("fixture", ["uq3", "uq5"])
 def test_uq_products_match_generator_rewriting(fixture, request):
     uq = request.getfixturevalue(fixture)
-    assert uq.hopf.mult == _uq_mult_by_rewriting(uq.l)
+    assert uq.mult == _uq_mult_by_rewriting(uq.N)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfkit._kernel as K
+from conftest import uqsl2_sub
 from hopfkit import hopf_core
 from hopfkit.builders import (
     cyclic_table,
@@ -54,7 +55,7 @@ def test_every_algebra_computes_at_its_own_conductor():
     from hopfkit.module_theory import HModule
 
     T3 = taft(3)[0]
-    algebras = [T3, small_quantum_sl2(3).hopf, group_algebra(cyclic_table(2)),
+    algebras = [T3, small_quantum_sl2(3), group_algebra(cyclic_table(2)),
                 parse_hopf(serialize_hopf(T3)), T3.lifted(12), dual_hopf(T3),
                 subhopf_from_basis(T3, [0, 3, 6])[0], drinfeld_double(T3)[0]]
     assert [H.N for H in algebras] == [3, 3, 1, 3, 12, 3, 3, 3]
@@ -84,7 +85,7 @@ def test_elimination_and_products_make_no_zero_test_calls(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if (name == "hopfkit" or name.startswith("hopfkit.")) and getattr(mod, "s_is_zero", None) is original:
             monkeypatch.setattr(mod, "s_is_zero", counted)
-    uq = small_quantum_sl2(3).hopf
+    uq = small_quantum_sl2(3)
     # a copy with an empty cache, so that nothing is looked up
     H = FinHopf(uq.name, uq.basis_labels, uq.N, uq.mult, uq.unit, uq.comult, uq.counit,
                 uq.antipode_cols)
@@ -121,7 +122,7 @@ def test_h8_broken_antipode_fails_at_z(h8):
 
 
 def test_antipode_inverse(h8, taft3, uq3):
-    for H in (h8, taft3[0], uq3.hopf):
+    for H in (h8, taft3[0], uq3):
         Sinv = antipode_inverse(H)
         assert (Sinv * H.antipode_matrix()).is_identity()
     # group algebras and H8 are involutory
@@ -129,7 +130,7 @@ def test_antipode_inverse(h8, taft3, uq3):
 
 
 def test_dual_hopf_is_hopf(h8, taft3, uq3):
-    for H in (h8, taft3[0], uq3.hopf):
+    for H in (h8, taft3[0], uq3):
         assert verify_hopf(dual_hopf(H)).ok
 
 
@@ -183,7 +184,7 @@ def test_h8_integrals(h8):
 
 
 def test_unimodular_iff_alpha_is_counit(h8, taft3, uq3):
-    for H in (h8, taft3[0], uq3.hopf):
+    for H in (h8, taft3[0], uq3):
         alpha = distinguished_grouplike(H)
         assert is_unimodular(H) == (alpha == H.counit_functional())
 
@@ -219,7 +220,7 @@ def test_subhopf_closure_error(h8):
 
 
 def test_uq3_unimodular_dual_not(uq3):
-    u = uq3.hopf
+    u = uq3
     assert is_unimodular(u)
     assert not is_dual_unimodular(u)
 
@@ -235,7 +236,7 @@ def _word_span_rank(H, gens):
 
 
 def test_generators_span_every_builtin(h8, taft3, uq3):
-    algebras = [h8, taft3[0], uq3.hopf, taft(2)[0], dual_hopf(h8), dual_hopf(uq3.hopf)]
+    algebras = [h8, taft3[0], uq3, taft(2)[0], dual_hopf(h8), dual_hopf(uq3)]
     for table in (cyclic_table(2), cyclic_table(3), cyclic_table(4), klein_table()):
         algebras.append(group_algebra(table))
     for base in (group_algebra(cyclic_table(2)), group_algebra(klein_table()), taft(2)[0]):
@@ -244,7 +245,7 @@ def test_generators_span_every_builtin(h8, taft3, uq3):
         gens = algebra_generators(H)
         assert _word_span_rank(H, gens) == H.dim, H.name
     assert [h8.basis_labels[i] for i in algebra_generators(h8)] == ["x", "y", "z"]
-    assert [uq3.hopf.basis_labels[i] for i in algebra_generators(uq3.hopf)] == ["e", "k", "f"]
+    assert [uq3.basis_labels[i] for i in algebra_generators(uq3)] == ["e", "k", "f"]
     assert len(algebra_generators(taft3[0])) == 2
 
 
@@ -329,7 +330,7 @@ PERTURBED = ["MULT", "MULT-EMPTY", "COMULT", "ANTIPODE", "UNIT", "COUNIT"]
     c=st.sampled_from([-1, 1, 2]),
 )
 def test_reduced_scans_match_full_scans(h8, taft3, uq3, taft5, which, section, row, key, c):
-    H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf, "taft5": taft5[0]}[which],
+    H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3, "taft5": taft5[0]}[which],
                  section, row, key, c)
     reduced = verify_hopf(H).as_dict()
     with mock.patch.object(hopf_core, "algebra_generators", lambda H: None):
@@ -427,7 +428,7 @@ def test_scans_match_subtract_and_zero_test_references(h8, taft3, uq3, taft5, wh
     # the kernel scans compare two canonical sums; the references form the
     # difference and test every coordinate for zero, and must find the same
     # witness, None included
-    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf, "taft5": taft5[0]}[which]
+    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3, "taft5": taft5[0]}[which]
     H = _perturb(base, section, row, key, c)
     n, ctx, G = H.dim, H.ctx, algebra_generators(base)
     for restrict in (None, G):
@@ -525,7 +526,7 @@ def _counit_entries(H):
 
 @pytest.mark.parametrize("which", ["h8", "taft3", "uq3"])
 def test_doubled_counit_entry_fails_with_the_full_scan_witness(h8, taft3, uq3, which):
-    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which]
+    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3}[which]
     for entry in _counit_entries(base):
         H = _edited_bundle(base, "COUNIT", entry, "2")
         rep, scans = _counit_scans(H)
@@ -550,7 +551,7 @@ def test_non_associative_bundle_takes_the_full_counit_scan(h8):
 
 
 def test_counit_scan_on_generators_when_its_premises_hold(h8, taft3, uq3):
-    for H in (h8, taft3[0], uq3.hopf):
+    for H in (h8, taft3[0], uq3):
         rep, scans = _counit_scans(H)
         assert rep.ok
         assert scans == [algebra_generators(H)]
@@ -570,7 +571,7 @@ def _scan_restrictions(H):
 
 
 def test_coassoc_and_antipode_scans_on_generators_when_their_premises_hold(h8, taft3, uq3):
-    for H in (h8, taft3[0], uq3.hopf):
+    for H in (h8, taft3[0], uq3):
         rep, scans = _scan_restrictions(H)
         assert rep.ok
         G = algebra_generators(H)
@@ -594,7 +595,7 @@ def _scaled(H, section, row, t, c):
 
 @pytest.mark.parametrize("which", ["h8", "taft3", "uq3"])
 def test_doubled_comult_entry_of_a_generator_fails_with_the_full_scan_witness(h8, taft3, uq3, which):
-    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which]
+    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3}[which]
     n = base.dim
     failed = 0
     for g in algebra_generators(base):
@@ -612,7 +613,7 @@ def test_doubled_comult_entry_of_a_generator_fails_with_the_full_scan_witness(h8
 def test_doubled_entry_of_the_middle_antipode_column_fails_with_the_full_witnesses(h8, taft3, uq3,
                                                                                   which):
     # a dropped entry too; antipode-invertible is then decided by rank
-    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which]
+    base = {"h8": h8, "taft3": taft3[0], "uq3": uq3}[which]
     m = base.dim // 2
     assert base.antipode_cols[m]
     singular = 0
@@ -659,11 +660,11 @@ def test_reduced_integrals_match_full_system(h8, taft3, uq3):
     # integral_space cuts the integrals down one generator at a time; the
     # reference is the full system of n rows for every basis element
     uq5 = small_quantum_sl2(5)
-    algebras = [h8, taft3[0], taft(5)[0], taft(7)[0], uq3.hopf,
+    algebras = [h8, taft3[0], taft(5)[0], taft(7)[0], uq3,
                 drinfeld_double(group_algebra(cyclic_table(3)))[0],
                 drinfeld_double(group_algebra(klein_table()))[0],
                 drinfeld_double(taft(2)[0])[0], drinfeld_double(taft3[0])[0],
-                uq5.hopf, uq5.cartan().K, uq5.borel_plus().K, uq5.borel_minus().K]
+                uq5] + [uqsl2_sub(uq5, sub).K for sub in ("cartan", "borel+", "borel-")]
     for H in algebras:
         gens = algebra_generators(H)
         for side in ("left", "right"):
@@ -679,7 +680,7 @@ def test_a_counit_changed_off_generators_is_refused_at_input(h8, taft3, uq3, tmp
     from hopfkit.cli import resolve_hopf
     from hopfkit.errors import HopfkitError
 
-    for base in (h8, taft3[0], uq3.hopf):
+    for base in (h8, taft3[0], uq3):
         j = next(j for j in range(base.dim) if j not in algebra_generators(base))
         H = _perturb(base, "COUNIT", j, 0, 1)
         for side in ("left", "right"):
@@ -706,7 +707,7 @@ def test_reduced_integrals_differ_only_on_tables_that_fail_verify_hopf(h8, taft3
                                                                        side):
     # integral_space solves the equations of G only; a table where that
     # misses a constraint is no Hopf algebra, so no bundle of it is read
-    H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3.hopf}[which], section, row, key, c)
+    H = _perturb({"h8": h8, "taft3": taft3[0], "uq3": uq3}[which], section, row, key, c)
     if integral_space(H, side) != _integrals_of(H, side):
         assert not verify_hopf(H).ok
 
@@ -786,7 +787,7 @@ def _lightest_generator(H, side):
 def test_integral_rows_are_built_on_generators_only(h8, taft3, uq3):
     # integral_space builds the n rows of the lightest generator only and
     # cuts the other generators down in the span of their solutions
-    for H in (h8, taft3[0], uq3.hopf):
+    for H in (h8, taft3[0], uq3):
         # a copy with an empty cache
         fresh = FinHopf(H.name, H.basis_labels, H.N, H.mult, H.unit, H.comult, H.counit,
                         H.antipode_cols)
@@ -802,7 +803,7 @@ def test_algebra_map_defect_on_a_proven_algebra_names_the_full_scan_witness(h8, 
     # defect, and the error names the first pair of the full scan
     from hopfkit.hopf_core import LinearFunctional, _assert_algebra_map, _multiplicative_defect
 
-    for H in (h8, taft3[0], uq3.hopf):
+    for H in (h8, taft3[0], uq3):
         alpha = distinguished_grouplike(H)
         gens = algebra_generators(H)
         j = next(j for j in range(H.dim) if j not in gens and H.unit_vec().get(j) is None)
@@ -820,7 +821,7 @@ def test_multiplicative_scan_forms_no_product_with_a_zero_value(taft5, uq3):
     # one of the sum over every term, which the reference forms
     from hopfkit.hopf_core import _multiplicative_defect
 
-    for H in (taft5[0], uq3.hopf):
+    for H in (taft5[0], uq3):
         n, ctx, zero = H.dim, H.ctx, K.s_zero(H.ctx)
         for t in (1, n // 2, n - 1):
             values = list(H.counit)

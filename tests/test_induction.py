@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from conftest import h8_v1, h8_v2, kchar
+from conftest import h8_v1, h8_v2, kchar, uqsl2_sub
 from hopfkit import _kernel as K
 from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, klein_table, trivial_hopf
 from hopfkit.exact_math import Cyclotomic, Matrix, _add, _scale, _tensor, root_of_unity
@@ -230,7 +230,7 @@ def test_theta_natural_in_v(h8_frob, kmods):
 def test_lax_coherence_uq_cartan(uq3):
     from hopfkit.exact_math import root_of_unity
 
-    cart = uq3.cartan()
+    cart = uqsl2_sub(uq3, "cartan")
     frob = induction_context(cart)
     z3 = root_of_unity(3)
     chi = HModule(cart.K, [Matrix.from_rows([[z3 ** a]]) for a in range(3)], name="chi1")
@@ -389,7 +389,7 @@ def _c3_double_case():
 
 
 def _uq3_cartan_case(uq3):
-    frob = induction_context(uq3.cartan())
+    frob = induction_context(uqsl2_sub(uq3, "cartan"))
     return frob, _zeta_chars(frob.incl.K, 3)[:2]
 
 
@@ -550,7 +550,7 @@ def _projection_case(case, uq3):
     if case == "uq3-cartan":
         # W = Ind(chi1) is not central: the lproj pair is not inverse, so
         # no invertibility check constrains lproj^{G-|F} there
-        frob = induction_context(uq3.cartan())
+        frob = induction_context(uqsl2_sub(uq3, "cartan"))
         chi1 = _zeta_chars(frob.incl.K, 3)[1]
         return frob, induce(frob, chi1), chi1
     incl = drinfeld_double(group_algebra(cyclic_table(3), name="kC3"))[1]

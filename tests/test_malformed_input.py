@@ -402,6 +402,15 @@ def test_invalid_builtin_parameter_exits_2(argv, message):
     assert _run_err(argv) == (2, "input error: %s\n" % message)
 
 
+# An etale object is built on K as soon as the inclusion is read, and a K
+# without the Klein labels 1, x, y, xy is refused before the Frobenius data
+# are built, Frobenius extension or not.
+@pytest.mark.parametrize("spec", ["builtin:double?of=builtin:group?table=c2", "builtin:taft?l=3"])
+def test_etale_object_that_does_not_fit_k_exits_2(spec):
+    assert _run_err(["frob-objects", spec, "--object", "builtin:etale"]) == (
+        2, "input error: expected a Klein-four group algebra with labels 1,x,y,xy\n")
+
+
 @pytest.mark.parametrize("module", [
     "builtin:kchar?act=1,1,1,x", "builtin:kchar?act=1/0,1,1,1", "builtin:kchar?act=1,1,1,1&cond=0",
     "builtin:kchar?act=1,1,1,1&cond=abc", "builtin:kchar?act=1,1,1,1&deg=q",

@@ -1,7 +1,7 @@
 import pytest
 
 
-from conftest import kline
+from conftest import kline, uqsl2_sub
 from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, small_quantum_sl2
 from hopfkit.errors import PipelineError
 from hopfkit.exact_math import Matrix
@@ -138,7 +138,7 @@ def test_z_induce_trivial_inclusion(h8):
 
 def test_z_induce_refuses_non_central(h8_frob):
     uq = small_quantum_sl2(3)
-    frob = induction_context(uq.cartan())
+    frob = induction_context(uqsl2_sub(uq, "cartan"))
     assert is_central_extension(frob.incl) is False
     M = trivial_yd(frob.incl.K)
     for _ in range(2):  # nothing is cached by a refusal
