@@ -12,8 +12,11 @@ counits and antipodes of the monomial bases of H8, Taft and small quantum
 sl2 come from one helper, ``_pbw``: each monomial multiplies the images of
 its first generator with those of the shorter monomial, in the
 tensor-square algebra for coproducts.  Every builder writes FinHopf's raw
-tables.  verify_hopf then certifies the result.  Each catalogue Hopf
-subalgebra is named by its generators (``generated_inclusion``).
+tables, except that small quantum sl2 passes a product table that computes
+each row on its first read: the scans of u_q(sl2) and its subalgebras read
+only a few percent of its l^6 rows.  verify_hopf then certifies the result.
+Each catalogue Hopf subalgebra is named by its generators
+(``generated_inclusion``).
 
 Each constructor builds a Hopf algebra by construction, so the derived
 checks run on generating sets of its result (see ``hopf_core``);
@@ -279,6 +282,82 @@ UQSL2_SUBALGEBRAS = {"cartan": ("kC", ("k",)), "borel-": ("borel-", ("k", "f")),
                      "borel+": ("borel+", ("k", "e"))}
 
 
+class _UqProducts(dict):
+    """The product table of small_quantum_sl2(l), each row computed on its
+    first read and then kept as a plain dict entry.
+
+    (f^j k^m e^i)(f^j1 k^m1 e^i1) = f^j k^m (e^i f^j1) k^m1 e^i1
+      = sum c q^(-2m j2 - 2m1 i2) f^(j+j2) k^(m+m2+m1) e^(i2+i1)
+    over the terms c f^j2 k^m2 e^i2 of e^i f^j1, dropping those with
+    j + j2 >= l or i2 + i1 >= l.  For fixed (j1, i, m, m1) the row at any
+    (j, i1) is the sorted row at j = i1 = 0, kept once per key, cut and
+    shifted by j l^2 + i1.  Sorting by key sorts by j2, and
+    i2 = j2 + i - j1, so the kept terms are a prefix.
+
+    Otherwise it reads as the tuple of rows: ``len`` is n^2, iteration runs
+    in index order, ``==`` and ``!=`` compare every row, and an index
+    outside 0..n^2-1 raises IndexError."""
+
+    __slots__ = ("ctx", "l", "n", "q", "ef", "cuts", "scaled")
+
+    def __init__(self, ctx, l, q, ef):
+        super().__init__()
+        self.ctx = ctx
+        self.l = l
+        self.n = l ** 3
+        self.q = q
+        # ef[j1*l + i]: the terms (j2, m2, i2, c) of e^i f^j1
+        self.ef = ef
+        # cuts[j1*l + i][j*l + i1]: how many of those terms have j + j2 < l
+        # and i2 + i1 < l
+        self.cuts = []
+        for j1 in range(l):
+            for i in range(l):
+                j2s = sorted(j2 for j2, _, _, _ in ef[j1 * l + i])
+                self.cuts.append([bisect_left(j2s, min(l - j, l - i1 - i + j1))
+                                  for j in range(l) for i1 in range(l)])
+        # scaled[((j1*l + i)*l + m)*l + m1]: the sorted row at j = i1 = 0
+        self.scaled = [None] * l ** 4
+
+    def __missing__(self, r):
+        l, n = self.l, self.n
+        if not 0 <= r < n * n:
+            raise IndexError("product row %d out of range 0..%d" % (r, n * n - 1))
+        a, b = divmod(r, n)
+        j, a = divmod(a, l * l)
+        m, i = divmod(a, l)
+        j1, b = divmod(b, l * l)
+        m1, i1 = divmod(b, l)
+        ji = j1 * l + i
+        cut = self.cuts[ji][j * l + i1]
+        row = ()
+        if cut:
+            key = (ji * l + m) * l + m1
+            scaled = self.scaled[key]
+            if scaled is None:
+                ctx, q = self.ctx, self.q
+                scaled = self.scaled[key] = sorted(
+                    (j2 * l * l + (m + m2 + m1) % l * l + i2,
+                     K.s_mul(ctx, c, q[(-2 * m * j2 - 2 * m1 * i2) % l]))
+                    for j2, m2, i2, c in self.ef[ji])
+            shift = j * l * l + i1
+            row = tuple([(t + shift, c) for t, c in scaled[:cut]])
+        self[r] = row
+        return row
+
+    def __len__(self):
+        return self.n * self.n
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.n * self.n))
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _UqProducts) else other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
 def small_quantum_sl2(l):
     """Build u_eps(sl2), dim l^3, from the generator relations.
 
@@ -291,8 +370,9 @@ def small_quantum_sl2(l):
 
     Only the l^2 products e^i f^j need the commutator [e, f]; they are
     expanded once.  Every other product is one of them rescaled by a power
-    of q and shifted (see the comment at the product loop).  Coproducts,
-    counit and antipode come from those of f, k and e (``_pbw``).
+    of q and shifted, and is computed on its first read (``_UqProducts``).
+    Coproducts, counit and antipode come from those of f, k and e
+    (``_pbw``).
     """
     if l < 3 or l % 2 == 0:
         raise HopfkitError("small_quantum_sl2 needs odd l >= 3")
@@ -331,34 +411,7 @@ def small_quantum_sl2(l):
         for i in range(l):
             ef.append([(t // ll, t // l % l, t % l, c) for t, c in w.items()])
             w = _apply(ctx, e_left, w)
-
-    # (f^j k^m e^i)(f^j1 k^m1 e^i1) = f^j k^m (e^i f^j1) k^m1 e^i1
-    #   = sum c q^(-2m j2 - 2m1 i2) f^(j+j2) k^(m+m2+m1) e^(i2+i1)
-    # over the terms c f^j2 k^m2 e^i2 of e^i f^j1, dropping those with
-    # j + j2 >= l or i2 + i1 >= l.  For fixed (i, j1, m, m1) the entry at any
-    # (j, i1) is the sorted list at j = i1 = 0 shifted by j l^2 + i1.  Sorting
-    # by key sorts by j2, and i2 = j2 + i - j1, so the kept terms are a prefix.
-    mult = [None] * (n * n)
-    for j1 in range(l):
-        for i in range(l):
-            terms = ef[j1 * l + i]
-            j2s = sorted(j2 for j2, _, _, _ in terms)
-            cuts = [[bisect_left(j2s, min(l - j, l - i1 - i + j1)) for i1 in range(l)]
-                    for j in range(l)]
-            for m in range(l):
-                for m1 in range(l):
-                    row = sorted(
-                        (j2 * ll + (m + m2 + m1) % l * l + i2,
-                         K.s_mul(ctx, c, q[(-2 * m * j2 - 2 * m1 * i2) % l]))
-                        for j2, m2, i2, c in terms
-                    )
-                    b0 = idx(j1, m1, 0)
-                    for j in range(l):
-                        base = idx(j, m, i) * n + b0
-                        for i1, cut in enumerate(cuts[j]):
-                            shift = j * ll + i1
-                            mult[base + i1] = tuple([(t + shift, c) for t, c in row[:cut]])
-    mult = tuple(mult)
+    mult = _UqProducts(ctx, l, q, ef)
 
     e_1 = idx(0, 0, 0)
     e_e = idx(0, 0, 1)
@@ -453,8 +506,7 @@ def drinfeld_double(H):
         return out
 
     # right[q]: (d', e_q e_d') for each d' where the product is nonzero
-    right = [[(dp, row) for dp, row in enumerate(H.mult[q * n:(q + 1) * n]) if row]
-             for q in range(n)]
+    right = [[(dp, row) for dp in range(n) if (row := H.mult[q * n + dp])] for q in range(n)]
 
     # (f_c x e_d)(f_c' x e_d') = sum_q f_c Phi_q x e_q e_d', where Phi_q sums
     # s phi over the Delta^2 terms (p, q, r), s of e_d; each term of

@@ -158,7 +158,10 @@ class FinHopf:
     Q(zeta_N): ``mult[i*n + j]``, ``comult[i]`` and ``antipode_cols[j]`` are
     tuples of ``(k, raw)`` pairs sorted by k with no zero scalar, for
     e_i e_j, Delta(e_i) (k = a*n + b for e_a x e_b) and S(e_j); ``unit``
-    and ``counit`` are dense tuples of n raw scalars."""
+    and ``counit`` are dense tuples of n raw scalars.  Every table is read
+    by index or as a whole, never by slice, so a builder may pass a table
+    that computes each row on its first read and otherwise reads as the
+    tuple of its rows (``builders._UqProducts``)."""
 
     __slots__ = (
         "name",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,13 @@ import pytest
 import hopfkit._kernel as K
 from conftest import CATALOGUE, uqsl2_sub
 from hopfkit.builders import (
+    UQSL2_SUBALGEBRAS,
     cartan_matrix,
     cartan_row_sum_witness,
     cyclic_table,
     double_r_matrix,
     drinfeld_double,
+    generated_inclusion,
     group_algebra,
     klein_table,
     small_quantum_sl2,
@@ -315,6 +318,23 @@ def test_empty_rows_of_a_parsed_table_are_empty_tuples():
     assert [row for row in H.mult if not row] == [()] * 1029
 
 
+def test_a_built_uq_table_reads_as_the_tuple_of_its_rows():
+    H = small_quantum_sl2(5)
+    parsed = parse_hopf(serialize_hopf(H)).mult
+    assert len(H.mult) == len(parsed) == 15625
+    rows = list(H.mult)
+    assert rows == list(parsed)
+    assert all(type(row) is tuple for row in rows)
+    empty = [row for row in rows if not row]
+    assert empty == [()] * [len(row) for row in parsed].count(0) and empty
+    assert H.mult == parsed and parsed == H.mult and not H.mult != parsed
+    rotated = parsed[1:] + parsed[:1]
+    assert H.mult != rotated and not H.mult == rotated
+    for r in (-1, 15625):
+        with pytest.raises(IndexError):
+            H.mult[r]
+
+
 @pytest.mark.parametrize("spec", CATALOGUE)
 def test_basis_closure_of_each_basis_element_is_the_least_subalgebra(spec):
     H = resolve_hopf(spec)
@@ -494,3 +514,20 @@ def _uq_mult_by_rewriting(l):
 def test_uq_products_match_generator_rewriting(fixture, request):
     uq = request.getfixturevalue(fixture)
     assert uq.mult == _uq_mult_by_rewriting(uq.N)
+
+
+def test_scan_sl2_l5_computes_few_uq_products_and_each_on_first_read():
+    # what scan-sl2 --l 5 runs on u_5(sl2): the three catalogue inclusions
+    # and the four unimodularity checks
+    uq = small_quantum_sl2(5)
+    subs = [generated_inclusion(uq, gens, prefix + "5").K
+            for prefix, gens in UQSL2_SUBALGEBRAS.values()]
+    assert [is_unimodular(H) for H in subs + [uq]] == [True, False, False, True]
+    # the dict keys are the rows computed so far
+    assert len(uq.mult.keys()) < 0.2 * 15625
+    order = list(range(15625))
+    random.Random(5).shuffle(order)
+    rows = {r: uq.mult[r] for r in order}
+    ref = _uq_mult_by_rewriting(5)
+    assert [rows[r] for r in range(15625)] == list(ref)
+    assert uq.mult == ref

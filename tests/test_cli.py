@@ -592,6 +592,18 @@ GOLDEN_REPORTS = [
      "130d4c37385106fcc536378a6a01afabd91b78b45f24665191de5842f0007bf2"),
     (["analyze", "builtin:uqsl2?l=3&sub=borel-"], 0,
      "7fa7a29313de1587b03068cdb4954104eaff8616744b1af5ebeac0c2b43d05d3"),
+    # the paper's application at l = 5 and the Borels at l = 7, recorded while
+    # small_quantum_sl2 still wrote all l^6 products before any was read
+    (["analyze", "builtin:uqsl2?l=5&sub=cartan"], 0,
+     "00f6de54c10e5b35f5158ae15a52f6f384512b2f17c2b44666dcad13deb45ef3"),
+    (["analyze", "builtin:uqsl2?l=5&sub=borel+"], 0,
+     "ac64c98431c55655f21a4ee3aa6f986f573d26396a5ed3fbf75ef89ef6446f0b"),
+    (["analyze", "builtin:uqsl2?l=5&sub=borel-"], 0,
+     "1c1d928336101942631bea05eb2e2852be0c3329fd60f947076b8a092790af72"),
+    (["analyze", "builtin:uqsl2?l=7&sub=borel+"], 0,
+     "dee5a667ceaadd6547d746798aee31d5bb176ce18520a09c9ac643b80279e04a"),
+    (["analyze", "builtin:uqsl2?l=7&sub=borel-"], 0,
+     "0cc748fcedfe27a98461b61e610042137aacc523a906f5e541d288d40efb2b9e"),
 ]
 
 
@@ -604,7 +616,9 @@ GOLDEN_REPORTS = [
                               "uqsl2-l7-cartan-2chars", "scan-sl2-l3", "scan-sl2-l5",
                               "scan-sl2-l7", "cartan-check", "cartan-check-a2-l3",
                               "analyze-dt2", "analyze-dt3", "analyze-taft5", "analyze-taft7",
-                              "analyze-uqsl2-l3-borel-minus"])
+                              "analyze-uqsl2-l3-borel-minus", "analyze-uqsl2-l5-cartan",
+                              "analyze-uqsl2-l5-borel-plus", "analyze-uqsl2-l5-borel-minus",
+                              "analyze-uqsl2-l7-borel-plus", "analyze-uqsl2-l7-borel-minus"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 
