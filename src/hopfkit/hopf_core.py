@@ -2,11 +2,11 @@
 
 A FinHopf stores the multiplication, the comultiplication and the antipode
 as sparse rows over a cyclotomic field, and the unit and counit as exact
-vectors.  Axiom verification scans basis tuples in the selected
-arithmetic kernel.  Associativity, Delta(ab) = Delta(a)Delta(b) and
-eps(ab) = eps(a)eps(b) are scanned with one index on an algebra generating
-set only: the middle nucleus {a : (xa)y = x(ay)} is a unital subalgebra for
-any unital bilinear product (Teichmueller identity), and so is
+vectors.  Axiom verification scans basis tuples in the scalar kernel.
+Associativity, Delta(ab) = Delta(a)Delta(b) and eps(ab) = eps(a)eps(b) are
+scanned with one index on an algebra generating set only: the middle
+nucleus {a : (xa)y = x(ay)} is a unital subalgebra for any unital bilinear
+product (Teichmueller identity), and so is
 {a : Delta(ab) = Delta(a)Delta(b) for all b} once the product is associative
 and Delta(1) = 1 x 1, and {a : eps(ab) = eps(a)eps(b) for all b} once it is
 associative and eps(1) = 1.  Coassociativity is scanned on the generating

@@ -604,6 +604,11 @@ GOLDEN_REPORTS = [
      "dee5a667ceaadd6547d746798aee31d5bb176ce18520a09c9ac643b80279e04a"),
     (["analyze", "builtin:uqsl2?l=7&sub=borel-"], 0,
      "0cc748fcedfe27a98461b61e610042137aacc523a906f5e541d288d40efb2b9e"),
+    # braided induction over D(H8) from H8, whose K is not a group algebra,
+    # recorded before the scalar kernel was one module
+    (["check-functor", "builtin:double?of=builtin:h8",
+      "--module", "builtin:kchar?act=1,1,1,-1,1,-1,-1,-1&deg=1", "--braided"], 0,
+     "93abd530ac3c638ce97ab324b15634e4a077db6e6b774b5815a10b0173482cf9"),
 ]
 
 
@@ -618,7 +623,8 @@ GOLDEN_REPORTS = [
                               "analyze-dt2", "analyze-dt3", "analyze-taft5", "analyze-taft7",
                               "analyze-uqsl2-l3-borel-minus", "analyze-uqsl2-l5-cartan",
                               "analyze-uqsl2-l5-borel-plus", "analyze-uqsl2-l5-borel-minus",
-                              "analyze-uqsl2-l7-borel-plus", "analyze-uqsl2-l7-borel-minus"])
+                              "analyze-uqsl2-l7-borel-plus", "analyze-uqsl2-l7-borel-minus",
+                              "dh8-braided"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 

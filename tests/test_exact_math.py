@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfkit import _kernel as K
-from hopfkit._kernel import _pykernel
 from hopfkit.errors import InconsistentSystemError, ShapeError
 from hopfkit.exact_math import (
     Cyclotomic,
@@ -179,8 +178,8 @@ def test_scalar_memos_stay_within_their_cap():
     rng = Random(0)
     A = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)])
     assert (A * A.inverse()).is_identity()
-    for memo in (_pykernel._mul_memo, _pykernel._add_memo, K._inv_memo):
-        assert len(memo) <= _pykernel._MEMO_CAP
+    for memo in (K._mul_memo, K._add_memo, K._inv_memo):
+        assert len(memo) <= K._MEMO_CAP
 
 
 @pytest.mark.parametrize("N", KERNEL_CONDUCTORS)

@@ -448,14 +448,12 @@ def test_one_term_rows_meet_defects_on_the_short_path_and_past_it(taft5):
     # is found where the scan compares two one-term products directly; a
     # term moved to another index, a row emptied and a second term added are
     # found past the short path, where the sums are compared key by key
-    from hopfkit._kernel import _pykernel
-
     H = taft5[0]
     n, ctx, G = H.dim, H.ctx, algebra_generators(H)
     two = K.s_from_ratio(ctx, 2)
     rows = [r for r, terms in enumerate(H.mult) if terms][1::40]
     assert len(rows) == 10 and all(len(H.mult[r]) == 1 for r in rows)
-    compare = _pykernel._differ
+    compare = K._differ
     for kind in ("scale", "move", "empty", "second term"):
         for r in rows:
             (k, s), = H.mult[r]
@@ -468,7 +466,7 @@ def test_one_term_rows_meet_defects_on_the_short_path_and_past_it(taft5):
                 decided.append(compare(lhs, rhs, zero))
                 return decided[-1]
 
-            with mock.patch.object(_pykernel, "_differ", spy):
+            with mock.patch.object(K, "_differ", spy):
                 w = K.assoc_first_defect(n, mult, ctx)
             assert w is not None and w == _ref_assoc(n, mult, ctx), (kind, r)
             assert (True in decided) == (kind != "scale"), (kind, r)
@@ -479,18 +477,39 @@ def test_scans_on_h8_compare_cancelled_sums_key_by_key(h8):
     # on H8 a sum that cancels leaves a zero key on one side only, so the
     # two dicts differ and the key-by-key comparison must decide; deciding
     # on the dicts alone reports defects in a Hopf algebra
-    from hopfkit._kernel import _pykernel
-
     decided = []
-    compare = _pykernel._differ
+    compare = K._differ
 
     def spy(lhs, rhs, zero):
         decided.append(compare(lhs, rhs, zero))
         return decided[-1]
 
-    with mock.patch.object(_pykernel, "_differ", spy):
+    with mock.patch.object(K, "_differ", spy):
         assert verify_hopf(h8).ok
     assert decided and not any(decided)
+
+
+def test_scans_call_the_scalar_operations_bound_in_the_kernel(h8):
+    # the benchmark counts scalar calls by rebinding s_mul and s_add in
+    # hopfkit._kernel; the scans must call them through those names, or
+    # their products and sums go uncounted
+    calls = {"s_mul": 0, "s_add": 0}
+
+    def counted(name):
+        original = getattr(K, name)
+
+        def wrapper(ctx, a, b):
+            calls[name] += 1
+            return original(ctx, a, b)
+        return wrapper
+
+    n, ctx = h8.dim, h8.ctx
+    with mock.patch.object(K, "s_mul", counted("s_mul")), \
+            mock.patch.object(K, "s_add", counted("s_add")):
+        assert K.assoc_first_defect(n, h8.mult, ctx) is None
+        assert K.bialg_first_defect(n, h8.mult, h8.comult, ctx) is None
+        assert K.coassoc_first_defect(n, h8.comult, ctx) is None
+    assert calls["s_mul"] > 0 and calls["s_add"] > 0, calls
 
 
 def test_out_of_range_antipode_index_is_a_shape_error():

@@ -23,7 +23,7 @@ ALLOWED_UNREFERENCED = {
 ALLOWED_UNREAD = {
     (m, f, "ctx"): "every scalar operation takes the context first, so that "
                    "callers need not know which ones read it"
-    for m, f in (("_kernel._pykernel", "s_add"), ("_kernel.__init__", "s_from_fractions"))
+    for m, f in (("_kernel", "s_add"), ("_kernel", "s_from_fractions"))
 }
 
 

@@ -1,12 +1,15 @@
-"""The axiom scans of ``_kernel._pykernel`` compare the two sides of an axiom
+"""The axiom scans of ``_kernel`` compare the two sides of an axiom
 as canonical sums: no ``*_first_defect*`` function, nor any kernel function
 one calls, forms their difference with ``s_sub`` or ``s_neg`` or tests it
 with ``s_is_zero``."""
 
 import ast
+import inspect
 from pathlib import Path
 
-KERNEL = Path(__file__).resolve().parents[1] / "src" / "hopfkit" / "_kernel" / "_pykernel.py"
+import hopfkit._kernel
+
+KERNEL = Path(inspect.getsourcefile(hopfkit._kernel))
 FORBIDDEN = {"s_sub", "s_neg", "s_is_zero"}
 
 
