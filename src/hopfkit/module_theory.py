@@ -20,8 +20,9 @@ class HModule:
     only, which is exact under that premise: the h a linear condition holds
     for contain 1 and are closed under products once both actions are algebra
     maps.  Tensor products, direct sums, restrictions, induced and coinduced
-    modules and the trivial module are modules by construction; the command
-    line runs ``verify_module`` on every module it reads.  A caller that
+    modules and the trivial module are modules by construction, and ZInd(M)
+    is a Yetter-Drinfeld module by theorem; the command line runs
+    ``verify_module`` on every module it reads.  A caller that
     builds an HModule directly takes on the premise.
 
     The module lives over Q(zeta_M) for M the lcm of ``N``, the conductor

@@ -217,9 +217,11 @@ def z_induce(frob, M):
 
     delta(h x v) = h_(1) v^(-1) S(h_(3)) x (h_(2) x v^(0)), with the twist
     h_(1) g S(h_(3)) x h_(2) read from ``H.yd_twist`` over H lifted to the
-    induced module's conductor.  The result is built and verified once per
-    Frobenius data and YD module value; a module that fails verification
-    raises and is not cached.
+    induced module's conductor.  The result is built once per Frobenius data
+    and YD module value.  It is a YD module by theorem whenever K is a Hopf
+    subalgebra of H and M a YD module over K, with no Frobenius or centrality
+    hypothesis (notes/decisions.md, "ZInd(M) is a Yetter-Drinfeld module by
+    theorem"), so it is not verified again.
     """
     incl = frob.incl
     if not is_central_extension(incl):
@@ -252,20 +254,16 @@ def z_induce(frob, M):
                         c = K.s_mul(ctx, tw, ev)
                         for tb, w in cols[a0].items():
                             _add(ctx, rows[k * dim + tb], i * d + a, K.s_mul(ctx, c, w))
-    coaction = Matrix.from_sparse(conductor, dim, rows)
-    out = YDModule(ind, coaction)
-    rep = verify_yd(out)
-    if not rep.ok:
-        raise PipelineError("z_induce output failed YD verification: %r" % rep.failures())
-    return out
+    return YDModule(ind, Matrix.from_sparse(conductor, dim, rows))
 
 
 def verify_braided_frobenius(frob, M, N_mod):
     """Both braided compatibility squares for the pair (M, N) of K-YD modules.
 
     Only ZInd(M) and ZInd(N) are built; ZInd(M (x) N) is not, since no
-    square reads it.  The braidings of M, N and of ZInd(M), ZInd(N) are YD
-    isomorphisms by theorem, so no tensor product of YD modules is built.
+    square reads it.  ZInd(M) and ZInd(N) are YD modules, and the braidings
+    of M, N and of ZInd(M), ZInd(N) YD isomorphisms, by theorem, so neither
+    is checked and no tensor product of YD modules is built.
     """
     rep = Report("braided-frobenius[%s,%s]" % (M.name, N_mod.name))
     FM = z_induce(frob, M)
@@ -281,13 +279,6 @@ def verify_braided_frobenius(frob, M, N_mod):
     lhs = oplax_pair(frob, N_mod, M) * F_psi
     rhs = psi_H * oplax_pair(frob, M, N_mod)
     rep.add("oplax-braided", lhs == rhs, anchor="braided-oplax")
-
-    # functor-level compatibility: the module part of z_induce equals induce
-    rep.add(
-        "module-part-matches-induce",
-        FM == induce(frob, M),
-        anchor="zind-underlying",
-    )
     return rep
 
 

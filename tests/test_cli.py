@@ -609,6 +609,12 @@ GOLDEN_REPORTS = [
     (["check-functor", "builtin:double?of=builtin:h8",
       "--module", "builtin:kchar?act=1,1,1,-1,1,-1,-1,-1&deg=1", "--braided"], 0,
      "93abd530ac3c638ce97ab324b15634e4a077db6e6b774b5815a10b0173482cf9"),
+    # kC3 < T3 is no Frobenius extension: both commands stop at their
+    # frobenius-extension line
+    (["check-functor", "builtin:taft?l=3", "--frobenius-monoidal"], 1,
+     "62fda72072ed9047fd0aeeb6020b83b5ae96b5a21922b9145077a9ef46631e7d"),
+    (["frob-objects", "builtin:taft?l=3"], 1,
+     "a15b98cdfa9d9c1d62bae80f8da8776e1b3ca89cb5bc6caafed5f6bffd1c043a"),
 ]
 
 
@@ -624,7 +630,7 @@ GOLDEN_REPORTS = [
                               "analyze-uqsl2-l3-borel-minus", "analyze-uqsl2-l5-cartan",
                               "analyze-uqsl2-l5-borel-plus", "analyze-uqsl2-l5-borel-minus",
                               "analyze-uqsl2-l7-borel-plus", "analyze-uqsl2-l7-borel-minus",
-                              "dh8-braided"])
+                              "dh8-braided", "check-functor-taft3", "frob-objects-taft3"])
 def test_report_bytes_are_golden(capsys, argv, rc, sha256):
     import hashlib
 

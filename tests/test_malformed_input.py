@@ -397,7 +397,17 @@ STRICT_REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("argv, message", INVALID_BUILTIN_PARAMETERS + STRICT_REFUSALS)
+# A kchar module with no action, or with one value too few for kK.
+KCHAR_REFUSALS = [
+    (["check-functor", "builtin:h8", "--module", "builtin:kchar"],
+     "builtin:kchar needs act=v1,v2,..."),
+    (["check-functor", "builtin:h8", "--module", "builtin:kchar?act=1,1"],
+     "act needs 4 values for kK"),
+]
+
+
+@pytest.mark.parametrize("argv, message",
+                         INVALID_BUILTIN_PARAMETERS + STRICT_REFUSALS + KCHAR_REFUSALS)
 def test_invalid_builtin_parameter_exits_2(argv, message):
     assert _run_err(argv) == (2, "input error: %s\n" % message)
 

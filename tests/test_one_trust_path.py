@@ -3,7 +3,10 @@
 Only ``cli.resolve_hopf``, which runs ``verify_hopf`` on what it parses, and
 ``cli.cmd_verify``, which reports those checks, turn bundle text into a
 FinHopf.  Only ``cli.resolve_module``, whose modules ``check-functor`` runs
-``verify_module`` on, and ``cli.cmd_verify`` turn it into a module.  No
+``verify_module`` on, and ``cli.cmd_verify`` turn it into a module.  Only
+``cli.cmd_verify`` and ``cli.cmd_check_functor`` verify a module: a derived
+module (a tensor product, Ind, CoInd, Res or ZInd) is one by construction or
+by theorem and is never re-verified.  No
 provenance bit selects a second path through the checks: no module of the
 package mentions one.  Nor does a caller hand in what an inclusion decides
 itself: no function takes a centrality bit or a tr matrix beside the
@@ -12,6 +15,8 @@ stands between the two."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfkit"
 
@@ -69,6 +74,11 @@ def test_only_resolve_hopf_and_cmd_verify_parse_a_hopf_bundle():
 
 def test_only_resolve_module_and_cmd_verify_parse_a_module_bundle():
     assert _package_callers("parse_module") == {"cli.py": {"resolve_module", "cmd_verify"}}
+
+
+@pytest.mark.parametrize("name", ["verify_module", "verify_yd"])
+def test_only_the_input_commands_verify_a_module(name):
+    assert _package_callers(name) == {"cli.py": {"cmd_verify", "cmd_check_functor"}}
 
 
 def test_no_provenance_bit_in_the_algebra_modules():

@@ -156,6 +156,60 @@ def test_z_induce_module_part_is_induce(h8_frob):
     assert Z.action == induce(h8_frob, L).action
 
 
+# ZInd(M) is a YD module whenever K is a Hopf subalgebra of H and M a YD
+# module over K: neither the Frobenius data nor centrality enter the proof
+# (notes/decisions.md, "ZInd(M) is a Yetter-Drinfeld module by theorem").
+# The Cartan inclusions of u_q(sl2) are not central, so z_induce is let past
+# its guard there.
+_NON_CENTRAL_LINES = {
+    "builtin:uqsl2?l=3&sub=cartan": ["act=1,z,z^2&deg=k", "act=1,z^2,z&deg=k^2",
+                                     "act=1,z,z^2&deg=k^2"],
+    "builtin:uqsl2?l=5&sub=cartan": ["act=1,z,z^2,z^3,z^4&deg=k",
+                                     "act=1,z^2,z^4,z,z^3&deg=k^3"],
+}
+
+
+def test_induced_yd_modules_are_yd_modules_by_theorem(h8_frob, monkeypatch):
+    from hopfkit import yetter_drinfeld
+    from hopfkit.cli import resolve_inclusion, resolve_module
+
+    def check(frob, M):
+        rep = verify_yd(z_induce(frob, M))
+        assert rep.ok, (frob.incl.H.name, M.name, rep.failures())
+
+    dkk = induction_context(resolve_inclusion("builtin:double?of=builtin:group?table=klein"))
+    for frob in (h8_frob, dkk):
+        for g in ("1", "x", "y", "xy"):
+            for ex, ey in _SIGNS:
+                check(frob, kline(frob.incl.K, g, ex, ey))
+    dc3 = induction_context(resolve_inclusion("builtin:double?of=builtin:group?table=c3"))
+    for spec in ("builtin:kchar?act=1,z,z^2&deg=g1&cond=3",
+                 "builtin:kchar?act=1,z^2,z&deg=g2&cond=3"):
+        check(dc3, resolve_module(spec, dc3.incl.K))
+    # the dh8-braided golden's character: K = H8 is not a group algebra
+    dh8 = induction_context(resolve_inclusion("builtin:double?of=builtin:h8"))
+    check(dh8, resolve_module("builtin:kchar?act=1,1,1,-1,1,-1,-1,-1&deg=1", dh8.incl.K))
+
+    monkeypatch.setattr(yetter_drinfeld, "is_central_extension", lambda incl: True)
+    for spec, lines in _NON_CENTRAL_LINES.items():
+        frob = induction_context(resolve_inclusion(spec))
+        assert is_central_extension(frob.incl) is False
+        for act in lines:
+            check(frob, resolve_module("builtin:kchar?" + act, frob.incl.K))
+
+
+def test_z_induce_does_not_verify_its_output(monkeypatch):
+    from hopfkit import yetter_drinfeld
+    from hopfkit.cli import resolve_inclusion
+
+    calls = []
+    monkeypatch.setattr(yetter_drinfeld, "verify_yd", lambda M: calls.append(M))
+    frob = induction_context(resolve_inclusion("builtin:h8"))
+    Z = z_induce(frob, kline(frob.incl.K, "x", -1, 1))
+    assert Z.dim == frob.rank
+    assert calls == []
+
+
 def test_braided_frobenius_pairs(h8_frob):
     chars = [kline(h8_frob.incl.K, "1", ex, ey) for ex in (1, -1) for ey in (1, -1)]
     for a in chars:
