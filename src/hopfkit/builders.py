@@ -12,9 +12,13 @@ counits and antipodes of the monomial bases of H8, Taft and small quantum
 sl2 come from one helper, ``_pbw``: each monomial multiplies the images of
 its first generator with those of the shorter monomial, in the
 tensor-square algebra for coproducts.  Every builder writes FinHopf's raw
-tables, except that small quantum sl2 passes a product table that computes
-each row on its first read: the scans of u_q(sl2) and its subalgebras read
-only a few percent of its l^6 rows.  verify_hopf then certifies the result.
+tables, except that the coproduct and antipode tables of these three, and
+the product table of small quantum sl2, compute each row on its first read
+(``_LazyRows``): the scans of u_q(sl2) and its subalgebras read only a few
+percent of its l^6 products, and ``scan-sl2`` 45 of the 125 coproducts of
+u_5(sl2).  The same three pass FinHopf the presentation of their monomials
+as words in the generators, from which ``algebra_generators`` reads G
+after one row lookup per word.  verify_hopf then certifies the result.
 Each catalogue Hopf subalgebra is named by its generators
 (``generated_inclusion``).
 
@@ -51,12 +55,53 @@ from .hopf_core import (
 )
 
 
+class _LazyRows(dict):
+    """A table of ``size`` rows, each computed by ``row(r)`` on its first
+    read and then kept as a plain dict entry.
+
+    Otherwise it reads as the tuple of its rows: ``len`` is ``size``,
+    iteration runs in index order after filling every missing row in one
+    loop, ``==`` and ``!=`` compare every row, and an index outside
+    0..size-1 raises IndexError."""
+
+    __slots__ = ("size", "row")
+
+    def __init__(self, size, row):
+        super().__init__()
+        self.size = size
+        self.row = row
+
+    def __missing__(self, r):
+        if not 0 <= r < self.size:
+            raise IndexError("row %d out of range 0..%d" % (r, self.size - 1))
+        got = self[r] = self.row(r)
+        return got
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        if dict.__len__(self) < self.size:
+            row = self.row
+            for r in range(self.size):
+                if r not in self:
+                    self[r] = row(r)
+        return map(self.__getitem__, range(self.size))
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _LazyRows) else other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
 def _tensor_square_mul(ctx, mult, n, u, v):
-    """Product in H (x) H of sparse vectors keyed i*n + j, from the table of H."""
+    """Product in H (x) H of sparse vectors, given as (i*n + j, raw) pairs,
+    from the table of H."""
     out = {}
-    for x1, c1 in u.items():
+    for x1, c1 in u:
         i1, j1 = divmod(x1, n)
-        for x2, c2 in v.items():
+        for x2, c2 in v:
             i2, j2 = divmod(x2, n)
             c = K.s_mul(ctx, c1, c2)
             right = mult[j1 * n + j2]
@@ -68,7 +113,8 @@ def _tensor_square_mul(ctx, mult, n, u, v):
 
 
 def _pbw(ctx, mult, names, words, gens):
-    """Labels, coproduct rows, counit and antipode columns of a monomial basis.
+    """Labels, coproduct rows, counit, antipode columns and presentation of
+    a monomial basis.
 
     Basis element t is the monomial of the exponent tuple words[t] in the
     generators named by ``names``; the empty word comes first, and each
@@ -76,26 +122,40 @@ def _pbw(ctx, mult, names, words, gens):
     one.  gens[s] = (Delta(g_s), eps(g_s), S(g_s)), Delta keyed i*n + j.
     Each monomial peels its first generator off that shorter word w:
     Delta(g_s w) = Delta(g_s)Delta(w), eps(g_s w) = eps(g_s)eps(w) and
-    S(g_s w) = S(w)S(g_s).
+    S(g_s w) = S(w)S(g_s).  The coproduct rows and antipode columns are
+    tables that compute each entry on its first read (``_LazyRows``).  The
+    presentation is the pair (the index of each g_s, the pair (s, r) of
+    each monomial t = g_s w_r after the first), as ``FinHopf`` takes it.
     """
     n = len(words)
     one = K.s_one(ctx)
     index = {w: t for t, w in enumerate(words)}
     labels = ["1"]
-    delta = [{0: one}]
     counit = [one]
-    S = [{0: one}]
+    steps = []
     for w in words[1:]:
         s = next(s for s, e in enumerate(w) if e)
         r = index[w[:s] + (w[s] - 1,) + w[s + 1:]]
-        d_g, e_g, S_g = gens[s]
         labels.append("".join(name if e == 1 else "%s^%d" % (name, e)
                               for name, e in zip(names, w) if e))
-        delta.append(_tensor_square_mul(ctx, mult, n, d_g, delta[r]))
-        counit.append(K.s_mul(ctx, e_g, counit[r]))
-        S.append(_table_mul(ctx, mult, n, S[r], S_g))
-    return (labels, tuple(tuple(sorted(d.items())) for d in delta), tuple(counit),
-            tuple(tuple(sorted(v.items())) for v in S))
+        counit.append(K.s_mul(ctx, gens[s][1], counit[r]))
+        steps.append((s, r))
+
+    def peeled(product):
+        # row t = product(s, row r) for the word g_s w_r of t; row 0 is 1
+        def row(t):
+            s, r = steps[t - 1]
+            return tuple(sorted(product(s, table[r]).items()))
+
+        table = _LazyRows(n, row)
+        table[0] = ((0, one),)
+        return table
+
+    delta = peeled(lambda s, w: _tensor_square_mul(ctx, mult, n, gens[s][0].items(), w))
+    S = peeled(lambda s, w: _table_mul(ctx, mult, n, dict(w), gens[s][2]))
+    generators = tuple(index[tuple(int(i == s) for i in range(len(names)))]
+                       for s in range(len(names)))
+    return labels, delta, tuple(counit), S, (generators, tuple(steps))
 
 
 def generated_inclusion(H, labels, name):
@@ -221,8 +281,9 @@ def kac_paljutkin():
     # Delta(z) = 1/2 (z x z + z x xz + yz x z - yz x xz)
     dz = {z * n + z: half, z * n + xz: half, yz * n + z: half, yz * n + xz: K.s_neg(half)}
     gens = [({g * n + g: one}, one, {g: one}) for g in (x, y)] + [(dz, one, {z: one})]
-    labels, comult, counit, Scols = _pbw(ctx, mult, "xyz", _H8_WORDS, gens)
-    H8 = FinHopf("H8", labels, 1, mult, (one,) + (K.s_zero(ctx),) * (n - 1), comult, counit, Scols)
+    labels, comult, counit, Scols, pres = _pbw(ctx, mult, "xyz", _H8_WORDS, gens)
+    H8 = FinHopf("H8", labels, 1, mult, (one,) + (K.s_zero(ctx),) * (n - 1), comult, counit, Scols,
+                 presentation=pres)
 
     return H8, generated_inclusion(H8, ("x", "y"), "kK")
 
@@ -264,9 +325,10 @@ def taft(l, q_power=1):
         ({x * n: one, g * n + x: one}, z, {idx(l - 1, 1): K.s_neg(one)}),
     ]
     words = [(a, b) for a in range(l) for b in range(l)]
-    labels, comult, counit, Scols = _pbw(ctx, mult, "gx", words, gens)
+    labels, comult, counit, Scols, pres = _pbw(ctx, mult, "gx", words, gens)
     unit = (one,) + (z,) * (n - 1)
-    T = FinHopf("T%d(z^%d)" % (l, q_power), labels, l, mult, unit, comult, counit, Scols)
+    T = FinHopf("T%d(z^%d)" % (l, q_power), labels, l, mult, unit, comult, counit, Scols,
+                presentation=pres)
     return T, generated_inclusion(T, ("g",), "kC%d" % l)
 
 
@@ -282,80 +344,52 @@ UQSL2_SUBALGEBRAS = {"cartan": ("kC", ("k",)), "borel-": ("borel-", ("k", "f")),
                      "borel+": ("borel+", ("k", "e"))}
 
 
-class _UqProducts(dict):
+def _uq_products(ctx, l, q, ef):
     """The product table of small_quantum_sl2(l), each row computed on its
-    first read and then kept as a plain dict entry.
+    first read (``_LazyRows``).
 
     (f^j k^m e^i)(f^j1 k^m1 e^i1) = f^j k^m (e^i f^j1) k^m1 e^i1
       = sum c q^(-2m j2 - 2m1 i2) f^(j+j2) k^(m+m2+m1) e^(i2+i1)
-    over the terms c f^j2 k^m2 e^i2 of e^i f^j1, dropping those with
-    j + j2 >= l or i2 + i1 >= l.  For fixed (j1, i, m, m1) the row at any
-    (j, i1) is the sorted row at j = i1 = 0, kept once per key, cut and
-    shifted by j l^2 + i1.  Sorting by key sorts by j2, and
-    i2 = j2 + i - j1, so the kept terms are a prefix.
+    over the terms c f^j2 k^m2 e^i2 of e^i f^j1 (ef[j1*l + i] lists them as
+    (j2, m2, i2, c)), dropping those with j + j2 >= l or i2 + i1 >= l.  For
+    fixed (j1, i, m, m1) the row at any (j, i1) is the sorted row at
+    j = i1 = 0, kept once per key, cut and shifted by j l^2 + i1.  Sorting
+    by key sorts by j2, and i2 = j2 + i - j1, so the kept terms are a
+    prefix."""
+    n = l ** 3
+    # cuts[j1*l + i][j*l + i1]: how many terms of e^i f^j1 have j + j2 < l
+    # and i2 + i1 < l
+    cuts = []
+    for j1 in range(l):
+        for i in range(l):
+            j2s = sorted(j2 for j2, _, _, _ in ef[j1 * l + i])
+            cuts.append([bisect_left(j2s, min(l - j, l - i1 - i + j1))
+                         for j in range(l) for i1 in range(l)])
+    # scaled[((j1*l + i)*l + m)*l + m1]: the sorted row at j = i1 = 0
+    scaled_rows = [None] * l ** 4
 
-    Otherwise it reads as the tuple of rows: ``len`` is n^2, iteration runs
-    in index order, ``==`` and ``!=`` compare every row, and an index
-    outside 0..n^2-1 raises IndexError."""
+    # exponents[t] = (j, m, i) of the monomial t = f^j k^m e^i
+    exponents = [(j, m, i) for j in range(l) for m in range(l) for i in range(l)]
 
-    __slots__ = ("ctx", "l", "n", "q", "ef", "cuts", "scaled")
-
-    def __init__(self, ctx, l, q, ef):
-        super().__init__()
-        self.ctx = ctx
-        self.l = l
-        self.n = l ** 3
-        self.q = q
-        # ef[j1*l + i]: the terms (j2, m2, i2, c) of e^i f^j1
-        self.ef = ef
-        # cuts[j1*l + i][j*l + i1]: how many of those terms have j + j2 < l
-        # and i2 + i1 < l
-        self.cuts = []
-        for j1 in range(l):
-            for i in range(l):
-                j2s = sorted(j2 for j2, _, _, _ in ef[j1 * l + i])
-                self.cuts.append([bisect_left(j2s, min(l - j, l - i1 - i + j1))
-                                  for j in range(l) for i1 in range(l)])
-        # scaled[((j1*l + i)*l + m)*l + m1]: the sorted row at j = i1 = 0
-        self.scaled = [None] * l ** 4
-
-    def __missing__(self, r):
-        l, n = self.l, self.n
-        if not 0 <= r < n * n:
-            raise IndexError("product row %d out of range 0..%d" % (r, n * n - 1))
+    def row(r):
         a, b = divmod(r, n)
-        j, a = divmod(a, l * l)
-        m, i = divmod(a, l)
-        j1, b = divmod(b, l * l)
-        m1, i1 = divmod(b, l)
+        j, m, i = exponents[a]
+        j1, m1, i1 = exponents[b]
         ji = j1 * l + i
-        cut = self.cuts[ji][j * l + i1]
-        row = ()
-        if cut:
-            key = (ji * l + m) * l + m1
-            scaled = self.scaled[key]
-            if scaled is None:
-                ctx, q = self.ctx, self.q
-                scaled = self.scaled[key] = sorted(
-                    (j2 * l * l + (m + m2 + m1) % l * l + i2,
-                     K.s_mul(ctx, c, q[(-2 * m * j2 - 2 * m1 * i2) % l]))
-                    for j2, m2, i2, c in self.ef[ji])
-            shift = j * l * l + i1
-            row = tuple([(t + shift, c) for t, c in scaled[:cut]])
-        self[r] = row
-        return row
+        cut = cuts[ji][j * l + i1]
+        if not cut:
+            return ()
+        key = (ji * l + m) * l + m1
+        scaled = scaled_rows[key]
+        if scaled is None:
+            scaled = scaled_rows[key] = sorted(
+                (j2 * l * l + (m + m2 + m1) % l * l + i2,
+                 K.s_mul(ctx, c, q[(-2 * m * j2 - 2 * m1 * i2) % l]))
+                for j2, m2, i2, c in ef[ji])
+        shift = j * l * l + i1
+        return tuple([(t + shift, c) for t, c in scaled[:cut]])
 
-    def __len__(self):
-        return self.n * self.n
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.n * self.n))
-
-    def __eq__(self, other):
-        return tuple(self) == (tuple(other) if isinstance(other, _UqProducts) else other)
-
-    def __ne__(self, other):
-        return not self == other
+    return _LazyRows(n * n, row)
 
 
 def small_quantum_sl2(l):
@@ -370,7 +404,7 @@ def small_quantum_sl2(l):
 
     Only the l^2 products e^i f^j need the commutator [e, f]; they are
     expanded once.  Every other product is one of them rescaled by a power
-    of q and shifted, and is computed on its first read (``_UqProducts``).
+    of q and shifted, and is computed on its first read (``_uq_products``).
     Coproducts, counit and antipode come from those of f, k and e
     (``_pbw``).
     """
@@ -411,7 +445,7 @@ def small_quantum_sl2(l):
         for i in range(l):
             ef.append([(t // ll, t // l % l, t % l, c) for t, c in w.items()])
             w = _apply(ctx, e_left, w)
-    mult = _UqProducts(ctx, l, q, ef)
+    mult = _uq_products(ctx, l, q, ef)
 
     e_1 = idx(0, 0, 0)
     e_e = idx(0, 0, 1)
@@ -428,7 +462,7 @@ def small_quantum_sl2(l):
          _table_mul(ctx, mult, n, {e_e: K.s_neg(one)}, {e_kinv: one})),
     ]
     words = [(j, m, i) for j in range(l) for m in range(l) for i in range(l)]
-    labels, comult_rows, counit, Scols = _pbw(ctx, mult, "fke", words, gens)
+    labels, comult_rows, counit, Scols, pres = _pbw(ctx, mult, "fke", words, gens)
     unit = (one,) + (z,) * (n - 1)
 
     return FinHopf(
@@ -441,6 +475,7 @@ def small_quantum_sl2(l):
         counit,
         Scols,
         convention="kassel: Delta(e)=1xe+exk, Delta(f)=k^-1xf+fx1, ke=q^2ek",
+        presentation=pres,
     )
 
 

@@ -54,7 +54,6 @@ from .exact_math import (
     _table_mul,
     _tensor,
     nullspace_raw,
-    rref_raw,
 )
 from .reports import Report
 
@@ -161,7 +160,14 @@ class FinHopf:
     and ``counit`` are dense tuples of n raw scalars.  Every table is read
     by index or as a whole, never by slice, so a builder may pass a table
     that computes each row on its first read and otherwise reads as the
-    tuple of its rows (``builders._UqProducts``)."""
+    tuple of its rows (``builders._LazyRows``).
+
+    A builder that knows a presentation by words may pass it as
+    ``presentation = (gens, steps)``: e_0 is the unit, and steps[t - 1] =
+    (s, r) with r < t says that e_{gens[s]} e_r is a nonzero multiple of
+    e_t, for every t >= 1.  It is a claim, not trusted:
+    ``algebra_generators`` reads G = gens off it only after checking each
+    of those rows in the product table."""
 
     __slots__ = (
         "name",
@@ -174,11 +180,13 @@ class FinHopf:
         "counit",
         "antipode_cols",
         "convention",
+        "presentation",
         "ctx",
         "_cache",
     )
 
-    def __init__(self, name, basis_labels, N, mult, unit, comult, counit, antipode_cols, convention=""):
+    def __init__(self, name, basis_labels, N, mult, unit, comult, counit, antipode_cols, convention="",
+                 presentation=None):
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
@@ -189,6 +197,7 @@ class FinHopf:
         self.counit = counit
         self.antipode_cols = antipode_cols
         self.convention = convention
+        self.presentation = presentation
         self.ctx = K.make_ctx(N)
         self._cache = {}
 
@@ -304,16 +313,41 @@ def _check_shapes(H):
                     raise ShapeError("%s output index %d out of range" % (what, k))
 
 
+def _presented_generators(H):
+    """The generators of H's presentation, sorted, if its words hold in H's
+    table (see ``FinHopf``), else None.  Then e_0 = 1 and, by induction on
+    t, each e_t is a multiple of a product of generators, so 1 and those
+    products span H.  Each word costs one row lookup and no product."""
+    if H.presentation is None:
+        return None
+    gens, steps = H.presentation
+    n = H.dim
+    if (H.unit_vec() != {0: K.s_one(H.ctx)} or len(steps) != n - 1
+            or not all(0 <= g < n for g in gens)):
+        return None
+    for t, (s, r) in enumerate(steps, 1):
+        if not 0 <= r < t or not 0 <= s < len(gens):
+            return None
+        row = H.mult[gens[s] * n + r]
+        if len(row) != 1 or row[0][0] != t:
+            return None
+    return tuple(sorted(gens))
+
+
 @cached()
 def algebra_generators(H):
     """Basis indices G such that 1 and the products of elements of G span H;
     cached on H.
 
-    Greedy: starting from span{1}, add the first basis element outside the
-    span and close the span under right multiplication by G; repeat until
-    the span is H.  Once it is, no product is formed.  Only meaningful when
-    1 is a two-sided unit.
+    The generators of a presentation whose words hold (see
+    ``_presented_generators``).  Otherwise greedy: starting from span{1},
+    add the first basis element outside the span and close the span under
+    right multiplication by G; repeat until the span is H.  Once it is, no
+    product is formed.  Only meaningful when 1 is a two-sided unit.
     """
+    presented = _presented_generators(H)
+    if presented is not None:
+        return presented
     space = RowSpace(H.dim, H.ctx)
     spanning = []
     pending = []
@@ -535,21 +569,37 @@ def right_integral_element(H):
 
 @cached()
 def distinguished_grouplike(H):
-    """The algebra map alpha with a*Lambda = alpha(a)*Lambda for the right integral."""
+    """The algebra map alpha with a*Lambda = alpha(a)*Lambda for the right
+    integral.
+
+    The a with a*Lambda in k*Lambda contain 1 and are closed under products
+    and sums, so a*Lambda in k*Lambda is checked for a in G only (see
+    ``algebra_generators``).  Then alpha(e_a), for every a, is the
+    coordinate of e_a*Lambda at Lambda's first nonzero index, where Lambda
+    is 1; it is read off the product table's rows, without forming e_a*Lambda.
+    """
     Lam = right_integral_element(H)
-    ctx = H.ctx
+    n, ctx = H.dim, H.ctx
     lam_vec = Lam.col(0)
     pivot = min(lam_vec)  # normalized so lam_vec[pivot] == 1
-    values = []
-    for a in range(H.dim):
-        w = H.mult_vec(H.basis_vec(a), lam_vec)
-        alpha_a = w.get(pivot, K.s_zero(ctx))
-        if w != _scale(ctx, lam_vec, alpha_a):
-            raise PipelineError("left action on the right integral of %s is not scalar" % H.name)
-        values.append(alpha_a)
-    alpha = LinearFunctional(H.N, values)
     # right_integral_element has cached G through integral_space
-    _assert_algebra_map(H, alpha, "distinguished grouplike", algebra_generators(H))
+    gens = algebra_generators(H)
+    for a in gens:
+        w = H.mult_vec(H.basis_vec(a), lam_vec)
+        if w != _scale(ctx, lam_vec, w.get(pivot, K.s_zero(ctx))):
+            raise PipelineError("left action on the right integral of %s is not scalar" % H.name)
+    values = []
+    for a in range(n):
+        acc = K.s_zero(ctx)
+        for i, c in lam_vec.items():
+            for k, s in H.mult[a * n + i]:
+                if k >= pivot:
+                    if k == pivot:
+                        acc = K.s_add(ctx, acc, K.s_mul(ctx, c, s))
+                    break
+        values.append(acc)
+    alpha = LinearFunctional(H.N, values)
+    _assert_algebra_map(H, alpha, "distinguished grouplike", gens)
     return alpha
 
 
@@ -567,13 +617,14 @@ def _assert_algebra_map(H, f, what, lefts=None):
 
 
 def is_unimodular(H):
-    """True iff the spaces of left and right integrals coincide."""
-    left = integral_space(H, "left")
-    right = integral_space(H, "right")
-    if len(left) != len(right):
-        return False
-    space = rref_raw([v.col(0) for v in right], H.dim, H.ctx)
-    return all(space.contains(v.col(0)) for v in left)
+    """True iff the right integral Lambda is a left integral, that is
+    g*Lambda = eps(g)*Lambda for g in G (see ``algebra_generators``): the h
+    with h*Lambda = eps(h)*Lambda form a subalgebra, as eps is an algebra
+    map.  The integrals of a Hopf algebra form a line (Larson-Sweedler), so
+    then the left and right integrals coincide."""
+    lam_vec = right_integral_element(H).col(0)
+    return all(H.mult_vec(H.basis_vec(g), lam_vec) == _scale(H.ctx, lam_vec, H.counit[g])
+               for g in algebra_generators(H))
 
 
 def counital_defect(C):

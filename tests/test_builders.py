@@ -531,3 +531,30 @@ def test_scan_sl2_l5_computes_few_uq_products_and_each_on_first_read():
     ref = _uq_mult_by_rewriting(5)
     assert [rows[r] for r in range(15625)] == list(ref)
     assert uq.mult == ref
+
+
+def test_scan_sl2_l5_computes_few_coproducts_and_antipodes_each_on_first_read(monkeypatch):
+    from hopfkit import builders
+    from hopfkit.cli import main
+
+    built = []
+
+    def spy(l):
+        built.append(small_quantum_sl2(l))
+        return built[-1]
+
+    monkeypatch.setattr(builders, "small_quantum_sl2", spy)
+    assert main(["scan-sl2", "--l", "5"]) == 0
+    (uq,) = built
+    # the dict keys are the rows computed so far: the union of the two
+    # Borel parts, which the subalgebra closures read
+    assert len(uq.comult.keys()) <= 45 and len(uq.antipode_cols.keys()) <= 45
+    ref = small_quantum_sl2(5)
+    ref_rows = (tuple(ref.comult), tuple(ref.antipode_cols))
+    order = list(range(125))
+    random.Random(5).shuffle(order)
+    for table, want in zip((uq.comult, uq.antipode_cols), ref_rows):
+        rows = {t: table[t] for t in order}
+        assert [rows[t] for t in range(125)] == list(want) and table == want
+        with pytest.raises(IndexError):
+            table[125]

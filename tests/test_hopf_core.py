@@ -13,6 +13,7 @@ import hopfkit._kernel as K
 from conftest import uqsl2_sub
 from hopfkit import hopf_core
 from hopfkit.builders import (
+    UQSL2_SUBALGEBRAS,
     cyclic_table,
     drinfeld_double,
     group_algebra,
@@ -28,8 +29,10 @@ from hopfkit.exact_math import (
     RowSpace,
     _column,
     _normalize_first_one,
+    _scale,
     format_scalar,
     parse_scalar,
+    rref_raw,
 )
 from hopfkit.hopf_core import (
     FinHopf,
@@ -272,14 +275,94 @@ GENERATORS = {
 }
 
 
+def _counted_generators(H):
+    """(algebra_generators(H), the number of products it formed)."""
+    with mock.patch.object(FinHopf, "mult_vec", autospec=True, side_effect=FinHopf.mult_vec) as product:
+        return algebra_generators(H), product.call_count
+
+
 @pytest.mark.parametrize("spec", sorted(GENERATORS))
 def test_generators_stop_once_the_span_is_h(spec):
     from hopfkit.cli import resolve_hopf
 
+    # a bundle carries no presentation, so G comes from the greedy
+    H = parse_hopf(serialize_hopf(resolve_hopf(spec)))
+    assert H.presentation is None
+    assert _counted_generators(H) == GENERATORS[spec]
+
+
+# the catalogue algebras whose builders pass the presentation of their words
+PRESENTED = [spec for spec in sorted(GENERATORS) if spec.startswith(("builtin:h8", "builtin:taft", "builtin:uqsl2"))]
+
+
+@pytest.mark.parametrize("spec", PRESENTED)
+def test_presented_generators_are_certified_without_a_product(spec):
+    from hopfkit.cli import resolve_hopf
+
     H = resolve_hopf(spec)
     H._cache.pop(("algebra_generators",), None)
-    with mock.patch.object(FinHopf, "mult_vec", autospec=True, side_effect=FinHopf.mult_vec) as product:
-        assert (algebra_generators(H), product.call_count) == GENERATORS[spec]
+    assert H.presentation is not None
+    assert _counted_generators(H) == (GENERATORS[spec][0], 0)
+
+
+def _with(H, mult=None, presentation=None):
+    """H's tables, with mult replaced when given, and the given presentation."""
+    return FinHopf(H.name, H.basis_labels, H.N, H.mult if mult is None else mult, H.unit, H.comult,
+                   H.counit, H.antipode_cols, presentation=presentation)
+
+
+def test_a_presentation_whose_words_fail_falls_back_to_the_greedy(taft3):
+    T = taft3[0]
+    n, ctx = T.dim, T.ctx
+    gens, steps = T.presentation
+    assert (gens, steps[:2]) == ((3, 1), ((1, 0), (1, 1)))
+    # x^2 = x x is named as x 1
+    wrong_row = (gens, (steps[0], steps[0]) + steps[2:])
+    # the word row x x gains a second term
+    mult = list(T.mult)
+    mult[1 * n + 1] += ((5, K.s_one(ctx)),)
+    tampered = tuple(mult)
+    # g^a x^b = g g^(a-1 mod 3) x^b holds in every row, but g alone does not
+    # generate T3: the words with a = 0 refer to later ones
+    cyclic = ((3,), tuple((0, (t // 3 - 1) % 3 * 3 + t % 3) for t in range(1, n)))
+    assert all(T.mult[3 * n + r] == ((t, K.s_one(ctx)),) for t, (_, r) in enumerate(cyclic[1], 1))
+    for H, greedy in ((_with(T, presentation=wrong_row), GENERATORS["builtin:taft?l=3"]),
+                      (_with(T, tampered, T.presentation), _counted_generators(_with(T, tampered))),
+                      (_with(T, presentation=cyclic), GENERATORS["builtin:taft?l=3"])):
+        assert greedy[1] > 0
+        assert _counted_generators(H) == greedy
+
+
+def _alpha_on_every_basis_element(H):
+    """alpha as read before it was read off the integral's pivot: e_a Lambda
+    formed and checked proportional to Lambda for every basis element."""
+    lam = integral_space(H, "right")[0].col(0)
+    pivot = min(lam)
+    values = []
+    for a in range(H.dim):
+        w = H.mult_vec(H.basis_vec(a), lam)
+        values.append(w.get(pivot, K.s_zero(H.ctx)))
+        assert w == _scale(H.ctx, lam, values[-1])
+    return LinearFunctional(H.N, values)
+
+
+def _unimodular_by_both_integral_spaces(H):
+    """is_unimodular as decided before it read one integral: the spaces of
+    left and right integrals compared."""
+    left, right = integral_space(H, "left"), integral_space(H, "right")
+    space = rref_raw([v.col(0) for v in right], H.dim, H.ctx)
+    return len(left) == len(right) and all(space.contains(v.col(0)) for v in left)
+
+
+@pytest.mark.parametrize("spec", sorted(GENERATORS) + ["builtin:uqsl2?l=7"] + [
+    "builtin:uqsl2?l=%d&sub=%s" % (l, sub) for l in (3, 5, 7) for sub in UQSL2_SUBALGEBRAS])
+def test_alpha_and_unimodularity_match_the_full_computations(spec):
+    from hopfkit.cli import resolve_hopf, resolve_inclusion
+
+    H = resolve_inclusion(spec).K if "sub=" in spec else resolve_hopf(spec)
+    alpha = distinguished_grouplike(H)
+    assert alpha == _alpha_on_every_basis_element(H)
+    assert is_unimodular(H) == _unimodular_by_both_integral_spaces(H) == (alpha == H.counit_functional())
 
 
 def _bump(entries, key, delta, ctx):
