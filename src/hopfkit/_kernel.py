@@ -357,8 +357,11 @@ def assoc_first_defect(n, mult, ctx, mids=None):
     Where ea*eb = s*ek and eb*ec = t*em each have one term, the sides are
     (s*ek)*ec and t*(ea*em): when rows (k,c) and (a,m) are both empty the
     triple holds, and when each has one term, at one index, the two products
-    are compared directly.  Where ea*eb and eb*ec are both zero, so are the
-    two sides.  Every other triple adds up both sides.
+    are compared directly.  Where ea*eb is zero, so is the left side, and
+    the triple holds when every row (a,m) that eb*ec = sum t*em reads is
+    empty (so when eb*ec is zero too); where eb*ec is zero, it holds when
+    every row (k,c) that ea*eb = sum s*ek reads is empty.  Every other
+    triple adds up both sides.
     """
     zero, one = ctx[3], ctx[4]
     for a in range(n):
@@ -372,7 +375,19 @@ def assoc_first_defect(n, mult, ctx, mids=None):
                 kn = k1 * n
             for c in range(n):
                 rbc = mult[bn + c]
-                if len(rbc) == 1:
+                if not rab:
+                    for m, _ in rbc:
+                        if mult[an + m]:
+                            break
+                    else:
+                        continue
+                elif not rbc:
+                    for k, _ in rab:
+                        if mult[k * n + c]:
+                            break
+                    else:
+                        continue
+                elif len(rbc) == 1:
                     if kn >= 0:
                         (m1, t1), = rbc
                         rl = mult[kn + c]
@@ -387,8 +402,6 @@ def assoc_first_defect(n, mult, ctx, mids=None):
                                     v if t1 == one else t1 if v == one else s_mul(ctx, t1, v)):
                                 continue
                             return (a, b, c)
-                elif not rbc and not rab:
-                    continue
                 lhs = {}
                 for k, s in rab:
                     for m, t in mult[k * n + c]:

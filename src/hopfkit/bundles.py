@@ -146,13 +146,28 @@ def _parse_sections(p):
         p.error("unexpected end of file", p.pos + 1)
 
 
-def _learn(p, at, parts, bounds, strides, terms):
-    """The flat index of entry line ``at``, split into ``parts``, whose index
-    texts are not all in ``terms`` yet: every index is decoded before any is
-    checked against its bound, and each text is then put into ``terms``."""
+# the value scalars.get returns for a scalar text not read yet (None is zero)
+_UNSEEN = object()
+
+
+def _careful(p, at, bounds, strides, terms):
+    """Entry line ``at`` read with every check: None for a blank or comment
+    line, else its flat index x and its scalar text.  Index texts not in
+    ``terms`` are decoded, every one before any is checked against its
+    bound, and each is then put into ``terms``."""
     line = p.lines[at]
+    nidx = len(bounds)
+    parts = line.split(None, nidx)
+    if not parts or parts[0][0] == "#":
+        return None
+    if len(parts) != nidx + 1:
+        p.error("expected %d indices and a scalar: %r" % (nidx, line.strip()), at + 1)
     try:
-        idxs = tuple(map(int, parts[:len(bounds)]))
+        return sum(map(dict.__getitem__, terms, parts)), parts[nidx]
+    except KeyError:
+        pass
+    try:
+        idxs = tuple(map(int, parts[:nidx]))
     except ValueError:
         p.error("bad index in %r" % line.strip(), at + 1)
     for i, b in zip(idxs, bounds):
@@ -160,79 +175,142 @@ def _learn(p, at, parts, bounds, strides, terms):
             p.error("index out of range in %r" % line.strip(), at + 1)
     for i, stride, term, text in zip(idxs, strides, terms, parts):
         term[text] = i * stride
-    return sum(i * stride for i, stride in zip(idxs, strides))
+    return sum(i * stride for i, stride in zip(idxs, strides)), parts[nidx]
 
 
-def _entries(p, name, bounds, N, width):
+def _scalar(p, at, text, N):
+    """The raw scalar of the text ``text`` of entry line ``at``, None for
+    zero, parsed once per bundle into ``p.scalars``."""
+    try:
+        val = parse_scalar(text, N)
+    except (ValueError, ZeroDivisionError) as e:
+        p.error("bad scalar in %r (%s)" % (p.lines[at].strip(), e), at + 1)
+    val = p.scalars[text] = None if val.is_zero() else val.data
+    return val
+
+
+def _entries(p, name, bounds, strides, N, width):
     """The rows of a section of entry lines "i_1 ... i_m scalar", each a
     sorted tuple of (key, raw scalar) pairs: an entry whose scalar is not
     zero goes into row x // width with key x % width, for x the flat index
-    of (i_1, ..., i_m) in the box ``bounds``.  Index i_t must lie in
-    0..bounds[t]-1 and no index tuple may appear twice, zero entries
-    included.  Every empty row is the one empty tuple.
+    i_1 * strides[0] + ... + i_m * strides[m-1] of (i_1, ..., i_m) in the
+    box ``bounds``, whose strides number it in some order of its axes.
+    Index i_t must lie in 0..bounds[t]-1 and no index tuple may appear
+    twice, zero entries included.  Every empty row is the one empty tuple.
 
     ``terms[t]`` maps each index text read at position t to its term
-    i_t * bounds[t+1] * ... * bounds[m-1] of x, so a line whose index texts
-    were all read before, in this section or at a position of another with
-    the same bound and stride, is decoded by lookup.  While each x exceeds
-    the one before, no x can repeat and the rows fill in order
-    (serialize_hopf writes them so); the x are kept in a set only from the
-    first that does not, when the lines read so far are walked again for
-    theirs, and the rows are then sorted."""
+    i_t * strides[t] of x.  It starts as the table {str(i): i * stride} of
+    the texts the writers put there, shared by the positions of every
+    section with that bound and stride.
+
+    The tight pass reads a line of m such texts and a scalar text, each
+    after one space, whose x exceeds the one before: no x can repeat and
+    the rows fill in order.  A scalar text is parsed on the first line that
+    holds it.  Every other line goes to the careful walk, ``_careful``: a
+    comment or blank line, other whitespace, another spelling of an index,
+    a wrong token count, an index that is out of range or not an integer,
+    and an x that does not exceed the one before.  It reads the line as
+    str.split does and raises each error with its line.  From the first x
+    that does not exceed the one before, the lines read so far are walked
+    again for theirs, every later line is read carefully with its x kept
+    in a set, and the rows are sorted at the end."""
     nidx = len(bounds)
     start, stop = p.sections[name]
-    strides = [prod(bounds[t + 1:]) for t in range(nidx)]
-    terms = [p.terms.setdefault(key, {}) for key in zip(bounds, strides)]
-    term_of = dict.__getitem__
-    filled = {}  # row -> its (key, scalar) pairs, for rows with an entry
+    terms = []
+    for key in zip(bounds, strides):
+        if key not in p.terms:
+            p.terms[key] = {str(i): i * key[1] for i in range(key[0])}
+        terms.append(p.terms[key])
+    t0, t1, t2 = terms + [None] * (3 - nidx)
+    # the (key, scalar) pairs of the entries in runs of one row each: the
+    # run (r, s) in runs holds pairs[s:] up to the next run, all of row r,
+    # and lo is r * width for the row r of the last run
+    pairs = []
+    add = pairs.append
+    runs = []
+    lo = -width
     seen = None
     last = -1
-    scalars = p.scalars
+    known = p.scalars.get
     lines = p.lines
-    for at in range(start, stop):
-        line = lines[at]
-        parts = line.split(None, nidx)
-        if not parts or parts[0][0] == "#":
-            continue
-        if len(parts) != nidx + 1:
-            p.error("expected %d indices and a scalar: %r" % (nidx, line.strip()), at + 1)
-        try:
-            x = sum(map(term_of, terms, parts))
-        except KeyError:
-            x = _learn(p, at, parts, bounds, strides, terms)
-        if x > last:
-            last = x
-        else:
-            if seen is None:
-                # every earlier line of the section was read as an entry
-                seen = {sum(map(term_of, terms, earlier))
-                        for earlier in map(str.split, lines[start:at])
-                        if earlier and earlier[0][0] != "#"}
-            if x in seen:
-                idxs = map(int, parts[:nidx])
-                p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name),
-                        at + 1)
-        if seen is not None:
-            seen.add(x)
-        text = parts[nidx]
-        if text in scalars:
-            val = scalars[text]
-        else:
-            try:
-                val = parse_scalar(text, N)
-            except (ValueError, ZeroDivisionError) as e:
-                p.error("bad scalar in %r (%s)" % (line.strip(), e), at + 1)
-            val = scalars[text] = None if val.is_zero() else val.data
-        if val is not None:
-            r, c = divmod(x, width)
-            row = filled.get(r)
-            if row is None:
-                filled[r] = [(c, val)]
+    at = start
+    while at < stop:
+        if seen is None:
+            # the tight pass: a line it does not keep ends it with ``at`` on
+            # that line, which the careful walk below reads
+            for at in range(at, stop):
+                try:
+                    if nidx == 3:
+                        i, j, k, text = lines[at].split(" ", 3)
+                        x = t0[i] + t1[j] + t2[k]
+                    elif nidx == 2:
+                        i, j, text = lines[at].split(" ", 2)
+                        x = t0[i] + t1[j]
+                    else:
+                        i, text = lines[at].split(" ", 1)
+                        x = t0[i]
+                except (ValueError, KeyError):
+                    break
+                if x <= last:
+                    break
+                val = known(text, _UNSEEN)
+                if val is _UNSEEN:
+                    # split(None) would strip what begins with whitespace
+                    if not text or text[0].isspace():
+                        break
+                    val = _scalar(p, at, text, N)
+                last = x
+                if val is not None:
+                    c = x - lo
+                    if c >= width:
+                        r, c = divmod(x, width)
+                        lo = x - c
+                        runs.append((r, len(pairs)))
+                    add((c, val))
             else:
-                row.append((c, val))
+                break
+        got = _careful(p, at, bounds, strides, terms)
+        if got is not None:
+            x, text = got
+            if x > last:
+                last = x
+            else:
+                if seen is None:
+                    # every earlier line of the section was read as an entry
+                    seen = {sum(map(dict.__getitem__, terms, earlier))
+                            for earlier in map(str.split, lines[start:at])
+                            if earlier and earlier[0][0] != "#"}
+                if x in seen:
+                    idxs = (x // stride % b for stride, b in zip(strides, bounds))
+                    p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name),
+                            at + 1)
+            if seen is not None:
+                seen.add(x)
+            val = known(text, _UNSEEN)
+            if val is _UNSEEN:
+                val = _scalar(p, at, text, N)
+            if val is not None:
+                c = x - lo
+                if not 0 <= c < width:
+                    r, c = divmod(x, width)
+                    lo = x - c
+                    runs.append((r, len(pairs)))
+                add((c, val))
+        at += 1
+    # one tuple of all pairs, sliced into the rows: a list per row would
+    # double the containers the garbage collector walks while they are built
+    pairs = tuple(pairs)
+    ends = [s for _, s in runs[1:]] + [len(pairs)]
     rows = [()] * (prod(bounds) // width)
-    for r, row in filled.items():
-        rows[r] = tuple(row if seen is None else sorted(row))
+    if seen is None:
+        for (r, s), e in zip(runs, ends):
+            rows[r] = pairs[s:e]
+    else:
+        unsorted = {}
+        for (r, s), e in zip(runs, ends):
+            unsorted.setdefault(r, []).extend(pairs[s:e])
+        for r, row in unsorted.items():
+            rows[r] = tuple(sorted(row))
     return tuple(rows)
 
 
@@ -252,23 +330,22 @@ def parse_hopf(text):
         if required not in p.sections:
             p.error("missing section %s" % required)
 
-    mult = _entries(p, "MULT", (n, n, n), N, n)
-    comult = _entries(p, "COMULT", (n, n, n), N, n * n)
+    mult = _entries(p, "MULT", (n, n, n), (n * n, n, 1), N, n)
+    comult = _entries(p, "COMULT", (n, n, n), (n * n, n, 1), N, n * n)
     zero = K.s_zero(K.make_ctx(N))
-    unit = tuple(row[0][1] if row else zero for row in _entries(p, "UNIT", (n,), N, 1))
-    counit = tuple(row[0][1] if row else zero for row in _entries(p, "COUNIT", (n,), N, 1))
-    # an entry "i j s" puts s*e_i into the column S(e_j)
-    cols = [[] for _ in range(n)]
-    for i, row in enumerate(_entries(p, "ANTIPODE", (n, n), N, n)):
-        for j, s in row:
-            cols[j].append((i, s))
-    return FinHopf(name, labels, N, mult, unit, comult, counit,
-                   tuple(map(tuple, cols)), convention=fields.get("convention", ""))
+    unit = tuple(row[0][1] if row else zero for row in _entries(p, "UNIT", (n,), (1,), N, 1))
+    counit = tuple(row[0][1] if row else zero for row in _entries(p, "COUNIT", (n,), (1,), N, 1))
+    # an entry "i j s" puts s*e_i into the column S(e_j), and the columns
+    # are written in turn: its flat index is j*n + i
+    cols = _entries(p, "ANTIPODE", (n, n), (1, n), N, n)
+    return FinHopf(name, labels, N, mult, unit, comult, counit, cols,
+                   convention=fields.get("convention", ""))
 
 
 def _matrix(p, name, rows, cols, N):
     """The rows x cols matrix of a section of (row, column, scalar) entries."""
-    return Matrix.from_sparse(N, cols, list(map(dict, _entries(p, name, (rows, cols), N, cols))))
+    rows = _entries(p, name, (rows, cols), (cols, 1), N, cols)
+    return Matrix.from_sparse(N, cols, list(map(dict, rows)))
 
 
 def _entry_lines(M):

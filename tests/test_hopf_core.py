@@ -556,6 +556,43 @@ def test_one_term_rows_meet_defects_on_the_short_path_and_past_it(taft5):
             assert K.assoc_first_defect(n, mult, ctx, G) == _ref_assoc(n, mult, ctx, G)
 
 
+def _table(ctx, n, rows):
+    """n*n MULT rows, empty but for rows {(a, b): {k: integer scalar}}."""
+    return [tuple(sorted((k, K.s_from_ratio(ctx, v)) for k, v in rows.get(divmod(r, n), {}).items()))
+            for r in range(n * n)]
+
+
+@pytest.mark.parametrize("rows, witness", [
+    # e0*e1 = 0 and e1*e2 = e1 + e2: the side e0*(e1*e2) reads the empty
+    # row (0, 1) first and the row (0, 2) = e0 after it
+    ({(0, 2): {0: 1}, (1, 2): {1: 1, 2: 1}}, (0, 1, 2)),
+    # e0*e1 = 0 and e0*e0 = e1 + e2: the side (e0*e0)*e1 reads the empty
+    # row (1, 1) first and the row (2, 1) = e2 after it
+    ({(0, 0): {1: 1, 2: 1}, (2, 1): {2: 1}}, (0, 0, 1)),
+])
+def test_a_zero_product_holds_only_while_every_row_the_other_side_reads_is_empty(rows, witness):
+    # every triple before the witness has both products zero or reads only
+    # empty rows; at the witness one product is zero and the other side
+    # reads one nonempty row, after an empty one
+    ctx = K.make_ctx(1)
+    mult = _table(ctx, 3, rows)
+    for mids in (None, [witness[1]]):
+        assert K.assoc_first_defect(3, mult, ctx, mids) == _ref_assoc(3, mult, ctx, mids) == witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.dictionaries(st.integers(0, 2), st.sampled_from([1, -1]),
+                                            min_size=1, max_size=2), max_size=9),
+       mids=st.none() | st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+def test_assoc_scan_of_small_tables_matches_the_reference(rows, mids):
+    # tables of rows with up to two terms, most of them not associative, meet
+    # every path of the scan: products zero, one-term and longer
+    ctx = K.make_ctx(1)
+    mult = _table(ctx, 3, rows)
+    assert K.assoc_first_defect(3, mult, ctx, mids) == _ref_assoc(3, mult, ctx, mids)
+
+
 def test_scans_on_h8_compare_cancelled_sums_key_by_key(h8):
     # on H8 a sum that cancels leaves a zero key on one side only, so the
     # two dicts differ and the key-by-key comparison must decide; deciding
