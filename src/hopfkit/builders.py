@@ -43,6 +43,7 @@ from .exact_math import (
     _clean,
     _table_mul,
     _tensor,
+    _tensor_square_mul,
 )
 from .extension import HopfInclusion
 from .hopf_core import (
@@ -93,23 +94,6 @@ class _LazyRows(dict):
 
     def __ne__(self, other):
         return not self == other
-
-
-def _tensor_square_mul(ctx, mult, n, u, v):
-    """Product in H (x) H of sparse vectors, given as (i*n + j, raw) pairs,
-    from the table of H."""
-    out = {}
-    for x1, c1 in u:
-        i1, j1 = divmod(x1, n)
-        for x2, c2 in v:
-            i2, j2 = divmod(x2, n)
-            c = K.s_mul(ctx, c1, c2)
-            right = mult[j1 * n + j2]
-            for k1, s1 in mult[i1 * n + i2]:
-                a = K.s_mul(ctx, c, s1)
-                for k2, s2 in right:
-                    _add(ctx, out, k1 * n + k2, K.s_mul(ctx, a, s2))
-    return out
 
 
 def _pbw(ctx, mult, names, words, gens):

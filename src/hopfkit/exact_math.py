@@ -285,8 +285,9 @@ def mat_mul_raw(A, B, ctx):
 # indices are ints or tuples.  Only the helpers below build or add into one,
 # so only they know this convention.  Each helper takes sparse vectors,
 # except ``_clean``, which takes (index, raw) pairs such as
-# ``enumerate(dense)``, and the two that read a structure table, whose rows
-# list (index, raw) pairs: ``_table_apply`` and ``_table_mul``.
+# ``enumerate(dense)``, and the three that read a structure table, whose rows
+# list (index, raw) pairs: ``_table_apply``, ``_table_mul`` and
+# ``_tensor_square_mul``, which takes its factors as such pairs too.
 # ---------------------------------------------------------------------------
 
 
@@ -386,6 +387,23 @@ def _kron_act(ctx, out, A, B, m, terms, row0, rs, col0, cs):
     ))
 
 
+def _act_blocks(ctx, out, A, d, blocks):
+    """out += the actions of algebra vectors through A, in place: for each
+    (s, t, terms) of blocks, c*A[x] is added into block (s, t) of size d,
+    rows s*d.. and columns t*d.., over the (x, c) of terms.  A is a table of
+    ``Matrix.srows`` of d x d action matrices at ctx.  Zero coefficients are
+    skipped and c = 1 adds without multiplying."""
+    zero, one = ctx[3], ctx[4]
+    for s, t, terms in blocks:
+        rows, col0 = out[s * d:(s + 1) * d], t * d
+        for x, c in terms:
+            if c == zero:
+                continue
+            for acc, row in zip(rows, A[x]):
+                for j, v in row.items():
+                    _add(ctx, acc, col0 + j, v if c == one else K.s_mul(ctx, c, v))
+
+
 def _apply(ctx, cols, vec):
     """Sum of c*cols[k] over the entries (k, c) of the sparse vector vec: the
     linear map with column table cols, a sequence of sparse vectors, applied
@@ -434,6 +452,23 @@ def _table_mul(ctx, table, n, u, v):
             ab = b if a == one else a if b == one else K.s_mul(ctx, a, b)
             for k, s in table[base + j]:
                 _add(ctx, out, k, s if ab == one else K.s_mul(ctx, ab, s))
+    return out
+
+
+def _tensor_square_mul(ctx, mult, n, u, v):
+    """Product in X (x) X of sparse vectors, given as (i*n + j, raw) pairs,
+    from the product table mult of X (dimension n)."""
+    out = {}
+    for x1, c1 in u:
+        i1, j1 = divmod(x1, n)
+        for x2, c2 in v:
+            i2, j2 = divmod(x2, n)
+            c = K.s_mul(ctx, c1, c2)
+            right = mult[j1 * n + j2]
+            for k1, s1 in mult[i1 * n + i2]:
+                a = K.s_mul(ctx, c, s1)
+                for k2, s2 in right:
+                    _add(ctx, out, k1 * n + k2, K.s_mul(ctx, a, s2))
     return out
 
 

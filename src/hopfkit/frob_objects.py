@@ -8,11 +8,9 @@ from .errors import HopfkitError, ShapeError
 from .exact_math import Matrix, RowSpace, _add, id_kron, kron_id
 from .induction import ind_morphism, lax_pair, oplax_pair, induce, unit_maps
 from .hopf_core import algebra_generators
-from .module_theory import HModule, ModuleMap, tensor_modules, trivial_module
+from .module_theory import HModule, tensor_actions
 from .reports import Report
-from .yetter_drinfeld import (
-    YDModule, trivial_yd, yd_braiding, yd_morphism_check, yd_tensor, z_induce,
-)
+from .yetter_drinfeld import YDModule, trivial_yd, yd_braiding, yd_coaction, z_induce
 
 
 def _is_yd(carrier):
@@ -60,59 +58,76 @@ class FrobObject(AlgObject):
         self.counit = counit
 
 
-def _tensor_carrier(carrier):
-    if _is_yd(carrier):
-        return yd_tensor(carrier, carrier)
-    return tensor_modules(carrier, carrier)
+def _maps(carrier):
+    """What the morphism checks read of a carrier: its actions, by basis
+    element, and its coaction for a YD carrier (None otherwise)."""
+    return carrier.action, carrier.coaction if _is_yd(carrier) else None
 
 
-def _unit_carrier(carrier):
-    if _is_yd(carrier):
-        return trivial_yd(carrier.H, N=carrier.N)
-    return trivial_module(carrier.H, N=carrier.N)
+def _square_maps(carrier):
+    """``_maps`` of carrier (x) carrier, with the actions formed for the
+    elements of ``algebra_generators(H)`` only: the checks read no other
+    (see ``HModule``)."""
+    gens = algebra_generators(carrier.H)
+    acts = dict(zip(gens, tensor_actions(carrier, carrier, gens)))
+    return acts, yd_coaction(carrier, carrier) if _is_yd(carrier) else None
 
 
-def _morphism_in_category(src_carrier, tgt_carrier, mat):
-    """mat is H-equivariant (and comodule-equivariant for YD carriers)."""
-    if _is_yd(src_carrier) and _is_yd(tgt_carrier):
-        return yd_morphism_check(src_carrier, tgt_carrier, mat)
-    return ModuleMap(src_carrier, tgt_carrier, mat).intertwines()
+def _tensor_unit_maps(carrier):
+    """``_maps`` of the tensor unit of the carrier's category, with the
+    actions of ``algebra_generators(H)`` only: e_g acts by eps(e_g), and the
+    coaction of a YD unit is 1 -> 1 (x) 1."""
+    H = carrier.H
+    acts = {g: Matrix(H.N, [[H.counit[g]]]) for g in algebra_generators(H)}
+    return acts, Matrix(H.N, [[u] for u in H.unit]) if _is_yd(carrier) else None
+
+
+def _is_morphism(H, src, tgt, mat):
+    """mat intertwines the actions of ``algebra_generators(H)`` of src and
+    tgt, given as ``_maps``, and their coactions when both have one."""
+    (src_act, src_coact), (tgt_act, tgt_coact) = src, tgt
+    if any(mat * src_act[g] != tgt_act[g] * mat for g in algebra_generators(H)):
+        return False
+    return src_coact is None or tgt_coact * mat == id_kron(H.dim, mat) * src_coact
 
 
 def verify_algebra_object(A):
     rep = Report("verify-algebra %s" % A.name)
-    _algebra_checks(rep, A, _tensor_carrier(A.carrier), _unit_carrier(A.carrier))
+    _algebra_checks(rep, A, _square_maps(A.carrier), _tensor_unit_maps(A.carrier))
     return rep
 
 
 def _algebra_checks(rep, A, CC, one):
-    """The algebra-object checks of A into rep; CC = A (x) A and one = the unit."""
-    mult, unit, n = A.mult, A.unit, A.dim
+    """The algebra-object checks of A into rep; CC and one are the ``_maps``
+    of A (x) A and of the unit."""
+    mult, unit, n, H = A.mult, A.unit, A.dim, A.carrier.H
     lhs = mult * kron_id(mult, n)
     rhs = mult * id_kron(n, mult)
     rep.add("associative", lhs == rhs, anchor="algebra-object")
     lu = mult * kron_id(unit, n)
     ru = mult * id_kron(n, unit)
     rep.add("unital", lu.is_identity() and ru.is_identity(), anchor="algebra-object")
-    rep.add("mult-is-morphism", _morphism_in_category(CC, A.carrier, A.mult), anchor="algebra-object")
-    rep.add("unit-is-morphism", _morphism_in_category(one, A.carrier, A.unit), anchor="algebra-object")
+    a = _maps(A.carrier)
+    rep.add("mult-is-morphism", _is_morphism(H, CC, a, A.mult), anchor="algebra-object")
+    rep.add("unit-is-morphism", _is_morphism(H, one, a, A.unit), anchor="algebra-object")
 
 
 def verify_frobenius_object(F):
     """Algebra + coalgebra axioms, morphism conditions, and both Frobenius squares."""
     rep = Report("verify-frobenius %s" % F.name)
-    CC = _tensor_carrier(F.carrier)
-    one = _unit_carrier(F.carrier)
+    CC = _square_maps(F.carrier)
+    one = _tensor_unit_maps(F.carrier)
     _algebra_checks(rep, F, CC, one)
-    mult, com, cou, n = F.mult, F.comult, F.counit, F.dim
+    mult, com, cou, n, H = F.mult, F.comult, F.counit, F.dim, F.carrier.H
+    f = _maps(F.carrier)
     lhs = kron_id(com, n) * com
     rhs = id_kron(n, com) * com
     rep.add("coassociative", lhs == rhs, anchor="coalgebra-object")
     lu = kron_id(cou, n) * com
     ru = id_kron(n, cou) * com
     rep.add("counital", lu.is_identity() and ru.is_identity(), anchor="coalgebra-object")
-    rep.add("comult-is-morphism", _morphism_in_category(F.carrier, CC, F.comult), anchor="coalgebra-object")
-    rep.add("counit-is-morphism", _morphism_in_category(F.carrier, one, F.counit), anchor="coalgebra-object")
+    rep.add("comult-is-morphism", _is_morphism(H, f, CC, F.comult), anchor="coalgebra-object")
+    rep.add("counit-is-morphism", _is_morphism(H, f, one, F.counit), anchor="coalgebra-object")
     mid = com * mult
     left = kron_id(mult, n) * id_kron(n, com)
     right = id_kron(n, mult) * kron_id(com, n)

@@ -5,15 +5,17 @@ Induced modules are coordinatized by a free basis h_1..h_r of H over K
 (theta, adjunction units/counits, lax/oplax, projection-formula morphisms)
 is an exact matrix and every coherence diagram is a matrix equality.  Each
 structure map is built from the insertion map iota_V(x): v -> x (x)_K v,
-whose block t is the action on V of the t-th part of x = sum_t h_t k_t.
+whose block t is the action on V of the t-th part of x = sum_t h_t k_t, or
+from a table of K (x) K constants fixed by the Frobenius data (lax and
+oplax): a module enters only through the action of K, applied in one pass.
 """
 
 from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError
-from .exact_math import (Cyclotomic, Matrix, _add, _apply, _clean, _kron_act, _scale, _tensor,
-                         id_kron, kron_id)
+from .exact_math import (Cyclotomic, Matrix, _act_blocks, _add, _apply, _axpy, _clean, _kron_act,
+                         _scale, _table_apply, _tensor, _tensor_square_mul, id_kron, kron_id)
 from .extension import (is_central_extension, is_frobenius_extension, make_frobenius_data,
                         rescale_frobenius_data)
 from .hopf_core import LinearFunctional, antipode_inverse, cached
@@ -109,6 +111,27 @@ def tau(frob):
 
 
 @cached()
+def lax_table(frob):
+    """The lax structure constants Lambda_{t,i,j} = sum_l Delta_K(k_{l,t})
+    sigma_{l,i,j} in K (x) K, for k_{l,t} the t-th part of delta_l, as
+    (t, i, j, c) with t, i, j ascending.  lax_{V,U} = [iota_{V x U}(delta_l)]_l
+    times sigma acting on V x U, and block t of iota_{V x U}(delta_l) is
+    Delta_K(k_{l,t}) acting through rho_V x rho_U, which is multiplicative on
+    K (x) K for K-modules V and U: so lax_{V,U} is Lambda acting on V x U."""
+    incl = frob.incl
+    Kk, ctx = incl.K, incl.ctx
+    one = K.s_one(ctx)
+    coparts = [[(t, _table_apply(ctx, Kk.comult, k).items())
+                for t, k in enumerate(delta_parts(frob, l)) if k] for l in range(frob.rank)]
+    acc = {}
+    for l, i, j, c in sigma(frob):
+        for t, dk in coparts[l]:
+            prod = _tensor_square_mul(ctx, Kk.mult, Kk.dim, dk, c.items())
+            _axpy(ctx, acc.setdefault((t, i, j), {}), prod, one)
+    return [(t, i, j, v) for (t, i, j), v in sorted(acc.items()) if v]
+
+
+@cached()
 def unit_maps(frob):
     """lax_0: 1 -> Ind(1), the decomposition of sum_i eps(h_i) delta_i
     under eps_K, and oplax_0: Ind(1) -> 1, h_i x 1 -> eps(h_i), at incl.N."""
@@ -120,11 +143,6 @@ def unit_maps(frob):
     lax0 = [[eps_K(kv)] for kv in frob.right_decomp(w)]
     oplax0 = [[H.counit[t] for t in frob.free]]
     return Matrix(incl.N, lax0), Matrix(incl.N, oplax0)
-
-
-def _at(t, d):
-    """The indices of block t of size d."""
-    return range(t * d, (t + 1) * d)
 
 
 def _pair_map(i, dV, j, dU, rU):
@@ -148,13 +166,17 @@ def _assemble(N, rows, cols, blocks):
 
 def _k_blocks(frob, M, shape, entries):
     """The matrix of shape[0] x shape[1] blocks of size dim M whose block
-    (s, t) sums the actions on the K-module M of the K-vectors k of the
-    entries (s, t, k)."""
+    (s, t) sums the actions on the module M of the algebra vectors k,
+    written at the inclusion's conductor, of the entries (s, t, k)."""
     d, N = M.dim, frob.incl.N
-    return _assemble(
-        lcm(N, M.N), shape[0] * d, shape[1] * d,
-        ((_at(s, d), _at(t, d), M.act_alg_vec(k, N)) for s, t, k in entries if k),
-    )
+    conductor = lcm(N, M.N)
+    ctx = K.make_ctx(conductor)
+    out = [{} for _ in range(shape[0] * d)]
+    _act_blocks(ctx, out, [a.lift(conductor).srows for a in M.action], d, (
+        (s, t, [(x, K.s_lift(c, N, conductor)) for x, c in k.items()])
+        for s, t, k in entries if k
+    ))
+    return Matrix.from_sparse(conductor, shape[1] * d, out)
 
 
 def _insertion(frob, M, xs):
@@ -167,17 +189,20 @@ def _insertion(frob, M, xs):
     )
 
 
+@cached()
+def ind_parts(frob):
+    """The right decompositions of the e_g h_i, by g < dim H, then i < rank."""
+    H, decomp = frob.incl.H, frob.right_decomp
+    return [[decomp(H.mult_vec(H.basis_vec(g), H.basis_vec(hi))) for hi in frob.free]
+            for g in range(H.dim)]
+
+
 @cached(key=lambda V: (V.name, V.key()))
 def induce(frob, V):
     """Ind V = H (x)_K V on the carrier basis (i, a) -> i*dim V + a: e_g acts
     as [iota_V(e_g h_i)]_i."""
-    H, decomp = frob.incl.H, frob.right_decomp
-    mats = [
-        _insertion(frob, V, [decomp(H.mult_vec(H.basis_vec(g), H.basis_vec(hi)))
-                             for hi in frob.free])
-        for g in range(H.dim)
-    ]
-    return HModule(H, mats, name="Ind(%s)" % V.name, N=lcm(frob.incl.N, V.N))
+    mats = [_insertion(frob, V, parts) for parts in ind_parts(frob)]
+    return HModule(frob.incl.H, mats, name="Ind(%s)" % V.name, N=lcm(frob.incl.N, V.N))
 
 
 def ind_morphism(frob, phi):
@@ -272,10 +297,8 @@ def adjunction_maps(frob, V, W):
 
 def counit_fg_at(frob, W):
     """counit^{F -| G} at the H-module W: Ind Res W -> W, h_i x w -> h_i w."""
-    dW = W.dim
-    return _assemble(W.N, dW, frob.rank * dW, (
-        (range(dW), _at(i, dW), W.action[hi]) for i, hi in enumerate(frob.free)
-    ))
+    one = K.s_one(frob.incl.ctx)
+    return _k_blocks(frob, W, (1, frob.rank), ((0, i, {hi: one}) for i, hi in enumerate(frob.free)))
 
 
 def unit_fg_at(frob, V):
@@ -286,10 +309,8 @@ def unit_fg_at(frob, V):
 def unit_gf_at(frob, W):
     """unit^{G -| F} at the H-module W: W -> Ind Res W, w -> sum_i delta_i x h_i w,
     i.e. [iota_{Res W}(delta_i)]_i times the actions of the h_i stacked."""
-    r, dW = frob.rank, W.dim
-    stacked = _assemble(W.N, r * dW, dW, (
-        (_at(i, dW), range(dW), W.action[hi]) for i, hi in enumerate(frob.free)
-    ))
+    r, one = frob.rank, K.s_one(frob.incl.ctx)
+    stacked = _k_blocks(frob, W, (r, 1), ((i, 0, {hi: one}) for i, hi in enumerate(frob.free)))
     resW = restrict(frob.incl, W)
     return _insertion(frob, resW, [delta_parts(frob, i) for i in range(r)]) * stacked
 
@@ -328,15 +349,12 @@ def lax_pair(frob, V, U):
     """lax_{V,U}: Ind V x Ind U -> Ind(V x U); lax_0 is ``unit_maps(frob)[0]``.
 
     (h_i x v) x (h_j x u) -> sum_l delta_l x sigma_{l,i,j} . (v x u), so
-    lax_{V,U} = [iota_{V x U}(delta_l)]_l times the sigma table
-    acting on V x U, laid out as one row of blocks per l: sigma_{l,i,j}
-    acts from the columns of (i, j)."""
+    block (t; i, j) of lax_{V,U} is Lambda_{t,i,j} (``lax_table``) acting on
+    V x U: row block t, from the columns of (i, j)."""
     r, dV, dU = frob.rank, V.dim, U.dim
     d = dV * dU
-    acted = _act_structure(frob, V, U, sigma(frob), r * d, r * d * r,
-                           lambda l, i, j: (l * d, dU, (i * dV * r + j) * dU, r * dU))
-    VU = tensor_modules(V, U)
-    return _insertion(frob, VU, [delta_parts(frob, l) for l in range(r)]) * acted
+    return _act_structure(frob, V, U, lax_table(frob), r * d, r * d * r,
+                          lambda t, i, j: (t * d, dU, (i * dV * r + j) * dU, r * dU))
 
 
 @cached(key=lambda V, U: (V.key(), U.key()))

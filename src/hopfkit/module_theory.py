@@ -15,11 +15,12 @@ class HModule:
     """A left module given by one exact action matrix per algebra basis element.
 
     The action is taken to be an algebra map H -> End(V): multiplicative and
-    unital.  ``ModuleMap.intertwines``, ``hom_space``, the invariants and the
-    Yetter-Drinfeld condition are checked for h in ``algebra_generators(H)``
-    only, which is exact under that premise: the h a linear condition holds
-    for contain 1 and are closed under products once both actions are algebra
-    maps.  Tensor products, direct sums, restrictions, induced and coinduced
+    unital.  ``ModuleMap.intertwines``, ``hom_space``, the invariants, the
+    morphism checks of algebra and Frobenius objects and the Yetter-Drinfeld
+    condition are checked for h in ``algebra_generators(H)`` only, which is
+    exact under that premise: the h a linear condition holds for contain 1
+    and are closed under products once both actions are algebra maps.
+    Tensor products, direct sums, restrictions, induced and coinduced
     modules and the trivial module are modules by construction, and ZInd(M)
     is a Yetter-Drinfeld module by theorem; the command line runs
     ``verify_module`` on every module it reads.  A caller that
@@ -149,10 +150,9 @@ def verify_module(M):
     return rep
 
 
-@cached(key=lambda N_mod: (N_mod.name, N_mod.key()))
-def tensor_modules(M, N_mod):
-    """Tensor product module with the diagonal action via the coproduct,
-    built once per left factor and name and value of the right factor."""
+def tensor_actions(M, N_mod, elements):
+    """The actions on M (x) N_mod of the basis elements e_g, g in elements,
+    from Delta(e_g): the diagonal action, over Q(zeta_lcm(M.N, N_mod.N))."""
     if M.H.name != N_mod.H.name:
         raise ShapeError("tensor of modules over different algebras")
     conductor = lcm(M.N, N_mod.N)
@@ -162,11 +162,19 @@ def tensor_modules(M, N_mod):
     n, dU = H.dim, N_mod.dim
     d = M.dim * dU
     mats = []
-    for i in range(n):
+    for g in elements:
         out = [{} for _ in range(d)]
-        _kron_act(H.ctx, out, a, b, n, H.comult[i], 0, dU, 0, dU)
+        _kron_act(H.ctx, out, a, b, n, H.comult[g], 0, dU, 0, dU)
         mats.append(Matrix.from_sparse(conductor, d, out))
-    return HModule(H, mats, name="%s(x)%s" % (M.name, N_mod.name), N=conductor)
+    return mats
+
+
+@cached(key=lambda N_mod: (N_mod.name, N_mod.key()))
+def tensor_modules(M, N_mod):
+    """Tensor product module with the diagonal action via the coproduct,
+    built once per left factor and name and value of the right factor."""
+    mats = tensor_actions(M, N_mod, range(M.H.dim))
+    return HModule(M.H, mats, name="%s(x)%s" % (M.name, N_mod.name), N=lcm(M.N, N_mod.N))
 
 
 def restrict(incl, W):

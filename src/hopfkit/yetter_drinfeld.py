@@ -133,8 +133,13 @@ def yd_tensor(M, N_mod):
     """Tensor product: diagonal action, coaction via the multiplication."""
     if M.H.name != N_mod.H.name:
         raise ShapeError("tensor of YD modules over different algebras")
-    mod = tensor_modules(M, N_mod)
-    conductor = mod.N
+    return YDModule(tensor_modules(M, N_mod), yd_coaction(M, N_mod))
+
+
+def yd_coaction(M, N_mod):
+    """The coaction of M (x) N_mod: v x w -> v(-1) w(-1) x v(0) x w(0), over
+    Q(zeta_lcm(M.N, N_mod.N))."""
+    conductor = lcm(M.N, N_mod.N)
     ctx = K.make_ctx(conductor)
     H = M.H.lifted(conductor)
     n = H.dim
@@ -152,8 +157,7 @@ def yd_tensor(M, N_mod):
                     for k2, s in H.mult[g * n + h]:
                         row = rows[k2 * dM * dN + a0 * dN + b0]
                         _add(ctx, row, a * dN + b, K.s_mul(ctx, vu, s))
-    coaction = Matrix.from_sparse(conductor, dM * dN, rows)
-    return YDModule(mod, coaction)
+    return Matrix.from_sparse(conductor, dM * dN, rows)
 
 
 def yd_braiding(M, N_mod):

@@ -5,6 +5,7 @@ import pytest
 from hopfkit.exact_math import Matrix
 from hopfkit.extension import rescale_frobenius_data
 from hopfkit.frob_objects import (
+    AlgObject,
     FrobObject,
     build_group_etale,
     direct_b_algebra,
@@ -17,8 +18,10 @@ from hopfkit.frob_objects import (
     push_algebra,
     push_frobenius,
     trivial_frobenius,
+    verify_algebra_object,
     verify_frobenius_object,
 )
+from hopfkit.module_theory import HModule
 from hopfkit.yetter_drinfeld import YDModule
 
 
@@ -194,23 +197,23 @@ def test_rigid_report_flags(half_frob):
 
 def test_frob_objects_verifies_each_object_once(monkeypatch, capsys):
     # once on the source and once on the pushed object, each with one
-    # tensor square of its carrier
+    # tensor square of its carrier, formed on the generators of H
     from hopfkit import frob_objects
     from hopfkit.cli import main
 
     verified, squared = [], []
-    real_verify, real_tensor = frob_objects.verify_frobenius_object, frob_objects.yd_tensor
+    real_verify, real_tensor = frob_objects.verify_frobenius_object, frob_objects.tensor_actions
 
     def counting_verify(F):
         verified.append(F.name)
         return real_verify(F)
 
-    def counting_tensor(M, N_mod):
+    def counting_tensor(M, N_mod, elements):
         squared.append(M.name)
-        return real_tensor(M, N_mod)
+        return real_tensor(M, N_mod, elements)
 
     monkeypatch.setattr(frob_objects, "verify_frobenius_object", counting_verify)
-    monkeypatch.setattr(frob_objects, "yd_tensor", counting_tensor)
+    monkeypatch.setattr(frob_objects, "tensor_actions", counting_tensor)
     objects = [("x", 1, -1), ("xy", 1, 1)]
     argv = ["frob-objects", "builtin:h8"]
     for n, ex, ey in objects:
@@ -221,6 +224,51 @@ def test_frob_objects_verifies_each_object_once(monkeypatch, capsys):
     assert verified == expected
     assert squared == [name for s in sources for name in (s, "Ind(%s)" % s)]
     assert "frobenius[Ind(A_x(1,-1))]" in capsys.readouterr().out
+
+
+def test_object_checks_form_the_square_on_generators_only(h8_frob, monkeypatch):
+    # the morphism checks read A (x) A only through the generators of H, so
+    # no other action of the square is formed, nor the square as a module
+    from hopfkit import frob_objects, module_theory, yetter_drinfeld
+    from hopfkit.hopf_core import algebra_generators
+
+    F = push_frobenius(h8_frob, build_group_etale(h8_frob.incl.K, "x", 1, -1))
+    formed = []
+    real = module_theory.tensor_actions
+
+    def counted(M, N_mod, elements):
+        elements = list(elements)
+        formed.append((M.name, N_mod.name, elements))
+        return real(M, N_mod, elements)
+
+    for mod in (frob_objects, module_theory):
+        monkeypatch.setattr(mod, "tensor_actions", counted)
+    monkeypatch.setattr(yetter_drinfeld, "tensor_modules", None)
+    assert verify_frobenius_object(F).ok
+    gens = list(algebra_generators(F.carrier.H))
+    assert formed == [(F.name, F.name, gens)]
+    assert len(gens) < F.carrier.H.dim
+
+
+def test_morphism_checks_read_every_generator_and_the_coaction(h8_incl):
+    # the product of A_n on carriers where it is associative and unital but no
+    # morphism: once as a module map failing on y alone, once as a module map
+    # that is no comodule map
+    Kk = h8_incl.K
+    mult = Matrix.from_rows([[1, 0, 0, 1], [0, 1, 1, 0]])
+    unit = Matrix.from_rows([[1], [0]])
+    # e_1 carries the character x -> 1, y -> -1 on the basis 1, x, y, xy
+    on_y = HModule(Kk, [Matrix.from_rows([[c, 0], [0, 1]]) for c in (1, 1, -1, -1)], name="on-y")
+    # both basis vectors of degree x, acted on trivially
+    rows = [[0, 0] for _ in range(2 * Kk.dim)]
+    rows[2 * Kk.basis_labels.index("x")] = [1, 0]
+    rows[2 * Kk.basis_labels.index("x") + 1] = [0, 1]
+    graded = YDModule(HModule(Kk, [Matrix.identity(2)] * Kk.dim, name="deg-x"), Matrix.from_rows(rows))
+    for carrier in (on_y, graded):
+        rep = verify_algebra_object(AlgObject(carrier, mult, unit))
+        flags = {c.name: c.ok for c in rep.checks}
+        assert flags == {"associative": True, "unital": True,
+                         "mult-is-morphism": False, "unit-is-morphism": False}, carrier.name
 
 
 def test_rescale_moves_a_rational_scalar_down_and_refuses_an_irrational_one(h8_frob):

@@ -1,15 +1,20 @@
 import hashlib
+from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import h8_v1, h8_v2, kchar, uqsl2_sub
 from hopfkit import _kernel as K
-from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, klein_table, trivial_hopf
-from hopfkit.exact_math import Cyclotomic, Matrix, _add, _scale, _tensor, root_of_unity
+from hopfkit.builders import (cyclic_table, drinfeld_double, group_algebra, kac_paljutkin, klein_table,
+                              trivial_hopf)
+from hopfkit.exact_math import Cyclotomic, Matrix, _act_blocks, _add, _scale, _tensor, root_of_unity
 from hopfkit.extension import (is_central_extension, rescale_frobenius_data, trivial_inclusion,
                                unit_inclusion)
 from hopfkit.induction import (
+    _assemble,
     adjunction_maps,
     basis_parts,
     coinduce,
@@ -31,6 +36,7 @@ from hopfkit.module_theory import (
     direct_sum,
     hom_space,
     is_isomorphic,
+    restrict,
     tensor_modules,
     trivial_module,
     verify_module,
@@ -380,7 +386,8 @@ def _zeta_chars(Kk, ell):
 def _klein_double_case():
     KG = group_algebra(klein_table(), name="kK", labels=["1", "x", "y", "xy"])
     incl = drinfeld_double(KG)[1]
-    return induction_context(incl), [kchar(incl.K, 1, -1), kchar(incl.K, -1, -1)]
+    V, U = kchar(incl.K, 1, -1), kchar(incl.K, -1, -1)
+    return induction_context(incl), [V, U, direct_sum(V, kchar(incl.K, -1, 1))]
 
 
 def _c3_double_case():
@@ -388,9 +395,14 @@ def _c3_double_case():
     return induction_context(incl), _zeta_chars(incl.K, 3)[1:]
 
 
-def _uq3_cartan_case(uq3):
-    frob = induction_context(uqsl2_sub(uq3, "cartan"))
-    return frob, _zeta_chars(frob.incl.K, 3)[:2]
+def _h8_double_case():
+    incl = drinfeld_double(kac_paljutkin()[0])[1]
+    return induction_context(incl), [h8_v1(incl.K, root_of_unity(4)), h8_v2(incl.K)]
+
+
+def _uq_cartan_case(uq):
+    frob = induction_context(uqsl2_sub(uq, "cartan"))
+    return frob, _zeta_chars(frob.incl.K, frob.incl.K.dim)
 
 
 def _h8_cases(h8_incl, rescale):
@@ -403,17 +415,26 @@ def _h8_cases(h8_incl, rescale):
     return frob, chars + [wide]
 
 
-@pytest.mark.parametrize("case", ["h8", "h8-rescaled", "kK<D(kK)", "kC3<D(kC3)", "uq3-cartan"])
-def test_lax_oplax_match_the_per_pair_formulas(case, h8_incl, uq3):
+@pytest.mark.parametrize("case", ["h8", "h8-rescaled", "h8-zeta12", "kK<D(kK)", "kC3<D(kC3)",
+                                  "H8<D(H8)", "uq3-cartan", "uq5-cartan"])
+def test_lax_oplax_match_the_per_pair_formulas(case, h8_incl, uq3, uq5):
     if case.startswith("h8"):
         frob, mods = _h8_cases(h8_incl, case == "h8-rescaled")
+        if case == "h8-zeta12":
+            # lax acts on modules over a larger field than the inclusion's
+            mods = [_at_conductor(mods[1], 12), mods[2], _at_conductor(mods[4], 12)]
     else:
         frob, mods = {"kK<D(kK)": _klein_double_case, "kC3<D(kC3)": _c3_double_case,
-                      "uq3-cartan": lambda: _uq3_cartan_case(uq3)}[case]()
+                      "H8<D(H8)": _h8_double_case,
+                      "uq3-cartan": lambda: _uq_cartan_case(uq3),
+                      "uq5-cartan": lambda: _uq_cartan_case(uq5)}[case]()
     pairs = [(a, b) for a in mods for b in mods]
     if case == "uq3-cartan":
         # the reference visits r^3 |Delta| terms per pair, r = 9 here
-        pairs = pairs[:3]
+        pairs = [(a, b) for a in mods[:2] for b in mods[:2]][:3]
+    elif case == "uq5-cartan":
+        # and r = 25 here: one pair of nontrivial characters, chi1 x chi2
+        pairs = [(mods[1], mods[2])]
     for V, U in pairs:
         lax0, oplax0 = unit_maps(frob)
         got = (lax_pair(frob, V, U), lax0, oplax_pair(frob, V, U), oplax0)
@@ -463,9 +484,11 @@ def test_lax_structure_constants_are_built_once_per_context(h8_incl, monkeypatch
 
 
 def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch):
-    # sigma and tau act on V x U by summing into the assembled rows: oplax_pair
-    # forms no action of a K-vector, and lax_pair forms as many matrices
-    # whatever the number of sigma entries
+    # Lambda and tau act on V x U by summing into the assembled rows: neither
+    # pair forms the action of a K-vector or V x U, and lax_pair forms as many
+    # matrices whatever the number of sigma entries
+    import hopfkit.induction as induction
+
     Kk = h8_incl.K
     V, U = direct_sum(kchar(Kk, 1, -1), kchar(Kk, -1, 1)), kchar(Kk, -1, -1)
     frob = rescale_frobenius_data(induction_context(h8_incl), 1)
@@ -496,9 +519,17 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
     monkeypatch.setattr(HModule, "act_alg_vec", act_alg_vec)
     monkeypatch.setattr(Matrix, "from_sparse", classmethod(from_sparse))
     monkeypatch.setattr(Matrix, "__init__", init)
+    real_tensor = induction.tensor_modules
+
+    def tensor(*args):
+        calls.append("tensor_modules")
+        return real_tensor(*args)
+
+    monkeypatch.setattr(induction, "tensor_modules", tensor)
+    per_block = {"lincomb", "act_alg_vec", "tensor_modules"}
     calls.clear()
     oplax_pair(frob, V, U)
-    assert "lincomb" not in calls and "act_alg_vec" not in calls
+    assert not per_block & set(calls)
 
     def formed_by_lax(consts):
         fresh = rescale_frobenius_data(frob, 1)
@@ -506,6 +537,7 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
         assert sigma(fresh) is consts
         calls.clear()
         lax_pair(fresh, V, U)
+        assert not per_block & set(calls)
         return calls.count("formed")
 
     assert formed_by_lax(table) == formed_by_lax(table * 3)
@@ -654,18 +686,34 @@ def test_structure_maps_match_the_recorded_digests(case, uq3):
 
 def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkeypatch):
     # the closed-form inverses read iota(e_q) for each q of a Delta-term, and
-    # form the action of each nonzero part of e_q once, not once per term
+    # apply each nonzero part of e_q to the module once, not once per term
+    import hopfkit.induction as induction
+
     frob, W, V = _projection_case("uq3-cartan", uq3)
     projection_morphisms(frob, W, V)  # the lax/oplax pairs are cached now
-    acted = []
-    real = HModule.act_alg_vec
+    # the block writer sees a module as the rows of its action matrices, read
+    # in place at the module's conductor: the tensor products are told apart
+    # by the identity of those rows
+    made, acted = {}, []
+    real_tensor, real_act = induction.tensor_modules, induction._act_blocks
 
-    def counted(self, hvec, N):
-        acted.append(self.name)
-        return real(self, hvec, N)
+    def tensor(M, N_mod):
+        T = real_tensor(M, N_mod)
+        assert T.N == frob.incl.N
+        made[id(T.action[0].srows)] = T  # kept alive, so the id stays its own
+        return T
 
-    monkeypatch.setattr(HModule, "act_alg_vec", counted)
+    def counted(ctx, out, A, d, blocks):
+        blocks = list(blocks)
+        T = made.get(id(A[0]))
+        if T is not None:
+            acted.extend(T.name for _ in blocks)
+        real_act(ctx, out, A, d, blocks)
+
+    monkeypatch.setattr(induction, "tensor_modules", tensor)
+    monkeypatch.setattr(induction, "_act_blocks", counted)
     projection_morphisms(frob, W, V)
+    assert sorted(T.name for T in made.values()) == ["Res(Ind(chi1))(x)chi1", "chi1(x)Res(Ind(chi1))"]
     terms = comult_terms(frob)
 
     def nparts(xs):
@@ -687,3 +735,64 @@ def test_structure_maps_accept_modules_over_a_larger_field(h8, h8_frob, kmods):
     rep, maps = adjunction_maps(h8_frob, V, W)
     assert rep.ok, rep.failures()
     assert {m.N for m in maps.values()} == {12}
+
+
+def test_a_second_induce_reads_the_parts_of_the_frobenius_data(h8_incl, monkeypatch):
+    # decomp(e_g h_i) is fixed by the Frobenius data, so it is formed once
+    frob = rescale_frobenius_data(induction_context(h8_incl), 1)
+    Kk = h8_incl.K
+    induce(frob, kchar(Kk, 1, -1))
+    decomposed = []
+    real = frob.right_decomp
+
+    def counted(hvec):
+        decomposed.append(hvec)
+        return real(hvec)
+
+    monkeypatch.setattr(frob, "right_decomp", counted)
+    ind = induce(frob, kchar(Kk, -1, 1))
+    assert decomposed == []
+    assert verify_module(ind).ok
+
+
+# the values of the K-vectors of the block test, written at conductors 1 and 4
+_BLOCK_VALUES = {
+    1: [Cyclotomic.promote(v) for v in (0, 1, -1, 2, Fraction(-1, 2))],
+    4: [Cyclotomic.promote(v).lift(4) for v in (0, 1, -1, 2, Fraction(-1, 2))]
+    + [root_of_unity(4), root_of_unity(4) * 3 - 1],
+}
+_BLOCK = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                   st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=4),
+                   st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(Mn=st.sampled_from([1, 3, 4, 12]), Nk=st.sampled_from([1, 4]),
+       rows=st.integers(1, 3), cols=st.integers(1, 3), blocks=st.lists(_BLOCK, max_size=6))
+@example(Mn=3, Nk=4, rows=1, cols=2, blocks=[(0, 1, [(1, 5), (2, 1)], True)])
+@example(Mn=1, Nk=1, rows=2, cols=1, blocks=[(1, 0, [(3, 0), (0, 0)], False), (0, 0, [(1, 3)], False)])
+def test_the_block_writer_sums_the_placed_actions(h8, h8_incl, Mn, Nk, rows, cols, blocks):
+    # K-vectors with zero coefficients, repeated indices and blocks that cancel
+    # (a vector and its negative), written at Nk and acting on a module over
+    # Q(zeta_Mn): _act_blocks against the act_alg_vec blocks summed by _assemble
+    M = _at_conductor(restrict(h8_incl, h8_v2(h8)), Mn)
+    d, conductor = M.dim, lcm(Mn, Nk)
+    values = _BLOCK_VALUES[Nk]
+    entries = []
+    for s, t, terms, cancel in blocks:
+        s, t = s % rows, t % cols
+        k = {}
+        for x, v in terms:
+            k[x] = (Cyclotomic(Nk, k[x]) + values[v % len(values)]).data if x in k else \
+                values[v % len(values)].data
+        entries.append((s, t, k))
+        if cancel:
+            entries.append((s, t, {x: (-Cyclotomic(Nk, c)).data for x, c in k.items()}))
+    out = [{} for _ in range(rows * d)]
+    _act_blocks(K.make_ctx(conductor), out, [a.lift(conductor).srows for a in M.action], d, (
+        (s, t, [(x, K.s_lift(c, Nk, conductor)) for x, c in k.items()]) for s, t, k in entries))
+    got = Matrix.from_sparse(conductor, cols * d, out)
+    want = _assemble(conductor, rows * d, cols * d, (
+        (range(s * d, (s + 1) * d), range(t * d, (t + 1) * d), M.act_alg_vec(k, Nk))
+        for s, t, k in entries))
+    assert (got.N, got.key()) == (want.N, want.key())
