@@ -8,9 +8,9 @@ from .errors import HopfkitError, ShapeError
 from .exact_math import Matrix, RowSpace, _add, id_kron, kron_id
 from .induction import ind_morphism, lax_pair, oplax_pair, induce, unit_maps
 from .hopf_core import algebra_generators
-from .module_theory import HModule, tensor_actions
+from .module_theory import HModule, tensor_actions, trivial_module
 from .reports import Report
-from .yetter_drinfeld import YDModule, trivial_yd, yd_braiding, yd_coaction, z_induce
+from .yetter_drinfeld import YDModule, is_yd_map, trivial_yd, yd_braiding, yd_coaction, z_induce
 
 
 def _is_yd(carrier):
@@ -73,27 +73,15 @@ def _square_maps(carrier):
     return acts, yd_coaction(carrier, carrier) if _is_yd(carrier) else None
 
 
-def _tensor_unit_maps(carrier):
-    """``_maps`` of the tensor unit of the carrier's category, with the
-    actions of ``algebra_generators(H)`` only: e_g acts by eps(e_g), and the
-    coaction of a YD unit is 1 -> 1 (x) 1."""
-    H = carrier.H
-    acts = {g: Matrix(H.N, [[H.counit[g]]]) for g in algebra_generators(H)}
-    return acts, Matrix(H.N, [[u] for u in H.unit]) if _is_yd(carrier) else None
-
-
-def _is_morphism(H, src, tgt, mat):
-    """mat intertwines the actions of ``algebra_generators(H)`` of src and
-    tgt, given as ``_maps``, and their coactions when both have one."""
-    (src_act, src_coact), (tgt_act, tgt_coact) = src, tgt
-    if any(mat * src_act[g] != tgt_act[g] * mat for g in algebra_generators(H)):
-        return False
-    return src_coact is None or tgt_coact * mat == id_kron(H.dim, mat) * src_coact
+def _unit_maps(carrier):
+    """``_maps`` of the tensor unit of the carrier's category."""
+    H, N = carrier.H, carrier.N
+    return _maps(trivial_yd(H, N=N) if _is_yd(carrier) else trivial_module(H, N=N))
 
 
 def verify_algebra_object(A):
     rep = Report("verify-algebra %s" % A.name)
-    _algebra_checks(rep, A, _square_maps(A.carrier), _tensor_unit_maps(A.carrier))
+    _algebra_checks(rep, A, _square_maps(A.carrier), _unit_maps(A.carrier))
     return rep
 
 
@@ -108,15 +96,15 @@ def _algebra_checks(rep, A, CC, one):
     ru = mult * id_kron(n, unit)
     rep.add("unital", lu.is_identity() and ru.is_identity(), anchor="algebra-object")
     a = _maps(A.carrier)
-    rep.add("mult-is-morphism", _is_morphism(H, CC, a, A.mult), anchor="algebra-object")
-    rep.add("unit-is-morphism", _is_morphism(H, one, a, A.unit), anchor="algebra-object")
+    rep.add("mult-is-morphism", is_yd_map(H, CC, a, A.mult), anchor="algebra-object")
+    rep.add("unit-is-morphism", is_yd_map(H, one, a, A.unit), anchor="algebra-object")
 
 
 def verify_frobenius_object(F):
     """Algebra + coalgebra axioms, morphism conditions, and both Frobenius squares."""
     rep = Report("verify-frobenius %s" % F.name)
     CC = _square_maps(F.carrier)
-    one = _tensor_unit_maps(F.carrier)
+    one = _unit_maps(F.carrier)
     _algebra_checks(rep, F, CC, one)
     mult, com, cou, n, H = F.mult, F.comult, F.counit, F.dim, F.carrier.H
     f = _maps(F.carrier)
@@ -126,8 +114,8 @@ def verify_frobenius_object(F):
     lu = kron_id(cou, n) * com
     ru = id_kron(n, cou) * com
     rep.add("counital", lu.is_identity() and ru.is_identity(), anchor="coalgebra-object")
-    rep.add("comult-is-morphism", _is_morphism(H, f, CC, F.comult), anchor="coalgebra-object")
-    rep.add("counit-is-morphism", _is_morphism(H, f, one, F.counit), anchor="coalgebra-object")
+    rep.add("comult-is-morphism", is_yd_map(H, f, CC, F.comult), anchor="coalgebra-object")
+    rep.add("counit-is-morphism", is_yd_map(H, f, one, F.counit), anchor="coalgebra-object")
     mid = com * mult
     left = kron_id(mult, n) * id_kron(n, com)
     right = id_kron(n, mult) * kron_id(com, n)

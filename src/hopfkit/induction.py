@@ -191,9 +191,14 @@ def _insertion(frob, M, xs):
 
 @cached()
 def ind_parts(frob):
-    """The right decompositions of the e_g h_i, by g < dim H, then i < rank."""
+    """By g < dim H, the entries (t, i, k_t) of the nonzero parts of the right
+    decompositions e_g h_i = sum_t h_t k_t, i < rank: the blocks of
+    ``_insertion`` for [iota(e_g h_i)]_i, with the zero parts left out."""
     H, decomp = frob.incl.H, frob.right_decomp
-    return [[decomp(H.mult_vec(H.basis_vec(g), H.basis_vec(hi))) for hi in frob.free]
+    return [[(t, i, k)
+             for i, hi in enumerate(frob.free)
+             for t, k in enumerate(decomp(H.mult_vec(H.basis_vec(g), H.basis_vec(hi))))
+             if k]
             for g in range(H.dim)]
 
 
@@ -201,7 +206,8 @@ def ind_parts(frob):
 def induce(frob, V):
     """Ind V = H (x)_K V on the carrier basis (i, a) -> i*dim V + a: e_g acts
     as [iota_V(e_g h_i)]_i."""
-    mats = [_insertion(frob, V, parts) for parts in ind_parts(frob)]
+    shape = (frob.rank, frob.rank)
+    mats = [_k_blocks(frob, V, shape, entries) for entries in ind_parts(frob)]
     return HModule(frob.incl.H, mats, name="Ind(%s)" % V.name, N=lcm(frob.incl.N, V.N))
 
 

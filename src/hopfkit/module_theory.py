@@ -94,12 +94,7 @@ class ModuleMap:
         self.matrix = matrix
 
     def intertwines(self):
-        """f rho(h) = rho'(h) f for all h, checked for h in
-        ``algebra_generators`` (see ``HModule``)."""
-        for i in algebra_generators(self.source.H):
-            if self.matrix * self.source.action[i] != self.target.action[i] * self.matrix:
-                return False
-        return True
+        return intertwines(self.source.H, self.source.action, self.target.action, self.matrix)
 
     def is_invertible(self):
         m = self.matrix
@@ -107,6 +102,13 @@ class ModuleMap:
 
     def __repr__(self):
         return "ModuleMap(%s -> %s)" % (self.source.name, self.target.name)
+
+
+def intertwines(H, src_action, tgt_action, f):
+    """f rho(h) = rho'(h) f for all h in H, checked for h in
+    ``algebra_generators(H)`` (see ``HModule``); the actions are indexed by
+    basis element."""
+    return all(f * src_action[g] == tgt_action[g] * f for g in algebra_generators(H))
 
 
 def trivial_module(H, N=1):

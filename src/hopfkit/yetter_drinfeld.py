@@ -9,7 +9,7 @@ from .exact_math import Matrix, _add, id_kron, kron_id
 from .extension import is_central_extension
 from .induction import _insertion, basis_parts, induce, ind_morphism, lax_pair, oplax_pair
 from .hopf_core import _first_defect, algebra_generators, cached
-from .module_theory import HModule, ModuleMap, tensor_modules
+from .module_theory import HModule, intertwines, tensor_modules
 from .reports import Report
 
 
@@ -180,11 +180,19 @@ def yd_braiding(M, N_mod):
     return Matrix.from_sparse(conductor, dM * dN, rows)
 
 
+def is_yd_map(H, src, tgt, mat):
+    """mat intertwines the actions of src and tgt, each given as (actions by
+    basis element of H, coaction or None for a plain module), and their
+    coactions when src has one: a morphism of H-modules, or of YD modules."""
+    (src_act, src_coact), (tgt_act, tgt_coact) = src, tgt
+    if not intertwines(H, src_act, tgt_act, mat):
+        return False
+    return src_coact is None or tgt_coact * mat == id_kron(H.dim, mat) * src_coact
+
+
 def yd_morphism_check(src, tgt, mat):
     """mat intertwines both the actions and the coactions."""
-    if not ModuleMap(src, tgt, mat).intertwines():
-        return False
-    return tgt.coaction * mat == id_kron(src.H.dim, mat) * src.coaction
+    return is_yd_map(src.H, (src.action, src.coaction), (tgt.action, tgt.coaction), mat)
 
 
 def yd_hexagons(A, B, C):

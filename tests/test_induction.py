@@ -19,6 +19,7 @@ from hopfkit.induction import (
     basis_parts,
     coinduce,
     comult_terms,
+    ind_parts,
     induce,
     induction_context,
     is_separable_functor,
@@ -753,6 +754,10 @@ def test_a_second_induce_reads_the_parts_of_the_frobenius_data(h8_incl, monkeypa
     ind = induce(frob, kchar(Kk, -1, 1))
     assert decomposed == []
     assert verify_module(ind).ok
+    # the table keeps the nonzero parts only, not all r parts of each e_g h_i
+    entries = [e for row in ind_parts(frob) for e in row]
+    assert entries and all(k for _, _, k in entries)
+    assert len(entries) < h8_incl.H.dim * frob.rank ** 2
 
 
 # the values of the K-vectors of the block test, written at conductors 1 and 4
