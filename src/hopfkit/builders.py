@@ -16,9 +16,7 @@ tables, except that the coproduct and antipode tables of these three, and
 the product table of small quantum sl2, compute each row on its first read
 (``_LazyRows``): the scans of u_q(sl2) and its subalgebras read only a few
 percent of its l^6 products, and ``scan-sl2`` 45 of the 125 coproducts of
-u_5(sl2).  The same three pass FinHopf the presentation of their monomials
-as words in the generators, from which ``algebra_generators`` reads G
-after one row lookup per word.  verify_hopf then certifies the result.
+u_5(sl2).  verify_hopf then certifies the result.
 Each catalogue Hopf subalgebra is named by its generators
 (``generated_inclusion``).
 
@@ -97,8 +95,8 @@ class _LazyRows(dict):
 
 
 def _pbw(ctx, mult, names, words, gens):
-    """Labels, coproduct rows, counit, antipode columns and presentation of
-    a monomial basis.
+    """Labels, coproduct rows, counit and antipode columns of a monomial
+    basis.
 
     Basis element t is the monomial of the exponent tuple words[t] in the
     generators named by ``names``; the empty word comes first, and each
@@ -107,9 +105,7 @@ def _pbw(ctx, mult, names, words, gens):
     Each monomial peels its first generator off that shorter word w:
     Delta(g_s w) = Delta(g_s)Delta(w), eps(g_s w) = eps(g_s)eps(w) and
     S(g_s w) = S(w)S(g_s).  The coproduct rows and antipode columns are
-    tables that compute each entry on its first read (``_LazyRows``).  The
-    presentation is the pair (the index of each g_s, the pair (s, r) of
-    each monomial t = g_s w_r after the first), as ``FinHopf`` takes it.
+    tables that compute each entry on its first read (``_LazyRows``).
     """
     n = len(words)
     one = K.s_one(ctx)
@@ -137,9 +133,7 @@ def _pbw(ctx, mult, names, words, gens):
 
     delta = peeled(lambda s, w: _tensor_square_mul(ctx, mult, n, gens[s][0].items(), w))
     S = peeled(lambda s, w: _table_mul(ctx, mult, n, dict(w), gens[s][2]))
-    generators = tuple(index[tuple(int(i == s) for i in range(len(names)))]
-                       for s in range(len(names)))
-    return labels, delta, tuple(counit), S, (generators, tuple(steps))
+    return labels, delta, tuple(counit), S
 
 
 def generated_inclusion(H, labels, name):
@@ -265,9 +259,8 @@ def kac_paljutkin():
     # Delta(z) = 1/2 (z x z + z x xz + yz x z - yz x xz)
     dz = {z * n + z: half, z * n + xz: half, yz * n + z: half, yz * n + xz: K.s_neg(half)}
     gens = [({g * n + g: one}, one, {g: one}) for g in (x, y)] + [(dz, one, {z: one})]
-    labels, comult, counit, Scols, pres = _pbw(ctx, mult, "xyz", _H8_WORDS, gens)
-    H8 = FinHopf("H8", labels, 1, mult, (one,) + (K.s_zero(ctx),) * (n - 1), comult, counit, Scols,
-                 presentation=pres)
+    labels, comult, counit, Scols = _pbw(ctx, mult, "xyz", _H8_WORDS, gens)
+    H8 = FinHopf("H8", labels, 1, mult, (one,) + (K.s_zero(ctx),) * (n - 1), comult, counit, Scols)
 
     return H8, generated_inclusion(H8, ("x", "y"), "kK")
 
@@ -309,10 +302,9 @@ def taft(l, q_power=1):
         ({x * n: one, g * n + x: one}, z, {idx(l - 1, 1): K.s_neg(one)}),
     ]
     words = [(a, b) for a in range(l) for b in range(l)]
-    labels, comult, counit, Scols, pres = _pbw(ctx, mult, "gx", words, gens)
+    labels, comult, counit, Scols = _pbw(ctx, mult, "gx", words, gens)
     unit = (one,) + (z,) * (n - 1)
-    T = FinHopf("T%d(z^%d)" % (l, q_power), labels, l, mult, unit, comult, counit, Scols,
-                presentation=pres)
+    T = FinHopf("T%d(z^%d)" % (l, q_power), labels, l, mult, unit, comult, counit, Scols)
     return T, generated_inclusion(T, ("g",), "kC%d" % l)
 
 
@@ -446,7 +438,7 @@ def small_quantum_sl2(l):
          _table_mul(ctx, mult, n, {e_e: K.s_neg(one)}, {e_kinv: one})),
     ]
     words = [(j, m, i) for j in range(l) for m in range(l) for i in range(l)]
-    labels, comult_rows, counit, Scols, pres = _pbw(ctx, mult, "fke", words, gens)
+    labels, comult_rows, counit, Scols = _pbw(ctx, mult, "fke", words, gens)
     unit = (one,) + (z,) * (n - 1)
 
     return FinHopf(
@@ -459,7 +451,6 @@ def small_quantum_sl2(l):
         counit,
         Scols,
         convention="kassel: Delta(e)=1xe+exk, Delta(f)=k^-1xf+fx1, ke=q^2ek",
-        presentation=pres,
     )
 
 

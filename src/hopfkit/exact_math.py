@@ -543,7 +543,8 @@ class RowSpace:
             return False
         ctx = self.ctx
         piv = min(rem)
-        row = _scale(ctx, rem, K.s_inv(ctx, rem[piv]))
+        # rem is a fresh vector, kept as it is when its pivot entry is 1
+        row = rem if rem[piv] == ctx[4] else _scale(ctx, rem, K.s_inv(ctx, rem[piv]))
         row_at, rows_with = self._row_at, self._rows_with
         # clear the new pivot column from the rows that hold it; a rewritten
         # row changes only at the columns of the new row

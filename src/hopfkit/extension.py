@@ -819,16 +819,18 @@ def is_normal_subalgebra(incl):
     image = incl.image_space()
     one = K.s_one(ctx)
     for i in algebra_generators(H):
+        # (e_a, s S(e_c), s S(e_a), e_c) for each term s e_a x e_c of Delta(e_i)
+        terms = []
+        for x, s in H.comult[i]:
+            a, c = divmod(x, n)
+            terms.append((H.basis_vec(a), H.antipode_vec({c: s}), H.antipode_vec({a: s}), H.basis_vec(c)))
         for b in range(m):
             col = incl.embed_col(b)
             acc_l = {}
             acc_r = {}
-            for x, s in H.comult[i]:
-                a, c = divmod(x, n)
-                sc = H.antipode_vec({c: s})
-                _axpy(ctx, acc_l, H.mult_vec(H.mult_vec(H.basis_vec(a), col), sc), one)
-                sa = H.antipode_vec({a: s})
-                _axpy(ctx, acc_r, H.mult_vec(H.mult_vec(sa, col), H.basis_vec(c)), one)
+            for ea, sc, sa, ec in terms:
+                _axpy(ctx, acc_l, H.mult_vec(H.mult_vec(ea, col), sc), one)
+                _axpy(ctx, acc_r, H.mult_vec(H.mult_vec(sa, col), ec), one)
             if not image.contains(acc_l) or not image.contains(acc_r):
                 return False
     return True

@@ -160,14 +160,7 @@ class FinHopf:
     and ``counit`` are dense tuples of n raw scalars.  Every table is read
     by index or as a whole, never by slice, so a builder may pass a table
     that computes each row on its first read and otherwise reads as the
-    tuple of its rows (``builders._LazyRows``).
-
-    A builder that knows a presentation by words may pass it as
-    ``presentation = (gens, steps)``: e_0 is the unit, and steps[t - 1] =
-    (s, r) with r < t says that e_{gens[s]} e_r is a nonzero multiple of
-    e_t, for every t >= 1.  It is a claim, not trusted:
-    ``algebra_generators`` reads G = gens off it only after checking each
-    of those rows in the product table."""
+    tuple of its rows (``builders._LazyRows``)."""
 
     __slots__ = (
         "name",
@@ -180,13 +173,11 @@ class FinHopf:
         "counit",
         "antipode_cols",
         "convention",
-        "presentation",
         "ctx",
         "_cache",
     )
 
-    def __init__(self, name, basis_labels, N, mult, unit, comult, counit, antipode_cols, convention="",
-                 presentation=None):
+    def __init__(self, name, basis_labels, N, mult, unit, comult, counit, antipode_cols, convention=""):
         self.name = name
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
@@ -197,7 +188,6 @@ class FinHopf:
         self.counit = counit
         self.antipode_cols = antipode_cols
         self.convention = convention
-        self.presentation = presentation
         self.ctx = K.make_ctx(N)
         self._cache = {}
 
@@ -313,62 +303,73 @@ def _check_shapes(H):
                     raise ShapeError("%s output index %d out of range" % (what, k))
 
 
-def _presented_generators(H):
-    """The generators of H's presentation, sorted, if its words hold in H's
-    table (see ``FinHopf``), else None.  Then e_0 = 1 and, by induction on
-    t, each e_t is a multiple of a product of generators, so 1 and those
-    products span H.  Each word costs one row lookup and no product."""
-    if H.presentation is None:
-        return None
-    gens, steps = H.presentation
-    n = H.dim
-    if (H.unit_vec() != {0: K.s_one(H.ctx)} or len(steps) != n - 1
-            or not all(0 <= g < n for g in gens)):
-        return None
-    for t, (s, r) in enumerate(steps, 1):
-        if not 0 <= r < t or not 0 <= s < len(gens):
-            return None
-        row = H.mult[gens[s] * n + r]
-        if len(row) != 1 or row[0][0] != t:
-            return None
-    return tuple(sorted(gens))
-
-
 @cached()
 def algebra_generators(H):
     """Basis indices G such that 1 and the products of elements of G span H;
     cached on H.
 
-    The generators of a presentation whose words hold (see
-    ``_presented_generators``).  Otherwise greedy: starting from span{1},
-    add the first basis element outside the span and close the span under
-    right multiplication by G; repeat until the span is H.  Once it is, no
-    product is formed.  Only meaningful when 1 is a two-sided unit.
-    """
-    presented = _presented_generators(H)
-    if presented is not None:
-        return presented
-    space = RowSpace(H.dim, H.ctx)
-    spanning = []
-    pending = []
-    gens = []
+    Greedy in basis order: i joins G when e_i lies outside the span S of 1
+    and the e_g, g in G, closed under right multiplication by every e_g;
+    then S is closed again.  Once S is H, no product is formed.  Only
+    meaningful when 1 is a two-sided unit.
 
-    def grow(vec):
-        if space.add(vec):
-            spanning.append(vec)
-            pending.extend((vec, g) for g in gens)
+    S is span{e_r : r in R} for a set R of reached indices, plus the span
+    of the vectors of a ``RowSpace`` whose rows have no entry in R except
+    at their own pivot.  For r in R and g in G the row e_r e_g is looked
+    up: one index k outside R puts k in R, and more are reduced to a new
+    vector.  Once there is one, a reached k also puts e_k in the RowSpace,
+    which clears column k from its rows.  Only the vectors are multiplied
+    by generators, after their entries in R are dropped."""
+    n, mult, ctx = H.dim, H.mult, H.ctx
+    one = ctx[4]
+    space = RowSpace(n, ctx)
+    reached = [False] * n
+    size = 0  # dim S
+    gens, vectors = [], []
+    rows, products = [], []  # (r, g) of rows e_r e_g to read, (v, g) of products v e_g to form
 
-    grow(H.unit_vec())
-    for i in range(H.dim):
-        if space.rank == H.dim:
+    def reach(k):
+        nonlocal size
+        reached[k] = True
+        size += space.add({k: one}) if vectors else 1
+        rows.extend((k, g) for g in gens)
+
+    def take(terms):
+        # a vector of S, given as (index, raw) pairs
+        nonlocal size
+        out = [(k, s) for k, s in terms if not reached[k]]
+        if len(out) == 1:
+            reach(out[0][0])
+        elif out:
+            rem = space.reduce(dict(out))
+            if len(rem) == 1:
+                reach(min(rem))
+            elif rem:
+                size += space.add(rem)
+                vectors.append(rem)
+                products.extend((rem, g) for g in gens)
+
+    take(H.unit_vec().items())
+    for i in range(n):
+        if size == n:
             break
-        if not space.contains(H.basis_vec(i)):
-            gens.append(i)
-            pending.extend((vec, i) for vec in spanning)
-            grow(H.basis_vec(i))
-            while pending and space.rank < H.dim:
-                vec, g = pending.pop()
-                grow(H.mult_vec(vec, H.basis_vec(g)))
+        if reached[i] or vectors and space.contains({i: one}):
+            continue
+        gens.append(i)
+        rows.extend((r, i) for r in range(n) if reached[r])
+        products.extend((v, i) for v in vectors)
+        reach(i)
+        while size < n and (rows or products):
+            if rows:
+                r, g = rows.pop()
+                row = mult[r * n + g]
+                if len(row) > 1 or row and not reached[row[0][0]]:
+                    take(row)
+            else:
+                v, g = products.pop()
+                v = {k: s for k, s in v.items() if not reached[k]}
+                # a v left as c e_k puts k in R, since only the rows of k form v e_g
+                take(H.mult_vec(v, H.basis_vec(g)).items() if len(v) > 1 else v.items())
     return tuple(gens)
 
 

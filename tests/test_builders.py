@@ -27,7 +27,13 @@ from hopfkit.cli import resolve_hopf, resolve_inclusion, resolve_module
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, _add, _axpy
 from hopfkit.extension import bar_quotient, verify_inclusion
-from hopfkit.hopf_core import basis_closure, is_unimodular, subhopf_from_basis, verify_hopf
+from hopfkit.hopf_core import (
+    algebra_generators,
+    basis_closure,
+    is_unimodular,
+    subhopf_from_basis,
+    verify_hopf,
+)
 
 
 def test_group_algebra_rejects_non_group():
@@ -531,6 +537,17 @@ def test_scan_sl2_l5_computes_few_uq_products_and_each_on_first_read():
     ref = _uq_mult_by_rewriting(5)
     assert [rows[r] for r in range(15625)] == list(ref)
     assert uq.mult == ref
+
+
+def test_generators_of_u5_read_few_products_and_no_coproduct_or_antipode():
+    uq = small_quantum_sl2(5)
+    # the dict keys are the rows computed so far
+    tables = (uq.mult, uq.comult, uq.antipode_cols)
+    before = [set(table.keys()) for table in tables]
+    gens = algebra_generators(uq)
+    assert len(gens) == 3
+    assert len(set(uq.mult.keys()) - before[0]) <= len(gens) * uq.dim
+    assert [set(table.keys()) for table in tables[1:]] == before[1:]
 
 
 def test_scan_sl2_l5_computes_few_coproducts_and_antipodes_each_on_first_read(monkeypatch):

@@ -806,3 +806,34 @@ def test_check_integral_type_runs_once_per_analyze(monkeypatch, capsys):
     assert (code, len(calls)) == (0, 0)
     code, _ = run(["analyze", "builtin:h8"], capsys)
     assert (code, len(calls)) == (0, 1)
+
+
+def _readme_cli_commands():
+    """The commands of README.md's CLI block, continuation lines joined, each
+    split as a POSIX shell splits it, with control operators as tokens."""
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").strip().splitlines():
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        commands.append(list(lexer))
+    return commands
+
+
+def test_readme_cli_commands_run_as_written(capsys):
+    commands = _readme_cli_commands()
+    assert len(commands) == 7
+    operators = set("();<>|&")
+    for tokens in commands:
+        assert tokens[0] == "hopfkit", tokens
+        # a shell runs the line as one command: no control operator but a
+        # final redirect of stdout to a file
+        if tokens[-2:-1] == [">"]:
+            tokens = tokens[:-2]
+        assert not [t for t in tokens if set(t) <= operators], tokens
+        assert main(tokens[1:]) == 0, tokens
+        capsys.readouterr()

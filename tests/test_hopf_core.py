@@ -238,11 +238,70 @@ def _word_span_rank(H, gens):
     return space.rank
 
 
+def _reference_generators(H):
+    """G as the span closure found it before generators were read off the
+    table: every spanning vector of span{1, e_g} is multiplied by every
+    generator and reduced in one RowSpace, until the span is closed."""
+    space = RowSpace(H.dim, H.ctx)
+    spanning = []
+    pending = []
+    gens = []
+
+    def grow(vec):
+        if space.add(vec):
+            spanning.append(vec)
+            pending.extend((vec, g) for g in gens)
+
+    grow(H.unit_vec())
+    for i in range(H.dim):
+        if space.rank == H.dim:
+            break
+        if not space.contains(H.basis_vec(i)):
+            gens.append(i)
+            pending.extend((vec, i) for vec in spanning)
+            grow(H.basis_vec(i))
+            while pending and space.rank < H.dim:
+                vec, g = pending.pop()
+                grow(H.mult_vec(vec, H.basis_vec(g)))
+    return tuple(gens)
+
+
+# G of each algebra beyond GENERATORS, by the labels of its basis, as the
+# span closure found it
+MORE_GENERATORS = {
+    "builtin:double?of=builtin:taft?l=3": (
+        "d:1|1", "d:1|x", "d:1|x^2", "d:1|g", "d:x|1", "d:x^2|1", "d:g|1", "d:g|x", "d:g|x^2",
+        "d:g|g", "d:gx|1", "d:gx^2|1", "d:g^2|x", "d:g^2|g", "d:g^2x|1"),
+    "dual:builtin:taft?l=3": ("d:1", "d:x", "d:x^2", "d:g", "d:gx", "d:gx^2", "d:g^2x"),
+    "dual:builtin:taft?l=5": (
+        "d:1", "d:x", "d:x^2", "d:x^3", "d:x^4", "d:g", "d:gx", "d:gx^2", "d:gx^3", "d:gx^4",
+        "d:g^2", "d:g^2x", "d:g^2x^2", "d:g^2x^3", "d:g^3", "d:g^3x", "d:g^3x^2", "d:g^4x"),
+    "dual:builtin:uqsl2?l=5": (
+        "d:1", "d:e", "d:e^2", "d:e^3", "d:e^4", "d:k", "d:ke", "d:ke^2", "d:ke^3", "d:ke^4",
+        "d:k^2", "d:k^2e", "d:k^2e^2", "d:k^2e^3", "d:k^3", "d:k^3e", "d:k^3e^2", "d:k^4e",
+        "d:f", "d:fk", "d:fk^2", "d:fk^3", "d:fk^4"),
+}
+for _l in (3, 5):
+    MORE_GENERATORS.update({"builtin:uqsl2?l=%d&sub=cartan" % _l: ("k",),
+                            "builtin:uqsl2?l=%d&sub=borel-" % _l: ("k", "f"),
+                            "builtin:uqsl2?l=%d&sub=borel+" % _l: ("e", "k")})
+
+
+def _resolve(spec):
+    """The algebra a GENERATORS or MORE_GENERATORS key names: a builtin, the
+    subalgebra of an inclusion spec, or ``dual:`` and a builtin."""
+    from hopfkit.cli import resolve_hopf, resolve_inclusion
+
+    if spec.startswith("dual:"):
+        return dual_hopf(resolve_hopf(spec[5:]))
+    return resolve_inclusion(spec).K if "sub=" in spec else resolve_hopf(spec)
+
+
 def test_generators_span_every_builtin(h8, taft3, uq3):
     algebras = [h8, taft3[0], uq3, taft(2)[0], dual_hopf(h8), dual_hopf(uq3)]
     for table in (cyclic_table(2), cyclic_table(3), cyclic_table(4), klein_table()):
         algebras.append(group_algebra(table))
-    for base in (group_algebra(cyclic_table(2)), group_algebra(klein_table()), taft(2)[0]):
+    for base in (group_algebra(cyclic_table(2)), group_algebra(klein_table()), taft(2)[0], h8):
         algebras.append(drinfeld_double(base)[0])
     for H in algebras:
         gens = algebra_generators(H)
@@ -250,28 +309,34 @@ def test_generators_span_every_builtin(h8, taft3, uq3):
     assert [h8.basis_labels[i] for i in algebra_generators(h8)] == ["x", "y", "z"]
     assert [uq3.basis_labels[i] for i in algebra_generators(uq3)] == ["e", "k", "f"]
     assert len(algebra_generators(taft3[0])) == 2
+    assert algebra_generators(algebras[-1]) == GENERATORS["builtin:double?of=builtin:h8"][0]
+    for spec, labels in MORE_GENERATORS.items():
+        H = _resolve(spec)
+        gens = algebra_generators(H)
+        assert tuple(H.basis_labels[i] for i in gens) == labels, spec
+        assert _word_span_rank(H, gens) == H.dim, spec
 
 
-# G of each catalogue algebra, and the products e_i g that algebra_generators
-# forms, recorded while it still formed the pending products once the span
-# was all of H (24 on H8, 81 on u_3(sl2), 375 on u_5(sl2), 1344 on D(H8))
+# G of each catalogue algebra, and the products v e_g that algebra_generators
+# forms: one per vector v of the span and generator g where v still has two
+# or more entries outside the reached basis indices
 GENERATORS = {
     "builtin:group?table=c2": ((1,), 0),
-    "builtin:group?table=c3": ((1,), 1),
-    "builtin:group?table=c4": ((1,), 2),
-    "builtin:group?table=klein": ((1, 2), 4),
-    "builtin:h8": ((1, 2, 3), 15),
-    "builtin:taft?l=2": ((1, 2), 4),
-    "builtin:taft?l=3": ((1, 3), 13),
-    "builtin:taft?l=5&q=2": ((1, 5), 43),
-    "builtin:taft?l=7&q=3": ((1, 7), 89),
-    "builtin:uqsl2?l=3": ((1, 3, 9), 63),
-    "builtin:uqsl2?l=5": ((1, 5, 25), 327),
-    "builtin:double?of=builtin:group?table=c3": ((0, 1, 3, 4, 7), 29),
-    "builtin:double?of=builtin:group?table=klein": ((0, 1, 2, 4, 5, 6, 8, 9, 10, 13, 14), 142),
-    "builtin:double?of=builtin:taft?l=2": ((0, 1, 2, 4, 9, 10, 12), 86),
+    "builtin:group?table=c3": ((1,), 0),
+    "builtin:group?table=c4": ((1,), 0),
+    "builtin:group?table=klein": ((1, 2), 0),
+    "builtin:h8": ((1, 2, 3), 0),
+    "builtin:taft?l=2": ((1, 2), 0),
+    "builtin:taft?l=3": ((1, 3), 0),
+    "builtin:taft?l=5&q=2": ((1, 5), 0),
+    "builtin:taft?l=7&q=3": ((1, 7), 0),
+    "builtin:uqsl2?l=3": ((1, 3, 9), 0),
+    "builtin:uqsl2?l=5": ((1, 5, 25), 0),
+    "builtin:double?of=builtin:group?table=c3": ((0, 1, 3, 4, 7), 2),
+    "builtin:double?of=builtin:group?table=klein": ((0, 1, 2, 4, 5, 6, 8, 9, 10, 13, 14), 6),
+    "builtin:double?of=builtin:taft?l=2": ((0, 1, 2, 4, 9, 10, 12), 0),
     "builtin:double?of=builtin:h8": ((0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27,
-                                      32, 33, 34, 35, 40), 1124),
+                                      32, 33, 34, 35, 40), 20),
 }
 
 
@@ -282,55 +347,134 @@ def _counted_generators(H):
 
 
 @pytest.mark.parametrize("spec", sorted(GENERATORS))
-def test_generators_stop_once_the_span_is_h(spec):
-    from hopfkit.cli import resolve_hopf
-
-    # a bundle carries no presentation, so G comes from the greedy
-    H = parse_hopf(serialize_hopf(resolve_hopf(spec)))
-    assert H.presentation is None
-    assert _counted_generators(H) == GENERATORS[spec]
-
-
-# the catalogue algebras whose builders pass the presentation of their words
-PRESENTED = [spec for spec in sorted(GENERATORS) if spec.startswith(("builtin:h8", "builtin:taft", "builtin:uqsl2"))]
-
-
-@pytest.mark.parametrize("spec", PRESENTED)
-def test_presented_generators_are_certified_without_a_product(spec):
+def test_generators_are_read_off_the_table(spec):
     from hopfkit.cli import resolve_hopf
 
     H = resolve_hopf(spec)
     H._cache.pop(("algebra_generators",), None)
-    assert H.presentation is not None
-    assert _counted_generators(H) == (GENERATORS[spec][0], 0)
+    assert _counted_generators(H) == GENERATORS[spec]
+    # a bundle of the same tables gets the same G by the same products
+    assert _counted_generators(parse_hopf(serialize_hopf(H))) == GENERATORS[spec]
 
 
-def _with(H, mult=None, presentation=None):
-    """H's tables, with mult replaced when given, and the given presentation."""
-    return FinHopf(H.name, H.basis_labels, H.N, H.mult if mult is None else mult, H.unit, H.comult,
-                   H.counit, H.antipode_cols, presentation=presentation)
+def _with_mult(H, mult, unit=None):
+    """H's tables, with mult (and unit, when given) replaced."""
+    return FinHopf(H.name, H.basis_labels, H.N, mult, H.unit if unit is None else unit, H.comult,
+                   H.counit, H.antipode_cols)
 
 
-def test_a_presentation_whose_words_fail_falls_back_to_the_greedy(taft3):
+def test_a_row_with_two_unreached_terms_is_closed_as_a_vector(taft3):
     T = taft3[0]
     n, ctx = T.dim, T.ctx
-    gens, steps = T.presentation
-    assert (gens, steps[:2]) == ((3, 1), ((1, 0), (1, 1)))
-    # x^2 = x x is named as x 1
-    wrong_row = (gens, (steps[0], steps[0]) + steps[2:])
-    # the word row x x gains a second term
+    x = T.label_index("x")
+    # x x = x^2 gains a term at g^2 x^2: x^2 is no longer read off one
+    # row, and the vector x^2 + g^2 x^2 is multiplied by the generators
     mult = list(T.mult)
-    mult[1 * n + 1] += ((5, K.s_one(ctx)),)
-    tampered = tuple(mult)
-    # g^a x^b = g g^(a-1 mod 3) x^b holds in every row, but g alone does not
-    # generate T3: the words with a = 0 refer to later ones
-    cyclic = ((3,), tuple((0, (t // 3 - 1) % 3 * 3 + t % 3) for t in range(1, n)))
-    assert all(T.mult[3 * n + r] == ((t, K.s_one(ctx)),) for t, (_, r) in enumerate(cyclic[1], 1))
-    for H, greedy in ((_with(T, presentation=wrong_row), GENERATORS["builtin:taft?l=3"]),
-                      (_with(T, tampered, T.presentation), _counted_generators(_with(T, tampered))),
-                      (_with(T, presentation=cyclic), GENERATORS["builtin:taft?l=3"])):
-        assert greedy[1] > 0
-        assert _counted_generators(H) == greedy
+    mult[x * n + x] += ((T.label_index("g^2x^2"), K.s_one(ctx)),)
+    H = _with_mult(T, tuple(mult))
+    gens, products = _counted_generators(H)
+    assert gens == _reference_generators(H) and products > 0
+    assert _word_span_rank(H, gens) == H.dim
+
+
+def test_a_generator_that_reaches_a_subalgebra_leaves_the_rest_to_take(taft3):
+    # every row g e_r of T3 is one term, and g e_r runs through all nine
+    # basis elements; but from 1, g reaches only kC3 = span{1, g, g^2}, so
+    # x must still be taken
+    T = taft3[0]
+    n = T.dim
+    g, x = T.label_index("g"), T.label_index("x")
+    assert sorted(T.mult[g * n + r][0][0] for r in range(n)) == list(range(n))
+    assert _word_span_rank(T, [g]) == 3
+    H = _with_mult(T, T.mult)
+    assert _counted_generators(H) == ((x, g), 0)
+
+
+def test_a_basis_element_in_the_span_of_vectors_is_neither_taken_nor_dropped():
+    # e_0 = 1, e_1 e_1 = e_2 + e_3, e_2 e_1 = e_2, e_3 e_1 = -e_3, e_4 e_4 = e_4
+    # and e_2 e_4 = e_5: from 1 and e_1 the vector e_2 + e_3 and then
+    # e_2 - e_3 reach e_3 by a table row, and e_2 only as a combination of
+    # them, so e_2 is no generator, and e_2 e_4 = e_5 is still formed once
+    # e_4 is taken
+    n, ctx = 6, K.make_ctx(1)
+    one = K.s_one(ctx)
+    rows = {(1, 1): {2: 1, 3: 1}, (2, 1): {2: 1}, (3, 1): {3: -1}, (4, 4): {4: 1}, (2, 4): {5: 1}}
+    rows.update({(0, j): {j: 1} for j in range(n)})
+    rows.update({(i, 0): {i: 1} for i in range(n)})
+    mult = tuple(tuple((k, K.s_from_ratio(ctx, c)) for k, c in sorted(rows.get((i, j), {}).items()))
+                 for i in range(n) for j in range(n))
+    H = FinHopf("span-of-vectors", ["e%d" % i for i in range(n)], 1, mult,
+                (one,) + (K.s_zero(ctx),) * (n - 1), tuple(((i * n + i, one),) for i in range(n)),
+                (one,) * n, tuple(((j, one),) for j in range(n)))
+    assert _counted_generators(H) == ((1, 4), 1)
+    assert _reference_generators(H) == (1, 4)
+
+
+def _conjugated(H, entries, lower=False):
+    """H's product and unit in the basis f_j = e_j + sum P[i][j] e_i over the
+    (i, j, P[i][j]) in entries with i < j (i > j when lower): P is
+    unitriangular, so P^-1 m (P x P) is an integer table, whose rows are
+    dense where P is."""
+    n, ctx = H.dim, H.ctx
+    cols = [{j: K.s_one(ctx)} for j in range(n)]
+    for i, j, c in entries:
+        if (i > j if lower else i < j) and c:
+            cols[j][i] = K.s_from_ratio(ctx, c)
+
+    def back(vec):
+        # the coordinates in f of a vector given in e: solve P y = vec,
+        # from the last column of an upper P and the first of a lower one
+        dense = [vec.get(k, K.s_zero(ctx)) for k in range(n)]
+        for j in range(n) if lower else range(n - 1, -1, -1):
+            for i, c in cols[j].items():
+                if i != j:
+                    dense[i] = K.s_sub(ctx, dense[i], K.s_mul(ctx, c, dense[j]))
+        return tuple((k, s) for k, s in enumerate(dense) if not K.s_is_zero(s))
+
+    mult = tuple(back(H.mult_vec(cols[a], cols[b])) for a in range(n) for b in range(n))
+    unit = dict(back(H.unit_vec()))
+    return _with_mult(H, mult, tuple(unit.get(k, K.s_zero(ctx)) for k in range(n)))
+
+
+_CONJUGATED = ["builtin:h8", "builtin:taft?l=3", "builtin:uqsl2?l=3",
+               "builtin:double?of=builtin:group?table=c3"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(_CONJUGATED),
+       entries=st.lists(st.tuples(st.integers(0, 26), st.integers(0, 26), st.integers(-2, 2)),
+                        min_size=1, max_size=60))
+def test_generators_of_a_conjugated_table_match_the_span_closure(spec, entries):
+    from hopfkit.cli import resolve_hopf
+
+    base = resolve_hopf(spec)
+    entries = [(i, j, c) for i, j, c in entries if max(i, j) < base.dim]
+    # by an upper and then a lower unitriangular P
+    H = _conjugated(_conjugated(base, entries), entries, lower=True)
+    gens = algebra_generators(H)
+    assert gens == _reference_generators(H)
+    assert _word_span_rank(H, gens) == H.dim
+
+
+@functools.lru_cache(maxsize=None)
+def _catalogue_bundle(spec):
+    from hopfkit.cli import resolve_hopf
+
+    return parse_hopf(serialize_hopf(resolve_hopf(spec)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(GENERATORS)), pick=st.integers(0, 10 ** 6))
+def test_generators_of_a_table_with_one_entry_doubled_match_the_span_closure(spec, pick):
+    base = _catalogue_bundle(spec)
+    ctx = base.ctx
+    entries = [(r, t) for r, row in enumerate(base.mult) for t in range(len(row))]
+    r, t = entries[pick % len(entries)]
+    mult = list(base.mult)
+    k, s = mult[r][t]
+    mult[r] = mult[r][:t] + ((k, K.s_add(ctx, s, s)),) + mult[r][t + 1:]
+    H = _with_mult(base, tuple(mult))
+    assert algebra_generators(H) == _reference_generators(H)
 
 
 def _alpha_on_every_basis_element(H):
