@@ -818,19 +818,20 @@ def is_normal_subalgebra(incl):
     n, m = H.dim, Kk.dim
     image = incl.image_space()
     one = K.s_one(ctx)
-    for i in algebra_generators(H):
-        # (e_a, s S(e_c), s S(e_a), e_c) for each term s e_a x e_c of Delta(e_i)
-        terms = []
-        for x, s in H.comult[i]:
-            a, c = divmod(x, n)
-            terms.append((H.basis_vec(a), H.antipode_vec({c: s}), H.antipode_vec({a: s}), H.basis_vec(c)))
-        for b in range(m):
-            col = incl.embed_col(b)
-            acc_l = {}
-            acc_r = {}
-            for ea, sc, sa, ec in terms:
-                _axpy(ctx, acc_l, H.mult_vec(H.mult_vec(ea, col), sc), one)
-                _axpy(ctx, acc_r, H.mult_vec(H.mult_vec(sa, col), ec), one)
+    # per g in G, (a, S(s e_c), s e_c) for each term s e_a x e_c of Delta(e_g)
+    terms = [[(x // n, H.antipode_vec({x % n: s}), {x % n: s}) for x, s in H.comult[i]]
+             for i in algebra_generators(H)]
+    for b in range(m):
+        col = incl.embed_col(b)
+        sides = {}  # a -> (e_a col, S(e_a) col), formed once per (a, b)
+        for g_terms in terms:
+            acc_l, acc_r = {}, {}
+            for a, sc, ec in g_terms:
+                if a not in sides:
+                    ea = H.basis_vec(a)
+                    sides[a] = (H.mult_vec(ea, col), H.mult_vec(H.antipode_vec(ea), col))
+                _axpy(ctx, acc_l, H.mult_vec(sides[a][0], sc), one)
+                _axpy(ctx, acc_r, H.mult_vec(sides[a][1], ec), one)
             if not image.contains(acc_l) or not image.contains(acc_r):
                 return False
     return True

@@ -33,6 +33,7 @@ maps, hom spaces, the invariants of ``frob_objects`` and the
 Yetter-Drinfeld condition of ``yetter_drinfeld.verify_yd``.
 """
 
+from collections import deque
 from functools import wraps
 from math import lcm
 
@@ -316,23 +317,25 @@ def algebra_generators(H):
     S is span{e_r : r in R} for a set R of reached indices, plus the span
     of the vectors of a ``RowSpace`` whose rows have no entry in R except
     at their own pivot.  For r in R and g in G the row e_r e_g is looked
-    up: one index k outside R puts k in R, and more are reduced to a new
-    vector.  Once there is one, a reached k also puts e_k in the RowSpace,
-    which clears column k from its rows.  Only the vectors are multiplied
-    by generators, after their entries in R are dropped."""
-    n, mult, ctx = H.dim, H.mult, H.ctx
-    one = ctx[4]
-    space = RowSpace(n, ctx)
+    up, the newest g's first, in the order r was reached: one index k
+    outside R puts k in R, and more are reduced to a new vector.  Once
+    there is one, a reached k also puts e_k in the RowSpace, which clears
+    column k from its rows.  Only the vectors are multiplied by
+    generators, after their entries in R are dropped."""
+    n, mult, one = H.dim, H.mult, H.ctx[4]
+    space = RowSpace(n, H.ctx)
     reached = [False] * n
     size = 0  # dim S
     gens, vectors = [], []
-    rows, products = [], []  # (r, g) of rows e_r e_g to read, (v, g) of products v e_g to form
+    newest = deque()  # r of the rows e_r e_g still to read for the newest g, oldest first
+    rows, products = [], []  # (r, g) of the other rows to read, (v, g) of products v e_g to form
 
     def reach(k):
         nonlocal size
         reached[k] = True
         size += space.add({k: one}) if vectors else 1
-        rows.extend((k, g) for g in gens)
+        newest.append(k)
+        rows.extend((k, g) for g in gens[:-1])
 
     def take(terms):
         # a vector of S, given as (index, raw) pairs
@@ -355,13 +358,13 @@ def algebra_generators(H):
             break
         if reached[i] or vectors and space.contains({i: one}):
             continue
+        newest = deque(r for r in range(n) if reached[r])
         gens.append(i)
-        rows.extend((r, i) for r in range(n) if reached[r])
         products.extend((v, i) for v in vectors)
         reach(i)
-        while size < n and (rows or products):
-            if rows:
-                r, g = rows.pop()
+        while size < n and (newest or rows or products):
+            if newest or rows:
+                r, g = (newest.popleft(), i) if newest else rows.pop()
                 row = mult[r * n + g]
                 if len(row) > 1 or row and not reached[row[0][0]]:
                     take(row)
