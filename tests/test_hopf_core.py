@@ -357,6 +357,13 @@ def test_generators_are_read_off_the_table(spec):
     assert _counted_generators(parse_hopf(serialize_hopf(H))) == GENERATORS[spec]
 
 
+@pytest.mark.parametrize("spec", sorted(GENERATORS) + sorted(MORE_GENERATORS))
+def test_generators_of_every_pinned_algebra_match_the_span_closure(spec):
+    H = _resolve(spec)
+    H._cache.pop(("algebra_generators",), None)
+    assert algebra_generators(H) == _reference_generators(H)
+
+
 def _with_mult(H, mult, unit=None):
     """H's tables, with mult (and unit, when given) replaced."""
     return FinHopf(H.name, H.basis_labels, H.N, mult, H.unit if unit is None else unit, H.comult,
