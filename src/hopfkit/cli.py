@@ -421,7 +421,7 @@ def cmd_check_functor(args):
 
 def cmd_frob_objects(args):
     from .frob_objects import is_rigid_frobenius, push_frobenius, verify_frobenius_object
-    from .extension import is_central_extension
+    from .extension import is_central_extension, rescale_frobenius_data
     from .induction import induction_context, is_separable_functor
     from .module_theory import trivial_module
 
@@ -449,8 +449,8 @@ def cmd_frob_objects(args):
     if args.separable_normalized:
         one = trivial_module(incl.K)
         sep = is_separable_functor(frob, [(one, one)])
-        if sep["rescaled"] is not None:
-            frob = sep["rescaled"]
+        if sep["separable"]:
+            frob = rescale_frobenius_data(frob, 1 / sep["scalar"])
             report.add("separable-normalization", True,
                        detail="lambda rescaled by 1/%s" % sep["scalar"])
         else:

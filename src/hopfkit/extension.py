@@ -545,9 +545,10 @@ def free_basis(incl):
 
 class Decomposer:
     """Decompose H-vectors over a free basis as x = sum_i h_i * embed(k_i),
-    from the products h_i * embed(k_b), i outer, that ``free_basis`` forms."""
+    from the products h_i * embed(k_b), i outer, that ``free_basis`` forms;
+    ``_cache`` holds the tables of the free basis alone (``induction``)."""
 
-    __slots__ = ("incl", "free", "inv_cols", "m")
+    __slots__ = ("incl", "free", "inv_cols", "m", "_cache")
 
     def __init__(self, incl, free, images):
         # coordinates solve A x = h for the matrix A whose columns are the
@@ -560,6 +561,7 @@ class Decomposer:
         self.free = free
         self.inv_cols = inv.srows
         self.m = incl.K.dim
+        self._cache = {}
 
     def __call__(self, hvec):
         """List (per free index) of sparse K-coordinate vectors."""
@@ -581,8 +583,8 @@ class FrobeniusData:
     ``hopf_core.cached``), once per object.  The canonical data is a value of
     the inclusion, cached on it by ``make_frobenius_data``;
     ``rescale_frobenius_data`` builds a new object, not kept on the
-    inclusion, with an empty cache of its own: the lax structure scales
-    with tr."""
+    inclusion, whose cache starts empty: the lax structure scales with tr.
+    It shares ``right_decomp``, which caches the tables of the free basis."""
 
     __slots__ = ("incl", "lam", "tr", "free", "deltas", "right_decomp", "_cache")
 
@@ -806,14 +808,19 @@ def is_central_extension(incl):
 
 
 def is_normal_subalgebra(incl):
-    """Closure of embed(K) under left and right adjoint actions of H.
+    """Closure of embed(K) under left and right adjoint actions of H, for a
+    verified inclusion.
 
-    Only h in ``algebra_generators(H)`` are tried: ad_(gh) = ad_g ad_h for
-    the left and ad_(gh) = ad_h ad_g for the right adjoint action, and ad_1 is
-    the identity, so a subspace closed under ad_g for g in G is closed under
-    ad_h for every h in H.
+    There dim K = 1 means K = k1, closed since ad_h(1) = eps(h)1, and
+    dim K = dim H means K = H; both are normal without the closure.
+    Otherwise only h in ``algebra_generators(H)`` are tried: ad_(gh) =
+    ad_g ad_h for the left and ad_(gh) = ad_h ad_g for the right adjoint
+    action, and ad_1 is the identity, so a subspace closed under ad_g for g
+    in G is closed under ad_h for every h in H.
     """
     H, Kk = incl.H, incl.K
+    if Kk.dim in (1, H.dim):
+        return True
     ctx = incl.ctx
     n, m = H.dim, Kk.dim
     image = incl.image_space()

@@ -16,8 +16,7 @@ from . import _kernel as K
 from .errors import PipelineError
 from .exact_math import (Cyclotomic, Matrix, _act_blocks, _add, _apply, _axpy, _clean, _kron_act,
                          _scale, _table_apply, _tensor, _tensor_square_mul, id_kron, kron_id)
-from .extension import (is_central_extension, is_frobenius_extension, make_frobenius_data,
-                        rescale_frobenius_data)
+from .extension import is_central_extension, is_frobenius_extension, make_frobenius_data
 from .hopf_core import LinearFunctional, antipode_inverse, cached
 from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial_module
 from .reports import Report
@@ -37,7 +36,8 @@ def induction_context(incl):
     value, so equal modules built separately share an entry; results that
     carry a name are keyed by the name too.  The lax structure scales with
     the Frobenius morphism, so rescaled data (``rescale_frobenius_data``) is
-    a new object with a cache of its own."""
+    a new object whose cache starts empty, sharing with its source the
+    tables of the free basis, kept on its decomposer ``frob.right_decomp``."""
     if not is_frobenius_extension(incl).frobenius:
         raise PipelineError("inclusion %r is not a Frobenius extension" % incl)
     is_central_extension(incl)
@@ -51,9 +51,10 @@ def delta_parts(frob, i):
 
 
 @cached()
-def basis_parts(frob, q):
-    """Right decomposition of the basis element e_q of H."""
-    return frob.right_decomp({q: K.s_one(frob.incl.ctx)})
+def basis_parts(dec, q):
+    """Right decomposition of the basis element e_q of H over the free basis
+    of the decomposer dec (``frob.right_decomp``)."""
+    return dec({q: K.s_one(dec.incl.ctx)})
 
 
 @cached()
@@ -69,21 +70,23 @@ def tr_row(frob, p):
 
 
 @cached()
-def comult_terms(frob):
-    """(i, p, q, s) over the terms s e_p (x) e_q of Delta(h_i), i ascending."""
-    H = frob.incl.H
-    return [(i, *divmod(x, H.dim), s) for i, hi in enumerate(frob.free) for x, s in H.comult[hi]]
+def comult_terms(dec):
+    """(i, p, q, s) over the terms s e_p (x) e_q of Delta(h_i), i ascending,
+    for the free basis h_i of the decomposer dec."""
+    H = dec.incl.H
+    return [(i, *divmod(x, H.dim), s) for i, hi in enumerate(dec.free) for x, s in H.comult[hi]]
 
 
-def _structure(frob, parts):
+def _structure(dec, parts):
     """The nonzero (l, i, j, c), l, i, j ascending, c the sum over the terms
-    s e_p (x) e_q of Delta(h_l) of s parts(p)[i] (x) parts(q)[j] in K (x) K
-    ((b, c) at b * dim K + c).  parts(p) holds the nonzero parts only, so
+    s e_p (x) e_q of Delta(h_l), h_l the free basis of dec, of
+    s parts(p)[i] (x) parts(q)[j] in K (x) K ((b, c) at b * dim K + c).
+    parts(p) holds the nonzero parts only, so
     the build visits the nonzero (i, j) of each term, not all r^2."""
-    incl = frob.incl
+    incl = dec.incl
     ctx, n, m = incl.ctx, incl.H.dim, incl.K.dim
     out = []
-    for l, hl in enumerate(frob.free):
+    for l, hl in enumerate(dec.free):
         acc = {}
         for x, s in incl.H.comult[hl]:
             p, q = divmod(x, n)
@@ -101,13 +104,14 @@ def _structure(frob, parts):
 @cached()
 def sigma(frob):
     """The lax structure constants sigma_{l,i,j}: parts(p) = tr(e_p h_i), by i."""
-    return _structure(frob, lambda p: tr_row(frob, p))
+    return _structure(frob.right_decomp, lambda p: tr_row(frob, p))
 
 
 @cached()
-def tau(frob):
-    """The oplax structure constants tau_{i,t,u}: parts(p) = part t of e_p, by t."""
-    return _structure(frob, lambda p: {t: k for t, k in enumerate(basis_parts(frob, p)) if k})
+def tau(dec):
+    """The oplax structure constants tau_{i,t,u} of the free basis of the
+    decomposer dec: parts(p) = part t of e_p, by t."""
+    return _structure(dec, lambda p: {t: k for t, k in enumerate(basis_parts(dec, p)) if k})
 
 
 @cached()
@@ -190,14 +194,15 @@ def _insertion(frob, M, xs):
 
 
 @cached()
-def ind_parts(frob):
+def ind_parts(dec):
     """By g < dim H, the entries (t, i, k_t) of the nonzero parts of the right
-    decompositions e_g h_i = sum_t h_t k_t, i < rank: the blocks of
-    ``_insertion`` for [iota(e_g h_i)]_i, with the zero parts left out."""
-    H, decomp = frob.incl.H, frob.right_decomp
+    decompositions e_g h_i = sum_t h_t k_t by the decomposer dec, i < rank:
+    the blocks of ``_insertion`` for [iota(e_g h_i)]_i, with the zero parts
+    left out."""
+    H = dec.incl.H
     return [[(t, i, k)
-             for i, hi in enumerate(frob.free)
-             for t, k in enumerate(decomp(H.mult_vec(H.basis_vec(g), H.basis_vec(hi))))
+             for i, hi in enumerate(dec.free)
+             for t, k in enumerate(dec(H.mult_vec(H.basis_vec(g), H.basis_vec(hi))))
              if k]
             for g in range(H.dim)]
 
@@ -207,7 +212,7 @@ def induce(frob, V):
     """Ind V = H (x)_K V on the carrier basis (i, a) -> i*dim V + a: e_g acts
     as [iota_V(e_g h_i)]_i."""
     shape = (frob.rank, frob.rank)
-    mats = [_k_blocks(frob, V, shape, entries) for entries in ind_parts(frob)]
+    mats = [_k_blocks(frob, V, shape, entries) for entries in ind_parts(frob.right_decomp)]
     return HModule(frob.incl.H, mats, name="Ind(%s)" % V.name, N=lcm(frob.incl.N, V.N))
 
 
@@ -373,7 +378,7 @@ def oplax_pair(frob, V, U):
     tau_{i,t,u} acting on V x U."""
     r, dV, dU = frob.rank, V.dim, U.dim
     d = dV * dU
-    return _act_structure(frob, V, U, tau(frob), (r * dV) * (r * dU), r * d,
+    return _act_structure(frob, V, U, tau(frob.right_decomp), (r * dV) * (r * dU), r * d,
                           lambda i, t, u: ((t * dV * r + u) * dU, r * dU, i * d, dU))
 
 
@@ -440,41 +445,19 @@ def is_separable_functor(frob, pairs):
 
     Computes lax o oplax on Ind(V x U) for each pair.  The functor counts as
     separable when the composite is the same nonzero scalar multiple c of the
-    identity on every pair (the lax structure scales linearly with the choice
-    of Frobenius morphism, so c depends on the normalization while
-    separability itself does not).  The witness normalization lam/c is then
-    built as Frobenius data of its own, returned as ``rescaled``, and
-    lax o oplax = id is confirmed strictly on the first pair.
+    identity on every pair.  Rescaling tr by 1/c scales lax by 1/c and keeps
+    oplax, so lax o oplax = id holds exactly on
+    ``rescale_frobenius_data(frob, 1/c)`` (notes/decisions.md, "Rescaling is
+    covariance"), and no second Frobenius data is built to confirm it.
     """
-    strict = True
-    scalar = None
-    consistent = True
-    for V, U in pairs:
-        comp = lax_pair(frob, V, U) * oplax_pair(frob, V, U)
-        c = comp.is_scalar_multiple_of_identity()
-        if c is None:
-            strict = False
-            consistent = False
-            continue
-        if not comp.is_identity():
-            strict = False
-        if scalar is None:
-            scalar = c
-        elif scalar != c:
-            consistent = False
-    separable = consistent and scalar is not None and not scalar.is_zero()
-    rescaled = witness_ok = None
-    if separable:
-        rescaled = rescale_frobenius_data(frob, Cyclotomic.promote(1) / scalar)
-        V, U = pairs[0]
-        witness_ok = (lax_pair(rescaled, V, U) * oplax_pair(rescaled, V, U)).is_identity()
-        separable = witness_ok
+    scalars = [(lax_pair(frob, V, U) * oplax_pair(frob, V, U)).is_scalar_multiple_of_identity()
+               for V, U in pairs]
+    scalar = next((c for c in scalars if c is not None), None)
+    consistent = all(c is not None and c == scalar for c in scalars)
     return {
-        "separable": separable,
+        "separable": consistent and scalar is not None and not scalar.is_zero(),
         "scalar": scalar,
-        "strict_at_current_scale": strict,
-        "witness_verified": witness_ok,
-        "rescaled": rescaled,
+        "strict_at_current_scale": all(c is not None and c == 1 for c in scalars),
     }
 
 
@@ -545,13 +528,14 @@ def projection_morphisms(frob, W, V):
     # Delta(h_i) = sum s e_p x e_q; column p of S^-1 and S gives the
     # coordinates of S^-1(e_p) and S(e_p).  iota(e_q) and the action of
     # S^-1(e_p) (resp. iota(e_p) and the action of S(e_q)) are formed once.
-    terms = comult_terms(frob)
+    dec = frob.right_decomp
+    terms = comult_terms(dec)
     ps, qs = {p for _, p, _, _ in terms}, {q for _, _, q, _ in terms}
     Sinv = antipode_inverse(H).transpose().srows
     SinvW = {p: W.act_alg_vec(Sinv[p], H.N) for p in ps}
     SW = {q: W.act_alg_vec(dict(H.antipode_cols[q]), H.N) for q in qs}
-    iota_WV = {q: _insertion(frob, resWV, [basis_parts(frob, q)]) for q in qs}
-    iota_VW = {p: _insertion(frob, VresW, [basis_parts(frob, p)]) for p in ps}
+    iota_WV = {q: _insertion(frob, resWV, [basis_parts(dec, q)]) for q in qs}
+    iota_VW = {p: _insertion(frob, VresW, [basis_parts(dec, p)]) for p in ps}
     every_row = range(r * dW * dV)
 
     # w x (h_i x v) -> h_(2) x (S^-1(h_(1)) w x v)

@@ -190,11 +190,6 @@ def is_yd_map(H, src, tgt, mat):
     return src_coact is None or tgt_coact * mat == id_kron(H.dim, mat) * src_coact
 
 
-def yd_morphism_check(src, tgt, mat):
-    """mat intertwines both the actions and the coactions."""
-    return is_yd_map(src.H, (src.action, src.coaction), (tgt.action, tgt.coaction), mat)
-
-
 def yd_hexagons(A, B, C):
     """Both braided hexagon identities on the triple (A, B, C)."""
     psi_ab = yd_braiding(A, B)
@@ -261,7 +256,7 @@ def z_induce(frob, M):
                         if cols is None:
                             # the columns of iota_M(e_q): v -> e_q (x)_K v
                             cols = iota[q] = _insertion(
-                                frob, M, [basis_parts(frob, q)]
+                                frob, M, [basis_parts(frob.right_decomp, q)]
                             ).transpose().srows
                         c = K.s_mul(ctx, tw, ev)
                         for tb, w in cols[a0].items():

@@ -54,6 +54,7 @@ from hopfkit.induction import (
     induce,
     is_separable_functor,
     lax_pair,
+    oplax_pair,
     projection_morphisms,
     verify_frobenius_monoidal,
 )
@@ -119,9 +120,12 @@ def test_criterion_03_h8_braided_frobenius_suite(h8_frob):
     for a in simples:
         for b in simples:
             assert verify_braided_frobenius(h8_frob, a, b).ok
-    sep = is_separable_functor(h8_frob, [(a, b) for a in simples for b in simples])
+    pairs = [(a, b) for a in simples for b in simples]
+    sep = is_separable_functor(h8_frob, pairs)
     assert sep["separable"] is True
-    assert sep["witness_verified"] is True
+    # the witness: lax o oplax = id at the normalization lambda / scalar
+    r = rescale_frobenius_data(h8_frob, 1 / sep["scalar"])
+    assert all((lax_pair(r, V, U) * oplax_pair(r, V, U)).is_identity() for V, U in pairs)
     assert str(sep["scalar"]) == "2"
     elapsed = time.monotonic() - t0
     record_criterion(3, True, "%.2fs" % elapsed)

@@ -614,6 +614,28 @@ def test_normality_on_generators_matches_the_full_scan(h8_incl, taft3, uq3, uq5)
         assert is_normal_subalgebra(incl) == _normal_on_every_basis_element(incl), name
 
 
+@pytest.mark.parametrize("spec", ["builtin:trivial?of=builtin:h8", "builtin:unit?of=builtin:h8"])
+def test_k1_and_h_are_normal_without_the_adjoint_closure(spec, monkeypatch):
+    # K = H, and K = k1 with ad_h(1) = eps(h)1: analyze prints the same
+    # line, and the answer reads no algebra generator of H
+    import contextlib
+    import io
+
+    import hopfkit.extension as extension
+    from hopfkit.cli import main, resolve_inclusion
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["analyze", spec]) == 0
+    assert "normal-subalgebra                    PASS  [True]  (normality)" in \
+        out.getvalue().splitlines()
+
+    def refused(H):
+        raise AssertionError("the adjoint closure ran")
+
+    monkeypatch.setattr(extension, "algebra_generators", refused)
+    assert is_normal_subalgebra(resolve_inclusion(spec)) is True
+
+
 def test_bar_quotient_is_built_once_per_inclusion(monkeypatch):
     # Hbar is a function of the inclusion, kept in its cache: the analysis and
     # the induction context of one inclusion share it

@@ -19,14 +19,17 @@ from hopfkit.induction import (
     basis_parts,
     coinduce,
     comult_terms,
+    delta_parts,
     ind_parts,
     induce,
     induction_context,
     is_separable_functor,
     lax_pair,
+    lax_table,
     oplax_pair,
     projection_morphisms,
     sigma,
+    tau,
     theta_iso,
     unit_maps,
     verify_frobenius_monoidal,
@@ -160,7 +163,10 @@ def test_separability(h8_frob, kmods):
     sep = is_separable_functor(h8_frob, pairs)
     assert sep["separable"] is True
     assert str(sep["scalar"]) == "2"
-    assert sep["witness_verified"] is True
+    # the witness: lax o oplax = id at the normalization lambda / scalar
+    r = rescale_frobenius_data(h8_frob, 1 / sep["scalar"])
+    assert all((lax_pair(r, V, U) * oplax_pair(r, V, U)).is_identity() for V, U in pairs)
+    assert set(sep) == {"separable", "scalar", "strict_at_current_scale"}
     # at the canonical normalization the composite is 2*id, not id
     assert sep["strict_at_current_scale"] is False
 
@@ -443,6 +449,67 @@ def test_lax_oplax_match_the_per_pair_formulas(case, h8_incl, uq3, uq5):
         assert [(m.N, m.key()) for m in got] == [(m.N, m.key()) for m in want], (V.name, U.name)
 
 
+def _scaled(table, N, c):
+    """The entries (..., vec) of a table of sparse K-vectors written at N,
+    with each scalar of vec as a Cyclotomic multiplied by c."""
+    return [(*key, {x: Cyclotomic(N, v) * c for x, v in vec.items()}) for *key, vec in table]
+
+
+@pytest.mark.parametrize("case", ["kK<H8", "uq3-cartan", "kC3<D(kC3)", "H8<D(H8)"])
+def test_rescaling_shares_the_free_basis_tables_and_scales_the_rest(case, h8_incl, uq3):
+    # tr -> c tr keeps the free basis, so the tables read off it alone are
+    # the source's own objects, while sigma, Lambda and the delta-parts scale
+    # by c^2, c and 1/c (notes/decisions.md, "Rescaling is covariance")
+    frob = {"kK<H8": lambda: induction_context(h8_incl),
+            "uq3-cartan": lambda: _uq_cartan_case(uq3)[0],
+            "kC3<D(kC3)": lambda: _c3_double_case()[0],
+            "H8<D(H8)": lambda: _h8_double_case()[0]}[case]()
+    N, c = frob.incl.N, Cyclotomic.promote(7)
+    r = rescale_frobenius_data(frob, c)
+    dec, rdec = frob.right_decomp, r.right_decomp
+    assert tau(rdec) is tau(dec) and ind_parts(rdec) is ind_parts(dec)
+    assert comult_terms(rdec) is comult_terms(dec)
+    assert all(basis_parts(rdec, q) is basis_parts(dec, q) for q in range(frob.incl.H.dim))
+    assert _scaled(sigma(r), N, 1) == _scaled(sigma(frob), N, c * c)
+    assert _scaled(lax_table(r), N, 1) == _scaled(lax_table(frob), N, c)
+    for i in range(frob.rank):
+        assert _scaled(enumerate(delta_parts(r, i)), N, 1) == \
+            _scaled(enumerate(delta_parts(frob, i)), N, 1 / c)
+
+
+def test_check_functor_separable_rescales_nothing(monkeypatch):
+    # lax o oplax = c id already decides separability; the witness at
+    # lambda / c holds by the scaling, so no second Frobenius data is built
+    import contextlib
+    import io
+    import sys
+
+    from hopfkit import extension
+    from hopfkit.cli import main
+
+    real, calls = extension.rescale_frobenius_data, []
+
+    def spy(frob, c):
+        calls.append(c)
+        return real(frob, c)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hopfkit") and getattr(mod, "rescale_frobenius_data", None) is real:
+            monkeypatch.setattr(mod, "rescale_frobenius_data", spy)
+    argv = ["check-functor", "builtin:h8", "--module", "builtin:kchar?act=1,-1,1,-1"]
+
+    def rescales(*flags):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + list(flags)) == 0
+        return len(calls), out.getvalue()
+
+    # the one call is make_frobenius_data's normalization of a fresh inclusion
+    assert rescales()[0] == 1
+    n, text = rescales("--separable")
+    assert n == 1 and "separable            PASS  [scalar=2]  (separability)" in text.splitlines()
+
+
 def test_lax_structure_constants_are_built_once_per_context(h8_incl, monkeypatch):
     import hopfkit.induction as induction
     from hopfkit.extension import FrobeniusData
@@ -715,10 +782,10 @@ def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkey
     monkeypatch.setattr(induction, "_act_blocks", counted)
     projection_morphisms(frob, W, V)
     assert sorted(T.name for T in made.values()) == ["Res(Ind(chi1))(x)chi1", "chi1(x)Res(Ind(chi1))"]
-    terms = comult_terms(frob)
+    terms = comult_terms(frob.right_decomp)
 
     def nparts(xs):
-        return sum(1 for x in xs for k in basis_parts(frob, x) if k)
+        return sum(1 for x in xs for k in basis_parts(frob.right_decomp, x) if k)
 
     lefts, rights = [p for _, p, _, _ in terms], [q for _, _, q, _ in terms]
     assert acted.count("Res(Ind(chi1))(x)chi1") == nparts(set(rights))
@@ -739,23 +806,25 @@ def test_structure_maps_accept_modules_over_a_larger_field(h8, h8_frob, kmods):
 
 
 def test_a_second_induce_reads_the_parts_of_the_frobenius_data(h8_incl, monkeypatch):
-    # decomp(e_g h_i) is fixed by the Frobenius data, so it is formed once
+    # decomp(e_g h_i) is fixed by the free basis, so it is formed once
+    from hopfkit.extension import Decomposer
+
     frob = rescale_frobenius_data(induction_context(h8_incl), 1)
     Kk = h8_incl.K
     induce(frob, kchar(Kk, 1, -1))
     decomposed = []
-    real = frob.right_decomp
+    real = Decomposer.__call__
 
-    def counted(hvec):
+    def counted(self, hvec):
         decomposed.append(hvec)
-        return real(hvec)
+        return real(self, hvec)
 
-    monkeypatch.setattr(frob, "right_decomp", counted)
+    monkeypatch.setattr(Decomposer, "__call__", counted)
     ind = induce(frob, kchar(Kk, -1, 1))
     assert decomposed == []
     assert verify_module(ind).ok
     # the table keeps the nonzero parts only, not all r parts of each e_g h_i
-    entries = [e for row in ind_parts(frob) for e in row]
+    entries = [e for row in ind_parts(frob.right_decomp) for e in row]
     assert entries and all(k for _, _, k in entries)
     assert len(entries) < h8_incl.H.dim * frob.rank ** 2
 

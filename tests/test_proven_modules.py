@@ -30,7 +30,7 @@ from hopfkit.hopf_core import FinHopf, algebra_generators
 from hopfkit.induction import induction_context
 from hopfkit.module_theory import HModule, ModuleMap, hom_space, verify_module
 from hopfkit.yetter_drinfeld import (
-    YDModule, verify_yd, yd_as_double_module, yd_braiding, yd_line, yd_morphism_check, yd_tensor,
+    YDModule, is_yd_map, verify_yd, yd_as_double_module, yd_braiding, yd_line, yd_tensor,
     z_induce,
 )
 
@@ -215,7 +215,8 @@ def test_braiding_of_induced_yd_modules_is_an_invertible_yd_map(case):
     for M, N in zip(ind, ind[1:] + ind[:1]):
         psi = yd_braiding(M, N)
         assert psi.inverse() is not None
-        assert yd_morphism_check(yd_tensor(M, N), yd_tensor(N, M), psi)
+        MN, NM = yd_tensor(M, N), yd_tensor(N, M)
+        assert is_yd_map(MN.H, (MN.action, MN.coaction), (NM.action, NM.coaction), psi)
 
 
 def test_a_yd_defect_keeps_the_full_scan_witness(case):
