@@ -146,47 +146,20 @@ def _parse_sections(p):
         p.error("unexpected end of file", p.pos + 1)
 
 
-# the value scalars.get returns for a scalar text not read yet (None is zero)
-_UNSEEN = object()
-
-
-def _careful(p, at, bounds, strides, terms):
-    """Entry line ``at`` read with every check: None for a blank or comment
-    line, else its flat index x and its scalar text.  Index texts not in
-    ``terms`` are decoded, every one before any is checked against its
-    bound, and each is then put into ``terms``."""
-    line = p.lines[at]
-    nidx = len(bounds)
-    parts = line.split(None, nidx)
-    if not parts or parts[0][0] == "#":
-        return None
-    if len(parts) != nidx + 1:
-        p.error("expected %d indices and a scalar: %r" % (nidx, line.strip()), at + 1)
+def _index(p, at, parts, bounds, strides, terms):
+    """The flat index of entry line ``at``, split into ``parts``, whose index
+    texts are not all in ``terms`` yet: every index is decoded before any is
+    checked against its bound, and each text is then put into ``terms``."""
     try:
-        return sum(map(dict.__getitem__, terms, parts)), parts[nidx]
-    except KeyError:
-        pass
-    try:
-        idxs = tuple(map(int, parts[:nidx]))
+        idxs = tuple(map(int, parts[:len(bounds)]))
     except ValueError:
-        p.error("bad index in %r" % line.strip(), at + 1)
+        p.error("bad index in %r" % p.lines[at].strip(), at + 1)
     for i, b in zip(idxs, bounds):
         if not 0 <= i < b:
-            p.error("index out of range in %r" % line.strip(), at + 1)
+            p.error("index out of range in %r" % p.lines[at].strip(), at + 1)
     for i, stride, term, text in zip(idxs, strides, terms, parts):
         term[text] = i * stride
-    return sum(i * stride for i, stride in zip(idxs, strides)), parts[nidx]
-
-
-def _scalar(p, at, text, N):
-    """The raw scalar of the text ``text`` of entry line ``at``, None for
-    zero, parsed once per bundle into ``p.scalars``."""
-    try:
-        val = parse_scalar(text, N)
-    except (ValueError, ZeroDivisionError) as e:
-        p.error("bad scalar in %r (%s)" % (p.lines[at].strip(), e), at + 1)
-    val = p.scalars[text] = None if val.is_zero() else val.data
-    return val
+    return sum(i * stride for i, stride in zip(idxs, strides))
 
 
 def _entries(p, name, bounds, strides, N, width):
@@ -199,22 +172,17 @@ def _entries(p, name, bounds, strides, N, width):
     twice, zero entries included.  Every empty row is the one empty tuple.
 
     ``terms[t]`` maps each index text read at position t to its term
-    i_t * strides[t] of x.  It starts as the table {str(i): i * stride} of
-    the texts the writers put there, shared by the positions of every
-    section with that bound and stride.
-
-    The tight pass reads a line of m such texts and a scalar text, each
-    after one space, whose x exceeds the one before: no x can repeat and
-    the rows fill in order.  A scalar text is parsed on the first line that
-    holds it.  Every other line goes to the careful walk, ``_careful``: a
-    comment or blank line, other whitespace, another spelling of an index,
-    a wrong token count, an index that is out of range or not an integer,
-    and an x that does not exceed the one before.  It reads the line as
-    str.split does and raises each error with its line.  From the first x
-    that does not exceed the one before, the lines read so far are walked
-    again for theirs, every later line is read carefully with its x kept
-    in a set, and the rows are sorted at the end."""
+    i_t * strides[t] of x.  It starts as {str(i): i * stride}, the texts
+    the writers put there, and is shared by every section with that bound
+    and stride.  A line that does not split into m texts of ``terms`` and
+    a scalar text is checked as ``str.split`` reads it: a blank or comment
+    line is skipped, then the token count is tested and ``_index`` decodes
+    the indices.  While each x exceeds the one before, no x can repeat
+    and the rows fill in order; from the first x that does not, every x is
+    checked against a set of the keys read, and the rows are sorted at the
+    end.  A scalar text is parsed on its first line, after that test."""
     nidx = len(bounds)
+    size = prod(bounds)
     start, stop = p.sections[name]
     terms = []
     for key in zip(bounds, strides):
@@ -229,79 +197,66 @@ def _entries(p, name, bounds, strides, N, width):
     add = pairs.append
     runs = []
     lo = -width
+    zeros = []
     seen = None
+    # the largest x read, and from the first drop on above every x
     last = -1
-    known = p.scalars.get
+    scalars = p.scalars
     lines = p.lines
-    at = start
-    while at < stop:
-        if seen is None:
-            # the tight pass: a line it does not keep ends it with ``at`` on
-            # that line, which the careful walk below reads
-            for at in range(at, stop):
-                try:
-                    if nidx == 3:
-                        i, j, k, text = lines[at].split(" ", 3)
-                        x = t0[i] + t1[j] + t2[k]
-                    elif nidx == 2:
-                        i, j, text = lines[at].split(" ", 2)
-                        x = t0[i] + t1[j]
-                    else:
-                        i, text = lines[at].split(" ", 1)
-                        x = t0[i]
-                except (ValueError, KeyError):
-                    break
-                if x <= last:
-                    break
-                val = known(text, _UNSEEN)
-                if val is _UNSEEN:
-                    # split(None) would strip what begins with whitespace
-                    if not text or text[0].isspace():
-                        break
-                    val = _scalar(p, at, text, N)
-                last = x
-                if val is not None:
-                    c = x - lo
-                    if c >= width:
-                        r, c = divmod(x, width)
-                        lo = x - c
-                        runs.append((r, len(pairs)))
-                    add((c, val))
+    for at in range(start, stop):
+        parts = lines[at].split(None, nidx)
+        try:
+            if nidx == 3:
+                i, j, k, text = parts
+                x = t0[i] + t1[j] + t2[k]
+            elif nidx == 2:
+                i, j, text = parts
+                x = t0[i] + t1[j]
             else:
-                break
-        got = _careful(p, at, bounds, strides, terms)
-        if got is not None:
-            x, text = got
-            if x > last:
-                last = x
-            else:
-                if seen is None:
-                    # every earlier line of the section was read as an entry
-                    seen = {sum(map(dict.__getitem__, terms, earlier))
-                            for earlier in map(str.split, lines[start:at])
-                            if earlier and earlier[0][0] != "#"}
-                if x in seen:
-                    idxs = (x // stride % b for stride, b in zip(strides, bounds))
-                    p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name),
-                            at + 1)
-            if seen is not None:
-                seen.add(x)
-            val = known(text, _UNSEEN)
-            if val is _UNSEEN:
-                val = _scalar(p, at, text, N)
-            if val is not None:
-                c = x - lo
-                if not 0 <= c < width:
-                    r, c = divmod(x, width)
-                    lo = x - c
-                    runs.append((r, len(pairs)))
-                add((c, val))
-        at += 1
+                i, text = parts
+                x = t0[i]
+        except (ValueError, KeyError):
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != nidx + 1:
+                p.error("expected %d indices and a scalar: %r" % (nidx, lines[at].strip()), at + 1)
+            x = _index(p, at, parts, bounds, strides, terms)
+            text = parts[nidx]
+        if x > last:
+            last = x
+        else:
+            if seen is None:
+                ends = [s for _, s in runs[1:]] + [len(pairs)]
+                seen = {r * width + c for (r, s), e in zip(runs, ends) for c, _ in pairs[s:e]}
+                seen.update(zeros)
+                last = size
+            if x in seen:
+                idxs = (x // stride % b for stride, b in zip(strides, bounds))
+                p.error("duplicate entry %s in section %s" % (" ".join(map(str, idxs)), name),
+                        at + 1)
+            seen.add(x)
+        try:
+            val = scalars[text]
+        except KeyError:
+            try:
+                val = parse_scalar(text, N)
+            except (ValueError, ZeroDivisionError) as e:
+                p.error("bad scalar in %r (%s)" % (lines[at].strip(), e), at + 1)
+            val = scalars[text] = None if val.is_zero() else val.data
+        if val is None:
+            zeros.append(x)
+            continue
+        c = x - lo
+        if not 0 <= c < width:
+            r, c = divmod(x, width)
+            lo = x - c
+            runs.append((r, len(pairs)))
+        add((c, val))
     # one tuple of all pairs, sliced into the rows: a list per row would
     # double the containers the garbage collector walks while they are built
     pairs = tuple(pairs)
     ends = [s for _, s in runs[1:]] + [len(pairs)]
-    rows = [()] * (prod(bounds) // width)
+    rows = [()] * (size // width)
     if seen is None:
         for (r, s), e in zip(runs, ends):
             rows[r] = pairs[s:e]

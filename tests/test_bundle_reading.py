@@ -1,20 +1,17 @@
 """How bundle sections are read: any layout of a bundle's entry lines parses
 to the tables of its canonical text, a parse fault is reported with the same
-exit code, message and line wherever it sits in a section, and the text the
-writers produce never reaches the careful walk (``bundles._careful``)."""
+exit code, message and line wherever it sits in a section."""
 
 import contextlib
 import functools
 import io
 import itertools
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfkit import bundles
 from hopfkit.bundles import (
     parse_hopf,
     parse_inclusion,
@@ -25,17 +22,6 @@ from hopfkit.bundles import (
 from hopfkit.cli import main, resolve_hopf, resolve_inclusion, resolve_module
 from hopfkit.induction import induction_context
 from hopfkit.yetter_drinfeld import z_induce
-
-# the bundles of the axioms benchmark workload
-AXIOM_SPECS = [
-    "builtin:h8",
-    "builtin:double?of=builtin:group?table=c3",
-    "builtin:double?of=builtin:group?table=klein",
-    "builtin:uqsl2?l=3",
-    "builtin:taft?l=5&q=2",
-    "builtin:taft?l=7&q=3",
-    "builtin:double?of=builtin:taft?l=2",
-]
 
 
 def _run(argv):
@@ -202,28 +188,3 @@ def test_a_fault_is_reported_alike_first_or_last_in_a_long_section(tmp_path, whe
     path.write_text("\n".join(lines) + "\n")
     assert _run(["verify", str(path)]) == (2, "", "input error: %s\n" % RECORDED[where, fault])
 
-
-def _careful_lines(text):
-    """The indices of the lines parse_hopf(text) sends to the careful walk."""
-    walked = []
-    careful = bundles._careful
-
-    def spy(p, at, *args):
-        walked.append(at)
-        return careful(p, at, *args)
-
-    with mock.patch.object(bundles, "_careful", spy):
-        parse_hopf(text)
-    return walked
-
-
-@pytest.mark.parametrize("spec", AXIOM_SPECS + ["builtin:uqsl2?l=5"])
-def test_a_dumped_bundle_never_reaches_the_careful_walk(spec):
-    assert _careful_lines(_dump(spec)) == []
-
-
-def test_a_comment_line_alone_reaches_the_careful_walk():
-    lines = _dump("builtin:h8").splitlines()
-    at = lines.index("BEGIN MULT") + 5
-    lines.insert(at, "# a comment")
-    assert _careful_lines("\n".join(lines) + "\n") == [at]
