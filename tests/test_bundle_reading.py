@@ -1,17 +1,20 @@
 """How bundle sections are read: any layout of a bundle's entry lines parses
 to the tables of its canonical text, a parse fault is reported with the same
-exit code, message and line wherever it sits in a section."""
+exit code, message and line wherever it sits in a section, and an index text
+is decoded (``bundles._index``) only on the first line that spells it."""
 
 import contextlib
 import functools
 import io
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hopfkit import bundles
 from hopfkit.bundles import (
     parse_hopf,
     parse_inclusion,
@@ -22,6 +25,17 @@ from hopfkit.bundles import (
 from hopfkit.cli import main, resolve_hopf, resolve_inclusion, resolve_module
 from hopfkit.induction import induction_context
 from hopfkit.yetter_drinfeld import z_induce
+
+# the bundles of the axioms benchmark workload
+AXIOM_SPECS = [
+    "builtin:h8",
+    "builtin:double?of=builtin:group?table=c3",
+    "builtin:double?of=builtin:group?table=klein",
+    "builtin:uqsl2?l=3",
+    "builtin:taft?l=5&q=2",
+    "builtin:taft?l=7&q=3",
+    "builtin:double?of=builtin:taft?l=2",
+]
 
 
 def _run(argv):
@@ -104,7 +118,12 @@ def _relayout_entries(entries, arity, layouts, rng):
     if "reversed" in layouts:
         entries.reverse()
     elif "shuffled" in layouts:
+        before = list(entries)
         rng.shuffle(entries)
+        # a shuffle that leaves the order as it was is turned once, so that
+        # a section of two or more entries always changes
+        if len(entries) > 1 and entries == before:
+            entries.append(entries.pop(0))
     if "whitespace" not in layouts:
         return [" ".join(e) for e in entries]
     lines = []
@@ -124,6 +143,7 @@ LAYOUT_BUNDLES = ["builtin:h8", "builtin:uqsl2?l=3", "builtin:taft?l=5&q=2",
 @given(name=st.sampled_from(LAYOUT_BUNDLES), layouts=st.sets(st.sampled_from(LAYOUTS), min_size=1),
        seed=st.integers(0, 2 ** 32))
 @example(name="kK<H8", layouts={"zeros"}, seed=49508503)
+@example(name="ZInd(kchar) over H8", layouts={"shuffled"}, seed=439)
 def test_every_layout_parses_to_the_tables_of_the_canonical_text(name, layouts, seed):
     kind, text = _bundle(name)
     variant = _relayout(text, layouts, random.Random(seed))
@@ -188,3 +208,43 @@ def test_a_fault_is_reported_alike_first_or_last_in_a_long_section(tmp_path, whe
     path.write_text("\n".join(lines) + "\n")
     assert _run(["verify", str(path)]) == (2, "", "input error: %s\n" % RECORDED[where, fault])
 
+
+def _index_lines(text):
+    """The indices of the lines parse_hopf(text) sends to ``bundles._index``."""
+    decoded = []
+    index = bundles._index
+
+    def spy(p, at, *args):
+        decoded.append(at)
+        return index(p, at, *args)
+
+    with mock.patch.object(bundles, "_index", spy):
+        parse_hopf(text)
+    return decoded
+
+
+@pytest.mark.parametrize("spec", AXIOM_SPECS + ["builtin:uqsl2?l=5"])
+def test_a_dumped_bundle_never_decodes_an_index(spec):
+    assert _index_lines(_dump(spec)) == []
+
+
+def test_a_comment_line_is_skipped_without_decoding_an_index():
+    lines = _dump("builtin:h8").splitlines()
+    lines.insert(lines.index("BEGIN MULT") + 5, "# 0 0 0 1")
+    assert _index_lines("\n".join(lines) + "\n") == []
+
+
+def test_a_padded_index_text_is_decoded_on_its_first_line_only():
+    text = _dump("builtin:h8")
+    lines = text.splitlines()
+    begin = lines.index("BEGIN MULT") + 1
+    end = lines.index("END", begin)
+    assert lines[begin] == "0 0 0 1"
+    # index 0 spelled "00" at every position of every MULT line: the first
+    # line meets it at all three positions, and later lines look it up
+    for at in range(begin, end):
+        *idxs, scalar = lines[at].split(" ")
+        lines[at] = " ".join(["00" if t == "0" else t for t in idxs] + [scalar])
+    padded = "\n".join(lines) + "\n"
+    assert _index_lines(padded) == [begin]
+    assert _tables("hopf", padded) == _tables("hopf", text)

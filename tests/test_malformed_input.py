@@ -173,7 +173,7 @@ PARSE_ERRORS = {
     "duplicate of a key above every key before the drop": (
         6, 10, ["0 1 1 1", "0 0 0 1", "1 0 1 1", "1 1 0 1", "1 0 1 2"],
         "line 11: duplicate entry 1 0 1 in section MULT"),
-    "duplicate of a zero entry":(7, 10, ["0 0 1 0", "0 0 1 3"],
+    "duplicate of a zero entry": (7, 10, ["0 0 1 0", "0 0 1 3"],
                                   "line 9: duplicate entry 0 0 1 in section MULT"),
     "duplicate with a leading zero": (9, 10, ["1 1 1 1", "01 1 1 1"],
                                       "line 11: duplicate entry 1 1 1 in section MULT"),
