@@ -66,8 +66,6 @@ def s_from_ints(den, coeffs):
     if g == 0:
         return (1,) + (0,) * len(coeffs)
     g = gcd(g, den)
-    if den < 0:
-        g = -g
     if g != 1:
         den //= g
         return (den,) + tuple(c // g for c in coeffs)
@@ -210,8 +208,6 @@ def s_from_ratio(ctx, p, q=1):
     if q == 0:
         raise ZeroDivisionError("rational with zero denominator")
     g = gcd(p, q)
-    if g == 0:
-        return s_zero(ctx)
     if q < 0:
         g = -g
     return (q // g, p // g) + (0,) * (ctx[1] - 1)

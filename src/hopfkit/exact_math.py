@@ -391,8 +391,9 @@ def _act_blocks(ctx, out, A, d, blocks):
     """out += the actions of algebra vectors through A, in place: for each
     (s, t, terms) of blocks, c*A[x] is added into block (s, t) of size d,
     rows s*d.. and columns t*d.., over the (x, c) of terms.  A is a table of
-    ``Matrix.srows`` of d x d action matrices at ctx.  Zero coefficients are
-    skipped and c = 1 adds without multiplying."""
+    ``Matrix.srows`` of d x d matrices at ctx, such as a module's action
+    matrices.  Zero coefficients are skipped and c = 1 adds without
+    multiplying."""
     zero, one = ctx[3], ctx[4]
     for s, t, terms in blocks:
         rows, col0 = out[s * d:(s + 1) * d], t * d
@@ -402,6 +403,15 @@ def _act_blocks(ctx, out, A, d, blocks):
             for acc, row in zip(rows, A[x]):
                 for j, v in row.items():
                     _add(ctx, acc, col0 + j, v if c == one else K.s_mul(ctx, c, v))
+
+
+def _dot(ctx, values, vec):
+    """The functional with the dense raw values applied to the sparse vector
+    vec: the sum of values[k]*c over the entries (k, c) of vec."""
+    acc = ctx[3]
+    for k, c in vec.items():
+        acc = K.s_add(ctx, acc, K.s_mul(ctx, values[k], c))
+    return acc
 
 
 def _apply(ctx, cols, vec):
@@ -601,10 +611,6 @@ class LinearSolution:
         self.particular = particular
         self.null_basis = null_basis
 
-    def __iter__(self):
-        yield self.particular
-        yield self.null_basis
-
 
 class Matrix:
     """Immutable sparse matrix over a cyclotomic field.
@@ -664,25 +670,6 @@ class Matrix:
     @classmethod
     def column(cls, entries):
         return cls.from_rows([[x] for x in entries])
-
-    @classmethod
-    def lincomb(cls, rows, cols, N, terms):
-        """Sum of c*M over the (M, c) pairs of terms, as a rows x cols matrix over Q(zeta_N).
-
-        N must be a multiple of the conductor of every M and every c.  One
-        pass over the nonzero entries of each M: zero coefficients are
-        skipped and c = 1 adds without multiplying.  Equal to the fold
-        zeros + M.scale(c) + ... at conductor N, entry for entry.
-        """
-        ctx = K.make_ctx(N)
-        out = [{} for _ in range(rows)]
-        for M, c in terms:
-            c = _lincomb_coefficient(rows, cols, N, c, M)
-            if c is None:
-                continue
-            for orow, mrow in zip(out, M.lift(N).srows):
-                _axpy(ctx, orow, mrow, c)
-        return cls.from_sparse(N, cols, out)
 
     # -- access ------------------------------------------------------------
 
@@ -861,20 +848,6 @@ class Matrix:
             for i in range(self.rows)
         )
         return "Matrix(%dx%d over Q(z_%d): %s)" % (self.rows, self.cols, self.N, body)
-
-
-def _lincomb_coefficient(rows, cols, N, c, M):
-    """The raw coefficient c of the lincomb term c*M at conductor N, or None
-    when it is zero; raises unless M is rows x cols and N is a multiple of
-    its conductor."""
-    c = Cyclotomic.promote(c).lift(N).data
-    if K.s_is_zero(c):
-        return None
-    if (M.rows, M.cols) != (rows, cols):
-        raise ShapeError("lincomb term is %dx%d, expected %dx%d" % (M.rows, M.cols, rows, cols))
-    if N % M.N:
-        raise ValueError("conductor %d does not divide %d" % (M.N, N))
-    return c
 
 
 class IdKron:

@@ -21,13 +21,13 @@ from .exact_math import (
     _axpy,
     _clean,
     _dense,
+    _dot,
     _scale,
     _table_apply,
     _tensor,
     rref_raw,
 )
 from .hopf_core import (
-    LinearFunctional,
     _assert_algebra_map,
     _first_defect,
     algebra_generators,
@@ -153,9 +153,8 @@ def verify_inclusion(incl):
     rep.add("comult-intertwines", w is None, witness=w, anchor="hopf-map")
 
     w = None
-    eps = H.counit_functional()
     for a in range(m):
-        if eps(incl.embed_col(a)) != Kk.counit[a]:
+        if _dot(ctx, H.counit, incl.embed_col(a)) != Kk.counit[a]:
             w = a
             break
     rep.add("counit-intertwines", w is None, witness=w, anchor="hopf-map")
@@ -320,7 +319,7 @@ def verify_bar_quotient(bq):
     one_bar = _clean(ctx, enumerate(bq.unit))
     rep.add("proj-sends-unit-to-unit",
             bq.proj_vec(H.unit_vec()) == one_bar
-            and LinearFunctional(bq.N, bq.counit)(one_bar) == one
+            and _dot(ctx, bq.counit, one_bar) == one
             and _table_apply(ctx, bq.comult, one_bar) == _tensor(ctx, {}, one_bar, one_bar, d))
 
     rep.add("right-K-trivial", w_triv is None, witness=w_triv, anchor="bar-quotient")
@@ -339,10 +338,10 @@ def right_integral_bar_dual(bq):
 
 @cached()
 def lift_bar_functional(bq):
-    """lambda o proj as a functional on H, for the right integral lambda of
-    Hbar*; cached on bq."""
+    """lambda o proj as a functional on H, the tuple of its raw values, for
+    the right integral lambda of Hbar*; cached on bq."""
     lam = right_integral_of_dual(bq)
-    return LinearFunctional(bq.N, [lam(col) for col in bq.proj_cols])
+    return tuple(_dot(bq.ctx, lam, col) for col in bq.proj_cols)
 
 
 def _lambda_products(H, lamH, lefts, rights):
@@ -351,7 +350,7 @@ def _lambda_products(H, lamH, lefts, rights):
     multiplication table and the lifted values lamH of lambda."""
     ctx = H.ctx
     n = H.dim
-    lam = {k: v for k, v in enumerate(lamH.values) if not K.s_is_zero(v)}
+    lam = {k: v for k, v in enumerate(lamH) if not K.s_is_zero(v)}
     out = {}
     for a in lefts:
         row = {}
@@ -379,15 +378,16 @@ def _modular_defect(incl, lamH, chi, hs=None):
     z = K.s_zero(ctx)
     hs = range(incl.H.dim) if hs is None else hs
     for b, row in enumerate(_k_lambda_rows(incl, lamH, hs)):
-        cb = chi.values[b]
+        cb = chi[b]
         for i in hs:
-            if row.get(i, z) != K.s_mul(ctx, cb, lamH.values[i]):
+            if row.get(i, z) != K.s_mul(ctx, cb, lamH[i]):
                 return (b, i)
     return None
 
 
 def relative_modular_function(incl):
-    """chi on K with lambda(bar(k h)) = chi(k) lambda(bar(h)); verified globally.
+    """chi on K with lambda(bar(k h)) = chi(k) lambda(bar(h)), as the tuple
+    of its raw values chi(k_b); verified globally.
 
     Both sides vanish on HK+, so the identity is scanned on the coset
     representatives (notes/decisions.md, "Identities K-linear in h are
@@ -398,9 +398,9 @@ def relative_modular_function(incl):
     lamH = lift_bar_functional(bq)
     # the first representative where lambda o proj does not vanish; lambda is
     # normalized to 1 there, so chi(k) = lambda(bar(k h0))
-    h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
+    h0 = next(r for r in bq.reps if not K.s_is_zero(lamH[r]))
     z = K.s_zero(incl.ctx)
-    chi = LinearFunctional(incl.N, [row.get(h0, z) for row in _k_lambda_rows(incl, lamH, [h0])])
+    chi = tuple(row.get(h0, z) for row in _k_lambda_rows(incl, lamH, [h0]))
     w = _first_defect(_modular_defect, bq.reps, incl, lamH, chi)
     if w is not None:
         raise PipelineError("no relative modular function: condition fails at (k=%d, h=%d)" % w)
@@ -458,12 +458,11 @@ def is_frobenius_extension(incl):
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     chi = relative_modular_function(incl)
-    eps_K = LinearFunctional(incl.N, Kk.counit)
-    via_chi = chi == eps_K
+    via_chi = chi == tuple(Kk.counit)
 
     alpha_H = distinguished_grouplike(H)
     alpha_K = distinguished_grouplike(Kk)
-    alpha_H_on_K = LinearFunctional(incl.N, [alpha_H(col) for col in incl.embed_cols()])
+    alpha_H_on_K = tuple(_dot(ctx, alpha_H, col) for col in incl.embed_cols())
     via_alpha = alpha_H_on_K == alpha_K
 
     if via_chi != via_alpha:
@@ -473,15 +472,15 @@ def is_frobenius_extension(incl):
 
     # chi = (alpha_H|_K) * (alpha_K o S_K), convolution on K*
     m = Kk.dim
-    alphaKS = [alpha_K(Kk.antipode_vec(Kk.basis_vec(b))) for b in range(m)]
+    alphaKS = [_dot(ctx, alpha_K, Kk.antipode_vec(Kk.basis_vec(b))) for b in range(m)]
     for b in range(m):
         acc = K.s_zero(ctx)
         for x, s in Kk.comult[b]:
             p, q = divmod(x, m)
             acc = K.s_add(
-                ctx, acc, K.s_mul(ctx, s, K.s_mul(ctx, alpha_H_on_K.values[p], alphaKS[q]))
+                ctx, acc, K.s_mul(ctx, s, K.s_mul(ctx, alpha_H_on_K[p], alphaKS[q]))
             )
-        if acc != chi.values[b]:
+        if acc != chi[b]:
             raise PipelineError("convolution identity for chi fails (finite-dimensional case)")
 
     return FrobeniusDecision(via_chi, chi, alpha_H, alpha_K)
@@ -573,7 +572,8 @@ class Decomposer:
 
 
 class FrobeniusData:
-    """What induction reads of a chosen Frobenius morphism: lambda, tr as its
+    """What induction reads of a chosen Frobenius morphism: lambda as the
+    tuple ``lam`` of its raw values on the basis of Hbar, tr as its
     column table ``tr`` (tr(e_j) as a sparse K-vector), the free basis h_i
     with its dual basis ``deltas`` (delta_i as sparse H-vectors), and the
     right decomposer over that free basis.
@@ -618,7 +618,7 @@ def frobenius_morphism(incl):
         acc = {}
         for x, s in H.comult[i]:
             j, k2 = divmod(x, n)
-            _axpy(ctx, acc, {k2: s}, lamH.values[j])
+            _axpy(ctx, acc, {k2: s}, lamH[j])
         images.append(acc)
     # the K-coordinates X of tr solve embed * X = [tr(e_0) ... tr(e_(n-1))]
     try:
@@ -889,10 +889,9 @@ def make_frobenius_data(incl):
 
     frob0 = FrobeniusData(incl, right_integral_of_dual(bar_quotient(incl)), tr0, free, deltas0,
                           Decomposer(incl, free, right_images))
-    eps = LinearFunctional(incl.N, H.counit)
     s = K.s_zero(ctx)
     for i, t in enumerate(free):
-        s = K.s_add(ctx, s, K.s_mul(ctx, eps(deltas0[i]), H.counit[t]))
+        s = K.s_add(ctx, s, K.s_mul(ctx, _dot(ctx, H.counit, deltas0[i]), H.counit[t]))
     factor = Cyclotomic(incl.N, s) if not K.s_is_zero(s) else Cyclotomic.rational(1)
     return rescale_frobenius_data(frob0, factor)
 
@@ -915,7 +914,8 @@ def rescale_frobenius_data(frob, c):
     ctx = incl.ctx
     cinv = K.s_inv(ctx, c.data)
     return FrobeniusData(
-        incl, frob.lam.scale(c), [_scale(ctx, col, c.data) for col in frob.tr], frob.free,
+        incl, tuple(K.s_mul(ctx, c.data, v) for v in frob.lam),
+        [_scale(ctx, col, c.data) for col in frob.tr], frob.free,
         [_scale(ctx, dv, cinv) for dv in frob.deltas], frob.right_decomp
     )
 
@@ -978,7 +978,8 @@ def analyze_extension(incl):
 
 def fms_lambda_construction(incl):
     """lambda'(bar h) := lambda_H(h Lambda_K) from a right integral of H* and a
-    left integral of K; returns the functional on H (for proportionality checks)."""
+    left integral of K; returns the functional on H as the tuple of its raw
+    values (for proportionality checks)."""
     H, Kk = incl.H, incl.K
     ctx = incl.ctx
     lamH_dual = right_integral_of_dual(H)
@@ -987,7 +988,4 @@ def fms_lambda_construction(incl):
         raise PipelineError("left integral space of K not one-dimensional")
     lk = LamK[0].col(0)
     lk_H = incl.embed_vec(lk)
-    vals = []
-    for i in range(H.dim):
-        vals.append(lamH_dual(H.mult_vec(H.basis_vec(i), lk_H)))
-    return LinearFunctional(incl.N, vals)
+    return tuple(_dot(ctx, lamH_dual, H.mult_vec(H.basis_vec(i), lk_H)) for i in range(H.dim))

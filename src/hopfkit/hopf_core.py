@@ -35,12 +35,10 @@ Yetter-Drinfeld condition of ``yetter_drinfeld.verify_yd``.
 
 from collections import deque
 from functools import wraps
-from math import lcm
 
 from . import _kernel as K
 from .errors import HopfkitError, PipelineError, ShapeError, SingularAntipodeError
 from .exact_math import (
-    Cyclotomic,
     Matrix,
     RowSpace,
     _add,
@@ -49,6 +47,7 @@ from .exact_math import (
     _clean,
     _column,
     _dense,
+    _dot,
     _normalize_first_one,
     _scale,
     _table_apply,
@@ -80,75 +79,6 @@ def cached(key=None):
         return memo
 
     return decorate
-
-
-class LinearFunctional:
-    """Exact covector on the basis of a FinHopf (or of a quotient coalgebra)."""
-
-    __slots__ = ("N", "values")
-    __hash__ = None
-
-    def __init__(self, N, values):
-        self.N = N
-        self.values = tuple(values)
-
-    @property
-    def dim(self):
-        return len(self.values)
-
-    def lift(self, M):
-        if M == self.N:
-            return self
-        return LinearFunctional(M, [K.s_lift(v, self.N, M) for v in self.values])
-
-    def value(self, i):
-        return Cyclotomic(self.N, self.values[i])
-
-    def __call__(self, vec):
-        """Apply to a sparse vector {index: raw} over the same conductor."""
-        ctx = K.make_ctx(self.N)
-        acc = K.s_zero(ctx)
-        for i, a in vec.items():
-            acc = K.s_add(ctx, acc, K.s_mul(ctx, self.values[i], a))
-        return acc
-
-    def scale(self, c):
-        c = Cyclotomic.promote(c)
-        M = lcm(self.N, c.N)
-        me = self.lift(M)
-        ctx = K.make_ctx(M)
-        cd = c.lift(M).data
-        return LinearFunctional(M, [K.s_mul(ctx, cd, v) for v in me.values])
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearFunctional):
-            return NotImplemented
-        M = lcm(self.N, other.N)
-        return self.lift(M).values == other.lift(M).values
-
-    def is_proportional(self, other):
-        """c with self == c*other (c may be zero), or None if not proportional."""
-        M = lcm(self.N, other.N)
-        a = self.lift(M).values
-        b = other.lift(M).values
-        ctx = K.make_ctx(M)
-        c = None
-        for x, y in zip(a, b):
-            if K.s_is_zero(y):
-                if not K.s_is_zero(x):
-                    return None
-                continue
-            ratio = K.s_mul(ctx, x, K.s_inv(ctx, y))
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return None
-        if c is None:
-            c = K.s_zero(ctx)
-        return Cyclotomic(M, c)
-
-    def __repr__(self):
-        return "LinearFunctional(%s)" % (", ".join(str(self.value(i)) for i in range(self.dim)))
 
 
 class FinHopf:
@@ -193,9 +123,6 @@ class FinHopf:
         self._cache = {}
 
     # -- views -------------------------------------------------------------
-
-    def counit_functional(self):
-        return LinearFunctional(self.N, self.counit)
 
     @cached()
     def antipode_matrix(self):
@@ -450,7 +377,7 @@ def verify_hopf(H):
     rep.add("comult-multiplicative", w_bialg is None, witness=w_bialg, anchor="bialgebra")
     rep.add("comult-of-unit", unit_grouplike, anchor="bialgebra")
 
-    counit_of_unit = H.counit_functional()(unit) == K.s_one(ctx)
+    counit_of_unit = _dot(ctx, H.counit, unit) == K.s_one(ctx)
     lefts = gens if w_assoc is None and counit_of_unit else None
     w = _first_defect(_counit_defect, lefts, H)
     rep.add("counit-multiplicative", w is None, witness=w, anchor="bialgebra")
@@ -574,7 +501,7 @@ def right_integral_element(H):
 @cached()
 def distinguished_grouplike(H):
     """The algebra map alpha with a*Lambda = alpha(a)*Lambda for the right
-    integral.
+    integral, as the tuple of its raw values alpha(e_a).
 
     The a with a*Lambda in k*Lambda contain 1 and are closed under products
     and sums, so a*Lambda in k*Lambda is checked for a in G only (see
@@ -602,20 +529,21 @@ def distinguished_grouplike(H):
                         acc = K.s_add(ctx, acc, K.s_mul(ctx, c, s))
                     break
         values.append(acc)
-    alpha = LinearFunctional(H.N, values)
+    alpha = tuple(values)
     _assert_algebra_map(H, alpha, "distinguished grouplike", gens)
     return alpha
 
 
 def _assert_algebra_map(H, f, what, lefts=None):
-    """Raise unless f(1) = 1 and f(ab) = f(a) f(b).  With lefts = G (see
+    """Raise unless f(1) = 1 and f(ab) = f(a) f(b), for the functional f
+    with the raw values f(e_a).  With lefts = G (see
     ``algebra_generators``), a in G suffices: once f(1) = 1,
     {a : f(ab) = f(a) f(b) for all b} contains 1 and, as H is associative,
     is closed under products, so it is H.  A defect found on G is looked
     up again by the full scan, whose first witness the error names."""
-    if f(H.unit_vec()) != K.s_one(H.ctx):
+    if _dot(H.ctx, f, H.unit_vec()) != K.s_one(H.ctx):
         raise PipelineError("%s of %s does not send 1 to 1" % (what, H.name))
-    w = _first_defect(_multiplicative_defect, lefts, H, f.values)
+    w = _first_defect(_multiplicative_defect, lefts, H, f)
     if w is not None:
         raise PipelineError("%s of %s is not an algebra map at (%d,%d)" % ((what, H.name) + w))
 
@@ -652,7 +580,8 @@ def counital_defect(C):
 @cached()
 def right_integral_of_dual(C):
     """Right integral lambda of C* as a functional on the coalgebra C (a
-    FinHopf or a BarQuotient), without materializing C*; cached on C."""
+    FinHopf or a BarQuotient), the tuple of its raw values lambda(c_i),
+    without materializing C*; cached on C."""
     n = C.dim
     ctx = C.ctx
     unit = _clean(ctx, enumerate(C.unit))
@@ -673,11 +602,12 @@ def right_integral_of_dual(C):
         raise PipelineError(
             "right integral space of %s* has dimension %d, expected 1" % (C.name, len(basis))
         )
-    return LinearFunctional(C.N, _dense(ctx, _normalize_first_one(ctx, basis[0]), n))
+    return tuple(_dense(ctx, _normalize_first_one(ctx, basis[0]), n))
 
 
 def is_symmetric(C, lam):
-    """True iff lam(c_(1)) c_(2) == c_(1) lam(c_(2)) for every basis c of C."""
+    """True iff lam(c_(1)) c_(2) == c_(1) lam(c_(2)) for every basis c of C,
+    for the functional lam with the raw values lam(c_i)."""
     n = C.dim
     ctx = C.ctx
     for i in range(n):
@@ -685,8 +615,8 @@ def is_symmetric(C, lam):
         right = {}
         for x, s in C.comult[i]:
             j, k = divmod(x, n)
-            _axpy(ctx, left, {k: s}, lam.values[j])
-            _axpy(ctx, right, {j: s}, lam.values[k])
+            _axpy(ctx, left, {k: s}, lam[j])
+            _axpy(ctx, right, {j: s}, lam[k])
         if left != right:
             return False
     return True

@@ -14,10 +14,10 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import PipelineError
-from .exact_math import (Cyclotomic, Matrix, _act_blocks, _add, _apply, _axpy, _clean, _kron_act,
+from .exact_math import (Cyclotomic, Matrix, _add, _apply, _axpy, _clean, _dot, _kron_act,
                          _scale, _table_apply, _tensor, _tensor_square_mul, id_kron, kron_id)
 from .extension import is_central_extension, is_frobenius_extension, make_frobenius_data
-from .hopf_core import LinearFunctional, antipode_inverse, cached
+from .hopf_core import antipode_inverse, cached
 from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial_module
 from .reports import Report
 
@@ -143,8 +143,7 @@ def unit_maps(frob):
     H, ctx = incl.H, incl.ctx
     eps_free = _clean(ctx, enumerate(H.counit[t] for t in frob.free))
     w = _apply(ctx, frob.deltas, eps_free)
-    eps_K = LinearFunctional(incl.N, incl.K.counit)
-    lax0 = [[eps_K(kv)] for kv in frob.right_decomp(w)]
+    lax0 = [[_dot(ctx, incl.K.counit, kv)] for kv in frob.right_decomp(w)]
     oplax0 = [[H.counit[t] for t in frob.free]]
     return Matrix(incl.N, lax0), Matrix(incl.N, oplax0)
 
@@ -168,29 +167,13 @@ def _assemble(N, rows, cols, blocks):
     return Matrix.from_sparse(N, cols, out)
 
 
-def _k_blocks(frob, M, shape, entries):
-    """The matrix of shape[0] x shape[1] blocks of size dim M whose block
-    (s, t) sums the actions on the module M of the algebra vectors k,
-    written at the inclusion's conductor, of the entries (s, t, k)."""
-    d, N = M.dim, frob.incl.N
-    conductor = lcm(N, M.N)
-    ctx = K.make_ctx(conductor)
-    out = [{} for _ in range(shape[0] * d)]
-    _act_blocks(ctx, out, [a.lift(conductor).srows for a in M.action], d, (
-        (s, t, [(x, K.s_lift(c, N, conductor)) for x, c in k.items()])
-        for s, t, k in entries if k
-    ))
-    return Matrix.from_sparse(conductor, shape[1] * d, out)
-
-
 def _insertion(frob, M, xs):
     """[iota_M(x_0) | iota_M(x_1) | ...], where iota_M(x): M -> Ind M is
     v -> x (x)_K v.  Each x_j = sum_t h_t k_t is given by its parts [k_t]_t,
     so block (t, j) is the action of k_t on M."""
-    return _k_blocks(
-        frob, M, (frob.rank, len(xs)),
-        ((t, j, k) for j, parts in enumerate(xs) for t, k in enumerate(parts)),
-    )
+    return M.act_blocks((frob.rank, len(xs)), (
+        (t, j, k) for j, parts in enumerate(xs) for t, k in enumerate(parts)
+    ), frob.incl.N)
 
 
 @cached()
@@ -212,7 +195,7 @@ def induce(frob, V):
     """Ind V = H (x)_K V on the carrier basis (i, a) -> i*dim V + a: e_g acts
     as [iota_V(e_g h_i)]_i."""
     shape = (frob.rank, frob.rank)
-    mats = [_k_blocks(frob, V, shape, entries) for entries in ind_parts(frob.right_decomp)]
+    mats = [V.act_blocks(shape, entries, frob.incl.N) for entries in ind_parts(frob.right_decomp)]
     return HModule(frob.incl.H, mats, name="Ind(%s)" % V.name, N=lcm(frob.incl.N, V.N))
 
 
@@ -233,11 +216,11 @@ def coinduce(frob, V):
     x = sum_i tr(x delta_i) h_i."""
     H, r = frob.incl.H, frob.rank
     mats = [
-        _k_blocks(frob, V, (r, r), (
+        V.act_blocks((r, r), (
             (j, i, frob.tr_vec(H.mult_vec(H.mult_vec(H.basis_vec(hj), H.basis_vec(g)), d)))
             for j, hj in enumerate(frob.free)
             for i, d in enumerate(frob.deltas)
-        ))
+        ), frob.incl.N)
         for g in range(H.dim)
     ]
     return HModule(H, mats, name="CoInd(%s)" % V.name, N=lcm(frob.incl.N, V.N))
@@ -255,9 +238,9 @@ def theta_iso(frob, V):
     r = frob.rank
     ind = induce(frob, V)
     coind = coinduce(frob, V)
-    theta = _k_blocks(frob, V, (r, r), (
+    theta = V.act_blocks((r, r), (
         (j, i, k) for j, hj in enumerate(frob.free) for i, k in tr_row(frob, hj).items()
-    ))
+    ), frob.incl.N)
     theta_inv = _insertion(frob, V, [delta_parts(frob, j) for j in range(r)])
     if not _mutually_inverse(theta, theta_inv):
         raise PipelineError("theta and its closed-form inverse do not compose to identity")
@@ -309,7 +292,8 @@ def adjunction_maps(frob, V, W):
 def counit_fg_at(frob, W):
     """counit^{F -| G} at the H-module W: Ind Res W -> W, h_i x w -> h_i w."""
     one = K.s_one(frob.incl.ctx)
-    return _k_blocks(frob, W, (1, frob.rank), ((0, i, {hi: one}) for i, hi in enumerate(frob.free)))
+    return W.act_blocks((1, frob.rank), ((0, i, {hi: one}) for i, hi in enumerate(frob.free)),
+                        frob.incl.N)
 
 
 def unit_fg_at(frob, V):
@@ -321,16 +305,17 @@ def unit_gf_at(frob, W):
     """unit^{G -| F} at the H-module W: W -> Ind Res W, w -> sum_i delta_i x h_i w,
     i.e. [iota_{Res W}(delta_i)]_i times the actions of the h_i stacked."""
     r, one = frob.rank, K.s_one(frob.incl.ctx)
-    stacked = _k_blocks(frob, W, (r, 1), ((i, 0, {hi: one}) for i, hi in enumerate(frob.free)))
+    stacked = W.act_blocks((r, 1), ((i, 0, {hi: one}) for i, hi in enumerate(frob.free)),
+                           frob.incl.N)
     resW = restrict(frob.incl, W)
     return _insertion(frob, resW, [delta_parts(frob, i) for i in range(r)]) * stacked
 
 
 def counit_gf_at(frob, V):
     """counit^{G -| F} at the K-module V: Res Ind V -> V, h_i x v -> tr(h_i) v."""
-    return _k_blocks(frob, V, (1, frob.rank), (
+    return V.act_blocks((1, frob.rank), (
         (0, i, frob.tr_vec(frob.incl.H.basis_vec(hi))) for i, hi in enumerate(frob.free)
-    ))
+    ), frob.incl.N)
 
 
 # ---------------------------------------------------------------------------

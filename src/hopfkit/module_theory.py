@@ -6,7 +6,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import ShapeError
-from .exact_math import Cyclotomic, Matrix, RowSpace, _add, _kron_act
+from .exact_math import Matrix, RowSpace, _act_blocks, _add, _kron_act
 from .hopf_core import _first_defect, algebra_generators, cached
 from .reports import Report
 
@@ -28,7 +28,8 @@ class HModule:
 
     The module lives over Q(zeta_M) for M the lcm of ``N``, the conductor
     of H and those of the action matrices, and H is lifted to M.  ``_cache``
-    holds its ``key()`` and its tensor products (see ``hopf_core.cached``)."""
+    holds its ``key()``, its action rows and its tensor products (see
+    ``hopf_core.cached``)."""
 
     __slots__ = ("H", "dim", "N", "ctx", "action", "name", "_cache")
     __hash__ = None
@@ -59,13 +60,32 @@ class HModule:
         the first call; the action matrices are not changed afterwards."""
         return (self.H.name, self.N, tuple(a.key() for a in self.action))
 
+    @cached()
+    def _action_rows(self, conductor):
+        """The ``Matrix.srows`` of the action matrices lifted to conductor, a
+        multiple of the module's, formed once per conductor."""
+        return [a.lift(conductor).srows for a in self.action]
+
+    def act_blocks(self, shape, entries, N):
+        """The matrix of shape[0] x shape[1] blocks of size dim whose block
+        (s, t) sums the actions of the sparse algebra vectors k {index: raw},
+        written at conductor N, of the entries (s, t, k), over
+        Q(zeta_lcm(self.N, N)).  Every action of an algebra vector on a
+        module is summed here, by ``exact_math._act_blocks``."""
+        d = self.dim
+        conductor = lcm(N, self.N)
+        ctx = K.make_ctx(conductor)
+        out = [{} for _ in range(shape[0] * d)]
+        _act_blocks(ctx, out, self._action_rows(conductor), d, (
+            (s, t, [(x, K.s_lift(c, N, conductor)) for x, c in k.items()])
+            for s, t, k in entries if k
+        ))
+        return Matrix.from_sparse(conductor, shape[1] * d, out)
+
     def act_alg_vec(self, hvec, N):
         """Action matrix of a sparse algebra vector {index: raw} whose raw
-        scalars are written at conductor N, over Q(zeta_lcm(self.N, N))."""
-        return Matrix.lincomb(
-            self.dim, self.dim, lcm(self.N, N),
-            ((self.action[i], Cyclotomic(N, c)) for i, c in hvec.items()),
-        )
+        scalars are written at conductor N: the 1 x 1 case of ``act_blocks``."""
+        return self.act_blocks((1, 1), ((0, 0, hvec),), N)
 
     def __eq__(self, other):
         if not isinstance(other, HModule):
@@ -124,12 +144,7 @@ def _action_defect(M, lefts=None):
     for i in range(n) if lefts is None else lefts:
         ai = M.action[i]
         for j in range(n):
-            prod = ai * M.action[j]
-            acc = Matrix.lincomb(
-                M.dim, M.dim, M.N,
-                ((M.action[k2], Cyclotomic(H.N, s)) for k2, s in H.mult[i * n + j]),
-            )
-            if prod != acc:
+            if ai * M.action[j] != M.act_alg_vec(dict(H.mult[i * n + j]), H.N):
                 return (i, j)
     return None
 
@@ -181,12 +196,8 @@ def tensor_modules(M, N_mod):
 
 def restrict(incl, W):
     """Restriction along the inclusion: K acts through its image."""
-    conductor = lcm(W.N, incl.N)
-    mats = []
-    for b in range(incl.K.dim):
-        terms = ((W.action[i], Cyclotomic(incl.N, c)) for i, c in incl.embed_col(b).items())
-        mats.append(Matrix.lincomb(W.dim, W.dim, conductor, terms))
-    return HModule(incl.K, mats, name="Res(%s)" % W.name, N=conductor)
+    mats = [W.act_alg_vec(col, incl.N) for col in incl.embed_cols()]
+    return HModule(incl.K, mats, name="Res(%s)" % W.name, N=lcm(W.N, incl.N))
 
 
 def direct_sum(M, N_mod):
@@ -284,13 +295,17 @@ def is_isomorphic(M, N_mod):
     coeffs = [0]
     for v in range(1, (M.dim + 1) // 2 + 1):
         coeffs.extend((v, -v))
-    mats = [h.matrix for h in homs]
-    shape = (mats[0].rows, mats[0].cols, mats[0].N)
+    d, N = M.dim, homs[0].matrix.N
+    ctx = K.make_ctx(N)
+    mats = [h.matrix.srows for h in homs]
+    raw = {v: K.s_from_ratio(ctx, v) for v in coeffs}
     for combo in itertools.islice(itertools.product(coeffs, repeat=len(homs)), GRID_LIMIT):
         if not any(combo):
             continue
-        mat = Matrix.lincomb(*shape, zip(mats, combo))
-        if mat.rank() == M.dim:
+        out = [{} for _ in range(d)]
+        _act_blocks(ctx, out, mats, d, [(0, 0, [(x, raw[v]) for x, v in enumerate(combo)])])
+        mat = Matrix.from_sparse(N, d, out)
+        if mat.rank() == d:
             return IsoSearch("iso", ModuleMap(M, N_mod, mat))
     if len(coeffs) ** len(homs) <= GRID_LIMIT:
         return IsoSearch("none", None)

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
+import hopfkit._kernel as K
 from hopfkit.builders import (
     UQSL2_SUBALGEBRAS,
     cyclic_table,
@@ -12,9 +14,9 @@ from hopfkit.builders import (
     taft,
     trivial_hopf,
 )
-from hopfkit.exact_math import Matrix, RowSpace, _clean, _dense, root_of_unity
+from hopfkit.exact_math import Cyclotomic, Matrix, RowSpace, _clean, _dense, _dot, root_of_unity
 from hopfkit.extension import HopfInclusion, trivial_inclusion, unit_inclusion
-from hopfkit.hopf_core import LinearFunctional, subhopf_from_basis
+from hopfkit.hopf_core import subhopf_from_basis
 from hopfkit.induction import induction_context
 from hopfkit.module_theory import HModule
 from hopfkit.yetter_drinfeld import yd_line
@@ -151,8 +153,47 @@ def integral_type_over_all_of_h(incl):
 def alpha_criterion(incl, dec):
     """alpha_H restricted to K equals alpha_K, for the FrobeniusDecision dec:
     the Frobenius criterion through the distinguished grouplikes."""
-    on_K = LinearFunctional(incl.N, [dec.alpha_H(col) for col in incl.embed_cols()])
+    on_K = tuple(_dot(incl.ctx, dec.alpha_H, col) for col in incl.embed_cols())
     return on_K == dec.alpha_K
+
+
+def scalar_at(N):
+    """Zero, one or an arbitrary element of Q(zeta_N), zero and one often."""
+    phi = K.euler_phi(N)
+    return st.one_of(
+        st.just(Cyclotomic.rational(0, N)),
+        st.just(Cyclotomic.rational(1, N)),
+        st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).map(
+            lambda cs: Cyclotomic.from_coeffs(N, cs)
+        ),
+    )
+
+
+def fold_sum(rows, cols, N, terms):
+    """The sum of c*M over the (M, c) of terms as the fold
+    zeros + M.scale(c) + ... at conductor N: the reference for the summed
+    actions of ``HModule.act_blocks``."""
+    acc = Matrix.zeros(rows, cols, N)
+    for M, c in terms:
+        acc = acc + M.scale(c)
+    return acc
+
+
+def proportion(ctx, a, b):
+    """The raw scalar c with a = c*b for the functionals with the raw values
+    a and b over ctx (c may be zero), or None if they are not proportional."""
+    c = None
+    for x, y in zip(a, b):
+        if K.s_is_zero(y):
+            if not K.s_is_zero(x):
+                return None
+            continue
+        ratio = K.s_mul(ctx, x, K.s_inv(ctx, y))
+        if c is None:
+            c = ratio
+        elif c != ratio:
+            return None
+    return K.s_zero(ctx) if c is None else c
 
 
 def kchar(K, ex, ey, name=None):

@@ -228,6 +228,50 @@ def test_cartan_matrices():
         cartan_matrix("Z", 2)
 
 
+def _det(C):
+    """The determinant of an integer matrix, by Fraction elimination."""
+    A = [[Fraction(x) for x in row] for row in C]
+    n, det = len(A), Fraction(1)
+    for j in range(n):
+        p = next((i for i in range(j, n) if A[i][j]), None)
+        if p is None:
+            return 0
+        if p != j:
+            A[j], A[p] = A[p], A[j]
+            det = -det
+        det *= A[j][j]
+        for i in range(j + 1, n):
+            f = A[i][j] / A[j][j]
+            A[i] = [x - f * y for x, y in zip(A[i], A[j])]
+    return det
+
+
+def _bourbaki(rank, edges):
+    """The Cartan matrix on Bourbaki's nodes 1..rank with a_ij = -a for each
+    edge (i, j, a, b) and a_ji = -b."""
+    C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, a, b in edges:
+        C[i - 1][j - 1], C[j - 1][i - 1] = -a, -b
+    return C
+
+
+@pytest.mark.parametrize("label,rank,det", [("E", 6, 3), ("E", 7, 2), ("E", 8, 1), ("F", 4, 1)])
+def test_exceptional_cartan_matrices_are_bourbaki_tables(label, rank, det):
+    # Bourbaki numbers E_n as the chain 1-3-4-...-n with node 2 on node 4,
+    # and F_4 as 1-2=>3-4 with a_23 = -2; cartan_matrix lists the chain first
+    # and the branch node last
+    if label == "E":
+        want = _bourbaki(rank, [(1, 3, 1, 1), (2, 4, 1, 1)] +
+                         [(i, i + 1, 1, 1) for i in range(3, rank)])
+        order = [1, 3] + list(range(4, rank + 1)) + [2]
+    else:
+        want = _bourbaki(4, [(1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 1, 1)])
+        order = [1, 2, 3, 4]
+    got = cartan_matrix(label, rank)
+    assert got == [[want[i - 1][j - 1] for j in order] for i in order]
+    assert _det(got) == det
+
+
 def test_cartan_row_sums_a2_l5():
     witness = cartan_row_sum_witness(cartan_matrix("A", 2), 5)
     assert witness != ()  # row sums (1,1) mod 5

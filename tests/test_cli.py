@@ -243,6 +243,13 @@ def test_analyze_taft_expectations(capsys):
     assert code == 1
 
 
+def test_analyze_expect_frobenius_maybe_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "builtin:taft?l=3", "--expect-frobenius", "maybe"])
+    assert exc.value.code == 2
+    assert "expected true/false" in capsys.readouterr().err
+
+
 def test_analyze_borel_plus_not_frobenius(capsys):
     # "+" in a spec is literal: sub=borel+ is the positive Borel subalgebra
     code, out = run(["analyze", "builtin:uqsl2?l=3&sub=borel+", "--expect-frobenius", "false"], capsys)
@@ -500,8 +507,9 @@ def _check_functor_argv(spec, chars, deg):
     return argv + ["--frobenius-monoidal", "--separable", "--braided"]
 
 
-# exit code and report sha256 of each report, recorded at the commit before
-# Matrix.lincomb and the induction memo: a changed report byte fails here
+# exit code and report sha256 of each report, recorded before module actions
+# were summed in one pass and before the induction memo: a changed report
+# byte fails here
 GOLDEN_REPORTS = [
     (_check_functor_argv("builtin:h8", _KLEIN_CHARS, "y"), 0,
      "d6139eae339b2ec2089fda75a5e7a6f1bc1ea74213a5577c5105965ad5504b15"),

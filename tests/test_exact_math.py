@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_at
 from hopfkit import _kernel as K
 from hopfkit.errors import InconsistentSystemError, ShapeError
 from hopfkit.exact_math import (
@@ -411,7 +412,7 @@ def _reference_pivots(rows):
 def _sparse_system(draw):
     """(A, B) over Q(zeta_N), N in 1, 4, 5, 8, with most entries zero."""
     N = draw(st.sampled_from([1, 4, 5, 8]))
-    entry = st.one_of(st.just(Cyclotomic.rational(0, N)), _scalar_at(N))
+    entry = st.one_of(st.just(Cyclotomic.rational(0, N)), scalar_at(N))
     rows, cols, nrhs = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
     A = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
     B = draw(st.lists(st.lists(entry, min_size=nrhs, max_size=nrhs), min_size=rows, max_size=rows))
@@ -480,55 +481,12 @@ assert A * sol.particular == b and sol.null_basis == []
     assert done.returncode == 0, done.stderr
 
 
-def _scalar_at(N):
-    """Zero, one or an arbitrary element of Q(zeta_N), zero and one often."""
-    phi = {1: 1, 4: 2, 5: 4, 8: 4}[N]
-    return st.one_of(
-        st.just(Cyclotomic.rational(0, N)),
-        st.just(Cyclotomic.rational(1, N)),
-        st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).map(
-            lambda cs: Cyclotomic.from_coeffs(N, cs)
-        ),
-    )
-
-
-@st.composite
-def _lincomb_case(draw):
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    conductors = st.sampled_from([1, 4, 8])
-    terms = []
-    for _ in range(draw(st.integers(0, 4))):
-        NM, Nc = draw(conductors), draw(conductors)
-        entries = [[draw(_scalar_at(NM)).data for _ in range(cols)] for _ in range(rows)]
-        terms.append((Matrix(NM, entries), draw(_scalar_at(Nc))))
-    N = lcm(draw(conductors), *(M.N for M, _ in terms), *(c.N for _, c in terms))
-    return rows, cols, N, terms
-
-
-@settings(max_examples=80, deadline=None)
-@given(_lincomb_case())
-def test_lincomb_equals_fold(case):
-    rows, cols, N, terms = case
-    fold = Matrix.zeros(rows, cols, N)
-    for M, c in terms:
-        fold = fold + M.scale(c)
-    got = Matrix.lincomb(rows, cols, N, terms)
-    # the same canonical entries at the same conductor, so reports keep their bytes
-    assert (got.N, got.raw()) == (fold.N, fold.raw())
-
-
-def test_lincomb_empty_and_conductor_check():
-    assert Matrix.lincomb(2, 3, 4, []) == Matrix.zeros(2, 3, 4)
-    with pytest.raises(ValueError):
-        Matrix.lincomb(1, 1, 4, [(Matrix.from_rows([[root_of_unity(8)]]), 1)])
-
-
 @st.composite
 def _product_case(draw):
     N = draw(st.sampled_from([1, 4, 8]))
     r, n, m = (draw(st.integers(1, 4)) for _ in range(3))
-    A = [[draw(_scalar_at(N)) for _ in range(n)] for _ in range(r)]
-    B = [[draw(_scalar_at(N)) for _ in range(m)] for _ in range(n)]
+    A = [[draw(scalar_at(N)) for _ in range(n)] for _ in range(r)]
+    B = [[draw(scalar_at(N)) for _ in range(m)] for _ in range(n)]
     return N, A, B
 
 
@@ -548,7 +506,7 @@ def _vector_case(draw):
     at some keys, often for c = +-1, and scalars are often zero or one."""
     N = draw(st.sampled_from([1, 4, 8]))
     keys = draw(st.sampled_from([list(range(4)), [(i, j) for i in range(2) for j in range(2)]]))
-    scalar = _scalar_at(N)
+    scalar = scalar_at(N)
     acc = {k: draw(scalar) for k in draw(st.lists(st.sampled_from(keys), max_size=4))}
     c = draw(st.one_of(scalar, st.just(Cyclotomic.rational(-1, N))))
     v = {}
@@ -624,7 +582,7 @@ def test_sparse_vector_helpers_match_dense_reference(case):
 
 
 def _dense_at(N, rows, cols):
-    row = st.lists(_scalar_at(N), min_size=cols, max_size=cols)
+    row = st.lists(scalar_at(N), min_size=cols, max_size=cols)
     return st.lists(row, min_size=rows, max_size=rows)
 
 
@@ -658,7 +616,7 @@ def _sparse_case(draw):
         NC, C = NA, [[-x for x in row] for row in A]
     else:
         NC, C = NB, draw(_dense_at(NB, r, len(A[0])))
-    c = draw(st.one_of(_scalar_at(NB), st.just(Cyclotomic.rational(-1, NB))))
+    c = draw(st.one_of(scalar_at(NB), st.just(Cyclotomic.rational(-1, NB))))
     return NA, NB, NC, A, B, C, c
 
 
@@ -681,8 +639,6 @@ def test_sparse_matrix_ops_match_dense_reference(case):
     _assert_matches(-MA, [[-x for x in row] for row in A], NA)
     _assert_matches(MA.scale(c), [[c * x for x in row] for row in A], N)
     _assert_matches(MA.transpose(), [list(col) for col in zip(*A)], NA)
-    got = Matrix.lincomb(len(A), len(A[0]), N, [(MA, c), (MC, 1), (MA, -c)])
-    _assert_matches(got, C, N)
 
     # equality across conductors goes through lift
     assert MA == MA.lift(8) and MA.lift(8) == MA
@@ -734,7 +690,7 @@ def _sparse_rows(draw):
     """(N, ncols, rows, probes): sparse raw rows over Q(zeta_N), N in 1, 4, 5, 8."""
     N = draw(st.sampled_from([1, 4, 5, 8]))
     ncols = draw(st.integers(1, 8))
-    row = st.dictionaries(st.integers(0, ncols - 1), _scalar_at(N), max_size=4).map(
+    row = st.dictionaries(st.integers(0, ncols - 1), scalar_at(N), max_size=4).map(
         lambda d: {j: x.data for j, x in d.items()}
     )
     return N, ncols, draw(st.lists(row, max_size=10)), draw(st.lists(row, max_size=4))

@@ -6,10 +6,10 @@ import pytest
 
 import hopfkit._kernel as K
 from conftest import (alpha_criterion, criterion_09_registry, dense_frobenius,
-                      hkplus_over_a_kplus_basis, integral_type_over_all_of_h)
+                      hkplus_over_a_kplus_basis, integral_type_over_all_of_h, proportion)
 from hopfkit.builders import cyclic_table, group_algebra, taft, trivial_hopf
 from hopfkit.errors import HopfkitError
-from hopfkit.exact_math import Cyclotomic, Matrix, RowSpace, _add, _apply, _axpy, _scale
+from hopfkit.exact_math import Cyclotomic, Matrix, RowSpace, _add, _apply, _axpy, _dot, _scale
 from hopfkit.extension import (
     BarQuotient,
     HopfInclusion,
@@ -34,7 +34,6 @@ from hopfkit.extension import (
     verify_inclusion,
 )
 from hopfkit.hopf_core import (
-    LinearFunctional,
     algebra_generators,
     is_dual_unimodular,
     right_integral_of_dual,
@@ -181,7 +180,7 @@ def test_bar_dual_integral_matches_a_reference_solve(h8_incl, taft3, uq3, uq5):
         ref = _reference_dual_integrals(bq)
         assert len(ref) == 1, name
         lam = right_integral_of_dual(bq)
-        assert [lam.value(t) for t in range(bq.dim)] == ref[0], name
+        assert [Cyclotomic(bq.N, v) for v in lam] == ref[0], name
         unimodular = is_dual_unimodular(bq)
         assert unimodular == _reference_symmetric(bq, ref[0]), name
         seen.add(unimodular)
@@ -192,12 +191,12 @@ def test_h8_lambda(h8_incl):
     bq = bar_quotient(h8_incl)
     lam = right_integral_bar_dual(bq)
     # representative normalized to lambda(bar 1) = 1; canonical scale is fixed later
-    assert lam.value(0) == 1 and lam.value(1) == 0
+    assert lam[0] == K.s_one(bq.ctx) and K.s_is_zero(lam[1])
 
 
 def test_h8_chi_trivial_and_frobenius(h8_incl):
     chi = relative_modular_function(h8_incl)
-    assert chi == h8_incl.K.counit_functional()
+    assert chi == h8_incl.K.counit
     dec = is_frobenius_extension(h8_incl)
     assert dec.frobenius and dec.chi == chi and alpha_criterion(h8_incl, dec)
 
@@ -212,7 +211,7 @@ def test_h8_integral_type(h8_incl):
     lam_raw = Lam.raw()
     lvec = {i: lam_raw[i][0] for i in range(H.dim) if not K.s_is_zero(lam_raw[i][0])}
     for j in range(H.dim):
-        assert lamH(H.mult_vec(lvec, H.basis_vec(j))) == H.counit[j]
+        assert _dot(H.ctx, lamH, H.mult_vec(lvec, H.basis_vec(j))) == H.counit[j]
 
 
 def test_h8_free_basis_and_dual_bases(h8, h8_incl):
@@ -222,7 +221,7 @@ def test_h8_free_basis_and_dual_bases(h8, h8_incl):
     fr = ana.frob
     tr_K, deltas = dense_frobenius(fr)
     # canonical normalization: lambda = 2 delta_1 in the paper's coordinates
-    assert fr.lam.value(0) == 2 and fr.lam.value(1) == 0
+    assert fr.lam[0] == K.s_from_ratio(h8_incl.ctx, 2) and K.s_is_zero(fr.lam[1])
     # tr(1) = 2, tr(z) = 0
     assert tr_K.col_raw(0) == [K.s_from_ratio(h8_incl.ctx, 2)] + [K.s_zero(h8_incl.ctx)] * 3
     assert all(K.s_is_zero(v) for v in tr_K.col_raw(3))
@@ -251,9 +250,25 @@ def test_unit_inclusion_tr_is_dual_integral(h8):
     assert ana.decision.frobenius
     # tr: H8 -> k is the right integral of H8* up to the canonical scale
     lam_dual = right_integral_of_dual(h8)
-    tr_fun = LinearFunctional(incl.N, [dense_frobenius(ana.frob)[0].raw()[0][i] for i in range(8)])
-    c = tr_fun.is_proportional(lam_dual.lift(incl.N))
-    assert c is not None and not c.is_zero()
+    c = proportion(incl.ctx, dense_frobenius(ana.frob)[0].raw()[0], lam_dual)
+    assert c is not None and not K.s_is_zero(c)
+
+
+def test_analyze_stops_at_an_inclusion_that_is_no_hopf_map(h8_incl):
+    # the second basis vector of K sent to twice its image: the analysis
+    # reports the inclusion's checks only and decides nothing, which the
+    # command line's analyze reads as decision None
+    ctx = h8_incl.ctx
+    two = K.s_from_ratio(ctx, 2)
+    rows = [[K.s_mul(ctx, two, x) if j == 1 else x for j, x in enumerate(row)]
+            for row in h8_incl.embed.raw()]
+    incl = HopfInclusion(h8_incl.K, h8_incl.H, Matrix(h8_incl.N, rows))
+    assert not verify_inclusion(incl).ok
+    ana = analyze_extension(incl)
+    names = [c.name for c in ana.report.checks]
+    assert names == ["inclusion/" + c.name for c in verify_inclusion(incl).checks]
+    assert not ana.report.ok
+    assert ana.decision is None and ana.frob is None and ana.central is None
 
 
 def test_h8_centrality_and_normality(h8_incl):
@@ -277,7 +292,7 @@ def test_taft_not_frobenius(taft3):
     assert not dec.frobenius
     assert not alpha_criterion(incl, dec)
     # chi is an algebra map but differs from the counit
-    assert dec.chi != incl.K.counit_functional()
+    assert dec.chi != incl.K.counit
     # integral-type element exists even though Frobenius fails
     assert check_integral_type(incl) is not None
 
@@ -304,8 +319,8 @@ def test_fms_lambda_proportional(h8_incl, taft3):
         bq = bar_quotient(incl)
         lamH = lift_bar_functional(bq)
         lamp = fms_lambda_construction(incl)
-        c = lamp.is_proportional(lamH)
-        assert c is not None and not c.is_zero()
+        c = proportion(incl.ctx, lamp, lamH)
+        assert c is not None and not K.s_is_zero(c)
 
 
 def test_klein_subgroup_inclusion(h8):
@@ -326,7 +341,7 @@ def test_klein_subgroup_inclusion(h8):
 def test_scale_seven(h8_incl):
     ana1 = analyze_extension(h8_incl)
     scaled = rescale_frobenius_data(make_frobenius_data(h8_incl), Cyclotomic.promote(7))
-    assert scaled.lam.value(0) == 14
+    assert scaled.lam[0] == K.s_from_ratio(h8_incl.ctx, 14)
     assert dense_frobenius(scaled)[0] == dense_frobenius(ana1.frob)[0].scale(7)
     d1 = Cyclotomic(h8_incl.N, scaled.deltas[0][0])
     assert d1 == Fraction(1, 14)
@@ -483,7 +498,7 @@ def test_lambda_products_read_off_the_table(spec):
     lamH = lift_bar_functional(bq)
     got = _lambda_products(H, lamH, range(H.dim), range(H.dim))
     for a in range(H.dim):
-        want = [lamH(H.mult_vec(H.basis_vec(a), H.basis_vec(j))) for j in range(H.dim)]
+        want = [_dot(H.ctx, lamH, H.mult_vec(H.basis_vec(a), H.basis_vec(j))) for j in range(H.dim)]
         z = K.s_zero(H.ctx)
         assert [got[a].get(j, z) for j in range(H.dim)] == want, (spec, a)
         assert all(not K.s_is_zero(v) for v in got[a].values())
@@ -507,7 +522,7 @@ def test_modular_function_and_integral_type_make_no_products(monkeypatch, spec):
     chi = relative_modular_function(incl)
     Lambda = check_integral_type(incl)
     assert calls == []
-    assert chi.dim == incl.K.dim and Lambda is not None
+    assert len(chi) == incl.K.dim and Lambda is not None
 
 
 # builtin inclusions of the CLI catalogue that the criterion-9 registry leaves out
@@ -526,10 +541,10 @@ def test_lambda_is_one_at_the_first_coset_it_does_not_vanish_on(h8_incl, taft3, 
         assert verify_inclusion(incl).ok, name
         bq = bar_quotient(incl)
         lamH = lift_bar_functional(bq)
-        h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
-        assert lamH.values[h0] == K.s_one(incl.ctx), name
+        h0 = next(r for r in bq.reps if not K.s_is_zero(lamH[r]))
+        assert lamH[h0] == K.s_one(incl.ctx), name
         chi = relative_modular_function(incl)
-        assert chi.values[0] == K.s_one(incl.ctx), name
+        assert chi[0] == K.s_one(incl.ctx), name
 
 
 # the analyze specs of the benchmark's extension workload, and D(H8)
@@ -788,26 +803,26 @@ def _modular_function_on_every_pair(incl, lamH):
 
     H, ctx = incl.H, incl.ctx
     z = K.s_zero(ctx)
-    h0 = next(r for r in bar_quotient(incl).reps if not K.s_is_zero(lamH.values[r]))
+    h0 = next(r for r in bar_quotient(incl).reps if not K.s_is_zero(lamH[r]))
     kh = []
     for col in incl.embed_cols():
         kh.append({i: v for i in range(H.dim)
-                   if not K.s_is_zero(v := lamH(H.mult_vec(col, H.basis_vec(i))))})
-    chi = LinearFunctional(incl.N, [row.get(h0, z) for row in kh])
+                   if not K.s_is_zero(v := _dot(ctx, lamH, H.mult_vec(col, H.basis_vec(i))))})
+    chi = tuple(row.get(h0, z) for row in kh)
     for b, row in enumerate(kh):
         for i in range(H.dim):
-            if row.get(i, z) != K.s_mul(ctx, chi.values[b], lamH.values[i]):
+            if row.get(i, z) != K.s_mul(ctx, chi[b], lamH[i]):
                 return "no relative modular function: condition fails at (k=%d, h=%d)" % (b, i)
     try:
         _assert_algebra_map(incl.K, chi, "relative modular function")
     except HopfkitError as err:
         return str(err)
-    return chi.values
+    return chi
 
 
 def _modular_function_outcome(incl):
     try:
-        return relative_modular_function(incl).values
+        return relative_modular_function(incl)
     except HopfkitError as err:
         return str(err)
 
@@ -827,10 +842,9 @@ def test_modular_function_with_a_perturbed_lambda_names_the_full_scan_pair(monke
         ctx = incl.ctx
         lam = right_integral_bar_dual(bq)
         for t in range(bq.dim):
-            values = list(lam.values)
-            values[t] = K.s_add(ctx, values[t], K.s_one(ctx))
-            bad = LinearFunctional(incl.N, values)
-            lamH = LinearFunctional(incl.N, [bad(col) for col in bq.proj_cols])
+            bad = list(lam)
+            bad[t] = K.s_add(ctx, bad[t], K.s_one(ctx))
+            lamH = tuple(_dot(ctx, bad, col) for col in bq.proj_cols)
             monkeypatch.setattr(extension, "lift_bar_functional", lambda _bq: lamH)
             got = _modular_function_outcome(incl)
             monkeypatch.undo()
@@ -854,7 +868,7 @@ def test_modular_function_with_perturbed_table_entries_names_the_full_scan_pair(
         n = H.dim
         bq = bar_quotient(incl)
         lamH = lift_bar_functional(bq)
-        h0 = next(r for r in bq.reps if not K.s_is_zero(lamH.values[r]))
+        h0 = next(r for r in bq.reps if not K.s_is_zero(lamH[r]))
         rs = [r for r in bq.reps if r != h0]
         if not rs:
             continue

@@ -28,6 +28,7 @@ from hopfkit.exact_math import (
     Matrix,
     RowSpace,
     _column,
+    _dot,
     _normalize_first_one,
     _scale,
     format_scalar,
@@ -36,7 +37,6 @@ from hopfkit.exact_math import (
 )
 from hopfkit.hopf_core import (
     FinHopf,
-    LinearFunctional,
     algebra_generators,
     antipode_inverse,
     distinguished_grouplike,
@@ -76,7 +76,7 @@ def test_every_algebra_computes_at_its_own_conductor():
 def test_elimination_and_products_make_no_zero_test_calls(monkeypatch):
     # the sparse helpers find zero and one by comparing with the context's
     # tuples, and a sparse vector stores no zero; a K.s_is_zero call put back
-    # into RowSpace, _table_mul, the integral rows or LinearFunctional.__call__
+    # into RowSpace, _table_mul, the integral rows or _dot
     # is counted here, in every hopfkit namespace that binds it
     calls = []
     original = K.s_is_zero
@@ -96,8 +96,7 @@ def test_elimination_and_products_make_no_zero_test_calls(monkeypatch):
     assert [len(integral_space(H, side)) for side in ("left", "right")] == [1, 1]
     products = [H.mult_vec(H.basis_vec(i), H.basis_vec(j)) for i in range(H.dim) for j in range(H.dim)]
     assert sum(map(len, products)) > 0
-    eps = LinearFunctional(H.N, H.counit)
-    assert [eps(p) for p in products[:H.dim]] == [H.counit[j] for j in range(H.dim)]
+    assert [_dot(H.ctx, H.counit, p) for p in products[:H.dim]] == [H.counit[j] for j in range(H.dim)]
     assert K.s_is_zero(K.s_zero(H.ctx)) and len(calls) == 1
 
 
@@ -189,14 +188,14 @@ def test_h8_integrals(h8):
 def test_unimodular_iff_alpha_is_counit(h8, taft3, uq3):
     for H in (h8, taft3[0], uq3):
         alpha = distinguished_grouplike(H)
-        assert is_unimodular(H) == (alpha == H.counit_functional())
+        assert is_unimodular(H) == (alpha == H.counit)
 
 
 def test_taft_not_unimodular(taft3):
     T, _ = taft3
     assert not is_unimodular(T)
     alpha = distinguished_grouplike(T)
-    assert alpha != T.counit_functional()
+    assert alpha != T.counit
     # independent oracle: a * Lambda = alpha(a) Lambda for every basis element
     Lam = integral_space(T, "right")[0]
     lam_raw = Lam.raw()
@@ -205,7 +204,7 @@ def test_taft_not_unimodular(taft3):
         w = {i: v for i, v in T.mult_vec(T.basis_vec(a), lam_vec).items() if not K.s_is_zero(v)}
         scaled = {}
         for i, s in lam_vec.items():
-            v = K.s_mul(T.ctx, alpha.values[a], s)
+            v = K.s_mul(T.ctx, alpha[a], s)
             if not K.s_is_zero(v):
                 scaled[i] = v
         assert w == scaled
@@ -214,7 +213,7 @@ def test_taft_not_unimodular(taft3):
 def test_dual_right_integral(h8):
     lam = right_integral_of_dual(h8)
     # lambda(h_(1)) h_(2) = lambda(h) 1 was the defining system; spot-check h = 1
-    assert lam(h8.unit_vec()) == lam.values[0]
+    assert _dot(h8.ctx, lam, h8.unit_vec()) == lam[0]
 
 
 def test_subhopf_closure_error(h8):
@@ -494,7 +493,7 @@ def _alpha_on_every_basis_element(H):
         w = H.mult_vec(H.basis_vec(a), lam)
         values.append(w.get(pivot, K.s_zero(H.ctx)))
         assert w == _scale(H.ctx, lam, values[-1])
-    return LinearFunctional(H.N, values)
+    return tuple(values)
 
 
 def _unimodular_by_both_integral_spaces(H):
@@ -513,7 +512,7 @@ def test_alpha_and_unimodularity_match_the_full_computations(spec):
     H = resolve_inclusion(spec).K if "sub=" in spec else resolve_hopf(spec)
     alpha = distinguished_grouplike(H)
     assert alpha == _alpha_on_every_basis_element(H)
-    assert is_unimodular(H) == _unimodular_by_both_integral_spaces(H) == (alpha == H.counit_functional())
+    assert is_unimodular(H) == _unimodular_by_both_integral_spaces(H) == (alpha == H.counit)
 
 
 def _bump(entries, key, delta, ctx):
@@ -1091,15 +1090,15 @@ def test_integral_rows_are_built_on_generators_only(h8, taft3, uq3):
 def test_algebra_map_defect_on_a_proven_algebra_names_the_full_scan_witness(h8, taft3, uq3):
     # alpha changed at one basis element outside G: the check on G finds a
     # defect, and the error names the first pair of the full scan
-    from hopfkit.hopf_core import LinearFunctional, _assert_algebra_map, _multiplicative_defect
+    from hopfkit.hopf_core import _assert_algebra_map, _multiplicative_defect
 
     for H in (h8, taft3[0], uq3):
         alpha = distinguished_grouplike(H)
         gens = algebra_generators(H)
         j = next(j for j in range(H.dim) if j not in gens and H.unit_vec().get(j) is None)
-        values = list(alpha.values)
+        values = list(alpha)
         values[j] = K.s_add(H.ctx, values[j], K.s_one(H.ctx))
-        f = LinearFunctional(H.N, values)
+        f = tuple(values)
         w = _multiplicative_defect(H, values)
         assert w is not None and _multiplicative_defect(H, values, gens) is not None
         with pytest.raises(PipelineError, match=r"not an algebra map at \(%d,%d\)$" % w):

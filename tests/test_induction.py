@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import h8_v1, h8_v2, kchar, uqsl2_sub
+from conftest import fold_sum, h8_v1, h8_v2, kchar, uqsl2_sub
 from hopfkit import _kernel as K
 from hopfkit.builders import (cyclic_table, drinfeld_double, group_algebra, kac_paljutkin, klein_table,
                               trivial_hopf)
-from hopfkit.exact_math import Cyclotomic, Matrix, _act_blocks, _add, _scale, _tensor, root_of_unity
+from hopfkit.exact_math import Cyclotomic, Matrix, _add, _scale, _tensor, root_of_unity
 from hopfkit.extension import (is_central_extension, rescale_frobenius_data, trivial_inclusion,
                                unit_inclusion)
 from hopfkit.induction import (
@@ -286,9 +286,10 @@ def test_rescaled_context_has_its_own_cache(h8_incl):
 
 
 def _act(M, kvec, N):
-    """The action on M of a sparse K-vector whose scalars are written at N."""
+    """The action on M of a sparse K-vector whose scalars are written at N,
+    summed by the fold of ``fold_sum``."""
     terms = ((M.action[b], Cyclotomic(N, c)) for b, c in kvec.items())
-    return Matrix.lincomb(M.dim, M.dim, lcm(M.N, N), terms)
+    return fold_sum(M.dim, M.dim, lcm(M.N, N), terms)
 
 
 def _place(ctx, out, blk, rows, cols):
@@ -333,7 +334,7 @@ def _reference_lax(frob, V, U):
                     _tensor(incl.ctx, acc, _scale(incl.ctx, tr(p, i), s), tr(q, j), m)
                 if not acc:
                     continue
-                mat = Matrix.lincomb(
+                mat = fold_sum(
                     dV * dU, dV * dU, conductor,
                     ((V.action[x // m].kron(U.action[x % m]), Cyclotomic(incl.N, c))
                      for x, c in acc.items()),
@@ -564,15 +565,11 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
     assert len(table) > 1
     tensor_modules(V, U)  # kept on V, so neither count below includes it
     calls = []
-    real_lincomb, real_act = Matrix.lincomb.__func__, HModule.act_alg_vec
+    real_act = HModule.act_blocks
     real_from_sparse, real_init = Matrix.from_sparse.__func__, Matrix.__init__
 
-    def lincomb(cls, *args):
-        calls.append("lincomb")
-        return real_lincomb(cls, *args)
-
-    def act_alg_vec(self, *args):
-        calls.append("act_alg_vec")
+    def act_blocks(self, *args):
+        calls.append("act_blocks")
         return real_act(self, *args)
 
     def from_sparse(cls, *args):
@@ -583,8 +580,7 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
         calls.append("formed")
         real_init(self, *args)
 
-    monkeypatch.setattr(Matrix, "lincomb", classmethod(lincomb))
-    monkeypatch.setattr(HModule, "act_alg_vec", act_alg_vec)
+    monkeypatch.setattr(HModule, "act_blocks", act_blocks)
     monkeypatch.setattr(Matrix, "from_sparse", classmethod(from_sparse))
     monkeypatch.setattr(Matrix, "__init__", init)
     real_tensor = induction.tensor_modules
@@ -594,7 +590,7 @@ def test_structure_constants_act_without_a_matrix_per_block(h8_incl, monkeypatch
         return real_tensor(*args)
 
     monkeypatch.setattr(induction, "tensor_modules", tensor)
-    per_block = {"lincomb", "act_alg_vec", "tensor_modules"}
+    per_block = {"act_blocks", "tensor_modules"}
     calls.clear()
     oplax_pair(frob, V, U)
     assert not per_block & set(calls)
@@ -676,6 +672,7 @@ def test_projection_inverse_checks_form_one_product_per_pair(uq3, monkeypatch):
     # the products formed inside the four checks are counted, so building the
     # maps themselves another way does not move the count.
     import hopfkit.induction as induction
+    import hopfkit.module_theory as module_theory
 
     frob, W, V = _projection_case("uq3-cartan", uq3)
     real_mul, real_check = Matrix.__mul__, induction._mutually_inverse
@@ -756,6 +753,7 @@ def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkey
     # the closed-form inverses read iota(e_q) for each q of a Delta-term, and
     # apply each nonzero part of e_q to the module once, not once per term
     import hopfkit.induction as induction
+    import hopfkit.module_theory as module_theory
 
     frob, W, V = _projection_case("uq3-cartan", uq3)
     projection_morphisms(frob, W, V)  # the lax/oplax pairs are cached now
@@ -763,7 +761,7 @@ def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkey
     # in place at the module's conductor: the tensor products are told apart
     # by the identity of those rows
     made, acted = {}, []
-    real_tensor, real_act = induction.tensor_modules, induction._act_blocks
+    real_tensor, real_act = induction.tensor_modules, module_theory._act_blocks
 
     def tensor(M, N_mod):
         T = real_tensor(M, N_mod)
@@ -779,7 +777,7 @@ def test_projection_inverses_act_once_per_part_of_each_basis_element(uq3, monkey
         real_act(ctx, out, A, d, blocks)
 
     monkeypatch.setattr(induction, "tensor_modules", tensor)
-    monkeypatch.setattr(induction, "_act_blocks", counted)
+    monkeypatch.setattr(module_theory, "_act_blocks", counted)
     projection_morphisms(frob, W, V)
     assert sorted(T.name for T in made.values()) == ["Res(Ind(chi1))(x)chi1", "chi1(x)Res(Ind(chi1))"]
     terms = comult_terms(frob.right_decomp)
@@ -848,7 +846,7 @@ _BLOCK = st.tuples(st.integers(0, 2), st.integers(0, 2),
 def test_the_block_writer_sums_the_placed_actions(h8, h8_incl, Mn, Nk, rows, cols, blocks):
     # K-vectors with zero coefficients, repeated indices and blocks that cancel
     # (a vector and its negative), written at Nk and acting on a module over
-    # Q(zeta_Mn): _act_blocks against the act_alg_vec blocks summed by _assemble
+    # Q(zeta_Mn): HModule.act_blocks against the folded actions summed by _assemble
     M = _at_conductor(restrict(h8_incl, h8_v2(h8)), Mn)
     d, conductor = M.dim, lcm(Mn, Nk)
     values = _BLOCK_VALUES[Nk]
@@ -862,11 +860,8 @@ def test_the_block_writer_sums_the_placed_actions(h8, h8_incl, Mn, Nk, rows, col
         entries.append((s, t, k))
         if cancel:
             entries.append((s, t, {x: (-Cyclotomic(Nk, c)).data for x, c in k.items()}))
-    out = [{} for _ in range(rows * d)]
-    _act_blocks(K.make_ctx(conductor), out, [a.lift(conductor).srows for a in M.action], d, (
-        (s, t, [(x, K.s_lift(c, Nk, conductor)) for x, c in k.items()]) for s, t, k in entries))
-    got = Matrix.from_sparse(conductor, cols * d, out)
+    got = M.act_blocks((rows, cols), entries, Nk)
     want = _assemble(conductor, rows * d, cols * d, (
-        (range(s * d, (s + 1) * d), range(t * d, (t + 1) * d), M.act_alg_vec(k, Nk))
+        (range(s * d, (s + 1) * d), range(t * d, (t + 1) * d), _act(M, k, Nk))
         for s, t, k in entries))
     assert (got.N, got.key()) == (want.N, want.key())

@@ -1,6 +1,14 @@
-from conftest import h8_v1, h8_v2, kchar
+import itertools
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fold_sum, h8_v1, h8_v2, kchar, scalar_at
+from hopfkit import _kernel as K
 from hopfkit import module_theory
-from hopfkit.exact_math import Matrix, root_of_unity
+from hopfkit.builders import cyclic_table, group_algebra
+from hopfkit.exact_math import Cyclotomic, Matrix, root_of_unity
 from hopfkit.module_theory import (
     HModule,
     direct_sum,
@@ -146,6 +154,35 @@ def test_is_isomorphic_undetermined(h8, monkeypatch):
     assert is_isomorphic(M, N).status == "none"
 
 
+def test_is_isomorphic_finds_an_iso_on_the_grid(h8):
+    # three trivial summands: the hom basis is the nine matrix units, and no
+    # unit nor prefix sum of them is invertible, so the grid finds the map
+    M = direct_sum(direct_sum(h8_v1(h8, 1), h8_v1(h8, 1)), h8_v1(h8, 1))
+    homs = [h.matrix for h in hom_space(M, M)]
+    prefixes = [fold_sum(3, 3, M.N, ((h, 1) for h in homs[:k])) for k in range(1, 10)]
+    assert len(homs) == 9 and all(h.rank() < 3 for h in homs + prefixes)
+    iso = is_isomorphic(M, M)
+    assert iso.status == "iso" and iso.map.is_invertible() and iso.map.intertwines()
+    # the first grid point in product order whose sum is invertible
+    coeffs = [0, 1, -1, 2, -2]
+    first = next(c for c in itertools.product(coeffs, repeat=9)
+                 if fold_sum(3, 3, M.N, zip(homs, c)).rank() == 3)
+    assert iso.map.matrix == fold_sum(3, 3, M.N, zip(homs, first))
+
+
+def test_the_grid_reads_negative_coefficients(h8, monkeypatch):
+    # every matrix intertwines three trivial summands; on the hom basis
+    # A = diag(1, 1, 0), B = diag(0, -1, 1), A and B and A + B are singular,
+    # and A - B is the first grid point whose sum is invertible
+    M = direct_sum(direct_sum(h8_v1(h8, 1), h8_v1(h8, 1)), h8_v1(h8, 1))
+    A = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    B = Matrix.from_rows([[0, 0, 0], [0, -1, 0], [0, 0, 1]])
+    monkeypatch.setattr(module_theory, "hom_space",
+                        lambda *_: [module_theory.ModuleMap(M, M, A), module_theory.ModuleMap(M, M, B)])
+    iso = is_isomorphic(M, M)
+    assert iso.status == "iso" and iso.map.matrix == A - B
+
+
 def test_is_isomorphic_is_decisive_above_dimension_six(h8):
     # d = 7 with a 2-dimensional hom space, spanned by the two maps from the
     # trivial summands of M; the grid has side 9 = d + 2
@@ -161,6 +198,44 @@ def test_is_isomorphic_is_decisive_above_dimension_six(h8):
     N = sum_of(1, -1, -i, -i, -i, -i, -i)
     assert M.dim == 7 and len(hom_space(M, N)) == 2
     assert is_isomorphic(M, N).status == "none"
+
+
+@st.composite
+def _action_case(draw):
+    """A module over kC_n, n <= 3, with arbitrary d x d action matrices
+    (``act_alg_vec`` reads no axiom) and a sparse algebra vector written at
+    Nv whose entries are often zero or one."""
+    conductors = st.sampled_from([1, 4, 8])
+    n, d, NM, Nv = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(conductors), draw(conductors)
+    mats = [Matrix(NM, [[draw(scalar_at(NM)).data for _ in range(d)] for _ in range(d)])
+            for _ in range(n)]
+    M = HModule(group_algebra(cyclic_table(n)), mats, N=draw(conductors))
+    hvec = {x: draw(scalar_at(Nv)).data for x in draw(st.sets(st.integers(0, n - 1)))}
+    return M, hvec, Nv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_action_case())
+def test_act_alg_vec_equals_fold(case):
+    M, hvec, Nv = case
+    N = lcm(M.N, Nv)
+    fold = fold_sum(M.dim, M.dim, N, ((M.action[x], Cyclotomic(Nv, c)) for x, c in hvec.items()))
+    got = M.act_alg_vec(hvec, Nv)
+    # the same canonical entries at the same conductor, so reports keep their bytes
+    assert (got.N, got.raw()) == (fold.N, fold.raw())
+    assert all(not K.s_is_zero(x) for row in got.srows for x in row.values())
+    # c*A + B - c*A cancels to B, storing no zero
+    x = next(iter(hvec), None)
+    if x is not None:
+        minus = (-Cyclotomic(Nv, hvec[x])).data
+        got = M.act_blocks((1, 1), [(0, 0, hvec), (0, 0, {x: minus}), (0, 0, {x: hvec[x]})], Nv)
+        assert (got.N, got.key()) == (fold.N, fold.key())
+
+
+def test_act_blocks_of_no_entries_is_zero(h8):
+    M = h8_v2(h8)
+    assert M.act_blocks((2, 3), [], 4) == Matrix.zeros(2 * M.dim, 3 * M.dim, 4)
+    assert M.act_blocks((1, 1), [(0, 0, {})], 1) == Matrix.zeros(M.dim, M.dim, M.N)
 
 
 def _action_scans(M):

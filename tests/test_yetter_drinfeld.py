@@ -1,7 +1,7 @@
 import pytest
 
 
-from conftest import kline, uqsl2_sub
+from conftest import fold_sum, kline, uqsl2_sub
 from hopfkit.builders import cyclic_table, drinfeld_double, group_algebra, small_quantum_sl2
 from hopfkit.errors import PipelineError
 from hopfkit.exact_math import Matrix
@@ -317,7 +317,7 @@ def _reference_zind_coaction(frob, M):
                     for t, kv in enumerate(basis_parts(frob.right_decomp, q)):
                         if not kv:
                             continue
-                        blk = Matrix.lincomb(d, d, conductor, (
+                        blk = fold_sum(d, d, conductor, (
                             (M.action[b], Cyclotomic(incl.N, c)) for b, c in kv.items()
                         ))
                         for b, w in blk.col(a0).items():
