@@ -305,23 +305,27 @@ def _add(ctx, acc, k, s):
 
 
 def _axpy(ctx, acc, vec, c):
-    """acc += c*vec in place; returns acc.  A unit c adds without products."""
-    if c == ctx[3]:
+    """acc += c*vec in place; returns acc.  No product with 1 is computed."""
+    zero, one = ctx[3], ctx[4]
+    if c == zero:
         return acc
-    if c == ctx[4]:
+    if c == one:
         for k, s in vec.items():
             _add(ctx, acc, k, s)
     else:
         for k, s in vec.items():
-            _add(ctx, acc, k, K.s_mul(ctx, c, s))
+            _add(ctx, acc, k, c if s == one else K.s_mul(ctx, c, s))
     return acc
 
 
 def _scale(ctx, vec, c):
-    """c*vec as a new sparse vector."""
-    if c == ctx[3]:
+    """c*vec as a new sparse vector.  No product with 1 is computed."""
+    zero, one = ctx[3], ctx[4]
+    if c == zero:
         return {}
-    return {k: K.s_mul(ctx, c, s) for k, s in vec.items()}
+    if c == one:
+        return dict(vec)
+    return {k: c if s == one else K.s_mul(ctx, c, s) for k, s in vec.items()}
 
 
 def _normalize_first_one(ctx, vec):
@@ -349,42 +353,37 @@ def _column(N, vec, n):
 
 
 def _tensor(ctx, acc, u, v, n):
-    """acc += u (x) v in place, the pair (i, j) at index i*n + j; returns acc."""
+    """acc += u (x) v in place, the pair (i, j) at index i*n + j; returns acc.
+    No product with 1 is computed."""
+    one = ctx[4]
     for i, a in u.items():
         base = i * n
         for j, b in v.items():
-            _add(ctx, acc, base + j, K.s_mul(ctx, a, b))
+            _add(ctx, acc, base + j, b if a == one else a if b == one else K.s_mul(ctx, a, b))
     return acc
 
 
-def _kron_sum(ctx, out, blocks):
-    """out[row0 + i*rs + k] += a (x) b in place, the pair (j, l) at index
-    col0 + j*cs + l, for each block (arows, brows, row0, rs, col0, cs), (i, a)
-    in arows and (k, b) in brows, where a and b are sparse vectors (dicts)."""
-    for arows, brows, row0, rs, col0, cs in blocks:
-        for i, a in arows:
-            a = a.items()
-            base_row = row0 + i * rs
-            for k, b in brows:
-                acc = out[base_row + k]
-                b = b.items()
-                for j, x in a:
-                    base = col0 + j * cs
-                    for l, y in b:
-                        _add(ctx, acc, base + l, K.s_mul(ctx, x, y))
-
-
 def _kron_act(ctx, out, A, B, m, terms, row0, rs, col0, cs):
-    """out += sum c*(A[x // m] (x) B[x % m]) over the (x, c) of terms, placed
-    as by ``_kron_sum``: an element of X (x) X acting through the actions A
-    and B of X, tables of ``Matrix.srows`` at ctx.  Zero coefficients are
-    skipped and c = 1 adds without multiplying."""
+    """out += sum c*(A[x // m] (x) B[x % m]) over the (x, c) of terms, an
+    element of X (x) X acting through the actions A and B of X, tables of
+    ``Matrix.srows`` at ctx: c*a*b, for entries (i, j, a) and (k, l, b), at
+    row row0 + i*rs + k and column col0 + j*cs + l.  No product with 1 is
+    computed."""
     zero, one = ctx[3], ctx[4]
-    _kron_sum(ctx, out, (
-        ([(i, r if c == one else _scale(ctx, r, c)) for i, r in enumerate(A[x // m]) if r],
-         [(k, r) for k, r in enumerate(B[x % m]) if r], row0, rs, col0, cs)
-        for x, c in terms if c != zero
-    ))
+    for x, c in terms:
+        if c == zero:
+            continue
+        brows = [(row0 + k, r.items()) for k, r in enumerate(B[x % m]) if r]
+        for i, arow in enumerate(A[x // m]):
+            base = i * rs
+            for j, a in arow.items():
+                a = a if c == one else c if a == one else K.s_mul(ctx, c, a)
+                col = col0 + j * cs
+                for k, brow in brows:
+                    acc = out[base + k]
+                    for l, b in brow:
+                        _add(ctx, acc, col + l,
+                             b if a == one else a if b == one else K.s_mul(ctx, a, b))
 
 
 def _act_blocks(ctx, out, A, d, blocks):
@@ -392,8 +391,8 @@ def _act_blocks(ctx, out, A, d, blocks):
     (s, t, terms) of blocks, c*A[x] is added into block (s, t) of size d,
     rows s*d.. and columns t*d.., over the (x, c) of terms.  A is a table of
     ``Matrix.srows`` of d x d matrices at ctx, such as a module's action
-    matrices.  Zero coefficients are skipped and c = 1 adds without
-    multiplying."""
+    matrices.  Zero coefficients are skipped and no product with 1 is
+    computed."""
     zero, one = ctx[3], ctx[4]
     for s, t, terms in blocks:
         rows, col0 = out[s * d:(s + 1) * d], t * d
@@ -402,7 +401,8 @@ def _act_blocks(ctx, out, A, d, blocks):
                 continue
             for acc, row in zip(rows, A[x]):
                 for j, v in row.items():
-                    _add(ctx, acc, col0 + j, v if c == one else K.s_mul(ctx, c, v))
+                    _add(ctx, acc, col0 + j,
+                         v if c == one else c if v == one else K.s_mul(ctx, c, v))
 
 
 def _dot(ctx, values, vec):
@@ -467,18 +467,21 @@ def _table_mul(ctx, table, n, u, v):
 
 def _tensor_square_mul(ctx, mult, n, u, v):
     """Product in X (x) X of sparse vectors, given as (i*n + j, raw) pairs,
-    from the product table mult of X (dimension n)."""
+    from the product table mult of X (dimension n).  No product with 1 is
+    computed."""
+    one = ctx[4]
     out = {}
     for x1, c1 in u:
         i1, j1 = divmod(x1, n)
         for x2, c2 in v:
             i2, j2 = divmod(x2, n)
-            c = K.s_mul(ctx, c1, c2)
+            c = c2 if c1 == one else c1 if c2 == one else K.s_mul(ctx, c1, c2)
             right = mult[j1 * n + j2]
             for k1, s1 in mult[i1 * n + i2]:
-                a = K.s_mul(ctx, c, s1)
+                a = s1 if c == one else c if s1 == one else K.s_mul(ctx, c, s1)
                 for k2, s2 in right:
-                    _add(ctx, out, k1 * n + k2, K.s_mul(ctx, a, s2))
+                    _add(ctx, out, k1 * n + k2,
+                         s2 if a == one else a if s2 == one else K.s_mul(ctx, a, s2))
     return out
 
 
@@ -855,11 +858,10 @@ class IdKron:
 
     ``kron_id(A, m)`` and ``id_kron(m, A)`` build one.  As I_p (x) A (x) I_q
     it has p = 1 or q = 1, and a Matrix A counts as I_1 (x) A (x) I_1.  A
-    product of two such factors is a sum of Kronecker products of slices of
-    their A's (see ``_kron_product``): each entry adds the same products of
-    entries as the product of the formed matrices, less the identities'
-    zeros and with their ones unmultiplied, so the result is the same exact
-    matrix.
+    product of two such factors is one loop over the entries of their A's
+    (see ``_kron_product``): each entry adds the same products of entries as
+    the product of the formed matrices, less the identities' zeros and with
+    no product with 1 computed, so the result is the same exact matrix.
     """
 
     __slots__ = ("A", "p", "q", "N", "rows", "cols")
@@ -889,41 +891,17 @@ def id_kron(m, A):
     return IdKron(A, m, 1)
 
 
-def _column_slices(M, d, by_remainder):
-    """{u: {i: sparse row}} holding entry (i, h*d + l) of M at column h of
-    row i of slice u = l (by_remainder) or at column l of slice u = h."""
-    out = {}
-    for i, row in enumerate(M.srows):
-        for c, x in row.items():
-            h, l = divmod(c, d)
-            u, at = (l, h) if by_remainder else (h, l)
-            out.setdefault(u, {}).setdefault(i, {})[at] = x
-    return out
-
-
-def _slice_count(n, p, P, Q):
-    """n/p, the number of slices of the product P*Q; raises ShapeError when p
-    does not divide n, i.e. when the identity factors do not line up."""
-    k, rest = divmod(n, p)
-    if rest:
-        raise ShapeError("the identity factors of a %dx%d by %dx%d product do not align"
-                         % (P.rows, P.cols, Q.rows, Q.cols))
-    return k
-
-
 def _kron_product(P, Q):
-    """P*Q for Matrix or IdKron factors, one of them an IdKron.  Both
-    products with identity factors on either side are sums over u of
-    Kronecker products A_u (x) B_u of slices, which ``_kron_sum`` adds:
+    """P*Q for Matrix or IdKron factors, one of them an IdKron, in one loop
+    over the entries of one factor, k = cols(A)/p or rows(A)/p:
 
-    - (A (x) I_m)(I_p (x) B): entry ((i, w), (v, c)) is the sum over u of
-      A[i, v*k + u] B[u*m + w, c], k = cols(A)/p, so A_u holds the columns
-      v*k + u of A at v and B_u the rows u*m + w of B at w;
-    - (I_p (x) B)(A (x) I_m): entry ((v, j), (c, w)) is the sum over u of
-      A[v*k + u, c] B[j, u*m + w], k = rows(A)/p, so A_u holds the rows
-      v*k + u of A at v and B_u the columns u*m + w of B at w.
+    - (A (x) I_m)(I_p (x) B): x = A[i, v*k + u] adds x*B[u*m + w, c] at
+      row i*m + w, column v*cols(B) + c;
+    - (I_p (x) B)(A (x) I_m): y = B[j, u*m + w] adds A[v*k + u, c]*y at
+      row v*rows(B) + j, column c*m + w.
 
-    Only nonempty rows of the slices are paired."""
+    The nonempty rows u*m + w of B (v*k + u of A) of each slice u are listed
+    once, and only they are paired.  No product with 1 is computed."""
     P, Q = (IdKron(X, 1, 1) if isinstance(X, Matrix) else X for X in (P, Q))
     if not isinstance(P, IdKron) or not isinstance(Q, IdKron):
         raise TypeError("expected a Matrix")
@@ -932,22 +910,42 @@ def _kron_product(P, Q):
     N = lcm(P.N, Q.N)
     if P.p == Q.q == 1:
         A, m, p, B = P.A.lift(N), P.q, Q.p, Q.A.lift(N)
-        k = _slice_count(A.cols, p, P, Q)
-        blocks = (
-            (arows.items(), [(w, r) for w, r in enumerate(B.srows[u * m:(u + 1) * m]) if r],
-             0, m, 0, B.cols)
-            for u, arows in _column_slices(A, k, True).items()
-        )
+        k, rest = divmod(A.cols, p)
     elif P.q == Q.p == 1:
         B, p, A, m = P.A.lift(N), P.p, Q.A.lift(N), Q.q
-        k = _slice_count(A.rows, p, P, Q)
-        blocks = (
-            ([(v, A.srows[v * k + u]) for v in range(p) if A.srows[v * k + u]], brows.items(),
-             0, B.rows, 0, m)
-            for u, brows in _column_slices(B, m, False).items()
-        )
+        k, rest = divmod(A.rows, p)
     else:
         raise TypeError("only (A x I)(I x B) and (I x B)(A x I) are applied unformed")
+    if rest:
+        raise ShapeError("the identity factors of a %dx%d by %dx%d product do not align"
+                         % (P.rows, P.cols, Q.rows, Q.cols))
+    ctx = K.make_ctx(N)
+    one = ctx[4]
     out = [{} for _ in range(P.rows)]
-    _kron_sum(K.make_ctx(N), out, blocks)
+    if P.p == Q.q == 1:
+        cb, rows = B.cols, B.srows
+        slices = [[(w, r.items()) for w, r in enumerate(rows[u * m:(u + 1) * m]) if r]
+                  for u in range(k)]
+        for i, row in enumerate(A.srows):
+            base = i * m
+            for c, x in row.items():
+                v, u = divmod(c, k)
+                col = v * cb
+                for w, brow in slices[u]:
+                    acc = out[base + w]
+                    for l, y in brow:
+                        _add(ctx, acc, col + l,
+                             y if x == one else x if y == one else K.s_mul(ctx, x, y))
+    else:
+        rb, rows = B.rows, A.srows
+        slices = [[(v * rb, rows[v * k + u].items()) for v in range(p) if rows[v * k + u]]
+                  for u in range(k)]
+        for j, row in enumerate(B.srows):
+            for c, y in row.items():
+                u, w = divmod(c, m)
+                for base, arow in slices[u]:
+                    acc = out[base + j]
+                    for l, x in arow:
+                        _add(ctx, acc, l * m + w,
+                             y if x == one else x if y == one else K.s_mul(ctx, x, y))
     return Matrix.from_sparse(N, Q.cols, out)

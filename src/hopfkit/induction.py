@@ -331,8 +331,7 @@ def _act_structure(frob, V, U, consts, rows, cols, place):
     N, m = frob.incl.N, frob.incl.K.dim
     conductor = lcm(N, V.N, U.N)
     ctx = K.make_ctx(conductor)
-    actV = [a.lift(conductor).srows for a in V.action]
-    actU = [a.lift(conductor).srows for a in U.action]
+    actV, actU = V._action_rows(conductor), U._action_rows(conductor)
     out = [{} for _ in range(rows)]
     for l, i, j, c in consts:
         _kron_act(ctx, out, actV, actU, m,

@@ -174,8 +174,7 @@ def tensor_actions(M, N_mod, elements):
         raise ShapeError("tensor of modules over different algebras")
     conductor = lcm(M.N, N_mod.N)
     H = M.H.lifted(conductor)
-    a = [m.lift(conductor).srows for m in M.action]
-    b = [m.lift(conductor).srows for m in N_mod.action]
+    a, b = M._action_rows(conductor), N_mod._action_rows(conductor)
     n, dU = H.dim, N_mod.dim
     d = M.dim * dU
     mats = []

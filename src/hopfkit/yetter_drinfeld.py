@@ -170,11 +170,11 @@ def yd_braiding(M, N_mod):
     dM, dN = M.dim, N_mod.dim
     rows = [{} for _ in range(dN * dM)]
     Mcols = M.coaction.lift(conductor).transpose().srows
-    act = [m.lift(conductor) for m in N_mod.action]
+    act = N_mod._action_rows(conductor)
     for a in range(dM):
         for row, v in Mcols[a].items():
             g, a0 = divmod(row, dM)
-            for b0, arow in enumerate(act[g].srows):
+            for b0, arow in enumerate(act[g]):
                 for b, u in arow.items():
                     _add(ctx, rows[b0 * dM + a0], a * dN + b, K.s_mul(ctx, v, u))
     return Matrix.from_sparse(conductor, dM * dN, rows)

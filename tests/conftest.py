@@ -239,6 +239,20 @@ def h8_v2(H8):
     return HModule(H8, [acts[l] for l in H8.basis_labels], name="V2")
 
 
+def regular_module(K):
+    """K as its own left module: e_i acts by left multiplication, so column j
+    of its matrix is e_i e_j, read from K.mult."""
+    n = K.dim
+    mats = []
+    for i in range(n):
+        rows = [{} for _ in range(n)]
+        for j in range(n):
+            for k, s in K.mult[i * n + j]:
+                rows[k][j] = s
+        mats.append(Matrix.from_sparse(K.N, n, rows))
+    return HModule(K, mats, name="K")
+
+
 def dense_frobenius(fr):
     """tr as the dim K x dim H Matrix tr_K and the delta_i as dense lists of
     raw scalars, built from the sparse fields of a FrobeniusData: the form in

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import lcm
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import scalar_at
 from hopfkit import _kernel as K
+from hopfkit.builders import cyclic_table, group_algebra
 from hopfkit.errors import InconsistentSystemError, ShapeError
 from hopfkit.exact_math import (
     Cyclotomic,
     Matrix,
     RowSpace,
+    _act_blocks,
     _add,
     _apply,
     _axpy,
@@ -22,6 +25,7 @@ from hopfkit.exact_math import (
     _table_apply,
     _table_mul,
     _tensor,
+    _tensor_square_mul,
     format_scalar,
     id_kron,
     kron_id,
@@ -749,15 +753,17 @@ def test_lower_finds_the_value_in_a_subfield():
 
 
 # Kronecker products applied without being formed: each is compared with the
-# formed product at conductors 1, 3 and 4, whose mixtures lift to 12.  A third
-# of the entries are zero, so empty rows and columns are frequent.
+# formed product at conductors 1, 3 and 4, whose mixtures lift to 12.  Most
+# entries are zero, and in half the factors nearly all are, so that most rows
+# of a slice are empty; many of the others are 1.
 _FACTOR_CONDUCTORS = [1, 3, 4]
 
 
 @st.composite
 def _factor(draw, rows, cols):
     N = draw(st.sampled_from(_FACTOR_CONDUCTORS))
-    entry = st.one_of(st.just(K.s_zero(K.make_ctx(N))), _canonical(N))
+    zero = st.just(K.s_zero(K.make_ctx(N)))
+    entry = st.one_of(*[zero] * draw(st.sampled_from([1, 5])), _canonical(N))
     return Matrix(N, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
 
 
@@ -834,6 +840,86 @@ def _identity_factor_product(draw):
 def test_identity_factor_products_equal_the_formed_products(case):
     got, want = case
     assert (got.N, got.raw()) == (want.N, want.raw())
+
+
+def _s_mul_calls(run):
+    """run() with ``K.s_mul`` counted where the benchmark counts it, by its
+    kernel name: (number of calls, result)."""
+    real, calls = K.s_mul, []
+
+    def spy(ctx, a, b):
+        calls.append((a, b))
+        return real(ctx, a, b)
+
+    with mock.patch.object(K, "s_mul", spy):
+        got = run()
+    return len(calls), got
+
+
+@st.composite
+def _unit_factor(draw, rows, cols):
+    """A matrix at conductor 1, 3 or 4 whose entries are 0 and 1 only."""
+    N = draw(st.sampled_from(_FACTOR_CONDUCTORS))
+    ctx = K.make_ctx(N)
+    entry = st.sampled_from([K.s_zero(ctx), K.s_one(ctx)])
+    return Matrix(N, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unit_factors_make_no_product(data):
+    R, C, k, p, m = (data.draw(st.integers(1, 3)) for _ in range(5))
+    I = Matrix.identity
+    A, B = data.draw(_unit_factor(R, p * k)), data.draw(_unit_factor(k * m, C))
+    calls, got = _s_mul_calls(lambda: kron_id(A, m) * id_kron(p, B))
+    assert calls == 0 and got == A.kron(I(m)) * I(p).kron(B)
+    B, A = data.draw(_unit_factor(R, k * m)), data.draw(_unit_factor(p * k, C))
+    calls, got = _s_mul_calls(lambda: id_kron(p, B) * kron_id(A, m))
+    assert calls == 0 and got == I(p).kron(B) * A.kron(I(m))
+    A, B = data.draw(_unit_factor(R, C)), data.draw(_unit_factor(k, m))
+    N = lcm(A.N, B.N)
+    ctx = K.make_ctx(N)
+    out = [{} for _ in range(R * k)]
+    calls, _ = _s_mul_calls(lambda: _kron_act(
+        ctx, out, [A.lift(N).srows], [B.lift(N).srows], 1, [(0, K.s_one(ctx))], 0, k, 0, m))
+    assert calls == 0 and Matrix.from_sparse(N, C * m, out) == A.kron(B)
+
+
+def test_sparse_helpers_make_no_product_with_one():
+    ctx = K.make_ctx(3)
+    one, z = K.s_one(ctx), K.zeta_power(ctx, 1)
+    u, v = {0: one, 2: one}, {1: one, 3: z}
+    mult = group_algebra(cyclic_table(2)).lifted(3).mult
+    runs = [
+        lambda: _axpy(ctx, {0: z}, v, z),
+        lambda: _axpy(ctx, {}, u, one),
+        lambda: _scale(ctx, v, one),
+        lambda: _scale(ctx, u, z),
+        lambda: _tensor(ctx, {}, u, v, 4),
+        lambda: _tensor_square_mul(ctx, mult, 2, [(1, one), (2, z)], [(3, one)]),
+        lambda: _act_blocks(ctx, [{}, {}], [({0: z}, {1: one}), ({1: one}, {})], 2,
+                            [(0, 0, [(0, one), (1, z)])]),
+    ]
+    # each product above has a factor 1, except z*z in the first _axpy
+    assert [_s_mul_calls(run)[0] for run in runs] == [1, 0, 0, 0, 0, 0, 0]
+
+
+def test_products_of_non_units_call_the_kernel_s_mul():
+    z = root_of_unity(3)
+    A, B = Matrix.from_rows([[2, 0], [z, 1]]), Matrix.from_rows([[3, z]])
+    calls, got = _s_mul_calls(lambda: kron_id(A, 1) * id_kron(2, B))
+    assert got == A * Matrix.identity(2).kron(B)
+    # 2*3, 2*z, z*3, z*z: the products with 1 are not computed
+    assert calls == 4
+    Y = Matrix.column([2, z, z, 1])
+    calls, got = _s_mul_calls(lambda: id_kron(2, B) * kron_id(Y, 1))
+    # 3*2, z*z, 3*z, and z*1 not computed
+    assert calls == 3 and got == Matrix.identity(2).kron(B) * Y
+    ctx = A.ctx
+    out = [{} for _ in range(2)]
+    calls, _ = _s_mul_calls(lambda: _kron_act(
+        ctx, out, [A.srows], [B.srows], 1, [(0, K.zeta_power(ctx, 2))], 0, 1, 0, 2))
+    assert out == [dict(r) for r in A.kron(B).scale(root_of_unity(3, 2)).srows] and calls > 0
 
 
 def test_identity_factor_product_errors():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_sum, h8_v1, h8_v2, kchar, uqsl2_sub
+from conftest import fold_sum, h8_v1, h8_v2, kchar, regular_module, uqsl2_sub
 from hopfkit import _kernel as K
 from hopfkit.builders import (cyclic_table, drinfeld_double, group_algebra, kac_paljutkin, klein_table,
                               trivial_hopf)
@@ -211,6 +211,22 @@ def test_lax_naturality(h8_frob, kmods):
     lhs = F_fid.lift(N) * lax1.lift(N)
     rhs = lax2.lift(N) * Ff.lift(N).kron(idU * 0 + Matrix.identity(2, N))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("case", ["kK<H8", "cartan3", "kC3<D(kC3)"])
+def test_the_regular_triple_passes_the_frobenius_squares(case, h8_incl, uq3):
+    # every module is a quotient of a free one, so the squares on (K, K, K)
+    # hold exactly when they hold on every triple of modules
+    incl = {
+        "kK<H8": lambda: h8_incl,
+        "cartan3": lambda: uqsl2_sub(uq3, "cartan"),
+        "kC3<D(kC3)": lambda: drinfeld_double(group_algebra(cyclic_table(3), name="kC3"))[1],
+    }[case]()
+    R = regular_module(incl.K)
+    assert verify_module(R).ok
+    rep = verify_frobenius_monoidal(induction_context(incl), R, R, R)
+    assert rep.ok, rep.failures()
+    assert [c.name for c in rep.checks] == ["frobenius-square-1", "frobenius-square-2"]
 
 
 def test_scale_robustness_functor(h8_incl, kmods):
