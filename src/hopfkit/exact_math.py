@@ -407,10 +407,12 @@ def _act_blocks(ctx, out, A, d, blocks):
 
 def _dot(ctx, values, vec):
     """The functional with the dense raw values applied to the sparse vector
-    vec: the sum of values[k]*c over the entries (k, c) of vec."""
-    acc = ctx[3]
+    vec: the sum of values[k]*c over the entries (k, c) of vec.  No product
+    with 1 is computed."""
+    acc, one = ctx[3], ctx[4]
     for k, c in vec.items():
-        acc = K.s_add(ctx, acc, K.s_mul(ctx, values[k], c))
+        v = values[k]
+        acc = K.s_add(ctx, acc, c if v == one else v if c == one else K.s_mul(ctx, v, c))
     return acc
 
 
@@ -426,14 +428,14 @@ def _apply(ctx, cols, vec):
 
 def _table_apply(ctx, table, vec):
     """``_apply`` for a structure table, whose rows list (index, raw) pairs,
-    such as ``FinHopf.comult``.  Zero entries of vec are skipped, and a unit
-    one is not multiplied."""
+    such as ``FinHopf.comult``.  Zero entries of vec are skipped, and no
+    product with 1 is computed."""
     zero, one = ctx[3], ctx[4]
     out = {}
     for k, c in vec.items():
         if c != zero:
             for x, s in table[k]:
-                _add(ctx, out, x, s if c == one else K.s_mul(ctx, c, s))
+                _add(ctx, out, x, s if c == one else c if s == one else K.s_mul(ctx, c, s))
     return out
 
 
@@ -451,7 +453,8 @@ def _table_mul(ctx, table, n, u, v):
         if ab == zero:
             return {}
         row = table[i * n + j]
-        return dict(row) if ab == one else {k: K.s_mul(ctx, ab, s) for k, s in row}
+        return dict(row) if ab == one else {k: ab if s == one else K.s_mul(ctx, ab, s)
+                                            for k, s in row}
     v = [(j, b) for j, b in v.items() if b != zero]
     out = {}
     for i, a in u.items():
@@ -461,7 +464,7 @@ def _table_mul(ctx, table, n, u, v):
         for j, b in v:
             ab = b if a == one else a if b == one else K.s_mul(ctx, a, b)
             for k, s in table[base + j]:
-                _add(ctx, out, k, s if ab == one else K.s_mul(ctx, ab, s))
+                _add(ctx, out, k, s if ab == one else ab if s == one else K.s_mul(ctx, ab, s))
     return out
 
 

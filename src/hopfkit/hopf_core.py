@@ -313,18 +313,22 @@ def _first_defect(scan, restrict, *args):
 
 def _multiplicative_defect(H, values, lefts=None):
     """The first (i, j), i in lefts (all of H by default), with
-    f(e_i e_j) != f(e_i) f(e_j) for the functional f with raw values."""
-    n = H.dim
-    ctx = H.ctx
-    zero = K.s_zero(ctx)
+    f(e_i e_j) != f(e_i) f(e_j) for the functional f with raw values.  No
+    product with 1 is computed."""
+    n, ctx = H.dim, H.ctx
+    zero, one = ctx[3], ctx[4]
     for i in range(n) if lefts is None else lefts:
+        fi = values[i]
         for j in range(n):
             acc = zero
             # a term where f vanishes adds f(e_k) s = 0
             for k, s in H.mult[i * n + j]:
-                if values[k] != zero:
-                    acc = K.s_add(ctx, acc, K.s_mul(ctx, values[k], s))
-            if acc != K.s_mul(ctx, values[i], values[j]):
+                fk = values[k]
+                if fk != zero:
+                    fks = s if fk == one else fk if s == one else K.s_mul(ctx, fk, s)
+                    acc = K.s_add(ctx, acc, fks)
+            fj = values[j]
+            if acc != (fj if fi == one else fi if fj == one else K.s_mul(ctx, fi, fj)):
                 return (i, j)
     return None
 
@@ -510,7 +514,7 @@ def distinguished_grouplike(H):
     is 1; it is read off the product table's rows, without forming e_a*Lambda.
     """
     Lam = right_integral_element(H)
-    n, ctx = H.dim, H.ctx
+    n, ctx, one = H.dim, H.ctx, H.ctx[4]
     lam_vec = Lam.col(0)
     pivot = min(lam_vec)  # normalized so lam_vec[pivot] == 1
     # right_integral_element has cached G through integral_space
@@ -526,7 +530,8 @@ def distinguished_grouplike(H):
             for k, s in H.mult[a * n + i]:
                 if k >= pivot:
                     if k == pivot:
-                        acc = K.s_add(ctx, acc, K.s_mul(ctx, c, s))
+                        cs = s if c == one else c if s == one else K.s_mul(ctx, c, s)
+                        acc = K.s_add(ctx, acc, cs)
                     break
         values.append(acc)
     alpha = tuple(values)
@@ -559,19 +564,18 @@ def is_unimodular(H):
                for g in algebra_generators(H))
 
 
-def counital_defect(C):
-    """The first basis index t of the coalgebra C (a FinHopf or a BarQuotient)
-    where (eps x id)Delta(c_t) = c_t = (id x eps)Delta(c_t) fails, or None."""
-    n = C.dim
-    ctx = C.ctx
+def counital_defect(H):
+    """The first basis index t of the FinHopf H where
+    (eps x id)Delta(e_t) = e_t = (id x eps)Delta(e_t) fails, or None."""
+    n, ctx = H.dim, H.ctx
     one = K.s_one(ctx)
     for t in range(n):
         lacc = {}
         racc = {}
-        for x, s in C.comult[t]:
+        for x, s in H.comult[t]:
             j, k = divmod(x, n)
-            _axpy(ctx, lacc, {k: s}, C.counit[j])
-            _axpy(ctx, racc, {j: s}, C.counit[k])
+            _axpy(ctx, lacc, {k: s}, H.counit[j])
+            _axpy(ctx, racc, {j: s}, H.counit[k])
         if lacc != {t: one} or racc != {t: one}:
             return t
     return None

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -251,6 +254,19 @@ def regular_module(K):
                 rows[k][j] = s
         mats.append(Matrix.from_sparse(K.N, n, rows))
     return HModule(K, mats, name="K")
+
+
+def readme_cli_commands():
+    """The commands of README.md's CLI block, continuation lines joined, each
+    split as a POSIX shell splits it, with control operators as tokens."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").strip().splitlines():
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        commands.append(list(lexer))
+    return commands
 
 
 def dense_frobenius(fr):

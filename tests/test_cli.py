@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import CATALOGUE
+from conftest import CATALOGUE, readme_cli_commands
 from hopfkit.bundles import parse_hopf, parse_module, serialize_hopf, serialize_module
 from hopfkit.cli import main, resolve_hopf, resolve_inclusion
 from hopfkit.errors import BundleParseError
@@ -816,24 +816,8 @@ def test_check_integral_type_runs_once_per_analyze(monkeypatch, capsys):
     assert (code, len(calls)) == (0, 1)
 
 
-def _readme_cli_commands():
-    """The commands of README.md's CLI block, continuation lines joined, each
-    split as a POSIX shell splits it, with control operators as tokens."""
-    import shlex
-    from pathlib import Path
-
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```", 2)[1]
-    commands = []
-    for line in block.replace("\\\n", " ").strip().splitlines():
-        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
-        lexer.whitespace_split = True
-        commands.append(list(lexer))
-    return commands
-
-
 def test_readme_cli_commands_run_as_written(capsys):
-    commands = _readme_cli_commands()
+    commands = readme_cli_commands()
     assert len(commands) == 7
     operators = set("();<>|&")
     for tokens in commands:

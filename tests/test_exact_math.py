@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_at
+from conftest import readme_cli_commands, scalar_at
 from hopfkit import _kernel as K
 from hopfkit.builders import cyclic_table, group_algebra
+from hopfkit.cli import main
 from hopfkit.errors import InconsistentSystemError, ShapeError
 from hopfkit.exact_math import (
     Cyclotomic,
@@ -902,6 +904,34 @@ def test_sparse_helpers_make_no_product_with_one():
     ]
     # each product above has a factor 1, except z*z in the first _axpy
     assert [_s_mul_calls(run)[0] for run in runs] == [1, 0, 0, 0, 0, 0, 0]
+
+
+# callers of K.s_mul that skip a factor 1 themselves, beside the helpers above
+_UNIT_SKIPPING = {"_dot", "_table_apply", "_table_mul", "_multiplicative_defect",
+                  "distinguished_grouplike", "z_induce", "yd_coaction", "yd_braiding"}
+
+
+def test_readme_functor_examples_pass_no_one_to_s_mul(capsys):
+    # the README's check-functor and frob-objects examples: the callers above
+    # hand K.s_mul no canonical 1 (raw scalars are canonical, so a product
+    # with 1 is the other factor)
+    real, calls = K.s_mul, {}
+
+    def spy(ctx, a, b):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in _UNIT_SKIPPING:
+            key = (caller, ctx[4] in (a, b))
+            calls[key] = calls.get(key, 0) + 1
+        return real(ctx, a, b)
+
+    commands = [t[1:] for t in readme_cli_commands() if t[1] in ("check-functor", "frob-objects")]
+    assert len(commands) == 2
+    with mock.patch.object(K, "s_mul", spy):
+        for args in commands:
+            assert main(args) == 0, args
+    capsys.readouterr()
+    assert [key for key in calls if key[1]] == []
+    assert sum(calls.values()) > 0
 
 
 def test_products_of_non_units_call_the_kernel_s_mul():

@@ -1115,15 +1115,21 @@ def test_multiplicative_scan_forms_no_product_with_a_zero_value(taft5, uq3):
         for t in (1, n // 2, n - 1):
             values = list(H.counit)
             values[t] = K.s_add(ctx, values[t], K.s_one(ctx))
-            with mock.patch.object(K, "s_mul", wraps=K.s_mul) as mul:
-                w = _multiplicative_defect(H, values)
-            assert w is not None and w == next(
+            # the reference reads the rows the scan reads first, so a row that
+            # the builder forms on its first read forms no product below
+            want = next(
                 (i, j) for i in range(n) for j in range(n)
                 if functools.reduce(lambda acc, term: K.s_add(ctx, acc, term), [
                     K.s_mul(ctx, values[k], s) for k, s in H.mult[i * n + j]], zero)
                 != K.s_mul(ctx, values[i], values[j]))
+            with mock.patch.object(K, "s_mul", wraps=K.s_mul) as mul:
+                w = _multiplicative_defect(H, values)
+            assert w is not None and w == want
             # one product f(e_i) f(e_j) per pair scanned, and one f(e_k) s per
-            # term whose f(e_k) is not zero
+            # term whose f(e_k) is not zero, each unless a factor is 1
             scanned = [(i, j) for i in range(n) for j in range(n)][:w[0] * n + w[1] + 1]
-            assert mul.call_count == len(scanned) + sum(
-                values[k] != zero for i, j in scanned for k, _ in H.mult[i * n + j])
+            one = K.s_one(ctx)
+            pairs = sum(one not in (values[i], values[j]) for i, j in scanned)
+            assert mul.call_count == pairs + sum(
+                values[k] != zero and one not in (values[k], s)
+                for i, j in scanned for k, s in H.mult[i * n + j])

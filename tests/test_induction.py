@@ -229,6 +229,26 @@ def test_the_regular_triple_passes_the_frobenius_squares(case, h8_incl, uq3):
     assert [c.name for c in rep.checks] == ["frobenius-square-1", "frobenius-square-2"]
 
 
+@pytest.mark.parametrize("case", ["kK<H8", "cartan3"])
+def test_the_regular_triple_agrees_with_every_triple_of_characters(case, h8_incl, uq3):
+    # K is commutative and split semisimple here, so the regular module is
+    # the sum of its characters, and the squares, additive in each variable,
+    # hold on (K, K, K) exactly when they hold on every triple of characters
+    if case == "kK<H8":
+        frob = induction_context(h8_incl)
+        chars = [kchar(h8_incl.K, *s) for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]]
+    else:
+        frob, chars = _uq_cartan_case(uq3)
+    R = regular_module(frob.incl.K)
+    assert len(chars) == R.dim
+
+    def verdicts(V, U, W):
+        return {c.name: c.status == "pass" for c in verify_frobenius_monoidal(frob, V, U, W).checks}
+
+    every = [verdicts(V, U, W) for V in chars for U in chars for W in chars]
+    assert verdicts(R, R, R) == {name: all(v[name] for v in every) for name in every[0]}
+
+
 def test_scale_robustness_functor(h8_incl, kmods):
     frob1 = induction_context(h8_incl)
     frob7 = rescale_frobenius_data(frob1, Cyclotomic.promote(7))

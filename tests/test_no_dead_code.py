@@ -1,7 +1,9 @@
 """No dead code in ``src/hopfkit``: every module-level import is used in its
 module, every private module-level def or class is referenced somewhere in
-the package, every import, def or class inside a function is used by that
-function, and every parameter of a function is read in its body.  Package
+the package, every public function, class and method is referenced in the
+package, ``tests`` or ``hopfbench``, every import, def or class inside a
+function is used by that function, and every parameter of a function is
+read in its body.  Package
 ``__init__`` files re-export what they import, so their module-level imports
 count as used.  The test files of ``tests`` use every name they import at
 module level too."""
@@ -11,6 +13,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hopfkit"
+BENCH = TESTS.parent / "hopfbench"
 
 # (module, name) of private defs that nothing in the package references, with
 # the reason each stays
@@ -149,6 +152,66 @@ def test_every_private_module_level_def_is_referenced():
             if not any(node.name in _loaded_names(t, skip=node) for t in modules.values()):
                 unreferenced.append((name, node.name))
     assert unreferenced == []
+
+
+def _public_defs(tree):
+    """(qualified name, node) for each public def or class at module level
+    and each public method of a module-level class, dunders left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += [("%s.%s" % (node.name, f.name), f) for f in node.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(q, n) for q, n in out if not n.name.startswith("_")]
+
+
+def _unreferenced_public_defs(modules, others):
+    """(module, qualified name) for each public def of the trees in modules
+    that no tree of modules or others loads, outside the def itself.  The
+    ``cmd_*`` handlers of ``cli`` count as used: ``cli.main`` looks them up
+    by name."""
+    names = {key: _loaded_names(t) for key, t in {**modules, **others}.items()}
+    out = []
+    for name, tree in modules.items():
+        for qual, node in _public_defs(tree):
+            if name == "cli" and node.name.startswith("cmd_"):
+                continue
+            if not any(node.name in loaded for key, loaded in names.items() if key != name) \
+                    and node.name not in _loaded_names(tree, skip=node):
+                out.append((name, qual))
+    return out
+
+
+def test_every_public_def_is_referenced():
+    others = {**_test_modules(), **{
+        str(p): ast.parse(p.read_text(), filename=str(p))
+        for p in sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))}}
+    assert _unreferenced_public_defs(_modules(), others) == []
+
+
+def test_public_def_detector():
+    tree = ast.parse(
+        "def f():\n"
+        "    return C().m\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return 1\n"
+        "    def unread(self):\n"
+        "        return self.unread()\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def _private():\n"
+        "    return 0\n"
+        "def cmd_run(args):\n"
+        "    return 0\n"
+    )
+    assert [q for q, _ in _public_defs(tree)] == ["f", "C", "C.m", "C.unread", "cmd_run"]
+    assert _unreferenced_public_defs({"m": tree}, {}) == [
+        ("m", "f"), ("m", "C.unread"), ("m", "cmd_run")]
+    others = {"t": ast.parse("f()")}
+    assert _unreferenced_public_defs({"cli": tree}, others) == [("cli", "C.unread")]
 
 
 def test_allow_list_names_only_private_defs_that_exist():

@@ -6,7 +6,9 @@ FinHopf.  Only ``cli.resolve_module``, whose modules ``check-functor`` runs
 ``verify_module`` on, and ``cli.cmd_verify`` turn it into a module.  Only
 ``cli.cmd_verify`` and ``cli.cmd_check_functor`` verify a module: a derived
 module (a tensor product, Ind, CoInd, Res or ZInd) is one by construction or
-by theorem and is never re-verified.  No
+by theorem and is never re-verified.  Nor is a derived coalgebra: only
+``verify_hopf`` scans coassociativity and counitality, and the quotient
+coalgebra H/HK+ is one by theorem.  No
 provenance bit selects a second path through the checks: no module of the
 package mentions one.  Nor does a caller hand in what an inclusion decides
 itself: no function takes a centrality bit or a tr matrix beside the
@@ -21,21 +23,24 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfkit"
 
 
-def _callers(tree, name):
+def _callers(tree, name, calls=True):
     """Names of the functions whose bodies call ``name`` (by bare name or as
-    an attribute), "<module>" for a call outside every function."""
+    an attribute), "<module>" for a call outside every function; with
+    ``calls=False``, those that read it at all, such as to pass it on."""
     out = set()
+
+    def named(f):
+        return (isinstance(f, ast.Name) and f.id == name) or \
+            (isinstance(f, ast.Attribute) and f.attr == name)
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (isinstance(f, ast.Name) and f.id == name) or \
-                        (isinstance(f, ast.Attribute) and f.attr == name):
-                    out.add(owner)
+            target = child.func if isinstance(child, ast.Call) else None
+            if named(target if calls else child):
+                out.add(owner)
             visit(child, owner)
 
     visit(tree, "<module>")
@@ -56,13 +61,14 @@ def test_the_detector_finds_calls_by_name_and_by_attribute():
         "parse_hopf('x')\n"
     )
     assert _callers(ast.parse(src), "parse_hopf") == {"a", "inner", "<module>"}
+    assert _callers(ast.parse(src), "parse_hopf", calls=False) == {"a", "inner", "c", "<module>"}
 
 
-def _package_callers(name):
+def _package_callers(name, calls=True):
     """{file: callers of ``name``} over every file of the package."""
     found = {}
     for path in sorted(SRC.rglob("*.py")):
-        callers = _callers(ast.parse(path.read_text(), filename=str(path)), name)
+        callers = _callers(ast.parse(path.read_text(), filename=str(path)), name, calls)
         if callers:
             found[path.relative_to(SRC).as_posix()] = callers
     return found
@@ -79,6 +85,12 @@ def test_only_resolve_module_and_cmd_verify_parse_a_module_bundle():
 @pytest.mark.parametrize("name", ["verify_module", "verify_yd"])
 def test_only_the_input_commands_verify_a_module(name):
     assert _package_callers(name) == {"cli.py": {"cmd_verify", "cmd_check_functor"}}
+
+
+@pytest.mark.parametrize("name", ["coassoc_first_defect", "counital_defect"])
+def test_only_verify_hopf_checks_a_coalgebra(name):
+    # the kernel scan is handed to _first_defect, not called
+    assert _package_callers(name, calls=False) == {"hopf_core.py": {"verify_hopf"}}
 
 
 def test_no_provenance_bit_in_the_algebra_modules():
