@@ -16,7 +16,7 @@ from . import _kernel as K
 from .errors import PipelineError
 from .exact_math import (Cyclotomic, Matrix, _add, _apply, _axpy, _clean, _dot, _kron_act,
                          _scale, _table_apply, _tensor, _tensor_square_mul, id_kron, kron_id)
-from .extension import is_central_extension, is_frobenius_extension, make_frobenius_data
+from .extension import is_central_extension, make_frobenius_data
 from .hopf_core import antipode_inverse, cached
 from .module_theory import HModule, ModuleMap, restrict, tensor_modules, trivial_module
 from .reports import Report
@@ -24,10 +24,10 @@ from .reports import Report
 
 def induction_context(incl):
     """The canonical Frobenius data of a Frobenius extension, which fixes the
-    induction functor: every function of this module takes it.  Centrality
-    is decided before the data is returned, so a disagreement of its two
-    criteria raises here; Hbar, its integral, the Frobenius data and
-    centrality are read from the inclusion's cache.
+    induction functor: every function of this module takes it; it raises
+    PipelineError unless the inclusion is a Frobenius extension.  Hbar, its
+    integral, the decision and the Frobenius data are read from the
+    inclusion's cache.
 
     What is built from the data is kept in its cache (see
     ``hopf_core.cached``), so each structure is built once per Frobenius
@@ -38,9 +38,6 @@ def induction_context(incl):
     the Frobenius morphism, so rescaled data (``rescale_frobenius_data``) is
     a new object whose cache starts empty, sharing with its source the
     tables of the free basis, kept on its decomposer ``frob.right_decomp``."""
-    if not is_frobenius_extension(incl).frobenius:
-        raise PipelineError("inclusion %r is not a Frobenius extension" % incl)
-    is_central_extension(incl)
     return make_frobenius_data(incl)
 
 

@@ -17,9 +17,10 @@ from hopfkit.builders import (
     taft,
     trivial_hopf,
 )
-from hopfkit.exact_math import Cyclotomic, Matrix, RowSpace, _clean, _dense, _dot, root_of_unity
+from hopfkit.exact_math import (Cyclotomic, Matrix, RowSpace, _add, _clean, _dense, _dot,
+                                root_of_unity)
 from hopfkit.extension import HopfInclusion, trivial_inclusion, unit_inclusion
-from hopfkit.hopf_core import subhopf_from_basis
+from hopfkit.hopf_core import distinguished_grouplike, subhopf_from_basis
 from hopfkit.induction import induction_context
 from hopfkit.module_theory import HModule
 from hopfkit.yetter_drinfeld import yd_line
@@ -153,11 +154,59 @@ def integral_type_over_all_of_h(incl):
         return None
 
 
-def alpha_criterion(incl, dec):
-    """alpha_H restricted to K equals alpha_K, for the FrobeniusDecision dec:
-    the Frobenius criterion through the distinguished grouplikes."""
-    on_K = tuple(_dot(incl.ctx, dec.alpha_H, col) for col in incl.embed_cols())
-    return on_K == dec.alpha_K
+def _alpha_h_on_k(incl):
+    """The distinguished grouplike alpha_H restricted to K, as the tuple of
+    its raw values alpha_H(k_b)."""
+    alpha_H = distinguished_grouplike(incl.H)
+    return tuple(_dot(incl.ctx, alpha_H, col) for col in incl.embed_cols())
+
+
+def alpha_criterion(incl):
+    """alpha_H restricted to K equals alpha_K: the Frobenius criterion
+    through the distinguished grouplikes (Fischman-Montgomery-Schneider),
+    which the package decides through chi = eps alone."""
+    return _alpha_h_on_k(incl) == distinguished_grouplike(incl.K)
+
+
+def chi_is_alpha_convolution(incl, chi):
+    """chi = (alpha_H|_K) * (alpha_K o S_K), the convolution on K*, at every
+    basis element of K, for the raw values chi(k_b)."""
+    Kk, ctx = incl.K, incl.ctx
+    m = Kk.dim
+    on_K = _alpha_h_on_k(incl)
+    alpha_K = distinguished_grouplike(Kk)
+    alpha_KS = [_dot(ctx, alpha_K, Kk.antipode_vec(Kk.basis_vec(b))) for b in range(m)]
+    for b in range(m):
+        acc = K.s_zero(ctx)
+        for x, s in Kk.comult[b]:
+            p, q = divmod(x, m)
+            acc = K.s_add(ctx, acc, K.s_mul(ctx, s, K.s_mul(ctx, on_K[p], alpha_KS[q])))
+        if acc != chi[b]:
+            return False
+    return True
+
+
+def bicomodule_on_every_basis_element(incl, tr_cols):
+    """h_(1) x tr(h_(2)) x h_(3) = Delta2(tr h), outer legs embedded, at
+    every basis element h of H, for tr given by its column table: tr is a
+    map of H-bicomodules.  For the tr of a Frobenius extension this is
+    centrality."""
+    H, Kk, ctx = incl.H, incl.K, incl.ctx
+    n, m = H.dim, Kk.dim
+    for i in range(n):
+        lhs, rhs = {}, {}
+        for (a, b, c), s in H.comult2(i):
+            for kb, coeff in tr_cols[b].items():
+                _add(ctx, lhs, (a * m + kb) * n + c, K.s_mul(ctx, s, coeff))
+        for b, coeff in tr_cols[i].items():
+            for (p, q, r), s in Kk.comult2(b):
+                for hp, e1 in incl.embed_col(p).items():
+                    for hr, e2 in incl.embed_col(r).items():
+                        v = K.s_mul(ctx, K.s_mul(ctx, coeff, s), K.s_mul(ctx, e1, e2))
+                        _add(ctx, rhs, (hp * m + q) * n + hr, v)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def scalar_at(N):

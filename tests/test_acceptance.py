@@ -10,8 +10,9 @@ import time
 from fractions import Fraction
 
 import hopfkit._kernel as K
-from conftest import (alpha_criterion, criterion_09_registry, dense_frobenius, h8_v1, h8_v2,
-                      kchar, kline, proportion, record_criterion, uqsl2_sub)
+from conftest import (alpha_criterion, bicomodule_on_every_basis_element, chi_is_alpha_convolution,
+                      criterion_09_registry, dense_frobenius, h8_v1, h8_v2, kchar, kline,
+                      proportion, record_criterion, uqsl2_sub)
 from hopfkit.builders import (
     cartan_matrix,
     cartan_row_sum_witness,
@@ -32,7 +33,6 @@ from hopfkit.extension import (
     lift_bar_functional,
     rescale_frobenius_data,
     right_integral_bar_dual,
-    tr_bicomodule_map,
 )
 from hopfkit.frob_objects import (
     build_group_etale,
@@ -307,9 +307,9 @@ def test_criterion_08_taft_negative_control(taft3):
     T, incl = taft3
     dec = is_frobenius_extension(incl)
     assert dec.frobenius is False
-    # the two criteria agree (asserted internally as well)
+    # the two criteria agree
     assert dec.chi != incl.K.counit  # chi != eps_K
-    assert not alpha_criterion(incl, dec)  # alpha mismatch
+    assert not alpha_criterion(incl)  # alpha mismatch
     elapsed = time.monotonic() - t0
     record_criterion(8, True, "%.2fs" % elapsed)
     assert elapsed < 1.0
@@ -321,11 +321,12 @@ def test_criterion_09_cross_consistency(h8_incl, taft3, uq3, uq5):
 
     for name, incl in registry:
         bq = bar_quotient(incl)
-        # (chi = eps) <=> (alpha_H|_K = alpha_K), plus the convolution identity:
-        # is_frobenius_extension raises on any disagreement
+        # (chi = eps) <=> (alpha_H|_K = alpha_K), plus the convolution identity
+        # chi = (alpha_H|_K) * (alpha_K o S_K), both theorems of FMS
         dec = is_frobenius_extension(incl)
         chi_criterion = dec.chi == incl.K.counit
-        assert dec.frobenius == chi_criterion == alpha_criterion(incl, dec), name
+        assert dec.frobenius == chi_criterion == alpha_criterion(incl), name
+        assert chi_is_alpha_convolution(incl, dec.chi), name
         # FMS lambda' construction is proportional to the solver lambda, nonzero
         lamH = lift_bar_functional(bq)
         ratio = proportion(incl.ctx, fms_lambda_construction(incl), lamH)
@@ -368,8 +369,9 @@ def test_criterion_11_scale_robustness(h8, h8_incl, h8_frob):
     # criterion 1 data transforms by the forced scalars ...
     assert dense_frobenius(frob7)[0] == dense_frobenius(ana1.frob)[0].scale(7)
     assert Cyclotomic(h8_incl.N, frob7.deltas[0][0]) == Fraction(1, 14)
-    # ... and both dual-basis identities still hold (invariant under the rescale)
-    assert tr_bicomodule_map(h8_incl, frob7.tr) == ana1.central
+    # ... and the bicomodule identity still decides centrality (invariant
+    # under the rescale)
+    assert bicomodule_on_every_basis_element(h8_incl, frob7.tr) == ana1.central
 
     # criterion 2 outcomes unchanged
     i = root_of_unity(4)

@@ -13,7 +13,9 @@ provenance bit selects a second path through the checks: no module of the
 package mentions one.  Nor does a caller hand in what an inclusion decides
 itself: no function takes a centrality bit or a tr matrix beside the
 inclusion.  The induction functor is its Frobenius data: no wrapper class
-stands between the two."""
+stands between the two.  Nor is the Frobenius system proved twice: in
+``extension`` only the inclusion check and chi look a defect up again, and
+no function of the package reads the distinguished grouplike."""
 
 import ast
 from pathlib import Path
@@ -169,3 +171,15 @@ def test_the_induction_context_is_the_frobenius_data_of_the_inclusion(h8_incl):
     from hopfkit.induction import induction_context
 
     assert induction_context(h8_incl) is make_frobenius_data(h8_incl)
+
+
+def test_only_the_inclusion_check_and_chi_rescan_a_defect_in_extension():
+    # the Frobenius system holds by chi and by rank: no scan of tr or of the
+    # dual bases looks a defect up again
+    assert _package_callers("_first_defect")["extension.py"] == {
+        "verify_inclusion", "relative_modular_function"}
+
+
+def test_no_function_of_the_package_reads_the_distinguished_grouplike():
+    # alpha_H|_K = alpha_K is a theorem of chi = eps; only tests compute alpha
+    assert _package_callers("distinguished_grouplike", calls=False) == {}
