@@ -21,8 +21,15 @@ lift tables are built once per conductor.
 The axiom scans add up the two sides of an axiom as separate sparse sums and
 compare them: canonical scalars are equal exactly when their tuples are.  A
 sum that cancels keeps its key with the canonical zero, so sums whose dicts
-differ are compared again key by key (``_differ``).  Products with the
-canonical one are not computed.
+differ are compared again key by key (``_differ``).
+
+No product with the canonical one is computed, and the kernel alone keeps
+that rule: on a memo miss ``s_mul`` stores the other factor (``_times``),
+and ``s_inv`` forms its products the same way, so a caller multiplies
+plainly.  The scans here and the sparse helpers of ``exact_math`` still skip
+a factor one before calling ``s_mul``, for speed only: on their tens of
+thousands of products with one per benchmark pass, that saves the call, the
+key tuple and the memo lookup of every hit.
 """
 
 import sys
@@ -109,8 +116,15 @@ def s_mul(ctx, a, b):
     key = (ctx[0], a, b)
     got = _mul_memo.get(key)
     if got is None:
-        got = _remember(_mul_memo, key, _mul(ctx, a, b))
+        got = _remember(_mul_memo, key, _times(ctx, a, b))
     return got
+
+
+def _times(ctx, a, b):
+    """a*b, where a product with the canonical one is the other factor and
+    is not computed: the one place that rule is kept for every caller."""
+    one = ctx[4]
+    return b if a == one else a if b == one else _mul(ctx, a, b)
 
 
 def _mul(ctx, a, b):
@@ -322,14 +336,14 @@ def _solve_inv(ctx, a):
                 if cj:
                     for t, z in enumerate(zeta_power(ctx, j * k)[1:]):
                         conj[t] += cj * z
-            c = _mul(ctx, c, s_from_ints(a[0], conj))
-    norm = _mul(ctx, a, c)
-    return _mul(ctx, c, s_from_ratio(ctx, norm[0], norm[1]))
+            c = _times(ctx, c, s_from_ints(a[0], conj))
+    norm = _times(ctx, a, c)
+    return _times(ctx, c, s_from_ratio(ctx, norm[0], norm[1]))
 
 
 def _sum_into(ctx, acc, terms, c):
     """acc += c*terms in place, keeping a key whose sum is zero; a product
-    with the canonical one is not computed."""
+    with the canonical one skips the call to ``s_mul``, for speed."""
     one = ctx[4]
     for m, t in terms:
         if c != one:

@@ -516,7 +516,7 @@ def drinfeld_double(H):
         return out
 
     # right[q]: (d', e_q e_d') for each d' where the product is nonzero
-    right = [[(dp, row) for dp in range(n) if (row := H.mult[q * n + dp])] for q in range(n)]
+    right = [[(dp, dict(row)) for dp in range(n) if (row := H.mult[q * n + dp])] for q in range(n)]
 
     # (f_c x e_d)(f_c' x e_d') = sum_q f_c Phi_q x e_q e_d', where Phi_q sums
     # s phi over the Delta^2 terms (p, q, r), s of e_d; each term of
@@ -536,11 +536,7 @@ def drinfeld_double(H):
                     if not a:
                         continue
                     for dp, prod in right[qq]:
-                        row = rows.setdefault(dp, {})
-                        for i, x in a.items():
-                            off = i * n
-                            for k, y in prod:
-                                _add(ctx, row, off + k, x if y == one else K.s_mul(ctx, x, y))
+                        _tensor(ctx, rows.setdefault(dp, {}), a, prod, n)
                 base = (c * n + d) * nn + cp * n
                 for dp, row in rows.items():
                     if row:
@@ -577,7 +573,7 @@ def drinfeld_double(H):
         # f_c o S^-1 has dual coords u -> Sinv[c][u]
         right = _tensor(ctx, {}, Sinv.srows[c], unit_coords, n)
         for d in range(n):
-            left = _tensor(ctx, {}, eps_coords, H.antipode_vec(H.basis_vec(d)), n)
+            left = _tensor(ctx, {}, eps_coords, dict(H.antipode_cols[d]), n)
             Scols.append(tuple(sorted(_table_mul(ctx, mult, nn, left, right).items())))
 
     labels = []

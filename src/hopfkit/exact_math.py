@@ -288,6 +288,12 @@ def mat_mul_raw(A, B, ctx):
 # ``enumerate(dense)``, and the three that read a structure table, whose rows
 # list (index, raw) pairs: ``_table_apply``, ``_table_mul`` and
 # ``_tensor_square_mul``, which takes its factors as such pairs too.
+#
+# The kernel never computes a product with the canonical one (``K.s_mul``
+# returns the other factor), so a skip of a factor one here changes no
+# value: it is for speed, saving the call and the memo lookup on the tens
+# of thousands of products with one that these loops make per benchmark
+# pass.  Code above this module multiplies plainly.
 # ---------------------------------------------------------------------------
 
 
@@ -305,7 +311,8 @@ def _add(ctx, acc, k, s):
 
 
 def _axpy(ctx, acc, vec, c):
-    """acc += c*vec in place; returns acc.  No product with 1 is computed."""
+    """acc += c*vec in place; returns acc.  A factor 1 skips ``K.s_mul``, for
+    speed."""
     zero, one = ctx[3], ctx[4]
     if c == zero:
         return acc
@@ -319,7 +326,7 @@ def _axpy(ctx, acc, vec, c):
 
 
 def _scale(ctx, vec, c):
-    """c*vec as a new sparse vector.  No product with 1 is computed."""
+    """c*vec as a new sparse vector.  A factor 1 skips ``K.s_mul``, for speed."""
     zero, one = ctx[3], ctx[4]
     if c == zero:
         return {}
@@ -354,7 +361,7 @@ def _column(N, vec, n):
 
 def _tensor(ctx, acc, u, v, n):
     """acc += u (x) v in place, the pair (i, j) at index i*n + j; returns acc.
-    No product with 1 is computed."""
+    A factor 1 skips ``K.s_mul``, for speed."""
     one = ctx[4]
     for i, a in u.items():
         base = i * n
@@ -367,8 +374,8 @@ def _kron_act(ctx, out, A, B, m, terms, row0, rs, col0, cs):
     """out += sum c*(A[x // m] (x) B[x % m]) over the (x, c) of terms, an
     element of X (x) X acting through the actions A and B of X, tables of
     ``Matrix.srows`` at ctx: c*a*b, for entries (i, j, a) and (k, l, b), at
-    row row0 + i*rs + k and column col0 + j*cs + l.  No product with 1 is
-    computed."""
+    row row0 + i*rs + k and column col0 + j*cs + l.  A factor 1 skips
+    ``K.s_mul``, for speed."""
     zero, one = ctx[3], ctx[4]
     for x, c in terms:
         if c == zero:
@@ -391,8 +398,8 @@ def _act_blocks(ctx, out, A, d, blocks):
     (s, t, terms) of blocks, c*A[x] is added into block (s, t) of size d,
     rows s*d.. and columns t*d.., over the (x, c) of terms.  A is a table of
     ``Matrix.srows`` of d x d matrices at ctx, such as a module's action
-    matrices.  Zero coefficients are skipped and no product with 1 is
-    computed."""
+    matrices.  Zero coefficients are skipped, and a factor 1 skips
+    ``K.s_mul``, for speed."""
     zero, one = ctx[3], ctx[4]
     for s, t, terms in blocks:
         rows, col0 = out[s * d:(s + 1) * d], t * d
@@ -407,8 +414,8 @@ def _act_blocks(ctx, out, A, d, blocks):
 
 def _dot(ctx, values, vec):
     """The functional with the dense raw values applied to the sparse vector
-    vec: the sum of values[k]*c over the entries (k, c) of vec.  No product
-    with 1 is computed."""
+    vec: the sum of values[k]*c over the entries (k, c) of vec.  A factor 1
+    skips ``K.s_mul``, for speed."""
     acc, one = ctx[3], ctx[4]
     for k, c in vec.items():
         v = values[k]
@@ -428,8 +435,8 @@ def _apply(ctx, cols, vec):
 
 def _table_apply(ctx, table, vec):
     """``_apply`` for a structure table, whose rows list (index, raw) pairs,
-    such as ``FinHopf.comult``.  Zero entries of vec are skipped, and no
-    product with 1 is computed."""
+    such as ``FinHopf.comult``.  Zero entries of vec are skipped, and a
+    factor 1 skips ``K.s_mul``, for speed."""
     zero, one = ctx[3], ctx[4]
     out = {}
     for k, c in vec.items():
@@ -442,8 +449,8 @@ def _table_apply(ctx, table, vec):
 def _table_mul(ctx, table, n, u, v):
     """Product of sparse vectors u and v, where table[i*n + j] lists the
     (k, raw) terms of e_i e_j.  Zero entries of u and v are skipped, and a
-    unit factor is not multiplied.  A product of two one-term vectors is
-    a copy of one table row, scaled unless its coefficient is 1; the rows
+    factor 1 skips ``K.s_mul``, for speed.  A product of two one-term vectors
+    is a copy of one table row, scaled unless its coefficient is 1; the rows
     store no zero and no repeated index, so the general sum gives the same."""
     zero, one = ctx[3], ctx[4]
     if len(u) == 1 == len(v):
@@ -470,8 +477,8 @@ def _table_mul(ctx, table, n, u, v):
 
 def _tensor_square_mul(ctx, mult, n, u, v):
     """Product in X (x) X of sparse vectors, given as (i*n + j, raw) pairs,
-    from the product table mult of X (dimension n).  No product with 1 is
-    computed."""
+    from the product table mult of X (dimension n).  A factor 1 skips
+    ``K.s_mul``, for speed."""
     one = ctx[4]
     out = {}
     for x1, c1 in u:
@@ -863,8 +870,8 @@ class IdKron:
     it has p = 1 or q = 1, and a Matrix A counts as I_1 (x) A (x) I_1.  A
     product of two such factors is one loop over the entries of their A's
     (see ``_kron_product``): each entry adds the same products of entries as
-    the product of the formed matrices, less the identities' zeros and with
-    no product with 1 computed, so the result is the same exact matrix.
+    the product of the formed matrices, less the identities' zeros, so the
+    result is the same exact matrix.
     """
 
     __slots__ = ("A", "p", "q", "N", "rows", "cols")
@@ -904,7 +911,8 @@ def _kron_product(P, Q):
       row v*rows(B) + j, column c*m + w.
 
     The nonempty rows u*m + w of B (v*k + u of A) of each slice u are listed
-    once, and only they are paired.  No product with 1 is computed."""
+    once, and only they are paired.  A factor 1 skips ``K.s_mul``, for
+    speed."""
     P, Q = (IdKron(X, 1, 1) if isinstance(X, Matrix) else X for X in (P, Q))
     if not isinstance(P, IdKron) or not isinstance(Q, IdKron):
         raise TypeError("expected a Matrix")

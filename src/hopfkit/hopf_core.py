@@ -313,10 +313,9 @@ def _first_defect(scan, restrict, *args):
 
 def _multiplicative_defect(H, values, lefts=None):
     """The first (i, j), i in lefts (all of H by default), with
-    f(e_i e_j) != f(e_i) f(e_j) for the functional f with raw values.  No
-    product with 1 is computed."""
+    f(e_i e_j) != f(e_i) f(e_j) for the functional f with raw values."""
     n, ctx = H.dim, H.ctx
-    zero, one = ctx[3], ctx[4]
+    zero = ctx[3]
     for i in range(n) if lefts is None else lefts:
         fi = values[i]
         for j in range(n):
@@ -325,10 +324,8 @@ def _multiplicative_defect(H, values, lefts=None):
             for k, s in H.mult[i * n + j]:
                 fk = values[k]
                 if fk != zero:
-                    fks = s if fk == one else fk if s == one else K.s_mul(ctx, fk, s)
-                    acc = K.s_add(ctx, acc, fks)
-            fj = values[j]
-            if acc != (fj if fi == one else fi if fj == one else K.s_mul(ctx, fi, fj)):
+                    acc = K.s_add(ctx, acc, K.s_mul(ctx, fk, s))
+            if acc != K.s_mul(ctx, fi, values[j]):
                 return (i, j)
     return None
 
@@ -511,30 +508,20 @@ def distinguished_grouplike(H):
     and sums, so a*Lambda in k*Lambda is checked for a in G only (see
     ``algebra_generators``).  Then alpha(e_a), for every a, is the
     coordinate of e_a*Lambda at Lambda's first nonzero index, where Lambda
-    is 1; it is read off the product table's rows, without forming e_a*Lambda.
+    is 1.
     """
     Lam = right_integral_element(H)
-    n, ctx, one = H.dim, H.ctx, H.ctx[4]
+    ctx = H.ctx
+    zero = ctx[3]
     lam_vec = Lam.col(0)
     pivot = min(lam_vec)  # normalized so lam_vec[pivot] == 1
     # right_integral_element has cached G through integral_space
     gens = algebra_generators(H)
     for a in gens:
         w = H.mult_vec(H.basis_vec(a), lam_vec)
-        if w != _scale(ctx, lam_vec, w.get(pivot, K.s_zero(ctx))):
+        if w != _scale(ctx, lam_vec, w.get(pivot, zero)):
             raise PipelineError("left action on the right integral of %s is not scalar" % H.name)
-    values = []
-    for a in range(n):
-        acc = K.s_zero(ctx)
-        for i, c in lam_vec.items():
-            for k, s in H.mult[a * n + i]:
-                if k >= pivot:
-                    if k == pivot:
-                        cs = s if c == one else c if s == one else K.s_mul(ctx, c, s)
-                        acc = K.s_add(ctx, acc, cs)
-                    break
-        values.append(acc)
-    alpha = tuple(values)
+    alpha = tuple(H.mult_vec(H.basis_vec(a), lam_vec).get(pivot, zero) for a in range(H.dim))
     _assert_algebra_map(H, alpha, "distinguished grouplike", gens)
     return alpha
 

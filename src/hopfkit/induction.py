@@ -60,7 +60,7 @@ def tr_row(frob, p):
     H = frob.incl.H
     row = {}
     for i, hi in enumerate(frob.free):
-        kv = frob.tr_vec(H.mult_vec(H.basis_vec(p), H.basis_vec(hi)))
+        kv = frob.tr_vec(dict(H.mult[p * H.dim + hi]))
         if kv:
             row[i] = kv
     return row
@@ -182,7 +182,7 @@ def ind_parts(dec):
     H = dec.incl.H
     return [[(t, i, k)
              for i, hi in enumerate(dec.free)
-             for t, k in enumerate(dec(H.mult_vec(H.basis_vec(g), H.basis_vec(hi))))
+             for t, k in enumerate(dec(dict(H.mult[g * H.dim + hi])))
              if k]
             for g in range(H.dim)]
 
@@ -214,7 +214,7 @@ def coinduce(frob, V):
     H, r = frob.incl.H, frob.rank
     mats = [
         V.act_blocks((r, r), (
-            (j, i, frob.tr_vec(H.mult_vec(H.mult_vec(H.basis_vec(hj), H.basis_vec(g)), d)))
+            (j, i, frob.tr_vec(H.mult_vec(dict(H.mult[hj * H.dim + g]), d)))
             for j, hj in enumerate(frob.free)
             for i, d in enumerate(frob.deltas)
         ), frob.incl.N)
@@ -311,7 +311,7 @@ def unit_gf_at(frob, W):
 def counit_gf_at(frob, V):
     """counit^{G -| F} at the K-module V: Res Ind V -> V, h_i x v -> tr(h_i) v."""
     return V.act_blocks((1, frob.rank), (
-        (0, i, frob.tr_vec(frob.incl.H.basis_vec(hi))) for i, hi in enumerate(frob.free)
+        (0, i, dict(frob.tr[hi])) for i, hi in enumerate(frob.free)
     ), frob.incl.N)
 
 

@@ -141,7 +141,6 @@ def yd_coaction(M, N_mod):
     Q(zeta_lcm(M.N, N_mod.N))."""
     conductor = lcm(M.N, N_mod.N)
     ctx = K.make_ctx(conductor)
-    one = ctx[4]
     H = M.H.lifted(conductor)
     n = H.dim
     dM, dN = M.dim, N_mod.dim
@@ -154,11 +153,10 @@ def yd_coaction(M, N_mod):
                 g, a0 = divmod(row_a, dM)
                 for row_b, u in Ncols[b].items():
                     h, b0 = divmod(row_b, dN)
-                    vu = u if v == one else v if u == one else K.s_mul(ctx, v, u)
+                    vu = K.s_mul(ctx, v, u)
                     for k2, s in H.mult[g * n + h]:
                         row = rows[k2 * dM * dN + a0 * dN + b0]
-                        _add(ctx, row, a * dN + b,
-                             s if vu == one else vu if s == one else K.s_mul(ctx, vu, s))
+                        _add(ctx, row, a * dN + b, K.s_mul(ctx, vu, s))
     return Matrix.from_sparse(conductor, dM * dN, rows)
 
 
@@ -169,7 +167,6 @@ def yd_braiding(M, N_mod):
     Hopf algebra (the YD category is braided), so it is built, not checked."""
     conductor = lcm(M.N, N_mod.N)
     ctx = K.make_ctx(conductor)
-    one = ctx[4]
     dM, dN = M.dim, N_mod.dim
     rows = [{} for _ in range(dN * dM)]
     Mcols = M.coaction.lift(conductor).transpose().srows
@@ -179,8 +176,7 @@ def yd_braiding(M, N_mod):
             g, a0 = divmod(row, dM)
             for b0, arow in enumerate(act[g]):
                 for b, u in arow.items():
-                    _add(ctx, rows[b0 * dM + a0], a * dN + b,
-                         u if v == one else v if u == one else K.s_mul(ctx, v, u))
+                    _add(ctx, rows[b0 * dM + a0], a * dN + b, K.s_mul(ctx, v, u))
     return Matrix.from_sparse(conductor, dM * dN, rows)
 
 
@@ -242,7 +238,6 @@ def z_induce(frob, M):
     H = ind.H
     conductor = ind.N
     ctx = K.make_ctx(conductor)
-    one = ctx[4]
     d = M.dim
     dim = r * d
     coact = M.coaction.lift(conductor).transpose().srows
@@ -255,7 +250,7 @@ def z_induce(frob, M):
             for row, v in coact[a].items():
                 g, a0 = divmod(row, d)
                 for j, e in embed[g].items():
-                    ev = v if e == one else e if v == one else K.s_mul(ctx, e, v)
+                    ev = K.s_mul(ctx, e, v)
                     for (k, q), tw in H.yd_twist(hi, j):
                         cols = iota.get(q)
                         if cols is None:
@@ -263,10 +258,9 @@ def z_induce(frob, M):
                             cols = iota[q] = _insertion(
                                 frob, M, [basis_parts(frob.right_decomp, q)]
                             ).transpose().srows
-                        c = ev if tw == one else tw if ev == one else K.s_mul(ctx, tw, ev)
+                        c = K.s_mul(ctx, tw, ev)
                         for tb, w in cols[a0].items():
-                            _add(ctx, rows[k * dim + tb], i * d + a,
-                                 w if c == one else c if w == one else K.s_mul(ctx, c, w))
+                            _add(ctx, rows[k * dim + tb], i * d + a, K.s_mul(ctx, c, w))
     return YDModule(ind, Matrix.from_sparse(conductor, dim, rows))
 
 

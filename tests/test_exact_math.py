@@ -906,19 +906,23 @@ def test_sparse_helpers_make_no_product_with_one():
     assert [_s_mul_calls(run)[0] for run in runs] == [1, 0, 0, 0, 0, 0, 0]
 
 
-# callers of K.s_mul that skip a factor 1 themselves, beside the helpers above
-_UNIT_SKIPPING = {"_dot", "_table_apply", "_table_mul", "_multiplicative_defect",
-                  "distinguished_grouplike", "z_induce", "yd_coaction", "yd_braiding"}
+# the helpers of exact_math that skip a factor 1 before calling K.s_mul,
+# for speed, beside those above; code above exact_math multiplies plainly
+_UNIT_SKIPPING = {"_dot", "_table_apply", "_table_mul"}
 
 
 def test_readme_functor_examples_pass_no_one_to_s_mul(capsys):
-    # the README's check-functor and frob-objects examples: the callers above
+    # the README's check-functor and frob-objects examples: the helpers above
     # hand K.s_mul no canonical 1 (raw scalars are canonical, so a product
     # with 1 is the other factor)
     real, calls = K.s_mul, {}
 
     def spy(ctx, a, b):
-        caller = sys._getframe(1).f_code.co_name
+        # a comprehension's products are its function's
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in ("<dictcomp>", "<listcomp>", "<genexpr>"):
+            frame = frame.f_back
+        caller = frame.f_code.co_name
         if caller in _UNIT_SKIPPING:
             key = (caller, ctx[4] in (a, b))
             calls[key] = calls.get(key, 0) + 1

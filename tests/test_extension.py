@@ -978,30 +978,45 @@ def test_frobenius_data_is_refused_where_chi_is_not_eps(taft3):
         make_frobenius_data(incl)
 
 
-def test_analyze_of_the_extension_specs_passes_no_one_to_s_mul(capsys):
-    # the products of lambda-bar and chi skip a factor 1, as the helpers of
-    # exact_math do (raw scalars are canonical, so a product with 1 is the
-    # other factor)
-    import sys
+def test_the_kernel_never_multiplies_by_one(tmp_path, capsys):
+    # the kernel alone keeps the rule that no product with the canonical 1 is
+    # computed: over the README commands, analyze of the extension specs and
+    # verify of two bundles, with the scalar memos emptied so that products
+    # are made again, _mul never receives 1, from s_mul or from s_inv
     from unittest import mock
 
-    from hopfkit.cli import main
+    from conftest import readme_cli_commands
+    from hopfkit.bundles import serialize_hopf
+    from hopfkit.cli import main, resolve_hopf
 
-    real, calls = K.s_mul, {}
+    real, calls = K._mul, []
 
     def spy(ctx, a, b):
-        caller = sys._getframe(1).f_code.co_name
-        if caller in ("_lambda_products", "_modular_defect"):
-            key = (caller, ctx[4] in (a, b))
-            calls[key] = calls.get(key, 0) + 1
+        calls.append(ctx[4] in (a, b))
         return real(ctx, a, b)
 
-    with mock.patch.object(K, "s_mul", spy):
-        for spec in EXTENSION_SPECS:
-            main(["analyze", spec])
+    bundles = []
+    for spec in ("builtin:h8", _DBL + "group?table=c3"):
+        path = tmp_path / ("%d.bundle" % len(bundles))
+        path.write_text(serialize_hopf(resolve_hopf(spec)))
+        bundles.append(["verify", str(path)])
+    commands = [t[1:t.index(">")] if ">" in t else t[1:] for t in readme_cli_commands()]
+    commands += [["analyze", spec] for spec in EXTENSION_SPECS] + bundles
+    K._mul_memo.clear()
+    K._inv_memo.clear()
+    with mock.patch.object(K, "_mul", spy):
+        for args in commands:
+            assert main(args) == 0, args
+        made = len(calls)
+        K._inv_memo.clear()
+        ctxs = [K.make_ctx(N) for N in (3, 4, 5, 7, 8, 12)]
+        assert all(K.s_inv(ctx, ctx[4]) == ctx[4] for ctx in ctxs) and len(calls) == made
+        # zeta has norm 1, so its inverse is the product of its conjugates
+        for ctx in ctxs:
+            z = K.zeta_power(ctx, 1)
+            assert K.s_mul(ctx, K.s_inv(ctx, z), z) == ctx[4]
     capsys.readouterr()
-    assert [key for key in calls if key[1]] == []
-    assert {caller for caller, _ in calls} == {"_lambda_products", "_modular_defect"}
+    assert made and not any(calls)
 
 
 def test_analyze_never_computes_a_distinguished_grouplike(monkeypatch, h8_incl, taft3, uq3, uq5):

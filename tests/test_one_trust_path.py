@@ -15,7 +15,10 @@ itself: no function takes a centrality bit or a tr matrix beside the
 inclusion.  The induction functor is its Frobenius data: no wrapper class
 stands between the two.  Nor is the Frobenius system proved twice: in
 ``extension`` only the inclusion check and chi look a defect up again, and
-no function of the package reads the distinguished grouplike."""
+no function of the package reads the distinguished grouplike.  Nor is the
+rule that no product with the canonical one is computed kept twice: the
+kernel keeps it for every caller, and only the kernel and ``exact_math`` spell
+a skip of a factor one, for speed."""
 
 import ast
 from pathlib import Path
@@ -183,3 +186,71 @@ def test_only_the_inclusion_check_and_chi_rescan_a_defect_in_extension():
 def test_no_function_of_the_package_reads_the_distinguished_grouplike():
     # alpha_H|_K = alpha_K is a theorem of chi = eps; only tests compute alpha
     assert _package_callers("distinguished_grouplike", calls=False) == {}
+
+
+def _is_one(node):
+    """Whether node names the canonical one: ``one``, ``ctx[4]`` or a call
+    of ``s_one``."""
+    if isinstance(node, ast.Name):
+        return node.id == "one"
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.slice, ast.Constant) and node.slice.value == 4
+    if isinstance(node, ast.Call):
+        f = node.func
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "s_one"
+    return False
+
+
+def _unit_skips(tree):
+    """Names of the functions holding a conditional expression that compares
+    a value with the canonical one and falls back to ``s_mul`` or ``_mul``,
+    "<module>" for one outside every function."""
+    out = set()
+
+    def multiplies(node):
+        return any(isinstance(c, ast.Call) and (
+            getattr(c.func, "id", None) in ("s_mul", "_mul")
+            or getattr(c.func, "attr", None) in ("s_mul", "_mul")) for c in ast.walk(node))
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.IfExp) and isinstance(child.test, ast.Compare) \
+                    and any(map(_is_one, [child.test.left, *child.test.comparators])) \
+                    and multiplies(child):
+                out.add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_the_unit_skip_detector_finds_each_spelling():
+    src = (
+        "def a(ctx, x, y):\n"
+        "    one = ctx[4]\n"
+        "    return y if x == one else x if y == one else K.s_mul(ctx, x, y)\n"
+        "def b(ctx, x, y):\n"
+        "    return x if y == ctx[4] else s_mul(ctx, x, y)\n"
+        "def c(ctx, x, y):\n"
+        "    return (x if K.s_one(ctx) == y else _mul(ctx, x, y)) if x else y\n"
+        "def d(ctx, x, y, zero):\n"
+        "    return zero if x == zero else K.s_mul(ctx, x, y)\n"
+        "def e(ctx, x, y, one):\n"
+        "    return x if y == one else K.s_add(ctx, x, y)\n"
+    )
+    assert _unit_skips(ast.parse(src)) == {"a", "b", "c"}
+
+
+def test_only_the_kernel_and_exact_math_skip_a_factor_one():
+    # the kernel never multiplies by 1 (s_mul returns the other factor), so
+    # code above exact_math multiplies plainly; the kernel's scans and
+    # exact_math's sparse helpers keep their skips, for speed
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        owners = _unit_skips(ast.parse(path.read_text(), filename=str(path)))
+        if owners:
+            found[path.relative_to(SRC).as_posix()] = owners
+    assert set(found) == {"_kernel.py", "exact_math.py"}, found
