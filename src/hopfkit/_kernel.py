@@ -1,27 +1,38 @@
 """The scalar kernel: ring operations in Q(zeta_N), conversions and the
 axiom scans.
 
-Scalars are elements of the cyclotomic field Q(zeta_N), stored in canonical
-form as a tuple ``(den, c0, ..., c_{phi-1})`` of Python ints: the value is
-``(c0 + c1*z + ... ) / den`` with ``z = zeta_N``, reduced modulo the N-th
+Scalars are elements of the cyclotomic field Q(zeta_N).  The canonical form
+of a value is a tuple ``(den, c0, ..., c_{phi-1})`` of Python ints: the value
+is ``(c0 + c1*z + ... ) / den`` with ``z = zeta_N``, reduced modulo the N-th
 cyclotomic polynomial, ``den > 0`` and ``gcd(den, c0, ..., c_{phi-1}) == 1``.
-Equality of canonical scalars is tuple equality.
+A raw scalar, the form every table, sparse vector and Matrix holds, is that
+tuple interned (``_intern``): a positive int that names it in one
+process-wide table, so that a memo key, a zero or one test and the
+comparison of two sums work on small ints.  Id 0 names no value, so every
+raw scalar is true.  The table holds at most ``_TABLE_CAP`` values; once it
+is full a new value stays its tuple, and since the table never shrinks it
+never gets an id later.  Either way each value has exactly one raw form, so
+equality of raw scalars is equality of values.  Only this module builds or
+reads that form: the rest of the package reads the coefficients through
+``s_parts``.
 
 A context is the tuple ``(N, phi, red, zero, one)`` where ``red[t]`` holds the
 integer coefficients of ``x**(phi+t)`` reduced modulo the cyclotomic
-polynomial, and ``zero`` and ``one`` are the canonical scalars 0 and 1.
+polynomial, and ``zero`` and ``one`` are the raw scalars 0 and 1.
 
-Everything here is allocation-heavy but exact.  The binary ring operations
-are memoized on their operand values (``_remember``): on the benchmark
-workloads about 98% of the products one CLI call makes repeat an operand
-pair it has already seen.  ``s_inv`` inverts once per distinct operand,
-memoized the same way.  Cyclotomic polynomials, contexts, powers of zeta and
-lift tables are built once per conductor.
+The arithmetic works on the canonical tuples and is exact.  The ring
+operations are memoized on their raw operands (``_remember``): on the
+benchmark workloads about 98% of the products one CLI call makes repeat an
+operand pair it has already seen, so most calls are a lookup whose key holds
+two ids.  A miss reads the operands' tuples, computes, and interns the
+result.  ``s_inv`` inverts once per distinct operand, memoized the same way.
+Cyclotomic polynomials, contexts, powers of zeta and lift tables are built
+once per conductor.
 
 The axiom scans add up the two sides of an axiom as separate sparse sums and
-compare them: canonical scalars are equal exactly when their tuples are.  A
-sum that cancels keeps its key with the canonical zero, so sums whose dicts
-differ are compared again key by key (``_differ``).
+compare them: raw scalars are equal exactly when their values are.  A sum
+that cancels keeps its key with the raw zero, so sums whose dicts differ are
+compared again key by key (``_differ``).
 
 No product with the canonical one is computed, and the kernel alone keeps
 that rule: on a memo miss ``s_mul`` stores the other factor (``_times``),
@@ -51,12 +62,42 @@ IMPLEMENTATIONS = {"pure": sys.modules[__name__]}
 # growing a memo without bound.
 _MEMO_CAP = 8192
 
+# Values the table of interned scalars holds.  The most distinct values one
+# run measured is 992 (``verify builtin:uqsl2?l=7``; a benchmark pass makes
+# 19 to 241).  A stream of distinct values, such as a dense matrix inverse,
+# fills the table and then goes on as tuples, so it cannot grow memory
+# without bound.
+_TABLE_CAP = 8192
+
+# _values[i] is the canonical tuple of id i and _ids[t] the id of tuple t;
+# slot 0 holds no value
+_values = [None]
+_ids = {}
+
+
+def _intern(t):
+    """The raw scalar of the canonical tuple t: its id, given one now while
+    the table has room; once the table is full, a tuple without an id is its
+    own raw scalar."""
+    got = _ids.get(t)
+    if got is None:
+        if len(_values) > _TABLE_CAP:
+            return t
+        got = _ids[t] = len(_values)
+        _values.append(t)
+    return got
+
+
+def s_parts(a):
+    """The canonical tuple (den, c0, ..., c_{phi-1}) of the raw scalar a."""
+    return _values[a] if a.__class__ is int else a
+
 
 def _remember(memo, key, value):
-    """Store ``value`` in a memo of scalar results keyed on operand values,
-    first emptying the memo if it holds ``_MEMO_CAP`` entries.  Canonical
-    scalars are tuples, so equal values are equal keys, and the stored value
-    is the tuple the operation would build again."""
+    """Store ``value`` in a memo of scalar results keyed on raw operands,
+    first emptying the memo if it holds ``_MEMO_CAP`` entries.  Equal values
+    are equal raw scalars, so equal operands are equal keys, and the stored
+    value is the raw scalar the operation would give again."""
     if len(memo) >= _MEMO_CAP:
         memo.clear()
     memo[key] = value
@@ -64,19 +105,19 @@ def _remember(memo, key, value):
 
 
 def s_from_ints(den, coeffs):
-    """Canonical scalar (c0 + c1*z + ...) / den from phi Python ints and an
-    int den > 0."""
+    """Raw scalar (c0 + c1*z + ...) / den from phi Python ints and an int
+    den > 0."""
     g = 0
     for c in coeffs:
         if c:
             g = gcd(g, c)
     if g == 0:
-        return (1,) + (0,) * len(coeffs)
+        return _intern((1,) + (0,) * len(coeffs))
     g = gcd(g, den)
     if g != 1:
         den //= g
-        return (den,) + tuple(c // g for c in coeffs)
-    return (den,) + tuple(coeffs)
+        return _intern((den,) + tuple(c // g for c in coeffs))
+    return _intern((den,) + tuple(coeffs))
 
 
 _add_memo = {}
@@ -96,6 +137,8 @@ def s_sub(ctx, a, b):
 
 
 def _add(a, b):
+    a = s_parts(a)
+    b = s_parts(b)
     da = a[0]
     db = b[0]
     if da == db:
@@ -103,16 +146,24 @@ def _add(a, b):
     return s_from_ints(da * db, [a[i] * db + b[i] * da for i in range(1, len(a))])
 
 
+_neg_memo = {}
+
+
 def s_neg(a):
-    return (a[0],) + tuple(-c for c in a[1:])
+    # negation reads no context, and -a is canonical when a is
+    got = _neg_memo.get(a)
+    if got is None:
+        t = s_parts(a)
+        got = _remember(_neg_memo, a, _intern((t[0],) + tuple(-c for c in t[1:])))
+    return got
 
 
 _mul_memo = {}
 
 
 def s_mul(ctx, a, b):
-    # conductors of equal phi (3 and 4; 5, 8 and 12) share tuple shapes that
-    # denote different numbers, so the key carries the conductor
+    # conductors of equal phi (3 and 4; 5, 8 and 12) share tuples, hence
+    # ids, that denote different numbers, so the key carries the conductor
     key = (ctx[0], a, b)
     got = _mul_memo.get(key)
     if got is None:
@@ -128,6 +179,8 @@ def _times(ctx, a, b):
 
 
 def _mul(ctx, a, b):
+    a = s_parts(a)
+    b = s_parts(b)
     phi = ctx[1]
     if phi == 1:
         return s_from_ints(a[0] * b[0], [a[1] * b[1]])
@@ -152,7 +205,7 @@ def _mul(ctx, a, b):
 
 
 def s_is_zero(a):
-    return not any(a[1:])
+    return not any(s_parts(a)[1:])
 
 
 def _poly_exact_div(a, b):
@@ -195,15 +248,17 @@ def _times_zeta(coeffs, base):
 @cache
 def make_ctx(N):
     """Context tuple (N, phi, red, zero, one) for arithmetic in Q(zeta_N),
-    one per conductor.  Canonical scalars are equal exactly when their tuples
-    are, so ``s == ctx[3]`` tests for zero and ``s == ctx[4]`` for one."""
+    one per conductor.  Raw scalars are equal exactly when their values are,
+    so ``s == ctx[3]`` tests for zero and ``s == ctx[4]`` for one."""
     poly = cyclotomic_poly(N)
     phi = len(poly) - 1
     base = tuple(-poly[j] for j in range(phi))
     rows = [base]
     for _ in range(max(0, phi - 2)):
         rows.append(tuple(_times_zeta(rows[-1], base)))
-    return (N, phi, tuple(rows), (1,) + (0,) * phi, (1, 1) + (0,) * (phi - 1))
+    zero = _intern((1,) + (0,) * phi)
+    one = _intern((1, 1) + (0,) * (phi - 1))
+    return (N, phi, tuple(rows), zero, one)
 
 
 def euler_phi(N):
@@ -224,11 +279,11 @@ def s_from_ratio(ctx, p, q=1):
     g = gcd(p, q)
     if q < 0:
         g = -g
-    return (q // g, p // g) + (0,) * (ctx[1] - 1)
+    return _intern((q // g, p // g) + (0,) * (ctx[1] - 1))
 
 
 def s_from_fractions(ctx, fracs):
-    """Canonical scalar from a sequence of phi Fractions."""
+    """Raw scalar from a sequence of phi Fractions."""
     den = 1
     for f in fracs:
         den = den * f.denominator // gcd(den, f.denominator)
@@ -236,12 +291,14 @@ def s_from_fractions(ctx, fracs):
 
 
 def s_to_fractions(a):
+    a = s_parts(a)
     den = a[0]
     return tuple(Fraction(c, den) for c in a[1:])
 
 
 def s_rational_part(a):
     """The Fraction value if the scalar is rational, else None."""
+    a = s_parts(a)
     for c in a[2:]:
         if c:
             return None
@@ -254,7 +311,7 @@ _power_cache = {}
 
 
 def zeta_power(ctx, k):
-    """Canonical scalar zeta_N**k (iterative multiply-by-x reduction)."""
+    """Raw scalar zeta_N**k (iterative multiply-by-x reduction)."""
     N, phi, red = ctx[:3]
     k %= N
     key = (N, k)
@@ -296,6 +353,7 @@ def s_lift(a, N, M):
         return a
     table = lift_table(N, M)
     phiM = euler_phi(M)
+    a = s_parts(a)
     out = [0] * phiM
     for i, c in enumerate(a[1:]):
         if c:
@@ -326,18 +384,19 @@ def _solve_inv(ctx, a):
     sigma_k(zeta) = zeta^k for 1 < k < N prime to N; Norm(a) = a c is
     rational.  Each product is made once, so none goes through a memo."""
     N, phi = ctx[0], ctx[1]
+    t = s_parts(a)
     if phi == 1:
-        return s_from_ratio(ctx, a[0], a[1])
+        return s_from_ratio(ctx, t[0], t[1])
     c = ctx[4]
     for k in range(2, N):
         if gcd(k, N) == 1:
             conj = [0] * phi
-            for j, cj in enumerate(a[1:]):
+            for j, cj in enumerate(t[1:]):
                 if cj:
-                    for t, z in enumerate(zeta_power(ctx, j * k)[1:]):
-                        conj[t] += cj * z
-            c = _times(ctx, c, s_from_ints(a[0], conj))
-    norm = _times(ctx, a, c)
+                    for i, z in enumerate(s_parts(zeta_power(ctx, j * k))[1:]):
+                        conj[i] += cj * z
+            c = _times(ctx, c, s_from_ints(t[0], conj))
+    norm = s_parts(_times(ctx, a, c))
     return _times(ctx, c, s_from_ratio(ctx, norm[0], norm[1]))
 
 
@@ -353,8 +412,8 @@ def _sum_into(ctx, acc, terms, c):
 
 
 def _differ(lhs, rhs, zero):
-    """Whether two sparse sums of canonical scalars differ, an absent key
-    reading as zero."""
+    """Whether two sparse sums of raw scalars differ, an absent key reading
+    as zero."""
     return any(lhs.get(k, zero) != rhs.get(k, zero) for k in lhs.keys() | rhs.keys())
 
 

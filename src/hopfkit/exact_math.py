@@ -1,9 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) and exact linear algebra.
 
-Scalars are elements of Q(zeta_N) in canonical reduced form, so equality is
-coefficient-wise.  Mixed conductors are lifted to the lcm; there is no
-automatic conductor minimization.  All values are immutable and all
-operations are pure.
+Scalars are elements of Q(zeta_N) held as the kernel's raw scalars, one per
+value (``_kernel``), so equality is exact.  Mixed conductors are lifted to
+the lcm; there is no automatic conductor minimization.  All values are
+immutable and all operations are pure.
 
 Every elimination (rank, inverse, solve, null spaces) runs on one
 incrementally maintained sparse reduced row echelon form, ``RowSpace``.  A
@@ -176,10 +176,11 @@ def root_of_unity(N, k=1):
 
 
 def format_raw(a):
-    """Render the raw scalar a = (den, c_0, ..., c_(phi-1)), den > 0, as
-    "p/q" or a sum of "p/q*z^k" terms (z denotes zeta_N).  Each c_k/den is
-    written in lowest terms by its gcd with den, which is the normal form
-    Fraction(c_k, den) prints; the text does not depend on N."""
+    """Render the raw scalar a, whose parts are (den, c_0, ..., c_(phi-1)),
+    den > 0, as "p/q" or a sum of "p/q*z^k" terms (z denotes zeta_N).  Each
+    c_k/den is written in lowest terms by its gcd with den, which is the
+    normal form Fraction(c_k, den) prints; the text does not depend on N."""
+    a = K.s_parts(a)
     den = a[0]
     terms = []
     for k, c in enumerate(a[1:]):
@@ -262,7 +263,7 @@ def parse_scalar(text, N):
             coeffs[k] += c
         else:
             # zeta_power is canonical with denominator 1: integer coefficients
-            for j, z in enumerate(K.zeta_power(ctx, k)[1:]):
+            for j, z in enumerate(K.s_parts(K.zeta_power(ctx, k))[1:]):
                 coeffs[j] += c * z
     return Cyclotomic(N, K.s_from_ints(den, coeffs))
 

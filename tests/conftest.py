@@ -327,6 +327,13 @@ def dense_frobenius(fr):
     return tr_K, [_dense(incl.ctx, d, incl.H.dim) for d in fr.deltas]
 
 
+def key_parts(M):
+    """``M.key()`` of a Matrix with each raw scalar read as its canonical
+    tuple: the form in which the digests of keys were recorded."""
+    key = M.key()
+    return key[:1] + tuple(tuple((c, K.s_parts(s)) for c, s in row) for row in key[1:])
+
+
 def record_criterion(number, ok, detail=""):
     _ACCEPTANCE[number] = (ok, detail)
 

@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from unittest import mock
 
@@ -28,6 +28,7 @@ from hopfkit.exact_math import (
     _table_mul,
     _tensor,
     _tensor_square_mul,
+    format_raw,
     format_scalar,
     id_kron,
     kron_id,
@@ -146,6 +147,19 @@ def test_s_inv_is_the_inverse_at_every_conductor(fracs):
         assert K.s_inv(ctx, a) == inv
 
 
+def _reference_reduce(N, poly):
+    """The coefficients of the Fraction polynomial poly (low degree first)
+    modulo the monic Phi_N, by long division, padded to phi(N)."""
+    cyc = K.cyclotomic_poly(N)
+    phi = len(cyc) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, phi - len(poly))
+    for deg in range(len(poly) - 1, phi - 1, -1):
+        c = poly[deg]
+        for j in range(phi + 1):
+            poly[deg - phi + j] -= c * cyc[j]
+    return tuple(poly[:phi])
+
+
 def _reference_product(N, x, y):
     """x*y for coefficient lists of Fractions: the polynomial product, reduced
     modulo the monic Phi_N by long division."""
@@ -153,29 +167,114 @@ def _reference_product(N, x, y):
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
             prod[i + j] += xi * yj
-    cyc = K.cyclotomic_poly(N)
-    phi = len(cyc) - 1
-    for deg in range(len(prod) - 1, phi - 1, -1):
-        c = prod[deg]
-        for j in range(phi + 1):
-            prod[deg - phi + j] -= c * cyc[j]
-    return tuple(prod[:phi])
+    return _reference_reduce(N, prod)
+
+
+# conductors 3 and 4 share phi = 2, and 5, 8 and 12 share phi = 4: the same
+# canonical tuple, hence the same raw scalar, denotes other numbers there
+REFERENCE_CONDUCTORS = [1, 2, 3, 4, 5, 7, 8, 12]
+
+
+def _fractions(raw):
+    """The coefficients of a raw scalar as Fractions, read from its canonical
+    parts, which must be in lowest terms with a positive denominator."""
+    den, *coeffs = K.s_parts(raw)
+    assert den > 0 and gcd(den, *coeffs) == 1
+    return tuple(Fraction(c, den) for c in coeffs)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_COEFF, min_size=6, max_size=6), st.lists(_COEFF, min_size=6, max_size=6))
-def test_memoized_ring_ops_match_a_reference_at_every_conductor(xs, ys):
+@given(st.lists(_COEFF, min_size=6, max_size=6), st.lists(_COEFF, min_size=6, max_size=6),
+       st.integers(-30, 30))
+def test_memoized_ring_ops_match_a_reference_at_every_conductor(xs, ys, k):
     # one example runs every conductor on the same coefficients, so the same
-    # operand tuples come back at 3 and 4, and at 5, 8 and 12, where they
+    # raw operands come back at 3 and 4, and at 5, 8 and 12, where they
     # denote other numbers; each op runs twice, the second time from its memo
-    for N in KERNEL_CONDUCTORS:
+    for N in REFERENCE_CONDUCTORS:
         ctx = K.make_ctx(N)
-        x, y = xs[: ctx[1]], ys[: ctx[1]]
+        phi = ctx[1]
+        x, y = xs[:phi], ys[:phi]
         a, b = K.s_from_fractions(ctx, x), K.s_from_fractions(ctx, y)
+        assert _fractions(a) == tuple(x) and _fractions(b) == tuple(y)
+        product = _reference_product(N, x, y)
         for _ in range(2):
-            assert K.s_to_fractions(K.s_mul(ctx, a, b)) == _reference_product(N, x, y)
-            assert K.s_to_fractions(K.s_add(ctx, a, b)) == tuple(p + q for p, q in zip(x, y))
-            assert K.s_to_fractions(K.s_sub(ctx, a, b)) == tuple(p - q for p, q in zip(x, y))
+            assert _fractions(K.s_mul(ctx, a, b)) == product
+            assert _fractions(K.s_add(ctx, a, b)) == tuple(p + q for p, q in zip(x, y))
+            assert _fractions(K.s_sub(ctx, a, b)) == tuple(p - q for p, q in zip(x, y))
+            assert _fractions(K.s_neg(a)) == tuple(-p for p in x)
+            assert _fractions(K.zeta_power(ctx, k)) == _reference_reduce(N, [0] * (k % N) + [1])
+            if any(x):
+                unit = (Fraction(1),) + (Fraction(0),) * (phi - 1)
+                assert _reference_product(N, x, _fractions(K.s_inv(ctx, a))) == unit
+        for M in REFERENCE_CONDUCTORS:
+            if M % N == 0:
+                # z_N = z_M^(M/N)
+                spread = [Fraction(0)] * ((phi - 1) * (M // N) + 1)
+                for j, c in enumerate(x):
+                    spread[j * (M // N)] = c
+                assert _fractions(K.s_lift(a, N, M)) == _reference_reduce(M, spread)
+        # one value reached by different routes is one raw scalar
+        assert K.s_from_fractions(ctx, product) == K.s_mul(ctx, a, b) == K.s_mul(ctx, b, a)
+        assert K.s_sub(ctx, K.s_add(ctx, a, b), b) == a == K.s_neg(K.s_neg(a))
+        assert K.s_add(ctx, a, K.s_neg(a)) == K.s_sub(ctx, b, b) == K.s_zero(ctx)
+        assert K.s_mul(ctx, K.zeta_power(ctx, k), K.zeta_power(ctx, -k)) == K.s_one(ctx)
+        if any(x):
+            assert K.s_mul(ctx, a, K.s_inv(ctx, a)) == K.s_one(ctx)
+
+
+@pytest.fixture
+def full_table(monkeypatch):
+    """The table of interned scalars held full, its cap set to its current
+    size, with memos of its own: what the test memoizes, some of it tuples
+    that would get ids once the cap is restored, does not outlive it.  The
+    contexts and the old values used are made first, so they keep their
+    ids."""
+    ctxs = [K.make_ctx(N) for N in (1, 3, 7)]
+    old = [(ctx, K.s_from_ratio(ctx, 2)) for ctx in ctxs]
+    monkeypatch.setattr(K, "_TABLE_CAP", len(K._values) - 1)
+    for memo in ("_mul_memo", "_add_memo", "_inv_memo", "_neg_memo", "_power_cache"):
+        monkeypatch.setattr(K, memo, {})
+    return old
+
+
+def test_a_full_table_leaves_new_values_as_tuples(full_table, monkeypatch):
+    size = len(K._values)
+    for ctx, two in full_table:
+        phi = ctx[1]
+        assert all(type(s) is int for s in (ctx[3], ctx[4], two))
+        # a value no run has made: 1/3 + 10^40 z^(phi-1), or 10^40 + 1/3
+        big = [Fraction(1, 3)] + [Fraction(0)] * (phi - 2) + [Fraction(10**40)]
+        if phi == 1:
+            big = [Fraction(10**40) + Fraction(1, 3)]
+        new = K.s_from_fractions(ctx, big)
+        assert type(new) is tuple and new == K.s_parts(new)
+        # reached again, by other routes, it is the same tuple and no id
+        half = K.s_from_fractions(ctx, [f / 2 for f in big])
+        for again in (K.s_add(ctx, half, half), K.s_mul(ctx, two, half),
+                      K.s_neg(K.s_neg(new)), K.s_from_fractions(ctx, big)):
+            assert type(again) is tuple and again == new
+        # mixed int and tuple operands stay exact, and a result that is a
+        # value with an id is that id
+        assert _fractions(K.s_mul(ctx, two, new)) == tuple(2 * f for f in big)
+        assert _fractions(K.s_add(ctx, new, two)) == (big[0] + 2,) + tuple(big[1:])
+        assert K.s_sub(ctx, new, new) == ctx[3] and K.s_is_zero(K.s_sub(ctx, new, new))
+        assert not K.s_is_zero(new) and new != two and K.s_add(ctx, new, ctx[3]) == new
+        assert K.s_mul(ctx, new, K.s_inv(ctx, new)) == ctx[4]
+        assert K.s_sub(ctx, K.s_add(ctx, new, two), new) == two
+        text = "1/3 + 10000000000000000000000000000000000000000*z^%d" % (phi - 1)
+        assert format_raw(new) == (text if phi > 1 else "30000000000000000000000000000000000000001/3")
+        assert parse_scalar(format_raw(new), ctx[0]).data == new
+    assert len(K._values) == size
+    # emptying the memos leaves every id naming its value
+    before = [(i, K.s_parts(i)) for i in range(1, size)]
+    monkeypatch.setattr(K, "_MEMO_CAP", 2)
+    for ctx, _ in full_table:
+        for p in range(1, 6):
+            K.s_mul(ctx, K.s_from_ratio(ctx, p), K.s_from_ratio(ctx, p + 1))
+            K.s_add(ctx, K.s_from_ratio(ctx, p), K.s_from_ratio(ctx, 1, p))
+    assert all(len(memo) <= 2 for memo in (K._mul_memo, K._add_memo))
+    assert [(i, K.s_parts(i)) for i in range(1, size)] == before
+    assert all(K.s_from_ints(parts[0], parts[1:]) == i for i, parts in before)
 
 
 def test_scalar_memos_stay_within_their_cap():
@@ -747,7 +846,7 @@ def test_lower_finds_the_value_in_a_subfield():
     i = root_of_unity(12, 3)
     assert i.lower(4) == root_of_unity(4) and i.lower(4).N == 4
     assert root_of_unity(12, 4).lower(3) == root_of_unity(3)
-    assert Cyclotomic.rational(Fraction(2, 3), 12).lower(1).data == (3, 2)
+    assert K.s_parts(Cyclotomic.rational(Fraction(2, 3), 12).lower(1).data) == (3, 2)
     with pytest.raises(ValueError):
         root_of_unity(12, 4).lower(4)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 import hopfkit._kernel as K
 from conftest import (alpha_criterion, bicomodule_on_every_basis_element,
                       criterion_09_registry, dense_frobenius, hkplus_over_a_kplus_basis,
-                      integral_type_over_all_of_h, proportion)
+                      integral_type_over_all_of_h, key_parts, proportion)
 from hopfkit.builders import cyclic_table, group_algebra, taft, trivial_hopf
 from hopfkit.errors import HopfkitError
 from hopfkit.exact_math import Cyclotomic, Matrix, RowSpace, _add, _apply, _axpy, _dot, _scale
@@ -314,7 +314,8 @@ def test_scale_seven(h8_incl):
     assert is_frobenius_extension(h8_incl).frobenius == ana1.decision.frobenius
 
 
-# sha256 of repr((tr_K.key(), deltas)) for each scale in 1, 7, 1/2, recorded
+# sha256 of repr((tr_K.key(), deltas)), each raw scalar read as its canonical
+# tuple, for each scale in 1, 7, 1/2, recorded
 # while make_frobenius_data verified the dual bases after its own rescale and
 # FrobeniusData held tr_K as a Matrix and the delta_i as dense lists
 FROBENIUS_DATA_PINS = [
@@ -345,7 +346,7 @@ def test_frobenius_data_is_pinned(spec, digests):
     for scale in (1, 7, Fraction(1, 2)):
         fr = rescale_frobenius_data(make_frobenius_data(incl), Cyclotomic.promote(scale))
         tr_K, deltas = dense_frobenius(fr)
-        blob = repr((tr_K.key(), deltas)).encode()
+        blob = repr((key_parts(tr_K), [list(map(K.s_parts, d)) for d in deltas])).encode()
         got.append(hashlib.sha256(blob).hexdigest())
     assert got == digests
 
@@ -410,7 +411,10 @@ def test_bar_quotient_is_pinned(name, digest, h8_incl, taft3, uq3, uq5):
     else:
         incl = dict(criterion_09_registry(h8_incl, taft3, uq3, uq5))[name]
     bq = bar_quotient(incl)
-    blob = repr((bq.reps, [sorted(c.items()) for c in bq.proj_cols], bq.comult, bq.unit)).encode()
+    # each raw scalar as its canonical tuple, the form the pins were recorded in
+    blob = repr((bq.reps, [[(k, K.s_parts(s)) for k, s in sorted(c.items())] for c in bq.proj_cols],
+                 tuple(tuple((x, K.s_parts(s)) for x, s in row) for row in bq.comult),
+                 tuple(map(K.s_parts, bq.unit)))).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 
 

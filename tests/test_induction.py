@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_sum, h8_v1, h8_v2, kchar, regular_module, uqsl2_sub
+from conftest import fold_sum, h8_v1, h8_v2, kchar, key_parts, regular_module, uqsl2_sub
 from hopfkit import _kernel as K
 from hopfkit.builders import (cyclic_table, drinfeld_double, group_algebra, kac_paljutkin, klein_table,
                               trivial_hopf)
@@ -666,7 +666,10 @@ def _at_conductor(V, N):
 
 
 def _digest(m):
-    return hashlib.sha256(repr((m.N, m.key())).encode()).hexdigest()[:16]
+    """The digest of (N, key()) of a module or Matrix, each raw scalar read
+    as its canonical tuple, the form the digests were recorded in."""
+    key = key_parts(m) if isinstance(m, Matrix) else (m.H.name, m.N, tuple(map(key_parts, m.action)))
+    return hashlib.sha256(repr((m.N, key)).encode()).hexdigest()[:16]
 
 
 # (N, key()) digests of lproj^{G-|F}, lproj^{F-|G}, rproj^{G-|F} and rproj^{F-|G},
